@@ -1,31 +1,21 @@
-"""Sharded parallel join vs serial vectorized join + columnar append pipeline.
+"""Sharded parallel join vs serial vectorized join, with a built-in correctness assertion.
 
-Two measurements, each with a built-in correctness assertion:
-
-1. **Sharded join scaling** — the ``parallel`` backend
-   (:class:`repro.simjoin.parallel.ParallelSimJoin`, CSR row blocks split
-   across a process pool) against the serial ``vectorized`` backend on the
-   same store, asserting the pair sets and likelihoods are *bit-identical*.
-   The full run gates the tentpole acceptance criterion: >= ``--min-speedup``
-   (default 2x) with ``--workers`` (default 4) at the largest size.
-
-2. **Streaming append pipeline** — the columnar chunked index maintenance
-   (:mod:`repro.simjoin.columnar` + numpy chunk appends, what
-   :class:`repro.streaming.incremental_join.IncrementalSimJoin` now does)
-   against the legacy per-record pipeline (per-token dict ``setdefault``
-   into Python lists, full list->numpy reconversion of the resident index
-   on every append), asserting both maintain the same incidence matrix.
-   The full run gates >= ``--min-index-speedup`` (default 1.5x).
+The ``parallel`` backend (:class:`repro.simjoin.parallel.ParallelSimJoin`,
+CSR row blocks split across the shared process pool) against the serial
+``vectorized`` backend on the same store, asserting the pair sets and
+likelihoods are *bit-identical*.  The full run gates >= ``--min-speedup``
+(default 2x) with ``--workers`` (default 4) at the largest size — a
+multi-core gate: on a single-core host a process pool cannot win.
 
 Standalone script (not a pytest-benchmark module) so CI can gate on it::
 
-    PYTHONPATH=src python benchmarks/bench_parallel_join.py            # full gates
+    PYTHONPATH=src python benchmarks/bench_parallel_join.py            # full gate
     PYTHONPATH=src python benchmarks/bench_parallel_join.py --smoke    # <30 s CI run
 
-The smoke run asserts all equivalences at small sizes but applies no
-speedup gates — CI smoke runners may be single-core, where a process pool
-cannot win.  The nightly job runs the full gates on a multi-core runner.
-``--json`` writes the measured rows for artifact upload.
+The smoke run asserts the equivalence at a small size but applies no
+speedup gate — CI smoke runners may be single-core.  The nightly job runs
+the full gate on a multi-core runner.  ``--json`` writes the measured rows
+for artifact upload.
 """
 
 from __future__ import annotations
@@ -35,34 +25,23 @@ import json
 import os
 import sys
 import time
-from typing import Dict, List, Optional
-
-import numpy as np
+from typing import List, Optional
 
 from repro.datasets.restaurant import RestaurantGenerator
 from repro.evaluation.reporting import format_table
-from repro.records.tokenize import WhitespaceTokenizer, record_token_set
-from repro.simjoin.columnar import extend_vocabulary_csr_arrays
 from repro.simjoin.parallel import ParallelSimJoin
 from repro.simjoin.vectorized import VectorizedSimJoin
 
 
-def _token_sets(record_count: int, seed: int):
+def run_join_scenario(
+    record_count: int, threshold: float, workers: int, seed: int, block_size: int
+) -> dict:
+    """Time the serial and sharded joins on one store; assert bit-identical."""
     dataset = RestaurantGenerator(
         record_count=record_count,
         duplicate_pairs=max(1, record_count // 8),
         seed=seed,
     ).generate()
-    tokenizer = WhitespaceTokenizer()
-    return dataset, [record_token_set(r, None, tokenizer) for r in dataset.store]
-
-
-# ------------------------------------------------------------ sharded join
-def run_join_scenario(
-    record_count: int, threshold: float, workers: int, seed: int, block_size: int
-) -> dict:
-    """Time the serial and sharded joins on one store; assert bit-identical."""
-    dataset, _ = _token_sets(record_count, seed)
 
     start = time.perf_counter()
     serial = VectorizedSimJoin(threshold, block_size=block_size).join(dataset.store)
@@ -91,102 +70,12 @@ def run_join_scenario(
     }
 
 
-# --------------------------------------------------- append index pipeline
-def _legacy_append_pipeline(token_sets, batch_size: int):
-    """The pre-columnar index maintenance, verbatim: per-token setdefault
-    into Python lists and a full list->numpy conversion of the resident
-    index arrays on every append (the per-batch cost the columnar pipeline
-    removes).  Returns the final (indices, indptr, vocabulary)."""
-    vocabulary: Dict[str, int] = {}
-    indices: List[int] = []
-    indptr: List[int] = [0]
-    for start in range(0, len(token_sets), batch_size):
-        batch = token_sets[start : start + batch_size]
-        new_indices: List[int] = []
-        new_indptr: List[int] = [0]
-        for tokens in batch:
-            for token in tokens:
-                new_indices.append(vocabulary.setdefault(token, len(vocabulary)))
-            new_indptr.append(len(new_indices))
-        # What every batch join pays: the resident index as numpy arrays.
-        np.asarray(indices, dtype=np.int64)
-        np.asarray(indptr, dtype=np.int64)
-        np.asarray(new_indices, dtype=np.int64)
-        np.asarray(new_indptr, dtype=np.int64)
-        indices.extend(new_indices)
-        indptr.extend(len(indices) - len(new_indices) + p for p in new_indptr[1:])
-    return np.asarray(indices, dtype=np.int64), np.asarray(indptr, dtype=np.int64), vocabulary
-
-
-def _columnar_append_pipeline(token_sets, batch_size: int):
-    """The columnar chunked maintenance IncrementalSimJoin now performs."""
-    vocabulary: Dict[str, int] = {}
-    chunks: List[np.ndarray] = []
-    indptr: List[int] = [0]
-    for start in range(0, len(token_sets), batch_size):
-        batch = token_sets[start : start + batch_size]
-        batch_indices, batch_indptr = extend_vocabulary_csr_arrays(batch, vocabulary)
-        # What every batch join pays: the resident index as numpy arrays.
-        np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
-        np.asarray(indptr, dtype=np.int64)
-        offset = indptr[-1]
-        if len(batch_indices):
-            chunks.append(batch_indices)
-        indptr.extend((batch_indptr[1:] + offset).tolist())
-    merged = np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
-    return merged, np.asarray(indptr, dtype=np.int64), vocabulary
-
-
-def _same_incidence(legacy, columnar) -> bool:
-    """Row-wise token equality of the two indexes (column order may differ)."""
-    legacy_indices, legacy_indptr, legacy_vocab = legacy
-    columnar_indices, columnar_indptr, columnar_vocab = columnar
-    if legacy_indptr.tolist() != columnar_indptr.tolist():
-        return False
-    legacy_tokens = np.array(sorted(legacy_vocab, key=legacy_vocab.__getitem__))
-    columnar_tokens = np.array(sorted(columnar_vocab, key=columnar_vocab.__getitem__))
-    for row in range(len(legacy_indptr) - 1):
-        start, stop = legacy_indptr[row], legacy_indptr[row + 1]
-        if set(legacy_tokens[legacy_indices[start:stop]]) != set(
-            columnar_tokens[columnar_indices[start:stop]]
-        ):
-            return False
-    return True
-
-
-def run_append_scenario(record_count: int, batch_size: int, seed: int) -> dict:
-    """Time both streaming index pipelines end to end; assert equivalence."""
-    _, token_sets = _token_sets(record_count, seed)
-
-    start = time.perf_counter()
-    legacy = _legacy_append_pipeline(token_sets, batch_size)
-    legacy_seconds = time.perf_counter() - start
-
-    start = time.perf_counter()
-    columnar = _columnar_append_pipeline(token_sets, batch_size)
-    columnar_seconds = time.perf_counter() - start
-
-    identical = _same_incidence(legacy, columnar)
-    speedup = legacy_seconds / columnar_seconds if columnar_seconds > 0 else float("inf")
-    return {
-        "records": record_count,
-        "batch": batch_size,
-        "vocab": len(legacy[2]),
-        "per_record_s": f"{legacy_seconds:.3f}",
-        "columnar_s": f"{columnar_seconds:.3f}",
-        "speedup": f"{speedup:.2f}x",
-        "same_index": identical,
-        "_speedup": speedup,
-        "_identical": identical,
-    }
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help="small sizes, equivalence asserts only, no speedup gates (<30 s)",
+        help="small size, equivalence assert only, no speedup gate (<30 s)",
     )
     parser.add_argument(
         "--sizes", type=int, nargs="+", default=None,
@@ -194,7 +83,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument("--threshold", type=float, default=0.3, help="likelihood threshold")
     parser.add_argument("--workers", type=int, default=4, help="worker processes for the sharded join")
-    parser.add_argument("--batch-size", type=int, default=64, help="append batch size for the pipeline benchmark")
     parser.add_argument(
         "--block-size", type=int, default=None,
         help="matmul row-block size (default 1024; smoke: 128 so the pool "
@@ -204,10 +92,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--min-speedup", type=float, default=2.0,
         help="required parallel-over-serial speedup at the largest size (full runs)",
-    )
-    parser.add_argument(
-        "--min-index-speedup", type=float, default=1.5,
-        help="required columnar-over-per-record append speedup at the largest size (full runs)",
     )
     parser.add_argument("--json", type=str, default=None, help="write measured rows to this JSON file")
     args = parser.parse_args(argv)
@@ -228,15 +112,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         title=f"Sharded parallel join vs serial vectorized — threshold {args.threshold}",
     ))
 
-    append_rows = [
-        run_append_scenario(size, args.batch_size, args.seed) for size in sizes
-    ]
-    print(format_table(
-        append_rows,
-        columns=["records", "batch", "vocab", "per_record_s", "columnar_s", "speedup", "same_index"],
-        title=f"Streaming append index pipeline — columnar vs per-record, batches of {args.batch_size}",
-    ))
-
     if args.json:
         payload = {
             "benchmark": "parallel_join",
@@ -244,9 +119,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             "sizes": sizes,
             "workers": args.workers,
             "threshold": args.threshold,
-            "batch_size": args.batch_size,
             "join": [{k: v for k, v in row.items() if not k.startswith("_")} for row in join_rows],
-            "append": [{k: v for k, v in row.items() if not k.startswith("_")} for row in append_rows],
         }
         with open(args.json, "w") as handle:
             json.dump(payload, handle, indent=2)
@@ -260,13 +133,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 file=sys.stderr,
             )
             failures += 1
-    for row in append_rows:
-        if not row["_identical"]:
-            print(
-                f"MISMATCH: columnar and per-record indexes differ at {row['records']} records",
-                file=sys.stderr,
-            )
-            failures += 1
     if not args.smoke:
         largest_join = join_rows[-1]
         if largest_join["_speedup"] < args.min_speedup:
@@ -277,18 +143,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                 file=sys.stderr,
             )
             failures += 1
-        largest_append = append_rows[-1]
-        if largest_append["_speedup"] < args.min_index_speedup:
-            print(
-                f"FAIL: columnar append speedup {largest_append['_speedup']:.2f}x at "
-                f"{largest_append['records']} records is below the required "
-                f"{args.min_index_speedup:.1f}x",
-                file=sys.stderr,
-            )
-            failures += 1
     if failures:
         return 1
-    print("parallel join and columnar pipeline are bit-identical to their serial references")
+    print("parallel join is bit-identical to the serial vectorized join")
     return 0
 
 

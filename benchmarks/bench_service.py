@@ -1,31 +1,19 @@
-"""Resolution service throughput: reused pool vs fork-per-batch + HTTP serving.
+"""Resolution service throughput over HTTP, with a built-in correctness assertion.
 
-Two measurements, each with a built-in correctness assertion:
+An in-process :class:`repro.service.app.ResolutionService` hosts
+``--sessions`` concurrent sessions, each driven from its own client thread.
+Reports aggregate records/sec and p99 append latency, and asserts every
+served result is bit-identical to a standalone
+:class:`~repro.streaming.StreamingResolver` replay.
 
-1. **Pool reuse under streaming appends** — the workload the service puts
-   on the join layer: many small appends into one growing session, every
-   append sharded across a worker pool.  ``pool_mode="reused"`` (one
-   long-lived pool, payloads published through shared memory) against
-   ``pool_mode="fork"`` (the legacy per-batch ``fork``/teardown), asserting
-   the accumulated pair deltas are *bit-identical*.  The full run gates the
-   tentpole acceptance criterion: >= ``--min-speedup`` (default 2x)
-   records/sec at 10k records with ``--workers`` (default 4).
+Standalone script (not a pytest-benchmark module) so CI can run it::
 
-2. **Service throughput** — an in-process :class:`repro.service.app.
-   ResolutionService` hosting ``--sessions`` concurrent sessions, each
-   driven from its own client thread.  Reports aggregate records/sec and
-   p99 append latency, and asserts every served result is bit-identical to
-   a standalone :class:`~repro.streaming.StreamingResolver` replay.
-
-Standalone script (not a pytest-benchmark module) so CI can gate on it::
-
-    PYTHONPATH=src python benchmarks/bench_service.py            # full gates
+    PYTHONPATH=src python benchmarks/bench_service.py            # full sizes
     PYTHONPATH=src python benchmarks/bench_service.py --smoke    # <30 s CI run
 
-The smoke run asserts all equivalences at small sizes but applies no
-speedup gate — pool-creation overhead only dominates once the resident
-index is large.  The nightly job runs the full gate.  ``--json`` writes
-the measured rows for artifact upload.
+There is no ratio gate: absolute serving numbers are tracked by the harness
+(``benchmarks/harness/``, workload ``serve-http``).  ``--json`` writes the
+measured row for artifact upload.
 """
 
 from __future__ import annotations
@@ -38,7 +26,7 @@ import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -48,9 +36,7 @@ from repro.evaluation.reporting import format_table
 from repro.service.app import ResolutionService
 from repro.service.client import ServiceClient
 from repro.service.sessions import encode_result
-from repro.simjoin.pool import shutdown_pools
 from repro.streaming import StreamingResolver
-from repro.streaming.incremental_join import IncrementalSimJoin
 from repro.streaming.persistence import encode_record
 
 
@@ -61,49 +47,6 @@ def _records(record_count: int, seed: int):
         seed=seed,
     ).generate()
     return dataset, list(dataset.store)
-
-
-# ---------------------------------------------------------- pool reuse
-def _stream_joins(records, mode: str, workers: int, batch: int, block: int):
-    """Stream ``records`` through an incremental join; return (seconds, pairs)."""
-    join = IncrementalSimJoin(
-        threshold=0.3,
-        backend="parallel",
-        workers=workers,
-        block_size=block,
-        pool_mode=mode,
-    )
-    pairs = []
-    start = time.perf_counter()
-    for offset in range(0, len(records), batch):
-        pairs.extend(join.add_batch(records[offset : offset + batch]))
-    seconds = time.perf_counter() - start
-    shutdown_pools()
-    return seconds, sorted((pair.key, pair.likelihood) for pair in pairs)
-
-
-def run_pool_scenario(
-    record_count: int, workers: int, batch: int, block: int, seed: int
-) -> dict:
-    """Time both pool modes on the same append stream; assert bit-identical."""
-    _, records = _records(record_count, seed)
-    reused_seconds, reused_pairs = _stream_joins(records, "reused", workers, batch, block)
-    fork_seconds, fork_pairs = _stream_joins(records, "fork", workers, batch, block)
-    identical = reused_pairs == fork_pairs
-    speedup = fork_seconds / reused_seconds if reused_seconds > 0 else float("inf")
-    return {
-        "records": record_count,
-        "batch": batch,
-        "workers": workers,
-        "fork_rps": f"{record_count / fork_seconds:.0f}",
-        "reused_rps": f"{record_count / reused_seconds:.0f}",
-        "fork_s": f"{fork_seconds:.3f}",
-        "reused_s": f"{reused_seconds:.3f}",
-        "speedup": f"{speedup:.2f}x",
-        "bit_identical": identical,
-        "_speedup": speedup,
-        "_identical": identical,
-    }
 
 
 # ------------------------------------------------------- service serving
@@ -213,23 +156,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help="small sizes, equivalence asserts only, no speedup gate (<30 s)",
+        help="small sizes, equivalence assert only (<30 s)",
     )
-    parser.add_argument(
-        "--records", type=int, default=None,
-        help="records streamed through the pool scenario (default 10000; smoke 600)",
-    )
-    parser.add_argument("--workers", type=int, default=4, help="join worker processes")
     parser.add_argument(
         "--append-batch", type=int, default=50,
         help="records per streaming append (small on purpose: the service "
-             "workload is many low-latency appends, where per-batch forking "
-             "is at its worst)",
-    )
-    parser.add_argument(
-        "--block-size", type=int, default=8,
-        help="matmul row-block size (small so every append genuinely shards "
-             "across the pool)",
+             "workload is many low-latency appends)",
     )
     parser.add_argument(
         "--sessions", type=int, default=None,
@@ -240,27 +172,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="records per served session (default 1000; smoke 150)",
     )
     parser.add_argument("--seed", type=int, default=7, help="dataset seed")
-    parser.add_argument(
-        "--min-speedup", type=float, default=2.0,
-        help="required reused-over-fork records/sec ratio (full runs)",
-    )
-    parser.add_argument("--json", type=str, default=None, help="write measured rows to this JSON file")
+    parser.add_argument("--json", type=str, default=None, help="write the measured row to this JSON file")
     args = parser.parse_args(argv)
 
-    records = args.records or (600 if args.smoke else 10_000)
     sessions = args.sessions or (2 if args.smoke else 4)
     session_records = args.session_records or (150 if args.smoke else 1000)
-
-    pool_row = run_pool_scenario(
-        records, args.workers, args.append_batch, args.block_size, args.seed
-    )
-    print(format_table(
-        [pool_row],
-        columns=["records", "batch", "workers", "fork_rps", "reused_rps",
-                 "fork_s", "reused_s", "speedup", "bit_identical"],
-        title=f"Streaming appends — reused pool vs fork-per-batch, "
-              f"{args.workers} workers",
-    ))
 
     service_row = run_service_scenario(
         sessions, session_records, max(25, args.append_batch), args.seed
@@ -276,44 +192,20 @@ def main(argv: Optional[List[str]] = None) -> int:
         payload = {
             "benchmark": "service",
             "cpus": os.cpu_count(),
-            "records": records,
-            "workers": args.workers,
             "append_batch": args.append_batch,
-            "block_size": args.block_size,
-            "pool": {k: v for k, v in pool_row.items() if not k.startswith("_")},
             "service": {k: v for k, v in service_row.items() if not k.startswith("_")},
         }
         with open(args.json, "w") as handle:
             json.dump(payload, handle, indent=2)
         print(f"wrote {args.json}")
 
-    failures = 0
-    if not pool_row["_identical"]:
-        print(
-            "MISMATCH: reused-pool and fork-per-batch deltas differ",
-            file=sys.stderr,
-        )
-        failures += 1
     if not service_row["_identical"]:
         print(
             "MISMATCH: a served session differs from its standalone replay",
             file=sys.stderr,
         )
-        failures += 1
-    if not args.smoke and pool_row["_speedup"] < args.min_speedup:
-        print(
-            f"FAIL: reused-pool speedup {pool_row['_speedup']:.2f}x at "
-            f"{records} records with {args.workers} workers is below the "
-            f"required {args.min_speedup:.1f}x",
-            file=sys.stderr,
-        )
-        failures += 1
-    if failures:
         return 1
-    print(
-        "served sessions and reused-pool streams are bit-identical to their "
-        "standalone references"
-    )
+    print("served sessions are bit-identical to their standalone references")
     return 0
 
 

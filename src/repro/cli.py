@@ -91,7 +91,6 @@ from repro.hit.generator import available_generators, get_cluster_generator
 from repro.obs.report import CostReport
 from repro.simjoin.backend import AUTO_BACKEND, available_backends
 from repro.simjoin.likelihood import SimJoinLikelihood
-from repro.simjoin.pool import DEFAULT_POOL_MODE, POOL_MODES
 from repro.storage import STORE_FILENAME
 from repro.streaming import StreamingResolver
 
@@ -166,14 +165,6 @@ def _add_backend_argument(parser: argparse.ArgumentParser) -> None:
         help="worker processes for the sharded 'parallel' join backend "
              "(0 = one per CPU core; results are identical for any value)",
     )
-    parser.add_argument(
-        "--join-pool",
-        choices=POOL_MODES,
-        default=DEFAULT_POOL_MODE,
-        help="pool strategy of the 'parallel' backend: reused (long-lived "
-             "shared pool + shared-memory index) or fork (fresh pool per "
-             "join call; results are identical either way)",
-    )
 
 
 def load_dataset(name: str, scale: float, seed: int) -> Dataset:
@@ -221,8 +212,7 @@ def _cmd_threshold_table(args: argparse.Namespace) -> int:
 def _cmd_generate_hits(args: argparse.Namespace) -> int:
     dataset = load_dataset(args.dataset, args.scale, args.seed)
     pairs = SimJoinLikelihood(
-        backend=args.join_backend, workers=args.join_workers or None,
-        pool_mode=args.join_pool,
+        backend=args.join_backend, workers=args.join_workers or None
     ).estimate(
         dataset.store, min_likelihood=args.threshold, cross_sources=dataset.cross_sources
     )
@@ -267,7 +257,6 @@ def _cmd_resolve(args: argparse.Namespace) -> int:
         use_qualification_test=args.qualification_test,
         join_backend=args.join_backend,
         join_workers=args.join_workers,
-        join_pool=args.join_pool,
         metrics_enabled=args.metrics or bool(args.metrics_out),
         trace_path=args.trace,
         seed=args.seed,
@@ -385,7 +374,6 @@ def _cmd_resolve_stream(args: argparse.Namespace) -> int:
             pairs_per_hit=args.pairs_per_hit,
             join_backend=args.join_backend,
             join_workers=args.join_workers,
-            join_pool=args.join_pool,
             vote_mode="per-pair",
             stream_batch_size=args.batch_size,
             recrowd_policy=args.recrowd_policy,

@@ -6,7 +6,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from repro.simjoin.backend import AUTO_BACKEND, available_backends
-from repro.simjoin.pool import POOL_MODES
 
 
 @dataclass
@@ -30,16 +29,13 @@ class WorkflowConfig:
     * ``join_backend`` — similarity-join engine for the machine pass
       (``"auto"``, ``"naive"``, ``"prefix"``, ``"vectorized"`` or
       ``"parallel"``); all engines return identical pair sets, the choice
-      only affects speed.
+      only affects speed.  It selects the *batch* engine only: streaming
+      sessions always run the CSR kernel on their appended rows.
     * ``join_workers`` — worker processes for the sharded ``parallel``
-      backend and the auto heuristic that may select it (0 = one per CPU
-      core).  Any value produces bit-identical pairs and likelihoods.
-    * ``join_pool`` — pool strategy of the ``parallel`` backend:
-      ``"reused"`` (default) runs shards on one long-lived process pool
-      shared across batches and sessions, with the CSR index published
-      into shared memory that workers map zero-copy; ``"fork"`` forks a
-      fresh pool per join call (the legacy baseline kept for
-      benchmarking).  Results are bit-identical across modes.
+      backend, the auto heuristic that may select it, and a streaming
+      session's per-batch product (0 = one per CPU core).  Shards run on
+      one long-lived process pool shared across batches and sessions.  Any
+      value produces bit-identical pairs and likelihoods.
     * ``vote_mode`` — how the simulated crowd draws votes:
       ``"sequential"`` (legacy; votes depend on HIT grouping and publish
       order) or ``"per-pair"`` (votes are a pure function of the pair key —
@@ -140,7 +136,6 @@ class WorkflowConfig:
     similarity_attributes: Optional[Sequence[str]] = None
     join_backend: str = AUTO_BACKEND
     join_workers: int = 0
-    join_pool: str = "reused"
     vote_mode: str = "sequential"
     stream_batch_size: int = 256
     recrowd_policy: str = "never"
@@ -182,8 +177,6 @@ class WorkflowConfig:
             )
         if self.join_workers < 0:
             raise ValueError("join_workers must be non-negative (0 = one per core)")
-        if self.join_pool not in POOL_MODES:
-            raise ValueError(f"join_pool must be one of {POOL_MODES}")
         if self.staleness_epsilon < 0:
             raise ValueError("staleness_epsilon must be non-negative")
         if self.checkpoint_every_batches < 0:

@@ -95,7 +95,6 @@ class HybridWorkflow:
             attributes=self.config.similarity_attributes,
             backend=self.config.join_backend,
             workers=self.config.join_workers or None,
-            pool_mode=self.config.join_pool,
         )
         if platform is not None:
             self.platform = platform

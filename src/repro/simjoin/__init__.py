@@ -22,14 +22,11 @@ from repro.simjoin.backend import (
 )
 from repro.simjoin.blocking import TokenBlocker, QGramBlocker, AttributeBlocker
 from repro.simjoin.likelihood import LikelihoodEstimator, SimJoinLikelihood
-from repro.simjoin.parallel import ParallelSimJoin, parallel_similarity_join
+from repro.simjoin.parallel import ParallelSimJoin
 from repro.simjoin.pool import (
-    DEFAULT_POOL_MODE,
-    POOL_MODES,
     ShardPool,
     SharedArrayBlock,
     active_pools,
-    resolve_pool_mode,
     shared_pool,
     shutdown_pools,
 )
@@ -42,13 +39,9 @@ __all__ = [
     "VectorizedSimJoin",
     "vectorized_similarity_join",
     "ParallelSimJoin",
-    "parallel_similarity_join",
-    "POOL_MODES",
-    "DEFAULT_POOL_MODE",
     "ShardPool",
     "SharedArrayBlock",
     "active_pools",
-    "resolve_pool_mode",
     "shared_pool",
     "shutdown_pools",
     "TokenBlocker",

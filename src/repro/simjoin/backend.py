@@ -40,9 +40,9 @@ AUTO_BACKEND = "auto"
 #: tiny stores; past a few hundred records the matmul wins decisively).
 AUTO_VECTORIZED_MIN_RECORDS = 256
 
-#: Store size at which sharding the blocked products across a process pool
-#: wins back the per-worker fork + index-serialization cost.  Below it the
-#: serial vectorized engine is faster even with many idle cores.
+#: Store size at which sharding the blocked products across the process
+#: pool wins back publishing the index and dispatching the shards.  Below it
+#: the serial vectorized engine is faster even with many idle cores.
 AUTO_PARALLEL_MIN_RECORDS = 4096
 
 
@@ -124,19 +124,15 @@ class VectorizedJoinBackend(SimJoinBackend):
 class ParallelJoinBackend(SimJoinBackend):
     """Process-pool sharded sparse-matrix join; bit-identical to ``vectorized``.
 
-    ``workers=None`` (the default) resolves to one worker per CPU core at
-    join time; ``resolve_backend(..., workers=N)`` overrides it.
-    ``pool_mode`` selects the reused shared pool (default) or the legacy
-    fork-per-call pool — results are bit-identical either way.
+    The vectorized engine with its row blocks sharded over the long-lived
+    shared pool.  ``workers=None`` (the default) resolves to one worker per
+    CPU core at join time; ``resolve_backend(..., workers=N)`` overrides it.
     """
 
     name = "parallel"
 
-    def __init__(
-        self, workers: Optional[int] = None, pool_mode: Optional[str] = None
-    ) -> None:
+    def __init__(self, workers: Optional[int] = None) -> None:
         self.workers = workers
-        self.pool_mode = pool_mode
 
     def join(
         self,
@@ -146,8 +142,7 @@ class ParallelJoinBackend(SimJoinBackend):
         cross_sources: Optional[Tuple[str, str]] = None,
     ) -> PairSet:
         join = ParallelSimJoin(
-            threshold=threshold, attributes=attributes, workers=self.workers,
-            pool_mode=self.pool_mode,
+            threshold=threshold, attributes=attributes, workers=self.workers
         )
         return join.join(store, cross_sources=cross_sources)
 
@@ -207,23 +202,18 @@ def resolve_backend(
     record_count: int = 0,
     threshold: float = 0.0,
     workers: Optional[int] = None,
-    pool_mode: Optional[str] = None,
 ) -> SimJoinBackend:
     """Return the backend for ``name``, applying the auto heuristic.
 
     ``workers`` feeds both the auto heuristic and, for backends that take a
     worker count (the parallel engine or registered custom backends with a
-    ``workers`` attribute), the engine configuration.  ``pool_mode`` is
-    forwarded the same way to backends that expose one (the parallel
-    engine's reused-vs-fork pool selection).
+    ``workers`` attribute), the engine configuration.
     """
     if name == AUTO_BACKEND:
         name = auto_backend_name(record_count, threshold, workers)
     engine = get_backend(name)
     if workers is not None and hasattr(engine, "workers"):
         engine.workers = workers
-    if pool_mode is not None and hasattr(engine, "pool_mode"):
-        engine.pool_mode = pool_mode
     return engine
 
 

@@ -1,10 +1,10 @@
 """Columnar CSR index construction from flat token arrays.
 
 The vectorized and incremental joins both need a binary records-x-vocabulary
-CSR matrix.  The legacy build is one Python loop doing a dict ``setdefault``
-and a list ``append`` per token *occurrence*, then converting the whole
-accumulated index list back to numpy — fine for a one-shot batch join, but
-it dominates small-batch streaming appends, where the matmul itself is tiny
+CSR matrix.  A per-record build — a dict ``setdefault`` and a list
+``append`` per token *occurrence*, then converting the whole accumulated
+index list back to numpy — is fine for a one-shot batch join, but it
+dominates small-batch streaming appends, where the matmul itself is tiny
 and the reconversion cost grows with the resident store.
 
 The builders here are *columnar* instead: all token occurrences are
@@ -14,15 +14,12 @@ CSR ``indices`` array is filled by ``np.fromiter`` over a C-level
 ``map(vocab.__getitem__, ...)`` — no per-occurrence Python bytecode, and
 the output is a flat ``int64`` array that downstream code appends
 chunk-wise (``np.concatenate``) instead of re-converting a Python list of
-the entire history on every batch.  That chunked append is where the
-streaming win comes from: ``benchmarks/bench_parallel_join.py`` measures
-the full append pipeline against the legacy loop.
+the entire history on every batch.
 
-Column order differs from the legacy first-seen order (the vocabulary is
-assigned in sorted order per batch), but a column permutation cannot change
-any intersection count, so every similarity value is bit-identical.  The
-legacy per-record builder is kept (:func:`per_record_csr_arrays`) as the
-reference the equivalence tests and the benchmark compare against.
+The vocabulary is assigned in sorted order per batch; column order cannot
+change any intersection count, so similarity values do not depend on it
+(``tests/test_parallel_join.py`` checks the counts against ``len(a & b)``
+on the token sets themselves).
 """
 
 from __future__ import annotations
@@ -96,26 +93,6 @@ def extend_vocabulary_csr_arrays(
     return _fill_indices(flat, vocabulary), indptr
 
 
-def tombstone_data_array(
-    indptr: Sequence[int], dead_rows: Iterable[int], dtype=np.int32
-) -> np.ndarray:
-    """A CSR ``data`` array of ones with the dead rows' occurrences zeroed.
-
-    Retracting a record from the streaming index must not pay an O(nnz)
-    rebuild of the accumulated chunks, so dead rows stay resident as
-    *tombstones*: their column indices remain in the flat arrays, but their
-    ``data`` entries are zero, which makes every intersection count against
-    them zero and therefore every similarity exactly ``0.0`` — below any
-    positive threshold.  Rows are only physically dropped by
-    :func:`compact_csr_arrays` when enough tombstones accumulate.
-    """
-    indptr_array = np.asarray(indptr, dtype=np.int64)
-    data = np.ones(int(indptr_array[-1]), dtype=dtype)
-    for row in dead_rows:
-        data[indptr_array[row] : indptr_array[row + 1]] = 0
-    return data
-
-
 def compact_csr_arrays(
     indices: np.ndarray, indptr: Sequence[int], dead_rows: Iterable[int]
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -147,23 +124,3 @@ def argsort_descending(values: Sequence[float]) -> np.ndarray:
     caller encodes missing likelihoods as a sentinel below the valid range.
     """
     return np.argsort(-np.asarray(values, dtype=np.float64), kind="stable")
-
-
-def per_record_csr_arrays(token_sets: Sequence[Iterable[str]]) -> CsrArrays:
-    """The legacy per-record/per-token loop, kept as a reference baseline.
-
-    Semantically equivalent to :func:`columnar_csr_arrays` up to a column
-    permutation (first-seen vocabulary order instead of sorted order).
-    """
-    vocabulary: Dict[str, int] = {}
-    indices: List[int] = []
-    indptr: List[int] = [0]
-    for tokens in token_sets:
-        for token in tokens:
-            indices.append(vocabulary.setdefault(token, len(vocabulary)))
-        indptr.append(len(indices))
-    return (
-        np.asarray(indices, dtype=np.int64),
-        np.asarray(indptr, dtype=np.int64),
-        len(vocabulary),
-    )

@@ -44,10 +44,6 @@ class SimJoinLikelihood(LikelihoodEstimator):
     ----------
     attributes:
         Attributes pooled into the token set (``None`` = all attributes).
-    use_prefix_filter:
-        Legacy switch kept for backwards compatibility: setting it to False
-        (with ``backend="auto"``) forces the naive all-pairs scan, which is
-        what it always meant.
     backend:
         Join backend name (see :func:`repro.simjoin.backend.available_backends`)
         or ``"auto"`` to pick one from the store size and threshold.  Every
@@ -57,17 +53,11 @@ class SimJoinLikelihood(LikelihoodEstimator):
         Worker-process count for the sharded ``parallel`` backend (and the
         auto heuristic that may select it).  ``None`` = one per CPU core;
         irrelevant to the serial backends.
-    pool_mode:
-        Pool strategy for the ``parallel`` backend: ``None`` = the process
-        default (``"reused"``, the long-lived shared pool), ``"fork"`` =
-        the legacy fork-per-call pool.  Irrelevant to the serial backends.
     """
 
     attributes: Optional[Sequence[str]] = None
-    use_prefix_filter: bool = True
     backend: str = AUTO_BACKEND
     workers: Optional[int] = None
-    pool_mode: Optional[str] = None
     name: str = "simjoin"
 
     def estimate(
@@ -76,15 +66,11 @@ class SimJoinLikelihood(LikelihoodEstimator):
         min_likelihood: float = 0.0,
         cross_sources: Optional[Tuple[str, str]] = None,
     ) -> PairSet:
-        backend_name = self.backend
-        if backend_name == AUTO_BACKEND and not self.use_prefix_filter:
-            backend_name = "naive"
         engine = resolve_backend(
-            backend_name,
+            self.backend,
             record_count=len(store),
             threshold=min_likelihood,
             workers=self.workers,
-            pool_mode=self.pool_mode,
         )
         resolved = type(engine).__name__
         with obs.span("simjoin.estimate", backend=resolved, records=len(store)):

@@ -1,18 +1,20 @@
 """Process-pool sharded similarity join: the ``parallel`` backend.
 
-:class:`repro.simjoin.vectorized.VectorizedSimJoin` computes the machine
-pass through blocked sparse products ``X[block] @ X.T`` — exact, but single
-core.  :class:`ParallelSimJoin` splits the CSR *row blocks* across a pool of
-worker processes:
+:mod:`repro.simjoin.vectorized` computes the machine pass through blocked
+sparse products — exact, but single core.  :func:`join_blocks` splits the
+*row range* of the same product across the long-lived worker pool:
 
-1. the parent builds the token-incidence matrix once (columnar build),
-2. the serialized index is shipped **once per worker** through the pool
-   initializer (CSR ``data``/``indices``/``indptr`` arrays, not records),
-3. each worker runs the *same* per-block code
-   (``VectorizedSimJoin._self_range_blocks`` / ``_bipartite_range_blocks``)
-   over a disjoint contiguous range of row positions,
-4. the parent merges the per-shard pair deltas in deterministic shard order
-   (``Pool.map`` preserves submission order).
+1. the parent publishes the operand arrays **once per call** into a
+   shared-memory block (:class:`repro.simjoin.pool.SharedArrayBlock`) that
+   every worker maps zero-copy — CSR ``data``/``indices``/``indptr``
+   arrays, not records, and always the same payload shape whatever the
+   caller (self-join, record linkage or a streaming append),
+2. each worker rebuilds the :class:`~repro.simjoin.vectorized.BlockScorer`
+   the serial engine would have built and walks a disjoint contiguous
+   range of row positions with it,
+3. the parent merges the per-shard pair deltas in deterministic shard order
+   (``Pool.map`` preserves submission order) and translates row positions
+   back to whatever they index.
 
 **Equivalence guarantee.**  Every similarity value is an elementwise
 float64 expression of one pair's intersection count and the two set sizes;
@@ -21,46 +23,36 @@ any worker count the pair set and every likelihood are therefore
 *bit-identical* to the serial vectorized join — asserted exactly (``==``,
 not approximately) by the property tests in ``tests/test_parallel_join.py``.
 
-The pool costs one fork + one index serialization per worker, so tiny
-stores are faster on the serial engine; the ``auto`` heuristic in
-:mod:`repro.simjoin.backend` only picks ``parallel`` above
-``AUTO_PARALLEL_MIN_RECORDS`` and with more than one effective worker.
-
-**Pool modes.**  Under the default ``pool_mode="reused"`` shards run on a
-long-lived process pool (:func:`repro.simjoin.pool.shared_pool`) that
-survives across calls — and therefore across streaming batches — with the
-index published once per call into a shared-memory block every worker maps
-zero-copy (:class:`repro.simjoin.pool.SharedArrayBlock`), instead of being
-pickled to each worker.  ``pool_mode="fork"`` keeps the legacy
-fork-per-call pool with per-worker initializer payloads; both modes run
-the identical per-block code, so results are bit-identical — the reuse
-speedup is gated by ``benchmarks/bench_service.py``.
-
-:func:`score_new_vs_old_block` and :func:`parallel_new_vs_old_blocks` expose
-the same machinery for the streaming engine's per-batch new-vs-old product
-(:class:`repro.streaming.incremental_join.IncrementalSimJoin`).
+The pool (:func:`repro.simjoin.pool.shared_pool`) survives across calls —
+and therefore across streaming batches and sessions — so a call costs one
+memcpy of the index plus task dispatch.  Tiny joins are still faster
+inline: a single shard (or a single worker) never touches the pool, and the
+``auto`` heuristic in :mod:`repro.simjoin.backend` only picks ``parallel``
+above ``AUTO_PARALLEL_MIN_RECORDS`` with more than one effective worker.
 """
 
 from __future__ import annotations
 
 import math
-import multiprocessing
 import os
 import time
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro import obs
-from repro.records.pairs import PairSet
-from repro.records.record import RecordStore
 from repro.simjoin.pool import (
+    WORKER_CACHE_BLOCKS,
     SharedArrayBlock,
     attach_block,
-    resolve_pool_mode,
     shared_pool,
 )
-from repro.simjoin.vectorized import HAVE_SCIPY, VectorizedSimJoin, _BlockPairs
+from repro.simjoin.vectorized import (
+    HAVE_SCIPY,
+    BlockScorer,
+    VectorizedSimJoin,
+    _BlockPairs,
+)
 
 if HAVE_SCIPY:
     from scipy import sparse
@@ -68,14 +60,8 @@ else:  # pragma: no cover - scipy is part of the image
     sparse = None
 
 #: Rows per shard are chosen so each worker gets several shards to balance
-#: the upper-triangle skew (later self-join rows have fewer candidate cols).
+#: the triangle skew (self-join rows differ in how many columns survive).
 SHARDS_PER_WORKER = 4
-
-# Serialized CSR matrix: (data, indices, indptr, shape).
-_CsrPayload = Tuple[np.ndarray, np.ndarray, np.ndarray, Tuple[int, int]]
-
-# Per-process shard state, installed once by the pool initializer.
-_SHARD_STATE: dict = {}
 
 
 def default_worker_count() -> int:
@@ -92,21 +78,6 @@ def resolve_worker_count(workers: Optional[int]) -> int:
     if workers:
         return workers
     return default_worker_count()
-
-
-def _fork_context() -> multiprocessing.context.BaseContext:
-    """Prefer fork (cheap, Linux default); fall back to spawn elsewhere."""
-    methods = multiprocessing.get_all_start_methods()
-    return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
-
-
-def _csr_payload(matrix: "sparse.csr_matrix") -> _CsrPayload:
-    return (matrix.data, matrix.indices, matrix.indptr, matrix.shape)
-
-
-def _csr_from_payload(payload: _CsrPayload) -> "sparse.csr_matrix":
-    data, indices, indptr, shape = payload
-    return sparse.csr_matrix((data, indices, indptr), shape=shape)
 
 
 def shard_bounds(count: int, workers: int, block_size: int) -> List[Tuple[int, int]]:
@@ -143,349 +114,113 @@ def _concat_blocks(parts: List[_BlockPairs]) -> _BlockPairs:
 
 
 # ----------------------------------------------------------- worker side
-def _init_self_shard(payload: dict) -> None:
-    """Install the self-join state in this worker (runs once per worker)."""
-    sub = _csr_from_payload(payload["sub"])
-    _SHARD_STATE.clear()
-    _SHARD_STATE.update(
-        join=VectorizedSimJoin(
-            threshold=payload["threshold"],
-            measure=payload["measure"],
-            block_size=payload["block_size"],
-        ),
-        sub=sub,
-        sub_t=sub.T.tocsr(),
-        sub_sizes=payload["sub_sizes"],
-        keep=payload["keep"],
-    )
+def _csr_arrays(prefix: str, matrix: "sparse.csr_matrix") -> Dict[str, np.ndarray]:
+    return {
+        f"{prefix}_data": matrix.data,
+        f"{prefix}_indices": matrix.indices,
+        f"{prefix}_indptr": matrix.indptr,
+    }
 
 
-def _run_self_shard(state: dict, bounds: Tuple[int, int]) -> Tuple[_BlockPairs, float, int]:
-    # Shard timing is measured inside the worker (the forked copy of the
-    # obs runtime is inert, so a plain perf_counter pair travels back with
-    # the result and the parent records it).
-    started = time.perf_counter()
-    start, stop = bounds
-    blocks = _concat_blocks(
-        list(
-            state["join"]._self_range_blocks(
-                state["sub"], state["sub_t"], state["sub_sizes"],
-                state["keep"], start, stop,
-            )
-        )
-    )
-    return blocks, time.perf_counter() - started, os.getpid()
-
-
-def _self_shard(bounds: Tuple[int, int]) -> Tuple[_BlockPairs, float, int]:
-    return _run_self_shard(_SHARD_STATE, bounds)
-
-
-def _init_bipartite_shard(payload: dict) -> None:
-    """Install the bipartite-join state in this worker."""
-    _SHARD_STATE.clear()
-    _SHARD_STATE.update(
-        join=VectorizedSimJoin(
-            threshold=payload["threshold"],
-            measure=payload["measure"],
-            block_size=payload["block_size"],
-        ),
-        left_matrix=_csr_from_payload(payload["left"]),
-        right_t=_csr_from_payload(payload["right"]).T.tocsr(),
-        left_sizes=payload["left_sizes"],
-        right_sizes=payload["right_sizes"],
-        left_index=payload["left_index"],
-        right_index=payload["right_index"],
-    )
-
-
-def _run_bipartite_shard(state: dict, bounds: Tuple[int, int]) -> Tuple[_BlockPairs, float, int]:
-    started = time.perf_counter()
-    start, stop = bounds
-    blocks = _concat_blocks(
-        list(
-            state["join"]._bipartite_range_blocks(
-                state["left_matrix"], state["right_t"],
-                state["left_sizes"], state["right_sizes"],
-                state["left_index"], state["right_index"],
-                start, stop,
-            )
-        )
-    )
-    return blocks, time.perf_counter() - started, os.getpid()
-
-
-def _bipartite_shard(bounds: Tuple[int, int]) -> Tuple[_BlockPairs, float, int]:
-    return _run_bipartite_shard(_SHARD_STATE, bounds)
-
-
-def _init_new_vs_old(payload: dict) -> None:
-    """Install the streaming new-vs-old state in this worker."""
-    _SHARD_STATE.clear()
-    _SHARD_STATE.update(
-        new_matrix=_csr_from_payload(payload["new"]),
-        old_t=_csr_from_payload(payload["old"]).T.tocsr(),
-        new_sizes=payload["new_sizes"],
-        old_sizes=payload["old_sizes"],
-        threshold=payload["threshold"],
-        block_size=payload["block_size"],
-    )
-
-
-def _run_new_vs_old_shard(state: dict, bounds: Tuple[int, int]) -> Tuple[_BlockPairs, float, int]:
-    started = time.perf_counter()
-    start, stop = bounds
-    parts = [
-        score_new_vs_old_block(
-            state["new_matrix"], state["old_t"],
-            state["new_sizes"], state["old_sizes"],
-            block_start, min(block_start + state["block_size"], stop),
-            state["threshold"],
-        )
-        for block_start in range(start, stop, state["block_size"])
-    ]
-    return _concat_blocks(parts), time.perf_counter() - started, os.getpid()
-
-
-def _new_vs_old_shard(bounds: Tuple[int, int]) -> Tuple[_BlockPairs, float, int]:
-    return _run_new_vs_old_shard(_SHARD_STATE, bounds)
-
-
-def score_new_vs_old_block(
-    new_matrix: "sparse.csr_matrix",
-    old_t: "sparse.csr_matrix",
-    new_sizes: np.ndarray,
-    old_sizes: np.ndarray,
-    start: int,
-    end: int,
-    threshold: float,
-) -> _BlockPairs:
-    """One blocked row range of the streaming new-vs-old Jaccard product.
-
-    Shared by the serial and sharded incremental paths so both produce
-    bit-identical likelihoods (same float64 expression, per pair).
-    """
-    inter_block = (new_matrix[start:end] @ old_t).tocoo()
-    rows = inter_block.row.astype(np.int64) + start
-    cols = inter_block.col.astype(np.int64)
-    inter = inter_block.data.astype(np.float64)
-    sizes_a = new_sizes[rows].astype(np.float64)
-    sizes_b = old_sizes[cols].astype(np.float64)
-    values = inter / (sizes_a + sizes_b - inter)
-    passing = values >= threshold
-    return rows[passing], cols[passing], values[passing]
-
-
-# ------------------------------------------------- reused-pool shard path
-# The legacy path ships each kind's payload through the pool initializer
-# (pickled once per worker, per call).  The reused path publishes the
-# arrays once into a shared-memory block and sends only the tiny
-# descriptor + scalars with each task; workers attach zero-copy and cache
-# the derived state (csr matrices, transposes) per block token.
-
-#: Payload keys holding CSR triples, per kind: payload key -> array prefix.
-_CSR_KEYS = {
-    "self": {"sub": "sub"},
-    "bipartite": {"left": "left", "right": "right"},
-    "new_vs_old": {"new": "new", "old": "old"},
-}
-
-#: Payload keys holding plain arrays, per kind.
-_ARRAY_KEYS = {
-    "self": ("sub_sizes", "keep"),
-    "bipartite": ("left_sizes", "right_sizes", "left_index", "right_index"),
-    "new_vs_old": ("new_sizes", "old_sizes"),
-}
-
-#: Payload keys holding scalars, per kind (travel with every task).
-_SCALAR_KEYS = {
-    "self": ("threshold", "measure", "block_size"),
-    "bipartite": ("threshold", "measure", "block_size"),
-    "new_vs_old": ("threshold", "block_size"),
-}
-
-
-def _publish_payload(kind: str, payload: dict) -> Tuple[SharedArrayBlock, dict]:
-    """Split a legacy initializer payload into (shared block, scalar params)."""
-    arrays: dict = {}
-    params = {name: payload[name] for name in _SCALAR_KEYS[kind]}
-    for key, prefix in _CSR_KEYS[kind].items():
-        data, indices, indptr, shape = payload[key]
-        arrays[f"{prefix}_data"] = data
-        arrays[f"{prefix}_indices"] = indices
-        arrays[f"{prefix}_indptr"] = indptr
-        params[f"{prefix}_shape"] = tuple(shape)
-    for name in _ARRAY_KEYS[kind]:
-        arrays[name] = np.asarray(payload[name])
-    return SharedArrayBlock.create(arrays), params
-
-
-def _attached_csr(arrays: dict, params: dict, prefix: str) -> "sparse.csr_matrix":
+def _attached_csr(
+    arrays: Dict[str, np.ndarray], prefix: str, width: int
+) -> "sparse.csr_matrix":
+    indptr = arrays[f"{prefix}_indptr"]
     return sparse.csr_matrix(
-        (
-            arrays[f"{prefix}_data"],
-            arrays[f"{prefix}_indices"],
-            arrays[f"{prefix}_indptr"],
-        ),
-        shape=params[f"{prefix}_shape"],
+        (arrays[f"{prefix}_data"], arrays[f"{prefix}_indices"], indptr),
+        shape=(len(indptr) - 1, width),
     )
 
 
-def _build_pooled_state(kind: str, descriptor: dict, params: dict) -> dict:
-    """Reconstruct the shard state a legacy initializer would have built."""
-    arrays = attach_block(descriptor)
-    if kind == "self":
-        sub = _attached_csr(arrays, params, "sub")
-        return dict(
-            join=VectorizedSimJoin(
-                threshold=params["threshold"],
-                measure=params["measure"],
-                block_size=params["block_size"],
-            ),
-            sub=sub,
-            sub_t=sub.T.tocsr(),
-            sub_sizes=arrays["sub_sizes"],
-            keep=arrays["keep"],
-        )
-    if kind == "bipartite":
-        return dict(
-            join=VectorizedSimJoin(
-                threshold=params["threshold"],
-                measure=params["measure"],
-                block_size=params["block_size"],
-            ),
-            left_matrix=_attached_csr(arrays, params, "left"),
-            right_t=_attached_csr(arrays, params, "right").T.tocsr(),
-            left_sizes=arrays["left_sizes"],
-            right_sizes=arrays["right_sizes"],
-            left_index=arrays["left_index"],
-            right_index=arrays["right_index"],
-        )
-    if kind == "new_vs_old":
-        return dict(
-            new_matrix=_attached_csr(arrays, params, "new"),
-            old_t=_attached_csr(arrays, params, "old").T.tocsr(),
-            new_sizes=arrays["new_sizes"],
-            old_sizes=arrays["old_sizes"],
-            threshold=params["threshold"],
-            block_size=params["block_size"],
-        )
-    raise ValueError(f"unknown pooled shard kind {kind!r}")
-
-
-_RUNNERS = {
-    "self": _run_self_shard,
-    "bipartite": _run_bipartite_shard,
-    "new_vs_old": _run_new_vs_old_shard,
-}
-
-# Worker-side derived-state cache, keyed by block token (one kind per
-# block).  Insertion-ordered; bounded like the attachment cache.
-_POOLED_STATE: dict = {}
+# The worker-side cache: block token -> the scorer built over that block.
+# A scorer references its attached arrays, so evicting the entry releases
+# the mapping and the derived transpose together.  Insertion order doubles
+# as recency (a block is attached once and then only looked up).
+_WORKER_SCORERS: Dict[str, BlockScorer] = {}
 
 
 def _pooled_shard(task) -> Tuple[_BlockPairs, float, int]:
-    """One shard task on the reused pool: attach, build-or-reuse state, run."""
-    kind, descriptor, params, bounds = task
-    token = descriptor["token"]
-    state = _POOLED_STATE.get(token)
-    if state is None:
-        while len(_POOLED_STATE) >= 4:
-            _POOLED_STATE.pop(next(iter(_POOLED_STATE)))
-        state = _build_pooled_state(kind, descriptor, params)
-        _POOLED_STATE[token] = state
-    return _RUNNERS[kind](state, bounds)
+    """One shard task: attach the block (or reuse its scorer), score the rows."""
+    descriptor, width, params, (start, stop) = task
+    scorer = _WORKER_SCORERS.get(descriptor["token"])
+    if scorer is None:
+        while len(_WORKER_SCORERS) >= WORKER_CACHE_BLOCKS:
+            _WORKER_SCORERS.pop(next(iter(_WORKER_SCORERS)))
+        arrays = attach_block(descriptor)
+        scorer = BlockScorer(
+            _attached_csr(arrays, "left", width),
+            _attached_csr(arrays, "right", width) if "right_indptr" in arrays else None,
+            alive=arrays.get("alive"),
+            **params,
+        )
+        _WORKER_SCORERS[descriptor["token"]] = scorer
+    # Shard timing is measured inside the worker (its copy of the obs
+    # runtime is inert, so a plain perf_counter pair travels back with the
+    # result and the parent records it).
+    started = time.perf_counter()
+    blocks = _concat_blocks(list(scorer.blocks(start, stop)))
+    return blocks, time.perf_counter() - started, os.getpid()
 
 
-def _map_shards(
-    initializer,
-    payload: dict,
-    worker,
-    bounds,
-    workers: int,
-    kind: str = "",
-    pool_mode: Optional[str] = None,
-):
-    """Run shard tasks over a pool; results come back in shard order.
+# ----------------------------------------------------------- parent side
+def join_blocks(
+    left: "sparse.csr_matrix",
+    right: Optional["sparse.csr_matrix"] = None,
+    *,
+    workers: int = 1,
+    start: int = 0,
+    alive: Optional[np.ndarray] = None,
+    **params,
+) -> Iterator[_BlockPairs]:
+    """Score ``left`` rows ``[start, n)`` against ``right`` (``None`` = itself).
 
-    ``pool_mode="reused"`` (the resolved default) executes on the
-    long-lived shared pool with the index in shared memory;
-    ``pool_mode="fork"`` forks a fresh pool and ships the payload through
-    its initializer (the legacy baseline).  Both run the identical
-    per-block code, so the outcome blocks are bit-identical.
-
-    Each worker reports its shard's compute seconds and PID alongside the
-    pair blocks; the parent folds those per-worker timings into the obs
-    registry (workers cannot — their forked runtime copy is inert).
+    ``params`` are the :class:`~repro.simjoin.vectorized.BlockScorer`
+    keywords.  The rows are cut into :func:`shard_bounds` shards; with one
+    worker or one shard they are scored inline — a pool cannot win back its
+    dispatch cost there — otherwise the same shards run on the shared pool.
+    Blocks come back in row order either way, so the result is
+    bit-identical for any worker count.
     """
-    mode = resolve_pool_mode(pool_mode)
-    processes = min(workers, len(bounds))
+    stop = left.shape[0]
+    bounds = [
+        (start + low, start + high)
+        for low, high in shard_bounds(stop - start, workers, params["block_size"])
+    ]
+    if workers <= 1 or len(bounds) <= 1:
+        yield from BlockScorer(left, right, alive=alive, **params).blocks(start, stop)
+        return
+    kind = params["kind"]
+    arrays = _csr_arrays("left", left)
+    if right is not None:
+        arrays.update(_csr_arrays("right", right))
+    if alive is not None:
+        arrays["alive"] = alive
     with obs.span(
         "simjoin.parallel.map",
-        kind=kind, shards=len(bounds), workers=processes, pool=mode,
+        kind=kind, shards=len(bounds), workers=min(workers, len(bounds)),
     ):
-        if mode == "reused":
-            pool = shared_pool(workers)
-            block, params = _publish_payload(kind, payload)
-            try:
-                outcomes = pool.map(
-                    _pooled_shard,
-                    [(kind, block.descriptor, params, b) for b in bounds],
-                )
-            finally:
-                # Workers keep their mappings; the file can go right away.
-                block.unlink()
-        else:
-            context = _fork_context()
-            with context.Pool(
-                processes=processes, initializer=initializer, initargs=(payload,)
-            ) as fork_pool:
-                # chunksize=1: shards are coarse already, and dynamic
-                # hand-out balances the self-join triangle skew.
-                outcomes = fork_pool.map(worker, bounds, chunksize=1)
+        block = SharedArrayBlock.create(arrays)
+        try:
+            outcomes = shared_pool(workers).map(
+                _pooled_shard,
+                [(block.descriptor, left.shape[1], params, shard) for shard in bounds],
+            )
+        finally:
+            # Workers keep their mappings; the file can go right away.
+            block.unlink()
+    # Workers cannot record metrics themselves, so the parent folds their
+    # per-shard timings into the obs registry.
     if obs.enabled():
-        for blocks, seconds, pid in outcomes:
+        for _, seconds, pid in outcomes:
             obs.inc("simjoin_parallel_shards_total", 1, kind=kind,
                     help="Row shards processed by the parallel join pool.")
             obs.observe("simjoin_parallel_shard_seconds", seconds,
                         kind=kind, worker=pid,
                         help="Per-worker compute seconds of one row shard.")
-    return [blocks for blocks, _, _ in outcomes]
+    for blocks, _, _ in outcomes:
+        yield blocks
 
 
-def parallel_new_vs_old_blocks(
-    new_matrix: "sparse.csr_matrix",
-    old_matrix: "sparse.csr_matrix",
-    new_sizes: np.ndarray,
-    old_sizes: np.ndarray,
-    threshold: float,
-    workers: int,
-    block_size: int,
-    pool_mode: Optional[str] = None,
-) -> Iterator[_BlockPairs]:
-    """Shard the streaming new-vs-old product across worker processes.
-
-    Yields (new row, old row, value) blocks in deterministic shard order;
-    the union over shards is exactly the serial blocked product.
-    """
-    bounds = shard_bounds(new_matrix.shape[0], workers, block_size)
-    if not bounds:
-        return
-    payload = dict(
-        new=_csr_payload(new_matrix),
-        old=_csr_payload(old_matrix),
-        new_sizes=new_sizes,
-        old_sizes=old_sizes,
-        threshold=threshold,
-        block_size=block_size,
-    )
-    yield from _map_shards(
-        _init_new_vs_old, payload, _new_vs_old_shard, bounds, workers,
-        kind="new_vs_old", pool_mode=pool_mode,
-    )
-
-
-# ----------------------------------------------------------- parent side
 class ParallelSimJoin(VectorizedSimJoin):
     """Sharded multi-process variant of :class:`VectorizedSimJoin`.
 
@@ -494,12 +229,8 @@ class ParallelSimJoin(VectorizedSimJoin):
     workers:
         Number of worker processes.  ``None`` or ``0`` means one per
         available CPU core; ``1`` degenerates to the serial engine (no pool
-        is created).  Any value is legal — more workers than shards simply
+        is touched).  Any value is legal — more workers than shards simply
         leaves the extra workers idle.
-    pool_mode:
-        ``"reused"`` (default) runs shards on the long-lived shared pool
-        with the index in shared memory; ``"fork"`` forks a fresh pool per
-        call (legacy baseline).  Results are bit-identical either way.
     """
 
     def __init__(
@@ -509,7 +240,6 @@ class ParallelSimJoin(VectorizedSimJoin):
         measure: str = "jaccard",
         block_size: int = 1024,
         workers: Optional[int] = None,
-        pool_mode: Optional[str] = None,
     ) -> None:
         super().__init__(
             threshold=threshold,
@@ -520,71 +250,10 @@ class ParallelSimJoin(VectorizedSimJoin):
         if workers is not None and workers < 0:
             raise ValueError("workers must be non-negative (0/None = auto)")
         self.workers = workers
-        self.pool_mode = resolve_pool_mode(pool_mode)
 
     def effective_workers(self) -> int:
         """The concrete worker count (resolving the ``None``/``0`` default)."""
         return resolve_worker_count(self.workers)
 
-    def _pair_blocks(
-        self, matrix: "sparse.csr_matrix", sizes: np.ndarray, plan
-    ) -> Iterator[_BlockPairs]:
-        workers = self.effective_workers()
-        kind, first, second = plan
-        row_count = first.size
-        bounds = shard_bounds(row_count, workers, self.block_size)
-        if workers <= 1 or len(bounds) <= 1:
-            # One shard (or one worker) cannot win back the pool cost;
-            # the serial path is bit-identical by construction.
-            yield from super()._pair_blocks(matrix, sizes, plan)
-            return
-        if kind == "bipartite":
-            if second.size > 0:
-                payload = dict(
-                    threshold=self.threshold,
-                    measure=self.measure,
-                    block_size=self.block_size,
-                    left=_csr_payload(matrix[first]),
-                    right=_csr_payload(matrix[second]),
-                    left_sizes=sizes[first],
-                    right_sizes=sizes[second],
-                    left_index=first,
-                    right_index=second,
-                )
-                yield from _map_shards(
-                    _init_bipartite_shard, payload, _bipartite_shard, bounds,
-                    workers, kind="bipartite", pool_mode=self.pool_mode,
-                )
-        elif row_count >= 2:
-            sub = matrix[first]
-            payload = dict(
-                threshold=self.threshold,
-                measure=self.measure,
-                block_size=self.block_size,
-                sub=_csr_payload(sub),
-                sub_sizes=sizes[first],
-                keep=first,
-            )
-            yield from _map_shards(
-                _init_self_shard, payload, _self_shard, bounds, workers,
-                kind="self", pool_mode=self.pool_mode,
-            )
-        if self.threshold > 0.0:
-            yield from self._empty_pair_blocks(sizes, plan)
-
-
-def parallel_similarity_join(
-    store: RecordStore,
-    threshold: float = 0.0,
-    attributes: Optional[Sequence[str]] = None,
-    cross_sources: Optional[Tuple[str, str]] = None,
-    measure: str = "jaccard",
-    workers: Optional[int] = None,
-    pool_mode: Optional[str] = None,
-) -> PairSet:
-    """Functional convenience wrapper around :class:`ParallelSimJoin`."""
-    join = ParallelSimJoin(
-        threshold=threshold, attributes=attributes, measure=measure,
-        workers=workers, pool_mode=pool_mode,
-    )
-    return join.join(store, cross_sources=cross_sources)
+    def _blocks(self, left, right, **params) -> Iterator[_BlockPairs]:
+        return join_blocks(left, right, workers=self.effective_workers(), **params)

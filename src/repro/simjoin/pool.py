@@ -47,31 +47,13 @@ import numpy as np
 
 logger = logging.getLogger(__name__)
 
-#: Pool modes: ``"reused"`` = the long-lived singleton pool plus
-#: shared-memory blocks (the default); ``"fork"`` = the legacy
-#: fork-per-call pool with per-worker initializer payloads (kept as the
-#: benchmark baseline and as an escape hatch).
-POOL_MODES = ("reused", "fork")
-
-#: Process-global default applied when an engine is built without an
-#: explicit ``pool_mode`` (see :func:`resolve_pool_mode`).
-DEFAULT_POOL_MODE = "reused"
-
-#: Worker-side cap on cached block attachments.  One block per join kind
-#: is live at a time, so a handful covers every interleaving; the cache
-#: only has to stop unbounded growth over a long-lived worker.
+#: Worker-side cap on cached blocks (the attachment plus the state derived
+#: from it, evicted together).  One block per join call is live at a time,
+#: so a handful covers every interleaving; the cache only has to stop a
+#: long-lived worker from pinning unlinked shared-memory pages forever.
 WORKER_CACHE_BLOCKS = 4
 
 _BYTE_ALIGNMENT = 64
-
-
-def resolve_pool_mode(pool_mode: Optional[str]) -> str:
-    """Resolve ``None`` to the process default; validate explicit modes."""
-    if pool_mode is None:
-        return DEFAULT_POOL_MODE
-    if pool_mode not in POOL_MODES:
-        raise ValueError(f"pool_mode must be one of {POOL_MODES}, got {pool_mode!r}")
-    return pool_mode
 
 
 def shared_block_dir() -> str:
@@ -154,19 +136,13 @@ class SharedArrayBlock:
             pass
 
 
-# Worker-side attachment cache: token -> dict of arrays.  Insertion order
-# doubles as recency (a block is attached once and then only looked up).
-_ATTACHED: Dict[str, Dict[str, np.ndarray]] = {}
-
-
 def attach_block(descriptor: Dict[str, object]) -> Dict[str, np.ndarray]:
-    """Map a published block read-only; cached per token inside a worker."""
-    token = descriptor["token"]
-    cached = _ATTACHED.get(token)
-    if cached is not None:
-        return cached
-    while len(_ATTACHED) >= WORKER_CACHE_BLOCKS:
-        _ATTACHED.pop(next(iter(_ATTACHED)))
+    """Map a published block read-only (zero-copy ``np.memmap`` views).
+
+    The mapping lives as long as the returned arrays are referenced; the
+    caller owns caching (see ``_WORKER_SCORERS`` in
+    :mod:`repro.simjoin.parallel`, bounded by ``WORKER_CACHE_BLOCKS``).
+    """
     arrays: Dict[str, np.ndarray] = {}
     path = descriptor["path"]
     for name, (dtype, shape, offset) in dict(descriptor["layout"]).items():
@@ -178,7 +154,6 @@ def attach_block(descriptor: Dict[str, object]) -> Dict[str, np.ndarray]:
             arrays[name] = np.memmap(
                 path, dtype=np.dtype(dtype), mode="r", offset=offset, shape=shape
             )
-    _ATTACHED[token] = arrays
     return arrays
 
 

@@ -3,29 +3,36 @@
 The machine pass is the workload the hybrid trade-off hangs on (Table 2,
 Figure 10), and the pure-Python joins in :mod:`repro.simjoin.allpairs` and
 :mod:`repro.simjoin.prefix_filter` pay a Python-interpreter price per pair.
-:class:`VectorizedSimJoin` instead builds a scipy CSR token-incidence matrix
-``X`` (records x vocabulary, binary, constructed columnarly — see
-:mod:`repro.simjoin.columnar`) and computes all pairwise intersection
-counts through blocked sparse products ``X[block] @ X.T``.  Set sizes come
-from the CSR row pointers, so Jaccard, Dice and cosine similarities — and
-the cross-source mask for record-linkage joins — are derived entirely in
-numpy with no per-pair Python loop.
+The engines here instead build a scipy CSR token-incidence matrix ``X``
+(records x vocabulary, binary, constructed columnarly — see
+:mod:`repro.simjoin.columnar`) and compute pairwise intersection counts
+through blocked sparse products ``X[block] @ X.T``.  Set sizes come from the
+CSR row pointers, so Jaccard, Dice and cosine similarities are derived
+entirely in numpy with no per-pair Python loop.
+
+**One kernel, three callers.**  :func:`score_block` is the only code that
+turns a sparse product block into thresholded similarities.  The batch
+self-join is ``left x left`` under the upper-triangle mask, record linkage
+is ``left x right``, and the streaming engine
+(:class:`repro.streaming.incremental_join.IncrementalSimJoin`) scores its
+freshly appended rows against every earlier row of the resident matrix.
+:class:`BlockScorer` holds one join's operands and walks a row range block
+by block; the serial engines run it inline over all rows and
+:mod:`repro.simjoin.parallel` runs the same object over disjoint row shards
+in worker processes.
 
 The result is exact: intersection and union counts are small integers, the
 final float64 division is bit-identical to the pure-Python ``len(a & b) /
 len(a | b)``, so the vectorized join returns byte-identical pair sets to
-the naive scan at any threshold (the property tests assert this).
-
-The block generators take an explicit row range so that
-:class:`repro.simjoin.parallel.ParallelSimJoin` can run the *same* per-block
-code on disjoint row shards in worker processes: every similarity value is
-an elementwise float64 expression of one pair's intersection count and set
-sizes, so neither block boundaries nor shard boundaries can change it.
+the naive scan at any threshold (the property tests assert this).  Every
+similarity value is an elementwise float64 expression of one pair's
+intersection count and set sizes, so neither block boundaries nor shard
+boundaries can change it.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -44,12 +51,152 @@ HAVE_SCIPY = sparse is not None
 
 MEASURES = ("jaccard", "dice", "cosine")
 
-# (global row indices, global col indices, similarity values) for one block.
+# (row indices, col indices, similarity values) for one block.
 _BlockPairs = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
 # A join plan: ("self", keep, None) or ("bipartite", left, right), where the
 # arrays hold global row indices into the incidence matrix.
 JoinPlan = Tuple[str, np.ndarray, Optional[np.ndarray]]
+
+
+def require_scipy() -> None:
+    """Raise the one error every CSR engine (batch or streaming) shares."""
+    if sparse is None:  # pragma: no cover - scipy is part of the image
+        raise RuntimeError(
+            "the vectorized join backend requires scipy; "
+            "use the 'naive' or 'prefix' backend instead"
+        )
+
+
+def similarity(
+    measure: str, inter: np.ndarray, sizes_a: np.ndarray, sizes_b: np.ndarray
+) -> np.ndarray:
+    """Similarity values from intersection counts and set sizes.
+
+    Two empty token sets are defined as similarity 1.0 (textually
+    identical records), matching the pure-Python set similarities.  The
+    counts stay integers up to the one float64 division, which is exact for
+    them and keeps the temporaries of a large block few.
+    """
+    if measure == "jaccard":
+        denominator = sizes_a + sizes_b - inter
+    elif measure == "dice":
+        inter = 2 * inter
+        denominator = sizes_a + sizes_b
+    else:  # cosine
+        denominator = np.sqrt(sizes_a * sizes_b)
+    # 1.0 where both sets are empty, 0.0 elsewhere; every pair with a
+    # positive denominator is then overwritten by its quotient.
+    values = ((sizes_a == 0) & (sizes_b == 0)).astype(np.float64)
+    np.divide(inter, denominator, out=values, where=denominator > 0)
+    return values
+
+
+def score_block(
+    left: "sparse.csr_matrix",
+    right_t: "sparse.csr_matrix",
+    left_sizes: np.ndarray,
+    right_sizes: np.ndarray,
+    start: int,
+    end: int,
+    threshold: float,
+    measure: str = "jaccard",
+    triangle: int = 0,
+    alive: Optional[np.ndarray] = None,
+) -> _BlockPairs:
+    """The join kernel: rows ``[start, end)`` of ``left`` against ``right_t``.
+
+    Returns ``(rows, cols, values)`` — row positions in ``left``, column
+    positions in the (transposed) right matrix and their similarity — for
+    every pair at or above ``threshold``.  ``triangle`` restricts a product
+    of a matrix with itself to one side of the diagonal: ``+1`` keeps
+    ``col > row`` (each unordered pair of a self-join once), ``-1`` keeps
+    ``col < row`` (appended rows against everything before them), ``0``
+    keeps all.  ``alive`` is a boolean mask over the right rows; pairs
+    against a dead column are dropped whatever they score (at threshold
+    zero a dead row would otherwise pass with similarity 0.0).
+
+    A positive threshold reads the pairs off the sparse product, which only
+    holds pairs sharing a token; at threshold zero every pair must be
+    materialised, so the block is densified.
+    """
+    block = left[start:end] @ right_t
+    if threshold > 0.0:
+        block = block.tocoo()
+        rows = block.row.astype(np.int64)
+        cols = block.col.astype(np.int64)
+        inter = block.data
+    else:
+        inter = np.asarray(block.todense()).ravel()
+        rows, cols = np.divmod(np.arange(inter.size), block.shape[1])
+    del block  # the arrays above are all that is needed of it
+    rows += start
+    keep = None
+    if triangle:
+        keep = cols > rows if triangle > 0 else cols < rows
+    if alive is not None:
+        keep = alive[cols] if keep is None else keep & alive[cols]
+    if keep is not None:
+        rows, cols, inter = rows[keep], cols[keep], inter[keep]
+    values = similarity(measure, inter, left_sizes[rows], right_sizes[cols])
+    passing = values >= threshold
+    return rows[passing], cols[passing], values[passing]
+
+
+class BlockScorer:
+    """One join's operands, scored block by block through :func:`score_block`.
+
+    ``left`` rows are scored against ``right`` rows (``None`` = against
+    ``left`` itself).  Building the scorer derives the transposed right
+    matrix and the set sizes once; :meth:`blocks` then walks any row range.
+    The serial engines walk all rows inline, a pool worker walks one shard
+    of them — same object, same arithmetic.  ``kind`` only labels the
+    per-block trace spans.
+    """
+
+    def __init__(
+        self,
+        left: "sparse.csr_matrix",
+        right: Optional["sparse.csr_matrix"] = None,
+        *,
+        threshold: float,
+        measure: str = "jaccard",
+        block_size: int = 1024,
+        triangle: int = 0,
+        alive: Optional[np.ndarray] = None,
+        kind: str = "",
+    ) -> None:
+        self.left = left
+        self.right_t = (left if right is None else right).T.tocsr()
+        self.left_sizes = np.diff(left.indptr).astype(np.int64)
+        self.right_sizes = (
+            self.left_sizes
+            if right is None
+            else np.diff(right.indptr).astype(np.int64)
+        )
+        self.threshold = threshold
+        self.measure = measure
+        self.block_size = block_size
+        self.triangle = triangle
+        self.alive = alive
+        self.kind = kind
+
+    def blocks(self, start: int, stop: int) -> Iterator[_BlockPairs]:
+        """Pair blocks for left rows ``[start, stop)``."""
+        for block_start in range(start, stop, self.block_size):
+            block_end = min(block_start + self.block_size, stop)
+            # The span covers only this block's matmul + filtering, not the
+            # consumer of the yielded pairs.
+            with obs.span(
+                "simjoin.vectorized.block",
+                kind=self.kind, rows=block_end - block_start,
+            ):
+                block = score_block(
+                    self.left, self.right_t, self.left_sizes, self.right_sizes,
+                    block_start, block_end, self.threshold, self.measure,
+                    self.triangle, self.alive,
+                )
+            yield block
 
 
 class VectorizedSimJoin:
@@ -102,21 +249,16 @@ class VectorizedSimJoin:
         are produced (record linkage); otherwise the whole store is
         self-joined (deduplication).
         """
-        if sparse is None:  # pragma: no cover - scipy is part of the image
-            raise RuntimeError(
-                "the vectorized join backend requires scipy; "
-                "use the 'naive' or 'prefix' backend instead"
-            )
+        require_scipy()
         records = list(store)
         result = PairSet()
         if len(records) < 2:
             return result
         ids = [record.record_id for record in records]
         matrix = self._incidence_matrix(store)
-        sizes = np.diff(matrix.indptr).astype(np.int64)
         plan = self._plan(records, cross_sources)
 
-        for rows, cols, values in self._pair_blocks(matrix, sizes, plan):
+        for rows, cols, values in self._pair_blocks(matrix, plan):
             for i, j, value in zip(rows.tolist(), cols.tolist(), values.tolist()):
                 result.add(RecordPair(ids[i], ids[j], likelihood=value))
         return result
@@ -147,19 +289,39 @@ class VectorizedSimJoin:
         return ("self", keep, None)
 
     def _pair_blocks(
-        self, matrix: "sparse.csr_matrix", sizes: np.ndarray, plan: JoinPlan
+        self, matrix: "sparse.csr_matrix", plan: JoinPlan
     ) -> Iterator[_BlockPairs]:
-        """All pair blocks of the plan: the blocked products plus, for
-        positive thresholds, the empty-token pairs the sparse product cannot
-        see.  Overridden by the parallel engine to shard the product part.
+        """All pair blocks of the plan, in global row indices: the blocked
+        products plus, for positive thresholds, the empty-token pairs the
+        sparse product cannot see.
         """
-        kind, first, second = plan
-        if kind == "bipartite":
-            yield from self._bipartite_blocks(matrix, sizes, first, second)
-        else:
-            yield from self._self_join_blocks(matrix, sizes, first)
+        kind, left, right = plan
+        self_join = right is None
+        if self_join:
+            right = left
+        if min(left.size, right.size) >= (2 if self_join else 1):
+            blocks = self._blocks(
+                matrix[left],
+                None if self_join else matrix[right],
+                threshold=self.threshold,
+                measure=self.measure,
+                block_size=self.block_size,
+                triangle=1 if self_join else 0,
+                kind=kind,
+            )
+            for rows, cols, values in blocks:
+                yield left[rows], right[cols], values
         if self.threshold > 0.0:
-            yield from self._empty_pair_blocks(sizes, plan)
+            yield from self._empty_pair_blocks(np.diff(matrix.indptr), plan)
+
+    def _blocks(
+        self,
+        left: "sparse.csr_matrix",
+        right: Optional["sparse.csr_matrix"],
+        **params: object,
+    ) -> Iterator[_BlockPairs]:
+        """Score every left row: serially here, sharded in the parallel engine."""
+        return BlockScorer(left, right, **params).blocks(0, left.shape[0])
 
     def _incidence_matrix(self, store: RecordStore) -> "sparse.csr_matrix":
         """Binary records-x-vocabulary CSR matrix of token memberships."""
@@ -175,137 +337,6 @@ class VectorizedSimJoin:
             )
             matrix.sort_indices()
         return matrix
-
-    def _similarity(
-        self, inter: np.ndarray, sizes_a: np.ndarray, sizes_b: np.ndarray
-    ) -> np.ndarray:
-        """Similarity values from intersection counts and set sizes.
-
-        Two empty token sets are defined as similarity 1.0 (textually
-        identical records), matching the pure-Python set similarities.
-        """
-        inter = inter.astype(np.float64)
-        sizes_a = sizes_a.astype(np.float64)
-        sizes_b = sizes_b.astype(np.float64)
-        if self.measure == "jaccard":
-            denominator = sizes_a + sizes_b - inter
-        elif self.measure == "dice":
-            inter = 2.0 * inter
-            denominator = sizes_a + sizes_b
-        else:  # cosine
-            denominator = np.sqrt(sizes_a * sizes_b)
-        both_empty = (sizes_a == 0) & (sizes_b == 0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            values = np.where(denominator > 0, inter / np.maximum(denominator, 1e-300), 0.0)
-        return np.where(both_empty, 1.0, values)
-
-    def _self_join_blocks(
-        self, matrix: "sparse.csr_matrix", sizes: np.ndarray, keep: np.ndarray
-    ) -> Iterator[_BlockPairs]:
-        """Yield upper-triangle pairs of the self join restricted to ``keep``."""
-        if keep.size < 2:
-            return
-        sub = matrix[keep]
-        yield from self._self_range_blocks(
-            sub, sub.T.tocsr(), sizes[keep], keep, 0, keep.size
-        )
-
-    def _self_range_blocks(
-        self,
-        sub: "sparse.csr_matrix",
-        sub_t: "sparse.csr_matrix",
-        sub_sizes: np.ndarray,
-        keep: np.ndarray,
-        start_pos: int,
-        stop_pos: int,
-    ) -> Iterator[_BlockPairs]:
-        """Upper-triangle pair blocks for kept-row positions [start, stop)."""
-        count = keep.size
-        for start in range(start_pos, stop_pos, self.block_size):
-            end = min(start + self.block_size, stop_pos)
-            # The span covers only this block's matmul + filtering, not the
-            # consumer of the yielded pairs.
-            with obs.span("simjoin.vectorized.block", kind="self", rows=end - start):
-                inter_block = sub[start:end] @ sub_t
-                if self.threshold <= 0.0:
-                    # Every pair must be materialised: densify the block.
-                    inter = np.asarray(inter_block.todense())
-                    rows_local = np.arange(start, end)
-                    triangle = np.arange(count)[None, :] > rows_local[:, None]
-                    rows, cols = np.nonzero(triangle)
-                    rows += start
-                    values = self._similarity(
-                        inter[rows - start, cols], sub_sizes[rows], sub_sizes[cols]
-                    )
-                    block = (keep[rows], keep[cols], values)
-                else:
-                    coo = inter_block.tocoo()
-                    rows = coo.row.astype(np.int64) + start
-                    cols = coo.col.astype(np.int64)
-                    upper = cols > rows
-                    rows, cols, inter = rows[upper], cols[upper], coo.data[upper]
-                    values = self._similarity(inter, sub_sizes[rows], sub_sizes[cols])
-                    passing = values >= self.threshold
-                    block = (keep[rows[passing]], keep[cols[passing]], values[passing])
-            yield block
-
-    def _bipartite_blocks(
-        self,
-        matrix: "sparse.csr_matrix",
-        sizes: np.ndarray,
-        left: np.ndarray,
-        right: np.ndarray,
-    ) -> Iterator[_BlockPairs]:
-        """Yield cross-source pairs (one record from each side)."""
-        if left.size == 0 or right.size == 0:
-            return
-        yield from self._bipartite_range_blocks(
-            matrix[left],
-            matrix[right].T.tocsr(),
-            sizes[left],
-            sizes[right],
-            left,
-            right,
-            0,
-            left.size,
-        )
-
-    def _bipartite_range_blocks(
-        self,
-        left_matrix: "sparse.csr_matrix",
-        right_t: "sparse.csr_matrix",
-        left_sizes: np.ndarray,
-        right_sizes: np.ndarray,
-        left: np.ndarray,
-        right: np.ndarray,
-        start_pos: int,
-        stop_pos: int,
-    ) -> Iterator[_BlockPairs]:
-        """Cross-source pair blocks for left-row positions [start, stop)."""
-        for start in range(start_pos, stop_pos, self.block_size):
-            end = min(start + self.block_size, stop_pos)
-            with obs.span(
-                "simjoin.vectorized.block", kind="bipartite", rows=end - start
-            ):
-                inter_block = left_matrix[start:end] @ right_t
-                if self.threshold <= 0.0:
-                    inter = np.asarray(inter_block.todense())
-                    rows, cols = np.divmod(np.arange(inter.size), inter.shape[1])
-                    rows += start
-                    values = self._similarity(
-                        inter.ravel(), left_sizes[rows], right_sizes[cols]
-                    )
-                    block = (left[rows], right[cols], values)
-                else:
-                    coo = inter_block.tocoo()
-                    rows = coo.row.astype(np.int64) + start
-                    cols = coo.col.astype(np.int64)
-                    values = self._similarity(
-                        coo.data, left_sizes[rows], right_sizes[cols]
-                    )
-                    passing = values >= self.threshold
-                    block = (left[rows[passing]], right[cols[passing]], values[passing])
-            yield block
 
     def _empty_pair_blocks(
         self, sizes: np.ndarray, plan: JoinPlan

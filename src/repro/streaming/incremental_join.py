@@ -1,37 +1,31 @@
 """Incremental set-similarity join over a persistent token/CSR index.
 
 The batch-mode engines in :mod:`repro.simjoin` recompute the whole join on
-every call.  :class:`IncrementalSimJoin` instead keeps the token index of
-every record seen so far and, when a batch of new records arrives, joins
-
-* **new vs old** — against the persistent index, either through a blocked
-  sparse product ``X_new @ X_old.T`` over the accumulated CSR arrays (the
-  columnar substrate of :class:`repro.simjoin.vectorized.VectorizedSimJoin`,
-  optionally sharded across worker processes when the batch is large and
-  ``workers`` allows) or, without scipy / on small stores, through an
-  inverted-index probe with exact verification; and
-* **new vs new** — by delegating the batch self-join to the existing
-  :mod:`repro.simjoin.backend` registry (so all engines remain
-  interchangeable here too).
+every call.  :class:`IncrementalSimJoin` instead keeps the token-incidence
+CSR arrays of every record seen so far and, when a batch of new records
+arrives, appends the batch's rows and scores **only those rows** against
+every earlier row of the resident matrix — old records and the batch's own
+earlier records alike — in one call of the shared join kernel
+(:func:`repro.simjoin.vectorized.score_block`, the code the batch engines
+run), sharded across the worker pool when the batch spans more than one
+row block and ``workers`` allows.
 
 Index construction is *columnar* (:mod:`repro.simjoin.columnar`): each
-batch's CSR rows are built in one ``np.unique`` pass over the flattened
-token arrays, with one dict lookup per distinct batch token instead of one
-per token occurrence — so small-batch appends are no longer dominated by
-the Python indexing loop.
+batch's CSR rows are built in one pass over the flattened token arrays,
+with one dict lookup per distinct batch token instead of one per token
+occurrence — so small-batch appends are not dominated by a Python indexing
+loop.
 
 Because set similarity is a function of the two records alone, pairs among
 *old* records are untouched by new arrivals, and the union of the per-batch
 deltas is **exactly** the full-store join at the same threshold — the
-equivalence the streaming property tests assert.  Likelihood values are
-computed with the same integer intersection / union arithmetic as the batch
-engines (serial and sharded paths share one block scorer), so they are
-bit-identical, not merely close.
+equivalence the streaming property tests assert.  Likelihood values come
+out of the same kernel as the batch engines', so they are bit-identical,
+not merely close.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -41,26 +35,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 from repro import obs
 from repro.records.pairs import PairSet, RecordPair
-from repro.records.record import Record, RecordError, RecordStore
+from repro.records.record import Record, RecordError
 from repro.records.tokenize import WhitespaceTokenizer, record_token_set
-from repro.simjoin.backend import (
-    AUTO_BACKEND,
-    AUTO_VECTORIZED_MIN_RECORDS,
-    resolve_backend,
-)
-from repro.simjoin.columnar import (
-    compact_csr_arrays,
-    extend_vocabulary_csr_arrays,
-    tombstone_data_array,
-)
-from repro.simjoin.parallel import (
-    parallel_new_vs_old_blocks,
-    resolve_worker_count,
-    score_new_vs_old_block,
-    shard_bounds,
-)
-from repro.simjoin.pool import resolve_pool_mode
-from repro.simjoin.vectorized import HAVE_SCIPY
+from repro.simjoin.columnar import compact_csr_arrays, extend_vocabulary_csr_arrays
+from repro.simjoin.parallel import join_blocks, resolve_worker_count
+from repro.simjoin.vectorized import HAVE_SCIPY, require_scipy
 
 if HAVE_SCIPY:
     from scipy import sparse
@@ -77,28 +56,17 @@ class IncrementalSimJoin:
         Minimum Jaccard similarity for a pair to become a candidate.
     attributes:
         Attributes pooled into each record's token set (``None`` = all).
-    backend:
-        Backend name (or ``"auto"``) used for the new-vs-new self-join of
-        each arriving batch; the new-vs-old side picks the CSR product when
-        scipy is available and the resident store is large enough, falling
-        back to the inverted-index probe otherwise.
     cross_sources:
         When set, only pairs with one record from each source are produced
         (record linkage), mirroring the batch engines.
     block_size:
-        Row-block size of the sparse new-vs-old product.
+        Row-block size of the sparse product over the appended rows.
     workers:
-        Worker processes for sharding the new-vs-old product (and for the
-        new-vs-new backend when it is the parallel engine).  ``None``/``0``
-        = one per CPU core; sharding only engages when a batch spans more
-        than one row block, so small appends never pay pool overhead.  Any
-        value yields bit-identical deltas.
-    pool_mode:
-        How the sharded paths run: ``"reused"`` (default) executes on the
-        long-lived shared process pool with the index published into
-        shared memory — the mode that makes streaming batches cheap —
-        while ``"fork"`` forks a fresh pool per batch (legacy baseline).
-        Deltas are bit-identical either way.
+        Worker processes for sharding that product over the long-lived
+        shared pool.  ``None``/``0`` = one per CPU core; sharding only
+        engages when a batch spans more than one row block, so small
+        appends never pay pool overhead.  Any value yields bit-identical
+        deltas.
     storage:
         Optional :class:`repro.storage.base.Store`.  With a *persistent*
         store the join runs in **offload mode**: per-record token sets are
@@ -107,15 +75,14 @@ class IncrementalSimJoin:
         mutation — appended CSR chunks, new vocabulary columns, tombstones,
         compactions — is mirrored into the store so a later process can
         page the substrate back in with :meth:`from_store`.  A
-        non-persistent (or absent) store changes nothing.  In offload mode
-        :meth:`retract` must be called while the record is still resident
-        in the store (i.e. before ``remove_record``).
+        non-persistent (or absent) store changes nothing.
 
     Records are appended in batches and can be *retracted* individually
-    (:meth:`retract`): a retracted record's CSR row becomes a tombstone
-    whose data entries are zero — every intersection against it is zero, so
-    it can never pass a positive threshold — and the row is physically
-    dropped once enough tombstones accumulate (:meth:`compact`).  A
+    (:meth:`retract`): retracting must not pay an O(nnz) rebuild of the
+    accumulated arrays, so a retracted record's CSR row stays resident as a
+    *tombstone* that the kernel masks out of every later product (at any
+    threshold, zero included), and the row is physically dropped once
+    enough tombstones accumulate (:meth:`compact`).  A
     retracted id may be re-added by a later batch, which is how record
     *update* is implemented one level up
     (:meth:`repro.streaming.StreamingResolver.update`).
@@ -130,13 +97,12 @@ class IncrementalSimJoin:
         self,
         threshold: float,
         attributes: Optional[Sequence[str]] = None,
-        backend: str = AUTO_BACKEND,
         cross_sources: Optional[Tuple[str, str]] = None,
         block_size: int = 1024,
         workers: Optional[int] = None,
-        pool_mode: Optional[str] = None,
         storage: Optional["Store"] = None,
     ) -> None:
+        require_scipy()
         if not 0.0 <= threshold <= 1.0:
             raise ValueError("threshold must be in [0, 1]")
         if block_size < 1:
@@ -145,11 +111,9 @@ class IncrementalSimJoin:
             raise ValueError("workers must be non-negative (0/None = auto)")
         self.threshold = threshold
         self.attributes = list(attributes) if attributes is not None else None
-        self.backend = backend
         self.cross_sources = cross_sources
         self.block_size = block_size
         self.workers = workers
-        self.pool_mode = resolve_pool_mode(pool_mode)
         self._tokenizer = WhitespaceTokenizer()
         self._storage = storage
         self._offload = storage is not None and storage.persistent
@@ -174,13 +138,6 @@ class IncrementalSimJoin:
         self._vocab: Dict[str, int] = {}
         self._index_chunks: List[np.ndarray] = []
         self._indptr: List[int] = [0]
-        # token -> record ids, for the probe path.  Maintaining it is
-        # pointless when the vectorized/parallel product always handles
-        # new-vs-old, so it is skipped for those backends.
-        self._maintain_inverted = not (
-            HAVE_SCIPY and backend in ("vectorized", "parallel")
-        )
-        self._inverted: Dict[str, List[str]] = defaultdict(list)
 
     # -------------------------------------------------------------- queries
     def __len__(self) -> int:
@@ -221,6 +178,12 @@ class IncrementalSimJoin:
             return record_token_set(record, self.attributes, self._tokenizer)
         return self._token_sets[record_id]
 
+    def _flat_indices(self) -> np.ndarray:
+        """The CSR ``indices`` of all resident rows (per-batch chunks joined)."""
+        if self._index_chunks:
+            return np.concatenate(self._index_chunks)
+        return np.empty(0, dtype=np.int64)
+
     def effective_workers(self) -> int:
         """The concrete worker count (resolving the ``None``/``0`` default)."""
         return resolve_worker_count(self.workers)
@@ -241,36 +204,28 @@ class IncrementalSimJoin:
                 raise RecordError(f"duplicate record id: {record.record_id!r}")
             seen_batch.add(record.record_id)
 
-        new_tokens = {
-            record.record_id: record_token_set(record, self.attributes, self._tokenizer)
+        new_tokens = [
+            record_token_set(record, self.attributes, self._tokenizer)
             for record in batch
-        }
+        ]
         # One columnar pass builds the batch's CSR rows and extends the
-        # persistent vocabulary; both the new-vs-old product and the index
-        # append below reuse these arrays.  In offload mode the batch's
-        # novel tokens are collected so exactly those columns can be
-        # mirrored into the store.
+        # persistent vocabulary.  In offload mode the batch's novel tokens
+        # are collected so exactly those columns can be mirrored into the
+        # store.
         novel: Optional[List[str]] = [] if self._offload else None
         batch_indices, batch_indptr = extend_vocabulary_csr_arrays(
-            [new_tokens[record.record_id] for record in batch],
-            self._vocab,
-            novel_out=novel,
+            new_tokens, self._vocab, novel_out=novel
         )
-
-        delta = PairSet()
-        if self._record_ids and batch:
-            with obs.span(
-                "streaming.join.new_vs_old",
-                batch=len(batch), resident=len(self._record_ids),
-            ):
-                self._join_new_vs_old(
-                    batch, new_tokens, delta, batch_indices, batch_indptr
-                )
-        if len(batch) >= 2:
-            with obs.span("streaming.join.new_vs_new", batch=len(batch)):
-                self._join_new_vs_new(batch, delta)
+        first_new = len(self._record_ids)
         with obs.span("streaming.join.index", batch=len(batch)):
             self._index_batch(batch, new_tokens, batch_indices, batch_indptr, novel)
+
+        delta = PairSet()
+        if batch and len(self._record_ids) >= 2:
+            with obs.span(
+                "streaming.join.score", batch=len(batch), resident=first_new
+            ):
+                self._score_rows_from(first_new, delta)
         # Canonical order (the same rule as SimJoinLikelihood.estimate), so
         # downstream tie-breaking is independent of discovery order.
         return PairSet(
@@ -280,9 +235,8 @@ class IncrementalSimJoin:
     def retract(self, record_id: str) -> None:
         """Remove one resident record from the index.
 
-        The record's CSR row becomes a tombstone (zeroed data, see
-        :func:`repro.simjoin.columnar.tombstone_data_array`), so no future
-        batch can join against it; its id becomes re-addable immediately.
+        The record's CSR row becomes a tombstone, so no future batch can
+        join against it; its id becomes re-addable immediately.
         Tombstones are physically dropped by :meth:`compact`, which runs
         automatically once they exceed ``COMPACT_DEAD_FRACTION`` of the
         resident rows (with a floor of ``COMPACT_MIN_TOMBSTONES``).
@@ -293,10 +247,6 @@ class IncrementalSimJoin:
         if self._offload:
             if record_id not in self._alive:
                 raise RecordError(f"unknown record id: {record_id!r}")
-            # Recompute tokens only when the inverted index needs them;
-            # the record must still be resident in the store (sessions
-            # retract from the join before removing the record).
-            tokens = self._tokens_of(record_id) if self._maintain_inverted else None
             self._alive.discard(record_id)
             was_empty = record_id in self._empty_ids
         else:
@@ -309,13 +259,6 @@ class IncrementalSimJoin:
         del self._sources[record_id]
         if was_empty:
             self._empty_ids.remove(record_id)
-        if self._maintain_inverted and tokens:
-            for token in tokens:
-                postings = self._inverted.get(token)
-                if postings is not None:
-                    postings.remove(record_id)
-                    if not postings:
-                        del self._inverted[token]
         if self._offload:
             self._storage.join_mark_dead(row)
         if (
@@ -338,13 +281,8 @@ class IncrementalSimJoin:
         if not self._dead_rows:
             return 0
         dropped = len(self._dead_rows)
-        indices = (
-            np.concatenate(self._index_chunks)
-            if self._index_chunks
-            else np.empty(0, dtype=np.int64)
-        )
         new_indices, new_indptr = compact_csr_arrays(
-            indices, self._indptr, self._dead_rows
+            self._flat_indices(), self._indptr, self._dead_rows
         )
         self._index_chunks = [new_indices] if len(new_indices) else []
         self._indptr = new_indptr.tolist()
@@ -378,11 +316,7 @@ class IncrementalSimJoin:
                 )
                 for row, record_id in enumerate(self._record_ids)
             ],
-            (
-                np.concatenate(self._index_chunks)
-                if self._index_chunks
-                else np.empty(0, dtype=np.int64)
-            ),
+            self._flat_indices(),
             np.diff(np.asarray(self._indptr, dtype=np.int64)),
         )
 
@@ -392,186 +326,63 @@ class IncrementalSimJoin:
             return True
         return {source_a, source_b} == set(self.cross_sources)
 
-    def _join_new_vs_new(self, batch: Sequence[Record], delta: PairSet) -> None:
-        """Self-join the batch through the pluggable backend registry."""
-        store = RecordStore.from_records(batch, name="arrival-batch")
-        engine = resolve_backend(
-            self.backend,
-            record_count=len(store),
-            threshold=self.threshold,
-            workers=self.workers,
-            pool_mode=self.pool_mode,
-        )
-        pairs = engine.join(
-            store,
-            self.threshold,
-            attributes=self.attributes,
-            cross_sources=self.cross_sources,
-        )
-        for pair in pairs:
-            delta.add(pair)
+    def _score_rows_from(self, first_new: int, delta: PairSet) -> None:
+        """Score resident rows ``[first_new, n)`` against every earlier row.
 
-    def _join_new_vs_old(
-        self,
-        batch: Sequence[Record],
-        new_tokens: Dict[str, FrozenSet[str]],
-        delta: PairSet,
-        batch_indices: np.ndarray,
-        batch_indptr: np.ndarray,
-    ) -> None:
-        # Once the inverted index has been dropped (it is only maintained
-        # for the probe path) the CSR product is the only complete index, so
-        # the choice is sticky even if compaction shrinks the store again.
-        use_vectorized = (
-            HAVE_SCIPY
-            and self.backend != "naive"
-            and self.backend != "prefix"
-            and (
-                self.backend in ("vectorized", "parallel")
-                or not self._maintain_inverted
-                or len(self._record_ids) >= AUTO_VECTORIZED_MIN_RECORDS
-            )
-        )
-        if self.threshold <= 0.0:
-            self._join_new_vs_old_exhaustive(batch, new_tokens, delta)
-        elif use_vectorized:
-            self._join_new_vs_old_csr(batch, delta, batch_indices, batch_indptr)
-        else:
-            self._join_new_vs_old_probe(batch, new_tokens, delta)
-        # Empty token sets are invisible to both the inverted index and the
-        # sparse product, but two empty records are textually identical.
-        if self.threshold > 0.0:
-            for record in batch:
-                if new_tokens[record.record_id]:
-                    continue
-                for old_id in self._empty_ids:
-                    if self._cross_ok(record.source, self._sources[old_id]):
-                        delta.add(RecordPair(record.record_id, old_id, likelihood=1.0))
-
-    def _join_new_vs_old_exhaustive(
-        self,
-        batch: Sequence[Record],
-        new_tokens: Dict[str, FrozenSet[str]],
-        delta: PairSet,
-    ) -> None:
-        """Threshold zero: every new-vs-old pair is scored (naive bipartite scan)."""
-        alive_ids = self.record_ids
-        for record in batch:
-            tokens = new_tokens[record.record_id]
-            for old_id in alive_ids:
-                if not self._cross_ok(record.source, self._sources[old_id]):
-                    continue
-                old_tokens = self._tokens_of(old_id)
-                if not tokens and not old_tokens:
-                    similarity = 1.0
-                else:
-                    union = len(tokens | old_tokens)
-                    similarity = len(tokens & old_tokens) / union if union else 1.0
-                delta.add(RecordPair(record.record_id, old_id, likelihood=similarity))
-
-    def _join_new_vs_old_probe(
-        self,
-        batch: Sequence[Record],
-        new_tokens: Dict[str, FrozenSet[str]],
-        delta: PairSet,
-    ) -> None:
-        """Inverted-index probe: candidates share >= 1 token, verified exactly."""
-        for record in batch:
-            tokens = new_tokens[record.record_id]
-            candidates: Set[str] = set()
-            for token in tokens:
-                postings = self._inverted.get(token)
-                if postings:
-                    candidates.update(postings)
-            for old_id in candidates:
-                if not self._cross_ok(record.source, self._sources[old_id]):
-                    continue
-                old_tokens = self._tokens_of(old_id)
-                union = len(tokens | old_tokens)
-                similarity = len(tokens & old_tokens) / union
-                if similarity >= self.threshold:
-                    delta.add(RecordPair(record.record_id, old_id, likelihood=similarity))
-
-    def _join_new_vs_old_csr(
-        self,
-        batch: Sequence[Record],
-        delta: PairSet,
-        batch_indices: np.ndarray,
-        batch_indptr: np.ndarray,
-    ) -> None:
-        """Blocked sparse product of the batch rows against the resident CSR.
-
-        Old rows never reference the batch's new vocabulary columns, so
-        padding the old matrix to the extended width is free.  When the
-        batch spans several row blocks and more than one worker is
-        configured, the blocks are sharded across a process pool
-        (:func:`repro.simjoin.parallel.parallel_new_vs_old_blocks`); serial
-        and sharded paths share one block scorer, so the delta is
-        bit-identical either way.
+        One kernel call over the resident matrix under the ``col < row``
+        mask covers new-vs-old and new-vs-new alike.  Tombstoned rows are
+        masked out by the kernel, which matters at threshold zero, where a
+        dead row's similarity of 0.0 would otherwise pass.  When the batch
+        spans several row blocks and more than one worker is configured the
+        rows are sharded across the shared pool; serial and sharded runs
+        execute the same scorer, so the delta is bit-identical either way.
         """
-        width = max(1, len(self._vocab))
-        old_indices = (
-            np.concatenate(self._index_chunks)
-            if self._index_chunks
-            else np.empty(0, dtype=np.int64)
-        )
-        # Tombstoned rows contribute zero data: intersections against them
-        # are zero, so their similarity is exactly 0.0 — below any positive
-        # threshold (this path is unreachable at threshold <= 0).
-        old_data = (
-            tombstone_data_array(self._indptr, self._dead_rows)
-            if self._dead_rows
-            else np.ones(len(old_indices), dtype=np.int32)
-        )
-        old_matrix = sparse.csr_matrix(
+        count = len(self._record_ids)
+        indices = self._flat_indices()
+        matrix = sparse.csr_matrix(
             (
-                old_data,
-                old_indices,
+                np.ones(len(indices), dtype=np.int32),
+                indices,
                 np.asarray(self._indptr, dtype=np.int64),
             ),
-            shape=(len(self._record_ids), width),
+            shape=(count, max(1, len(self._vocab))),
         )
-        new_matrix = sparse.csr_matrix(
-            (
-                np.ones(len(batch_indices), dtype=np.int32),
-                batch_indices,
-                batch_indptr,
-            ),
-            shape=(len(batch), width),
+        alive = None
+        if self._dead_rows:
+            alive = np.ones(count, dtype=bool)
+            alive[list(self._dead_rows)] = False
+        blocks = join_blocks(
+            matrix,
+            start=first_new,
+            workers=self.effective_workers(),
+            alive=alive,
+            threshold=self.threshold,
+            block_size=self.block_size,
+            triangle=-1,
+            kind="new_vs_old",
         )
-        old_sizes = np.diff(old_matrix.indptr).astype(np.int64)
-        new_sizes = np.diff(new_matrix.indptr).astype(np.int64)
-        new_ids = [record.record_id for record in batch]
-        new_sources = [record.source for record in batch]
-
-        workers = self.effective_workers()
-        bounds = shard_bounds(len(batch), workers, self.block_size)
-        if workers > 1 and len(bounds) > 1:
-            blocks = parallel_new_vs_old_blocks(
-                new_matrix, old_matrix, new_sizes, old_sizes,
-                self.threshold, workers, self.block_size,
-                pool_mode=self.pool_mode,
-            )
-        else:
-            old_t = old_matrix.T.tocsr()
-            blocks = (
-                score_new_vs_old_block(
-                    new_matrix, old_t, new_sizes, old_sizes,
-                    start, min(start + self.block_size, len(batch)),
-                    self.threshold,
-                )
-                for start in range(0, len(batch), self.block_size)
-            )
+        ids, sources = self._record_ids, self._sources
         for rows, cols, values in blocks:
             for row, col, value in zip(rows.tolist(), cols.tolist(), values.tolist()):
-                old_id = self._record_ids[col]
-                if self._cross_ok(new_sources[row], self._sources[old_id]):
-                    delta.add(RecordPair(new_ids[row], old_id, likelihood=value))
+                new_id, old_id = ids[row], ids[col]
+                if self._cross_ok(sources[new_id], sources[old_id]):
+                    delta.add(RecordPair(new_id, old_id, likelihood=value))
+        # Empty token sets are invisible to the sparse product, but two
+        # empty records are textually identical.  ``_empty_ids`` is in
+        # arrival order, so the batch's own empties are its tail.
+        if self.threshold > 0.0:
+            empties = self._empty_ids
+            new_empty = int((np.diff(matrix.indptr[first_new:]) == 0).sum())
+            for position in range(len(empties) - new_empty, len(empties)):
+                new_id = empties[position]
+                for old_id in empties[:position]:
+                    if self._cross_ok(sources[new_id], sources[old_id]):
+                        delta.add(RecordPair(new_id, old_id, likelihood=1.0))
 
     def _index_batch(
         self,
         batch: Sequence[Record],
-        new_tokens: Dict[str, FrozenSet[str]],
+        new_tokens: Sequence[FrozenSet[str]],
         batch_indices: np.ndarray,
         batch_indptr: np.ndarray,
         novel: Optional[List[str]] = None,
@@ -580,8 +391,7 @@ class IncrementalSimJoin:
 
         The CSR rows were already built columnarly in :meth:`add_batch`;
         here they are appended wholesale, and only the bookkeeping that is
-        inherently per record (sources, empty ids, the probe path's
-        inverted index when it is maintained at all) loops in Python.  In
+        inherently per record (sources, empty ids) loops in Python.  In
         offload mode the same arrays are mirrored into the store: the new
         rows, the batch's CSR chunk, and exactly the novel vocabulary
         columns.
@@ -594,7 +404,7 @@ class IncrementalSimJoin:
                         first_row + position,
                         record.record_id,
                         record.source,
-                        not new_tokens[record.record_id],
+                        not new_tokens[position],
                         False,
                     )
                     for position, record in enumerate(batch)
@@ -611,9 +421,8 @@ class IncrementalSimJoin:
         if len(batch_indices):
             self._index_chunks.append(batch_indices)
         self._indptr.extend((batch_indptr[1:] + offset).tolist())
-        for record in batch:
+        for record, tokens in zip(batch, new_tokens):
             record_id = record.record_id
-            tokens = new_tokens[record_id]
             self._row_of[record_id] = len(self._record_ids)
             self._record_ids.append(record_id)
             if self._offload:
@@ -623,23 +432,6 @@ class IncrementalSimJoin:
             self._sources[record_id] = record.source
             if not tokens:
                 self._empty_ids.append(record_id)
-            if self._maintain_inverted:
-                for token in tokens:
-                    self._inverted[token].append(record_id)
-        # Once the store is big enough for the CSR product the probe path is
-        # unreachable (and stays unreachable: the choice is sticky even
-        # across compaction): stop paying the per-occurrence posting appends
-        # and drop the duplicate index.
-        if (
-            self._maintain_inverted
-            and HAVE_SCIPY
-            and self.backend not in ("naive", "prefix")
-            and len(self._record_ids) >= AUTO_VECTORIZED_MIN_RECORDS
-        ):
-            self._maintain_inverted = False
-            self._inverted.clear()
-            if self._offload:
-                self._storage.set_meta("join_maintain_inverted", False)
 
     # -------------------------------------------------------- serialization
     def state_dict(self) -> Dict[str, object]:
@@ -656,11 +448,9 @@ class IncrementalSimJoin:
         return {
             "threshold": self.threshold,
             "attributes": self.attributes,
-            "backend": self.backend,
             "cross_sources": self.cross_sources,
             "block_size": self.block_size,
             "workers": self.workers,
-            "pool_mode": self.pool_mode,
             "record_ids": list(self._record_ids),
             "row_of": dict(self._row_of),
             "dead_rows": set(self._dead_rows),
@@ -672,16 +462,8 @@ class IncrementalSimJoin:
             "sources": dict(self._sources),
             "empty_ids": list(self._empty_ids),
             "vocabulary": dict(self._vocab),
-            "indices": (
-                np.concatenate(self._index_chunks)
-                if self._index_chunks
-                else np.empty(0, dtype=np.int64)
-            ),
+            "indices": self._flat_indices(),
             "indptr": list(self._indptr),
-            "maintain_inverted": self._maintain_inverted,
-            "inverted": {
-                token: list(ids) for token, ids in self._inverted.items()
-            },
         }
 
     @classmethod
@@ -693,17 +475,18 @@ class IncrementalSimJoin:
         With a persistent ``storage`` the rebuilt substrate is re-mirrored
         into it (the caller is expected to have reset the store first, the
         way a snapshot restore wipes and reloads the whole session).
+        Snapshots written before the join had one kernel also carry
+        ``backend``, ``pool_mode``, ``inverted`` and ``maintain_inverted``
+        entries; they described derived state and are not read.
         """
         instance = cls(
             threshold=state["threshold"],  # type: ignore[arg-type]
             attributes=state["attributes"],  # type: ignore[arg-type]
-            backend=state["backend"],  # type: ignore[arg-type]
             cross_sources=(
                 tuple(state["cross_sources"]) if state["cross_sources"] else None  # type: ignore[arg-type]
             ),
             block_size=state["block_size"],  # type: ignore[arg-type]
             workers=state["workers"],  # type: ignore[arg-type]
-            pool_mode=state.get("pool_mode"),  # type: ignore[arg-type]
             storage=storage,
         )
         instance._record_ids = list(state["record_ids"])  # type: ignore[arg-type]
@@ -722,16 +505,11 @@ class IncrementalSimJoin:
         indices = np.asarray(state["indices"], dtype=np.int64)
         instance._index_chunks = [indices] if len(indices) else []
         instance._indptr = list(state["indptr"])  # type: ignore[arg-type]
-        instance._maintain_inverted = bool(state["maintain_inverted"])
-        instance._inverted = defaultdict(list)
-        for token, ids in state["inverted"].items():  # type: ignore[union-attr]
-            instance._inverted[token] = list(ids)
         if instance._offload:
             instance._mirror_replace()
             storage.extend_vocabulary(
                 sorted(instance._vocab.items(), key=lambda item: item[1])
             )
-            storage.set_meta("join_maintain_inverted", instance._maintain_inverted)
         return instance
 
     @classmethod
@@ -741,30 +519,25 @@ class IncrementalSimJoin:
         *,
         threshold: float,
         attributes: Optional[Sequence[str]] = None,
-        backend: str = AUTO_BACKEND,
         cross_sources: Optional[Tuple[str, str]] = None,
         block_size: int = 1024,
         workers: Optional[int] = None,
-        pool_mode: Optional[str] = None,
     ) -> "IncrementalSimJoin":
         """Page the join substrate back in from a persistent store.
 
         Construction parameters are not stored with the substrate (they
         belong to the workflow config), so the caller passes them again.
         The CSR arrays, vocabulary and row bookkeeping come back exactly
-        as mirrored; the probe path's inverted index — pure derived data —
-        is rebuilt from the stored records only when it is still
-        maintained.  Returns an empty index when the store has no
-        substrate yet.
+        as mirrored (a ``join_maintain_inverted`` meta entry left by an
+        older writer is not read).  Returns an empty index when the store
+        has no substrate yet.
         """
         instance = cls(
             threshold=threshold,
             attributes=attributes,
-            backend=backend,
             cross_sources=cross_sources,
             block_size=block_size,
             workers=workers,
-            pool_mode=pool_mode,
             storage=storage,
         )
         state = storage.load_join_state()
@@ -787,11 +560,4 @@ class IncrementalSimJoin:
         indices = np.asarray(state["indices"], dtype=np.int64)
         instance._index_chunks = [indices] if len(indices) else []
         instance._indptr = list(state["indptr"])  # type: ignore[arg-type]
-        instance._maintain_inverted = bool(
-            storage.get_meta("join_maintain_inverted", instance._maintain_inverted)
-        )
-        if instance._maintain_inverted:
-            for record_id in instance.record_ids:
-                for token in instance._tokens_of(record_id):
-                    instance._inverted[token].append(record_id)
         return instance

@@ -144,6 +144,12 @@ RESULT_CONFIG_FIELDS = (
     "seed",
 )
 
+#: Fields a stored configuration (snapshot, journal ``session`` event or
+#: sqlite meta) written by an earlier release may still carry.  The knobs
+#: are gone — ``join_pool`` selected a fork-per-batch pool that no longer
+#: exists — so restore drops them instead of failing on an unknown field.
+RETIRED_CONFIG_FIELDS = ("join_pool",)
+
 
 class StreamingResolver:
     """An open entity-resolution session over arriving record batches.
@@ -154,9 +160,9 @@ class StreamingResolver:
         Workflow configuration.  The streaming-specific knobs are
         ``recrowd_policy``, ``streaming_aggregation_scope``,
         ``staleness_epsilon`` and ``stream_batch_size``; ``join_workers``
-        shards the incremental machine pass across processes and
-        ``join_pool`` picks the reused shared pool (default) or the
-        legacy fork-per-batch pool for those shards;
+        shards the incremental machine pass across the shared process pool
+        (``join_backend`` only selects the batch engine — a session always
+        joins through the CSR kernel);
         ``checkpoint_dir`` / ``checkpoint_every_batches`` make the session
         durable (write-ahead journal plus periodic snapshots);
         ``vote_mode`` is forced to ``"per-pair"``
@@ -256,10 +262,8 @@ class StreamingResolver:
         self.join = IncrementalSimJoin(
             threshold=self.config.likelihood_threshold,
             attributes=self.config.similarity_attributes,
-            backend=self.config.join_backend,
             cross_sources=cross_sources,
             workers=self.config.join_workers or None,
-            pool_mode=self.config.join_pool,
             storage=self.storage,
         )
         self.store = RecordStore(name="stream", backing=self.storage)
@@ -880,7 +884,13 @@ class StreamingResolver:
                 raise persistence.PersistenceError(
                     "no stored configuration found; pass config= explicitly"
                 )
-            config = WorkflowConfig(**stored_config)
+            config = WorkflowConfig(
+                **{
+                    name: value
+                    for name, value in stored_config.items()
+                    if name not in RETIRED_CONFIG_FIELDS
+                }
+            )
         elif stored_config is not None and cls._result_config_changed(
             config, stored_config
         ):
@@ -1040,10 +1050,8 @@ class StreamingResolver:
                 storage,
                 threshold=self.config.likelihood_threshold,
                 attributes=self.config.similarity_attributes,
-                backend=self.config.join_backend,
                 cross_sources=self.cross_sources,
                 workers=self.config.join_workers or None,
-                pool_mode=self.config.join_pool,
             )
             self.provenance = ProvenanceLedger.from_store(storage)
             self.candidates = PairSet(

@@ -6,8 +6,8 @@ measure and any store, :class:`ParallelSimJoin` returns **bit-identical**
 pair sets and likelihoods to the serial
 :class:`~repro.simjoin.vectorized.VectorizedSimJoin` — asserted with exact
 ``==`` on the floats, not a tolerance.  The columnar index builders must
-produce matrices whose intersection counts (``X @ X.T``) are identical to
-the legacy per-record loop's, which is the invariant every similarity value
+produce matrices whose intersection counts (``X @ X.T``) equal ``len(a & b)``
+on the token sets themselves, which is the invariant every similarity value
 rests on.
 """
 
@@ -31,14 +31,11 @@ from repro.simjoin.backend import (
 from repro.simjoin.columnar import (
     columnar_csr_arrays,
     extend_vocabulary_csr_arrays,
-    per_record_csr_arrays,
 )
 from repro.simjoin.parallel import ParallelSimJoin, shard_bounds
 from repro.simjoin.pool import (
-    DEFAULT_POOL_MODE,
-    POOL_MODES,
+    WORKER_CACHE_BLOCKS,
     active_pools,
-    resolve_pool_mode,
     shared_pool,
     shutdown_pools,
 )
@@ -55,6 +52,17 @@ if HAVE_SCIPY:
 def pair_items(pairs):
     """Canonical (key, likelihood) list for exact set comparison."""
     return sorted((pair.key, pair.likelihood) for pair in pairs)
+
+
+def _worker_cache_size(_task):
+    """Runs inside a pool worker: (pid, blocks its scorer cache holds)."""
+    import os
+    import time
+
+    from repro.simjoin import parallel
+
+    time.sleep(0.05)  # long enough that every worker takes a task
+    return os.getpid(), len(parallel._WORKER_SCORERS)
 
 
 class TestParallelEqualsVectorized:
@@ -175,20 +183,11 @@ class TestReusedPool:
             halves.append(store)
         return halves
 
-    def test_pool_mode_resolution_and_validation(self):
-        assert resolve_pool_mode(None) == DEFAULT_POOL_MODE
-        for mode in POOL_MODES:
-            assert resolve_pool_mode(mode) == mode
-        with pytest.raises(ValueError):
-            resolve_pool_mode("threads")
-        with pytest.raises(ValueError):
-            ParallelSimJoin(pool_mode="threads")
-
     def test_worker_pids_stable_across_batches(self):
         """The regression the reused pool exists for: consecutive batches
         must land on the *same* worker processes, not a fresh fork each."""
         first, second = self._halves()
-        join = ParallelSimJoin(0.3, block_size=8, workers=2, pool_mode="reused")
+        join = ParallelSimJoin(0.3, block_size=8, workers=2)
         join.join(first)
         pids_after_first = tuple(shared_pool(2).worker_pids())
         join.join(second)
@@ -197,41 +196,31 @@ class TestReusedPool:
         assert len(set(pids_after_first)) == 2
         assert all(pid != 0 for pid in pids_after_first)
 
-    @settings(max_examples=6, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    @given(
-        store=random_stores(),
-        threshold=st.sampled_from((0.0, 0.3, 0.7)),
-        workers=st.sampled_from((2, 3)),
-    )
-    def test_property_reused_pool_bit_identical_to_fork(self, store, threshold, workers):
-        reused = ParallelSimJoin(
-            threshold, block_size=2, workers=workers, pool_mode="reused"
-        ).join(store)
-        fork = ParallelSimJoin(
-            threshold, block_size=2, workers=workers, pool_mode="fork"
-        ).join(store)
-        assert pair_items(reused) == pair_items(fork)
-
     def test_no_leaked_shared_memory_blocks(self):
         """Payload blocks are unlinked as soon as the map returns."""
         import glob
 
         first, second = self._halves(seed=21)
-        join = ParallelSimJoin(0.3, block_size=8, workers=2, pool_mode="reused")
-        join.join(first)
-        join.join(second)
+        join = ParallelSimJoin(0.3, block_size=8, workers=2)
+        # More consecutive joins than a worker may cache blocks for: each
+        # publishes a fresh block, so an unbounded worker cache would pin
+        # every one of them (unlinked pages stay alive while mapped).
+        for _ in range(WORKER_CACHE_BLOCKS + 1):
+            join.join(first)
+            join.join(second)
         assert glob.glob("/dev/shm/repro-shard-*") == []
+        cached = dict(shared_pool(2).map(_worker_cache_size, range(8)))
+        assert set(cached) <= set(shared_pool(2).worker_pids())
+        assert all(0 < size <= WORKER_CACHE_BLOCKS for size in cached.values())
 
     def test_shutdown_pools_releases_workers(self):
         first, _second = self._halves(seed=23)
-        ParallelSimJoin(0.3, block_size=8, workers=2, pool_mode="reused").join(first)
+        ParallelSimJoin(0.3, block_size=8, workers=2).join(first)
         assert active_pools()
         shutdown_pools()
         assert not active_pools()
         # The registry recovers transparently on the next join.
-        pairs = ParallelSimJoin(
-            0.3, block_size=8, workers=2, pool_mode="reused"
-        ).join(first)
+        pairs = ParallelSimJoin(0.3, block_size=8, workers=2).join(first)
         assert len(active_pools()) == 1
         assert pair_items(pairs) == pair_items(
             VectorizedSimJoin(0.3, block_size=8).join(first)
@@ -245,7 +234,7 @@ class TestReusedPool:
         first, _second = self._halves(seed=29)
         obs.activate()
         try:
-            ParallelSimJoin(0.3, block_size=8, workers=2, pool_mode="reused").join(first)
+            ParallelSimJoin(0.3, block_size=8, workers=2).join(first)
             snapshot = obs.snapshot()
         finally:
             obs.deactivate()
@@ -280,16 +269,15 @@ class TestColumnarBuild:
     @given(token_sets=st.lists(st.lists(st.sampled_from(_WORDS), max_size=6).map(set), max_size=12))
     @settings(max_examples=50, deadline=None)
     def test_intersection_counts_match_per_record_loop(self, token_sets):
-        token_sets = [sorted(tokens) for tokens in token_sets]
-        columnar = columnar_csr_arrays(token_sets)
-        legacy = per_record_csr_arrays(token_sets)
-        assert columnar[1].tolist() == legacy[1].tolist()  # same indptr
-        assert columnar[2] == legacy[2]  # same vocabulary size
-        # Column order differs (sorted vs first-seen), but every pairwise
-        # intersection count — all any similarity uses — is identical.
-        assert np.array_equal(
-            _gram(*columnar), _gram(legacy[0], legacy[1], legacy[2])
+        indices, indptr, width = columnar_csr_arrays(
+            [sorted(tokens) for tokens in token_sets]
         )
+        assert np.diff(indptr).tolist() == [len(tokens) for tokens in token_sets]
+        assert width == len(set().union(*token_sets))
+        # Every pairwise intersection count — all any similarity uses —
+        # equals the set intersection computed on the tokens themselves.
+        expected = [[len(a & b) for b in token_sets] for a in token_sets]
+        assert _gram(indices, indptr, width).tolist() == expected
 
     @given(
         token_sets=st.lists(
@@ -324,40 +312,41 @@ class TestColumnarBuild:
 class TestStreamingWithWorkers:
     def test_incremental_join_workers_bit_identical(self):
         dataset = RestaurantGenerator(
-            record_count=200, duplicate_pairs=30, seed=9
+            record_count=100, duplicate_pairs=15, seed=9
         ).generate()
-        records = list(dataset.store)
-        joins = {
-            workers: IncrementalSimJoin(
-                threshold=0.3, backend="vectorized", block_size=8, workers=workers
-            )
-            for workers in (1, 3)
-        }
-        for start in range(0, len(records), 40):
-            batch = records[start : start + 40]
-            deltas = {
-                workers: join.add_batch(batch) for workers, join in joins.items()
-            }
-            assert pair_items(deltas[3]) == pair_items(deltas[1])
-
-    def test_auto_backend_retires_inverted_index_once_csr_takes_over(self):
-        """Past the vectorized cutoff the probe path is unreachable forever,
-        so the duplicate inverted index must stop growing and be dropped."""
-        from repro.simjoin.backend import AUTO_VECTORIZED_MIN_RECORDS
-
-        join = IncrementalSimJoin(threshold=0.4)
-        assert join._maintain_inverted
-        records = [
-            Record(f"r{i}", {"name": f"token{i} shared"})
-            for i in range(AUTO_VECTORIZED_MIN_RECORDS + 10)
+        originals = [
+            Record(record.record_id, record.attributes, source="abt")
+            for record in dataset.store
         ]
-        join.add_batch(records[:AUTO_VECTORIZED_MIN_RECORDS])
-        assert not join._maintain_inverted
-        assert not join._inverted
-        # Later batches still join correctly through the CSR product.
-        delta = join.add_batch(records[AUTO_VECTORIZED_MIN_RECORDS:])
-        assert not join._inverted
-        assert all(pair.likelihood >= 0.4 for pair in delta)
+        # Each 40-record batch is 20 records followed by their 20 exact
+        # copies: every copy sits 20 rows after its original, so with
+        # block_size=8 the two always fall into different shards — the
+        # intra-batch (new-vs-new) pairs are found across shard boundaries.
+        batches = []
+        for start in range(0, len(originals), 20):
+            chunk = originals[start : start + 20]
+            copies = [
+                Record(f"{record.record_id}-copy", record.attributes, source="buy")
+                for record in chunk
+            ]
+            batches.append(chunk + copies)
+        for cross_sources in (None, ("abt", "buy")):
+            joins = {
+                workers: IncrementalSimJoin(
+                    threshold=0.3, cross_sources=cross_sources,
+                    block_size=8, workers=workers,
+                )
+                for workers in (1, 3)
+            }
+            for batch in batches:
+                deltas = {
+                    workers: join.add_batch(batch) for workers, join in joins.items()
+                }
+                assert pair_items(deltas[3]) == pair_items(deltas[1])
+                found = {pair.key: pair.likelihood for pair in deltas[3]}
+                for record in batch[:20]:
+                    key = (record.record_id, f"{record.record_id}-copy")
+                    assert found[key] == 1.0
 
     def test_streaming_with_join_workers_equals_one_shot_resolve(self):
         dataset = RestaurantGenerator(

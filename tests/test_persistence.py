@@ -194,6 +194,56 @@ class TestSaveRestore:
             session.flush()
         assert_sessions_identical(resolver, restored)
 
+    @pytest.mark.parametrize("durability", ("snapshot", "journal"))
+    def test_session_written_with_retired_knobs_restores(
+        self, tmp_path, monkeypatch, durability
+    ):
+        """A checkpoint from before the join had one kernel still carries
+        ``join_pool`` in its stored config (snapshot ``config`` / journal
+        ``session`` event) and ``backend``/``pool_mode``/``inverted``/
+        ``maintain_inverted`` in its join state; restore drops them."""
+        from repro.streaming.incremental_join import IncrementalSimJoin
+
+        config_payload = StreamingResolver._config_payload
+        join_state = IncrementalSimJoin.state_dict
+        dataset = make_dataset()
+        records = list(dataset.store)
+        with monkeypatch.context() as legacy:
+            legacy.setattr(
+                StreamingResolver, "_config_payload",
+                lambda self: {**config_payload(self), "join_pool": "fork"},
+            )
+            legacy.setattr(
+                IncrementalSimJoin, "state_dict",
+                lambda self: {
+                    **join_state(self),
+                    "backend": "auto",
+                    "pool_mode": "fork",
+                    "maintain_inverted": True,
+                    "inverted": {"alpha": ["r1"]},
+                },
+            )
+            if durability == "journal":
+                config = make_config(
+                    checkpoint_dir=str(tmp_path), checkpoint_every_batches=0
+                )
+            else:
+                config = make_config()
+            resolver = StreamingResolver(config=config)
+            resolver.add_truth(dataset.ground_truth)
+            for start in range(0, len(records), 17):
+                resolver.add_batch(records[start : start + 17])
+            if durability == "snapshot":
+                resolver.save(tmp_path)
+                state, _applied = load_latest_snapshot(tmp_path)
+                assert state["config"]["join_pool"] == "fork"
+                assert state["join"]["pool_mode"] == "fork"
+            else:
+                session_event = SessionJournal(tmp_path).events()[0]
+                assert session_event.payload["config"]["join_pool"] == "fork"
+        restored = StreamingResolver.restore(tmp_path, resume_journal=False)
+        assert_sessions_identical(resolver, restored)
+
     def test_save_requires_a_path_or_checkpoint_dir(self):
         resolver = StreamingResolver(config=make_config())
         with pytest.raises(PersistenceError):

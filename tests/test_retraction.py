@@ -68,22 +68,23 @@ class TestIncrementalJoinRetraction:
         with pytest.raises(RecordError):
             join.retract("r1")
 
-    @pytest.mark.parametrize("backend", ("prefix", "vectorized"))
-    def test_retraction_equals_never_added(self, backend):
+    @pytest.mark.parametrize("threshold", (0.0, 0.3))
+    def test_retraction_equals_never_added(self, threshold):
         """After retracting half the records, the surviving index joins a
-        probe batch exactly like an index that never saw them."""
+        probe batch exactly like an index that never saw them — also at
+        threshold zero, where a tombstone's similarity of 0.0 would pass."""
         dataset = RestaurantGenerator(
             record_count=40, duplicate_pairs=8, seed=7
         ).generate()
         records = list(dataset.store)
         resident, probes = records[:30], records[30:]
 
-        full = IncrementalSimJoin(threshold=0.3, backend=backend)
+        full = IncrementalSimJoin(threshold=threshold)
         full.add_batch(resident)
         for record in resident[10:20]:
             full.retract(record.record_id)
 
-        fresh = IncrementalSimJoin(threshold=0.3, backend=backend)
+        fresh = IncrementalSimJoin(threshold=threshold)
         fresh.add_batch(resident[:10] + resident[20:])
 
         got = {pair.key: pair.likelihood for pair in full.add_batch(probes)}

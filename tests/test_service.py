@@ -203,7 +203,11 @@ class TestHttpSurface:
 
     def test_invalid_config_is_400(self, service):
         _runner, client = service
-        for config in ({"no_such_knob": 1}, {"likelihood_threshold": 2.0}):
+        for config in (
+            {"no_such_knob": 1},
+            {"likelihood_threshold": 2.0},
+            {"join_pool": "fork"},  # retired knob: unknown like any other
+        ):
             with pytest.raises(ServiceClientError) as caught:
                 client.create_session(fresh_id("bad"), config=config)
             assert caught.value.status == 400

@@ -117,10 +117,10 @@ class TestBlocking:
 class TestLikelihoodEstimators:
     def test_simjoin_prefix_and_naive_agree(self, small_restaurant):
         threshold = 0.35
-        fast = SimJoinLikelihood(use_prefix_filter=True).estimate(
+        fast = SimJoinLikelihood(backend="prefix").estimate(
             small_restaurant.store, min_likelihood=threshold
         )
-        slow = SimJoinLikelihood(use_prefix_filter=False).estimate(
+        slow = SimJoinLikelihood(backend="naive").estimate(
             small_restaurant.store, min_likelihood=threshold
         )
         assert fast.to_key_set() == slow.to_key_set()

@@ -139,15 +139,6 @@ class TestSimJoinLikelihoodBackendSelection:
         with pytest.raises(ValueError):
             SimJoinLikelihood(backend="quantum").estimate(example_store, min_likelihood=0.3)
 
-    def test_legacy_use_prefix_filter_false_means_naive(self, example_store):
-        fast = SimJoinLikelihood(use_prefix_filter=True).estimate(
-            example_store, min_likelihood=0.3
-        )
-        slow = SimJoinLikelihood(use_prefix_filter=False).estimate(
-            example_store, min_likelihood=0.3
-        )
-        assert fast.to_key_set() == slow.to_key_set()
-
 
 @pytest.mark.skipif(not HAVE_SCIPY, reason="scipy unavailable")
 class TestVectorizedJoin:

@@ -394,6 +394,32 @@ class TestPageInRestore:
         assert session_fingerprint(restored) == expected
         restored.storage.close()
 
+    def test_store_written_with_retired_knobs_pages_in(self, tmp_path):
+        """A store from before the join had one kernel carries ``join_pool``
+        in its config meta and a ``join_maintain_inverted`` entry; page-in
+        ignores both."""
+        dataset = make_dataset()
+        records = list(dataset.store)
+        config = make_config(
+            storage_backend="sqlite",
+            storage_path=str(tmp_path / STORE_FILENAME),
+        )
+        resolver = StreamingResolver(config=config)
+        resolver.add_truth(dataset.ground_truth)
+        for start in range(0, len(records), 15):
+            resolver.add_batch(records[start : start + 15])
+        expected = session_fingerprint(resolver)
+        stored_config = resolver.storage.get_meta("config")
+        resolver.storage.set_meta("config", {**stored_config, "join_pool": "fork"})
+        resolver.storage.set_meta("join_maintain_inverted", False)
+        resolver.storage.commit()
+        resolver.storage.close()
+        restored = StreamingResolver.restore(str(tmp_path), resume_journal=False)
+        assert session_fingerprint(restored) == expected
+        tail = [Record("late", dict(records[0].attributes))]
+        assert len(restored.join.add_batch(tail)) >= 1
+        restored.storage.close()
+
     def test_fresh_session_refuses_an_occupied_store(self, tmp_path):
         config = make_config(
             storage_backend="sqlite",

@@ -49,7 +49,7 @@ class TestIncrementalSimJoin:
     def test_delta_union_equals_full_join(self, backend, threshold):
         dataset = make_dataset(seed=5)
         records = list(dataset.store)
-        join = IncrementalSimJoin(threshold=threshold, backend=backend)
+        join = IncrementalSimJoin(threshold=threshold)
         accumulated = {}
         for start in range(0, len(records), 13):
             delta = join.add_batch(records[start : start + 13])
