@@ -245,12 +245,10 @@ class AsyncCrowdPlatform:
         claimed: Set[PairKey] = set()
         for hit in batch.hits:
             if isinstance(hit, PairBasedHIT):
-                coverable = hit.checkable_pairs() & candidates
                 seconds = self.inner.latency.pair_assignment_seconds(
                     hit.size, qualified=qualified
                 )
             elif isinstance(hit, ClusterBasedHIT):
-                coverable = hit.checkable_pairs(candidates)
                 seconds = self.inner.latency.cluster_assignment_seconds(
                     hit.size * (hit.size - 1) // 2, qualified=qualified
                 )
@@ -258,7 +256,7 @@ class AsyncCrowdPlatform:
                 raise TypeError(f"unsupported HIT type: {type(hit)!r}")
             # Exclusive carrier assignment: overlapping HITs never deliver
             # the same pair twice, so slot reassembly is collision-free.
-            pairs = sorted(coverable - claimed)
+            pairs = sorted((hit.checkable_pairs() & candidates) - claimed)
             claimed.update(pairs)
             hit_uid = f"p{self.publish_count}:{hit.hit_id}"
             self._hits[hit_uid] = {

@@ -257,12 +257,11 @@ class SimulatedCrowdPlatform:
         """
         covered: Set[Tuple[str, str]] = set()
         for hit in batch.hits:
-            if isinstance(hit, PairBasedHIT):
-                covered |= hit.checkable_pairs() & candidates
-            elif isinstance(hit, ClusterBasedHIT):
-                covered |= hit.checkable_pairs(candidates)
-            else:  # pragma: no cover - defensive
+            if not isinstance(hit, (PairBasedHIT, ClusterBasedHIT)):  # pragma: no cover - defensive
                 raise TypeError(f"unsupported HIT type: {type(hit)!r}")
+            # A HIT's own pairs (at most k*(k-1)/2) are looked up in the
+            # candidate set; the candidate set is never walked per HIT.
+            covered |= hit.checkable_pairs() & candidates
             # Per-HIT assignment bookkeeping mirrors the sequential mode;
             # cluster comparisons use the full pairwise count (the
             # deterministic worst case of the Section-6 procedure).

@@ -159,9 +159,14 @@ class Graph:
         for vertex in self._adjacency:
             if vertex in vertex_set:
                 sub.add_vertex(vertex)
-        for u, v in self.edges():
-            if u in vertex_set and v in vertex_set:
-                sub.add_edge(u, v)
+        # Only the kept vertices' adjacency is walked.  Taking them in this
+        # graph's vertex order and adding each edge at its first endpoint
+        # reproduces the order ``edges()`` would yield them in, so neighbour
+        # order in the subgraph does not depend on how it was built.
+        for u in sub._adjacency:
+            for v in self._adjacency[u]:
+                if v in vertex_set:
+                    sub.add_edge(u, v)
         return sub
 
     def edges_within(self, vertices: Iterable[str]) -> List[Tuple[str, str]]:

@@ -12,7 +12,9 @@ pricing and the crowd simulator.
 
 from __future__ import annotations
 
+from collections.abc import Set as AbstractSet
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.records.pairs import PairSet, canonical_pair
@@ -88,20 +90,21 @@ class ClusterBasedHIT:
 
         With ``candidate_pairs`` given, only candidate pairs fully contained
         in the HIT are returned; otherwise all ``size*(size-1)/2`` internal
-        pairs are returned.
+        pairs are returned.  A set (or dict-keys view) of candidates is
+        probed with the HIT's own pairs and never walked, so the cost is
+        bounded by the HIT, not by the candidate set; callers holding
+        canonical keys write ``hit.checkable_pairs() & candidates``.
         """
-        members = sorted(self.record_ids)
+        # Sorted distinct ids, so every combination is already canonical.
+        internal = set(combinations(sorted(self.records), 2))
         if candidate_pairs is None:
-            result: Set[Tuple[str, str]] = set()
-            for i in range(len(members)):
-                for j in range(i + 1, len(members)):
-                    result.add(canonical_pair(members[i], members[j]))
-            return result
-        member_set = set(members)
+            return internal
+        if not isinstance(candidate_pairs, AbstractSet):
+            candidate_pairs = set(candidate_pairs)
+        # Candidates may arrive in either orientation; the result is canonical.
         return {
-            canonical_pair(a, b)
-            for a, b in candidate_pairs
-            if a in member_set and b in member_set
+            key for key in internal
+            if key in candidate_pairs or key[::-1] in candidate_pairs
         }
 
 
@@ -155,10 +158,7 @@ class HITBatch:
         """
         covered: Set[Tuple[str, str]] = set()
         for hit in self.hits:
-            if isinstance(hit, ClusterBasedHIT):
-                covered |= hit.checkable_pairs() & self.candidate_pairs
-            elif isinstance(hit, PairBasedHIT):
-                covered |= hit.checkable_pairs() & self.candidate_pairs
+            covered |= hit.checkable_pairs() & self.candidate_pairs  # type: ignore[attr-defined]
         return covered
 
     def uncovered_pairs(self) -> Set[Tuple[str, str]]:
@@ -178,11 +178,7 @@ class HITBatch:
         """Map every candidate pair to the ids of the HITs that can check it."""
         mapping: Dict[Tuple[str, str], List[str]] = {key: [] for key in self.candidate_pairs}
         for hit in self.hits:
-            if isinstance(hit, ClusterBasedHIT):
-                checkable = hit.checkable_pairs(self.candidate_pairs)
-            else:
-                checkable = hit.checkable_pairs() & self.candidate_pairs  # type: ignore[union-attr]
-            for key in checkable:
+            for key in hit.checkable_pairs() & self.candidate_pairs:  # type: ignore[attr-defined]
                 mapping[key].append(hit.hit_id)  # type: ignore[attr-defined]
         return mapping
 

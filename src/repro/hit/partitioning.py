@@ -20,6 +20,7 @@ tractable in pure Python.
 
 from __future__ import annotations
 
+import heapq
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.graph.graph import Graph
@@ -50,6 +51,29 @@ def _select_candidate(
             best_key = key
     assert best_vertex is not None  # caller guarantees conn is non-empty
     return best_vertex
+
+
+def _max_degree_seed(lcc: Graph, seeds: List[Tuple[int, str]]) -> str:
+    """The maximum-degree vertex of ``lcc``, ties to the smallest id.
+
+    ``seeds`` is a heap holding one ``(-degree, id)`` entry per vertex, keyed
+    by the degree the vertex had when the entry was pushed.  Algorithm 2 only
+    ever removes edges, so a stale entry overstates its vertex: when the top
+    entry is stale it is re-keyed (or dropped, at degree zero) and the top is
+    looked at again; a top entry that matches its vertex's degree beats every
+    other entry's overstated key and is therefore the true maximum — the
+    vertex :meth:`Graph.max_degree_vertex` would find by scanning them all.
+    The caller guarantees ``lcc`` still has an edge.
+    """
+    while True:
+        stale_degree, vertex = seeds[0]
+        degree = lcc.degree(vertex)
+        if degree == -stale_degree:
+            return vertex
+        if degree:
+            heapq.heapreplace(seeds, (-degree, vertex))
+        else:
+            heapq.heappop(seeds)
 
 
 def partition_large_component(
@@ -87,11 +111,13 @@ def partition_large_component(
 
     lcc = graph.subgraph(component)
     sccs: List[List[str]] = []
+    # One (-degree, id) entry per vertex, re-keyed lazily by _max_degree_seed.
+    seeds = [(-lcc.degree(vertex), vertex) for vertex in lcc.vertices()]
+    heapq.heapify(seeds)
 
     while lcc.edge_count > 0:
         # Seed: the maximum-degree vertex of the remaining component.
-        seed = lcc.max_degree_vertex()
-        assert seed is not None  # edge_count > 0 implies a non-isolated vertex
+        seed = _max_degree_seed(lcc, seeds)
 
         scc: List[str] = [seed]
         scc_set = {seed}
@@ -117,11 +143,6 @@ def partition_large_component(
 
         sccs.append(scc)
         lcc.remove_edges_within(scc)
-        # Drop vertices that lost all their edges so the seed scan and the
-        # degree bookkeeping stay on the shrinking remainder.
-        for vertex in scc:
-            if lcc.has_vertex(vertex) and lcc.degree(vertex) == 0:
-                lcc.remove_vertex(vertex)
     return sccs
 
 

@@ -5,7 +5,8 @@ metrics into the numbers an operator actually asks for: how many HITs a
 session issued, how many votes came back, what the simulated crowd cost,
 and how the time divides between the machine pass (real wall-clock spent in
 instrumented spans) and the simulated crowd (worker-seconds and round-trip
-latency from the latency model).
+latency from the latency model).  The real seconds the process spends
+*simulating* the crowd belong to neither side and are reported separately.
 
 A report can be built from three sources (the CLI ``repro stats`` command
 accepts all three):
@@ -37,6 +38,12 @@ MACHINE_ROOT_SPANS = (
     "streaming.restore",
 )
 
+#: Spans in which the process plays the crowd (the synchronous simulator
+#: drawing votes).  They run nested inside the root spans above, but a real
+#: deployment would spend that time waiting on people, not computing, so it
+#: is reported on its own and taken out of the machine figure.
+SIMULATOR_SPANS = ("crowd.publish",)
+
 
 @dataclass
 class CostReport:
@@ -56,10 +63,13 @@ class CostReport:
     crowd_timeouts: int = 0
     crowd_reissued: int = 0
     crowd_duplicates_dropped: int = 0
-    #: Real wall-clock seconds spent inside top-level machine spans; None
-    #: when the run had no metrics (e.g. a store written without
-    #: ``metrics_enabled``).
+    #: Real wall-clock seconds spent inside top-level machine spans, net of
+    #: the crowd simulator nested in them; None when the run had no metrics
+    #: (e.g. a store written without ``metrics_enabled``).
     machine_seconds: Optional[float] = None
+    #: Real wall-clock seconds the process spent simulating the crowd
+    #: (:data:`SIMULATOR_SPANS`); None exactly when ``machine_seconds`` is.
+    simulator_seconds: Optional[float] = None
     #: Per-span ``(calls, total_seconds)`` breakdown, all spans.
     phase_seconds: Dict[str, Tuple[int, float]] = field(default_factory=dict)
     #: Streaming counters of record (``streaming_*`` totals).
@@ -79,6 +89,7 @@ class CostReport:
             "crowd_reissued": self.crowd_reissued,
             "crowd_duplicates_dropped": self.crowd_duplicates_dropped,
             "machine_seconds": self.machine_seconds,
+            "simulator_seconds": self.simulator_seconds,
             "phase_seconds": {
                 name: {"calls": calls, "seconds": seconds}
                 for name, (calls, seconds) in sorted(self.phase_seconds.items())
@@ -108,7 +119,6 @@ class CostReport:
             snapshot.counter_total("crowd_duplicates_dropped_total")
         )
         spans = snapshot.get("span_seconds")
-        machine = 0.0
         if spans is not None:
             for sample in spans["samples"]:
                 name = sample["labels"].get("span", "")
@@ -116,12 +126,7 @@ class CostReport:
                 report.phase_seconds[name] = (
                     calls + sample["count"], seconds + sample["sum"]
                 )
-            machine = sum(
-                seconds
-                for name, (_, seconds) in report.phase_seconds.items()
-                if name in MACHINE_ROOT_SPANS
-            )
-        report.machine_seconds = machine if report.phase_seconds else None
+        report._split_wall_clock()
         for metric in snapshot.metrics:
             if metric["kind"] == "counter" and metric["name"].startswith("streaming_"):
                 report.counters[metric["name"]] = sum(
@@ -130,6 +135,21 @@ class CostReport:
         if session_meta:
             report._fold_session_meta(session_meta)
         return report
+
+    def _split_wall_clock(self) -> None:
+        """Derive machine and simulator seconds from ``phase_seconds``."""
+        if not self.phase_seconds:
+            return
+
+        def total(names: Tuple[str, ...]) -> float:
+            return sum(
+                seconds for name, (_, seconds) in self.phase_seconds.items() if name in names
+            )
+
+        self.simulator_seconds = total(SIMULATOR_SPANS)
+        # Clamped: a platform published to outside any root span (a bare
+        # benchmark loop) has simulator time and no machine time at all.
+        self.machine_seconds = max(0.0, total(MACHINE_ROOT_SPANS) - self.simulator_seconds)
 
     def _fold_session_meta(self, meta: Mapping) -> None:
         """Fill crowd-side numbers the snapshot lacks from session meta."""
@@ -232,15 +252,7 @@ class CostReport:
         report.crowd_reissued = int(total("crowd_reissued_total"))
         report.crowd_duplicates_dropped = int(total("crowd_duplicates_dropped_total"))
         report.phase_seconds = spans
-        report.machine_seconds = (
-            sum(
-                seconds
-                for name, (_, seconds) in spans.items()
-                if name in MACHINE_ROOT_SPANS
-            )
-            if spans
-            else None
-        )
+        report._split_wall_clock()
         report.counters = {
             name: value
             for (name, _), value in sorted(counters.items())
@@ -274,6 +286,10 @@ class CostReport:
             lines.append("  machine time           : n/a (run without metrics_enabled)")
         else:
             lines.append(f"  machine time           : {self.machine_seconds:.3f} s")
+            lines.append(
+                f"  crowd simulator time   : {self.simulator_seconds:.3f} s "
+                "(real seconds spent playing the crowd; not machine time)"
+            )
             simulated = self.crowd_work_seconds
             total_time = self.machine_seconds + simulated
             if total_time > 0:

@@ -27,7 +27,9 @@ len(a | b)``, so the vectorized join returns byte-identical pair sets to
 the naive scan at any threshold (the property tests assert this).  Every
 similarity value is an elementwise float64 expression of one pair's
 intersection count and set sizes, so neither block boundaries nor shard
-boundaries can change it.
+boundaries can change it.  The integer overlap bound the kernel applies to
+the raw product (:func:`min_overlap`) only discards pairs that this exact
+test would discard anyway, so it changes the cost and not the result.
 """
 
 from __future__ import annotations
@@ -92,6 +94,35 @@ def similarity(
     return values
 
 
+# Relative slack taken off the overlap bound before it is rounded up: far
+# above the float64 rounding of the bound and of similarity()'s own division
+# and square root (a few 1e-16), far below the 1/size gap between the bounds
+# of neighbouring integer overlaps.
+_BOUND_SLACK = 1e-9
+
+
+def min_overlap(measure: str, threshold: float, sizes: np.ndarray) -> np.ndarray:
+    """Per-row lower bound on the intersection of any pair reaching ``threshold``.
+
+    A partner set ``B`` of a row ``A`` holds at least their intersection
+    ``i``, so ``similarity >= t`` implies ``i >= t|A|`` (Jaccard, from
+    ``|A u B| >= |A|``), ``i >= t|A| / (2 - t)`` (Dice, from ``|A| + |B| >=
+    |A| + i``) and ``i >= t^2 |A|`` (cosine, from ``|A||B| >= |A| i``).  The
+    bound is a necessary condition only: it is computed in floating point,
+    shrunk by :data:`_BOUND_SLACK` and then rounded up, so a pair whose exact
+    float64 similarity meets the threshold is never below it — a naive
+    ``ceil(t * |A|)`` can be (``0.28 * 25 == 7.000000000000001``, while a
+    7-token subset of a 25-token set scores ``7 / 25 == 0.28``).
+    """
+    if measure == "jaccard":
+        bound = threshold * sizes
+    elif measure == "dice":
+        bound = threshold * sizes / (2.0 - threshold)
+    else:  # cosine
+        bound = threshold * threshold * sizes
+    return np.ceil(bound * (1.0 - _BOUND_SLACK))
+
+
 def score_block(
     left: "sparse.csr_matrix",
     right_t: "sparse.csr_matrix",
@@ -117,15 +148,26 @@ def score_block(
     zero a dead row would otherwise pass with similarity 0.0).
 
     A positive threshold reads the pairs off the sparse product, which only
-    holds pairs sharing a token; at threshold zero every pair must be
-    materialised, so the block is densified.
+    holds pairs sharing a token.  Nearly all of those share too few: the
+    product's integer counts are first compared, in place, with the left
+    row's :func:`min_overlap`, and only the survivors are expanded to
+    coordinates, masked and put through the exact :func:`similarity` test —
+    the cost follows the pairs kept, not the pairs sharing a token.  At
+    threshold zero every pair must be materialised, so the block is
+    densified.
     """
     block = left[start:end] @ right_t
     if threshold > 0.0:
-        block = block.tocoo()
-        rows = block.row.astype(np.int64)
-        cols = block.col.astype(np.int64)
-        inter = block.data
+        needed = min_overlap(measure, threshold, left_sizes[start:end])
+        survivors = np.flatnonzero(
+            block.data
+            >= np.repeat(needed.astype(block.data.dtype), np.diff(block.indptr))
+        )
+        # Entry p of the CSR arrays belongs to the row r with
+        # indptr[r] <= p < indptr[r + 1].
+        rows = np.searchsorted(block.indptr, survivors, side="right") - 1
+        cols = block.indices[survivors].astype(np.int64)
+        inter = block.data[survivors]
     else:
         inter = np.asarray(block.todense()).ravel()
         rows, cols = np.divmod(np.arange(inter.size), block.shape[1])

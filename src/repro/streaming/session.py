@@ -1308,10 +1308,7 @@ class StreamingResolver:
         claimed: Set[PairKey] = set()
         for hit in batch_hits.hits:
             hit_id = f"b{self._batch_index}:{hit.hit_id}"
-            if batch_hits.hit_type == "pair":
-                covered_here = hit.checkable_pairs() & to_vote
-            else:
-                covered_here = hit.checkable_pairs(to_vote)
+            covered_here = hit.checkable_pairs() & to_vote
             claimed |= covered_here
             for key in sorted(covered_here):
                 self.provenance.record_coverage(key, hit_id)

@@ -355,6 +355,45 @@ def test_stats_hit_count_matches_session_exactly(tmp_path):
     assert store.machine_seconds is not None and store.machine_seconds > 0
 
 
+def test_simulator_time_is_not_booked_as_machine_time(tmp_path):
+    """``crowd.publish`` runs nested inside the root spans: it is reported on
+    its own and taken out of the machine figure and the split."""
+    trace = tmp_path / "trace.jsonl"
+    events = [
+        {"type": "span", "name": "crowd.publish", "seconds": 0.5},
+        {"type": "span", "name": "workflow.crowd", "seconds": 0.625},
+        {"type": "span", "name": "workflow.resolve", "seconds": 2.0},
+        {"type": "counter", "name": "crowd_work_seconds_total", "value": 4.5},
+    ]
+    trace.write_text("".join(json.dumps(event) + "\n" for event in events))
+    report = CostReport.from_trace(str(trace))
+    assert report.simulator_seconds == 0.5
+    assert report.machine_seconds == 1.5
+    assert report.to_dict()["simulator_seconds"] == 0.5
+    rendered = report.render()
+    assert "machine time           : 1.500 s" in rendered
+    assert "crowd simulator time   : 0.500 s" in rendered
+    assert "25.0% machine / 75.0% crowd (of 6.0 combined seconds)" in rendered
+
+    # A live sync session: the simulator ran, inside the root spans.
+    dataset = make_dataset()
+    obs.deactivate()
+    resolver = StreamingResolver(config=WorkflowConfig(
+        likelihood_threshold=0.35, vote_mode="per-pair", metrics_enabled=True, seed=7,
+    ), cross_sources=dataset.cross_sources)
+    resolver.add_truth(dataset.ground_truth)
+    resolver.add_batch(list(dataset.store))
+    live = CostReport.from_snapshot(obs.snapshot())
+    obs.deactivate()
+    assert live.simulator_seconds == live.phase_seconds["crowd.publish"][1] > 0
+    assert live.machine_seconds == pytest.approx(
+        live.phase_seconds["streaming.batch"][1] - live.simulator_seconds
+    )
+
+    # No spans at all: both figures are absent, not zero.
+    assert CostReport().simulator_seconds is None
+
+
 # -------------------------------------------------------------------- CLI
 def test_cli_stream_metrics_export_and_stats(tmp_path, capsys):
     checkpoint = tmp_path / "session"

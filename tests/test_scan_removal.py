@@ -1,0 +1,185 @@
+"""The resolve path pays per item kept, not per item looked at.
+
+Count-based, not time-based: HIT coverage is computed from a HIT's own
+``k*(k-1)/2`` pairs and never walks the candidate set once per HIT, and
+Algorithm 2 seeds each SCC from a heap instead of rescanning every vertex —
+with the scanning implementation (``Graph.max_degree_vertex``) kept as the
+oracle the heap must agree with.
+"""
+
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from strategies import pair_sets
+
+from repro.core.config import WorkflowConfig
+from repro.crowd.platform import CrowdRunResult, SimulatedCrowdPlatform
+from repro.graph.components import connected_components
+from repro.graph.graph import Graph
+from repro.hit.base import ClusterBasedHIT, HITBatch, PairBasedHIT
+from repro.hit.partitioning import (
+    _TIE_BREAK_RULES,
+    _select_candidate,
+    partition_large_component,
+)
+from repro.streaming.session import StreamingResolver
+
+
+class UnwalkableSet(set):
+    """A candidate set that may be probed but not iterated."""
+
+    def __iter__(self):
+        raise AssertionError("the candidate set was walked")
+
+
+class CountingSet(set):
+    """A candidate set that counts how often it is iterated."""
+
+    walks = 0
+
+    def __iter__(self):
+        self.walks += 1
+        return super().__iter__()
+
+
+CANDIDATES = [("a", "b"), ("b", "c"), ("c", "d"), ("x", "y")]
+
+
+class TestCoverageNeverWalksTheCandidates:
+    def test_checkable_pairs_probes_a_set(self):
+        hit = ClusterBasedHIT("h1", ("c", "a", "b"))
+        assert hit.checkable_pairs(UnwalkableSet(CANDIDATES)) == {("a", "b"), ("b", "c")}
+        assert hit.checkable_pairs() & UnwalkableSet(CANDIDATES) == {("a", "b"), ("b", "c")}
+
+    @pytest.mark.parametrize("container", [
+        list, set, frozenset, UnwalkableSet,
+        lambda pairs: dict.fromkeys(pairs).keys(),
+        lambda pairs: iter(pairs),
+    ])
+    def test_wrapper_values_for_every_container(self, container):
+        """Canonical output whatever the orientation or container of the input."""
+        hit = ClusterBasedHIT("h1", ("a", "b", "c"))
+        # ("b", "a") is a reversed candidate, ("c", "d") is half outside.
+        pairs = [("b", "a"), ("b", "c"), ("c", "d"), ("x", "y")]
+        assert hit.checkable_pairs(container(pairs)) == {("a", "b"), ("b", "c")}
+        assert hit.checkable_pairs(container([])) == set()
+
+    @pytest.mark.parametrize("hits", [
+        [ClusterBasedHIT("h1", ("a", "b", "c")), ClusterBasedHIT("h2", ("c", "d"))],
+        [PairBasedHIT("h1", (("a", "b"), ("b", "c"))), PairBasedHIT("h2", (("c", "d"),))],
+    ])
+    def test_publish_per_pair(self, hits):
+        batch = HITBatch(
+            hit_type="cluster" if isinstance(hits[0], ClusterBasedHIT) else "pair",
+            hits=hits, candidate_pairs=set(CANDIDATES),
+        )
+
+        def votes(candidates):
+            platform = SimulatedCrowdPlatform(seed=5, vote_mode="per-pair")
+            result = CrowdRunResult(hit_count=2, assignments_per_hit=3)
+            platform._publish_per_pair(
+                batch, {("a", "b")}, candidates, None, random.Random(5), result
+            )
+            return result.votes
+
+        guarded = votes(UnwalkableSet(CANDIDATES))
+        assert guarded == votes(set(CANDIDATES))
+        assert {vote[1] for vote in guarded} == {("a", "b"), ("b", "c"), ("c", "d")}
+
+    def test_batch_bookkeeping_walks_once_not_once_per_hit(self):
+        batch = HITBatch(
+            hit_type="cluster",
+            hits=[ClusterBasedHIT(f"h{i}", ("a", "b", "c")) for i in range(20)],
+            candidate_pairs=set(CANDIDATES),
+        )
+        batch.candidate_pairs = CountingSet(batch.candidate_pairs)
+        assert batch.covered_pairs() == {("a", "b"), ("b", "c")}
+        assert batch.candidate_pairs.walks == 0
+        mapping = batch.pair_to_hits()
+        assert batch.candidate_pairs.walks == 1     # the dict of empty lists
+        assert len(mapping[("a", "b")]) == 20 and mapping[("x", "y")] == []
+
+    def test_streaming_publish_walks_do_not_grow_with_the_hits(self, small_restaurant):
+        """``_publish_hits`` walks ``to_vote`` a fixed number of times (sorting
+        it, reading its rounds, canonicalising it for the platform) however
+        many HITs the batch is packed into."""
+        resolver = StreamingResolver(config=WorkflowConfig(
+            likelihood_threshold=0.3, cluster_size=3, vote_mode="per-pair", seed=3,
+        ))
+        publish_hits = resolver._publish_hits
+        seen = []
+
+        def counted(to_vote, delta, force=False):
+            to_vote = CountingSet(to_vote)
+            before = resolver._hit_count
+            outcome = publish_hits(to_vote, delta, force)
+            seen.append((resolver._hit_count - before, to_vote.walks))
+            return outcome
+
+        resolver._publish_hits = counted
+        records = list(small_restaurant.store)
+        for offset in range(0, len(records), 40):
+            resolver.add_batch(records[offset:offset + 40])
+        hit_counts = {hits for hits, _ in seen}
+        assert len(hit_counts) > 1 and max(hit_counts) >= 5
+        assert len({walks for _, walks in seen}) == 1
+
+
+def _reference_partition(graph, component, cluster_size, tie_break):
+    """Algorithm 2 with the seed found by scanning: the oracle."""
+    lcc = graph.subgraph(component)
+    sccs = []
+    while lcc.edge_count > 0:
+        seed = lcc.max_degree_vertex()
+        scc, scc_set = [seed], {seed}
+        conn = {
+            neighbour: [1, lcc.degree(neighbour) - 1] for neighbour in lcc.neighbors(seed)
+        }
+        while len(scc) < cluster_size and conn:
+            chosen = _select_candidate(conn, tie_break)
+            del conn[chosen]
+            scc.append(chosen)
+            scc_set.add(chosen)
+            for neighbour in lcc.neighbors(chosen):
+                if neighbour in scc_set:
+                    continue
+                entry = conn.get(neighbour)
+                if entry is None:
+                    conn[neighbour] = [1, lcc.degree(neighbour) - 1]
+                else:
+                    entry[0] += 1
+                    entry[1] -= 1
+        sccs.append(scc)
+        lcc.remove_edges_within(scc)
+    return sccs
+
+
+class TestSeedHeapMatchesTheScan:
+    @settings(max_examples=150, deadline=None)
+    @given(pairs=pair_sets(), cluster_size=st.integers(min_value=2, max_value=6))
+    def test_same_sccs_for_every_tie_break(self, pairs, cluster_size):
+        """26 vertices and up to 60 edges: degree ties at nearly every seed."""
+        graph = Graph.from_pair_set(pairs)
+        for component in connected_components(graph):
+            if len(component) <= cluster_size:
+                continue
+            for tie_break in _TIE_BREAK_RULES:
+                assert partition_large_component(
+                    graph, component, cluster_size, tie_break=tie_break
+                ) == _reference_partition(graph, component, cluster_size, tie_break)
+
+    def test_subgraph_keeps_vertex_and_neighbour_order(self):
+        """The induced subgraph lists vertices and neighbours as a full edge
+        walk of the parent would: earlier vertices first, then adjacency order."""
+        graph = Graph.from_edges(
+            [("d", "a"), ("x", "a"), ("c", "d"), ("a", "c"), ("b", "a"), ("c", "b"), ("x", "b")]
+        )
+        sub = graph.subgraph(["c", "b", "a", "d"])
+        assert sub.vertices() == ["d", "a", "c", "b"]
+        assert {vertex: sub.neighbors(vertex) for vertex in sub.vertices()} == {
+            "d": ["a", "c"], "a": ["d", "c", "b"], "c": ["d", "a", "b"], "b": ["a", "c"],
+        }
+        assert sub.edge_count == 5 and not sub.has_vertex("x")

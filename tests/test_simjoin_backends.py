@@ -8,10 +8,14 @@ records, duplicate records and two-source linkage joins) through all three
 engines at thresholds 0.1, 0.5 and 0.9.
 """
 
+import math
+
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from strategies import random_stores
+from strategies import random_stores, similarity_measures
 
 from repro.records.pairs import PairSet
 from repro.records.record import Record, RecordStore
@@ -28,7 +32,14 @@ from repro.simjoin.backend import (
 )
 from repro.simjoin.likelihood import SimJoinLikelihood
 from repro.simjoin.prefix_filter import PrefixFilterJoin
-from repro.simjoin.vectorized import HAVE_SCIPY, VectorizedSimJoin
+from repro.simjoin.vectorized import (
+    HAVE_SCIPY,
+    MEASURES,
+    VectorizedSimJoin,
+    min_overlap,
+    score_block,
+    similarity,
+)
 from repro.similarity.set_similarity import (
     cosine_token_similarity,
     dice_similarity,
@@ -197,3 +208,157 @@ class TestPrefixFilterStillExact:
         store.add(Record("c", {"name": "sony walkman"}))
         pairs = PrefixFilterJoin(threshold=1.0).join(store)
         assert pairs.to_key_set() == {("a", "b")}
+
+
+# ------------------------------------------------- the kernel's overlap bound
+def _python_similarity(measure, a, b):
+    """Exact similarity of two token sets, in plain Python floats."""
+    if not a and not b:
+        return 1.0
+    inter = len(a & b)
+    if measure == "jaccard":
+        return inter / len(a | b)
+    if measure == "dice":
+        return 2 * inter / (len(a) + len(b))
+    denominator = math.sqrt(len(a) * len(b))
+    return inter / denominator if denominator > 0 else 0.0
+
+
+def _dense_oracle(measure, threshold, left, right, start, end, triangle, alive):
+    """All-pairs reference for :func:`score_block`: no product, no prefilter.
+
+    A positive threshold reads a *sparse* product, so pairs sharing no token
+    are not the kernel's to report (the engines add empty-vs-empty pairs
+    themselves); at threshold zero the kernel scores every pair.
+    """
+    expected = []
+    for row in range(start, end):
+        for col, other in enumerate(right):
+            if triangle > 0 and not col > row or triangle < 0 and not col < row:
+                continue
+            if alive is not None and not alive[col]:
+                continue
+            if threshold > 0.0 and not left[row] & other:
+                continue
+            value = _python_similarity(measure, left[row], other)
+            if value >= threshold:
+                expected.append((row, col, value))
+    return sorted(expected)
+
+
+def _incidence(token_sets, width):
+    from scipy import sparse
+
+    indptr = np.cumsum([0] + [len(tokens) for tokens in token_sets])
+    indices = np.array(
+        [token for tokens in token_sets for token in sorted(tokens)], dtype=np.int64
+    )
+    return sparse.csr_matrix(
+        (np.ones(len(indices), dtype=np.int32), indices, indptr),
+        shape=(len(token_sets), width),
+    )
+
+
+def _score(measure, threshold, left, right=None, start=0, end=None, triangle=0, alive=None):
+    width = 1 + max((token for tokens in left + (right or []) for token in tokens), default=0)
+    left_matrix = _incidence(left, width)
+    right_matrix = left_matrix if right is None else _incidence(right, width)
+    rows, cols, values = score_block(
+        left_matrix, right_matrix.T.tocsr(),
+        np.diff(left_matrix.indptr).astype(np.int64),
+        np.diff(right_matrix.indptr).astype(np.int64),
+        start, len(left) if end is None else end, threshold, measure, triangle,
+        None if alive is None else np.array(alive, dtype=bool),
+    )
+    return sorted(zip(rows.tolist(), cols.tolist(), values.tolist()))
+
+
+_kernel_token_sets = st.lists(
+    st.frozensets(st.integers(min_value=0, max_value=11), max_size=10),
+    min_size=1, max_size=9,
+)
+_kernel_thresholds = st.one_of(
+    st.sampled_from((0.0, 0.1, 0.2, 0.25, 0.3, 1 / 3, 0.5, 0.6, 2 / 3, 0.7, 0.75, 0.9, 1.0)),
+    st.floats(min_value=0.01, max_value=1.0),
+)
+
+
+@pytest.mark.skipif(not HAVE_SCIPY, reason="scipy unavailable")
+class TestKernelOverlapBound:
+    """The integer prefilter on the raw product never changes the kernel's output."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        left=_kernel_token_sets,
+        right=st.none() | _kernel_token_sets,
+        measure=similarity_measures,
+        threshold=_kernel_thresholds,
+        triangle=st.sampled_from((-1, 0, 1)),
+        data=st.data(),
+    )
+    def test_score_block_equals_dense_oracle(
+        self, left, right, measure, threshold, triangle, data
+    ):
+        if right is not None:
+            triangle = 0            # the diagonal only means something in a self-product
+        columns = left if right is None else right
+        start = data.draw(st.integers(min_value=0, max_value=len(left) - 1))
+        end = data.draw(st.integers(min_value=start, max_value=len(left)))
+        alive = data.draw(
+            st.none() | st.lists(st.booleans(), min_size=len(columns), max_size=len(columns))
+        )
+        assert _score(measure, threshold, left, right, start, end, triangle, alive) == (
+            _dense_oracle(measure, threshold, left, columns, start, end, triangle, alive)
+        )
+
+    def test_naive_ceiling_would_drop_a_true_pair(self):
+        """``0.28 * 25 == 7.000000000000001``: its ceiling is 8, the pair has 7."""
+        assert math.ceil(0.28 * 25) == 8
+        assert min_overlap("jaccard", 0.28, np.array([25]))[0] == 7
+        big, small = frozenset(range(25)), frozenset(range(7))
+        assert len(big & small) / len(big | small) >= 0.28
+        assert _score("jaccard", 0.28, [big, small], triangle=1) == [(0, 1, 0.28)]
+
+    @pytest.mark.parametrize("measure,threshold,size_a,size_b", [
+        # B is a subset of A, sized so that the similarity equals the
+        # threshold and the overlap equals the bound exactly.
+        ("jaccard", 0.3, 10, 3),
+        ("jaccard", 1 / 3, 3, 1),
+        ("jaccard", 1 / 3, 9, 3),
+        ("jaccard", 0.5, 4, 2),
+        ("jaccard", 1.0, 5, 5),
+        ("jaccard", 0.7, 10, 7),
+        ("dice", 0.5, 6, 2),
+        ("dice", 1 / 3, 5, 1),
+        ("dice", 1.0, 4, 4),
+        ("cosine", 0.5, 4, 1),
+        ("cosine", 1 / 3, 9, 1),
+        ("cosine", 1.0, 7, 7),
+    ])
+    def test_pairs_exactly_at_the_threshold_survive(self, measure, threshold, size_a, size_b):
+        a, b = frozenset(range(size_a)), frozenset(range(size_b))
+        value = _python_similarity(measure, a, b)
+        assert value >= threshold
+        # Both orientations: the bound comes from the left row's size.
+        assert _score(measure, threshold, [a, b]) == [
+            (0, 0, 1.0), (0, 1, value), (1, 0, value), (1, 1, 1.0)
+        ]
+        assert _score(measure, threshold, [a, b], triangle=1) == [(0, 1, value)]
+
+    @pytest.mark.parametrize("measure", MEASURES)
+    def test_bound_is_necessary_for_every_small_size(self, measure):
+        """Every (|A|, |B|, overlap) up to 40 tokens, 128 thresholds: a pair
+        that passes the exact float test is never below the bound."""
+        sizes = np.arange(1, 41)
+        size_a, size_b, inter = (grid.ravel() for grid in np.meshgrid(sizes, sizes, sizes))
+        feasible = inter <= np.minimum(size_a, size_b)
+        size_a, size_b, inter = size_a[feasible], size_b[feasible], inter[feasible]
+        values = similarity(measure, inter, size_a, size_b)
+        thresholds = sorted(
+            {k / 100 for k in range(1, 101)} | {p / q for q in range(3, 10) for p in range(1, q)}
+        )
+        for threshold in thresholds:
+            passing = values >= threshold
+            assert (inter[passing] >= min_overlap(measure, threshold, size_a[passing])).all(), (
+                threshold
+            )
