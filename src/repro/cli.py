@@ -11,14 +11,15 @@ Three subcommands expose the most common workflows without writing Python:
 * ``resolve-stream`` — replay the dataset through the streaming incremental
   resolver in arrival batches and print, per batch, how little work the
   dirty-component machinery had to redo.  With ``--checkpoint-dir`` the
-  session is durable (write-ahead journal + snapshots); ``--resume``
-  restores it and continues with the records it has not seen yet, and
-  ``--max-batches`` stops early (so a later ``--resume`` picks up the
+  session is durable (write-ahead journal + its SQLite store,
+  ``store.sqlite``); ``--resume`` restores it — page the store in, replay
+  the journal tail — and continues with the records it has not seen yet,
+  and ``--max-batches`` stops early (so a later ``--resume`` picks up the
   rest — the round trip the persistence tests exercise).
-  ``--storage-backend sqlite`` keeps the session state in a WAL-mode
-  SQLite file (``--storage-path``, defaulting to ``store.sqlite`` inside
-  the checkpoint directory) so restores page committed state back in
-  instead of replaying the journal.  After the replay,
+  ``--storage-backend`` decides when the store is written: ``memory``
+  (default) writes it whole every ``--checkpoint-every`` events,
+  ``sqlite`` mirrors every event into it (``--storage-path`` moves the
+  file).  After the replay,
   ``--retract ID`` withdraws records (repeatable) and ``--update-file``
   applies revised records from a JSON file, printing the provenance-bounded
   blast radius of each.
@@ -614,12 +615,13 @@ def build_parser() -> argparse.ArgumentParser:
                              "churn) applied to vote delivery")
     stream.add_argument("--checkpoint-dir", type=str, default=None,
                         help="make the session durable: write-ahead journal + "
-                             "periodic snapshots in this directory")
+                             "SQLite store in this directory")
     stream.add_argument("--storage-backend", choices=("memory", "sqlite"),
                         default="memory",
-                        help="where session state lives: in process memory or "
-                             "in a WAL-mode SQLite store (restore becomes a "
-                             "page-in; results are bit-identical)")
+                        help="when the session's SQLite store is written: "
+                             "whole at the checkpoint cadence (memory) or "
+                             "mirrored per event (sqlite); same file, same "
+                             "restore, bit-identical results")
     stream.add_argument("--storage-path", type=str, default=None,
                         help="SQLite store file for --storage-backend sqlite "
                              "(default: store.sqlite inside --checkpoint-dir)")
@@ -631,7 +633,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "this JSON file (array or one object per line, "
                              "each with a record_id)")
     stream.add_argument("--checkpoint-every", type=int, default=None,
-                        help="snapshot cadence in applied events (0 = journal "
+                        help="checkpoint cadence in applied events (0 = journal "
                              "only; default: the config default of 16)")
     stream.add_argument("--resume", action="store_true",
                         help="restore the session from --checkpoint-dir and "

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
 from repro.simjoin.backend import AUTO_BACKEND, available_backends
@@ -61,32 +61,35 @@ class WorkflowConfig:
       pre-existing behavior.
     * ``checkpoint_dir`` — when set, a streaming session is *durable*:
       every event is written to an fsynced write-ahead journal in this
-      directory before it is applied, and compacted snapshots let
-      :meth:`repro.streaming.StreamingResolver.restore` resume the session
-      bit-identically after a crash or restart.  ``None`` (default) keeps
-      the session in memory only.
-    * ``checkpoint_every_batches`` — snapshot cadence of a durable
-      session: a compacted snapshot is written after every this-many
-      applied events (batches, retractions, updates, flushes), bounding
-      how much journal a restore has to replay.  0 disables automatic
-      snapshots (journal-only durability; snapshots still happen on
-      explicit ``save()`` calls).
-    * ``storage_backend`` — where a streaming session keeps its state:
-      ``"memory"`` (default; the pre-existing in-process structures) or
-      ``"sqlite"`` (a WAL-mode SQLite file holding records, the join
-      substrate, the vote ledger and provenance; restore becomes a
-      page-in of committed state plus a short journal-tail replay, and
-      records stay out of process memory).  Results are bit-identical
-      across backends.
+      directory before it is applied, and the session's state is
+      materialised in ``store.sqlite`` beside it, so
+      :meth:`repro.streaming.StreamingResolver.restore` — page in the
+      store, replay the journal events it has not seen — resumes the
+      session bit-identically after a crash or restart.  ``None``
+      (default) keeps the session in memory only.
+    * ``checkpoint_every_batches`` — checkpoint cadence of a durable
+      session: after every this-many applied events (batches,
+      retractions, updates, flushes) the session calls ``save()`` — a
+      memory-backed session rewrites the store from its live state, a
+      sqlite-backed one (already current) only archives the journal
+      segments the store covers — bounding how much journal a restore
+      has to replay.  0 disables the cadence (journal-only durability
+      for the memory backend; explicit ``save()`` calls still work).
+    * ``storage_backend`` — *when* the session's SQLite store is written:
+      ``"memory"`` (default) keeps the state in process structures and
+      writes the store whole at the checkpoint cadence and on ``save()``;
+      ``"sqlite"`` mirrors every mutation into the store, one transaction
+      per event, and keeps record bodies out of process memory.  The file
+      format and the restore algorithm are the same, so a session can be
+      restored under either backend; results are bit-identical.
     * ``storage_path`` — the SQLite store file for
       ``storage_backend="sqlite"``.  ``None`` (default) places
       ``store.sqlite`` inside ``checkpoint_dir`` when that is set.
     * ``journal_segment_events`` — journal lifecycle: the write-ahead
       journal's active file is rotated into a closed, immutable segment
       once it holds this many events, and closed segments fully covered
-      by a snapshot (or by the SQLite store) are archived on ``save()``
-      instead of being replayed forever.  0 disables rotation (one
-      unbounded journal file, the pre-segmentation behavior).
+      by the store are archived on ``save()`` instead of being replayed
+      forever.  0 disables rotation (one unbounded journal file).
     * ``metrics_enabled`` — turn on the :mod:`repro.obs` observability
       runtime for this run: every pipeline phase records spans, counters
       and histograms into the process-global metrics registry
@@ -219,3 +222,34 @@ class WorkflowConfig:
             raise ValueError(
                 "fault_plan must be a JSON-friendly dict (FaultPlan.to_dict()) or None"
             )
+
+
+#: Fields that change how fast, how durably or how observably a session
+#: runs — never *what it computes*.  Every other field is result-bearing
+#: by construction (see ``RESULT_CONFIG_FIELDS``), so a knob added without
+#: being classified here makes a restore under a different value re-join
+#: instead of silently resuming.
+OPERATIONAL_CONFIG_FIELDS = (
+    "join_backend",
+    "join_workers",
+    "vote_mode",
+    "stream_batch_size",
+    "checkpoint_dir",
+    "checkpoint_every_batches",
+    "storage_backend",
+    "storage_path",
+    "journal_segment_events",
+    "metrics_enabled",
+    "trace_path",
+)
+
+#: Fields that change what a session computes: the complement of
+#: ``OPERATIONAL_CONFIG_FIELDS``.  The async crowd knobs are in here
+#: because retry reissues cost (simulated) money, and cost is part of the
+#: state digest.  Restoring under a config that differs on any of these
+#: cannot be bit-identical, so ``StreamingResolver.restore`` re-joins.
+RESULT_CONFIG_FIELDS = tuple(
+    spec.name
+    for spec in fields(WorkflowConfig)
+    if spec.name not in OPERATIONAL_CONFIG_FIELDS
+)

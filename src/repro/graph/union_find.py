@@ -114,35 +114,6 @@ class IncrementalUnionFind:
             self.add(member)  # dirty singleton
         return survivors
 
-    # -------------------------------------------------------- serialization
-    def state_dict(self) -> Dict[str, object]:
-        """Serializable snapshot of the full structure.
-
-        Captures the parent forest, sizes, member lists and the dirty set
-        verbatim (including internal ordering), so a restored instance is
-        indistinguishable from the original — roots, member enumeration
-        order and dirtiness all survive a round trip bit-for-bit.
-        """
-        return {
-            "parent": dict(self._parent),
-            "size": dict(self._size),
-            "members": {root: list(members) for root, members in self._members.items()},
-            "dirty": sorted(self._dirty),
-        }
-
-    @classmethod
-    def from_state_dict(cls, state: Dict[str, object]) -> "IncrementalUnionFind":
-        """Rebuild an instance from :meth:`state_dict` output."""
-        instance = cls()
-        instance._parent = dict(state["parent"])  # type: ignore[arg-type]
-        instance._size = dict(state["size"])  # type: ignore[arg-type]
-        instance._members = {
-            root: list(members)
-            for root, members in state["members"].items()  # type: ignore[union-attr]
-        }
-        instance._dirty = set(state["dirty"])  # type: ignore[arg-type]
-        return instance
-
     def clear_dirty(self) -> None:
         """Declare every component clean (end of a batch round)."""
         self._dirty.clear()

@@ -171,6 +171,7 @@ class CostReport:
             async_meta = store.get_meta("async") or {}
             metrics_payload = store.get_meta("metrics")
             assignment_seconds = store.load_assignment_seconds()
+            store.load_ledger()
             ledger_votes = sum(len(votes) for votes in store.ledger.votes.values())
         finally:
             store.close()

@@ -17,7 +17,7 @@ This module provides the two pieces that remove that per-batch cost:
   a shared-memory file (``/dev/shm`` when available, so the bytes live in
   page cache, never on disk) that every worker maps read-only and
   zero-copy via ``np.memmap``.  Publishing is one memcpy total instead of
-  one pickle round-trip *per worker*; workers cache their mappings by
+  one serialisation round-trip *per worker*; workers cache their mappings by
   block token, so repeated shards of the same batch attach for free.
 
 Lifecycle: the parent unlinks a block's file as soon as the shards that

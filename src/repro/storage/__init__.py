@@ -6,14 +6,16 @@ pairs, the vote ledger, posteriors and provenance.  This package puts all
 of it behind one :class:`~repro.storage.base.Store` interface with two
 backends:
 
-* :class:`MemoryStore` — the default; the pre-existing in-memory
-  structures behind the interface.  Bit-identical behavior, no
-  persistence of its own (snapshots and the journal handle durability).
+* :class:`MemoryStore` — the default; the live in-process structures.
+  A durable session writes them into a :class:`SqliteStore` file whole,
+  at its checkpoint cadence.
 * :class:`SqliteStore` — a single WAL-mode SQLite file holding the whole
-  session, committed once per applied event.  Restoring a session becomes
-  a page-in of the stored tables plus a replay of only the journal events
-  newer than ``meta.events_applied``, and records plus token sets stay
-  out of process memory while the session runs.
+  session, mirrored per mutation and committed once per applied event;
+  record bodies stay out of process memory while the session runs.
+
+The SQLite file is the one on-disk form of a session either way: restoring
+is a page-in of its tables plus a replay of the journal events newer than
+``meta.events_applied`` (:mod:`repro.streaming.persistence`).
 
 Select a backend with ``WorkflowConfig.storage_backend`` /
 ``storage_path`` (CLI: ``--storage-backend`` / ``--storage-path``), or

@@ -6,15 +6,19 @@ the per-pair vote ledger and posterior cache, the provenance table and the
 crowd-workload counters — lives behind a :class:`Store`.  Two backends
 implement it:
 
-* :class:`~repro.storage.memory.MemoryStore` (default) — the exact
-  in-memory structures the session always used, refactored behind the
-  interface.  Zero behavioral change, zero persistence.
+* :class:`~repro.storage.memory.MemoryStore` (default) — the live
+  in-process structures and nothing else.  A durable memory-backed session
+  is written into a :class:`~repro.storage.sqlite.SqliteStore` file in
+  bulk, at its checkpoint cadence
+  (:func:`repro.streaming.persistence.write_snapshot`).
 * :class:`~repro.storage.sqlite.SqliteStore` — a single WAL-mode SQLite
   file.  Every session mutation is mirrored into tables inside one
-  transaction per applied event, so
-  :meth:`repro.streaming.StreamingResolver.restore` becomes a *page-in* of
-  the stored state plus a replay of only the journal events the store has
-  not committed — instead of a full journal replay or a pickle load.
+  transaction per applied event.
+
+Either way the SQLite file is the one materialised form of a session, and
+:meth:`repro.streaming.StreamingResolver.restore` is a *page-in* of it plus
+a replay of the journal events it has not seen; the backend only decides
+*when* the file is written.
 
 The hot path stays dict-speed for both backends: the session reads the
 :class:`PairLedger` mappings directly and every *mutation* goes through a
@@ -127,24 +131,6 @@ class PairLedger:
     def clear_all_pending(self) -> None:
         self.pending_votes.clear()
 
-    def load_bulk(
-        self,
-        *,
-        pairs: Dict[PairKey, Optional[float]],
-        votes: Dict[PairKey, List[Vote]],
-        vote_rounds: Dict[PairKey, int],
-        pending_votes: Dict[PairKey, int],
-        posteriors: Dict[PairKey, float],
-        covered: Set[PairKey],
-    ) -> None:
-        """Replace the whole ledger (snapshot restore / state_dict load)."""
-        self.pairs = dict(pairs)
-        self.votes = {key: list(entry) for key, entry in votes.items()}
-        self.vote_rounds = dict(vote_rounds)
-        self.pending_votes = dict(pending_votes)
-        self.posteriors = dict(posteriors)
-        self.covered = set(covered)
-
 
 class Store(abc.ABC):
     """Backend interface of the storage layer.
@@ -162,7 +148,8 @@ class Store(abc.ABC):
 
     ``persistent`` tells callers whether mirror writes do anything; the
     in-memory backend keeps them as no-ops so the default path pays zero
-    overhead.
+    overhead.  Reading a session back (``load_*``) is the persistent
+    backend's business alone — see :class:`~repro.storage.sqlite.SqliteStore`.
     """
 
     #: Human-readable backend name (``"memory"`` / ``"sqlite"``).
@@ -178,10 +165,6 @@ class Store(abc.ABC):
 
     def commit(self) -> None:
         """Durably commit buffered writes (no-op for memory)."""
-
-    @abc.abstractmethod
-    def reset(self) -> None:
-        """Wipe the store back to empty (used by full state reloads)."""
 
     # --------------------------------------------------------- record table
     @abc.abstractmethod
@@ -217,13 +200,8 @@ class Store(abc.ABC):
         """The ``index``-th resident record in arrival order."""
 
     # -------------------------------------------------------------- metadata
-    @abc.abstractmethod
     def set_meta(self, key: str, value: object) -> None:
-        """Store one JSON-serializable metadata value."""
-
-    @abc.abstractmethod
-    def get_meta(self, key: str, default: object = None) -> object:
-        ...
+        """Mirror one JSON-serializable metadata value (config, counters)."""
 
     # --------------------------------------------------------- join mirror
     def join_append_rows(self, rows: Sequence[JoinRow]) -> None:
@@ -248,10 +226,6 @@ class Store(abc.ABC):
     ) -> None:
         """Mirror one batch's CSR rows."""
 
-    def load_join_state(self) -> Optional[Dict[str, object]]:
-        """Page in the join substrate; ``None`` when nothing is stored."""
-        return None
-
     # --------------------------------------------------- provenance mirror
     def prov_write(
         self,
@@ -265,19 +239,6 @@ class Store(abc.ABC):
     def prov_delete(self, keys: Iterable[PairKey]) -> None:
         """Mirror a retraction: the dropped pairs leave the skip index."""
 
-    def load_provenance(
-        self,
-    ) -> Optional[List[Tuple[PairKey, int, List[str], List[Tuple[int, int, int]]]]]:
-        """Page in the provenance table; ``None`` when nothing is stored."""
-        return None
-
     # ----------------------------------------------------- crowd workload
     def append_assignment_seconds(self, values: Sequence[float]) -> None:
         """Mirror crowd-assignment durations (append-only)."""
-
-    def load_assignment_seconds(self) -> List[float]:
-        """Page in the accumulated assignment durations."""
-        return []
-
-    def load_ledger(self) -> None:
-        """Populate ``self.ledger`` from storage (no-op for memory)."""

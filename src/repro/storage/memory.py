@@ -1,70 +1,26 @@
 """The in-memory storage backend (the default).
 
-:class:`MemoryStore` is the pre-existing in-memory session state
-refactored behind the :class:`~repro.storage.base.Store` interface: the
-record table is the same ordered-list-plus-id-index structure
-:class:`~repro.records.record.RecordStore` always used, the
-:class:`~repro.storage.base.PairLedger` is the plain dict implementation,
-and every mirror hook (join substrate, provenance, metadata beyond what a
-live session reads back) is a no-op — the live objects *are* the state.
-Behavior is bit-identical to the sessions that predate the storage layer;
-persistence comes from the snapshot/journal machinery in
-:mod:`repro.streaming.persistence`, exactly as before.
+:class:`MemoryStore` *is* the record table — the ordered-list-plus-id-index
+structure every unbacked :class:`~repro.records.record.RecordStore` uses —
+plus the plain-dict :class:`~repro.storage.base.PairLedger`; every mirror
+hook (join substrate, provenance, crowd workload) is the interface's no-op,
+because the live objects are the state.  A durable memory-backed session is
+materialised by :func:`repro.streaming.persistence.write_snapshot`, which
+writes those live objects into the session's SQLite store in bulk.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional
-
-from repro.records.record import Record, _InMemoryRecordTable
+from repro.records.record import _InMemoryRecordTable
 from repro.storage.base import PairLedger, Store
 
 
-class MemoryStore(Store):
-    """Process-memory backend: real record table, no-op mirrors."""
+class MemoryStore(_InMemoryRecordTable, Store):
+    """Process-memory backend: the record table itself, no-op mirrors."""
 
     backend_name = "memory"
     persistent = False
 
     def __init__(self) -> None:
-        self._table = _InMemoryRecordTable()
-        self._meta: Dict[str, object] = {}
+        super().__init__()
         self.ledger = PairLedger()
-
-    # ------------------------------------------------------------ lifecycle
-    def reset(self) -> None:
-        self._table = _InMemoryRecordTable()
-        self._meta = {}
-        self.ledger = PairLedger()
-
-    # --------------------------------------------------------- record table
-    def add_record(self, record: Record) -> None:
-        self._table.add_record(record)
-
-    def remove_record(self, record_id: str) -> Optional[Record]:
-        return self._table.remove_record(record_id)
-
-    def get_record(self, record_id: str) -> Optional[Record]:
-        return self._table.get_record(record_id)
-
-    def has_record(self, record_id: object) -> bool:
-        return self._table.has_record(record_id)
-
-    def record_count(self) -> int:
-        return self._table.record_count()
-
-    def iter_records(self) -> Iterator[Record]:
-        return self._table.iter_records()
-
-    def record_ids(self) -> List[str]:
-        return self._table.record_ids()
-
-    def record_at(self, index: int) -> Record:
-        return self._table.record_at(index)
-
-    # -------------------------------------------------------------- metadata
-    def set_meta(self, key: str, value: object) -> None:
-        self._meta[key] = value
-
-    def get_meta(self, key: str, default: object = None) -> object:
-        return self._meta.get(key, default)

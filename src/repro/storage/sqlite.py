@@ -1,13 +1,15 @@
 """The SQLite storage backend: one WAL-mode file per streaming session.
 
-:class:`SqliteStore` mirrors every session mutation into a single SQLite
-database so :meth:`repro.streaming.StreamingResolver.restore` can *page
-in* the session — records, token vocabulary, CSR chunks, candidate pairs,
-the vote ledger, posteriors, HIT coverage, provenance and the workload
-counters — instead of replaying the whole journal or unpickling a
-monolithic snapshot.  The write-ahead journal stays the source of truth
-for events the store has not committed yet; ``meta.events_applied`` marks
-the boundary.
+:class:`SqliteStore` is the one materialised form of a session — records,
+token vocabulary, CSR chunks, candidate pairs, the vote ledger,
+posteriors, HIT coverage, provenance and the workload counters — "the
+state as of ``meta.events_applied``".  A sqlite-backed session mirrors
+every mutation into it as it goes; a memory-backed one writes it whole at
+its checkpoint cadence (:meth:`SqliteStore.clear` +
+:meth:`SqliteStore.write_ledger` and the mirror hooks, one transaction).
+:meth:`repro.streaming.StreamingResolver.restore` *pages in* the file and
+replays the write-ahead journal, which stays the source of truth for
+events the store has not committed yet.
 
 Pragmas (the embedded-store configuration the schema docs follow)::
 
@@ -214,38 +216,6 @@ class SqlitePairLedger(PairLedger):
         super().clear_all_pending()
         self._store.execute("UPDATE pair_votes SET pending = 0")
 
-    def load_bulk(self, **state) -> None:
-        super().load_bulk(**state)
-        for table in ("pairs", "pair_votes", "posteriors", "covered"):
-            self._store.execute(f"DELETE FROM {table}")
-        self._store.executemany(
-            "INSERT INTO pairs (id_a, id_b, likelihood) VALUES (?, ?, ?)",
-            [(key[0], key[1], value) for key, value in self.pairs.items()],
-        )
-        self._store.executemany(
-            "INSERT INTO pair_votes (id_a, id_b, votes, rounds, pending) "
-            "VALUES (?, ?, ?, ?, ?)",
-            [
-                (
-                    key[0],
-                    key[1],
-                    json.dumps(
-                        [[worker, bool(answer)] for worker, _, answer in votes]
-                    ),
-                    self.vote_rounds.get(key, 0),
-                    self.pending_votes.get(key, 0),
-                )
-                for key, votes in self.votes.items()
-            ],
-        )
-        self._store.executemany(
-            "INSERT INTO posteriors (id_a, id_b, posterior) VALUES (?, ?, ?)",
-            [(key[0], key[1], float(value)) for key, value in self.posteriors.items()],
-        )
-        self._store.executemany(
-            "INSERT INTO covered (id_a, id_b) VALUES (?, ?)", list(self.covered)
-        )
-
 
 class SqliteStore(Store):
     """Disk-backed session store over one WAL-mode SQLite file."""
@@ -277,8 +247,9 @@ class SqliteStore(Store):
         }
         row = self._conn.execute("SELECT MAX(arrival) FROM records").fetchone()
         self._next_arrival = (row[0] + 1) if row and row[0] is not None else 0
+        # Empty until :meth:`load_ledger`: opening a store to read its meta
+        # (restore, ``repro stats``) must not page four tables in.
         self.ledger = SqlitePairLedger(self)
-        self.load_ledger()
 
     # ---------------------------------------------------------- transactions
     def execute(self, sql: str, params: Sequence = ()) -> sqlite3.Cursor:
@@ -314,12 +285,16 @@ class SqliteStore(Store):
         self.rollback()
         self._conn.close()
 
-    def reset(self) -> None:
+    def clear(self) -> None:
+        """Empty every table inside the open transaction.
+
+        A snapshot rewrites the store whole; until :meth:`commit` the
+        previous contents are what a reader (or a crash) sees.
+        """
         for table in _TABLES:
             self.execute(f"DELETE FROM {table}")
         self._ids = set()
         self._next_arrival = 0
-        self.ledger = SqlitePairLedger(self)
 
     # --------------------------------------------------------- record table
     def add_record(self, record: Record) -> None:
@@ -509,7 +484,7 @@ class SqliteStore(Store):
 
     def load_provenance(
         self,
-    ) -> Optional[List[Tuple[PairKey, int, List[str], List[Tuple[int, int, int]]]]]:
+    ) -> List[Tuple[PairKey, int, List[str], List[Tuple[int, int, int]]]]:
         return [
             (
                 (id_a, id_b),
@@ -538,47 +513,69 @@ class SqliteStore(Store):
             )
         ]
 
-    # ------------------------------------------------------------- page-in
-    def load_ledger(self) -> None:
-        """Populate the hot ledger dicts from the pair tables."""
-        pairs: Dict[PairKey, Optional[float]] = {}
-        for id_a, id_b, likelihood in self._conn.execute(
-            "SELECT id_a, id_b, likelihood FROM pairs ORDER BY ord"
-        ):
-            pairs[(id_a, id_b)] = likelihood
-        votes: Dict[PairKey, List[Vote]] = {}
-        rounds: Dict[PairKey, int] = {}
-        pending: Dict[PairKey, int] = {}
+    # ------------------------------------------------------ the pair ledger
+    def write_ledger(self, ledger: PairLedger) -> None:
+        """Bulk-write a whole ledger into the (emptied) pair tables."""
+        self.executemany(
+            "INSERT INTO pairs (id_a, id_b, likelihood) VALUES (?, ?, ?)",
+            [(key[0], key[1], value) for key, value in ledger.pairs.items()],
+        )
+        self.executemany(
+            "INSERT INTO pair_votes (id_a, id_b, votes, rounds, pending) "
+            "VALUES (?, ?, ?, ?, ?)",
+            [
+                (
+                    key[0],
+                    key[1],
+                    json.dumps([[worker, bool(answer)] for worker, _, answer in votes]),
+                    ledger.vote_rounds.get(key, 0),
+                    ledger.pending_votes.get(key, 0),
+                )
+                for key, votes in ledger.votes.items()
+            ],
+        )
+        self.executemany(
+            "INSERT INTO posteriors (id_a, id_b, posterior) VALUES (?, ?, ?)",
+            [(key[0], key[1], float(value)) for key, value in ledger.posteriors.items()],
+        )
+        self.executemany(
+            "INSERT INTO covered (id_a, id_b) VALUES (?, ?)", list(ledger.covered)
+        )
+
+    def load_ledger(self, into: Optional[PairLedger] = None) -> None:
+        """Page the pair tables into ``into`` (default: this store's ledger).
+
+        The dicts are assigned directly, so loading never re-mirrors what
+        was just read.
+        """
+        ledger = self.ledger if into is None else into
+        ledger.pairs = {
+            (id_a, id_b): likelihood
+            for id_a, id_b, likelihood in self._conn.execute(
+                "SELECT id_a, id_b, likelihood FROM pairs ORDER BY ord"
+            )
+        }
+        ledger.votes, ledger.vote_rounds, ledger.pending_votes = {}, {}, {}
         for id_a, id_b, votes_json, round_count, pending_count in self._conn.execute(
             "SELECT id_a, id_b, votes, rounds, pending FROM pair_votes"
         ):
             key = (id_a, id_b)
-            votes[key] = [
+            ledger.votes[key] = [
                 (worker, key, bool(answer)) for worker, answer in json.loads(votes_json)
             ]
-            rounds[key] = round_count
+            ledger.vote_rounds[key] = round_count
             # A live session pops a pair's pending counter when it is
             # aggregated (the SQL mirror stores 0), so only positive
             # counters come back as dict entries.
             if pending_count:
-                pending[key] = pending_count
-        posteriors = {
+                ledger.pending_votes[key] = pending_count
+        ledger.posteriors = {
             (id_a, id_b): posterior
             for id_a, id_b, posterior in self._conn.execute(
                 "SELECT id_a, id_b, posterior FROM posteriors"
             )
         }
-        covered = {
+        ledger.covered = {
             (id_a, id_b)
             for id_a, id_b in self._conn.execute("SELECT id_a, id_b FROM covered")
         }
-        # Direct dict assignment: loading must not re-mirror what was read.
-        PairLedger.load_bulk(
-            self.ledger,
-            pairs=pairs,
-            votes=votes,
-            vote_rounds=rounds,
-            pending_votes=pending,
-            posteriors=posteriors,
-            covered=covered,
-        )

@@ -69,12 +69,9 @@ class IncrementalSimJoin:
         deltas.
     storage:
         Optional :class:`repro.storage.base.Store`.  With a *persistent*
-        store the join runs in **offload mode**: per-record token sets are
-        not held in memory (they are recomputed on demand from the stored
-        record through the same deterministic tokenizer), and every index
-        mutation — appended CSR chunks, new vocabulary columns, tombstones,
-        compactions — is mirrored into the store so a later process can
-        page the substrate back in with :meth:`from_store`.  A
+        store every index mutation — appended CSR chunks, new vocabulary
+        columns, tombstones, compactions — is mirrored into it, so a later
+        process can page the substrate back in with :meth:`from_store`.  A
         non-persistent (or absent) store changes nothing.
 
     Records are appended in batches and can be *retracted* individually
@@ -115,21 +112,16 @@ class IncrementalSimJoin:
         self.block_size = block_size
         self.workers = workers
         self._tokenizer = WhitespaceTokenizer()
-        self._storage = storage
-        self._offload = storage is not None and storage.persistent
+        #: The store every index mutation is mirrored into (persistent only).
+        self._mirror = storage if storage is not None and storage.persistent else None
         # Persistent index over all resident records.  ``_record_ids`` is
         # row-aligned with the CSR arrays and may contain tombstoned rows
-        # (``_dead_rows``); ``_row_of`` maps each *alive* id to its row.
+        # (``_dead_rows``); ``_row_of`` maps each *alive* id to its row, so
+        # its keys are the resident id set.  Token sets are not kept: the
+        # CSR rows are the index, and nothing reads a set after its batch.
         self._record_ids: List[str] = []
         self._row_of: Dict[str, int] = {}
         self._dead_rows: Set[int] = set()
-        # In-memory mode holds every record's token set; offload mode only
-        # keeps the alive-id set and recomputes token sets from the stored
-        # records on demand (tokenization is deterministic, so the results
-        # are identical — the whole point of offloading is that token sets
-        # are the dominant resident cost of a large stream).
-        self._token_sets: Dict[str, FrozenSet[str]] = {}
-        self._alive: Set[str] = set()
         self._sources: Dict[str, Optional[str]] = {}
         self._empty_ids: List[str] = []
         # Flat CSR arrays (rows = records in arrival order), one chunk per
@@ -142,12 +134,10 @@ class IncrementalSimJoin:
     # -------------------------------------------------------------- queries
     def __len__(self) -> int:
         """Number of *alive* (non-retracted) resident records."""
-        return len(self._alive) if self._offload else len(self._token_sets)
+        return len(self._row_of)
 
     def __contains__(self, record_id: object) -> bool:
-        if self._offload:
-            return record_id in self._alive
-        return record_id in self._token_sets
+        return record_id in self._row_of
 
     @property
     def record_ids(self) -> List[str]:
@@ -162,21 +152,6 @@ class IncrementalSimJoin:
     def tombstone_count(self) -> int:
         """Number of retracted rows still resident as tombstones."""
         return len(self._dead_rows)
-
-    def token_set(self, record_id: str) -> FrozenSet[str]:
-        """The indexed token set of a resident record."""
-        if self._offload and record_id not in self._alive:
-            raise KeyError(record_id)
-        return self._tokens_of(record_id)
-
-    def _tokens_of(self, record_id: str) -> FrozenSet[str]:
-        """The token set of a resident record (recomputed in offload mode)."""
-        if self._offload:
-            record = self._storage.get_record(record_id)
-            if record is None:
-                raise KeyError(record_id)
-            return record_token_set(record, self.attributes, self._tokenizer)
-        return self._token_sets[record_id]
 
     def _flat_indices(self) -> np.ndarray:
         """The CSR ``indices`` of all resident rows (per-batch chunks joined)."""
@@ -209,10 +184,9 @@ class IncrementalSimJoin:
             for record in batch
         ]
         # One columnar pass builds the batch's CSR rows and extends the
-        # persistent vocabulary.  In offload mode the batch's novel tokens
-        # are collected so exactly those columns can be mirrored into the
-        # store.
-        novel: Optional[List[str]] = [] if self._offload else None
+        # persistent vocabulary.  With a mirror the batch's novel tokens
+        # are collected so exactly those columns can be written to it.
+        novel: Optional[List[str]] = [] if self._mirror is not None else None
         batch_indices, batch_indptr = extend_vocabulary_csr_arrays(
             new_tokens, self._vocab, novel_out=novel
         )
@@ -244,23 +218,15 @@ class IncrementalSimJoin:
         Raises :class:`~repro.records.record.RecordError` for unknown (or
         already retracted) ids.
         """
-        if self._offload:
-            if record_id not in self._alive:
-                raise RecordError(f"unknown record id: {record_id!r}")
-            self._alive.discard(record_id)
-            was_empty = record_id in self._empty_ids
-        else:
-            tokens = self._token_sets.pop(record_id, None)
-            if tokens is None:
-                raise RecordError(f"unknown record id: {record_id!r}")
-            was_empty = not tokens
-        row = self._row_of.pop(record_id)
+        row = self._row_of.pop(record_id, None)
+        if row is None:
+            raise RecordError(f"unknown record id: {record_id!r}")
         self._dead_rows.add(row)
         del self._sources[record_id]
-        if was_empty:
+        if self._indptr[row] == self._indptr[row + 1]:
             self._empty_ids.remove(record_id)
-        if self._offload:
-            self._storage.join_mark_dead(row)
+        if self._mirror is not None:
+            self._mirror.join_mark_dead(row)
         if (
             len(self._dead_rows) >= self.COMPACT_MIN_TOMBSTONES
             and len(self._dead_rows)
@@ -293,8 +259,8 @@ class IncrementalSimJoin:
         ]
         self._row_of = {record_id: row for row, record_id in enumerate(self._record_ids)}
         self._dead_rows = set()
-        if self._offload:
-            self._mirror_replace()
+        if self._mirror is not None:
+            self._write_substrate(self._mirror)
         if obs.enabled():
             obs.inc("streaming_join_compactions_total", 1,
                     help="CSR compaction passes over the incremental join index.")
@@ -302,10 +268,15 @@ class IncrementalSimJoin:
                     help="Tombstoned rows physically dropped by compaction.")
         return dropped
 
-    def _mirror_replace(self) -> None:
-        """Rewrite the store's join substrate to match the live arrays."""
+    def write_to(self, store: "Store") -> None:
+        """Write the whole index into an (emptied) store: rows, CSR, vocabulary."""
+        self._write_substrate(store)
+        store.extend_vocabulary(sorted(self._vocab.items(), key=lambda item: item[1]))
+
+    def _write_substrate(self, store: "Store") -> None:
+        """Rewrite a store's join rows and CSR chunks to match the live arrays."""
         empty_set = set(self._empty_ids)
-        self._storage.join_replace(
+        store.join_replace(
             [
                 (
                     row,
@@ -391,14 +362,13 @@ class IncrementalSimJoin:
 
         The CSR rows were already built columnarly in :meth:`add_batch`;
         here they are appended wholesale, and only the bookkeeping that is
-        inherently per record (sources, empty ids) loops in Python.  In
-        offload mode the same arrays are mirrored into the store: the new
-        rows, the batch's CSR chunk, and exactly the novel vocabulary
-        columns.
+        inherently per record (sources, empty ids) loops in Python.  The
+        same arrays are mirrored into a persistent store: the new rows, the
+        batch's CSR chunk, and exactly the novel vocabulary columns.
         """
-        if self._offload and batch:
+        if self._mirror is not None and batch:
             first_row = len(self._record_ids)
-            self._storage.join_append_rows(
+            self._mirror.join_append_rows(
                 [
                     (
                         first_row + position,
@@ -410,11 +380,11 @@ class IncrementalSimJoin:
                     for position, record in enumerate(batch)
                 ]
             )
-            self._storage.append_csr_chunk(
+            self._mirror.append_csr_chunk(
                 batch_indices, np.diff(np.asarray(batch_indptr, dtype=np.int64))
             )
             if novel:
-                self._storage.extend_vocabulary(
+                self._mirror.extend_vocabulary(
                     [(token, self._vocab[token]) for token in novel]
                 )
         offset = self._indptr[-1]
@@ -425,112 +395,33 @@ class IncrementalSimJoin:
             record_id = record.record_id
             self._row_of[record_id] = len(self._record_ids)
             self._record_ids.append(record_id)
-            if self._offload:
-                self._alive.add(record_id)
-            else:
-                self._token_sets[record_id] = tokens
             self._sources[record_id] = record.source
             if not tokens:
                 self._empty_ids.append(record_id)
 
-    # -------------------------------------------------------- serialization
-    def state_dict(self) -> Dict[str, object]:
-        """Serializable (picklable) snapshot of the whole index.
-
-        Contains the construction parameters, the persistent vocabulary,
-        the flat CSR arrays (chunks concatenated — the exact arrays a
-        restored instance will multiply against), the tombstone set and the
-        per-record bookkeeping.  Everything a fresh process needs to
-        continue the join with bit-identical results.  Containers are
-        shallow copies of the live state (their elements are immutable), so
-        building the snapshot is O(state) with no re-encoding.
-        """
-        return {
-            "threshold": self.threshold,
-            "attributes": self.attributes,
-            "cross_sources": self.cross_sources,
-            "block_size": self.block_size,
-            "workers": self.workers,
-            "record_ids": list(self._record_ids),
-            "row_of": dict(self._row_of),
-            "dead_rows": set(self._dead_rows),
-            "token_sets": (
-                {record_id: self._tokens_of(record_id) for record_id in self.record_ids}
-                if self._offload
-                else dict(self._token_sets)
-            ),
-            "sources": dict(self._sources),
-            "empty_ids": list(self._empty_ids),
-            "vocabulary": dict(self._vocab),
-            "indices": self._flat_indices(),
-            "indptr": list(self._indptr),
-        }
-
-    @classmethod
-    def from_state_dict(
-        cls, state: Dict[str, object], storage: Optional["Store"] = None
-    ) -> "IncrementalSimJoin":
-        """Rebuild an index from :meth:`state_dict` output.
-
-        With a persistent ``storage`` the rebuilt substrate is re-mirrored
-        into it (the caller is expected to have reset the store first, the
-        way a snapshot restore wipes and reloads the whole session).
-        Snapshots written before the join had one kernel also carry
-        ``backend``, ``pool_mode``, ``inverted`` and ``maintain_inverted``
-        entries; they described derived state and are not read.
-        """
-        instance = cls(
-            threshold=state["threshold"],  # type: ignore[arg-type]
-            attributes=state["attributes"],  # type: ignore[arg-type]
-            cross_sources=(
-                tuple(state["cross_sources"]) if state["cross_sources"] else None  # type: ignore[arg-type]
-            ),
-            block_size=state["block_size"],  # type: ignore[arg-type]
-            workers=state["workers"],  # type: ignore[arg-type]
-            storage=storage,
-        )
-        instance._record_ids = list(state["record_ids"])  # type: ignore[arg-type]
-        instance._row_of = dict(state["row_of"])  # type: ignore[arg-type]
-        instance._dead_rows = set(state["dead_rows"])  # type: ignore[arg-type]
-        if instance._offload:
-            instance._alive = set(state["token_sets"].keys())  # type: ignore[union-attr]
-        else:
-            instance._token_sets = {
-                record_id: frozenset(tokens)
-                for record_id, tokens in state["token_sets"].items()  # type: ignore[union-attr]
-            }
-        instance._sources = dict(state["sources"])  # type: ignore[arg-type]
-        instance._empty_ids = list(state["empty_ids"])  # type: ignore[arg-type]
-        instance._vocab = dict(state["vocabulary"])  # type: ignore[arg-type]
-        indices = np.asarray(state["indices"], dtype=np.int64)
-        instance._index_chunks = [indices] if len(indices) else []
-        instance._indptr = list(state["indptr"])  # type: ignore[arg-type]
-        if instance._offload:
-            instance._mirror_replace()
-            storage.extend_vocabulary(
-                sorted(instance._vocab.items(), key=lambda item: item[1])
-            )
-        return instance
-
+    # -------------------------------------------------------------- page-in
     @classmethod
     def from_store(
         cls,
-        storage: "Store",
+        source: "Store",
         *,
         threshold: float,
         attributes: Optional[Sequence[str]] = None,
         cross_sources: Optional[Tuple[str, str]] = None,
         block_size: int = 1024,
         workers: Optional[int] = None,
+        storage: Optional["Store"] = None,
     ) -> "IncrementalSimJoin":
         """Page the join substrate back in from a persistent store.
 
         Construction parameters are not stored with the substrate (they
-        belong to the workflow config), so the caller passes them again.
-        The CSR arrays, vocabulary and row bookkeeping come back exactly
-        as mirrored (a ``join_maintain_inverted`` meta entry left by an
-        older writer is not read).  Returns an empty index when the store
-        has no substrate yet.
+        belong to the workflow config), so the caller passes them again;
+        ``storage`` is the store the rebuilt index mirrors into from then
+        on (the same file for a sqlite-backed session).  The CSR arrays,
+        vocabulary and row bookkeeping come back exactly as written (a
+        ``join_maintain_inverted`` meta entry left by an older writer is
+        not read).  Returns an empty index when the store has no substrate
+        yet.
         """
         instance = cls(
             threshold=threshold,
@@ -540,7 +431,7 @@ class IncrementalSimJoin:
             workers=workers,
             storage=storage,
         )
-        state = storage.load_join_state()
+        state = source.load_join_state()
         if state is None:
             return instance
         rows: List[Tuple[int, str, Optional[str], bool, bool]] = state["rows"]  # type: ignore[assignment]
@@ -549,7 +440,6 @@ class IncrementalSimJoin:
         instance._row_of = {
             record_id: row_no for row_no, record_id, _, _, dead in rows if not dead
         }
-        instance._alive = set(instance._row_of)
         instance._sources = {
             record_id: source for _, record_id, source, _, dead in rows if not dead
         }

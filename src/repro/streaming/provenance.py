@@ -12,12 +12,12 @@ can invalidate that region and nothing else (the data-skipping idea: use
 provenance to bound how far an update propagates, instead of re-resolving
 the world).
 
-The ledger is part of every session checkpoint
-(:meth:`state_dict` / :meth:`from_state_dict`), so a restored session can
-keep retracting correctly.  With a *persistent* storage backend every
-mutation is additionally mirrored into the store's provenance table —
-the provenance rows double as the **skip index** a page-in restore reads
-back (:meth:`from_store`) instead of replaying history.
+The ledger is part of a session's materialised state — the store's
+provenance table, written per mutation by a *persistent* storage backend
+and in bulk (:meth:`ProvenanceLedger.write_to`) by a snapshot — so a
+restored session can keep retracting correctly: the provenance rows double
+as the **skip index** a page-in restore reads back
+(:meth:`ProvenanceLedger.from_store`) instead of replaying history.
 """
 
 from __future__ import annotations
@@ -109,15 +109,22 @@ class ProvenanceLedger:
         )
 
     def _mirror(self, key: PairKey) -> None:
-        if self._backing is None:
-            return
+        if self._backing is not None:
+            self._write_row(self._backing, key)
+
+    def _write_row(self, store: "Store", key: PairKey) -> None:
         provenance = self._pairs[key]
-        self._backing.prov_write(
+        store.prov_write(
             key,
             provenance.discovered_batch,
             provenance.hit_ids,
             provenance.vote_events,
         )
+
+    def write_to(self, store: "Store") -> None:
+        """Write every pair's row into an (emptied) store's provenance table."""
+        for key in self._pairs:
+            self._write_row(store, key)
 
     # ------------------------------------------------------------ recording
     def add_record(self, record_id: str) -> None:
@@ -189,65 +196,23 @@ class ProvenanceLedger:
             self._backing.prov_delete(dropped)
         return impact
 
-    # -------------------------------------------------------- serialization
-    def state_dict(self) -> Dict[str, object]:
-        """Serializable (picklable) snapshot of the full ledger.
-
-        Per-pair entries are stored as plain tuples (cheap to build and to
-        pickle); the inverted record index is rebuilt on load from the pair
-        keys plus the list of pair-less records.
-        """
-        return {
-            "pairs": {
-                key: (
-                    provenance.discovered_batch,
-                    list(provenance.hit_ids),
-                    list(provenance.vote_events),
-                )
-                for key, provenance in self._pairs.items()
-            },
-            "records": list(self._pairs_of_record),
-        }
-
+    # -------------------------------------------------------------- page-in
     @classmethod
-    def from_state_dict(
-        cls, state: Dict[str, object], backing: Optional["Store"] = None
+    def from_store(
+        cls, source: "Store", backing: Optional["Store"] = None
     ) -> "ProvenanceLedger":
-        """Rebuild a ledger from :meth:`state_dict` output.
-
-        With a persistent ``backing`` the loaded rows are re-mirrored into
-        its provenance table (the caller resets the store first, as in any
-        full state reload).
-        """
-        ledger = cls(backing=backing)
-        for record_id in state["records"]:  # type: ignore[union-attr]
-            ledger.add_record(record_id)
-        for key, (discovered, hit_ids, vote_events) in state["pairs"].items():  # type: ignore[union-attr]
-            ledger._pairs[key] = PairProvenance(
-                key=key,
-                discovered_batch=discovered,
-                hit_ids=list(hit_ids),
-                vote_events=list(vote_events),
-            )
-            ledger._pairs_of_record.setdefault(key[0], set()).add(key)
-            ledger._pairs_of_record.setdefault(key[1], set()).add(key)
-            ledger._mirror(key)
-        return ledger
-
-    @classmethod
-    def from_store(cls, storage: "Store") -> "ProvenanceLedger":
         """Page the ledger back in from a persistent store.
 
         Resident records seed the inverted index (so ``pairs_of`` works
         for pair-less records, exactly as after live ``add_record`` calls),
         then the stored provenance rows are loaded verbatim — without
-        re-mirroring what was just read.
+        re-mirroring what was just read.  ``backing`` is the store the
+        ledger mirrors into from then on.
         """
-        ledger = cls(backing=storage)
-        for record_id in storage.record_ids():
+        ledger = cls(backing=backing)
+        for record_id in source.record_ids():
             ledger.add_record(record_id)
-        rows = storage.load_provenance() or []
-        for key, discovered, hit_ids, vote_events in rows:
+        for key, discovered, hit_ids, vote_events in source.load_provenance():
             ledger._pairs[key] = PairProvenance(
                 key=key,
                 discovered_batch=discovered,

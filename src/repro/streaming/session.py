@@ -34,15 +34,16 @@ votes, posteriors and HIT coverage are discarded, the surviving members are
 re-connected from their surviving edges, and only that dirty region is
 re-aggregated; every clean component is untouched.
 
-Sessions can also be made **durable**: with
-``WorkflowConfig.checkpoint_dir`` set, every event (batch, truth,
-retraction, update, flush) is written to an fsynced write-ahead journal
-*before* it is applied, fresh crowd votes and a state digest are journaled
-after, and a compacted snapshot is written every
-``checkpoint_every_batches`` events.  :meth:`StreamingResolver.save` forces
-a snapshot; :meth:`StreamingResolver.restore` rebuilds a session from the
-newest snapshot plus the journal tail, with results **bit-identical** to a
-session that never stopped (see :mod:`repro.streaming.persistence`).
+Sessions can also be made **durable** (``WorkflowConfig.checkpoint_dir``),
+but not by this module: the class below is the event → delta state machine
+and the crowd driver, and does no I/O of its own.  Every public event method
+validates its arguments and hands the event to the session's
+:class:`~repro.streaming.persistence.Durability`, which journals the
+intent, calls back into :meth:`StreamingResolver.apply`, closes the store
+boundary, journals the outcome and keeps the checkpoint cadence;
+:meth:`StreamingResolver.save` and :meth:`StreamingResolver.restore` are
+one-line delegations.  A restored session is **bit-identical** to one that
+never stopped (see :mod:`repro.streaming.persistence`).
 
 **Equivalence.**  Because set similarity is pairwise, the union of join
 deltas equals the full-store join; because per-pair votes are a pure
@@ -60,8 +61,6 @@ across randomized event schedules and crash points.
 from __future__ import annotations
 
 import logging
-from dataclasses import asdict, replace
-from pathlib import Path
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro import obs
@@ -83,9 +82,8 @@ from repro.crowd.qualification import QualificationTest
 from repro.crowd.worker import WorkerPool
 from repro.datasets.base import Dataset
 from repro.graph.union_find import IncrementalUnionFind
-from repro.records.pairs import PairSet, RecordPair, canonical_pair
+from repro.records.pairs import PairSet, canonical_pair
 from repro.records.record import Record, RecordError, RecordStore
-from repro.storage import STORE_FILENAME, SqliteStore, open_store
 from repro.streaming import persistence
 from repro.streaming.incremental_join import IncrementalSimJoin
 from repro.streaming.provenance import ProvenanceLedger
@@ -111,45 +109,6 @@ DELTA_COUNTER_FIELDS = (
     "retracted_records",
 )
 
-#: Config fields that change *what a session computes* (as opposed to how
-#: fast or how durably).  Restoring a checkpoint under a config that
-#: differs on any of these cannot be bit-identical, so restore() re-joins:
-#: it harvests the records and truth from the old session, archives the
-#: old artifacts and re-ingests everything under the new config.
-RESULT_CONFIG_FIELDS = (
-    "likelihood_threshold",
-    "similarity_attributes",
-    "hit_type",
-    "cluster_size",
-    "pairs_per_hit",
-    "cluster_generator",
-    "packing_method",
-    "assignments_per_hit",
-    "use_qualification_test",
-    "aggregation",
-    "decision_threshold",
-    "recrowd_policy",
-    "streaming_aggregation_scope",
-    "staleness_epsilon",
-    # The async crowd knobs are result-bearing because retry reissues cost
-    # real (simulated) money: a different timeout/backoff/fault schedule
-    # yields a different accumulated cost, and cost is part of the digest.
-    "crowd_mode",
-    "vote_timeout",
-    "max_inflight_hits",
-    "backpressure_policy",
-    "crowd_max_retries",
-    "crowd_backoff_ticks",
-    "fault_plan",
-    "seed",
-)
-
-#: Fields a stored configuration (snapshot, journal ``session`` event or
-#: sqlite meta) written by an earlier release may still carry.  The knobs
-#: are gone — ``join_pool`` selected a fork-per-batch pool that no longer
-#: exists — so restore drops them instead of failing on an unknown field.
-RETIRED_CONFIG_FIELDS = ("join_pool",)
-
 
 class StreamingResolver:
     """An open entity-resolution session over arriving record batches.
@@ -163,8 +122,9 @@ class StreamingResolver:
         shards the incremental machine pass across the shared process pool
         (``join_backend`` only selects the batch engine — a session always
         joins through the CSR kernel);
-        ``checkpoint_dir`` / ``checkpoint_every_batches`` make the session
-        durable (write-ahead journal plus periodic snapshots);
+        ``checkpoint_dir`` / ``checkpoint_every_batches`` /
+        ``storage_backend`` make the session durable (write-ahead journal
+        plus its SQLite store — :mod:`repro.streaming.persistence`);
         ``vote_mode`` is forced to ``"per-pair"``
         (the sequential mode cannot preserve votes across batches).
     cross_sources:
@@ -188,7 +148,7 @@ class StreamingResolver:
         worker_pool: Optional[WorkerPool] = None,
         pricing: Optional[PricingModel] = None,
         latency: Optional[LatencyModel] = None,
-        _resume_storage: bool = False,
+        _durability: Optional[persistence.Durability] = None,
     ) -> None:
         self.config = config or WorkflowConfig()
         self.cross_sources = cross_sources
@@ -238,27 +198,14 @@ class StreamingResolver:
         self._slot_votes: Dict[PairKey, Dict[int, Vote]] = {}
         self._inflight_rounds: Dict[PairKey, int] = {}
         self._starved_pairs: Set[PairKey] = set()
-        # Storage backend: every piece of accumulated state lives behind
-        # it.  The memory backend is the pre-existing in-process state;
-        # the sqlite backend mirrors each event into one WAL-mode file
-        # (committed per event), which makes restore a page-in.
-        storage_path = self.config.storage_path
-        if (
-            self.config.storage_backend == "sqlite"
-            and storage_path is None
-            and self.config.checkpoint_dir
-        ):
-            storage_path = str(Path(self.config.checkpoint_dir) / STORE_FILENAME)
-        self.storage = open_store(self.config.storage_backend, storage_path)
-        if (
-            self.storage.persistent
-            and not _resume_storage
-            and self.storage.get_meta("version") is not None
-        ):
-            raise persistence.PersistenceError(
-                f"store {storage_path} already holds a session; "
-                "use StreamingResolver.restore() to resume it"
-            )
+        # Durability (the store, the journal, the checkpoint cadence) is an
+        # adaptor handed in by restore() or opened here for a fresh session;
+        # all accumulated state lives behind its storage backend.
+        fresh = _durability is None
+        self.durability = _durability or persistence.Durability.create(
+            self.config, cross_sources
+        )
+        self.storage = self.durability.storage
         self.join = IncrementalSimJoin(
             threshold=self.config.likelihood_threshold,
             attributes=self.config.similarity_attributes,
@@ -279,40 +226,14 @@ class StreamingResolver:
         self._generator_name = ""
         self._batch_index = 0
         self._last_delta = StreamingDelta()
-        # Fresh votes folded in by the most recent applied event (journaled
-        # by the commit outcome record and verified during replay).  ``None``
-        # is the page-in sentinel: a session rebuilt from a persistent store
-        # cannot know which votes its last event folded in, so the first
-        # replayed commit record is verified by digest only.
+        # Fresh votes folded in by the most recent applied event (what an
+        # outcome record carries and a replay verifies).  ``None`` is the
+        # page-in sentinel: a session rebuilt from its store cannot know
+        # which votes its last event folded in, so the first replayed
+        # outcome is verified by digest only.
         self._last_fresh_votes: Optional[Dict[PairKey, List[Vote]]] = {}
-        # Durability: write-ahead journal + snapshot cadence.
-        self._journal: Optional[persistence.SessionJournal] = None
-        self._events_applied = 0
-        self._mutations_since_snapshot = 0
-        self._replaying = False
-        if self.config.checkpoint_dir:
-            directory = Path(self.config.checkpoint_dir)
-            journal = persistence.SessionJournal(
-                directory, segment_events=self.config.journal_segment_events
-            )
-            if persistence.load_latest_snapshot(directory) is not None or journal.event_count:
-                raise persistence.PersistenceError(
-                    f"checkpoint directory {directory} already holds a session; "
-                    "use StreamingResolver.restore() to resume it"
-                )
-            self._journal = journal
-            self._journal_intent(
-                "session",
-                {
-                    "version": persistence.FORMAT_VERSION,
-                    "config": self._config_payload(),
-                    "cross_sources": list(cross_sources) if cross_sources else None,
-                },
-            )
-        if self.storage.persistent and not _resume_storage:
-            self._mirror_config_meta()
-            self._mirror_session_meta()
-            self.storage.commit()
+        if fresh:
+            self.durability.attach(self)
 
     # ----------------------------------------------------------- hot ledger
     # The vote/posterior/coverage state lives in the storage backend's
@@ -368,7 +289,7 @@ class StreamingResolver:
     @property
     def events_applied(self) -> int:
         """Journal events reflected in the current state (0 if not durable)."""
-        return self._events_applied
+        return self.durability.events_applied
 
     def votes_for(self, id_a: str, id_b: str) -> List[Vote]:
         """The current vote ledger entry of one pair (empty if never asked)."""
@@ -381,9 +302,9 @@ class StreamingResolver:
     def state_digest(self) -> str:
         """Exact digest of the aggregated state (posteriors, cost, HITs).
 
-        Journaled by every commit record and re-checked during replay, so a
-        restore that diverged from the original session by even one float
-        bit is detected instead of silently trusted.
+        Recorded with every event's outcome and re-checked during replay,
+        so a restore that diverged from the original session by even one
+        float bit is detected instead of silently trusted.
         """
         return persistence.state_digest(self._posteriors, self._cost, self._hit_count)
 
@@ -395,11 +316,7 @@ class StreamingResolver:
         reference records that have not arrived yet.
         """
         pairs = sorted({canonical_pair(a, b) for a, b in true_matches})
-        self._journal_intent("truth", {"pairs": [list(pair) for pair in pairs]})
-        self._apply_truth(pairs)
-        self._finish_event()
-        if self._journal is not None and not self._replaying:
-            self._journal.release_applied(self._events_applied)
+        self.durability.run(self, "truth", pairs)
 
     def add_batch(
         self,
@@ -411,7 +328,7 @@ class StreamingResolver:
         Runs the incremental machine pass, dirties the touched components,
         regenerates and publishes HITs for them, folds fresh votes into the
         ledger, re-aggregates what changed and snapshots the session.  For
-        durable sessions the batch is journaled before any state changes.
+        durable sessions the batch is made durable before any state changes.
         """
         batch = list(records)
         seen_batch: Set[str] = set()
@@ -424,17 +341,7 @@ class StreamingResolver:
             if true_matches is not None
             else None
         )
-        payload: Dict[str, object] = {
-            "records": [persistence.encode_record(record) for record in batch]
-        }
-        if truth_pairs is not None:
-            payload["truth"] = [list(pair) for pair in truth_pairs]
-        self._journal_intent("batch", payload)
-        result = self._apply_batch(batch, truth_pairs)
-        self._finish_event()
-        self._journal_commit()
-        self._maybe_autosave()
-        return result
+        return self.durability.run(self, "batch", batch, truth_pairs)
 
     def retract(self, record_id: str) -> ResolutionResult:
         """Withdraw a resident record and re-resolve only what it touched.
@@ -457,18 +364,13 @@ class StreamingResolver:
         """
         if record_id not in self.store:
             raise RecordError(f"unknown record id: {record_id!r}")
-        self._journal_intent("retract", {"record_id": record_id})
-        result = self._apply_retract(record_id)
-        self._finish_event()
-        self._journal_commit()
-        self._maybe_autosave()
-        return result
+        return self.durability.run(self, "retract", record_id)
 
     def update(self, record: Record) -> ResolutionResult:
         """Replace a resident record with a revised version.
 
         Equivalent to :meth:`retract` followed by ingesting the new version
-        as a one-record batch (journaled as a single ``update`` event): the
+        as a one-record batch (one event, not two): the
         old version's provenance-reachable pairs are invalidated, the new
         version is joined against the resident store, and the touched
         components are re-crowdsourced/re-aggregated under the configured
@@ -478,12 +380,7 @@ class StreamingResolver:
         """
         if record.record_id not in self.store:
             raise RecordError(f"unknown record id: {record.record_id!r}")
-        self._journal_intent("update", {"record": persistence.encode_record(record)})
-        result = self._apply_update(record)
-        self._finish_event()
-        self._journal_commit()
-        self._maybe_autosave()
-        return result
+        return self.durability.run(self, "update", record)
 
     def flush(self) -> ResolutionResult:
         """Fold every staleness-deferred component into the posterior cache.
@@ -494,20 +391,61 @@ class StreamingResolver:
         ``_aggregate`` uses) and returns the settled snapshot.  A no-op
         when nothing is pending — e.g. with the default epsilon of 0.
         """
-        self._journal_intent("flush", {})
-        result = self._apply_flush()
-        self._finish_event()
-        self._journal_commit()
-        self._maybe_autosave()
-        return result
+        return self.durability.run(self, "flush")
+
+    def save(self, path: Optional[str] = None):
+        """Checkpoint the session; returns the path of its store file.
+
+        Materialises the state under ``path`` (default:
+        ``config.checkpoint_dir``) and retires the journal that covers —
+        see :meth:`repro.streaming.persistence.Durability.save`.
+        """
+        return self.durability.save(self, path)
+
+    @classmethod
+    def restore(
+        cls,
+        path: str,
+        config: Optional[WorkflowConfig] = None,
+        verify: bool = True,
+        resume_journal: bool = True,
+        platform: Optional[SimulatedCrowdPlatform] = None,
+        worker_pool: Optional[WorkerPool] = None,
+        pricing: Optional[PricingModel] = None,
+        latency: Optional[LatencyModel] = None,
+    ) -> "StreamingResolver":
+        """Resume a durable session from its checkpoint directory.
+
+        Pages in the directory's store and replays the journal events it
+        has not seen — see :func:`repro.streaming.persistence.restore` for
+        the algorithm, ``verify``, ``resume_journal`` and what a ``config``
+        override does (a changed result-bearing field re-joins the stored
+        records under the new configuration).
+        """
+        return persistence.restore(
+            cls,
+            path,
+            config=config,
+            verify=verify,
+            resume_journal=resume_journal,
+            platform=platform,
+            worker_pool=worker_pool,
+            pricing=pricing,
+            latency=latency,
+        )
 
     # ------------------------------------------------------- event appliers
+    def apply(self, kind: str, *arguments):
+        """Apply one event to the state machine: no journal, no boundary.
+
+        ``kind`` is an event name of :data:`repro.streaming.persistence.EVENTS`
+        and ``arguments`` what the public method of that name validated — the
+        one entry point a live event and a replayed one share.
+        """
+        return getattr(self, f"_apply_{kind}")(*arguments)
+
     def _apply_truth(self, pairs: Iterable[Sequence[str]]) -> None:
         self._truth.update((pair[0], pair[1]) for pair in pairs)
-        if self.storage.persistent:
-            self.storage.set_meta(
-                "truth", sorted(list(pair) for pair in self._truth)
-            )
 
     def _apply_batch(
         self,
@@ -539,17 +477,7 @@ class StreamingResolver:
                     self.components.union(pair.id_a, pair.id_b)
                     self.provenance.record_pair(pair.id_a, pair.id_b, self._batch_index)
 
-                # Only dirty components are enumerated (their member lists
-                # are maintained by the union-find); clean components cost
-                # nothing here.
-                dirty_roots = self.components.dirty_roots()
-                dirty_pairs: Set[PairKey] = set()
-                for root in dirty_roots:
-                    for member in self.components.members(root):
-                        dirty_pairs.update(self.provenance.pairs_of(member))
-            delta.dirty_components = len(dirty_roots)
-            delta.clean_components = self.components.component_count - len(dirty_roots)
-            delta.dirty_pairs = len(dirty_pairs)
+                dirty_pairs = self._dirty_region(delta)
 
             # Stages 3 + 4: regenerate HITs for dirty components and crowdsource.
             if dirty_pairs or (self.crowd is not None and self._starved_pairs):
@@ -602,14 +530,7 @@ class StreamingResolver:
                 for key in self.provenance.pairs_of(survivor):
                     self.components.union(key[0], key[1])
 
-            dirty_roots = self.components.dirty_roots()
-            dirty_pairs: Set[PairKey] = set()
-            for root in dirty_roots:
-                for member in self.components.members(root):
-                    dirty_pairs.update(self.provenance.pairs_of(member))
-            delta.dirty_components = len(dirty_roots)
-            delta.clean_components = self.components.component_count - len(dirty_roots)
-            delta.dirty_pairs = len(dirty_pairs)
+            dirty_pairs = self._dirty_region(delta)
 
             # No crowdsourcing: retraction only removes evidence.  Re-aggregate
             # the dirty region unconditionally — its cached posteriors are
@@ -653,11 +574,7 @@ class StreamingResolver:
                 if gained > 0 and key in self._votes
             ]
             if pending:
-                roots = {self.components.find(key[0]) for key in pending}
-                keys: Set[PairKey] = set()
-                for root in roots:
-                    for member in self.components.members(root):
-                        keys.update(self.provenance.pairs_of(member))
+                keys = self._expand_components(pending)
                 voted = [key for key in sorted(keys) if key in self._votes]
                 aggregator = build_aggregator(self.config)
                 for key, posterior in aggregator.aggregate(
@@ -682,554 +599,6 @@ class StreamingResolver:
             if value:
                 obs.inc(f"streaming_{name}_total", value,
                         help=f"Sum of StreamingDelta.{name} across events.")
-
-    # ----------------------------------------------------------- durability
-    def _config_payload(self) -> Dict[str, object]:
-        payload = asdict(self.config)
-        if payload.get("similarity_attributes") is not None:
-            payload["similarity_attributes"] = list(payload["similarity_attributes"])
-        return payload
-
-    def _mirror_config_meta(self) -> None:
-        """Write the session-identifying metadata into a persistent store."""
-        self.storage.set_meta("version", persistence.FORMAT_VERSION)
-        self.storage.set_meta("config", self._config_payload())
-        self.storage.set_meta(
-            "cross_sources", list(self.cross_sources) if self.cross_sources else None
-        )
-        self.storage.set_meta("truth", sorted(list(pair) for pair in self._truth))
-
-    def _mirror_session_meta(self) -> None:
-        """Mirror the crowd-workload counters and the journal position."""
-        self.storage.set_meta(
-            "session",
-            {
-                "hit_count": self._hit_count,
-                "cost": self._cost,
-                "batch_index": self._batch_index,
-                "pairs_per_hit_seen": self._pairs_per_hit_seen,
-                "generator_name": self._generator_name,
-                "last_delta": self._last_delta.as_dict(),
-            },
-        )
-        self.storage.set_meta("async", self._async_state_dict())
-        self.storage.set_meta("events_applied", self._events_applied)
-
-    def _finish_event(self) -> None:
-        """Event boundary of a persistent store: counters plus one commit.
-
-        All mirrored writes since the last boundary form one transaction;
-        committing here means a crash mid-event rolls the store back to the
-        previous event and the journal replays the interrupted one.
-        """
-        if not self.storage.persistent:
-            return
-        self._mirror_session_meta()
-        if obs.enabled():
-            # Mirror the live metrics snapshot so `repro stats --store` can
-            # build a cost report from the store alone.  Purely additive
-            # meta — restore and the state digest never read it.
-            snapshot = obs.snapshot()
-            if snapshot is not None:
-                self.storage.set_meta("metrics", snapshot.to_dict())
-        self.storage.commit()
-
-    def _journal_intent(self, event_type: str, payload: Dict[str, object]) -> None:
-        """Write-ahead rule: record the intent before touching state."""
-        if self._journal is None or self._replaying:
-            return
-        self._events_applied = self._journal.append(event_type, payload)
-
-    def _journal_commit(self) -> None:
-        """Record an applied event's outcome: fresh votes, delta, digest."""
-        if self._journal is None or self._replaying:
-            return
-        payload = {
-            "delta": self._last_delta.as_dict(),
-            "votes": [
-                [key[0], key[1], persistence.encode_votes(votes)]
-                for key, votes in sorted(self._last_fresh_votes.items())
-            ],
-            "digest": self.state_digest(),
-        }
-        self._events_applied = self._journal.append("commit", payload)
-        # Applied events are never re-read from this live instance (restore
-        # re-scans the files), so their payloads need not stay resident.
-        self._journal.release_applied(self._events_applied)
-
-    def _maybe_autosave(self) -> None:
-        if self._journal is None or self._replaying:
-            return
-        every = self.config.checkpoint_every_batches
-        self._mutations_since_snapshot += 1
-        if every > 0 and self._mutations_since_snapshot >= every:
-            self.save()
-
-    def save(self, path: Optional[str] = None) -> Path:
-        """Checkpoint the session and retire the journal it covers.
-
-        With the in-memory backend this writes a compacted snapshot of the
-        full session state: self-contained (it embeds the config), written
-        atomically, tagged with the journal position it reflects — restoring
-        loads it and replays only the journal tail.  ``path`` defaults to
-        ``config.checkpoint_dir``.
-
-        With a persistent storage backend there is nothing to snapshot —
-        the store already holds every committed event — so ``save()``
-        commits the store and returns its path instead.
-
-        Either way, closed journal segments fully covered by the checkpoint
-        are archived (:meth:`~repro.streaming.persistence.SessionJournal.compact_covered`),
-        so the journal directory stops growing without bound.  Returns the
-        snapshot (or store) path.
-        """
-        directory = Path(path) if path is not None else (
-            Path(self.config.checkpoint_dir) if self.config.checkpoint_dir else None
-        )
-        if self.storage.persistent:
-            self.storage.commit()
-            if (
-                directory is not None
-                and self._journal is not None
-                and directory == self._journal.directory
-            ):
-                self._mutations_since_snapshot = 0
-                self._journal.compact_covered(
-                    int(self.storage.get_meta("events_applied", 0))
-                )
-            return Path(self.storage.path)
-        if directory is None:
-            raise persistence.PersistenceError(
-                "save() needs a path (or config.checkpoint_dir to be set)"
-            )
-        target = persistence.write_snapshot(
-            directory, self.state_dict(), self._events_applied
-        )
-        if self._journal is not None and directory == self._journal.directory:
-            self._mutations_since_snapshot = 0
-            self._journal.compact_covered(self._events_applied)
-        return target
-
-    @classmethod
-    def restore(
-        cls,
-        path: str,
-        config: Optional[WorkflowConfig] = None,
-        verify: bool = True,
-        resume_journal: bool = True,
-        platform: Optional[SimulatedCrowdPlatform] = None,
-        worker_pool: Optional[WorkerPool] = None,
-        pricing: Optional[PricingModel] = None,
-        latency: Optional[LatencyModel] = None,
-    ) -> "StreamingResolver":
-        """Resume a durable session from its checkpoint directory.
-
-        Loads the newest readable snapshot (if any) and replays the journal
-        events it has not seen, re-deriving crowd votes through the
-        deterministic per-pair oracle.  With ``verify`` (default) every
-        replayed event is checked against its journaled ``commit`` record —
-        vote-for-vote and digest-for-digest — so silent divergence raises
-        :class:`~repro.streaming.persistence.JournalCorruptionError`
-        instead of propagating.  The restored session is bit-identical to
-        one that processed the same events without stopping, and (with
-        ``resume_journal``) keeps journaling to the same directory.
-
-        ``config`` overrides the stored configuration.  When the override
-        differs on a field that changes *what the session computes* (see
-        ``RESULT_CONFIG_FIELDS``), a bit-identical resume is impossible —
-        instead of refusing, restore archives the old artifacts and
-        **re-joins**: the stored records and truth are re-ingested from
-        scratch under the new configuration (a fresh durable session in the
-        same directory).
-        """
-        directory = Path(path)
-        snapshot = persistence.load_latest_snapshot(directory)
-        journal = (
-            persistence.SessionJournal(directory)
-            if persistence.journal_present(directory)
-            else None
-        )
-        events = journal.events() if journal is not None else []
-        store_path = directory / STORE_FILENAME
-        store_config: Optional[Dict[str, object]] = None
-        store_cross: Optional[Sequence[str]] = None
-        if store_path.exists():
-            probe = SqliteStore(store_path)
-            try:
-                store_config = probe.get_meta("config")  # type: ignore[assignment]
-                store_cross = probe.get_meta("cross_sources")  # type: ignore[assignment]
-            finally:
-                probe.close()
-        if snapshot is None and not events and store_config is None:
-            raise persistence.PersistenceError(
-                f"{directory} contains neither a snapshot, a journal nor a store"
-            )
-
-        state: Optional[Dict[str, object]] = None
-        applied = 0
-        stored_config: Optional[Dict[str, object]] = None
-        cross_sources: Optional[Sequence[str]] = None
-        if snapshot is not None:
-            state, applied = snapshot
-            stored_config = state["config"]  # type: ignore[assignment]
-            cross_sources = state["cross_sources"]  # type: ignore[assignment]
-        elif events and events[0].type == "session":
-            stored_config = events[0].payload["config"]  # type: ignore[assignment]
-            cross_sources = events[0].payload["cross_sources"]  # type: ignore[assignment]
-        elif store_config is not None:
-            stored_config = store_config
-            cross_sources = store_cross
-        if config is None:
-            if stored_config is None:
-                raise persistence.PersistenceError(
-                    "no stored configuration found; pass config= explicitly"
-                )
-            config = WorkflowConfig(
-                **{
-                    name: value
-                    for name, value in stored_config.items()
-                    if name not in RETIRED_CONFIG_FIELDS
-                }
-            )
-        elif stored_config is not None and cls._result_config_changed(
-            config, stored_config
-        ):
-            return cls._restore_rejoin(
-                directory,
-                config,
-                platform=platform,
-                worker_pool=worker_pool,
-                pricing=pricing,
-                latency=latency,
-            )
-
-        resolver_config = replace(config, checkpoint_dir=None)
-        if config.storage_backend == "sqlite" and config.storage_path is None:
-            resolver_config = replace(resolver_config, storage_path=str(store_path))
-        resolver = cls(
-            config=resolver_config,
-            cross_sources=tuple(cross_sources) if cross_sources else None,  # type: ignore[arg-type]
-            platform=platform,
-            worker_pool=worker_pool,
-            pricing=pricing,
-            latency=latency,
-            _resume_storage=True,
-        )
-        # A persistent store that already holds the session wins over any
-        # snapshot: it is committed per event, so it is always at least as
-        # recent, and paging it in skips unpickling the whole state.
-        if resolver.storage.persistent and resolver.storage.get_meta("version") is not None:
-            resolver._page_in()
-            applied = resolver._events_applied
-        elif state is not None:
-            resolver.load_state_dict(state)
-            resolver._events_applied = applied
-
-        resolver._replaying = True
-        try:
-            with obs.span("streaming.restore", events=len(events), applied=applied):
-                for event in events:
-                    if event.seq <= applied:
-                        continue
-                    resolver._apply_journal_event(event, verify=verify)
-                    resolver._events_applied = event.seq
-        finally:
-            resolver._replaying = False
-        logger.info(
-            "restored session from %s at event %d", directory, resolver._events_applied
-        )
-        if resolver._last_fresh_votes is None:
-            resolver._last_fresh_votes = {}
-
-        if resume_journal:
-            resolver.config = replace(resolver_config, checkpoint_dir=str(directory))
-        else:
-            resolver.config = replace(resolver_config, checkpoint_dir=None)
-        if resolver.storage.persistent:
-            resolver._mirror_config_meta()
-        resolver._finish_event()
-        if resume_journal:
-            if journal is None:
-                journal = persistence.SessionJournal(
-                    directory,
-                    start_seq=resolver._events_applied + 1,
-                    segment_events=config.journal_segment_events,
-                )
-            else:
-                journal.set_segment_events(config.journal_segment_events)
-            resolver._journal = journal
-        return resolver
-
-    @staticmethod
-    def _result_config_changed(
-        new: WorkflowConfig, stored: Dict[str, object]
-    ) -> bool:
-        """True when ``new`` differs from ``stored`` on a result-bearing field."""
-        payload = asdict(new)
-
-        def norm(value: object) -> object:
-            return list(value) if isinstance(value, (list, tuple)) else value
-
-        return any(
-            norm(payload.get(name)) != norm(stored.get(name))
-            for name in RESULT_CONFIG_FIELDS
-        )
-
-    @classmethod
-    def _restore_rejoin(
-        cls,
-        directory: Path,
-        config: WorkflowConfig,
-        platform: Optional[SimulatedCrowdPlatform] = None,
-        worker_pool: Optional[WorkerPool] = None,
-        pricing: Optional[PricingModel] = None,
-        latency: Optional[LatencyModel] = None,
-    ) -> "StreamingResolver":
-        """Restore under a *changed* result config: harvest, archive, re-join.
-
-        The old session is restored under its own stored configuration
-        (digest verification still applies) just long enough to harvest its
-        records, ground truth and source restriction; its artifacts —
-        journal, segments, snapshots, store — move to
-        ``archive/rejoin-<events>/``; then a fresh durable session in the
-        same directory re-ingests everything under the new configuration in
-        ``stream_batch_size`` chunks.
-        """
-        old = cls.restore(str(directory), verify=True, resume_journal=False)
-        records = list(old.store)
-        truth = sorted(old._truth)
-        cross_sources = old.cross_sources
-        applied = old._events_applied
-        old.storage.close()
-
-        bucket = directory / persistence.ARCHIVE_DIRNAME / f"rejoin-{applied:012d}"
-        bucket.mkdir(parents=True, exist_ok=True)
-        for item in sorted(directory.iterdir()):
-            name = item.name
-            if (
-                name == persistence.JOURNAL_FILENAME
-                or persistence.SEGMENT_PATTERN.match(name)
-                or persistence.SNAPSHOT_PATTERN.match(name)
-                or name == STORE_FILENAME
-                or name.startswith(STORE_FILENAME + "-")
-            ):
-                item.replace(bucket / name)
-
-        resolver = cls(
-            config=replace(config, checkpoint_dir=str(directory)),
-            cross_sources=cross_sources,
-            platform=platform,
-            worker_pool=worker_pool,
-            pricing=pricing,
-            latency=latency,
-        )
-        if truth:
-            resolver.add_truth(truth)
-        size = max(1, config.stream_batch_size)
-        for start in range(0, len(records), size):
-            resolver.add_batch(records[start : start + size])
-        return resolver
-
-    def _page_in(self) -> None:
-        """Rebuild the session from a persistent store's committed state.
-
-        The inverse of the per-event mirror writes: records and the ledger
-        are already resident (the store loads its ledger dicts on open),
-        so this re-derives only the in-process structures — the join
-        substrate from its stored rows/vocabulary/CSR chunks, provenance
-        from its table, candidates from the pair ledger, and the union-find
-        forest from record arrival order plus the pair edges (roots only
-        serve as grouping keys, so the rebuilt forest is behaviorally
-        equivalent to the original).
-        """
-        storage = self.storage
-        with obs.span("storage.page_in"):
-            truth = storage.get_meta("truth") or []
-            self._truth = {(pair[0], pair[1]) for pair in truth}
-            self.join = IncrementalSimJoin.from_store(
-                storage,
-                threshold=self.config.likelihood_threshold,
-                attributes=self.config.similarity_attributes,
-                cross_sources=self.cross_sources,
-                workers=self.config.join_workers or None,
-            )
-            self.provenance = ProvenanceLedger.from_store(storage)
-            self.candidates = PairSet(
-                RecordPair(key[0], key[1], likelihood=likelihood)
-                for key, likelihood in storage.ledger.pairs.items()
-            )
-            self.components = IncrementalUnionFind()
-            for record_id in storage.record_ids():
-                self.components.add(record_id)
-            for key in sorted(storage.ledger.pairs):
-                self.components.union(key[0], key[1])
-            self.components.clear_dirty()
-        session_meta = storage.get_meta("session") or {}
-        self._hit_count = int(session_meta.get("hit_count", 0))
-        self._cost = session_meta.get("cost", 0.0)
-        self._assignment_seconds = storage.load_assignment_seconds()
-        self._pairs_per_hit_seen = session_meta.get("pairs_per_hit_seen")
-        self._generator_name = session_meta.get("generator_name", "")
-        self._batch_index = int(session_meta.get("batch_index", 0))
-        self._last_delta = StreamingDelta(**session_meta.get("last_delta", {}))
-        self._load_async_state(storage.get_meta("async"))
-        self._events_applied = int(storage.get_meta("events_applied", 0))
-        self._last_fresh_votes = None
-        if obs.enabled():
-            # Resume cumulative counters from the mirrored snapshot so a
-            # restart doesn't reset `repro stats` to zero.
-            obs.merge_snapshot(storage.get_meta("metrics"))
-
-    def _apply_journal_event(self, event: "persistence.JournalEvent", verify: bool) -> None:
-        """Replay one journal event against the current state."""
-        payload = event.payload
-        if event.type == "session":
-            return
-        if event.type == "truth":
-            self._apply_truth([tuple(pair) for pair in payload["pairs"]])
-            return
-        if event.type == "batch":
-            records = [persistence.decode_record(entry) for entry in payload["records"]]
-            truth = payload.get("truth")
-            self._apply_batch(
-                records, [tuple(pair) for pair in truth] if truth is not None else None
-            )
-            return
-        if event.type == "retract":
-            self._apply_retract(payload["record_id"])
-            return
-        if event.type == "update":
-            self._apply_update(persistence.decode_record(payload["record"]))
-            return
-        if event.type == "flush":
-            self._apply_flush()
-            return
-        if event.type == "commit":
-            if verify:
-                # After a page-in the fresh votes of the last committed
-                # event are unknowable (sentinel None) — the digest check
-                # below still pins the full aggregated state.
-                if self._last_fresh_votes is not None:
-                    recorded = {
-                        (entry[0], entry[1]): persistence.decode_votes(entry[2])
-                        for entry in payload["votes"]
-                    }
-                    if recorded != self._last_fresh_votes:
-                        raise persistence.JournalCorruptionError(
-                            f"votes replayed for event {event.seq} differ from the journal"
-                        )
-                if payload["digest"] != self.state_digest():
-                    raise persistence.JournalCorruptionError(
-                        f"state digest after event {event.seq} differs from the journal"
-                    )
-            self._last_fresh_votes = {}
-            return
-        raise persistence.JournalCorruptionError(
-            f"unknown journal event type {event.type!r} at sequence {event.seq}"
-        )
-
-    # -------------------------------------------------------- serialization
-    def state_dict(self) -> Dict[str, object]:
-        """Complete serializable session state.
-
-        Everything a fresh process needs to continue bit-identically: the
-        records and ground truth, the join index (vocabulary + CSR arrays),
-        the union-find forest, the provenance ledger, the candidate pairs
-        with their likelihoods, the vote ledger and posterior cache, and
-        the accumulated crowd workload counters.
-        """
-        # Containers are shallow copies of the live state (elements are
-        # immutable tuples/records), so snapshot construction is O(state)
-        # with no per-element re-encoding — the save+restore round trip is
-        # what the checkpoint benchmark gates against a cold re-resolve.
-        return {
-            "version": persistence.FORMAT_VERSION,
-            "config": self._config_payload(),
-            "cross_sources": list(self.cross_sources) if self.cross_sources else None,
-            "records": list(self.store),
-            "truth": set(self._truth),
-            "join": self.join.state_dict(),
-            "components": self.components.state_dict(),
-            "provenance": self.provenance.state_dict(),
-            "candidates": [
-                (pair.id_a, pair.id_b, pair.likelihood) for pair in self.candidates
-            ],
-            "votes": {key: list(votes) for key, votes in self._votes.items()},
-            "vote_rounds": dict(self._vote_rounds),
-            "pending_votes": dict(self._pending_votes),
-            "posteriors": dict(self._posteriors),
-            "covered": set(self._covered),
-            "hit_count": self._hit_count,
-            "cost": self._cost,
-            "assignment_seconds": list(self._assignment_seconds),
-            "pairs_per_hit_seen": self._pairs_per_hit_seen,
-            "generator_name": self._generator_name,
-            "batch_index": self._batch_index,
-            "last_delta": self._last_delta.as_dict(),
-            # Async crowd queue + degraded-progress bookkeeping (None in
-            # sync mode and absent in pre-async snapshots).
-            "async": self._async_state_dict(),
-            # Purely observational; absent/None in snapshots written while
-            # metrics were off, and ignored by the state digest.
-            "metrics": (
-                obs.snapshot().to_dict() if obs.enabled() else None
-            ),
-        }
-
-    def load_state_dict(self, state: Dict[str, object]) -> None:
-        """Replace the session state with :meth:`state_dict` output.
-
-        A persistent storage backend is wiped and fully re-mirrored: after
-        the load its tables equal the loaded state exactly, as if the
-        session had been stored there all along.
-        """
-        if state.get("version") != persistence.FORMAT_VERSION:
-            raise persistence.PersistenceError(
-                f"unsupported session state version {state.get('version')!r}"
-            )
-        self.storage.reset()
-        self.store = RecordStore(name="stream", backing=self.storage)
-        for record in state["records"]:  # type: ignore[union-attr]
-            self.store.add(record)
-        self._truth = set(state["truth"])  # type: ignore[arg-type]
-        self.join = IncrementalSimJoin.from_state_dict(
-            state["join"], storage=self.storage  # type: ignore[arg-type]
-        )
-        self.components = IncrementalUnionFind.from_state_dict(state["components"])  # type: ignore[arg-type]
-        self.provenance = ProvenanceLedger.from_state_dict(
-            state["provenance"], backing=self.storage  # type: ignore[arg-type]
-        )
-        self.candidates = PairSet(
-            RecordPair(id_a, id_b, likelihood=likelihood)
-            for id_a, id_b, likelihood in state["candidates"]  # type: ignore[union-attr]
-        )
-        self.storage.ledger.load_bulk(
-            pairs={
-                (id_a, id_b): likelihood
-                for id_a, id_b, likelihood in state["candidates"]  # type: ignore[union-attr]
-            },
-            votes={key: list(votes) for key, votes in state["votes"].items()},  # type: ignore[union-attr]
-            vote_rounds=dict(state["vote_rounds"]),  # type: ignore[arg-type]
-            pending_votes=dict(state["pending_votes"]),  # type: ignore[arg-type]
-            posteriors=dict(state["posteriors"]),  # type: ignore[arg-type]
-            covered=set(state["covered"]),  # type: ignore[arg-type]
-        )
-        self._hit_count = state["hit_count"]  # type: ignore[assignment]
-        self._cost = state["cost"]  # type: ignore[assignment]
-        self._assignment_seconds = list(state["assignment_seconds"])  # type: ignore[arg-type]
-        self.storage.append_assignment_seconds(self._assignment_seconds)
-        self._pairs_per_hit_seen = state["pairs_per_hit_seen"]  # type: ignore[assignment]
-        self._generator_name = state["generator_name"]  # type: ignore[assignment]
-        self._batch_index = state["batch_index"]  # type: ignore[assignment]
-        self._last_delta = StreamingDelta(**state["last_delta"])  # type: ignore[arg-type]
-        self._load_async_state(state.get("async"))  # type: ignore[arg-type]
-        self._last_fresh_votes = {}
-        if obs.enabled():
-            obs.merge_snapshot(state.get("metrics"))  # type: ignore[arg-type]
-        if self.storage.persistent:
-            self._mirror_config_meta()
-            self._mirror_session_meta()
-            self.storage.commit()
 
     # ------------------------------------------------------------ internals
     def _crowdsource_dirty(self, dirty_pairs: Set[PairKey], delta: StreamingDelta) -> None:
@@ -1405,21 +774,37 @@ class StreamingResolver:
                     completed.add(key)
         return completed
 
-    def _expand_components(self, completed: Set[PairKey]) -> Set[PairKey]:
-        """All provenance pairs of the components the completed pairs touch.
+    def _expand_components(self, completed: Iterable[PairKey]) -> Set[PairKey]:
+        """All provenance pairs of the components the given pairs touch.
 
         Late votes re-aggregate only the affected components: each
         completion dirties exactly its component, mirroring how a batch
         arrival dirties the components it touches.
         """
-        if not completed:
-            return set()
-        expanded: Set[PairKey] = set()
-        roots = {self.components.find(key[0]) for key in completed}
+        return self._pairs_of_components(
+            {self.components.find(key[0]) for key in completed}
+        )
+
+    def _pairs_of_components(self, roots: Iterable[str]) -> Set[PairKey]:
+        """Every provenance pair of the components with the given roots.
+
+        Only those components are enumerated (their member lists are
+        maintained by the union-find); all others cost nothing here.
+        """
+        pairs: Set[PairKey] = set()
         for root in roots:
             for member in self.components.members(root):
-                expanded.update(self.provenance.pairs_of(member))
-        return expanded
+                pairs.update(self.provenance.pairs_of(member))
+        return pairs
+
+    def _dirty_region(self, delta: StreamingDelta) -> Set[PairKey]:
+        """The pairs of every dirty component, counted into ``delta``."""
+        dirty_roots = self.components.dirty_roots()
+        dirty_pairs = self._pairs_of_components(dirty_roots)
+        delta.dirty_components = len(dirty_roots)
+        delta.clean_components = self.components.component_count - len(dirty_roots)
+        delta.dirty_pairs = len(dirty_pairs)
+        return dirty_pairs
 
     def _flush_async(self) -> Set[PairKey]:
         """Settle the async crowd completely: nothing in flight afterwards.
@@ -1443,37 +828,8 @@ class StreamingResolver:
                 break
             guard += 1
             if guard > 1000:  # pragma: no cover - defensive
-                raise persistence.PersistenceError(
-                    "async crowd flush failed to settle"
-                )
+                raise RuntimeError("async crowd flush failed to settle")
         return completed
-
-    def _async_state_dict(self) -> Optional[Dict[str, object]]:
-        """JSON-friendly async crowd state (None in sync mode)."""
-        if self.crowd is None:
-            return None
-        return {
-            "platform": self.crowd.state_dict(),
-            "slot_votes": persistence.encode_slot_votes(self._slot_votes),
-            "inflight_rounds": persistence.encode_pair_map(self._inflight_rounds),
-            "starved": [[key[0], key[1]] for key in sorted(self._starved_pairs)],
-        }
-
-    def _load_async_state(self, payload: Optional[Dict[str, object]]) -> None:
-        """Inverse of :meth:`_async_state_dict` (tolerates pre-async state)."""
-        self._slot_votes = {}
-        self._inflight_rounds = {}
-        self._starved_pairs = set()
-        if self.crowd is None or not payload:
-            return
-        self.crowd.load_state_dict(payload["platform"])  # type: ignore[arg-type]
-        self._slot_votes = persistence.decode_slot_votes(payload.get("slot_votes", []))  # type: ignore[arg-type]
-        self._inflight_rounds = persistence.decode_pair_map(
-            payload.get("inflight_rounds", [])  # type: ignore[arg-type]
-        )
-        self._starved_pairs = {
-            (id_a, id_b) for id_a, id_b in payload.get("starved", [])  # type: ignore[union-attr]
-        }
 
     def _aggregate(
         self,

@@ -235,15 +235,10 @@ def _run_stream(dataset, tmp_path, backend, instrumented, tag):
     result = None
     for start in range(0, len(records), 20):
         result = resolver.add_batch(records[start : start + 20])
-    state = resolver.state_dict()
-    state.pop("metrics", None)  # observational, allowed to differ
-    # The config necessarily differs in the observability knobs themselves
-    # (and the store path); everything resolution-relevant must not.
-    state["config"] = {
-        key: value
-        for key, value in state["config"].items()
-        if key not in _OBS_CONFIG_KEYS
-    }
+    # The whole session state, as materialised by save(): every table of the
+    # store minus the observational meta (the config necessarily differs in
+    # the observability knobs themselves and the store path).
+    state = _dump_sqlite(resolver.save(tmp_path / f"{tag}-saved"))
     resolver.storage.close()
     obs.deactivate()
     return result, state
@@ -251,24 +246,6 @@ def _run_stream(dataset, tmp_path, backend, instrumented, tag):
 
 #: Config fields allowed to differ between the instrumented and plain runs.
 _OBS_CONFIG_KEYS = ("metrics_enabled", "trace_path", "storage_path")
-
-
-def _assert_deep_equal(left, right, path=""):
-    """Recursive equality that treats numpy arrays elementwise."""
-    import numpy as np
-
-    if isinstance(left, dict) and isinstance(right, dict):
-        assert set(left) == set(right), f"{path}: key sets differ"
-        for key in left:
-            _assert_deep_equal(left[key], right[key], f"{path}.{key}")
-    elif isinstance(left, (list, tuple)) and isinstance(right, (list, tuple)):
-        assert len(left) == len(right), f"{path}: lengths differ"
-        for index, (a, b) in enumerate(zip(left, right)):
-            _assert_deep_equal(a, b, f"{path}[{index}]")
-    elif isinstance(left, np.ndarray) or isinstance(right, np.ndarray):
-        assert np.array_equal(left, right), f"{path}: arrays differ"
-    else:
-        assert left == right, f"{path}: {left!r} != {right!r}"
 
 
 def _dump_sqlite(path):
@@ -313,7 +290,7 @@ def test_instrumentation_leaves_resolution_bit_identical(tmp_path, backend):
     assert inst_result.ranked_pairs == plain_result.ranked_pairs
     assert inst_result.hit_count == plain_result.hit_count
     assert inst_result.cost == plain_result.cost
-    _assert_deep_equal(inst_state, plain_state)
+    assert inst_state == plain_state
     if backend == "sqlite":
         assert _dump_sqlite(tmp_path / "inst.sqlite") == _dump_sqlite(
             tmp_path / "plain.sqlite"

@@ -5,32 +5,38 @@ events and is restored produces — after replaying the remaining events —
 results bit-identical to a session that never stopped: same matches, same
 posteriors (to the last float bit), same ranked pairs, same crowd cost.
 On top of that, the journal must be crash-tolerant (a torn final line is
-dropped, mid-stream corruption is detected loudly) and snapshots must be
-atomic and self-contained.
+dropped, mid-stream corruption is detected loudly), the store a session is
+materialised into must be rewritten atomically, and both storage backends
+must leave — and restore from — the same file.
 """
 
+import ast
+import dataclasses
 import json
-import pickle
+import shutil
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.config import WorkflowConfig
+import repro
+from repro.core.config import (
+    OPERATIONAL_CONFIG_FIELDS,
+    RESULT_CONFIG_FIELDS,
+    WorkflowConfig,
+)
 from repro.datasets.restaurant import RestaurantGenerator
 from repro.records.record import Record
+from repro.storage import STORE_FILENAME, SqliteStore
 from repro.streaming import (
     JournalCorruptionError,
     PersistenceError,
     SessionJournal,
     StreamingResolver,
+    persistence,
 )
-from repro.streaming.persistence import (
-    JOURNAL_FILENAME,
-    load_latest_snapshot,
-    snapshot_path,
-    write_snapshot,
-)
+from repro.streaming.persistence import JOURNAL_FILENAME
 
 
 def make_dataset(record_count=60, duplicate_pairs=10, seed=13):
@@ -59,6 +65,26 @@ def assert_sessions_identical(left, right):
     assert snap_left.assignment_count == snap_right.assignment_count
     assert left.state_digest() == right.state_digest()
     assert left.covered_pairs() == right.covered_pairs()
+
+
+def stored_events_applied(directory):
+    """The journal position the directory's store reflects (None: no store)."""
+    path = directory / STORE_FILENAME
+    if not path.exists():
+        return None
+    store = SqliteStore(path)
+    try:
+        return store.get_meta("events_applied")
+    finally:
+        store.close()
+
+
+def stream(resolver, dataset, size=17):
+    resolver.add_truth(dataset.ground_truth)
+    records = list(dataset.store)
+    for start in range(0, len(records), size):
+        resolver.add_batch(records[start : start + size])
+    return resolver
 
 
 # ----------------------------------------------------------------- journal
@@ -126,26 +152,229 @@ class TestSessionJournal:
             SessionJournal(tmp_path).events()
 
 
-# --------------------------------------------------------------- snapshots
-class TestSnapshots:
-    def test_write_is_atomic_and_latest_wins(self, tmp_path):
-        write_snapshot(tmp_path, {"version": 1, "n": 1}, events_applied=3)
-        write_snapshot(tmp_path, {"version": 1, "n": 2}, events_applied=7)
-        state, applied = load_latest_snapshot(tmp_path)
-        assert (state["n"], applied) == (2, 7)
-        # Older snapshots are compacted away.
-        assert not snapshot_path(tmp_path, 3).exists()
+# ------------------------------------------------------- materialisation
+class TestMaterialisation:
+    """``store.sqlite`` is the one on-disk form of a session's state."""
 
-    def test_unreadable_snapshot_is_skipped(self, tmp_path):
-        write_snapshot(tmp_path, {"version": 1, "n": 1}, events_applied=3)
-        write_snapshot(tmp_path, {"version": 1, "n": 2}, events_applied=7, keep_old=True)
-        snapshot_path(tmp_path, 7).write_bytes(b"torn write")
-        state, applied = load_latest_snapshot(tmp_path)
-        assert (state["n"], applied) == (1, 3)
+    def test_rewrite_replaces_the_previous_contents(self, tmp_path):
+        dataset = make_dataset()
+        records = list(dataset.store)
+        resolver = StreamingResolver(config=make_config())
+        resolver.add_truth(dataset.ground_truth)
+        resolver.add_batch(records[:20])
+        resolver.save(tmp_path)
+        resolver.add_batch(records[20:40])
+        resolver.retract(records[3].record_id)
+        assert resolver.save(tmp_path) == tmp_path / STORE_FILENAME
+        assert sorted(item.name for item in tmp_path.iterdir()) == [STORE_FILENAME]
+        restored = StreamingResolver.restore(tmp_path, resume_journal=False)
+        assert_sessions_identical(resolver, restored)
+        assert sorted(restored.store.record_ids) == sorted(resolver.store.record_ids)
 
-    def test_empty_directory_returns_none(self, tmp_path):
-        assert load_latest_snapshot(tmp_path) is None
-        assert load_latest_snapshot(tmp_path / "missing") is None
+    def test_failed_materialisation_keeps_the_previous_store(
+        self, tmp_path, monkeypatch
+    ):
+        """An exception in the middle of a materialisation rolls the one
+        transaction back: the previous store contents plus the journal
+        still restore bit-identically."""
+        dataset = make_dataset()
+        records = list(dataset.store)
+        config = make_config(checkpoint_dir=str(tmp_path), checkpoint_every_batches=0)
+        resolver = StreamingResolver(config=config)
+        resolver.add_truth(dataset.ground_truth)
+        resolver.add_batch(records[:20])
+        resolver.save()
+        covered = stored_events_applied(tmp_path)
+        resolver.add_batch(records[20:40])
+        resolver.update(records[5].with_attributes(name="revised"))
+
+        def torn(self, ledger):
+            raise OSError("disk full half-way through the rewrite")
+
+        with monkeypatch.context() as failing:
+            # Records and the join substrate are already rewritten when the
+            # ledger write fails.
+            failing.setattr(SqliteStore, "write_ledger", torn)
+            with pytest.raises(OSError):
+                resolver.save()
+        assert stored_events_applied(tmp_path) == covered
+        restored = StreamingResolver.restore(tmp_path, resume_journal=False)
+        assert_sessions_identical(resolver, restored)
+        # ... and the session itself carries on: the next save succeeds.
+        resolver.save()
+        assert stored_events_applied(tmp_path) == resolver.events_applied
+
+    @pytest.mark.parametrize("backend", ("memory", "sqlite"))
+    def test_save_to_a_foreign_directory_materialises_there(self, tmp_path, backend):
+        """``save(X)`` writes ``X/store.sqlite`` for either backend (a
+        sqlite-backed session used to ignore ``X``)."""
+        home, foreign = tmp_path / "home", tmp_path / "foreign"
+        dataset = make_dataset()
+        resolver = stream(
+            StreamingResolver(
+                config=make_config(storage_backend=backend, checkpoint_dir=str(home))
+            ),
+            dataset,
+        )
+        assert resolver.save(foreign) == foreign / STORE_FILENAME
+        assert sorted(item.name for item in foreign.iterdir()) == [STORE_FILENAME]
+        restored = StreamingResolver.restore(foreign, resume_journal=False)
+        assert_sessions_identical(resolver, restored)
+        assert resolver.save() == home / STORE_FILENAME  # its own place, as ever
+        restored.storage.close()
+        resolver.storage.close()
+
+    def test_backends_leave_stores_that_page_in_identically(self, tmp_path):
+        """The same schedule through a memory- and a sqlite-backed session
+        leaves two stores with the same contents, and each session restores
+        from the other's directory after a backend override."""
+        dataset = make_dataset()
+        records = list(dataset.store)
+        sessions = {}
+        for backend in ("memory", "sqlite"):
+            config = make_config(
+                storage_backend=backend, checkpoint_dir=str(tmp_path / backend)
+            )
+            session = stream(StreamingResolver(config=config), dataset)
+            session.retract(records[2].record_id)
+            session.update(records[4].with_attributes(name="rewritten"))
+            session.flush()
+            session.save()
+            sessions[backend] = session
+        assert_sessions_identical(sessions["memory"], sessions["sqlite"])
+        sessions["sqlite"].storage.close()
+        for written, other in (("memory", "sqlite"), ("sqlite", "memory")):
+            stored = StreamingResolver.restore(
+                tmp_path / written, resume_journal=False
+            ).config
+            crossed = StreamingResolver.restore(
+                tmp_path / written,
+                config=dataclasses.replace(stored, storage_backend=other),
+                resume_journal=False,
+            )
+            assert crossed.storage.backend_name == other
+            assert_sessions_identical(sessions["memory"], crossed)
+            assert crossed.snapshot().posteriors == sessions["memory"].snapshot().posteriors
+            crossed.storage.close()
+
+    def test_legacy_snapshot_only_directory_is_refused_unread(self, tmp_path):
+        """A directory holding only ``snapshot-*.pkl`` raises naming the
+        file; its bytes are never interpreted."""
+        legacy = tmp_path / "snapshot-000000000007.pkl"
+        # Anything that tried to load this would fail differently (or worse).
+        legacy.write_bytes(b"cos\nsystem\n(S'false'\ntR.")
+        with pytest.raises(PersistenceError, match="snapshot-000000000007.pkl"):
+            StreamingResolver.restore(tmp_path)
+        assert legacy.read_bytes() == b"cos\nsystem\n(S'false'\ntR."
+
+
+class TestBackendFlip:
+    @pytest.mark.parametrize("flip", (("memory", "sqlite"), ("sqlite", "memory")))
+    def test_restore_under_the_other_backend_stays_in_lockstep(self, tmp_path, flip):
+        """``config=`` flipping the backend continues on the same file, in
+        lockstep with a session that never stopped."""
+        before, after = flip
+        dataset = make_dataset(record_count=80, duplicate_pairs=12)
+        records = list(dataset.store)
+        uninterrupted = StreamingResolver(config=make_config())
+        config = make_config(
+            storage_backend=before,
+            checkpoint_dir=str(tmp_path),
+            checkpoint_every_batches=2,
+        )
+        resolver = StreamingResolver(config=config)
+        for session in (uninterrupted, resolver):
+            session.add_truth(dataset.ground_truth)
+            for start in range(0, 39, 13):
+                session.add_batch(records[start : start + 13])
+        resolver.storage.close()
+        flipped = StreamingResolver.restore(
+            tmp_path, config=dataclasses.replace(config, storage_backend=after)
+        )
+        assert flipped.storage.backend_name == after
+        assert not (tmp_path / "archive" / "rejoin-000000000000").exists()
+        tail = records[39:]
+        for session in (uninterrupted, flipped):
+            session.add_batch(tail[:20])
+            session.retract(records[3].record_id)
+            session.update(records[5].with_attributes(name="revised beyond recognition"))
+            session.add_batch(tail[20:])
+            session.flush()
+        assert_sessions_identical(uninterrupted, flipped)
+        # ... and back again, from whatever the flipped session left behind.
+        flipped.save()
+        flipped.storage.close()
+        back = StreamingResolver.restore(tmp_path, config=config, resume_journal=False)
+        assert back.storage.backend_name == before
+        assert_sessions_identical(uninterrupted, back)
+        back.storage.close()
+
+
+class TestStructure:
+    def test_result_and_operational_fields_partition_the_config(self):
+        names = [spec.name for spec in dataclasses.fields(WorkflowConfig)]
+        assert len(names) == 33
+        assert len(OPERATIONAL_CONFIG_FIELDS) == 11
+        assert set(OPERATIONAL_CONFIG_FIELDS) | set(RESULT_CONFIG_FIELDS) == set(names)
+        assert not set(OPERATIONAL_CONFIG_FIELDS) & set(RESULT_CONFIG_FIELDS)
+        # The hand-maintained tuple this definition replaced, name for name.
+        assert sorted(RESULT_CONFIG_FIELDS) == sorted((
+            "likelihood_threshold", "similarity_attributes", "hit_type",
+            "cluster_size", "pairs_per_hit", "cluster_generator", "packing_method",
+            "assignments_per_hit", "use_qualification_test", "aggregation",
+            "decision_threshold", "recrowd_policy", "streaming_aggregation_scope",
+            "staleness_epsilon", "crowd_mode", "vote_timeout", "max_inflight_hits",
+            "backpressure_policy", "crowd_max_retries", "crowd_backoff_ticks",
+            "fault_plan", "seed",
+        ))
+
+    def test_an_unclassified_field_would_force_a_rejoin(self):
+        """Result-bearing is the complement, so forgetting to classify a new
+        knob errs towards re-joining, never towards a silent resume."""
+        stored = persistence.config_payload(make_config())
+        assert not persistence.result_config_changed(make_config(), stored)
+        assert not persistence.result_config_changed(
+            make_config(join_workers=3, checkpoint_every_batches=99), stored
+        )
+        assert persistence.result_config_changed(make_config(cluster_size=4), stored)
+
+    @staticmethod
+    def imported_modules(path):
+        names = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                names.add(node.module)
+                names.update(f"{node.module}.{alias.name}" for alias in node.names)
+        return names
+
+    def test_no_module_imports_or_mentions_pickle(self):
+        for path in sorted(Path(next(iter(repro.__path__))).rglob("*.py")):
+            assert "pickle" not in path.read_text(), path
+
+    def test_the_session_module_does_no_io_imports(self):
+        from repro.streaming import session
+
+        imported = self.imported_modules(Path(session.__file__))
+        for forbidden in ("pathlib", "sqlite3", "os", "repro.storage.sqlite"):
+            assert not any(
+                name == forbidden or name.startswith(forbidden + ".")
+                for name in imported
+            ), forbidden
+        assert "repro.storage.SqliteStore" not in imported
+
+    def test_only_the_async_platform_keeps_a_state_dict(self):
+        owners = set()
+        for path in Path(next(iter(repro.__path__))).rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ClassDef):
+                    for item in node.body:
+                        if isinstance(item, ast.FunctionDef) and item.name in (
+                            "state_dict", "load_state_dict", "from_state_dict"
+                        ):
+                            owners.add(node.name)
+        assert owners == {"AsyncCrowdPlatform"}
 
 
 # ------------------------------------------------------- save/restore basics
@@ -199,29 +428,15 @@ class TestSaveRestore:
         self, tmp_path, monkeypatch, durability
     ):
         """A checkpoint from before the join had one kernel still carries
-        ``join_pool`` in its stored config (snapshot ``config`` / journal
-        ``session`` event) and ``backend``/``pool_mode``/``inverted``/
-        ``maintain_inverted`` in its join state; restore drops them."""
-        from repro.streaming.incremental_join import IncrementalSimJoin
-
-        config_payload = StreamingResolver._config_payload
-        join_state = IncrementalSimJoin.state_dict
+        ``join_pool`` in its stored config (store ``config`` meta / journal
+        ``session`` event); restore drops it."""
+        config_payload = persistence.config_payload
         dataset = make_dataset()
         records = list(dataset.store)
         with monkeypatch.context() as legacy:
             legacy.setattr(
-                StreamingResolver, "_config_payload",
-                lambda self: {**config_payload(self), "join_pool": "fork"},
-            )
-            legacy.setattr(
-                IncrementalSimJoin, "state_dict",
-                lambda self: {
-                    **join_state(self),
-                    "backend": "auto",
-                    "pool_mode": "fork",
-                    "maintain_inverted": True,
-                    "inverted": {"alpha": ["r1"]},
-                },
+                persistence, "config_payload",
+                lambda config: {**config_payload(config), "join_pool": "fork"},
             )
             if durability == "journal":
                 config = make_config(
@@ -235,9 +450,9 @@ class TestSaveRestore:
                 resolver.add_batch(records[start : start + 17])
             if durability == "snapshot":
                 resolver.save(tmp_path)
-                state, _applied = load_latest_snapshot(tmp_path)
-                assert state["config"]["join_pool"] == "fork"
-                assert state["join"]["pool_mode"] == "fork"
+                store = SqliteStore(tmp_path / STORE_FILENAME)
+                assert store.get_meta("config")["join_pool"] == "fork"
+                store.close()
             else:
                 session_event = SessionJournal(tmp_path).events()[0]
                 assert session_event.payload["config"]["join_pool"] == "fork"
@@ -260,6 +475,15 @@ class TestSaveRestore:
         )
         with pytest.raises(PersistenceError):
             StreamingResolver(config=make_config(checkpoint_dir=str(tmp_path)))
+
+    @pytest.mark.parametrize("artifact", (STORE_FILENAME, JOURNAL_FILENAME))
+    def test_occupancy_is_an_existence_check(self, tmp_path, artifact):
+        """A store or a journal in the directory means occupied; the
+        constructor does not open, parse or load either to find out."""
+        (tmp_path / artifact).write_bytes(b"\x00 not a store, not a journal \x00")
+        with pytest.raises(PersistenceError, match="already holds a session"):
+            StreamingResolver(config=make_config(checkpoint_dir=str(tmp_path)))
+        assert (tmp_path / artifact).read_bytes().startswith(b"\x00 not a store")
 
     def test_replay_verification_catches_tampering(self, tmp_path):
         config = make_config(checkpoint_dir=str(tmp_path), checkpoint_every_batches=0)
@@ -290,8 +514,7 @@ class TestSaveRestore:
         resolver.add_truth(dataset.ground_truth)
         for start in range(0, len(records), 20):
             resolver.add_batch(records[start : start + 20])
-        state, applied = load_latest_snapshot(tmp_path)
-        assert applied == resolver.events_applied  # snapshot is current
+        assert stored_events_applied(tmp_path) == resolver.events_applied  # current
         restored = StreamingResolver.restore(tmp_path, resume_journal=False)
         assert restored.events_applied == resolver.events_applied
         assert_sessions_identical(resolver, restored)
@@ -372,34 +595,22 @@ def test_property_crash_at_any_point_recovers_bit_identically(
     )
 
     # Simulate the crash: only the first `crash_after` journal lines (and
-    # any snapshot written at or before that point) survive.
+    # a store materialised at or before that point) survive.
     crash_dir = tmp_path_factory.mktemp("recover")
     (crash_dir / JOURNAL_FILENAME).write_text(
         "\n".join(lines[:crash_after]) + "\n"
     )
-    snapshot = load_latest_snapshot(directory)
-    if snapshot is not None:
-        state, applied = snapshot
-        if applied <= crash_after:
-            write_snapshot(crash_dir, state, applied)
+    applied = stored_events_applied(directory)
+    if applied is not None and applied <= crash_after:
+        shutil.copy(directory / STORE_FILENAME, crash_dir / STORE_FILENAME)
 
     restored = StreamingResolver.restore(crash_dir, resume_journal=False)
     assert restored.events_applied <= crash_after
 
     # Re-drive the lost tail: replay the full journal's remaining events
-    # through the internal applier (exactly what a re-submitted workload
-    # would do), then compare against the uninterrupted session.
-    from repro.streaming.persistence import SessionJournal as Journal
-
+    # through the public replay entry point (exactly what a re-submitted
+    # workload would do), then compare against the uninterrupted session.
     tail_dir = tmp_path_factory.mktemp("tail")
     (tail_dir / JOURNAL_FILENAME).write_text(full_journal)
-    restored._replaying = True
-    try:
-        for event in Journal(tail_dir).events():
-            if event.seq <= restored.events_applied:
-                continue
-            restored._apply_journal_event(event, verify=True)
-            restored._events_applied = event.seq
-    finally:
-        restored._replaying = False
+    persistence.replay(restored, SessionJournal(tail_dir).events(), verify=True)
     assert_sessions_identical(resolver, restored)

@@ -142,17 +142,6 @@ class TestUnionFindDetach:
         assert uf.detach(["ghost"]) == []
         assert uf.connected("a", "b")
 
-    def test_state_dict_round_trip(self):
-        uf = IncrementalUnionFind()
-        for a, b in [("a", "b"), ("b", "c"), ("x", "y")]:
-            uf.union(a, b)
-        uf.clear_dirty()
-        uf.union("c", "d")
-        clone = IncrementalUnionFind.from_state_dict(uf.state_dict())
-        assert clone.find("a") == uf.find("a")
-        assert clone.dirty_roots() == uf.dirty_roots()
-        assert clone.components() == uf.components()
-
 
 # ---------------------------------------------------------------- session
 class TestSessionRetraction:

@@ -34,7 +34,6 @@ from repro.streaming.persistence import (
     JOURNAL_FILENAME,
     SEGMENT_PATTERN,
     SessionJournal,
-    load_latest_snapshot,
 )
 
 
@@ -177,6 +176,7 @@ class TestSqliteRoundTrips:
         store.commit()
         store.close()
         reopened = SqliteStore(path)
+        reopened.load_ledger()  # opening reads no table; page-in asks for it
         ledger = reopened.ledger
         assert ledger.pairs == {key: 0.75}
         assert ledger.votes == {key: [("w1", key, True), ("w2", key, False)]}
@@ -289,8 +289,6 @@ class TestBackendBitIdentity:
     def test_crash_mid_event_replays_from_the_journal_intent(self, tmp_path):
         """The store rolls back to the last event boundary; the journaled
         intent replays the interrupted event on restore."""
-        from repro.streaming import persistence
-
         dataset = make_dataset()
         records = list(dataset.store)
         config = make_config(
@@ -303,10 +301,8 @@ class TestBackendBitIdentity:
         # Crash mid-event: the intent hits the journal, the store
         # transaction is rolled back before the event-boundary commit.
         batch = records[30:40]
-        resolver._journal_intent(
-            "batch", {"records": [persistence.encode_record(r) for r in batch]}
-        )
-        resolver._apply_batch(batch, None)
+        resolver.durability.intent("batch", batch, None)
+        resolver.apply("batch", batch, None)
         resolver.storage.rollback()
         resolver.storage.close()
 
@@ -327,7 +323,7 @@ class TestPageInRestore:
         config = make_config(
             storage_backend="sqlite",
             checkpoint_dir=str(tmp_path),
-            checkpoint_every_batches=0,  # no snapshots: the store is the state
+            checkpoint_every_batches=0,  # no cadence: the mirrored store is the state
         )
         resolver = StreamingResolver(config=config)
         resolver.add_truth(dataset.ground_truth)
@@ -335,7 +331,6 @@ class TestPageInRestore:
             resolver.add_batch(records[start : start + 12])
         expected = session_fingerprint(resolver)
         resolver.storage.close()
-        assert load_latest_snapshot(tmp_path) is None
         restored = StreamingResolver.restore(str(tmp_path), resume_journal=False)
         assert session_fingerprint(restored) == expected
         restored.storage.close()
@@ -533,10 +528,10 @@ class TestJournalLifecycle:
         resolver.add_truth(dataset.ground_truth)
         for start in range(0, len(records), 9):
             resolver.add_batch(records[start : start + 9])
-        assert resolver._journal.segments(), "expected rotated segments"
+        assert resolver.durability.journal.segments(), "expected rotated segments"
         resolver.save()
-        # Every closed segment is covered by the snapshot -> all archived.
-        assert resolver._journal.segments() == []
+        # Every closed segment is covered by the store -> all archived.
+        assert resolver.durability.journal.segments() == []
         archived = os.listdir(tmp_path / ARCHIVE_DIRNAME)
         assert archived and all(SEGMENT_PATTERN.match(name) for name in archived)
         restored = StreamingResolver.restore(str(tmp_path), resume_journal=False)
@@ -720,8 +715,6 @@ class TestAsyncCrashRecovery:
         store rolls back to the last event boundary and the journaled
         intent replays the batch — including its poll of the async
         platform — deterministically."""
-        from repro.streaming import persistence
-
         dataset = make_dataset()
         records = list(dataset.store)
         twin = self.run_uninterrupted(records[:40], dataset.ground_truth)
@@ -734,10 +727,8 @@ class TestAsyncCrashRecovery:
         for start in range(0, 30, 10):
             resolver.add_batch(records[start : start + 10])
         batch = records[30:40]
-        resolver._journal_intent(
-            "batch", {"records": [persistence.encode_record(r) for r in batch]}
-        )
-        resolver._apply_batch(batch, None)  # deliveries ingested, not committed
+        resolver.durability.intent("batch", batch, None)
+        resolver.apply("batch", batch, None)  # deliveries ingested, not committed
         resolver.storage.rollback()
         resolver.storage.close()
 
