@@ -1,16 +1,15 @@
 """Cross-dataset regression matrix sweep with tolerance-checked baselines.
 
-Runs dataset × join backend × execution mode cells (see
+Runs the 9 dataset × execution mode cells (see
 :mod:`repro.evaluation.matrix`) on the bundled mini corpora and compares
 every cell against the committed ``BENCH_matrix.json``.  A cell outside its
 tolerance fails the run with a per-cell diff message naming the metric, the
 observed and baseline values and the tolerance — so a quality regression
-points at the exact dataset/backend/mode combination that moved.
+points at the exact dataset/mode combination that moved.
 
 Standalone script (not a pytest-benchmark module) so CI can gate on it::
 
-    PYTHONPATH=src python benchmarks/bench_matrix.py --smoke     # fast cells
-    PYTHONPATH=src python benchmarks/bench_matrix.py             # full sweep
+    PYTHONPATH=src python benchmarks/bench_matrix.py             # all 9 cells
     PYTHONPATH=src python benchmarks/bench_matrix.py --refresh   # rewrite baseline
 
 ``--refresh`` rewrites the committed baseline from the current run — the
@@ -28,24 +27,13 @@ from typing import List, Optional
 
 from repro.evaluation import matrix as mx
 from repro.evaluation.reporting import format_table
-from repro.simjoin.backend import available_backends
-from repro.simjoin.vectorized import HAVE_SCIPY
-
-#: The fast subset mirrored by the tier-1 tests: all datasets and modes,
-#: but only the serial fast backends.
-SMOKE_BACKENDS = ("prefix",) + (("vectorized",) if HAVE_SCIPY else ())
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--smoke", action="store_true",
-                        help="fast cells only (prefix/vectorized backends)")
     parser.add_argument("--datasets", nargs="+", default=None,
                         choices=mx.matrix_datasets(),
                         help="restrict to these datasets")
-    parser.add_argument("--backends", nargs="+", default=None,
-                        choices=available_backends(),
-                        help="restrict to these join backends")
     parser.add_argument("--modes", nargs="+", default=None,
                         choices=mx.MATRIX_MODES,
                         help="restrict to these execution modes")
@@ -58,9 +46,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="also write the measured rows to this JSON file")
     args = parser.parse_args(argv)
 
-    backends = args.backends or (SMOKE_BACKENDS if args.smoke else None)
     started = time.perf_counter()
-    rows = mx.run_matrix(datasets=args.datasets, backends=backends, modes=args.modes)
+    rows = mx.run_matrix(datasets=args.datasets, modes=args.modes)
     elapsed = time.perf_counter() - started
 
     display = [
@@ -69,7 +56,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     ]
     print(format_table(
         display,
-        columns=["dataset", "backend", "mode", "candidates", "hits",
+        columns=["dataset", "mode", "candidates", "hits",
                  "matches", "precision", "recall", "f1"],
         title=f"Cross-dataset regression matrix — {len(rows)} cells "
               f"in {elapsed:.1f}s",
@@ -77,14 +64,14 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     # Streaming modes must reproduce the batch match set whenever both ran.
     failures = 0
-    by_cell = {(r["dataset"], r["backend"], r["mode"]): r for r in rows}
-    for (dataset, backend, mode), row in by_cell.items():
-        batch = by_cell.get((dataset, backend, "batch"))
+    by_cell = {(r["dataset"], r["mode"]): r for r in rows}
+    for (dataset, mode), row in by_cell.items():
+        batch = by_cell.get((dataset, "batch"))
         if mode == "batch" or batch is None:
             continue
         if row["_matches"] != batch["_matches"]:
-            print(f"MISMATCH: {dataset}|{backend}|{mode} match set differs "
-                  f"from batch", file=sys.stderr)
+            print(f"MISMATCH: {dataset}|{mode} match set differs from batch",
+                  file=sys.stderr)
             failures += 1
 
     if args.json:

@@ -1,9 +1,9 @@
-"""Sharded parallel join vs serial vectorized join, with a built-in correctness assertion.
+"""Sharded join (``workers=N``) vs the one-worker join, with a built-in correctness assertion.
 
-The ``parallel`` backend (:class:`repro.simjoin.parallel.ParallelSimJoin`,
-CSR row blocks split across the shared process pool) against the serial
-``vectorized`` backend on the same store, asserting the pair sets and
-likelihoods are *bit-identical*.  The full run gates >= ``--min-speedup``
+:class:`repro.simjoin.parallel.VectorizedSimJoin` with ``workers=N`` (CSR
+row blocks split across the shared process pool) against ``workers=1`` on
+the same store, asserting the pair sets and likelihoods are
+*bit-identical*.  The full run gates >= ``--min-speedup``
 (default 2x) with ``--workers`` (default 4) at the largest size — a
 multi-core gate: on a single-core host a process pool cannot win.
 
@@ -29,8 +29,7 @@ from typing import List, Optional
 
 from repro.datasets.restaurant import RestaurantGenerator
 from repro.evaluation.reporting import format_table
-from repro.simjoin.parallel import ParallelSimJoin
-from repro.simjoin.vectorized import VectorizedSimJoin
+from repro.simjoin.parallel import VectorizedSimJoin
 
 
 def run_join_scenario(
@@ -44,11 +43,13 @@ def run_join_scenario(
     ).generate()
 
     start = time.perf_counter()
-    serial = VectorizedSimJoin(threshold, block_size=block_size).join(dataset.store)
+    serial = VectorizedSimJoin(threshold, block_size=block_size, workers=1).join(
+        dataset.store
+    )
     serial_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
-    parallel = ParallelSimJoin(
+    parallel = VectorizedSimJoin(
         threshold, block_size=block_size, workers=workers
     ).join(dataset.store)
     parallel_seconds = time.perf_counter() - start
@@ -98,7 +99,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     sizes = args.sizes or ([600] if args.smoke else [2000, 10000])
     # The smoke stores are smaller than one default row block, which would
-    # degenerate the sharded join to its serial path; a small block size
+    # degenerate the sharded join to its inline path; a small block size
     # keeps the worker processes (init, pickling, merge order) under test.
     block_size = args.block_size or (128 if args.smoke else 1024)
 
@@ -109,7 +110,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     print(format_table(
         join_rows,
         columns=["records", "pairs", "workers", "serial_s", "parallel_s", "speedup", "bit_identical"],
-        title=f"Sharded parallel join vs serial vectorized — threshold {args.threshold}",
+        title=f"Sharded join (workers=N) vs workers=1 — threshold {args.threshold}",
     ))
 
     if args.json:
@@ -129,7 +130,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     for row in join_rows:
         if not row["_identical"]:
             print(
-                f"MISMATCH: parallel and serial pair sets differ at {row['records']} records",
+                f"MISMATCH: sharded and one-worker pair sets differ at {row['records']} records",
                 file=sys.stderr,
             )
             failures += 1
@@ -145,7 +146,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             failures += 1
     if failures:
         return 1
-    print("parallel join is bit-identical to the serial vectorized join")
+    print("the sharded join is bit-identical to the one-worker join")
     return 0
 
 

@@ -1,10 +1,19 @@
-"""Setuptools entry point.
+"""Setuptools entry point (``pip install -e .``; there is no ``pyproject.toml``).
 
-A ``setup.py`` is kept alongside ``pyproject.toml`` so that the package can
-be installed in editable mode on offline machines whose setuptools/pip lack
-the ``wheel`` package required by PEP 517 editable builds.
+Everything also runs uninstalled with ``PYTHONPATH=src``.  scipy is a hard
+requirement: the join kernel every non-oracle similarity join runs is a
+blocked scipy sparse product.
 """
 
-from setuptools import setup
+from setuptools import find_packages, setup
 
-setup()
+setup(
+    name="repro",
+    version="1.2.0",
+    description="CrowdER reproduction: hybrid human-machine entity resolution",
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    package_data={"repro.etl": ["data/*/*"]},
+    python_requires=">=3.8",
+    install_requires=["numpy", "scipy"],
+)

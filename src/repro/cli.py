@@ -90,8 +90,7 @@ from repro.evaluation.reporting import format_table
 from repro.evaluation.threshold_table import threshold_table
 from repro.hit.generator import available_generators, get_cluster_generator
 from repro.obs.report import CostReport
-from repro.simjoin.backend import AUTO_BACKEND, available_backends
-from repro.simjoin.likelihood import SimJoinLikelihood
+from repro.simjoin.likelihood import JOIN_BACKENDS, SimJoinLikelihood
 from repro.storage import STORE_FILENAME
 from repro.streaming import StreamingResolver
 
@@ -155,16 +154,17 @@ def _add_obs_arguments(parser: argparse.ArgumentParser) -> None:
 def _add_backend_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--join-backend",
-        choices=(AUTO_BACKEND, *available_backends()),
-        default=AUTO_BACKEND,
-        help="similarity-join engine for the machine pass (auto picks by store size)",
+        choices=JOIN_BACKENDS,
+        default="auto",
+        help="similarity join for the machine pass: auto = the kernel, "
+             "naive = the all-pairs test oracle (identical results)",
     )
     parser.add_argument(
         "--join-workers",
         type=int,
         default=0,
-        help="worker processes for the sharded 'parallel' join backend "
-             "(0 = one per CPU core; results are identical for any value)",
+        help="worker processes the join kernel is sharded over on large "
+             "stores (0 = one per CPU core; results are identical for any value)",
     )
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
-from repro.simjoin.backend import AUTO_BACKEND, available_backends
+from repro.simjoin.likelihood import JOIN_BACKENDS
 
 
 @dataclass
@@ -26,16 +26,16 @@ class WorkflowConfig:
     * ``aggregation`` — ``"dawid-skene"`` (the paper) or ``"majority"``.
     * ``similarity_attributes`` — attributes pooled by the simjoin
       likelihood (``None`` = all).
-    * ``join_backend`` — similarity-join engine for the machine pass
-      (``"auto"``, ``"naive"``, ``"prefix"``, ``"vectorized"`` or
-      ``"parallel"``); all engines return identical pair sets, the choice
-      only affects speed.  It selects the *batch* engine only: streaming
-      sessions always run the CSR kernel on their appended rows.
-    * ``join_workers`` — worker processes for the sharded ``parallel``
-      backend, the auto heuristic that may select it, and a streaming
-      session's per-batch product (0 = one per CPU core).  Shards run on
-      one long-lived process pool shared across batches and sessions.  Any
-      value produces bit-identical pairs and likelihoods.
+    * ``join_backend`` — ``"auto"`` (the join kernel) or ``"naive"`` (the
+      all-pairs scan kept as its test oracle); both return the identical
+      pair set, the choice only affects speed.  It applies to the *batch*
+      join only: streaming sessions always run the kernel on their
+      appended rows.
+    * ``join_workers`` — worker processes the kernel's row blocks are
+      sharded over: the batch join on stores of 4,096 records or more, and
+      a streaming session's per-batch product (0 = one per CPU core).
+      Shards run on one long-lived process pool shared across batches and
+      sessions.  Any value produces bit-identical pairs and likelihoods.
     * ``vote_mode`` — how the simulated crowd draws votes:
       ``"sequential"`` (legacy; votes depend on HIT grouping and publish
       order) or ``"per-pair"`` (votes are a pure function of the pair key —
@@ -137,7 +137,7 @@ class WorkflowConfig:
     use_qualification_test: bool = False
     aggregation: str = "dawid-skene"
     similarity_attributes: Optional[Sequence[str]] = None
-    join_backend: str = AUTO_BACKEND
+    join_backend: str = "auto"
     join_workers: int = 0
     vote_mode: str = "sequential"
     stream_batch_size: int = 256
@@ -174,10 +174,8 @@ class WorkflowConfig:
             raise ValueError("assignments_per_hit must be at least 1")
         if self.aggregation not in ("dawid-skene", "majority"):
             raise ValueError("aggregation must be 'dawid-skene' or 'majority'")
-        if self.join_backend != AUTO_BACKEND and self.join_backend not in available_backends():
-            raise ValueError(
-                f"join_backend must be '{AUTO_BACKEND}' or one of {available_backends()}"
-            )
+        if self.join_backend not in JOIN_BACKENDS:
+            raise ValueError(f"join_backend must be one of {JOIN_BACKENDS}")
         if self.join_workers < 0:
             raise ValueError("join_workers must be non-negative (0 = one per core)")
         if self.staleness_epsilon < 0:

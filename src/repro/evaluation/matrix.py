@@ -1,16 +1,16 @@
-"""Cross-dataset regression matrix: dataset × join backend × execution mode.
+"""Cross-dataset regression matrix: dataset × execution mode.
 
-One cell = resolve one dataset with one similarity-join backend in one
-execution mode (batch workflow, streaming replay, or streaming on the
-SQLite store) and measure quality and cost: candidate pairs, HITs issued,
-matches, precision/recall/F1.  Every path in the stack is deterministic
-(per-pair votes, seeded crowd), so each cell has a committed baseline in
-``BENCH_matrix.json`` and regressions are caught as tolerance violations
-with a per-cell diff — not as a vague "quality got worse somewhere".
+One cell = resolve one dataset in one execution mode (batch workflow,
+streaming replay, or streaming on the SQLite store) and measure quality and
+cost: candidate pairs, HITs issued, matches, precision/recall/F1.  Every
+path in the stack is deterministic (per-pair votes, seeded crowd), so each
+cell has a committed baseline in ``BENCH_matrix.json`` and regressions are
+caught as tolerance violations with a per-cell diff — not as a vague
+"quality got worse somewhere".
 
-``tests/test_matrix.py`` runs the fast cells against the bundled mini
-corpora on every push; ``benchmarks/bench_matrix.py`` sweeps the full
-matrix (and refreshes the baseline with ``--refresh``).
+``tests/test_matrix.py`` runs every cell against the bundled mini corpora
+on every push; ``benchmarks/bench_matrix.py`` is the same sweep as a script
+(and refreshes the baseline with ``--refresh``).
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from repro.datasets.base import Dataset
 from repro.datasets.restaurant import RestaurantGenerator
 from repro.etl.registry import corpus_spec, load_corpus
 from repro.evaluation.metrics import f1_score, precision_recall
-from repro.simjoin.backend import available_backends
 from repro.streaming.session import resolve_stream
 
 #: Execution modes of the matrix.  ``batch`` runs the one-shot
@@ -42,7 +41,7 @@ MATRIX_MODES = ("batch", "stream", "stream-sqlite")
 _STREAM_BATCH_SIZE = 64
 
 #: Crowd seed shared by every cell (the crowd simulation is seeded, so one
-#: seed keeps cells comparable across backends and modes).
+#: seed keeps cells comparable across modes).
 _SEED = 7
 
 #: Committed per-cell baseline, at the repository root next to the other
@@ -52,8 +51,7 @@ BASELINE_FILENAME = "BENCH_matrix.json"
 #: Default tolerance per metric.  Rates compare absolutely; counts
 #: relatively.  Every cell is deterministic, so the committed baselines
 #: reproduce exactly on the machine that wrote them — the tolerances only
-#: absorb cross-platform drift (BLAS summation order in the vectorized
-#: backend, hash ordering feeding tie-breaks).
+#: absorb cross-platform drift (hash ordering feeding tie-breaks).
 DEFAULT_TOLERANCES: Dict[str, float] = {
     "precision": 0.02,   # absolute
     "recall": 0.02,      # absolute
@@ -79,7 +77,7 @@ def load_matrix_dataset(name: str) -> Tuple[Dataset, WorkflowConfig]:
     threshold and similarity attributes from their registered spec;
     ``restaurant-mini`` is a seeded 200-record slice of the synthetic
     Restaurant generator at the paper's 0.35 threshold — in the matrix so
-    a clean single-source dataset crosses every backend and mode too.
+    a clean single-source dataset crosses every mode too.
     """
     if name == "restaurant-mini":
         dataset = RestaurantGenerator(record_count=200, duplicate_pairs=25, seed=_SEED).generate()
@@ -99,29 +97,23 @@ def load_matrix_dataset(name: str) -> Tuple[Dataset, WorkflowConfig]:
     return dataset, config
 
 
-def cell_key(dataset: str, backend: str, mode: str) -> str:
-    """Stable key of one cell: ``"dataset|backend|mode"``."""
-    return f"{dataset}|{backend}|{mode}"
+def cell_key(dataset: str, mode: str) -> str:
+    """Stable key of one cell: ``"dataset|mode"``."""
+    return f"{dataset}|{mode}"
 
 
 def iter_cells(
     datasets: Optional[Sequence[str]] = None,
-    backends: Optional[Sequence[str]] = None,
     modes: Optional[Sequence[str]] = None,
-) -> Iterator[Tuple[str, str, str]]:
-    """Yield ``(dataset, backend, mode)`` cells, restricted to available backends."""
-    installed = available_backends()
+) -> Iterator[Tuple[str, str]]:
+    """Yield the selected ``(dataset, mode)`` cells."""
     for dataset in datasets or matrix_datasets():
-        for backend in backends or installed:
-            if backend not in installed:
-                continue
-            for mode in modes or MATRIX_MODES:
-                yield dataset, backend, mode
+        for mode in modes or MATRIX_MODES:
+            yield dataset, mode
 
 
 def run_cell(
     dataset_name: str,
-    backend: str,
     mode: str,
     work_dir: Optional[Path] = None,
 ) -> Dict[str, object]:
@@ -130,28 +122,22 @@ def run_cell(
     ``work_dir`` holds the SQLite store for ``stream-sqlite`` cells (a
     throwaway temporary directory when not given).
     """
-    dataset, base_config = load_matrix_dataset(dataset_name)
-    overrides: Dict[str, object] = {"join_backend": backend}
+    dataset, config = load_matrix_dataset(dataset_name)
     if mode == "stream":
-        result = resolve_stream(
-            dataset,
-            config=dataclasses.replace(base_config, **overrides),
-            batch_size=_STREAM_BATCH_SIZE,
-        )
+        result = resolve_stream(dataset, config=config, batch_size=_STREAM_BATCH_SIZE)
     elif mode == "stream-sqlite":
         if work_dir is not None:
-            result = _run_sqlite_cell(dataset, base_config, overrides, Path(work_dir))
+            result = _run_sqlite_cell(dataset, config, Path(work_dir))
         else:
             with tempfile.TemporaryDirectory(prefix="repro-matrix-") as tmp:
-                result = _run_sqlite_cell(dataset, base_config, overrides, Path(tmp))
+                result = _run_sqlite_cell(dataset, config, Path(tmp))
     elif mode == "batch":
-        result = HybridWorkflow(dataclasses.replace(base_config, **overrides)).resolve(dataset)
+        result = HybridWorkflow(config).resolve(dataset)
     else:
         raise ValueError(f"unknown matrix mode {mode!r}; choose from {MATRIX_MODES}")
     precision, recall = precision_recall(result.matches, dataset.ground_truth)
     return {
         "dataset": dataset_name,
-        "backend": backend,
         "mode": mode,
         "candidates": result.candidate_count,
         "hits": result.hit_count,
@@ -165,32 +151,23 @@ def run_cell(
     }
 
 
-def _run_sqlite_cell(
-    dataset: Dataset,
-    base_config: WorkflowConfig,
-    overrides: Dict[str, object],
-    work_dir: Path,
-):
+def _run_sqlite_cell(dataset: Dataset, base_config: WorkflowConfig, work_dir: Path):
     store_path = work_dir / f"{dataset.name}-matrix.sqlite"
     config = dataclasses.replace(
-        base_config,
-        storage_backend="sqlite",
-        storage_path=str(store_path),
-        **overrides,
+        base_config, storage_backend="sqlite", storage_path=str(store_path)
     )
     return resolve_stream(dataset, config=config, batch_size=_STREAM_BATCH_SIZE)
 
 
 def run_matrix(
     datasets: Optional[Sequence[str]] = None,
-    backends: Optional[Sequence[str]] = None,
     modes: Optional[Sequence[str]] = None,
     work_dir: Optional[Path] = None,
 ) -> List[Dict[str, object]]:
     """Run every selected cell and return the measured rows."""
     return [
-        run_cell(dataset, backend, mode, work_dir=work_dir)
-        for dataset, backend, mode in iter_cells(datasets, backends, modes)
+        run_cell(dataset, mode, work_dir=work_dir)
+        for dataset, mode in iter_cells(datasets, modes)
     ]
 
 
@@ -209,7 +186,7 @@ def baseline_document(rows: Sequence[Dict[str, object]]) -> Dict[str, object]:
     """Build a baseline document from measured rows (for ``--refresh``)."""
     cells = {}
     for row in rows:
-        key = cell_key(str(row["dataset"]), str(row["backend"]), str(row["mode"]))
+        key = cell_key(str(row["dataset"]), str(row["mode"]))
         cells[key] = {
             metric: row[metric]
             for metric in ("candidates", "hits", "matches", "precision", "recall", "f1")
@@ -234,7 +211,7 @@ def compare_cell(
     from the baseline is itself a violation: new cells must be baselined
     deliberately, not silently skipped.
     """
-    key = cell_key(str(row["dataset"]), str(row["backend"]), str(row["mode"]))
+    key = cell_key(str(row["dataset"]), str(row["mode"]))
     cells = baseline.get("cells", {})
     if key not in cells:
         return [f"{key}: no committed baseline (run bench_matrix.py --refresh)"]

@@ -13,9 +13,9 @@ exception type if the block raised. Exceptions always propagate; the span
 still records.
 
 The runtime is fork-aware: it remembers the PID that created it, and every
-entry point no-ops in a forked child (the ``parallel`` join backend forks
-worker processes — their copied runtime must not double-count or interleave
-writes into the parent's trace file). Per-worker shard timings are measured
+entry point no-ops in a forked child (the join's pool workers are forked —
+their copied runtime must not double-count or interleave writes into the
+parent's trace file). Per-worker shard timings are measured
 inside the workers with plain ``perf_counter`` and recorded by the parent.
 """
 

@@ -2,27 +2,20 @@
 
 This package implements the machine pass of CrowdER's hybrid workflow:
 computing, for every candidate pair, the likelihood that the two records
-refer to the same entity (Section 2.2), and the indexing techniques the
-paper's footnote 1 mentions for avoiding all-pairs comparison (blocking and
-prefix-filtering similarity joins).  Four interchangeable join engines —
-naive, prefix-filtering, vectorized (sparse-matrix) and parallel (the same
-sparse products sharded across a process pool) — are exposed through the
-backend registry in :mod:`repro.simjoin.backend`.
+refer to the same entity (Section 2.2) without the all-pairs comparison the
+paper's footnote 1 says an index should avoid.  There is one join: the
+blocked sparse-product kernel of :mod:`repro.simjoin.vectorized`, run over
+a record store (and, on large stores, sharded over a process pool) by
+:class:`~repro.simjoin.parallel.VectorizedSimJoin`.  The all-pairs scan
+(:func:`~repro.simjoin.allpairs.all_pairs_similarity`) is the oracle the
+kernel is tested against; :class:`~repro.simjoin.likelihood.SimJoinLikelihood`
+selects between them with ``backend="auto"`` / ``"naive"``.
 """
 
 from repro.simjoin.allpairs import all_pairs_similarity
-from repro.simjoin.backend import (
-    AUTO_BACKEND,
-    SimJoinBackend,
-    auto_backend_name,
-    available_backends,
-    get_backend,
-    register_backend,
-    resolve_backend,
-)
 from repro.simjoin.blocking import TokenBlocker, QGramBlocker, AttributeBlocker
 from repro.simjoin.likelihood import LikelihoodEstimator, SimJoinLikelihood
-from repro.simjoin.parallel import ParallelSimJoin
+from repro.simjoin.parallel import VectorizedSimJoin
 from repro.simjoin.pool import (
     ShardPool,
     SharedArrayBlock,
@@ -30,15 +23,10 @@ from repro.simjoin.pool import (
     shared_pool,
     shutdown_pools,
 )
-from repro.simjoin.prefix_filter import PrefixFilterJoin
-from repro.simjoin.vectorized import VectorizedSimJoin, vectorized_similarity_join
 
 __all__ = [
     "all_pairs_similarity",
-    "PrefixFilterJoin",
     "VectorizedSimJoin",
-    "vectorized_similarity_join",
-    "ParallelSimJoin",
     "ShardPool",
     "SharedArrayBlock",
     "active_pools",
@@ -49,11 +37,4 @@ __all__ = [
     "AttributeBlocker",
     "LikelihoodEstimator",
     "SimJoinLikelihood",
-    "SimJoinBackend",
-    "AUTO_BACKEND",
-    "auto_backend_name",
-    "available_backends",
-    "get_backend",
-    "register_backend",
-    "resolve_backend",
 ]

@@ -2,9 +2,9 @@
 
 This is the reference (exact) implementation of the machine pass: compute
 the similarity of every unordered pair of records and keep those at or above
-a minimum likelihood.  The smarter joins in :mod:`repro.simjoin.prefix_filter`
-and the blockers must produce the same result set for the same threshold;
-the test suite checks that equivalence.
+a minimum likelihood.  It is the oracle (``join_backend="naive"``): the join
+kernel in :mod:`repro.simjoin.vectorized` must produce the same result set
+for the same threshold, and the test suite checks that equivalence.
 """
 
 from __future__ import annotations

@@ -3,9 +3,10 @@
 A :class:`LikelihoodEstimator` turns a record store into a scored
 :class:`~repro.records.pairs.PairSet`.  :class:`SimJoinLikelihood` is the
 estimator the paper evaluates ("simjoin"): Jaccard similarity over pooled
-token sets, computed by one of the interchangeable join backends of
-:mod:`repro.simjoin.backend` (naive all-pairs scan, prefix-filtering join,
-or blocked sparse-matrix join), all of which return identical pair sets.
+token sets.  ``"auto"`` computes it with the join kernel
+(:class:`repro.simjoin.parallel.VectorizedSimJoin`); ``"naive"`` is the
+all-pairs scan kept as the oracle the kernel is tested against.  Both
+return the identical pair set.
 """
 
 from __future__ import annotations
@@ -16,9 +17,17 @@ from typing import Optional, Sequence, Tuple
 from repro import obs
 from repro.records.pairs import PairSet
 from repro.records.record import RecordStore
-from repro.similarity.record_similarity import RecordSimilarity
+from repro.similarity.record_similarity import JaccardRecordSimilarity, RecordSimilarity
 from repro.simjoin.allpairs import all_pairs_similarity
-from repro.simjoin.backend import AUTO_BACKEND, resolve_backend
+from repro.simjoin.parallel import VectorizedSimJoin
+
+#: The accepted ``join_backend`` values: the kernel and the test oracle.
+JOIN_BACKENDS = ("auto", "naive")
+
+#: Store size at which sharding the blocked products across the process
+#: pool wins back publishing the index and dispatching the shards.  Below it
+#: the batch join runs on one worker however many cores are idle.
+POOL_MIN_RECORDS = 4096
 
 
 class LikelihoodEstimator:
@@ -45,20 +54,23 @@ class SimJoinLikelihood(LikelihoodEstimator):
     attributes:
         Attributes pooled into the token set (``None`` = all attributes).
     backend:
-        Join backend name (see :func:`repro.simjoin.backend.available_backends`)
-        or ``"auto"`` to pick one from the store size and threshold.  Every
-        backend produces exactly the same pair set; the choice only affects
-        speed.
+        ``"auto"`` (the kernel) or ``"naive"`` (the all-pairs oracle).  Both
+        produce exactly the same pair set; the choice only affects speed.
     workers:
-        Worker-process count for the sharded ``parallel`` backend (and the
-        auto heuristic that may select it).  ``None`` = one per CPU core;
-        irrelevant to the serial backends.
+        Worker processes the kernel's row blocks are sharded over on stores
+        of :data:`POOL_MIN_RECORDS` records or more (smaller stores are
+        scored inline).  ``None`` = one per CPU core; any value returns
+        bit-identical pairs.
     """
 
     attributes: Optional[Sequence[str]] = None
-    backend: str = AUTO_BACKEND
+    backend: str = "auto"
     workers: Optional[int] = None
     name: str = "simjoin"
+
+    def __post_init__(self) -> None:
+        if self.backend not in JOIN_BACKENDS:
+            raise ValueError(f"join backend must be one of {JOIN_BACKENDS}")
 
     def estimate(
         self,
@@ -66,27 +78,29 @@ class SimJoinLikelihood(LikelihoodEstimator):
         min_likelihood: float = 0.0,
         cross_sources: Optional[Tuple[str, str]] = None,
     ) -> PairSet:
-        engine = resolve_backend(
-            self.backend,
-            record_count=len(store),
-            threshold=min_likelihood,
-            workers=self.workers,
-        )
-        resolved = type(engine).__name__
-        with obs.span("simjoin.estimate", backend=resolved, records=len(store)):
-            pairs = engine.join(
-                store,
-                min_likelihood,
-                attributes=self.attributes,
-                cross_sources=cross_sources,
-            )
+        naive = self.backend == "naive"
+        engine = "naive" if naive else "vectorized"
+        with obs.span("simjoin.estimate", backend=engine, records=len(store)):
+            if naive:
+                pairs = all_pairs_similarity(
+                    store,
+                    similarity=JaccardRecordSimilarity(self.attributes),
+                    min_likelihood=min_likelihood,
+                    cross_sources=cross_sources,
+                )
+            else:
+                pairs = VectorizedSimJoin(
+                    threshold=min_likelihood,
+                    attributes=self.attributes,
+                    workers=self.workers if len(store) >= POOL_MIN_RECORDS else 1,
+                ).join(store, cross_sources=cross_sources)
         if obs.enabled():
-            obs.inc("simjoin_candidates_total", len(pairs), backend=resolved,
+            obs.inc("simjoin_candidates_total", len(pairs), backend=engine,
                     help="Candidate pairs at or above the likelihood threshold.")
-        # The engines discover identical pairs in different orders, and
-        # PairSet insertion order feeds downstream tie-breaking (cluster-HIT
-        # grouping of equal-likelihood pairs).  Canonicalize so resolution
-        # results are backend-independent.
+        # The kernel and the oracle discover identical pairs in different
+        # orders, and PairSet insertion order feeds downstream tie-breaking
+        # (cluster-HIT grouping of equal-likelihood pairs).  Canonicalize so
+        # resolution results are backend-independent.
         return PairSet(
             sorted(pairs, key=lambda pair: (-(pair.likelihood or 0.0), pair.key))
         )

@@ -1,14 +1,13 @@
-"""Vectorized similarity join over a sparse token-incidence matrix.
+"""The join kernel: blocked sparse products over a token-incidence matrix.
 
 The machine pass is the workload the hybrid trade-off hangs on (Table 2,
-Figure 10), and the pure-Python joins in :mod:`repro.simjoin.allpairs` and
-:mod:`repro.simjoin.prefix_filter` pay a Python-interpreter price per pair.
-The engines here instead build a scipy CSR token-incidence matrix ``X``
-(records x vocabulary, binary, constructed columnarly — see
-:mod:`repro.simjoin.columnar`) and compute pairwise intersection counts
-through blocked sparse products ``X[block] @ X.T``.  Set sizes come from the
-CSR row pointers, so Jaccard, Dice and cosine similarities are derived
-entirely in numpy with no per-pair Python loop.
+Figure 10), and the all-pairs scan in :mod:`repro.simjoin.allpairs` pays a
+Python-interpreter price per pair.  The kernel instead takes a scipy CSR
+token-incidence matrix ``X`` (records x vocabulary, binary, constructed
+columnarly — see :mod:`repro.simjoin.columnar`) and computes pairwise
+intersection counts through blocked sparse products ``X[block] @ X.T``.
+Set sizes come from the CSR row pointers, so Jaccard, Dice and cosine
+similarities are derived entirely in numpy with no per-pair Python loop.
 
 **One kernel, three callers.**  :func:`score_block` is the only code that
 turns a sparse product block into thresholded similarities.  The batch
@@ -17,37 +16,34 @@ is ``left x right``, and the streaming engine
 (:class:`repro.streaming.incremental_join.IncrementalSimJoin`) scores its
 freshly appended rows against every earlier row of the resident matrix.
 :class:`BlockScorer` holds one join's operands and walks a row range block
-by block; the serial engines run it inline over all rows and
-:mod:`repro.simjoin.parallel` runs the same object over disjoint row shards
-in worker processes.
+by block; :func:`repro.simjoin.parallel.join_blocks` runs it inline over
+all rows or over disjoint row shards in worker processes, and
+:class:`repro.simjoin.parallel.VectorizedSimJoin` is the store-level join
+built on that.
 
 The result is exact: intersection and union counts are small integers, the
 final float64 division is bit-identical to the pure-Python ``len(a & b) /
-len(a | b)``, so the vectorized join returns byte-identical pair sets to
-the naive scan at any threshold (the property tests assert this).  Every
-similarity value is an elementwise float64 expression of one pair's
-intersection count and set sizes, so neither block boundaries nor shard
-boundaries can change it.  The integer overlap bound the kernel applies to
-the raw product (:func:`min_overlap`) only discards pairs that this exact
-test would discard anyway, so it changes the cost and not the result.
+len(a | b)``, so the kernel returns byte-identical pair sets to the naive
+scan at any threshold (the property tests assert this).  Every similarity
+value is an elementwise float64 expression of one pair's intersection count
+and set sizes, so neither block boundaries nor shard boundaries can change
+it.  The integer overlap bound the kernel applies to the raw product
+(:func:`min_overlap`) only discards pairs that this exact test would
+discard anyway, so it changes the cost and not the result.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
 try:  # scipy ships with the toolchain, but keep the import gated so the
-    from scipy import sparse  # naive/prefix backends work without it.
+    from scipy import sparse  # naive oracle works without it.
 except ImportError:  # pragma: no cover - scipy is part of the image
     sparse = None
 
 from repro import obs
-from repro.records.pairs import PairSet, RecordPair
-from repro.records.record import Record, RecordStore
-from repro.records.tokenize import WhitespaceTokenizer, record_token_set
-from repro.simjoin.columnar import columnar_csr_arrays
 
 HAVE_SCIPY = sparse is not None
 
@@ -56,17 +52,13 @@ MEASURES = ("jaccard", "dice", "cosine")
 # (row indices, col indices, similarity values) for one block.
 _BlockPairs = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
-# A join plan: ("self", keep, None) or ("bipartite", left, right), where the
-# arrays hold global row indices into the incidence matrix.
-JoinPlan = Tuple[str, np.ndarray, Optional[np.ndarray]]
-
 
 def require_scipy() -> None:
     """Raise the one error every CSR engine (batch or streaming) shares."""
     if sparse is None:  # pragma: no cover - scipy is part of the image
         raise RuntimeError(
-            "the vectorized join backend requires scipy; "
-            "use the 'naive' or 'prefix' backend instead"
+            "the join kernel requires scipy (only join_backend='naive', "
+            "the all-pairs oracle, runs without it)"
         )
 
 
@@ -191,8 +183,8 @@ class BlockScorer:
     ``left`` rows are scored against ``right`` rows (``None`` = against
     ``left`` itself).  Building the scorer derives the transposed right
     matrix and the set sizes once; :meth:`blocks` then walks any row range.
-    The serial engines walk all rows inline, a pool worker walks one shard
-    of them — same object, same arithmetic.  ``kind`` only labels the
+    A serial join walks all rows inline, a pool worker walks one shard of
+    them — same object, same arithmetic.  ``kind`` only labels the
     per-block trace spans.
     """
 
@@ -239,179 +231,3 @@ class BlockScorer:
                     self.triangle, self.alive,
                 )
             yield block
-
-
-class VectorizedSimJoin:
-    """Exact set-similarity self/cross join via blocked sparse matmul.
-
-    Parameters
-    ----------
-    threshold:
-        Minimum similarity; pairs strictly below it are not materialised.
-        Unlike the prefix filter, ``0.0`` is allowed (every pair is scored,
-        matching the naive all-pairs scan).
-    attributes:
-        Attributes pooled into each record's token set (``None`` = all).
-    measure:
-        ``"jaccard"`` (the paper's simjoin), ``"dice"`` or ``"cosine"``
-        (binary cosine ``|A n B| / sqrt(|A| |B|)``).
-    block_size:
-        Number of matrix rows multiplied per block; bounds peak memory at
-        roughly ``block_size * n`` floats for zero-threshold joins.
-    """
-
-    def __init__(
-        self,
-        threshold: float = 0.0,
-        attributes: Optional[Sequence[str]] = None,
-        measure: str = "jaccard",
-        block_size: int = 1024,
-    ) -> None:
-        if not 0.0 <= threshold <= 1.0:
-            raise ValueError("threshold must be in [0, 1]")
-        if measure not in MEASURES:
-            raise ValueError(f"unknown measure {measure!r}; expected one of {MEASURES}")
-        if block_size < 1:
-            raise ValueError("block_size must be at least 1")
-        self.threshold = threshold
-        self.attributes = list(attributes) if attributes is not None else None
-        self.measure = measure
-        self.block_size = block_size
-        self._tokenizer = WhitespaceTokenizer()
-
-    # ------------------------------------------------------------------ api
-    def join(
-        self,
-        store: RecordStore,
-        cross_sources: Optional[Tuple[str, str]] = None,
-    ) -> PairSet:
-        """Return all pairs with similarity >= threshold.
-
-        With ``cross_sources`` only pairs with one record from each source
-        are produced (record linkage); otherwise the whole store is
-        self-joined (deduplication).
-        """
-        require_scipy()
-        records = list(store)
-        result = PairSet()
-        if len(records) < 2:
-            return result
-        ids = [record.record_id for record in records]
-        matrix = self._incidence_matrix(store)
-        plan = self._plan(records, cross_sources)
-
-        for rows, cols, values in self._pair_blocks(matrix, plan):
-            for i, j, value in zip(rows.tolist(), cols.tolist(), values.tolist()):
-                result.add(RecordPair(ids[i], ids[j], likelihood=value))
-        return result
-
-    # ------------------------------------------------------------- internals
-    def _plan(
-        self, records: Sequence[Record], cross_sources: Optional[Tuple[str, str]]
-    ) -> JoinPlan:
-        """Decide self-join vs bipartite join and which rows participate."""
-        if cross_sources is not None and cross_sources[0] != cross_sources[1]:
-            left = np.array(
-                [i for i, r in enumerate(records) if r.source == cross_sources[0]],
-                dtype=np.int64,
-            )
-            right = np.array(
-                [i for i, r in enumerate(records) if r.source == cross_sources[1]],
-                dtype=np.int64,
-            )
-            return ("bipartite", left, right)
-        if cross_sources is None:
-            keep = np.arange(len(records), dtype=np.int64)
-        else:
-            # Degenerate (a, a) cross join: both records from that source.
-            keep = np.array(
-                [i for i, r in enumerate(records) if r.source == cross_sources[0]],
-                dtype=np.int64,
-            )
-        return ("self", keep, None)
-
-    def _pair_blocks(
-        self, matrix: "sparse.csr_matrix", plan: JoinPlan
-    ) -> Iterator[_BlockPairs]:
-        """All pair blocks of the plan, in global row indices: the blocked
-        products plus, for positive thresholds, the empty-token pairs the
-        sparse product cannot see.
-        """
-        kind, left, right = plan
-        self_join = right is None
-        if self_join:
-            right = left
-        if min(left.size, right.size) >= (2 if self_join else 1):
-            blocks = self._blocks(
-                matrix[left],
-                None if self_join else matrix[right],
-                threshold=self.threshold,
-                measure=self.measure,
-                block_size=self.block_size,
-                triangle=1 if self_join else 0,
-                kind=kind,
-            )
-            for rows, cols, values in blocks:
-                yield left[rows], right[cols], values
-        if self.threshold > 0.0:
-            yield from self._empty_pair_blocks(np.diff(matrix.indptr), plan)
-
-    def _blocks(
-        self,
-        left: "sparse.csr_matrix",
-        right: Optional["sparse.csr_matrix"],
-        **params: object,
-    ) -> Iterator[_BlockPairs]:
-        """Score every left row: serially here, sharded in the parallel engine."""
-        return BlockScorer(left, right, **params).blocks(0, left.shape[0])
-
-    def _incidence_matrix(self, store: RecordStore) -> "sparse.csr_matrix":
-        """Binary records-x-vocabulary CSR matrix of token memberships."""
-        with obs.span("simjoin.vectorized.index_build", records=len(store)):
-            token_sets = [
-                record_token_set(record, self.attributes, self._tokenizer)
-                for record in store
-            ]
-            indices, indptr, width = columnar_csr_arrays(token_sets)
-            matrix = sparse.csr_matrix(
-                (np.ones(len(indices), dtype=np.int32), indices, indptr),
-                shape=(len(token_sets), max(1, width)),
-            )
-            matrix.sort_indices()
-        return matrix
-
-    def _empty_pair_blocks(
-        self, sizes: np.ndarray, plan: JoinPlan
-    ) -> Iterator[_BlockPairs]:
-        """Pairs of empty-token records (similarity defined as 1.0).
-
-        Empty rows never appear in a sparse product, so positive-threshold
-        joins must emit them separately; the zero-threshold dense path
-        already scores every pair and needs no patching.
-        """
-        kind, first, second = plan
-        if kind == "bipartite":
-            empty_left = first[sizes[first] == 0]
-            empty_right = second[sizes[second] == 0]
-            if empty_left.size and empty_right.size:
-                rows = np.repeat(empty_left, empty_right.size)
-                cols = np.tile(empty_right, empty_left.size)
-                yield rows, cols, np.ones(rows.size, dtype=np.float64)
-            return
-        empty = first[sizes[first] == 0]
-        if empty.size < 2:
-            return
-        rows, cols = np.triu_indices(empty.size, k=1)
-        yield empty[rows], empty[cols], np.ones(rows.size, dtype=np.float64)
-
-
-def vectorized_similarity_join(
-    store: RecordStore,
-    threshold: float = 0.0,
-    attributes: Optional[Sequence[str]] = None,
-    cross_sources: Optional[Tuple[str, str]] = None,
-    measure: str = "jaccard",
-) -> PairSet:
-    """Functional convenience wrapper around :class:`VectorizedSimJoin`."""
-    join = VectorizedSimJoin(threshold=threshold, attributes=attributes, measure=measure)
-    return join.join(store, cross_sources=cross_sources)

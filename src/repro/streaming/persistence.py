@@ -98,6 +98,11 @@ FORMAT_VERSION = 1
 #: restore drops them instead of failing on an unknown field.
 RETIRED_CONFIG_FIELDS = ("join_pool",)
 
+#: ``join_backend`` values an earlier release accepted for batch engines
+#: that are now all the one kernel.  The field is operational and a session
+#: never consulted it, so restore reads them as ``"auto"``.
+RETIRED_JOIN_BACKENDS = ("prefix", "vectorized", "parallel")
+
 
 class PersistenceError(RuntimeError):
     """Raised for invalid checkpoint directories or replay failures."""
@@ -993,13 +998,14 @@ def restore(
         )
     rejoin = config is not None and result_config_changed(config, header["config"])
     if config is None or rejoin:
-        run_config = WorkflowConfig(
-            **{
-                name: value
-                for name, value in header["config"].items()
-                if name not in RETIRED_CONFIG_FIELDS
-            }
-        )
+        stored = {
+            name: value
+            for name, value in header["config"].items()
+            if name not in RETIRED_CONFIG_FIELDS
+        }
+        if stored.get("join_backend") in RETIRED_JOIN_BACKENDS:
+            stored["join_backend"] = "auto"
+        run_config = WorkflowConfig(**stored)
     else:
         run_config = config
     keep_journal = resume_journal and not rejoin

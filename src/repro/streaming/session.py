@@ -120,8 +120,8 @@ class StreamingResolver:
         ``recrowd_policy``, ``streaming_aggregation_scope``,
         ``staleness_epsilon`` and ``stream_batch_size``; ``join_workers``
         shards the incremental machine pass across the shared process pool
-        (``join_backend`` only selects the batch engine — a session always
-        joins through the CSR kernel);
+        (``join_backend`` only applies to the batch join — a session always
+        joins through the kernel);
         ``checkpoint_dir`` / ``checkpoint_every_batches`` /
         ``storage_backend`` make the session durable (write-ahead journal
         plus its SQLite store — :mod:`repro.streaming.persistence`);

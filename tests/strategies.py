@@ -39,10 +39,10 @@ short_text = st.text(alphabet=string.ascii_lowercase + " 0123456789", max_size=2
 vertex_ids = st.integers(min_value=0, max_value=25).map(lambda i: f"v{i:02d}")
 
 #: Likelihood thresholds that exercise the no-filtering, typical and
-#: aggressive-pruning regimes of the join backends.
+#: aggressive-pruning regimes of the join.
 join_thresholds = st.sampled_from((0.0, 0.3, 0.7))
 
-#: The three token-set similarity measures every join backend supports.
+#: The three token-set similarity measures the join kernel supports.
 similarity_measures = st.sampled_from(("jaccard", "dice", "cosine"))
 
 
@@ -51,9 +51,9 @@ def random_stores(draw, with_sources=False):
     """Randomized stores with duplicates and empty-token records.
 
     Some records are exact duplicates of earlier ones (same text, distinct
-    id) and some have no tokens at all — the edge cases the join backends
-    must agree on.  With ``with_sources`` each record is tagged "abt" or
-    "buy" for cross-source linkage joins.
+    id) and some have no tokens at all — the edge cases the kernel and the
+    oracle must agree on.  With ``with_sources`` each record is tagged
+    "abt" or "buy" for cross-source linkage joins.
     """
     texts = draw(st.lists(record_texts, min_size=2, max_size=14))
     duplicate_of = draw(

@@ -5,7 +5,6 @@ import re
 import pytest
 
 from repro.cli import build_parser, load_dataset, main
-from repro.simjoin.vectorized import HAVE_SCIPY
 
 
 class TestLoadDataset:
@@ -40,10 +39,17 @@ class TestParser:
         assert args.join_backend == "auto"
 
     def test_parses_join_backend(self):
-        args = build_parser().parse_args(["resolve", "--join-backend", "vectorized"])
-        assert args.join_backend == "vectorized"
+        args = build_parser().parse_args(["resolve", "--join-backend", "naive"])
+        assert args.join_backend == "naive"
         with pytest.raises(SystemExit):
             build_parser().parse_args(["resolve", "--join-backend", "quantum"])
+
+    @pytest.mark.parametrize("retired", ("prefix", "vectorized", "parallel"))
+    def test_retired_join_backends_are_rejected_naming_the_two(self, retired, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["resolve", "--join-backend", retired])
+        message = capsys.readouterr().err
+        assert "'auto'" in message and "'naive'" in message
 
 
 class TestCommands:
@@ -79,10 +85,9 @@ class TestCommands:
         assert "crowd cost" in output
 
     def test_resolve_command_backends_agree(self, capsys):
-        """Every join backend drives the workflow to the same candidate set."""
-        backends = ("naive", "prefix") + (("vectorized",) if HAVE_SCIPY else ())
+        """The kernel and the oracle drive the workflow to the same output."""
         outputs = {}
-        for backend in backends:
+        for backend in ("auto", "naive"):
             exit_code = main(
                 ["resolve", "--dataset", "product", "--scale", "0.05", "--threshold", "0.3",
                  "--cluster-size", "6", "--seed", "2", "--join-backend", backend]

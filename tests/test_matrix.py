@@ -1,18 +1,13 @@
-"""Cross-dataset regression matrix: dataset × join backend × mode.
+"""Cross-dataset regression matrix: dataset × mode.
 
 Tier-1 (every push, bundled mini corpora, seconds not minutes):
 
-* all available join backends produce the identical candidate pair set on
-  every matrix dataset (join-level agreement — cheap, so every backend is
-  covered even though only the fast ones run full resolution cells here);
+* the join kernel (``auto``) and the all-pairs oracle (``naive``) produce
+  the identical candidate pair set on every matrix dataset;
 * streaming replay and SQLite-backed streaming produce exactly the batch
   workflow's match set;
-* every fast cell (prefix + vectorized × all modes × all datasets) is
-  within the committed per-cell tolerances of ``BENCH_matrix.json``.
-
-The ``slow``-marked sweep runs *every* cell — naive and parallel backends
-included — and is excluded from tier-1 by the ``addopts`` in ``pytest.ini``
-(the nightly CI job re-enables it with ``-m ""``).
+* every cell (all modes × all datasets) is within the committed per-cell
+  tolerances of ``BENCH_matrix.json``.
 """
 
 import pytest
@@ -21,29 +16,17 @@ from hypothesis import HealthCheck, given, settings
 from strategies import arrival_batch_sizes, order_seeds
 
 from repro.evaluation import matrix as mx
-from repro.simjoin.backend import available_backends, get_backend
-from repro.simjoin.vectorized import HAVE_SCIPY
+from repro.simjoin.likelihood import SimJoinLikelihood
 from repro.streaming.session import resolve_stream
 
 pytestmark = pytest.mark.matrix
 
-#: Backends whose full resolution cells run on every push.  naive and
-#: parallel still run in tier-1 at the join level (pair-set agreement
-#: below) and get their full cells in the slow sweep.
-TIER1_BACKENDS = ("prefix",) + (("vectorized",) if HAVE_SCIPY else ())
-
-TIER1_CELLS = [
-    (dataset, backend, mode)
-    for dataset, backend, mode in mx.iter_cells(backends=TIER1_BACKENDS)
-]
-
 
 @pytest.fixture(scope="module")
-def tier1_rows():
-    """Every tier-1 cell, computed once for the whole module."""
+def rows():
+    """Every cell, computed once for the whole module."""
     return {
-        (dataset, backend, mode): mx.run_cell(dataset, backend, mode)
-        for dataset, backend, mode in TIER1_CELLS
+        (dataset, mode): mx.run_cell(dataset, mode) for dataset, mode in mx.iter_cells()
     }
 
 
@@ -54,55 +37,36 @@ def baseline():
 
 # ------------------------------------------------------ join-level agreement
 @pytest.mark.parametrize("dataset_name", mx.matrix_datasets())
-def test_all_backends_agree_on_candidate_pairs(dataset_name):
-    """Every installed backend: identical candidate pair set per dataset."""
+def test_kernel_and_naive_agree_on_candidate_pairs(dataset_name):
+    """``auto`` (the kernel) == ``naive`` (the oracle): same pairs per dataset."""
     dataset, config = mx.load_matrix_dataset(dataset_name)
-    results = {
-        name: get_backend(name).join(
+    kernel, naive = (
+        SimJoinLikelihood(config.similarity_attributes, backend=backend).estimate(
             dataset.store,
             config.likelihood_threshold,
-            attributes=config.similarity_attributes,
             cross_sources=dataset.cross_sources,
         )
-        for name in available_backends()
-    }
-    reference_name = next(iter(results))
-    reference = results[reference_name].to_key_set()
-    for name, pairs in results.items():
-        assert pairs.to_key_set() == reference, (
-            f"{dataset_name}: backend {name!r} pair set differs from "
-            f"{reference_name!r}"
-        )
+        for backend in ("auto", "naive")
+    )
+    assert kernel.to_key_set() == naive.to_key_set(), (
+        f"{dataset_name}: kernel pair set differs from naive"
+    )
 
 
 # --------------------------------------------------- mode-level equivalence
 @pytest.mark.parametrize("dataset_name", mx.matrix_datasets())
-def test_streaming_modes_equal_batch(dataset_name, tier1_rows):
+def test_streaming_modes_equal_batch(dataset_name, rows):
     """stream and stream-sqlite reproduce the batch match set exactly."""
-    backend = TIER1_BACKENDS[0]
-    batch = tier1_rows[(dataset_name, backend, "batch")]
+    batch = rows[(dataset_name, "batch")]
     for mode in ("stream", "stream-sqlite"):
-        row = tier1_rows[(dataset_name, backend, mode)]
-        assert row["_matches"] == batch["_matches"], (
+        assert rows[(dataset_name, mode)]["_matches"] == batch["_matches"], (
             f"{dataset_name}: {mode} match set differs from batch"
         )
 
 
-#: One-shot batch match sets, computed lazily and shared by every
-#: hypothesis example of the order-invariance property.
-_BATCH_CACHE = {}
-
-
-def _batch_matches(dataset_name, backend):
-    key = (dataset_name, backend)
-    if key not in _BATCH_CACHE:
-        _BATCH_CACHE[key] = mx.run_cell(dataset_name, backend, "batch")["_matches"]
-    return _BATCH_CACHE[key]
-
-
 @settings(max_examples=3, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(order_seed=order_seeds, batch_size=arrival_batch_sizes)
-def test_property_streaming_order_invariant_on_etl_corpus(order_seed, batch_size):
+def test_property_streaming_order_invariant_on_etl_corpus(rows, order_seed, batch_size):
     """Arrival order / batch size never change an ETL corpus resolution."""
     import random
 
@@ -112,28 +76,11 @@ def test_property_streaming_order_invariant_on_etl_corpus(order_seed, batch_size
     result = resolve_stream(
         dataset, config=config, batch_size=batch_size, arrival_order=order
     )
-    assert frozenset(result.matches) == _batch_matches("abt-buy", config.join_backend)
+    assert frozenset(result.matches) == rows[("abt-buy", "batch")]["_matches"]
 
 
 # ----------------------------------------------------- tolerance regression
-def test_tier1_cells_within_committed_tolerances(tier1_rows, baseline):
-    """Every fast cell stays inside the committed per-cell tolerances."""
-    violations = mx.compare_rows(list(tier1_rows.values()), baseline)
+def test_tier1_cells_within_committed_tolerances(rows, baseline):
+    """Every cell stays inside the committed per-cell tolerances."""
+    violations = mx.compare_rows(list(rows.values()), baseline)
     assert not violations, "matrix regression:\n" + "\n".join(violations)
-
-
-@pytest.mark.slow
-def test_full_matrix_within_committed_tolerances(baseline):
-    """Nightly: every cell — naive and parallel backends included."""
-    rows = mx.run_matrix()
-    violations = mx.compare_rows(rows, baseline)
-    assert not violations, "matrix regression:\n" + "\n".join(violations)
-    # Cross-check mode equivalence over the full sweep too.
-    by_cell = {(r["dataset"], r["backend"], r["mode"]): r for r in rows}
-    for (dataset, backend, mode), row in by_cell.items():
-        if mode == "batch":
-            continue
-        batch = by_cell[(dataset, backend, "batch")]
-        assert row["_matches"] == batch["_matches"], (
-            f"{dataset}|{backend}: {mode} match set differs from batch"
-        )

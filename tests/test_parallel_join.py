@@ -1,11 +1,10 @@
-"""Property tests for the sharded parallel join and the columnar CSR build.
+"""Property tests for the sharded join and the columnar CSR build.
 
 The central contract of :mod:`repro.simjoin.parallel`: for *any* worker
-count (including 1 and more workers than shards), any threshold, any
-measure and any store, :class:`ParallelSimJoin` returns **bit-identical**
-pair sets and likelihoods to the serial
-:class:`~repro.simjoin.vectorized.VectorizedSimJoin` — asserted with exact
-``==`` on the floats, not a tolerance.  The columnar index builders must
+count (including more workers than shards), any threshold, any measure and
+any store, :class:`VectorizedSimJoin` with ``workers=N`` returns
+**bit-identical** pair sets and likelihoods to ``workers=1`` — asserted
+with exact ``==`` on the floats, not a tolerance.  The columnar index builders must
 produce matrices whose intersection counts (``X @ X.T``) equal ``len(a & b)``
 on the token sets themselves, which is the invariant every similarity value
 rests on.
@@ -23,23 +22,23 @@ from repro.core.config import WorkflowConfig
 from repro.core.workflow import HybridWorkflow
 from repro.datasets.restaurant import RestaurantGenerator
 from repro.records.record import Record, RecordStore
-from repro.simjoin.backend import (
-    AUTO_PARALLEL_MIN_RECORDS,
-    auto_backend_name,
-    resolve_backend,
-)
 from repro.simjoin.columnar import (
     columnar_csr_arrays,
     extend_vocabulary_csr_arrays,
 )
-from repro.simjoin.parallel import ParallelSimJoin, shard_bounds
+from repro.simjoin.likelihood import POOL_MIN_RECORDS, SimJoinLikelihood
+from repro.simjoin.parallel import (
+    VectorizedSimJoin,
+    resolve_worker_count,
+    shard_bounds,
+)
 from repro.simjoin.pool import (
     WORKER_CACHE_BLOCKS,
     active_pools,
     shared_pool,
     shutdown_pools,
 )
-from repro.simjoin.vectorized import HAVE_SCIPY, VectorizedSimJoin
+from repro.simjoin.vectorized import HAVE_SCIPY
 from repro.streaming.incremental_join import IncrementalSimJoin
 from repro.streaming.session import resolve_stream
 
@@ -66,6 +65,8 @@ def _worker_cache_size(_task):
 
 
 class TestParallelEqualsVectorized:
+    """``workers=N`` == ``workers=1``."""
+
     @settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(
         store=random_stores(),
@@ -77,7 +78,7 @@ class TestParallelEqualsVectorized:
         # block_size=2 forces many shards even on tiny stores, so the pool
         # path (not just the workers<=1 degenerate case) is exercised.
         serial = VectorizedSimJoin(threshold, measure=measure, block_size=2).join(store)
-        parallel = ParallelSimJoin(
+        parallel = VectorizedSimJoin(
             threshold, measure=measure, block_size=2, workers=workers
         ).join(store)
         assert pair_items(parallel) == pair_items(serial)
@@ -92,7 +93,7 @@ class TestParallelEqualsVectorized:
         serial = VectorizedSimJoin(threshold, block_size=2).join(
             store, cross_sources=("abt", "buy")
         )
-        parallel = ParallelSimJoin(threshold, block_size=2, workers=workers).join(
+        parallel = VectorizedSimJoin(threshold, block_size=2, workers=workers).join(
             store, cross_sources=("abt", "buy")
         )
         assert pair_items(parallel) == pair_items(serial)
@@ -103,7 +104,7 @@ class TestParallelEqualsVectorized:
             record_count=300, duplicate_pairs=40, seed=3
         ).generate()
         serial = VectorizedSimJoin(0.3, block_size=64).join(dataset.store)
-        parallel = ParallelSimJoin(0.3, block_size=64, workers=workers).join(
+        parallel = VectorizedSimJoin(0.3, block_size=64, workers=workers).join(
             dataset.store
         )
         # workers=64 is far more workers than the ~5 row blocks: the extra
@@ -112,16 +113,17 @@ class TestParallelEqualsVectorized:
 
     def test_workers_validation(self):
         with pytest.raises(ValueError):
-            ParallelSimJoin(workers=-1)
-        assert ParallelSimJoin(workers=0).effective_workers() >= 1
-        assert ParallelSimJoin(workers=7).effective_workers() == 7
+            VectorizedSimJoin(workers=-1)
+        assert resolve_worker_count(0) >= 1
+        assert resolve_worker_count(None) >= 1
+        assert resolve_worker_count(7) == 7
 
     def test_single_shard_store_uses_serial_path(self):
         # Default block size >> store size: one shard, no pool to pay for.
         store = RecordStore()
         store.add(Record("a", {"name": "apple ipad"}))
         store.add(Record("b", {"name": "apple ipad"}))
-        pairs = ParallelSimJoin(0.5, workers=8).join(store)
+        pairs = VectorizedSimJoin(0.5, workers=8).join(store)
         assert pair_items(pairs) == [(("a", "b"), 1.0)]
 
 
@@ -144,26 +146,20 @@ class TestShardBounds:
         assert all(start < stop for start, stop in bounds)
 
 
-class TestAutoHeuristic:
-    def test_parallel_selected_for_large_multicore_stores(self):
-        assert (
-            auto_backend_name(AUTO_PARALLEL_MIN_RECORDS, 0.3, workers=4) == "parallel"
+class TestPoolFloor:
+    def test_auto_scores_small_stores_inline_whatever_the_worker_count(self):
+        """Below ``POOL_MIN_RECORDS`` the batch join never touches the pool."""
+        dataset = RestaurantGenerator(
+            record_count=2100, duplicate_pairs=100, seed=3
+        ).generate()
+        assert 2 * 1024 < len(dataset.store) < POOL_MIN_RECORDS  # several row blocks
+        shutdown_pools()
+        pairs = SimJoinLikelihood(workers=4).estimate(dataset.store, 0.35)
+        assert not active_pools()
+        assert pair_items(pairs) == pair_items(
+            VectorizedSimJoin(0.35, workers=4).join(dataset.store)
         )
-        assert auto_backend_name(AUTO_PARALLEL_MIN_RECORDS - 1, 0.3, workers=4) == "vectorized"
-        # One worker can never win back the pool cost.
-        assert auto_backend_name(AUTO_PARALLEL_MIN_RECORDS, 0.3, workers=1) == "vectorized"
-
-    def test_resolve_backend_threads_workers(self):
-        engine = resolve_backend("parallel", workers=3)
-        assert engine.workers == 3
-        auto = resolve_backend(
-            "auto",
-            record_count=AUTO_PARALLEL_MIN_RECORDS,
-            threshold=0.3,
-            workers=2,
-        )
-        assert auto.name == "parallel"
-        assert auto.workers == 2
+        assert active_pools()  # the explicit worker count did shard
 
 
 # ------------------------------------------------------------- reused pool
@@ -187,7 +183,7 @@ class TestReusedPool:
         """The regression the reused pool exists for: consecutive batches
         must land on the *same* worker processes, not a fresh fork each."""
         first, second = self._halves()
-        join = ParallelSimJoin(0.3, block_size=8, workers=2)
+        join = VectorizedSimJoin(0.3, block_size=8, workers=2)
         join.join(first)
         pids_after_first = tuple(shared_pool(2).worker_pids())
         join.join(second)
@@ -201,7 +197,7 @@ class TestReusedPool:
         import glob
 
         first, second = self._halves(seed=21)
-        join = ParallelSimJoin(0.3, block_size=8, workers=2)
+        join = VectorizedSimJoin(0.3, block_size=8, workers=2)
         # More consecutive joins than a worker may cache blocks for: each
         # publishes a fresh block, so an unbounded worker cache would pin
         # every one of them (unlinked pages stay alive while mapped).
@@ -215,12 +211,12 @@ class TestReusedPool:
 
     def test_shutdown_pools_releases_workers(self):
         first, _second = self._halves(seed=23)
-        ParallelSimJoin(0.3, block_size=8, workers=2).join(first)
+        VectorizedSimJoin(0.3, block_size=8, workers=2).join(first)
         assert active_pools()
         shutdown_pools()
         assert not active_pools()
         # The registry recovers transparently on the next join.
-        pairs = ParallelSimJoin(0.3, block_size=8, workers=2).join(first)
+        pairs = VectorizedSimJoin(0.3, block_size=8, workers=2).join(first)
         assert len(active_pools()) == 1
         assert pair_items(pairs) == pair_items(
             VectorizedSimJoin(0.3, block_size=8).join(first)
@@ -234,7 +230,7 @@ class TestReusedPool:
         first, _second = self._halves(seed=29)
         obs.activate()
         try:
-            ParallelSimJoin(0.3, block_size=8, workers=2).join(first)
+            VectorizedSimJoin(0.3, block_size=8, workers=2).join(first)
             snapshot = obs.snapshot()
         finally:
             obs.deactivate()
@@ -354,7 +350,6 @@ class TestStreamingWithWorkers:
         ).generate()
         config = WorkflowConfig(
             likelihood_threshold=0.35,
-            join_backend="parallel",
             join_workers=2,
             vote_mode="per-pair",
             aggregation="majority",

@@ -423,6 +423,35 @@ class TestSaveRestore:
             session.flush()
         assert_sessions_identical(resolver, restored)
 
+    def _written_by_an_earlier_release(self, tmp_path, monkeypatch, durability, legacy):
+        """Run a session whose stored config carries the ``legacy`` entries;
+        returns it with the config its store meta / journal header holds."""
+        config_payload = persistence.config_payload
+        dataset = make_dataset()
+        records = list(dataset.store)
+        journaled = durability == "journal"
+        with monkeypatch.context() as patched:
+            patched.setattr(
+                persistence, "config_payload",
+                lambda config: {**config_payload(config), **legacy},
+            )
+            config = (
+                make_config(checkpoint_dir=str(tmp_path), checkpoint_every_batches=0)
+                if journaled else make_config()
+            )
+            resolver = StreamingResolver(config=config)
+            resolver.add_truth(dataset.ground_truth)
+            for start in range(0, len(records), 17):
+                resolver.add_batch(records[start : start + 17])
+            if journaled:
+                stored = SessionJournal(tmp_path).events()[0].payload["config"]
+            else:
+                resolver.save(tmp_path)
+                store = SqliteStore(tmp_path / STORE_FILENAME)
+                stored = store.get_meta("config")
+                store.close()
+        return resolver, stored
+
     @pytest.mark.parametrize("durability", ("snapshot", "journal"))
     def test_session_written_with_retired_knobs_restores(
         self, tmp_path, monkeypatch, durability
@@ -430,33 +459,26 @@ class TestSaveRestore:
         """A checkpoint from before the join had one kernel still carries
         ``join_pool`` in its stored config (store ``config`` meta / journal
         ``session`` event); restore drops it."""
-        config_payload = persistence.config_payload
-        dataset = make_dataset()
-        records = list(dataset.store)
-        with monkeypatch.context() as legacy:
-            legacy.setattr(
-                persistence, "config_payload",
-                lambda config: {**config_payload(config), "join_pool": "fork"},
-            )
-            if durability == "journal":
-                config = make_config(
-                    checkpoint_dir=str(tmp_path), checkpoint_every_batches=0
-                )
-            else:
-                config = make_config()
-            resolver = StreamingResolver(config=config)
-            resolver.add_truth(dataset.ground_truth)
-            for start in range(0, len(records), 17):
-                resolver.add_batch(records[start : start + 17])
-            if durability == "snapshot":
-                resolver.save(tmp_path)
-                store = SqliteStore(tmp_path / STORE_FILENAME)
-                assert store.get_meta("config")["join_pool"] == "fork"
-                store.close()
-            else:
-                session_event = SessionJournal(tmp_path).events()[0]
-                assert session_event.payload["config"]["join_pool"] == "fork"
+        resolver, stored = self._written_by_an_earlier_release(
+            tmp_path, monkeypatch, durability, {"join_pool": "fork"}
+        )
+        assert stored["join_pool"] == "fork"
         restored = StreamingResolver.restore(tmp_path, resume_journal=False)
+        assert_sessions_identical(resolver, restored)
+
+    @pytest.mark.parametrize("durability", ("snapshot", "journal"))
+    @pytest.mark.parametrize("retired", persistence.RETIRED_JOIN_BACKENDS)
+    def test_session_written_with_a_retired_join_backend_restores(
+        self, tmp_path, monkeypatch, retired, durability
+    ):
+        """``join_backend`` used to name batch engines that are now all the
+        one kernel; a stored header carrying one restores as ``"auto"``."""
+        resolver, stored = self._written_by_an_earlier_release(
+            tmp_path, monkeypatch, durability, {"join_backend": retired}
+        )
+        assert stored["join_backend"] == retired
+        restored = StreamingResolver.restore(tmp_path, resume_journal=False)
+        assert restored.config.join_backend == "auto"
         assert_sessions_identical(resolver, restored)
 
     def test_save_requires_a_path_or_checkpoint_dir(self):

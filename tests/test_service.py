@@ -214,6 +214,14 @@ class TestHttpSurface:
             assert caught.value.code == "bad_request"
             assert "invalid config" in caught.value.body["error"]["message"]
 
+    def test_retired_join_backend_is_400_naming_the_accepted_values(self, service):
+        _runner, client = service
+        with pytest.raises(ServiceClientError) as caught:
+            client.create_session(fresh_id("bad"), config={"join_backend": "parallel"})
+        assert caught.value.status == 400
+        assert caught.value.code == "bad_request"
+        assert "'auto', 'naive'" in caught.value.body["error"]["message"]
+
     def test_record_without_id_is_400(self, service):
         _runner, client = service
         session_id = fresh_id("badrec")

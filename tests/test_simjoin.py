@@ -7,7 +7,6 @@ from repro.similarity.record_similarity import JaccardRecordSimilarity
 from repro.simjoin.allpairs import all_pairs_similarity
 from repro.simjoin.blocking import AttributeBlocker, QGramBlocker, TokenBlocker
 from repro.simjoin.likelihood import CustomLikelihood, SimJoinLikelihood
-from repro.simjoin.prefix_filter import PrefixFilterJoin
 
 
 class TestAllPairs:
@@ -36,41 +35,6 @@ class TestAllPairs:
         abt = len(small_product.store.records_from_source("abt"))
         buy = len(small_product.store.records_from_source("buy"))
         assert len(pairs) == abt * buy
-
-
-class TestPrefixFilterJoin:
-    def test_matches_naive_join_on_example(self, example_store):
-        for threshold in (0.2, 0.3, 0.5, 0.8):
-            naive = all_pairs_similarity(example_store, min_likelihood=threshold)
-            filtered = PrefixFilterJoin(threshold=threshold).join(example_store)
-            assert filtered.to_key_set() == naive.to_key_set()
-
-    def test_matches_naive_join_on_restaurant_sample(self, small_restaurant):
-        threshold = 0.4
-        naive = all_pairs_similarity(small_restaurant.store, min_likelihood=threshold)
-        filtered = PrefixFilterJoin(threshold=threshold).join(small_restaurant.store)
-        assert filtered.to_key_set() == naive.to_key_set()
-
-    def test_likelihoods_are_exact(self, example_store):
-        filtered = PrefixFilterJoin(threshold=0.3, attributes=["product_name"]).join(example_store)
-        pair = filtered.get("r1", "r2")
-        assert pair is not None and pair.likelihood == pytest.approx(4 / 7)
-
-    def test_cross_source_join(self, small_product):
-        threshold = 0.3
-        naive = all_pairs_similarity(
-            small_product.store, min_likelihood=threshold, cross_sources=("abt", "buy")
-        )
-        filtered = PrefixFilterJoin(threshold=threshold).join(
-            small_product.store, cross_sources=("abt", "buy")
-        )
-        assert filtered.to_key_set() == naive.to_key_set()
-
-    def test_invalid_threshold(self):
-        with pytest.raises(ValueError):
-            PrefixFilterJoin(threshold=0.0)
-        with pytest.raises(ValueError):
-            PrefixFilterJoin(threshold=1.5)
 
 
 class TestBlocking:
@@ -115,9 +79,9 @@ class TestBlocking:
 
 
 class TestLikelihoodEstimators:
-    def test_simjoin_prefix_and_naive_agree(self, small_restaurant):
+    def test_simjoin_auto_and_naive_agree(self, small_restaurant):
         threshold = 0.35
-        fast = SimJoinLikelihood(backend="prefix").estimate(
+        fast = SimJoinLikelihood(backend="auto").estimate(
             small_restaurant.store, min_likelihood=threshold
         )
         slow = SimJoinLikelihood(backend="naive").estimate(

@@ -1,11 +1,10 @@
-"""Tests for the pluggable similarity-join backend registry.
+"""Tests for the batch similarity join: the kernel against its oracle.
 
-The core contract: every backend (naive all-pairs, prefix-filtering,
-vectorized sparse-matrix) returns the *same* pair set — identical ids and
-likelihoods within 1e-9 — for any store, threshold and source restriction.
-The property tests below drive randomized stores (including empty-token
-records, duplicate records and two-source linkage joins) through all three
-engines at thresholds 0.1, 0.5 and 0.9.
+The core contract: ``auto`` (the sparse-product kernel) returns the *same*
+pair set as ``naive`` (the all-pairs scan) — identical ids, likelihoods and
+order — for any store, threshold and source restriction.  The property
+tests below drive randomized stores (including empty-token records,
+duplicate records and two-source linkage joins) through both.
 """
 
 import math
@@ -15,27 +14,16 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from strategies import random_stores, similarity_measures
+from strategies import random_stores, record_texts, similarity_measures
 
-from repro.records.pairs import PairSet
+from repro.core.config import WorkflowConfig
+from repro.datasets.restaurant import RestaurantGenerator
 from repro.records.record import Record, RecordStore
-from repro.simjoin.backend import (
-    AUTO_BACKEND,
-    AUTO_VECTORIZED_MIN_RECORDS,
-    NaiveJoinBackend,
-    SimJoinBackend,
-    auto_backend_name,
-    available_backends,
-    get_backend,
-    register_backend,
-    resolve_backend,
-)
 from repro.simjoin.likelihood import SimJoinLikelihood
-from repro.simjoin.prefix_filter import PrefixFilterJoin
+from repro.simjoin.parallel import VectorizedSimJoin
 from repro.simjoin.vectorized import (
     HAVE_SCIPY,
     MEASURES,
-    VectorizedSimJoin,
     min_overlap,
     score_block,
     similarity,
@@ -47,25 +35,26 @@ from repro.similarity.set_similarity import (
 )
 
 THRESHOLDS = (0.1, 0.5, 0.9)
-# The vectorized backend needs scipy; on scipy-less installs the naive and
-# prefix engines must still agree, so it is dropped rather than skipped.
-BACKENDS = ("naive", "prefix") + (("vectorized",) if HAVE_SCIPY else ())
+BACKENDS = ("naive", "auto")
+
+
+def _join(backend, store, threshold, cross_sources=None):
+    return SimJoinLikelihood(backend=backend).estimate(
+        store, threshold, cross_sources=cross_sources
+    )
+
 
 def _assert_backends_agree(store, threshold, cross_sources=None):
-    results = {
-        name: get_backend(name).join(store, threshold, cross_sources=cross_sources)
-        for name in BACKENDS
-    }
-    reference = results["naive"]
-    for name in BACKENDS[1:]:
-        assert results[name].to_key_set() == reference.to_key_set(), (
-            f"{name} pair set differs from naive at threshold {threshold}"
+    reference = _join("naive", store, threshold, cross_sources)
+    auto = _join("auto", store, threshold, cross_sources)
+    assert auto.to_key_set() == reference.to_key_set(), (
+        f"auto pair set differs from naive at threshold {threshold}"
+    )
+    for pair in reference:
+        other = auto.get(pair.id_a, pair.id_b)
+        assert other.likelihood == pytest.approx(pair.likelihood, abs=1e-9), (
+            f"auto likelihood differs for {pair.key} at threshold {threshold}"
         )
-        for pair in reference:
-            other = results[name].get(pair.id_a, pair.id_b)
-            assert other.likelihood == pytest.approx(pair.likelihood, abs=1e-9), (
-                f"{name} likelihood differs for {pair.key} at threshold {threshold}"
-            )
 
 
 class TestBackendEquivalence:
@@ -91,51 +80,55 @@ class TestBackendEquivalence:
         store.add(Record("b", {"name": ""}))
         store.add(Record("c", {"name": "apple ipad"}))
         for name in BACKENDS:
-            pairs = get_backend(name).join(store, 0.9)
+            pairs = _join(name, store, 0.9)
             assert pairs.to_key_set() == {("a", "b")}, name
             assert pairs.get("a", "b").likelihood == 1.0
 
 
-class TestRegistry:
-    def test_builtin_backends_registered(self):
-        assert set(BACKENDS) <= set(available_backends())
+@st.composite
+def _stores_up_to_40(draw):
+    """0-40 records over the shared vocabulary, empty-token records included,
+    each tagged with a source so the same store serves linkage joins."""
+    texts = draw(st.lists(st.one_of(st.just(""), record_texts), max_size=40))
+    store = RecordStore()
+    for i, text in enumerate(texts):
+        source = ("abt", "buy")[draw(st.integers(0, 1))]
+        store.add(Record(f"r{i:03d}", {"name": text}, source=source))
+    return store
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            get_backend("quantum")
 
-    def test_register_custom_backend(self):
-        class EmptyBackend(SimJoinBackend):
-            name = "empty-test"
+def _items(pairs):
+    """(ids, likelihood) in PairSet order: equality is bit-for-bit and ordered."""
+    return [(pair.key, pair.likelihood) for pair in pairs]
 
-            def join(self, store, threshold, attributes=None, cross_sources=None):
-                return PairSet()
 
-        register_backend("empty-test", EmptyBackend)
-        try:
-            assert isinstance(get_backend("empty-test"), EmptyBackend)
-            assert "empty-test" in available_backends()
-        finally:
-            from repro.simjoin import backend as backend_module
+class TestAutoEqualsNaive:
+    """``auto`` is the kernel, ``naive`` the oracle: one PairSet, two ways."""
 
-            del backend_module._REGISTRY["empty-test"]
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        store=_stores_up_to_40(),
+        threshold=st.sampled_from((0.0, 0.2, 1 / 3, 0.5, 1.0)),
+        cross_sources=st.sampled_from((None, ("abt", "buy"))),
+    )
+    def test_property_identical_pair_set(self, store, threshold, cross_sources):
+        auto = _join("auto", store, threshold, cross_sources)
+        naive = _join("naive", store, threshold, cross_sources)
+        assert _items(auto) == _items(naive)
+        # Canonical order: descending likelihood, ties by key.
+        assert _items(auto) == sorted(_items(auto), key=lambda item: (-item[1], item[0]))
 
-    def test_auto_name_reserved(self):
-        with pytest.raises(ValueError):
-            register_backend(AUTO_BACKEND, NaiveJoinBackend)
-
-    def test_auto_heuristic(self):
-        large = AUTO_VECTORIZED_MIN_RECORDS
-        if HAVE_SCIPY:
-            assert auto_backend_name(large, 0.3) == "vectorized"
-            assert auto_backend_name(large, 0.0) == "vectorized"
-        assert auto_backend_name(10, 0.3) == "prefix"
-        assert auto_backend_name(10, 0.0) == "naive"
-
-    def test_resolve_backend_by_name_and_auto(self):
-        assert resolve_backend("naive").name == "naive"
-        auto = resolve_backend(AUTO_BACKEND, record_count=10, threshold=0.5)
-        assert auto.name == "prefix"
+    @pytest.mark.parametrize("threshold", (0.2, 0.35))
+    @pytest.mark.parametrize("record_count", (9, 255, 257))
+    def test_restaurant_stores_around_the_old_crossover(self, record_count, threshold):
+        """9 / 255 / 257 records: the sizes the retired size heuristic routed
+        to three different engines."""
+        store = RestaurantGenerator(
+            record_count=record_count, duplicate_pairs=max(3, record_count // 8), seed=7
+        ).generate().store
+        auto = _join("auto", store, threshold)
+        assert len(auto) > 0
+        assert _items(auto) == _items(_join("naive", store, threshold))
 
 
 class TestSimJoinLikelihoodBackendSelection:
@@ -146,9 +139,15 @@ class TestSimJoinLikelihoodBackendSelection:
             )
             assert len(pairs) > 0
 
-    def test_invalid_backend_raises(self, example_store):
-        with pytest.raises(ValueError):
-            SimJoinLikelihood(backend="quantum").estimate(example_store, min_likelihood=0.3)
+    @pytest.mark.parametrize("name", ("quantum", "prefix", "vectorized", "parallel"))
+    def test_invalid_backend_raises(self, name):
+        """Only ``auto`` and ``naive`` exist; the error names both."""
+        for build in (
+            lambda: SimJoinLikelihood(backend=name),
+            lambda: WorkflowConfig(join_backend=name),
+        ):
+            with pytest.raises(ValueError, match="'auto', 'naive'"):
+                build()
 
 
 @pytest.mark.skipif(not HAVE_SCIPY, reason="scipy unavailable")
@@ -189,25 +188,6 @@ class TestVectorizedJoin:
             # binary (distinct-token) case the vectorized join computes.
             expected = reference(sorted(tokens_a), sorted(tokens_b))
             assert pair.likelihood == pytest.approx(expected, abs=1e-9)
-
-
-class TestPrefixFilterStillExact:
-    """The new length/positional filters must not drop true pairs."""
-
-    def test_matches_naive_on_paper_example_fine_thresholds(self, example_store):
-        backend = get_backend("naive")
-        for threshold in (0.05, 0.25, 1 / 3, 0.5, 2 / 3, 0.75, 1.0):
-            naive = backend.join(example_store, threshold)
-            filtered = PrefixFilterJoin(threshold=threshold).join(example_store)
-            assert filtered.to_key_set() == naive.to_key_set(), threshold
-
-    def test_identical_records_survive_threshold_one(self):
-        store = RecordStore()
-        store.add(Record("a", {"name": "apple ipad mini"}))
-        store.add(Record("b", {"name": "apple ipad mini"}))
-        store.add(Record("c", {"name": "sony walkman"}))
-        pairs = PrefixFilterJoin(threshold=1.0).join(store)
-        assert pairs.to_key_set() == {("a", "b")}
 
 
 # ------------------------------------------------- the kernel's overlap bound

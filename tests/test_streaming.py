@@ -23,7 +23,6 @@ from repro.datasets.restaurant import RestaurantGenerator
 from repro.hit.base import HITBatch, PairBasedHIT
 from repro.records.record import Record, RecordError
 from repro.simjoin.likelihood import SimJoinLikelihood
-from repro.simjoin.vectorized import HAVE_SCIPY
 from repro.streaming.incremental_join import IncrementalSimJoin
 from repro.streaming.session import StreamingResolver, resolve_stream
 
@@ -42,9 +41,7 @@ def shuffled_ids(dataset, seed):
 
 # --------------------------------------------------------------- join layer
 class TestIncrementalSimJoin:
-    JOIN_BACKENDS = ("prefix",) + (("vectorized",) if HAVE_SCIPY else ())
-
-    @pytest.mark.parametrize("backend", JOIN_BACKENDS)
+    @pytest.mark.parametrize("backend", ("naive", "auto"))
     @pytest.mark.parametrize("threshold", (0.0, 0.3, 0.6))
     def test_delta_union_equals_full_join(self, backend, threshold):
         dataset = make_dataset(seed=5)
