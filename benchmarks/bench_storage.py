@@ -1,15 +1,16 @@
 """The session store: save + restore cost per backend, and peak RSS.
 
-A session has one on-disk form — ``store.sqlite`` — and one restore
-algorithm (page the store in, replay the journal tail); the storage
-backend only decides *when* the file is written
-(:mod:`repro.streaming.persistence`).  This script prices both choices:
+A session is one file — ``store.sqlite``: its state tables and its event
+log — and one restore algorithm (page the state in, replay the logged
+tail); the storage backend only decides *when* the state tables are
+written (:mod:`repro.streaming.persistence`).  This script prices both
+choices:
 
 1. **Save and restore, per backend.**  For each size it streams the same
    store through a durable memory-backed and a durable sqlite-backed
    session (that build *is* the cold-resolve cost a crash would force
-   without the store), calls ``save()`` — a whole-store materialisation
-   for the memory backend, a commit for sqlite — drops the session,
+   without the store), calls ``save()`` — a whole-state rewrite for the
+   memory backend, a commit for sqlite — closes and drops the session,
    restores it, asserts the restored session is **bit-identical**, and
    reports ``save_s``, ``restore_s`` and the restore-over-cold speedup,
    one row per backend.  The memory rows are the one durability path no
@@ -100,7 +101,7 @@ def run_restore_scenario(
         start_time = time.perf_counter()
         resolver.save()
         save_seconds = time.perf_counter() - start_time
-        resolver.storage.close()
+        resolver.durability.close()
         # After the close the WAL is folded back, so the files are the store.
         store_bytes = sum(
             path.stat().st_size for path in directory.glob("store.sqlite*")
@@ -113,7 +114,7 @@ def run_restore_scenario(
             restored.state_digest() == digest
             and set(restored.snapshot().matches) == matches
         )
-        restored.storage.close()
+        restored.durability.close()
     finally:
         shutil.rmtree(directory, ignore_errors=True)
 

@@ -1,8 +1,9 @@
 """Durable streaming: checkpoint a session, 'crash', restore, and retract.
 
 This example streams the paper's nine-product table into a durable
-:class:`repro.streaming.StreamingResolver` (write-ahead journal + snapshots
-in a temporary checkpoint directory), abandons the resolver object as a
+:class:`repro.streaming.StreamingResolver` (one ``store.sqlite`` in a
+temporary checkpoint directory: its write-ahead event log plus its state,
+rewritten every two events), abandons the resolver object as a
 stand-in for a process crash, restores the session from disk, verifies the
 restored state is bit-identical, finishes the stream, and finally retracts
 a record to show provenance-scoped invalidation.
@@ -38,7 +39,7 @@ def main() -> None:
     snap = session.add_batch(records[:3])
     snap = session.add_batch(records[3:6])
     print(f"after 2 batches: {snap.candidate_count} candidate pairs, "
-          f"{len(snap.matches)} matches, {session.events_applied} journal events")
+          f"{len(snap.matches)} matches, {session.events_applied} logged events")
     digest_before = session.state_digest()
 
     # --- simulate a crash: the in-memory session is simply gone -----------
@@ -59,6 +60,7 @@ def main() -> None:
           f"{delta.clean_components} untouched")
     print(f"matches now: {sorted(snap.matches)}")
 
+    restored.durability.close()  # releases store.sqlite (folds its WAL back)
     shutil.rmtree(checkpoint_dir, ignore_errors=True)
 
 

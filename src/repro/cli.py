@@ -11,15 +11,14 @@ Three subcommands expose the most common workflows without writing Python:
 * ``resolve-stream`` — replay the dataset through the streaming incremental
   resolver in arrival batches and print, per batch, how little work the
   dirty-component machinery had to redo.  With ``--checkpoint-dir`` the
-  session is durable (write-ahead journal + its SQLite store,
-  ``store.sqlite``); ``--resume`` restores it — page the store in, replay
-  the journal tail — and continues with the records it has not seen yet,
-  and ``--max-batches`` stops early (so a later ``--resume`` picks up the
-  rest — the round trip the persistence tests exercise).
-  ``--storage-backend`` decides when the store is written: ``memory``
+  session is durable (one file, ``store.sqlite``: its state and its
+  write-ahead event log); ``--resume`` restores it — page the state in,
+  replay the logged tail — and continues with the records it has not seen
+  yet, and ``--max-batches`` stops early (so a later ``--resume`` picks up
+  the rest — the round trip the persistence tests exercise).
+  ``--storage-backend`` decides when the state is written: ``memory``
   (default) writes it whole every ``--checkpoint-every`` events,
-  ``sqlite`` mirrors every event into it (``--storage-path`` moves the
-  file).  After the replay,
+  ``sqlite`` mirrors every event into it.  After the replay,
   ``--retract ID`` withdraws records (repeatable) and ``--update-file``
   applies revised records from a JSON file, printing the provenance-bounded
   blast radius of each.
@@ -339,7 +338,7 @@ def _cmd_resolve_stream(args: argparse.Namespace) -> int:
         config = resolver.config
         _LOG.info(f"resumed session from {args.checkpoint_dir}: "
                   f"{resolver.record_count} records, {resolver.candidate_count} pairs, "
-                  f"{resolver.events_applied} journal events")
+                  f"{resolver.events_applied} logged events")
         # The stored configuration governs a resumed session; flags that
         # would change the workflow are ignored, and we say so when they
         # conflict instead of silently pretending they applied.
@@ -368,6 +367,9 @@ def _cmd_resolve_stream(args: argparse.Namespace) -> int:
         # was created.
         resolver.add_truth(dataset.ground_truth)
     else:
+        if args.storage_backend == "sqlite" and not args.checkpoint_dir:
+            _LOG.error("error: --storage-backend sqlite requires --checkpoint-dir")
+            return 2
         config = WorkflowConfig(
             likelihood_threshold=args.threshold,
             hit_type=args.hit_type,
@@ -387,7 +389,6 @@ def _cmd_resolve_stream(args: argparse.Namespace) -> int:
             fault_plan=fault_plan,
             checkpoint_dir=args.checkpoint_dir,
             storage_backend=args.storage_backend,
-            storage_path=args.storage_path,
             metrics_enabled=args.metrics or bool(args.metrics_out),
             trace_path=args.trace,
             **(
@@ -399,6 +400,15 @@ def _cmd_resolve_stream(args: argparse.Namespace) -> int:
         )
         resolver = StreamingResolver(config=config, cross_sources=dataset.cross_sources)
         resolver.add_truth(dataset.ground_truth)
+    try:
+        return _replay_stream(args, dataset, resolver)
+    finally:
+        resolver.durability.close()
+
+
+def _replay_stream(args: argparse.Namespace, dataset, resolver: StreamingResolver) -> int:
+    """Feed an open session the records it has not seen; print the summary."""
+    config = resolver.config
     # A resumed session already holds a prefix of the dataset; only the
     # records it has not seen yet arrive now.
     records = [record for record in dataset.store if record.record_id not in resolver.store]
@@ -614,17 +624,16 @@ def build_parser() -> argparse.ArgumentParser:
                              "delays, drops, duplicates, reordering, worker "
                              "churn) applied to vote delivery")
     stream.add_argument("--checkpoint-dir", type=str, default=None,
-                        help="make the session durable: write-ahead journal + "
-                             "SQLite store in this directory")
+                        help="make the session durable: its state and its "
+                             "write-ahead event log live in store.sqlite in "
+                             "this directory")
     stream.add_argument("--storage-backend", choices=("memory", "sqlite"),
                         default="memory",
-                        help="when the session's SQLite store is written: "
+                        help="when the store's state tables are written: "
                              "whole at the checkpoint cadence (memory) or "
-                             "mirrored per event (sqlite); same file, same "
-                             "restore, bit-identical results")
-    stream.add_argument("--storage-path", type=str, default=None,
-                        help="SQLite store file for --storage-backend sqlite "
-                             "(default: store.sqlite inside --checkpoint-dir)")
+                             "mirrored per event (sqlite, needs "
+                             "--checkpoint-dir); same file, same restore, "
+                             "bit-identical results")
     stream.add_argument("--retract", action="append", metavar="ID", default=None,
                         help="after the replay, withdraw this record id and "
                              "re-resolve only its blast radius (repeatable)")
@@ -633,8 +642,9 @@ def build_parser() -> argparse.ArgumentParser:
                              "this JSON file (array or one object per line, "
                              "each with a record_id)")
     stream.add_argument("--checkpoint-every", type=int, default=None,
-                        help="checkpoint cadence in applied events (0 = journal "
-                             "only; default: the config default of 16)")
+                        help="memory backend: rewrite the store's state every "
+                             "this many applied events (0 = log only; "
+                             "default: the config default of 16)")
     stream.add_argument("--resume", action="store_true",
                         help="restore the session from --checkpoint-dir and "
                              "continue with the records it has not seen yet")

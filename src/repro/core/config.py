@@ -59,37 +59,29 @@ class WorkflowConfig:
       cached posterior is never more than epsilon votes behind the ledger.
       0 (default) always re-aggregates dirty components — the exact,
       pre-existing behavior.
-    * ``checkpoint_dir`` — when set, a streaming session is *durable*:
-      every event is written to an fsynced write-ahead journal in this
-      directory before it is applied, and the session's state is
-      materialised in ``store.sqlite`` beside it, so
+    * ``checkpoint_dir`` — when set, a streaming session is *durable*: its
+      one file, ``store.sqlite`` in this directory, holds the session's
+      state and its write-ahead event log; every event is committed to
+      the log (fsynced) before it is applied, so
       :meth:`repro.streaming.StreamingResolver.restore` — page in the
-      store, replay the journal events it has not seen — resumes the
+      state, replay the logged events it has not seen — resumes the
       session bit-identically after a crash or restart.  ``None``
       (default) keeps the session in memory only.
     * ``checkpoint_every_batches`` — checkpoint cadence of a durable
-      session: after every this-many applied events (batches,
-      retractions, updates, flushes) the session calls ``save()`` — a
-      memory-backed session rewrites the store from its live state, a
-      sqlite-backed one (already current) only archives the journal
-      segments the store covers — bounding how much journal a restore
-      has to replay.  0 disables the cadence (journal-only durability
-      for the memory backend; explicit ``save()`` calls still work).
-    * ``storage_backend`` — *when* the session's SQLite store is written:
+      *memory-backed* session: every this-many applied events (batches,
+      retractions, updates, flushes) the store's state tables are
+      rewritten from the live state, bounding how many logged events a
+      restore replays.  0 disables the cadence (log-only durability;
+      explicit ``save()`` still works).  A sqlite-backed session's state
+      is current after every event, so the cadence does nothing for it.
+    * ``storage_backend`` — *when* the store's state tables are written:
       ``"memory"`` (default) keeps the state in process structures and
-      writes the store whole at the checkpoint cadence and on ``save()``;
+      writes it whole at the checkpoint cadence and on ``save()``;
       ``"sqlite"`` mirrors every mutation into the store, one transaction
-      per event, and keeps record bodies out of process memory.  The file
-      format and the restore algorithm are the same, so a session can be
+      per event, and keeps record bodies out of process memory (requires
+      ``checkpoint_dir``: the store lives at ``checkpoint_dir/store.sqlite``).
+      Same file and restore algorithm either way, so a session can be
       restored under either backend; results are bit-identical.
-    * ``storage_path`` — the SQLite store file for
-      ``storage_backend="sqlite"``.  ``None`` (default) places
-      ``store.sqlite`` inside ``checkpoint_dir`` when that is set.
-    * ``journal_segment_events`` — journal lifecycle: the write-ahead
-      journal's active file is rotated into a closed, immutable segment
-      once it holds this many events, and closed segments fully covered
-      by the store are archived on ``save()`` instead of being replayed
-      forever.  0 disables rotation (one unbounded journal file).
     * ``metrics_enabled`` — turn on the :mod:`repro.obs` observability
       runtime for this run: every pipeline phase records spans, counters
       and histograms into the process-global metrics registry
@@ -147,8 +139,6 @@ class WorkflowConfig:
     checkpoint_dir: Optional[str] = None
     checkpoint_every_batches: int = 16
     storage_backend: str = "memory"
-    storage_path: Optional[str] = None
-    journal_segment_events: int = 512
     decision_threshold: float = 0.5
     metrics_enabled: bool = False
     trace_path: Optional[str] = None
@@ -186,9 +176,10 @@ class WorkflowConfig:
             )
         if self.storage_backend not in ("memory", "sqlite"):
             raise ValueError("storage_backend must be 'memory' or 'sqlite'")
-        if self.journal_segment_events < 0:
+        if self.storage_backend == "sqlite" and not self.checkpoint_dir:
             raise ValueError(
-                "journal_segment_events must be non-negative (0 = no rotation)"
+                "storage_backend='sqlite' needs checkpoint_dir: the store "
+                "lives at checkpoint_dir/store.sqlite"
             )
         if self.vote_mode not in ("sequential", "per-pair"):
             raise ValueError("vote_mode must be 'sequential' or 'per-pair'")
@@ -235,8 +226,6 @@ OPERATIONAL_CONFIG_FIELDS = (
     "checkpoint_dir",
     "checkpoint_every_batches",
     "storage_backend",
-    "storage_path",
-    "journal_segment_events",
     "metrics_enabled",
     "trace_path",
 )

@@ -11,7 +11,7 @@ attempt)`` — drawn from a string-seeded :class:`random.Random`, exactly like
 the per-pair vote oracle in :class:`~repro.crowd.platform.SimulatedCrowdPlatform`
 — so a fault schedule is reproducible across processes, independent of
 ``PYTHONHASHSEED``, and identical when a crashed session replays its
-journal.  Faults perturb *when* votes arrive, never *what* they say: the
+event log.  Faults perturb *when* votes arrive, never *what* they say: the
 vote content still comes from the synchronous per-pair oracle, which is why
 the async layer can promise bit-identical final results under any fault
 schedule with eventual delivery.

@@ -152,9 +152,10 @@ def run_cell(
 
 
 def _run_sqlite_cell(dataset: Dataset, base_config: WorkflowConfig, work_dir: Path):
-    store_path = work_dir / f"{dataset.name}-matrix.sqlite"
     config = dataclasses.replace(
-        base_config, storage_backend="sqlite", storage_path=str(store_path)
+        base_config,
+        storage_backend="sqlite",
+        checkpoint_dir=str(work_dir / f"{dataset.name}-matrix"),
     )
     return resolve_stream(dataset, config=config, batch_size=_STREAM_BATCH_SIZE)
 

@@ -25,7 +25,7 @@ _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 _LABEL_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
 
 #: Default histogram bucket upper bounds, in seconds. Chosen for the spans
-#: this codebase actually has: sub-millisecond journal appends up to
+#: this codebase actually has: sub-millisecond event-log appends up to
 #: multi-second full resolves. ``+Inf`` is implicit.
 DEFAULT_BUCKETS: Tuple[float, ...] = (
     0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025,

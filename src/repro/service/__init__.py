@@ -13,7 +13,7 @@ Architecture — see ``docs/service.md`` for the full picture:
   one owner: sessions are routed to a shard by a CRC32 hash of their
   routing key, and each shard executes its work on one dedicated thread
   through an **ordered queue** — requests against one session serialize
-  (preserving the journal/storage guarantees, including SQLite thread
+  (preserving the event-log/storage guarantees, including SQLite thread
   affinity), while sessions on different shards run concurrently.  A full
   queue answers ``429`` with ``Retry-After`` instead of buffering without
   bound.

@@ -4,10 +4,10 @@ A hosted session is one :class:`~repro.streaming.StreamingResolver` pinned
 to one shard (see :mod:`repro.service.shards`).  The manager owns the
 ``session_id -> handle`` registry — mutated only on the event-loop thread —
 while every resolver call (including construction, restore and close: the
-SQLite store and journal are thread-affine) runs on the owning shard's
+SQLite connection is thread-affine) runs on the owning shard's
 thread through the executor.
 
-Wire format: records travel as the journal's JSON encoding
+Wire format: records travel as the event log's JSON encoding
 (``{"record_id", "attributes", "source"}``), pair keys as two-element
 arrays, posteriors as sorted ``[id_a, id_b, posterior]`` triples.  Floats
 round-trip through JSON exactly (shortest-repr float64), so a client can
@@ -96,10 +96,7 @@ class SessionHandle:
 
     @property
     def durable(self) -> bool:
-        resolver = self.resolver
-        if resolver is None:
-            return False
-        return bool(resolver.config.checkpoint_dir) or resolver.storage.persistent
+        return self.resolver is not None and self.resolver.durability.store is not None
 
 
 class SessionManager:
@@ -212,26 +209,19 @@ class SessionManager:
             raise
         return self._status_payload(handle)
 
+    def _save_and_close(self, handle: SessionHandle) -> Dict[str, object]:
+        """Shard-thread half of closing: save when durable, release the store."""
+        resolver = handle.resolver
+        if handle.durable:
+            resolver.save()
+        status = {**self._status_payload(handle), "closed": True}
+        resolver.durability.close()
+        return status
+
     async def close(self, session_id: str) -> Dict[str, object]:
         """Save (when durable) and close a session; status stays readable."""
         handle = self._handle(session_id)
-        resolver = handle.resolver
-        durable = handle.durable
-
-        def finish() -> Dict[str, object]:
-            if durable:
-                resolver.save()
-            return {
-                "session_id": handle.session_id,
-                "shard": handle.shard,
-                "closed": True,
-                "records": resolver.record_count,
-                "candidates": resolver.candidate_count,
-                "events_applied": resolver.events_applied,
-                "durable": durable,
-            }
-
-        status = await self.shards.submit(session_id, finish)
+        status = await self.shards.submit(session_id, self._save_and_close, handle)
         handle.closed = True
         handle.final_status = status
         handle.resolver = None
@@ -329,12 +319,11 @@ class SessionManager:
 
     # ------------------------------------------------------------ shutdown
     async def save_all(self) -> List[str]:
-        """Save every open durable session (graceful-shutdown hook)."""
+        """Save and close every open durable session (graceful-shutdown hook)."""
         saved = []
         for handle in list(self.sessions.values()):
             if handle.closed or not handle.durable:
                 continue
-            resolver = handle.resolver
-            await self.shards.submit(handle.session_id, resolver.save)
+            await self.shards.submit(handle.session_id, self._save_and_close, handle)
             saved.append(handle.session_id)
         return saved

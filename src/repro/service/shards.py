@@ -1,7 +1,7 @@
 """Sharded ordered execution: one owner thread per group of sessions.
 
 Why shards instead of a free thread pool: a streaming session is a stateful
-object with strict ordering requirements (journal sequence, SQLite
+object with strict ordering requirements (event-log sequence, SQLite
 connections bound to their creating thread), so every operation against a
 session must run (a) one at a time and (b) on the same thread for the
 session's whole life.  :class:`ShardExecutor` provides exactly that: each
@@ -45,7 +45,7 @@ class _Shard:
         self.index = index
         self.queue: asyncio.Queue = asyncio.Queue(maxsize=queue_depth)
         # ONE thread: every session owned by this shard lives and dies on
-        # it (SQLite connections and journal handles are thread-affine).
+        # it (a session's SQLite connection is thread-affine).
         self.executor = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix=f"repro-shard-{index}"
         )

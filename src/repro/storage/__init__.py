@@ -7,19 +7,20 @@ of it behind one :class:`~repro.storage.base.Store` interface with two
 backends:
 
 * :class:`MemoryStore` — the default; the live in-process structures.
-  A durable session writes them into a :class:`SqliteStore` file whole,
+  A durable session writes them into its :class:`SqliteStore` file whole,
   at its checkpoint cadence.
 * :class:`SqliteStore` — a single WAL-mode SQLite file holding the whole
   session, mirrored per mutation and committed once per applied event;
   record bodies stay out of process memory while the session runs.
 
-The SQLite file is the one on-disk form of a session either way: restoring
-is a page-in of its tables plus a replay of the journal events newer than
+The SQLite file is the one on-disk form of a session either way —
+``checkpoint_dir/store.sqlite``, holding both the state tables and the
+``events`` table that is the session's write-ahead log: restoring is a
+page-in of the state plus a replay of the events newer than
 ``meta.events_applied`` (:mod:`repro.streaming.persistence`).
 
-Select a backend with ``WorkflowConfig.storage_backend`` /
-``storage_path`` (CLI: ``--storage-backend`` / ``--storage-path``), or
-build one directly with :func:`open_store`.
+Select a backend with ``WorkflowConfig.storage_backend`` (CLI:
+``--storage-backend``), or build one directly with :func:`open_store`.
 """
 
 from __future__ import annotations
@@ -46,8 +47,7 @@ def open_store(backend: str, path: Optional[os.PathLike] = None) -> Store:
     if backend == "sqlite":
         if path is None:
             raise StorageError(
-                "the sqlite backend needs a store path "
-                "(set storage_path or checkpoint_dir)"
+                "the sqlite backend needs a store path (set checkpoint_dir)"
             )
         return SqliteStore(path)
     raise StorageError(f"unknown storage backend {backend!r}; expected {BACKENDS}")

@@ -15,10 +15,11 @@ implement it:
   file.  Every session mutation is mirrored into tables inside one
   transaction per applied event.
 
-Either way the SQLite file is the one materialised form of a session, and
-:meth:`repro.streaming.StreamingResolver.restore` is a *page-in* of it plus
-a replay of the journal events it has not seen; the backend only decides
-*when* the file is written.
+Either way the SQLite file is the one materialised form of a session — it
+also holds the session's event log — and
+:meth:`repro.streaming.StreamingResolver.restore` is a *page-in* of its
+state plus a replay of the logged events it has not seen; the backend only
+decides *when* the state is written.
 
 The hot path stays dict-speed for both backends: the session reads the
 :class:`PairLedger` mappings directly and every *mutation* goes through a

@@ -1,33 +1,42 @@
 """The SQLite storage backend: one WAL-mode file per streaming session.
 
-:class:`SqliteStore` is the one materialised form of a session — records,
-token vocabulary, CSR chunks, candidate pairs, the vote ledger,
-posteriors, HIT coverage, provenance and the workload counters — "the
-state as of ``meta.events_applied``".  A sqlite-backed session mirrors
-every mutation into it as it goes; a memory-backed one writes it whole at
-its checkpoint cadence (:meth:`SqliteStore.clear` +
-:meth:`SqliteStore.write_ledger` and the mirror hooks, one transaction).
-:meth:`repro.streaming.StreamingResolver.restore` *pages in* the file and
-replays the write-ahead journal, which stays the source of truth for
-events the store has not committed yet.
+:class:`SqliteStore` is the one file of a durable session.  Its state
+tables — records, token vocabulary, CSR chunks, candidate pairs, the vote
+ledger, posteriors, HIT coverage, provenance and the workload counters —
+hold "the state as of ``meta.events_applied``"; its ``events`` table
+(``seq``, ``type``, ``payload``, ``crc``) is the session's write-ahead log —
+:class:`repro.streaming.persistence.SessionJournal` owns its rows, this
+module only declares it.
 
-Pragmas (the embedded-store configuration the schema docs follow)::
+A sqlite-backed session mirrors every mutation into the state tables as it
+goes; a memory-backed one writes them whole at its checkpoint cadence
+(:meth:`SqliteStore.clear` + :meth:`SqliteStore.write_ledger` and the
+mirror hooks, one transaction; ``events`` is not in ``_TABLES``, so a
+rewrite never touches the log).
+:meth:`repro.streaming.StreamingResolver.restore` *pages in* the state
+and replays ``events WHERE seq > meta.events_applied``.
+
+Pragmas::
 
     journal_mode = WAL        -- crash-safe, readers never block the writer
-    synchronous  = NORMAL     -- fsync at WAL checkpoints, not every commit
+    synchronous  = NORMAL     -- a plain store (``save(X)`` copy, detached read)
+                 = FULL       -- set by ``SessionJournal`` when it attaches a log:
+                                 every commit is fsynced, so a logged intent is
+                                 on stable storage before it is applied
     foreign_keys = ON         -- referential integrity
     busy_timeout = 30000 ms   -- wait for locked databases
 
 All writes between two :meth:`commit` calls form one transaction: the
 session opens a transaction implicitly at the first mirrored write of an
-event and commits after the event is fully applied, so a crash mid-event
-rolls back to the previous event boundary and the journal replays the
-interrupted event from its intent record.
+event and commits after the event is fully applied — state rows, counters
+and the event's outcome row together — so a crash mid-event rolls back to
+the previous event boundary and the logged intent replays the interrupted
+event.
 
 Float fidelity: SQLite ``REAL`` is an IEEE-754 double, and JSON numbers
 round-trip exactly through Python's ``repr``-based encoder, so posteriors,
 likelihoods and costs come back bit-identical — the restored session's
-:func:`repro.streaming.persistence.state_digest` matches the journal's.
+:func:`repro.streaming.persistence.state_digest` matches the logged one.
 """
 
 from __future__ import annotations
@@ -115,8 +124,16 @@ CREATE TABLE IF NOT EXISTS assignment_seconds (
     ord     INTEGER PRIMARY KEY AUTOINCREMENT,
     seconds REAL NOT NULL
 );
+CREATE TABLE IF NOT EXISTS events (
+    seq     INTEGER PRIMARY KEY,
+    type    TEXT NOT NULL,
+    payload TEXT NOT NULL,
+    crc     INTEGER NOT NULL
+);
 """
 
+#: The *state* tables: what ``clear()`` empties and a snapshot rewrites.
+#: ``events`` (the log) is deliberately absent.
 _TABLES = (
     "meta",
     "records",
@@ -252,6 +269,10 @@ class SqliteStore(Store):
         self.ledger = SqlitePairLedger(self)
 
     # ---------------------------------------------------------- transactions
+    def query(self, sql: str, params: Sequence = ()) -> sqlite3.Cursor:
+        """Run one read (or pragma) statement outside the event transaction."""
+        return self._conn.execute(sql, params)
+
     def execute(self, sql: str, params: Sequence = ()) -> sqlite3.Cursor:
         """Run one statement inside the open per-event transaction."""
         if not self._in_txn:

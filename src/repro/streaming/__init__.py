@@ -17,13 +17,13 @@ and revisable:
   covering HITs, vote rounds) that makes ``retract(record_id)`` and
   ``update(record)`` precise: exactly the provenance-reachable pairs and
   components are invalidated and re-resolved, nothing else.
-* :mod:`repro.streaming.persistence` — durability, all of it: a
-  write-ahead journal of every session event plus the session's SQLite
-  store, giving ``StreamingResolver.save()`` /
+* :mod:`repro.streaming.persistence` — durability, all of it: one SQLite
+  file holding the session's state and a write-ahead log of every session
+  event, giving ``StreamingResolver.save()`` /
   ``StreamingResolver.restore()`` with a bit-identical crash-recovery
-  guarantee (crash after any prefix of events, page the store in, replay
-  the tail — same matches, posteriors and ranked pairs as a session that
-  never stopped).
+  guarantee (crash after any prefix of events, page the state in, replay
+  the logged tail — same matches, posteriors and ranked pairs as a session
+  that never stopped).
 * :func:`resolve_stream` — replay a dataset through a session in arrival
   batches (what the ``resolve-stream`` CLI command runs).
 

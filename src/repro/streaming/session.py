@@ -38,9 +38,9 @@ Sessions can also be made **durable** (``WorkflowConfig.checkpoint_dir``),
 but not by this module: the class below is the event → delta state machine
 and the crowd driver, and does no I/O of its own.  Every public event method
 validates its arguments and hands the event to the session's
-:class:`~repro.streaming.persistence.Durability`, which journals the
-intent, calls back into :meth:`StreamingResolver.apply`, closes the store
-boundary, journals the outcome and keeps the checkpoint cadence;
+:class:`~repro.streaming.persistence.Durability`, which logs the intent,
+calls back into :meth:`StreamingResolver.apply` and closes the event's
+boundary (state rows, outcome and checkpoint cadence in one commit);
 :meth:`StreamingResolver.save` and :meth:`StreamingResolver.restore` are
 one-line delegations.  A restored session is **bit-identical** to one that
 never stopped (see :mod:`repro.streaming.persistence`).
@@ -123,8 +123,8 @@ class StreamingResolver:
         (``join_backend`` only applies to the batch join — a session always
         joins through the kernel);
         ``checkpoint_dir`` / ``checkpoint_every_batches`` /
-        ``storage_backend`` make the session durable (write-ahead journal
-        plus its SQLite store — :mod:`repro.streaming.persistence`);
+        ``storage_backend`` make the session durable (one SQLite file: its
+        state and its write-ahead log — :mod:`repro.streaming.persistence`);
         ``vote_mode`` is forced to ``"per-pair"``
         (the sequential mode cannot preserve votes across batches).
     cross_sources:
@@ -198,7 +198,7 @@ class StreamingResolver:
         self._slot_votes: Dict[PairKey, Dict[int, Vote]] = {}
         self._inflight_rounds: Dict[PairKey, int] = {}
         self._starved_pairs: Set[PairKey] = set()
-        # Durability (the store, the journal, the checkpoint cadence) is an
+        # Durability (the store, its event log, the checkpoint cadence) is an
         # adaptor handed in by restore() or opened here for a fresh session;
         # all accumulated state lives behind its storage backend.
         fresh = _durability is None
@@ -227,11 +227,8 @@ class StreamingResolver:
         self._batch_index = 0
         self._last_delta = StreamingDelta()
         # Fresh votes folded in by the most recent applied event (what an
-        # outcome record carries and a replay verifies).  ``None`` is the
-        # page-in sentinel: a session rebuilt from its store cannot know
-        # which votes its last event folded in, so the first replayed
-        # outcome is verified by digest only.
-        self._last_fresh_votes: Optional[Dict[PairKey, List[Vote]]] = {}
+        # outcome record carries and a replay verifies).
+        self._last_fresh_votes: Dict[PairKey, List[Vote]] = {}
         if fresh:
             self.durability.attach(self)
 
@@ -288,7 +285,7 @@ class StreamingResolver:
 
     @property
     def events_applied(self) -> int:
-        """Journal events reflected in the current state (0 if not durable)."""
+        """Logged events reflected in the current state (0 if not durable)."""
         return self.durability.events_applied
 
     def votes_for(self, id_a: str, id_b: str) -> List[Vote]:
@@ -396,9 +393,9 @@ class StreamingResolver:
     def save(self, path: Optional[str] = None):
         """Checkpoint the session; returns the path of its store file.
 
-        Materialises the state under ``path`` (default:
-        ``config.checkpoint_dir``) and retires the journal that covers —
-        see :meth:`repro.streaming.persistence.Durability.save`.
+        Brings the store under ``path`` (default: ``config.checkpoint_dir``)
+        up to the session's state — see
+        :meth:`repro.streaming.persistence.Durability.save`.
         """
         return self.durability.save(self, path)
 
@@ -416,7 +413,7 @@ class StreamingResolver:
     ) -> "StreamingResolver":
         """Resume a durable session from its checkpoint directory.
 
-        Pages in the directory's store and replays the journal events it
+        Pages in the directory's store and replays the logged events it
         has not seen — see :func:`repro.streaming.persistence.restore` for
         the algorithm, ``verify``, ``resume_journal`` and what a ``config``
         override does (a changed result-bearing field re-joins the stored
@@ -436,7 +433,7 @@ class StreamingResolver:
 
     # ------------------------------------------------------- event appliers
     def apply(self, kind: str, *arguments):
-        """Apply one event to the state machine: no journal, no boundary.
+        """Apply one event to the state machine: no log, no boundary.
 
         ``kind`` is an event name of :data:`repro.streaming.persistence.EVENTS`
         and ``arguments`` what the public method of that name validated — the
@@ -767,8 +764,7 @@ class StreamingResolver:
                     self.provenance.record_votes(
                         key, self._batch_index, round_index, len(votes)
                     )
-                    if self._last_fresh_votes is not None:
-                        self._last_fresh_votes[key] = votes
+                    self._last_fresh_votes[key] = votes
                     del self._slot_votes[key]
                     del self._inflight_rounds[key]
                     completed.add(key)
@@ -977,7 +973,10 @@ def resolve_stream(
         records = [dataset.store.get(record_id) for record_id in arrival_order]
         if len(records) != len(dataset.store):
             raise ValueError("arrival_order must cover every record exactly once")
-    result = resolver.snapshot()
-    for start in range(0, len(records), size):
-        result = resolver.add_batch(records[start : start + size])
-    return result
+    try:
+        result = resolver.snapshot()
+        for start in range(0, len(records), size):
+            result = resolver.add_batch(records[start : start + size])
+        return result
+    finally:
+        resolver.durability.close()

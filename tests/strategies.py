@@ -13,6 +13,7 @@ files through its rootdir-relative import of the ``tests`` directory.
 
 from __future__ import annotations
 
+import sqlite3
 import string
 
 from hypothesis import strategies as st
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 from repro.crowd.faults import FaultPlan
 from repro.records.pairs import PairSet, RecordPair
 from repro.records.record import Record, RecordStore
+from repro.storage.sqlite import _TABLES, STORE_FILENAME
 
 # ------------------------------------------------------- text/token shapes
 #: Small token vocabulary: guarantees overlapping token sets (and therefore
@@ -156,3 +158,28 @@ def drive(resolver, records, schedule, cursor=0):
         elif action == "flush":
             resolver.flush()
     return cursor
+
+
+# ---------------------------------------------------------- crash simulation
+def crash_copy(directory, target, after):
+    """Copy a session's store as a crash right after log entry ``after`` left it.
+
+    The copy (SQLite's backup API, so a live session's WAL is included)
+    loses every event newer than ``after``; state tables written later
+    than that — ``meta.events_applied > after`` — are emptied, because a
+    store cannot be ahead of its log.  Returns ``target``.
+    """
+    target.mkdir(parents=True, exist_ok=True)
+    source = sqlite3.connect(str(directory / STORE_FILENAME))
+    copy = sqlite3.connect(str(target / STORE_FILENAME))
+    with copy:
+        source.backup(copy)
+    source.close()
+    with copy:
+        copy.execute("DELETE FROM events WHERE seq > ?", (after,))
+        row = copy.execute("SELECT value FROM meta WHERE key = 'events_applied'").fetchone()
+        if row is not None and int(row[0]) > after:
+            for table in _TABLES:
+                copy.execute(f"DELETE FROM {table}")
+    copy.close()
+    return target

@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import os
 import re
 
 import pytest
@@ -141,23 +142,39 @@ class TestCheckpointResume:
     def _final_matches(output):
         return int(re.search(r"matches found\s*:\s*(\d+)", output).group(1))
 
-    def test_checkpoint_then_resume_matches_uninterrupted_run(self, tmp_path, capsys):
+    @pytest.mark.parametrize("backend", ("memory", "sqlite"))
+    def test_checkpoint_then_resume_matches_uninterrupted_run(
+        self, tmp_path, capsys, backend
+    ):
         checkpoint = str(tmp_path / "session")
         # Uninterrupted reference run.
         assert main(self.STREAM_ARGS) == 0
         reference = capsys.readouterr().out
         # Interrupted run: two batches, checkpoint, then resume the rest.
         assert main(self.STREAM_ARGS + ["--checkpoint-dir", checkpoint,
+                                        "--storage-backend", backend,
                                         "--max-batches", "2"]) == 0
         first_half = capsys.readouterr().out
         assert "resume" in first_half
+        # The command closed its session: one file, no WAL left behind.
+        assert os.listdir(checkpoint) == ["store.sqlite"]
         assert main(self.STREAM_ARGS + ["--checkpoint-dir", checkpoint,
                                         "--resume"]) == 0
+        assert os.listdir(checkpoint) == ["store.sqlite"]
         second_half = capsys.readouterr().out
         assert "resumed session" in second_half
         # Identical final match set (and full tail summary).
         assert self._final_matches(second_half) == self._final_matches(reference)
         assert reference.splitlines()[-6:] == second_half.splitlines()[-6:]
+
+    def test_sqlite_backend_requires_checkpoint_dir(self, capsys):
+        assert main(self.STREAM_ARGS + ["--storage-backend", "sqlite"]) == 2
+        assert "requires --checkpoint-dir" in capsys.readouterr().err
+
+    def test_the_store_location_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit):
+            main(self.STREAM_ARGS + ["--storage-path", "/tmp/elsewhere.sqlite"])
+        assert "--storage-path" in capsys.readouterr().err
 
     def test_resume_requires_checkpoint_dir(self, capsys):
         assert main(self.STREAM_ARGS + ["--resume"]) == 2

@@ -220,8 +220,7 @@ def _run_stream(dataset, tmp_path, backend, instrumented, tag):
     )
     if backend == "sqlite":
         config_kwargs.update(
-            storage_backend="sqlite",
-            storage_path=str(tmp_path / f"{tag}.sqlite"),
+            storage_backend="sqlite", checkpoint_dir=str(tmp_path / tag)
         )
     if instrumented:
         config_kwargs.update(
@@ -237,7 +236,7 @@ def _run_stream(dataset, tmp_path, backend, instrumented, tag):
         result = resolver.add_batch(records[start : start + 20])
     # The whole session state, as materialised by save(): every table of the
     # store minus the observational meta (the config necessarily differs in
-    # the observability knobs themselves and the store path).
+    # the observability knobs themselves and the session's directory).
     state = _dump_sqlite(resolver.save(tmp_path / f"{tag}-saved"))
     resolver.storage.close()
     obs.deactivate()
@@ -245,11 +244,20 @@ def _run_stream(dataset, tmp_path, backend, instrumented, tag):
 
 
 #: Config fields allowed to differ between the instrumented and plain runs.
-_OBS_CONFIG_KEYS = ("metrics_enabled", "trace_path", "storage_path")
+_OBS_CONFIG_KEYS = ("metrics_enabled", "trace_path", "checkpoint_dir")
+
+
+def _comparable_config(payload):
+    return json.dumps(
+        {key: value for key, value in payload.items() if key not in _OBS_CONFIG_KEYS},
+        sort_keys=True,
+    )
 
 
 def _dump_sqlite(path):
-    """Every row of every table, minus the observational metrics/config meta."""
+    """Every row of every table — the event log included — minus the
+    observational metrics meta and config fields (stored in the ``config``
+    meta and in the log's ``session`` header)."""
     connection = sqlite3.connect(path)
     try:
         tables = [
@@ -267,12 +275,16 @@ def _dump_sqlite(path):
                     if key == "metrics":
                         continue
                     if key == "config":
-                        payload = json.loads(value)
-                        for field in _OBS_CONFIG_KEYS:
-                            payload.pop(field, None)
-                        value = json.dumps(payload, sort_keys=True)
+                        value = _comparable_config(json.loads(value))
                     normalized.append((key, value))
                 rows = normalized
+            elif table == "events":
+                rows = [
+                    (seq, kind, _comparable_config(json.loads(payload)["config"]))
+                    if kind == "session"
+                    else (seq, kind, payload, crc)
+                    for seq, kind, payload, crc in rows
+                ]
             dump[table] = sorted(map(repr, rows))
         return dump
     finally:
@@ -292,9 +304,9 @@ def test_instrumentation_leaves_resolution_bit_identical(tmp_path, backend):
     assert inst_result.cost == plain_result.cost
     assert inst_state == plain_state
     if backend == "sqlite":
-        assert _dump_sqlite(tmp_path / "inst.sqlite") == _dump_sqlite(
-            tmp_path / "plain.sqlite"
-        )
+        live = _dump_sqlite(tmp_path / "inst" / "store.sqlite")
+        assert live == _dump_sqlite(tmp_path / "plain" / "store.sqlite")
+        assert len(live["events"]) == 2 + 2 * len(range(0, len(dataset.store), 20))
 
 
 # ------------------------------------------------------------ cost report
@@ -305,7 +317,7 @@ def test_stats_hit_count_matches_session_exactly(tmp_path):
         vote_mode="per-pair",
         stream_batch_size=20,
         storage_backend="sqlite",
-        storage_path=str(tmp_path / "store.sqlite"),
+        checkpoint_dir=str(tmp_path),
         metrics_enabled=True,
         trace_path=str(tmp_path / "trace.jsonl"),
         seed=7,

@@ -1,19 +1,27 @@
 """Tests for durable streaming sessions (repro.streaming.persistence).
 
-The central contract: a session that crashes after *any* prefix of journal
+The central contract: a session that crashes after *any* prefix of logged
 events and is restored produces — after replaying the remaining events —
 results bit-identical to a session that never stopped: same matches, same
 posteriors (to the last float bit), same ranked pairs, same crowd cost.
-On top of that, the journal must be crash-tolerant (a torn final line is
-dropped, mid-stream corruption is detected loudly), the store a session is
-materialised into must be rewritten atomically, and both storage backends
-must leave — and restore from — the same file.
+On top of that, the event log (a table of the session's one SQLite file)
+must detect tampering loudly (CRC, sequence gaps, diverging outcomes) and
+survive what a crash really leaves behind (a torn SQLite WAL, a
+``SIGKILL``), the store's state must be rewritten atomically, the store
+must never be ahead of its log, and both storage backends must leave — and
+restore from — the same file.
 """
 
 import ast
 import dataclasses
 import json
+import os
 import shutil
+import signal
+import sqlite3
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -36,7 +44,8 @@ from repro.streaming import (
     StreamingResolver,
     persistence,
 )
-from repro.streaming.persistence import JOURNAL_FILENAME
+
+from strategies import crash_copy, drive, event_schedules
 
 
 def make_dataset(record_count=60, duplicate_pairs=10, seed=13):
@@ -68,15 +77,40 @@ def assert_sessions_identical(left, right):
 
 
 def stored_events_applied(directory):
-    """The journal position the directory's store reflects (None: no store)."""
-    path = directory / STORE_FILENAME
-    if not path.exists():
-        return None
-    store = SqliteStore(path)
+    """The log position the directory's state tables reflect (None: never written)."""
+    store = SqliteStore(directory / STORE_FILENAME)
     try:
         return store.get_meta("events_applied")
     finally:
         store.close()
+
+
+def logged_events(directory, after=0):
+    """The verified events of a directory's log, read on a connection of its own."""
+    store = SqliteStore(directory / STORE_FILENAME)
+    try:
+        return SessionJournal(store).events(after=after)
+    finally:
+        store.close()
+
+
+def rewrite_event(directory, seq, edit, fix_crc):
+    """Tamper with one logged payload (optionally recomputing its CRC)."""
+    connection = sqlite3.connect(str(directory / STORE_FILENAME))
+    with connection:
+        event_type, text = connection.execute(
+            "SELECT type, payload FROM events WHERE seq = ?", (seq,)
+        ).fetchone()
+        payload = json.loads(text)
+        edit(payload)
+        text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        connection.execute("UPDATE events SET payload = ? WHERE seq = ?", (text, seq))
+        if fix_crc:
+            connection.execute(
+                "UPDATE events SET crc = ? WHERE seq = ?",
+                (persistence._entry_crc(seq, event_type, text), seq),
+            )
+    connection.close()
 
 
 def stream(resolver, dataset, size=17):
@@ -87,69 +121,69 @@ def stream(resolver, dataset, size=17):
     return resolver
 
 
-# ----------------------------------------------------------------- journal
+# ----------------------------------------------------------------- the log
 class TestSessionJournal:
-    def test_append_and_read_back(self, tmp_path):
-        journal = SessionJournal(tmp_path)
+    @pytest.fixture
+    def journal(self, tmp_path):
+        store = SqliteStore(tmp_path / STORE_FILENAME)
+        yield SessionJournal(store)
+        store.close()
+
+    def test_append_and_read_back(self, tmp_path, journal):
         assert journal.append("batch", {"records": [1, 2]}) == 1
         assert journal.append("flush", {}) == 2
-        events = SessionJournal(tmp_path).events()
-        assert [(e.seq, e.type) for e in events] == [(1, "batch"), (2, "flush")]
-        assert events[0].payload == {"records": [1, 2]}
+        for events in (journal.events(), logged_events(tmp_path)):
+            assert [(e.seq, e.type) for e in events] == [(1, "batch"), (2, "flush")]
+            assert events[0].payload == {"records": [1, 2]}
+        assert [e.seq for e in journal.events(after=1)] == [2]
 
-    def test_truncated_tail_line_is_dropped(self, tmp_path):
-        journal = SessionJournal(tmp_path)
-        journal.append("batch", {"n": 1})
-        journal.append("batch", {"n": 2})
-        raw = (tmp_path / JOURNAL_FILENAME).read_text()
-        (tmp_path / JOURNAL_FILENAME).write_text(raw[:-20])  # tear the last line
-        events = SessionJournal(tmp_path).events()
-        assert [e.payload for e in events] == [{"n": 1}]
+    def test_an_appended_event_is_on_stable_storage(self, tmp_path, journal):
+        """Attaching a log makes every commit fsync (``synchronous=FULL`` = 2);
+        a store nobody logs to stays on the cheaper ``NORMAL`` (1)."""
+        assert journal.store.query("PRAGMA synchronous").fetchone()[0] == 2
+        plain = SqliteStore(tmp_path / "plain" / STORE_FILENAME)
+        assert plain.query("PRAGMA synchronous").fetchone()[0] == 1
+        plain.close()
 
-    def test_append_after_torn_tail_does_not_merge(self, tmp_path):
-        """Re-opening a journal repairs a crash-torn tail line, so the next
-        append lands on a clean line instead of merging into garbage."""
-        journal = SessionJournal(tmp_path)
-        journal.append("batch", {"n": 1})
-        path = tmp_path / JOURNAL_FILENAME
-        path.write_text(path.read_text() + '{"seq":2,"type":"fl')  # torn write
-        reopened = SessionJournal(tmp_path)
-        assert reopened.event_count == 1
-        assert reopened.append("flush", {}) == 2
-        events = SessionJournal(tmp_path).events()
-        assert [(e.seq, e.type) for e in events] == [(1, "batch"), (2, "flush")]
+    @pytest.mark.parametrize("backend", ("memory", "sqlite"))
+    def test_a_logged_session_commits_with_synchronous_full(self, tmp_path, backend):
+        resolver = StreamingResolver(
+            config=make_config(storage_backend=backend, checkpoint_dir=str(tmp_path))
+        )
+        store = resolver.durability.journal.store
+        assert store.query("PRAGMA synchronous").fetchone()[0] == 2
+        resolver.durability.close()
+        restored = StreamingResolver.restore(tmp_path)
+        store = restored.durability.journal.store
+        assert store.query("PRAGMA synchronous").fetchone()[0] == 2
+        restored.durability.close()
 
-    def test_append_after_lost_trailing_newline(self, tmp_path):
-        """A valid final line whose newline was lost in a crash gets one
-        back, so the next append does not corrupt the last event."""
-        journal = SessionJournal(tmp_path)
-        journal.append("batch", {"n": 1})
-        path = tmp_path / JOURNAL_FILENAME
-        path.write_bytes(path.read_bytes().rstrip(b"\n"))
-        reopened = SessionJournal(tmp_path)
-        assert reopened.append("flush", {}) == 2
-        events = SessionJournal(tmp_path).events()
-        assert [(e.seq, e.type) for e in events] == [(1, "batch"), (2, "flush")]
-
-    def test_midstream_corruption_raises(self, tmp_path):
-        journal = SessionJournal(tmp_path)
+    def test_a_rewritten_payload_fails_its_checksum(self, tmp_path, journal):
         for n in range(3):
             journal.append("batch", {"n": n})
-        lines = (tmp_path / JOURNAL_FILENAME).read_text().splitlines()
-        entry = json.loads(lines[1])
-        entry["payload"]["n"] = 99  # tampering invalidates the CRC
-        lines[1] = json.dumps(entry)
-        (tmp_path / JOURNAL_FILENAME).write_text("\n".join(lines) + "\n")
-        with pytest.raises(JournalCorruptionError):
-            SessionJournal(tmp_path).events()
+        rewrite_event(tmp_path, 2, lambda payload: payload.update(n=99), fix_crc=False)
+        with pytest.raises(JournalCorruptionError, match="event 2 "):
+            journal.events()
+        assert [e.seq for e in journal.events(after=2)] == [3]
 
-    def test_sequence_gap_raises(self, tmp_path):
-        journal = SessionJournal(tmp_path)
-        journal.append("batch", {"n": 1})
-        other = SessionJournal(tmp_path, start_seq=5)
-        other.append("batch", {"n": 5})
-        with pytest.raises(JournalCorruptionError):
-            SessionJournal(tmp_path).events()
+    def test_a_deleted_row_is_a_sequence_gap(self, tmp_path, journal):
+        for n in range(3):
+            journal.append("batch", {"n": n})
+        journal.store.execute("DELETE FROM events WHERE seq = 2")
+        journal.store.commit()
+        with pytest.raises(JournalCorruptionError, match="sequence 3, expected 2"):
+            journal.events()
+
+    def test_the_log_of_a_store_only_copy_starts_after_its_state(self, tmp_path):
+        """A ``save(X)`` copy holds state but no events; a log attached to
+        it continues at ``meta.events_applied + 1``."""
+        store = SqliteStore(tmp_path / STORE_FILENAME)
+        store.set_meta("events_applied", 7)
+        store.commit()
+        journal = SessionJournal(store)
+        assert journal.append("flush", {}) == 8
+        assert [e.seq for e in journal.events(after=7)] == [8]
+        store.close()
 
 
 # ------------------------------------------------------- materialisation
@@ -249,7 +283,9 @@ class TestMaterialisation:
             ).config
             crossed = StreamingResolver.restore(
                 tmp_path / written,
-                config=dataclasses.replace(stored, storage_backend=other),
+                config=dataclasses.replace(
+                    stored, storage_backend=other, checkpoint_dir=str(tmp_path / written)
+                ),
                 resume_journal=False,
             )
             assert crossed.storage.backend_name == other
@@ -266,6 +302,30 @@ class TestMaterialisation:
         with pytest.raises(PersistenceError, match="snapshot-000000000007.pkl"):
             StreamingResolver.restore(tmp_path)
         assert legacy.read_bytes() == b"cos\nsystem\n(S'false'\ntR."
+
+
+    @pytest.mark.parametrize(
+        "name", ("journal.jsonl", "journal-000000000001-000000000004.jsonl")
+    )
+    @pytest.mark.parametrize("beside_a_store", (False, True))
+    def test_legacy_jsonl_journal_is_refused_by_name_unread(
+        self, tmp_path, name, beside_a_store
+    ):
+        """The JSONL journal of an earlier release is no longer read: restore
+        and a fresh session both refuse the directory naming the file and the
+        way out, on an existence check alone."""
+        if beside_a_store:
+            StreamingResolver(config=make_config()).save(tmp_path)
+        legacy = tmp_path / name
+        legacy.write_bytes(b"\x00 not json, not a journal \x00")
+        for attempt in (
+            lambda: StreamingResolver.restore(tmp_path),
+            lambda: StreamingResolver(config=make_config(checkpoint_dir=str(tmp_path))),
+        ):
+            with pytest.raises(PersistenceError, match=name) as refused:
+                attempt()
+            assert "save(X)" in str(refused.value)
+        assert legacy.read_bytes() == b"\x00 not json, not a journal \x00"
 
 
 class TestBackendFlip:
@@ -313,8 +373,8 @@ class TestBackendFlip:
 class TestStructure:
     def test_result_and_operational_fields_partition_the_config(self):
         names = [spec.name for spec in dataclasses.fields(WorkflowConfig)]
-        assert len(names) == 33
-        assert len(OPERATIONAL_CONFIG_FIELDS) == 11
+        assert len(names) == 31
+        assert len(OPERATIONAL_CONFIG_FIELDS) == 9
         assert set(OPERATIONAL_CONFIG_FIELDS) | set(RESULT_CONFIG_FIELDS) == set(names)
         assert not set(OPERATIONAL_CONFIG_FIELDS) & set(RESULT_CONFIG_FIELDS)
         # The hand-maintained tuple this definition replaced, name for name.
@@ -444,7 +504,7 @@ class TestSaveRestore:
             for start in range(0, len(records), 17):
                 resolver.add_batch(records[start : start + 17])
             if journaled:
-                stored = SessionJournal(tmp_path).events()[0].payload["config"]
+                stored = logged_events(tmp_path)[0].payload["config"]
             else:
                 resolver.save(tmp_path)
                 store = SqliteStore(tmp_path / STORE_FILENAME)
@@ -456,13 +516,20 @@ class TestSaveRestore:
     def test_session_written_with_retired_knobs_restores(
         self, tmp_path, monkeypatch, durability
     ):
-        """A checkpoint from before the join had one kernel still carries
-        ``join_pool`` in its stored config (store ``config`` meta / journal
-        ``session`` event); restore drops it."""
+        """A checkpoint of an earlier release still carries ``join_pool``,
+        ``storage_path`` and ``journal_segment_events`` in its stored config
+        (store ``config`` meta / the log's ``session`` event); restore drops
+        them."""
+        legacy = {
+            "join_pool": "fork",
+            "storage_path": str(tmp_path / "elsewhere.sqlite"),
+            "journal_segment_events": 512,
+        }
+        assert set(legacy) == set(persistence.RETIRED_CONFIG_FIELDS)
         resolver, stored = self._written_by_an_earlier_release(
-            tmp_path, monkeypatch, durability, {"join_pool": "fork"}
+            tmp_path, monkeypatch, durability, legacy
         )
-        assert stored["join_pool"] == "fork"
+        assert {name: stored[name] for name in legacy} == legacy
         restored = StreamingResolver.restore(tmp_path, resume_journal=False)
         assert_sessions_identical(resolver, restored)
 
@@ -498,14 +565,17 @@ class TestSaveRestore:
         with pytest.raises(PersistenceError):
             StreamingResolver(config=make_config(checkpoint_dir=str(tmp_path)))
 
-    @pytest.mark.parametrize("artifact", (STORE_FILENAME, JOURNAL_FILENAME))
-    def test_occupancy_is_an_existence_check(self, tmp_path, artifact):
-        """A store or a journal in the directory means occupied; the
-        constructor does not open, parse or load either to find out."""
-        (tmp_path / artifact).write_bytes(b"\x00 not a store, not a journal \x00")
+    def test_occupancy_is_an_existence_check(self, tmp_path):
+        """A store file in the directory means occupied; the constructor
+        does not open or load it to find out."""
+        (tmp_path / STORE_FILENAME).write_bytes(b"\x00 not a store \x00")
         with pytest.raises(PersistenceError, match="already holds a session"):
             StreamingResolver(config=make_config(checkpoint_dir=str(tmp_path)))
-        assert (tmp_path / artifact).read_bytes().startswith(b"\x00 not a store")
+        assert (tmp_path / STORE_FILENAME).read_bytes() == b"\x00 not a store \x00"
+
+    def test_sqlite_backend_without_a_checkpoint_dir_fails_at_construction(self):
+        with pytest.raises(ValueError, match="checkpoint_dir"):
+            make_config(storage_backend="sqlite")
 
     def test_replay_verification_catches_tampering(self, tmp_path):
         config = make_config(checkpoint_dir=str(tmp_path), checkpoint_every_batches=0)
@@ -514,17 +584,23 @@ class TestSaveRestore:
         resolver.add_batch(
             [Record("r1", {"t": "alpha beta"}), Record("r2", {"t": "alpha beta"})]
         )
-        # Rewrite the truth event so replay diverges from the commit digest.
-        journal_file = tmp_path / JOURNAL_FILENAME
-        lines = journal_file.read_text().splitlines()
-        doctored = []
-        for line in lines:
-            entry = json.loads(line)
-            if entry["type"] == "truth":
-                entry["payload"]["pairs"] = []
-                entry["crc"] = None  # also breaks the CRC
-            doctored.append(json.dumps(entry))
-        journal_file.write_text("\n".join(doctored) + "\n")
+        resolver.durability.close()
+        truth, commit = (
+            next(event.seq for event in logged_events(tmp_path) if event.type == kind)
+            for kind in ("truth", "commit")
+        )
+        # An outcome whose digest was tampered with passes its (recomputed)
+        # CRC and still fails verification ...
+        crashed = crash_copy(tmp_path, tmp_path / "digest", after=commit)
+        rewrite_event(
+            crashed, commit, lambda payload: payload.update(digest="0" * 64), fix_crc=True
+        )
+        with pytest.raises(JournalCorruptionError, match="digest"):
+            StreamingResolver.restore(crashed)
+        StreamingResolver.restore(crashed, verify=False).durability.close()
+        # ... and so does a rewritten intent: the replay diverges from the
+        # votes and digest its outcome recorded.
+        rewrite_event(tmp_path, truth, lambda payload: payload.update(pairs=[]), fix_crc=True)
         with pytest.raises(JournalCorruptionError):
             StreamingResolver.restore(tmp_path)
 
@@ -589,13 +665,13 @@ def run_schedule(resolver, dataset, schedule):
 def test_property_crash_at_any_point_recovers_bit_identically(
     tmp_path_factory, data, schedule
 ):
-    """Crash after any journal prefix -> restore -> replay tail == no crash.
+    """Crash after any log prefix -> restore -> replay tail == no crash.
 
     One uninterrupted durable session runs a random schedule of batches,
-    retractions, updates and flushes.  Its journal is then truncated at a
-    random crash point (as a crash would), the session is restored from the
-    surviving prefix, and the same schedule is re-driven from where the
-    journal left off by replaying the *full* journal against the restored
+    retractions, updates and flushes.  Its store is then copied as a crash
+    after a random log entry would have left it, the session is restored
+    from the surviving prefix, and the same schedule is re-driven from
+    where the log left off by replaying the *full* log against the restored
     state — the result must equal the uninterrupted session bit-for-bit.
     """
     directory = tmp_path_factory.mktemp("crash")
@@ -609,30 +685,243 @@ def test_property_crash_at_any_point_recovers_bit_identically(
     resolver.add_truth(dataset.ground_truth)
     run_schedule(resolver, dataset, schedule)
 
-    journal_file = directory / JOURNAL_FILENAME
-    full_journal = journal_file.read_text()
-    lines = full_journal.splitlines()
+    full_log = logged_events(directory)
     crash_after = data.draw(
-        st.integers(min_value=1, max_value=len(lines)), label="crash_after"
+        st.integers(min_value=1, max_value=len(full_log)), label="crash_after"
     )
 
-    # Simulate the crash: only the first `crash_after` journal lines (and
-    # a store materialised at or before that point) survive.
-    crash_dir = tmp_path_factory.mktemp("recover")
-    (crash_dir / JOURNAL_FILENAME).write_text(
-        "\n".join(lines[:crash_after]) + "\n"
-    )
-    applied = stored_events_applied(directory)
-    if applied is not None and applied <= crash_after:
-        shutil.copy(directory / STORE_FILENAME, crash_dir / STORE_FILENAME)
-
+    # Simulate the crash: only the first `crash_after` log entries (and
+    # state tables written at or before that point) survive.
+    crash_dir = crash_copy(directory, tmp_path_factory.mktemp("recover"), crash_after)
     restored = StreamingResolver.restore(crash_dir, resume_journal=False)
     assert restored.events_applied <= crash_after
 
-    # Re-drive the lost tail: replay the full journal's remaining events
+    # Re-drive the lost tail: replay the full log's remaining events
     # through the public replay entry point (exactly what a re-submitted
     # workload would do), then compare against the uninterrupted session.
-    tail_dir = tmp_path_factory.mktemp("tail")
-    (tail_dir / JOURNAL_FILENAME).write_text(full_journal)
-    persistence.replay(restored, SessionJournal(tail_dir).events(), verify=True)
+    persistence.replay(restored, full_log, verify=True)
     assert_sessions_identical(resolver, restored)
+    resolver.durability.close()
+
+
+# ------------------------------------------ what a crash really leaves behind
+@pytest.mark.parametrize("backend", ("memory", "sqlite"))
+@settings(
+    max_examples=6,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data(), schedule=event_schedules(min_size=2, max_size=5))
+def test_property_torn_wal_restores_a_prefix_and_converges(
+    tmp_path_factory, backend, data, schedule
+):
+    """Crash safety rests on SQLite's WAL, so tear it.
+
+    The store and its ``-wal`` are copied while the session is open and the
+    WAL copy is truncated at an arbitrary byte: SQLite recovers the longest
+    checksummed prefix of committed transactions, so restore (verifying)
+    lands on *some* event at or before the live one — never on a half
+    event — and replaying the rest of the log converges bit-identically.
+    """
+    directory = tmp_path_factory.mktemp("live")
+    dataset = make_dataset(record_count=40, duplicate_pairs=8, seed=47)
+    config = make_config(
+        storage_backend=backend,
+        checkpoint_dir=str(directory),
+        checkpoint_every_batches=data.draw(st.sampled_from([0, 2]), label="cadence"),
+    )
+    resolver = StreamingResolver(config=config)
+    resolver.add_truth(dataset.ground_truth)
+    drive(resolver, list(dataset.store), schedule)
+    full_log = logged_events(directory)
+
+    torn = tmp_path_factory.mktemp("torn")
+    shutil.copy(directory / STORE_FILENAME, torn / STORE_FILENAME)
+    wal = (directory / (STORE_FILENAME + "-wal")).read_bytes()
+    keep = data.draw(st.integers(min_value=0, max_value=len(wal)), label="wal_bytes")
+    (torn / (STORE_FILENAME + "-wal")).write_bytes(wal[:keep])
+
+    try:
+        restored = StreamingResolver.restore(torn, verify=True, resume_journal=False)
+    except PersistenceError:
+        # Only a tear before the constructor's first commit leaves nothing
+        # to restore: the session never existed.
+        assert logged_events(torn) == []
+    else:
+        assert restored.events_applied <= resolver.events_applied
+        persistence.replay(restored, full_log, verify=True)
+        assert_sessions_identical(resolver, restored)
+        restored.durability.close()
+    resolver.durability.close()
+
+
+_KILLED_CHILD = """
+    import sys, time
+    from repro.core.config import WorkflowConfig
+    from repro.datasets.restaurant import RestaurantGenerator
+    from repro.streaming import StreamingResolver
+
+    backend, directory = sys.argv[1:]
+    dataset = RestaurantGenerator(record_count=120, duplicate_pairs=20, seed=13).generate()
+    records = list(dataset.store)
+    resolver = StreamingResolver(config=WorkflowConfig(
+        likelihood_threshold=0.35, vote_mode="per-pair", aggregation="majority",
+        storage_backend=backend, checkpoint_dir=directory, checkpoint_every_batches=3,
+    ))
+    resolver.add_truth(dataset.ground_truth)
+    for start in range(0, len(records), 4):
+        resolver.add_batch(records[start : start + 4])
+        if start == 8:
+            print("ready", flush=True)
+    time.sleep(600)  # finished before the kill landed: wait for it
+"""
+
+
+@pytest.mark.parametrize("backend", ("memory", "sqlite"))
+def test_sigkill_mid_stream_restores_and_finishes_identically(tmp_path, backend):
+    """A real process, really killed: whatever ``SIGKILL`` left in the
+    directory restores, and the rest of the schedule ends where an
+    uninterrupted run does."""
+    source_root = str(Path(next(iter(repro.__path__))).parent)
+    child = subprocess.Popen(
+        [sys.executable, "-c", textwrap.dedent(_KILLED_CHILD), backend, str(tmp_path)],
+        stdout=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": source_root},
+    )
+    try:
+        assert child.stdout.readline().strip() == b"ready"
+    finally:
+        child.send_signal(signal.SIGKILL)
+        child.wait()
+        child.stdout.close()
+
+    dataset = make_dataset(record_count=120, duplicate_pairs=20, seed=13)
+    records = list(dataset.store)
+    uninterrupted = StreamingResolver(config=make_config())
+    uninterrupted.add_truth(dataset.ground_truth)
+    for start in range(0, len(records), 4):
+        uninterrupted.add_batch(records[start : start + 4])
+
+    restored = StreamingResolver.restore(tmp_path)
+    assert restored.storage.backend_name == backend
+    done = restored.record_count
+    assert 12 <= done <= len(records) and done % 4 == 0
+    for start in range(done, len(records), 4):
+        restored.add_batch(records[start : start + 4])
+    assert_sessions_identical(uninterrupted, restored)
+    restored.durability.close()
+    assert sorted(item.name for item in tmp_path.iterdir()) == [STORE_FILENAME]
+
+
+@pytest.mark.parametrize("crowd_mode", ("sync", "async"))
+@pytest.mark.parametrize("backend", ("memory", "sqlite"))
+def test_a_durable_session_is_one_file(tmp_path, backend, crowd_mode):
+    """Running, saving, restoring and flipping the backend never leave
+    anything in the directory but ``store.sqlite`` (and, while a connection
+    is open, SQLite's own ``-wal``/``-shm``)."""
+    one_file = {STORE_FILENAME}
+    while_open = one_file | {STORE_FILENAME + "-wal", STORE_FILENAME + "-shm"}
+
+    def listing():
+        return {item.name for item in tmp_path.iterdir()}
+
+    dataset = make_dataset()
+    records = list(dataset.store)
+    config = make_config(
+        storage_backend=backend,
+        checkpoint_dir=str(tmp_path),
+        checkpoint_every_batches=2,
+        crowd_mode=crowd_mode,
+    )
+    resolver = StreamingResolver(config=config)
+    resolver.add_truth(dataset.ground_truth)
+    for start in range(0, 40, 10):
+        resolver.add_batch(records[start : start + 10])
+    assert listing() == while_open
+    resolver.save()
+    assert listing() == while_open
+    resolver.durability.close()
+    resolver.durability.close()  # idempotent
+    assert listing() == one_file
+
+    other = "sqlite" if backend == "memory" else "memory"
+    for victim, step_config in enumerate(
+        (None, dataclasses.replace(config, storage_backend=other))
+    ):
+        restored = StreamingResolver.restore(tmp_path, config=step_config)
+        restored.retract(records[victim].record_id)
+        restored.flush()
+        assert listing() == while_open
+        restored.durability.close()
+        assert listing() == one_file
+
+
+# --------------------------------------------- the store is never ahead of its log
+def log_and_state_positions(directory):
+    """``(MAX(events.seq), meta.events_applied)`` inside one read transaction."""
+    connection = sqlite3.connect(str(directory / STORE_FILENAME), isolation_level=None)
+    try:
+        connection.execute("BEGIN")
+        logged = connection.execute("SELECT MAX(seq) FROM events").fetchone()[0]
+        row = connection.execute(
+            "SELECT value FROM meta WHERE key = 'events_applied'"
+        ).fetchone()
+        return logged, (json.loads(row[0]) if row else None)
+    finally:
+        connection.close()
+
+
+@pytest.mark.parametrize("crowd_mode", ("sync", "async"))
+@pytest.mark.parametrize("backend", ("memory", "sqlite"))
+def test_the_state_and_the_log_advance_in_one_commit(tmp_path, backend, crowd_mode):
+    """After every event ``meta.events_applied == MAX(events.seq)``: the
+    state rows (mirrored, or rewritten at a cadence of 1), the counters and
+    the outcome row are one transaction, so no reader — and no crash — ever
+    sees the store ahead of the log or an outcome without its state."""
+    dataset = make_dataset()
+    records = list(dataset.store)
+    config = make_config(
+        storage_backend=backend,
+        checkpoint_dir=str(tmp_path),
+        checkpoint_every_batches=1,
+        crowd_mode=crowd_mode,
+    )
+    resolver = StreamingResolver(config=config)
+    # An event without an outcome never triggers the cadence: the
+    # memory-backed store has no state yet, the mirrored one is current.
+    resolver.add_truth(dataset.ground_truth)
+    logged, applied = log_and_state_positions(tmp_path)
+    assert applied == (logged if backend == "sqlite" else None)
+    events = [
+        lambda: resolver.add_batch(records[:15]),
+        lambda: resolver.add_batch(records[15:30]),
+        lambda: resolver.retract(records[2].record_id),
+        lambda: resolver.update(records[4].with_attributes(name="rewritten")),
+        lambda: resolver.add_batch(records[30:45]),
+        resolver.flush,
+        resolver.save,
+    ]
+    for event in events:
+        event()
+        logged, applied = log_and_state_positions(tmp_path)
+        assert logged == applied == resolver.events_applied
+    resolver.durability.close()
+    logged, applied = log_and_state_positions(tmp_path)
+    assert logged == applied
+
+    # Between cadence points a memory-backed store trails its log; it never leads.
+    lagging = tmp_path / "lagging"
+    resolver = StreamingResolver(
+        config=dataclasses.replace(
+            config,
+            storage_backend="memory",
+            checkpoint_dir=str(lagging),
+            checkpoint_every_batches=2,
+        )
+    )
+    resolver.add_truth(dataset.ground_truth)
+    for start in range(0, 45, 9):
+        resolver.add_batch(records[start : start + 9])
+        logged, applied = log_and_state_positions(lagging)
+        assert (applied or 0) <= logged == resolver.events_applied
+    resolver.durability.close()

@@ -206,7 +206,10 @@ class TestHttpSurface:
         for config in (
             {"no_such_knob": 1},
             {"likelihood_threshold": 2.0},
-            {"join_pool": "fork"},  # retired knob: unknown like any other
+            {"join_pool": "fork"},  # retired knobs: unknown like any other
+            {"storage_path": "/tmp/elsewhere.sqlite"},
+            {"journal_segment_events": 512},
+            {"storage_backend": "sqlite"},  # lives in checkpoint_dir: needs one
         ):
             with pytest.raises(ServiceClientError) as caught:
                 client.create_session(fresh_id("bad"), config=config)
@@ -487,6 +490,39 @@ class TestDurability:
         runner.stop()  # graceful: must save() the session on its shard
         restored = StreamingResolver.restore(str(checkpoint))
         assert encode_result(restored.snapshot()) == served
+
+    @pytest.mark.parametrize("backend", ("memory", "sqlite"))
+    def test_close_releases_the_store_and_restore_continues(self, tmp_path, backend):
+        """``DELETE /sessions/{id}`` saves *and closes* the session's SQLite
+        connection (on its shard thread): no WAL is left behind, and the
+        same process can restore the session and carry on bit-identically."""
+        runner = ServiceThread(shard_count=2, queue_depth=8)
+        client = runner.start()
+        try:
+            dataset = make_dataset(seed=11)
+            records = list(dataset.store)
+            truth = [list(pair) for pair in dataset.ground_truth]
+            schedule = [("batch", 15), ("retract", 2), ("batch", 10)]
+            tail = [("update", 4), ("batch", 15), ("flush", 0)]
+            config = dict(
+                SERVICE_CONFIG, storage_backend=backend, checkpoint_dir=str(tmp_path)
+            )
+            client.create_session("closing", config=config, truth=truth)
+            mirror = {}
+            cursor = drive_over_http(client, "closing", records, schedule, mirror)
+            client.close("closing")
+            assert [
+                item.name for item in tmp_path.iterdir() if item.stat().st_size
+            ] == ["store.sqlite"]
+            assert client.restore("closing", str(tmp_path))["records"] == len(mirror)
+            drive_over_http(client, "closing", records, tail, mirror, cursor)
+            assert client.result("closing") == standalone_result(
+                records, dataset.ground_truth, schedule + tail
+            )
+        finally:
+            runner.stop()
+        # The graceful stop closed it again.
+        assert sorted(item.name for item in tmp_path.iterdir()) == ["store.sqlite"]
 
     def test_explicit_save_endpoint_checkpoints_now(self, tmp_path):
         runner = ServiceThread(shard_count=1, queue_depth=8)

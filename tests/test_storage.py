@@ -5,10 +5,9 @@ The central contract: a streaming session backed by the SQLite store is
 posteriors to the last float bit, same digests — for any schedule of
 batches, retractions, updates, flushes and crashes, and restoring a
 SQLite-backed session is a *page-in* of committed state (plus a short
-journal-tail replay) rather than a full journal replay.  On top of that,
-the journal lifecycle (segment rotation, archival compaction) must never
-lose an event, and restoring onto a *changed* result config re-joins the
-stored records instead of refusing.
+replay of the logged tail) rather than a replay of the whole log.  On top
+of that, restoring onto a *changed* result config re-joins the stored
+records instead of refusing.
 """
 
 import os
@@ -29,12 +28,7 @@ from repro.simjoin.columnar import argsort_descending
 from repro.storage import MemoryStore, SqliteStore, StorageError, open_store
 from repro.storage.sqlite import STORE_FILENAME
 from repro.streaming import PersistenceError, StreamingResolver
-from repro.streaming.persistence import (
-    ARCHIVE_DIRNAME,
-    JOURNAL_FILENAME,
-    SEGMENT_PATTERN,
-    SessionJournal,
-)
+from repro.streaming.persistence import ARCHIVE_DIRNAME
 
 
 def make_dataset(record_count=45, duplicate_pairs=8, seed=31):
@@ -220,10 +214,7 @@ class TestBackendBitIdentity:
         records = list(dataset.store)
         mem = StreamingResolver(config=make_config())
         sql = StreamingResolver(
-            config=make_config(
-                storage_backend="sqlite",
-                storage_path=str(tmp_path / STORE_FILENAME),
-            )
+            config=make_config(storage_backend="sqlite", checkpoint_dir=str(tmp_path))
         )
         for session in (mem, sql):
             session.add_truth(dataset.ground_truth)
@@ -269,9 +260,6 @@ class TestBackendBitIdentity:
             storage_backend="sqlite",
             checkpoint_dir=str(directory),
             checkpoint_every_batches=0,
-            journal_segment_events=data.draw(
-                st.sampled_from([0, 3]), label="segment_events"
-            ),
         )
         sql = StreamingResolver(config=config)
         sql.add_truth(dataset.ground_truth)
@@ -348,10 +336,7 @@ class TestPageInRestore:
         resolver.storage.close()
         twin_dir = tmp_path.parent / (tmp_path.name + "-twin")
         twin = StreamingResolver(
-            config=make_config(
-                storage_backend="sqlite",
-                storage_path=str(twin_dir / STORE_FILENAME),
-            )
+            config=make_config(storage_backend="sqlite", checkpoint_dir=str(twin_dir))
         )
         twin.add_truth(dataset.ground_truth)
         for start in range(0, 40, 13):
@@ -370,198 +355,52 @@ class TestPageInRestore:
         twin.storage.close()
         restored.storage.close()
 
-    def test_store_only_session_restores_without_a_journal(self, tmp_path):
-        """storage_path without checkpoint_dir: durability from the store
-        alone (committed events survive; no journal to replay)."""
-        dataset = make_dataset()
-        records = list(dataset.store)
-        config = make_config(
-            storage_backend="sqlite",
-            storage_path=str(tmp_path / STORE_FILENAME),
-        )
-        resolver = StreamingResolver(config=config)
-        resolver.add_truth(dataset.ground_truth)
-        for start in range(0, len(records), 15):
-            resolver.add_batch(records[start : start + 15])
-        expected = session_fingerprint(resolver)
-        resolver.storage.close()
-        restored = StreamingResolver.restore(str(tmp_path), resume_journal=False)
-        assert session_fingerprint(restored) == expected
-        restored.storage.close()
-
     def test_store_written_with_retired_knobs_pages_in(self, tmp_path):
-        """A store from before the join had one kernel carries ``join_pool``
-        in its config meta and a ``join_maintain_inverted`` entry; page-in
-        ignores both."""
+        """A store-only directory of an earlier release carries ``join_pool``,
+        ``storage_path`` and ``journal_segment_events`` in its config meta
+        (and no ``checkpoint_dir``), plus a ``join_maintain_inverted`` entry;
+        page-in ignores all of them."""
         dataset = make_dataset()
         records = list(dataset.store)
-        config = make_config(
-            storage_backend="sqlite",
-            storage_path=str(tmp_path / STORE_FILENAME),
+        home, copy = tmp_path / "home", tmp_path / "copy"
+        resolver = StreamingResolver(
+            config=make_config(storage_backend="sqlite", checkpoint_dir=str(home))
         )
-        resolver = StreamingResolver(config=config)
         resolver.add_truth(dataset.ground_truth)
         for start in range(0, len(records), 15):
             resolver.add_batch(records[start : start + 15])
         expected = session_fingerprint(resolver)
-        stored_config = resolver.storage.get_meta("config")
-        resolver.storage.set_meta("config", {**stored_config, "join_pool": "fork"})
-        resolver.storage.set_meta("join_maintain_inverted", False)
-        resolver.storage.commit()
-        resolver.storage.close()
-        restored = StreamingResolver.restore(str(tmp_path), resume_journal=False)
+        resolver.save(copy)  # state, no events: what "store only" means now
+        resolver.durability.close()
+        store = SqliteStore(copy / STORE_FILENAME)
+        legacy = {
+            "join_pool": "fork",
+            "storage_path": str(copy / STORE_FILENAME),
+            "journal_segment_events": 512,
+            "checkpoint_dir": None,
+        }
+        store.set_meta("config", {**store.get_meta("config"), **legacy})
+        store.set_meta("join_maintain_inverted", False)
+        store.commit()
+        store.close()
+        restored = StreamingResolver.restore(str(copy))
         assert session_fingerprint(restored) == expected
+        assert restored.config.checkpoint_dir == str(copy)
+        # ... and it is a live durable session again: its log starts right
+        # after the state it was copied with.
         tail = [Record("late", dict(records[0].attributes))]
-        assert len(restored.join.add_batch(tail)) >= 1
-        restored.storage.close()
+        restored.add_batch(tail)
+        assert restored.events_applied == resolver.events_applied + 2
+        assert restored.durability.journal.events(after=resolver.events_applied)
+        restored.durability.close()
 
     def test_fresh_session_refuses_an_occupied_store(self, tmp_path):
-        config = make_config(
-            storage_backend="sqlite",
-            storage_path=str(tmp_path / STORE_FILENAME),
-        )
+        config = make_config(storage_backend="sqlite", checkpoint_dir=str(tmp_path))
         first = StreamingResolver(config=config)
         first.add_batch([Record("r1", {"t": "alpha"}), Record("r2", {"t": "alpha"})])
         first.storage.close()
         with pytest.raises(PersistenceError):
             StreamingResolver(config=config)
-
-
-# ------------------------------------------------- journal lifecycle edges
-class TestJournalLifecycle:
-    def write_events(self, journal, count, start=0):
-        for n in range(start, start + count):
-            journal.append("batch", {"n": n})
-
-    def test_rotation_produces_gapless_segments(self, tmp_path):
-        journal = SessionJournal(tmp_path, segment_events=3)
-        self.write_events(journal, 7)
-        segments = journal.segments()
-        assert [(first, last) for first, last, _ in segments] == [(1, 3), (4, 6)]
-        assert (tmp_path / JOURNAL_FILENAME).exists()  # one event still active
-        reread = SessionJournal(tmp_path, segment_events=3)
-        assert [event.seq for event in reread.events()] == list(range(1, 8))
-
-    def test_resume_across_a_rotated_boundary(self, tmp_path):
-        """A restore whose replay tail spans closed segments and the active
-        file sees one gapless event stream."""
-        dataset = make_dataset()
-        records = list(dataset.store)
-        config = make_config(
-            checkpoint_dir=str(tmp_path),
-            checkpoint_every_batches=0,
-            journal_segment_events=2,  # rotate aggressively
-        )
-        resolver = StreamingResolver(config=config)
-        resolver.add_truth(dataset.ground_truth)
-        for start in range(0, len(records), 9):
-            resolver.add_batch(records[start : start + 9])
-        assert any(
-            SEGMENT_PATTERN.match(name) for name in os.listdir(tmp_path)
-        ), "expected rotated segments"
-        restored = StreamingResolver.restore(str(tmp_path), resume_journal=False)
-        assert_sessions_identical(resolver, restored)
-
-    def test_crash_between_fill_and_rotation_is_finished_on_reopen(self, tmp_path):
-        """An active file already at the rotation threshold (the crash hit
-        after the append, before the rename) rotates when reopened."""
-        journal = SessionJournal(tmp_path, segment_events=0)  # never rotates
-        self.write_events(journal, 4)
-        reopened = SessionJournal(tmp_path, segment_events=4)
-        assert [(first, last) for first, last, _ in reopened.segments()] == [(1, 4)]
-        assert not (tmp_path / JOURNAL_FILENAME).exists()
-        assert reopened.append("flush", {}) == 5  # lands in a fresh active file
-        assert [event.seq for event in SessionJournal(tmp_path).events()] == [1, 2, 3, 4, 5]
-
-    def test_crash_mid_rotation_leaves_a_readable_journal(self, tmp_path):
-        """Rotation is one os.replace: simulate the crash landing right
-        after it (segment exists, no active file) and reopen."""
-        journal = SessionJournal(tmp_path, segment_events=0)
-        self.write_events(journal, 3)
-        os.replace(
-            tmp_path / JOURNAL_FILENAME,
-            tmp_path / "journal-000000000001-000000000003.jsonl",
-        )
-        reopened = SessionJournal(tmp_path, segment_events=3)
-        assert [event.seq for event in reopened.events()] == [1, 2, 3]
-        assert reopened.append("flush", {}) == 4
-        assert [event.seq for event in SessionJournal(tmp_path).events()] == [1, 2, 3, 4]
-
-    def test_compaction_archives_only_covered_segments(self, tmp_path):
-        journal = SessionJournal(tmp_path, segment_events=2)
-        self.write_events(journal, 6)  # segments (1,2), (3,4), (5,6)
-        archived = journal.compact_covered(4)
-        assert [path.name for path in archived] == [
-            "journal-000000000001-000000000002.jsonl",
-            "journal-000000000003-000000000004.jsonl",
-        ]
-        # The uncovered segment survives in place and keeps replaying.
-        assert [(first, last) for first, last, _ in journal.segments()] == [(5, 6)]
-        assert [event.seq for event in journal.events()] == [5, 6]
-        assert (tmp_path / ARCHIVE_DIRNAME).is_dir()
-        reread = SessionJournal(tmp_path)
-        assert [event.seq for event in reread.events()] == [5, 6]
-
-    def test_compaction_of_nothing_is_a_no_op(self, tmp_path):
-        journal = SessionJournal(tmp_path, segment_events=2)
-        self.write_events(journal, 5)
-        assert journal.compact_covered(1) == []  # first segment ends at 2
-        assert [event.seq for event in journal.events()] == [1, 2, 3, 4, 5]
-
-    def test_torn_tail_in_a_closed_segment_is_corruption(self, tmp_path):
-        journal = SessionJournal(tmp_path, segment_events=2)
-        self.write_events(journal, 4)
-        first, last, path = journal.segments()[0]
-        path.write_text(path.read_text()[:-20])
-        with pytest.raises(Exception):
-            SessionJournal(tmp_path)
-
-    def test_save_compacts_the_journal_of_a_durable_session(self, tmp_path):
-        dataset = make_dataset()
-        records = list(dataset.store)
-        config = make_config(
-            checkpoint_dir=str(tmp_path),
-            checkpoint_every_batches=0,
-            journal_segment_events=2,
-        )
-        resolver = StreamingResolver(config=config)
-        resolver.add_truth(dataset.ground_truth)
-        for start in range(0, len(records), 9):
-            resolver.add_batch(records[start : start + 9])
-        assert resolver.durability.journal.segments(), "expected rotated segments"
-        resolver.save()
-        # Every closed segment is covered by the store -> all archived.
-        assert resolver.durability.journal.segments() == []
-        archived = os.listdir(tmp_path / ARCHIVE_DIRNAME)
-        assert archived and all(SEGMENT_PATTERN.match(name) for name in archived)
-        restored = StreamingResolver.restore(str(tmp_path), resume_journal=False)
-        assert_sessions_identical(resolver, restored)
-
-    def test_sqlite_restore_after_rotation_and_compaction(self, tmp_path):
-        """The acceptance property: restore() on a rotated+compacted
-        journal equals the uninterrupted session."""
-        dataset = make_dataset()
-        records = list(dataset.store)
-        config = make_config(
-            storage_backend="sqlite",
-            checkpoint_dir=str(tmp_path),
-            checkpoint_every_batches=0,
-            journal_segment_events=2,
-        )
-        resolver = StreamingResolver(config=config)
-        resolver.add_truth(dataset.ground_truth)
-        for start in range(0, 27, 9):
-            resolver.add_batch(records[start : start + 9])
-        resolver.save()  # archives the store-covered segments
-        resolver.add_batch(records[27:36])  # events beyond the compaction point
-        resolver.storage.close()
-        restored = StreamingResolver.restore(str(tmp_path))
-        uninterrupted = StreamingResolver(config=make_config())
-        uninterrupted.add_truth(dataset.ground_truth)
-        for start in range(0, 36, 9):
-            uninterrupted.add_batch(records[start : start + 9])
-        assert_sessions_identical(uninterrupted, restored)
-        restored.storage.close()
 
 
 # ------------------------------------------------- re-join on config change
@@ -605,7 +444,9 @@ class TestRestoreRejoin:
         assert len(buckets) == 1
         archived = os.listdir(tmp_path / ARCHIVE_DIRNAME / buckets[0])
         assert STORE_FILENAME in archived
-        assert any(name == JOURNAL_FILENAME or SEGMENT_PATTERN.match(name) for name in archived)
+        assert sorted(
+            name for name in os.listdir(tmp_path) if name != ARCHIVE_DIRNAME
+        ) == [STORE_FILENAME, STORE_FILENAME + "-shm", STORE_FILENAME + "-wal"]
         rejoined.storage.close()
 
     def test_unchanged_result_config_resumes_normally(self, tmp_path):
