@@ -69,6 +69,9 @@ class DawidSkeneAggregator:
     """
 
     name = "dawid-skene"
+    #: EM shares the worker confusion matrices and the class prior across
+    #: pairs, so one pair's votes move every posterior aggregated with it.
+    pair_independent = False
 
     def __init__(
         self,

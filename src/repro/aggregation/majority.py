@@ -37,6 +37,10 @@ class MajorityAggregator:
     """
 
     name = "majority"
+    #: A pair's posterior is a function of that pair's votes alone — a fact
+    #: about the algorithm, not an option.  It is what lets a streaming
+    #: session re-aggregate only the pairs whose votes changed.
+    pair_independent = True
 
     def aggregate(self, votes: Iterable[Vote]) -> Dict[Tuple[str, str], float]:
         """Return the per-pair match probability under majority voting."""

@@ -81,6 +81,12 @@ class PairLedger:
         The aggregated posterior cache.
     covered:
         Pairs covered by at least one published HIT.
+    touched:
+        Keys whose likelihood or posterior was added, changed or dropped
+        since :meth:`take_touched` last ran — what a ranked view of the
+        ledger has to re-place.  ``None`` means "any of them": a new
+        ledger, one whose dicts were assigned wholesale (page-in), or one
+        after :meth:`replace_posteriors`.
     """
 
     def __init__(self) -> None:
@@ -90,6 +96,16 @@ class PairLedger:
         self.pending_votes: Dict[PairKey, int] = {}
         self.posteriors: Dict[PairKey, float] = {}
         self.covered: Set[PairKey] = set()
+        self.touched: Optional[Set[PairKey]] = None
+
+    def take_touched(self) -> Optional[Set[PairKey]]:
+        """Hand over :attr:`touched` and start a new, empty set."""
+        touched, self.touched = self.touched, set()
+        return touched
+
+    def _touch(self, key: PairKey) -> None:
+        if self.touched is not None:
+            self.touched.add(key)
 
     # ------------------------------------------------------------ mutations
     def add_pair(self, key: PairKey, likelihood: Optional[float]) -> None:
@@ -98,9 +114,11 @@ class PairLedger:
         if key in self.pairs and (likelihood or 0.0) <= (existing or 0.0):
             return
         self.pairs[key] = likelihood
+        self._touch(key)
 
     def drop_pair(self, key: PairKey) -> None:
         """Invalidate one pair entirely (retraction blast radius)."""
+        self._touch(key)
         self.pairs.pop(key, None)
         self.votes.pop(key, None)
         self.vote_rounds.pop(key, None)
@@ -120,10 +138,12 @@ class PairLedger:
 
     def set_posterior(self, key: PairKey, posterior: float) -> None:
         self.posteriors[key] = posterior
+        self._touch(key)
 
     def replace_posteriors(self, posteriors: Dict[PairKey, float]) -> None:
         """Global-scope aggregation: the whole cache is rebuilt at once."""
         self.posteriors = dict(posteriors)
+        self.touched = None
 
     def clear_pending(self, keys: Iterable[PairKey]) -> None:
         for key in keys:

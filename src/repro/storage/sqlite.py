@@ -570,6 +570,7 @@ class SqliteStore(Store):
         was just read.
         """
         ledger = self.ledger if into is None else into
+        ledger.touched = None
         ledger.pairs = {
             (id_a, id_b): likelihood
             for id_a, id_b, likelihood in self._conn.execute(

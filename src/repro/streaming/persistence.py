@@ -627,8 +627,7 @@ def _page_in(session, source: SqliteStore) -> None:
             for record in source.iter_records():
                 storage.add_record(record)
         source.load_ledger(into=storage.ledger)
-        truth = source.get_meta("truth") or []
-        session._truth = {(pair[0], pair[1]) for pair in truth}
+        session._apply_truth(source.get_meta("truth") or [])
         session.join = IncrementalSimJoin.from_store(
             source,
             threshold=config.likelihood_threshold,

@@ -21,9 +21,14 @@ incrementally instead of recomputing it from scratch:
    pair of a dirty component with a fresh vote round.
 5. **Aggregation** — with ``streaming_aggregation_scope="component"`` only
    dirty components are re-aggregated and clean components keep their cached
-   posteriors bit-for-bit; ``"global"`` re-runs the aggregator over all
+   posteriors bit-for-bit — and when the aggregator declares itself
+   ``pair_independent`` (majority), only the dirty *pairs* whose votes
+   changed; ``"global"`` re-runs the aggregator over all
    accumulated votes (the mode that reproduces one-shot Dawid-Skene
    exactly, since EM shares worker confusion estimates globally).
+6. **Snapshot** — the candidates are kept in rank order
+   (:class:`~repro.core.ranking.RankedIndex`) and re-placed only for the
+   pairs whose likelihood or posterior the event changed.
 
 On top of arrivals the session supports **retraction and update**
 (:meth:`StreamingResolver.retract` / :meth:`StreamingResolver.update`):
@@ -66,7 +71,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tup
 from repro import obs
 from repro.aggregation.majority import Vote
 from repro.core.config import WorkflowConfig
-from repro.core.ranking import rank_candidates
+from repro.core.ranking import RankedIndex, rank_candidates
 from repro.core.results import ResolutionResult, StreamingDelta
 from repro.core.workflow import build_aggregator, build_hit_generator
 from repro.crowd.async_platform import (
@@ -108,6 +113,11 @@ DELTA_COUNTER_FIELDS = (
     "invalidated_pairs",
     "retracted_records",
 )
+
+#: ``snapshot()`` re-ranks from scratch once an event touched more than one
+#: candidate in this many: past half, one sort is cheaper than the bisects
+#: (Dawid-Skene over one giant dirty component moves every posterior).
+RERANK_SHARE = 2
 
 
 class StreamingResolver:
@@ -217,7 +227,13 @@ class StreamingResolver:
         self.components = IncrementalUnionFind()
         self.candidates = PairSet()
         self.provenance = ProvenanceLedger(backing=self.storage)
+        # The ranked candidates, re-placed per touched pair by snapshot().
+        self._ranking = RankedIndex(self.config.decision_threshold)
+        # Ground truth, its per-record index, and how many of its pairs have
+        # both records resident (the recall ceiling's denominator).
         self._truth: Set[PairKey] = set()
+        self._truth_partners: Dict[str, List[str]] = {}
+        self._arrived_truth = 0
         # Accumulated crowd workload across all batches.
         self._hit_count = 0
         self._cost = 0.0
@@ -442,13 +458,57 @@ class StreamingResolver:
         return getattr(self, f"_apply_{kind}")(*arguments)
 
     def _apply_truth(self, pairs: Iterable[Sequence[str]]) -> None:
-        self._truth.update((pair[0], pair[1]) for pair in pairs)
+        for pair in pairs:
+            key = (pair[0], pair[1])
+            if key in self._truth:
+                continue
+            self._truth.add(key)
+            self._truth_partners.setdefault(key[0], []).append(key[1])
+            self._truth_partners.setdefault(key[1], []).append(key[0])
+            if key[0] in self.store and key[1] in self.store:
+                self._arrived_truth += 1
+
+    def _resident_truth_partners(self, record_id: str) -> int:
+        """How many truth pairs of ``record_id`` have their other record resident."""
+        return sum(
+            1
+            for partner in self._truth_partners.get(record_id, ())
+            if partner in self.store
+        )
 
     def _apply_batch(
         self,
         batch: List[Record],
         truth_pairs: Optional[Iterable[Sequence[str]]],
     ) -> ResolutionResult:
+        self._ingest(batch, truth_pairs)
+        return self.snapshot()
+
+    def _apply_retract(self, record_id: str) -> ResolutionResult:
+        self._withdraw(record_id)
+        return self.snapshot()
+
+    def _apply_update(self, record: Record) -> ResolutionResult:
+        # Both halves emit their own spans and delta counters (so an update
+        # accounts as one retraction plus one arrival); only the event count
+        # is recorded here.
+        if obs.enabled():
+            obs.inc("streaming_updates_total", 1,
+                    help="Record update events (retract + re-ingest).")
+        invalidated = self._withdraw(record.record_id).invalidated_pairs
+        # The event's delta: the ingest counters plus the retraction's
+        # invalidation stats.
+        delta = self._ingest([record], None)
+        delta.retracted_records = 1
+        delta.invalidated_pairs = invalidated
+        return self.snapshot()
+
+    def _ingest(
+        self,
+        batch: List[Record],
+        truth_pairs: Optional[Iterable[Sequence[str]]],
+    ) -> StreamingDelta:
+        """The arrival half of an event: everything but the snapshot."""
         if truth_pairs is not None:
             self._apply_truth(truth_pairs)
         self._batch_index += 1
@@ -462,6 +522,7 @@ class StreamingResolver:
                 new_pairs = self.join.add_batch(batch)
                 for record in batch:
                     self.store.add(record)
+                    self._arrived_truth += self._resident_truth_partners(record.record_id)
                     self.components.add(record.record_id)
                     self.provenance.add_record(record.record_id)
             delta.new_candidate_pairs = len(new_pairs)
@@ -496,9 +557,10 @@ class StreamingResolver:
             self.components.clear_dirty()
         self._last_delta = delta
         self._emit_delta_metrics(delta)
-        return self.snapshot()
+        return delta
 
-    def _apply_retract(self, record_id: str) -> ResolutionResult:
+    def _withdraw(self, record_id: str) -> StreamingDelta:
+        """The retraction half of an event: everything but the snapshot."""
         self._batch_index += 1
         delta = StreamingDelta(batch_index=self._batch_index, retracted_records=1)
         self._last_fresh_votes = {}
@@ -509,6 +571,7 @@ class StreamingResolver:
             impact = self.provenance.retract_record(record_id)
             self.join.retract(record_id)
             self.store.remove(record_id)
+            self._arrived_truth -= self._resident_truth_partners(record_id)
             for key in impact.dropped_pairs:
                 self.candidates.discard(*key)
                 self._ledger.drop_pair(key)
@@ -537,23 +600,7 @@ class StreamingResolver:
             self.components.clear_dirty()
         self._last_delta = delta
         self._emit_delta_metrics(delta)
-        return self.snapshot()
-
-    def _apply_update(self, record: Record) -> ResolutionResult:
-        # Both halves emit their own spans and delta counters (so an update
-        # accounts as one retraction plus one arrival); only the event count
-        # is recorded here.
-        if obs.enabled():
-            obs.inc("streaming_updates_total", 1,
-                    help="Record update events (retract + re-ingest).")
-        self._apply_retract(record.record_id)
-        invalidated = self._last_delta.invalidated_pairs
-        self._apply_batch([record], None)
-        # Merge both halves into the event's delta: the ingest counters plus
-        # the retraction's invalidation stats.
-        self._last_delta.retracted_records = 1
-        self._last_delta.invalidated_pairs = invalidated
-        return self.snapshot()
+        return delta
 
     def _apply_flush(self) -> ResolutionResult:
         self._last_fresh_votes = {}
@@ -571,14 +618,13 @@ class StreamingResolver:
                 if gained > 0 and key in self._votes
             ]
             if pending:
-                keys = self._expand_components(pending)
-                voted = [key for key in sorted(keys) if key in self._votes]
                 aggregator = build_aggregator(self.config)
-                for key, posterior in aggregator.aggregate(
-                    self._ledger_votes(voted)
-                ).items():
-                    self._ledger.set_posterior(key, posterior)
-                self._ledger.clear_pending(voted)
+                self._reaggregate(
+                    aggregator,
+                    pending
+                    if aggregator.pair_independent
+                    else self._votes.keys() & self._expand_components(pending),
+                )
         return self.snapshot()
 
     def _emit_delta_metrics(self, delta: StreamingDelta) -> None:
@@ -612,14 +658,12 @@ class StreamingResolver:
         """
         if self.config.recrowd_policy == "dirty":
             to_vote = set(dirty_pairs)
-        else:  # "never": only pairs that have no votes yet
-            to_vote = {key for key in dirty_pairs if self._vote_rounds.get(key, 0) == 0}
-        delta.reused_vote_pairs = sum(
-            1 for key in dirty_pairs - to_vote if key in self._votes
-        )
+        else:  # "never": only pairs that have no completed round yet
+            to_vote = dirty_pairs - self._vote_rounds.keys()
+        delta.reused_vote_pairs = len((dirty_pairs - to_vote) & self._votes.keys())
         if self.crowd is not None:
             to_vote |= self._starved_pairs
-            to_vote -= set(self._inflight_rounds)
+            to_vote -= self._inflight_rounds.keys()
         if not to_vote:
             return
         self._publish_hits(to_vote, delta)
@@ -838,6 +882,12 @@ class StreamingResolver:
         ``force`` bypasses the bounded-staleness filter — used by
         retraction, where the dirty region's cached posteriors are invalid
         rather than merely stale.
+
+        Under a ``pair_independent`` aggregator (majority) a voted pair
+        with no pending votes already holds the posterior a re-run would
+        give it, so only the dirty pairs that gained votes are re-run —
+        and only they reach ``set_posterior``, the ranked index and a
+        persistent store's mirror.
         """
         aggregator = build_aggregator(self.config)
         if self.config.streaming_aggregation_scope == "global":
@@ -849,22 +899,28 @@ class StreamingResolver:
             return
         # Component scope: only the dirty region is re-aggregated; posteriors
         # of clean components are carried over untouched.
-        voted_dirty = [key for key in sorted(dirty_pairs) if key in self._votes]
-        delta.preserved_posterior_pairs = sum(
-            1 for key in self._posteriors if key not in dirty_pairs
-        )
+        settled = self._posteriors.keys() & dirty_pairs
+        delta.preserved_posterior_pairs = len(self._posteriors) - len(settled)
+        voted_dirty = self._votes.keys() & dirty_pairs
         if not force:
             voted_dirty = self._drop_stale_components(voted_dirty, delta)
-        if not voted_dirty:
-            return
-        votes = self._ledger_votes(voted_dirty)
-        for key, posterior in aggregator.aggregate(votes).items():
+        if aggregator.pair_independent:
+            voted_dirty = (voted_dirty & self._pending_votes.keys()) | (
+                voted_dirty - settled
+            )
+        if voted_dirty:
+            self._reaggregate(aggregator, voted_dirty)
+
+    def _reaggregate(self, aggregator, keys: Iterable[PairKey]) -> None:
+        """Run ``aggregator`` over the ledger votes of ``keys``; cache the posteriors."""
+        keys = sorted(keys)
+        for key, posterior in aggregator.aggregate(self._ledger_votes(keys)).items():
             self._ledger.set_posterior(key, posterior)
-        self._ledger.clear_pending(voted_dirty)
+        self._ledger.clear_pending(keys)
 
     def _drop_stale_components(
-        self, voted_dirty: List[PairKey], delta: StreamingDelta
-    ) -> List[PairKey]:
+        self, voted_dirty: Set[PairKey], delta: StreamingDelta
+    ) -> Set[PairKey]:
         """Bounded-staleness filter (``config.staleness_epsilon``).
 
         A dirty component whose vote ledger gained fewer than
@@ -887,11 +943,11 @@ class StreamingResolver:
         delta.stale_skipped_components = len(stale_roots)
         if not stale_roots:
             return voted_dirty
-        return [
+        return {
             key
             for key in voted_dirty
             if self.components.find(key[0]) not in stale_roots
-        ]
+        }
 
     def _ledger_votes(self, keys: Iterable[PairKey]) -> List[Vote]:
         """Ledger votes for the given pairs, sorted by pair key.
@@ -906,23 +962,38 @@ class StreamingResolver:
         return votes
 
     def snapshot(self) -> ResolutionResult:
-        """The current resolution state as a delta-aware result object."""
-        likelihoods: Dict[PairKey, float] = {
-            pair.key: pair.likelihood or 0.0 for pair in self.candidates
-        }
-        ranked, matches = rank_candidates(
-            likelihoods, self._posteriors, self.config.decision_threshold
-        )
+        """The current resolution state as a delta-aware result object.
+
+        Costs what changed since the previous snapshot: the ranked index is
+        updated for the pairs the ledger reports touched and everything
+        else is a copy.  When the ledger cannot say what changed, or it is
+        a large share of the candidates, the order comes from
+        :func:`~repro.core.ranking.rank_candidates` instead.
+        """
+        ledger = self._ledger
+        # The join scores every pair it reports, so the ledger's
+        # likelihoods are floats and the copy needs no None -> 0.0 pass.
+        likelihoods: Dict[PairKey, float] = dict(ledger.pairs)
+        posteriors = dict(ledger.posteriors)
+        ranking = self._ranking
+        touched = ledger.take_touched()
+        if touched is None or len(touched) * RERANK_SHARE > len(likelihoods):
+            ranked, matches = rank_candidates(
+                likelihoods, posteriors, self.config.decision_threshold
+            )
+            ranking.load(ranked, likelihoods, posteriors)
+        else:
+            for key in touched:
+                if key in likelihoods:
+                    ranking.put(key, likelihoods[key], posteriors.get(key))
+                else:
+                    ranking.discard(key)
+            ranked, matches = ranking.ranked(), ranking.matches()
+        # A candidate's records are resident, so the truth pairs that
+        # survived pruning are the truth pairs that are candidates.
         recall_ceiling = None
-        if self._truth:
-            arrived = {
-                key
-                for key in self._truth
-                if key[0] in self.store and key[1] in self.store
-            }
-            if arrived:
-                surviving = self.candidates.intersection_keys(arrived)
-                recall_ceiling = len(surviving) / len(arrived)
+        if self._arrived_truth:
+            recall_ceiling = len(self._truth & ledger.pairs.keys()) / self._arrived_truth
         latency = self.platform.latency.estimate(
             self._assignment_seconds,
             hit_type=self.config.hit_type,
@@ -932,7 +1003,7 @@ class StreamingResolver:
         return ResolutionResult(
             ranked_pairs=ranked,
             matches=matches,
-            posteriors=dict(self._posteriors),
+            posteriors=posteriors,
             likelihoods=likelihoods,
             candidate_count=len(self.candidates),
             hit_count=self._hit_count,

@@ -4,7 +4,9 @@ Count-based, not time-based: HIT coverage is computed from a HIT's own
 ``k*(k-1)/2`` pairs and never walks the candidate set once per HIT, and
 Algorithm 2 seeds each SCC from a heap instead of rescanning every vertex —
 with the scanning implementation (``Graph.max_degree_vertex``) kept as the
-oracle the heap must agree with.
+oracle the heap must agree with.  A streaming append re-aggregates the pairs
+that got fresh votes, not the component they sit in, and its snapshot
+re-places the pairs that changed instead of re-ranking the session.
 """
 
 import random
@@ -25,6 +27,9 @@ from repro.hit.partitioning import (
     _select_candidate,
     partition_large_component,
 )
+from repro.records.record import Record
+from repro.storage.base import PairLedger
+from repro.streaming import session as session_module
 from repro.streaming.session import StreamingResolver
 
 
@@ -183,3 +188,91 @@ class TestSeedHeapMatchesTheScan:
             "d": ["a", "c"], "a": ["d", "c", "b"], "c": ["d", "a", "b"], "b": ["a", "c"],
         }
         assert sub.edge_count == 5 and not sub.has_vertex("x")
+
+
+class TestAppendCostFollowsTheFreshVotes:
+    """One component that every append dirties and grows by exactly one pair."""
+
+    @staticmethod
+    def _chain(length):
+        # Neighbours share two of four tokens (Jaccard 0.5), records two
+        # apart one of five (0.2): a path, so record i adds the pair (i-1, i).
+        return [
+            Record(f"r{i:02d}", {"t": f"w{i} w{i + 1} w{i + 2}"}) for i in range(length)
+        ]
+
+    def _appends(self, monkeypatch, aggregation, length=12):
+        """Per append: (``set_posterior`` calls, freshly voted pairs, dirty pairs)."""
+        written = []
+        set_posterior = PairLedger.set_posterior
+
+        def counted(ledger, key, posterior):
+            written.append(key)
+            set_posterior(ledger, key, posterior)
+
+        monkeypatch.setattr(PairLedger, "set_posterior", counted)
+        resolver = StreamingResolver(config=WorkflowConfig(
+            likelihood_threshold=0.3, vote_mode="per-pair", aggregation=aggregation, seed=3,
+        ))
+        appends = []
+        for record in self._chain(length):
+            del written[:]
+            delta = resolver.add_batch([record]).delta
+            appends.append((len(written), delta.crowdsourced_pairs, delta.dirty_pairs))
+        return appends
+
+    def test_majority_writes_one_posterior_per_freshly_voted_pair(self, monkeypatch):
+        """Fails at the parent commit, which wrote the whole dirty component."""
+        appends = self._appends(monkeypatch, "majority")
+        assert [dirty for _, _, dirty in appends] == list(range(12))
+        assert [fresh for _, fresh, _ in appends] == [0] + [1] * 11
+        assert [written for written, _, _ in appends] == [0] + [1] * 11
+
+    def test_dawid_skene_still_reaggregates_the_whole_dirty_component(self, monkeypatch):
+        """EM shares worker estimates across pairs: the skip must not apply."""
+        appends = self._appends(monkeypatch, "dawid-skene")
+        assert [written for written, _, _ in appends] == list(range(12))
+
+    def test_snapshot_after_a_one_pair_event_never_reranks(self, monkeypatch):
+        chain = self._chain(14)
+        resolver = StreamingResolver(config=WorkflowConfig(
+            likelihood_threshold=0.3, vote_mode="per-pair", aggregation="majority", seed=3,
+        ))
+        resolver.add_batch(chain[:10])
+        ranked = []
+        rank_candidates = session_module.rank_candidates
+
+        def counted(likelihoods, posteriors, decision_threshold):
+            ranked.append(len(likelihoods))
+            return rank_candidates(likelihoods, posteriors, decision_threshold)
+
+        monkeypatch.setattr(session_module, "rank_candidates", counted)
+        for record in chain[10:]:
+            result = resolver.add_batch([record])
+            assert result.delta.new_candidate_pairs == 1
+            assert (result.ranked_pairs, result.matches) == rank_candidates(
+                result.likelihoods, result.posteriors, 0.5
+            )
+        resolver.retract("r04")
+        resolver.snapshot()
+        assert ranked == []
+
+    def test_an_update_materialises_one_result(self, monkeypatch):
+        """Both halves of an update produce deltas; the result is built once,
+        carrying the merged delta."""
+        resolver = StreamingResolver(config=WorkflowConfig(
+            likelihood_threshold=0.3, vote_mode="per-pair", aggregation="majority", seed=3,
+        ))
+        resolver.add_batch(self._chain(8))
+        snapshots = []
+        snapshot = StreamingResolver.snapshot
+
+        def counted(session):
+            snapshots.append(session._last_delta.as_dict())
+            return snapshot(session)
+
+        monkeypatch.setattr(StreamingResolver, "snapshot", counted)
+        result = resolver.update(Record("r03", {"t": "w3 w4 w5 w6"}))
+        assert snapshots == [result.delta.as_dict()]
+        assert (result.delta.retracted_records, result.delta.invalidated_pairs) == (1, 2)
+        assert (result.delta.new_records, result.delta.new_candidate_pairs) == (1, 3)

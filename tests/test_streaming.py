@@ -13,16 +13,20 @@ import random
 
 import pytest
 from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from strategies import arrival_batch_sizes, order_seeds
+from strategies import arrival_batch_sizes, drive, event_schedules, order_seeds
 
+from repro.aggregation.majority import MajorityAggregator
 from repro.core.config import WorkflowConfig
+from repro.core.ranking import RankedIndex, rank_candidates
 from repro.core.workflow import HybridWorkflow
 from repro.crowd.platform import SimulatedCrowdPlatform
 from repro.datasets.restaurant import RestaurantGenerator
 from repro.hit.base import HITBatch, PairBasedHIT
 from repro.records.record import Record, RecordError
 from repro.simjoin.likelihood import SimJoinLikelihood
+from repro.streaming import session as session_module
 from repro.streaming.incremental_join import IncrementalSimJoin
 from repro.streaming.session import StreamingResolver, resolve_stream
 
@@ -424,3 +428,298 @@ def test_property_streaming_equals_batch(order_seed, batch_size):
     assert set(stream.matches) == set(one_shot.matches)
     assert stream.posteriors == one_shot.posteriors
     assert stream.likelihoods == one_shot.likelihoods
+
+
+# ------------------------------------------------------- the ranked index
+def index_of(likelihoods, posteriors, threshold=0.5):
+    index = RankedIndex(threshold)
+    for key, likelihood in likelihoods.items():
+        index.put(key, likelihood, posteriors.get(key))
+    return index
+
+
+def assert_index_ranks_like_the_oracle(index, likelihoods, posteriors, threshold=0.5):
+    ranked, matches = rank_candidates(likelihoods, posteriors, threshold)
+    assert index.ranked() == ranked
+    assert index.matches() == matches
+
+
+class TestRankedIndex:
+    def test_ties_break_on_ascending_pair_key(self):
+        likelihoods = {("c", "d"): 0.5, ("a", "z"): 0.5, ("a", "b"): 0.5, ("b", "c"): 0.5}
+        posteriors = {("c", "d"): 1.0, ("a", "z"): 1.0}
+        index = index_of(likelihoods, posteriors)
+        assert index.ranked() == [("a", "z"), ("c", "d"), ("a", "b"), ("b", "c")]
+        assert_index_ranks_like_the_oracle(index, likelihoods, posteriors)
+
+    def test_signed_zeros_tie(self):
+        """``-0.0 == 0.0``: a signed zero must not reorder equal scores."""
+        likelihoods = {("a", "b"): 0.0, ("a", "c"): -0.0, ("a", "d"): 0.0, ("a", "e"): 0.4}
+        posteriors = {("a", "b"): -0.0, ("a", "c"): 0.0, ("a", "e"): 0.0}
+        index = index_of(likelihoods, posteriors)
+        assert index.ranked() == [("a", "d"), ("a", "e"), ("a", "b"), ("a", "c")]
+        assert_index_ranks_like_the_oracle(index, likelihoods, posteriors)
+
+    def test_a_pair_moves_between_all_three_tiers(self):
+        likelihoods = {("a", "b"): 0.9, ("c", "d"): 0.6, ("e", "f"): 0.3}
+        posteriors = {}
+        index = index_of(likelihoods, posteriors)
+        assert index.ranked()[1] == ("c", "d") and index.matches() == []
+        for posterior, position in ((1.0, 0), (0.0, 2), (None, 1), (0.5, 2), (2 / 3, 0)):
+            if posterior is None:
+                posteriors.pop(("c", "d"))
+            else:
+                posteriors[("c", "d")] = posterior
+            index.put(("c", "d"), 0.6, posterior)
+            assert index.ranked()[position] == ("c", "d")
+            assert_index_ranks_like_the_oracle(index, likelihoods, posteriors)
+        assert index.matches() == [("c", "d")]  # 0.5 is not above the threshold, 2/3 is
+
+    def test_discard_of_an_absent_key_is_a_no_op(self):
+        likelihoods = {("a", "b"): 0.9, ("c", "d"): 0.6}
+        index = index_of(likelihoods, {})
+        index.discard(("x", "y"))
+        assert index.ranked() == [("a", "b"), ("c", "d")]
+        index.discard(("a", "b"))
+        index.discard(("a", "b"))
+        assert index.ranked() == [("c", "d")]
+
+    def test_load_takes_the_oracle_order_and_keeps_updating(self):
+        likelihoods = {("a", "b"): 0.4, ("c", "d"): 0.6, ("e", "f"): 0.6}
+        posteriors = {("a", "b"): 0.8}
+        index = RankedIndex(0.5)
+        index.load(rank_candidates(likelihoods, posteriors, 0.5)[0], likelihoods, posteriors)
+        assert_index_ranks_like_the_oracle(index, likelihoods, posteriors)
+        likelihoods[("g", "h")] = 0.6
+        index.put(("g", "h"), 0.6, None)
+        del likelihoods[("c", "d")]
+        index.discard(("c", "d"))
+        assert_index_ranks_like_the_oracle(index, likelihoods, posteriors)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        operations=st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=11),
+                st.sampled_from((0.0, -0.0, 0.25, 0.5, 1.0)),
+                st.sampled_from((None, 0.0, -0.0, 1 / 3, 0.5, 2 / 3, 1.0, "drop")),
+            ),
+            max_size=40,
+        ),
+        threshold=st.sampled_from((0.0, 0.5, 1.0)),
+    )
+    def test_property_any_update_sequence_ranks_like_the_oracle(self, operations, threshold):
+        likelihoods, posteriors = {}, {}
+        index = RankedIndex(threshold)
+        for number, likelihood, posterior in operations:
+            key = (f"r{number // 4}", f"s{number % 4}")
+            if posterior == "drop":
+                likelihoods.pop(key, None)
+                posteriors.pop(key, None)
+                index.discard(key)
+                continue
+            likelihoods[key] = likelihood
+            if posterior is None:
+                posteriors.pop(key, None)
+            else:
+                posteriors[key] = posterior
+            index.put(key, likelihood, posterior)
+            assert_index_ranks_like_the_oracle(index, likelihoods, posteriors, threshold)
+        assert_index_ranks_like_the_oracle(index, likelihoods, posteriors, threshold)
+
+
+# ------------------------------------- snapshot == the ledger ranked afresh
+RANKED_MODES = {
+    "majority/component": dict(aggregation="majority"),
+    "dawid-skene/component": dict(aggregation="dawid-skene"),
+    "dawid-skene/global": dict(
+        aggregation="dawid-skene", streaming_aggregation_scope="global"
+    ),
+}
+
+
+def assert_snapshot_is_the_ledger_ranked_afresh(result, resolver):
+    ledger = resolver.storage.ledger
+    ranked, matches = rank_candidates(
+        dict(ledger.pairs), dict(ledger.posteriors), resolver.config.decision_threshold
+    )
+    assert result.ranked_pairs == ranked
+    assert result.matches == matches
+    assert result.likelihoods == ledger.pairs
+    assert result.posteriors == ledger.posteriors
+    assert result.candidate_count == len(ranked)
+    # The maintained recall ceiling against a walk of the whole truth set.
+    arrived = {
+        key for key in resolver._truth
+        if key[0] in resolver.store and key[1] in resolver.store
+    }
+    assert result.recall_ceiling == (
+        len(resolver.candidates.intersection_keys(arrived)) / len(arrived)
+        if arrived else None
+    )
+
+
+def checked_after_every_event(resolver):
+    """Wrap the event methods so each result is compared with the oracle."""
+    for name in ("add_batch", "retract", "update", "flush"):
+        def checked(*arguments, _event=getattr(resolver, name)):
+            result = _event(*arguments)
+            assert_snapshot_is_the_ledger_ranked_afresh(result, resolver)
+            return result
+        setattr(resolver, name, checked)
+    return resolver
+
+
+@pytest.mark.parametrize("backend", ("memory", "sqlite"))
+@pytest.mark.parametrize("mode", sorted(RANKED_MODES))
+@settings(
+    max_examples=6,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data(), schedule=event_schedules(min_size=2, max_size=7))
+def test_property_snapshot_equals_the_ledger_ranked_afresh(
+    tmp_path_factory, mode, backend, data, schedule
+):
+    """After every event — and across a save/restore in mid-schedule — the
+    incrementally kept order is exactly ``rank_candidates`` over the ledger."""
+    dataset = make_dataset(record_count=50, duplicate_pairs=10, seed=29)
+    records = list(dataset.store)
+    directory = tmp_path_factory.mktemp("ranked")
+    config = WorkflowConfig(
+        likelihood_threshold=0.3, vote_mode="per-pair", cluster_size=4, seed=5,
+        storage_backend=backend, checkpoint_dir=str(directory), **RANKED_MODES[mode],
+    )
+    resolver = checked_after_every_event(StreamingResolver(config=config))
+    resolver.add_truth(dataset.ground_truth)
+    stop_at = data.draw(st.integers(min_value=0, max_value=len(schedule)), label="stop_at")
+    cursor = drive(resolver, records, schedule[:stop_at])
+    before = resolver.snapshot()
+    resolver.save()
+    resolver.durability.close()
+
+    restored = checked_after_every_event(StreamingResolver.restore(str(directory)))
+    after = restored.snapshot()
+    assert_snapshot_is_the_ledger_ranked_afresh(after, restored)
+    assert (after.ranked_pairs, after.matches) == (before.ranked_pairs, before.matches)
+    drive(restored, records, schedule[stop_at:], cursor=cursor)
+    assert_snapshot_is_the_ledger_ranked_afresh(restored.snapshot(), restored)
+    restored.durability.close()
+
+
+# --------------------------------- staleness x pair-independent aggregation
+class WholeComponentMajority(MajorityAggregator):
+    """Majority votes, re-run the way a pair-dependent aggregator is."""
+
+    pair_independent = False
+
+
+def epsilon_counters(result):
+    delta = result.delta
+    return (
+        delta.stale_skipped_components,
+        delta.preserved_posterior_pairs,
+        delta.reused_vote_pairs,
+    )
+
+
+class TestStalenessWithAPairIndependentAggregator:
+    """Skipping the settled pairs changes no counter and no posterior."""
+
+    GROWING = [
+        [Record("r1", {"t": "alpha beta gamma delta"}),
+         Record("r2", {"t": "alpha beta gamma delta"})],
+        [Record("r3", {"t": "alpha beta gamma epsilon"})],
+        [Record("r4", {"t": "alpha beta gamma zeta"})],
+    ]
+
+    def _config(self, **overrides):
+        return WorkflowConfig(**{
+            "likelihood_threshold": 0.3, "vote_mode": "per-pair",
+            "aggregation": "majority", **overrides,
+        })
+
+    def test_growing_component_keeps_the_parent_commits_values(self):
+        """The epsilon scenarios above, under majority: values pinned from the
+        commit that re-aggregated whole components."""
+        resolver = StreamingResolver(config=self._config())
+        resolver.add_truth([("r1", "r2")])
+        first = resolver.add_batch(self.GROWING[0])
+        assert epsilon_counters(first) == (0, 0, 0)
+        assert first.posteriors == {("r1", "r2"): 1.0}
+        resolver.config.staleness_epsilon = 8
+        deferred = resolver.add_batch(self.GROWING[1])
+        assert epsilon_counters(deferred) == (1, 0, 1)
+        assert deferred.posteriors == {("r1", "r2"): 1.0}
+        caught_up = resolver.add_batch(self.GROWING[2])
+        assert epsilon_counters(caught_up) == (0, 0, 3)
+        assert caught_up.posteriors == {
+            ("r1", "r2"): 1.0, ("r1", "r3"): 1 / 3, ("r2", "r3"): 0.0,
+            ("r1", "r4"): 0.0, ("r2", "r4"): 1 / 3, ("r3", "r4"): 0.0,
+        }
+        assert not resolver._pending_votes
+
+    def test_dirty_component_with_voted_pairs_and_no_pending_votes(self):
+        """Async crowd: r3's pairs are still in flight when its component is
+        dirty, so the component's only voted pair has nothing pending — it is
+        stale-skipped, keeps its posterior, and flush settles the rest."""
+        plan = {"seed": 1, "delay_ticks_min": 2, "delay_ticks_max": 2}
+
+        def run(epsilon):
+            resolver = StreamingResolver(
+                config=self._config(crowd_mode="async", fault_plan=plan)
+            )
+            resolver.add_truth([("r1", "r2"), ("r1", "r3")])
+            resolver.add_batch(self.GROWING[0])
+            for filler in ("unrelated words here", "other things entirely"):
+                settled = resolver.add_batch([Record(filler[:5], {"t": filler})])
+            assert settled.posteriors == {("r1", "r2"): 1.0}
+            assert not resolver._pending_votes
+            resolver.config.staleness_epsilon = epsilon
+            growth = resolver.add_batch(self.GROWING[1])
+            assert growth.posteriors == {("r1", "r2"): 1.0}
+            return resolver, growth
+
+        lazy, growth = run(epsilon=5)
+        assert epsilon_counters(growth) == (1, 0, 1)
+        exact, growth = run(epsilon=0)
+        assert epsilon_counters(growth) == (0, 0, 1)
+        assert lazy.flush().posteriors == exact.flush().posteriors == {
+            ("r1", "r2"): 1.0, ("r1", "r3"): 2 / 3, ("r2", "r3"): 0.0,
+        }
+        assert lazy.state_digest() == exact.state_digest()
+
+    @pytest.mark.parametrize("epsilon", (4, 7, 50))
+    def test_every_event_equals_whole_component_reaggregation(self, monkeypatch, epsilon):
+        """Event by event the skip gives the counters, posteriors and digest
+        of re-running majority over every voted pair of the dirty region —
+        the parent commit's behaviour — and flush lands on epsilon=0."""
+        dataset = make_dataset(record_count=60, duplicate_pairs=10, seed=13)
+        records = list(dataset.store)
+
+        def run(staleness_epsilon):
+            resolver = StreamingResolver(
+                config=self._config(
+                    staleness_epsilon=staleness_epsilon, likelihood_threshold=0.35
+                )
+            )
+            resolver.add_truth(dataset.ground_truth)
+            trail = []
+            for start in range(0, len(records), 17):
+                result = resolver.add_batch(records[start : start + 17])
+                trail.append((result.delta.as_dict(), result.posteriors, resolver.state_digest()))
+            result = resolver.retract(records[3].record_id)
+            trail.append((result.delta.as_dict(), result.posteriors, resolver.state_digest()))
+            return resolver, trail
+
+        skipping, trail = run(epsilon)
+        assert any(delta["stale_skipped_components"] for delta, _, _ in trail)
+        monkeypatch.setattr(
+            session_module, "build_aggregator", lambda config: WholeComponentMajority()
+        )
+        whole, whole_trail = run(epsilon)
+        assert trail == whole_trail
+        monkeypatch.undo()
+        exact, _ = run(0)
+        skipping.flush()
+        assert skipping.state_digest() == exact.state_digest()
