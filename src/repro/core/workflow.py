@@ -67,6 +67,32 @@ def build_aggregator(config: WorkflowConfig):
     return DawidSkeneAggregator()
 
 
+def build_platform(
+    config: WorkflowConfig,
+    platform: Optional[SimulatedCrowdPlatform] = None,
+    worker_pool: Optional[WorkerPool] = None,
+    pricing: Optional[PricingModel] = None,
+    latency: Optional[LatencyModel] = None,
+    vote_mode: Optional[str] = None,
+) -> SimulatedCrowdPlatform:
+    """The crowd platform the config asks for — or ``platform``, if one is handed in.
+
+    ``vote_mode`` overrides ``config.vote_mode`` (a streaming session always
+    builds a per-pair platform).
+    """
+    if platform is not None:
+        return platform
+    return SimulatedCrowdPlatform(
+        pool=worker_pool or WorkerPool.build(seed=config.seed),
+        assignments_per_hit=config.assignments_per_hit,
+        qualification=QualificationTest() if config.use_qualification_test else None,
+        pricing=pricing,
+        latency=latency,
+        seed=config.seed,
+        vote_mode=vote_mode or config.vote_mode,
+    )
+
+
 class HybridWorkflow:
     """The CrowdER hybrid workflow over a simulated crowd.
 
@@ -96,19 +122,7 @@ class HybridWorkflow:
             backend=self.config.join_backend,
             workers=self.config.join_workers or None,
         )
-        if platform is not None:
-            self.platform = platform
-        else:
-            qualification = QualificationTest() if self.config.use_qualification_test else None
-            self.platform = SimulatedCrowdPlatform(
-                pool=worker_pool or WorkerPool.build(seed=self.config.seed),
-                assignments_per_hit=self.config.assignments_per_hit,
-                qualification=qualification,
-                pricing=pricing,
-                latency=latency,
-                seed=self.config.seed,
-                vote_mode=self.config.vote_mode,
-            )
+        self.platform = build_platform(self.config, platform, worker_pool, pricing, latency)
         obs.activate_if_configured(self.config)
 
     # -------------------------------------------------------------- stages

@@ -38,7 +38,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
 from repro import obs
 from repro.crowd.faults import AssignmentFate, FaultPlan
 from repro.crowd.platform import CrowdRunResult, SimulatedCrowdPlatform, Vote
-from repro.hit.base import ClusterBasedHIT, HITBatch, PairBasedHIT
+from repro.hit.base import HITBatch
 from repro.records.pairs import canonical_pair
 
 PairKey = Tuple[str, str]
@@ -241,22 +241,12 @@ class AsyncCrowdPlatform:
             else set(batch.candidate_pairs)
         )
         k = self.inner.assignments_per_hit
-        qualified = self.inner.qualification is not None
         claimed: Set[PairKey] = set()
-        for hit in batch.hits:
-            if isinstance(hit, PairBasedHIT):
-                seconds = self.inner.latency.pair_assignment_seconds(
-                    hit.size, qualified=qualified
-                )
-            elif isinstance(hit, ClusterBasedHIT):
-                seconds = self.inner.latency.cluster_assignment_seconds(
-                    hit.size * (hit.size - 1) // 2, qualified=qualified
-                )
-            else:  # pragma: no cover - defensive
-                raise TypeError(f"unsupported HIT type: {type(hit)!r}")
+        for hit, carried in zip(batch.hits, batch.carried_pairs(candidates)):
+            seconds = self.inner.hit_assignment_seconds(hit)
             # Exclusive carrier assignment: overlapping HITs never deliver
             # the same pair twice, so slot reassembly is collision-free.
-            pairs = sorted((hit.checkable_pairs() & candidates) - claimed)
+            pairs = sorted(carried - claimed)
             claimed.update(pairs)
             hit_uid = f"p{self.publish_count}:{hit.hit_id}"
             self._hits[hit_uid] = {
@@ -283,15 +273,7 @@ class AsyncCrowdPlatform:
                     help="Simulated crowd cost in dollars.")
             obs.set_gauge("crowd_hits_inflight", self.open_hit_count,
                           help="HITs published but not yet fully answered.")
-        return CrowdRunResult(
-            hit_count=batch.hit_count,
-            assignments_per_hit=k,
-            cost=cost,
-            qualified_worker_count=(
-                len(self.inner._eligible) if self.inner.qualification else 0
-            ),
-            rejected_worker_count=self.inner._rejected_count,
-        )
+        return CrowdRunResult(hit_count=batch.hit_count, assignments_per_hit=k, cost=cost)
 
     def _enqueue_attempt(self, hit_uid: str, slot: int, attempt: int,
                          not_before: int = 0) -> None:
@@ -367,11 +349,7 @@ class AsyncCrowdPlatform:
             slot=entry["slot"],
             assignment_id=assignment_id,
             attempt=entry["attempt"],
-            votes=[
-                self.inner.pair_votes(key, hit["truth"][key],
-                                      round_index=hit["rounds"][key])[entry["slot"]]
-                for key in hit["pairs"]
-            ],
+            votes=[votes[entry["slot"]] for votes in self._oracle_votes(hit)],
             pair_rounds=dict(hit["rounds"]),
             seconds=hit["seconds"],
             issued_tick=hit["issued_tick"],
@@ -393,6 +371,21 @@ class AsyncCrowdPlatform:
             )
             obs.set_gauge("crowd_hits_inflight", self.open_hit_count,
                           help="HITs published but not yet fully answered.")
+
+    def _oracle_votes(self, hit: dict) -> List[List[Vote]]:
+        """The k oracle votes of every pair ``hit`` carries, asked once per HIT.
+
+        Kept on the in-memory open-HIT record only — never in
+        :meth:`state_dict` — so a restored HIT re-asks the (pure) oracle
+        on its next delivery.
+        """
+        if "votes" not in hit:
+            hit["votes"] = [
+                self.inner.pair_votes(key, hit["truth"][key],
+                                      round_index=hit["rounds"][key])
+                for key in hit["pairs"]
+            ]
+        return hit["votes"]
 
     def _retry_overdue(self) -> None:
         overdue = [entry for entry in self._pending

@@ -255,34 +255,33 @@ class SimulatedCrowdPlatform:
         HITs is asked once, and splitting the batch over several publish
         calls yields the same votes per pair.
         """
-        covered: Set[Tuple[str, str]] = set()
+        # Per-HIT assignment bookkeeping mirrors the sequential mode.
         for hit in batch.hits:
-            if not isinstance(hit, (PairBasedHIT, ClusterBasedHIT)):  # pragma: no cover - defensive
-                raise TypeError(f"unsupported HIT type: {type(hit)!r}")
-            # A HIT's own pairs (at most k*(k-1)/2) are looked up in the
-            # candidate set; the candidate set is never walked per HIT.
-            covered |= hit.checkable_pairs() & candidates
-            # Per-HIT assignment bookkeeping mirrors the sequential mode;
-            # cluster comparisons use the full pairwise count (the
-            # deterministic worst case of the Section-6 procedure).
-            workers = self._pick_workers(rng)
-            for worker in workers:
-                if isinstance(hit, PairBasedHIT):
-                    seconds = self.latency.pair_assignment_seconds(
-                        hit.size, qualified=self.qualification is not None
-                    )
-                else:
-                    seconds = self.latency.cluster_assignment_seconds(
-                        hit.size * (hit.size - 1) // 2,
-                        qualified=self.qualification is not None,
-                    )
+            seconds = self.hit_assignment_seconds(hit)
+            for worker in self._pick_workers(rng):
                 worker.completed_assignments += 1
                 result.assignment_seconds.append(seconds)
+        covered = set().union(*batch.carried_pairs(candidates))
         for pair_key in sorted(covered):
             round_index = vote_rounds.get(pair_key, 0) if vote_rounds else 0
             result.votes.extend(
                 self.pair_votes(pair_key, pair_key in truth, round_index=round_index)
             )
+
+    def hit_assignment_seconds(self, hit) -> float:
+        """Latency-model seconds of one per-pair-mode assignment of ``hit``.
+
+        Cluster comparisons use the full pairwise count (the deterministic
+        worst case of the Section-6 procedure).
+        """
+        qualified = self.qualification is not None
+        if isinstance(hit, PairBasedHIT):
+            return self.latency.pair_assignment_seconds(hit.size, qualified=qualified)
+        if isinstance(hit, ClusterBasedHIT):
+            return self.latency.cluster_assignment_seconds(
+                hit.size * (hit.size - 1) // 2, qualified=qualified
+            )
+        raise TypeError(f"unsupported HIT type: {type(hit)!r}")
 
     def pair_votes(
         self, pair_key: Tuple[str, str], is_match: bool, round_index: int = 0

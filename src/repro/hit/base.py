@@ -149,17 +149,24 @@ class HITBatch:
         """Number of HITs in the batch (what the paper's Figures 10-11 plot)."""
         return len(self.hits)
 
-    def covered_pairs(self) -> Set[Tuple[str, str]]:
-        """Union of candidate pairs checkable by at least one HIT.
+    def carried_pairs(
+        self, candidates: Optional[Set[Tuple[str, str]]] = None
+    ) -> List[Set[Tuple[str, str]]]:
+        """Per HIT, in batch order: the candidate pairs that HIT can check.
 
-        Cluster HITs enumerate their own internal pairs (at most k*(k-1)/2
-        each) rather than scanning the full candidate set, so the check stays
-        fast even for batches generated from tens of thousands of pairs.
+        ``candidates`` (canonical keys; default: the batch's own) is probed
+        with each HIT's own pairs (at most k*(k-1)/2) and never walked, so
+        the cost follows the HITs, not the candidate set.  The one place
+        that answers "which HIT carries which pair" — for cover checks, the
+        crowd platforms and the streaming session's coverage provenance.
         """
-        covered: Set[Tuple[str, str]] = set()
-        for hit in self.hits:
-            covered |= hit.checkable_pairs() & self.candidate_pairs  # type: ignore[attr-defined]
-        return covered
+        if candidates is None:
+            candidates = self.candidate_pairs
+        return [hit.checkable_pairs() & candidates for hit in self.hits]  # type: ignore[attr-defined]
+
+    def covered_pairs(self) -> Set[Tuple[str, str]]:
+        """Union of candidate pairs checkable by at least one HIT."""
+        return set().union(*self.carried_pairs())
 
     def uncovered_pairs(self) -> Set[Tuple[str, str]]:
         """Candidate pairs no HIT can check (must be empty for a valid batch)."""
@@ -177,8 +184,8 @@ class HITBatch:
     def pair_to_hits(self) -> Dict[Tuple[str, str], List[str]]:
         """Map every candidate pair to the ids of the HITs that can check it."""
         mapping: Dict[Tuple[str, str], List[str]] = {key: [] for key in self.candidate_pairs}
-        for hit in self.hits:
-            for key in hit.checkable_pairs() & self.candidate_pairs:  # type: ignore[attr-defined]
+        for hit, carried in zip(self.hits, self.carried_pairs()):
+            for key in carried:
                 mapping[key].append(hit.hit_id)  # type: ignore[attr-defined]
         return mapping
 

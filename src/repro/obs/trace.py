@@ -10,7 +10,11 @@ histogram (label ``span`` = the dotted span name) and, when a trace sink is
 attached, appends one JSON line describing the span — name, wall-clock
 timestamp, duration, nesting depth, parent span id, attributes, and the
 exception type if the block raised. Exceptions always propagate; the span
-still records.
+still records.  The innermost open span is kept in a :mod:`contextvars`
+variable, so every thread *and every asyncio task* nests its own spans: a
+span held open across an ``await`` never becomes the parent of another
+request's spans, and leaving a span restores exactly what was current when
+it was entered.
 
 The runtime is fork-aware: it remembers the PID that created it, and every
 entry point no-ops in a forked child (the join's pool workers are forked —
@@ -26,6 +30,7 @@ import json
 import os
 import threading
 import time
+from contextvars import ContextVar, Token
 from typing import Any, Dict, IO, Mapping, Optional
 
 from .metrics import MetricsRegistry
@@ -35,6 +40,9 @@ TRACE_FORMAT_VERSION = 1
 
 SPAN_HISTOGRAM = "span_seconds"
 SPAN_HISTOGRAM_HELP = "Duration of instrumented pipeline spans, by span name."
+
+#: The innermost open span of the current context (thread or asyncio task).
+_CURRENT_SPAN: ContextVar[Optional["Span"]] = ContextVar("repro_obs_current_span", default=None)
 
 
 class TraceSink:
@@ -86,7 +94,9 @@ NOOP_SPAN = NoopSpan()
 class Span:
     """A live timing span; use via ``obs.span(...)`` as a context manager."""
 
-    __slots__ = ("_runtime", "name", "attrs", "span_id", "parent_id", "depth", "_start")
+    __slots__ = (
+        "_runtime", "name", "attrs", "span_id", "parent_id", "depth", "_start", "_token",
+    )
 
     def __init__(self, runtime: "ObsRuntime", name: str, attrs: Mapping[str, Any]) -> None:
         self._runtime = runtime
@@ -96,22 +106,20 @@ class Span:
         self.parent_id: Optional[int] = None
         self.depth = 0
         self._start = 0.0
+        self._token: Optional[Token] = None
 
     def __enter__(self) -> "Span":
-        runtime = self._runtime
-        stack = runtime._span_stack()
-        self.span_id = next(runtime._span_ids)
-        self.parent_id = stack[-1].span_id if stack else None
-        self.depth = len(stack)
-        stack.append(self)
+        self.span_id = next(self._runtime._span_ids)
+        parent = _CURRENT_SPAN.get()
+        if parent is not None:
+            self.parent_id, self.depth = parent.span_id, parent.depth + 1
+        self._token = _CURRENT_SPAN.set(self)
         self._start = time.perf_counter()
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
         seconds = time.perf_counter() - self._start
-        stack = self._runtime._span_stack()
-        if stack and stack[-1] is self:
-            stack.pop()
+        _CURRENT_SPAN.reset(self._token)
         self._runtime.record_span(self, seconds, exc_type)
         return False
 
@@ -123,7 +131,6 @@ class ObsRuntime:
         self.registry = MetricsRegistry()
         self.sink: Optional[TraceSink] = TraceSink(trace_path) if trace_path else None
         self.pid = os.getpid()
-        self._local = threading.local()
         self._span_ids = itertools.count(1)
 
     def live(self) -> bool:
@@ -134,12 +141,10 @@ class ObsRuntime:
         if self.sink is None:
             self.sink = TraceSink(trace_path)
 
-    def _span_stack(self) -> list:
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = []
-            self._local.stack = stack
-        return stack
+    @staticmethod
+    def current_span() -> Optional[Span]:
+        """The innermost span open in the calling thread or asyncio task."""
+        return _CURRENT_SPAN.get()
 
     def span(self, name: str, attrs: Mapping[str, Any]) -> Span:
         return Span(self, name, attrs)

@@ -106,9 +106,13 @@ async def _read_request(reader: asyncio.StreamReader) -> Optional[HttpRequest]:
             break
         name, _, value = line.decode("ascii", "replace").partition(":")
         headers[name.strip().lower()] = value.strip()
-    length = int(headers.get("content-length", "0") or "0")
+    declared = headers.get("content-length") or "0"
+    try:
+        length = int(declared)
+    except ValueError:
+        length = -1
     if length < 0 or length > MAX_BODY_BYTES:
-        raise _ProtocolError(f"unacceptable content-length {length}")
+        raise _ProtocolError(f"unacceptable content-length {declared!r}")
     body = await reader.readexactly(length) if length else b""
     return HttpRequest(method=method.upper(), path=path, headers=headers, body=body)
 

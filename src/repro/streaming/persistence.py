@@ -72,7 +72,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro import obs
 from repro.core.config import RESULT_CONFIG_FIELDS, WorkflowConfig
 from repro.core.results import StreamingDelta
-from repro.graph.union_find import IncrementalUnionFind
 from repro.records.pairs import PairSet, RecordPair
 from repro.records.record import Record
 from repro.storage import STORE_FILENAME, MemoryStore, SqliteStore, Store
@@ -132,48 +131,6 @@ def encode_votes(votes: Sequence[Tuple[str, Tuple[str, str], bool]]) -> List[lis
 def decode_votes(payload: Sequence[list]) -> List[Tuple[str, Tuple[str, str], bool]]:
     """Inverse of :func:`encode_votes`."""
     return [(worker, (key[0], key[1]), bool(answer)) for worker, key, answer in payload]
-
-
-def encode_slot_votes(
-    slot_votes: Dict[Tuple[str, str], Dict[int, Tuple[str, Tuple[str, str], bool]]],
-) -> List[list]:
-    """JSON-safe encoding of the async layer's partial per-pair vote slots.
-
-    One entry per in-flight pair: ``[id_a, id_b, [[slot, worker, answer],
-    ...]]`` — the pair key is not repeated inside each vote, it is
-    reconstructed on decode.
-    """
-    return [
-        [
-            key[0],
-            key[1],
-            [[slot, vote[0], bool(vote[2])] for slot, vote in sorted(slots.items())],
-        ]
-        for key, slots in sorted(slot_votes.items())
-    ]
-
-
-def decode_slot_votes(
-    payload: Sequence[list],
-) -> Dict[Tuple[str, str], Dict[int, Tuple[str, Tuple[str, str], bool]]]:
-    """Inverse of :func:`encode_slot_votes`."""
-    return {
-        (id_a, id_b): {
-            slot: (worker, (id_a, id_b), bool(answer))
-            for slot, worker, answer in slots
-        }
-        for id_a, id_b, slots in payload
-    }
-
-
-def encode_pair_map(mapping: Dict[Tuple[str, str], int]) -> List[list]:
-    """JSON-safe encoding of a ``pair key -> int`` map (e.g. in-flight rounds)."""
-    return [[key[0], key[1], value] for key, value in sorted(mapping.items())]
-
-
-def decode_pair_map(payload: Sequence[list]) -> Dict[Tuple[str, str], int]:
-    """Inverse of :func:`encode_pair_map`."""
-    return {(id_a, id_b): value for id_a, id_b, value in payload}
 
 
 def _entry_crc(seq: int, event_type: str, payload_text: str) -> int:
@@ -362,31 +319,22 @@ def _write_truth(store: Store, session) -> None:
     store.set_meta("truth", sorted(list(pair) for pair in session._truth))
 
 
+#: The stored key order of the ``session`` meta value.
+_SESSION_META_KEYS = (
+    "hit_count", "cost", "batch_index", "pairs_per_hit_seen", "generator_name", "last_delta",
+)
+
+
 def _write_counters(store: Store, session) -> None:
-    """The crowd-workload counters, async crowd state and log position."""
-    store.set_meta(
-        "session",
-        {
-            "hit_count": session._hit_count,
-            "cost": session._cost,
-            "batch_index": session._batch_index,
-            "pairs_per_hit_seen": session._pairs_per_hit_seen,
-            "generator_name": session._generator_name,
-            "last_delta": session._last_delta.as_dict(),
-        },
-    )
-    crowd = session.crowd
-    store.set_meta(
-        "async",
-        None
-        if crowd is None
-        else {
-            "platform": crowd.state_dict(),
-            "slot_votes": encode_slot_votes(session._slot_votes),
-            "inflight_rounds": encode_pair_map(session._inflight_rounds),
-            "starved": [[key[0], key[1]] for key in sorted(session._starved_pairs)],
-        },
-    )
+    """The crowd driver's state, the session's event counters, the log position."""
+    crowd = session.driver.state_dict()
+    counters = {
+        **crowd["session"],
+        "batch_index": session._batch_index,
+        "last_delta": session._last_delta.as_dict(),
+    }
+    store.set_meta("session", {key: counters[key] for key in _SESSION_META_KEYS})
+    store.set_meta("async", crowd["async"])
     store.set_meta("events_applied", session.durability.events_applied)
     if obs.enabled():
         # The live metrics snapshot, so `repro stats --store` can build a
@@ -416,7 +364,7 @@ def write_snapshot(target: SqliteStore, session) -> None:
         session.join.write_to(target)
         target.write_ledger(session.storage.ledger)
         session.provenance.write_to(target)
-        target.append_assignment_seconds(session._assignment_seconds)
+        target.append_assignment_seconds(session.driver.state_dict()["assignment_seconds"])
         _write_header(target, session)
         _write_truth(target, session)
         _write_counters(target, session)
@@ -617,7 +565,8 @@ def _page_in(session, source: SqliteStore) -> None:
     ledger stay where they are) or the directory's store being copied into
     a memory-backed session.  The join substrate comes back from its stored
     rows/vocabulary/CSR chunks, provenance from its table, candidates from
-    the pair ledger, and the union-find forest from record arrival order
+    the pair ledger, and the union-find forest — filled in place, the fresh
+    session's aggregation schedule shares it — from record arrival order
     plus the pair edges (roots only serve as grouping keys, so the rebuilt
     forest is behaviorally equivalent to the original).
     """
@@ -641,28 +590,19 @@ def _page_in(session, source: SqliteStore) -> None:
             RecordPair(key[0], key[1], likelihood=likelihood)
             for key, likelihood in storage.ledger.pairs.items()
         )
-        session.components = IncrementalUnionFind()
         for record_id in storage.record_ids():
             session.components.add(record_id)
         for key in sorted(storage.ledger.pairs):
             session.components.union(key[0], key[1])
         session.components.clear_dirty()
     counters = source.get_meta("session") or {}
-    session._hit_count = int(counters.get("hit_count", 0))
-    session._cost = counters.get("cost", 0.0)
-    session._assignment_seconds = source.load_assignment_seconds()
-    session._pairs_per_hit_seen = counters.get("pairs_per_hit_seen")
-    session._generator_name = counters.get("generator_name", "")
+    session.driver.load_state_dict({
+        "session": counters,
+        "async": source.get_meta("async"),
+        "assignment_seconds": source.load_assignment_seconds(),
+    })
     session._batch_index = int(counters.get("batch_index", 0))
     session._last_delta = StreamingDelta(**counters.get("last_delta", {}))
-    crowd_state = source.get_meta("async")
-    if session.crowd is not None and crowd_state:
-        session.crowd.load_state_dict(crowd_state["platform"])
-        session._slot_votes = decode_slot_votes(crowd_state.get("slot_votes", []))
-        session._inflight_rounds = decode_pair_map(crowd_state.get("inflight_rounds", []))
-        session._starved_pairs = {
-            (id_a, id_b) for id_a, id_b in crowd_state.get("starved", [])
-        }
     session._last_fresh_votes = {}
     session.durability.events_applied = int(source.get_meta("events_applied", 0))
     if obs.enabled():

@@ -10,23 +10,19 @@ incrementally instead of recomputing it from scratch:
 2. **Component maintenance** — every new candidate pair is a union in an
    :class:`~repro.graph.union_find.IncrementalUnionFind`; components touched
    by a new record or pair become *dirty*, all others stay *clean*.
-3. **HIT regeneration** — only dirty components get new HITs, batched
-   through the configured pair/cluster generator over exactly the pairs
-   that need votes under the re-crowd policy; clean components (and, under
-   ``"never"``, already-voted dirty pairs) keep the HITs and votes they
-   already paid for.
-4. **Crowdsourcing** — the platform runs in deterministic per-pair vote
-   mode.  Under the default ``recrowd_policy="never"`` each pair is asked
-   exactly once, the first time a HIT covers it; ``"dirty"`` re-asks every
-   pair of a dirty component with a fresh vote round.
-5. **Aggregation** — with ``streaming_aggregation_scope="component"`` only
-   dirty components are re-aggregated and clean components keep their cached
-   posteriors bit-for-bit — and when the aggregator declares itself
-   ``pair_independent`` (majority), only the dirty *pairs* whose votes
-   changed; ``"global"`` re-runs the aggregator over all
-   accumulated votes (the mode that reproduces one-shot Dawid-Skene
-   exactly, since EM shares worker confusion estimates globally).
-6. **Snapshot** — the candidates are kept in rank order
+3. **HIT regeneration and crowdsourcing** — only dirty components get new
+   HITs, over exactly the pairs that need votes under ``recrowd_policy``;
+   clean components (and, under ``"never"``, already-voted dirty pairs)
+   keep the HITs and votes they already paid for.  The session hands those
+   pairs to its :class:`~repro.streaming.crowd_driver.CrowdDriver` (HIT
+   generation, publish and — in async crowd mode — everything in flight)
+   and folds the pairs the driver reports completed into the vote ledger.
+4. **Aggregation** — an
+   :class:`~repro.streaming.aggregation_schedule.AggregationSchedule`
+   re-aggregates what changed under ``streaming_aggregation_scope``: only
+   dirty components, clean ones keeping their cached posteriors
+   bit-for-bit, or (``"global"``) all accumulated votes.
+5. **Snapshot** — the candidates are kept in rank order
    (:class:`~repro.core.ranking.RankedIndex`) and re-placed only for the
    pairs whose likelihood or posterior the event changed.
 
@@ -41,8 +37,9 @@ re-aggregated; every clean component is untouched.
 
 Sessions can also be made **durable** (``WorkflowConfig.checkpoint_dir``),
 but not by this module: the class below is the event → delta state machine
-and the crowd driver, and does no I/O of its own.  Every public event method
-validates its arguments and hands the event to the session's
+over records, join, components, provenance, truth and ranking, and does no
+I/O of its own.  Every public event method validates its arguments and
+hands the event to the session's
 :class:`~repro.streaming.persistence.Durability`, which logs the intent,
 calls back into :meth:`StreamingResolver.apply` and closes the event's
 boundary (state rows, outcome and checkpoint cadence in one commit);
@@ -73,23 +70,17 @@ from repro.aggregation.majority import Vote
 from repro.core.config import WorkflowConfig
 from repro.core.ranking import RankedIndex, rank_candidates
 from repro.core.results import ResolutionResult, StreamingDelta
-from repro.core.workflow import build_aggregator, build_hit_generator
-from repro.crowd.async_platform import (
-    AsyncCrowdPlatform,
-    BackpressureError,
-    VoteDelivery,
-)
-from repro.crowd.faults import FaultPlan
 from repro.crowd.latency import LatencyModel
 from repro.crowd.platform import SimulatedCrowdPlatform
 from repro.crowd.pricing import PricingModel
-from repro.crowd.qualification import QualificationTest
 from repro.crowd.worker import WorkerPool
 from repro.datasets.base import Dataset
 from repro.graph.union_find import IncrementalUnionFind
 from repro.records.pairs import PairSet, canonical_pair
 from repro.records.record import Record, RecordError, RecordStore
 from repro.streaming import persistence
+from repro.streaming.aggregation_schedule import AggregationSchedule
+from repro.streaming.crowd_driver import CrowdDriver, CrowdStep
 from repro.streaming.incremental_join import IncrementalSimJoin
 from repro.streaming.provenance import ProvenanceLedger
 
@@ -163,51 +154,11 @@ class StreamingResolver:
         self.config = config or WorkflowConfig()
         self.cross_sources = cross_sources
         obs.activate_if_configured(self.config)
-        if platform is not None:
-            if platform.vote_mode != "per-pair":
-                raise ValueError(
-                    "StreamingResolver requires a platform in 'per-pair' vote "
-                    "mode; sequential votes cannot be preserved across batches"
-                )
-            self.platform = platform
-        else:
-            qualification = QualificationTest() if self.config.use_qualification_test else None
-            self.platform = SimulatedCrowdPlatform(
-                pool=worker_pool or WorkerPool.build(seed=self.config.seed),
-                assignments_per_hit=self.config.assignments_per_hit,
-                qualification=qualification,
-                pricing=pricing,
-                latency=latency,
-                seed=self.config.seed,
-                vote_mode="per-pair",
-            )
-        # Async crowd mode: the same deterministic per-pair platform, but
-        # publishes enqueue HITs on a virtual clock and votes arrive through
-        # per-event polls (with timeouts, retries, reissues, backpressure).
-        self.crowd: Optional[AsyncCrowdPlatform] = None
-        if self.config.crowd_mode == "async":
-            self.crowd = AsyncCrowdPlatform(
-                self.platform,
-                vote_timeout=self.config.vote_timeout,
-                max_inflight_hits=self.config.max_inflight_hits,
-                backpressure_policy=self.config.backpressure_policy,
-                max_retries=self.config.crowd_max_retries,
-                backoff_ticks=self.config.crowd_backoff_ticks,
-                fault_plan=(
-                    FaultPlan.from_dict(self.config.fault_plan)
-                    if self.config.fault_plan is not None
-                    else None
-                ),
-            )
-        # Degraded-progress bookkeeping (async mode): partially delivered
-        # vote slots per in-flight pair, the vote round each pair was
-        # published under, and pairs whose publish was shed by backpressure
-        # (retried on the next crowd event and force-published at flush).
-        # A pair enters the ledger only when all of its slots have arrived,
-        # so sync-mode ledger/digest semantics are untouched.
-        self._slot_votes: Dict[PairKey, Dict[int, Vote]] = {}
-        self._inflight_rounds: Dict[PairKey, int] = {}
-        self._starved_pairs: Set[PairKey] = set()
+        # The crowd side: platform(s), HIT generation and publish, whatever
+        # is in flight, and the accumulated workload counters.
+        self.driver = CrowdDriver(
+            self.config, platform, worker_pool=worker_pool, pricing=pricing, latency=latency
+        )
         # Durability (the store, its event log, the checkpoint cadence) is an
         # adaptor handed in by restore() or opened here for a fresh session;
         # all accumulated state lives behind its storage backend.
@@ -234,12 +185,9 @@ class StreamingResolver:
         self._truth: Set[PairKey] = set()
         self._truth_partners: Dict[str, List[str]] = {}
         self._arrived_truth = 0
-        # Accumulated crowd workload across all batches.
-        self._hit_count = 0
-        self._cost = 0.0
-        self._assignment_seconds: List[float] = []
-        self._pairs_per_hit_seen: Optional[int] = None
-        self._generator_name = ""
+        self._aggregation = AggregationSchedule(
+            self.config, self.storage.ledger, self.components
+        )
         self._batch_index = 0
         self._last_delta = StreamingDelta()
         # Fresh votes folded in by the most recent applied event (what an
@@ -250,18 +198,12 @@ class StreamingResolver:
 
     # ----------------------------------------------------------- hot ledger
     # The vote/posterior/coverage state lives in the storage backend's
-    # PairLedger.  Reads stay plain dict access through these views (the
-    # session's inner loops touch them constantly); every mutation goes
-    # through a ledger *method*, which the SQLite backend overrides to
-    # mirror the post-state into its tables.
+    # PairLedger.  Reads are plain dict access; every mutation goes through
+    # a ledger *method*, which the SQLite backend overrides to mirror the
+    # post-state into its tables.
     @property
     def _ledger(self):
         return self.storage.ledger
-
-    @property
-    def _votes(self) -> Dict[PairKey, List[Vote]]:
-        """Per-pair votes in oracle order (ledger view)."""
-        return self.storage.ledger.votes
 
     @property
     def _vote_rounds(self) -> Dict[PairKey, int]:
@@ -270,23 +212,8 @@ class StreamingResolver:
 
     @property
     def _pending_votes(self) -> Dict[PairKey, int]:
-        """Votes gained per pair since its last aggregation (ledger view).
-
-        Drives the bounded-staleness check (``config.staleness_epsilon``);
-        zeroed per pair on aggregation, so a cached posterior is never more
-        than epsilon votes behind the ledger of its component.
-        """
+        """Votes gained per pair since its last aggregation (ledger view)."""
         return self.storage.ledger.pending_votes
-
-    @property
-    def _posteriors(self) -> Dict[PairKey, float]:
-        """The aggregated posterior cache (ledger view)."""
-        return self.storage.ledger.posteriors
-
-    @property
-    def _covered(self) -> Set[PairKey]:
-        """Pairs covered by at least one published HIT (ledger view)."""
-        return self.storage.ledger.covered
 
     # -------------------------------------------------------------- queries
     @property
@@ -306,11 +233,11 @@ class StreamingResolver:
 
     def votes_for(self, id_a: str, id_b: str) -> List[Vote]:
         """The current vote ledger entry of one pair (empty if never asked)."""
-        return list(self._votes.get(canonical_pair(id_a, id_b), ()))
+        return list(self._ledger.votes.get(canonical_pair(id_a, id_b), ()))
 
     def covered_pairs(self) -> FrozenSet[PairKey]:
         """Candidate pairs covered by at least one published HIT so far."""
-        return frozenset(self._covered)
+        return frozenset(self._ledger.covered)
 
     def state_digest(self) -> str:
         """Exact digest of the aggregated state (posteriors, cost, HITs).
@@ -319,7 +246,9 @@ class StreamingResolver:
         so a restore that diverged from the original session by even one
         float bit is detected instead of silently trusted.
         """
-        return persistence.state_digest(self._posteriors, self._cost, self._hit_count)
+        return persistence.state_digest(
+            self._ledger.posteriors, self.driver.cost, self.driver.hit_count
+        )
 
     # ------------------------------------------------------------------ api
     def add_truth(self, true_matches: Iterable[PairKey]) -> None:
@@ -396,13 +325,13 @@ class StreamingResolver:
         return self.durability.run(self, "update", record)
 
     def flush(self) -> ResolutionResult:
-        """Fold every staleness-deferred component into the posterior cache.
+        """Settle the session: no vote in flight, no posterior behind its votes.
 
-        Bounded-staleness aggregation (``config.staleness_epsilon``) can
-        leave components whose pending vote gain never crossed the bound;
-        ``flush`` re-aggregates each such component in full (the same unit
-        ``_aggregate`` uses) and returns the settled snapshot.  A no-op
-        when nothing is pending — e.g. with the default epsilon of 0.
+        An asynchronous crowd is waited out (shed publishes included), and
+        every component bounded-staleness aggregation
+        (``config.staleness_epsilon``) deferred is re-aggregated in full.
+        A no-op when nothing is outstanding — e.g. a synchronous crowd with
+        the default epsilon of 0.  Returns the settled snapshot.
         """
         return self.durability.run(self, "flush")
 
@@ -537,22 +466,33 @@ class StreamingResolver:
 
                 dirty_pairs = self._dirty_region(delta)
 
-            # Stages 3 + 4: regenerate HITs for dirty components and crowdsource.
-            if dirty_pairs or (self.crowd is not None and self._starved_pairs):
+            # Stage 3: ask the crowd about the dirty pairs that need votes.
+            # Under recrowd_policy "never" those are the pairs no round has
+            # completed for (voted pairs keep their ledger entry and cost
+            # nothing more); "dirty" re-asks every dirty pair, fresh round.
+            if dirty_pairs or self.driver.starved:
                 with obs.span("streaming.batch.crowd", pairs=len(dirty_pairs)):
-                    self._crowdsource_dirty(dirty_pairs, delta)
+                    to_vote = dirty_pairs
+                    if self.config.recrowd_policy == "never":
+                        to_vote = dirty_pairs - self._vote_rounds.keys()
+                    delta.reused_vote_pairs = len(
+                        (dirty_pairs - to_vote) & self._ledger.votes.keys()
+                    )
+                    asked = self.driver.request(
+                        to_vote, self.candidates, self._truth, self._vote_rounds
+                    )
+                    self._fold(asked, delta)
+            # One event is one tick of the crowd's clock.  Votes that were
+            # waited for may complete pairs outside the dirty region; their
+            # whole components re-aggregate alongside it.
+            arrived = self.driver.tick()
+            self._fold(arrived, delta)
+            late = {key for key, _, _ in arrived.completed} - dirty_pairs
 
-            # Stage 4b (async mode): poll the platform — one virtual tick per
-            # event — and fold completed pairs into the ledger; their whole
-            # components re-aggregate alongside the batch's own dirty region.
-            completed_pairs: Set[PairKey] = set()
-            if self.crowd is not None:
-                completed_pairs = self._ingest_async(delta)
-
-            # Stage 5: re-aggregate what changed.
-            aggregate_pairs = dirty_pairs | self._expand_components(completed_pairs)
+            # Stage 4: re-aggregate what changed.
+            aggregate_pairs = dirty_pairs | self._expand_components(late)
             with obs.span("streaming.batch.aggregate", pairs=len(aggregate_pairs)):
-                self._aggregate(aggregate_pairs, delta)
+                self._aggregation.aggregate(aggregate_pairs, delta)
 
             self.components.clear_dirty()
         self._last_delta = delta
@@ -575,12 +515,7 @@ class StreamingResolver:
             for key in impact.dropped_pairs:
                 self.candidates.discard(*key)
                 self._ledger.drop_pair(key)
-                # Async bookkeeping: a retracted pair's in-flight votes are
-                # abandoned (late deliveries for it will be ignored on
-                # ingest) and its shed publishes are cancelled.
-                self._inflight_rounds.pop(key, None)
-                self._slot_votes.pop(key, None)
-                self._starved_pairs.discard(key)
+            self.driver.forget(impact.dropped_pairs)
             delta.invalidated_pairs = len(impact.dropped_pairs)
 
             # Re-form the dissolved component from the surviving edges; the
@@ -595,7 +530,7 @@ class StreamingResolver:
             # No crowdsourcing: retraction only removes evidence.  Re-aggregate
             # the dirty region unconditionally — its cached posteriors are
             # invalid, not merely stale, so the epsilon filter must not apply.
-            self._aggregate(dirty_pairs, delta, force=True)
+            self._aggregation.aggregate(dirty_pairs, delta, force=True)
 
             self.components.clear_dirty()
         self._last_delta = delta
@@ -605,26 +540,12 @@ class StreamingResolver:
     def _apply_flush(self) -> ResolutionResult:
         self._last_fresh_votes = {}
         with obs.span("streaming.flush"):
-            if self.crowd is not None:
-                # Settle the async crowd first: force-publish shed pairs,
-                # drain every outstanding delivery (retries included) and
-                # fold the completions into the ledger.  The completed
-                # pairs gain pending votes, so the staleness flush below
-                # re-aggregates their components.
-                self._flush_async()
-            pending = [
-                key
-                for key, gained in self._pending_votes.items()
-                if gained > 0 and key in self._votes
-            ]
-            if pending:
-                aggregator = build_aggregator(self.config)
-                self._reaggregate(
-                    aggregator,
-                    pending
-                    if aggregator.pair_independent
-                    else self._votes.keys() & self._expand_components(pending),
-                )
+            # Settle the crowd first — nothing in flight afterwards.  The
+            # completed pairs gain pending votes, so the pending pass below
+            # re-aggregates them (a flush reports no delta of its own).
+            settled = self.driver.settle(self.candidates, self._truth, self._vote_rounds)
+            self._fold(settled, StreamingDelta())
+            self._aggregation.flush(self._expand_components)
         return self.snapshot()
 
     def _emit_delta_metrics(self, delta: StreamingDelta) -> None:
@@ -644,175 +565,26 @@ class StreamingResolver:
                         help=f"Sum of StreamingDelta.{name} across events.")
 
     # ------------------------------------------------------------ internals
-    def _crowdsource_dirty(self, dirty_pairs: Set[PairKey], delta: StreamingDelta) -> None:
-        """Regenerate HITs for the dirty pairs that need votes; collect them.
+    def _fold(self, step: CrowdStep, delta: StreamingDelta) -> None:
+        """Fold one crowd step into the session: the only place votes land.
 
-        Under ``recrowd_policy="never"`` only the never-voted pairs of the
-        dirty components are re-batched — already-voted pairs keep their
-        ledger entry and cost nothing more; ``"dirty"`` re-batches (and
-        re-asks) every dirty pair with a fresh vote round.
-
-        In async mode pairs whose votes are already in flight are excluded
-        (a pair has exactly one outstanding crowd round at a time) and
-        pairs shed by backpressure on an earlier event are retried.
+        Pair provenance records which HITs of which event covered each pair
+        and which event completed each vote round; the ledger takes a
+        completed pair's votes whole, in oracle order.
         """
-        if self.config.recrowd_policy == "dirty":
-            to_vote = set(dirty_pairs)
-        else:  # "never": only pairs that have no completed round yet
-            to_vote = dirty_pairs - self._vote_rounds.keys()
-        delta.reused_vote_pairs = len((dirty_pairs - to_vote) & self._votes.keys())
-        if self.crowd is not None:
-            to_vote |= self._starved_pairs
-            to_vote -= self._inflight_rounds.keys()
-        if not to_vote:
-            return
-        self._publish_hits(to_vote, delta)
-
-    def _publish_hits(
-        self,
-        to_vote: Set[PairKey],
-        delta: Optional[StreamingDelta],
-        force: bool = False,
-    ) -> bool:
-        """Batch ``to_vote`` into HITs and publish them to the crowd.
-
-        Sync mode folds the returned votes into the ledger immediately;
-        async mode registers the covered pairs as in-flight (their votes
-        arrive through later polls) and returns ``False`` when the publish
-        was shed by backpressure — the pairs are then parked in the starved
-        backlog instead.
-        """
-        # Sorted-key order makes HIT grouping independent of arrival order.
-        vote_set = PairSet(
-            self.candidates.get(id_a, id_b) for id_a, id_b in sorted(to_vote)
-        )
-        batch_hits = build_hit_generator(self.config).generate(vote_set)
-        rounds = {key: self._vote_rounds.get(key, 0) for key in to_vote}
-
-        if self.crowd is not None:
-            try:
-                crowd_run = self.crowd.publish(
-                    batch_hits,
-                    true_matches=self._truth,
-                    candidate_pairs=to_vote,
-                    vote_rounds=rounds,
-                    force=force,
-                )
-            except BackpressureError:
-                self._starved_pairs |= to_vote
-                logger.debug(
-                    "event %d: backpressure shed %d pairs (%d HITs)",
-                    self._batch_index, len(to_vote), batch_hits.hit_count,
-                )
-                return False
-        else:
-            crowd_run = self.platform.publish(
-                batch_hits,
-                true_matches=self._truth,
-                candidate_pairs=to_vote,
-                vote_rounds=rounds,
-            )
-        self._generator_name = batch_hits.generator_name
-        self._ledger.mark_covered(batch_hits.covered_pairs())
-        # Pair provenance: which HITs of which batch covered each pair.
-        claimed: Set[PairKey] = set()
-        for hit in batch_hits.hits:
-            hit_id = f"b{self._batch_index}:{hit.hit_id}"
-            covered_here = hit.checkable_pairs() & to_vote
-            claimed |= covered_here
-            for key in sorted(covered_here):
-                self.provenance.record_coverage(key, hit_id)
-
-        if self.crowd is not None:
-            # Votes arrive later; only pairs actually carried by a HIT go
-            # in flight (a pair no HIT covered stays unvoted, like sync).
-            self._starved_pairs -= to_vote
-            for key in claimed:
-                self._inflight_rounds[key] = rounds[key]
-                self._slot_votes.setdefault(key, {})
-        else:
-            fresh: Dict[PairKey, List[Vote]] = {}
-            for vote in crowd_run.votes:
-                fresh.setdefault(vote[1], []).append(vote)
-            for key, votes in fresh.items():
-                self._ledger.record_fresh_votes(key, votes)
-                self.provenance.record_votes(
-                    key, self._batch_index, rounds.get(key, 0), len(votes)
-                )
-            self._last_fresh_votes = fresh
-            self._assignment_seconds.extend(crowd_run.assignment_seconds)
-            self.storage.append_assignment_seconds(crowd_run.assignment_seconds)
-            if delta is not None:
-                delta.crowdsourced_pairs = len(fresh)
-
-        self._hit_count += crowd_run.hit_count
-        self._cost += crowd_run.cost
-        if self.config.hit_type == "pair" and batch_hits.hits:
-            largest = batch_hits.max_hit_size()
-            if self._pairs_per_hit_seen is None or largest > self._pairs_per_hit_seen:
-                self._pairs_per_hit_seen = largest
-        if delta is not None:
-            delta.regenerated_hits += crowd_run.hit_count
-        return True
-
-    # ------------------------------------------------------- async ingestion
-    def _ingest_async(self, delta: StreamingDelta) -> Set[PairKey]:
-        """One async crowd step: advance the virtual clock, ingest arrivals.
-
-        Every applied batch event is one tick of the virtual clock; the
-        deliveries that came due are folded into the per-pair vote slots,
-        and pairs whose last slot arrived are committed to the ledger.
-        Returns the completed pairs (the batch re-aggregates their
-        components).
-        """
-        assert self.crowd is not None
-        with obs.span(
-            "crowd.await_votes",
-            inflight=len(self._inflight_rounds),
-            starved=len(self._starved_pairs),
-        ):
-            deliveries = self.crowd.poll(1)
-        completed = self._ingest_deliveries(deliveries)
-        self._cost += self.crowd.take_extra_cost()
-        delta.crowdsourced_pairs = len(completed)
-        return completed
-
-    def _ingest_deliveries(self, deliveries: List[VoteDelivery]) -> Set[PairKey]:
-        """Fold accepted deliveries into the vote slots; commit completions.
-
-        A delivery's votes only count toward pairs still in flight at the
-        round they were published under — late deliveries for retracted or
-        superseded pairs are ignored (their content is content-addressed by
-        (pair, round), so ignoring them loses nothing).  When a pair's
-        every slot has arrived, its votes enter the ledger in slot order,
-        which is exactly the per-pair oracle order a synchronous publish
-        records — the source of the async == sync equivalence.
-        """
-        completed: Set[PairKey] = set()
-        replication = self.platform.assignments_per_hit
-        for delivery in deliveries:
-            self._assignment_seconds.append(delivery.seconds)
-            self.storage.append_assignment_seconds([delivery.seconds])
-            for vote in delivery.votes:
-                key = vote[1]
-                round_index = delivery.pair_rounds.get(key, 0)
-                if self._inflight_rounds.get(key) != round_index:
-                    continue
-                slots = self._slot_votes.setdefault(key, {})
-                if delivery.slot in slots:
-                    continue
-                slots[delivery.slot] = vote
-                if len(slots) == replication:
-                    votes = [slots[slot] for slot in range(replication)]
-                    self._ledger.record_fresh_votes(key, votes)
-                    self.provenance.record_votes(
-                        key, self._batch_index, round_index, len(votes)
-                    )
-                    self._last_fresh_votes[key] = votes
-                    del self._slot_votes[key]
-                    del self._inflight_rounds[key]
-                    completed.add(key)
-        return completed
+        if step.coverage:
+            self._ledger.mark_covered(set().union(*(keys for _, keys in step.coverage)))
+            for hit_id, keys in step.coverage:
+                for key in keys:
+                    self.provenance.record_coverage(key, f"b{self._batch_index}:{hit_id}")
+        if step.seconds:
+            self.storage.append_assignment_seconds(step.seconds)
+        for key, round_index, votes in step.completed:
+            self._ledger.record_fresh_votes(key, votes)
+            self.provenance.record_votes(key, self._batch_index, round_index, len(votes))
+            self._last_fresh_votes[key] = votes
+        delta.regenerated_hits += len(step.coverage)
+        delta.crowdsourced_pairs += len(step.completed)
 
     def _expand_components(self, completed: Iterable[PairKey]) -> Set[PairKey]:
         """All provenance pairs of the components the given pairs touch.
@@ -845,121 +617,6 @@ class StreamingResolver:
         delta.clean_components = self.components.component_count - len(dirty_roots)
         delta.dirty_pairs = len(dirty_pairs)
         return dirty_pairs
-
-    def _flush_async(self) -> Set[PairKey]:
-        """Settle the async crowd completely: nothing in flight afterwards.
-
-        Force-publishes the starved backlog past the backpressure window,
-        then advances the virtual clock until every outstanding assignment
-        (retries and reissues included) has delivered, ingesting as it
-        goes.  Terminates for any fault plan because the plan's
-        ``max_faulty_attempts`` bounds how long a slot can stay undelivered.
-        """
-        assert self.crowd is not None
-        completed: Set[PairKey] = set()
-        guard = 0
-        while True:
-            if self._starved_pairs:
-                self._publish_hits(set(self._starved_pairs), None, force=True)
-            deliveries = self.crowd.settle()
-            completed |= self._ingest_deliveries(deliveries)
-            self._cost += self.crowd.take_extra_cost()
-            if not self._starved_pairs and not self._inflight_rounds:
-                break
-            guard += 1
-            if guard > 1000:  # pragma: no cover - defensive
-                raise RuntimeError("async crowd flush failed to settle")
-        return completed
-
-    def _aggregate(
-        self,
-        dirty_pairs: Set[PairKey],
-        delta: StreamingDelta,
-        force: bool = False,
-    ) -> None:
-        """Fold fresh votes into the posterior cache.
-
-        ``force`` bypasses the bounded-staleness filter — used by
-        retraction, where the dirty region's cached posteriors are invalid
-        rather than merely stale.
-
-        Under a ``pair_independent`` aggregator (majority) a voted pair
-        with no pending votes already holds the posterior a re-run would
-        give it, so only the dirty pairs that gained votes are re-run —
-        and only they reach ``set_posterior``, the ranked index and a
-        persistent store's mirror.
-        """
-        aggregator = build_aggregator(self.config)
-        if self.config.streaming_aggregation_scope == "global":
-            votes = self._ledger_votes(self._votes.keys())
-            self._ledger.replace_posteriors(
-                dict(aggregator.aggregate(votes)) if votes else {}
-            )
-            self._ledger.clear_all_pending()
-            return
-        # Component scope: only the dirty region is re-aggregated; posteriors
-        # of clean components are carried over untouched.
-        settled = self._posteriors.keys() & dirty_pairs
-        delta.preserved_posterior_pairs = len(self._posteriors) - len(settled)
-        voted_dirty = self._votes.keys() & dirty_pairs
-        if not force:
-            voted_dirty = self._drop_stale_components(voted_dirty, delta)
-        if aggregator.pair_independent:
-            voted_dirty = (voted_dirty & self._pending_votes.keys()) | (
-                voted_dirty - settled
-            )
-        if voted_dirty:
-            self._reaggregate(aggregator, voted_dirty)
-
-    def _reaggregate(self, aggregator, keys: Iterable[PairKey]) -> None:
-        """Run ``aggregator`` over the ledger votes of ``keys``; cache the posteriors."""
-        keys = sorted(keys)
-        for key, posterior in aggregator.aggregate(self._ledger_votes(keys)).items():
-            self._ledger.set_posterior(key, posterior)
-        self._ledger.clear_pending(keys)
-
-    def _drop_stale_components(
-        self, voted_dirty: Set[PairKey], delta: StreamingDelta
-    ) -> Set[PairKey]:
-        """Bounded-staleness filter (``config.staleness_epsilon``).
-
-        A dirty component whose vote ledger gained fewer than
-        ``staleness_epsilon`` new votes *since its last aggregation* keeps
-        its cached posteriors instead of paying another aggregator run.
-        The pending counts accumulate across batches and are zeroed when a
-        component is aggregated, so a cached posterior is never more than
-        epsilon votes behind the ledger — the staleness really is bounded.
-        The default epsilon of 0 disables the filter (every dirty component
-        is re-aggregated, the exact pre-existing behavior).
-        """
-        epsilon = self.config.staleness_epsilon
-        if epsilon <= 0 or not voted_dirty:
-            return voted_dirty
-        by_root: Dict[str, int] = {}
-        for key in voted_dirty:
-            root = self.components.find(key[0])
-            by_root[root] = by_root.get(root, 0) + self._pending_votes.get(key, 0)
-        stale_roots = {root for root, gained in by_root.items() if gained < epsilon}
-        delta.stale_skipped_components = len(stale_roots)
-        if not stale_roots:
-            return voted_dirty
-        return {
-            key
-            for key in voted_dirty
-            if self.components.find(key[0]) not in stale_roots
-        }
-
-    def _ledger_votes(self, keys: Iterable[PairKey]) -> List[Vote]:
-        """Ledger votes for the given pairs, sorted by pair key.
-
-        Sorted-key order with per-pair oracle order inside reproduces the
-        exact vote sequence a one-shot per-pair publish emits, which keeps
-        Dawid-Skene EM bit-identical between streaming and batch runs.
-        """
-        votes: List[Vote] = []
-        for key in sorted(set(keys)):
-            votes.extend(self._votes.get(key, ()))
-        return votes
 
     def snapshot(self) -> ResolutionResult:
         """The current resolution state as a delta-aware result object.
@@ -994,25 +651,15 @@ class StreamingResolver:
         recall_ceiling = None
         if self._arrived_truth:
             recall_ceiling = len(self._truth & ledger.pairs.keys()) / self._arrived_truth
-        latency = self.platform.latency.estimate(
-            self._assignment_seconds,
-            hit_type=self.config.hit_type,
-            pairs_per_hit=self._pairs_per_hit_seen,
-            qualification=self.platform.qualification is not None,
-        )
         return ResolutionResult(
             ranked_pairs=ranked,
             matches=matches,
             posteriors=posteriors,
             likelihoods=likelihoods,
             candidate_count=len(self.candidates),
-            hit_count=self._hit_count,
-            assignment_count=len(self._assignment_seconds),
-            cost=self._cost,
-            latency=latency,
             recall_ceiling=recall_ceiling,
-            generator_name=self._generator_name,
             delta=self._last_delta,
+            **self.driver.workload(),
         )
 
 

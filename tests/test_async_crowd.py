@@ -329,12 +329,53 @@ class TestWorkerEligibilityCache:
 
 # -------------------------------------------------------- session equivalence
 class TestSessionEquivalence:
-    def test_no_fault_async_equals_sync(self):
+    @pytest.mark.parametrize("recrowd_policy", ("never", "dirty"))
+    @pytest.mark.parametrize("scope", ("component", "global"))
+    @pytest.mark.parametrize("aggregation", ("majority", "dawid-skene"))
+    def test_no_fault_async_equals_sync(self, aggregation, scope, recrowd_policy):
+        """Fault-free, every vote lands in the event that published it, so an
+        async session holds the sync session's digest after *every* event —
+        the fact that lets one crowd driver serve both modes."""
+        dataset = make_dataset()
+        records = list(dataset.store)
+        kwargs = dict(aggregation=aggregation, streaming_aggregation_scope=scope,
+                      recrowd_policy=recrowd_policy)
+        for batch_size in (7, 20, 45):
+            sync = StreamingResolver(config=make_config(**kwargs))
+            async_session = StreamingResolver(config=make_config(crowd_mode="async", **kwargs))
+            events = [("add_truth", dataset.ground_truth)]
+            events += [("add_batch", records[start : start + batch_size])
+                       for start in range(0, len(records), batch_size)]
+            events.insert(3, ("retract", records[2].record_id))
+            events.append(("flush",))
+            for name, *arguments in events:
+                for session in (sync, async_session):
+                    getattr(session, name)(*arguments)
+                assert async_session.state_digest() == sync.state_digest(), (batch_size, name)
+            assert_same_final_state(sync, async_session)
+            assert async_session.snapshot().cost == sync.snapshot().cost
+
+    @pytest.mark.parametrize("faults", (
+        {}, dict(vote_timeout=3, crowd_max_retries=2, fault_plan=HOSTILE_PLAN),
+    ))
+    def test_async_asks_the_oracle_once_per_pair(self, monkeypatch, faults):
+        """Fails at the parent commit, which asked once per delivered *slot*
+        (three times per pair).  A HIT's carried pairs are evaluated once,
+        whatever the delivery schedule does to its slots."""
+        asked = []
+        pair_votes = SimulatedCrowdPlatform.pair_votes
+
+        def counted(platform, pair_key, is_match, round_index=0):
+            asked.append(pair_key)
+            return pair_votes(platform, pair_key, is_match, round_index=round_index)
+
         dataset = make_dataset()
         sync = run_session(make_config(), dataset)
-        async_session = run_session(make_config(crowd_mode="async"), dataset)
+        monkeypatch.setattr(SimulatedCrowdPlatform, "pair_votes", counted)
+        async_session = run_session(make_config(crowd_mode="async", **faults), dataset)
+        voted = async_session.storage.ledger.votes
+        assert len(asked) == len(set(asked)) == len(voted) > 0
         assert_same_final_state(sync, async_session)
-        assert async_session.snapshot().cost == sync.snapshot().cost
 
     @pytest.mark.parametrize("aggregation,scope", [
         ("majority", "component"),
@@ -351,8 +392,8 @@ class TestSessionEquivalence:
             dataset,
         )
         assert_same_final_state(sync, async_session)
-        assert not async_session._inflight_rounds
-        assert not async_session._starved_pairs
+        assert not async_session.driver.inflight
+        assert not async_session.driver.starved
 
     def test_shed_backpressure_still_converges(self):
         """Shedding re-packs deferred pairs into later HIT batches, so the

@@ -12,9 +12,11 @@ Three layers of guarantees:
   matches the session's, and the ``-v``/``-q`` logging levels.
 """
 
+import asyncio
 import json
 import logging
 import sqlite3
+import threading
 
 import pytest
 
@@ -143,6 +145,68 @@ class TestSpans:
         # the stack unwound: a new span is a root again
         with obs.span("after") as after:
             assert after.parent_id is None
+
+    @pytest.mark.parametrize("finishing_order", ("ab", "ba"))
+    def test_interleaved_coroutines_keep_their_own_ancestry(self, finishing_order):
+        """Two requests interleaved on one event-loop thread, each holding
+        its root span open across an ``await``: fails at the parent commit,
+        whose per-thread stack made request *a* the parent of request *b*
+        and, when *a* finished first, kept *b*'s root on the stack for good."""
+        runtime = obs.activate()
+
+        async def request(name, started, release):
+            with obs.span("service.request", request=name) as root:
+                started[name].set()
+                await release[name].wait()
+                with obs.span("streaming.batch", request=name) as inner:
+                    await asyncio.sleep(0)
+                    assert runtime.current_span() is inner
+                assert runtime.current_span() is root
+            return root, inner
+
+        async def conductor(started, release, finished):
+            for name in "ab":
+                await started[name].wait()
+            for name in finishing_order:  # both roots are open by now
+                release[name].set()
+                await finished[name].wait()
+
+        async def serve():
+            started, release, finished = (
+                {name: asyncio.Event() for name in "ab"} for _ in range(3)
+            )
+
+            async def served(name):
+                spans = await request(name, started, release)
+                finished[name].set()
+                return spans
+
+            a, b, _ = await asyncio.gather(
+                served("a"), served("b"), conductor(started, release, finished)
+            )
+            assert runtime.current_span() is None
+            return a, b
+
+        for root, inner in asyncio.run(serve()):
+            assert root.parent_id is None and root.depth == 0
+            assert inner.parent_id == root.span_id and inner.depth == 1
+        assert runtime.current_span() is None
+        assert obs.snapshot().histogram_count("span_seconds", span="service.request") == 2
+
+    def test_threads_nest_their_own_spans(self):
+        obs.activate()
+        seen = {}
+
+        def worker():
+            with obs.span("worker") as span:
+                seen["worker"] = span
+
+        with obs.span("main") as main:
+            thread = threading.Thread(target=worker)
+            thread.start()
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+        assert seen["worker"].parent_id is None and main.parent_id is None
 
     def test_span_durations_feed_span_seconds(self):
         obs.activate()

@@ -424,7 +424,42 @@ class TestStructure:
             ), forbidden
         assert "repro.storage.SqliteStore" not in imported
 
-    def test_only_the_async_platform_keeps_a_state_dict(self):
+    def test_the_session_module_knows_no_crowd_mode(self):
+        """Everything that publishes a HIT or waits for a vote sits behind the
+        crowd driver: the session imports no platform, fault plan or HIT
+        generator, never reads ``crowd_mode``, and folds votes in one place."""
+        from repro.streaming import session
+
+        path = Path(session.__file__)
+        imported = self.imported_modules(path)
+        for forbidden in ("repro.crowd.async_platform", "repro.crowd.faults", "repro.hit"):
+            assert not any(
+                name == forbidden or name.startswith(forbidden + ".")
+                for name in imported
+            ), forbidden
+        tree = ast.parse(path.read_text())
+        attributes = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        assert not {"crowd_mode", "crowd"} & attributes
+        folds = [
+            source.name
+            for source in Path(next(iter(repro.__path__))).rglob("*.py")
+            if source.parent.name != "storage"
+            for node in ast.walk(ast.parse(source.read_text()))
+            if isinstance(node, ast.Attribute) and node.attr == "record_fresh_votes"
+        ]
+        assert folds == ["session.py"]
+
+    def test_persistence_names_no_crowd_state(self):
+        """The stored form of the crowd state is the driver's ``state_dict``."""
+        source = Path(persistence.__file__).read_text()
+        for name in ("slot_votes", "inflight", "starved", "hit_count =", "_cost"):
+            assert name not in source, name
+        assert source.count("driver.state_dict()") >= 1
+        assert source.count("driver.load_state_dict(") == 1
+
+    def test_only_the_crowd_driver_and_its_platform_keep_a_state_dict(self):
+        """The crowd side's stored form has one owner (the driver, which
+        nests the async platform's); nothing else in ``src/`` serialises itself."""
         owners = set()
         for path in Path(next(iter(repro.__path__))).rglob("*.py"):
             for node in ast.walk(ast.parse(path.read_text())):
@@ -434,7 +469,7 @@ class TestStructure:
                             "state_dict", "load_state_dict", "from_state_dict"
                         ):
                             owners.add(node.name)
-        assert owners == {"AsyncCrowdPlatform"}
+        assert owners == {"AsyncCrowdPlatform", "CrowdDriver"}
 
 
 # ------------------------------------------------------- save/restore basics

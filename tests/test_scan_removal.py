@@ -108,23 +108,24 @@ class TestCoverageNeverWalksTheCandidates:
         assert len(mapping[("a", "b")]) == 20 and mapping[("x", "y")] == []
 
     def test_streaming_publish_walks_do_not_grow_with_the_hits(self, small_restaurant):
-        """``_publish_hits`` walks ``to_vote`` a fixed number of times (sorting
-        it, reading its rounds, canonicalising it for the platform) however
-        many HITs the batch is packed into."""
+        """``CrowdDriver.request`` walks ``to_vote`` a fixed number of times
+        (sorting it, reading its rounds, canonicalising it for the platform)
+        however many HITs the batch is packed into."""
         resolver = StreamingResolver(config=WorkflowConfig(
             likelihood_threshold=0.3, cluster_size=3, vote_mode="per-pair", seed=3,
         ))
-        publish_hits = resolver._publish_hits
+        driver = resolver.driver
+        request = driver.request
         seen = []
 
-        def counted(to_vote, delta, force=False):
+        def counted(to_vote, *session_view):
             to_vote = CountingSet(to_vote)
-            before = resolver._hit_count
-            outcome = publish_hits(to_vote, delta, force)
-            seen.append((resolver._hit_count - before, to_vote.walks))
+            before = driver.hit_count
+            outcome = request(to_vote, *session_view)
+            seen.append((driver.hit_count - before, to_vote.walks))
             return outcome
 
-        resolver._publish_hits = counted
+        driver.request = counted
         records = list(small_restaurant.store)
         for offset in range(0, len(records), 40):
             resolver.add_batch(records[offset:offset + 40])

@@ -11,7 +11,9 @@ queue answers 429 with a Retry-After instead of buffering without bound.
 """
 
 import asyncio
+import json
 import os
+import socket
 import subprocess
 import sys
 import threading
@@ -193,6 +195,21 @@ class TestHttpSurface:
         assert status == 400
         assert body["error"]["code"] == "bad_request"
         assert "malformed JSON body" in body["error"]["message"]
+
+    def test_non_numeric_content_length_is_400(self, service):
+        """Fails at the parent commit: ``int()`` raised past the 400 path and
+        the client read an empty response from a killed connection task."""
+        _runner, client = service
+        with socket.create_connection((client.host, client.port), timeout=10) as sock:
+            sock.sendall(b"POST /sessions HTTP/1.1\r\nContent-Length: twelve\r\n\r\n")
+            answer = b""
+            while chunk := sock.recv(65536):
+                answer += chunk
+        head, _, body = answer.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400")
+        error = json.loads(body)["error"]
+        assert error["code"] == "bad_request"
+        assert "content-length" in error["message"]
 
     def test_non_object_body_is_400(self, service):
         _runner, client = service

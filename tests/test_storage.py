@@ -537,7 +537,7 @@ class TestAsyncCrashRecovery:
         for start in range(0, 30, 10):
             resolver.add_batch(records[start : start + 10])
         # The crash is only interesting if votes really are in flight.
-        assert resolver._inflight_rounds or resolver._slot_votes
+        assert resolver.driver.inflight
         if backend == "sqlite":
             # Losing the open store transaction is part of the crash.
             resolver.storage.rollback()
@@ -548,7 +548,7 @@ class TestAsyncCrashRecovery:
             restored.add_batch(records[start : start + 10])
         restored.flush()
         assert_sessions_identical(twin, restored)
-        assert not restored._inflight_rounds and not restored._starved_pairs
+        assert not restored.driver.inflight and not restored.driver.starved
         restored.storage.close()
 
     def test_crash_between_arrival_and_commit_replays_the_intent(self, tmp_path):

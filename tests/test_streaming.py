@@ -26,7 +26,7 @@ from repro.datasets.restaurant import RestaurantGenerator
 from repro.hit.base import HITBatch, PairBasedHIT
 from repro.records.record import Record, RecordError
 from repro.simjoin.likelihood import SimJoinLikelihood
-from repro.streaming import session as session_module
+from repro.streaming import aggregation_schedule as schedule_module
 from repro.streaming.incremental_join import IncrementalSimJoin
 from repro.streaming.session import StreamingResolver, resolve_stream
 
@@ -715,7 +715,7 @@ class TestStalenessWithAPairIndependentAggregator:
         skipping, trail = run(epsilon)
         assert any(delta["stale_skipped_components"] for delta, _, _ in trail)
         monkeypatch.setattr(
-            session_module, "build_aggregator", lambda config: WholeComponentMajority()
+            schedule_module, "build_aggregator", lambda config: WholeComponentMajority()
         )
         whole, whole_trail = run(epsilon)
         assert trail == whole_trail
