@@ -1,13 +1,12 @@
 """Sharded join (``workers=N``) vs the one-worker join, with a built-in correctness assertion.
 
-:class:`repro.simjoin.parallel.VectorizedSimJoin` with ``workers=N`` (CSR
-row blocks split across the shared process pool) against ``workers=1`` on
-the same store, asserting the pair sets and likelihoods are
-*bit-identical*.  The full run gates >= ``--min-speedup``
-(default 2x) with ``--workers`` (default 4) at the largest size — a
-multi-core gate: on a single-core host a process pool cannot win.  The
-first sharded join of a process also forks the pool, so list a warm-up
-size before the one that is gated.
+:class:`repro.simjoin.parallel.VectorizedSimJoin` with ``workers=N`` (the
+kernel's row blocks scored on N threads) against ``workers=1`` on the same
+store, asserting the pair sets and likelihoods are *bit-identical*.  The
+full run gates >= ``--min-speedup`` (default 2x) with ``--workers``
+(default 4) at the largest size — a multi-core gate: on a single-core host
+a second thread cannot win.  A full run measures the library's default row
+block unless ``--block-size`` forces another.
 
 Standalone script (not a pytest-benchmark module) so CI can gate on it::
 
@@ -32,6 +31,7 @@ from typing import List, Optional
 from repro.datasets.restaurant import RestaurantGenerator
 from repro.evaluation.reporting import format_table
 from repro.simjoin.parallel import VectorizedSimJoin
+from repro.simjoin.vectorized import DEFAULT_BLOCK_ROWS
 
 
 def run_join_scenario(
@@ -83,11 +83,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="store sizes to benchmark (default: 2000 10000; smoke: 600)",
     )
     parser.add_argument("--threshold", type=float, default=0.3, help="likelihood threshold")
-    parser.add_argument("--workers", type=int, default=4, help="worker processes for the sharded join")
+    parser.add_argument("--workers", type=int, default=4, help="threads for the sharded join")
     parser.add_argument(
         "--block-size", type=int, default=None,
-        help="matmul row-block size (default 1024; smoke: 128 so the pool "
-             "path is genuinely exercised at small store sizes)",
+        help=f"matmul row-block size (default: the library's, {DEFAULT_BLOCK_ROWS}; "
+             "smoke: 128 so the store spans several blocks)",
     )
     parser.add_argument("--seed", type=int, default=7, help="dataset seed")
     parser.add_argument(
@@ -98,10 +98,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     sizes = args.sizes or ([600] if args.smoke else [2000, 10000])
-    # The smoke stores are smaller than one default row block, which would
-    # degenerate the sharded join to its inline path; a small block size
-    # keeps the worker processes (init, pickling, merge order) under test.
-    block_size = args.block_size or (128 if args.smoke else 1024)
+    # A smoke store of few default row blocks would barely leave the
+    # inline path; a small block size keeps the worker threads (dispatch,
+    # result order) under test.
+    block_size = args.block_size or (128 if args.smoke else DEFAULT_BLOCK_ROWS)
 
     join_rows = [
         run_join_scenario(size, args.threshold, args.workers, args.seed, block_size)
@@ -119,6 +119,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             "cpus": os.cpu_count(),
             "sizes": sizes,
             "workers": args.workers,
+            "executor": "threads",
+            "block_rows": block_size,
+            "default_block_rows": DEFAULT_BLOCK_ROWS,
             "threshold": args.threshold,
             "join": join_rows,
         }

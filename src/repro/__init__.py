@@ -3,7 +3,7 @@
 A from-scratch Python implementation of *CrowdER: Crowdsourcing Entity
 Resolution* (Wang, Kraska, Franklin, Feng — PVLDB 5(11), 2012), including
 the machine-based similarity substrate (one sparse-product join kernel,
-sharded over a process pool on large stores), pair-based and cluster-based HIT
+its row blocks scored on worker threads), pair-based and cluster-based HIT
 generation (with the paper's two-tiered heuristic and all evaluated
 baselines), a simulated crowdsourcing platform, answer aggregation, a
 streaming incremental resolution engine with durable checkpoint/restore

@@ -27,7 +27,7 @@ Three subcommands expose the most common workflows without writing Python:
 * ``serve`` — run the resolution service: an asyncio HTTP server hosting
   many concurrent streaming sessions, each owned by one shard (ordered
   per-shard work queues; independent sessions run concurrently) with the
-  machine pass on the reused process pool.  ``--metrics`` enables the
+  machine pass on worker threads.  ``--metrics`` enables the
   in-process registry and the ``/metrics`` Prometheus scrape endpoint.
   See ``docs/service.md``.
 
@@ -162,8 +162,8 @@ def _add_backend_argument(parser: argparse.ArgumentParser) -> None:
         "--join-workers",
         type=int,
         default=0,
-        help="worker processes the join kernel is sharded over on large "
-             "stores (0 = one per CPU core; results are identical for any value)",
+        help="threads the join kernel's row blocks are scored on "
+             "(0 = one per CPU core; results are identical for any value)",
     )
 
 

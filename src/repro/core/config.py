@@ -31,11 +31,11 @@ class WorkflowConfig:
       pair set, the choice only affects speed.  It applies to the *batch*
       join only: streaming sessions always run the kernel on their
       appended rows.
-    * ``join_workers`` — worker processes the kernel's row blocks are
-      sharded over: the batch join on stores of 4,096 records or more, and
-      a streaming session's per-batch product (0 = one per CPU core).
-      Shards run on one long-lived process pool shared across batches and
-      sessions.  Any value produces bit-identical pairs and likelihoods.
+    * ``join_workers`` — threads the kernel's row blocks are scored on, for
+      the batch join and for a streaming session's per-batch product alike
+      (0 = one per CPU core this process may use).  A product of a single
+      row block is scored inline; the threads live for the one join.  Any
+      value produces bit-identical pairs and likelihoods.
     * ``vote_mode`` — how the simulated crowd draws votes:
       ``"sequential"`` (legacy; votes depend on HIT grouping and publish
       order) or ``"per-pair"`` (votes are a pure function of the pair key —

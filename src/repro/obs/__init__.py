@@ -14,8 +14,8 @@ entry point returns immediately after one ``None`` check, and ``span``
 returns a shared no-op context manager, so instrumented hot paths cost
 nothing measurable when disabled (the CI gate holds ``bench_streaming``
 regression under 2%). Activation is process-global — one registry, one
-optional JSONL trace sink — and fork-aware: the join's forked pool workers
-inherit an inert copy that never double-counts.
+optional JSONL trace sink — and fork-aware: a forked child inherits an
+inert copy that never double-counts.
 
 Activate explicitly, or set ``WorkflowConfig.metrics_enabled=True`` /
 ``WorkflowConfig.trace_path`` and let :class:`~repro.core.workflow.HybridWorkflow`

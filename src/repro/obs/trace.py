@@ -17,10 +17,12 @@ request's spans, and leaving a span restores exactly what was current when
 it was entered.
 
 The runtime is fork-aware: it remembers the PID that created it, and every
-entry point no-ops in a forked child (the join's pool workers are forked —
-their copied runtime must not double-count or interleave writes into the
-parent's trace file). Per-worker shard timings are measured
-inside the workers with plain ``perf_counter`` and recorded by the parent.
+entry point no-ops in a forked child, whose copied runtime must not
+double-count or interleave writes into the parent's trace file.  Nothing in
+this package forks; the guard is for callers that do.  Threads are another
+matter — a new thread starts with an empty context, so code that hands
+work to one runs it through ``contextvars.copy_context().run`` to keep the
+span ancestry (:func:`repro.simjoin.parallel.join_blocks` does).
 """
 
 from __future__ import annotations

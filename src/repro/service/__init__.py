@@ -23,11 +23,11 @@ Architecture — see ``docs/service.md`` for the full picture:
 * :class:`~repro.service.client.ServiceClient` is the matching blocking
   client (stdlib ``http.client``) used by the tests, the benchmark and CI.
 
-The machine pass of every hosted session runs on the **reused** process
-pool (:mod:`repro.simjoin.pool`) by default, so streaming batches stop
-paying fork-per-batch and per-worker index serialization; graceful
-shutdown drains the shard queues, ``save()``\\ s every durable session and
-tears the pools down.
+The machine pass of a hosted session scores an append's row blocks on
+short-lived worker threads of the shard that owns it
+(:func:`repro.simjoin.parallel.join_blocks`): the server never forks and
+keeps nothing outside its sessions' stores.  Graceful shutdown drains the
+shard queues, ``save()``\\ s every durable session and stops the shards.
 """
 
 from repro.service.app import ResolutionService

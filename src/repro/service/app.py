@@ -28,7 +28,7 @@ per-shard queue depths are exported by the executor as
 
 Graceful shutdown (:meth:`ResolutionService.stop`): stop accepting, drain
 every shard queue, ``save()`` every open durable session on its owning
-thread, stop the shard workers, and tear down the reused join pools.
+thread and stop the shard workers.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from repro.service.errors import ServiceError, bad_request, not_found
 from repro.service.http import HttpRequest, HttpResponse, start_http_server
 from repro.service.sessions import SessionManager
 from repro.service.shards import ShardExecutor
-from repro.simjoin.pool import shutdown_pools
 
 logger = logging.getLogger(__name__)
 
@@ -83,7 +82,7 @@ class ResolutionService:
         return self.port
 
     async def stop(self) -> None:
-        """Graceful shutdown: drain, save durable sessions, release pools."""
+        """Graceful shutdown: drain, save durable sessions, stop the shards."""
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -93,7 +92,6 @@ class ResolutionService:
         if saved:
             logger.info("saved %d durable session(s) on shutdown", len(saved))
         await self.shards.shutdown()
-        shutdown_pools()
         self._stopped.set()
 
     async def serve_forever(self) -> None:

@@ -24,12 +24,18 @@ logger = logging.getLogger(__name__)
 #: Hard caps keeping a misbehaving client from ballooning memory.
 MAX_HEADER_BYTES = 64 * 1024
 MAX_BODY_BYTES = 256 * 1024 * 1024
+#: Seconds a client has, once its request line has arrived, to deliver the
+#: rest of the headers and the body; a client that stalls mid-request is
+#: answered 408 and dropped.  Waiting for the *next* request line of an idle
+#: keep-alive connection is not bounded.
+REQUEST_READ_TIMEOUT_S = 30.0
 
 _REASONS = {
     200: "OK",
     201: "Created",
     400: "Bad Request",
     404: "Not Found",
+    408: "Request Timeout",
     409: "Conflict",
     429: "Too Many Requests",
     500: "Internal Server Error",
@@ -80,13 +86,25 @@ Handler = Callable[[HttpRequest], Awaitable[HttpResponse]]
 
 
 class _ProtocolError(Exception):
-    """Unparseable request — the connection is answered 400 and closed."""
+    """Unparseable or stalled request — answered with ``status`` and closed."""
+
+    def __init__(self, message: str, status: int = 400, code: str = "bad_request") -> None:
+        super().__init__(message)
+        self.status = status
+        self.code = code
+
+
+async def _read_line(reader: asyncio.StreamReader) -> bytes:
+    try:
+        return await reader.readline()
+    except ValueError:  # longer than the stream's 64 KiB line limit
+        raise _ProtocolError("request or header line too long") from None
 
 
 async def _read_request(reader: asyncio.StreamReader) -> Optional[HttpRequest]:
     """Parse one request; ``None`` on a cleanly closed connection."""
     try:
-        request_line = await reader.readline()
+        request_line = await _read_line(reader)
     except (ConnectionError, asyncio.IncompleteReadError):
         return None
     if not request_line:
@@ -95,10 +113,25 @@ async def _read_request(reader: asyncio.StreamReader) -> Optional[HttpRequest]:
     if len(parts) != 3 or not parts[2].startswith("HTTP/1."):
         raise _ProtocolError(f"malformed request line: {request_line!r}")
     method, path, _version = parts
+    try:
+        headers, body = await asyncio.wait_for(
+            _read_headers_and_body(reader), REQUEST_READ_TIMEOUT_S
+        )
+    except asyncio.TimeoutError:
+        raise _ProtocolError(
+            f"request not received within {REQUEST_READ_TIMEOUT_S:g}s",
+            status=408, code="request_timeout",
+        ) from None
+    return HttpRequest(method=method.upper(), path=path, headers=headers, body=body)
+
+
+async def _read_headers_and_body(
+    reader: asyncio.StreamReader,
+) -> Tuple[Dict[str, str], bytes]:
     headers: Dict[str, str] = {}
     header_bytes = 0
     while True:
-        line = await reader.readline()
+        line = await _read_line(reader)
         header_bytes += len(line)
         if header_bytes > MAX_HEADER_BYTES:
             raise _ProtocolError("header section too large")
@@ -114,7 +147,7 @@ async def _read_request(reader: asyncio.StreamReader) -> Optional[HttpRequest]:
     if length < 0 or length > MAX_BODY_BYTES:
         raise _ProtocolError(f"unacceptable content-length {declared!r}")
     body = await reader.readexactly(length) if length else b""
-    return HttpRequest(method=method.upper(), path=path, headers=headers, body=body)
+    return headers, body
 
 
 async def _serve_connection(
@@ -128,8 +161,8 @@ async def _serve_connection(
                 logger.debug("protocol error: %s", error)
                 writer.write(
                     HttpResponse(
-                        status=400,
-                        payload={"error": {"code": "bad_request", "message": str(error)}},
+                        status=error.status,
+                        payload={"error": {"code": error.code, "message": str(error)}},
                     ).encode()
                 )
                 await writer.drain()

@@ -24,11 +24,6 @@ from repro.simjoin.parallel import VectorizedSimJoin
 #: The accepted ``join_backend`` values: the kernel and the test oracle.
 JOIN_BACKENDS = ("auto", "naive")
 
-#: Store size at which sharding the blocked products across the process
-#: pool wins back publishing the index and dispatching the shards.  Below it
-#: the batch join runs on one worker however many cores are idle.
-POOL_MIN_RECORDS = 4096
-
 
 class LikelihoodEstimator:
     """Interface: estimate match likelihoods for candidate pairs."""
@@ -57,10 +52,9 @@ class SimJoinLikelihood(LikelihoodEstimator):
         ``"auto"`` (the kernel) or ``"naive"`` (the all-pairs oracle).  Both
         produce exactly the same pair set; the choice only affects speed.
     workers:
-        Worker processes the kernel's row blocks are sharded over on stores
-        of :data:`POOL_MIN_RECORDS` records or more (smaller stores are
-        scored inline).  ``None`` = one per CPU core; any value returns
-        bit-identical pairs.
+        Threads the kernel's row blocks are scored on (a store of a single
+        block is scored inline).  ``None`` = one per CPU core; any value
+        returns bit-identical pairs.
     """
 
     attributes: Optional[Sequence[str]] = None
@@ -92,7 +86,7 @@ class SimJoinLikelihood(LikelihoodEstimator):
                 pairs = VectorizedSimJoin(
                     threshold=min_likelihood,
                     attributes=self.attributes,
-                    workers=self.workers if len(store) >= POOL_MIN_RECORDS else 1,
+                    workers=self.workers,
                 ).join(store, cross_sources=cross_sources)
         if obs.enabled():
             obs.inc("simjoin_candidates_total", len(pairs), backend=engine,

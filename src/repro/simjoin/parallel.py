@@ -1,45 +1,33 @@
-"""The store-level join and the process-pool sharding of its row range.
+"""The store-level join, and worker threads over its row blocks.
 
 :mod:`repro.simjoin.vectorized` holds the kernel — one blocked sparse
-product, exact, single core.  :func:`join_blocks` runs that kernel over a
-row range, inline or split across the long-lived worker pool, and
+product, exact.  :func:`join_blocks` runs that kernel over a row range and
 :class:`VectorizedSimJoin` is the batch join of a whole record store on top
-of it (streaming appends call :func:`join_blocks` directly).  Sharded:
+of it (streaming appends call :func:`join_blocks` directly).
 
-1. the parent publishes the operand arrays **once per call** into a
-   shared-memory block (:class:`repro.simjoin.pool.SharedArrayBlock`) that
-   every worker maps zero-copy — CSR ``data``/``indices``/``indptr``
-   arrays, not records, and always the same payload shape whatever the
-   caller (self-join, record linkage or a streaming append),
-2. each worker rebuilds the :class:`~repro.simjoin.vectorized.BlockScorer`
-   the inline path would have built and walks a disjoint contiguous range
-   of row positions with it,
-3. the parent merges the per-shard pair deltas in deterministic shard order
-   (``Pool.map`` preserves submission order) and translates row positions
-   back to whatever they index.
+There is one scorer and one sequence of row blocks per call.  With one
+worker, or a single block, the blocks are scored inline; otherwise the
+*same* blocks go through ``ThreadPoolExecutor.map`` — scipy's sparse
+product and numpy's filters release the GIL, so threads scale like
+processes did (``docs/benchmarks.md``, "Threads, not processes") while
+sharing the operands by reference: nothing is copied, published or
+serialised, and the executor lives for the one call, so there is nothing
+to reuse, register or shut down.
 
-**Equivalence guarantee.**  Every similarity value is an elementwise
-float64 expression of one pair's intersection count and the two set sizes;
-neither block boundaries nor shard boundaries enter the arithmetic.  For
-any worker count the pair set and every likelihood are therefore
-*bit-identical* to the one-worker join — asserted exactly (``==``, not
-approximately) by the property tests in ``tests/test_parallel_join.py``.
-
-The pool (:func:`repro.simjoin.pool.shared_pool`) survives across calls —
-and therefore across streaming batches and sessions — so a call costs one
-memcpy of the index plus task dispatch.  Tiny joins are still faster
-inline: a single shard (or a single worker) never touches the pool, and
-:class:`~repro.simjoin.likelihood.SimJoinLikelihood` only hands the batch
-join more than one worker at
-:data:`~repro.simjoin.likelihood.POOL_MIN_RECORDS` records and above.
+**Equivalence guarantee.**  The sharded join yields exactly the inline
+join's blocks in the inline join's order, because it is the same loop with
+the body submitted instead of called.  For any worker count the pair set
+and every likelihood are therefore *bit-identical* to the one-worker join
+— asserted exactly (``==``, not approximately) by the property tests in
+``tests/test_parallel_join.py``.
 """
 
 from __future__ import annotations
 
-import math
+import contextvars
 import os
-import time
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from concurrent.futures import ThreadPoolExecutor
+from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -48,13 +36,8 @@ from repro.records.pairs import PairSet, RecordPair
 from repro.records.record import Record, RecordStore
 from repro.records.tokenize import WhitespaceTokenizer, record_token_set
 from repro.simjoin.columnar import columnar_csr_arrays
-from repro.simjoin.pool import (
-    WORKER_CACHE_BLOCKS,
-    SharedArrayBlock,
-    attach_block,
-    shared_pool,
-)
 from repro.simjoin.vectorized import (
+    DEFAULT_BLOCK_ROWS,
     HAVE_SCIPY,
     MEASURES,
     BlockScorer,
@@ -67,18 +50,18 @@ if HAVE_SCIPY:
 else:  # pragma: no cover - scipy is part of the image
     sparse = None
 
-#: Rows per shard are chosen so each worker gets several shards to balance
-#: the triangle skew (self-join rows differ in how many columns survive).
-SHARDS_PER_WORKER = 4
-
 # A join plan: ("self", keep, None) or ("bipartite", left, right), where the
 # arrays hold global row indices into the incidence matrix.
 JoinPlan = Tuple[str, np.ndarray, Optional[np.ndarray]]
 
 
 def default_worker_count() -> int:
-    """Worker count used when none is configured: one per available core."""
-    return max(1, os.cpu_count() or 1)
+    """Worker count used when none is configured: one per core this process
+    may run on — a cpuset or ``taskset`` can leave it fewer than the host has.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def resolve_worker_count(workers: Optional[int]) -> int:
@@ -92,145 +75,45 @@ def resolve_worker_count(workers: Optional[int]) -> int:
     return default_worker_count()
 
 
-def shard_bounds(count: int, workers: int, block_size: int) -> List[Tuple[int, int]]:
-    """Contiguous [start, stop) row-position shards covering ``count`` rows.
-
-    Aims for ``SHARDS_PER_WORKER`` shards per worker (dynamic pool
-    scheduling then load-balances the triangle skew) but never slices finer
-    than one matmul block, so a shard is never trivially small.
-    """
-    if count <= 0:
-        return []
-    shard_count = max(1, min(workers * SHARDS_PER_WORKER, math.ceil(count / block_size)))
-    edges = np.linspace(0, count, shard_count + 1).astype(np.int64)
-    return [
-        (int(edges[i]), int(edges[i + 1]))
-        for i in range(shard_count)
-        if edges[i] < edges[i + 1]
-    ]
-
-
-def _concat_blocks(parts: List[_BlockPairs]) -> _BlockPairs:
-    """Merge a shard's blocks into one (rows, cols, values) triple."""
-    if not parts:
-        return (
-            np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=np.float64),
-        )
-    return (
-        np.concatenate([rows for rows, _, _ in parts]),
-        np.concatenate([cols for _, cols, _ in parts]),
-        np.concatenate([values for _, _, values in parts]),
-    )
-
-
-# ----------------------------------------------------------- worker side
-def _csr_arrays(prefix: str, matrix: "sparse.csr_matrix") -> Dict[str, np.ndarray]:
-    return {
-        f"{prefix}_data": matrix.data,
-        f"{prefix}_indices": matrix.indices,
-        f"{prefix}_indptr": matrix.indptr,
-    }
-
-
-def _attached_csr(
-    arrays: Dict[str, np.ndarray], prefix: str, width: int
-) -> "sparse.csr_matrix":
-    indptr = arrays[f"{prefix}_indptr"]
-    return sparse.csr_matrix(
-        (arrays[f"{prefix}_data"], arrays[f"{prefix}_indices"], indptr),
-        shape=(len(indptr) - 1, width),
-    )
-
-
-# The worker-side cache: block token -> the scorer built over that block.
-# A scorer references its attached arrays, so evicting the entry releases
-# the mapping and the derived transpose together.  Insertion order doubles
-# as recency (a block is attached once and then only looked up).
-_WORKER_SCORERS: Dict[str, BlockScorer] = {}
-
-
-def _pooled_shard(task) -> Tuple[_BlockPairs, float, int]:
-    """One shard task: attach the block (or reuse its scorer), score the rows."""
-    descriptor, width, params, (start, stop) = task
-    scorer = _WORKER_SCORERS.get(descriptor["token"])
-    if scorer is None:
-        while len(_WORKER_SCORERS) >= WORKER_CACHE_BLOCKS:
-            _WORKER_SCORERS.pop(next(iter(_WORKER_SCORERS)))
-        arrays = attach_block(descriptor)
-        scorer = BlockScorer(
-            _attached_csr(arrays, "left", width),
-            _attached_csr(arrays, "right", width) if "right_indptr" in arrays else None,
-            alive=arrays.get("alive"),
-            **params,
-        )
-        _WORKER_SCORERS[descriptor["token"]] = scorer
-    # Shard timing is measured inside the worker (its copy of the obs
-    # runtime is inert, so a plain perf_counter pair travels back with the
-    # result and the parent records it).
-    started = time.perf_counter()
-    blocks = _concat_blocks(list(scorer.blocks(start, stop)))
-    return blocks, time.perf_counter() - started, os.getpid()
-
-
-# ----------------------------------------------------------- parent side
 def join_blocks(
     left: "sparse.csr_matrix",
     right: Optional["sparse.csr_matrix"] = None,
     *,
     workers: int = 1,
     start: int = 0,
-    alive: Optional[np.ndarray] = None,
     **params,
 ) -> Iterator[_BlockPairs]:
     """Score ``left`` rows ``[start, n)`` against ``right`` (``None`` = itself).
 
     ``params`` are the :class:`~repro.simjoin.vectorized.BlockScorer`
-    keywords.  The rows are cut into :func:`shard_bounds` shards; with one
-    worker or one shard they are scored inline — a pool cannot win back its
-    dispatch cost there — otherwise the same shards run on the shared pool.
-    Blocks come back in row order either way, so the result is
-    bit-identical for any worker count.
+    keywords.  One scorer, one sequence of row blocks: a single worker or a
+    single block scores them inline, otherwise up to ``workers`` threads
+    score the same blocks and the results come back in block order, so the
+    output is the inline output for any worker count.  A block that raises
+    cancels the blocks not yet started and its exception propagates; the
+    threads are joined before this returns either way.
     """
-    stop = left.shape[0]
-    bounds = [
-        (start + low, start + high)
-        for low, high in shard_bounds(stop - start, workers, params["block_size"])
-    ]
-    if workers <= 1 or len(bounds) <= 1:
-        yield from BlockScorer(left, right, alive=alive, **params).blocks(start, stop)
+    scorer = BlockScorer(left, right, **params)
+    starts = scorer.block_starts(start)
+    threads = min(workers, len(starts))
+    if threads <= 1:
+        yield from map(scorer.score, starts)
         return
-    kind = params["kind"]
-    arrays = _csr_arrays("left", left)
-    if right is not None:
-        arrays.update(_csr_arrays("right", right))
-    if alive is not None:
-        arrays["alive"] = alive
     with obs.span(
-        "simjoin.parallel.map",
-        kind=kind, shards=len(bounds), workers=min(workers, len(bounds)),
-    ):
-        block = SharedArrayBlock.create(arrays)
-        try:
-            outcomes = shared_pool(workers).map(
-                _pooled_shard,
-                [(block.descriptor, left.shape[1], params, shard) for shard in bounds],
-            )
-        finally:
-            # Workers keep their mappings; the file can go right away.
-            block.unlink()
-    # Workers cannot record metrics themselves, so the parent folds their
-    # per-shard timings into the obs registry.
+        "simjoin.parallel.map", kind=scorer.kind, shards=len(starts), workers=threads
+    ), ThreadPoolExecutor(threads, thread_name_prefix="repro-join") as executor:
+        # Executor threads start with an empty context: each block runs in
+        # its own copy of this one (a Context cannot be entered twice at
+        # once), so its span is a child of the map span above.
+        blocks = list(executor.map(
+            lambda context, block_start: context.run(scorer.score, block_start),
+            [contextvars.copy_context() for _ in starts],
+            starts,
+        ))
     if obs.enabled():
-        for _, seconds, pid in outcomes:
-            obs.inc("simjoin_parallel_shards_total", 1, kind=kind,
-                    help="Row shards processed by the parallel join pool.")
-            obs.observe("simjoin_parallel_shard_seconds", seconds,
-                        kind=kind, worker=pid,
-                        help="Per-worker compute seconds of one row shard.")
-    for blocks, _, _ in outcomes:
-        yield blocks
+        obs.inc("simjoin_parallel_shards_total", len(starts), kind=scorer.kind,
+                help="Row blocks dispatched to the join's worker threads.")
+    yield from blocks
 
 
 class VectorizedSimJoin:
@@ -251,11 +134,10 @@ class VectorizedSimJoin:
         Number of matrix rows multiplied per block; bounds peak memory at
         roughly ``block_size * n`` floats for zero-threshold joins.
     workers:
-        Worker processes the row blocks are sharded over.  ``1`` (the
-        default) scores inline and never touches the pool; ``None`` or ``0``
-        means one per available CPU core.  Any value is legal — more
-        workers than shards simply leaves the extra workers idle — and any
-        value returns bit-identical pairs.
+        Threads the row blocks are scored on.  ``1`` (the default) scores
+        inline; ``None`` or ``0`` means one per available CPU core.  Any
+        value is legal — no more threads are started than there are blocks
+        — and any value returns bit-identical pairs.
     """
 
     def __init__(
@@ -263,7 +145,7 @@ class VectorizedSimJoin:
         threshold: float = 0.0,
         attributes: Optional[Sequence[str]] = None,
         measure: str = "jaccard",
-        block_size: int = 1024,
+        block_size: int = DEFAULT_BLOCK_ROWS,
         workers: Optional[int] = 1,
     ) -> None:
         if not 0.0 <= threshold <= 1.0:

@@ -15,9 +15,9 @@ self-join is ``left x left`` under the upper-triangle mask, record linkage
 is ``left x right``, and the streaming engine
 (:class:`repro.streaming.incremental_join.IncrementalSimJoin`) scores its
 freshly appended rows against every earlier row of the resident matrix.
-:class:`BlockScorer` holds one join's operands and walks a row range block
-by block; :func:`repro.simjoin.parallel.join_blocks` runs it inline over
-all rows or over disjoint row shards in worker processes, and
+:class:`BlockScorer` holds one join's operands and scores one row block at
+a time; :func:`repro.simjoin.parallel.join_blocks` walks its blocks inline
+or hands the same blocks to worker threads, and
 :class:`repro.simjoin.parallel.VectorizedSimJoin` is the store-level join
 built on that.
 
@@ -26,15 +26,14 @@ final float64 division is bit-identical to the pure-Python ``len(a & b) /
 len(a | b)``, so the kernel returns byte-identical pair sets to the naive
 scan at any threshold (the property tests assert this).  Every similarity
 value is an elementwise float64 expression of one pair's intersection count
-and set sizes, so neither block boundaries nor shard boundaries can change
-it.  The integer overlap bound the kernel applies to the raw product
+and set sizes, so block boundaries cannot change it.  The integer overlap bound the kernel applies to the raw product
 (:func:`min_overlap`) only discards pairs that this exact test would
 discard anyway, so it changes the cost and not the result.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -48,6 +47,17 @@ from repro import obs
 HAVE_SCIPY = sparse is not None
 
 MEASURES = ("jaccard", "dice", "cosine")
+
+#: Left rows multiplied per block, wherever a caller does not force another
+#: count.  A block's product must stay small enough that the allocator
+#: recycles its buffers instead of mapping and unmapping them: glibc serves
+#: nothing above 32 MB from a heap it keeps, and at 50k rows the product
+#: arrays of a 1,024-row block are ~100 MB each (of a 256-row block, 25 MB).
+#: That ``mmap``/``munmap``/page-fault traffic cost the serial join ~25%
+#: there and put worker threads, which share one address space, behind the
+#: process pool they replaced (``docs/benchmarks.md``, "Threads, not
+#: processes").
+DEFAULT_BLOCK_ROWS = 256
 
 # (row indices, col indices, similarity values) for one block.
 _BlockPairs = Tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -182,10 +192,9 @@ class BlockScorer:
 
     ``left`` rows are scored against ``right`` rows (``None`` = against
     ``left`` itself).  Building the scorer derives the transposed right
-    matrix and the set sizes once; :meth:`blocks` then walks any row range.
-    A serial join walks all rows inline, a pool worker walks one shard of
-    them — same object, same arithmetic.  ``kind`` only labels the
-    per-block trace spans.
+    matrix and the set sizes once; after that it is only read, so any
+    number of threads may call :meth:`score` on one scorer at once.
+    ``kind`` only labels the per-block trace spans.
     """
 
     def __init__(
@@ -195,7 +204,7 @@ class BlockScorer:
         *,
         threshold: float,
         measure: str = "jaccard",
-        block_size: int = 1024,
+        block_size: int = DEFAULT_BLOCK_ROWS,
         triangle: int = 0,
         alive: Optional[np.ndarray] = None,
         kind: str = "",
@@ -215,19 +224,19 @@ class BlockScorer:
         self.alive = alive
         self.kind = kind
 
-    def blocks(self, start: int, stop: int) -> Iterator[_BlockPairs]:
-        """Pair blocks for left rows ``[start, stop)``."""
-        for block_start in range(start, stop, self.block_size):
-            block_end = min(block_start + self.block_size, stop)
-            # The span covers only this block's matmul + filtering, not the
-            # consumer of the yielded pairs.
-            with obs.span(
-                "simjoin.vectorized.block",
-                kind=self.kind, rows=block_end - block_start,
-            ):
-                block = score_block(
-                    self.left, self.right_t, self.left_sizes, self.right_sizes,
-                    block_start, block_end, self.threshold, self.measure,
-                    self.triangle, self.alive,
-                )
-            yield block
+    def block_starts(self, start: int) -> range:
+        """First row of every block covering left rows ``[start, n)``."""
+        return range(start, self.left.shape[0], self.block_size)
+
+    def score(self, block_start: int) -> _BlockPairs:
+        """The pair block of left rows ``[block_start, block_start + block_size)``."""
+        block_end = min(block_start + self.block_size, self.left.shape[0])
+        with obs.span(
+            "simjoin.vectorized.block",
+            kind=self.kind, rows=block_end - block_start,
+        ):
+            return score_block(
+                self.left, self.right_t, self.left_sizes, self.right_sizes,
+                block_start, block_end, self.threshold, self.measure,
+                self.triangle, self.alive,
+            )

@@ -7,8 +7,8 @@ arrives, appends the batch's rows and scores **only those rows** against
 every earlier row of the resident matrix — old records and the batch's own
 earlier records alike — in one call of the shared join kernel
 (:func:`repro.simjoin.vectorized.score_block`, the code the batch engines
-run), sharded across the worker pool when the batch spans more than one
-row block and ``workers`` allows.
+run), on worker threads when the batch spans more than one row block and
+``workers`` allows.
 
 Index construction is *columnar* (:mod:`repro.simjoin.columnar`): each
 batch's CSR rows are built in one pass over the flattened token arrays,
@@ -39,7 +39,7 @@ from repro.records.record import Record, RecordError
 from repro.records.tokenize import WhitespaceTokenizer, record_token_set
 from repro.simjoin.columnar import compact_csr_arrays, extend_vocabulary_csr_arrays
 from repro.simjoin.parallel import join_blocks, resolve_worker_count
-from repro.simjoin.vectorized import HAVE_SCIPY, require_scipy
+from repro.simjoin.vectorized import DEFAULT_BLOCK_ROWS, HAVE_SCIPY, require_scipy
 
 if HAVE_SCIPY:
     from scipy import sparse
@@ -62,10 +62,9 @@ class IncrementalSimJoin:
     block_size:
         Row-block size of the sparse product over the appended rows.
     workers:
-        Worker processes for sharding that product over the long-lived
-        shared pool.  ``None``/``0`` = one per CPU core; sharding only
-        engages when a batch spans more than one row block, so small
-        appends never pay pool overhead.  Any value yields bit-identical
+        Threads the product's row blocks are scored on.  ``None``/``0`` =
+        one per CPU core; a batch of a single row block is scored inline,
+        so small appends start no thread.  Any value yields bit-identical
         deltas.
     storage:
         Optional :class:`repro.storage.base.Store`.  With a *persistent*
@@ -95,7 +94,7 @@ class IncrementalSimJoin:
         threshold: float,
         attributes: Optional[Sequence[str]] = None,
         cross_sources: Optional[Tuple[str, str]] = None,
-        block_size: int = 1024,
+        block_size: int = DEFAULT_BLOCK_ROWS,
         workers: Optional[int] = None,
         storage: Optional["Store"] = None,
     ) -> None:
@@ -305,8 +304,9 @@ class IncrementalSimJoin:
         masked out by the kernel, which matters at threshold zero, where a
         dead row's similarity of 0.0 would otherwise pass.  When the batch
         spans several row blocks and more than one worker is configured the
-        rows are sharded across the shared pool; serial and sharded runs
-        execute the same scorer, so the delta is bit-identical either way.
+        blocks are scored on worker threads; serial and sharded runs walk
+        the same blocks of the same scorer, so the delta is bit-identical
+        either way.
         """
         count = len(self._record_ids)
         indices = self._flat_indices()
@@ -408,7 +408,7 @@ class IncrementalSimJoin:
         threshold: float,
         attributes: Optional[Sequence[str]] = None,
         cross_sources: Optional[Tuple[str, str]] = None,
-        block_size: int = 1024,
+        block_size: int = DEFAULT_BLOCK_ROWS,
         workers: Optional[int] = None,
         storage: Optional["Store"] = None,
     ) -> "IncrementalSimJoin":

@@ -120,9 +120,9 @@ class StreamingResolver:
         Workflow configuration.  The streaming-specific knobs are
         ``recrowd_policy``, ``streaming_aggregation_scope``,
         ``staleness_epsilon`` and ``stream_batch_size``; ``join_workers``
-        shards the incremental machine pass across the shared process pool
-        (``join_backend`` only applies to the batch join — a session always
-        joins through the kernel);
+        counts the threads the incremental machine pass scores an append's
+        row blocks on (``join_backend`` only applies to the batch join — a
+        session always joins through the kernel);
         ``checkpoint_dir`` / ``checkpoint_every_batches`` /
         ``storage_backend`` make the session durable (one SQLite file: its
         state and its write-ahead log — :mod:`repro.streaming.persistence`);

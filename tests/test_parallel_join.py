@@ -10,6 +10,14 @@ on the token sets themselves, which is the invariant every similarity value
 rests on.
 """
 
+import json
+import re
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -18,26 +26,20 @@ from hypothesis import strategies as st
 from strategies import WORDS as _WORDS
 from strategies import random_stores, similarity_measures
 
+import repro
+import repro.simjoin
+from repro import obs
 from repro.core.config import WorkflowConfig
 from repro.core.workflow import HybridWorkflow
 from repro.datasets.restaurant import RestaurantGenerator
 from repro.records.record import Record, RecordStore
+from repro.simjoin import parallel as parallel_module
+from repro.simjoin import vectorized
 from repro.simjoin.columnar import (
     columnar_csr_arrays,
     extend_vocabulary_csr_arrays,
 )
-from repro.simjoin.likelihood import POOL_MIN_RECORDS, SimJoinLikelihood
-from repro.simjoin.parallel import (
-    VectorizedSimJoin,
-    resolve_worker_count,
-    shard_bounds,
-)
-from repro.simjoin.pool import (
-    WORKER_CACHE_BLOCKS,
-    active_pools,
-    shared_pool,
-    shutdown_pools,
-)
+from repro.simjoin.parallel import VectorizedSimJoin, resolve_worker_count
 from repro.simjoin.vectorized import HAVE_SCIPY
 from repro.streaming.incremental_join import IncrementalSimJoin
 from repro.streaming.session import resolve_stream
@@ -53,15 +55,28 @@ def pair_items(pairs):
     return sorted((pair.key, pair.likelihood) for pair in pairs)
 
 
-def _worker_cache_size(_task):
-    """Runs inside a pool worker: (pid, blocks its scorer cache holds)."""
-    import os
-    import time
+def block_sequence(join, store, cross_sources=None):
+    """Every pair block the join yields for the store, in the order yielded."""
+    return list(
+        join._pair_blocks(
+            join._incidence_matrix(store), join._plan(list(store), cross_sources)
+        )
+    )
 
-    from repro.simjoin import parallel
 
-    time.sleep(0.05)  # long enough that every worker takes a task
-    return os.getpid(), len(parallel._WORKER_SCORERS)
+def same_block_sequence(actual, expected):
+    """Same block boundaries and same contents, array for array."""
+    return len(actual) == len(expected) and all(
+        np.array_equal(mine, theirs)
+        for block, other in zip(actual, expected)
+        for mine, theirs in zip(block, other)
+    )
+
+
+def restaurant_store(record_count, seed):
+    return RestaurantGenerator(
+        record_count=record_count, duplicate_pairs=record_count // 8, seed=seed
+    ).generate().store
 
 
 class TestParallelEqualsVectorized:
@@ -82,6 +97,13 @@ class TestParallelEqualsVectorized:
             threshold, measure=measure, block_size=2, workers=workers
         ).join(store)
         assert pair_items(parallel) == pair_items(serial)
+        assert same_block_sequence(
+            block_sequence(
+                VectorizedSimJoin(threshold, measure=measure, block_size=2, workers=workers),
+                store,
+            ),
+            block_sequence(VectorizedSimJoin(threshold, measure=measure, block_size=2), store),
+        )
 
     @settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(
@@ -97,6 +119,13 @@ class TestParallelEqualsVectorized:
             store, cross_sources=("abt", "buy")
         )
         assert pair_items(parallel) == pair_items(serial)
+        assert same_block_sequence(
+            block_sequence(
+                VectorizedSimJoin(threshold, block_size=2, workers=workers),
+                store, ("abt", "buy"),
+            ),
+            block_sequence(VectorizedSimJoin(threshold, block_size=2), store, ("abt", "buy")),
+        )
 
     @pytest.mark.parametrize("workers", (1, 2, 5, 64))
     def test_restaurant_dataset_bit_identical(self, workers):
@@ -127,129 +156,110 @@ class TestParallelEqualsVectorized:
         assert pair_items(pairs) == [(("a", "b"), 1.0)]
 
 
-class TestShardBounds:
-    @given(
-        count=st.integers(min_value=0, max_value=500),
-        workers=st.integers(min_value=1, max_value=16),
-        block_size=st.integers(min_value=1, max_value=64),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_bounds_partition_the_row_range(self, count, workers, block_size):
-        bounds = shard_bounds(count, workers, block_size)
-        if count == 0:
-            assert bounds == []
-            return
-        assert bounds[0][0] == 0
-        assert bounds[-1][1] == count
-        for (_, stop), (start, _) in zip(bounds, bounds[1:]):
-            assert stop == start  # contiguous, disjoint
-        assert all(start < stop for start, stop in bounds)
+class TestWorkerThreads:
+    """What threads change: shared address space, shared interpreter."""
 
+    def test_default_worker_count_is_the_cores_this_process_may_use(self, monkeypatch):
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+        monkeypatch.setattr("os.cpu_count", lambda: 64)
+        assert resolve_worker_count(0) == resolve_worker_count(None) == 3
+        monkeypatch.delattr("os.sched_getaffinity")
+        assert resolve_worker_count(0) == 64
 
-class TestPoolFloor:
-    def test_auto_scores_small_stores_inline_whatever_the_worker_count(self):
-        """Below ``POOL_MIN_RECORDS`` the batch join never touches the pool."""
-        dataset = RestaurantGenerator(
-            record_count=2100, duplicate_pairs=100, seed=3
-        ).generate()
-        assert 2 * 1024 < len(dataset.store) < POOL_MIN_RECORDS  # several row blocks
-        shutdown_pools()
-        pairs = SimJoinLikelihood(workers=4).estimate(dataset.store, 0.35)
-        assert not active_pools()
-        assert pair_items(pairs) == pair_items(
-            VectorizedSimJoin(0.35, workers=4).join(dataset.store)
-        )
-        assert active_pools()  # the explicit worker count did shard
+    def test_concurrent_sharded_joins_each_equal_their_serial_join(self):
+        """The server's shard owners: K threads, each running a sharded join
+        on its own store at the same moment."""
+        stores = [restaurant_store(120, seed) for seed in range(4)]
+        expected = [
+            pair_items(VectorizedSimJoin(0.3, block_size=8).join(store))
+            for store in stores
+        ]
+        ready = threading.Barrier(len(stores))
 
+        def sharded(store):
+            ready.wait(timeout=30)
+            return pair_items(VectorizedSimJoin(0.3, block_size=8, workers=2).join(store))
 
-# ------------------------------------------------------------- reused pool
-class TestReusedPool:
-    """The long-lived pool: same workers across batches, same answers."""
-
-    def _halves(self, seed=5):
-        dataset = RestaurantGenerator(
-            record_count=200, duplicate_pairs=30, seed=seed
-        ).generate()
-        records = list(dataset.store)
-        halves = []
-        for chunk in (records[:100], records[100:]):
-            store = RecordStore()
-            for record in chunk:
-                store.add(record)
-            halves.append(store)
-        return halves
-
-    def test_worker_pids_stable_across_batches(self):
-        """The regression the reused pool exists for: consecutive batches
-        must land on the *same* worker processes, not a fresh fork each."""
-        first, second = self._halves()
-        join = VectorizedSimJoin(0.3, block_size=8, workers=2)
-        join.join(first)
-        pids_after_first = tuple(shared_pool(2).worker_pids())
-        join.join(second)
-        pids_after_second = tuple(shared_pool(2).worker_pids())
-        assert pids_after_first == pids_after_second
-        assert len(set(pids_after_first)) == 2
-        assert all(pid != 0 for pid in pids_after_first)
-
-    def test_no_leaked_shared_memory_blocks(self):
-        """Payload blocks are unlinked as soon as the map returns."""
-        import glob
-
-        first, second = self._halves(seed=21)
-        join = VectorizedSimJoin(0.3, block_size=8, workers=2)
-        # More consecutive joins than a worker may cache blocks for: each
-        # publishes a fresh block, so an unbounded worker cache would pin
-        # every one of them (unlinked pages stay alive while mapped).
-        for _ in range(WORKER_CACHE_BLOCKS + 1):
-            join.join(first)
-            join.join(second)
-        assert glob.glob("/dev/shm/repro-shard-*") == []
-        cached = dict(shared_pool(2).map(_worker_cache_size, range(8)))
-        assert set(cached) <= set(shared_pool(2).worker_pids())
-        assert all(0 < size <= WORKER_CACHE_BLOCKS for size in cached.values())
-
-    def test_shutdown_pools_releases_workers(self):
-        first, _second = self._halves(seed=23)
-        VectorizedSimJoin(0.3, block_size=8, workers=2).join(first)
-        assert active_pools()
-        shutdown_pools()
-        assert not active_pools()
-        # The registry recovers transparently on the next join.
-        pairs = VectorizedSimJoin(0.3, block_size=8, workers=2).join(first)
-        assert len(active_pools()) == 1
-        assert pair_items(pairs) == pair_items(
-            VectorizedSimJoin(0.3, block_size=8).join(first)
-        )
-
-    def test_pool_children_metrics_fold_into_parent_snapshot(self):
-        """Shard timings report the reused workers' PIDs and land in the
-        parent registry (children cannot export — their obs copy is inert)."""
-        from repro import obs
-
-        first, _second = self._halves(seed=29)
-        obs.activate()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # 8 join threads on 2 cores, switching hard
         try:
-            VectorizedSimJoin(0.3, block_size=8, workers=2).join(first)
+            with ThreadPoolExecutor(len(stores)) as owners:
+                assert list(owners.map(sharded, stores, timeout=60)) == expected
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_a_raising_block_surfaces_and_cancels_the_rest(self, monkeypatch):
+        store = restaurant_store(200, seed=13)
+        real_score_block = vectorized.score_block
+        scored = []
+
+        def failing_score_block(left, right_t, left_sizes, right_sizes, start, end, *rest):
+            if start == 0:
+                raise MemoryError("block 0")
+            time.sleep(0.02)  # the failure is seen while most blocks still wait
+            scored.append(start)
+            return real_score_block(left, right_t, left_sizes, right_sizes, start, end, *rest)
+
+        monkeypatch.setattr(vectorized, "score_block", failing_score_block)
+        threads_before = threading.active_count()
+        with pytest.raises(MemoryError, match="block 0"):
+            VectorizedSimJoin(0.3, block_size=2, workers=2).join(store)
+        assert threading.active_count() == threads_before
+        assert len(scored) < len(store) // 2 // 2  # of 100 blocks, most never ran
+
+    @pytest.mark.parametrize("workers", (1, 2))
+    def test_block_spans_descend_from_the_one_map_span(self, workers, tmp_path):
+        store = restaurant_store(300, seed=3)
+        trace = tmp_path / "trace.jsonl"
+        obs.activate(trace_path=str(trace))
+        try:
+            VectorizedSimJoin(0.3, block_size=64, workers=workers).join(store)
             snapshot = obs.snapshot()
         finally:
             obs.deactivate()
-        pool_pids = set(shared_pool(2).worker_pids())
-        shard_count = snapshot.counter_total("simjoin_parallel_shards_total", kind="self")
-        assert shard_count > 0
-        timings = snapshot.get("simjoin_parallel_shard_seconds")
-        assert timings is not None
-        workers_seen = {
-            sample["labels"]["worker"]
-            for sample in timings["samples"]
-            if sample["labels"].get("kind") == "self"
-        }
-        assert workers_seen  # at least one worker reported a timing
-        assert workers_seen <= {str(pid) for pid in pool_pids}
-        assert (
-            snapshot.histogram_count("simjoin_parallel_shard_seconds", kind="self")
-            == shard_count
+        spans = [
+            event for event in map(json.loads, trace.read_text().splitlines())
+            if event.get("type") == "span"
+        ]
+        blocks = [span for span in spans if span["name"] == "simjoin.vectorized.block"]
+        maps = [span for span in spans if span["name"] == "simjoin.parallel.map"]
+        assert len(blocks) == 5  # ceil(300 / 64), whatever the worker count
+        assert snapshot.get("simjoin_parallel_shard_seconds") is None
+        if workers == 1:
+            assert not maps
+            return
+        assert len(maps) == 1
+        assert {span["parent_id"] for span in blocks} == {maps[0]["span_id"]}
+        assert snapshot.counter_total("simjoin_parallel_shards_total", kind="self") == 5
+
+
+class TestNoSecondRuntime:
+    """The join has no process pool to fall back into."""
+
+    def test_src_has_no_process_or_shared_memory_machinery(self):
+        root = Path(next(iter(repro.__path__)))
+        assert not (root / "simjoin" / "pool.py").exists()
+        for path in sorted(root.rglob("*.py")):
+            source = path.read_text()
+            for name in ("multiprocessing", "/dev/shm", "memmap"):
+                assert name not in source, (path, name)
+
+    def test_simjoin_exports_no_pool_names(self):
+        for name in (
+            "ShardPool", "SharedArrayBlock", "active_pools", "shared_pool",
+            "shutdown_pools",
+        ):
+            assert not hasattr(repro.simjoin, name), name
+        for name in ("shard_bounds", "SHARDS_PER_WORKER", "_pooled_shard"):
+            assert not hasattr(parallel_module, name), name
+
+    def test_the_default_block_rows_are_defined_once(self):
+        source = "".join(
+            path.read_text() for path in Path(next(iter(repro.__path__))).rglob("*.py")
         )
+        assert len(re.findall(r"^DEFAULT_BLOCK_ROWS = \d+$", source, re.MULTILINE)) == 1
+        defaults = re.findall(r"block_size: int = (\w+)", source)
+        assert len(defaults) == 4 and set(defaults) == {"DEFAULT_BLOCK_ROWS"}
 
 
 # ---------------------------------------------------------- columnar build

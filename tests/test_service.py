@@ -145,6 +145,17 @@ def standalone_result(records, truth, schedule):
     return encode_result(resolver.snapshot())
 
 
+def raw_exchange(client, payload):
+    """Send raw bytes and read until the server closes: (head, JSON error)."""
+    with socket.create_connection((client.host, client.port), timeout=10) as sock:
+        sock.sendall(payload)
+        answer = b""
+        while chunk := sock.recv(65536):
+            answer += chunk
+    head, _, body = answer.partition(b"\r\n\r\n")
+    return head, json.loads(body)["error"]
+
+
 # ------------------------------------------------------------ HTTP surface
 class TestHttpSurface:
     def test_health(self, service):
@@ -180,6 +191,24 @@ class TestHttpSurface:
         }
         client.close(session_id)
 
+    def test_threaded_append_over_several_blocks_matches_standalone(self, service):
+        """``join_workers=2`` on a shard-owner thread: the append's product
+        spans three default row blocks, so it runs on worker threads."""
+        _runner, client = service
+        dataset = make_dataset(seed=19, record_count=520, duplicate_pairs=60)
+        records = list(dataset.store)
+        session_id = fresh_id("threads")
+        client.create_session(
+            session_id,
+            config={**SERVICE_CONFIG, "join_workers": 2},
+            truth=[list(pair) for pair in dataset.ground_truth],
+        )
+        served = client.append(session_id, [encode_record(r) for r in records])
+        resolver = StreamingResolver(config=make_config(join_workers=1))
+        resolver.add_truth(dataset.ground_truth)
+        assert served == encode_result(resolver.add_batch(records))
+        client.close(session_id)
+
     def test_unknown_route_is_404(self, service):
         _runner, client = service
         status, _headers, body = client.request("GET", "/bogus")
@@ -200,16 +229,49 @@ class TestHttpSurface:
         """Fails at the parent commit: ``int()`` raised past the 400 path and
         the client read an empty response from a killed connection task."""
         _runner, client = service
-        with socket.create_connection((client.host, client.port), timeout=10) as sock:
-            sock.sendall(b"POST /sessions HTTP/1.1\r\nContent-Length: twelve\r\n\r\n")
-            answer = b""
-            while chunk := sock.recv(65536):
-                answer += chunk
-        head, _, body = answer.partition(b"\r\n\r\n")
+        head, error = raw_exchange(
+            client, b"POST /sessions HTTP/1.1\r\nContent-Length: twelve\r\n\r\n"
+        )
         assert head.startswith(b"HTTP/1.1 400")
-        error = json.loads(body)["error"]
         assert error["code"] == "bad_request"
         assert "content-length" in error["message"]
+
+    @pytest.mark.parametrize(
+        "request_head",
+        (
+            b"GET /healthz HTTP/1.1\r\nX-Padding: " + b"a" * 70_000 + b"\r\n\r\n",
+            b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n",
+        ),
+        ids=("header-line", "request-line"),
+    )
+    def test_line_over_the_stream_limit_is_400(self, service, request_head, caplog):
+        """Fails at the parent commit: ``readline()`` raised ``ValueError`` past
+        the 400 path, asyncio logged an unhandled exception and the client
+        read an empty reply."""
+        _runner, client = service
+        head, error = raw_exchange(client, request_head)
+        assert head.startswith(b"HTTP/1.1 400")
+        assert error["code"] == "bad_request"
+        assert "too long" in error["message"]
+        assert "Unhandled exception" not in caplog.text
+
+    def test_mid_request_stall_is_408_but_an_idle_connection_may_wait(
+        self, service, monkeypatch
+    ):
+        _runner, client = service
+        monkeypatch.setattr("repro.service.http.REQUEST_READ_TIMEOUT_S", 0.2)
+        head, error = raw_exchange(
+            client, b"POST /sessions HTTP/1.1\r\nContent-Length: 64\r\n\r\n{"
+        )
+        assert head.startswith(b"HTTP/1.1 408 Request Timeout")
+        assert error["code"] == "request_timeout"
+        assert "0.2s" in error["message"]
+        # Between two requests of one keep-alive connection nothing times out.
+        with socket.create_connection((client.host, client.port), timeout=10) as sock:
+            for _ in range(2):
+                sock.sendall(b"GET /healthz HTTP/1.1\r\n\r\n")
+                assert sock.recv(65536).startswith(b"HTTP/1.1 200")
+                time.sleep(0.5)
 
     def test_non_object_body_is_400(self, service):
         _runner, client = service
