@@ -106,6 +106,10 @@ class RankedIndex:
         """Every candidate, most to least likely match."""
         return [entry[3] for entry in self._entries]
 
+    def page(self, after: int, limit: int) -> List[PairKey]:
+        """Ranks ``after`` to ``after + limit`` of :meth:`ranked`: one list slice."""
+        return [entry[3] for entry in self._entries[after : after + limit]]
+
     def matches(self) -> List[PairKey]:
         """The crowd-confirmed pairs, in ranked order: the tier-2 prefix."""
         return [entry[3] for entry in self._entries[: bisect_left(self._entries, (-1,))]]

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.crowd.latency import LatencyEstimate
 
@@ -120,6 +120,12 @@ class ResolutionResult:
     delta:
         For streaming snapshots, what the latest batch changed
         (:class:`StreamingDelta`); ``None`` for batch-mode runs.
+    changed:
+        For streaming snapshots, the pairs whose likelihood or posterior was
+        added, changed or dropped since the previous snapshot — after an
+        event, what the event touched.  ``None`` when that is not known
+        (batch-mode runs; a session right after a restore or a global-scope
+        re-aggregation, where it may be any of them).  Not part of equality.
     """
 
     ranked_pairs: List[PairKey] = field(default_factory=list)
@@ -134,6 +140,7 @@ class ResolutionResult:
     recall_ceiling: Optional[float] = None
     generator_name: str = ""
     delta: Optional[StreamingDelta] = None
+    changed: Optional[Set[PairKey]] = field(default=None, compare=False)
 
     def summary(self) -> Dict[str, object]:
         """Compact dictionary summary used by reports and examples."""

@@ -282,19 +282,19 @@ def column_generation_packing(
 
     lp_objective = float("inf")
     solution_x: Optional[np.ndarray] = None
+    size_columns = [size - 1 for size in distinct_sizes]
+    negated_demand = -np.array([demand[size] for size in distinct_sizes], dtype=float)
     for _ in range(max_iterations):
         # Restricted master LP: min sum x_i  s.t.  sum a_ij x_i >= c_j, x >= 0.
-        n_patterns = len(patterns)
-        cost = np.ones(n_patterns)
-        constraint_matrix = np.zeros((len(distinct_sizes), n_patterns))
-        for row, size in enumerate(distinct_sizes):
-            for col, pattern in enumerate(patterns):
-                constraint_matrix[row, col] = pattern[size - 1]
+        # One row per distinct size, one column per pattern; one (0, None)
+        # pair bounds every variable (a list of n pairs is the same model,
+        # validated pair by pair in Python).
+        constraint_matrix = np.array(patterns, dtype=float)[:, size_columns].T
         result = linprog(
-            c=cost,
+            c=np.ones(len(patterns)),
             A_ub=-constraint_matrix,
-            b_ub=-np.array([demand[size] for size in distinct_sizes], dtype=float),
-            bounds=[(0, None)] * n_patterns,
+            b_ub=negated_demand,
+            bounds=(0, None),
             method="highs",
         )
         if not result.success:  # pragma: no cover - defensive

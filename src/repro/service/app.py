@@ -11,7 +11,8 @@ GET      ``/sessions``                   list hosted sessions
 POST     ``/sessions``                   create a session (WorkflowConfig JSON)
 GET      ``/sessions/{id}``              status (record/candidate/event counts)
 DELETE   ``/sessions/{id}``              save (when durable) and close
-GET      ``/sessions/{id}/result``       full snapshot (matches + posteriors)
+GET      ``/sessions/{id}/result``       full snapshot (matches + posteriors), or
+                                         ``?limit=k&after=r``: a ranked page
 POST     ``/sessions/{id}/batch``        append a record batch
 POST     ``/sessions/{id}/retract``      retract one record
 POST     ``/sessions/{id}/update``       revise one record
@@ -20,14 +21,18 @@ POST     ``/sessions/{id}/save``         checkpoint now
 POST     ``/sessions/{id}/restore``      re-open a durable session
 =======  ==============================  =======================================
 
+The four mutations answer with their event's delta, counters and changed
+pairs (:func:`repro.service.sessions.encode_event`), not with the result.
+
 Every request runs under a ``service.request`` span and feeds
 ``service_requests_total{route,method,status}`` /
 ``service_request_seconds{route}`` plus the ``service_sessions`` gauge;
 per-shard queue depths are exported by the executor as
 ``service_queue_depth{shard}``.
 
-Graceful shutdown (:meth:`ResolutionService.stop`): stop accepting, drain
-every shard queue, ``save()`` every open durable session on its owning
+Graceful shutdown (:meth:`ResolutionService.stop`): stop accepting, close
+idle keep-alive connections, let requests in flight answer, drain every
+shard queue, ``save()`` every open durable session on its owning
 thread and stop the shard workers.
 """
 
@@ -37,10 +42,11 @@ import asyncio
 import logging
 import time
 from typing import Dict, Optional, Tuple
+from urllib.parse import parse_qsl
 
 from repro import obs
 from repro.service.errors import ServiceError, bad_request, not_found
-from repro.service.http import HttpRequest, HttpResponse, start_http_server
+from repro.service.http import HttpRequest, HttpResponse, HttpServer
 from repro.service.sessions import SessionManager
 from repro.service.shards import ShardExecutor
 
@@ -65,16 +71,16 @@ class ResolutionService:
         self.port = port
         self.shards = ShardExecutor(shard_count=shard_count, queue_depth=queue_depth)
         self.manager = SessionManager(self.shards)
-        self._server: Optional[asyncio.AbstractServer] = None
+        self._server: Optional[HttpServer] = None
         self._stopped = asyncio.Event()
 
     # ------------------------------------------------------------ lifecycle
     async def start(self) -> int:
         """Start the shard workers and the HTTP listener; returns the port."""
         await self.shards.start()
-        self._server, self.port = await start_http_server(
-            self._dispatch, self.host, self.port
-        )
+        server = HttpServer(self._dispatch, self.host, self.port)
+        self.port = await server.start()
+        self._server = server
         logger.info(
             "service listening on %s:%d (%d shards, queue depth %d)",
             self.host, self.port, self.shards.shard_count, self.shards.queue_depth,
@@ -84,8 +90,7 @@ class ResolutionService:
     async def stop(self) -> None:
         """Graceful shutdown: drain, save durable sessions, stop the shards."""
         if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
+            await self._server.close()
             self._server = None
         await self.shards.drain()
         saved = await self.manager.save_all()
@@ -140,7 +145,7 @@ class ResolutionService:
 
     def _route(self, request: HttpRequest) -> Tuple[str, Tuple[str, ...]]:
         """Classify the path into a route label plus path arguments."""
-        parts = tuple(part for part in request.path.split("?")[0].split("/") if part)
+        parts = tuple(part for part in request.path.partition("?")[0].split("/") if part)
         if parts == ("healthz",):
             return "/healthz", ()
         if parts == ("metrics",):
@@ -167,6 +172,20 @@ class ResolutionService:
         if not isinstance(payload, dict):
             raise bad_request("request body must be a JSON object")
         return payload
+
+    def _page_query(self, request: HttpRequest) -> Dict[str, int]:
+        """``?limit=k&after=r`` of a result read as keyword arguments (none: the full form)."""
+        query = parse_qsl(request.path.partition("?")[2], keep_blank_values=True)
+        if not query:
+            return {}
+        params = dict(query)
+        if len(params) != len(query) or not {"limit"} <= params.keys() <= {"limit", "after"}:
+            raise bad_request("a result page takes 'limit' and optionally 'after', once each")
+        for name, value in params.items():
+            # Digits only, and few enough that int() cannot refuse them.
+            if not (value.isascii() and value.isdigit() and len(value) < 19):
+                raise bad_request(f"{name!r} must be a non-negative integer, got {value[:32]!r}")
+        return {name: int(value) for name, value in params.items()}
 
     async def _handle(
         self, request: HttpRequest, route: str, args: Tuple[str, ...]
@@ -202,7 +221,9 @@ class ResolutionService:
             if method == "DELETE":
                 return HttpResponse(payload=await self.manager.close(session_id))
         if route == "/sessions/{id}/result" and method == "GET":
-            return HttpResponse(payload=await self.manager.result(args[0]))
+            return HttpResponse(
+                payload=await self.manager.result(args[0], **self._page_query(request))
+            )
         if route.startswith("/sessions/{id}/") and method == "POST":
             action = route.rsplit("/", 1)[1]
             (session_id,) = args

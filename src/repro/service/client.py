@@ -1,7 +1,14 @@
 """A small blocking client for the resolution service (stdlib only).
 
 Used by the tests, the benchmark and the CI smoke job; applications can use
-any HTTP client — the API is plain JSON over HTTP/1.1.
+any HTTP client — the API is plain JSON over HTTP/1.1.  A client keeps one
+keep-alive connection per calling thread, so it may be shared across threads.
+
+The mutation methods (``append`` / ``retract`` / ``update`` / ``flush``)
+return what the event changed — ``delta``, the counters and ``changed``, the
+touched pairs as ``[id_a, id_b, posterior|None]`` — not the resolution; read
+that with :meth:`ServiceClient.result`, whole or a ranked page at a time, or
+keep it by folding every ``changed`` list into a dict.
 
 :meth:`ServiceClient.request` returns the raw ``(status, headers, body)``
 triple without raising, which is what the error-path regression tests
@@ -13,7 +20,22 @@ from __future__ import annotations
 
 import http.client
 import json
+import threading
 from typing import Dict, List, Optional, Sequence, Tuple
+
+
+#: How a kept connection that the server has since closed fails.
+_STALE_CONNECTION = (http.client.RemoteDisconnected, ConnectionResetError, BrokenPipeError)
+
+
+def _decode(raw: bytes) -> object:
+    """A response body: JSON where it parses, text where it does not."""
+    if not raw:
+        return None
+    try:
+        return json.loads(raw.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError):
+        return raw.decode("utf-8", "replace")
 
 
 class ServiceClientError(Exception):
@@ -37,35 +59,50 @@ class ServiceClient:
         self.host = host
         self.port = port
         self.timeout = timeout
+        #: ``.connection``: the calling thread's open keep-alive connection.
+        self._local = threading.local()
 
     def request(
         self, method: str, path: str, payload: Optional[object] = None
     ) -> Tuple[int, Dict[str, str], object]:
         """One round trip; returns (status, headers, decoded JSON body)."""
-        connection = http.client.HTTPConnection(
-            self.host, self.port, timeout=self.timeout
-        )
-        try:
-            body = None
-            headers = {}
-            if payload is not None:
-                body = json.dumps(payload).encode("utf-8")
-                headers["Content-Type"] = "application/json"
-            connection.request(method, path, body=body, headers=headers)
-            response = connection.getresponse()
-            raw = response.read()
-            decoded: object = None
-            if raw:
-                try:
-                    decoded = json.loads(raw.decode("utf-8"))
-                except (UnicodeDecodeError, json.JSONDecodeError):
-                    decoded = raw.decode("utf-8", "replace")
-            return response.status, dict(response.getheaders()), decoded
-        finally:
+        body = None
+        headers = {}
+        if payload is not None:
+            body = json.dumps(payload).encode("utf-8")
+            headers["Content-Type"] = "application/json"
+        connection = getattr(self._local, "connection", None)
+        self._local.connection = None  # handed back only after a clean answer
+        response = None
+        while True:
+            reused = connection is not None
+            if not reused:
+                connection = http.client.HTTPConnection(
+                    self.host, self.port, timeout=self.timeout
+                )
+            try:
+                connection.request(method, path, body=body, headers=headers)
+                response = connection.getresponse()
+                raw = response.read()
+                break
+            except BaseException as error:
+                connection.close()
+                # A kept connection the server has since closed (idle timeout,
+                # restart) fails before any status line arrives: then, and
+                # only once, the request goes out again on a fresh one.
+                stale = reused and response is None and isinstance(error, _STALE_CONNECTION)
+                if not stale:
+                    raise
+            connection = None
+        if response.will_close:  # the server said ``Connection: close``
             connection.close()
+        else:
+            self._local.connection = connection
+        return response.status, dict(response.getheaders()), _decode(raw)
 
     def raw(self, method: str, path: str, body: bytes) -> Tuple[int, Dict[str, str], object]:
-        """Send a pre-encoded body verbatim (malformed-payload tests)."""
+        """Send a pre-encoded body verbatim, on a connection of its own
+        (malformed-payload tests)."""
         connection = http.client.HTTPConnection(
             self.host, self.port, timeout=self.timeout
         )
@@ -74,12 +111,7 @@ class ServiceClient:
                 method, path, body=body, headers={"Content-Type": "application/json"}
             )
             response = connection.getresponse()
-            raw_body = response.read()
-            try:
-                decoded: object = json.loads(raw_body.decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError):
-                decoded = raw_body.decode("utf-8", "replace")
-            return response.status, dict(response.getheaders()), decoded
+            return response.status, dict(response.getheaders()), _decode(response.read())
         finally:
             connection.close()
 
@@ -155,8 +187,15 @@ class ServiceClient:
     def status(self, session_id: str) -> dict:
         return self._call("GET", f"/sessions/{session_id}")
 
-    def result(self, session_id: str) -> dict:
-        return self._call("GET", f"/sessions/{session_id}/result")
+    def result(
+        self, session_id: str, limit: Optional[int] = None, after: int = 0
+    ) -> dict:
+        """The full result, or with ``limit`` the ``ranked`` pairs
+        ``after`` to ``after + limit``, most likely match first."""
+        path = f"/sessions/{session_id}/result"
+        if limit is not None:
+            path += f"?limit={limit}&after={after}"
+        return self._call("GET", path)
 
     def close(self, session_id: str) -> dict:
         return self._call("DELETE", f"/sessions/{session_id}")

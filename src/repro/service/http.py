@@ -17,7 +17,7 @@ import asyncio
 import json
 import logging
 from dataclasses import dataclass, field
-from typing import Awaitable, Callable, Dict, Optional, Tuple
+from typing import Awaitable, Callable, Dict, Optional, Set, Tuple
 
 logger = logging.getLogger(__name__)
 
@@ -26,9 +26,11 @@ MAX_HEADER_BYTES = 64 * 1024
 MAX_BODY_BYTES = 256 * 1024 * 1024
 #: Seconds a client has, once its request line has arrived, to deliver the
 #: rest of the headers and the body; a client that stalls mid-request is
-#: answered 408 and dropped.  Waiting for the *next* request line of an idle
-#: keep-alive connection is not bounded.
+#: answered 408 and dropped.
 REQUEST_READ_TIMEOUT_S = 30.0
+#: Seconds a connection may wait for a request line — its first, or the next
+#: one of a keep-alive connection — before it is closed without an answer.
+KEEPALIVE_IDLE_TIMEOUT_S = 75.0
 
 _REASONS = {
     200: "OK",
@@ -102,10 +104,10 @@ async def _read_line(reader: asyncio.StreamReader) -> bytes:
 
 
 async def _read_request(reader: asyncio.StreamReader) -> Optional[HttpRequest]:
-    """Parse one request; ``None`` on a cleanly closed connection."""
+    """Parse one request; ``None`` on a closed or idle-for-too-long connection."""
     try:
-        request_line = await _read_line(reader)
-    except (ConnectionError, asyncio.IncompleteReadError):
+        request_line = await asyncio.wait_for(_read_line(reader), KEEPALIVE_IDLE_TIMEOUT_S)
+    except (ConnectionError, asyncio.IncompleteReadError, asyncio.TimeoutError):
         return None
     if not request_line:
         return None
@@ -150,58 +152,82 @@ async def _read_headers_and_body(
     return headers, body
 
 
-async def _serve_connection(
-    handler: Handler, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-) -> None:
-    try:
-        while True:
-            try:
-                request = await _read_request(reader)
-            except _ProtocolError as error:
-                logger.debug("protocol error: %s", error)
-                writer.write(
-                    HttpResponse(
-                        status=error.status,
-                        payload={"error": {"code": error.code, "message": str(error)}},
-                    ).encode()
-                )
-                await writer.drain()
-                return
-            except asyncio.IncompleteReadError:
-                return
-            if request is None:
-                return
-            response = await handler(request)
-            keep_alive = request.headers.get("connection", "keep-alive") != "close"
-            response.headers.setdefault(
-                "Connection", "keep-alive" if keep_alive else "close"
-            )
-            writer.write(response.encode())
-            await writer.drain()
-            if not keep_alive:
-                return
-    except ConnectionError:  # pragma: no cover - client went away mid-write
-        return
-    finally:
-        writer.close()
-        try:
-            await writer.wait_closed()
-        except (ConnectionError, OSError):  # pragma: no cover
-            pass
-
-
-async def start_http_server(
-    handler: Handler, host: str, port: int
-) -> Tuple[asyncio.AbstractServer, int]:
-    """Bind and start serving; returns (server, actual port).
+class HttpServer:
+    """The listener and the connections it accepted.
 
     ``port=0`` binds an ephemeral port — the tests use it to avoid
-    collisions; the actual port comes back for the client to dial.
+    collisions; :attr:`port` holds the actual one once :meth:`start` returns.
     """
-    server = await asyncio.start_server(
-        lambda reader, writer: _serve_connection(handler, reader, writer),
-        host=host,
-        port=port,
-    )
-    actual_port = server.sockets[0].getsockname()[1]
-    return server, actual_port
+
+    def __init__(self, handler: Handler, host: str, port: int) -> None:
+        self.handler = handler
+        self.host = host
+        self.port = port
+        self._listener: Optional[asyncio.AbstractServer] = None
+        self._closing = False
+        #: One task per open connection, and the writers of those waiting
+        #: for a request line (nothing is lost by closing them).
+        self._connections: Set[asyncio.Task] = set()
+        self._idle: Set[asyncio.StreamWriter] = set()
+
+    async def start(self) -> int:
+        self._listener = await asyncio.start_server(self._serve, self.host, self.port)
+        self.port = self._listener.sockets[0].getsockname()[1]
+        return self.port
+
+    async def close(self) -> None:
+        """Stop accepting, drop idle connections, let in-flight requests finish."""
+        self._closing = True
+        self._listener.close()
+        for writer in list(self._idle):
+            writer.close()
+        if self._connections:
+            await asyncio.wait(self._connections)
+        await self._listener.wait_closed()
+
+    async def _serve(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
+        """One connection: requests in, answers out, until either side is done."""
+        task = asyncio.current_task()
+        self._connections.add(task)
+        try:
+            while not self._closing:
+                self._idle.add(writer)
+                try:
+                    request = await _read_request(reader)
+                except _ProtocolError as error:
+                    logger.debug("protocol error: %s", error)
+                    writer.write(
+                        HttpResponse(
+                            status=error.status,
+                            payload={"error": {"code": error.code, "message": str(error)}},
+                        ).encode()
+                    )
+                    await writer.drain()
+                    return
+                except asyncio.IncompleteReadError:
+                    return
+                finally:
+                    self._idle.discard(writer)
+                if request is None:
+                    return
+                response = await self.handler(request)
+                keep_alive = (
+                    not self._closing
+                    and request.headers.get("connection", "keep-alive") != "close"
+                )
+                response.headers.setdefault(
+                    "Connection", "keep-alive" if keep_alive else "close"
+                )
+                writer.write(response.encode())
+                await writer.drain()
+                if not keep_alive:
+                    return
+        except ConnectionError:  # pragma: no cover - client went away mid-write
+            return
+        finally:
+            self._connections.discard(task)
+            writer.close()
+            try:
+                await writer.wait_closed()
+            except (ConnectionError, OSError):  # pragma: no cover
+                pass

@@ -9,16 +9,21 @@ thread through the executor.
 
 Wire format: records travel as the event log's JSON encoding
 (``{"record_id", "attributes", "source"}``), pair keys as two-element
-arrays, posteriors as sorted ``[id_a, id_b, posterior]`` triples.  Floats
-round-trip through JSON exactly (shortest-repr float64), so a client can
-assert **bit-identity** between a served session and a standalone resolver
+arrays, posteriors as sorted ``[id_a, id_b, posterior]`` triples.  A
+mutation answers with what its event changed (:func:`encode_event`: the
+delta, the counters, the touched pairs), never with the whole resolution;
+``GET result`` serves that, in full (:func:`encode_result`) or as a page of
+the ranked list (:func:`encode_page`).  All three are built on the session's
+shard thread, inside the call that ran the resolver.  Floats round-trip
+through JSON exactly (shortest-repr float64), so a client can assert
+**bit-identity** between a served session and a standalone resolver
 replaying the same events — the concurrency property tests do.
 """
 
 from __future__ import annotations
 
 import uuid
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.config import WorkflowConfig
 from repro.core.results import ResolutionResult
@@ -35,6 +40,17 @@ from repro.streaming import StreamingResolver
 from repro.streaming.persistence import PersistenceError, decode_record
 
 
+def _counters(result: ResolutionResult) -> Dict[str, object]:
+    """The O(1) part every result payload carries."""
+    return {
+        "candidate_count": result.candidate_count,
+        "hit_count": result.hit_count,
+        "assignment_count": result.assignment_count,
+        "cost": result.cost,
+        "recall_ceiling": result.recall_ceiling,
+    }
+
+
 def encode_result(result: ResolutionResult) -> Dict[str, object]:
     """JSON payload of a resolution snapshot (deterministically ordered)."""
     return {
@@ -42,11 +58,37 @@ def encode_result(result: ResolutionResult) -> Dict[str, object]:
         "posteriors": sorted(
             [[key[0], key[1], value] for key, value in result.posteriors.items()]
         ),
-        "candidate_count": result.candidate_count,
-        "hit_count": result.hit_count,
-        "assignment_count": result.assignment_count,
-        "cost": result.cost,
-        "recall_ceiling": result.recall_ceiling,
+        **_counters(result),
+    }
+
+
+def encode_event(result: ResolutionResult) -> Dict[str, object]:
+    """JSON payload of one applied event: as large as what the event touched.
+
+    ``changed`` lists the touched pairs as sorted ``[id_a, id_b, posterior]``
+    triples, ``null`` for a pair that has no posterior now (dropped, or not
+    voted yet); folding every answer's list into a dict keeps exactly
+    ``GET result``'s ``posteriors``.  ``changed`` itself is ``null`` when the
+    session cannot say what moved — the client re-reads the result.
+    """
+    changed = None
+    if result.changed is not None:
+        posteriors = result.posteriors
+        changed = sorted([key[0], key[1], posteriors.get(key)] for key in result.changed)
+    return {"delta": result.delta.as_dict(), "changed": changed, **_counters(result)}
+
+
+def encode_page(result: ResolutionResult, after: int, limit: int) -> Dict[str, object]:
+    """JSON payload of :meth:`StreamingResolver.ranked_page`: most likely first."""
+    likelihoods, posteriors = result.likelihoods, result.posteriors
+    return {
+        "ranked": [
+            [key[0], key[1], likelihoods[key], posteriors.get(key)]
+            for key in result.ranked_pairs
+        ],
+        "after": after,
+        "limit": limit,
+        **_counters(result),
     }
 
 
@@ -234,42 +276,28 @@ class SessionManager:
             raise bad_request("request body must be {'records': [...]}")
         records = _parse_records(payload["records"])
         truth = _parse_truth(payload["truth"]) if "truth" in payload else None
-        handle = self._handle(session_id)
-        resolver = handle.resolver
-
-        def run() -> ResolutionResult:
-            return resolver.add_batch(records, true_matches=truth)
-
-        result = await self._submit_resolver_call(session_id, run)
-        return encode_result(result)
+        resolver = self._handle(session_id).resolver
+        return await self._submit_event(
+            session_id, lambda: resolver.add_batch(records, true_matches=truth)
+        )
 
     async def retract(self, session_id: str, payload: dict) -> Dict[str, object]:
         if not isinstance(payload, dict) or "record_id" not in payload:
             raise bad_request("request body must be {'record_id': ...}")
         record_id = payload["record_id"]
-        handle = self._handle(session_id)
-        resolver = handle.resolver
-        result = await self._submit_resolver_call(
-            session_id, lambda: resolver.retract(record_id)
-        )
-        return encode_result(result)
+        resolver = self._handle(session_id).resolver
+        return await self._submit_event(session_id, lambda: resolver.retract(record_id))
 
     async def update(self, session_id: str, payload: dict) -> Dict[str, object]:
         if not isinstance(payload, dict) or "record" not in payload:
             raise bad_request("request body must be {'record': {...}}")
         (record,) = _parse_records([payload["record"]])
-        handle = self._handle(session_id)
-        resolver = handle.resolver
-        result = await self._submit_resolver_call(
-            session_id, lambda: resolver.update(record)
-        )
-        return encode_result(result)
+        resolver = self._handle(session_id).resolver
+        return await self._submit_event(session_id, lambda: resolver.update(record))
 
     async def flush(self, session_id: str) -> Dict[str, object]:
-        handle = self._handle(session_id)
-        resolver = handle.resolver
-        result = await self._submit_resolver_call(session_id, resolver.flush)
-        return encode_result(result)
+        resolver = self._handle(session_id).resolver
+        return await self._submit_event(session_id, resolver.flush)
 
     async def save(self, session_id: str) -> Dict[str, object]:
         handle = self._handle(session_id)
@@ -281,9 +309,10 @@ class SessionManager:
 
         return await self.shards.submit(session_id, run)
 
-    async def _submit_resolver_call(self, session_id: str, fn) -> ResolutionResult:
+    async def _submit_event(self, session_id: str, event) -> Dict[str, object]:
+        """Run one resolver event on its shard and encode the answer there."""
         try:
-            return await self.shards.submit(session_id, fn)
+            return await self.shards.submit(session_id, lambda: encode_event(event()))
         except RecordError as error:
             raise bad_request(str(error)) from None
         except PersistenceError as error:
@@ -299,11 +328,24 @@ class SessionManager:
             session_id, self._status_payload, handle
         )
 
-    async def result(self, session_id: str) -> Dict[str, object]:
-        handle = self._handle(session_id)
-        resolver = handle.resolver
-        result = await self.shards.submit(session_id, resolver.snapshot)
-        return encode_result(result)
+    async def result(
+        self, session_id: str, after: int = 0, limit: Optional[int] = None
+    ) -> Dict[str, object]:
+        """The full snapshot, or with ``limit`` ranks ``after`` to ``after + limit``.
+
+        Encoded on the shard thread: the page reads an index the owner
+        thread mutates, and a large session's encode must not hold up every
+        other session's socket.
+        """
+        resolver = self._handle(session_id).resolver
+        if limit is None:
+            return await self.shards.submit(
+                session_id, lambda: encode_result(resolver.snapshot())
+            )
+        return await self.shards.submit(
+            session_id,
+            lambda: encode_page(resolver.ranked_page(after, limit), after, limit),
+        )
 
     def list_sessions(self) -> Dict[str, object]:
         return {

@@ -84,9 +84,10 @@ class PairLedger:
     touched:
         Keys whose likelihood or posterior was added, changed or dropped
         since :meth:`take_touched` last ran — what a ranked view of the
-        ledger has to re-place.  ``None`` means "any of them": a new
-        ledger, one whose dicts were assigned wholesale (page-in), or one
-        after :meth:`replace_posteriors`.
+        ledger has to re-place.  ``None`` means "any of them": a ledger
+        whose dicts were assigned wholesale (page-in), or one after
+        :meth:`replace_posteriors`.  A new ledger is empty, so it starts
+        with nothing touched and its first event can name what it changed.
     """
 
     def __init__(self) -> None:
@@ -96,7 +97,7 @@ class PairLedger:
         self.pending_votes: Dict[PairKey, int] = {}
         self.posteriors: Dict[PairKey, float] = {}
         self.covered: Set[PairKey] = set()
-        self.touched: Optional[Set[PairKey]] = None
+        self.touched: Optional[Set[PairKey]] = set()
 
     def take_touched(self) -> Optional[Set[PairKey]]:
         """Hand over :attr:`touched` and start a new, empty set."""

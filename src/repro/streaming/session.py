@@ -618,48 +618,79 @@ class StreamingResolver:
         delta.dirty_pairs = len(dirty_pairs)
         return dirty_pairs
 
-    def snapshot(self) -> ResolutionResult:
-        """The current resolution state as a delta-aware result object.
+    def _sync_ranking(self) -> Optional[Set[PairKey]]:
+        """Bring the ranked index up to the ledger; returns what it re-placed.
 
-        Costs what changed since the previous snapshot: the ranked index is
-        updated for the pairs the ledger reports touched and everything
-        else is a copy.  When the ledger cannot say what changed, or it is
-        a large share of the candidates, the order comes from
+        Costs the pairs the ledger reports touched since the last sync.  When
+        the ledger cannot say what changed (``None``, returned as such), or
+        it is a large share of the candidates, the order comes from
         :func:`~repro.core.ranking.rank_candidates` instead.
         """
         ledger = self._ledger
         # The join scores every pair it reports, so the ledger's
-        # likelihoods are floats and the copy needs no None -> 0.0 pass.
-        likelihoods: Dict[PairKey, float] = dict(ledger.pairs)
-        posteriors = dict(ledger.posteriors)
-        ranking = self._ranking
+        # likelihoods are floats and ranking needs no None -> 0.0 pass.
+        likelihoods, posteriors = ledger.pairs, ledger.posteriors
         touched = ledger.take_touched()
         if touched is None or len(touched) * RERANK_SHARE > len(likelihoods):
-            ranked, matches = rank_candidates(
+            ranked, _ = rank_candidates(
                 likelihoods, posteriors, self.config.decision_threshold
             )
-            ranking.load(ranked, likelihoods, posteriors)
+            self._ranking.load(ranked, likelihoods, posteriors)
         else:
             for key in touched:
                 if key in likelihoods:
-                    ranking.put(key, likelihoods[key], posteriors.get(key))
+                    self._ranking.put(key, likelihoods[key], posteriors.get(key))
                 else:
-                    ranking.discard(key)
-            ranked, matches = ranking.ranked(), ranking.matches()
+                    self._ranking.discard(key)
+        return touched
+
+    def _recall_ceiling(self) -> Optional[float]:
         # A candidate's records are resident, so the truth pairs that
         # survived pruning are the truth pairs that are candidates.
-        recall_ceiling = None
-        if self._arrived_truth:
-            recall_ceiling = len(self._truth & ledger.pairs.keys()) / self._arrived_truth
+        if not self._arrived_truth:
+            return None
+        return len(self._truth & self._ledger.pairs.keys()) / self._arrived_truth
+
+    def snapshot(self) -> ResolutionResult:
+        """The current resolution state as a delta-aware result object.
+
+        Costs what changed since the previous snapshot: the ranked index is
+        updated for the pairs the ledger reports touched (the result's
+        ``changed``) and everything else is a copy.
+        """
+        changed = self._sync_ranking()
         return ResolutionResult(
-            ranked_pairs=ranked,
-            matches=matches,
-            posteriors=posteriors,
-            likelihoods=likelihoods,
+            ranked_pairs=self._ranking.ranked(),
+            matches=self._ranking.matches(),
+            posteriors=dict(self._ledger.posteriors),
+            likelihoods=dict(self._ledger.pairs),
             candidate_count=len(self.candidates),
-            recall_ceiling=recall_ceiling,
+            recall_ceiling=self._recall_ceiling(),
             delta=self._last_delta,
+            changed=changed,
             **self.driver.workload(),
+        )
+
+    def ranked_page(self, after: int, limit: int) -> ResolutionResult:
+        """Ranks ``after`` to ``after + limit`` of the snapshot's ranked list.
+
+        A slice of the ranked index: ``ranked_pairs`` is the page, with its
+        ``likelihoods`` and ``posteriors`` (``matches`` and ``latency`` are
+        not filled); the counters describe the whole session.  Nothing
+        session-sized is copied.
+        """
+        self._sync_ranking()
+        ledger, driver = self._ledger, self.driver
+        page = self._ranking.page(after, limit)
+        return ResolutionResult(
+            ranked_pairs=page,
+            posteriors={key: ledger.posteriors[key] for key in page if key in ledger.posteriors},
+            likelihoods={key: ledger.pairs[key] for key in page},
+            candidate_count=len(self.candidates),
+            hit_count=driver.hit_count,
+            assignment_count=len(driver.assignment_seconds),
+            cost=driver.cost,
+            recall_ceiling=self._recall_ceiling(),
         )
 
 

@@ -32,7 +32,7 @@ from repro import obs
 from repro.core.config import WorkflowConfig
 from repro.datasets.restaurant import RestaurantGenerator
 from repro.service import ResolutionService, ServiceClient, ServiceClientError
-from repro.service.sessions import encode_result
+from repro.service.sessions import encode_event, encode_result
 from repro.service.shards import ShardExecutor, shard_of
 from repro.streaming import StreamingResolver
 from repro.streaming.persistence import encode_record
@@ -47,6 +47,11 @@ def make_config(**overrides):
     base.update(overrides)
     return WorkflowConfig(**base)
 
+
+#: What any single 25-record append may answer with, however long its
+#: session has run (the size test's appends answer 0.4-0.9 kB, by how many
+#: pairs each one found; the result after 40 of them is 11 kB).
+ANSWER_BYTE_BUDGET = 2048
 
 #: The service-side twin of :func:`make_config` (vote_mode is forced
 #: server-side, so it is not part of the wire payload).
@@ -102,25 +107,27 @@ def service():
     runner.stop()
 
 
-def drive_over_http(client, session_id, records, schedule, mirror, cursor=0):
+def drive_over_http(client, session_id, records, schedule, mirror, cursor=0, answers=None):
     """Apply a :func:`strategies.event_schedules` schedule over HTTP.
 
     Mirrors :func:`strategies.drive` exactly — ``mirror`` tracks the
     resident records client-side (the HTTP API does not expose record
     ids), so retract/update target the same records ``drive`` would.
+    ``answers`` collects what each event that was sent answered.
     """
+    answers = [] if answers is None else answers
     for action, argument in schedule:
         if action == "batch":
             batch = records[cursor : cursor + argument]
             cursor += argument
             if batch:
-                client.append(session_id, [encode_record(r) for r in batch])
+                answers.append(client.append(session_id, [encode_record(r) for r in batch]))
                 mirror.update({record.record_id: record for record in batch})
         elif action == "retract":
             resident = sorted(mirror)
             if resident:
                 record_id = resident[argument % len(resident)]
-                client.retract(session_id, record_id)
+                answers.append(client.retract(session_id, record_id))
                 del mirror[record_id]
         elif action == "update":
             resident = sorted(mirror)
@@ -129,11 +136,41 @@ def drive_over_http(client, session_id, records, schedule, mirror, cursor=0):
                 revised = mirror[record_id].with_attributes(
                     name=f"revision {argument}"
                 )
-                client.update(session_id, encode_record(revised))
+                answers.append(client.update(session_id, encode_record(revised)))
                 mirror[record_id] = revised
         elif action == "flush":
-            client.flush(session_id)
+            answers.append(client.flush(session_id))
     return cursor
+
+
+class RecordedEvents:
+    """A resolver stand-in for :func:`strategies.drive` that keeps what each
+    event method returned (``results``), so a served answer can be compared
+    with the standalone result of the same event."""
+
+    def __init__(self, resolver):
+        self.resolver = resolver
+        self.results = []
+
+    def __getattr__(self, name):
+        attribute = getattr(self.resolver, name)
+        if name not in ("add_batch", "retract", "update", "flush"):
+            return attribute
+
+        def event(*args, **kwargs):
+            self.results.append(attribute(*args, **kwargs))
+            return self.results[-1]
+
+        return event
+
+
+def fold_changed(posteriors, answer):
+    """What a client keeps: every ``changed`` triple folded into one dict."""
+    for id_a, id_b, posterior in answer["changed"]:
+        if posterior is None:
+            posteriors.pop((id_a, id_b), None)
+        else:
+            posteriors[(id_a, id_b)] = posterior
 
 
 def standalone_result(records, truth, schedule):
@@ -176,13 +213,14 @@ class TestHttpSurface:
         assert created["session_id"] == session_id
         assert created["records"] == 0
         client.append(session_id, [encode_record(r) for r in records])
-        served = client.flush(session_id)
+        flushed = client.flush(session_id)
         resolver = StreamingResolver(config=make_config())
         resolver.add_truth(dataset.ground_truth)
         resolver.add_batch(records)
-        expected = encode_result(resolver.flush())
-        assert served == expected  # bit-identical floats over the wire
-        assert client.result(session_id) == expected
+        expected = resolver.flush()
+        assert flushed == encode_event(expected)
+        # bit-identical floats over the wire
+        assert client.result(session_id) == encode_result(expected)
         status = client.status(session_id)
         assert status["records"] == len(records)
         assert not status["durable"]
@@ -203,10 +241,10 @@ class TestHttpSurface:
             config={**SERVICE_CONFIG, "join_workers": 2},
             truth=[list(pair) for pair in dataset.ground_truth],
         )
-        served = client.append(session_id, [encode_record(r) for r in records])
+        client.append(session_id, [encode_record(r) for r in records])
         resolver = StreamingResolver(config=make_config(join_workers=1))
         resolver.add_truth(dataset.ground_truth)
-        assert served == encode_result(resolver.add_batch(records))
+        assert client.result(session_id) == encode_result(resolver.add_batch(records))
         client.close(session_id)
 
     def test_unknown_route_is_404(self, service):
@@ -388,6 +426,57 @@ class TestHttpSurface:
         assert body["error"]["code"] == "metrics_disabled"
 
 
+# --------------------------------------------------------------- keep-alive
+class TestKeepAlive:
+    def test_a_client_reuses_its_connection_per_thread(self, service):
+        _runner, shared = service
+        client = ServiceClient(shared.host, shared.port)
+        client.health()
+        kept = client._local.connection
+        assert kept is not None and kept.sock is not None
+        client.health()
+        assert client._local.connection is kept
+        # Another thread calling through the same client gets its own.
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            other = pool.submit(
+                lambda: (client.health(), client._local.connection)[1]
+            ).result(timeout=30)
+        assert other is not None and other is not kept
+        assert client._local.connection is kept
+
+    def test_an_idle_connection_is_closed_silently_and_the_client_redials(
+        self, service, monkeypatch
+    ):
+        _runner, shared = service
+        monkeypatch.setattr("repro.service.http.KEEPALIVE_IDLE_TIMEOUT_S", 0.2)
+        with socket.create_connection((shared.host, shared.port), timeout=10) as sock:
+            sock.sendall(b"GET /healthz HTTP/1.1\r\n\r\n")
+            assert sock.recv(65536).startswith(b"HTTP/1.1 200")
+            assert sock.recv(65536) == b""  # closed: no 408, no bytes at all
+        client = ServiceClient(shared.host, shared.port)
+        assert client.health()["status"] == "ok"
+        kept = client._local.connection
+        time.sleep(0.6)  # the server drops its end of the kept connection
+        assert client.health()["status"] == "ok"  # no error surfaces
+        assert client._local.connection is not kept
+
+    def test_stop_does_not_wait_for_idle_connections_or_strand_their_tasks(self, caplog):
+        runner = ServiceThread(shard_count=1, queue_depth=4)
+        client = runner.start()
+        client.health()  # leaves this thread's keep-alive connection open
+        with socket.create_connection((client.host, client.port), timeout=10) as sock:
+            sock.sendall(b"GET /healthz HTTP/1.1\r\n\r\n")
+            assert sock.recv(65536).startswith(b"HTTP/1.1 200")
+            began = time.monotonic()
+            runner.stop()
+            assert time.monotonic() - began < 5
+            assert not runner.thread.is_alive()
+            assert sock.recv(65536) == b""
+        assert asyncio.all_tasks(runner.loop) == set()
+        runner.loop.close()
+        assert "Task was destroyed" not in caplog.text
+
+
 # ------------------------------------------------------------ backpressure
 class TestBackpressure:
     def test_full_shard_queue_is_429_with_retry_after(self):
@@ -547,6 +636,160 @@ class TestServiceEqualsStandalone:
             outcomes = [future.result(timeout=120) for future in futures]
         for served, expected in outcomes:
             assert served == expected
+
+
+# ------------------------------------------------------ deltas on the wire
+class TestDeltasOnTheWire:
+    @settings(
+        max_examples=12,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        schedule=event_schedules(min_size=2, max_size=6),
+        restore_at=st.one_of(st.none(), st.integers(min_value=0, max_value=5)),
+    )
+    def test_property_every_answer_is_the_events_delta_and_folds_to_the_result(
+        self, service, tmp_path_factory, schedule, restore_at
+    ):
+        """Event for event: the answer is ``encode_event`` of the standalone
+        resolver's result for that event, and a client folding the ``changed``
+        lists holds exactly ``GET result``'s posteriors (and, above the
+        decision threshold, its matches) — also across a save/close/restore,
+        after which the first answer may say ``changed: null`` (re-read)."""
+        _runner, client = service
+        dataset = make_dataset(seed=23)
+        records = list(dataset.store)
+        session_id = fresh_id("wire")
+        checkpoint = tmp_path_factory.mktemp("wire")
+        client.create_session(
+            session_id,
+            config=dict(SERVICE_CONFIG, checkpoint_dir=str(checkpoint)),
+            truth=[list(pair) for pair in dataset.ground_truth],
+        )
+        resolver = StreamingResolver(config=make_config())
+        resolver.add_truth(dataset.ground_truth)
+        standalone = RecordedEvents(resolver)
+        threshold = resolver.config.decision_threshold
+        folded, mirror = {}, {}
+        served_cursor = standalone_cursor = 0
+        just_restored = False
+        for index, event in enumerate(schedule):
+            if index == restore_at:
+                client.close(session_id)
+                client.restore(session_id, str(checkpoint))
+                just_restored = True
+            answers = []
+            served_cursor = drive_over_http(
+                client, session_id, records, [event], mirror, served_cursor, answers
+            )
+            standalone.results.clear()
+            standalone_cursor = drive(standalone, records, [event], standalone_cursor)
+            assert len(answers) == len(standalone.results)
+            served = client.result(session_id)
+            for answer, result in zip(answers, standalone.results):
+                expected = encode_event(result)
+                if answer["changed"] is None:
+                    assert just_restored  # the only time this session cannot say
+                    assert {**answer, "changed": expected["changed"]} == expected
+                    folded = {(a, b): p for a, b, p in served["posteriors"]}
+                else:
+                    assert answer == expected  # bit-identical floats
+                    fold_changed(folded, answer)
+                just_restored = False
+            assert sorted([a, b, p] for (a, b), p in folded.items()) == served["posteriors"]
+            assert served["matches"] == sorted(
+                [a, b] for (a, b), p in folded.items() if p > threshold
+            )
+            assert served == encode_result(resolver.snapshot())
+        client.close(session_id)
+
+    def test_an_answer_is_as_large_as_its_event_not_as_the_session(self, service):
+        """40 appends of 25 records: the last answers within the byte budget
+        of the first, while the result it no longer carries has outgrown it."""
+        _runner, client = service
+        dataset = make_dataset(seed=29, record_count=1000, duplicate_pairs=200)
+        records = [encode_record(record) for record in dataset.store]
+        session_id = fresh_id("flat")
+        client.create_session(
+            session_id,
+            config=SERVICE_CONFIG,
+            truth=[list(pair) for pair in dataset.ground_truth],
+        )
+        sizes = [
+            len(json.dumps(client.append(session_id, records[start : start + 25]), sort_keys=True))
+            for start in range(0, 1000, 25)
+        ]
+        assert len(sizes) == 40
+        assert max(sizes) <= ANSWER_BYTE_BUDGET, sizes
+        full = len(json.dumps(client.result(session_id), sort_keys=True))
+        assert full > 4 * ANSWER_BYTE_BUDGET
+        client.close(session_id)
+
+    @pytest.fixture(scope="class")
+    def ranked_session(self, service):
+        """One served session with churn behind it, and its standalone twin."""
+        _runner, client = service
+        dataset = make_dataset(seed=37, record_count=300, duplicate_pairs=120)
+        records = list(dataset.store)
+        schedule = [("batch", 150), ("retract", 7), ("batch", 100), ("update", 11), ("batch", 50)]
+        session_id = fresh_id("paged")
+        client.create_session(
+            session_id,
+            config=SERVICE_CONFIG,
+            truth=[list(pair) for pair in dataset.ground_truth],
+        )
+        drive_over_http(client, session_id, records, schedule, mirror={})
+        resolver = StreamingResolver(config=make_config())
+        resolver.add_truth(dataset.ground_truth)
+        drive(resolver, records, schedule)
+        yield client, session_id, resolver.snapshot()
+        client.close(session_id)
+
+    @settings(max_examples=15, deadline=None)
+    @given(limit=st.integers(min_value=1, max_value=40))
+    def test_property_pages_concatenate_to_the_ranked_list(self, ranked_session, limit):
+        client, session_id, snapshot = ranked_session
+        expected = [
+            [a, b, snapshot.likelihoods[a, b], snapshot.posteriors.get((a, b))]
+            for a, b in snapshot.ranked_pairs
+        ]
+        assert len(expected) > 80  # several pages at every limit drawn
+        ranked, after = [], 0
+        while True:
+            page = client.result(session_id, limit=limit, after=after)
+            assert (page["after"], page["limit"]) == (after, limit)
+            assert page["candidate_count"] == len(expected)
+            ranked += page["ranked"]
+            after += limit
+            if len(page["ranked"]) < limit:
+                break
+        assert ranked == expected  # order and both scores, bit for bit
+        # The crowd-confirmed pairs are the head of the list, in match order.
+        matches = [list(key) for key in snapshot.matches]
+        assert matches and [entry[:2] for entry in ranked[: len(matches)]] == matches
+        counters = client.result(session_id)
+        del counters["matches"], counters["posteriors"]
+        assert {k: page[k] for k in counters} == counters
+
+    def test_empty_pages_and_bad_page_queries(self, ranked_session):
+        client, session_id, snapshot = ranked_session
+        assert client.result(session_id, limit=0)["ranked"] == []
+        past_the_end = client.result(session_id, limit=5, after=len(snapshot.ranked_pairs))
+        assert past_the_end["ranked"] == []
+        for query in (
+            "limit=ten", "limit=-1", "limit=1.5", "limit=", "limit=5&after=-2",
+            "limit=5&after=x", "after=3", "limit=5&offset=3", "full=1",
+            "limit=1&limit=2", "limit=" + "9" * 5000,
+        ):
+            status, _headers, body = client.request(
+                "GET", f"/sessions/{session_id}/result?{query}"
+            )
+            assert status == 400, query
+            assert body["error"]["code"] == "bad_request"
+        # A bare or empty query string is the full form.
+        status, _headers, body = client.request("GET", f"/sessions/{session_id}/result?")
+        assert status == 200 and "posteriors" in body
 
 
 # ------------------------------------------------------------ durability

@@ -84,15 +84,16 @@ def main(argv: Optional[List[str]] = None) -> int:
             truth=truth,
             cross_sources=dataset.cross_sources,
         )
-        served = None
         for offset in range(0, len(records), args.batch_size):
-            served = client.append(
+            client.append(
                 session_id,
                 [
                     encode_record(record)
                     for record in records[offset : offset + args.batch_size]
                 ],
             )
+        # An append answers with its delta; the resolution is GET result.
+        served = client.result(session_id)
         client.close(session_id)
         return served
 
