@@ -16,6 +16,12 @@ Three solvers are provided and cross-validated in the test suite:
   LP relaxation solved by column generation (scipy ``linprog`` restricted
   master + dynamic-programming knapsack pricing), then an integer solution
   obtained by rounding down and repairing the residual demand with FFD.
+
+The order inside :func:`column_generation_packing` is bound → FFD → LP: no
+packing uses fewer than ``ceil(sum(sizes) / capacity)`` bins, so an FFD
+packing with exactly that many is optimal and is returned without solving
+anything; the LP runs only for the instances where FFD is above the bound,
+which is the only place it can lower the number of HITs.
 """
 
 from __future__ import annotations
@@ -27,6 +33,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
+
+from repro import obs
 
 try:  # scipy is a hard dependency of the package, but keep the import local.
     from scipy.optimize import linprog
@@ -247,6 +255,14 @@ def _knapsack_pricing(duals: Dict[int, float], capacity: int) -> Tuple[List[int]
     return pattern, best_value[capacity]
 
 
+def _count_packing(outcome: str, lp_solves: int) -> None:
+    if obs.enabled():
+        obs.inc("hit_packings_total", outcome=outcome,
+                help="Column-generation packings by how their HIT count was settled.")
+        obs.inc("hit_packing_lp_solves_total", lp_solves,
+                help="Restricted master LPs solved by column-generation packing.")
+
+
 def column_generation_packing(
     sizes: Sequence[int],
     capacity: int,
@@ -262,12 +278,22 @@ def column_generation_packing(
     the residual demand with FFD.  The returned ``lower_bound`` is the
     ceiling of the LP optimum, a valid lower bound on the optimal number of
     HITs.
+
+    FFD is packed first.  When it uses exactly :func:`size_lower_bound` bins
+    the count is optimal by that bound — no pattern set can cover the total
+    size with fewer bins of this capacity — so neither the LP, the pricing
+    nor the rounding could change the number of HITs, and FFD's packing is
+    returned as ``method="column-generation(ffd-at-bound)"``.  Otherwise
+    column generation runs and the same FFD packing is what its rounded
+    result is checked against.
     """
-    _validate(sizes, capacity)
-    if not sizes:
-        return PackingSolution([], capacity, [], method="column-generation", lower_bound=0)
+    ffd = first_fit_decreasing(sizes, capacity)
+    if ffd.bin_count == size_lower_bound(sizes, capacity):
+        ffd.method = "column-generation(ffd-at-bound)"
+        _count_packing("ffd-at-bound", 0)
+        return ffd
     if linprog is None:  # pragma: no cover
-        return first_fit_decreasing(sizes, capacity)
+        return ffd
 
     demand = Counter(sizes)
     distinct_sizes = sorted(demand)
@@ -284,6 +310,7 @@ def column_generation_packing(
     solution_x: Optional[np.ndarray] = None
     size_columns = [size - 1 for size in distinct_sizes]
     negated_demand = -np.array([demand[size] for size in distinct_sizes], dtype=float)
+    lp_solves = 0
     for _ in range(max_iterations):
         # Restricted master LP: min sum x_i  s.t.  sum a_ij x_i >= c_j, x >= 0.
         # One row per distinct size, one column per pattern; one (0, None)
@@ -297,8 +324,10 @@ def column_generation_packing(
             bounds=(0, None),
             method="highs",
         )
+        lp_solves += 1
         if not result.success:  # pragma: no cover - defensive
-            return first_fit_decreasing(sizes, capacity)
+            _count_packing("ffd-fallback", lp_solves)
+            return ffd
         lp_objective = float(result.fun)
         solution_x = result.x
         duals_array = result.ineqlin.marginals if hasattr(result, "ineqlin") else None
@@ -369,12 +398,13 @@ def column_generation_packing(
     )
     # The rounding repair can only over-use bins, never under-cover items;
     # fall back to plain FFD in the (never observed) case it is worse.
-    ffd = first_fit_decreasing(sizes, capacity)
     if not solution.is_feasible() or solution.bin_count > ffd.bin_count:
         if solution.lower_bound is not None:
             ffd.lower_bound = solution.lower_bound
         ffd.method = "column-generation(ffd-fallback)"
+        _count_packing("ffd-fallback", lp_solves)
         return ffd
+    _count_packing("column-generation", lp_solves)
     return solution
 
 

@@ -22,7 +22,8 @@ double-count or interleave writes into the parent's trace file.  Nothing in
 this package forks; the guard is for callers that do.  Threads are another
 matter — a new thread starts with an empty context, so code that hands
 work to one runs it through ``contextvars.copy_context().run`` to keep the
-span ancestry (:func:`repro.simjoin.parallel.join_blocks` does).
+span ancestry (:func:`repro.simjoin.parallel.join_blocks` and
+:meth:`repro.service.shards.ShardExecutor.submit` do).
 """
 
 from __future__ import annotations

@@ -19,6 +19,7 @@ queueing without bound — latency honesty over buffering.
 from __future__ import annotations
 
 import asyncio
+import contextvars
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, List, Optional
@@ -58,9 +59,11 @@ class _Shard:
             try:
                 if item is _SHUTDOWN:
                     return
-                fn, args, future = item
+                context, fn, args, future = item
                 try:
-                    result = await loop.run_in_executor(self.executor, fn, *args)
+                    result = await loop.run_in_executor(
+                        self.executor, context.run, fn, *args
+                    )
                 except Exception as error:  # noqa: BLE001 - relayed to caller
                     if not future.cancelled():
                         future.set_exception(error)
@@ -125,8 +128,11 @@ class ShardExecutor:
             raise RuntimeError("ShardExecutor.start() has not been called")
         shard = self._shards[self.shard_of(routing_key)]
         future: asyncio.Future = asyncio.get_running_loop().create_future()
+        # The owner thread starts with an empty context: the call runs in a
+        # copy of the submitter's (one per task, a Context cannot be entered
+        # twice at once), so its spans are children of the request's span.
         try:
-            shard.queue.put_nowait((fn, args, future))
+            shard.queue.put_nowait((contextvars.copy_context(), fn, args, future))
         except asyncio.QueueFull:
             raise backpressure(shard.index, self.retry_after) from None
         if obs.enabled():

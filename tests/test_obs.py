@@ -408,6 +408,49 @@ def test_stats_hit_count_matches_session_exactly(tmp_path):
     assert store.machine_seconds is not None and store.machine_seconds > 0
 
 
+def test_packing_counters_are_exact_for_a_seeded_session(monkeypatch):
+    """500 records appended 50 at a time, tracing on: how each packing's HIT
+    count was settled and how many LPs that took repeat for a seed, and
+    agree with counts taken from outside the packing module.  (k=5: at the
+    default k=10 a session this small never needs an LP.)"""
+    from repro.hit import packing, two_tiered
+
+    lp_solves, packings = [], []
+    solve, pack = packing.linprog, two_tiered.pack_components
+
+    def counted_solve(*args, **kwargs):
+        lp_solves.append(1)
+        return solve(*args, **kwargs)
+
+    def counted_pack(components, cluster_size, method):
+        packings.append(method)
+        return pack(components, cluster_size, method=method)
+
+    monkeypatch.setattr(packing, "linprog", counted_solve)
+    monkeypatch.setattr(two_tiered, "pack_components", counted_pack)
+
+    dataset = make_dataset(500, 62, seed=7)
+    obs.activate()
+    resolver = StreamingResolver(config=WorkflowConfig(
+        likelihood_threshold=0.35, cluster_size=5, aggregation="majority",
+        vote_mode="per-pair", seed=7,
+    ))
+    resolver.add_truth(dataset.ground_truth)
+    records = list(dataset.store)
+    for start in range(0, len(records), 50):
+        result = resolver.add_batch(records[start : start + 50])
+    snapshot = obs.snapshot()
+
+    outcomes = {
+        outcome: snapshot.counter_total("hit_packings_total", outcome=outcome)
+        for outcome in ("ffd-at-bound", "column-generation", "ffd-fallback")
+    }
+    assert outcomes == {"ffd-at-bound": 6, "column-generation": 4, "ffd-fallback": 0}
+    assert packings == ["column-generation"] * 10
+    assert snapshot.counter_total("hit_packing_lp_solves_total") == len(lp_solves) == 5
+    assert snapshot.counter_total("hits_generated_total") == result.hit_count
+
+
 def test_simulator_time_is_not_booked_as_machine_time(tmp_path):
     """``crowd.publish`` runs nested inside the root spans: it is reported on
     its own and taken out of the machine figure and the split."""

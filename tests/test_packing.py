@@ -1,7 +1,11 @@
 """Tests for the bottom-tier packing solvers."""
 
+import json
+from pathlib import Path
+
 import pytest
 
+from repro.hit import packing
 from repro.hit.packing import (
     PackingSolution,
     branch_and_bound_packing,
@@ -92,6 +96,76 @@ class TestExactness:
         limited = branch_and_bound_packing(sizes, 6, max_nodes=1)
         assert limited.is_feasible()
         assert limited.bin_count <= first_fit_decreasing(sizes, 6).bin_count + 1
+
+
+class TestPackFirst:
+    """FFD at the ceil(total/capacity) bound is optimal: no LP is solved."""
+
+    #: The recorded ``serve-http`` instance where FFD is one above the bound.
+    FFD_ABOVE_BOUND = [2, 4, 3, 3, 3, 3, 2, 3, 2, 2, 3, 2, 2, 2, 2, 2]
+
+    def test_bin_counts_are_the_parent_commits(self):
+        """``fixtures/packing_counts.json`` was written by the column
+        generation that always solved the LP: same count on every row."""
+        fixture = Path(__file__).parent / "fixtures" / "packing_counts.json"
+        rows = json.loads(fixture.read_text())["rows"]
+        assert len(rows) >= 300
+        assert {row["source"] for row in rows} == {
+            "serve-http", "stream-mem", "batch-paper", "random",
+        }
+        for row in rows:
+            solution = column_generation_packing(row["sizes"], row["capacity"])
+            assert solution.is_feasible(), row
+            assert solution.bin_count == row["bin_count"], row
+
+    def test_ffd_at_the_bound_solves_no_lp(self, monkeypatch):
+        def no_lp(*args, **kwargs):
+            raise AssertionError("linprog called although FFD met the bound")
+
+        monkeypatch.setattr(packing, "linprog", no_lp)
+        sizes = [4, 4, 2, 2, 3, 3, 2]
+        assert first_fit_decreasing(sizes, 10).bin_count == size_lower_bound(sizes, 10) == 2
+        solution = column_generation_packing(sizes, 10)
+        assert solution.is_feasible()
+        assert solution.bin_count == solution.lower_bound == 2
+        assert solution.method == "column-generation(ffd-at-bound)"
+        assert branch_and_bound_packing(sizes, 10).bin_count == 2
+
+    def test_ffd_above_the_bound_still_goes_through_the_lp(self, monkeypatch):
+        sizes = self.FFD_ABOVE_BOUND
+        assert first_fit_decreasing(sizes, 10).bin_count == 5
+        assert size_lower_bound(sizes, 10) == 4
+        calls = []
+        solve = packing.linprog
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(packing, "linprog", counted)
+        solution = column_generation_packing(sizes, 10)
+        assert calls, "the LP was skipped although FFD is above the bound"
+        assert all(call["method"] == "highs" and call["bounds"] == (0, None) for call in calls)
+        assert solution.is_feasible()
+        assert solution.bin_count == solution.lower_bound == 4
+        assert solution.method == "column-generation"
+
+    def test_ffd_is_packed_once_per_call(self, monkeypatch):
+        calls = []
+        pack = packing.first_fit_decreasing
+
+        def counted(sizes, capacity):
+            calls.append(list(sizes))
+            return pack(sizes, capacity)
+
+        monkeypatch.setattr(packing, "first_fit_decreasing", counted)
+        column_generation_packing([4, 4, 2, 2, 3, 3, 2], 10)
+        assert calls == [[4, 4, 2, 2, 3, 3, 2]]
+        del calls[:]
+        column_generation_packing(self.FFD_ABOVE_BOUND, 10)
+        # Once for the whole instance; any later call repairs a residual.
+        assert calls.count(self.FFD_ABOVE_BOUND) == 1
+        assert all(len(sizes) < len(self.FFD_ABOVE_BOUND) for sizes in calls[1:])
 
 
 class TestPackComponents:

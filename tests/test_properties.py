@@ -1,12 +1,14 @@
 """Property-based tests (hypothesis) for the core invariants."""
 
-from hypothesis import HealthCheck, given, settings
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from strategies import pair_sets, short_text, token_sets, vertex_ids
 
 from repro.aggregation.dawid_skene import DawidSkeneAggregator
 from repro.aggregation.majority import majority_vote
+from repro.hit import packing
 from repro.hit.comparisons import comparisons_for_entity_sizes
 from repro.hit.generator import get_cluster_generator
 from repro.hit.packing import (
@@ -98,6 +100,33 @@ class TestPackingProperties:
         exact = branch_and_bound_packing(sizes, capacity)
         ffd = first_fit_decreasing(sizes, capacity)
         assert exact.bin_count <= ffd.bin_count
+
+    @given(sizes_strategy, st.integers(min_value=6, max_value=12))
+    @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_column_generation_between_its_bound_and_ffd(self, sizes, capacity):
+        solution = column_generation_packing(sizes, capacity)
+        assert solution.is_feasible()
+        assert size_lower_bound(sizes, capacity) <= solution.lower_bound <= solution.bin_count
+        assert solution.bin_count <= first_fit_decreasing(sizes, capacity).bin_count
+
+    @given(sizes_strategy, st.integers(min_value=6, max_value=12))
+    @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_ffd_at_the_bound_solves_no_lp(self, sizes, capacity):
+        """When FFD meets ceil(total/capacity) the count is proven: column
+        generation returns it without one ``linprog`` call, and the exact
+        solver agrees."""
+        bound = size_lower_bound(sizes, capacity)
+        assume(first_fit_decreasing(sizes, capacity).bin_count == bound)
+
+        def no_lp(*args, **kwargs):
+            raise AssertionError("linprog called although FFD met the bound")
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(packing, "linprog", no_lp)
+            solution = column_generation_packing(sizes, capacity)
+        assert solution.is_feasible()
+        assert solution.bin_count == solution.lower_bound == bound
+        assert branch_and_bound_packing(sizes, capacity).bin_count == bound
 
 
 # ----------------------------------------------------------- HIT covers

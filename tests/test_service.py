@@ -1000,3 +1000,69 @@ class TestServiceMetrics:
                 runner.stop()
         finally:
             obs.deactivate()
+
+    def test_a_request_is_followed_into_its_session(self, tmp_path):
+        """The shard queue hands the submitter's context to the owner
+        thread: every ``hit.cluster`` span of a served append descends from
+        exactly one ``service.request``, its own.  Fails at the parent
+        commit, where every span on a shard thread was a root."""
+        trace = tmp_path / "trace.jsonl"
+        obs.activate(trace_path=str(trace))
+        try:
+            runner = ServiceThread(shard_count=2, queue_depth=8)
+            client = runner.start()
+            try:
+                # One session per shard, told apart by their batch sizes.
+                sessions = {}
+                while len(sessions) < 2:
+                    session_id = fresh_id("trace")
+                    sessions.setdefault(shard_of(session_id, 2), session_id)
+                batch_sizes = {sessions[0]: 20, sessions[1]: 25}
+                barrier = threading.Barrier(2)
+
+                def drive_session(session_id, seed):
+                    records = list(make_dataset(seed, 100, 20).store)
+                    client.create_session(session_id, config=SERVICE_CONFIG)
+                    barrier.wait(30)
+                    size = batch_sizes[session_id]
+                    for start in range(0, len(records), size):
+                        client.append(
+                            session_id,
+                            [encode_record(r) for r in records[start : start + size]],
+                        )
+                    client.close(session_id)
+
+                with ThreadPoolExecutor(2) as pool:
+                    for future in [
+                        pool.submit(drive_session, session_id, seed)
+                        for seed, session_id in enumerate(batch_sizes, start=3)
+                    ]:
+                        future.result(120)
+            finally:
+                runner.stop()
+        finally:
+            obs.deactivate()
+
+        events = [json.loads(line) for line in trace.read_text().splitlines()]
+        spans = {e["span_id"]: e for e in events if e["type"] == "span"}
+
+        def ancestry(span):
+            while "parent_id" in span:
+                span = spans[span["parent_id"]]
+                yield span
+
+        requests_of = {size: set() for size in batch_sizes.values()}
+        for span in spans.values():
+            if span["name"] != "hit.cluster":
+                continue
+            chain = list(ancestry(span))
+            requests = [a for a in chain if a["name"] == "service.request"]
+            assert len(requests) == 1 and chain[-1] is requests[0]
+            assert requests[0]["attrs"]["route"] == "/sessions/{id}/batch"
+            (event,) = [a for a in chain if a["name"] == "streaming.batch"]
+            requests_of[event["attrs"]["batch"]].add(requests[0]["span_id"])
+        first, second = requests_of.values()
+        assert first and second and first.isdisjoint(second)
+        # One request, one event: no request span adopted another's work.
+        served = [s for s in spans.values() if s["name"] == "streaming.batch"]
+        assert len({next(ancestry(s))["span_id"] for s in served}) == len(served)
