@@ -10,11 +10,11 @@ Architecture — see ``docs/service.md`` for the full picture:
 * :class:`~repro.service.app.ResolutionService` owns the HTTP listener, the
   route table, and the lifecycle (start / graceful stop).
 * :class:`~repro.service.shards.ShardExecutor` gives every session exactly
-  one owner: sessions are routed to a shard by a CRC32 hash of their
-  routing key, and each shard executes its work on one dedicated thread
-  through an **ordered queue** — requests against one session serialize
-  (preserving the event-log/storage guarantees, including SQLite thread
-  affinity), while sessions on different shards run concurrently.  A full
+  one owner: a session is placed on the least-loaded shard when it is
+  created or restored, and each shard executes its work on one dedicated
+  thread through an **ordered queue** — requests against one session
+  serialize (preserving the event-log/storage guarantees, including SQLite
+  thread affinity), while sessions on different shards run concurrently.  A full
   queue answers ``429`` with ``Retry-After`` instead of buffering without
   bound.
 * :class:`~repro.service.sessions.SessionManager` maps the HTTP lifecycle

@@ -200,8 +200,7 @@ class SessionManager:
         truth = _parse_truth(payload["truth"]) if "truth" in payload else None
         if session_id in self.sessions:
             raise session_exists(session_id)
-        shard = self.shards.shard_of(session_id)
-        handle = SessionHandle(session_id, shard)
+        handle = SessionHandle(session_id, self.shards.place(session_id))
         # Reserve the id before yielding to the shard so concurrent creates
         # of the same id conflict deterministically.
         self.sessions[session_id] = handle
@@ -215,10 +214,10 @@ class SessionManager:
         try:
             handle.resolver = await self.shards.submit(session_id, build)
         except PersistenceError as error:
-            del self.sessions[session_id]
+            self._abandon(handle)
             raise resume_conflict(session_id, str(error)) from None
         except Exception:
-            del self.sessions[session_id]
+            self._abandon(handle)
             raise
         return self._status_payload(handle)
 
@@ -232,24 +231,29 @@ class SessionManager:
         existing = self.sessions.get(session_id)
         if existing is not None and not existing.closed:
             raise resume_conflict(session_id, "session is already open")
-        shard = self.shards.shard_of(session_id)
-        handle = SessionHandle(session_id, shard)
+        handle = SessionHandle(session_id, self.shards.place(session_id))
         self.sessions[session_id] = handle
         try:
             handle.resolver = await self.shards.submit(
                 session_id, StreamingResolver.restore, checkpoint_dir
             )
         except PersistenceError as error:
-            self.sessions.pop(session_id, None)
-            if existing is not None:
-                self.sessions[session_id] = existing
+            self._abandon(handle, existing)
             raise resume_conflict(session_id, str(error)) from None
         except Exception:
-            self.sessions.pop(session_id, None)
-            if existing is not None:
-                self.sessions[session_id] = existing
+            self._abandon(handle, existing)
             raise
         return self._status_payload(handle)
+
+    def _abandon(
+        self, handle: SessionHandle, existing: Optional[SessionHandle] = None
+    ) -> None:
+        """Undo a failed create or restore: drop its handle, free its shard
+        slot, and put back the closed session a restore was to replace."""
+        self.sessions.pop(handle.session_id, None)
+        self.shards.release(handle.session_id)
+        if existing is not None:
+            self.sessions[handle.session_id] = existing
 
     def _save_and_close(self, handle: SessionHandle) -> Dict[str, object]:
         """Shard-thread half of closing: save when durable, release the store."""
@@ -264,6 +268,7 @@ class SessionManager:
         """Save (when durable) and close a session; status stays readable."""
         handle = self._handle(session_id)
         status = await self.shards.submit(session_id, self._save_and_close, handle)
+        self.shards.release(session_id)
         handle.closed = True
         handle.final_status = status
         handle.resolver = None

@@ -6,9 +6,10 @@ connections bound to their creating thread), so every operation against a
 session must run (a) one at a time and (b) on the same thread for the
 session's whole life.  :class:`ShardExecutor` provides exactly that: each
 shard is an ordered ``asyncio.Queue`` feeding one dedicated worker thread,
-and a session is pinned to the shard its routing key hashes to —
-CRC32(key) mod shard count, so placement is stable across restarts of the
-same server configuration.
+and a session is pinned to the shard that held the fewest sessions when it
+was created or restored (ties to the lowest index) until it is closed.
+Placement is by load, not by a hash of the id: ids that differ in one
+character (``p7-s0``, ``p7-s1``) must not share a shard for it.
 
 Requests against sessions on the same shard serialize in arrival order;
 sessions on different shards run concurrently.  A full shard queue rejects
@@ -20,9 +21,8 @@ from __future__ import annotations
 
 import asyncio
 import contextvars
-import zlib
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from repro import obs
 from repro.service.errors import backpressure
@@ -32,11 +32,6 @@ _SHUTDOWN = object()
 
 #: Default seconds clients are told to wait after a 429.
 DEFAULT_RETRY_AFTER = 1
-
-
-def shard_of(routing_key: str, shard_count: int) -> int:
-    """Stable shard placement: CRC32 of the routing key, mod shard count."""
-    return zlib.crc32(routing_key.encode("utf-8")) % shard_count
 
 
 class _Shard:
@@ -87,6 +82,10 @@ class ShardExecutor:
     raising its exception).  Work for one routing key always runs on the
     same thread, in submission order; a full queue raises the 429-mapped
     :func:`~repro.service.errors.backpressure` error immediately.
+
+    A routing key is placed on a shard by :meth:`place` — or by its first
+    ``submit`` — and keeps it until :meth:`release`.  Placement and release
+    happen on the event loop's thread only, so they need no lock.
     """
 
     def __init__(
@@ -104,6 +103,8 @@ class ShardExecutor:
         self.retry_after = retry_after
         self._shards: List[_Shard] = []
         self._started = False
+        self._placement: Dict[str, int] = {}
+        self._placed = [0] * shard_count
 
     async def start(self) -> None:
         """Create the shard queues and start their pump tasks."""
@@ -116,9 +117,21 @@ class ShardExecutor:
             shard.pump = asyncio.create_task(shard._run())
         self._started = True
 
-    def shard_of(self, routing_key: str) -> int:
-        """The shard index owning ``routing_key``."""
-        return shard_of(routing_key, self.shard_count)
+    def place(self, routing_key: str) -> int:
+        """The shard owning ``routing_key``; an unplaced key is put on the
+        shard with the fewest placed keys, ties to the lowest index."""
+        index = self._placement.get(routing_key)
+        if index is None:
+            index = self._placed.index(min(self._placed))
+            self._placement[routing_key] = index
+            self._placed[index] += 1
+        return index
+
+    def release(self, routing_key: str) -> None:
+        """Free ``routing_key``'s slot; its next :meth:`place` is a new choice."""
+        index = self._placement.pop(routing_key, None)
+        if index is not None:
+            self._placed[index] -= 1
 
     async def submit(
         self, routing_key: str, fn: Callable[..., Any], *args: Any
@@ -126,7 +139,7 @@ class ShardExecutor:
         """Run ``fn(*args)`` on the owning shard's thread; await the result."""
         if not self._started:
             raise RuntimeError("ShardExecutor.start() has not been called")
-        shard = self._shards[self.shard_of(routing_key)]
+        shard = self._shards[self.place(routing_key)]
         future: asyncio.Future = asyncio.get_running_loop().create_future()
         # The owner thread starts with an empty context: the call runs in a
         # copy of the submitter's (one per task, a Context cannot be entered

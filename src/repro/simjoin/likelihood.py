@@ -6,7 +6,8 @@ estimator the paper evaluates ("simjoin"): Jaccard similarity over pooled
 token sets.  ``"auto"`` computes it with the join kernel
 (:class:`repro.simjoin.parallel.VectorizedSimJoin`); ``"naive"`` is the
 all-pairs scan kept as the oracle the kernel is tested against.  Both
-return the identical pair set.
+return the identical pair set in the identical order: most likely first,
+ties by key.
 """
 
 from __future__ import annotations
@@ -76,12 +77,19 @@ class SimJoinLikelihood(LikelihoodEstimator):
         engine = "naive" if naive else "vectorized"
         with obs.span("simjoin.estimate", backend=engine, records=len(store)):
             if naive:
-                pairs = all_pairs_similarity(
-                    store,
-                    similarity=JaccardRecordSimilarity(self.attributes),
-                    min_likelihood=min_likelihood,
-                    cross_sources=cross_sources,
-                )
+                # The oracle discovers pairs in its own order, and PairSet
+                # insertion order feeds downstream tie-breaking (cluster-HIT
+                # grouping of equal-likelihood pairs): sort it into the
+                # kernel's canonical order so results are backend-independent.
+                pairs = PairSet(sorted(
+                    all_pairs_similarity(
+                        store,
+                        similarity=JaccardRecordSimilarity(self.attributes),
+                        min_likelihood=min_likelihood,
+                        cross_sources=cross_sources,
+                    ),
+                    key=lambda pair: (-(pair.likelihood or 0.0), pair.key),
+                ))
             else:
                 pairs = VectorizedSimJoin(
                     threshold=min_likelihood,
@@ -91,13 +99,7 @@ class SimJoinLikelihood(LikelihoodEstimator):
         if obs.enabled():
             obs.inc("simjoin_candidates_total", len(pairs), backend=engine,
                     help="Candidate pairs at or above the likelihood threshold.")
-        # The kernel and the oracle discover identical pairs in different
-        # orders, and PairSet insertion order feeds downstream tie-breaking
-        # (cluster-HIT grouping of equal-likelihood pairs).  Canonicalize so
-        # resolution results are backend-independent.
-        return PairSet(
-            sorted(pairs, key=lambda pair: (-(pair.likelihood or 0.0), pair.key))
-        )
+        return pairs
 
 
 @dataclass

@@ -27,7 +27,7 @@ from __future__ import annotations
 import contextvars
 import os
 from concurrent.futures import ThreadPoolExecutor
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -116,6 +116,38 @@ def join_blocks(
     yield from blocks
 
 
+def ranked_pair_set(ids: Sequence[str], blocks: Iterable[_BlockPairs]) -> PairSet:
+    """The pairs of ``blocks`` in canonical order: most likely first, then by key.
+
+    ``ids[i]`` names row ``i``; each ``(rows, cols, values)`` block holds
+    pairs of distinct records, no pair twice.  The order is the one
+    ``sorted(pairs, key=lambda p: (-p.likelihood, p.key))`` gives, computed
+    on the arrays: every id that occurs is ranked by Python's own ``str``
+    order (numpy's string arrays drop trailing NULs, so they cannot rank
+    ids), a pair's key is its two ranks low-first, and one ``lexsort``
+    orders the pairs.
+    """
+    blocks = list(blocks)
+    if not blocks:
+        return PairSet()
+    rows, cols, values = (np.concatenate(column) for column in zip(*blocks))
+    occurring, position = np.unique(np.concatenate((rows, cols)), return_inverse=True)
+    names = [ids[row] for row in occurring.tolist()]
+    by_name = sorted(range(len(names)), key=names.__getitem__)
+    rank = np.empty(len(names), dtype=np.int64)
+    rank[by_name] = np.arange(len(names))
+    first, second = rank[position[: len(rows)]], rank[position[len(rows) :]]
+    low, high = np.minimum(first, second), np.maximum(first, second)
+    order = np.lexsort((high, low, -values))
+    ranked = [names[index] for index in by_name]
+    pairs = PairSet()
+    for a, b, value in zip(
+        low[order].tolist(), high[order].tolist(), values[order].tolist()
+    ):
+        pairs.add(RecordPair(ranked[a], ranked[b], likelihood=value))
+    return pairs
+
+
 class VectorizedSimJoin:
     """Exact set-similarity self/cross join of a record store via the kernel.
 
@@ -169,25 +201,23 @@ class VectorizedSimJoin:
         store: RecordStore,
         cross_sources: Optional[Tuple[str, str]] = None,
     ) -> PairSet:
-        """Return all pairs with similarity >= threshold.
+        """Return all pairs with similarity >= threshold, in canonical order.
 
         With ``cross_sources`` only pairs with one record from each source
         are produced (record linkage); otherwise the whole store is
-        self-joined (deduplication).
+        self-joined (deduplication).  The pairs come most likely first, ties
+        by key (:func:`ranked_pair_set`), whatever order the blocks found
+        them in.
         """
         require_scipy()
         records = list(store)
-        result = PairSet()
         if len(records) < 2:
-            return result
-        ids = [record.record_id for record in records]
-        matrix = self._incidence_matrix(store)
+            return PairSet()
         plan = self._plan(records, cross_sources)
-
-        for rows, cols, values in self._pair_blocks(matrix, plan):
-            for i, j, value in zip(rows.tolist(), cols.tolist(), values.tolist()):
-                result.add(RecordPair(ids[i], ids[j], likelihood=value))
-        return result
+        return ranked_pair_set(
+            [record.record_id for record in records],
+            self._pair_blocks(self._incidence_matrix(store), plan),
+        )
 
     # ------------------------------------------------------------- internals
     def _plan(

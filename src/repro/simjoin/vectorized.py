@@ -9,15 +9,17 @@ intersection counts through blocked sparse products ``X[block] @ X.T``.
 Set sizes come from the CSR row pointers, so Jaccard, Dice and cosine
 similarities are derived entirely in numpy with no per-pair Python loop.
 
-**One kernel, three callers.**  :func:`score_block` is the only code that
-turns a sparse product block into thresholded similarities.  The batch
-self-join is ``left x left`` under the upper-triangle mask, record linkage
-is ``left x right``, and the streaming engine
+**One kernel, three callers.**  :func:`score_product` is the only code
+that turns a sparse product block into thresholded similarities, and
+:func:`score_block` is the product and that in one call.  The batch
+self-join multiplies each block of ``left`` by its band — the rows of
+``left`` from the block's first row on — under the upper-triangle mask,
+record linkage is ``left x right``, and the streaming engine
 (:class:`repro.streaming.incremental_join.IncrementalSimJoin`) scores its
-freshly appended rows against every earlier row of the resident matrix.
-:class:`BlockScorer` holds one join's operands and scores one row block at
-a time; :func:`repro.simjoin.parallel.join_blocks` walks its blocks inline
-or hands the same blocks to worker threads, and
+freshly appended rows against the band of every earlier row of the
+resident matrix.  :class:`BlockScorer` holds one join's operands and
+scores one row block at a time; :func:`repro.simjoin.parallel.join_blocks`
+walks its blocks inline or hands the same blocks to worker threads, and
 :class:`repro.simjoin.parallel.VectorizedSimJoin` is the store-level join
 built on that.
 
@@ -26,9 +28,11 @@ final float64 division is bit-identical to the pure-Python ``len(a & b) /
 len(a | b)``, so the kernel returns byte-identical pair sets to the naive
 scan at any threshold (the property tests assert this).  Every similarity
 value is an elementwise float64 expression of one pair's intersection count
-and set sizes, so block boundaries cannot change it.  The integer overlap bound the kernel applies to the raw product
-(:func:`min_overlap`) only discards pairs that this exact test would
-discard anyway, so it changes the cost and not the result.
+and set sizes, so block boundaries cannot change it.  A band only leaves
+out the entries the triangle mask drops, and the integer overlap bound the
+kernel applies to the raw product (:func:`min_overlap`) only discards
+pairs that the exact test would discard anyway: both change the cost and
+not the result.
 """
 
 from __future__ import annotations
@@ -136,18 +140,46 @@ def score_block(
     measure: str = "jaccard",
     triangle: int = 0,
     alive: Optional[np.ndarray] = None,
+    col_offset: int = 0,
 ) -> _BlockPairs:
     """The join kernel: rows ``[start, end)`` of ``left`` against ``right_t``.
 
     Returns ``(rows, cols, values)`` — row positions in ``left``, column
     positions in the (transposed) right matrix and their similarity — for
-    every pair at or above ``threshold``.  ``triangle`` restricts a product
-    of a matrix with itself to one side of the diagonal: ``+1`` keeps
-    ``col > row`` (each unordered pair of a self-join once), ``-1`` keeps
-    ``col < row`` (appended rows against everything before them), ``0``
-    keeps all.  ``alive`` is a boolean mask over the right rows; pairs
-    against a dead column are dropped whatever they score (at threshold
-    zero a dead row would otherwise pass with similarity 0.0).
+    every pair at or above ``threshold``.  ``right_t`` may be a *band*: the
+    transposed right rows ``[col_offset, col_offset + right_t.shape[1])``
+    only, whose columns are reported as positions in the whole right
+    matrix.  ``triangle`` restricts a product of a matrix with itself to
+    one side of the diagonal: ``+1`` keeps ``col > row`` (each unordered
+    pair of a self-join once), ``-1`` keeps ``col < row`` (appended rows
+    against everything before them), ``0`` keeps all.  ``alive`` is a
+    boolean mask over the right rows; pairs against a dead column are
+    dropped whatever they score (at threshold zero a dead row would
+    otherwise pass with similarity 0.0).  The product is
+    ``left[start:end] @ right_t``; :func:`score_product` does the rest.
+    """
+    return score_product(
+        left[start:end] @ right_t, left_sizes, right_sizes, start,
+        threshold, measure, triangle, alive, col_offset,
+    )
+
+
+def score_product(
+    block: "sparse.csr_matrix",
+    left_sizes: np.ndarray,
+    right_sizes: np.ndarray,
+    start: int,
+    threshold: float,
+    measure: str = "jaccard",
+    triangle: int = 0,
+    alive: Optional[np.ndarray] = None,
+    col_offset: int = 0,
+) -> _BlockPairs:
+    """The pairs of one sparse product block: :func:`score_block` after the product.
+
+    ``block`` holds the intersection counts of left rows ``[start, start +
+    block.shape[0])`` against right rows ``[col_offset, col_offset +
+    block.shape[1])``; every other argument is :func:`score_block`'s.
 
     A positive threshold reads the pairs off the sparse product, which only
     holds pairs sharing a token.  Nearly all of those share too few: the
@@ -158,8 +190,8 @@ def score_block(
     threshold zero every pair must be materialised, so the block is
     densified.
     """
-    block = left[start:end] @ right_t
     if threshold > 0.0:
+        end = start + block.shape[0]
         needed = min_overlap(measure, threshold, left_sizes[start:end])
         survivors = np.flatnonzero(
             block.data
@@ -173,8 +205,8 @@ def score_block(
     else:
         inter = np.asarray(block.todense()).ravel()
         rows, cols = np.divmod(np.arange(inter.size), block.shape[1])
-    del block  # the arrays above are all that is needed of it
     rows += start
+    cols += col_offset
     keep = None
     if triangle:
         keep = cols > rows if triangle > 0 else cols < rows
@@ -191,10 +223,23 @@ class BlockScorer:
     """One join's operands, scored block by block through :func:`score_block`.
 
     ``left`` rows are scored against ``right`` rows (``None`` = against
-    ``left`` itself).  Building the scorer derives the transposed right
-    matrix and the set sizes once; after that it is only read, so any
-    number of threads may call :meth:`score` on one scorer at once.
-    ``kind`` only labels the per-block trace spans.
+    ``left`` itself).  Building the scorer derives the set sizes, and the
+    transposed right matrix of a product without a triangle, once; after
+    that it is only read, so any number of threads may call :meth:`score`
+    on one scorer at once.  ``kind`` labels the per-block trace spans and
+    the ``simjoin_product_entries_total`` counter.
+
+    A product of ``left`` with itself under a triangle mask is *banded*:
+    block ``[s, e)`` is multiplied only by the rows on its side of the
+    diagonal — ``left[s:]`` for ``triangle=+1`` (the batch self-join),
+    ``left[:e]`` for ``-1`` (streaming appends) — transposed for that block
+    alone.  The entries of the other side are the ones the mask would drop
+    whatever they score, so the band changes the cost and not one pair:
+    rows, cols and values come out as the whole product's, in its order
+    (the sparse product lists a row's columns in an order the band's
+    missing columns cannot change).  A band that is the whole matrix — the
+    first self-join block, the last block of an append, so every
+    single-block append — multiplies by the matrix itself, uncopied.
     """
 
     def __init__(
@@ -210,7 +255,12 @@ class BlockScorer:
         kind: str = "",
     ) -> None:
         self.left = left
-        self.right_t = (left if right is None else right).T.tocsr()
+        # None: banded, transposed block by block in _band().
+        self.right_t = (
+            None
+            if right is None and triangle
+            else (left if right is None else right).T.tocsr()
+        )
         self.left_sizes = np.diff(left.indptr).astype(np.int64)
         self.right_sizes = (
             self.left_sizes
@@ -228,6 +278,16 @@ class BlockScorer:
         """First row of every block covering left rows ``[start, n)``."""
         return range(start, self.left.shape[0], self.block_size)
 
+    def _band(self, block_start: int, block_end: int) -> Tuple[int, "sparse.csr_matrix"]:
+        """``(first, right_t)``: the transposed right rows that left rows
+        ``[block_start, block_end)`` are multiplied by, and the first of them."""
+        if self.right_t is not None:
+            return 0, self.right_t
+        count = self.left.shape[0]
+        first, stop = (block_start, count) if self.triangle > 0 else (0, block_end)
+        rows = self.left if (first, stop) == (0, count) else self.left[first:stop]
+        return first, rows.T.tocsr()
+
     def score(self, block_start: int) -> _BlockPairs:
         """The pair block of left rows ``[block_start, block_start + block_size)``."""
         block_end = min(block_start + self.block_size, self.left.shape[0])
@@ -235,8 +295,13 @@ class BlockScorer:
             "simjoin.vectorized.block",
             kind=self.kind, rows=block_end - block_start,
         ):
-            return score_block(
-                self.left, self.right_t, self.left_sizes, self.right_sizes,
-                block_start, block_end, self.threshold, self.measure,
-                self.triangle, self.alive,
+            col_offset, right_t = self._band(block_start, block_end)
+            product = self.left[block_start:block_end] @ right_t
+            if obs.enabled():
+                obs.inc("simjoin_product_entries_total", product.nnz, kind=self.kind,
+                        help="Entries of the join's sparse products: pairs "
+                        "sharing a token, before the overlap bound.")
+            return score_product(
+                product, self.left_sizes, self.right_sizes, block_start,
+                self.threshold, self.measure, self.triangle, self.alive, col_offset,
             )

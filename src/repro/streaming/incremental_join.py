@@ -26,7 +26,10 @@ not merely close.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from itertools import chain
+from typing import (
+    TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple,
+)
 
 import numpy as np
 
@@ -34,12 +37,17 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.storage.base import Store
 
 from repro import obs
-from repro.records.pairs import PairSet, RecordPair
+from repro.records.pairs import PairSet
 from repro.records.record import Record, RecordError
 from repro.records.tokenize import WhitespaceTokenizer, record_token_set
 from repro.simjoin.columnar import compact_csr_arrays, extend_vocabulary_csr_arrays
-from repro.simjoin.parallel import join_blocks, resolve_worker_count
-from repro.simjoin.vectorized import DEFAULT_BLOCK_ROWS, HAVE_SCIPY, require_scipy
+from repro.simjoin.parallel import join_blocks, ranked_pair_set, resolve_worker_count
+from repro.simjoin.vectorized import (
+    DEFAULT_BLOCK_ROWS,
+    HAVE_SCIPY,
+    _BlockPairs,
+    require_scipy,
+)
 
 if HAVE_SCIPY:
     from scipy import sparse
@@ -193,17 +201,12 @@ class IncrementalSimJoin:
         with obs.span("streaming.join.index", batch=len(batch)):
             self._index_batch(batch, new_tokens, batch_indices, batch_indptr, novel)
 
-        delta = PairSet()
-        if batch and len(self._record_ids) >= 2:
-            with obs.span(
-                "streaming.join.score", batch=len(batch), resident=first_new
-            ):
-                self._score_rows_from(first_new, delta)
-        # Canonical order (the same rule as SimJoinLikelihood.estimate), so
-        # downstream tie-breaking is independent of discovery order.
-        return PairSet(
-            sorted(delta, key=lambda pair: (-(pair.likelihood or 0.0), pair.key))
-        )
+        if not batch or len(self._record_ids) < 2:
+            return PairSet()
+        with obs.span("streaming.join.score", batch=len(batch), resident=first_new):
+            # Canonical order (the batch join's), so downstream tie-breaking
+            # is independent of discovery order.
+            return ranked_pair_set(self._record_ids, self._delta_blocks(first_new))
 
     def retract(self, record_id: str) -> None:
         """Remove one resident record from the index.
@@ -291,13 +294,10 @@ class IncrementalSimJoin:
         )
 
     # ------------------------------------------------------------ internals
-    def _cross_ok(self, source_a: Optional[str], source_b: Optional[str]) -> bool:
-        if self.cross_sources is None:
-            return True
-        return {source_a, source_b} == set(self.cross_sources)
-
-    def _score_rows_from(self, first_new: int, delta: PairSet) -> None:
-        """Score resident rows ``[first_new, n)`` against every earlier row.
+    def _delta_blocks(self, first_new: int) -> Iterable[_BlockPairs]:
+        """The delta's pair blocks: resident rows ``[first_new, n)`` against
+        every earlier row, empty-token pairs included, cross-source pairs
+        only under ``cross_sources``.
 
         One kernel call over the resident matrix under the ``col < row``
         mask covers new-vs-old and new-vs-new alike.  Tombstoned rows are
@@ -332,23 +332,38 @@ class IncrementalSimJoin:
             triangle=-1,
             kind="new_vs_old",
         )
-        ids, sources = self._record_ids, self._sources
-        for rows, cols, values in blocks:
-            for row, col, value in zip(rows.tolist(), cols.tolist(), values.tolist()):
-                new_id, old_id = ids[row], ids[col]
-                if self._cross_ok(sources[new_id], sources[old_id]):
-                    delta.add(RecordPair(new_id, old_id, likelihood=value))
         # Empty token sets are invisible to the sparse product, but two
         # empty records are textually identical.  ``_empty_ids`` is in
-        # arrival order, so the batch's own empties are its tail.
+        # arrival order, so the batch's own empties are its tail, and the
+        # empty at position p pairs with the p empties before it.
         if self.threshold > 0.0:
-            empties = self._empty_ids
             new_empty = int((np.diff(matrix.indptr[first_new:]) == 0).sum())
-            for position in range(len(empties) - new_empty, len(empties)):
-                new_id = empties[position]
-                for old_id in empties[:position]:
-                    if self._cross_ok(sources[new_id], sources[old_id]):
-                        delta.add(RecordPair(new_id, old_id, likelihood=1.0))
+            if new_empty:
+                empty = np.array(
+                    [self._row_of[record_id] for record_id in self._empty_ids],
+                    dtype=np.int64,
+                )
+                positions = range(len(empty) - new_empty, len(empty))
+                rows = np.repeat(empty[positions.start :], positions)
+                cols = np.concatenate([empty[:position] for position in positions])
+                blocks = chain(blocks, [(rows, cols, np.ones(rows.size))])
+        if self.cross_sources is None:
+            return blocks
+        return map(self._cross_source_pairs, blocks)
+
+    def _cross_source_pairs(self, block: _BlockPairs) -> _BlockPairs:
+        """The pairs of ``block`` with one record from each cross source."""
+        rows, cols, values = block
+        ids, sources, wanted = self._record_ids, self._sources, set(self.cross_sources)
+        keep = np.fromiter(
+            (
+                {sources[ids[row]], sources[ids[col]]} == wanted
+                for row, col in zip(rows.tolist(), cols.tolist())
+            ),
+            dtype=bool,
+            count=rows.size,
+        )
+        return rows[keep], cols[keep], values[keep]
 
     def _index_batch(
         self,

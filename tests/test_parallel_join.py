@@ -32,6 +32,7 @@ from repro import obs
 from repro.core.config import WorkflowConfig
 from repro.core.workflow import HybridWorkflow
 from repro.datasets.restaurant import RestaurantGenerator
+from repro.records.pairs import PairSet, RecordPair
 from repro.records.record import Record, RecordStore
 from repro.simjoin import parallel as parallel_module
 from repro.simjoin import vectorized
@@ -39,8 +40,13 @@ from repro.simjoin.columnar import (
     columnar_csr_arrays,
     extend_vocabulary_csr_arrays,
 )
-from repro.simjoin.parallel import VectorizedSimJoin, resolve_worker_count
-from repro.simjoin.vectorized import HAVE_SCIPY
+from repro.simjoin.parallel import (
+    VectorizedSimJoin,
+    join_blocks,
+    ranked_pair_set,
+    resolve_worker_count,
+)
+from repro.simjoin.vectorized import HAVE_SCIPY, score_block
 from repro.streaming.incremental_join import IncrementalSimJoin
 from repro.streaming.session import resolve_stream
 
@@ -71,6 +77,15 @@ def same_block_sequence(actual, expected):
         for block, other in zip(actual, expected)
         for mine, theirs in zip(block, other)
     )
+
+
+def canonical_sort(pairs):
+    """The canonical order, as the Python sort the kernel's order replaces."""
+    return sorted(pairs, key=lambda pair: (-(pair.likelihood or 0.0), pair.key))
+
+
+def items_in_order(pairs):
+    return [(pair.key, pair.likelihood) for pair in pairs]
 
 
 def restaurant_store(record_count, seed):
@@ -156,6 +171,160 @@ class TestParallelEqualsVectorized:
         assert pair_items(pairs) == [(("a", "b"), 1.0)]
 
 
+class TestBandedProduct:
+    """A triangle-masked self-product multiplies each block only by the rows
+    on its side of the diagonal; nothing it returns may change."""
+
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        store=random_stores(),
+        threshold=st.sampled_from((0.0, 0.3, 0.7)),
+        measure=similarity_measures,
+        triangle=st.sampled_from((1, -1)),
+        workers=st.sampled_from((1, 2)),
+        data=st.data(),
+    )
+    def test_property_banded_blocks_equal_the_full_product(
+        self, store, threshold, measure, triangle, workers, data
+    ):
+        matrix = VectorizedSimJoin()._incidence_matrix(store)
+        count = matrix.shape[0]
+        start = data.draw(st.integers(min_value=0, max_value=count - 1))
+        block_size = data.draw(st.integers(min_value=1, max_value=count))
+        alive = data.draw(
+            st.none() | st.lists(st.booleans(), min_size=count, max_size=count)
+        )
+        alive = None if alive is None else np.array(alive, dtype=bool)
+        banded = list(join_blocks(
+            matrix, start=start, workers=workers, threshold=threshold,
+            measure=measure, block_size=block_size, triangle=triangle, alive=alive,
+        ))
+        # The reference: every block against the whole transposed matrix,
+        # under the same mask.
+        whole_t = matrix.T.tocsr()
+        sizes = np.diff(matrix.indptr).astype(np.int64)
+        expected = [
+            score_block(
+                matrix, whole_t, sizes, sizes, block_start,
+                min(block_start + block_size, count), threshold, measure,
+                triangle, alive,
+            )
+            for block_start in range(start, count, block_size)
+        ]
+        assert same_block_sequence(banded, expected)
+
+    def test_the_self_join_computes_the_kept_side_of_each_block_only(self):
+        store = restaurant_store(2000, seed=7)  # Restaurant(2000, 250, seed 7)
+        obs.activate()
+        try:
+            pairs = VectorizedSimJoin(threshold=0.35).join(store)
+            entries = obs.snapshot().counter_total(
+                "simjoin_product_entries_total", kind="self"
+            )
+        finally:
+            obs.deactivate()
+        matrix = VectorizedSimJoin()._incidence_matrix(store)
+        whole = (matrix @ matrix.T).nnz
+        assert whole == 2_046_222
+        assert entries == 1_151_738 <= 0.57 * whole
+        assert len(pairs) == 659
+
+    def test_a_single_block_append_multiplies_the_whole_matrix_as_before(self):
+        records = list(restaurant_store(300, seed=5))
+        join = IncrementalSimJoin(threshold=0.3)
+        join.add_batch(records[:200])
+        obs.activate()
+        try:
+            join.add_batch(records[200:])
+            entries = obs.snapshot().counter_total(
+                "simjoin_product_entries_total", kind="new_vs_old"
+            )
+        finally:
+            obs.deactivate()
+        store = RecordStore()
+        for record in records:
+            store.add(record)
+        matrix = VectorizedSimJoin()._incidence_matrix(store)
+        assert entries == (matrix[200:] @ matrix.T).nnz > 0
+
+
+#: Ids whose ``str`` order is not their arrival order (``"r10" < "r9"``),
+#: non-ASCII ids, and an id that a numpy string array would merge with
+#: another (``"a\x00"`` loses its trailing NUL there and equals ``"a"``).
+_TRICKY_IDS = ["r9", "r10", "r1", "é", "ß", "Z", "a", "a\x00", "a\x00\x00", "\x00", "日本"]
+
+
+class TestCanonicalOrder:
+    """The join orders its pairs on the arrays exactly as the Python sort did."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        ids=st.permutations(_TRICKY_IDS),
+        data=st.data(),
+    )
+    def test_property_ranked_pair_set_equals_the_python_sort(self, ids, data):
+        every_pair = [(i, j) for i in range(len(ids)) for j in range(len(ids)) if i != j]
+        chosen = data.draw(st.lists(st.sampled_from(every_pair), max_size=30))
+        seen, rows, cols = set(), [], []
+        for i, j in chosen:
+            if frozenset((i, j)) not in seen:
+                seen.add(frozenset((i, j)))
+                rows.append(i)
+                cols.append(j)
+        # Few distinct values: many ties, broken by key alone.
+        values = data.draw(st.lists(
+            st.sampled_from((0.0, 0.25, 0.5, 1.0)), min_size=len(rows), max_size=len(rows)
+        ))
+        expected = PairSet(canonical_sort(
+            RecordPair(ids[i], ids[j], likelihood=v) for i, j, v in zip(rows, cols, values)
+        ))
+        arrays = (
+            np.array(rows, dtype=np.int64),
+            np.array(cols, dtype=np.int64),
+            np.array(values, dtype=np.float64),
+        )
+        split = data.draw(st.integers(min_value=0, max_value=len(rows)))
+        blocks = [tuple(a[:split] for a in arrays), tuple(a[split:] for a in arrays)]
+        assert items_in_order(ranked_pair_set(ids, blocks)) == items_in_order(expected)
+
+    def test_no_blocks_and_empty_blocks(self):
+        assert len(ranked_pair_set(["a", "b"], [])) == 0
+        empty = (np.empty(0, dtype=np.int64),) * 2 + (np.empty(0),)
+        assert len(ranked_pair_set(["a", "b"], [empty, empty])) == 0
+
+    @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        store=random_stores(with_sources=True),
+        threshold=st.sampled_from((0.0, 0.3, 0.7)),
+        batch_size=st.integers(min_value=1, max_value=6),
+    )
+    def test_property_join_and_streaming_deltas_come_out_sorted(
+        self, store, threshold, batch_size
+    ):
+        # Renamed so that str order is not arrival order ("r10" < "r9").
+        records = [
+            Record(f"r{len(store) - position}", record.attributes, source=record.source)
+            for position, record in enumerate(store)
+        ]
+        renamed = RecordStore()
+        for record in records:
+            renamed.add(record)
+        for cross_sources in (None, ("abt", "buy")):
+            joined = VectorizedSimJoin(threshold, block_size=2).join(
+                renamed, cross_sources=cross_sources
+            )
+            assert items_in_order(joined) == items_in_order(canonical_sort(joined))
+            join = IncrementalSimJoin(
+                threshold=threshold, cross_sources=cross_sources, block_size=2
+            )
+            streamed = {}
+            for first in range(0, len(records), batch_size):
+                delta = join.add_batch(records[first : first + batch_size])
+                assert items_in_order(delta) == items_in_order(canonical_sort(delta))
+                streamed.update(items_in_order(delta))
+            assert sorted(streamed.items()) == pair_items(joined)
+
+
 class TestWorkerThreads:
     """What threads change: shared address space, shared interpreter."""
 
@@ -190,17 +359,17 @@ class TestWorkerThreads:
 
     def test_a_raising_block_surfaces_and_cancels_the_rest(self, monkeypatch):
         store = restaurant_store(200, seed=13)
-        real_score_block = vectorized.score_block
+        real_score_product = vectorized.score_product
         scored = []
 
-        def failing_score_block(left, right_t, left_sizes, right_sizes, start, end, *rest):
+        def failing_score_product(product, left_sizes, right_sizes, start, *rest):
             if start == 0:
                 raise MemoryError("block 0")
             time.sleep(0.02)  # the failure is seen while most blocks still wait
             scored.append(start)
-            return real_score_block(left, right_t, left_sizes, right_sizes, start, end, *rest)
+            return real_score_product(product, left_sizes, right_sizes, start, *rest)
 
-        monkeypatch.setattr(vectorized, "score_block", failing_score_block)
+        monkeypatch.setattr(vectorized, "score_product", failing_score_product)
         threads_before = threading.active_count()
         with pytest.raises(MemoryError, match="block 0"):
             VectorizedSimJoin(0.3, block_size=2, workers=2).join(store)

@@ -19,6 +19,7 @@ import sys
 import threading
 import time
 import uuid
+import zlib
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -33,7 +34,7 @@ from repro.core.config import WorkflowConfig
 from repro.datasets.restaurant import RestaurantGenerator
 from repro.service import ResolutionService, ServiceClient, ServiceClientError
 from repro.service.sessions import encode_event, encode_result
-from repro.service.shards import ShardExecutor, shard_of
+from repro.service.shards import ShardExecutor
 from repro.streaming import StreamingResolver
 from repro.streaming.persistence import encode_record
 
@@ -526,12 +527,15 @@ class TestBackpressure:
 
 # ------------------------------------------------------- sharded execution
 class TestShardExecutor:
-    def test_shard_of_is_stable_and_in_range(self):
-        for key in ("a", "session-42", "", "ünïcode"):
-            for count in (1, 2, 7):
-                index = shard_of(key, count)
-                assert 0 <= index < count
-                assert index == shard_of(key, count)
+    def test_placement_fills_the_least_loaded_shard_and_is_kept(self):
+        executor = ShardExecutor(shard_count=3)
+        assert [executor.place(key) for key in ("a", "b", "c", "d")] == [0, 1, 2, 0]
+        assert executor.place("b") == 1  # placed once, kept
+        executor.release("b")
+        executor.release("b")  # releasing twice frees one slot
+        assert executor.place("e") == 1  # the freed slot is the least loaded
+        executor.release("never-placed")
+        assert executor.place("f") == 1  # ties go to the lowest index
 
     def test_same_key_serializes_in_submission_order(self):
         async def scenario():
@@ -557,12 +561,8 @@ class TestShardExecutor:
         async def scenario():
             executor = ShardExecutor(shard_count=2, queue_depth=4)
             await executor.start()
-            key_a = "a"
-            key_b = next(
-                k
-                for k in (f"k{i}" for i in range(64))
-                if shard_of(k, 2) != shard_of(key_a, 2)
-            )
+            key_a, key_b = "a", "b"
+            assert executor.place(key_a) != executor.place(key_b)
             # Both tasks must be in flight at once to pass the barrier:
             # serialized execution would deadlock (and trip the timeout).
             barrier = threading.Barrier(2, timeout=10)
@@ -589,6 +589,34 @@ class TestShardExecutor:
             await executor.shutdown()
 
         asyncio.run(scenario())
+
+
+class TestSessionPlacement:
+    def test_ids_one_character_apart_land_on_two_shards(self, tmp_path):
+        """``serve-http``'s ids: CRC32 is affine over GF(2), so under
+        ``crc32(id) % 2`` these two always shared a shard."""
+        assert zlib.crc32(b"p7-s0") % 2 == zlib.crc32(b"p7-s1") % 2
+        runner = ServiceThread(shard_count=2, queue_depth=8)
+        client = runner.start()
+        try:
+            first = client.create_session("p7-s0", config=SERVICE_CONFIG)["shard"]
+            second = client.create_session("p7-s1", config=SERVICE_CONFIG)["shard"]
+            assert (first, second) == (0, 1)
+            listed = {entry["session_id"]: entry["shard"] for entry in client.list_sessions()}
+            assert listed == {"p7-s0": 0, "p7-s1": 1}
+            # A closed session frees its slot, and the next session takes
+            # it (were it kept, the tie would go to shard 0).
+            client.close("p7-s1")
+            assert client.status("p7-s1")["shard"] == 1
+            assert client.create_session("p7-s2", config=SERVICE_CONFIG)["shard"] == 1
+            # So does a failed restore: with one session on each shard the
+            # next goes to shard 0, where a leaked slot would send it to 1.
+            with pytest.raises(ServiceClientError) as caught:
+                client.restore("p7-s3", str(tmp_path))
+            assert caught.value.code == "resume_conflict"
+            assert client.create_session("p7-s4", config=SERVICE_CONFIG)["shard"] == 0
+        finally:
+            runner.stop()
 
 
 # ------------------------------------------- concurrency property (bit-id)
@@ -1012,12 +1040,9 @@ class TestServiceMetrics:
             runner = ServiceThread(shard_count=2, queue_depth=8)
             client = runner.start()
             try:
-                # One session per shard, told apart by their batch sizes.
-                sessions = {}
-                while len(sessions) < 2:
-                    session_id = fresh_id("trace")
-                    sessions.setdefault(shard_of(session_id, 2), session_id)
-                batch_sizes = {sessions[0]: 20, sessions[1]: 25}
+                # One session per shard (two open sessions are placed on two
+                # shards), told apart by their batch sizes.
+                batch_sizes = {fresh_id("trace"): 20, fresh_id("trace"): 25}
                 barrier = threading.Barrier(2)
 
                 def drive_session(session_id, seed):
