@@ -11,11 +11,15 @@ labels" substitution documented in DESIGN.md.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
 from repro import obs
+from repro.crowd import mt19937
 from repro.crowd.latency import LatencyEstimate, LatencyModel
 from repro.crowd.pricing import PricingModel
 from repro.crowd.qualification import QualificationTest
@@ -24,6 +28,16 @@ from repro.hit.base import ClusterBasedHIT, HITBatch, PairBasedHIT
 from repro.records.pairs import canonical_pair
 
 Vote = Tuple[str, Tuple[str, str], bool]
+
+#: ``u < threshold`` answers of the spammer modes (``u`` is in [0, 1)).
+_SPAMMER_THRESHOLDS = {"random": 0.5, "always-yes": 2.0, "always-no": -1.0}
+
+
+def _count_oracle_pairs(bulk: int, scalar: int) -> None:
+    for path, pairs in (("bulk", bulk), ("scalar", scalar)):
+        obs.inc("crowd_oracle_pairs_total", pairs, path=path,
+                help="Pairs given per-pair votes, by evaluator: bulk (one "
+                "oracle pass per publish) or scalar (pair_votes).")
 
 
 @dataclass
@@ -85,9 +99,15 @@ class SimulatedCrowdPlatform:
         several ``publish`` calls, or covering a pair with multiple HITs
         never changes (or duplicates) its votes.  The streaming resolver
         relies on this mode for its incremental == batch equivalence.
+        :meth:`pair_votes` evaluates that function for one pair;
+        :meth:`votes_for` evaluates it for a whole large publish in one
+        numpy pass and returns the same votes.
     """
 
     VOTE_MODES = ("sequential", "per-pair")
+    #: Picker words :meth:`votes_for` decodes per pair; a pair whose worker
+    #: sample needs more asks :meth:`pair_votes`.
+    DRAWS = 8
 
     def __init__(
         self,
@@ -253,7 +273,10 @@ class SimulatedCrowdPlatform:
         HIT, but the votes are generated once per *covered candidate pair*
         in sorted pair order — a pair covered by two overlapping cluster
         HITs is asked once, and splitting the batch over several publish
-        calls yields the same votes per pair.
+        calls yields the same votes per pair.  A publish of at least
+        :data:`~repro.crowd.mt19937.BULK_MIN_SEEDS` pairs asks the oracle
+        once for all of them (:meth:`votes_for`); a smaller one asks
+        :meth:`pair_votes` pair by pair.  The votes are the same either way.
         """
         # Per-HIT assignment bookkeeping mirrors the sequential mode.
         for hit in batch.hits:
@@ -261,12 +284,16 @@ class SimulatedCrowdPlatform:
             for worker in self._pick_workers(rng):
                 worker.completed_assignments += 1
                 result.assignment_seconds.append(seconds)
-        covered = set().union(*batch.carried_pairs(candidates))
-        for pair_key in sorted(covered):
-            round_index = vote_rounds.get(pair_key, 0) if vote_rounds else 0
-            result.votes.extend(
-                self.pair_votes(pair_key, pair_key in truth, round_index=round_index)
-            )
+        keys = sorted(set().union(*batch.carried_pairs(candidates)))
+        rounds = [vote_rounds.get(key, 0) for key in keys] if vote_rounds else [0] * len(keys)
+        is_match = [key in truth for key in keys]
+        if len(keys) >= mt19937.BULK_MIN_SEEDS:
+            result.votes.extend(self.votes_for(keys, is_match, rounds))
+            return
+        for pair_key, match, round_index in zip(keys, is_match, rounds):
+            result.votes.extend(self.pair_votes(pair_key, match, round_index=round_index))
+        if obs.enabled():
+            _count_oracle_pairs(0, len(keys))
 
     def hit_assignment_seconds(self, hit) -> float:
         """Latency-model seconds of one per-pair-mode assignment of ``hit``.
@@ -293,7 +320,9 @@ class SimulatedCrowdPlatform:
         worker's answer from an RNG seeded by (platform seed, round, worker,
         pair key).  String seeds hash via SHA-512 inside ``random.Random``,
         so the votes are stable across processes and independent of
-        ``PYTHONHASHSEED``.
+        ``PYTHONHASHSEED``.  This is the reference evaluator: small
+        publishes, the async platform's per-HIT oracle call and every pair
+        :meth:`votes_for` cannot settle from its words ask it directly.
         """
         key_a, key_b = pair_key
         picker = random.Random(f"{self.seed}|{round_index}|workers|{key_a}|{key_b}")
@@ -310,6 +339,93 @@ class SimulatedCrowdPlatform:
                 (worker.worker_id, pair_key, worker.answer_comparison(is_match, rng=answer_rng))
             )
         return votes
+
+    def votes_for(
+        self,
+        keys: Sequence[Tuple[str, str]],
+        is_match: Sequence[bool],
+        rounds: Sequence[int],
+    ) -> List[Vote]:
+        """:meth:`pair_votes` for many pairs at once, from one oracle pass.
+
+        Returns exactly ``[vote for key, match, round in zip(keys, is_match,
+        rounds) for vote in self.pair_votes(key, match, round)]``.  The
+        first words of every picker and answer RNG come from
+        :func:`~repro.crowd.mt19937.first_words`.  Workers are read off the
+        picker words the way ``random.sample``'s set branch draws them, and
+        each answer the way :meth:`Worker.answer_comparison` reads
+        ``random()``, at the workers' accuracy as of this call.  A pair the
+        words do not settle asks :meth:`pair_votes` itself: ``sample``'s
+        pool branch, ``choice`` when fewer workers are eligible than
+        assignments, or a sample needing more than :attr:`DRAWS` draws.
+        """
+        eligible, k = self._eligible, self.assignments_per_hit
+        workers, settled = self._sampled_workers(keys, rounds)
+        pair_of = np.repeat(np.flatnonzero(settled), k)
+        worker_of = workers[settled].ravel()
+        pairs, picks = pair_of.tolist(), worker_of.tolist()
+        ids = [worker.worker_id for worker in eligible]
+        u = mt19937.first_randoms(
+            f"{self.seed}|{rounds[p]}|{ids[j]}|{keys[p][0]}|{keys[p][1]}"
+            for p, j in zip(pairs, picks)
+        )
+
+        # Worker.answer_comparison as a threshold on u: a coin for a random
+        # spammer, a constant (no draw; its words go unread) for
+        # always-yes/no, the truth when u < accuracy for everyone else.
+        modes = [worker.profile.spammer_mode for worker in eligible]
+        threshold = np.array([
+            _SPAMMER_THRESHOLDS.get(mode, worker.effective_accuracy)
+            for worker, mode in zip(eligible, modes)
+        ])
+        honest = np.array([mode is None for mode in modes])
+        below = u < threshold[worker_of]
+        truth = np.asarray(is_match, dtype=bool)[pair_of]
+        answers = np.where(honest[worker_of], below == truth, below)
+
+        bulk = [(ids[j], keys[p], answer) for p, j, answer in zip(pairs, picks, answers.tolist())]
+        if obs.enabled():
+            _count_oracle_pairs(len(bulk) // k, len(keys) - len(bulk) // k)
+        if len(bulk) == k * len(keys):
+            return bulk
+        votes: List[Vote] = []
+        position = 0
+        for p, done in enumerate(settled.tolist()):
+            if done:
+                votes.extend(bulk[position:position + k])
+                position += k
+            else:
+                votes.extend(self.pair_votes(keys[p], is_match[p], round_index=rounds[p]))
+        return votes
+
+    def _sampled_workers(
+        self, keys: Sequence[Tuple[str, str]], rounds: Sequence[int]
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Eligible-worker indices ``random.sample`` picks for each pair.
+
+        Returns ``(workers, settled)``: a ``(pairs, assignments_per_hit)``
+        index array and which rows the first :attr:`DRAWS` picker words
+        decide.  One draw is a word's top ``n.bit_length()`` bits; a draw
+        of ``n`` or more, or one already drawn, is drawn again.  Only
+        ``sample``'s set branch draws that way, so every row is unsettled
+        when ``n`` is at most ``sample``'s set size, which also covers the
+        ``choice`` case ``n < assignments_per_hit``.
+        """
+        n, k = len(self._eligible), self.assignments_per_hit
+        set_size = 21 + (4 ** math.ceil(math.log(k * 3, 4)) if k > 5 else 0)
+        if n <= set_size:
+            return np.zeros((len(keys), k), dtype=np.intp), np.zeros(len(keys), dtype=bool)
+        words = mt19937.first_words((
+            f"{self.seed}|{round_index}|workers|{key_a}|{key_b}"
+            for (key_a, key_b), round_index in zip(keys, rounds)
+        ), self.DRAWS)
+        draws = (words >> (32 - n.bit_length())).astype(np.intp)
+        fresh = draws < n
+        for column in range(1, self.DRAWS):
+            for earlier in range(column):
+                fresh[:, column] &= draws[:, column] != draws[:, earlier]
+        first_fresh = np.argsort(~fresh, axis=1, kind="stable")[:, :k]
+        return np.take_along_axis(draws, first_fresh, axis=1), fresh.sum(axis=1) >= k
 
     def _pick_workers(self, rng: random.Random) -> List[Worker]:
         """Pick ``assignments_per_hit`` distinct workers for one HIT."""

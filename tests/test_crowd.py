@@ -1,7 +1,14 @@
 """Tests for the simulated crowd: workers, qualification, pricing, latency, platform."""
 
-import pytest
+import random
+from collections import Counter
 
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.crowd import mt19937
 from repro.crowd.latency import LatencyModel
 from repro.crowd.platform import CrowdRunResult, SimulatedCrowdPlatform
 from repro.crowd.pricing import PricingModel
@@ -244,3 +251,175 @@ class TestCrowdRunResultAssignmentCount:
             assignment_seconds=[30.0, 40.0, 50.0, 60.0], hit_count=2, assignments_per_hit=3
         )
         assert result.assignment_count == 4
+
+
+def _reference_words(seeds, count):
+    rngs = [random.Random(seed) for seed in seeds]
+    return np.array([[rng.getrandbits(32) for _ in range(count)] for rng in rngs],
+                    dtype=np.uint32).reshape(len(seeds), count)
+
+
+def _key_words(seed):
+    return len(mt19937._key(seed)) // 4
+
+
+class TestFirstWords:
+    """``first_words`` is ``random.Random(s).getrandbits(32)``, word for word."""
+
+    #: Seeds over several key lengths: the platform's own shapes (a negative
+    #: platform seed included), multi-byte ids, and leading "\x00"/"\x01"
+    #: bytes, whose missing high bits make the key one word shorter than
+    #: the byte count alone says.
+    SEEDS = (
+        [f"7|0|workers|r{i}|r{i + 17}" for i in range(40)]
+        + [f"-3|0|worker-{i}|a{i}|b{i}" for i in range(12)]
+        + [f"1|2|workers|café-{i}|日本-{i}|ü" for i in range(9)]
+        + [f"\x00{'x' * i}" for i in range(8)]
+        + [f"\x01{'y' * i}" for i in range(8)]
+        + ["", "\x00", "\x01"]
+    )
+
+    @pytest.mark.parametrize("count", [1, 2, 8, 227])
+    def test_words_match_random_random(self, monkeypatch, count):
+        # 10 puts some key-length groups above the bulk size, some below.
+        monkeypatch.setattr(mt19937, "BULK_MIN_SEEDS", 10)
+        lengths = Counter(_key_words(seed) for seed in self.SEEDS)
+        assert len(lengths) >= 3
+        assert max(lengths.values()) >= 10 and min(lengths.values()) < 10
+        words = mt19937.first_words(self.SEEDS, count)
+        assert words.dtype == np.uint32 and words.shape == (len(self.SEEDS), count)
+        np.testing.assert_array_equal(words, _reference_words(self.SEEDS, count))
+
+    def test_leading_zero_bytes_shorten_the_key(self):
+        # 5 seed bytes + 64 digest bytes: 69 bytes round up to 18 words.  A
+        # "\x01" lead leaves 545 bits (18 words), a "\x00" lead before "a"
+        # 543 (17 words) — counting characters would get the second wrong.
+        assert _key_words("\x01abcd") == 18
+        assert _key_words("\x00abcd") == 17
+
+    def test_default_bulk_size_runs_the_vector_pass(self):
+        seeds = [f"5|0|workers|r{i:04d}|s{i:04d}" for i in range(mt19937.BULK_MIN_SEEDS)]
+        assert len({_key_words(seed) for seed in seeds}) == 1
+        np.testing.assert_array_equal(
+            mt19937.first_words(seeds, 8), _reference_words(seeds, 8))
+
+    def test_randoms_match_random_random(self, monkeypatch):
+        monkeypatch.setattr(mt19937, "BULK_MIN_SEEDS", 1)
+        expected = [random.Random(seed).random() for seed in self.SEEDS]
+        assert mt19937.first_randoms(self.SEEDS).tolist() == expected
+
+    def test_count_above_the_untwisted_outputs_raises(self):
+        assert mt19937.first_words(["a"], mt19937.MAX_COUNT).shape == (1, 227)
+        with pytest.raises(ValueError):
+            mt19937.first_words(["a"], 228)
+
+
+def _mixed_pool(size):
+    """Workers cycling through every answer mode Worker.answer_comparison has."""
+    profiles = [
+        RELIABLE, NOISY, SPAMMER,
+        WorkerProfile(name="yes", spammer_mode="always-yes"),
+        WorkerProfile(name="no", spammer_mode="always-no"),
+    ]
+    return WorkerPool([Worker(f"worker-{i}", profiles[i % len(profiles)], seed=i)
+                       for i in range(size)])
+
+
+def _oracle_loop(platform, keys, is_match, rounds):
+    return [vote for key, match, round_index in zip(keys, is_match, rounds)
+            for vote in platform.pair_votes(key, match, round_index=round_index)]
+
+
+_record_ids = st.text(alphabet="abcr0123456789é日|", min_size=1, max_size=8)
+
+
+class TestVotesFor:
+    """``votes_for`` returns the ``pair_votes`` loop's votes, vote for vote."""
+
+    @pytest.mark.parametrize("draws", [SimulatedCrowdPlatform.DRAWS, 3])
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        keys=st.lists(st.tuples(_record_ids, _record_ids), max_size=25),
+        truth=st.lists(st.booleans(), min_size=25, max_size=25),
+        rounds=st.lists(st.integers(0, 3), min_size=25, max_size=25),
+        pool_size=st.sampled_from([60, 21, 5, 2]),
+        k=st.sampled_from([1, 3, 5, 6]),
+        qualified=st.booleans(),
+        seed=st.integers(-5, 5),
+    )
+    def test_equals_pair_votes(self, monkeypatch, draws, keys, truth, rounds,
+                               pool_size, k, qualified, seed):
+        monkeypatch.setattr(mt19937, "BULK_MIN_SEEDS", 1)
+        monkeypatch.setattr(SimulatedCrowdPlatform, "DRAWS", draws)
+        platform = SimulatedCrowdPlatform(
+            pool=_mixed_pool(pool_size), assignments_per_hit=k, seed=seed,
+            qualification=QualificationTest() if qualified else None, vote_mode="per-pair",
+        )
+        is_match, rounds = truth[:len(keys)], rounds[:len(keys)]
+        assert platform.votes_for(keys, is_match, rounds) == _oracle_loop(
+            platform, keys, is_match, rounds)
+
+    @pytest.mark.parametrize("pool_size,k,draws,fallback", [
+        (60, 3, 8, "none"),   # random.sample's set branch, settled by 8 words
+        (60, 3, 3, "some"),   # 3 words leave a repeat or an out-of-range draw undecided
+        (60, 6, 8, "all"),    # k=6 widens sample's set size to 85: the pool branch
+        (21, 3, 8, "all"),    # n at sample's set size: the pool branch
+        (5, 3, 8, "all"),
+        (2, 3, 8, "all"),     # fewer workers than assignments: choice
+    ])
+    def test_fallback_rules(self, monkeypatch, pool_size, k, draws, fallback):
+        asked = []
+        pair_votes = SimulatedCrowdPlatform.pair_votes
+
+        def counted(platform, pair_key, is_match, round_index=0):
+            asked.append(pair_key)
+            return pair_votes(platform, pair_key, is_match, round_index=round_index)
+
+        monkeypatch.setattr(mt19937, "BULK_MIN_SEEDS", 1)
+        monkeypatch.setattr(SimulatedCrowdPlatform, "DRAWS", draws)
+        platform = SimulatedCrowdPlatform(
+            pool=_mixed_pool(pool_size), assignments_per_hit=k, seed=3, vote_mode="per-pair")
+        keys = [(f"r{i}", f"r{i + 1000}") for i in range(300)]
+        is_match, rounds = [i % 3 == 0 for i in range(300)], [i % 2 for i in range(300)]
+        expected = _oracle_loop(platform, keys, is_match, rounds)
+        monkeypatch.setattr(SimulatedCrowdPlatform, "pair_votes", counted)
+        assert platform.votes_for(keys, is_match, rounds) == expected
+        assert {"none": not asked, "some": 0 < len(asked) < len(keys),
+                "all": asked == keys}[fallback], len(asked)
+
+
+class TestPerPairPublishPaths:
+    """A per-pair publish gives the same result through either evaluator."""
+
+    @staticmethod
+    def _publish(qualification):
+        pairs = [(f"r{i:03d}", f"r{i + 1:03d}") for i in range(0, 240, 2)]
+        hits = [PairBasedHIT(f"h{i}", tuple(pairs[i:i + 10])) for i in range(0, len(pairs), 10)]
+        batch = HITBatch(hit_type="pair", hits=hits, candidate_pairs=set(pairs), cluster_size=10)
+        platform = SimulatedCrowdPlatform(
+            seed=11, vote_mode="per-pair",
+            qualification=QualificationTest() if qualification else None)
+        return platform.publish(batch, true_matches=pairs[::4],
+                                vote_rounds={pair: 2 for pair in pairs[::5]}), len(pairs)
+
+    @pytest.mark.parametrize("qualification", [False, True])
+    def test_bulk_equals_scalar(self, monkeypatch, qualification):
+        bulk_calls = []
+        votes_for = SimulatedCrowdPlatform.votes_for
+
+        def recorded(platform, keys, is_match, rounds):
+            bulk_calls.append(len(keys))
+            return votes_for(platform, keys, is_match, rounds)
+
+        monkeypatch.setattr(SimulatedCrowdPlatform, "votes_for", recorded)
+        monkeypatch.setattr(mt19937, "BULK_MIN_SEEDS", 1)
+        bulk, pairs = self._publish(qualification)
+        monkeypatch.setattr(mt19937, "BULK_MIN_SEEDS", pairs + 1)
+        scalar, _ = self._publish(qualification)
+        assert bulk_calls == [pairs]
+        assert len(bulk.votes) == 3 * pairs
+        assert bulk.votes == scalar.votes
+        assert bulk.assignment_seconds == scalar.assignment_seconds
+        assert bulk.cost == scalar.cost
+        assert bulk == scalar
