@@ -114,7 +114,6 @@ def collect_metrics_snapshot(
             likelihood_threshold=threshold,
             vote_mode="per-pair",
             aggregation="majority",
-            metrics_enabled=True,
             seed=seed,
         )
         records = list(dataset.store)

@@ -31,9 +31,11 @@ Three subcommands expose the most common workflows without writing Python:
   in-process registry and the ``/metrics`` Prometheus scrape endpoint.
   See ``docs/service.md``.
 
-``resolve`` and ``resolve-stream`` accept ``--metrics`` (enable the
-in-process metrics registry), ``--trace PATH`` (JSONL span/counter trace)
-and ``--metrics-out PATH`` (Prometheus text export at exit).  ``-v``
+``resolve``, ``resolve-stream`` and ``serve`` accept ``--metrics`` (enable
+the in-process metrics registry), ``--trace PATH`` (JSONL span/counter
+trace) and ``--metrics-out PATH`` (Prometheus text export at exit); they
+switch observability on for the process, never through a session's
+configuration.  ``-v``
 surfaces library debug logging; ``-q`` quiets everything below WARNING.
 
 Examples::
@@ -43,7 +45,7 @@ Examples::
         --threshold 0.2 --algorithm two-tiered --cluster-size 10
     python -m repro.cli resolve --dataset restaurant --threshold 0.35
     python -m repro.cli resolve-stream --dataset restaurant --threshold 0.35 \
-        --batch-size 64 --recrowd-policy never
+        --batch-size 64
     python -m repro.cli resolve-stream --dataset paper-example --batch-size 3 \
         --checkpoint-dir /tmp/er-session --max-batches 2
     python -m repro.cli resolve-stream --dataset paper-example --batch-size 3 \
@@ -91,7 +93,7 @@ from repro.hit.generator import available_generators, get_cluster_generator
 from repro.obs.report import CostReport
 from repro.simjoin.likelihood import JOIN_BACKENDS, SimJoinLikelihood
 from repro.storage import STORE_FILENAME
-from repro.streaming import StreamingResolver
+from repro.streaming import PersistenceError, StreamingResolver
 
 #: Synthetic generators plus every corpus registered with the ETL layer
 #: (``abt-buy``, ``amazon-google``, ...) — registry corpora load their
@@ -148,6 +150,12 @@ def _add_obs_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--metrics-out", type=str, default=None, metavar="PATH",
                         help="write a Prometheus text-format metrics export "
                              "to this file at exit (implies --metrics)")
+
+
+def _activate_obs(args: argparse.Namespace) -> None:
+    """Switch observability on for this process if any obs flag asks."""
+    if args.metrics or args.metrics_out or args.trace:
+        obs.activate(trace_path=args.trace)
 
 
 def _add_backend_argument(parser: argparse.ArgumentParser) -> None:
@@ -249,6 +257,7 @@ def _write_metrics_out(path: Optional[str]) -> None:
 
 def _cmd_resolve(args: argparse.Namespace) -> int:
     dataset = load_dataset(args.dataset, args.scale, args.seed)
+    _activate_obs(args)
     config = WorkflowConfig(
         likelihood_threshold=args.threshold,
         hit_type=args.hit_type,
@@ -257,8 +266,6 @@ def _cmd_resolve(args: argparse.Namespace) -> int:
         use_qualification_test=args.qualification_test,
         join_backend=args.join_backend,
         join_workers=args.join_workers,
-        metrics_enabled=args.metrics or bool(args.metrics_out),
-        trace_path=args.trace,
         seed=args.seed,
     )
     result = HybridWorkflow(config).resolve(dataset)
@@ -328,13 +335,16 @@ def _cmd_resolve_stream(args: argparse.Namespace) -> int:
             return 2
     # Observability is per process, not per stored session: enable it
     # before restore so page-in timings and counter continuity are covered.
-    if args.metrics or args.metrics_out or args.trace:
-        obs.activate(trace_path=args.trace)
+    _activate_obs(args)
     if args.resume:
         if not args.checkpoint_dir:
             _LOG.error("error: --resume requires --checkpoint-dir")
             return 2
-        resolver = StreamingResolver.restore(args.checkpoint_dir)
+        try:
+            resolver = StreamingResolver.restore(args.checkpoint_dir)
+        except PersistenceError as error:
+            _LOG.error(f"error: cannot resume: {error}")
+            return 2
         config = resolver.config
         _LOG.info(f"resumed session from {args.checkpoint_dir}: "
                   f"{resolver.record_count} records, {resolver.candidate_count} pairs, "
@@ -347,10 +357,8 @@ def _cmd_resolve_stream(args: argparse.Namespace) -> int:
             for name, given, stored in [
                 ("threshold", args.threshold, config.likelihood_threshold),
                 ("batch-size", args.batch_size, config.stream_batch_size),
-                ("recrowd-policy", args.recrowd_policy, config.recrowd_policy),
                 ("aggregation-scope", args.aggregation_scope,
                  config.streaming_aggregation_scope),
-                ("staleness-epsilon", args.staleness_epsilon, config.staleness_epsilon),
                 ("crowd-mode", args.crowd_mode, config.crowd_mode),
                 ("vote-timeout", args.vote_timeout, config.vote_timeout),
                 ("max-inflight-hits", args.max_inflight_hits, config.max_inflight_hits),
@@ -379,9 +387,7 @@ def _cmd_resolve_stream(args: argparse.Namespace) -> int:
             join_workers=args.join_workers,
             vote_mode="per-pair",
             stream_batch_size=args.batch_size,
-            recrowd_policy=args.recrowd_policy,
             streaming_aggregation_scope=args.aggregation_scope,
-            staleness_epsilon=args.staleness_epsilon,
             crowd_mode=args.crowd_mode,
             vote_timeout=args.vote_timeout,
             max_inflight_hits=args.max_inflight_hits,
@@ -389,8 +395,6 @@ def _cmd_resolve_stream(args: argparse.Namespace) -> int:
             fault_plan=fault_plan,
             checkpoint_dir=args.checkpoint_dir,
             storage_backend=args.storage_backend,
-            metrics_enabled=args.metrics or bool(args.metrics_out),
-            trace_path=args.trace,
             **(
                 {"checkpoint_every_batches": args.checkpoint_every}
                 if args.checkpoint_every is not None
@@ -414,10 +418,10 @@ def _replay_stream(args: argparse.Namespace, dataset, resolver: StreamingResolve
     records = [record for record in dataset.store if record.record_id not in resolver.store]
     result = resolver.snapshot()
     _LOG.info(f"streaming {dataset.name}: {len(records)} records in batches of "
-              f"{config.stream_batch_size} (re-crowd policy: {config.recrowd_policy})")
+              f"{config.stream_batch_size}")
     # Per-invocation delta totals for the summary line (tracked CLI-side so
     # the line works with or without --metrics).
-    stale_total = invalidated_total = retracted_total = 0
+    invalidated_total = retracted_total = 0
     batches_done = 0
     for start in range(0, len(records), config.stream_batch_size):
         if args.max_batches and batches_done >= args.max_batches:
@@ -425,7 +429,6 @@ def _replay_stream(args: argparse.Namespace, dataset, resolver: StreamingResolve
         result = resolver.add_batch(records[start : start + config.stream_batch_size])
         batches_done += 1
         delta = result.delta
-        stale_total += delta.stale_skipped_components
         _LOG.info(f"  batch {delta.batch_index:>3}: +{delta.new_records} records, "
                   f"+{delta.new_candidate_pairs} pairs | "
                   f"{delta.dirty_components} dirty / {delta.clean_components} clean components | "
@@ -454,7 +457,6 @@ def _replay_stream(args: argparse.Namespace, dataset, resolver: StreamingResolve
             _LOG.error(f"error: {error}")
             return 2
         delta = result.delta
-        stale_total += delta.stale_skipped_components
         invalidated_total += delta.invalidated_pairs
         retracted_total += delta.retracted_records
         _LOG.info(f"  retract {record_id}: -{delta.invalidated_pairs} pairs invalidated | "
@@ -473,7 +475,6 @@ def _replay_stream(args: argparse.Namespace, dataset, resolver: StreamingResolve
                 _LOG.error(f"error: {error}")
                 return 2
             delta = result.delta
-            stale_total += delta.stale_skipped_components
             invalidated_total += delta.invalidated_pairs
             retracted_total += delta.retracted_records
             _LOG.info(f"  update {record.record_id}: -{delta.invalidated_pairs} pairs invalidated, "
@@ -481,15 +482,14 @@ def _replay_stream(args: argparse.Namespace, dataset, resolver: StreamingResolve
                       f"{delta.regenerated_hits} HITs regenerated, "
                       f"{delta.crowdsourced_pairs} pairs crowdsourced | "
                       f"matches now: {len(result.matches)}")
-    # Settle any components deferred by bounded-staleness aggregation
-    # (no-op at the default epsilon of 0).
+    # Settle the session: an async crowd's votes in flight land and are
+    # aggregated (a no-op for a synchronous crowd).
     result = resolver.flush()
     precision, recall = precision_recall(result.matches, dataset.ground_truth)
     # The delta-totals line stays ABOVE the six-line summary block: resumed
     # and uninterrupted runs must keep identical final summaries (the CLI
     # round-trip test compares the last six stdout lines).
-    _LOG.info(f"delta totals       : {stale_total} stale-skipped components, "
-              f"{invalidated_total} pairs invalidated, "
+    _LOG.info(f"delta totals       : {invalidated_total} pairs invalidated, "
               f"{retracted_total} records retracted")
     _LOG.info(f"candidates         : {result.candidate_count}")
     _LOG.info(f"HITs / assignments : {result.hit_count} / {result.assignment_count} "
@@ -532,8 +532,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     """Run the resolution service until SIGINT/SIGTERM."""
     from repro.service.app import run_service
 
-    if args.metrics or args.metrics_out or args.trace:
-        obs.activate(trace_path=args.trace)
+    _activate_obs(args)
     try:
         run_service(
             host=args.host,
@@ -596,14 +595,9 @@ def build_parser() -> argparse.ArgumentParser:
     stream.add_argument("--pairs-per-hit", type=int, default=16)
     stream.add_argument("--batch-size", type=int, default=64,
                         help="records per arrival batch")
-    stream.add_argument("--recrowd-policy", choices=("never", "dirty"), default="never",
-                        help="re-ask already-voted pairs in dirty components?")
     stream.add_argument("--aggregation-scope", choices=("component", "global"),
                         default="component",
                         help="re-aggregate only dirty components or all votes")
-    stream.add_argument("--staleness-epsilon", type=int, default=0,
-                        help="skip re-aggregating a dirty component that gained "
-                             "fewer than this many new votes (0 = always re-run)")
     stream.add_argument("--crowd-mode", choices=("sync", "async"), default="sync",
                         help="sync: votes return with the publish call; async: "
                              "HITs are published and votes arrive later "

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import abc
 from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
@@ -10,7 +11,10 @@ from repro.simjoin.likelihood import JOIN_BACKENDS
 
 @dataclass
 class WorkflowConfig:
-    """All knobs of one hybrid-workflow run.
+    """All knobs of one hybrid-workflow run: what it computes and how durably.
+
+    Observability is not a knob of a run: the process switches it on
+    (:func:`repro.obs.activate`, the CLI's ``--metrics`` / ``--trace``).
 
     Attributes mirror the experimental setup of Section 7:
 
@@ -20,12 +24,13 @@ class WorkflowConfig:
     * ``cluster_size`` — the cluster-size threshold ``k`` (10 in the paper).
     * ``pairs_per_hit`` — pair-based batching size (only for pair HITs).
     * ``cluster_generator`` — ``"two-tiered"``, ``"bfs"``, ``"dfs"``,
-      ``"random"`` or ``"approximation"``.
+      ``"random"`` or ``"approximation"`` (the two-tiered generator packs
+      with column generation).
     * ``assignments_per_hit`` — replication factor (3 in the paper).
     * ``use_qualification_test`` — whether workers must pass the test.
     * ``aggregation`` — ``"dawid-skene"`` (the paper) or ``"majority"``.
     * ``similarity_attributes`` — attributes pooled by the simjoin
-      likelihood (``None`` = all).
+      likelihood: a list of names, never one bare string (``None`` = all).
     * ``join_backend`` — ``"auto"`` (the join kernel) or ``"naive"`` (the
       all-pairs scan kept as its test oracle); both return the identical
       pair set, the choice only affects speed.  It applies to the *batch*
@@ -43,22 +48,10 @@ class WorkflowConfig:
       :class:`repro.streaming.StreamingResolver`).
     * ``stream_batch_size`` — records per arrival batch when a dataset is
       replayed through the streaming resolver (CLI ``resolve-stream``).
-    * ``recrowd_policy`` — what the streaming resolver does with pairs in a
-      dirty component that already have votes: ``"never"`` keeps the first
-      votes forever (each pair is crowdsourced exactly once), ``"dirty"``
-      re-asks them with fresh votes every time their component is touched.
     * ``streaming_aggregation_scope`` — ``"component"`` re-aggregates only
       dirty components on each snapshot (posteriors of untouched components
       are preserved bit-for-bit), ``"global"`` re-runs the aggregator over
       all accumulated votes (exactly matches one-shot Dawid-Skene).
-    * ``staleness_epsilon`` — bounded-staleness aggregation for streaming
-      (component scope only): a dirty component whose vote ledger gained
-      fewer than this many new votes *since its last aggregation* keeps
-      its cached posteriors instead of re-running the aggregator; pending
-      gains accumulate across batches and reset on aggregation, so a
-      cached posterior is never more than epsilon votes behind the ledger.
-      0 (default) always re-aggregates dirty components — the exact,
-      pre-existing behavior.
     * ``checkpoint_dir`` — when set, a streaming session is *durable*: its
       one file, ``store.sqlite`` in this directory, holds the session's
       state and its write-ahead event log; every event is committed to
@@ -82,16 +75,6 @@ class WorkflowConfig:
       ``checkpoint_dir``: the store lives at ``checkpoint_dir/store.sqlite``).
       Same file and restore algorithm either way, so a session can be
       restored under either backend; results are bit-identical.
-    * ``metrics_enabled`` — turn on the :mod:`repro.obs` observability
-      runtime for this run: every pipeline phase records spans, counters
-      and histograms into the process-global metrics registry
-      (``obs.snapshot()``, Prometheus export, ``repro stats``).  Off by
-      default — the instrumented hot paths then cost one no-op check.
-      Purely observational: results are bit-identical either way.
-    * ``trace_path`` — when set, a structured JSONL trace-event sink is
-      attached at that path (one JSON object per span/counter event plus a
-      final metrics snapshot).  Implies ``metrics_enabled`` behavior for
-      this run; readable by ``repro stats --trace``.
     * ``crowd_mode`` — how streaming sessions talk to the crowd:
       ``"sync"`` (default; ``publish()`` returns every vote in-process) or
       ``"async"`` (HITs are enqueued on a virtual clock and votes arrive
@@ -124,7 +107,6 @@ class WorkflowConfig:
     cluster_size: int = 10
     pairs_per_hit: int = 16
     cluster_generator: str = "two-tiered"
-    packing_method: str = "column-generation"
     assignments_per_hit: int = 3
     use_qualification_test: bool = False
     aggregation: str = "dawid-skene"
@@ -133,15 +115,11 @@ class WorkflowConfig:
     join_workers: int = 0
     vote_mode: str = "sequential"
     stream_batch_size: int = 256
-    recrowd_policy: str = "never"
     streaming_aggregation_scope: str = "component"
-    staleness_epsilon: int = 0
     checkpoint_dir: Optional[str] = None
     checkpoint_every_batches: int = 16
     storage_backend: str = "memory"
     decision_threshold: float = 0.5
-    metrics_enabled: bool = False
-    trace_path: Optional[str] = None
     crowd_mode: str = "sync"
     vote_timeout: int = 8
     max_inflight_hits: int = 64
@@ -164,12 +142,28 @@ class WorkflowConfig:
             raise ValueError("assignments_per_hit must be at least 1")
         if self.aggregation not in ("dawid-skene", "majority"):
             raise ValueError("aggregation must be 'dawid-skene' or 'majority'")
+        # Imported here: importing repro.hit imports repro.core.
+        from repro.hit.generator import available_generators
+
+        if self.cluster_generator not in available_generators():
+            raise ValueError(
+                f"cluster_generator must be one of {available_generators()}, "
+                f"got {self.cluster_generator!r}"
+            )
+        attributes = self.similarity_attributes
+        if attributes is not None and (
+            isinstance(attributes, str)
+            or not isinstance(attributes, abc.Sequence)
+            or not all(isinstance(name, str) for name in attributes)
+        ):
+            raise ValueError(
+                "similarity_attributes must be None or a list of attribute names, "
+                f"got {attributes!r}"
+            )
         if self.join_backend not in JOIN_BACKENDS:
             raise ValueError(f"join_backend must be one of {JOIN_BACKENDS}")
         if self.join_workers < 0:
             raise ValueError("join_workers must be non-negative (0 = one per core)")
-        if self.staleness_epsilon < 0:
-            raise ValueError("staleness_epsilon must be non-negative")
         if self.checkpoint_every_batches < 0:
             raise ValueError(
                 "checkpoint_every_batches must be non-negative (0 = only on save())"
@@ -185,14 +179,10 @@ class WorkflowConfig:
             raise ValueError("vote_mode must be 'sequential' or 'per-pair'")
         if self.stream_batch_size < 1:
             raise ValueError("stream_batch_size must be at least 1")
-        if self.recrowd_policy not in ("never", "dirty"):
-            raise ValueError("recrowd_policy must be 'never' or 'dirty'")
         if self.streaming_aggregation_scope not in ("component", "global"):
             raise ValueError("streaming_aggregation_scope must be 'component' or 'global'")
         if not 0.0 <= self.decision_threshold <= 1.0:
             raise ValueError("decision_threshold must be in [0, 1]")
-        if self.trace_path is not None and not str(self.trace_path):
-            raise ValueError("trace_path must be a non-empty path or None")
         if self.crowd_mode not in ("sync", "async"):
             raise ValueError("crowd_mode must be 'sync' or 'async'")
         if self.crowd_mode == "async" and self.vote_mode != "per-pair":
@@ -213,8 +203,8 @@ class WorkflowConfig:
             )
 
 
-#: Fields that change how fast, how durably or how observably a session
-#: runs — never *what it computes*.  Every other field is result-bearing
+#: Fields that change how fast or how durably a session runs — never
+#: *what it computes*.  Every other field is result-bearing
 #: by construction (see ``RESULT_CONFIG_FIELDS``), so a knob added without
 #: being classified here makes a restore under a different value re-join
 #: instead of silently resuming.
@@ -226,8 +216,6 @@ OPERATIONAL_CONFIG_FIELDS = (
     "checkpoint_dir",
     "checkpoint_every_batches",
     "storage_backend",
-    "metrics_enabled",
-    "trace_path",
 )
 
 #: Fields that change what a session computes: the complement of

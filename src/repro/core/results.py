@@ -34,18 +34,13 @@ class StreamingDelta:
     regenerated_hits:
         HITs generated for the dirty components this batch.
     crowdsourced_pairs:
-        Pairs for which fresh votes were collected this batch (under the
-        ``"never"`` re-crowd policy: only never-voted pairs).
+        Pairs for which fresh votes were collected this batch (only
+        never-voted pairs: a pair is crowdsourced once).
     reused_vote_pairs:
         Previously voted pairs whose existing votes were kept.
     preserved_posterior_pairs:
         Pairs in clean components whose cached posterior was reused without
         re-running the aggregator (component aggregation scope only).
-    stale_skipped_components:
-        Dirty components whose aggregation was skipped because their vote
-        ledger gained fewer than ``staleness_epsilon`` new votes since
-        their last aggregation (bounded-staleness aggregation; always 0
-        when the epsilon is 0).
     retracted_records:
         Records removed from the session by ``retract``/``update`` this
         event (0 for plain arrivals).
@@ -65,7 +60,6 @@ class StreamingDelta:
     crowdsourced_pairs: int = 0
     reused_vote_pairs: int = 0
     preserved_posterior_pairs: int = 0
-    stale_skipped_components: int = 0
     retracted_records: int = 0
     invalidated_pairs: int = 0
 
@@ -82,7 +76,6 @@ class StreamingDelta:
             "crowdsourced_pairs": self.crowdsourced_pairs,
             "reused_vote_pairs": self.reused_vote_pairs,
             "preserved_posterior_pairs": self.preserved_posterior_pairs,
-            "stale_skipped_components": self.stale_skipped_components,
             "retracted_records": self.retracted_records,
             "invalidated_pairs": self.invalidated_pairs,
         }

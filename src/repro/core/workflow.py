@@ -49,15 +49,7 @@ def build_hit_generator(config: WorkflowConfig):
     """
     if config.hit_type == "pair":
         return PairHITGenerator(pairs_per_hit=config.pairs_per_hit)
-    return get_cluster_generator(
-        config.cluster_generator,
-        cluster_size=config.cluster_size,
-        **(
-            {"packing_method": config.packing_method}
-            if config.cluster_generator == "two-tiered"
-            else {}
-        ),
-    )
+    return get_cluster_generator(config.cluster_generator, cluster_size=config.cluster_size)
 
 
 def build_aggregator(config: WorkflowConfig):
@@ -123,7 +115,6 @@ class HybridWorkflow:
             workers=self.config.join_workers or None,
         )
         self.platform = build_platform(self.config, platform, worker_pool, pricing, latency)
-        obs.activate_if_configured(self.config)
 
     # -------------------------------------------------------------- stages
     def machine_candidates(self, dataset: Dataset) -> PairSet:

@@ -5,18 +5,15 @@ built from edit distance and cosine similarity per attribute, then ranks the
 remaining pairs by classifier score.  Because no third-party ML library is
 available offline, the classifiers here are implemented from scratch on
 numpy: a linear SVM trained with Pegasos-style stochastic sub-gradient
-descent and an L2-regularised logistic regression trained with batch
-gradient descent.
+descent.
 """
 
 from repro.learning.svm import LinearSVM
-from repro.learning.logistic import LogisticRegression
 from repro.learning.training import TrainingSet, sample_training_pairs
 from repro.learning.classifier_er import LearningBasedER
 
 __all__ = [
     "LinearSVM",
-    "LogisticRegression",
     "TrainingSet",
     "sample_training_pairs",
     "LearningBasedER",

@@ -17,9 +17,9 @@ regression under 2%). Activation is process-global — one registry, one
 optional JSONL trace sink — and fork-aware: a forked child inherits an
 inert copy that never double-counts.
 
-Activate explicitly, or set ``WorkflowConfig.metrics_enabled=True`` /
-``WorkflowConfig.trace_path`` and let :class:`~repro.core.workflow.HybridWorkflow`
-and :class:`~repro.streaming.session.StreamingResolver` do it for you.
+The process activates it — the CLI's ``--metrics`` / ``--trace`` /
+``--metrics-out`` flags, or an explicit :func:`activate` — never a session:
+a :class:`~repro.core.config.WorkflowConfig` carries no observability knob.
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ __all__ = [
     "to_prometheus",
     "validate_prometheus_text",
     "activate",
-    "activate_if_configured",
     "deactivate",
     "enabled",
     "runtime",
@@ -81,21 +80,6 @@ def activate(trace_path: Optional[str] = None) -> ObsRuntime:
     elif trace_path is not None:
         _runtime.attach_sink(trace_path)
     return _runtime
-
-
-def activate_if_configured(config) -> bool:
-    """Activate when a :class:`~repro.core.config.WorkflowConfig` asks.
-
-    ``metrics_enabled=True`` or a ``trace_path`` turns the runtime on;
-    otherwise this is a no-op and returns ``False``. Called by
-    ``HybridWorkflow`` and ``StreamingResolver`` so config-driven runs need
-    no explicit ``obs.activate()``.
-    """
-    trace_path = getattr(config, "trace_path", None)
-    if getattr(config, "metrics_enabled", False) or trace_path:
-        activate(trace_path=trace_path)
-        return True
-    return False
 
 
 def deactivate() -> Optional[ObsRuntime]:

@@ -13,10 +13,10 @@ accepts all three):
 
 * :meth:`CostReport.from_snapshot` — a live :class:`~repro.obs.metrics.MetricsSnapshot`;
 * :meth:`CostReport.from_store` — a SQLite session store (works even for
-  runs without ``metrics_enabled``: the session meta and vote ledger are
-  enough for the crowd-side numbers, machine timings are just absent);
+  runs without metrics: the session meta and vote ledger are enough for
+  the crowd-side numbers, machine timings are just absent);
 * :meth:`CostReport.from_trace` — a JSONL trace file written via
-  ``WorkflowConfig.trace_path``.
+  ``obs.activate(trace_path=...)`` (the CLI's ``--trace``).
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ class CostReport:
     crowd_duplicates_dropped: int = 0
     #: Real wall-clock seconds spent inside top-level machine spans, net of
     #: the crowd simulator nested in them; None when the run had no metrics
-    #: (e.g. a store written without ``metrics_enabled``).
+    #: (e.g. a store written with observability off).
     machine_seconds: Optional[float] = None
     #: Real wall-clock seconds the process spent simulating the crowd
     #: (:data:`SIMULATOR_SPANS`); None exactly when ``machine_seconds`` is.
@@ -192,7 +192,7 @@ class CostReport:
         if not report.crowd_work_seconds:
             report.crowd_work_seconds = float(sum(assignment_seconds))
         # Async robustness counters live in the mirrored platform state, so
-        # they survive runs without metrics_enabled too.
+        # they survive runs without metrics too.
         platform_state = async_meta.get("platform") or {}
         if not report.crowd_retries:
             report.crowd_retries = int(platform_state.get("retries", 0))
@@ -208,7 +208,7 @@ class CostReport:
 
     @classmethod
     def from_trace(cls, path: str) -> "CostReport":
-        """Build from a JSONL trace file (``WorkflowConfig.trace_path``).
+        """Build from a JSONL trace file (``obs.activate(trace_path=...)``).
 
         Prefers the final ``snapshot`` event a clean ``obs.deactivate()``
         appends; a truncated trace (crash, still-running session) falls
@@ -284,7 +284,7 @@ class CostReport:
                 f"{self.crowd_duplicates_dropped} duplicates dropped"
             )
         if self.machine_seconds is None:
-            lines.append("  machine time           : n/a (run without metrics_enabled)")
+            lines.append("  machine time           : n/a (run without --metrics)")
         else:
             lines.append(f"  machine time           : {self.machine_seconds:.3f} s")
             lines.append(

@@ -11,8 +11,6 @@ from repro.records.pairs import RecordPair, PairSet
 from repro.records.preprocessing import normalize_text, normalize_record
 from repro.records.tokenize import (
     WhitespaceTokenizer,
-    QGramTokenizer,
-    WordTokenizer,
     record_token_set,
 )
 
@@ -24,7 +22,5 @@ __all__ = [
     "normalize_text",
     "normalize_record",
     "WhitespaceTokenizer",
-    "QGramTokenizer",
-    "WordTokenizer",
     "record_token_set",
 ]

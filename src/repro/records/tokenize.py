@@ -2,14 +2,12 @@
 
 The paper's "simjoin" likelihood is the Jaccard similarity between the token
 sets of two records, where a record's token set contains the (whitespace)
-tokens of all its attribute values after normalisation.  Q-gram tokenisation
-is provided for the q-gram based blocking technique the paper references
-(Christen's indexing survey, [7]).
+tokens of all its attribute values after normalisation.
 """
 
 from __future__ import annotations
 
-from typing import FrozenSet, List, Optional, Sequence, Set
+from typing import FrozenSet, List, Optional, Sequence
 
 from repro.records.preprocessing import normalize_text
 from repro.records.record import Record
@@ -27,58 +25,6 @@ class WhitespaceTokenizer:
 
     def token_set(self, text: str) -> FrozenSet[str]:
         """Return the distinct tokens of ``text`` as a frozen set."""
-        return frozenset(self.tokenize(text))
-
-
-class WordTokenizer(WhitespaceTokenizer):
-    """Whitespace tokeniser with optional stop-word removal and minimum length."""
-
-    def __init__(self, stop_words: Optional[Sequence[str]] = None, min_length: int = 1) -> None:
-        if min_length < 1:
-            raise ValueError("min_length must be >= 1")
-        self.stop_words: Set[str] = set(stop_words or ())
-        self.min_length = min_length
-
-    def tokenize(self, text: str) -> List[str]:
-        tokens = super().tokenize(text)
-        return [
-            token
-            for token in tokens
-            if len(token) >= self.min_length and token not in self.stop_words
-        ]
-
-
-class QGramTokenizer:
-    """Character q-gram tokeniser with optional padding.
-
-    Q-grams are used by q-gram blocking: records sharing at least one q-gram
-    become candidate pairs, which avoids the all-pairs comparison the paper
-    mentions in footnote 1.
-    """
-
-    def __init__(self, q: int = 3, pad: bool = True, pad_char: str = "#") -> None:
-        if q < 1:
-            raise ValueError("q must be >= 1")
-        if len(pad_char) != 1:
-            raise ValueError("pad_char must be a single character")
-        self.q = q
-        self.pad = pad
-        self.pad_char = pad_char
-
-    def tokenize(self, text: str) -> List[str]:
-        """Return the list of q-grams of the normalised text."""
-        normalized = normalize_text(text)
-        if not normalized:
-            return []
-        if self.pad:
-            padding = self.pad_char * (self.q - 1)
-            normalized = f"{padding}{normalized}{padding}"
-        if len(normalized) < self.q:
-            return [normalized]
-        return [normalized[i : i + self.q] for i in range(len(normalized) - self.q + 1)]
-
-    def token_set(self, text: str) -> FrozenSet[str]:
-        """Return the distinct q-grams of ``text``."""
         return frozenset(self.tokenize(text))
 
 

@@ -16,7 +16,7 @@ GET      ``/sessions/{id}/result``       full snapshot (matches + posteriors), o
 POST     ``/sessions/{id}/batch``        append a record batch
 POST     ``/sessions/{id}/retract``      retract one record
 POST     ``/sessions/{id}/update``       revise one record
-POST     ``/sessions/{id}/flush``        settle deferred aggregation
+POST     ``/sessions/{id}/flush``        settle the session (votes in flight)
 POST     ``/sessions/{id}/save``         checkpoint now
 POST     ``/sessions/{id}/restore``      re-open a durable session
 =======  ==============================  =======================================

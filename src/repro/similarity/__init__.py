@@ -3,8 +3,8 @@
 The paper's similarity-based technique ("simjoin") uses Jaccard similarity
 over token sets; the learning-based baseline (SVM) uses edit distance and
 cosine similarity computed per attribute.  This package implements those
-plus several standard set/string similarities used by the blocking layer
-and by the ablation benchmarks.
+plus the other standard set/string similarities the join kernel and the
+ablation benchmarks accept.
 """
 
 from repro.similarity.set_similarity import (
@@ -19,7 +19,6 @@ from repro.similarity.edit_distance import (
     jaro_similarity,
     jaro_winkler_similarity,
 )
-from repro.similarity.cosine import TfidfVectorizer, cosine_tfidf_similarity
 from repro.similarity.record_similarity import (
     RecordSimilarity,
     JaccardRecordSimilarity,
@@ -36,8 +35,6 @@ __all__ = [
     "levenshtein_similarity",
     "jaro_similarity",
     "jaro_winkler_similarity",
-    "TfidfVectorizer",
-    "cosine_tfidf_similarity",
     "RecordSimilarity",
     "JaccardRecordSimilarity",
     "AttributeSimilarity",

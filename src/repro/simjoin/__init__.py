@@ -1,4 +1,4 @@
-"""Machine-based candidate-pair generation: similarity joins and blocking.
+"""Machine-based candidate-pair generation: the similarity join.
 
 This package implements the machine pass of CrowdER's hybrid workflow:
 computing, for every candidate pair, the likelihood that the two records
@@ -13,16 +13,12 @@ selects between them with ``backend="auto"`` / ``"naive"``.
 """
 
 from repro.simjoin.allpairs import all_pairs_similarity
-from repro.simjoin.blocking import TokenBlocker, QGramBlocker, AttributeBlocker
 from repro.simjoin.likelihood import LikelihoodEstimator, SimJoinLikelihood
 from repro.simjoin.parallel import VectorizedSimJoin
 
 __all__ = [
     "all_pairs_similarity",
     "VectorizedSimJoin",
-    "TokenBlocker",
-    "QGramBlocker",
-    "AttributeBlocker",
     "LikelihoodEstimator",
     "SimJoinLikelihood",
 ]

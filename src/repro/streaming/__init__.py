@@ -44,8 +44,8 @@ Session lifecycle::
 
 Dirty-component semantics: a component is dirty for a batch if it gained a
 record or a candidate pair (including via merges); only dirty components
-have HITs regenerated and (depending on ``recrowd_policy``) votes
-re-collected, and with component-scoped aggregation every clean component's
+have HITs regenerated and votes collected for their never-voted pairs, and
+with component-scoped aggregation every clean component's
 posteriors are preserved bit-for-bit across the batch.
 """
 

@@ -64,7 +64,7 @@ import logging
 import os
 import time
 import zlib
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from hashlib import sha256
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -84,11 +84,26 @@ ARCHIVE_DIRNAME = "archive"
 FORMAT_VERSION = 1
 
 #: Fields a stored configuration (the log's ``session`` event or store
-#: meta) written by an earlier release may still carry.  The knobs are gone
-#: — one selected a fork-per-batch join pool, one moved the store out of
-#: its directory, one rotated a JSONL journal that no longer exists — so
-#: restore drops them instead of failing on an unknown field.
-RETIRED_CONFIG_FIELDS = ("join_pool", "storage_path", "journal_segment_events")
+#: meta) written by an earlier release may still carry, each mapped to the
+#: one stored value that still replays (``None``: any value).  The knobs
+#: are gone — one selected a fork-per-batch join pool, one moved the store
+#: out of its directory, one rotated a JSONL journal that no longer exists,
+#: two switched the process's observability on from a session, and three
+#: were result-bearing knobs no caller set (bounded-staleness aggregation,
+#: re-crowding voted pairs, the two-tiered generator's packing solver) —
+#: so restore drops them instead of failing on an unknown field.  A
+#: result-bearing one stored at any other value than its old default
+#: cannot replay bit-identically, and restore refuses it.
+RETIRED_CONFIG_FIELDS = {
+    "join_pool": None,
+    "storage_path": None,
+    "journal_segment_events": None,
+    "metrics_enabled": None,
+    "trace_path": None,
+    "staleness_epsilon": 0,
+    "recrowd_policy": "never",
+    "packing_method": "column-generation",
+}
 
 #: ``join_backend`` values an earlier release accepted for batch engines
 #: that are now all the one kernel.  The field is operational and a session
@@ -558,6 +573,9 @@ class Durability:
 
 
 # ----------------------------------------------------------------- restore
+_DELTA_FIELDS = frozenset(spec.name for spec in fields(StreamingDelta))
+
+
 def _page_in(session, source: SqliteStore) -> None:
     """Rebuild the session's live structures from a store's contents.
 
@@ -602,7 +620,13 @@ def _page_in(session, source: SqliteStore) -> None:
         "assignment_seconds": source.load_assignment_seconds(),
     })
     session._batch_index = int(counters.get("batch_index", 0))
-    session._last_delta = StreamingDelta(**counters.get("last_delta", {}))
+    # A counter an earlier release stored (bounded staleness's, always 0
+    # at its default) is dropped; commit rows' deltas are never read back.
+    session._last_delta = StreamingDelta(**{
+        name: value
+        for name, value in counters.get("last_delta", {}).items()
+        if name in _DELTA_FIELDS
+    })
     session._last_fresh_votes = {}
     session.durability.events_applied = int(source.get_meta("events_applied", 0))
     if obs.enabled():
@@ -716,6 +740,7 @@ def restore(
             header = events[0].payload
         else:
             raise PersistenceError(f"{store_path} holds no session")
+        _refuse_retired_result_knobs(header["config"], store_path)
         rejoin = config is not None and result_config_changed(config, header["config"])
         if config is None or rejoin:
             stored = {
@@ -758,6 +783,17 @@ def restore(
     if rejoin:
         return _rejoin(cls, session, directory, config, crowd)
     return session
+
+
+def _refuse_retired_result_knobs(stored: Dict[str, object], store_path: Path) -> None:
+    """Refuse a stored header whose retired result-bearing knob was in use."""
+    for name, replays in RETIRED_CONFIG_FIELDS.items():
+        if replays is not None and stored.get(name, replays) != replays:
+            raise PersistenceError(
+                f"{store_path} was written with {name}={stored[name]!r}, a knob "
+                f"this release no longer has (only {replays!r} replays); the "
+                "session cannot resume bit-identically"
+            )
 
 
 def _rejoin(cls, old, directory: Path, config: WorkflowConfig, crowd):

@@ -11,12 +11,12 @@ incrementally instead of recomputing it from scratch:
    :class:`~repro.graph.union_find.IncrementalUnionFind`; components touched
    by a new record or pair become *dirty*, all others stay *clean*.
 3. **HIT regeneration and crowdsourcing** — only dirty components get new
-   HITs, over exactly the pairs that need votes under ``recrowd_policy``;
-   clean components (and, under ``"never"``, already-voted dirty pairs)
-   keep the HITs and votes they already paid for.  The session hands those
-   pairs to its :class:`~repro.streaming.crowd_driver.CrowdDriver` (HIT
-   generation, publish and — in async crowd mode — everything in flight)
-   and folds the pairs the driver reports completed into the vote ledger.
+   HITs, over exactly the pairs that have never been voted on; clean
+   components and already-voted dirty pairs keep the HITs and votes they
+   already paid for.  The session hands those pairs to its
+   :class:`~repro.streaming.crowd_driver.CrowdDriver` (HIT generation,
+   publish and — in async crowd mode — everything in flight) and folds the
+   pairs the driver reports completed into the vote ledger.
 4. **Aggregation** — an
    :class:`~repro.streaming.aggregation_schedule.AggregationSchedule`
    re-aggregates what changed under ``streaming_aggregation_scope``: only
@@ -52,12 +52,12 @@ deltas equals the full-store join; because per-pair votes are a pure
 function of the pair key, vote sets agree with a one-shot
 :class:`~repro.core.workflow.HybridWorkflow` run in ``vote_mode="per-pair"``;
 and because ranking is shared (:mod:`repro.core.ranking`), the final match
-set is *identical* to batch resolution for any arrival order under
-``recrowd_policy="never"`` (with majority aggregation in any scope, or
-Dawid-Skene in ``"global"`` scope).  The property tests in
-``tests/test_streaming.py`` assert this across randomized arrival orders,
-and ``tests/test_persistence.py`` asserts the crash-recovery property
-across randomized event schedules and crash points.
+set is *identical* to batch resolution for any arrival order (with
+majority aggregation in any scope, or Dawid-Skene in ``"global"`` scope).
+The property tests in ``tests/test_streaming.py`` assert this across
+randomized arrival orders, and ``tests/test_persistence.py`` asserts the
+crash-recovery property across randomized event schedules and crash
+points.
 """
 
 from __future__ import annotations
@@ -100,7 +100,6 @@ DELTA_COUNTER_FIELDS = (
     "regenerated_hits",
     "crowdsourced_pairs",
     "reused_vote_pairs",
-    "stale_skipped_components",
     "invalidated_pairs",
     "retracted_records",
 )
@@ -118,16 +117,17 @@ class StreamingResolver:
     ----------
     config:
         Workflow configuration.  The streaming-specific knobs are
-        ``recrowd_policy``, ``streaming_aggregation_scope``,
-        ``staleness_epsilon`` and ``stream_batch_size``; ``join_workers``
-        counts the threads the incremental machine pass scores an append's
-        row blocks on (``join_backend`` only applies to the batch join — a
-        session always joins through the kernel);
+        ``streaming_aggregation_scope`` and ``stream_batch_size``;
+        ``join_workers`` counts the threads the incremental machine pass
+        scores an append's row blocks on (``join_backend`` only applies to
+        the batch join — a session always joins through the kernel);
         ``checkpoint_dir`` / ``checkpoint_every_batches`` /
         ``storage_backend`` make the session durable (one SQLite file: its
         state and its write-ahead log — :mod:`repro.streaming.persistence`);
         ``vote_mode`` is forced to ``"per-pair"``
         (the sequential mode cannot preserve votes across batches).
+        Observability is not configured here: the process switches it on
+        (:func:`repro.obs.activate`).
     cross_sources:
         Restrict candidates to cross-source pairs (record linkage).
     platform:
@@ -153,7 +153,6 @@ class StreamingResolver:
     ) -> None:
         self.config = config or WorkflowConfig()
         self.cross_sources = cross_sources
-        obs.activate_if_configured(self.config)
         # The crowd side: platform(s), HIT generation and publish, whatever
         # is in flight, and the accumulated workload counters.
         self.driver = CrowdDriver(
@@ -185,9 +184,7 @@ class StreamingResolver:
         self._truth: Set[PairKey] = set()
         self._truth_partners: Dict[str, List[str]] = {}
         self._arrived_truth = 0
-        self._aggregation = AggregationSchedule(
-            self.config, self.storage.ledger, self.components
-        )
+        self._aggregation = AggregationSchedule(self.config, self.storage.ledger)
         self._batch_index = 0
         self._last_delta = StreamingDelta()
         # Fresh votes folded in by the most recent applied event (what an
@@ -293,12 +290,10 @@ class StreamingResolver:
         vote ledger, the posterior cache and the HIT coverage — its rows
         are tombstoned out of the columnar index, and the component it
         lived in is re-formed from the surviving edges.  Only the resulting
-        dirty components are re-aggregated (bypassing the staleness filter:
-        after a retraction the cached posteriors of the touched region are
-        wrong, not merely stale); every clean component is untouched, which
-        the returned ``delta`` reports (``retracted_records``,
-        ``invalidated_pairs``, ``dirty_components`` vs
-        ``clean_components``).
+        dirty components are re-aggregated; every clean component is
+        untouched, which the returned ``delta`` reports
+        (``retracted_records``, ``invalidated_pairs``, ``dirty_components``
+        vs ``clean_components``).
 
         Retraction never publishes HITs — surviving pairs keep the votes
         they already paid for.  Raises
@@ -315,8 +310,8 @@ class StreamingResolver:
         as a one-record batch (one event, not two): the
         old version's provenance-reachable pairs are invalidated, the new
         version is joined against the resident store, and the touched
-        components are re-crowdsourced/re-aggregated under the configured
-        re-crowd policy.  The returned delta carries both sides —
+        components are re-crowdsourced (their never-voted pairs) and
+        re-aggregated.  The returned delta carries both sides —
         ``retracted_records`` / ``invalidated_pairs`` from the retraction
         and the regular arrival counters from the re-ingest.
         """
@@ -328,10 +323,9 @@ class StreamingResolver:
         """Settle the session: no vote in flight, no posterior behind its votes.
 
         An asynchronous crowd is waited out (shed publishes included), and
-        every component bounded-staleness aggregation
-        (``config.staleness_epsilon``) deferred is re-aggregated in full.
-        A no-op when nothing is outstanding — e.g. a synchronous crowd with
-        the default epsilon of 0.  Returns the settled snapshot.
+        every pair whose late votes its posterior has not seen is
+        re-aggregated.  A no-op when nothing is outstanding — e.g. a
+        synchronous crowd.  Returns the settled snapshot.
         """
         return self.durability.run(self, "flush")
 
@@ -466,15 +460,12 @@ class StreamingResolver:
 
                 dirty_pairs = self._dirty_region(delta)
 
-            # Stage 3: ask the crowd about the dirty pairs that need votes.
-            # Under recrowd_policy "never" those are the pairs no round has
-            # completed for (voted pairs keep their ledger entry and cost
-            # nothing more); "dirty" re-asks every dirty pair, fresh round.
+            # Stage 3: ask the crowd about the dirty pairs that need votes:
+            # those no round has completed for (voted pairs keep their ledger
+            # entry and cost nothing more).
             if dirty_pairs or self.driver.starved:
                 with obs.span("streaming.batch.crowd", pairs=len(dirty_pairs)):
-                    to_vote = dirty_pairs
-                    if self.config.recrowd_policy == "never":
-                        to_vote = dirty_pairs - self._vote_rounds.keys()
+                    to_vote = dirty_pairs - self._vote_rounds.keys()
                     delta.reused_vote_pairs = len(
                         (dirty_pairs - to_vote) & self._ledger.votes.keys()
                     )
@@ -528,9 +519,8 @@ class StreamingResolver:
             dirty_pairs = self._dirty_region(delta)
 
             # No crowdsourcing: retraction only removes evidence.  Re-aggregate
-            # the dirty region unconditionally — its cached posteriors are
-            # invalid, not merely stale, so the epsilon filter must not apply.
-            self._aggregation.aggregate(dirty_pairs, delta, force=True)
+            # the dirty region — its cached posteriors are invalid.
+            self._aggregation.aggregate(dirty_pairs, delta)
 
             self.components.clear_dirty()
         self._last_delta = delta
@@ -707,8 +697,8 @@ def resolve_stream(
     record ids) in chunks of ``batch_size`` (default:
     ``config.stream_batch_size``); the full ground truth is registered up
     front so the simulated crowd can answer.  Returns the final snapshot —
-    under ``recrowd_policy="never"`` its match set equals a one-shot
-    ``HybridWorkflow(config).resolve(dataset)`` with per-pair votes.
+    its match set equals a one-shot ``HybridWorkflow(config).resolve(dataset)``
+    with per-pair votes.
     """
     config = config or WorkflowConfig()
     size = batch_size or config.stream_batch_size

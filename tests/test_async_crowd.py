@@ -329,17 +329,15 @@ class TestWorkerEligibilityCache:
 
 # -------------------------------------------------------- session equivalence
 class TestSessionEquivalence:
-    @pytest.mark.parametrize("recrowd_policy", ("never", "dirty"))
     @pytest.mark.parametrize("scope", ("component", "global"))
     @pytest.mark.parametrize("aggregation", ("majority", "dawid-skene"))
-    def test_no_fault_async_equals_sync(self, aggregation, scope, recrowd_policy):
+    def test_no_fault_async_equals_sync(self, aggregation, scope):
         """Fault-free, every vote lands in the event that published it, so an
         async session holds the sync session's digest after *every* event —
         the fact that lets one crowd driver serve both modes."""
         dataset = make_dataset()
         records = list(dataset.store)
-        kwargs = dict(aggregation=aggregation, streaming_aggregation_scope=scope,
-                      recrowd_policy=recrowd_policy)
+        kwargs = dict(aggregation=aggregation, streaming_aggregation_scope=scope)
         for batch_size in (7, 20, 45):
             sync = StreamingResolver(config=make_config(**kwargs))
             async_session = StreamingResolver(config=make_config(crowd_mode="async", **kwargs))

@@ -110,16 +110,17 @@ class TestCommands:
 
     def test_parses_resolve_stream_options(self):
         args = build_parser().parse_args(
-            ["resolve-stream", "--batch-size", "32", "--recrowd-policy", "dirty",
-             "--aggregation-scope", "global"]
+            ["resolve-stream", "--batch-size", "32", "--aggregation-scope", "global"]
         )
         assert args.batch_size == 32
-        assert args.recrowd_policy == "dirty"
         assert args.aggregation_scope == "global"
         assert args.checkpoint_dir is None
         assert args.resume is False
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["resolve-stream", "--recrowd-policy", "sometimes"])
+            build_parser().parse_args(["resolve-stream", "--aggregation-scope", "galaxy"])
+        for retired in ("--recrowd-policy", "--staleness-epsilon"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["resolve-stream", retired, "0"])
 
     def test_parses_checkpoint_options(self):
         args = build_parser().parse_args(

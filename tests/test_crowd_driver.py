@@ -86,13 +86,37 @@ def test_stored_crowd_state_is_the_parent_commits(tmp_path, mode, backend):
         assert json.loads(written[key]) == json.loads(expected[key])
         assert written[key] == expected[key]  # byte for byte, key order included
 
-    restored = StreamingResolver.restore(str(tmp_path), verify=True)
+    restores_and_finishes(tmp_path, rest, expected)
+
+
+def restores_and_finishes(directory, rest, expected):
+    restored = StreamingResolver.restore(str(directory), verify=True)
     assert restored.state_digest() == expected["stopped_digest"]
     restored.add_batch(rest)
     restored.flush()
     assert restored.state_digest() == expected["final_digest"]
     assert not restored.driver.inflight and not restored.driver.starved
     restored.durability.close()
+
+
+@pytest.mark.parametrize("backend", ("memory", "sqlite"))
+@pytest.mark.parametrize("mode", sorted(MODES))
+def test_stored_crowd_state_with_the_parent_commits_delta_key_restores(tmp_path, mode, backend):
+    """A store written before bounded staleness was retired holds its counter
+    in ``last_delta``; restore drops it and lands on the same digests."""
+    expected = FIXTURE[mode]
+    resolver, rest = run_prefix(mode, backend, tmp_path)
+    resolver.durability.close()
+    parent_text = expected["session"].replace(
+        '"retracted_records"', '"stale_skipped_components": 0, "retracted_records"'
+    )
+    assert parent_text != expected["session"]
+    connection = sqlite3.connect(str(Path(tmp_path) / STORE_FILENAME))
+    with connection:
+        connection.execute("UPDATE meta SET value = ? WHERE key = 'session'", (parent_text,))
+    connection.close()
+    assert stored_meta(tmp_path)["session"] == parent_text
+    restores_and_finishes(tmp_path, rest, expected)
 
 
 @settings(max_examples=8, deadline=None, suppress_health_check=[HealthCheck.too_slow])

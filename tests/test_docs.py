@@ -121,6 +121,27 @@ class TestKnobCoverage:
         ]
         assert not missing, f"operations.md does not document: {missing}"
 
+    def test_every_knob_row_is_a_workflow_config_field_with_a_real_caller(self):
+        """The reverse check: a row left behind by a deleted knob fails."""
+        from repro.core.config import WorkflowConfig
+
+        fields = {field.name for field in dataclasses.fields(WorkflowConfig)}
+        rows = []
+        header = None
+        for line in (DOCS_DIR / "operations.md").read_text(encoding="utf-8").splitlines():
+            if not line.startswith("|"):
+                header = None
+                continue
+            cells = [cell.strip() for cell in line.strip("|").split("|")]
+            if header is None:
+                header = cells
+            elif header[0] == "Knob" and not set(cells[0]) <= {"-", " "}:
+                rows.append(dict(zip(header, cells)))
+        names = [name for row in rows for name in re.findall(r"`([^`]+)`", row["Knob"])]
+        assert sorted(names) == sorted(fields)
+        for row in rows:
+            assert row["Set by"] and "tests only" not in row["Set by"], row["Knob"]
+
     def test_streaming_public_api_is_documented(self):
         import repro.streaming as streaming
 

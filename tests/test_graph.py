@@ -4,7 +4,6 @@ import pytest
 
 from repro.graph.components import connected_components, split_components_by_size
 from repro.graph.graph import Graph
-from repro.graph.traversal import bfs_order, dfs_order
 from repro.records.pairs import PairSet, RecordPair
 
 
@@ -108,32 +107,3 @@ class TestComponents:
         with pytest.raises(ValueError):
             split_components_by_size(Graph(), cluster_size=1)
 
-
-class TestTraversal:
-    def test_bfs_order_visits_all_vertices_once(self):
-        graph = build_example_graph()
-        order = bfs_order(graph)
-        assert sorted(order) == sorted(graph.vertices())
-        assert len(order) == len(set(order))
-
-    def test_dfs_order_visits_all_vertices_once(self):
-        graph = build_example_graph()
-        order = dfs_order(graph)
-        assert sorted(order) == sorted(graph.vertices())
-
-    def test_bfs_start_vertex(self):
-        graph = build_example_graph()
-        assert bfs_order(graph, start="r4")[0] == "r4"
-        with pytest.raises(KeyError):
-            bfs_order(graph, start="nope")
-
-    def test_dfs_goes_deep_first(self):
-        graph = Graph.from_edges([("a", "b"), ("b", "c"), ("a", "d")])
-        order = dfs_order(graph, start="a")
-        # DFS explores b's subtree (c) before returning to d.
-        assert order.index("c") < order.index("d")
-
-    def test_bfs_goes_wide_first(self):
-        graph = Graph.from_edges([("a", "b"), ("b", "c"), ("a", "d")])
-        order = bfs_order(graph, start="a")
-        assert order.index("d") < order.index("c")

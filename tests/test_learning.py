@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.learning.classifier_er import LearningBasedER
-from repro.learning.logistic import LogisticRegression
 from repro.learning.svm import LinearSVM
 from repro.learning.training import TrainingSet, build_training_set, sample_training_pairs
 from repro.similarity.feature_vectors import FeatureExtractor
@@ -56,28 +55,6 @@ class TestLinearSVM:
             LinearSVM(regularization=0)
         with pytest.raises(ValueError):
             LinearSVM(iterations=0)
-
-
-class TestLogisticRegression:
-    def test_fits_linearly_separable_data(self):
-        features, labels = linearly_separable(seed=3)
-        model = LogisticRegression(iterations=500).fit(features, labels)
-        accuracy = float(np.mean(model.predict(features) == labels))
-        assert accuracy > 0.95
-
-    def test_probabilities_in_unit_interval(self):
-        features, labels = linearly_separable(seed=4)
-        model = LogisticRegression(iterations=200).fit(features, labels)
-        probabilities = model.predict_proba(features)
-        assert np.all((probabilities > 0) & (probabilities < 1))
-
-    def test_single_class_rejected(self):
-        with pytest.raises(ValueError):
-            LogisticRegression().fit(np.zeros((5, 2)), np.zeros(5))
-
-    def test_unfitted_rejected(self):
-        with pytest.raises(RuntimeError):
-            LogisticRegression().predict_proba(np.zeros((1, 2)))
 
 
 class TestTrainingSet:

@@ -287,10 +287,7 @@ def _run_stream(dataset, tmp_path, backend, instrumented, tag):
             storage_backend="sqlite", checkpoint_dir=str(tmp_path / tag)
         )
     if instrumented:
-        config_kwargs.update(
-            metrics_enabled=True,
-            trace_path=str(tmp_path / f"{tag}.jsonl"),
-        )
+        obs.activate(trace_path=str(tmp_path / f"{tag}.jsonl"))
     config = WorkflowConfig(**config_kwargs)
     resolver = StreamingResolver(config=config, cross_sources=dataset.cross_sources)
     resolver.add_truth(dataset.ground_truth)
@@ -300,7 +297,7 @@ def _run_stream(dataset, tmp_path, backend, instrumented, tag):
         result = resolver.add_batch(records[start : start + 20])
     # The whole session state, as materialised by save(): every table of the
     # store minus the observational meta (the config necessarily differs in
-    # the observability knobs themselves and the session's directory).
+    # the session's directory).
     state = _dump_sqlite(resolver.save(tmp_path / f"{tag}-saved"))
     resolver.storage.close()
     obs.deactivate()
@@ -308,7 +305,7 @@ def _run_stream(dataset, tmp_path, backend, instrumented, tag):
 
 
 #: Config fields allowed to differ between the instrumented and plain runs.
-_OBS_CONFIG_KEYS = ("metrics_enabled", "trace_path", "checkpoint_dir")
+_OBS_CONFIG_KEYS = ("checkpoint_dir",)
 
 
 def _comparable_config(payload):
@@ -382,10 +379,9 @@ def test_stats_hit_count_matches_session_exactly(tmp_path):
         stream_batch_size=20,
         storage_backend="sqlite",
         checkpoint_dir=str(tmp_path),
-        metrics_enabled=True,
-        trace_path=str(tmp_path / "trace.jsonl"),
         seed=7,
     )
+    obs.activate(trace_path=str(tmp_path / "trace.jsonl"))
     resolver = StreamingResolver(config=config, cross_sources=dataset.cross_sources)
     resolver.add_truth(dataset.ground_truth)
     records = list(dataset.store)
@@ -474,8 +470,9 @@ def test_simulator_time_is_not_booked_as_machine_time(tmp_path):
     # A live sync session: the simulator ran, inside the root spans.
     dataset = make_dataset()
     obs.deactivate()
+    obs.activate()
     resolver = StreamingResolver(config=WorkflowConfig(
-        likelihood_threshold=0.35, vote_mode="per-pair", metrics_enabled=True, seed=7,
+        likelihood_threshold=0.35, vote_mode="per-pair", seed=7,
     ), cross_sources=dataset.cross_sources)
     resolver.add_truth(dataset.ground_truth)
     resolver.add_batch(list(dataset.store))

@@ -29,6 +29,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import repro
+from repro import obs
 from repro.core.config import (
     OPERATIONAL_CONFIG_FIELDS,
     RESULT_CONFIG_FIELDS,
@@ -373,17 +374,18 @@ class TestBackendFlip:
 class TestStructure:
     def test_result_and_operational_fields_partition_the_config(self):
         names = [spec.name for spec in dataclasses.fields(WorkflowConfig)]
-        assert len(names) == 31
-        assert len(OPERATIONAL_CONFIG_FIELDS) == 9
+        assert len(names) == 26
+        assert len(OPERATIONAL_CONFIG_FIELDS) == 7
+        assert len(RESULT_CONFIG_FIELDS) == 19
         assert set(OPERATIONAL_CONFIG_FIELDS) | set(RESULT_CONFIG_FIELDS) == set(names)
         assert not set(OPERATIONAL_CONFIG_FIELDS) & set(RESULT_CONFIG_FIELDS)
         # The hand-maintained tuple this definition replaced, name for name.
         assert sorted(RESULT_CONFIG_FIELDS) == sorted((
             "likelihood_threshold", "similarity_attributes", "hit_type",
-            "cluster_size", "pairs_per_hit", "cluster_generator", "packing_method",
+            "cluster_size", "pairs_per_hit", "cluster_generator",
             "assignments_per_hit", "use_qualification_test", "aggregation",
-            "decision_threshold", "recrowd_policy", "streaming_aggregation_scope",
-            "staleness_epsilon", "crowd_mode", "vote_timeout", "max_inflight_hits",
+            "decision_threshold", "streaming_aggregation_scope",
+            "crowd_mode", "vote_timeout", "max_inflight_hits",
             "backpressure_policy", "crowd_max_retries", "crowd_backoff_ticks",
             "fault_plan", "seed",
         ))
@@ -551,22 +553,47 @@ class TestSaveRestore:
     def test_session_written_with_retired_knobs_restores(
         self, tmp_path, monkeypatch, durability
     ):
-        """A checkpoint of an earlier release still carries ``join_pool``,
-        ``storage_path`` and ``journal_segment_events`` in its stored config
-        (store ``config`` meta / the log's ``session`` event); restore drops
-        them."""
+        """A checkpoint of an earlier release still carries retired knobs in
+        its stored config (store ``config`` meta / the log's ``session``
+        event); restore drops them — the result-bearing ones at their old
+        defaults, and the observability pair at any value, without switching
+        observability on."""
         legacy = {
             "join_pool": "fork",
             "storage_path": str(tmp_path / "elsewhere.sqlite"),
             "journal_segment_events": 512,
+            "metrics_enabled": True,
+            "trace_path": str(tmp_path / "trace.jsonl"),
+            "staleness_epsilon": 0,
+            "recrowd_policy": "never",
+            "packing_method": "column-generation",
         }
         assert set(legacy) == set(persistence.RETIRED_CONFIG_FIELDS)
+        obs.deactivate()
         resolver, stored = self._written_by_an_earlier_release(
             tmp_path, monkeypatch, durability, legacy
         )
         assert {name: stored[name] for name in legacy} == legacy
         restored = StreamingResolver.restore(tmp_path, resume_journal=False)
         assert_sessions_identical(resolver, restored)
+        assert not obs.enabled()
+        assert not (tmp_path / "trace.jsonl").exists()
+
+    @pytest.mark.parametrize("durability", ("snapshot", "journal"))
+    @pytest.mark.parametrize("name, value", (
+        ("staleness_epsilon", 8),
+        ("recrowd_policy", "dirty"),
+        ("packing_method", "ffd"),
+    ))
+    def test_a_retired_result_knob_in_use_refuses_to_restore(
+        self, tmp_path, monkeypatch, durability, name, value
+    ):
+        """Such a session cannot replay bit-identically: restore names the
+        knob and its value before paging anything in."""
+        self._written_by_an_earlier_release(tmp_path, monkeypatch, durability, {name: value})
+        monkeypatch.setattr(persistence, "_page_in", lambda *_: pytest.fail("paged in"))
+        with pytest.raises(PersistenceError, match=f"{name}={value!r}"):
+            StreamingResolver.restore(tmp_path, resume_journal=False)
 
     @pytest.mark.parametrize("durability", ("snapshot", "journal"))
     @pytest.mark.parametrize("retired", persistence.RETIRED_JOIN_BACKENDS)

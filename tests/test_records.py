@@ -5,13 +5,7 @@ import pytest
 from repro.records.pairs import PairSet, RecordPair, canonical_pair
 from repro.records.preprocessing import normalize_record, normalize_text, strip_price_symbols
 from repro.records.record import Record, RecordError, RecordStore
-from repro.records.tokenize import (
-    QGramTokenizer,
-    WhitespaceTokenizer,
-    WordTokenizer,
-    record_token_list,
-    record_token_set,
-)
+from repro.records.tokenize import WhitespaceTokenizer, record_token_list, record_token_set
 
 
 # ---------------------------------------------------------------- Record
@@ -145,29 +139,6 @@ class TestTokenizers:
 
     def test_whitespace_tokenizer_empty(self):
         assert WhitespaceTokenizer().tokenize("") == []
-
-    def test_word_tokenizer_filters_stop_words_and_short_tokens(self):
-        tokenizer = WordTokenizer(stop_words=["the"], min_length=2)
-        assert tokenizer.tokenize("the a cafe") == ["cafe"]
-
-    def test_word_tokenizer_rejects_bad_min_length(self):
-        with pytest.raises(ValueError):
-            WordTokenizer(min_length=0)
-
-    def test_qgram_tokenizer_padded(self):
-        tokenizer = QGramTokenizer(q=2, pad=True, pad_char="#")
-        grams = tokenizer.tokenize("ab")
-        assert grams == ["#a", "ab", "b#"]
-
-    def test_qgram_tokenizer_unpadded_short_text(self):
-        tokenizer = QGramTokenizer(q=5, pad=False)
-        assert tokenizer.tokenize("ab") == ["ab"]
-
-    def test_qgram_rejects_invalid_params(self):
-        with pytest.raises(ValueError):
-            QGramTokenizer(q=0)
-        with pytest.raises(ValueError):
-            QGramTokenizer(pad_char="##")
 
     def test_record_token_set_pools_attributes(self):
         record = Record("r1", {"name": "iPad Two", "price": "$490"})

@@ -35,7 +35,7 @@ from repro.datasets.restaurant import RestaurantGenerator
 from repro.service import ResolutionService, ServiceClient, ServiceClientError
 from repro.service.sessions import encode_event, encode_result
 from repro.service.shards import ShardExecutor
-from repro.streaming import StreamingResolver
+from repro.streaming import StreamingResolver, persistence
 from repro.streaming.persistence import encode_record
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -342,6 +342,83 @@ class TestHttpSurface:
         assert caught.value.status == 400
         assert caught.value.code == "bad_request"
         assert "'auto', 'naive'" in caught.value.body["error"]["message"]
+
+    def test_a_session_config_naming_a_trace_path_is_400_and_touches_no_file(
+        self, service, tmp_path
+    ):
+        """Observability belongs to the process: a client must not be able to
+        make the server open (and truncate) a path of its choosing."""
+        _runner, client = service
+        victim = tmp_path / "victim.txt"
+        victim.write_text("precious bytes\n")
+        session_id = fresh_id("trace")
+        with pytest.raises(ServiceClientError) as caught:
+            client.create_session(session_id, config={"trace_path": str(victim)})
+        assert caught.value.status == 400
+        assert caught.value.code == "bad_request"
+        assert "trace_path" in caught.value.body["error"]["message"]
+        assert victim.read_bytes() == b"precious bytes\n"
+        assert client.request("GET", f"/sessions/{session_id}")[0] == 404
+
+    def test_a_session_config_cannot_switch_metrics_on(self, service):
+        _runner, client = service
+        with pytest.raises(ServiceClientError) as caught:
+            client.create_session(fresh_id("metrics"), config={"metrics_enabled": True})
+        assert caught.value.status == 400
+        assert caught.value.code == "bad_request"
+        assert "metrics_enabled" in caught.value.body["error"]["message"]
+        status, _headers, body = client.request("GET", "/metrics")
+        assert status == 503
+        assert body["error"]["code"] == "metrics_disabled"
+
+    def test_an_unknown_cluster_generator_is_400_at_create(self, service):
+        """Not a 201 whose first append fails after ingesting its records."""
+        _runner, client = service
+        session_id = fresh_id("gen")
+        with pytest.raises(ServiceClientError) as caught:
+            client.create_session(
+                session_id, config={**SERVICE_CONFIG, "cluster_generator": "nope"}
+            )
+        assert caught.value.status == 400
+        assert caught.value.code == "bad_request"
+        assert "two-tiered" in caught.value.body["error"]["message"]
+        assert client.request("GET", f"/sessions/{session_id}")[0] == 404
+
+    def test_a_string_similarity_attributes_is_400_at_create(self, service):
+        """JSON ``"name"`` is not ``["name"]``: read per character it would
+        give every record an empty token set and make every pair a candidate."""
+        _runner, client = service
+        with pytest.raises(ServiceClientError) as caught:
+            client.create_session(
+                fresh_id("attrs"), config={**SERVICE_CONFIG, "similarity_attributes": "name"}
+            )
+        assert caught.value.status == 400
+        assert caught.value.code == "bad_request"
+        assert "similarity_attributes" in caught.value.body["error"]["message"]
+        session_id = fresh_id("attrs")
+        client.create_session(
+            session_id, config={**SERVICE_CONFIG, "similarity_attributes": ["name"]}
+        )
+        client.close(session_id)
+
+    def test_restoring_a_session_stored_with_a_retired_knob_in_use_is_409(
+        self, service, tmp_path, monkeypatch
+    ):
+        _runner, client = service
+        config_payload = persistence.config_payload
+        with monkeypatch.context() as patched:
+            patched.setattr(
+                persistence, "config_payload",
+                lambda config: {**config_payload(config), "recrowd_policy": "dirty"},
+            )
+            resolver = StreamingResolver(config=make_config(checkpoint_dir=str(tmp_path)))
+            resolver.add_batch(list(make_dataset(seed=3).store)[:10])
+            resolver.durability.close()
+        with pytest.raises(ServiceClientError) as caught:
+            client.restore(fresh_id("retired"), str(tmp_path))
+        assert caught.value.status == 409
+        assert caught.value.code == "resume_conflict"
+        assert "recrowd_policy='dirty'" in caught.value.body["error"]["message"]
 
     def test_record_without_id_is_400(self, service):
         _runner, client = service

@@ -1,4 +1,4 @@
-"""Unit tests for similarity functions, TF-IDF and feature extraction."""
+"""Unit tests for similarity functions and feature extraction."""
 
 import math
 
@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.records.record import Record, RecordStore
-from repro.similarity.cosine import TfidfVectorizer, cosine_tfidf_similarity, sparse_dot
 from repro.similarity.edit_distance import (
     jaro_similarity,
     jaro_winkler_similarity,
@@ -91,33 +90,6 @@ class TestEditDistances:
         assert boosted > plain
         with pytest.raises(ValueError):
             jaro_winkler_similarity("a", "b", prefix_weight=0.5)
-
-
-class TestTfidf:
-    def test_fit_transform_and_cosine(self):
-        corpus = [["apple", "ipod"], ["apple", "ipad"], ["sony", "walkman"]]
-        vectorizer = TfidfVectorizer().fit(corpus)
-        assert vectorizer.is_fitted
-        similarity = cosine_tfidf_similarity(["apple", "ipod"], ["apple", "ipod"], vectorizer)
-        assert similarity == pytest.approx(1.0)
-        cross = cosine_tfidf_similarity(["apple", "ipod"], ["sony", "walkman"], vectorizer)
-        assert cross == 0.0
-
-    def test_common_token_weighs_less_than_rare_token(self):
-        corpus = [["apple", "x1"], ["apple", "x2"], ["apple", "x3"], ["apple", "rare"]]
-        vectorizer = TfidfVectorizer().fit(corpus)
-        assert vectorizer.idf("apple") < vectorizer.idf("rare")
-
-    def test_unfitted_raises(self):
-        with pytest.raises(RuntimeError):
-            TfidfVectorizer().transform(["a"])
-
-    def test_sparse_dot(self):
-        assert sparse_dot({"a": 0.5, "b": 0.5}, {"a": 1.0}) == pytest.approx(0.5)
-
-    def test_empty_document_vector(self):
-        vectorizer = TfidfVectorizer().fit([["a"]])
-        assert vectorizer.transform([]) == {}
 
 
 class TestRecordSimilarity:

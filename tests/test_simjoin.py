@@ -1,11 +1,9 @@
-"""Unit tests for the machine pass: joins, blocking and likelihood estimation."""
+"""Unit tests for the machine pass: joins and likelihood estimation."""
 
 import pytest
 
-from repro.records.record import Record, RecordStore
 from repro.similarity.record_similarity import JaccardRecordSimilarity
 from repro.simjoin.allpairs import all_pairs_similarity
-from repro.simjoin.blocking import AttributeBlocker, QGramBlocker, TokenBlocker
 from repro.simjoin.likelihood import CustomLikelihood, SimJoinLikelihood
 
 
@@ -35,47 +33,6 @@ class TestAllPairs:
         abt = len(small_product.store.records_from_source("abt"))
         buy = len(small_product.store.records_from_source("buy"))
         assert len(pairs) == abt * buy
-
-
-class TestBlocking:
-    def _store(self):
-        store = RecordStore()
-        store.add(Record("r1", {"name": "apple ipod touch", "city": "nyc"}))
-        store.add(Record("r2", {"name": "apple ipod nano", "city": "nyc"}))
-        store.add(Record("r3", {"name": "sony walkman", "city": "sf"}))
-        return store
-
-    def test_attribute_blocker_groups_equal_values(self):
-        store = self._store()
-        keys = AttributeBlocker("city").candidate_keys(store)
-        assert keys == {("r1", "r2")}
-
-    def test_token_blocker_candidates(self):
-        store = self._store()
-        keys = TokenBlocker(attributes=["name"]).candidate_keys(store)
-        assert ("r1", "r2") in keys
-        assert ("r1", "r3") not in keys
-
-    def test_qgram_blocker_is_typo_tolerant(self):
-        store = RecordStore()
-        store.add(Record("a", {"name": "restaurant"}))
-        store.add(Record("b", {"name": "restaurnat"}))
-        keys = QGramBlocker(q=3, attributes=["name"]).candidate_keys(store)
-        assert ("a", "b") in keys
-
-    def test_blocker_candidates_scored_and_thresholded(self):
-        store = self._store()
-        pairs = TokenBlocker(attributes=["name"]).candidates(store, min_likelihood=0.5)
-        assert ("r1", "r2") in pairs
-        assert all(pair.likelihood >= 0.5 for pair in pairs)
-
-    def test_blocking_never_misses_pairs_above_threshold(self, small_restaurant):
-        """Token blocking is a superset of any positive-threshold Jaccard join."""
-        threshold = 0.4
-        naive = all_pairs_similarity(small_restaurant.store, min_likelihood=threshold)
-        blocked = TokenBlocker().candidates(small_restaurant.store, min_likelihood=threshold)
-        assert naive.to_key_set() <= blocked.to_key_set() | naive.to_key_set()
-        assert blocked.to_key_set() == naive.to_key_set()
 
 
 class TestLikelihoodEstimators:

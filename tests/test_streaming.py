@@ -239,7 +239,7 @@ class TestIncrementalBehaviour:
         assert second.delta.reused_vote_pairs == 0
         assert ("b1", "b2") in second.posteriors
 
-    def test_recrowd_policy_never_reuses_votes(self):
+    def test_voted_pairs_of_a_dirty_component_keep_their_votes(self):
         config = WorkflowConfig(likelihood_threshold=0.3, vote_mode="per-pair")
         resolver = StreamingResolver(config=config)
         base = [
@@ -255,23 +255,6 @@ class TestIncrementalBehaviour:
         assert snap.delta.reused_vote_pairs >= 1
         assert snap.delta.regenerated_hits >= 1
 
-    def test_recrowd_policy_dirty_draws_fresh_votes(self):
-        config = WorkflowConfig(
-            likelihood_threshold=0.3, vote_mode="per-pair", recrowd_policy="dirty"
-        )
-        resolver = StreamingResolver(config=config)
-        base = [
-            Record("r1", {"t": "alpha beta gamma delta"}),
-            Record("r2", {"t": "alpha beta gamma delta"}),
-        ]
-        resolver.add_batch(base)
-        votes_before = resolver.votes_for("r1", "r2")
-        resolver.add_batch([Record("r3", {"t": "alpha beta gamma epsilon"})])
-        votes_after = resolver.votes_for("r1", "r2")
-        # Fresh round: different workers were asked (round salt differs).
-        assert votes_after != votes_before
-        assert resolver._vote_rounds[("r1", "r2")] == 2
-
     def test_sequential_platform_rejected(self):
         platform = SimulatedCrowdPlatform(vote_mode="sequential")
         with pytest.raises(ValueError):
@@ -286,8 +269,6 @@ class TestIncrementalBehaviour:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            WorkflowConfig(recrowd_policy="sometimes")
-        with pytest.raises(ValueError):
             WorkflowConfig(streaming_aggregation_scope="galaxy")
         with pytest.raises(ValueError):
             WorkflowConfig(stream_batch_size=0)
@@ -296,113 +277,6 @@ class TestIncrementalBehaviour:
         dataset = make_dataset(record_count=20, duplicate_pairs=3)
         with pytest.raises(ValueError):
             resolve_stream(dataset, arrival_order=dataset.store.record_ids[:-1])
-
-
-# ------------------------------------------------- bounded-staleness (epsilon)
-class TestBoundedStalenessAggregation:
-    def _growing_component_batches(self):
-        base = [
-            Record("r1", {"t": "alpha beta gamma delta"}),
-            Record("r2", {"t": "alpha beta gamma delta"}),
-        ]
-        growth = [Record("r3", {"t": "alpha beta gamma epsilon"})]
-        return base, growth
-
-    def test_epsilon_zero_always_reaggregates(self):
-        base, growth = self._growing_component_batches()
-        config = WorkflowConfig(likelihood_threshold=0.3, vote_mode="per-pair")
-        resolver = StreamingResolver(config=config)
-        resolver.add_batch(base)
-        snap = resolver.add_batch(growth)
-        assert snap.delta.stale_skipped_components == 0
-
-    def test_large_epsilon_skips_low_gain_components(self):
-        # Under recrowd_policy="never" the second batch adds votes only for
-        # the two *new* pairs (3 votes each = 6 fresh votes in the dirty
-        # component); an epsilon above that must skip the re-aggregation
-        # and keep the cached posteriors bit-for-bit.
-        base, growth = self._growing_component_batches()
-        config = WorkflowConfig(likelihood_threshold=0.3, vote_mode="per-pair")
-        resolver = StreamingResolver(config=config)
-        first = resolver.add_batch(base)
-        posterior_before = first.posteriors[("r1", "r2")]
-        config.staleness_epsilon = 1000  # raise the bound mid-session
-        snap = resolver.add_batch(growth)
-        assert snap.delta.stale_skipped_components == 1
-        assert snap.posteriors[("r1", "r2")] == posterior_before
-        # The freshly voted pairs were *not* folded in — that's the
-        # staleness trade: votes are ledgered but the posterior is deferred.
-        assert ("r1", "r3") not in snap.posteriors
-        assert resolver.votes_for("r1", "r3")
-
-    def test_pending_votes_accumulate_until_the_bound_is_crossed(self):
-        """Deferred components re-aggregate once enough evidence piles up:
-        staleness is bounded by epsilon votes, not indefinite."""
-        base, growth = self._growing_component_batches()
-        config = WorkflowConfig(likelihood_threshold=0.3, vote_mode="per-pair")
-        resolver = StreamingResolver(config=config)
-        resolver.add_batch(base)
-        # Each new pair gains 3 votes; one new record adds 2 pairs = 6.
-        config.staleness_epsilon = 8
-        deferred = resolver.add_batch(growth)
-        assert deferred.delta.stale_skipped_components == 1
-        assert ("r1", "r3") not in deferred.posteriors
-        # Another arrival: the component's pending gain (6 + 9) crosses the
-        # bound, so everything deferred is folded in now.
-        caught_up = resolver.add_batch(
-            [Record("r4", {"t": "alpha beta gamma zeta"})]
-        )
-        assert caught_up.delta.stale_skipped_components == 0
-        assert ("r1", "r3") in caught_up.posteriors
-        assert ("r1", "r4") in caught_up.posteriors
-
-    def test_flush_settles_deferred_components(self):
-        """After flush(), an epsilon session matches the exact session."""
-        dataset = make_dataset(record_count=60, duplicate_pairs=10, seed=13)
-        exact_config = WorkflowConfig(
-            likelihood_threshold=0.35, vote_mode="per-pair", aggregation="majority"
-        )
-        exact = resolve_stream(dataset, config=exact_config, batch_size=17)
-
-        config = WorkflowConfig(
-            likelihood_threshold=0.35,
-            vote_mode="per-pair",
-            aggregation="majority",
-            staleness_epsilon=50,
-        )
-        resolver = StreamingResolver(config=config, cross_sources=dataset.cross_sources)
-        resolver.add_truth(dataset.ground_truth)
-        records = list(dataset.store)
-        for start in range(0, len(records), 17):
-            lazy = resolver.add_batch(records[start : start + 17])
-        assert lazy.posteriors != exact.posteriors  # staleness was real
-        settled = resolver.flush()
-        assert settled.posteriors == exact.posteriors
-        assert set(settled.matches) == set(exact.matches)
-        # Idempotent: nothing pending after a flush.
-        assert resolver.flush().posteriors == exact.posteriors
-
-    def test_small_epsilon_equals_exact_aggregation(self):
-        """With majority aggregation, skipping zero-gain components changes
-        nothing: epsilon=1 must reproduce the epsilon=0 session exactly."""
-        dataset = make_dataset(record_count=60, duplicate_pairs=10, seed=13)
-        results = {}
-        for epsilon in (0, 1):
-            config = WorkflowConfig(
-                likelihood_threshold=0.35,
-                vote_mode="per-pair",
-                aggregation="majority",
-                staleness_epsilon=epsilon,
-            )
-            results[epsilon] = resolve_stream(dataset, config=config, batch_size=17)
-        assert results[1].posteriors == results[0].posteriors
-        assert set(results[1].matches) == set(results[0].matches)
-
-    def test_epsilon_validation(self):
-        with pytest.raises(ValueError):
-            WorkflowConfig(staleness_epsilon=-1)
-        with pytest.raises(ValueError):
-            WorkflowConfig(join_workers=-2)
 
 
 # -------------------------------------------------------- property (random)
@@ -607,30 +481,25 @@ def test_property_snapshot_equals_the_ledger_ranked_afresh(
     restored.durability.close()
 
 
-# --------------------------------- staleness x pair-independent aggregation
+# ------------------------------------------- the pair-independent skip
 class WholeComponentMajority(MajorityAggregator):
     """Majority votes, re-run the way a pair-dependent aggregator is."""
 
     pair_independent = False
 
 
-def epsilon_counters(result):
+def reuse_counters(result):
     delta = result.delta
-    return (
-        delta.stale_skipped_components,
-        delta.preserved_posterior_pairs,
-        delta.reused_vote_pairs,
-    )
+    return (delta.preserved_posterior_pairs, delta.reused_vote_pairs)
 
 
-class TestStalenessWithAPairIndependentAggregator:
+class TestPairIndependentSkip:
     """Skipping the settled pairs changes no counter and no posterior."""
 
     GROWING = [
         [Record("r1", {"t": "alpha beta gamma delta"}),
          Record("r2", {"t": "alpha beta gamma delta"})],
         [Record("r3", {"t": "alpha beta gamma epsilon"})],
-        [Record("r4", {"t": "alpha beta gamma zeta"})],
     ]
 
     def _config(self, **overrides):
@@ -639,70 +508,44 @@ class TestStalenessWithAPairIndependentAggregator:
             "aggregation": "majority", **overrides,
         })
 
-    def test_growing_component_keeps_the_parent_commits_values(self):
-        """The epsilon scenarios above, under majority: values pinned from the
-        commit that re-aggregated whole components."""
-        resolver = StreamingResolver(config=self._config())
-        resolver.add_truth([("r1", "r2")])
-        first = resolver.add_batch(self.GROWING[0])
-        assert epsilon_counters(first) == (0, 0, 0)
-        assert first.posteriors == {("r1", "r2"): 1.0}
-        resolver.config.staleness_epsilon = 8
-        deferred = resolver.add_batch(self.GROWING[1])
-        assert epsilon_counters(deferred) == (1, 0, 1)
-        assert deferred.posteriors == {("r1", "r2"): 1.0}
-        caught_up = resolver.add_batch(self.GROWING[2])
-        assert epsilon_counters(caught_up) == (0, 0, 3)
-        assert caught_up.posteriors == {
-            ("r1", "r2"): 1.0, ("r1", "r3"): 1 / 3, ("r2", "r3"): 0.0,
-            ("r1", "r4"): 0.0, ("r2", "r4"): 1 / 3, ("r3", "r4"): 0.0,
-        }
-        assert not resolver._pending_votes
-
     def test_dirty_component_with_voted_pairs_and_no_pending_votes(self):
         """Async crowd: r3's pairs are still in flight when its component is
-        dirty, so the component's only voted pair has nothing pending — it is
-        stale-skipped, keeps its posterior, and flush settles the rest."""
+        dirty, so the component's only voted pair has nothing pending — it
+        keeps its posterior, and flush settles the rest."""
         plan = {"seed": 1, "delay_ticks_min": 2, "delay_ticks_max": 2}
-
-        def run(epsilon):
-            resolver = StreamingResolver(
-                config=self._config(crowd_mode="async", fault_plan=plan)
-            )
-            resolver.add_truth([("r1", "r2"), ("r1", "r3")])
-            resolver.add_batch(self.GROWING[0])
-            for filler in ("unrelated words here", "other things entirely"):
-                settled = resolver.add_batch([Record(filler[:5], {"t": filler})])
-            assert settled.posteriors == {("r1", "r2"): 1.0}
-            assert not resolver._pending_votes
-            resolver.config.staleness_epsilon = epsilon
-            growth = resolver.add_batch(self.GROWING[1])
-            assert growth.posteriors == {("r1", "r2"): 1.0}
-            return resolver, growth
-
-        lazy, growth = run(epsilon=5)
-        assert epsilon_counters(growth) == (1, 0, 1)
-        exact, growth = run(epsilon=0)
-        assert epsilon_counters(growth) == (0, 0, 1)
-        assert lazy.flush().posteriors == exact.flush().posteriors == {
+        resolver = StreamingResolver(
+            config=self._config(crowd_mode="async", fault_plan=plan)
+        )
+        resolver.add_truth([("r1", "r2"), ("r1", "r3")])
+        resolver.add_batch(self.GROWING[0])
+        for filler in ("unrelated words here", "other things entirely"):
+            settled = resolver.add_batch([Record(filler[:5], {"t": filler})])
+        assert settled.posteriors == {("r1", "r2"): 1.0}
+        assert not resolver._pending_votes
+        growth = resolver.add_batch(self.GROWING[1])
+        assert growth.posteriors == {("r1", "r2"): 1.0}
+        assert reuse_counters(growth) == (0, 1)
+        assert resolver.flush().posteriors == {
             ("r1", "r2"): 1.0, ("r1", "r3"): 2 / 3, ("r2", "r3"): 0.0,
         }
-        assert lazy.state_digest() == exact.state_digest()
 
-    @pytest.mark.parametrize("epsilon", (4, 7, 50))
-    def test_every_event_equals_whole_component_reaggregation(self, monkeypatch, epsilon):
-        """Event by event the skip gives the counters, posteriors and digest
-        of re-running majority over every voted pair of the dirty region —
-        the parent commit's behaviour — and flush lands on epsilon=0."""
+    def test_every_event_equals_whole_component_reaggregation(self, monkeypatch):
+        """Event by event — arrivals and a retraction — the skip gives the
+        counters, posteriors and digest of re-running majority over every
+        voted pair of the dirty region, while feeding it fewer votes."""
         dataset = make_dataset(record_count=60, duplicate_pairs=10, seed=13)
         records = list(dataset.store)
 
-        def run(staleness_epsilon):
-            resolver = StreamingResolver(
-                config=self._config(
-                    staleness_epsilon=staleness_epsilon, likelihood_threshold=0.35
-                )
-            )
+        def run(aggregator_class):
+            fed = []
+
+            class Counting(aggregator_class):
+                def aggregate(self, votes):
+                    fed.append(len(votes))
+                    return super().aggregate(votes)
+
+            monkeypatch.setattr(schedule_module, "build_aggregator", lambda config: Counting())
+            resolver = StreamingResolver(config=self._config(likelihood_threshold=0.25))
             resolver.add_truth(dataset.ground_truth)
             trail = []
             for start in range(0, len(records), 17):
@@ -710,16 +553,9 @@ class TestStalenessWithAPairIndependentAggregator:
                 trail.append((result.delta.as_dict(), result.posteriors, resolver.state_digest()))
             result = resolver.retract(records[3].record_id)
             trail.append((result.delta.as_dict(), result.posteriors, resolver.state_digest()))
-            return resolver, trail
+            return trail, sum(fed)
 
-        skipping, trail = run(epsilon)
-        assert any(delta["stale_skipped_components"] for delta, _, _ in trail)
-        monkeypatch.setattr(
-            schedule_module, "build_aggregator", lambda config: WholeComponentMajority()
-        )
-        whole, whole_trail = run(epsilon)
-        assert trail == whole_trail
-        monkeypatch.undo()
-        exact, _ = run(0)
-        skipping.flush()
-        assert skipping.state_digest() == exact.state_digest()
+        skipping, skipping_votes = run(MajorityAggregator)
+        whole, whole_votes = run(WholeComponentMajority)
+        assert skipping == whole
+        assert skipping_votes < whole_votes

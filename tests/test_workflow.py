@@ -11,6 +11,7 @@ from repro.crowd.worker import WorkerPool, Worker, WorkerProfile
 from repro.datasets.base import Dataset
 from repro.datasets.paper_example import paper_example_matches, paper_example_store
 from repro.evaluation.metrics import precision_recall
+from repro.hit.generator import available_generators
 from repro.records.pairs import PairSet, RecordPair
 from repro.records.record import Record, RecordStore
 
@@ -47,11 +48,29 @@ class TestWorkflowConfig:
             {"aggregation": "magic"},
             {"decision_threshold": 2.0},
             {"join_backend": "quantum"},
+            {"join_workers": -2},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(ValueError):
             WorkflowConfig(**kwargs)
+
+    def test_unknown_cluster_generator_rejected_at_construction(self):
+        """Not at the first HIT generation, after a batch was ingested."""
+        with pytest.raises(ValueError, match="approximation.*two-tiered.*'nope'"):
+            WorkflowConfig(cluster_generator="nope")
+        for name in available_generators():
+            assert WorkflowConfig(cluster_generator=name).cluster_generator == name
+
+    @pytest.mark.parametrize("attributes", ("name", ["name", 3], 7, {"name": 1}))
+    def test_similarity_attributes_must_be_a_list_of_names(self, attributes):
+        """A bare string would be read one character at a time."""
+        with pytest.raises(ValueError, match="similarity_attributes"):
+            WorkflowConfig(similarity_attributes=attributes)
+
+    def test_similarity_attributes_accepts_none_and_sequences(self):
+        for attributes in (None, [], ["name"], ("name", "city")):
+            assert WorkflowConfig(similarity_attributes=attributes).similarity_attributes == attributes
 
 
 class TestHybridWorkflowOnPaperExample:
