@@ -236,3 +236,45 @@ class TestBaselineBehaviour:
         # A path of 21 vertices / 20 edges needs at least 5 HITs of size 5.
         assert batch.hit_count >= 5
         assert batch.is_valid_cover()
+
+
+class TestTraversalOrder:
+    """BFS/DFS fill each HIT in traversal order, truncated at ``k`` records."""
+
+    @staticmethod
+    def _hits(name, edges, cluster_size):
+        pairs = PairSet([RecordPair(a, b, likelihood=0.5) for a, b in edges])
+        batch = get_cluster_generator(name, cluster_size=cluster_size).generate(pairs)
+        assert batch.is_valid_cover()
+        return [hit.records for hit in batch.hits]
+
+    def test_bfs_hit_goes_wide_first(self):
+        # a's second neighbour d joins before b's neighbour c.
+        hits = self._hits("bfs", [("a", "b"), ("b", "c"), ("a", "d")], cluster_size=3)
+        assert hits[0] == ("a", "b", "d")
+
+    def test_dfs_hit_goes_deep_first(self):
+        # b's subtree (c) is explored before returning to d.
+        hits = self._hits("dfs", [("a", "b"), ("b", "c"), ("a", "d")], cluster_size=3)
+        assert hits[0] == ("a", "b", "c")
+
+    @pytest.mark.parametrize("name", ("bfs", "dfs"))
+    def test_first_hit_starts_at_the_first_inserted_vertex(self, name, example_pairs):
+        first = Graph.from_pair_set(example_pairs).vertices()[0]
+        batch = get_cluster_generator(name, cluster_size=4).generate(example_pairs)
+        assert batch.hits[0].records[0] == first
+
+    @pytest.mark.parametrize("name", ("bfs", "dfs"))
+    def test_every_hit_holds_each_record_once(self, name, example_pairs):
+        for cluster_size in (2, 3, 4, 5):
+            batch = get_cluster_generator(name, cluster_size=cluster_size).generate(example_pairs)
+            assert batch.is_valid_cover()
+            for hit in batch.hits:
+                assert 2 <= len(hit.records) <= cluster_size
+                assert len(set(hit.records)) == len(hit.records)
+
+    @pytest.mark.parametrize("name", ("bfs", "dfs"))
+    def test_an_exhausted_component_restarts_in_the_next(self, name):
+        """Small components are batched into one HIT, in insertion order."""
+        hits = self._hits(name, [("a", "b"), ("c", "d")], cluster_size=4)
+        assert hits == [("a", "b", "c", "d")]

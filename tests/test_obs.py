@@ -23,6 +23,7 @@ import pytest
 from repro import obs
 from repro.cli import main as cli_main
 from repro.core.config import WorkflowConfig
+from repro.core.workflow import HybridWorkflow
 from repro.datasets.restaurant import RestaurantGenerator
 from repro.obs.export import to_prometheus, validate_prometheus_text
 from repro.obs.metrics import DEFAULT_BUCKETS, MetricsRegistry, MetricsSnapshot
@@ -370,6 +371,22 @@ def test_instrumentation_leaves_resolution_bit_identical(tmp_path, backend):
         assert len(live["events"]) == 2 + 2 * len(range(0, len(dataset.store), 20))
 
 
+def test_batch_resolve_is_bit_identical_and_never_activates(tmp_path):
+    """The batch workflow neither switches observability on by itself nor
+    resolves differently when the process has switched it on."""
+    dataset = make_dataset()
+    config = WorkflowConfig(likelihood_threshold=0.35, seed=7)
+    plain = HybridWorkflow(config).resolve(dataset)
+    assert not obs.enabled()
+    obs.activate(trace_path=str(tmp_path / "trace.jsonl"))
+    instrumented = HybridWorkflow(config).resolve(dataset)
+    assert obs.snapshot() is not None
+    assert instrumented.matches == plain.matches
+    assert instrumented.posteriors == plain.posteriors
+    assert instrumented.hit_count == plain.hit_count
+    assert instrumented.cost == plain.cost
+
+
 # ------------------------------------------------------------ cost report
 def test_stats_hit_count_matches_session_exactly(tmp_path):
     dataset = make_dataset()
@@ -515,6 +532,37 @@ def test_cli_stream_metrics_export_and_stats(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["hits_issued"] == session_hits
     assert payload["votes"] > 0
+
+
+RESOLVE_ARGS = ["resolve", "--dataset", "paper-example", "--threshold", "0.3"]
+
+
+def test_cli_resolve_metrics_export_and_stats(tmp_path, capsys):
+    """The batch command switches observability on from its own flags, for
+    the process, and off again at exit."""
+    prom = tmp_path / "metrics.prom"
+    trace = tmp_path / "trace.jsonl"
+    obs.deactivate()
+    assert cli_main(RESOLVE_ARGS + ["--trace", str(trace), "--metrics-out", str(prom)]) == 0
+    assert not obs.enabled()
+    out = capsys.readouterr().out
+    hit_line = next(line for line in out.splitlines() if line.startswith("HITs"))
+    resolve_hits = int(hit_line.split(":")[1].split("/")[0])
+    assert validate_prometheus_text(prom.read_text()) == []
+    assert 'span="workflow.resolve"' in prom.read_text()
+    assert cli_main(["stats", "--trace", str(trace), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["hits_issued"] == resolve_hits
+
+
+def test_cli_resolve_output_does_not_depend_on_metrics(capsys):
+    outputs = []
+    for flags in ([], ["--metrics"]):
+        obs.deactivate()
+        assert cli_main(RESOLVE_ARGS + flags) == 0
+        assert not obs.enabled()
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert "matches found" in outputs[0]
 
 
 def test_cli_stats_errors(tmp_path, capsys):

@@ -145,6 +145,13 @@ class TestTokenizers:
         tokens = record_token_set(record)
         assert tokens == frozenset({"ipad", "two", "490"})
 
+    def test_record_token_set_over_chosen_attributes(self):
+        """The ``similarity_attributes`` path: only the named values pool."""
+        record = Record("r1", {"name": "iPad Two", "price": "$490", "city": "nyc"})
+        assert record_token_set(record, ["name"]) == frozenset({"ipad", "two"})
+        assert record_token_set(record, ("price", "name")) == frozenset({"ipad", "two", "490"})
+        assert record_token_set(record, []) == frozenset()
+
     def test_record_token_list_keeps_duplicates(self):
         record = Record("r1", {"name": "a a b"})
         assert record_token_list(record) == ["a", "a", "b"]

@@ -420,6 +420,32 @@ class TestHttpSurface:
         assert caught.value.code == "resume_conflict"
         assert "recrowd_policy='dirty'" in caught.value.body["error"]["message"]
 
+    def test_restoring_a_session_stored_with_metrics_enabled_leaves_metrics_off(
+        self, service, tmp_path, monkeypatch
+    ):
+        """The stored observability pair is dropped: the server process, not
+        the session, decides whether metrics and a trace file exist."""
+        _runner, client = service
+        trace = tmp_path / "trace.jsonl"
+        checkpoint = tmp_path / "session"
+        config_payload = persistence.config_payload
+        with monkeypatch.context() as patched:
+            patched.setattr(
+                persistence, "config_payload",
+                lambda config: {**config_payload(config), "metrics_enabled": True,
+                                "trace_path": str(trace)},
+            )
+            resolver = StreamingResolver(config=make_config(checkpoint_dir=str(checkpoint)))
+            resolver.add_batch(list(make_dataset(seed=3).store)[:10])
+            resolver.durability.close()
+        session_id = fresh_id("obs")
+        assert client.restore(session_id, str(checkpoint))["records"] == 10
+        status, _headers, body = client.request("GET", "/metrics")
+        assert status == 503
+        assert body["error"]["code"] == "metrics_disabled"
+        assert not trace.exists()
+        client.close(session_id)
+
     def test_record_without_id_is_400(self, service):
         _runner, client = service
         session_id = fresh_id("badrec")

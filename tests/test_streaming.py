@@ -193,6 +193,21 @@ class TestStreamingEquivalence:
             resolver.add_batch(records[start : start + 11])
         assert resolver.covered_pairs() == one_shot_covered == set(candidates.keys())
 
+    def test_similarity_attributes_restrict_the_streamed_join(self):
+        """A session scores pairs over the named attributes only, exactly as
+        the batch join does."""
+        dataset = make_dataset(record_count=60, duplicate_pairs=15, seed=3)
+        config = WorkflowConfig(
+            likelihood_threshold=0.3, vote_mode="per-pair", similarity_attributes=["name"]
+        )
+        stream = resolve_stream(dataset, config=config, batch_size=17)
+        expected = SimJoinLikelihood(["name"]).estimate(
+            dataset.store, min_likelihood=0.3, cross_sources=dataset.cross_sources
+        )
+        assert stream.likelihoods == {pair.key: pair.likelihood for pair in expected}
+        every_pair = dataset.record_count * (dataset.record_count - 1) // 2
+        assert 0 < len(expected) < every_pair
+
     def test_pair_hits_equivalence(self):
         dataset = make_dataset(seed=21)
         config = WorkflowConfig(
@@ -529,7 +544,8 @@ class TestPairIndependentSkip:
             ("r1", "r2"): 1.0, ("r1", "r3"): 2 / 3, ("r2", "r3"): 0.0,
         }
 
-    def test_every_event_equals_whole_component_reaggregation(self, monkeypatch):
+    @pytest.mark.parametrize("batch_size", (7, 17, 50))
+    def test_every_event_equals_whole_component_reaggregation(self, monkeypatch, batch_size):
         """Event by event — arrivals and a retraction — the skip gives the
         counters, posteriors and digest of re-running majority over every
         voted pair of the dirty region, while feeding it fewer votes."""
@@ -548,8 +564,8 @@ class TestPairIndependentSkip:
             resolver = StreamingResolver(config=self._config(likelihood_threshold=0.25))
             resolver.add_truth(dataset.ground_truth)
             trail = []
-            for start in range(0, len(records), 17):
-                result = resolver.add_batch(records[start : start + 17])
+            for start in range(0, len(records), batch_size):
+                result = resolver.add_batch(records[start : start + batch_size])
                 trail.append((result.delta.as_dict(), result.posteriors, resolver.state_digest()))
             result = resolver.retract(records[3].record_id)
             trail.append((result.delta.as_dict(), result.posteriors, resolver.state_digest()))
