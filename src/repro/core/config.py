@@ -92,9 +92,6 @@ class WorkflowConfig:
       retries the shed pairs on the next event and at flush).
     * ``crowd_max_retries`` — async mode: free retry attempts per HIT
       assignment before further attempts become paid reissues.
-    * ``crowd_backoff_ticks`` — async mode: base of the exponential retry
-      backoff (attempt ``n`` waits ``crowd_backoff_ticks * 2**(n-1)``
-      ticks plus deterministic jitter before reposting).
     * ``fault_plan`` — async mode: optional JSON-friendly dict (the
       :meth:`repro.crowd.FaultPlan.to_dict` shape) injecting deterministic
       seeded delivery faults — delays, drops, duplicates, reorder, worker
@@ -119,13 +116,11 @@ class WorkflowConfig:
     checkpoint_dir: Optional[str] = None
     checkpoint_every_batches: int = 16
     storage_backend: str = "memory"
-    decision_threshold: float = 0.5
     crowd_mode: str = "sync"
     vote_timeout: int = 8
     max_inflight_hits: int = 64
     backpressure_policy: str = "block"
     crowd_max_retries: int = 3
-    crowd_backoff_ticks: int = 2
     fault_plan: Optional[dict] = None
     seed: int = 0
 
@@ -181,8 +176,6 @@ class WorkflowConfig:
             raise ValueError("stream_batch_size must be at least 1")
         if self.streaming_aggregation_scope not in ("component", "global"):
             raise ValueError("streaming_aggregation_scope must be 'component' or 'global'")
-        if not 0.0 <= self.decision_threshold <= 1.0:
-            raise ValueError("decision_threshold must be in [0, 1]")
         if self.crowd_mode not in ("sync", "async"):
             raise ValueError("crowd_mode must be 'sync' or 'async'")
         if self.crowd_mode == "async" and self.vote_mode != "per-pair":
@@ -195,8 +188,6 @@ class WorkflowConfig:
             raise ValueError("backpressure_policy must be 'block' or 'shed'")
         if self.crowd_max_retries < 0:
             raise ValueError("crowd_max_retries must be non-negative")
-        if self.crowd_backoff_ticks < 0:
-            raise ValueError("crowd_backoff_ticks must be non-negative")
         if self.fault_plan is not None and not isinstance(self.fault_plan, dict):
             raise ValueError(
                 "fault_plan must be a JSON-friendly dict (FaultPlan.to_dict()) or None"

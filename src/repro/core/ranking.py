@@ -5,10 +5,10 @@ Both :class:`repro.core.workflow.HybridWorkflow` and
 pairs are ranked by crowd posterior with the machine likelihood as the
 tie-breaker, pairs the crowd never voted on fall back to their likelihood
 (slotted below every crowd-confirmed match and above every crowd-rejected
-pair), and the final match set is everything whose posterior clears the
-decision threshold.  Keeping the rule in one place guarantees the streaming
-snapshot ranks exactly like a one-shot resolve given the same posteriors
-and likelihoods.  :func:`rank_candidates` is that rule; :class:`RankedIndex`
+pair), and the final match set is everything whose posterior clears
+:data:`DECISION_THRESHOLD`.  Keeping the rule in one place guarantees the
+streaming snapshot ranks exactly like a one-shot resolve given the same
+posteriors and likelihoods.  :func:`rank_candidates` is that rule; :class:`RankedIndex`
 keeps a session's candidates in the same order under point updates, so a
 streaming snapshot does not re-sort what an event left alone.
 """
@@ -20,11 +20,13 @@ from typing import Dict, List, Optional, Tuple
 
 PairKey = Tuple[str, str]
 
+#: Posterior above which a voted pair counts as a match.
+DECISION_THRESHOLD = 0.5
+
 
 def rank_candidates(
     likelihoods: Dict[PairKey, float],
     posteriors: Dict[PairKey, float],
-    decision_threshold: float,
 ) -> Tuple[List[PairKey], List[PairKey]]:
     """Return ``(ranked_pairs, matches)`` for the given scores.
 
@@ -39,7 +41,7 @@ def rank_candidates(
         posterior = posteriors.get(key)
         if posterior is None:
             return (1, likelihoods[key], likelihoods[key])
-        tier = 2 if posterior > decision_threshold else 0
+        tier = 2 if posterior > DECISION_THRESHOLD else 0
         return (tier, posterior, likelihoods[key])
 
     # Pre-sorting by key makes equal-score ties break on ascending pair key
@@ -47,7 +49,7 @@ def rank_candidates(
     # order) and a one-shot resolve (likelihood order) rank identically.
     ranked = sorted(sorted(likelihoods), key=rank_key, reverse=True)
     matches = [
-        key for key in ranked if posteriors.get(key, 0.0) > decision_threshold
+        key for key in ranked if posteriors.get(key, 0.0) > DECISION_THRESHOLD
     ]
     return ranked, matches
 
@@ -66,8 +68,7 @@ class RankedIndex:
     the property tests hold the two equal after every event.
     """
 
-    def __init__(self, decision_threshold: float) -> None:
-        self._threshold = decision_threshold
+    def __init__(self) -> None:
         self._entries: List[tuple] = []
         #: Pair key -> its entry, so a changed pair's old slot is one bisect.
         self._entry_of: Dict[PairKey, tuple] = {}
@@ -75,7 +76,7 @@ class RankedIndex:
     def _entry(self, key: PairKey, likelihood: float, posterior: Optional[float]) -> tuple:
         if posterior is None:
             return (-1, -likelihood, -likelihood, key)
-        tier = 2 if posterior > self._threshold else 0
+        tier = 2 if posterior > DECISION_THRESHOLD else 0
         return (-tier, -posterior, -likelihood, key)
 
     def load(

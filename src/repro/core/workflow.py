@@ -162,9 +162,7 @@ class HybridWorkflow:
         # candidate pair that another HIT was supposed to cover) fall back to
         # the machine likelihood: below every crowd-confirmed match, above
         # every crowd-rejected pair.
-        ranked, matches = rank_candidates(
-            likelihoods, posteriors, self.config.decision_threshold
-        )
+        ranked, matches = rank_candidates(likelihoods, posteriors)
 
         recall_ceiling = None
         if dataset.ground_truth:

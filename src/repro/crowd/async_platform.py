@@ -43,6 +43,11 @@ from repro.records.pairs import canonical_pair
 
 PairKey = Tuple[str, str]
 
+#: Base of the exponential retry backoff: attempt ``n`` of a timed-out
+#: assignment waits ``BACKOFF_TICKS * 2**(n-1)`` ticks plus deterministic
+#: jitter.
+BACKOFF_TICKS = 2
+
 #: Exponent cap of the retry backoff (2**6 ticks is already a long wait on
 #: the virtual clock; growing further only risks overflow-sized sleeps).
 _MAX_BACKOFF_EXPONENT = 6
@@ -123,9 +128,6 @@ class AsyncCrowdPlatform:
     max_retries:
         Free retry budget per HIT slot; every further attempt is a paid
         reissue (``pricing.cost_per_assignment`` each).
-    backoff_ticks:
-        Base of the exponential retry backoff (attempt ``n`` waits
-        ``backoff_ticks * 2**(n-1)`` ticks plus deterministic jitter).
     fault_plan:
         Optional :class:`~repro.crowd.faults.FaultPlan`; ``None`` delivers
         every assignment on the next tick, fault-free.
@@ -138,7 +140,6 @@ class AsyncCrowdPlatform:
         max_inflight_hits: int = 64,
         backpressure_policy: str = "block",
         max_retries: int = 3,
-        backoff_ticks: int = 2,
         fault_plan: Optional[FaultPlan] = None,
     ) -> None:
         if platform.vote_mode != "per-pair":
@@ -154,14 +155,11 @@ class AsyncCrowdPlatform:
             raise ValueError("backpressure_policy must be 'block' or 'shed'")
         if max_retries < 0:
             raise ValueError("max_retries must be non-negative")
-        if backoff_ticks < 0:
-            raise ValueError("backoff_ticks must be non-negative")
         self.inner = platform
         self.vote_timeout = vote_timeout
         self.max_inflight_hits = max_inflight_hits
         self.backpressure_policy = backpressure_policy
         self.max_retries = max_retries
-        self.backoff_ticks = backoff_ticks
         self.fault_plan = fault_plan
         self.clock = 0
         self.publish_count = 0
@@ -418,13 +416,13 @@ class AsyncCrowdPlatform:
                         help="Assignments that missed their vote deadline.")
                 obs.inc("crowd_retries_total", 1,
                         help="Assignment retry attempts after a timeout.")
-            backoff = self.backoff_ticks * (
+            backoff = BACKOFF_TICKS * (
                 2 ** min(max(0, attempt - 1), _MAX_BACKOFF_EXPONENT)
             )
             jitter_rng = random.Random(
                 f"{self.inner.seed}|backoff|{entry['hit']}|{entry['slot']}|{attempt}"
             )
-            jitter = jitter_rng.randint(0, max(1, self.backoff_ticks))
+            jitter = jitter_rng.randint(0, max(1, BACKOFF_TICKS))
             self._enqueue_attempt(entry["hit"], entry["slot"], attempt,
                                   not_before=backoff + jitter)
 

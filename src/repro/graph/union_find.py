@@ -89,7 +89,7 @@ class IncrementalUnionFind:
         contains a detached item is dissolved: the detached items vanish and
         the *surviving* members of those components are re-added as dirty
         singletons.  The caller is responsible for re-unioning the surviving
-        edges (the streaming resolver replays each survivor's provenance
+        edges (the streaming resolver replays each survivor's candidate
         pairs), after which the touched components are exactly the connected
         components of the surviving edge set.
 

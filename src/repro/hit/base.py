@@ -158,7 +158,7 @@ class HITBatch:
         with each HIT's own pairs (at most k*(k-1)/2) and never walked, so
         the cost follows the HITs, not the candidate set.  The one place
         that answers "which HIT carries which pair" — for cover checks, the
-        crowd platforms and the streaming session's coverage provenance.
+        crowd platforms and the streaming session's coverage ledger.
         """
         if candidates is None:
             candidates = self.candidate_pairs

@@ -2,8 +2,8 @@
 
 Everything a streaming session accumulates — resident records, the token
 vocabulary and CSR chunks of the incremental join, the candidate pairs,
-the per-pair vote ledger and posterior cache, the provenance table and the
-crowd-workload counters — lives behind a :class:`Store`.  Two backends
+the per-pair vote ledger and posterior cache, and the crowd-workload
+counters — lives behind a :class:`Store`.  Two backends
 implement it:
 
 * :class:`~repro.storage.memory.MemoryStore` (default) — the live
@@ -34,6 +34,7 @@ from __future__ import annotations
 import abc
 from typing import (
     TYPE_CHECKING,
+    AbstractSet,
     Dict,
     Iterable,
     Iterator,
@@ -74,6 +75,8 @@ class PairLedger:
     pairs:
         Candidate pair key -> machine likelihood, in discovery order (the
         page-in source for the session's :class:`~repro.records.pairs.PairSet`).
+        :meth:`pairs_of` indexes its keys by record: the skip index that
+        bounds a retraction to exactly the record's pairs.
     votes / vote_rounds / pending_votes:
         Per-pair vote ledger: votes in oracle order, completed crowd
         rounds, and votes gained since the pair was last aggregated.
@@ -98,6 +101,21 @@ class PairLedger:
         self.posteriors: Dict[PairKey, float] = {}
         self.covered: Set[PairKey] = set()
         self.touched: Optional[Set[PairKey]] = set()
+        self._pairs_of_record: Dict[str, Set[PairKey]] = {}
+
+    def pairs_of(self, record_id: str) -> AbstractSet[PairKey]:
+        """The candidate pairs ``record_id`` is part of (a read-only view)."""
+        return self._pairs_of_record.get(record_id, frozenset())
+
+    def reindex(self) -> None:
+        """Rebuild :meth:`pairs_of` from :attr:`pairs` (after a page-in)."""
+        self._pairs_of_record = {}
+        for key in self.pairs:
+            self._index(key)
+
+    def _index(self, key: PairKey) -> None:
+        self._pairs_of_record.setdefault(key[0], set()).add(key)
+        self._pairs_of_record.setdefault(key[1], set()).add(key)
 
     def take_touched(self) -> Optional[Set[PairKey]]:
         """Hand over :attr:`touched` and start a new, empty set."""
@@ -115,11 +133,18 @@ class PairLedger:
         if key in self.pairs and (likelihood or 0.0) <= (existing or 0.0):
             return
         self.pairs[key] = likelihood
+        self._index(key)
         self._touch(key)
 
     def drop_pair(self, key: PairKey) -> None:
         """Invalidate one pair entirely (retraction blast radius)."""
         self._touch(key)
+        for record_id in key:
+            pairs = self._pairs_of_record.get(record_id)
+            if pairs is not None:
+                pairs.discard(key)
+                if not pairs:
+                    del self._pairs_of_record[record_id]
         self.pairs.pop(key, None)
         self.votes.pop(key, None)
         self.vote_rounds.pop(key, None)
@@ -164,7 +189,6 @@ class Store(abc.ABC):
     * the :class:`PairLedger` (``self.ledger``),
     * the **join substrate** mirror (vocabulary, CSR chunks, row
       bookkeeping of the incremental join),
-    * the **provenance** mirror (the retract/update skip index),
     * session **metadata** (config, truth, counters) and the accumulated
       crowd-assignment durations.
 
@@ -247,19 +271,6 @@ class Store(abc.ABC):
         self, indices: "np.ndarray", row_lengths: "np.ndarray"
     ) -> None:
         """Mirror one batch's CSR rows."""
-
-    # --------------------------------------------------- provenance mirror
-    def prov_write(
-        self,
-        key: PairKey,
-        discovered_batch: int,
-        hit_ids: Sequence[str],
-        vote_events: Sequence[Tuple[int, int, int]],
-    ) -> None:
-        """Mirror one pair's provenance row (insert or full update)."""
-
-    def prov_delete(self, keys: Iterable[PairKey]) -> None:
-        """Mirror a retraction: the dropped pairs leave the skip index."""
 
     # ----------------------------------------------------- crowd workload
     def append_assignment_seconds(self, values: Sequence[float]) -> None:

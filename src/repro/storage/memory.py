@@ -3,7 +3,7 @@
 :class:`MemoryStore` *is* the record table — the ordered-list-plus-id-index
 structure every unbacked :class:`~repro.records.record.RecordStore` uses —
 plus the plain-dict :class:`~repro.storage.base.PairLedger`; every mirror
-hook (join substrate, provenance, crowd workload) is the interface's no-op,
+hook (join substrate, crowd workload) is the interface's no-op,
 because the live objects are the state.  A durable memory-backed session is
 materialised by :func:`repro.streaming.persistence.write_snapshot`, which
 writes those live objects into the session's SQLite store in bulk.

@@ -2,7 +2,7 @@
 
 :class:`SqliteStore` is the one file of a durable session.  Its state
 tables — records, token vocabulary, CSR chunks, candidate pairs, the vote
-ledger, posteriors, HIT coverage, provenance and the workload counters —
+ledger, posteriors, HIT coverage and the workload counters —
 hold "the state as of ``meta.events_applied``"; its ``events`` table
 (``seq``, ``type``, ``payload``, ``crc``) is the session's write-ahead log —
 :class:`repro.streaming.persistence.SessionJournal` owns its rows, this
@@ -110,16 +110,6 @@ CREATE TABLE IF NOT EXISTS covered (
     id_b TEXT NOT NULL,
     PRIMARY KEY (id_a, id_b)
 );
-CREATE TABLE IF NOT EXISTS provenance (
-    id_a             TEXT NOT NULL,
-    id_b             TEXT NOT NULL,
-    discovered_batch INTEGER NOT NULL,
-    hit_ids          TEXT NOT NULL,
-    vote_events      TEXT NOT NULL,
-    PRIMARY KEY (id_a, id_b)
-);
-CREATE INDEX IF NOT EXISTS provenance_a ON provenance(id_a);
-CREATE INDEX IF NOT EXISTS provenance_b ON provenance(id_b);
 CREATE TABLE IF NOT EXISTS assignment_seconds (
     ord     INTEGER PRIMARY KEY AUTOINCREMENT,
     seconds REAL NOT NULL
@@ -144,9 +134,15 @@ _TABLES = (
     "pair_votes",
     "posteriors",
     "covered",
-    "provenance",
     "assignment_seconds",
 )
+
+#: Tables an earlier release kept that this one neither reads nor writes
+#: (``provenance``: a write-only per-pair history).  Opening a store leaves
+#: them alone — reading one (``repro stats``) or refusing to resume it must
+#: not cost its writer anything; a session of this release that takes the
+#: store over drops them (:meth:`SqliteStore.drop_retired_tables`).
+_RETIRED_TABLES = ("provenance",)
 
 
 def _blob(array: np.ndarray) -> bytes:
@@ -317,6 +313,11 @@ class SqliteStore(Store):
         self._ids = set()
         self._next_arrival = 0
 
+    def drop_retired_tables(self) -> None:
+        """Drop an earlier release's tables inside the open transaction."""
+        for table in _RETIRED_TABLES:
+            self.execute(f"DROP TABLE IF EXISTS {table}")
+
     # --------------------------------------------------------- record table
     def add_record(self, record: Record) -> None:
         self.execute(
@@ -477,48 +478,6 @@ class SqliteStore(Store):
             "indptr": indptr.tolist(),
         }
 
-    # ----------------------------------------------------- provenance mirror
-    def prov_write(
-        self,
-        key: PairKey,
-        discovered_batch: int,
-        hit_ids: Sequence[str],
-        vote_events: Sequence[Tuple[int, int, int]],
-    ) -> None:
-        self.execute(
-            "INSERT OR REPLACE INTO provenance "
-            "(id_a, id_b, discovered_batch, hit_ids, vote_events) "
-            "VALUES (?, ?, ?, ?, ?)",
-            (
-                key[0],
-                key[1],
-                discovered_batch,
-                json.dumps(list(hit_ids)),
-                json.dumps([list(event) for event in vote_events]),
-            ),
-        )
-
-    def prov_delete(self, keys: Iterable[PairKey]) -> None:
-        self.executemany(
-            "DELETE FROM provenance WHERE id_a = ? AND id_b = ?", list(keys)
-        )
-
-    def load_provenance(
-        self,
-    ) -> List[Tuple[PairKey, int, List[str], List[Tuple[int, int, int]]]]:
-        return [
-            (
-                (id_a, id_b),
-                discovered,
-                json.loads(hit_ids),
-                [tuple(event) for event in json.loads(vote_events)],
-            )
-            for id_a, id_b, discovered, hit_ids, vote_events in self._conn.execute(
-                "SELECT id_a, id_b, discovered_batch, hit_ids, vote_events "
-                "FROM provenance ORDER BY rowid"
-            )
-        ]
-
     # ------------------------------------------------------- crowd workload
     def append_assignment_seconds(self, values: Sequence[float]) -> None:
         self.executemany(
@@ -567,7 +526,7 @@ class SqliteStore(Store):
         """Page the pair tables into ``into`` (default: this store's ledger).
 
         The dicts are assigned directly, so loading never re-mirrors what
-        was just read.
+        was just read; the record → pairs index is rebuilt from ``pairs``.
         """
         ledger = self.ledger if into is None else into
         ledger.touched = None
@@ -577,6 +536,7 @@ class SqliteStore(Store):
                 "SELECT id_a, id_b, likelihood FROM pairs ORDER BY ord"
             )
         }
+        ledger.reindex()
         ledger.votes, ledger.vote_rounds, ledger.pending_votes = {}, {}, {}
         for id_a, id_b, votes_json, round_count, pending_count in self._conn.execute(
             "SELECT id_a, id_b, votes, rounds, pending FROM pair_votes"

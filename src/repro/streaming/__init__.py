@@ -10,13 +10,12 @@ and revisable:
   become tombstoned rows, physically dropped by periodic compaction.
 * :class:`StreamingResolver` — the session: incremental union-find with
   dirty-component tracking, HIT regeneration restricted to dirty
-  components, a per-pair vote ledger with a configurable re-crowd policy,
-  cached posteriors for clean components, and delta-aware
-  :class:`~repro.core.results.ResolutionResult` snapshots.
-* :class:`ProvenanceLedger` — per-pair provenance (source records,
-  covering HITs, vote rounds) that makes ``retract(record_id)`` and
-  ``update(record)`` precise: exactly the provenance-reachable pairs and
-  components are invalidated and re-resolved, nothing else.
+  components, a per-pair vote ledger, cached posteriors for clean
+  components, and delta-aware :class:`~repro.core.results.ResolutionResult`
+  snapshots.  The ledger indexes every candidate pair by its two records,
+  which makes ``retract(record_id)`` and ``update(record)`` precise:
+  exactly the record's pairs and the components they connect are
+  invalidated and re-resolved, nothing else.
 * :mod:`repro.streaming.persistence` — durability, all of it: one SQLite
   file holding the session's state and a write-ahead log of every session
   event, giving ``StreamingResolver.save()`` /
@@ -37,7 +36,7 @@ Session lifecycle::
     session.add_truth(known_matches)          # feeds the simulated crowd
     snap = session.add_batch(first_records)   # join + crowd + aggregate
     snap = session.add_batch(more_records)    # only dirty components redo work
-    snap = session.retract("r42")             # invalidate r42's provenance
+    snap = session.retract("r42")             # invalidate r42's pairs only
     # ... process dies; later, in a fresh process:
     session = StreamingResolver.restore("/var/lib/er-session")
     snap = session.add_batch(next_records)    # continues bit-identically
@@ -55,20 +54,12 @@ from repro.streaming.persistence import (
     PersistenceError,
     SessionJournal,
 )
-from repro.streaming.provenance import (
-    PairProvenance,
-    ProvenanceLedger,
-    RetractionImpact,
-)
 from repro.streaming.session import StreamingResolver, resolve_stream
 
 __all__ = [
     "IncrementalSimJoin",
     "JournalCorruptionError",
-    "PairProvenance",
     "PersistenceError",
-    "ProvenanceLedger",
-    "RetractionImpact",
     "SessionJournal",
     "StreamingResolver",
     "resolve_stream",

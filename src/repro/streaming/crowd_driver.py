@@ -30,12 +30,12 @@ class CrowdStep:
 
     ``coverage``: every HIT published, in order, with the requested pairs it
     can check.  ``completed``: every pair whose last vote arrived — ``(pair,
-    round it was asked under, its votes in per-pair oracle order)``.
+    its votes in per-pair oracle order)``.
     ``seconds``: the durations of the assignments that came in.
     """
 
     coverage: List[Tuple[str, List[PairKey]]] = field(default_factory=list)
-    completed: List[Tuple[PairKey, int, List[Vote]]] = field(default_factory=list)
+    completed: List[Tuple[PairKey, List[Vote]]] = field(default_factory=list)
     seconds: List[float] = field(default_factory=list)
 
 
@@ -73,7 +73,6 @@ class CrowdDriver:
                 max_inflight_hits=config.max_inflight_hits,
                 backpressure_policy=config.backpressure_policy,
                 max_retries=config.crowd_max_retries,
-                backoff_ticks=config.crowd_backoff_ticks,
                 fault_plan=FaultPlan.from_dict(plan) if plan is not None else None,
             )
         # Accumulated crowd workload across all events.
@@ -133,7 +132,7 @@ class CrowdDriver:
         fresh: Dict[PairKey, List[Vote]] = {}
         for vote in run.votes:
             fresh.setdefault(vote[1], []).append(vote)
-        step.completed = [(key, rounds[key], votes) for key, votes in fresh.items()]
+        step.completed = list(fresh.items())
         for key in set().union(*carried) - fresh.keys():
             self.inflight[key] = (rounds[key], {})
         self._timed(run.assignment_seconds, step)
@@ -198,7 +197,7 @@ class CrowdDriver:
                 slots[delivery.slot] = vote
                 if len(slots) == replication:
                     votes = [slots[slot] for slot in range(replication)]
-                    step.completed.append((key, round_index, votes))
+                    step.completed.append((key, votes))
                     del self.inflight[key]
         self._timed([delivery.seconds for delivery in deliveries], step)
         self.cost += self.crowd.take_extra_cost()

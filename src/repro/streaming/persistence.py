@@ -76,7 +76,6 @@ from repro.records.pairs import PairSet, RecordPair
 from repro.records.record import Record
 from repro.storage import STORE_FILENAME, MemoryStore, SqliteStore, Store
 from repro.streaming.incremental_join import IncrementalSimJoin
-from repro.streaming.provenance import ProvenanceLedger
 
 logger = logging.getLogger(__name__)
 
@@ -88,10 +87,11 @@ FORMAT_VERSION = 1
 #: one stored value that still replays (``None``: any value).  The knobs
 #: are gone — one selected a fork-per-batch join pool, one moved the store
 #: out of its directory, one rotated a JSONL journal that no longer exists,
-#: two switched the process's observability on from a session, and three
-#: were result-bearing knobs no caller set (bounded-staleness aggregation,
-#: re-crowding voted pairs, the two-tiered generator's packing solver) —
-#: so restore drops them instead of failing on an unknown field.  A
+#: two switched the process's observability on from a session, and five
+#: were result-bearing knobs only ever used at one value (bounded-staleness
+#: aggregation, re-crowding voted pairs, the two-tiered generator's packing
+#: solver, the match threshold, the async retry backoff) — so restore
+#: drops them instead of failing on an unknown field.  A
 #: result-bearing one stored at any other value than its old default
 #: cannot replay bit-identically, and restore refuses it.
 RETIRED_CONFIG_FIELDS = {
@@ -103,6 +103,8 @@ RETIRED_CONFIG_FIELDS = {
     "staleness_epsilon": 0,
     "recrowd_policy": "never",
     "packing_method": "column-generation",
+    "decision_threshold": 0.5,
+    "crowd_backoff_ticks": 2,
 }
 
 #: ``join_backend`` values an earlier release accepted for batch engines
@@ -364,7 +366,7 @@ def write_snapshot(target: SqliteStore, session) -> None:
     """Rewrite ``target``'s state tables from a live session, whole.
 
     Everything but the ``events`` table — records, join substrate, pair
-    ledger, provenance, crowd workload, meta — is rewritten inside
+    ledger, crowd workload, meta — is rewritten inside
     ``target``'s **open transaction**; the caller commits (a cadence point
     does, together with the event's outcome row).  An exception in here
     rolls the transaction back, so the file keeps its previous contents,
@@ -378,7 +380,6 @@ def write_snapshot(target: SqliteStore, session) -> None:
             target.add_record(record)
         session.join.write_to(target)
         target.write_ledger(session.storage.ledger)
-        session.provenance.write_to(target)
         target.append_assignment_seconds(session.driver.state_dict()["assignment_seconds"])
         _write_header(target, session)
         _write_truth(target, session)
@@ -582,8 +583,8 @@ def _page_in(session, source: SqliteStore) -> None:
     ``source`` is the session's own store (sqlite backend: records and the
     ledger stay where they are) or the directory's store being copied into
     a memory-backed session.  The join substrate comes back from its stored
-    rows/vocabulary/CSR chunks, provenance from its table, candidates from
-    the pair ledger, and the union-find forest — filled in place, the fresh
+    rows/vocabulary/CSR chunks, candidates (and the ledger's record → pairs
+    index) from the pair ledger, and the union-find forest — filled in place, the fresh
     session's aggregation schedule shares it — from record arrival order
     plus the pair edges (roots only serve as grouping keys, so the rebuilt
     forest is behaviorally equivalent to the original).
@@ -603,7 +604,6 @@ def _page_in(session, source: SqliteStore) -> None:
             workers=config.join_workers or None,
             storage=storage,
         )
-        session.provenance = ProvenanceLedger.from_store(source, backing=storage)
         session.candidates = PairSet(
             RecordPair(key[0], key[1], likelihood=likelihood)
             for key, likelihood in storage.ledger.pairs.items()
@@ -775,7 +775,15 @@ def restore(
         source.close()
         raise
     logger.info("restored session from %s at event %d", directory, session.events_applied)
+    # Accepted, and the session goes on writing this file: shed what an
+    # earlier release kept.  A sqlite-backed session's drop commits with
+    # the attach boundary (after the replayed state, never ahead of it).
+    takes_over = keep_journal or (mirrored and not rejoin)
+    if takes_over:
+        source.drop_retired_tables()
     session.durability.attach(session)
+    if takes_over:
+        source.commit()
     if keep_journal:
         session.durability.journal = journal
     elif source is not storage:

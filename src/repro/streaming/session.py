@@ -28,8 +28,8 @@ incrementally instead of recomputing it from scratch:
 
 On top of arrivals the session supports **retraction and update**
 (:meth:`StreamingResolver.retract` / :meth:`StreamingResolver.update`):
-every pair's provenance is tracked in a
-:class:`~repro.streaming.provenance.ProvenanceLedger`, so removing a record
+the pair ledger indexes every candidate pair by its two records
+(:meth:`~repro.storage.base.PairLedger.pairs_of`), so removing a record
 invalidates exactly the provenance-reachable pairs and components — their
 votes, posteriors and HIT coverage are discarded, the surviving members are
 re-connected from their surviving edges, and only that dirty region is
@@ -37,7 +37,7 @@ re-aggregated; every clean component is untouched.
 
 Sessions can also be made **durable** (``WorkflowConfig.checkpoint_dir``),
 but not by this module: the class below is the event → delta state machine
-over records, join, components, provenance, truth and ranking, and does no
+over records, join, components, pair ledger, truth and ranking, and does no
 I/O of its own.  Every public event method validates its arguments and
 hands the event to the session's
 :class:`~repro.streaming.persistence.Durability`, which logs the intent,
@@ -82,7 +82,6 @@ from repro.streaming import persistence
 from repro.streaming.aggregation_schedule import AggregationSchedule
 from repro.streaming.crowd_driver import CrowdDriver, CrowdStep
 from repro.streaming.incremental_join import IncrementalSimJoin
-from repro.streaming.provenance import ProvenanceLedger
 
 logger = logging.getLogger(__name__)
 
@@ -176,9 +175,8 @@ class StreamingResolver:
         self.store = RecordStore(name="stream", backing=self.storage)
         self.components = IncrementalUnionFind()
         self.candidates = PairSet()
-        self.provenance = ProvenanceLedger(backing=self.storage)
         # The ranked candidates, re-placed per touched pair by snapshot().
-        self._ranking = RankedIndex(self.config.decision_threshold)
+        self._ranking = RankedIndex()
         # Ground truth, its per-record index, and how many of its pairs have
         # both records resident (the recall ceiling's denominator).
         self._truth: Set[PairKey] = set()
@@ -447,16 +445,14 @@ class StreamingResolver:
                     self.store.add(record)
                     self._arrived_truth += self._resident_truth_partners(record.record_id)
                     self.components.add(record.record_id)
-                    self.provenance.add_record(record.record_id)
             delta.new_candidate_pairs = len(new_pairs)
 
-            # Stage 2: component maintenance (and pair provenance).
+            # Stage 2: component maintenance.
             with obs.span("streaming.batch.components", pairs=len(new_pairs)):
                 for pair in new_pairs:
                     self.candidates.add(pair)
                     self._ledger.add_pair(pair.key, pair.likelihood)
                     self.components.union(pair.id_a, pair.id_b)
-                    self.provenance.record_pair(pair.id_a, pair.id_b, self._batch_index)
 
                 dirty_pairs = self._dirty_region(delta)
 
@@ -478,7 +474,7 @@ class StreamingResolver:
             # whole components re-aggregate alongside it.
             arrived = self.driver.tick()
             self._fold(arrived, delta)
-            late = {key for key, _, _ in arrived.completed} - dirty_pairs
+            late = {key for key, _ in arrived.completed} - dirty_pairs
 
             # Stage 4: re-aggregate what changed.
             aggregate_pairs = dirty_pairs | self._expand_components(late)
@@ -498,22 +494,23 @@ class StreamingResolver:
         logger.debug("event %d: retracting record %s", self._batch_index, record_id)
 
         with obs.span("streaming.retract", index=self._batch_index):
-            # Provenance bounds the blast radius: exactly the record's pairs.
-            impact = self.provenance.retract_record(record_id)
+            # The ledger's record index bounds the blast radius: exactly the
+            # record's pairs.
+            dropped = sorted(self._ledger.pairs_of(record_id))
             self.join.retract(record_id)
             self.store.remove(record_id)
             self._arrived_truth -= self._resident_truth_partners(record_id)
-            for key in impact.dropped_pairs:
+            for key in dropped:
                 self.candidates.discard(*key)
                 self._ledger.drop_pair(key)
-            self.driver.forget(impact.dropped_pairs)
-            delta.invalidated_pairs = len(impact.dropped_pairs)
+            self.driver.forget(dropped)
+            delta.invalidated_pairs = len(dropped)
 
             # Re-form the dissolved component from the surviving edges; the
             # survivors come back dirty, everything else stays clean.
             survivors = self.components.detach([record_id])
             for survivor in survivors:
-                for key in self.provenance.pairs_of(survivor):
+                for key in self._ledger.pairs_of(survivor):
                     self.components.union(key[0], key[1])
 
             dirty_pairs = self._dirty_region(delta)
@@ -558,26 +555,21 @@ class StreamingResolver:
     def _fold(self, step: CrowdStep, delta: StreamingDelta) -> None:
         """Fold one crowd step into the session: the only place votes land.
 
-        Pair provenance records which HITs of which event covered each pair
-        and which event completed each vote round; the ledger takes a
+        The ledger marks the pairs the step's HITs covered and takes a
         completed pair's votes whole, in oracle order.
         """
         if step.coverage:
             self._ledger.mark_covered(set().union(*(keys for _, keys in step.coverage)))
-            for hit_id, keys in step.coverage:
-                for key in keys:
-                    self.provenance.record_coverage(key, f"b{self._batch_index}:{hit_id}")
         if step.seconds:
             self.storage.append_assignment_seconds(step.seconds)
-        for key, round_index, votes in step.completed:
+        for key, votes in step.completed:
             self._ledger.record_fresh_votes(key, votes)
-            self.provenance.record_votes(key, self._batch_index, round_index, len(votes))
             self._last_fresh_votes[key] = votes
         delta.regenerated_hits += len(step.coverage)
         delta.crowdsourced_pairs += len(step.completed)
 
     def _expand_components(self, completed: Iterable[PairKey]) -> Set[PairKey]:
-        """All provenance pairs of the components the given pairs touch.
+        """All candidate pairs of the components the given pairs touch.
 
         Late votes re-aggregate only the affected components: each
         completion dirties exactly its component, mirroring how a batch
@@ -588,15 +580,16 @@ class StreamingResolver:
         )
 
     def _pairs_of_components(self, roots: Iterable[str]) -> Set[PairKey]:
-        """Every provenance pair of the components with the given roots.
+        """Every candidate pair of the components with the given roots.
 
         Only those components are enumerated (their member lists are
         maintained by the union-find); all others cost nothing here.
         """
         pairs: Set[PairKey] = set()
+        pairs_of = self._ledger.pairs_of
         for root in roots:
             for member in self.components.members(root):
-                pairs.update(self.provenance.pairs_of(member))
+                pairs.update(pairs_of(member))
         return pairs
 
     def _dirty_region(self, delta: StreamingDelta) -> Set[PairKey]:
@@ -622,9 +615,7 @@ class StreamingResolver:
         likelihoods, posteriors = ledger.pairs, ledger.posteriors
         touched = ledger.take_touched()
         if touched is None or len(touched) * RERANK_SHARE > len(likelihoods):
-            ranked, _ = rank_candidates(
-                likelihoods, posteriors, self.config.decision_threshold
-            )
+            ranked, _ = rank_candidates(likelihoods, posteriors)
             self._ranking.load(ranked, likelihoods, posteriors)
         else:
             for key in touched:

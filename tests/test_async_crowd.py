@@ -34,6 +34,7 @@ from repro.crowd import (
     Worker,
     WorkerPool,
 )
+from repro.crowd import async_platform
 from repro.crowd.latency import LatencyModel
 from repro.crowd.worker import RELIABLE
 from repro.datasets.restaurant import RestaurantGenerator
@@ -181,7 +182,6 @@ class TestAsyncPlatform:
         dict(max_inflight_hits=-1),
         dict(backpressure_policy="drop"),
         dict(max_retries=-1),
-        dict(backoff_ticks=-1),
     ])
     def test_parameter_validation(self, bad):
         with pytest.raises(ValueError):
@@ -235,11 +235,11 @@ class TestAsyncPlatform:
         slots = [(d.hit_id, d.slot) for d in deliveries]
         assert len(slots) == len(set(slots))
 
-    def test_exhausted_retries_become_paid_reissues(self):
+    def test_exhausted_retries_become_paid_reissues(self, monkeypatch):
+        monkeypatch.setattr(async_platform, "BACKOFF_TICKS", 0)
         plan = FaultPlan(seed=7, drop_probability=0.9, max_faulty_attempts=6)
         crowd = AsyncCrowdPlatform(
-            make_platform(), vote_timeout=1, max_retries=1, backoff_ticks=0,
-            fault_plan=plan,
+            make_platform(), vote_timeout=1, max_retries=1, fault_plan=plan,
         )
         crowd.publish(pair_batch(grid_pairs(12)), true_matches=set())
         crowd.settle()

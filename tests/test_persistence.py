@@ -374,9 +374,9 @@ class TestBackendFlip:
 class TestStructure:
     def test_result_and_operational_fields_partition_the_config(self):
         names = [spec.name for spec in dataclasses.fields(WorkflowConfig)]
-        assert len(names) == 26
+        assert len(names) == 24
         assert len(OPERATIONAL_CONFIG_FIELDS) == 7
-        assert len(RESULT_CONFIG_FIELDS) == 19
+        assert len(RESULT_CONFIG_FIELDS) == 17
         assert set(OPERATIONAL_CONFIG_FIELDS) | set(RESULT_CONFIG_FIELDS) == set(names)
         assert not set(OPERATIONAL_CONFIG_FIELDS) & set(RESULT_CONFIG_FIELDS)
         # The hand-maintained tuple this definition replaced, name for name.
@@ -384,9 +384,9 @@ class TestStructure:
             "likelihood_threshold", "similarity_attributes", "hit_type",
             "cluster_size", "pairs_per_hit", "cluster_generator",
             "assignments_per_hit", "use_qualification_test", "aggregation",
-            "decision_threshold", "streaming_aggregation_scope",
+            "streaming_aggregation_scope",
             "crowd_mode", "vote_timeout", "max_inflight_hits",
-            "backpressure_policy", "crowd_max_retries", "crowd_backoff_ticks",
+            "backpressure_policy", "crowd_max_retries",
             "fault_plan", "seed",
         ))
 
@@ -567,6 +567,8 @@ class TestSaveRestore:
             "staleness_epsilon": 0,
             "recrowd_policy": "never",
             "packing_method": "column-generation",
+            "decision_threshold": 0.5,
+            "crowd_backoff_ticks": 2,
         }
         assert set(legacy) == set(persistence.RETIRED_CONFIG_FIELDS)
         obs.deactivate()
@@ -584,6 +586,8 @@ class TestSaveRestore:
         ("staleness_epsilon", 8),
         ("recrowd_policy", "dirty"),
         ("packing_method", "ffd"),
+        ("decision_threshold", 0.7),
+        ("crowd_backoff_ticks", 3),
     ))
     def test_a_retired_result_knob_in_use_refuses_to_restore(
         self, tmp_path, monkeypatch, durability, name, value

@@ -222,11 +222,14 @@ class TestSessionRetraction:
         resolver = StreamingResolver(config=make_config(likelihood_threshold=0.5))
         resolver.add_truth([("a1", "a2")])
         resolver.add_batch(island_a)
-        provenance = resolver.provenance.get("a1", "a2")
-        assert provenance.discovered_batch == 1
-        assert provenance.hit_ids and provenance.hit_ids[0].startswith("b1:")
-        assert provenance.vote_count == resolver.config.assignments_per_hit
-        assert resolver.provenance.pairs_of("a3") == {("a1", "a3"), ("a2", "a3")}
+        ledger = resolver.storage.ledger
+        assert ("a1", "a2") in ledger.pairs and ("a1", "a2") in ledger.covered
+        assert len(resolver.votes_for("a1", "a2")) == resolver.config.assignments_per_hit
+        assert ledger.pairs_of("a3") == {("a1", "a3"), ("a2", "a3")}
+        assert ledger.pairs_of("b1") == set()
+        resolver.retract("a3")
+        assert ledger.pairs_of("a3") == set()
+        assert ledger.pairs_of("a1") == {("a1", "a2")}
 
 
 class TestSessionUpdate:

@@ -243,16 +243,16 @@ class TestAppendCostFollowsTheFreshVotes:
         ranked = []
         rank_candidates = session_module.rank_candidates
 
-        def counted(likelihoods, posteriors, decision_threshold):
+        def counted(likelihoods, posteriors):
             ranked.append(len(likelihoods))
-            return rank_candidates(likelihoods, posteriors, decision_threshold)
+            return rank_candidates(likelihoods, posteriors)
 
         monkeypatch.setattr(session_module, "rank_candidates", counted)
         for record in chain[10:]:
             result = resolver.add_batch([record])
             assert result.delta.new_candidate_pairs == 1
             assert (result.ranked_pairs, result.matches) == rank_candidates(
-                result.likelihoods, result.posteriors, 0.5
+                result.likelihoods, result.posteriors
             )
         resolver.retract("r04")
         resolver.snapshot()

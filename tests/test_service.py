@@ -31,6 +31,7 @@ from strategies import drive, event_schedules
 
 from repro import obs
 from repro.core.config import WorkflowConfig
+from repro.core.ranking import DECISION_THRESHOLD
 from repro.datasets.restaurant import RestaurantGenerator
 from repro.service import ResolutionService, ServiceClient, ServiceClientError
 from repro.service.sessions import encode_event, encode_result
@@ -327,6 +328,8 @@ class TestHttpSurface:
             {"join_pool": "fork"},  # retired knobs: unknown like any other
             {"storage_path": "/tmp/elsewhere.sqlite"},
             {"journal_segment_events": 512},
+            {"decision_threshold": 0.5},
+            {"crowd_backoff_ticks": 2},
             {"storage_backend": "sqlite"},  # lives in checkpoint_dir: needs one
         ):
             with pytest.raises(ServiceClientError) as caught:
@@ -801,7 +804,6 @@ class TestDeltasOnTheWire:
         resolver = StreamingResolver(config=make_config())
         resolver.add_truth(dataset.ground_truth)
         standalone = RecordedEvents(resolver)
-        threshold = resolver.config.decision_threshold
         folded, mirror = {}, {}
         served_cursor = standalone_cursor = 0
         just_restored = False
@@ -830,7 +832,7 @@ class TestDeltasOnTheWire:
                 just_restored = False
             assert sorted([a, b, p] for (a, b), p in folded.items()) == served["posteriors"]
             assert served["matches"] == sorted(
-                [a, b] for (a, b), p in folded.items() if p > threshold
+                [a, b] for (a, b), p in folded.items() if p > DECISION_THRESHOLD
             )
             assert served == encode_result(resolver.snapshot())
         client.close(session_id)

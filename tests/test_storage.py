@@ -10,7 +10,9 @@ of that, restoring onto a *changed* result config re-joins the stored
 records instead of refusing.
 """
 
+import json
 import os
+import sqlite3
 
 import numpy as np
 import pytest
@@ -22,10 +24,11 @@ from strategies import drive, event_schedules
 from repro.core.config import WorkflowConfig
 from repro.datasets.restaurant import RestaurantGenerator
 from repro.hit.pair_generation import PairHITGenerator
+from repro.obs.report import CostReport
 from repro.records.pairs import PairSet, RecordPair
 from repro.records.record import Record, RecordStore
 from repro.simjoin.columnar import argsort_descending
-from repro.storage import MemoryStore, SqliteStore, StorageError, open_store
+from repro.storage import SqliteStore, StorageError
 from repro.storage.sqlite import STORE_FILENAME
 from repro.streaming import PersistenceError, StreamingResolver
 from repro.streaming.persistence import ARCHIVE_DIRNAME
@@ -59,6 +62,62 @@ def assert_sessions_identical(left, right):
     assert sorted(left.store.record_ids) == sorted(right.store.record_ids)
 
 
+#: The per-pair history table an earlier release created in every store.
+PARENT_PROVENANCE_SCHEMA = """
+CREATE TABLE provenance (
+    id_a             TEXT NOT NULL,
+    id_b             TEXT NOT NULL,
+    discovered_batch INTEGER NOT NULL,
+    hit_ids          TEXT NOT NULL,
+    vote_events      TEXT NOT NULL,
+    PRIMARY KEY (id_a, id_b)
+);
+CREATE INDEX provenance_a ON provenance(id_a);
+CREATE INDEX provenance_b ON provenance(id_b);
+"""
+
+
+def plant_parent_provenance(path, pairs):
+    """Give the store at ``path`` the earlier release's table, one row per pair."""
+    connection = sqlite3.connect(str(path))
+    with connection:
+        connection.executescript(PARENT_PROVENANCE_SCHEMA)
+        connection.executemany(
+            "INSERT INTO provenance VALUES (?, ?, 1, ?, ?)",
+            [(a, b, json.dumps(["b1:h0"]), json.dumps([[1, 0, 3]])) for a, b in pairs],
+        )
+    connection.close()
+
+
+def parent_provenance_rows(path):
+    """Rows of the earlier release's table, or ``None`` once it is gone."""
+    connection = sqlite3.connect(str(path))
+    try:
+        return connection.execute("SELECT COUNT(*) FROM provenance").fetchone()[0]
+    except sqlite3.OperationalError:
+        return None
+    finally:
+        connection.close()
+
+
+def schema_objects(store, fragment):
+    """Names of the ``sqlite_master`` objects containing ``fragment``."""
+    return [
+        name
+        for name, in store.query(
+            "SELECT name FROM sqlite_master WHERE name LIKE ?", (f"%{fragment}%",)
+        )
+    ]
+
+
+def assert_ledger_indexes_the_candidates(session, record_ids):
+    """``pairs_of(r)`` is exactly the candidate pairs containing ``r``."""
+    ledger, keys = session.storage.ledger, set(session.candidates.keys())
+    assert keys == set(ledger.pairs)
+    for record_id in record_ids:
+        assert ledger.pairs_of(record_id) == {key for key in keys if record_id in key}
+
+
 def session_fingerprint(session):
     """State summary that can outlive the session's storage handle."""
     snap = session.snapshot()
@@ -78,19 +137,6 @@ def session_fingerprint(session):
 
 # ------------------------------------------------------------- store basics
 class TestOpenStore:
-    def test_memory_is_the_default_backend(self):
-        store = open_store("memory", None)
-        assert isinstance(store, MemoryStore)
-        assert not store.persistent
-
-    def test_sqlite_requires_a_path(self):
-        with pytest.raises(StorageError):
-            open_store("sqlite", None)
-
-    def test_unknown_backend_raises(self, tmp_path):
-        with pytest.raises(StorageError):
-            open_store("postgres", str(tmp_path / "x"))
-
     def test_garbage_file_is_rejected(self, tmp_path):
         target = tmp_path / "store.sqlite"
         target.write_bytes(b"this is not a database at all, not even close")
@@ -181,16 +227,23 @@ class TestSqliteRoundTrips:
         reopened.close()
 
     def test_provenance_and_workload_round_trip(self, tmp_path):
+        """The record → pairs index (retraction's provenance) is rebuilt
+        from the ``pairs`` table at page-in; nothing else stores it."""
         path = tmp_path / STORE_FILENAME
         store = SqliteStore(path)
-        store.prov_write(("r1", "r2"), 3, ["b3:h0"], [(3, 0, 3)])
-        store.prov_write(("r1", "r3"), 4, [], [])
-        store.prov_delete([("r1", "r3")])
+        for key in (("r1", "r2"), ("r1", "r3"), ("r2", "r3")):
+            store.ledger.add_pair(key, 0.5)
+        store.ledger.drop_pair(("r1", "r3"))
         store.append_assignment_seconds([1.5, 2.25])
         store.commit()
         store.close()
         reopened = SqliteStore(path)
-        assert reopened.load_provenance() == [(("r1", "r2"), 3, ["b3:h0"], [(3, 0, 3)])]
+        assert reopened.ledger.pairs_of("r1") == set()  # opening pages nothing in
+        reopened.load_ledger()
+        assert reopened.ledger.pairs_of("r1") == {("r1", "r2")}
+        assert reopened.ledger.pairs_of("r2") == {("r1", "r2"), ("r2", "r3")}
+        assert reopened.ledger.pairs_of("r3") == {("r2", "r3")}
+        assert reopened.ledger.pairs_of("ghost") == set()
         assert reopened.load_assignment_seconds() == [1.5, 2.25]
         reopened.close()
 
@@ -394,6 +447,79 @@ class TestPageInRestore:
         assert restored.durability.journal.events(after=resolver.events_applied)
         restored.durability.close()
 
+    def test_store_carrying_the_provenance_table_restores_and_sheds_it(self, tmp_path):
+        """An earlier release kept a per-pair history table (``provenance``,
+        two indexes, one JSON row per pair) that nothing read.  Its store
+        restores bit-identically, retracts exactly, and loses the table."""
+        dataset = make_dataset()
+        records = list(dataset.store)
+        resolver = StreamingResolver(
+            config=make_config(storage_backend="sqlite", checkpoint_dir=str(tmp_path))
+        )
+        twin = StreamingResolver(config=make_config())
+        for session in (resolver, twin):
+            session.add_truth(dataset.ground_truth)
+            for start in range(0, len(records), 15):
+                session.add_batch(records[start : start + 15])
+        expected = session_fingerprint(resolver)
+        pairs = sorted(resolver.storage.ledger.pairs)
+        resolver.durability.close()
+        plant_parent_provenance(tmp_path / STORE_FILENAME, pairs)
+
+        restored = StreamingResolver.restore(str(tmp_path))
+        assert session_fingerprint(restored) == expected
+        assert schema_objects(restored.durability.store, "provenance") == []
+        victim = records[2].record_id
+        victim_pairs = [key for key in pairs if victim in key]
+        assert victim_pairs  # the retraction has something to invalidate
+        assert restored.retract(victim).delta.invalidated_pairs == len(victim_pairs)
+        twin.retract(victim)
+        assert_sessions_identical(twin, restored)
+        restored.durability.close()
+
+    def test_a_parent_store_keeps_its_provenance_until_a_session_takes_it_over(
+        self, tmp_path
+    ):
+        """Reading a store (``repro stats``) or refusing to restore it leaves
+        the earlier release's table and rows in place, so that release can
+        still resume it; a memory-backed resume that keeps the log drops it."""
+        dataset = make_dataset()
+        records = list(dataset.store)
+        resolver = StreamingResolver(
+            config=make_config(storage_backend="sqlite", checkpoint_dir=str(tmp_path))
+        )
+        resolver.add_truth(dataset.ground_truth)
+        for start in range(0, len(records), 15):
+            resolver.add_batch(records[start : start + 15])
+        expected = session_fingerprint(resolver)
+        pairs = sorted(resolver.storage.ledger.pairs)
+        resolver.durability.close()
+        path = tmp_path / STORE_FILENAME
+        plant_parent_provenance(path, pairs)
+
+        CostReport.from_store(str(path))
+        assert parent_provenance_rows(path) == len(pairs)
+
+        def store_threshold(value):
+            store = SqliteStore(path)
+            store.set_meta("config", {**store.get_meta("config"), "decision_threshold": value})
+            store.commit()
+            store.close()
+
+        store_threshold(0.7)
+        with pytest.raises(PersistenceError, match="decision_threshold=0.7"):
+            StreamingResolver.restore(str(tmp_path))
+        assert parent_provenance_rows(path) == len(pairs)
+
+        store_threshold(0.5)  # the value that replays
+        restored = StreamingResolver.restore(
+            str(tmp_path), config=make_config(checkpoint_dir=str(tmp_path))
+        )
+        assert restored.storage.backend_name == "memory"
+        assert session_fingerprint(restored) == expected
+        assert parent_provenance_rows(path) is None
+        restored.durability.close()
+
     def test_fresh_session_refuses_an_occupied_store(self, tmp_path):
         config = make_config(storage_backend="sqlite", checkpoint_dir=str(tmp_path))
         first = StreamingResolver(config=config)
@@ -401,6 +527,86 @@ class TestPageInRestore:
         first.storage.close()
         with pytest.raises(PersistenceError):
             StreamingResolver(config=config)
+
+
+# ------------------------------------------- the ledger's record -> pairs index
+class TestLedgerRecordIndex:
+    @settings(
+        max_examples=6,
+        deadline=None,
+        suppress_health_check=[
+            HealthCheck.too_slow,
+            HealthCheck.function_scoped_fixture,
+        ],
+    )
+    @given(
+        data=st.data(),
+        schedule=event_schedules(min_size=2, max_size=7),
+        backend=st.sampled_from(("memory", "sqlite")),
+    )
+    def test_property_pairs_of_is_the_candidates_of_each_record(
+        self, tmp_path_factory, data, schedule, backend
+    ):
+        """After every event of a random batch/retract/update schedule —
+        and after paging the session in at a random point — the ledger's
+        index names exactly the candidate pairs of every record that ever
+        arrived (none for a retracted one)."""
+        dataset = make_dataset(record_count=40, duplicate_pairs=8, seed=47)
+        records = list(dataset.store)
+        arrived = [record.record_id for record in records]
+        directory = tmp_path_factory.mktemp("index")
+        session = StreamingResolver(
+            config=make_config(storage_backend=backend, checkpoint_dir=str(directory))
+        )
+        session.add_truth(dataset.ground_truth)
+        page_in_at = data.draw(
+            st.integers(min_value=0, max_value=len(schedule)), label="page_in_at"
+        )
+        cursor = 0
+        for step in range(len(schedule) + 1):
+            if step == page_in_at:
+                session.save()
+                session.durability.close()
+                session = StreamingResolver.restore(str(directory))
+                assert_ledger_indexes_the_candidates(session, arrived[:cursor])
+            if step < len(schedule):
+                cursor = drive(session, records, schedule[step : step + 1], cursor)
+                assert_ledger_indexes_the_candidates(session, arrived[:cursor])
+        session.durability.close()
+
+    def test_a_durable_session_mirrors_4082_statements(self, tmp_path, monkeypatch):
+        """Restaurant(2000, 250, seed 7) at 0.35 in batches of 250 plus a
+        flush: every statement a sqlite session mirrors, the log's included,
+        is counted.  None names the per-pair history an earlier release
+        wrote three times per pair (6,059 statements then)."""
+        dataset = RestaurantGenerator(2000, 250, seed=7).generate()
+        records = list(dataset.store)
+        statements = []
+        for name in ("execute", "executemany"):
+            original = getattr(SqliteStore, name)
+
+            def counted(store, sql, *args, original=original):
+                statements.append(sql)
+                return original(store, sql, *args)
+
+            monkeypatch.setattr(SqliteStore, name, counted)
+
+        def run(**durable):
+            session = StreamingResolver(config=make_config(
+                join_workers=1, seed=7, **durable
+            ))
+            session.add_truth(dataset.ground_truth)
+            for start in range(0, len(records), 250):
+                session.add_batch(records[start : start + 250])
+            session.flush()
+            return session
+
+        durable = run(storage_backend="sqlite", checkpoint_dir=str(tmp_path))
+        assert len(statements) == 4082
+        assert not [sql for sql in statements if "provenance" in sql]
+        assert schema_objects(durable.durability.store, "provenance") == []
+        assert durable.state_digest() == run().state_digest()
+        durable.durability.close()
 
 
 # ------------------------------------------------- re-join on config change

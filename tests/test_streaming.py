@@ -320,15 +320,15 @@ def test_property_streaming_equals_batch(order_seed, batch_size):
 
 
 # ------------------------------------------------------- the ranked index
-def index_of(likelihoods, posteriors, threshold=0.5):
-    index = RankedIndex(threshold)
+def index_of(likelihoods, posteriors):
+    index = RankedIndex()
     for key, likelihood in likelihoods.items():
         index.put(key, likelihood, posteriors.get(key))
     return index
 
 
-def assert_index_ranks_like_the_oracle(index, likelihoods, posteriors, threshold=0.5):
-    ranked, matches = rank_candidates(likelihoods, posteriors, threshold)
+def assert_index_ranks_like_the_oracle(index, likelihoods, posteriors):
+    ranked, matches = rank_candidates(likelihoods, posteriors)
     assert index.ranked() == ranked
     assert index.matches() == matches
 
@@ -376,8 +376,8 @@ class TestRankedIndex:
     def test_load_takes_the_oracle_order_and_keeps_updating(self):
         likelihoods = {("a", "b"): 0.4, ("c", "d"): 0.6, ("e", "f"): 0.6}
         posteriors = {("a", "b"): 0.8}
-        index = RankedIndex(0.5)
-        index.load(rank_candidates(likelihoods, posteriors, 0.5)[0], likelihoods, posteriors)
+        index = RankedIndex()
+        index.load(rank_candidates(likelihoods, posteriors)[0], likelihoods, posteriors)
         assert_index_ranks_like_the_oracle(index, likelihoods, posteriors)
         likelihoods[("g", "h")] = 0.6
         index.put(("g", "h"), 0.6, None)
@@ -395,11 +395,10 @@ class TestRankedIndex:
             ),
             max_size=40,
         ),
-        threshold=st.sampled_from((0.0, 0.5, 1.0)),
     )
-    def test_property_any_update_sequence_ranks_like_the_oracle(self, operations, threshold):
+    def test_property_any_update_sequence_ranks_like_the_oracle(self, operations):
         likelihoods, posteriors = {}, {}
-        index = RankedIndex(threshold)
+        index = RankedIndex()
         for number, likelihood, posterior in operations:
             key = (f"r{number // 4}", f"s{number % 4}")
             if posterior == "drop":
@@ -413,8 +412,8 @@ class TestRankedIndex:
             else:
                 posteriors[key] = posterior
             index.put(key, likelihood, posterior)
-            assert_index_ranks_like_the_oracle(index, likelihoods, posteriors, threshold)
-        assert_index_ranks_like_the_oracle(index, likelihoods, posteriors, threshold)
+            assert_index_ranks_like_the_oracle(index, likelihoods, posteriors)
+        assert_index_ranks_like_the_oracle(index, likelihoods, posteriors)
 
 
 # ------------------------------------- snapshot == the ledger ranked afresh
@@ -429,9 +428,7 @@ RANKED_MODES = {
 
 def assert_snapshot_is_the_ledger_ranked_afresh(result, resolver):
     ledger = resolver.storage.ledger
-    ranked, matches = rank_candidates(
-        dict(ledger.pairs), dict(ledger.posteriors), resolver.config.decision_threshold
-    )
+    ranked, matches = rank_candidates(dict(ledger.pairs), dict(ledger.posteriors))
     assert result.ranked_pairs == ranked
     assert result.matches == matches
     assert result.likelihoods == ledger.pairs

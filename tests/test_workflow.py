@@ -46,9 +46,10 @@ class TestWorkflowConfig:
             {"pairs_per_hit": 0},
             {"assignments_per_hit": 0},
             {"aggregation": "magic"},
-            {"decision_threshold": 2.0},
+            {"vote_timeout": 0},
             {"join_backend": "quantum"},
             {"join_workers": -2},
+            {"storage_backend": "postgres"},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
