@@ -66,9 +66,8 @@ class VoteDelivery:
     """One accepted assignment submission: the slot's votes for its HIT.
 
     ``votes`` holds the slot-indexed oracle vote for every pair the HIT
-    exclusively covers; ``pair_rounds`` the vote round each pair was
-    published under (needed to discard stale deliveries).  ``seconds`` is
-    the latency-model completion time of the assignment.
+    exclusively covers.  ``seconds`` is the latency-model completion time
+    of the assignment.
     """
 
     hit_id: str
@@ -76,7 +75,6 @@ class VoteDelivery:
     assignment_id: str
     attempt: int
     votes: List[Vote] = field(default_factory=list)
-    pair_rounds: Dict[PairKey, int] = field(default_factory=dict)
     seconds: float = 0.0
     issued_tick: int = 0
     delivered_tick: int = 0
@@ -88,7 +86,6 @@ class VoteDelivery:
             "assignment_id": self.assignment_id,
             "attempt": self.attempt,
             "votes": [[w, [k[0], k[1]], bool(a)] for w, k, a in self.votes],
-            "pair_rounds": [[k[0], k[1], r] for k, r in sorted(self.pair_rounds.items())],
             "seconds": self.seconds,
             "issued_tick": self.issued_tick,
             "delivered_tick": self.delivered_tick,
@@ -102,7 +99,6 @@ class VoteDelivery:
             assignment_id=payload["assignment_id"],
             attempt=payload["attempt"],
             votes=[(w, (k[0], k[1]), bool(a)) for w, k, a in payload["votes"]],
-            pair_rounds={(a, b): r for a, b, r in payload["pair_rounds"]},
             seconds=payload["seconds"],
             issued_tick=payload["issued_tick"],
             delivered_tick=payload["delivered_tick"],
@@ -163,7 +159,7 @@ class AsyncCrowdPlatform:
         self.fault_plan = fault_plan
         self.clock = 0
         self.publish_count = 0
-        #: hit_uid -> open-HIT record (pairs, rounds, truth-at-publish, ...).
+        #: hit_uid -> open-HIT record (pairs, truth-at-publish, ...).
         self._hits: Dict[str, dict] = {}
         #: outstanding assignment attempts (dict entries; JSON-shaped).
         self._pending: List[dict] = []
@@ -203,7 +199,6 @@ class AsyncCrowdPlatform:
         batch: HITBatch,
         true_matches: Iterable[PairKey],
         candidate_pairs: Optional[Iterable[PairKey]] = None,
-        vote_rounds: Optional[Mapping[PairKey, int]] = None,
         force: bool = False,
     ) -> CrowdRunResult:
         """Enqueue every HIT of the batch; votes arrive via later polls.
@@ -249,10 +244,6 @@ class AsyncCrowdPlatform:
             hit_uid = f"p{self.publish_count}:{hit.hit_id}"
             self._hits[hit_uid] = {
                 "pairs": pairs,
-                "rounds": {
-                    key: (vote_rounds.get(key, 0) if vote_rounds else 0)
-                    for key in pairs
-                },
                 "truth": {key: key in truth for key in pairs},
                 "seconds": seconds,
                 "delivered": set(),
@@ -348,7 +339,6 @@ class AsyncCrowdPlatform:
             assignment_id=assignment_id,
             attempt=entry["attempt"],
             votes=[votes[entry["slot"]] for votes in self._oracle_votes(hit)],
-            pair_rounds=dict(hit["rounds"]),
             seconds=hit["seconds"],
             issued_tick=hit["issued_tick"],
             delivered_tick=self.clock,
@@ -379,9 +369,7 @@ class AsyncCrowdPlatform:
         """
         if "votes" not in hit:
             hit["votes"] = [
-                self.inner.pair_votes(key, hit["truth"][key],
-                                      round_index=hit["rounds"][key])
-                for key in hit["pairs"]
+                self.inner.pair_votes(key, hit["truth"][key]) for key in hit["pairs"]
             ]
         return hit["votes"]
 
@@ -477,7 +465,6 @@ class AsyncCrowdPlatform:
             "hits": [
                 [uid, {
                     "pairs": [[a, b] for a, b in hit["pairs"]],
-                    "rounds": [[a, b, r] for (a, b), r in sorted(hit["rounds"].items())],
                     "truth": [[a, b, bool(t)] for (a, b), t in sorted(hit["truth"].items())],
                     "seconds": hit["seconds"],
                     "delivered": sorted(hit["delivered"]),
@@ -502,7 +489,6 @@ class AsyncCrowdPlatform:
         self._hits = {
             uid: {
                 "pairs": [(a, b) for a, b in payload["pairs"]],
-                "rounds": {(a, b): r for a, b, r in payload["rounds"]},
                 "truth": {(a, b): bool(t) for a, b, t in payload["truth"]},
                 "seconds": payload["seconds"],
                 "delivered": set(payload["delivered"]),

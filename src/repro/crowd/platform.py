@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -93,7 +93,7 @@ class SimulatedCrowdPlatform:
         RNG is advanced HIT by HIT, so the votes a pair receives depend on
         the order HITs are published and on how pairs are grouped into
         HITs.  ``"per-pair"`` makes every pair's votes a pure function of
-        (platform seed, pair key, vote round): the workers asked about a
+        (platform seed, pair key): the workers asked about a
         pair and their answers are drawn from RNGs seeded by the pair key,
         so regrouping pairs into different HITs, splitting a batch into
         several ``publish`` calls, or covering a pair with multiple HITs
@@ -163,7 +163,6 @@ class SimulatedCrowdPlatform:
         batch: HITBatch,
         true_matches: Iterable[Tuple[str, str]],
         candidate_pairs: Optional[Iterable[Tuple[str, str]]] = None,
-        vote_rounds: Optional[Mapping[Tuple[str, str], int]] = None,
     ) -> CrowdRunResult:
         """Run every HIT of the batch through ``assignments_per_hit`` workers.
 
@@ -171,10 +170,7 @@ class SimulatedCrowdPlatform:
         ``candidate_pairs`` restricts which pairs of a HIT produce votes (by
         default the batch's own candidate set is used, so only
         machine-suggested pairs are recorded — exactly the pairs the
-        workflow needs verified).  ``vote_rounds`` (per-pair mode only) maps
-        a pair key to its re-crowd round; asking the same pair again in a
-        higher round draws fresh votes, while round 0 always reproduces the
-        pair's original votes.
+        workflow needs verified).
         """
         truth: Set[Tuple[str, str]] = {canonical_pair(a, b) for a, b in true_matches}
         candidates = (
@@ -196,7 +192,7 @@ class SimulatedCrowdPlatform:
 
         with obs.span("crowd.publish", hits=batch.hit_count, mode=self.vote_mode):
             if self.vote_mode == "per-pair":
-                self._publish_per_pair(batch, truth, candidates, vote_rounds, rng, result)
+                self._publish_per_pair(batch, truth, candidates, rng, result)
             else:
                 self._publish_sequential(batch, truth, candidates, rng, result)
 
@@ -263,7 +259,6 @@ class SimulatedCrowdPlatform:
         batch: HITBatch,
         truth: Set[Tuple[str, str]],
         candidates: Set[Tuple[str, str]],
-        vote_rounds: Optional[Mapping[Tuple[str, str], int]],
         rng: random.Random,
         result: CrowdRunResult,
     ) -> None:
@@ -285,13 +280,12 @@ class SimulatedCrowdPlatform:
                 worker.completed_assignments += 1
                 result.assignment_seconds.append(seconds)
         keys = sorted(set().union(*batch.carried_pairs(candidates)))
-        rounds = [vote_rounds.get(key, 0) for key in keys] if vote_rounds else [0] * len(keys)
         is_match = [key in truth for key in keys]
         if len(keys) >= mt19937.BULK_MIN_SEEDS:
-            result.votes.extend(self.votes_for(keys, is_match, rounds))
+            result.votes.extend(self.votes_for(keys, is_match))
             return
-        for pair_key, match, round_index in zip(keys, is_match, rounds):
-            result.votes.extend(self.pair_votes(pair_key, match, round_index=round_index))
+        for pair_key, match in zip(keys, is_match):
+            result.votes.extend(self.pair_votes(pair_key, match))
         if obs.enabled():
             _count_oracle_pairs(0, len(keys))
 
@@ -310,22 +304,21 @@ class SimulatedCrowdPlatform:
             )
         raise TypeError(f"unsupported HIT type: {type(hit)!r}")
 
-    def pair_votes(
-        self, pair_key: Tuple[str, str], is_match: bool, round_index: int = 0
-    ) -> List[Vote]:
+    def pair_votes(self, pair_key: Tuple[str, str], is_match: bool) -> List[Vote]:
         """Deterministic votes for one pair (the per-pair vote oracle).
 
         The ``assignments_per_hit`` workers asked about the pair are drawn
-        from an RNG seeded by (platform seed, round, pair key), and each
-        worker's answer from an RNG seeded by (platform seed, round, worker,
-        pair key).  String seeds hash via SHA-512 inside ``random.Random``,
-        so the votes are stable across processes and independent of
-        ``PYTHONHASHSEED``.  This is the reference evaluator: small
+        from an RNG seeded by ``"{seed}|0|workers|{id_a}|{id_b}"``, and each
+        worker's answer from an RNG seeded by
+        ``"{seed}|0|{worker}|{id_a}|{id_b}"`` (the literal ``0`` keeps every
+        vote an earlier release logged reproducible).  String seeds hash via
+        SHA-512 inside ``random.Random``, so the votes are stable across
+        processes and independent of ``PYTHONHASHSEED``.  This is the reference evaluator: small
         publishes, the async platform's per-HIT oracle call and every pair
         :meth:`votes_for` cannot settle from its words ask it directly.
         """
         key_a, key_b = pair_key
-        picker = random.Random(f"{self.seed}|{round_index}|workers|{key_a}|{key_b}")
+        picker = random.Random(f"{self.seed}|0|workers|{key_a}|{key_b}")
         if len(self._eligible) >= self.assignments_per_hit:
             workers = picker.sample(self._eligible, self.assignments_per_hit)
         else:
@@ -333,7 +326,7 @@ class SimulatedCrowdPlatform:
         votes: List[Vote] = []
         for worker in workers:
             answer_rng = random.Random(
-                f"{self.seed}|{round_index}|{worker.worker_id}|{key_a}|{key_b}"
+                f"{self.seed}|0|{worker.worker_id}|{key_a}|{key_b}"
             )
             votes.append(
                 (worker.worker_id, pair_key, worker.answer_comparison(is_match, rng=answer_rng))
@@ -344,12 +337,11 @@ class SimulatedCrowdPlatform:
         self,
         keys: Sequence[Tuple[str, str]],
         is_match: Sequence[bool],
-        rounds: Sequence[int],
     ) -> List[Vote]:
         """:meth:`pair_votes` for many pairs at once, from one oracle pass.
 
-        Returns exactly ``[vote for key, match, round in zip(keys, is_match,
-        rounds) for vote in self.pair_votes(key, match, round)]``.  The
+        Returns exactly ``[vote for key, match in zip(keys, is_match) for
+        vote in self.pair_votes(key, match)]``.  The
         first words of every picker and answer RNG come from
         :func:`~repro.crowd.mt19937.first_words`.  Workers are read off the
         picker words the way ``random.sample``'s set branch draws them, and
@@ -360,13 +352,13 @@ class SimulatedCrowdPlatform:
         assignments, or a sample needing more than :attr:`DRAWS` draws.
         """
         eligible, k = self._eligible, self.assignments_per_hit
-        workers, settled = self._sampled_workers(keys, rounds)
+        workers, settled = self._sampled_workers(keys)
         pair_of = np.repeat(np.flatnonzero(settled), k)
         worker_of = workers[settled].ravel()
         pairs, picks = pair_of.tolist(), worker_of.tolist()
         ids = [worker.worker_id for worker in eligible]
         u = mt19937.first_randoms(
-            f"{self.seed}|{rounds[p]}|{ids[j]}|{keys[p][0]}|{keys[p][1]}"
+            f"{self.seed}|0|{ids[j]}|{keys[p][0]}|{keys[p][1]}"
             for p, j in zip(pairs, picks)
         )
 
@@ -395,11 +387,11 @@ class SimulatedCrowdPlatform:
                 votes.extend(bulk[position:position + k])
                 position += k
             else:
-                votes.extend(self.pair_votes(keys[p], is_match[p], round_index=rounds[p]))
+                votes.extend(self.pair_votes(keys[p], is_match[p]))
         return votes
 
     def _sampled_workers(
-        self, keys: Sequence[Tuple[str, str]], rounds: Sequence[int]
+        self, keys: Sequence[Tuple[str, str]]
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Eligible-worker indices ``random.sample`` picks for each pair.
 
@@ -416,8 +408,7 @@ class SimulatedCrowdPlatform:
         if n <= set_size:
             return np.zeros((len(keys), k), dtype=np.intp), np.zeros(len(keys), dtype=bool)
         words = mt19937.first_words((
-            f"{self.seed}|{round_index}|workers|{key_a}|{key_b}"
-            for (key_a, key_b), round_index in zip(keys, rounds)
+            f"{self.seed}|0|workers|{key_a}|{key_b}" for key_a, key_b in keys
         ), self.DRAWS)
         draws = (words >> (32 - n.bit_length())).astype(np.intp)
         fresh = draws < n

@@ -10,8 +10,9 @@ backends:
   A durable session writes them into its :class:`SqliteStore` file whole,
   at its checkpoint cadence.
 * :class:`SqliteStore` — a single WAL-mode SQLite file holding the whole
-  session, mirrored per mutation and committed once per applied event;
-  record bodies stay out of process memory while the session runs.
+  session, written once per applied event (the pair ledger's changed rows
+  when the event commits); record bodies stay out of process memory while
+  the session runs.
 
 The SQLite file is the one on-disk form of a session either way —
 ``checkpoint_dir/store.sqlite``, holding both the state tables and the

@@ -12,8 +12,9 @@ implement it:
   bulk, at its checkpoint cadence
   (:func:`repro.streaming.persistence.write_snapshot`).
 * :class:`~repro.storage.sqlite.SqliteStore` — a single WAL-mode SQLite
-  file.  Every session mutation is mirrored into tables inside one
-  transaction per applied event.
+  file.  Every applied event's changes are written into its tables in one
+  transaction: records and join rows as they change, the pair ledger's
+  changed rows when the event commits.
 
 Either way the SQLite file is the one materialised form of a session — it
 also holds the session's event log — and
@@ -23,7 +24,9 @@ decides *when* the state is written.
 
 The hot path stays dict-speed for both backends: the session reads the
 :class:`PairLedger` mappings directly and every *mutation* goes through a
-ledger method, which a persistent backend overrides to mirror the change.
+ledger method.  A ledger a :class:`~repro.storage.sqlite.SqliteStore`
+holds also notes which keys changed, and the store writes only those keys'
+rows, once per event, when it commits.
 Outputs are bit-identical across backends — the property tests in
 ``tests/test_storage.py`` assert it for random batch/retract/update/crash
 schedules.
@@ -67,19 +70,18 @@ class PairLedger:
 
     Reads are plain attribute access on the dicts below (the session's
     inner loops touch them constantly); every *mutation* goes through a
-    method so a persistent store can mirror the change into its tables.
-    The base class is the complete in-memory implementation.
+    method, so the ledger knows what changed.
 
     Attributes
     ----------
     pairs:
-        Candidate pair key -> machine likelihood, in discovery order (the
-        page-in source for the session's :class:`~repro.records.pairs.PairSet`).
-        :meth:`pairs_of` indexes its keys by record: the skip index that
-        bounds a retraction to exactly the record's pairs.
-    votes / vote_rounds / pending_votes:
-        Per-pair vote ledger: votes in oracle order, completed crowd
-        rounds, and votes gained since the pair was last aggregated.
+        Candidate pair key -> machine likelihood, in discovery order: the
+        session's one candidate table.  :meth:`pairs_of` indexes its keys
+        by record: the skip index that bounds a retraction to exactly the
+        record's pairs.
+    votes / pending_votes:
+        Per-pair vote ledger: a voted pair's votes in oracle order, and the
+        votes it gained since it was last aggregated.
     posteriors:
         The aggregated posterior cache.
     covered:
@@ -91,16 +93,22 @@ class PairLedger:
         whose dicts were assigned wholesale (page-in), or one after
         :meth:`replace_posteriors`.  A new ledger is empty, so it starts
         with nothing touched and its first event can name what it changed.
+    unsaved:
+        ``None`` unless the ledger is stored (``PairLedger(stored=True)``).
+        Then: every key a mutation changed since :meth:`take_unsaved` last
+        ran, in order, mapped to whether :meth:`add_pair` placed it (its
+        ``pairs`` row goes to the end of the table, as the key went to the
+        end of :attr:`pairs`).
     """
 
-    def __init__(self) -> None:
+    def __init__(self, stored: bool = False) -> None:
         self.pairs: Dict[PairKey, Optional[float]] = {}
         self.votes: Dict[PairKey, List[Vote]] = {}
-        self.vote_rounds: Dict[PairKey, int] = {}
         self.pending_votes: Dict[PairKey, int] = {}
         self.posteriors: Dict[PairKey, float] = {}
         self.covered: Set[PairKey] = set()
         self.touched: Optional[Set[PairKey]] = set()
+        self.unsaved: Optional[Dict[PairKey, bool]] = {} if stored else None
         self._pairs_of_record: Dict[str, Set[PairKey]] = {}
 
     def pairs_of(self, record_id: str) -> AbstractSet[PairKey]:
@@ -126,19 +134,37 @@ class PairLedger:
         if self.touched is not None:
             self.touched.add(key)
 
+    def take_unsaved(self) -> Dict[PairKey, bool]:
+        """Hand over :attr:`unsaved` of a stored ledger and start afresh."""
+        unsaved, self.unsaved = self.unsaved, {}
+        return unsaved
+
+    def _note(self, keys: Iterable[PairKey]) -> None:
+        if self.unsaved is not None:
+            for key in keys:
+                self.unsaved.setdefault(key, False)
+
     # ------------------------------------------------------------ mutations
     def add_pair(self, key: PairKey, likelihood: Optional[float]) -> None:
-        """Register a discovered candidate pair (keeps the higher likelihood)."""
-        existing = self.pairs.get(key)
-        if key in self.pairs and (likelihood or 0.0) <= (existing or 0.0):
-            return
+        """Register a discovered candidate pair (keeps the higher likelihood).
+
+        A pair placed again moves to the end of :attr:`pairs`.
+        """
+        if key in self.pairs:
+            if (likelihood or 0.0) <= (self.pairs[key] or 0.0):
+                return
+            del self.pairs[key]
         self.pairs[key] = likelihood
         self._index(key)
         self._touch(key)
+        if self.unsaved is not None:
+            self.unsaved.pop(key, None)
+            self.unsaved[key] = True
 
     def drop_pair(self, key: PairKey) -> None:
         """Invalidate one pair entirely (retraction blast radius)."""
         self._touch(key)
+        self._note((key,))
         for record_id in key:
             pairs = self._pairs_of_record.get(record_id)
             if pairs is not None:
@@ -147,35 +173,41 @@ class PairLedger:
                     del self._pairs_of_record[record_id]
         self.pairs.pop(key, None)
         self.votes.pop(key, None)
-        self.vote_rounds.pop(key, None)
         self.pending_votes.pop(key, None)
         self.posteriors.pop(key, None)
         self.covered.discard(key)
 
     def record_fresh_votes(self, key: PairKey, votes: List[Vote]) -> None:
-        """Replace a pair's ledger entry with a fresh vote round."""
+        """Take a pair's crowd votes, in oracle order."""
         self.votes[key] = votes
-        self.vote_rounds[key] = self.vote_rounds.get(key, 0) + 1
         self.pending_votes[key] = self.pending_votes.get(key, 0) + len(votes)
+        self._note((key,))
 
     def mark_covered(self, keys: Iterable[PairKey]) -> None:
         """Note that published HITs covered the given pairs."""
-        self.covered.update(keys)
+        fresh = set(keys) - self.covered
+        self.covered |= fresh
+        self._note(fresh)
 
     def set_posterior(self, key: PairKey, posterior: float) -> None:
         self.posteriors[key] = posterior
         self._touch(key)
+        self._note((key,))
 
     def replace_posteriors(self, posteriors: Dict[PairKey, float]) -> None:
         """Global-scope aggregation: the whole cache is rebuilt at once."""
+        self._note(self.posteriors)
         self.posteriors = dict(posteriors)
+        self._note(self.posteriors)
         self.touched = None
 
     def clear_pending(self, keys: Iterable[PairKey]) -> None:
         for key in keys:
-            self.pending_votes.pop(key, None)
+            if self.pending_votes.pop(key, None) is not None:
+                self._note((key,))
 
     def clear_all_pending(self) -> None:
+        self._note(self.pending_votes)
         self.pending_votes.clear()
 
 
@@ -192,7 +224,7 @@ class Store(abc.ABC):
     * session **metadata** (config, truth, counters) and the accumulated
       crowd-assignment durations.
 
-    ``persistent`` tells callers whether mirror writes do anything; the
+    ``persistent`` tells callers whether the write hooks do anything; the
     in-memory backend keeps them as no-ops so the default path pays zero
     overhead.  Reading a session back (``load_*``) is the persistent
     backend's business alone — see :class:`~repro.storage.sqlite.SqliteStore`.
@@ -200,7 +232,7 @@ class Store(abc.ABC):
 
     #: Human-readable backend name (``"memory"`` / ``"sqlite"``).
     backend_name: str = "abstract"
-    #: True when mirror writes survive the process (page-in restore works).
+    #: True when its writes survive the process (page-in restore works).
     persistent: bool = False
 
     ledger: PairLedger
@@ -210,7 +242,7 @@ class Store(abc.ABC):
         """Release any underlying resources (no-op by default)."""
 
     def commit(self) -> None:
-        """Durably commit buffered writes (no-op for memory)."""
+        """Durably commit the event's writes (no-op for memory)."""
 
     # --------------------------------------------------------- record table
     @abc.abstractmethod

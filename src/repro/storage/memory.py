@@ -2,9 +2,9 @@
 
 :class:`MemoryStore` *is* the record table — the ordered-list-plus-id-index
 structure every unbacked :class:`~repro.records.record.RecordStore` uses —
-plus the plain-dict :class:`~repro.storage.base.PairLedger`; every mirror
-hook (join substrate, crowd workload) is the interface's no-op,
-because the live objects are the state.  A durable memory-backed session is
+plus a plain-dict :class:`~repro.storage.base.PairLedger` that notes no
+unsaved keys; every write hook (join substrate, crowd workload) is the
+interface's no-op, because the live objects are the state.  A durable memory-backed session is
 materialised by :func:`repro.streaming.persistence.write_snapshot`, which
 writes those live objects into the session's SQLite store in bulk.
 """
@@ -16,7 +16,7 @@ from repro.storage.base import PairLedger, Store
 
 
 class MemoryStore(_InMemoryRecordTable, Store):
-    """Process-memory backend: the record table itself, no-op mirrors."""
+    """Process-memory backend: the record table itself, no-op writes."""
 
     backend_name = "memory"
     persistent = False

@@ -8,11 +8,14 @@ hold "the state as of ``meta.events_applied``"; its ``events`` table
 :class:`repro.streaming.persistence.SessionJournal` owns its rows, this
 module only declares it.
 
-A sqlite-backed session mirrors every mutation into the state tables as it
-goes; a memory-backed one writes them whole at its checkpoint cadence
-(:meth:`SqliteStore.clear` + :meth:`SqliteStore.write_ledger` and the
-mirror hooks, one transaction; ``events`` is not in ``_TABLES``, so a
-rewrite never touches the log).
+A sqlite-backed session writes each event's changes into the state tables
+inside that event's transaction: records, join rows and meta as they
+change, and the pair ledger's changed keys — which a ledger this store holds
+notes — once, when :meth:`SqliteStore.commit` closes the event
+(:meth:`SqliteStore.write_ledger`).  A memory-backed session writes the
+tables whole at its checkpoint cadence (:meth:`SqliteStore.clear` and the
+same :meth:`SqliteStore.write_ledger` with every key, one transaction;
+``events`` is not in ``_TABLES``, so a rewrite never touches the log).
 :meth:`repro.streaming.StreamingResolver.restore` *pages in* the state
 and replays ``events WHERE seq > meta.events_applied``.
 
@@ -23,14 +26,15 @@ Pragmas::
                  = FULL       -- set by ``SessionJournal`` when it attaches a log:
                                  every commit is fsynced, so a logged intent is
                                  on stable storage before it is applied
-    foreign_keys = ON         -- referential integrity
+    foreign_keys = ON         -- no table declares one: the ledger writer deletes
+                                 a dropped pair's rows from all four pair tables
     busy_timeout = 30000 ms   -- wait for locked databases
 
 All writes between two :meth:`commit` calls form one transaction: the
-session opens a transaction implicitly at the first mirrored write of an
-event and commits after the event is fully applied — state rows, counters
-and the event's outcome row together — so a crash mid-event rolls back to
-the previous event boundary and the logged intent replays the interrupted
+session opens a transaction implicitly at the first write of an event and
+commits after the event is fully applied — state rows, counters and the
+event's outcome row together — so a crash mid-event rolls back to the
+previous event boundary and the logged intent replays the interrupted
 event.
 
 Float fidelity: SQLite ``REAL`` is an IEEE-754 double, and JSON numbers
@@ -45,13 +49,13 @@ import json
 import os
 import sqlite3
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro import obs
 from repro.records.record import Record
-from repro.storage.base import JoinRow, PairKey, PairLedger, Store, StorageError, Vote
+from repro.storage.base import JoinRow, PairKey, PairLedger, Store, StorageError
 
 #: Default store filename inside a checkpoint directory.
 STORE_FILENAME = "store.sqlite"
@@ -153,83 +157,6 @@ def _unblob(blob: bytes) -> np.ndarray:
     return np.frombuffer(blob, dtype="<i8").astype(np.int64)
 
 
-class SqlitePairLedger(PairLedger):
-    """The hot ledger dicts, with every mutation mirrored into SQL.
-
-    Reads stay pure dict access; each override applies the in-memory
-    change first (the base class) and then writes the *post-state* of the
-    touched rows, so the tables always equal the dicts at event
-    boundaries regardless of how the session sequenced its calls.
-    """
-
-    def __init__(self, store: "SqliteStore") -> None:
-        super().__init__()
-        self._store = store
-
-    def add_pair(self, key: PairKey, likelihood: Optional[float]) -> None:
-        super().add_pair(key, likelihood)
-        self._store.execute(
-            "INSERT INTO pairs (id_a, id_b, likelihood) VALUES (?, ?, ?) "
-            "ON CONFLICT(id_a, id_b) DO UPDATE SET likelihood = excluded.likelihood",
-            (key[0], key[1], self.pairs[key]),
-        )
-
-    def drop_pair(self, key: PairKey) -> None:
-        super().drop_pair(key)
-        for table in ("pairs", "pair_votes", "posteriors", "covered"):
-            self._store.execute(
-                f"DELETE FROM {table} WHERE id_a = ? AND id_b = ?", key
-            )
-
-    def record_fresh_votes(self, key: PairKey, votes: List[Vote]) -> None:
-        super().record_fresh_votes(key, votes)
-        self._store.execute(
-            "INSERT OR REPLACE INTO pair_votes (id_a, id_b, votes, rounds, pending) "
-            "VALUES (?, ?, ?, ?, ?)",
-            (
-                key[0],
-                key[1],
-                json.dumps([[worker, bool(answer)] for worker, _, answer in votes]),
-                self.vote_rounds[key],
-                self.pending_votes[key],
-            ),
-        )
-
-    def mark_covered(self, keys: Iterable[PairKey]) -> None:
-        keys = list(keys)
-        super().mark_covered(keys)
-        self._store.executemany(
-            "INSERT OR IGNORE INTO covered (id_a, id_b) VALUES (?, ?)", keys
-        )
-
-    def set_posterior(self, key: PairKey, posterior: float) -> None:
-        super().set_posterior(key, posterior)
-        self._store.execute(
-            "INSERT OR REPLACE INTO posteriors (id_a, id_b, posterior) "
-            "VALUES (?, ?, ?)",
-            (key[0], key[1], float(posterior)),
-        )
-
-    def replace_posteriors(self, posteriors: Dict[PairKey, float]) -> None:
-        super().replace_posteriors(posteriors)
-        self._store.execute("DELETE FROM posteriors")
-        self._store.executemany(
-            "INSERT INTO posteriors (id_a, id_b, posterior) VALUES (?, ?, ?)",
-            [(key[0], key[1], float(value)) for key, value in self.posteriors.items()],
-        )
-
-    def clear_pending(self, keys: Iterable[PairKey]) -> None:
-        keys = list(keys)
-        super().clear_pending(keys)
-        self._store.executemany(
-            "UPDATE pair_votes SET pending = 0 WHERE id_a = ? AND id_b = ?", keys
-        )
-
-    def clear_all_pending(self) -> None:
-        super().clear_all_pending()
-        self._store.execute("UPDATE pair_votes SET pending = 0")
-
-
 class SqliteStore(Store):
     """Disk-backed session store over one WAL-mode SQLite file."""
 
@@ -262,7 +189,7 @@ class SqliteStore(Store):
         self._next_arrival = (row[0] + 1) if row and row[0] is not None else 0
         # Empty until :meth:`load_ledger`: opening a store to read its meta
         # (restore, ``repro stats``) must not page four tables in.
-        self.ledger = SqlitePairLedger(self)
+        self.ledger = PairLedger(stored=True)
 
     # ---------------------------------------------------------- transactions
     def query(self, sql: str, params: Sequence = ()) -> sqlite3.Cursor:
@@ -285,6 +212,9 @@ class SqliteStore(Store):
         self._conn.executemany(sql, rows)
 
     def commit(self) -> None:
+        """Write the ledger's unsaved rows, then commit the open transaction."""
+        if self.ledger.unsaved:
+            self.write_ledger(self.ledger, self.ledger.take_unsaved())
         if self._in_txn:
             self._conn.execute("COMMIT")
             self._in_txn = False
@@ -494,39 +424,72 @@ class SqliteStore(Store):
         ]
 
     # ------------------------------------------------------ the pair ledger
-    def write_ledger(self, ledger: PairLedger) -> None:
-        """Bulk-write a whole ledger into the (emptied) pair tables."""
-        self.executemany(
-            "INSERT INTO pairs (id_a, id_b, likelihood) VALUES (?, ?, ?)",
-            [(key[0], key[1], value) for key, value in ledger.pairs.items()],
+    def write_ledger(
+        self, ledger: PairLedger, unsaved: Optional[Mapping[PairKey, bool]] = None
+    ) -> None:
+        """Write a ledger's rows into the pair tables, one ``executemany`` per
+        table and kind of change.
+
+        ``unsaved`` (:attr:`PairLedger.unsaved`) names the keys whose rows
+        changed: each gets its current rows, a placed pair's ``pairs`` row
+        goes to the end of the table, and a row the ledger no longer holds
+        is deleted.  Without it, every row goes into tables :meth:`clear`
+        emptied.  ``pair_votes.rounds`` is retired: always 1, never read.
+        """
+        pairs, votes, posteriors, covered = (
+            ledger.pairs, ledger.votes, ledger.posteriors, ledger.covered
         )
-        self.executemany(
-            "INSERT INTO pair_votes (id_a, id_b, votes, rounds, pending) "
-            "VALUES (?, ?, ?, ?, ?)",
+        if unsaved is None:
+            keys = placed = list(pairs)
+        else:
+            keys = list(unsaved)
+            placed = [key for key, moved in unsaved.items() if moved and key in pairs]
+            for table, held in (
+                ("pairs", pairs), ("pair_votes", votes),
+                ("posteriors", posteriors), ("covered", covered),
+            ):
+                self._write_rows(
+                    f"DELETE FROM {table} WHERE id_a = ? AND id_b = ?",
+                    [key for key in keys if key not in held],
+                )
+        # REPLACE deletes a re-placed pair's row and appends it with a new ord.
+        self._write_rows(
+            "INSERT OR REPLACE INTO pairs (id_a, id_b, likelihood) VALUES (?, ?, ?)",
+            [(key[0], key[1], pairs[key]) for key in placed],
+        )
+        self._write_rows(
+            "INSERT OR REPLACE INTO pair_votes (id_a, id_b, votes, rounds, pending) "
+            "VALUES (?, ?, ?, 1, ?)",
             [
                 (
                     key[0],
                     key[1],
-                    json.dumps([[worker, bool(answer)] for worker, _, answer in votes]),
-                    ledger.vote_rounds.get(key, 0),
+                    json.dumps([[worker, bool(answer)] for worker, _, answer in votes[key]]),
                     ledger.pending_votes.get(key, 0),
                 )
-                for key, votes in ledger.votes.items()
+                for key in keys
+                if key in votes
             ],
         )
-        self.executemany(
-            "INSERT INTO posteriors (id_a, id_b, posterior) VALUES (?, ?, ?)",
-            [(key[0], key[1], float(value)) for key, value in ledger.posteriors.items()],
+        self._write_rows(
+            "INSERT OR REPLACE INTO posteriors (id_a, id_b, posterior) VALUES (?, ?, ?)",
+            [(key[0], key[1], float(posteriors[key])) for key in keys if key in posteriors],
         )
-        self.executemany(
-            "INSERT INTO covered (id_a, id_b) VALUES (?, ?)", list(ledger.covered)
+        self._write_rows(
+            "INSERT OR IGNORE INTO covered (id_a, id_b) VALUES (?, ?)",
+            [key for key in keys if key in covered],
         )
+
+    def _write_rows(self, sql: str, rows: List[Sequence]) -> None:
+        """One ``executemany``, or no call at all for an empty change."""
+        if rows:
+            self.executemany(sql, rows)
 
     def load_ledger(self, into: Optional[PairLedger] = None) -> None:
         """Page the pair tables into ``into`` (default: this store's ledger).
 
-        The dicts are assigned directly, so loading never re-mirrors what
-        was just read; the record → pairs index is rebuilt from ``pairs``.
+        The dicts are assigned directly, so nothing read is unsaved; the
+        record → pairs index is rebuilt from ``pairs``.
         """
         ledger = self.ledger if into is None else into
         ledger.touched = None
@@ -537,18 +500,17 @@ class SqliteStore(Store):
             )
         }
         ledger.reindex()
-        ledger.votes, ledger.vote_rounds, ledger.pending_votes = {}, {}, {}
-        for id_a, id_b, votes_json, round_count, pending_count in self._conn.execute(
-            "SELECT id_a, id_b, votes, rounds, pending FROM pair_votes"
+        ledger.votes, ledger.pending_votes = {}, {}
+        for id_a, id_b, votes_json, pending_count in self._conn.execute(
+            "SELECT id_a, id_b, votes, pending FROM pair_votes"
         ):
             key = (id_a, id_b)
             ledger.votes[key] = [
                 (worker, key, bool(answer)) for worker, answer in json.loads(votes_json)
             ]
-            ledger.vote_rounds[key] = round_count
             # A live session pops a pair's pending counter when it is
-            # aggregated (the SQL mirror stores 0), so only positive
-            # counters come back as dict entries.
+            # aggregated (its row stores 0), so only positive counters
+            # come back as dict entries.
             if pending_count:
                 ledger.pending_votes[key] = pending_count
         ledger.posteriors = {

@@ -17,7 +17,7 @@ from repro.core.config import WorkflowConfig
 from repro.core.workflow import build_hit_generator, build_platform
 from repro.crowd.async_platform import AsyncCrowdPlatform, BackpressureError, VoteDelivery
 from repro.crowd.faults import FaultPlan
-from repro.records.pairs import PairSet
+from repro.records.pairs import PairSet, RecordPair
 
 logger = logging.getLogger(__name__)
 
@@ -82,27 +82,28 @@ class CrowdDriver:
         self.pairs_per_hit_seen: Optional[int] = None
         self.generator_name = ""
         # Always empty in sync mode.  In flight: per published pair, the vote
-        # round it was asked under and the vote slots delivered so far.
-        # Starved: pairs whose publish was shed by backpressure (retried by
-        # the next request, force-published by settle).
-        self.inflight: Dict[PairKey, Tuple[int, Dict[int, Vote]]] = {}
+        # slots delivered so far.  Starved: pairs whose publish was shed by
+        # backpressure (retried by the next request, force-published by
+        # settle).
+        self.inflight: Dict[PairKey, Dict[int, Vote]] = {}
         self.starved: Set[PairKey] = set()
 
     # ------------------------------------------------------------ lifecycle
     def request(
         self,
         to_vote: Set[PairKey],
-        candidates: PairSet,
+        likelihoods: Mapping[PairKey, Optional[float]],
         truth: Set[PairKey],
-        vote_rounds: Mapping[PairKey, int],
         force: bool = False,
     ) -> CrowdStep:
         """Batch ``to_vote`` (plus any shed backlog) into HITs and publish them.
 
-        A pair has one outstanding crowd round at a time, so pairs already
-        in flight are left out; a pair no HIT covers stays unvoted.  When
-        backpressure sheds the publish the pairs join the backlog and the
-        step is empty; ``force`` publishes past the window.
+        ``likelihoods`` is the session's candidate table (the ledger's
+        ``pairs``), where every pair to vote on is looked up.  A pair is
+        asked at most once at a time, so pairs already in flight are left
+        out; a pair no HIT covers stays unvoted.  When backpressure sheds
+        the publish the pairs join the backlog and the step is empty;
+        ``force`` publishes past the window.
         """
         step = CrowdStep()
         if self.starved or self.inflight:
@@ -110,11 +111,11 @@ class CrowdDriver:
         if not to_vote:
             return step
         # Sorted-key order makes HIT grouping independent of arrival order.
-        batch = build_hit_generator(self.config).generate(
-            PairSet(candidates.get(id_a, id_b) for id_a, id_b in sorted(to_vote))
-        )
-        rounds = {key: vote_rounds.get(key, 0) for key in to_vote}
-        asked = dict(true_matches=truth, candidate_pairs=to_vote, vote_rounds=rounds)
+        batch = build_hit_generator(self.config).generate(PairSet(
+            RecordPair(id_a, id_b, likelihood=likelihoods[id_a, id_b])
+            for id_a, id_b in sorted(to_vote)
+        ))
+        asked = dict(true_matches=truth, candidate_pairs=to_vote)
         try:
             if self.crowd is None:
                 run = self.platform.publish(batch, **asked)
@@ -134,7 +135,7 @@ class CrowdDriver:
             fresh.setdefault(vote[1], []).append(vote)
         step.completed = list(fresh.items())
         for key in set().union(*carried) - fresh.keys():
-            self.inflight[key] = (rounds[key], {})
+            self.inflight[key] = {}
         self._timed(run.assignment_seconds, step)
         self.generator_name = batch.generator_name
         self.hit_count += run.hit_count
@@ -154,7 +155,7 @@ class CrowdDriver:
         return self._deliver(deliveries, CrowdStep())
 
     def settle(
-        self, candidates: PairSet, truth: Set[PairKey], vote_rounds: Mapping[PairKey, int]
+        self, likelihoods: Mapping[PairKey, Optional[float]], truth: Set[PairKey]
     ) -> CrowdStep:
         """Leave nothing in flight: publish the backlog, wait out every vote.
 
@@ -166,7 +167,7 @@ class CrowdDriver:
         """
         if self.crowd is None:
             return CrowdStep()
-        step = self.request(set(), candidates, truth, vote_rounds, force=True)
+        step = self.request(set(), likelihoods, truth, force=True)
         return self._deliver(self.crowd.settle(), step)
 
     def forget(self, keys: Iterable[PairKey]) -> None:
@@ -179,10 +180,10 @@ class CrowdDriver:
     def _deliver(self, deliveries: List[VoteDelivery], step: CrowdStep) -> CrowdStep:
         """Sort accepted deliveries into the vote slots; report completions.
 
-        A delivery's votes only count toward pairs still in flight at the
-        round they were published under — late deliveries for retracted or
-        superseded pairs are ignored (their content is content-addressed by
-        (pair, round), so ignoring them loses nothing).  When a pair's every
+        A delivery's votes only count toward pairs still in flight — late
+        deliveries for retracted pairs are ignored (a pair's votes are a
+        pure function of its key, so ignoring them loses nothing).  When a
+        pair's every
         slot has arrived its votes are reported in slot order, which is
         exactly the per-pair oracle order a synchronous publish returns —
         the source of the async == sync equivalence.
@@ -191,8 +192,8 @@ class CrowdDriver:
         for delivery in deliveries:
             for vote in delivery.votes:
                 key = vote[1]
-                round_index, slots = self.inflight.get(key, (None, None))
-                if round_index != delivery.pair_rounds.get(key, 0) or delivery.slot in slots:
+                slots = self.inflight.get(key)
+                if slots is None or delivery.slot in slots:
                     continue
                 slots[delivery.slot] = vote
                 if len(slots) == replication:
@@ -228,19 +229,18 @@ class CrowdDriver:
         queue and the in-flight bookkeeping; ``None`` in sync mode) are what
         a store keeps under the meta keys of those names;
         ``assignment_seconds`` is the live list (a store has a table for
-        it).  An in-flight pair's key is not repeated inside each slot
-        vote: ``[id_a, id_b, [[slot, worker, answer], ...]]``.
+        it).  Every in-flight pair has a ``slot_votes`` entry, its key not
+        repeated inside each slot vote: ``[id_a, id_b, [[slot, worker,
+        answer], ...]]``.
         """
         flight = None
         if self.crowd is not None:
-            inflight = sorted(self.inflight.items())
             flight = {
                 "platform": self.crowd.state_dict(),
                 "slot_votes": [
                     [a, b, [[slot, vote[0], bool(vote[2])] for slot, vote in sorted(slots.items())]]
-                    for (a, b), (_, slots) in inflight
+                    for (a, b), slots in sorted(self.inflight.items())
                 ],
-                "inflight_rounds": [[a, b, index] for (a, b), (index, _) in inflight],
                 "starved": [[a, b] for a, b in sorted(self.starved)],
             }
         return {
@@ -255,7 +255,11 @@ class CrowdDriver:
         }
 
     def load_state_dict(self, state: Mapping[str, object]) -> None:
-        """Inverse of :meth:`state_dict`; parts a store lacks stay fresh."""
+        """Inverse of :meth:`state_dict`; parts a store lacks stay fresh.
+
+        What an earlier release stored beside ``slot_votes`` — every
+        in-flight pair's vote round, always 0 — is not read.
+        """
         counters = state.get("session") or {}
         self.hit_count = int(counters.get("hit_count", 0))
         self.cost = counters.get("cost", 0.0)
@@ -265,12 +269,8 @@ class CrowdDriver:
         flight = state.get("async")
         if self.crowd is not None and flight:
             self.crowd.load_state_dict(flight["platform"])
-            slot_votes = {
+            self.inflight = {
                 (a, b): {slot: (worker, (a, b), bool(answer)) for slot, worker, answer in slots}
                 for a, b, slots in flight.get("slot_votes", [])
-            }
-            self.inflight = {
-                (a, b): (index, slot_votes.get((a, b), {}))
-                for a, b, index in flight.get("inflight_rounds", [])
             }
             self.starved = {(a, b) for a, b in flight.get("starved", [])}

@@ -17,9 +17,10 @@ Directory layout::
 is the only file of a session.  Its ``events`` table is the write-ahead
 log; its state tables are *the state as of ``meta.events_applied``; the
 log holds the rest*.  ``WorkflowConfig.storage_backend`` decides only
-**when** the state tables are written: ``"sqlite"`` mirrors every mutation
-into them, one transaction per event; ``"memory"`` keeps the state in
-process structures and :func:`write_snapshot` bulk-writes it — inside one
+**when** the state tables are written: ``"sqlite"`` writes each event's
+changed rows into them in the event's one transaction (the pair ledger's
+when the event commits); ``"memory"`` keeps the state in process
+structures and :func:`write_snapshot` bulk-writes it — inside one
 transaction, so a failure half-way leaves the previous contents — every
 ``checkpoint_every_batches`` events and on ``save()``.  Because the file is
 the same either way, :func:`restore` is one algorithm — open the file,
@@ -34,7 +35,7 @@ maps each to its payload codec) are committed — fsynced: a logged
 connection runs ``synchronous=FULL`` — **before** the state change they
 describe is applied (the write-ahead rule); *outcome* events (``commit``)
 record the fresh crowd votes, the delta and a digest of the aggregated
-state, in the **same transaction** as the event's mirrored state rows and
+state, in the **same transaction** as the event's state rows and
 ``meta.events_applied`` — so "the store says event N is applied" and "the
 log holds outcome N" are one atomic fact, and the log is both redo log and
 audit trail of every vote the session paid for.  Events are never deleted;
@@ -72,7 +73,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro import obs
 from repro.core.config import RESULT_CONFIG_FIELDS, WorkflowConfig
 from repro.core.results import StreamingDelta
-from repro.records.pairs import PairSet, RecordPair
 from repro.records.record import Record
 from repro.storage import STORE_FILENAME, MemoryStore, SqliteStore, Store
 from repro.streaming.incremental_join import IncrementalSimJoin
@@ -201,8 +201,9 @@ class SessionJournal:
         The commit is fsynced (``synchronous=FULL``) before the call
         returns — the write-ahead rule: an intent that was appended is on
         stable storage before the event is applied.  Whatever the store's
-        open transaction holds (an event's mirrored state rows and
-        counters) commits atomically with the row.
+        open transaction holds (an event's state rows — the pair ledger's
+        written by that commit — and counters) commits atomically with the
+        row.
         """
         seq = self.next_seq
         text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
@@ -415,7 +416,7 @@ class Durability:
     A session owns exactly one of these and calls :meth:`run` for every
     event and :meth:`save` on demand; it never sees a file.  ``journal`` is
     ``None`` for a session without a checkpoint directory, and a
-    non-persistent ``storage`` makes the mirror a no-op, so the default
+    non-persistent ``storage`` makes its writes no-ops, so the default
     in-memory session pays two attribute checks per event.  A durable
     session holds one SQLite connection — ``journal.store``, which for the
     sqlite backend is also ``storage`` — until :meth:`close`.
@@ -502,12 +503,14 @@ class Durability:
     def boundary(self, session, outcome: bool = False) -> None:
         """Close an event: state rows, counters and outcome in one commit.
 
-        Everything a persistent store mirrored since the last boundary,
+        Everything a persistent store wrote since the last boundary, the
+        pair ledger's unsaved rows (written by the commit itself),
         ``meta.events_applied`` and — for a logged event with an
         ``outcome`` — its ``commit`` row (fresh votes, delta, digest) form
         one transaction, so the store is never ahead of its log nor behind
-        an outcome it holds.  A memory-backed session mirrors nothing; at
-        its checkpoint cadence the whole-state rewrite rides along instead.
+        an outcome it holds.  A memory-backed session writes nothing per
+        event; at its checkpoint cadence the whole-state rewrite rides along
+        instead.
         """
         journal, storage = self.journal, self.storage
         outcome = outcome and journal is not None
@@ -583,8 +586,8 @@ def _page_in(session, source: SqliteStore) -> None:
     ``source`` is the session's own store (sqlite backend: records and the
     ledger stay where they are) or the directory's store being copied into
     a memory-backed session.  The join substrate comes back from its stored
-    rows/vocabulary/CSR chunks, candidates (and the ledger's record → pairs
-    index) from the pair ledger, and the union-find forest — filled in place, the fresh
+    rows/vocabulary/CSR chunks, the candidate pairs (and the ledger's record
+    → pairs index) from the pair tables, and the union-find forest — filled in place, the fresh
     session's aggregation schedule shares it — from record arrival order
     plus the pair edges (roots only serve as grouping keys, so the rebuilt
     forest is behaviorally equivalent to the original).
@@ -603,10 +606,6 @@ def _page_in(session, source: SqliteStore) -> None:
             cross_sources=session.cross_sources,
             workers=config.join_workers or None,
             storage=storage,
-        )
-        session.candidates = PairSet(
-            RecordPair(key[0], key[1], likelihood=likelihood)
-            for key, likelihood in storage.ledger.pairs.items()
         )
         for record_id in storage.record_ids():
             session.components.add(record_id)
@@ -705,7 +704,7 @@ def restore(
 
     ``config`` overrides the stored configuration.  An override of
     ``storage_backend`` continues on the same file — a memory-backed
-    session starts mirroring into it, a sqlite-backed one copies it into
+    session starts writing it every event, a sqlite-backed one copies it into
     process structures and goes back to writing it at the cadence.  When
     the override differs on a field that changes *what the session
     computes* (``repro.core.config.RESULT_CONFIG_FIELDS``), a bit-identical
@@ -735,11 +734,16 @@ def restore(
         if materialised:
             # The store's header is the configuration of the state it
             # holds (a previous override rewrote it).
-            header = {key: source.get_meta(key) for key in ("config", "cross_sources")}
+            header = {key: source.get_meta(key) for key in _header(WorkflowConfig(), None)}
         elif events and events[0].type == "session":
             header = events[0].payload
         else:
             raise PersistenceError(f"{store_path} holds no session")
+        if header["version"] > FORMAT_VERSION:
+            raise PersistenceError(
+                f"{store_path} was written in store format {header['version']}; "
+                f"this release reads format {FORMAT_VERSION} and older"
+            )
         _refuse_retired_result_knobs(header["config"], store_path)
         rejoin = config is not None and result_config_changed(config, header["config"])
         if config is None or rejoin:

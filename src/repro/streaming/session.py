@@ -76,7 +76,7 @@ from repro.crowd.pricing import PricingModel
 from repro.crowd.worker import WorkerPool
 from repro.datasets.base import Dataset
 from repro.graph.union_find import IncrementalUnionFind
-from repro.records.pairs import PairSet, canonical_pair
+from repro.records.pairs import canonical_pair
 from repro.records.record import Record, RecordError, RecordStore
 from repro.streaming import persistence
 from repro.streaming.aggregation_schedule import AggregationSchedule
@@ -174,7 +174,6 @@ class StreamingResolver:
         )
         self.store = RecordStore(name="stream", backing=self.storage)
         self.components = IncrementalUnionFind()
-        self.candidates = PairSet()
         # The ranked candidates, re-placed per touched pair by snapshot().
         self._ranking = RankedIndex()
         # Ground truth, its per-record index, and how many of its pairs have
@@ -192,23 +191,13 @@ class StreamingResolver:
             self.durability.attach(self)
 
     # ----------------------------------------------------------- hot ledger
-    # The vote/posterior/coverage state lives in the storage backend's
-    # PairLedger.  Reads are plain dict access; every mutation goes through
-    # a ledger *method*, which the SQLite backend overrides to mirror the
-    # post-state into its tables.
+    # The candidate pairs and their vote/posterior/coverage state live in
+    # the storage backend's PairLedger.  Reads are plain dict access; every
+    # mutation goes through a ledger *method*, so a SQLite store knows which
+    # keys' rows to write when the event commits.
     @property
     def _ledger(self):
         return self.storage.ledger
-
-    @property
-    def _vote_rounds(self) -> Dict[PairKey, int]:
-        """Completed crowd rounds per pair, 0 = never asked (ledger view)."""
-        return self.storage.ledger.vote_rounds
-
-    @property
-    def _pending_votes(self) -> Dict[PairKey, int]:
-        """Votes gained per pair since its last aggregation (ledger view)."""
-        return self.storage.ledger.pending_votes
 
     # -------------------------------------------------------------- queries
     @property
@@ -219,7 +208,7 @@ class StreamingResolver:
     @property
     def candidate_count(self) -> int:
         """Number of candidate pairs discovered so far."""
-        return len(self.candidates)
+        return len(self._ledger.pairs)
 
     @property
     def events_applied(self) -> int:
@@ -450,24 +439,19 @@ class StreamingResolver:
             # Stage 2: component maintenance.
             with obs.span("streaming.batch.components", pairs=len(new_pairs)):
                 for pair in new_pairs:
-                    self.candidates.add(pair)
                     self._ledger.add_pair(pair.key, pair.likelihood)
                     self.components.union(pair.id_a, pair.id_b)
 
                 dirty_pairs = self._dirty_region(delta)
 
             # Stage 3: ask the crowd about the dirty pairs that need votes:
-            # those no round has completed for (voted pairs keep their ledger
-            # entry and cost nothing more).
+            # those without any (voted pairs keep their ledger entry and cost
+            # nothing more).
             if dirty_pairs or self.driver.starved:
                 with obs.span("streaming.batch.crowd", pairs=len(dirty_pairs)):
-                    to_vote = dirty_pairs - self._vote_rounds.keys()
-                    delta.reused_vote_pairs = len(
-                        (dirty_pairs - to_vote) & self._ledger.votes.keys()
-                    )
-                    asked = self.driver.request(
-                        to_vote, self.candidates, self._truth, self._vote_rounds
-                    )
+                    to_vote = dirty_pairs - self._ledger.votes.keys()
+                    delta.reused_vote_pairs = len(dirty_pairs) - len(to_vote)
+                    asked = self.driver.request(to_vote, self._ledger.pairs, self._truth)
                     self._fold(asked, delta)
             # One event is one tick of the crowd's clock.  Votes that were
             # waited for may complete pairs outside the dirty region; their
@@ -501,7 +485,6 @@ class StreamingResolver:
             self.store.remove(record_id)
             self._arrived_truth -= self._resident_truth_partners(record_id)
             for key in dropped:
-                self.candidates.discard(*key)
                 self._ledger.drop_pair(key)
             self.driver.forget(dropped)
             delta.invalidated_pairs = len(dropped)
@@ -530,7 +513,7 @@ class StreamingResolver:
             # Settle the crowd first — nothing in flight afterwards.  The
             # completed pairs gain pending votes, so the pending pass below
             # re-aggregates them (a flush reports no delta of its own).
-            settled = self.driver.settle(self.candidates, self._truth, self._vote_rounds)
+            settled = self.driver.settle(self._ledger.pairs, self._truth)
             self._fold(settled, StreamingDelta())
             self._aggregation.flush(self._expand_components)
         return self.snapshot()
@@ -645,7 +628,7 @@ class StreamingResolver:
             matches=self._ranking.matches(),
             posteriors=dict(self._ledger.posteriors),
             likelihoods=dict(self._ledger.pairs),
-            candidate_count=len(self.candidates),
+            candidate_count=len(self._ledger.pairs),
             recall_ceiling=self._recall_ceiling(),
             delta=self._last_delta,
             changed=changed,
@@ -667,7 +650,7 @@ class StreamingResolver:
             ranked_pairs=page,
             posteriors={key: ledger.posteriors[key] for key in page if key in ledger.posteriors},
             likelihoods={key: ledger.pairs[key] for key in page},
-            candidate_count=len(self.candidates),
+            candidate_count=len(ledger.pairs),
             hit_count=driver.hit_count,
             assignment_count=len(driver.assignment_seconds),
             cost=driver.cost,

@@ -19,6 +19,8 @@ properties run under majority aggregation (any scope) and Dawid-Skene
 with *global* scope — the same classes for which streaming == batch holds.
 """
 
+import json
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -284,6 +286,27 @@ class TestAsyncPlatform:
         assert crowd.retries == twin.retries
         assert crowd.duplicates_dropped == twin.duplicates_dropped
 
+    def test_state_stored_with_vote_rounds_loads(self):
+        """An earlier release stored a vote round (always 0) per open-HIT
+        pair and per buffered delivery; loading ignores them."""
+        plan = FaultPlan(**HOSTILE_PLAN)
+        crowd = AsyncCrowdPlatform(make_platform(), vote_timeout=3, fault_plan=plan)
+        crowd.publish(pair_batch(grid_pairs(12)), true_matches=set())
+        crowd.advance(2)  # deliveries buffered in the ready queue, HITs open
+        state = json.loads(json.dumps(crowd.state_dict()))
+        assert state["hits"] and state["ready"]
+        for _, hit in state["hits"]:
+            hit["rounds"] = [[a, b, 0] for a, b in hit["pairs"]]
+        for delivery in state["ready"]:
+            delivery["pair_rounds"] = [[a, b, 0] for _, (a, b), _ in delivery["votes"]]
+        twin = AsyncCrowdPlatform(make_platform(), vote_timeout=3, fault_plan=plan)
+        twin.load_state_dict(state)
+        assert json.loads(json.dumps(twin.state_dict())) == json.loads(
+            json.dumps(crowd.state_dict()))
+        left = [v for d in crowd.settle() for v in d.votes]
+        right = [v for d in twin.settle() for v in d.votes]
+        assert left == right
+
 
 # ------------------------------------------------- eligibility cache (bugfix)
 class TestWorkerEligibilityCache:
@@ -363,9 +386,9 @@ class TestSessionEquivalence:
         asked = []
         pair_votes = SimulatedCrowdPlatform.pair_votes
 
-        def counted(platform, pair_key, is_match, round_index=0):
+        def counted(platform, pair_key, is_match):
             asked.append(pair_key)
-            return pair_votes(platform, pair_key, is_match, round_index=round_index)
+            return pair_votes(platform, pair_key, is_match)
 
         dataset = make_dataset()
         sync = run_session(make_config(), dataset)

@@ -177,6 +177,18 @@ class TestCheckpointResume:
             main(self.STREAM_ARGS + ["--storage-path", "/tmp/elsewhere.sqlite"])
         assert "--storage-path" in capsys.readouterr().err
 
+    def test_resume_of_a_newer_store_format_exits_2(self, tmp_path, capsys, monkeypatch):
+        from repro.streaming import persistence
+
+        checkpoint = str(tmp_path / "session")
+        with monkeypatch.context() as patched:
+            patched.setattr(persistence, "FORMAT_VERSION", 99)
+            assert main(self.STREAM_ARGS + ["--checkpoint-dir", checkpoint,
+                                            "--max-batches", "2"]) == 0
+        capsys.readouterr()
+        assert main(self.STREAM_ARGS + ["--checkpoint-dir", checkpoint, "--resume"]) == 2
+        assert "store format 99" in capsys.readouterr().err
+
     def test_resume_requires_checkpoint_dir(self, capsys):
         assert main(self.STREAM_ARGS + ["--resume"]) == 2
         assert "requires --checkpoint-dir" in capsys.readouterr().err

@@ -325,9 +325,9 @@ def _mixed_pool(size):
                        for i in range(size)])
 
 
-def _oracle_loop(platform, keys, is_match, rounds):
-    return [vote for key, match, round_index in zip(keys, is_match, rounds)
-            for vote in platform.pair_votes(key, match, round_index=round_index)]
+def _oracle_loop(platform, keys, is_match):
+    return [vote for key, match in zip(keys, is_match)
+            for vote in platform.pair_votes(key, match)]
 
 
 _record_ids = st.text(alphabet="abcr0123456789é日|", min_size=1, max_size=8)
@@ -342,13 +342,12 @@ class TestVotesFor:
     @given(
         keys=st.lists(st.tuples(_record_ids, _record_ids), max_size=25),
         truth=st.lists(st.booleans(), min_size=25, max_size=25),
-        rounds=st.lists(st.integers(0, 3), min_size=25, max_size=25),
         pool_size=st.sampled_from([60, 21, 5, 2]),
         k=st.sampled_from([1, 3, 5, 6]),
         qualified=st.booleans(),
         seed=st.integers(-5, 5),
     )
-    def test_equals_pair_votes(self, monkeypatch, draws, keys, truth, rounds,
+    def test_equals_pair_votes(self, monkeypatch, draws, keys, truth,
                                pool_size, k, qualified, seed):
         monkeypatch.setattr(mt19937, "BULK_MIN_SEEDS", 1)
         monkeypatch.setattr(SimulatedCrowdPlatform, "DRAWS", draws)
@@ -356,9 +355,8 @@ class TestVotesFor:
             pool=_mixed_pool(pool_size), assignments_per_hit=k, seed=seed,
             qualification=QualificationTest() if qualified else None, vote_mode="per-pair",
         )
-        is_match, rounds = truth[:len(keys)], rounds[:len(keys)]
-        assert platform.votes_for(keys, is_match, rounds) == _oracle_loop(
-            platform, keys, is_match, rounds)
+        is_match = truth[:len(keys)]
+        assert platform.votes_for(keys, is_match) == _oracle_loop(platform, keys, is_match)
 
     @pytest.mark.parametrize("pool_size,k,draws,fallback", [
         (60, 3, 8, "none"),   # random.sample's set branch, settled by 8 words
@@ -372,19 +370,19 @@ class TestVotesFor:
         asked = []
         pair_votes = SimulatedCrowdPlatform.pair_votes
 
-        def counted(platform, pair_key, is_match, round_index=0):
+        def counted(platform, pair_key, is_match):
             asked.append(pair_key)
-            return pair_votes(platform, pair_key, is_match, round_index=round_index)
+            return pair_votes(platform, pair_key, is_match)
 
         monkeypatch.setattr(mt19937, "BULK_MIN_SEEDS", 1)
         monkeypatch.setattr(SimulatedCrowdPlatform, "DRAWS", draws)
         platform = SimulatedCrowdPlatform(
             pool=_mixed_pool(pool_size), assignments_per_hit=k, seed=3, vote_mode="per-pair")
         keys = [(f"r{i}", f"r{i + 1000}") for i in range(300)]
-        is_match, rounds = [i % 3 == 0 for i in range(300)], [i % 2 for i in range(300)]
-        expected = _oracle_loop(platform, keys, is_match, rounds)
+        is_match = [i % 3 == 0 for i in range(300)]
+        expected = _oracle_loop(platform, keys, is_match)
         monkeypatch.setattr(SimulatedCrowdPlatform, "pair_votes", counted)
-        assert platform.votes_for(keys, is_match, rounds) == expected
+        assert platform.votes_for(keys, is_match) == expected
         assert {"none": not asked, "some": 0 < len(asked) < len(keys),
                 "all": asked == keys}[fallback], len(asked)
 
@@ -400,17 +398,16 @@ class TestPerPairPublishPaths:
         platform = SimulatedCrowdPlatform(
             seed=11, vote_mode="per-pair",
             qualification=QualificationTest() if qualification else None)
-        return platform.publish(batch, true_matches=pairs[::4],
-                                vote_rounds={pair: 2 for pair in pairs[::5]}), len(pairs)
+        return platform.publish(batch, true_matches=pairs[::4]), len(pairs)
 
     @pytest.mark.parametrize("qualification", [False, True])
     def test_bulk_equals_scalar(self, monkeypatch, qualification):
         bulk_calls = []
         votes_for = SimulatedCrowdPlatform.votes_for
 
-        def recorded(platform, keys, is_match, rounds):
+        def recorded(platform, keys, is_match):
             bulk_calls.append(len(keys))
-            return votes_for(platform, keys, is_match, rounds)
+            return votes_for(platform, keys, is_match)
 
         monkeypatch.setattr(SimulatedCrowdPlatform, "votes_for", recorded)
         monkeypatch.setattr(mt19937, "BULK_MIN_SEEDS", 1)

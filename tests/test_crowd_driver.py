@@ -6,7 +6,11 @@ store-meta values — the raw JSON text — that the commit *before*
 state digests at the stop and at the end of the schedule.  The driver must
 write those bytes, and a store holding them must restore and finish on the
 uninterrupted digest.  Nothing here may regenerate the fixture from the code
-under test: a new value means the stored format moved.
+under test: a new value means the stored format moved.  The format moved
+twice, each time by hand-editing the fixture and keeping a test that the
+earlier bytes still restore: ``last_delta`` lost its bounded-staleness
+counter, and the ``async`` value lost its vote rounds (``rounds`` per open
+HIT, ``inflight_rounds``).
 """
 
 import json
@@ -116,6 +120,47 @@ def test_stored_crowd_state_with_the_parent_commits_delta_key_restores(tmp_path,
         connection.execute("UPDATE meta SET value = ? WHERE key = 'session'", (parent_text,))
     connection.close()
     assert stored_meta(tmp_path)["session"] == parent_text
+    restores_and_finishes(tmp_path, rest, expected)
+
+
+def with_vote_rounds(async_text):
+    """The ``async`` meta text the parent of the vote-round removal wrote for
+    the same state: every open HIT's ``rounds`` after its ``pairs``, and
+    ``inflight_rounds`` after ``slot_votes`` — every round 0."""
+    state = json.loads(async_text)
+    for _, hit in state["platform"]["hits"]:
+        entries = list(hit.items())
+        entries.insert(list(hit).index("pairs") + 1,
+                       ("rounds", [[a, b, 0] for a, b in sorted(map(tuple, hit["pairs"]))]))
+        hit.clear()
+        hit.update(entries)
+    entries = list(state.items())
+    entries.insert(list(state).index("slot_votes") + 1,
+                   ("inflight_rounds", [[a, b, 0] for a, b, _ in state["slot_votes"]]))
+    return json.dumps(dict(entries))
+
+
+@pytest.mark.parametrize("backend", ("memory", "sqlite"))
+@pytest.mark.parametrize("mode", sorted(MODES))
+def test_stored_crowd_state_with_the_parent_commits_vote_rounds_restores(
+    tmp_path, mode, backend
+):
+    """A store written before the vote-round plumbing was deleted holds a
+    round per open HIT pair and per in-flight pair (all 0); restore ignores
+    them and lands on the same digests."""
+    expected = FIXTURE[mode]
+    resolver, rest = run_prefix(mode, backend, tmp_path)
+    resolver.durability.close()
+    if mode == "async":
+        parent_text = with_vote_rounds(expected["async"])
+        assert '"rounds": [["' in parent_text and '"inflight_rounds": [["' in parent_text
+        connection = sqlite3.connect(str(Path(tmp_path) / STORE_FILENAME))
+        with connection:
+            connection.execute("UPDATE meta SET value = ? WHERE key = 'async'", (parent_text,))
+        connection.close()
+        assert stored_meta(tmp_path)["async"] == parent_text
+    else:
+        assert expected["async"] == "null"  # a synchronous crowd stores no flight
     restores_and_finishes(tmp_path, rest, expected)
 
 

@@ -600,6 +600,24 @@ class TestSaveRestore:
             StreamingResolver.restore(tmp_path, resume_journal=False)
 
     @pytest.mark.parametrize("durability", ("snapshot", "journal"))
+    def test_a_newer_store_format_refuses_to_restore(self, tmp_path, monkeypatch, durability):
+        """A header (store meta / the log's ``session`` event) whose
+        ``version`` is newer than this release's format is refused before
+        page-in, naming both numbers — not silently read as this format."""
+        with monkeypatch.context() as patched:
+            patched.setattr(persistence, "FORMAT_VERSION", 99)
+            self._written_by_an_earlier_release(tmp_path, monkeypatch, durability, {})
+        if durability == "journal":
+            assert logged_events(tmp_path)[0].payload["version"] == 99
+        else:
+            store = SqliteStore(tmp_path / STORE_FILENAME)
+            assert store.get_meta("version") == 99
+            store.close()
+        monkeypatch.setattr(persistence, "_page_in", lambda *_: pytest.fail("paged in"))
+        with pytest.raises(PersistenceError, match="store format 99; this release reads format 1"):
+            StreamingResolver.restore(tmp_path, resume_journal=False)
+
+    @pytest.mark.parametrize("durability", ("snapshot", "journal"))
     @pytest.mark.parametrize("retired", persistence.RETIRED_JOIN_BACKENDS)
     def test_session_written_with_a_retired_join_backend_restores(
         self, tmp_path, monkeypatch, retired, durability

@@ -86,7 +86,7 @@ class TestCoverageNeverWalksTheCandidates:
             platform = SimulatedCrowdPlatform(seed=5, vote_mode="per-pair")
             result = CrowdRunResult(hit_count=2, assignments_per_hit=3)
             platform._publish_per_pair(
-                batch, {("a", "b")}, candidates, None, random.Random(5), result
+                batch, {("a", "b")}, candidates, random.Random(5), result
             )
             return result.votes
 
@@ -109,7 +109,7 @@ class TestCoverageNeverWalksTheCandidates:
 
     def test_streaming_publish_walks_do_not_grow_with_the_hits(self, small_restaurant):
         """``CrowdDriver.request`` walks ``to_vote`` a fixed number of times
-        (sorting it, reading its rounds, canonicalising it for the platform)
+        (sorting it, looking its likelihoods up, canonicalising it for the platform)
         however many HITs the batch is packed into."""
         resolver = StreamingResolver(config=WorkflowConfig(
             likelihood_threshold=0.3, cluster_size=3, vote_mode="per-pair", seed=3,

@@ -423,6 +423,21 @@ class TestHttpSurface:
         assert caught.value.code == "resume_conflict"
         assert "recrowd_policy='dirty'" in caught.value.body["error"]["message"]
 
+    def test_restoring_a_session_of_a_newer_store_format_is_409(
+        self, service, tmp_path, monkeypatch
+    ):
+        _runner, client = service
+        with monkeypatch.context() as patched:
+            patched.setattr(persistence, "FORMAT_VERSION", 99)
+            resolver = StreamingResolver(config=make_config(checkpoint_dir=str(tmp_path)))
+            resolver.add_batch(list(make_dataset(seed=3).store)[:10])
+            resolver.durability.close()
+        with pytest.raises(ServiceClientError) as caught:
+            client.restore(fresh_id("newer"), str(tmp_path))
+        assert caught.value.status == 409
+        assert caught.value.code == "resume_conflict"
+        assert "store format 99" in caught.value.body["error"]["message"]
+
     def test_restoring_a_session_stored_with_metrics_enabled_leaves_metrics_off(
         self, service, tmp_path, monkeypatch
     ):

@@ -112,10 +112,37 @@ def schema_objects(store, fragment):
 
 def assert_ledger_indexes_the_candidates(session, record_ids):
     """``pairs_of(r)`` is exactly the candidate pairs containing ``r``."""
-    ledger, keys = session.storage.ledger, set(session.candidates.keys())
-    assert keys == set(ledger.pairs)
+    ledger = session.storage.ledger
+    keys = set(ledger.pairs)
+    assert session.candidate_count == len(keys)
     for record_id in record_ids:
         assert ledger.pairs_of(record_id) == {key for key in keys if record_id in key}
+
+
+def assert_tables_are_the_ledger(session):
+    """The four pair tables of the session's store hold exactly its ledger:
+    ``pairs`` in the ledger's order, and no row of a dropped key."""
+    ledger = session.storage.ledger
+
+    def rows(sql):
+        return session.durability.store.query(sql).fetchall()
+
+    stored_pairs = rows("SELECT id_a, id_b, likelihood FROM pairs ORDER BY ord")
+    assert [((a, b), likelihood) for a, b, likelihood in stored_pairs] == list(
+        ledger.pairs.items()
+    )
+    assert {
+        (a, b): (json.loads(votes), pending)
+        for a, b, votes, pending in rows("SELECT id_a, id_b, votes, pending FROM pair_votes")
+    } == {
+        key: ([[worker, answer] for worker, _, answer in votes], ledger.pending_votes.get(key, 0))
+        for key, votes in ledger.votes.items()
+    }
+    assert {
+        (a, b): posterior
+        for a, b, posterior in rows("SELECT id_a, id_b, posterior FROM posteriors")
+    } == ledger.posteriors
+    assert set(rows("SELECT id_a, id_b FROM covered")) == ledger.covered
 
 
 def session_fingerprint(session):
@@ -203,6 +230,8 @@ class TestSqliteRoundTrips:
         reopened.close()
 
     def test_ledger_mutations_survive_reopen(self, tmp_path):
+        """A stored ledger's mutations reach the pair tables when the store
+        commits: nothing is written before, every changed key once then."""
         path = tmp_path / STORE_FILENAME
         store = SqliteStore(path)
         key, other = ("r1", "r2"), ("r3", "r4")
@@ -213,14 +242,19 @@ class TestSqliteRoundTrips:
         store.ledger.set_posterior(key, 2.0 / 3.0)
         store.ledger.clear_pending([key])
         store.ledger.drop_pair(other)
+        assert list(store.ledger.unsaved) == [key, other]
+        for table in ("pairs", "pair_votes", "posteriors", "covered"):
+            assert store.query(f"SELECT COUNT(*) FROM {table}").fetchone() == (0,)
         store.commit()
+        assert store.ledger.unsaved == {}
+        # The retired vote-round column holds 1, the value every voted pair has.
+        assert store.query("SELECT rounds FROM pair_votes").fetchall() == [(1,)]
         store.close()
         reopened = SqliteStore(path)
         reopened.load_ledger()  # opening reads no table; page-in asks for it
         ledger = reopened.ledger
         assert ledger.pairs == {key: 0.75}
         assert ledger.votes == {key: [("w1", key, True), ("w2", key, False)]}
-        assert ledger.vote_rounds == {key: 1}
         assert ledger.pending_votes == {}  # cleared counters stay popped
         assert ledger.posteriors == {key: 2.0 / 3.0}  # bit-exact REAL round trip
         assert ledger.covered == {key}
@@ -233,6 +267,7 @@ class TestSqliteRoundTrips:
         store = SqliteStore(path)
         for key in (("r1", "r2"), ("r1", "r3"), ("r2", "r3")):
             store.ledger.add_pair(key, 0.5)
+        store.commit()
         store.ledger.drop_pair(("r1", "r3"))
         store.append_assignment_seconds([1.5, 2.25])
         store.commit()
@@ -240,6 +275,7 @@ class TestSqliteRoundTrips:
         reopened = SqliteStore(path)
         assert reopened.ledger.pairs_of("r1") == set()  # opening pages nothing in
         reopened.load_ledger()
+        assert list(reopened.ledger.pairs) == [("r1", "r2"), ("r2", "r3")]
         assert reopened.ledger.pairs_of("r1") == {("r1", "r2")}
         assert reopened.ledger.pairs_of("r2") == {("r1", "r2"), ("r2", "r3")}
         assert reopened.ledger.pairs_of("r3") == {("r2", "r3")}
@@ -574,11 +610,73 @@ class TestLedgerRecordIndex:
                 assert_ledger_indexes_the_candidates(session, arrived[:cursor])
         session.durability.close()
 
-    def test_a_durable_session_mirrors_4082_statements(self, tmp_path, monkeypatch):
+    @settings(
+        max_examples=8,
+        deadline=None,
+        suppress_health_check=[
+            HealthCheck.too_slow,
+            HealthCheck.function_scoped_fixture,
+        ],
+    )
+    @given(
+        schedule=event_schedules(min_size=2, max_size=7),
+        backend=st.sampled_from(("memory", "sqlite")),
+        crowd_mode=st.sampled_from(("sync", "async")),
+    )
+    def test_property_the_pair_tables_are_the_ledger_at_every_boundary(
+        self, tmp_path_factory, schedule, backend, crowd_mode
+    ):
+        """Batches, retractions, updates and flushes, on a synchronous or an
+        asynchronous crowd: after every event the store's pair tables equal
+        the ledger — written per changed key at commit (sqlite) or whole at
+        the cadence (memory, every event here)."""
+        dataset = make_dataset(record_count=40, duplicate_pairs=8, seed=47)
+        session = StreamingResolver(config=make_config(
+            storage_backend=backend, checkpoint_every_batches=1, crowd_mode=crowd_mode,
+            checkpoint_dir=str(tmp_path_factory.mktemp("tables")),
+        ))
+        session.add_truth(dataset.ground_truth)
+        records, cursor = list(dataset.store), 0
+        for step in range(len(schedule)):
+            cursor = drive(session, records, schedule[step : step + 1], cursor)
+            assert_tables_are_the_ledger(session)
+        session.durability.close()
+
+    def test_a_pair_rediscovered_by_an_update_moves_to_the_end_of_both(self, tmp_path):
+        """An update that re-joins a record unchanged drops its pairs and
+        finds them again in one event: in the ledger and in the ``pairs``
+        table alike they leave their place and go to the end."""
+        dataset = make_dataset()
+        session = StreamingResolver(config=make_config(
+            storage_backend="sqlite", checkpoint_dir=str(tmp_path)
+        ))
+        session.add_truth(dataset.ground_truth)
+        records = list(dataset.store)
+        session.add_batch(records[:30])
+        session.add_batch(records[30:])
+        ledger = session.storage.ledger
+        before = list(ledger.pairs)
+        victim = next(
+            record for record in records
+            if ledger.pairs_of(record.record_id)
+            and before[-1] not in ledger.pairs_of(record.record_id)
+        )  # its pairs do not already end the table
+        moved = set(ledger.pairs_of(victim.record_id))
+        session.update(victim)
+        after = list(ledger.pairs)
+        assert set(after) == set(before)
+        assert set(after[-len(moved):]) == moved != set(before[-len(moved):])
+        assert_tables_are_the_ledger(session)
+        session.durability.close()
+
+    def test_a_durable_session_statement_count(self, tmp_path, monkeypatch):
         """Restaurant(2000, 250, seed 7) at 0.35 in batches of 250 plus a
-        flush: every statement a sqlite session mirrors, the log's included,
-        is counted.  None names the per-pair history an earlier release
-        wrote three times per pair (6,059 statements then)."""
+        flush: every statement a sqlite session issues, the log's included,
+        is counted — the one place the count is pinned.  2,000 are the
+        per-record inserts; the pair ledger writes one statement per table
+        per event.  None names the per-pair history an earlier release
+        wrote three times per pair (6,059 statements then), and no ledger
+        mutation is a statement of its own (4,082 then)."""
         dataset = RestaurantGenerator(2000, 250, seed=7).generate()
         records = list(dataset.store)
         statements = []
@@ -602,7 +700,10 @@ class TestLedgerRecordIndex:
             return session
 
         durable = run(storage_backend="sqlite", checkpoint_dir=str(tmp_path))
-        assert len(statements) == 4082
+        assert len(statements) == 2121
+        assert sum(sql.startswith("INSERT INTO records") for sql in statements) == 2000
+        for table in ("pairs", "pair_votes", "posteriors", "covered"):
+            assert sum(f" {table} " in sql for sql in statements) == 8  # one per batch
         assert not [sql for sql in statements if "provenance" in sql]
         assert schema_objects(durable.durability.store, "provenance") == []
         assert durable.state_digest() == run().state_digest()

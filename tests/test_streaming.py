@@ -126,15 +126,6 @@ class TestPerPairVoteMode:
         # Assignments are still paid per HIT even though the pair votes once.
         assert run.assignment_count == 2 * platform.assignments_per_hit
 
-    def test_round_salt_changes_votes(self):
-        key = ("r1", "r2")
-        platform = SimulatedCrowdPlatform(seed=1, vote_mode="per-pair")
-        round_0 = platform.pair_votes(key, True, round_index=0)
-        round_0_again = platform.pair_votes(key, True, round_index=0)
-        round_1 = platform.pair_votes(key, True, round_index=1)
-        assert round_0 == round_0_again
-        assert [v[0] for v in round_0] != [v[0] for v in round_1]  # different workers
-
     def test_invalid_vote_mode_rejected(self):
         with pytest.raises(ValueError):
             SimulatedCrowdPlatform(vote_mode="telepathy")
@@ -440,7 +431,7 @@ def assert_snapshot_is_the_ledger_ranked_afresh(result, resolver):
         if key[0] in resolver.store and key[1] in resolver.store
     }
     assert result.recall_ceiling == (
-        len(resolver.candidates.intersection_keys(arrived)) / len(arrived)
+        len(arrived & resolver.storage.ledger.pairs.keys()) / len(arrived)
         if arrived else None
     )
 
@@ -533,7 +524,7 @@ class TestPairIndependentSkip:
         for filler in ("unrelated words here", "other things entirely"):
             settled = resolver.add_batch([Record(filler[:5], {"t": filler})])
         assert settled.posteriors == {("r1", "r2"): 1.0}
-        assert not resolver._pending_votes
+        assert not resolver.storage.ledger.pending_votes
         growth = resolver.add_batch(self.GROWING[1])
         assert growth.posteriors == {("r1", "r2"): 1.0}
         assert reuse_counters(growth) == (0, 1)
