@@ -334,7 +334,7 @@ def _cmd_resolve_stream(args: argparse.Namespace) -> int:
             _LOG.error(f"error: cannot read --fault-plan: {error}")
             return 2
     # Observability is per process, not per stored session: enable it
-    # before restore so page-in timings and counter continuity are covered.
+    # before restore so the page-in and any replayed events are counted.
     _activate_obs(args)
     if args.resume:
         if not args.checkpoint_dir:

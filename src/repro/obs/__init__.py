@@ -11,11 +11,12 @@ does::
 
 Observability is **off by default**: until :func:`activate` is called every
 entry point returns immediately after one ``None`` check, and ``span``
-returns a shared no-op context manager, so instrumented hot paths cost
-nothing measurable when disabled (the CI gate holds ``bench_streaming``
-regression under 2%). Activation is process-global — one registry, one
-optional JSONL trace sink — and fork-aware: a forked child inherits an
-inert copy that never double-counts.
+returns a shared no-op context manager.  ``tests/test_obs.py`` checks that
+switching it on changes no result (the bit-identity test, both storage
+backends), and the end-to-end harness measures with it off.  Activation
+is process-global — one registry, one optional JSONL trace sink — and the
+counters count what this process did: they start at zero with it, and no
+session store carries or restores them.
 
 The process activates it — the CLI's ``--metrics`` / ``--trace`` /
 ``--metrics-out`` flags, or an explicit :func:`activate` — never a session:
@@ -61,7 +62,6 @@ __all__ = [
     "observe",
     "set_gauge",
     "snapshot",
-    "merge_snapshot",
 ]
 
 _runtime: Optional[ObsRuntime] = None
@@ -70,12 +70,11 @@ _runtime: Optional[ObsRuntime] = None
 def activate(trace_path: Optional[str] = None) -> ObsRuntime:
     """Turn observability on for this process (idempotent).
 
-    Creates the global runtime if absent; if one is already live, a
-    ``trace_path`` attaches a sink only when none is attached yet. A runtime
-    inherited across a ``fork`` is dead in the child and gets replaced.
+    Creates the global runtime if absent; if one is already active, a
+    ``trace_path`` attaches a sink only when none is attached yet.
     """
     global _runtime
-    if _runtime is None or not _runtime.live():
+    if _runtime is None:
         _runtime = ObsRuntime(trace_path)
     elif trace_path is not None:
         _runtime.attach_sink(trace_path)
@@ -91,27 +90,23 @@ def deactivate() -> Optional[ObsRuntime]:
     global _runtime
     retired = _runtime
     _runtime = None
-    if retired is not None and retired.live():
+    if retired is not None:
         retired.close()
     return retired
 
 
 def enabled() -> bool:
-    runtime_ = _runtime
-    return runtime_ is not None and runtime_.live()
+    return _runtime is not None
 
 
 def runtime() -> Optional[ObsRuntime]:
-    runtime_ = _runtime
-    if runtime_ is not None and runtime_.live():
-        return runtime_
-    return None
+    return _runtime
 
 
 def span(name: str, **attrs: Any) -> Union[Span, NoopSpan]:
     """Timing span context manager; no-op singleton while disabled."""
     runtime_ = _runtime
-    if runtime_ is None or not runtime_.live():
+    if runtime_ is None:
         return NOOP_SPAN
     return runtime_.span(name, attrs)
 
@@ -119,7 +114,7 @@ def span(name: str, **attrs: Any) -> Union[Span, NoopSpan]:
 def inc(name: str, value: float = 1.0, help: str = "", **labels: Any) -> None:
     """Increment counter ``name`` (created on first use)."""
     runtime_ = _runtime
-    if runtime_ is None or not runtime_.live():
+    if runtime_ is None:
         return
     runtime_.inc(name, value, labels, help)
 
@@ -127,7 +122,7 @@ def inc(name: str, value: float = 1.0, help: str = "", **labels: Any) -> None:
 def observe(name: str, value: float, help: str = "", **labels: Any) -> None:
     """Record ``value`` into histogram ``name`` (default buckets)."""
     runtime_ = _runtime
-    if runtime_ is None or not runtime_.live():
+    if runtime_ is None:
         return
     runtime_.observe(name, value, labels, help)
 
@@ -135,7 +130,7 @@ def observe(name: str, value: float, help: str = "", **labels: Any) -> None:
 def set_gauge(name: str, value: float, help: str = "", **labels: Any) -> None:
     """Set gauge ``name`` to ``value``."""
     runtime_ = _runtime
-    if runtime_ is None or not runtime_.live():
+    if runtime_ is None:
         return
     runtime_.set_gauge(name, value, labels, help)
 
@@ -143,20 +138,6 @@ def set_gauge(name: str, value: float, help: str = "", **labels: Any) -> None:
 def snapshot() -> Optional[MetricsSnapshot]:
     """Snapshot the live registry, or ``None`` while disabled."""
     runtime_ = _runtime
-    if runtime_ is None or not runtime_.live():
+    if runtime_ is None:
         return None
     return runtime_.registry.snapshot()
-
-
-def merge_snapshot(payload: Optional[dict]) -> bool:
-    """Fold a stored snapshot dict into the live registry (restore path).
-
-    Session restore passes the ``metrics`` meta a durable store mirrored
-    before shutdown, so cumulative counters survive process restarts.
-    No-op (returns ``False``) while disabled or for empty payloads.
-    """
-    runtime_ = _runtime
-    if runtime_ is None or not runtime_.live() or not payload:
-        return False
-    runtime_.registry.merge_snapshot(MetricsSnapshot.from_dict(payload))
-    return True

@@ -194,49 +194,6 @@ class MetricsRegistry:
             metrics = list(self._metrics.values())
         return MetricsSnapshot([metric._snapshot() for metric in metrics])
 
-    def merge_snapshot(self, snapshot: "MetricsSnapshot") -> None:
-        """Fold a previously exported snapshot into the live registry.
-
-        Counters accumulate, gauges take the snapshot value, histogram
-        series add elementwise.  Used by session restore so that counters
-        mirrored into a store before a restart keep counting from where
-        they left off instead of restarting at zero.  Metrics whose kind
-        (or histogram bucket layout) conflicts with an already-registered
-        one are skipped rather than corrupted.
-        """
-        for metric in snapshot.metrics:
-            name, kind = metric["name"], metric["kind"]
-            try:
-                if kind == "counter":
-                    target = self.counter(name, metric.get("help", ""))
-                    for sample in metric["samples"]:
-                        target.inc(sample["value"], **sample["labels"])
-                elif kind == "gauge":
-                    target = self.gauge(name, metric.get("help", ""))
-                    for sample in metric["samples"]:
-                        target.set(sample["value"], **sample["labels"])
-                elif kind == "histogram":
-                    target = self.histogram(
-                        name, metric.get("help", ""), metric["buckets"]
-                    )
-                    if tuple(target.buckets) != tuple(
-                        float(b) for b in metric["buckets"]
-                    ):
-                        continue
-                    for sample in metric["samples"]:
-                        key = _label_key(sample["labels"])
-                        with self._lock:
-                            series = target._series.get(key)
-                            if series is None:
-                                series = [[0] * (len(target.buckets) + 1), 0.0, 0]
-                                target._series[key] = series
-                            for index, count in enumerate(sample["counts"]):
-                                series[0][index] += count
-                            series[1] += sample["sum"]
-                            series[2] += sample["count"]
-            except ValueError:
-                continue
-
 
 def _labels_match(sample_labels: Mapping[str, str], wanted: Mapping[str, object]) -> bool:
     return all(sample_labels.get(key) == str(value) for key, value in wanted.items())

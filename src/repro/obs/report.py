@@ -11,10 +11,11 @@ latency from the latency model).  The real seconds the process spends
 A report can be built from three sources (the CLI ``repro stats`` command
 accepts all three):
 
-* :meth:`CostReport.from_snapshot` — a live :class:`~repro.obs.metrics.MetricsSnapshot`;
-* :meth:`CostReport.from_store` — a SQLite session store (works even for
-  runs without metrics: the session meta and vote ledger are enough for
-  the crowd-side numbers, machine timings are just absent);
+* :meth:`CostReport.from_snapshot` — a live :class:`~repro.obs.metrics.MetricsSnapshot`
+  (the process's counters: every session it ran);
+* :meth:`CostReport.from_store` — a SQLite session store: that session's
+  own crowd-side numbers, read from its state whether or not metrics were
+  on; a store keeps no timings;
 * :meth:`CostReport.from_trace` — a JSONL trace file written via
   ``obs.activate(trace_path=...)`` (the CLI's ``--trace``).
 """
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .metrics import MetricsSnapshot
 
@@ -64,8 +65,8 @@ class CostReport:
     crowd_reissued: int = 0
     crowd_duplicates_dropped: int = 0
     #: Real wall-clock seconds spent inside top-level machine spans, net of
-    #: the crowd simulator nested in them; None when the run had no metrics
-    #: (e.g. a store written with observability off).
+    #: the crowd simulator nested in them; None without spans (a report
+    #: built from a store, whose session's process kept the timings).
     machine_seconds: Optional[float] = None
     #: Real wall-clock seconds the process spent simulating the crowd
     #: (:data:`SIMULATOR_SPANS`); None exactly when ``machine_seconds`` is.
@@ -99,12 +100,7 @@ class CostReport:
 
     # ------------------------------------------------------------- builders
     @classmethod
-    def from_snapshot(
-        cls,
-        snapshot: MetricsSnapshot,
-        source: str = "snapshot",
-        session_meta: Optional[Mapping] = None,
-    ) -> "CostReport":
+    def from_snapshot(cls, snapshot: MetricsSnapshot, source: str = "snapshot") -> "CostReport":
         report = cls(source=source)
         report.hits_issued = int(snapshot.counter_total("hits_issued_total"))
         report.assignments = int(snapshot.counter_total("crowd_assignments_total"))
@@ -132,8 +128,6 @@ class CostReport:
                 report.counters[metric["name"]] = sum(
                     sample["value"] for sample in metric["samples"]
                 )
-        if session_meta:
-            report._fold_session_meta(session_meta)
         return report
 
     def _split_wall_clock(self) -> None:
@@ -151,60 +145,41 @@ class CostReport:
         # benchmark loop) has simulator time and no machine time at all.
         self.machine_seconds = max(0.0, total(MACHINE_ROOT_SPANS) - self.simulator_seconds)
 
-    def _fold_session_meta(self, meta: Mapping) -> None:
-        """Fill crowd-side numbers the snapshot lacks from session meta."""
-        if not self.hits_issued:
-            self.hits_issued = int(meta.get("hit_count", 0))
-        if not self.crowd_cost_dollars:
-            self.crowd_cost_dollars = float(meta.get("cost", 0.0))
-
     @classmethod
     def from_store(cls, path: str) -> "CostReport":
-        """Build from a SQLite session store file (``store.sqlite``)."""
+        """Build from a SQLite session store file (``store.sqlite``).
+
+        Reads only the session's own state: its ``session`` meta (HITs,
+        cost), its ``assignment_seconds`` table (assignments, worker
+        seconds), its ledger's votes and the async platform's counters.
+        Machine and simulator time are the process's numbers, not the
+        session's, so they stay ``None``.
+        """
         from repro.storage.sqlite import SqliteStore
 
         store = SqliteStore(path)
         try:
             if store.get_meta("version") is None:
                 raise ValueError(f"{path} does not hold a resolution session")
-            session_meta = store.get_meta("session") or {}
-            async_meta = store.get_meta("async") or {}
-            metrics_payload = store.get_meta("metrics")
+            session = store.get_meta("session") or {}
+            platform = (store.get_meta("async") or {}).get("platform") or {}
             assignment_seconds = store.load_assignment_seconds()
             store.load_ledger()
-            ledger_votes = sum(len(votes) for votes in store.ledger.votes.values())
+            votes = sum(len(pair_votes) for pair_votes in store.ledger.votes.values())
         finally:
             store.close()
-        if metrics_payload is not None:
-            report = cls.from_snapshot(
-                MetricsSnapshot.from_dict(metrics_payload),
-                source=f"store {path}",
-                session_meta=session_meta,
-            )
-        else:
-            report = cls(source=f"store {path}")
-            report.hits_issued = int(session_meta.get("hit_count", 0))
-            report.crowd_cost_dollars = float(session_meta.get("cost", 0.0))
-        if not report.assignments:
-            report.assignments = len(assignment_seconds)
-        if not report.votes:
-            report.votes = ledger_votes
-        if not report.crowd_work_seconds:
-            report.crowd_work_seconds = float(sum(assignment_seconds))
-        # Async robustness counters live in the mirrored platform state, so
-        # they survive runs without metrics too.
-        platform_state = async_meta.get("platform") or {}
-        if not report.crowd_retries:
-            report.crowd_retries = int(platform_state.get("retries", 0))
-        if not report.crowd_timeouts:
-            report.crowd_timeouts = int(platform_state.get("timeouts", 0))
-        if not report.crowd_reissued:
-            report.crowd_reissued = int(platform_state.get("reissued", 0))
-        if not report.crowd_duplicates_dropped:
-            report.crowd_duplicates_dropped = int(
-                platform_state.get("duplicates_dropped", 0)
-            )
-        return report
+        return cls(
+            source=f"store {path}",
+            hits_issued=int(session.get("hit_count", 0)),
+            assignments=len(assignment_seconds),
+            votes=votes,
+            crowd_cost_dollars=float(session.get("cost", 0.0)),
+            crowd_work_seconds=float(sum(assignment_seconds)),
+            crowd_retries=int(platform.get("retries", 0)),
+            crowd_timeouts=int(platform.get("timeouts", 0)),
+            crowd_reissued=int(platform.get("reissued", 0)),
+            crowd_duplicates_dropped=int(platform.get("duplicates_dropped", 0)),
+        )
 
     @classmethod
     def from_trace(cls, path: str) -> "CostReport":
@@ -284,7 +259,7 @@ class CostReport:
                 f"{self.crowd_duplicates_dropped} duplicates dropped"
             )
         if self.machine_seconds is None:
-            lines.append("  machine time           : n/a (run without --metrics)")
+            lines.append("  machine time           : n/a (timings come from a --trace file)")
         else:
             lines.append(f"  machine time           : {self.machine_seconds:.3f} s")
             lines.append(

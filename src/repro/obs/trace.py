@@ -16,13 +16,10 @@ span held open across an ``await`` never becomes the parent of another
 request's spans, and leaving a span restores exactly what was current when
 it was entered.
 
-The runtime is fork-aware: it remembers the PID that created it, and every
-entry point no-ops in a forked child, whose copied runtime must not
-double-count or interleave writes into the parent's trace file.  Nothing in
-this package forks; the guard is for callers that do.  Threads are another
-matter — a new thread starts with an empty context, so code that hands
-work to one runs it through ``contextvars.copy_context().run`` to keep the
-span ancestry (:func:`repro.simjoin.parallel.join_blocks` and
+The runtime belongs to one process; nothing in this package forks.  A new
+thread starts with an empty context, so code that hands work to one runs
+it through ``contextvars.copy_context().run`` to keep the span ancestry
+(:func:`repro.simjoin.parallel.join_blocks` and
 :meth:`repro.service.shards.ShardExecutor.submit` do).
 """
 
@@ -133,12 +130,7 @@ class ObsRuntime:
     def __init__(self, trace_path: Optional[str] = None) -> None:
         self.registry = MetricsRegistry()
         self.sink: Optional[TraceSink] = TraceSink(trace_path) if trace_path else None
-        self.pid = os.getpid()
         self._span_ids = itertools.count(1)
-
-    def live(self) -> bool:
-        """False in forked children — their copy must stay inert."""
-        return os.getpid() == self.pid
 
     def attach_sink(self, trace_path: str) -> None:
         if self.sink is None:

@@ -141,12 +141,15 @@ _TABLES = (
     "assignment_seconds",
 )
 
-#: Tables an earlier release kept that this one neither reads nor writes
-#: (``provenance``: a write-only per-pair history).  Opening a store leaves
-#: them alone — reading one (``repro stats``) or refusing to resume it must
-#: not cost its writer anything; a session of this release that takes the
-#: store over drops them (:meth:`SqliteStore.drop_retired_tables`).
+#: Tables and meta keys an earlier release kept that this one neither reads
+#: nor writes (``provenance``: a write-only per-pair history; ``metrics``:
+#: a copy of the writing process's metrics registry, other sessions'
+#: counts included).  Opening a store leaves them alone — reading one
+#: (``repro stats``) or refusing to resume it must not cost its writer
+#: anything; a session of this release that takes the store over drops
+#: them (:meth:`SqliteStore.drop_retired`).
 _RETIRED_TABLES = ("provenance",)
+_RETIRED_META = ("metrics",)
 
 
 def _blob(array: np.ndarray) -> bytes:
@@ -243,10 +246,12 @@ class SqliteStore(Store):
         self._ids = set()
         self._next_arrival = 0
 
-    def drop_retired_tables(self) -> None:
-        """Drop an earlier release's tables inside the open transaction."""
+    def drop_retired(self) -> None:
+        """Drop an earlier release's tables and meta rows inside the open
+        transaction."""
         for table in _RETIRED_TABLES:
             self.execute(f"DROP TABLE IF EXISTS {table}")
+        self.executemany("DELETE FROM meta WHERE key = ?", [(key,) for key in _RETIRED_META])
 
     # --------------------------------------------------------- record table
     def add_record(self, record: Record) -> None:

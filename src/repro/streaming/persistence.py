@@ -354,13 +354,6 @@ def _write_counters(store: Store, session) -> None:
     store.set_meta("session", {key: counters[key] for key in _SESSION_META_KEYS})
     store.set_meta("async", crowd["async"])
     store.set_meta("events_applied", session.durability.events_applied)
-    if obs.enabled():
-        # The live metrics snapshot, so `repro stats --store` can build a
-        # cost report from the store alone.  Purely additive meta — restore
-        # only merges it back into the registry, the digest never reads it.
-        snapshot = obs.snapshot()
-        if snapshot is not None:
-            store.set_meta("metrics", snapshot.to_dict())
 
 
 def write_snapshot(target: SqliteStore, session) -> None:
@@ -628,10 +621,6 @@ def _page_in(session, source: SqliteStore) -> None:
     })
     session._last_fresh_votes = {}
     session.durability.events_applied = int(source.get_meta("events_applied", 0))
-    if obs.enabled():
-        # Resume cumulative counters from the stored snapshot so a restart
-        # doesn't reset `repro stats` to zero.
-        obs.merge_snapshot(source.get_meta("metrics"))
 
 
 def replay(session, events: Sequence[JournalEvent], verify: bool = True) -> None:
@@ -784,7 +773,7 @@ def restore(
     # the attach boundary (after the replayed state, never ahead of it).
     takes_over = keep_journal or (mirrored and not rejoin)
     if takes_over:
-        source.drop_retired_tables()
+        source.drop_retired()
     session.durability.attach(session)
     if takes_over:
         source.commit()

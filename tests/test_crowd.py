@@ -8,14 +8,19 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro import obs
+from repro.core.config import WorkflowConfig
+from repro.core.workflow import HybridWorkflow
 from repro.crowd import mt19937
 from repro.crowd.latency import LatencyModel
 from repro.crowd.platform import CrowdRunResult, SimulatedCrowdPlatform
 from repro.crowd.pricing import PricingModel
 from repro.crowd.qualification import QualificationTest
 from repro.crowd.worker import NOISY, RELIABLE, SPAMMER, Worker, WorkerPool, WorkerProfile
+from repro.datasets.restaurant import RestaurantGenerator
 from repro.hit.base import ClusterBasedHIT, HITBatch, PairBasedHIT
 from repro.records.pairs import canonical_pair
+from repro.streaming.persistence import state_digest
 
 
 class TestWorkerProfiles:
@@ -420,3 +425,26 @@ class TestPerPairPublishPaths:
         assert bulk.assignment_seconds == scalar.assignment_seconds
         assert bulk.cost == scalar.cost
         assert bulk == scalar
+
+    def test_a_batch_resolve_takes_the_bulk_path_for_every_pair(self, monkeypatch):
+        """Restaurant(6000, 750, seed 7) at 0.35 publishes its 4,742
+        candidates at once, and every one takes the bulk path; the
+        resolution equals one with the bulk path switched off
+        (``BULK_MIN_SEEDS`` above the publish), bit for bit.  The one place
+        this count is pinned."""
+        dataset = RestaurantGenerator(6000, 750, seed=7).generate()
+
+        def resolve():
+            config = WorkflowConfig(likelihood_threshold=0.35, vote_mode="per-pair")
+            result = HybridWorkflow(config).resolve(dataset)
+            return state_digest(result.posteriors, result.cost, result.hit_count)
+
+        obs.activate()
+        try:
+            bulk_digest = resolve()
+            pairs = obs.snapshot().counter_total("crowd_oracle_pairs_total", path="bulk")
+        finally:
+            obs.deactivate()
+        assert pairs == 4742
+        monkeypatch.setattr(mt19937, "BULK_MIN_SEEDS", 10**9)
+        assert resolve() == bulk_digest

@@ -3,13 +3,14 @@
 Three layers of guarantees:
 
 * the primitives themselves — histogram bucketing, Prometheus text-format
-  escaping and validity, span nesting and exception safety, snapshot
-  merging for restart continuity;
+  escaping and validity, span nesting and exception safety;
 * the no-op default — with observability off, every entry point is inert
-  and instrumentation changes *nothing* about resolution output (the
-  bit-identity property test, for both storage backends);
-* the CLI surface — ``repro stats`` cost reports whose HIT count exactly
-  matches the session's, and the ``-v``/``-q`` logging levels.
+  and instrumentation changes *nothing* about resolution output or the
+  stores a session leaves (the bit-identity property test, for both
+  storage backends);
+* the cost surface — ``repro stats`` reports whose HIT count exactly
+  matches the session's, each store reporting its own session only, and
+  the ``-v``/``-q`` logging levels.
 """
 
 import asyncio
@@ -226,7 +227,6 @@ class TestNoopDefault:
         obs.inc("c_total")
         obs.observe("h", 1.0)
         obs.set_gauge("g", 1.0)
-        assert obs.merge_snapshot({"metrics": []}) is False
         with obs.span("nothing") as nothing:
             pass
         assert nothing is obs.span("still-nothing")  # shared no-op singleton
@@ -236,43 +236,6 @@ class TestNoopDefault:
         assert obs.activate() is first
         obs.inc("c_total", 2)
         assert obs.snapshot().counter_total("c_total") == 2
-
-
-class TestMergeSnapshot:
-    def test_counters_accumulate_gauges_overwrite(self):
-        registry = MetricsRegistry()
-        registry.counter("c_total").inc(5, kind="a")
-        registry.gauge("g").set(1.0)
-        stored = registry.snapshot().to_dict()
-
-        obs.activate()
-        obs.inc("c_total", 2, kind="a")
-        obs.inc("c_total", 7, kind="b")
-        assert obs.merge_snapshot(stored) is True
-        snapshot = obs.snapshot()
-        assert snapshot.counter_total("c_total", kind="a") == 7
-        assert snapshot.counter_total("c_total", kind="b") == 7
-        assert snapshot.gauge_value("g") == 1.0
-
-    def test_histograms_add_elementwise(self):
-        registry = MetricsRegistry()
-        registry.histogram("h", buckets=(1.0, 2.0)).observe(0.5)
-        stored = registry.snapshot().to_dict()
-        runtime = obs.activate()
-        runtime.registry.histogram("h", buckets=(1.0, 2.0)).observe(1.5)
-        obs.merge_snapshot(stored)
-        sample = obs.snapshot().get("h")["samples"][0]
-        assert sample["counts"] == [1, 1, 0]
-        assert sample["count"] == 2
-
-    def test_kind_conflict_is_skipped_not_fatal(self):
-        registry = MetricsRegistry()
-        registry.counter("x").inc(1)
-        stored = registry.snapshot().to_dict()
-        runtime = obs.activate()
-        runtime.registry.gauge("x").set(9.0)
-        obs.merge_snapshot(stored)  # must not raise
-        assert obs.snapshot().gauge_value("x") == 9.0
 
 
 # ------------------------------------------------- bit-identity property
@@ -297,8 +260,7 @@ def _run_stream(dataset, tmp_path, backend, instrumented, tag):
     for start in range(0, len(records), 20):
         result = resolver.add_batch(records[start : start + 20])
     # The whole session state, as materialised by save(): every table of the
-    # store minus the observational meta (the config necessarily differs in
-    # the session's directory).
+    # store (the config necessarily differs in the session's directory).
     state = _dump_sqlite(resolver.save(tmp_path / f"{tag}-saved"))
     resolver.storage.close()
     obs.deactivate()
@@ -317,9 +279,9 @@ def _comparable_config(payload):
 
 
 def _dump_sqlite(path):
-    """Every row of every table — the event log included — minus the
-    observational metrics meta and config fields (stored in the ``config``
-    meta and in the log's ``session`` header)."""
+    """Every row of every table — the event log included — minus the config
+    fields allowed to differ (stored in the ``config`` meta and in the log's
+    ``session`` header)."""
     connection = sqlite3.connect(path)
     try:
         tables = [
@@ -334,8 +296,6 @@ def _dump_sqlite(path):
             if table == "meta":
                 normalized = []
                 for key, value in rows:
-                    if key == "metrics":
-                        continue
                     if key == "config":
                         value = _comparable_config(json.loads(value))
                     normalized.append((key, value))
@@ -418,7 +378,53 @@ def test_stats_hit_count_matches_session_exactly(tmp_path):
         assert report.assignments == result.assignment_count
         assert report.votes > 0
         assert report.crowd_cost_dollars == pytest.approx(result.cost)
-    assert store.machine_seconds is not None and store.machine_seconds > 0
+    # Timings belong to the process that ran the session, not to its store.
+    assert store.machine_seconds is None and store.simulator_seconds is None
+    assert trace.machine_seconds > 0
+
+
+def _sqlite_session(directory, seed):
+    """Restaurant(400, 50, seed) at 0.35, majority, in 100-record batches,
+    written to a sqlite store; left open."""
+    dataset = make_dataset(400, 50, seed=seed)
+    resolver = StreamingResolver(config=WorkflowConfig(
+        likelihood_threshold=0.35, aggregation="majority", vote_mode="per-pair",
+        storage_backend="sqlite", checkpoint_dir=str(directory),
+    ), cross_sources=dataset.cross_sources)
+    resolver.add_truth(dataset.ground_truth)
+    records = list(dataset.store)
+    for start in range(0, len(records), 100):
+        resolver.add_batch(records[start : start + 100])
+    return resolver
+
+
+def test_each_store_reports_its_own_session_and_restores_publish_nothing(tmp_path):
+    """Two sqlite sessions in one process with metrics on: a store's report
+    is its own session's cost, and restoring both stores into a fresh
+    registry counts no HIT.  Fails at the parent commit, where every store
+    carried a copy of the process's registry (store b reported a's HITs
+    too) and a restore merged it back (a's HITs counted twice)."""
+    obs.activate()
+    own = {}
+    for name, seed in (("a", 1), ("b", 2)):
+        resolver = _sqlite_session(tmp_path / name, seed)
+        result = resolver.snapshot()
+        votes = sum(len(pair_votes) for pair_votes in resolver.storage.ledger.votes.values())
+        own[name] = (result.hit_count, result.assignment_count, result.cost, votes)
+        resolver.durability.close()
+    assert obs.snapshot().counter_total("hits_issued_total") == 13 + 15
+    assert {name: counts[:2] for name, counts in own.items()} == {"a": (13, 39), "b": (15, 45)}
+    for name, counts in own.items():
+        report = CostReport.from_store(str(tmp_path / name / "store.sqlite"))
+        assert (
+            report.hits_issued, report.assignments, report.crowd_cost_dollars, report.votes
+        ) == counts
+
+    obs.deactivate()
+    obs.activate()
+    for name in own:
+        StreamingResolver.restore(str(tmp_path / name)).durability.close()
+    assert obs.snapshot().counter_total("hits_issued_total") == 0
 
 
 def test_packing_counters_are_exact_for_a_seeded_session(monkeypatch):

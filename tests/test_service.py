@@ -1149,6 +1149,42 @@ class TestServiceMetrics:
         finally:
             obs.deactivate()
 
+    def test_restoring_saved_sessions_leaves_the_scrape_where_it_was(self, tmp_path):
+        """A restore pages a session in and publishes nothing, so on a
+        server with metrics on ``hits_issued_total`` does not grow.  Fails
+        at the parent commit, where each saved store carried a copy of the
+        process's registry and a restore merged it back in."""
+
+        def hits_issued(text):
+            return sum(
+                float(line.split()[-1])
+                for line in text.splitlines()
+                if line.split(" ")[0] == "hits_issued_total"
+            )
+
+        obs.activate()
+        try:
+            directories = [tmp_path / "a", tmp_path / "b"]
+            for seed, directory in enumerate(directories, start=3):
+                resolver = StreamingResolver(config=make_config(checkpoint_dir=str(directory)))
+                resolver.add_batch(list(make_dataset(seed).store))
+                resolver.save()
+                resolver.durability.close()
+            runner = ServiceThread(shard_count=2, queue_depth=8)
+            client = runner.start()
+            try:
+                before = hits_issued(client.metrics_text())
+                assert before > 0
+                for directory in directories:
+                    session_id = fresh_id("restored")
+                    client.restore(session_id, str(directory))
+                    client.close(session_id)
+                assert hits_issued(client.metrics_text()) == before
+            finally:
+                runner.stop()
+        finally:
+            obs.deactivate()
+
     def test_a_request_is_followed_into_its_session(self, tmp_path):
         """The shard queue hands the submitter's context to the owner
         thread: every ``hit.cluster`` span of a served append descends from

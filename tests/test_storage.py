@@ -21,9 +21,11 @@ from hypothesis import strategies as st
 
 from strategies import drive, event_schedules
 
+from repro import obs
 from repro.core.config import WorkflowConfig
 from repro.datasets.restaurant import RestaurantGenerator
 from repro.hit.pair_generation import PairHITGenerator
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.report import CostReport
 from repro.records.pairs import PairSet, RecordPair
 from repro.records.record import Record, RecordStore
@@ -87,6 +89,32 @@ def plant_parent_provenance(path, pairs):
             [(a, b, json.dumps(["b1:h0"]), json.dumps([[1, 0, 3]])) for a, b in pairs],
         )
     connection.close()
+
+
+def plant_parent_metrics(path, hits):
+    """Give the store at ``path`` the ``metrics`` meta row an earlier release
+    wrote: a copy of its process's registry, ``hits`` HITs from sessions
+    that are not this store's among it."""
+    registry = MetricsRegistry()
+    registry.counter("hits_issued_total").inc(hits)
+    registry.counter("crowd_assignments_total").inc(3 * hits)
+    registry.counter("crowd_cost_dollars_total").inc(0.075 * hits)
+    connection = sqlite3.connect(str(path))
+    with connection:
+        connection.execute(
+            "INSERT INTO meta (key, value) VALUES ('metrics', ?)",
+            (json.dumps(registry.snapshot().to_dict()),),
+        )
+    connection.close()
+
+
+def parent_metrics_row(path):
+    """Whether the earlier release's ``metrics`` meta row is still there."""
+    connection = sqlite3.connect(str(path))
+    try:
+        return connection.execute("SELECT 1 FROM meta WHERE key = 'metrics'").fetchone() is not None
+    finally:
+        connection.close()
 
 
 def parent_provenance_rows(path):
@@ -485,8 +513,10 @@ class TestPageInRestore:
 
     def test_store_carrying_the_provenance_table_restores_and_sheds_it(self, tmp_path):
         """An earlier release kept a per-pair history table (``provenance``,
-        two indexes, one JSON row per pair) that nothing read.  Its store
-        restores bit-identically, retracts exactly, and loses the table."""
+        two indexes, one JSON row per pair) that nothing read, and a copy of
+        its process's metrics registry in a ``metrics`` meta row.  Its store
+        restores bit-identically — into a registry that counts no HIT, as
+        page-in publishes nothing — retracts exactly, and loses both."""
         dataset = make_dataset()
         records = list(dataset.store)
         resolver = StreamingResolver(
@@ -501,10 +531,17 @@ class TestPageInRestore:
         pairs = sorted(resolver.storage.ledger.pairs)
         resolver.durability.close()
         plant_parent_provenance(tmp_path / STORE_FILENAME, pairs)
+        plant_parent_metrics(tmp_path / STORE_FILENAME, hits=1000)
 
-        restored = StreamingResolver.restore(str(tmp_path))
+        obs.activate()
+        try:
+            restored = StreamingResolver.restore(str(tmp_path))
+            assert obs.snapshot().counter_total("hits_issued_total") == 0
+        finally:
+            obs.deactivate()
         assert session_fingerprint(restored) == expected
         assert schema_objects(restored.durability.store, "provenance") == []
+        assert restored.durability.store.get_meta("metrics") is None
         victim = records[2].record_id
         victim_pairs = [key for key in pairs if victim in key]
         assert victim_pairs  # the retraction has something to invalidate
@@ -517,8 +554,10 @@ class TestPageInRestore:
         self, tmp_path
     ):
         """Reading a store (``repro stats``) or refusing to restore it leaves
-        the earlier release's table and rows in place, so that release can
-        still resume it; a memory-backed resume that keeps the log drops it."""
+        the earlier release's table and rows and its ``metrics`` meta row in
+        place, so that release can still resume it; a memory-backed resume
+        that keeps the log drops them.  The report ignores the copied
+        registry: it is the session's own cost."""
         dataset = make_dataset()
         records = list(dataset.store)
         resolver = StreamingResolver(
@@ -532,9 +571,14 @@ class TestPageInRestore:
         resolver.durability.close()
         path = tmp_path / STORE_FILENAME
         plant_parent_provenance(path, pairs)
+        plant_parent_metrics(path, hits=1000)
 
-        CostReport.from_store(str(path))
+        report = CostReport.from_store(str(path))
+        assert (report.hits_issued, report.assignments, report.crowd_cost_dollars) == (
+            expected["hit_count"], expected["assignment_count"], expected["cost"]
+        )
         assert parent_provenance_rows(path) == len(pairs)
+        assert parent_metrics_row(path)
 
         def store_threshold(value):
             store = SqliteStore(path)
@@ -546,6 +590,7 @@ class TestPageInRestore:
         with pytest.raises(PersistenceError, match="decision_threshold=0.7"):
             StreamingResolver.restore(str(tmp_path))
         assert parent_provenance_rows(path) == len(pairs)
+        assert parent_metrics_row(path)
 
         store_threshold(0.5)  # the value that replays
         restored = StreamingResolver.restore(
@@ -554,6 +599,7 @@ class TestPageInRestore:
         assert restored.storage.backend_name == "memory"
         assert session_fingerprint(restored) == expected
         assert parent_provenance_rows(path) is None
+        assert not parent_metrics_row(path)
         restored.durability.close()
 
     def test_fresh_session_refuses_an_occupied_store(self, tmp_path):
