@@ -261,20 +261,48 @@ class RecordStore:
         approach would have to verify; the hybrid workflow exists precisely
         to avoid sending all of these to the crowd.
         """
-        records = list(self)
-        for i in range(len(records)):
-            for j in range(i + 1, len(records)):
-                yield records[i], records[j]
+        return self._record_pairs(None)
 
     def cross_source_pairs(self, source_a: str, source_b: str) -> Iterator[Tuple[Record, Record]]:
-        """Yield pairs with one record from each of the two given sources."""
-        left = self.records_from_source(source_a)
-        right = self.records_from_source(source_b)
-        for record_a in left:
-            for record_b in right:
-                yield record_a, record_b
+        """Yield pairs with one record from each of the two given sources.
+
+        With ``source_a == source_b`` that is every unordered pair of
+        distinct records of that source, each once.
+        """
+        return self._record_pairs((source_a, source_b))
+
+    def _record_pairs(
+        self, cross_sources: Optional[Tuple[str, str]]
+    ) -> Iterator[Tuple[Record, Record]]:
+        records = list(self)
+        for i, j in pair_indices(records, cross_sources):
+            yield records[i], records[j]
 
     def total_pair_count(self) -> int:
         """Number of unordered pairs n*(n-1)/2."""
         n = len(self)
         return n * (n - 1) // 2
+
+
+def pair_indices(
+    records: Sequence[Record], cross_sources: Optional[Tuple[str, str]] = None
+) -> Iterator[Tuple[int, int]]:
+    """Yield the candidate pairs of ``records`` as positions ``(i, j)``.
+
+    ``None`` gives every unordered pair of distinct records, ``i < j``.
+    ``(source_a, source_b)`` gives one record from each source, ``source_a``
+    first; when the two sources are the same that is the self-join over the
+    source, so each unordered pair of its distinct records comes once.
+    """
+    if cross_sources is None:
+        left = right = range(len(records))
+    else:
+        source_a, source_b = cross_sources
+        left = [i for i, record in enumerate(records) if record.source == source_a]
+        right = (
+            left if source_b == source_a
+            else [i for i, record in enumerate(records) if record.source == source_b]
+        )
+    for k, i in enumerate(left):
+        for j in (right[k + 1:] if right is left else right):
+            yield i, j

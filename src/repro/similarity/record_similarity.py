@@ -10,7 +10,7 @@ feature vectors are built.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Any, Callable, FrozenSet, Iterable, Optional, Sequence
 
 from repro.records.record import Record
 from repro.records.tokenize import WhitespaceTokenizer, record_token_set
@@ -31,6 +31,26 @@ class RecordSimilarity:
     def similarity(self, record_a: Record, record_b: Record) -> float:
         """Return the similarity of the two records in [0, 1]."""
         raise NotImplementedError
+
+    def prepare(self, record: Record) -> Any:
+        """Return the per-record part of the similarity, computed once.
+
+        An all-pairs scan prepares each record once and then calls
+        :meth:`compare` on the prepared values of every pair, so work that
+        depends on one record only (tokenising it, say) is paid per record
+        rather than per pair.  The default prepares nothing: it returns the
+        record itself.
+        """
+        return record
+
+    def compare(self, prepared_a: Any, prepared_b: Any) -> float:
+        """Return the similarity in [0, 1] of two :meth:`prepare` results.
+
+        ``compare(prepare(a), prepare(b))`` equals ``similarity(a, b)``.
+        The default is :meth:`similarity`, which matches the default
+        :meth:`prepare`; override the two together.
+        """
+        return self.similarity(prepared_a, prepared_b)
 
     def __call__(self, record_a: Record, record_b: Record) -> float:
         return self.similarity(record_a, record_b)
@@ -54,10 +74,16 @@ class JaccardRecordSimilarity(RecordSimilarity):
         self.attributes = list(attributes) if attributes is not None else None
         self._tokenizer = WhitespaceTokenizer()
 
-    def similarity(self, record_a: Record, record_b: Record) -> float:
-        tokens_a = record_token_set(record_a, self.attributes, self._tokenizer)
-        tokens_b = record_token_set(record_b, self.attributes, self._tokenizer)
+    def prepare(self, record: Record) -> FrozenSet[str]:
+        """The record's token set over the chosen attributes."""
+        return record_token_set(record, self.attributes, self._tokenizer)
+
+    def compare(self, tokens_a: FrozenSet[str], tokens_b: FrozenSet[str]) -> float:
+        """Jaccard similarity of two token sets."""
         return jaccard_similarity(tokens_a, tokens_b)
+
+    def similarity(self, record_a: Record, record_b: Record) -> float:
+        return self.compare(self.prepare(record_a), self.prepare(record_b))
 
 
 _SET_FUNCTIONS = {

@@ -9,10 +9,13 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from typing import Iterable, Sequence, Set
+from typing import AbstractSet, Iterable, Sequence
 
 
-def _as_set(tokens: Iterable[str]) -> Set[str]:
+def _as_set(tokens: Iterable[str]) -> AbstractSet[str]:
+    # Only read, never mutated: a set passes through without a copy.
+    if isinstance(tokens, (set, frozenset)):
+        return tokens
     return set(tokens)
 
 

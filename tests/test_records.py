@@ -96,6 +96,16 @@ class TestRecordStore:
         assert len(cross) == 2
         assert all(pair[0].source == "abt" and pair[1].source == "buy" for pair in cross)
 
+    def test_same_source_cross_pairs_are_that_sources_self_join(self):
+        store = RecordStore()
+        store.add(Record("r0", {"name": "x"}, source="a"))
+        store.add(Record("r1", {"name": "y"}, source="a"))
+        store.add(Record("r2", {"name": "z"}, source="b"))
+        store.add(Record("r3", {"name": "w"}, source="a"))
+        ids = [(a.record_id, b.record_id) for a, b in store.cross_source_pairs("a", "a")]
+        assert ids == [("r0", "r1"), ("r0", "r3"), ("r1", "r3")]
+        assert list(store.cross_source_pairs("b", "b")) == []
+
     def test_attribute_names_union_in_order(self):
         store = RecordStore()
         store.add(Record("r1", {"name": "a", "city": "x"}))

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from strategies import random_stores, record_texts, similarity_measures
 
 from repro.core.config import WorkflowConfig
+from repro.datasets.product import ProductGenerator
 from repro.datasets.restaurant import RestaurantGenerator
 from repro.records.record import Record, RecordStore
 from repro.simjoin.likelihood import SimJoinLikelihood
@@ -28,6 +29,7 @@ from repro.simjoin.vectorized import (
     score_block,
     similarity,
 )
+from repro.similarity import record_similarity
 from repro.similarity.set_similarity import (
     cosine_token_similarity,
     dice_similarity,
@@ -109,7 +111,7 @@ class TestAutoEqualsNaive:
     @given(
         store=_stores_up_to_40(),
         threshold=st.sampled_from((0.0, 0.2, 1 / 3, 0.5, 1.0)),
-        cross_sources=st.sampled_from((None, ("abt", "buy"))),
+        cross_sources=st.sampled_from((None, ("abt", "buy"), ("abt", "abt"))),
     )
     def test_property_identical_pair_set(self, store, threshold, cross_sources):
         auto = _join("auto", store, threshold, cross_sources)
@@ -129,6 +131,33 @@ class TestAutoEqualsNaive:
         auto = _join("auto", store, threshold)
         assert len(auto) > 0
         assert _items(auto) == _items(_join("naive", store, threshold))
+
+    @pytest.mark.parametrize("slice_", ("restaurant", "product"))
+    def test_the_oracle_prepares_each_record_once(self, slice_, monkeypatch):
+        """The count gate of the all-pairs oracle: one tokenisation per
+        record.  Tokenising both records of every pair would make 249,500
+        on the Restaurant slice (124,750 pairs)."""
+        if slice_ == "restaurant":
+            dataset = RestaurantGenerator(500, 62, seed=7).generate()
+            threshold, expected = 0.35, 500
+        else:
+            dataset = ProductGenerator(
+                shared_entities=110, extra_buy_duplicates=9, abt_only=8, seed=7
+            ).generate()
+            threshold, expected = 0.2, len(dataset.store)
+        auto = _join("auto", dataset.store, threshold, dataset.cross_sources)
+        calls = []
+        real = record_similarity.record_token_set
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(record_similarity, "record_token_set", counting)
+        naive = _join("naive", dataset.store, threshold, dataset.cross_sources)
+        assert len(calls) == expected
+        assert len(naive) > 0
+        assert _items(naive) == _items(auto)
 
 
 class TestSimJoinLikelihoodBackendSelection:

@@ -2,10 +2,11 @@
 
 Sets up one workload exactly as the harness worker does (``setup()``,
 which includes the warm-up slice and its equivalence checks), runs one warm
-pass at full size, then one pass under cProfile, and prints the cumulative
-and the self-time tables.  The workload classes are imported from
-``benchmarks/harness/workloads.py``, not copied, so what is profiled is what
-``BENCHMARK.json`` measures::
+pass at full size, then one pass under cProfile, and prints the wall time of
+each of the three (set-up is not profiled, so its time is the only sign of a
+set-up cost) and the cumulative and the self-time tables.  The workload
+classes are imported from ``benchmarks/harness/workloads.py``, not copied,
+so what is profiled is what ``BENCHMARK.json`` measures::
 
     python3 tools/profile_workload.py batch-paper --seed 7 --top 30
     python3 tools/profile_workload.py stream-mem --smoke
@@ -80,11 +81,13 @@ def main() -> int:
     workdir = Path(tempfile.mkdtemp(prefix="profile-workload-"))
     workload = workloads.WORKLOADS[args.workload](args.seed, args.smoke, workdir)
     try:
+        began = time.perf_counter()
         if args.workload == "serve-http":
             run_pass = serve_http_replay(workloads, workload)
         else:
             workload.setup()
             run_pass = workload.run_pass
+        setup_s = time.perf_counter() - began
         warm = run_pass()
         gc.collect()
         profile = cProfile.Profile()
@@ -94,7 +97,7 @@ def main() -> int:
         shutil.rmtree(workdir, ignore_errors=True)
 
     print(f"{args.workload} seed={args.seed} smoke={args.smoke}: "
-          f"warm pass {warm['wall_s']:.3f} s, profiled pass {record['wall_s']:.3f} s, "
+          f"set-up {setup_s:.3f} s, warm pass {warm['wall_s']:.3f} s, profiled pass {record['wall_s']:.3f} s, "
           f"hits={record['hits']} f1={record['f1']:.6f}")
     stats = pstats.Stats(profile)
     for order in ("cumulative", "tottime"):
