@@ -108,7 +108,7 @@ def run_restore_scenario(
         )
 
         start_time = time.perf_counter()
-        restored = StreamingResolver.restore(directory, resume_journal=False)
+        restored = StreamingResolver.restore(directory)
         restore_seconds = time.perf_counter() - start_time
         identical = (
             restored.state_digest() == digest

@@ -72,6 +72,7 @@ import argparse
 import json
 import logging
 import sys
+from dataclasses import fields
 from pathlib import Path
 from typing import List, Optional
 
@@ -336,35 +337,56 @@ def _cmd_resolve_stream(args: argparse.Namespace) -> int:
     # Observability is per process, not per stored session: enable it
     # before restore so the page-in and any replayed events are counted.
     _activate_obs(args)
+    if args.resume and not args.checkpoint_dir:
+        _LOG.error("error: --resume requires --checkpoint-dir")
+        return 2
+    if args.storage_backend == "sqlite" and not args.checkpoint_dir:
+        _LOG.error("error: --storage-backend sqlite requires --checkpoint-dir")
+        return 2
+    # The configuration the flags describe: a fresh session runs under it,
+    # a resumed one is held against it.
+    config = WorkflowConfig(
+        likelihood_threshold=args.threshold,
+        hit_type=args.hit_type,
+        cluster_size=args.cluster_size,
+        pairs_per_hit=args.pairs_per_hit,
+        join_backend=args.join_backend,
+        join_workers=args.join_workers,
+        vote_mode="per-pair",
+        stream_batch_size=args.batch_size,
+        streaming_aggregation_scope=args.aggregation_scope,
+        crowd_mode=args.crowd_mode,
+        vote_timeout=args.vote_timeout,
+        max_inflight_hits=args.max_inflight_hits,
+        backpressure_policy=args.backpressure_policy,
+        fault_plan=fault_plan,
+        checkpoint_dir=args.checkpoint_dir,
+        storage_backend=args.storage_backend,
+        **(
+            {"checkpoint_every_batches": args.checkpoint_every}
+            if args.checkpoint_every is not None
+            else {}
+        ),
+        seed=args.seed,
+    )
     if args.resume:
-        if not args.checkpoint_dir:
-            _LOG.error("error: --resume requires --checkpoint-dir")
-            return 2
         try:
             resolver = StreamingResolver.restore(args.checkpoint_dir)
         except PersistenceError as error:
             _LOG.error(f"error: cannot resume: {error}")
             return 2
-        config = resolver.config
         _LOG.info(f"resumed session from {args.checkpoint_dir}: "
                   f"{resolver.record_count} records, {resolver.candidate_count} pairs, "
                   f"{resolver.events_applied} logged events")
-        # The stored configuration governs a resumed session; flags that
-        # would change the workflow are ignored, and we say so when they
-        # conflict instead of silently pretending they applied.
+        # The stored configuration governs a resumed session; we name every
+        # field the flags would have set differently instead of silently
+        # pretending they applied.
         conflicts = [
-            f"--{name.replace('_', '-')}={given} (session: {stored})"
-            for name, given, stored in [
-                ("threshold", args.threshold, config.likelihood_threshold),
-                ("batch-size", args.batch_size, config.stream_batch_size),
-                ("aggregation-scope", args.aggregation_scope,
-                 config.streaming_aggregation_scope),
-                ("crowd-mode", args.crowd_mode, config.crowd_mode),
-                ("vote-timeout", args.vote_timeout, config.vote_timeout),
-                ("max-inflight-hits", args.max_inflight_hits, config.max_inflight_hits),
-                ("seed", args.seed, config.seed),
-            ]
-            if given != stored
+            f"{spec.name}={getattr(config, spec.name)!r} "
+            f"(session: {getattr(resolver.config, spec.name)!r})"
+            for spec in fields(WorkflowConfig)
+            if spec.name != "checkpoint_dir"
+            and getattr(config, spec.name) != getattr(resolver.config, spec.name)
         ]
         if conflicts:
             _LOG.warning("note: --resume keeps the session's stored configuration; "
@@ -375,33 +397,6 @@ def _cmd_resolve_stream(args: argparse.Namespace) -> int:
         # was created.
         resolver.add_truth(dataset.ground_truth)
     else:
-        if args.storage_backend == "sqlite" and not args.checkpoint_dir:
-            _LOG.error("error: --storage-backend sqlite requires --checkpoint-dir")
-            return 2
-        config = WorkflowConfig(
-            likelihood_threshold=args.threshold,
-            hit_type=args.hit_type,
-            cluster_size=args.cluster_size,
-            pairs_per_hit=args.pairs_per_hit,
-            join_backend=args.join_backend,
-            join_workers=args.join_workers,
-            vote_mode="per-pair",
-            stream_batch_size=args.batch_size,
-            streaming_aggregation_scope=args.aggregation_scope,
-            crowd_mode=args.crowd_mode,
-            vote_timeout=args.vote_timeout,
-            max_inflight_hits=args.max_inflight_hits,
-            backpressure_policy=args.backpressure_policy,
-            fault_plan=fault_plan,
-            checkpoint_dir=args.checkpoint_dir,
-            storage_backend=args.storage_backend,
-            **(
-                {"checkpoint_every_batches": args.checkpoint_every}
-                if args.checkpoint_every is not None
-                else {}
-            ),
-            seed=args.seed,
-        )
         resolver = StreamingResolver(config=config, cross_sources=dataset.cross_sources)
         resolver.add_truth(dataset.ground_truth)
     try:

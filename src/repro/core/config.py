@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from collections import abc
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.simjoin.likelihood import JOIN_BACKENDS
@@ -73,8 +73,9 @@ class WorkflowConfig:
       ``"sqlite"`` mirrors every mutation into the store, one transaction
       per event, and keeps record bodies out of process memory (requires
       ``checkpoint_dir``: the store lives at ``checkpoint_dir/store.sqlite``).
-      Same file and restore algorithm either way, so a session can be
-      restored under either backend; results are bit-identical.
+      Same file and restore algorithm either way, and results are
+      bit-identical; a restored session keeps the backend it was written
+      with.
     * ``crowd_mode`` — how streaming sessions talk to the crowd:
       ``"sync"`` (default; ``publish()`` returns every vote in-process) or
       ``"async"`` (HITs are enqueued on a virtual clock and votes arrive
@@ -193,29 +194,3 @@ class WorkflowConfig:
                 "fault_plan must be a JSON-friendly dict (FaultPlan.to_dict()) or None"
             )
 
-
-#: Fields that change how fast or how durably a session runs — never
-#: *what it computes*.  Every other field is result-bearing
-#: by construction (see ``RESULT_CONFIG_FIELDS``), so a knob added without
-#: being classified here makes a restore under a different value re-join
-#: instead of silently resuming.
-OPERATIONAL_CONFIG_FIELDS = (
-    "join_backend",
-    "join_workers",
-    "vote_mode",
-    "stream_batch_size",
-    "checkpoint_dir",
-    "checkpoint_every_batches",
-    "storage_backend",
-)
-
-#: Fields that change what a session computes: the complement of
-#: ``OPERATIONAL_CONFIG_FIELDS``.  The async crowd knobs are in here
-#: because retry reissues cost (simulated) money, and cost is part of the
-#: state digest.  Restoring under a config that differs on any of these
-#: cannot be bit-identical, so ``StreamingResolver.restore`` re-joins.
-RESULT_CONFIG_FIELDS = tuple(
-    spec.name
-    for spec in fields(WorkflowConfig)
-    if spec.name not in OPERATIONAL_CONFIG_FIELDS
-)

@@ -39,7 +39,6 @@ from repro.simjoin.columnar import columnar_csr_arrays
 from repro.simjoin.vectorized import (
     DEFAULT_BLOCK_ROWS,
     HAVE_SCIPY,
-    MEASURES,
     BlockScorer,
     _BlockPairs,
     require_scipy,
@@ -149,7 +148,7 @@ def ranked_pair_set(ids: Sequence[str], blocks: Iterable[_BlockPairs]) -> PairSe
 
 
 class VectorizedSimJoin:
-    """Exact set-similarity self/cross join of a record store via the kernel.
+    """Exact Jaccard self/cross join of a record store via the kernel.
 
     Parameters
     ----------
@@ -159,9 +158,6 @@ class VectorizedSimJoin:
         all-pairs scan).
     attributes:
         Attributes pooled into each record's token set (``None`` = all).
-    measure:
-        ``"jaccard"`` (the paper's simjoin), ``"dice"`` or ``"cosine"``
-        (binary cosine ``|A n B| / sqrt(|A| |B|)``).
     block_size:
         Number of matrix rows multiplied per block; bounds peak memory at
         roughly ``block_size * n`` floats for zero-threshold joins.
@@ -176,21 +172,17 @@ class VectorizedSimJoin:
         self,
         threshold: float = 0.0,
         attributes: Optional[Sequence[str]] = None,
-        measure: str = "jaccard",
         block_size: int = DEFAULT_BLOCK_ROWS,
         workers: Optional[int] = 1,
     ) -> None:
         if not 0.0 <= threshold <= 1.0:
             raise ValueError("threshold must be in [0, 1]")
-        if measure not in MEASURES:
-            raise ValueError(f"unknown measure {measure!r}; expected one of {MEASURES}")
         if block_size < 1:
             raise ValueError("block_size must be at least 1")
         if workers is not None and workers < 0:
             raise ValueError("workers must be non-negative (0/None = one per core)")
         self.threshold = threshold
         self.attributes = list(attributes) if attributes is not None else None
-        self.measure = measure
         self.block_size = block_size
         self.workers = workers
         self._tokenizer = WhitespaceTokenizer()
@@ -261,7 +253,6 @@ class VectorizedSimJoin:
                 None if self_join else matrix[right],
                 workers=resolve_worker_count(self.workers),
                 threshold=self.threshold,
-                measure=self.measure,
                 block_size=self.block_size,
                 triangle=1 if self_join else 0,
                 kind=kind,

@@ -6,12 +6,12 @@ Python-interpreter price per pair.  The kernel instead takes a scipy CSR
 token-incidence matrix ``X`` (records x vocabulary, binary, constructed
 columnarly — see :mod:`repro.simjoin.columnar`) and computes pairwise
 intersection counts through blocked sparse products ``X[block] @ X.T``.
-Set sizes come from the CSR row pointers, so Jaccard, Dice and cosine
-similarities are derived entirely in numpy with no per-pair Python loop.
+Set sizes come from the CSR row pointers, so the Jaccard similarities
+are derived entirely in numpy with no per-pair Python loop.
 
 **One kernel, three callers.**  :func:`score_product` is the only code
 that turns a sparse product block into thresholded similarities, and
-:func:`score_block` is the product and that in one call.  The batch
+:meth:`BlockScorer.score` is the product and that in one call.  The batch
 self-join multiplies each block of ``left`` by its band — the rows of
 ``left`` from the block's first row on — under the upper-triangle mask,
 record linkage is ``left x right``, and the streaming engine
@@ -50,8 +50,6 @@ from repro import obs
 
 HAVE_SCIPY = sparse is not None
 
-MEASURES = ("jaccard", "dice", "cosine")
-
 #: Left rows multiplied per block, wherever a caller does not force another
 #: count.  A block's product must stay small enough that the allocator
 #: recycles its buffers instead of mapping and unmapping them: glibc serves
@@ -76,23 +74,15 @@ def require_scipy() -> None:
         )
 
 
-def similarity(
-    measure: str, inter: np.ndarray, sizes_a: np.ndarray, sizes_b: np.ndarray
-) -> np.ndarray:
-    """Similarity values from intersection counts and set sizes.
+def similarity(inter: np.ndarray, sizes_a: np.ndarray, sizes_b: np.ndarray) -> np.ndarray:
+    """Jaccard values from intersection counts and set sizes.
 
     Two empty token sets are defined as similarity 1.0 (textually
     identical records), matching the pure-Python set similarities.  The
     counts stay integers up to the one float64 division, which is exact for
     them and keeps the temporaries of a large block few.
     """
-    if measure == "jaccard":
-        denominator = sizes_a + sizes_b - inter
-    elif measure == "dice":
-        inter = 2 * inter
-        denominator = sizes_a + sizes_b
-    else:  # cosine
-        denominator = np.sqrt(sizes_a * sizes_b)
+    denominator = sizes_a + sizes_b - inter
     # 1.0 where both sets are empty, 0.0 elsewhere; every pair with a
     # positive denominator is then overwritten by its quotient.
     values = ((sizes_a == 0) & (sizes_b == 0)).astype(np.float64)
@@ -102,66 +92,23 @@ def similarity(
 
 # Relative slack taken off the overlap bound before it is rounded up: far
 # above the float64 rounding of the bound and of similarity()'s own division
-# and square root (a few 1e-16), far below the 1/size gap between the bounds
-# of neighbouring integer overlaps.
+# (a few 1e-16), far below the 1/size gap between the bounds of neighbouring
+# integer overlaps.
 _BOUND_SLACK = 1e-9
 
 
-def min_overlap(measure: str, threshold: float, sizes: np.ndarray) -> np.ndarray:
+def min_overlap(threshold: float, sizes: np.ndarray) -> np.ndarray:
     """Per-row lower bound on the intersection of any pair reaching ``threshold``.
 
-    A partner set ``B`` of a row ``A`` holds at least their intersection
-    ``i``, so ``similarity >= t`` implies ``i >= t|A|`` (Jaccard, from
-    ``|A u B| >= |A|``), ``i >= t|A| / (2 - t)`` (Dice, from ``|A| + |B| >=
-    |A| + i``) and ``i >= t^2 |A|`` (cosine, from ``|A||B| >= |A| i``).  The
-    bound is a necessary condition only: it is computed in floating point,
-    shrunk by :data:`_BOUND_SLACK` and then rounded up, so a pair whose exact
-    float64 similarity meets the threshold is never below it — a naive
-    ``ceil(t * |A|)`` can be (``0.28 * 25 == 7.000000000000001``, while a
-    7-token subset of a 25-token set scores ``7 / 25 == 0.28``).
+    ``|A u B| >= |A|``, so a Jaccard similarity ``i / |A u B| >= t`` implies
+    ``i >= t|A|`` for the intersection ``i`` of a row ``A`` and any partner
+    ``B``.  The bound is a necessary condition only: it is computed in
+    floating point, shrunk by :data:`_BOUND_SLACK` and then rounded up, so a
+    pair whose exact float64 similarity meets the threshold is never below
+    it — a naive ``ceil(t * |A|)`` can be (``0.28 * 25 == 7.000000000000001``,
+    while a 7-token subset of a 25-token set scores ``7 / 25 == 0.28``).
     """
-    if measure == "jaccard":
-        bound = threshold * sizes
-    elif measure == "dice":
-        bound = threshold * sizes / (2.0 - threshold)
-    else:  # cosine
-        bound = threshold * threshold * sizes
-    return np.ceil(bound * (1.0 - _BOUND_SLACK))
-
-
-def score_block(
-    left: "sparse.csr_matrix",
-    right_t: "sparse.csr_matrix",
-    left_sizes: np.ndarray,
-    right_sizes: np.ndarray,
-    start: int,
-    end: int,
-    threshold: float,
-    measure: str = "jaccard",
-    triangle: int = 0,
-    alive: Optional[np.ndarray] = None,
-    col_offset: int = 0,
-) -> _BlockPairs:
-    """The join kernel: rows ``[start, end)`` of ``left`` against ``right_t``.
-
-    Returns ``(rows, cols, values)`` — row positions in ``left``, column
-    positions in the (transposed) right matrix and their similarity — for
-    every pair at or above ``threshold``.  ``right_t`` may be a *band*: the
-    transposed right rows ``[col_offset, col_offset + right_t.shape[1])``
-    only, whose columns are reported as positions in the whole right
-    matrix.  ``triangle`` restricts a product of a matrix with itself to
-    one side of the diagonal: ``+1`` keeps ``col > row`` (each unordered
-    pair of a self-join once), ``-1`` keeps ``col < row`` (appended rows
-    against everything before them), ``0`` keeps all.  ``alive`` is a
-    boolean mask over the right rows; pairs against a dead column are
-    dropped whatever they score (at threshold zero a dead row would
-    otherwise pass with similarity 0.0).  The product is
-    ``left[start:end] @ right_t``; :func:`score_product` does the rest.
-    """
-    return score_product(
-        left[start:end] @ right_t, left_sizes, right_sizes, start,
-        threshold, measure, triangle, alive, col_offset,
-    )
+    return np.ceil(threshold * sizes * (1.0 - _BOUND_SLACK))
 
 
 def score_product(
@@ -170,16 +117,23 @@ def score_product(
     right_sizes: np.ndarray,
     start: int,
     threshold: float,
-    measure: str = "jaccard",
     triangle: int = 0,
     alive: Optional[np.ndarray] = None,
     col_offset: int = 0,
 ) -> _BlockPairs:
-    """The pairs of one sparse product block: :func:`score_block` after the product.
+    """The pairs of one sparse product block at or above ``threshold``.
 
     ``block`` holds the intersection counts of left rows ``[start, start +
     block.shape[0])`` against right rows ``[col_offset, col_offset +
-    block.shape[1])``; every other argument is :func:`score_block`'s.
+    block.shape[1])``.  Returns ``(rows, cols, values)`` — row positions in
+    the left matrix, column positions in the whole right matrix and their
+    similarity.  ``triangle`` restricts a product of a matrix with itself
+    to one side of the diagonal: ``+1`` keeps ``col > row`` (each unordered
+    pair of a self-join once), ``-1`` keeps ``col < row`` (appended rows
+    against everything before them), ``0`` keeps all.  ``alive`` is a
+    boolean mask over the right rows; pairs against a dead column are
+    dropped whatever they score (at threshold zero a dead row would
+    otherwise pass with similarity 0.0).
 
     A positive threshold reads the pairs off the sparse product, which only
     holds pairs sharing a token.  Nearly all of those share too few: the
@@ -192,7 +146,7 @@ def score_product(
     """
     if threshold > 0.0:
         end = start + block.shape[0]
-        needed = min_overlap(measure, threshold, left_sizes[start:end])
+        needed = min_overlap(threshold, left_sizes[start:end])
         survivors = np.flatnonzero(
             block.data
             >= np.repeat(needed.astype(block.data.dtype), np.diff(block.indptr))
@@ -214,13 +168,13 @@ def score_product(
         keep = alive[cols] if keep is None else keep & alive[cols]
     if keep is not None:
         rows, cols, inter = rows[keep], cols[keep], inter[keep]
-    values = similarity(measure, inter, left_sizes[rows], right_sizes[cols])
+    values = similarity(inter, left_sizes[rows], right_sizes[cols])
     passing = values >= threshold
     return rows[passing], cols[passing], values[passing]
 
 
 class BlockScorer:
-    """One join's operands, scored block by block through :func:`score_block`.
+    """One join's operands, scored block by block through :func:`score_product`.
 
     ``left`` rows are scored against ``right`` rows (``None`` = against
     ``left`` itself).  Building the scorer derives the set sizes, and the
@@ -248,7 +202,6 @@ class BlockScorer:
         right: Optional["sparse.csr_matrix"] = None,
         *,
         threshold: float,
-        measure: str = "jaccard",
         block_size: int = DEFAULT_BLOCK_ROWS,
         triangle: int = 0,
         alive: Optional[np.ndarray] = None,
@@ -268,7 +221,6 @@ class BlockScorer:
             else np.diff(right.indptr).astype(np.int64)
         )
         self.threshold = threshold
-        self.measure = measure
         self.block_size = block_size
         self.triangle = triangle
         self.alive = alive
@@ -303,5 +255,5 @@ class BlockScorer:
                         "sharing a token, before the overlap bound.")
             return score_product(
                 product, self.left_sizes, self.right_sizes, block_start,
-                self.threshold, self.measure, self.triangle, self.alive, col_offset,
+                self.threshold, self.triangle, self.alive, col_offset,
             )

@@ -6,7 +6,7 @@ CSR arrays of every record seen so far and, when a batch of new records
 arrives, appends the batch's rows and scores **only those rows** against
 every earlier row of the resident matrix — old records and the batch's own
 earlier records alike — in one call of the shared join kernel
-(:func:`repro.simjoin.vectorized.score_block`, the code the batch engines
+(:class:`repro.simjoin.vectorized.BlockScorer`, the code the batch engines
 run), on worker threads when the batch spans more than one row block and
 ``workers`` allows.
 

@@ -11,7 +11,6 @@ Directory layout::
     checkpoint_dir/
         store.sqlite             the session: its event log and its state
         store.sqlite-wal/-shm    SQLite's own write-ahead log while a connection is open
-        archive/rejoin-<n>/      only after a result-config re-join (see :func:`restore`)
 
 **The model.**  ``store.sqlite`` (:class:`repro.storage.sqlite.SqliteStore`)
 is the only file of a session.  Its ``events`` table is the write-ahead
@@ -24,8 +23,8 @@ structures and :func:`write_snapshot` bulk-writes it — inside one
 transaction, so a failure half-way leaves the previous contents — every
 ``checkpoint_every_batches`` events and on ``save()``.  Because the file is
 the same either way, :func:`restore` is one algorithm — open the file,
-page the state in, replay ``events WHERE seq > meta.events_applied`` — and
-a ``config=`` override that flips the backend simply continues on it.
+page the state in, replay ``events WHERE seq > meta.events_applied`` under
+the stored configuration, and keep logging to the same file.
 
 **The log.**  Each ``events`` row carries a gapless ``seq``, an event
 ``type``, a JSON ``payload`` and a CRC over all three
@@ -65,13 +64,13 @@ import logging
 import os
 import time
 import zlib
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 from hashlib import sha256
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
-from repro.core.config import RESULT_CONFIG_FIELDS, WorkflowConfig
+from repro.core.config import WorkflowConfig
 from repro.core.results import StreamingDelta
 from repro.records.record import Record
 from repro.storage import STORE_FILENAME, MemoryStore, SqliteStore, Store
@@ -79,7 +78,6 @@ from repro.streaming.incremental_join import IncrementalSimJoin
 
 logger = logging.getLogger(__name__)
 
-ARCHIVE_DIRNAME = "archive"
 FORMAT_VERSION = 1
 
 #: Fields a stored configuration (the log's ``session`` event or store
@@ -310,12 +308,6 @@ def config_payload(config: WorkflowConfig) -> Dict[str, object]:
     return payload
 
 
-def result_config_changed(new: WorkflowConfig, stored: Dict[str, object]) -> bool:
-    """True when ``new`` differs from a stored payload on a result-bearing field."""
-    payload = config_payload(new)
-    return any(payload[name] != stored.get(name) for name in RESULT_CONFIG_FIELDS)
-
-
 def _header(config: WorkflowConfig, cross_sources) -> Dict[str, object]:
     """What identifies a session: format, configuration, source restriction.
 
@@ -453,7 +445,7 @@ class Durability:
     def attach(self, session) -> None:
         """Stamp the session's identity into a persistent store and commit:
         the last step of constructing a session and of restoring one (whose
-        configuration an override may have changed)."""
+        directory may have moved since its header was written)."""
         if self.storage.persistent:
             _write_header(self.storage, session)
             self.boundary(session)
@@ -623,15 +615,15 @@ def _page_in(session, source: SqliteStore) -> None:
     session.durability.events_applied = int(source.get_meta("events_applied", 0))
 
 
-def replay(session, events: Sequence[JournalEvent], verify: bool = True) -> None:
+def replay(session, events: Sequence[JournalEvent]) -> None:
     """Apply the logged events the session has not seen yet, in order.
 
-    Crowd votes are re-derived through the deterministic per-pair oracle.
-    With ``verify`` every replayed event is checked against its logged
-    ``commit`` record — vote-for-vote and digest-for-digest — so silent
-    divergence raises :class:`JournalCorruptionError` instead of
-    propagating.  The events must continue exactly where the session's
-    state ends; a gap raises :class:`PersistenceError`.
+    Crowd votes are re-derived through the deterministic per-pair oracle,
+    and every replayed event is checked against its logged ``commit``
+    record — vote-for-vote and digest-for-digest — so silent divergence
+    raises :class:`JournalCorruptionError` instead of propagating.  The
+    events must continue exactly where the session's state ends; a gap
+    raises :class:`PersistenceError`.
     """
     durability = session.durability
     pending = [event for event in events if event.seq > durability.events_applied]
@@ -645,8 +637,7 @@ def replay(session, events: Sequence[JournalEvent], verify: bool = True) -> None
     ):
         for event in pending:
             if event.type == "commit":
-                if verify:
-                    _verify_outcome(session, event)
+                _verify_outcome(session, event)
                 session._last_fresh_votes = {}
             elif event.type in EVENTS:
                 session.apply(event.type, *EVENTS[event.type].decode(event.payload))
@@ -674,36 +665,19 @@ def _verify_outcome(session, event: JournalEvent) -> None:
         )
 
 
-def restore(
-    cls,
-    path: os.PathLike,
-    config: Optional[WorkflowConfig] = None,
-    verify: bool = True,
-    resume_journal: bool = True,
-    **crowd,
-):
-    """Resume a durable session (an instance of ``cls``) from its directory.
+def restore(cls, path: os.PathLike, **crowd):
+    """Resume the durable session (an instance of ``cls``) in its directory.
 
     One algorithm for every backend: open the directory's one file, read
     the header from its meta (a session that never wrote its state tables
-    has it in event 1), page the state in, and :func:`replay` the events
-    newer than ``meta.events_applied``.  The restored session is
+    has it in event 1), run under the stored configuration — its
+    ``checkpoint_dir`` is wherever the directory is now — page the state
+    in, and :func:`replay` the events newer than ``meta.events_applied``,
+    each checked against its logged outcome.  The restored session is
     bit-identical to one that processed the same events without stopping,
-    and (with ``resume_journal``) keeps logging to the same file.
-
-    ``config`` overrides the stored configuration.  An override of
-    ``storage_backend`` continues on the same file — a memory-backed
-    session starts writing it every event, a sqlite-backed one copies it into
-    process structures and goes back to writing it at the cadence.  When
-    the override differs on a field that changes *what the session
-    computes* (``repro.core.config.RESULT_CONFIG_FIELDS``), a bit-identical
-    resume is impossible — instead of refusing, restore **re-joins**: the
-    old session is restored under its own configuration just long enough
-    to harvest its records, ground truth and source restriction, its store
-    moves to ``archive/rejoin-<events>/``, and a fresh durable session in
-    the same directory re-ingests everything under the new configuration
-    in ``stream_batch_size`` chunks.  ``crowd`` (``platform``,
-    ``worker_pool``, ``pricing``, ``latency``) is passed to the session.
+    and takes the directory over: it keeps logging to the same file.
+    ``crowd`` (``platform``, ``worker_pool``, ``pricing``, ``latency``) is
+    passed to the session.
     """
     directory = Path(path)
     _refuse_legacy_journal(directory)
@@ -721,8 +695,6 @@ def restore(
         materialised = source.get_meta("version") is not None
         events = journal.events(after=int(source.get_meta("events_applied", 0)))
         if materialised:
-            # The store's header is the configuration of the state it
-            # holds (a previous override rewrote it).
             header = {key: source.get_meta(key) for key in _header(WorkflowConfig(), None)}
         elif events and events[0].type == "session":
             header = events[0].payload
@@ -734,36 +706,27 @@ def restore(
                 f"this release reads format {FORMAT_VERSION} and older"
             )
         _refuse_retired_result_knobs(header["config"], store_path)
-        rejoin = config is not None and result_config_changed(config, header["config"])
-        if config is None or rejoin:
-            stored = {
-                name: value
-                for name, value in header["config"].items()
-                if name not in RETIRED_CONFIG_FIELDS
-            }
-            if stored.get("join_backend") in RETIRED_JOIN_BACKENDS:
-                stored["join_backend"] = "auto"
-            # Wherever the directory was when the header was written, the
-            # session lives here now.
-            run_config = WorkflowConfig(**{**stored, "checkpoint_dir": str(directory)})
-        else:
-            run_config = config
-        keep_journal = resume_journal and not rejoin
-        mirrored = run_config.storage_backend == "sqlite"
-        storage: Store = source if mirrored else MemoryStore()
+        stored = {
+            name: value
+            for name, value in header["config"].items()
+            if name not in RETIRED_CONFIG_FIELDS
+        }
+        if stored.get("join_backend") in RETIRED_JOIN_BACKENDS:
+            stored["join_backend"] = "auto"
+        config = WorkflowConfig(**{**stored, "checkpoint_dir": str(directory)})
+        mirrored = config.storage_backend == "sqlite"
+        durability = Durability(source if mirrored else MemoryStore())
+        durability.journal = journal
         cross_sources = header["cross_sources"]
-        # A memory-backed session restored without its log is detached
-        # from the directory: not durable, so its config says so.
-        home = str(directory) if keep_journal or mirrored else None
         session = cls(
-            config=replace(run_config, checkpoint_dir=home),
+            config=config,
             cross_sources=tuple(cross_sources) if cross_sources else None,
-            _durability=Durability(storage),
-            **({} if rejoin else crowd),
+            _durability=durability,
+            **crowd,
         )
         if materialised:
             _page_in(session, source)
-        replay(session, events, verify=verify)
+        replay(session, events)
     except BaseException:
         source.close()
         raise
@@ -771,18 +734,9 @@ def restore(
     # Accepted, and the session goes on writing this file: shed what an
     # earlier release kept.  A sqlite-backed session's drop commits with
     # the attach boundary (after the replayed state, never ahead of it).
-    takes_over = keep_journal or (mirrored and not rejoin)
-    if takes_over:
-        source.drop_retired()
-    session.durability.attach(session)
-    if takes_over:
-        source.commit()
-    if keep_journal:
-        session.durability.journal = journal
-    elif source is not storage:
-        source.close()
-    if rejoin:
-        return _rejoin(cls, session, directory, config, crowd)
+    source.drop_retired()
+    durability.attach(session)
+    source.commit()
     return session
 
 
@@ -796,27 +750,3 @@ def _refuse_retired_result_knobs(stored: Dict[str, object], store_path: Path) ->
                 "session cannot resume bit-identically"
             )
 
-
-def _rejoin(cls, old, directory: Path, config: WorkflowConfig, crowd):
-    """Restore under a *changed* result config: harvest, archive, re-join."""
-    records = list(old.store)
-    truth = sorted(old._truth)
-    applied = old.events_applied
-    old.durability.close()
-
-    bucket = directory / ARCHIVE_DIRNAME / f"rejoin-{applied:012d}"
-    bucket.mkdir(parents=True, exist_ok=True)
-    for item in sorted(directory.glob(STORE_FILENAME + "*")):
-        item.replace(bucket / item.name)
-
-    session = cls(
-        config=replace(config, checkpoint_dir=str(directory)),
-        cross_sources=old.cross_sources,
-        **crowd,
-    )
-    if truth:
-        session.add_truth(truth)
-    size = max(1, config.stream_batch_size)
-    for start in range(0, len(records), size):
-        session.add_batch(records[start : start + size])
-    return session

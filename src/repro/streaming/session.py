@@ -329,28 +329,21 @@ class StreamingResolver:
     def restore(
         cls,
         path: str,
-        config: Optional[WorkflowConfig] = None,
-        verify: bool = True,
-        resume_journal: bool = True,
         platform: Optional[SimulatedCrowdPlatform] = None,
         worker_pool: Optional[WorkerPool] = None,
         pricing: Optional[PricingModel] = None,
         latency: Optional[LatencyModel] = None,
     ) -> "StreamingResolver":
-        """Resume a durable session from its checkpoint directory.
+        """Resume the durable session in its checkpoint directory.
 
-        Pages in the directory's store and replays the logged events it
-        has not seen — see :func:`repro.streaming.persistence.restore` for
-        the algorithm, ``verify``, ``resume_journal`` and what a ``config``
-        override does (a changed result-bearing field re-joins the stored
-        records under the new configuration).
+        Runs under the stored configuration, pages in the directory's store,
+        replays (and verifies) the logged events it has not seen, and keeps
+        logging to the same file — see
+        :func:`repro.streaming.persistence.restore`.
         """
         return persistence.restore(
             cls,
             path,
-            config=config,
-            verify=verify,
-            resume_journal=resume_journal,
             platform=platform,
             worker_pool=worker_pool,
             pricing=pricing,

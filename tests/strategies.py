@@ -44,9 +44,6 @@ vertex_ids = st.integers(min_value=0, max_value=25).map(lambda i: f"v{i:02d}")
 #: aggressive-pruning regimes of the join.
 join_thresholds = st.sampled_from((0.0, 0.3, 0.7))
 
-#: The three token-set similarity measures the join kernel supports.
-similarity_measures = st.sampled_from(("jaccard", "dice", "cosine"))
-
 
 @st.composite
 def random_stores(draw, with_sources=False):

@@ -189,6 +189,48 @@ class TestCheckpointResume:
         assert main(self.STREAM_ARGS + ["--checkpoint-dir", checkpoint, "--resume"]) == 2
         assert "store format 99" in capsys.readouterr().err
 
+    def test_resume_names_every_flag_the_stored_config_overrides(self, tmp_path, capsys):
+        """A resumed session runs under its stored configuration; every field
+        the flags would set differently is named on stderr (not just a hand
+        list of them), and the session's own directory is not a conflict."""
+        checkpoint = str(tmp_path / "session")
+        assert main(self.STREAM_ARGS + ["--checkpoint-dir", checkpoint,
+                                        "--max-batches", "2"]) == 0
+        capsys.readouterr()
+        assert main(self.STREAM_ARGS + ["--checkpoint-dir", checkpoint, "--resume",
+                                        "--hit-type", "pair", "--cluster-size", "4",
+                                        "--storage-backend", "sqlite",
+                                        "--checkpoint-every", "3"]) == 0
+        note = capsys.readouterr().err
+        assert "keeps the session's stored configuration" in note
+        for named in ("hit_type='pair' (session: 'cluster')",
+                      "cluster_size=4 (session: 10)",
+                      "storage_backend='sqlite' (session: 'memory')",
+                      "checkpoint_every_batches=3 (session: 16)"):
+            assert named in note
+        assert "checkpoint_dir" not in note and "threshold" not in note
+        # Flags that agree with the stored session draw no note.
+        assert main(self.STREAM_ARGS + ["--checkpoint-dir", checkpoint, "--resume"]) == 0
+        assert "stored configuration" not in capsys.readouterr().err
+
+    def test_resume_keeps_the_stored_threshold(self, tmp_path, capsys):
+        """A different ``--threshold`` on resume is named, not applied: the
+        session finishes exactly as an uninterrupted run at its own one."""
+        checkpoint = str(tmp_path / "session")
+        assert main(self.STREAM_ARGS) == 0
+        reference = capsys.readouterr().out
+        assert main(self.STREAM_ARGS + ["--checkpoint-dir", checkpoint,
+                                        "--max-batches", "2"]) == 0
+        capsys.readouterr()
+        other_threshold = [
+            "0.5" if previous == "--threshold" else arg
+            for previous, arg in zip([None] + self.STREAM_ARGS, self.STREAM_ARGS)
+        ]
+        assert main(other_threshold + ["--checkpoint-dir", checkpoint, "--resume"]) == 0
+        captured = capsys.readouterr()
+        assert "likelihood_threshold=0.5 (session: 0.3)" in captured.err
+        assert reference.splitlines()[-6:] == captured.out.splitlines()[-6:]
+
     def test_resume_requires_checkpoint_dir(self, capsys):
         assert main(self.STREAM_ARGS + ["--resume"]) == 2
         assert "requires --checkpoint-dir" in capsys.readouterr().err

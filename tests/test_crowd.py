@@ -426,6 +426,7 @@ class TestPerPairPublishPaths:
         assert bulk.cost == scalar.cost
         assert bulk == scalar
 
+    @pytest.mark.gate
     def test_a_batch_resolve_takes_the_bulk_path_for_every_pair(self, monkeypatch):
         """Restaurant(6000, 750, seed 7) at 0.35 publishes its 4,742
         candidates at once, and every one takes the bulk path; the

@@ -94,7 +94,7 @@ def test_stored_crowd_state_is_the_parent_commits(tmp_path, mode, backend):
 
 
 def restores_and_finishes(directory, rest, expected):
-    restored = StreamingResolver.restore(str(directory), verify=True)
+    restored = StreamingResolver.restore(str(directory))
     assert restored.state_digest() == expected["stopped_digest"]
     restored.add_batch(rest)
     restored.flush()

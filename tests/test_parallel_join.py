@@ -1,8 +1,8 @@
 """Property tests for the sharded join and the columnar CSR build.
 
 The central contract of :mod:`repro.simjoin.parallel`: for *any* worker
-count (including more workers than shards), any threshold, any measure and
-any store, :class:`VectorizedSimJoin` with ``workers=N`` returns
+count (including more workers than shards), any threshold and any store,
+:class:`VectorizedSimJoin` with ``workers=N`` returns
 **bit-identical** pair sets and likelihoods to ``workers=1`` — asserted
 with exact ``==`` on the floats, not a tolerance.  The columnar index builders must
 produce matrices whose intersection counts (``X @ X.T``) equal ``len(a & b)``
@@ -24,7 +24,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from strategies import WORDS as _WORDS
-from strategies import random_stores, similarity_measures
+from strategies import random_stores
 
 import repro
 import repro.simjoin
@@ -46,7 +46,7 @@ from repro.simjoin.parallel import (
     ranked_pair_set,
     resolve_worker_count,
 )
-from repro.simjoin.vectorized import HAVE_SCIPY, score_block
+from repro.simjoin.vectorized import HAVE_SCIPY, BlockScorer
 from repro.streaming.incremental_join import IncrementalSimJoin
 from repro.streaming.session import resolve_stream
 
@@ -101,23 +101,22 @@ class TestParallelEqualsVectorized:
     @given(
         store=random_stores(),
         threshold=st.sampled_from((0.0, 0.3, 0.7)),
-        measure=similarity_measures,
         workers=st.sampled_from((1, 2, 3, 8)),
     )
-    def test_property_bit_identical_self_join(self, store, threshold, measure, workers):
+    def test_property_bit_identical_self_join(self, store, threshold, workers):
         # block_size=2 forces many shards even on tiny stores, so the pool
         # path (not just the workers<=1 degenerate case) is exercised.
-        serial = VectorizedSimJoin(threshold, measure=measure, block_size=2).join(store)
+        serial = VectorizedSimJoin(threshold, block_size=2).join(store)
         parallel = VectorizedSimJoin(
-            threshold, measure=measure, block_size=2, workers=workers
+            threshold, block_size=2, workers=workers
         ).join(store)
         assert pair_items(parallel) == pair_items(serial)
         assert same_block_sequence(
             block_sequence(
-                VectorizedSimJoin(threshold, measure=measure, block_size=2, workers=workers),
+                VectorizedSimJoin(threshold, block_size=2, workers=workers),
                 store,
             ),
-            block_sequence(VectorizedSimJoin(threshold, measure=measure, block_size=2), store),
+            block_sequence(VectorizedSimJoin(threshold, block_size=2), store),
         )
 
     @settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -179,13 +178,12 @@ class TestBandedProduct:
     @given(
         store=random_stores(),
         threshold=st.sampled_from((0.0, 0.3, 0.7)),
-        measure=similarity_measures,
         triangle=st.sampled_from((1, -1)),
         workers=st.sampled_from((1, 2)),
         data=st.data(),
     )
     def test_property_banded_blocks_equal_the_full_product(
-        self, store, threshold, measure, triangle, workers, data
+        self, store, threshold, triangle, workers, data
     ):
         matrix = VectorizedSimJoin()._incidence_matrix(store)
         count = matrix.shape[0]
@@ -197,22 +195,18 @@ class TestBandedProduct:
         alive = None if alive is None else np.array(alive, dtype=bool)
         banded = list(join_blocks(
             matrix, start=start, workers=workers, threshold=threshold,
-            measure=measure, block_size=block_size, triangle=triangle, alive=alive,
+            block_size=block_size, triangle=triangle, alive=alive,
         ))
-        # The reference: every block against the whole transposed matrix,
-        # under the same mask.
-        whole_t = matrix.T.tocsr()
-        sizes = np.diff(matrix.indptr).astype(np.int64)
-        expected = [
-            score_block(
-                matrix, whole_t, sizes, sizes, block_start,
-                min(block_start + block_size, count), threshold, measure,
-                triangle, alive,
-            )
-            for block_start in range(start, count, block_size)
-        ]
+        # The reference: every block against the whole matrix (passed as
+        # the right operand, so it is not banded), under the same mask.
+        whole = BlockScorer(
+            matrix, matrix, threshold=threshold, block_size=block_size,
+            triangle=triangle, alive=alive,
+        )
+        expected = [whole.score(block_start) for block_start in whole.block_starts(start)]
         assert same_block_sequence(banded, expected)
 
+    @pytest.mark.gate
     def test_the_self_join_computes_the_kept_side_of_each_block_only(self):
         store = restaurant_store(2000, seed=7)  # Restaurant(2000, 250, seed 7)
         obs.activate()

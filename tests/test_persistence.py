@@ -30,11 +30,7 @@ from hypothesis import strategies as st
 
 import repro
 from repro import obs
-from repro.core.config import (
-    OPERATIONAL_CONFIG_FIELDS,
-    RESULT_CONFIG_FIELDS,
-    WorkflowConfig,
-)
+from repro.core.config import WorkflowConfig
 from repro.datasets.restaurant import RestaurantGenerator
 from repro.records.record import Record
 from repro.storage import STORE_FILENAME, SqliteStore
@@ -202,9 +198,10 @@ class TestMaterialisation:
         resolver.retract(records[3].record_id)
         assert resolver.save(tmp_path) == tmp_path / STORE_FILENAME
         assert sorted(item.name for item in tmp_path.iterdir()) == [STORE_FILENAME]
-        restored = StreamingResolver.restore(tmp_path, resume_journal=False)
+        restored = StreamingResolver.restore(tmp_path)
         assert_sessions_identical(resolver, restored)
         assert sorted(restored.store.record_ids) == sorted(resolver.store.record_ids)
+        restored.durability.close()
 
     def test_failed_materialisation_keeps_the_previous_store(
         self, tmp_path, monkeypatch
@@ -233,8 +230,12 @@ class TestMaterialisation:
             with pytest.raises(OSError):
                 resolver.save()
         assert stored_events_applied(tmp_path) == covered
-        restored = StreamingResolver.restore(tmp_path, resume_journal=False)
+        # The session still holds its directory: restore a copy of it.
+        copy = crash_copy(tmp_path, tmp_path / "copy", after=resolver.events_applied)
+        restored = StreamingResolver.restore(copy)
+        assert restored.durability.store.get_meta("events_applied") == covered
         assert_sessions_identical(resolver, restored)
+        restored.durability.close()
         # ... and the session itself carries on: the next save succeeds.
         resolver.save()
         assert stored_events_applied(tmp_path) == resolver.events_applied
@@ -253,16 +254,16 @@ class TestMaterialisation:
         )
         assert resolver.save(foreign) == foreign / STORE_FILENAME
         assert sorted(item.name for item in foreign.iterdir()) == [STORE_FILENAME]
-        restored = StreamingResolver.restore(foreign, resume_journal=False)
+        restored = StreamingResolver.restore(foreign)
         assert_sessions_identical(resolver, restored)
         assert resolver.save() == home / STORE_FILENAME  # its own place, as ever
-        restored.storage.close()
-        resolver.storage.close()
+        restored.durability.close()
+        resolver.durability.close()
 
     def test_backends_leave_stores_that_page_in_identically(self, tmp_path):
         """The same schedule through a memory- and a sqlite-backed session
-        leaves two stores with the same contents, and each session restores
-        from the other's directory after a backend override."""
+        leaves two stores that each page in to the same session, under the
+        backend that wrote it."""
         dataset = make_dataset()
         records = list(dataset.store)
         sessions = {}
@@ -277,22 +278,12 @@ class TestMaterialisation:
             session.save()
             sessions[backend] = session
         assert_sessions_identical(sessions["memory"], sessions["sqlite"])
-        sessions["sqlite"].storage.close()
-        for written, other in (("memory", "sqlite"), ("sqlite", "memory")):
-            stored = StreamingResolver.restore(
-                tmp_path / written, resume_journal=False
-            ).config
-            crossed = StreamingResolver.restore(
-                tmp_path / written,
-                config=dataclasses.replace(
-                    stored, storage_backend=other, checkpoint_dir=str(tmp_path / written)
-                ),
-                resume_journal=False,
-            )
-            assert crossed.storage.backend_name == other
-            assert_sessions_identical(sessions["memory"], crossed)
-            assert crossed.snapshot().posteriors == sessions["memory"].snapshot().posteriors
-            crossed.storage.close()
+        for written, session in sessions.items():
+            session.durability.close()
+            restored = StreamingResolver.restore(tmp_path / written)
+            assert restored.storage.backend_name == written
+            assert_sessions_identical(sessions["memory"], restored)
+            restored.durability.close()
 
     def test_legacy_snapshot_only_directory_is_refused_unread(self, tmp_path):
         """A directory holding only ``snapshot-*.pkl`` raises naming the
@@ -329,77 +320,7 @@ class TestMaterialisation:
         assert legacy.read_bytes() == b"\x00 not json, not a journal \x00"
 
 
-class TestBackendFlip:
-    @pytest.mark.parametrize("flip", (("memory", "sqlite"), ("sqlite", "memory")))
-    def test_restore_under_the_other_backend_stays_in_lockstep(self, tmp_path, flip):
-        """``config=`` flipping the backend continues on the same file, in
-        lockstep with a session that never stopped."""
-        before, after = flip
-        dataset = make_dataset(record_count=80, duplicate_pairs=12)
-        records = list(dataset.store)
-        uninterrupted = StreamingResolver(config=make_config())
-        config = make_config(
-            storage_backend=before,
-            checkpoint_dir=str(tmp_path),
-            checkpoint_every_batches=2,
-        )
-        resolver = StreamingResolver(config=config)
-        for session in (uninterrupted, resolver):
-            session.add_truth(dataset.ground_truth)
-            for start in range(0, 39, 13):
-                session.add_batch(records[start : start + 13])
-        resolver.storage.close()
-        flipped = StreamingResolver.restore(
-            tmp_path, config=dataclasses.replace(config, storage_backend=after)
-        )
-        assert flipped.storage.backend_name == after
-        assert not (tmp_path / "archive" / "rejoin-000000000000").exists()
-        tail = records[39:]
-        for session in (uninterrupted, flipped):
-            session.add_batch(tail[:20])
-            session.retract(records[3].record_id)
-            session.update(records[5].with_attributes(name="revised beyond recognition"))
-            session.add_batch(tail[20:])
-            session.flush()
-        assert_sessions_identical(uninterrupted, flipped)
-        # ... and back again, from whatever the flipped session left behind.
-        flipped.save()
-        flipped.storage.close()
-        back = StreamingResolver.restore(tmp_path, config=config, resume_journal=False)
-        assert back.storage.backend_name == before
-        assert_sessions_identical(uninterrupted, back)
-        back.storage.close()
-
-
 class TestStructure:
-    def test_result_and_operational_fields_partition_the_config(self):
-        names = [spec.name for spec in dataclasses.fields(WorkflowConfig)]
-        assert len(names) == 24
-        assert len(OPERATIONAL_CONFIG_FIELDS) == 7
-        assert len(RESULT_CONFIG_FIELDS) == 17
-        assert set(OPERATIONAL_CONFIG_FIELDS) | set(RESULT_CONFIG_FIELDS) == set(names)
-        assert not set(OPERATIONAL_CONFIG_FIELDS) & set(RESULT_CONFIG_FIELDS)
-        # The hand-maintained tuple this definition replaced, name for name.
-        assert sorted(RESULT_CONFIG_FIELDS) == sorted((
-            "likelihood_threshold", "similarity_attributes", "hit_type",
-            "cluster_size", "pairs_per_hit", "cluster_generator",
-            "assignments_per_hit", "use_qualification_test", "aggregation",
-            "streaming_aggregation_scope",
-            "crowd_mode", "vote_timeout", "max_inflight_hits",
-            "backpressure_policy", "crowd_max_retries",
-            "fault_plan", "seed",
-        ))
-
-    def test_an_unclassified_field_would_force_a_rejoin(self):
-        """Result-bearing is the complement, so forgetting to classify a new
-        knob errs towards re-joining, never towards a silent resume."""
-        stored = persistence.config_payload(make_config())
-        assert not persistence.result_config_changed(make_config(), stored)
-        assert not persistence.result_config_changed(
-            make_config(join_workers=3, checkpoint_every_batches=99), stored
-        )
-        assert persistence.result_config_changed(make_config(cluster_size=4), stored)
-
     @staticmethod
     def imported_modules(path):
         names = set()
@@ -495,8 +416,10 @@ class TestSaveRestore:
         records = list(dataset.store)
         for start in range(0, len(records), 17):
             resolver.add_batch(records[start : start + 17])
-        restored = StreamingResolver.restore(tmp_path, resume_journal=False)
+        resolver.durability.close()
+        restored = StreamingResolver.restore(tmp_path)
         assert_sessions_identical(resolver, restored)
+        restored.durability.close()
 
     def test_restored_session_continues_identically(self, tmp_path):
         dataset = make_dataset(record_count=80, duplicate_pairs=12)
@@ -506,7 +429,10 @@ class TestSaveRestore:
         resolver.add_truth(dataset.ground_truth)
         for start in range(0, 40, 13):
             resolver.add_batch(records[start:][: min(13, 40 - start)])
-        restored = StreamingResolver.restore(tmp_path, resume_journal=False)
+        # Both go on writing, so the restored twin resumes a copy.
+        restored = StreamingResolver.restore(
+            crash_copy(tmp_path, tmp_path / "twin", after=resolver.events_applied)
+        )
         # Both sessions now see the same future: arrivals, a retraction, an
         # update and a flush; they must stay in lockstep bit-for-bit.
         tail = records[40:]
@@ -519,6 +445,8 @@ class TestSaveRestore:
             session.add_batch(tail[20:])
             session.flush()
         assert_sessions_identical(resolver, restored)
+        resolver.durability.close()
+        restored.durability.close()
 
     def _written_by_an_earlier_release(self, tmp_path, monkeypatch, durability, legacy):
         """Run a session whose stored config carries the ``legacy`` entries;
@@ -576,8 +504,10 @@ class TestSaveRestore:
             tmp_path, monkeypatch, durability, legacy
         )
         assert {name: stored[name] for name in legacy} == legacy
-        restored = StreamingResolver.restore(tmp_path, resume_journal=False)
+        resolver.durability.close()
+        restored = StreamingResolver.restore(tmp_path)
         assert_sessions_identical(resolver, restored)
+        restored.durability.close()
         assert not obs.enabled()
         assert not (tmp_path / "trace.jsonl").exists()
 
@@ -597,7 +527,7 @@ class TestSaveRestore:
         self._written_by_an_earlier_release(tmp_path, monkeypatch, durability, {name: value})
         monkeypatch.setattr(persistence, "_page_in", lambda *_: pytest.fail("paged in"))
         with pytest.raises(PersistenceError, match=f"{name}={value!r}"):
-            StreamingResolver.restore(tmp_path, resume_journal=False)
+            StreamingResolver.restore(tmp_path)
 
     @pytest.mark.parametrize("durability", ("snapshot", "journal"))
     def test_a_newer_store_format_refuses_to_restore(self, tmp_path, monkeypatch, durability):
@@ -615,7 +545,7 @@ class TestSaveRestore:
             store.close()
         monkeypatch.setattr(persistence, "_page_in", lambda *_: pytest.fail("paged in"))
         with pytest.raises(PersistenceError, match="store format 99; this release reads format 1"):
-            StreamingResolver.restore(tmp_path, resume_journal=False)
+            StreamingResolver.restore(tmp_path)
 
     @pytest.mark.parametrize("durability", ("snapshot", "journal"))
     @pytest.mark.parametrize("retired", persistence.RETIRED_JOIN_BACKENDS)
@@ -628,9 +558,11 @@ class TestSaveRestore:
             tmp_path, monkeypatch, durability, {"join_backend": retired}
         )
         assert stored["join_backend"] == retired
-        restored = StreamingResolver.restore(tmp_path, resume_journal=False)
+        resolver.durability.close()
+        restored = StreamingResolver.restore(tmp_path)
         assert restored.config.join_backend == "auto"
         assert_sessions_identical(resolver, restored)
+        restored.durability.close()
 
     def test_save_requires_a_path_or_checkpoint_dir(self):
         resolver = StreamingResolver(config=make_config())
@@ -681,7 +613,6 @@ class TestSaveRestore:
         )
         with pytest.raises(JournalCorruptionError, match="digest"):
             StreamingResolver.restore(crashed)
-        StreamingResolver.restore(crashed, verify=False).durability.close()
         # ... and so does a rewritten intent: the replay diverges from the
         # votes and digest its outcome recorded.
         rewrite_event(tmp_path, truth, lambda payload: payload.update(pairs=[]), fix_crc=True)
@@ -697,9 +628,11 @@ class TestSaveRestore:
         for start in range(0, len(records), 20):
             resolver.add_batch(records[start : start + 20])
         assert stored_events_applied(tmp_path) == resolver.events_applied  # current
-        restored = StreamingResolver.restore(tmp_path, resume_journal=False)
+        resolver.durability.close()
+        restored = StreamingResolver.restore(tmp_path)
         assert restored.events_applied == resolver.events_applied
         assert_sessions_identical(resolver, restored)
+        restored.durability.close()
 
 
 # ----------------------------------------------- crash-recovery (property)
@@ -777,14 +710,15 @@ def test_property_crash_at_any_point_recovers_bit_identically(
     # Simulate the crash: only the first `crash_after` log entries (and
     # state tables written at or before that point) survive.
     crash_dir = crash_copy(directory, tmp_path_factory.mktemp("recover"), crash_after)
-    restored = StreamingResolver.restore(crash_dir, resume_journal=False)
+    restored = StreamingResolver.restore(crash_dir)
     assert restored.events_applied <= crash_after
 
     # Re-drive the lost tail: replay the full log's remaining events
     # through the public replay entry point (exactly what a re-submitted
     # workload would do), then compare against the uninterrupted session.
-    persistence.replay(restored, full_log, verify=True)
+    persistence.replay(restored, full_log)
     assert_sessions_identical(resolver, restored)
+    restored.durability.close()
     resolver.durability.close()
 
 
@@ -826,14 +760,14 @@ def test_property_torn_wal_restores_a_prefix_and_converges(
     (torn / (STORE_FILENAME + "-wal")).write_bytes(wal[:keep])
 
     try:
-        restored = StreamingResolver.restore(torn, verify=True, resume_journal=False)
+        restored = StreamingResolver.restore(torn)
     except PersistenceError:
         # Only a tear before the constructor's first commit leaves nothing
         # to restore: the session never existed.
         assert logged_events(torn) == []
     else:
         assert restored.events_applied <= resolver.events_applied
-        persistence.replay(restored, full_log, verify=True)
+        persistence.replay(restored, full_log)
         assert_sessions_identical(resolver, restored)
         restored.durability.close()
     resolver.durability.close()
@@ -900,7 +834,7 @@ def test_sigkill_mid_stream_restores_and_finishes_identically(tmp_path, backend)
 @pytest.mark.parametrize("crowd_mode", ("sync", "async"))
 @pytest.mark.parametrize("backend", ("memory", "sqlite"))
 def test_a_durable_session_is_one_file(tmp_path, backend, crowd_mode):
-    """Running, saving, restoring and flipping the backend never leave
+    """Running, saving and restoring (a restored session too) never leave
     anything in the directory but ``store.sqlite`` (and, while a connection
     is open, SQLite's own ``-wal``/``-shm``)."""
     one_file = {STORE_FILENAME}
@@ -928,11 +862,8 @@ def test_a_durable_session_is_one_file(tmp_path, backend, crowd_mode):
     resolver.durability.close()  # idempotent
     assert listing() == one_file
 
-    other = "sqlite" if backend == "memory" else "memory"
-    for victim, step_config in enumerate(
-        (None, dataclasses.replace(config, storage_backend=other))
-    ):
-        restored = StreamingResolver.restore(tmp_path, config=step_config)
+    for victim in range(2):
+        restored = StreamingResolver.restore(tmp_path)
         restored.retract(records[victim].record_id)
         restored.flush()
         assert listing() == while_open
@@ -955,13 +886,17 @@ def log_and_state_positions(directory):
         connection.close()
 
 
+@pytest.mark.parametrize("start", ("fresh", "restored"))
 @pytest.mark.parametrize("crowd_mode", ("sync", "async"))
 @pytest.mark.parametrize("backend", ("memory", "sqlite"))
-def test_the_state_and_the_log_advance_in_one_commit(tmp_path, backend, crowd_mode):
+def test_the_state_and_the_log_advance_in_one_commit(tmp_path, backend, crowd_mode, start):
     """After every event ``meta.events_applied == MAX(events.seq)``: the
     state rows (mirrored, or rewritten at a cadence of 1), the counters and
     the outcome row are one transaction, so no reader — and no crash — ever
-    sees the store ahead of the log or an outcome without its state."""
+    sees the store ahead of the log or an outcome without its state.  A
+    restored session keeps them in step too: it takes the log over, so
+    every event it applies after the restore — and the votes it buys for
+    it — are logged."""
     dataset = make_dataset()
     records = list(dataset.store)
     config = make_config(
@@ -982,10 +917,15 @@ def test_the_state_and_the_log_advance_in_one_commit(tmp_path, backend, crowd_mo
         lambda: resolver.retract(records[2].record_id),
         lambda: resolver.update(records[4].with_attributes(name="rewritten")),
         lambda: resolver.add_batch(records[30:45]),
-        resolver.flush,
-        resolver.save,
+        lambda: resolver.flush(),
+        lambda: resolver.save(),
     ]
-    for event in events:
+    for index, event in enumerate(events):
+        if start == "restored" and index == 2:
+            resolver.durability.close()
+            resolver = StreamingResolver.restore(tmp_path)
+            logged, applied = log_and_state_positions(tmp_path)
+            assert logged == applied == resolver.events_applied
         event()
         logged, applied = log_and_state_positions(tmp_path)
         assert logged == applied == resolver.events_applied

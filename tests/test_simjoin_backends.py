@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from strategies import random_stores, record_texts, similarity_measures
+from strategies import random_stores, record_texts
 
 from repro.core.config import WorkflowConfig
 from repro.datasets.product import ProductGenerator
@@ -22,19 +22,9 @@ from repro.datasets.restaurant import RestaurantGenerator
 from repro.records.record import Record, RecordStore
 from repro.simjoin.likelihood import SimJoinLikelihood
 from repro.simjoin.parallel import VectorizedSimJoin
-from repro.simjoin.vectorized import (
-    HAVE_SCIPY,
-    MEASURES,
-    min_overlap,
-    score_block,
-    similarity,
-)
+from repro.simjoin.vectorized import HAVE_SCIPY, BlockScorer, min_overlap, similarity
 from repro.similarity import record_similarity
-from repro.similarity.set_similarity import (
-    cosine_token_similarity,
-    dice_similarity,
-    jaccard_similarity,
-)
+from repro.similarity.set_similarity import jaccard_similarity
 
 THRESHOLDS = (0.1, 0.5, 0.9)
 BACKENDS = ("naive", "auto")
@@ -132,6 +122,7 @@ class TestAutoEqualsNaive:
         assert len(auto) > 0
         assert _items(auto) == _items(_join("naive", store, threshold))
 
+    @pytest.mark.gate
     @pytest.mark.parametrize("slice_", ("restaurant", "product"))
     def test_the_oracle_prepares_each_record_once(self, slice_, monkeypatch):
         """The count gate of the all-pairs oracle: one tokenisation per
@@ -185,8 +176,6 @@ class TestVectorizedJoin:
         with pytest.raises(ValueError):
             VectorizedSimJoin(threshold=1.5)
         with pytest.raises(ValueError):
-            VectorizedSimJoin(measure="hamming")
-        with pytest.raises(ValueError):
             VectorizedSimJoin(block_size=0)
 
     def test_tiny_stores(self):
@@ -200,41 +189,27 @@ class TestVectorizedJoin:
         blocked = VectorizedSimJoin(0.2, block_size=2).join(example_store)
         assert whole.to_key_set() == blocked.to_key_set()
 
-    @pytest.mark.parametrize("measure,reference", [
-        ("jaccard", jaccard_similarity),
-        ("dice", dice_similarity),
-        ("cosine", cosine_token_similarity),
-    ])
-    def test_measures_match_python_reference(self, example_store, measure, reference):
+    def test_jaccard_matches_python_reference(self, example_store):
         from repro.records.tokenize import record_token_set
 
-        pairs = VectorizedSimJoin(0.0, measure=measure).join(example_store)
+        pairs = VectorizedSimJoin(0.0).join(example_store)
         records = {record.record_id: record for record in example_store}
         for pair in pairs:
             tokens_a = record_token_set(records[pair.id_a])
             tokens_b = record_token_set(records[pair.id_b])
-            # cosine_token_similarity takes sequences; sets are fine for the
-            # binary (distinct-token) case the vectorized join computes.
-            expected = reference(sorted(tokens_a), sorted(tokens_b))
-            assert pair.likelihood == pytest.approx(expected, abs=1e-9)
+            assert pair.likelihood == jaccard_similarity(tokens_a, tokens_b)
 
 
 # ------------------------------------------------- the kernel's overlap bound
-def _python_similarity(measure, a, b):
-    """Exact similarity of two token sets, in plain Python floats."""
+def _python_similarity(a, b):
+    """Exact Jaccard similarity of two token sets, in plain Python floats."""
     if not a and not b:
         return 1.0
-    inter = len(a & b)
-    if measure == "jaccard":
-        return inter / len(a | b)
-    if measure == "dice":
-        return 2 * inter / (len(a) + len(b))
-    denominator = math.sqrt(len(a) * len(b))
-    return inter / denominator if denominator > 0 else 0.0
+    return len(a & b) / len(a | b)
 
 
-def _dense_oracle(measure, threshold, left, right, start, end, triangle, alive):
-    """All-pairs reference for :func:`score_block`: no product, no prefilter.
+def _dense_oracle(threshold, left, right, start, end, triangle, alive):
+    """All-pairs reference for the kernel: no product, no prefilter.
 
     A positive threshold reads a *sparse* product, so pairs sharing no token
     are not the kernel's to report (the engines add empty-vs-empty pairs
@@ -249,7 +224,7 @@ def _dense_oracle(measure, threshold, left, right, start, end, triangle, alive):
                 continue
             if threshold > 0.0 and not left[row] & other:
                 continue
-            value = _python_similarity(measure, left[row], other)
+            value = _python_similarity(left[row], other)
             if value >= threshold:
                 expected.append((row, col, value))
     return sorted(expected)
@@ -268,17 +243,22 @@ def _incidence(token_sets, width):
     )
 
 
-def _score(measure, threshold, left, right=None, start=0, end=None, triangle=0, alive=None):
+def _score(threshold, left, right=None, start=0, end=None, triangle=0, alive=None):
+    """Left rows ``[start, end)`` through ``BlockScorer.score``, as one block
+    (a self-product under a triangle is banded, as the engines run it)."""
+    end = len(left) if end is None else end
+    if end == start:
+        return []
     width = 1 + max((token for tokens in left + (right or []) for token in tokens), default=0)
-    left_matrix = _incidence(left, width)
-    right_matrix = left_matrix if right is None else _incidence(right, width)
-    rows, cols, values = score_block(
-        left_matrix, right_matrix.T.tocsr(),
-        np.diff(left_matrix.indptr).astype(np.int64),
-        np.diff(right_matrix.indptr).astype(np.int64),
-        start, len(left) if end is None else end, threshold, measure, triangle,
-        None if alive is None else np.array(alive, dtype=bool),
+    scorer = BlockScorer(
+        _incidence(left, width),
+        None if right is None else _incidence(right, width),
+        threshold=threshold,
+        block_size=end - start,
+        triangle=triangle,
+        alive=None if alive is None else np.array(alive, dtype=bool),
     )
+    rows, cols, values = scorer.score(start)
     return sorted(zip(rows.tolist(), cols.tolist(), values.tolist()))
 
 
@@ -300,13 +280,12 @@ class TestKernelOverlapBound:
     @given(
         left=_kernel_token_sets,
         right=st.none() | _kernel_token_sets,
-        measure=similarity_measures,
         threshold=_kernel_thresholds,
         triangle=st.sampled_from((-1, 0, 1)),
         data=st.data(),
     )
-    def test_score_block_equals_dense_oracle(
-        self, left, right, measure, threshold, triangle, data
+    def test_scored_block_equals_dense_oracle(
+        self, left, right, threshold, triangle, data
     ):
         if right is not None:
             triangle = 0            # the diagonal only means something in a self-product
@@ -316,58 +295,59 @@ class TestKernelOverlapBound:
         alive = data.draw(
             st.none() | st.lists(st.booleans(), min_size=len(columns), max_size=len(columns))
         )
-        assert _score(measure, threshold, left, right, start, end, triangle, alive) == (
-            _dense_oracle(measure, threshold, left, columns, start, end, triangle, alive)
+        assert _score(threshold, left, right, start, end, triangle, alive) == (
+            _dense_oracle(threshold, left, columns, start, end, triangle, alive)
         )
 
     def test_naive_ceiling_would_drop_a_true_pair(self):
         """``0.28 * 25 == 7.000000000000001``: its ceiling is 8, the pair has 7."""
         assert math.ceil(0.28 * 25) == 8
-        assert min_overlap("jaccard", 0.28, np.array([25]))[0] == 7
+        assert min_overlap(0.28, np.array([25]))[0] == 7
         big, small = frozenset(range(25)), frozenset(range(7))
         assert len(big & small) / len(big | small) >= 0.28
-        assert _score("jaccard", 0.28, [big, small], triangle=1) == [(0, 1, 0.28)]
+        assert _score(0.28, [big, small], triangle=1) == [(0, 1, 0.28)]
 
-    @pytest.mark.parametrize("measure,threshold,size_a,size_b", [
+    @pytest.mark.parametrize("threshold,size_a,size_b", [
         # B is a subset of A, sized so that the similarity equals the
         # threshold and the overlap equals the bound exactly.
-        ("jaccard", 0.3, 10, 3),
-        ("jaccard", 1 / 3, 3, 1),
-        ("jaccard", 1 / 3, 9, 3),
-        ("jaccard", 0.5, 4, 2),
-        ("jaccard", 1.0, 5, 5),
-        ("jaccard", 0.7, 10, 7),
-        ("dice", 0.5, 6, 2),
-        ("dice", 1 / 3, 5, 1),
-        ("dice", 1.0, 4, 4),
-        ("cosine", 0.5, 4, 1),
-        ("cosine", 1 / 3, 9, 1),
-        ("cosine", 1.0, 7, 7),
+        (0.3, 10, 3),
+        (1 / 3, 3, 1),
+        (1 / 3, 9, 3),
+        (0.5, 4, 2),
+        (1.0, 5, 5),
+        (0.7, 10, 7),
+        # Every size up to 40 where the float product t * |A| lands above
+        # the integer overlap, so a plain ceiling would drop the pair.
+        (0.28, 25, 7),
+        (14 / 25, 25, 14),
+        (15 / 29, 29, 15),
+        (29 / 35, 35, 29),
+        (21 / 38, 38, 21),
+        (25 / 39, 39, 25),
     ])
-    def test_pairs_exactly_at_the_threshold_survive(self, measure, threshold, size_a, size_b):
+    def test_pairs_exactly_at_the_threshold_survive(self, threshold, size_a, size_b):
         a, b = frozenset(range(size_a)), frozenset(range(size_b))
-        value = _python_similarity(measure, a, b)
+        value = _python_similarity(a, b)
         assert value >= threshold
         # Both orientations: the bound comes from the left row's size.
-        assert _score(measure, threshold, [a, b]) == [
+        assert _score(threshold, [a, b]) == [
             (0, 0, 1.0), (0, 1, value), (1, 0, value), (1, 1, 1.0)
         ]
-        assert _score(measure, threshold, [a, b], triangle=1) == [(0, 1, value)]
+        assert _score(threshold, [a, b], triangle=1) == [(0, 1, value)]
 
-    @pytest.mark.parametrize("measure", MEASURES)
-    def test_bound_is_necessary_for_every_small_size(self, measure):
+    def test_bound_is_necessary_for_every_small_size(self):
         """Every (|A|, |B|, overlap) up to 40 tokens, 128 thresholds: a pair
         that passes the exact float test is never below the bound."""
         sizes = np.arange(1, 41)
         size_a, size_b, inter = (grid.ravel() for grid in np.meshgrid(sizes, sizes, sizes))
         feasible = inter <= np.minimum(size_a, size_b)
         size_a, size_b, inter = size_a[feasible], size_b[feasible], inter[feasible]
-        values = similarity(measure, inter, size_a, size_b)
+        values = similarity(inter, size_a, size_b)
         thresholds = sorted(
             {k / 100 for k in range(1, 101)} | {p / q for q in range(3, 10) for p in range(1, q)}
         )
         for threshold in thresholds:
             passing = values >= threshold
-            assert (inter[passing] >= min_overlap(measure, threshold, size_a[passing])).all(), (
+            assert (inter[passing] >= min_overlap(threshold, size_a[passing])).all(), (
                 threshold
             )

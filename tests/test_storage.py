@@ -5,13 +5,14 @@ The central contract: a streaming session backed by the SQLite store is
 posteriors to the last float bit, same digests — for any schedule of
 batches, retractions, updates, flushes and crashes, and restoring a
 SQLite-backed session is a *page-in* of committed state (plus a short
-replay of the logged tail) rather than a replay of the whole log.  On top
-of that, restoring onto a *changed* result config re-joins the stored
-records instead of refusing.
+replay of the logged tail) rather than a replay of the whole log.
 """
 
+import dataclasses
+import inspect
 import json
 import os
+import shutil
 import sqlite3
 
 import numpy as np
@@ -32,8 +33,7 @@ from repro.records.record import Record, RecordStore
 from repro.simjoin.columnar import argsort_descending
 from repro.storage import SqliteStore, StorageError
 from repro.storage.sqlite import STORE_FILENAME
-from repro.streaming import PersistenceError, StreamingResolver
-from repro.streaming.persistence import ARCHIVE_DIRNAME
+from repro.streaming import PersistenceError, StreamingResolver, persistence
 
 
 def make_dataset(record_count=45, duplicate_pairs=8, seed=31):
@@ -436,7 +436,7 @@ class TestPageInRestore:
             resolver.add_batch(records[start : start + 12])
         expected = session_fingerprint(resolver)
         resolver.storage.close()
-        restored = StreamingResolver.restore(str(tmp_path), resume_journal=False)
+        restored = StreamingResolver.restore(str(tmp_path))
         assert session_fingerprint(restored) == expected
         restored.storage.close()
 
@@ -560,12 +560,11 @@ class TestPageInRestore:
         registry: it is the session's own cost."""
         dataset = make_dataset()
         records = list(dataset.store)
-        resolver = StreamingResolver(
-            config=make_config(storage_backend="sqlite", checkpoint_dir=str(tmp_path))
-        )
+        resolver = StreamingResolver(config=make_config(checkpoint_dir=str(tmp_path)))
         resolver.add_truth(dataset.ground_truth)
         for start in range(0, len(records), 15):
             resolver.add_batch(records[start : start + 15])
+        resolver.save()
         expected = session_fingerprint(resolver)
         pairs = sorted(resolver.storage.ledger.pairs)
         resolver.durability.close()
@@ -593,9 +592,7 @@ class TestPageInRestore:
         assert parent_metrics_row(path)
 
         store_threshold(0.5)  # the value that replays
-        restored = StreamingResolver.restore(
-            str(tmp_path), config=make_config(checkpoint_dir=str(tmp_path))
-        )
+        restored = StreamingResolver.restore(str(tmp_path))
         assert restored.storage.backend_name == "memory"
         assert session_fingerprint(restored) == expected
         assert parent_provenance_rows(path) is None
@@ -715,6 +712,7 @@ class TestLedgerRecordIndex:
         assert_tables_are_the_ledger(session)
         session.durability.close()
 
+    @pytest.mark.gate
     def test_a_durable_session_statement_count(self, tmp_path, monkeypatch):
         """Restaurant(2000, 250, seed 7) at 0.35 in batches of 250 plus a
         flush: every statement a sqlite session issues, the log's included,
@@ -756,92 +754,112 @@ class TestLedgerRecordIndex:
         durable.durability.close()
 
 
-# ------------------------------------------------- re-join on config change
-class TestRestoreRejoin:
-    def run_session(self, directory, records, truth, **overrides):
-        config = make_config(
-            storage_backend="sqlite", checkpoint_dir=str(directory), **overrides
-        )
-        resolver = StreamingResolver(config=config)
+# ------------------------------------------------------------- one restore
+class TestOneRestore:
+    """``restore(path)`` resumes the stored session in place: under the
+    config it was written with, in the directory where it lies now."""
+
+    @staticmethod
+    def feed(resolver, records, truth, size=12):
         resolver.add_truth(truth)
-        for start in range(0, len(records), 12):
-            resolver.add_batch(records[start : start + 12])
+        for start in range(0, len(records), size):
+            resolver.add_batch(records[start : start + size])
         return resolver
 
-    def test_changed_threshold_triggers_a_rejoin(self, tmp_path):
+    @pytest.mark.parametrize("backend", ("memory", "sqlite"))
+    def test_a_restore_runs_under_the_stored_config(self, tmp_path, backend):
+        """A non-default config comes back field for field, and the session
+        equals a fresh run under it that never stopped."""
         dataset = make_dataset()
         records = list(dataset.store)
-        resolver = self.run_session(tmp_path, records, dataset.ground_truth)
-        resolver.storage.close()
-        new_config = make_config(
-            storage_backend="sqlite",
+        written = make_config(
+            storage_backend=backend,
             checkpoint_dir=str(tmp_path),
+            checkpoint_every_batches=2,
             likelihood_threshold=0.2,
             stream_batch_size=12,
+            hit_type="pair",
+            pairs_per_hit=5,
         )
-        rejoined = StreamingResolver.restore(str(tmp_path), config=new_config)
-        # The re-joined session equals a fresh run under the new config.
-        fresh = StreamingResolver(
-            config=make_config(likelihood_threshold=0.2, stream_batch_size=12)
+        resolver = self.feed(StreamingResolver(config=written), records, dataset.ground_truth)
+        resolver.durability.close()
+        restored = StreamingResolver.restore(str(tmp_path))
+        assert restored.config == written
+        assert restored.storage.backend_name == backend
+        fresh = self.feed(
+            StreamingResolver(
+                config=dataclasses.replace(
+                    written, checkpoint_dir=None, storage_backend="memory"
+                )
+            ),
+            records,
+            dataset.ground_truth,
         )
-        fresh.add_truth(dataset.ground_truth)
-        for start in range(0, len(records), 12):
-            fresh.add_batch(records[start : start + 12])
-        assert_sessions_identical(fresh, rejoined)
-        # The old artifacts moved into the archive bucket.
-        buckets = [
-            name
-            for name in os.listdir(tmp_path / ARCHIVE_DIRNAME)
-            if name.startswith("rejoin-")
+        assert_sessions_identical(fresh, restored)
+        restored.durability.close()
+
+    @pytest.mark.parametrize("backend", ("memory", "sqlite"))
+    def test_a_moved_session_is_taken_over_where_it_lies(self, tmp_path, backend):
+        """A directory moved between runs resumes from its new place, goes on
+        logging to its one file there and leaves nothing else behind."""
+        dataset = make_dataset()
+        records = list(dataset.store)
+        home, moved = tmp_path / "home", tmp_path / "moved"
+        resolver = self.feed(
+            StreamingResolver(
+                config=make_config(
+                    storage_backend=backend,
+                    checkpoint_dir=str(home),
+                    checkpoint_every_batches=2,
+                )
+            ),
+            records[:24],
+            dataset.ground_truth,
+        )
+        resolver.durability.close()
+        shutil.move(str(home), str(moved))
+        restored = StreamingResolver.restore(str(moved))
+        assert restored.config.checkpoint_dir == str(moved)
+        for start in range(24, len(records), 12):
+            restored.add_batch(records[start : start + 12])
+        restored.durability.close()
+        assert not home.exists()
+        assert os.listdir(moved) == [STORE_FILENAME]
+        again = StreamingResolver.restore(str(moved))
+        never_stopped = self.feed(
+            StreamingResolver(config=make_config()), records, dataset.ground_truth
+        )
+        assert_sessions_identical(never_stopped, again)
+        again.durability.close()
+
+    def test_restore_takes_only_the_path_and_the_crowd_parts(self, tmp_path):
+        """No config override, no journal switch, no verification switch:
+        each is refused, and the refusal leaves the store restorable."""
+        assert list(inspect.signature(StreamingResolver.restore).parameters) == [
+            "path", "platform", "worker_pool", "pricing", "latency"
         ]
-        assert len(buckets) == 1
-        archived = os.listdir(tmp_path / ARCHIVE_DIRNAME / buckets[0])
-        assert STORE_FILENAME in archived
-        assert sorted(
-            name for name in os.listdir(tmp_path) if name != ARCHIVE_DIRNAME
-        ) == [STORE_FILENAME, STORE_FILENAME + "-shm", STORE_FILENAME + "-wal"]
-        rejoined.storage.close()
-
-    def test_unchanged_result_config_resumes_normally(self, tmp_path):
         dataset = make_dataset()
-        records = list(dataset.store)
-        resolver = self.run_session(tmp_path, records, dataset.ground_truth)
+        resolver = self.feed(
+            StreamingResolver(
+                config=make_config(storage_backend="sqlite", checkpoint_dir=str(tmp_path))
+            ),
+            list(dataset.store),
+            dataset.ground_truth,
+        )
         expected = session_fingerprint(resolver)
-        resolver.storage.close()
-        # checkpoint_every_batches changes durability, not results: no rejoin.
-        same_results = make_config(
-            storage_backend="sqlite",
-            checkpoint_dir=str(tmp_path),
-            checkpoint_every_batches=99,
-        )
-        restored = StreamingResolver.restore(
-            str(tmp_path), config=same_results, resume_journal=False
-        )
+        resolver.durability.close()
+        for retired in (
+            {"config": make_config(checkpoint_dir=str(tmp_path))},
+            {"resume_journal": False},
+            {"verify": False},
+        ):
+            with pytest.raises(TypeError):
+                StreamingResolver.restore(str(tmp_path), **retired)
+            with pytest.raises(TypeError):
+                persistence.restore(StreamingResolver, tmp_path, **retired)
+        restored = StreamingResolver.restore(str(tmp_path))
         assert session_fingerprint(restored) == expected
-        assert not (tmp_path / ARCHIVE_DIRNAME / "rejoin-000000000000").exists()
-        restored.storage.close()
-
-    def test_memory_session_rejoins_too(self, tmp_path):
-        """The re-join path is backend-agnostic: snapshot/journal sessions
-        re-ingest under the new config exactly like store-backed ones."""
-        dataset = make_dataset()
-        records = list(dataset.store)
-        config = make_config(checkpoint_dir=str(tmp_path))
-        resolver = StreamingResolver(config=config)
-        resolver.add_truth(dataset.ground_truth)
-        for start in range(0, len(records), 12):
-            resolver.add_batch(records[start : start + 12])
-        new_config = make_config(
-            checkpoint_dir=str(tmp_path), likelihood_threshold=0.2, stream_batch_size=12
-        )
-        rejoined = StreamingResolver.restore(str(tmp_path), config=new_config)
-        fresh = StreamingResolver(
-            config=make_config(likelihood_threshold=0.2, stream_batch_size=12)
-        )
-        fresh.add_truth(dataset.ground_truth)
-        for start in range(0, len(records), 12):
-            fresh.add_batch(records[start : start + 12])
-        assert_sessions_identical(fresh, rejoined)
+        restored.durability.close()
 
 
 # --------------------------------------------- async crowd crash recovery
