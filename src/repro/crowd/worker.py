@@ -218,7 +218,3 @@ class WorkerPool:
     def spammer_count(self) -> int:
         """Number of spammer workers in the pool."""
         return sum(1 for worker in self._workers if worker.profile.spammer_mode is not None)
-
-    def qualified_workers(self) -> List[Worker]:
-        """Workers that have passed a qualification test."""
-        return [worker for worker in self._workers if worker.qualified]

@@ -229,15 +229,6 @@ class MetricsSnapshot:
             if _labels_match(sample["labels"], labels)
         )
 
-    def gauge_value(self, name: str, **labels: object) -> Optional[float]:
-        metric = self.get(name)
-        if metric is None or metric["kind"] != "gauge":
-            return None
-        for sample in metric["samples"]:
-            if _labels_match(sample["labels"], labels):
-                return sample["value"]
-        return None
-
     def histogram_sum(self, name: str, **labels: object) -> float:
         metric = self.get(name)
         if metric is None or metric["kind"] != "histogram":

@@ -65,10 +65,6 @@ class RecordPair:
             return self.id_a
         raise KeyError(f"{record_id!r} is not part of pair {self.key}")
 
-    def with_likelihood(self, likelihood: float) -> "RecordPair":
-        """Return a copy of the pair carrying the given likelihood."""
-        return RecordPair(self.id_a, self.id_b, likelihood=likelihood)
-
 
 class PairSet:
     """A set of candidate :class:`RecordPair` objects.
@@ -91,10 +87,6 @@ class PairSet:
             return
         if (pair.likelihood or 0.0) > (existing.likelihood or 0.0):
             self._pairs[pair.key] = pair
-
-    def add_ids(self, id_a: str, id_b: str, likelihood: Optional[float] = None) -> None:
-        """Convenience: add a pair given two record ids."""
-        self.add(RecordPair(id_a, id_b, likelihood=likelihood))
 
     def discard(self, id_a: str, id_b: str) -> bool:
         """Remove the pair with the given ids if present.

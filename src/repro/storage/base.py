@@ -75,8 +75,8 @@ class PairLedger:
     Attributes
     ----------
     pairs:
-        Candidate pair key -> machine likelihood, in discovery order: the
-        session's one candidate table.  :meth:`pairs_of` indexes its keys
+        Candidate pair key -> machine likelihood: the session's one
+        candidate table.  :meth:`pairs_of` indexes its keys
         by record: the skip index that bounds a retraction to exactly the
         record's pairs.
     votes / pending_votes:
@@ -96,9 +96,7 @@ class PairLedger:
     unsaved:
         ``None`` unless the ledger is stored (``PairLedger(stored=True)``).
         Then: every key a mutation changed since :meth:`take_unsaved` last
-        ran, in order, mapped to whether :meth:`add_pair` placed it (its
-        ``pairs`` row goes to the end of the table, as the key went to the
-        end of :attr:`pairs`).
+        ran — the keys whose store rows are stale.
     """
 
     def __init__(self, stored: bool = False) -> None:
@@ -108,7 +106,7 @@ class PairLedger:
         self.posteriors: Dict[PairKey, float] = {}
         self.covered: Set[PairKey] = set()
         self.touched: Optional[Set[PairKey]] = set()
-        self.unsaved: Optional[Dict[PairKey, bool]] = {} if stored else None
+        self.unsaved: Optional[Set[PairKey]] = set() if stored else None
         self._pairs_of_record: Dict[str, Set[PairKey]] = {}
 
     def pairs_of(self, record_id: str) -> AbstractSet[PairKey]:
@@ -134,32 +132,24 @@ class PairLedger:
         if self.touched is not None:
             self.touched.add(key)
 
-    def take_unsaved(self) -> Dict[PairKey, bool]:
+    def take_unsaved(self) -> Set[PairKey]:
         """Hand over :attr:`unsaved` of a stored ledger and start afresh."""
-        unsaved, self.unsaved = self.unsaved, {}
+        unsaved, self.unsaved = self.unsaved, set()
         return unsaved
 
     def _note(self, keys: Iterable[PairKey]) -> None:
         if self.unsaved is not None:
-            for key in keys:
-                self.unsaved.setdefault(key, False)
+            self.unsaved.update(keys)
 
     # ------------------------------------------------------------ mutations
     def add_pair(self, key: PairKey, likelihood: Optional[float]) -> None:
-        """Register a discovered candidate pair (keeps the higher likelihood).
-
-        A pair placed again moves to the end of :attr:`pairs`.
-        """
-        if key in self.pairs:
-            if (likelihood or 0.0) <= (self.pairs[key] or 0.0):
-                return
-            del self.pairs[key]
+        """Register a discovered candidate pair (keeps the higher likelihood)."""
+        if key in self.pairs and (likelihood or 0.0) <= (self.pairs[key] or 0.0):
+            return
         self.pairs[key] = likelihood
         self._index(key)
         self._touch(key)
-        if self.unsaved is not None:
-            self.unsaved.pop(key, None)
-            self.unsaved[key] = True
+        self._note((key,))
 
     def drop_pair(self, key: PairKey) -> None:
         """Invalidate one pair entirely (retraction blast radius)."""

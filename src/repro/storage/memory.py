@@ -6,7 +6,8 @@ plus a plain-dict :class:`~repro.storage.base.PairLedger` that notes no
 unsaved keys; every write hook (join substrate, crowd workload) is the
 interface's no-op, because the live objects are the state.  A durable memory-backed session is
 materialised by :func:`repro.streaming.persistence.write_snapshot`, which
-writes those live objects into the session's SQLite store in bulk.
+writes those live objects into the session's SQLite store in bulk (the
+ledger as one ``ledger`` row per candidate pair).
 """
 
 from __future__ import annotations

@@ -1,8 +1,9 @@
 """The SQLite storage backend: one WAL-mode file per streaming session.
 
 :class:`SqliteStore` is the one file of a durable session.  Its state
-tables — records, token vocabulary, CSR chunks, candidate pairs, the vote
-ledger, posteriors, HIT coverage and the workload counters —
+tables — records, token vocabulary, CSR chunks, the pair ledger (one
+``ledger`` row per candidate pair: likelihood, votes, posterior, HIT
+coverage) and the workload counters —
 hold "the state as of ``meta.events_applied``"; its ``events`` table
 (``seq``, ``type``, ``payload``, ``crc``) is the session's write-ahead log —
 :class:`repro.streaming.persistence.SessionJournal` owns its rows, this
@@ -26,8 +27,6 @@ Pragmas::
                  = FULL       -- set by ``SessionJournal`` when it attaches a log:
                                  every commit is fsynced, so a logged intent is
                                  on stable storage before it is applied
-    foreign_keys = ON         -- no table declares one: the ledger writer deletes
-                                 a dropped pair's rows from all four pair tables
     busy_timeout = 30000 ms   -- wait for locked databases
 
 All writes between two :meth:`commit` calls form one transaction: the
@@ -49,7 +48,7 @@ import json
 import os
 import sqlite3
 from pathlib import Path
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import AbstractSet, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -88,32 +87,16 @@ CREATE TABLE IF NOT EXISTS csr_chunks (
     indices     BLOB NOT NULL,
     row_lengths BLOB NOT NULL
 );
-CREATE TABLE IF NOT EXISTS pairs (
-    ord        INTEGER PRIMARY KEY AUTOINCREMENT,
+CREATE TABLE IF NOT EXISTS ledger (
     id_a       TEXT NOT NULL,
     id_b       TEXT NOT NULL,
     likelihood REAL,
-    UNIQUE (id_a, id_b)
-);
-CREATE TABLE IF NOT EXISTS pair_votes (
-    id_a    TEXT NOT NULL,
-    id_b    TEXT NOT NULL,
-    votes   TEXT NOT NULL,
-    rounds  INTEGER NOT NULL,
-    pending INTEGER NOT NULL,
+    votes      TEXT,
+    pending    INTEGER NOT NULL,
+    posterior  REAL,
+    covered    INTEGER NOT NULL,
     PRIMARY KEY (id_a, id_b)
-);
-CREATE TABLE IF NOT EXISTS posteriors (
-    id_a      TEXT NOT NULL,
-    id_b      TEXT NOT NULL,
-    posterior REAL NOT NULL,
-    PRIMARY KEY (id_a, id_b)
-);
-CREATE TABLE IF NOT EXISTS covered (
-    id_a TEXT NOT NULL,
-    id_b TEXT NOT NULL,
-    PRIMARY KEY (id_a, id_b)
-);
+) WITHOUT ROWID;
 CREATE TABLE IF NOT EXISTS assignment_seconds (
     ord     INTEGER PRIMARY KEY AUTOINCREMENT,
     seconds REAL NOT NULL
@@ -134,22 +117,35 @@ _TABLES = (
     "tokens",
     "join_rows",
     "csr_chunks",
-    "pairs",
-    "pair_votes",
-    "posteriors",
-    "covered",
+    "ledger",
     "assignment_seconds",
 )
 
 #: Tables and meta keys an earlier release kept that this one neither reads
 #: nor writes (``provenance``: a write-only per-pair history; ``metrics``:
 #: a copy of the writing process's metrics registry, other sessions'
-#: counts included).  Opening a store leaves them alone — reading one
+#: counts included; ``pairs``, ``pair_votes``, ``posteriors`` and
+#: ``covered``: a format-1 store's ledger, read through
+#: :data:`_FORMAT_1_LEDGER`).  Opening a store leaves them alone — reading one
 #: (``repro stats``) or refusing to resume it must not cost its writer
 #: anything; a session of this release that takes the store over drops
 #: them (:meth:`SqliteStore.drop_retired`).
-_RETIRED_TABLES = ("provenance",)
+_RETIRED_TABLES = ("provenance", "pairs", "pair_votes", "posteriors", "covered")
 _RETIRED_META = ("metrics",)
+
+#: ``ledger``'s rows, and a format-1 store's in the same shape: that format
+#: kept a pair in four tables keyed by ``(id_a, id_b)`` — ``pairs`` (every
+#: candidate), ``pair_votes`` (a voted pair's votes and pending count),
+#: ``posteriors`` and ``covered`` — so one ``LEFT JOIN`` makes its rows.
+_LEDGER = "SELECT id_a, id_b, likelihood, votes, pending, posterior, covered FROM ledger"
+_FORMAT_1_LEDGER = """
+SELECT p.id_a, p.id_b, p.likelihood, v.votes, COALESCE(v.pending, 0), s.posterior,
+       c.id_a IS NOT NULL
+FROM pairs AS p
+LEFT JOIN pair_votes AS v ON v.id_a = p.id_a AND v.id_b = p.id_b
+LEFT JOIN posteriors AS s ON s.id_a = p.id_a AND s.id_b = p.id_b
+LEFT JOIN covered AS c ON c.id_a = p.id_a AND c.id_b = p.id_b
+"""
 
 
 def _blob(array: np.ndarray) -> bytes:
@@ -176,7 +172,6 @@ class SqliteStore(Store):
         try:
             self._conn.execute("PRAGMA journal_mode=WAL")
             self._conn.execute("PRAGMA synchronous=NORMAL")
-            self._conn.execute("PRAGMA foreign_keys=ON")
             self._conn.execute("PRAGMA busy_timeout=30000")
             self._conn.executescript(_SCHEMA)
         except sqlite3.DatabaseError as error:
@@ -191,7 +186,7 @@ class SqliteStore(Store):
         row = self._conn.execute("SELECT MAX(arrival) FROM records").fetchone()
         self._next_arrival = (row[0] + 1) if row and row[0] is not None else 0
         # Empty until :meth:`load_ledger`: opening a store to read its meta
-        # (restore, ``repro stats``) must not page four tables in.
+        # (restore, ``repro stats``) must not page the ledger in.
         self.ledger = PairLedger(stored=True)
 
     # ---------------------------------------------------------- transactions
@@ -246,12 +241,25 @@ class SqliteStore(Store):
         self._ids = set()
         self._next_arrival = 0
 
-    def drop_retired(self) -> None:
-        """Drop an earlier release's tables and meta rows inside the open
-        transaction."""
+    def drop_retired(self, version: int) -> None:
+        """Take an earlier release's store over inside the open transaction.
+
+        A format-1 store's pair rows move into ``ledger`` and its
+        ``meta.version`` becomes ``version``; then the earlier release's
+        tables and meta rows are dropped.
+        """
+        if self._format_1():
+            self.execute("INSERT INTO ledger " + _FORMAT_1_LEDGER)
+            self.set_meta("version", version)
         for table in _RETIRED_TABLES:
             self.execute(f"DROP TABLE IF EXISTS {table}")
         self.executemany("DELETE FROM meta WHERE key = ?", [(key,) for key in _RETIRED_META])
+
+    def _format_1(self) -> bool:
+        """Whether the ledger is in format 1's four tables.  ``meta.version``
+        decides, not which tables exist: ``save(X)`` over a format-1 copy
+        leaves those tables behind."""
+        return self.get_meta("version") == 1
 
     # --------------------------------------------------------- record table
     def add_record(self, record: Record) -> None:
@@ -430,59 +438,39 @@ class SqliteStore(Store):
 
     # ------------------------------------------------------ the pair ledger
     def write_ledger(
-        self, ledger: PairLedger, unsaved: Optional[Mapping[PairKey, bool]] = None
+        self, ledger: PairLedger, unsaved: Optional[AbstractSet[PairKey]] = None
     ) -> None:
-        """Write a ledger's rows into the pair tables, one ``executemany`` per
-        table and kind of change.
+        """Write a ledger's rows into ``ledger``: one ``DELETE`` of the keys
+        it dropped, then one ``INSERT OR REPLACE`` of the full rows it holds.
 
         ``unsaved`` (:attr:`PairLedger.unsaved`) names the keys whose rows
-        changed: each gets its current rows, a placed pair's ``pairs`` row
-        goes to the end of the table, and a row the ledger no longer holds
-        is deleted.  Without it, every row goes into tables :meth:`clear`
-        emptied.  ``pair_votes.rounds`` is retired: always 1, never read.
+        changed.  Without it, every pair goes into the table :meth:`clear`
+        emptied.
         """
-        pairs, votes, posteriors, covered = (
-            ledger.pairs, ledger.votes, ledger.posteriors, ledger.covered
-        )
-        if unsaved is None:
-            keys = placed = list(pairs)
-        else:
-            keys = list(unsaved)
-            placed = [key for key, moved in unsaved.items() if moved and key in pairs]
-            for table, held in (
-                ("pairs", pairs), ("pair_votes", votes),
-                ("posteriors", posteriors), ("covered", covered),
-            ):
-                self._write_rows(
-                    f"DELETE FROM {table} WHERE id_a = ? AND id_b = ?",
-                    [key for key in keys if key not in held],
-                )
-        # REPLACE deletes a re-placed pair's row and appends it with a new ord.
+        pairs, votes, posteriors = ledger.pairs, ledger.votes, ledger.posteriors
+        keys = pairs if unsaved is None else unsaved
         self._write_rows(
-            "INSERT OR REPLACE INTO pairs (id_a, id_b, likelihood) VALUES (?, ?, ?)",
-            [(key[0], key[1], pairs[key]) for key in placed],
+            "DELETE FROM ledger WHERE id_a = ? AND id_b = ?",
+            [key for key in keys if key not in pairs],
         )
         self._write_rows(
-            "INSERT OR REPLACE INTO pair_votes (id_a, id_b, votes, rounds, pending) "
-            "VALUES (?, ?, ?, 1, ?)",
+            "INSERT OR REPLACE INTO ledger "
+            "(id_a, id_b, likelihood, votes, pending, posterior, covered) "
+            "VALUES (?, ?, ?, ?, ?, ?, ?)",
             [
                 (
                     key[0],
                     key[1],
-                    json.dumps([[worker, bool(answer)] for worker, _, answer in votes[key]]),
+                    pairs[key],
+                    json.dumps([[worker, bool(answer)] for worker, _, answer in votes[key]])
+                    if key in votes else None,
                     ledger.pending_votes.get(key, 0),
+                    float(posteriors[key]) if key in posteriors else None,
+                    int(key in ledger.covered),
                 )
                 for key in keys
-                if key in votes
+                if key in pairs
             ],
-        )
-        self._write_rows(
-            "INSERT OR REPLACE INTO posteriors (id_a, id_b, posterior) VALUES (?, ?, ?)",
-            [(key[0], key[1], float(posteriors[key])) for key in keys if key in posteriors],
-        )
-        self._write_rows(
-            "INSERT OR IGNORE INTO covered (id_a, id_b) VALUES (?, ?)",
-            [key for key in keys if key in covered],
         )
 
     def _write_rows(self, sql: str, rows: List[Sequence]) -> None:
@@ -491,40 +479,32 @@ class SqliteStore(Store):
             self.executemany(sql, rows)
 
     def load_ledger(self, into: Optional[PairLedger] = None) -> None:
-        """Page the pair tables into ``into`` (default: this store's ledger).
+        """Page the ledger's rows into ``into`` (default: this store's ledger).
 
+        One ``SELECT``, of ``ledger`` or a format-1 store's four tables.
         The dicts are assigned directly, so nothing read is unsaved; the
-        record → pairs index is rebuilt from ``pairs``.
+        record → pairs index is rebuilt from the keys.
         """
         ledger = self.ledger if into is None else into
         ledger.touched = None
-        ledger.pairs = {
-            (id_a, id_b): likelihood
-            for id_a, id_b, likelihood in self._conn.execute(
-                "SELECT id_a, id_b, likelihood FROM pairs ORDER BY ord"
-            )
-        }
-        ledger.reindex()
-        ledger.votes, ledger.pending_votes = {}, {}
-        for id_a, id_b, votes_json, pending_count in self._conn.execute(
-            "SELECT id_a, id_b, votes, pending FROM pair_votes"
+        ledger.pairs, ledger.votes, ledger.pending_votes = {}, {}, {}
+        ledger.posteriors, ledger.covered = {}, set()
+        for id_a, id_b, likelihood, votes, pending, posterior, covered in self._conn.execute(
+            _FORMAT_1_LEDGER if self._format_1() else _LEDGER
         ):
             key = (id_a, id_b)
-            ledger.votes[key] = [
-                (worker, key, bool(answer)) for worker, answer in json.loads(votes_json)
-            ]
+            ledger.pairs[key] = likelihood
+            if votes is not None:
+                ledger.votes[key] = [
+                    (worker, key, bool(answer)) for worker, answer in json.loads(votes)
+                ]
             # A live session pops a pair's pending counter when it is
             # aggregated (its row stores 0), so only positive counters
             # come back as dict entries.
-            if pending_count:
-                ledger.pending_votes[key] = pending_count
-        ledger.posteriors = {
-            (id_a, id_b): posterior
-            for id_a, id_b, posterior in self._conn.execute(
-                "SELECT id_a, id_b, posterior FROM posteriors"
-            )
-        }
-        ledger.covered = {
-            (id_a, id_b)
-            for id_a, id_b in self._conn.execute("SELECT id_a, id_b FROM covered")
-        }
+            if pending:
+                ledger.pending_votes[key] = pending
+            if posterior is not None:
+                ledger.posteriors[key] = posterior
+            if covered:
+                ledger.covered.add(key)
+        ledger.reindex()

@@ -78,7 +78,7 @@ from repro.streaming.incremental_join import IncrementalSimJoin
 
 logger = logging.getLogger(__name__)
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 #: Fields a stored configuration (the log's ``session`` event or store
 #: meta) written by an earlier release may still carry, each mapped to the
@@ -383,6 +383,12 @@ def write_snapshot(target: SqliteStore, session) -> None:
 
 
 # ------------------------------------------------------- durability adaptor
+def _occupied(path: Path) -> PersistenceError:
+    return PersistenceError(
+        f"{path} already holds a session; use StreamingResolver.restore() to resume it"
+    )
+
+
 def _refuse_legacy_journal(directory: Path) -> None:
     """Name an earlier release's JSONL journal (existence check, never opened)."""
     legacy = sorted(directory.glob("journal*.jsonl"))
@@ -430,10 +436,7 @@ class Durability:
         _refuse_legacy_journal(directory)
         path = directory / STORE_FILENAME
         if path.exists():
-            raise PersistenceError(
-                f"{path} already holds a session; "
-                "use StreamingResolver.restore() to resume it"
-            )
+            raise _occupied(path)
         store = SqliteStore(path)
         durability = cls(store if config.storage_backend == "sqlite" else MemoryStore())
         durability.journal = SessionJournal(store)
@@ -534,7 +537,9 @@ class Durability:
         location, a sqlite-backed session only closes a boundary (the
         store is current) and a memory-backed one rewrites the state
         tables on the log's connection; either backend saving elsewhere
-        writes a store-only copy (state, no events).  Returns the file.
+        writes a store-only copy (state, no events) — over an earlier
+        store-only copy, never over a store whose log holds events (another
+        session's).  Returns the file.
         """
         own = self.store
         if path is not None:
@@ -548,6 +553,8 @@ class Durability:
         if own is None or target.resolve() != own.path.resolve():
             copy = SqliteStore(target)
             try:
+                if copy.query("SELECT 1 FROM events LIMIT 1").fetchone():
+                    raise _occupied(target)
                 write_snapshot(copy, session)
                 copy.commit()
             finally:
@@ -572,7 +579,7 @@ def _page_in(session, source: SqliteStore) -> None:
     ledger stay where they are) or the directory's store being copied into
     a memory-backed session.  The join substrate comes back from its stored
     rows/vocabulary/CSR chunks, the candidate pairs (and the ledger's record
-    → pairs index) from the pair tables, and the union-find forest — filled in place, the fresh
+    → pairs index) from the ledger's rows, and the union-find forest — filled in place, the fresh
     session's aggregation schedule shares it — from record arrival order
     plus the pair edges (roots only serve as grouping keys, so the rebuilt
     forest is behaviorally equivalent to the original).
@@ -732,9 +739,10 @@ def restore(cls, path: os.PathLike, **crowd):
         raise
     logger.info("restored session from %s at event %d", directory, session.events_applied)
     # Accepted, and the session goes on writing this file: shed what an
-    # earlier release kept.  A sqlite-backed session's drop commits with
-    # the attach boundary (after the replayed state, never ahead of it).
-    source.drop_retired()
+    # earlier release kept, a format-1 ledger moving into ``ledger`` first.
+    # It commits with the attach boundary, whose ledger write lands the
+    # replayed events' rows over the moved ones (never ahead of the state).
+    source.drop_retired(FORMAT_VERSION)
     durability.attach(session)
     source.commit()
     return session

@@ -160,3 +160,35 @@ class TestKnobCoverage:
         )
         missing = [name for name in subparsers.choices if name not in corpus]
         assert not missing, f"docs never mention CLI commands: {missing}"
+
+
+class TestStoreSchema:
+    def test_storage_page_lists_every_table_and_column_of_a_fresh_store(self, tmp_path):
+        """``docs/storage.md``'s "Tables" section names every table of a new
+        ``SqliteStore`` and each table's columns, in order, with their
+        declared types: a column changed without the doc fails here."""
+        from repro.storage import SqliteStore
+
+        text = (DOCS_DIR / "storage.md").read_text(encoding="utf-8")
+        documented, table = {}, None
+        for line in text[text.index("\n## Tables\n"):].splitlines():
+            heading = re.match(r"### `(\w+)`$", line)
+            if heading:
+                table = documented.setdefault(heading.group(1), [])
+            cells = [cell.strip() for cell in line.strip("|").split("|")]
+            if table is not None and line.startswith("| `"):
+                table.append((cells[0].strip("`"), cells[1]))
+        store = SqliteStore(tmp_path / "store.sqlite")
+        try:
+            actual = {
+                name: [(column, kind) for _, column, kind, *_ in store.query(
+                    f"PRAGMA table_info({name})"
+                )]
+                for name, in store.query(
+                    "SELECT name FROM sqlite_master WHERE type = 'table' "
+                    "AND name NOT LIKE 'sqlite_%'"
+                )
+            }
+        finally:
+            store.close()
+        assert documented == actual

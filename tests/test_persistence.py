@@ -240,6 +240,30 @@ class TestMaterialisation:
         resolver.save()
         assert stored_events_applied(tmp_path) == resolver.events_applied
 
+    def test_save_refuses_another_sessions_store(self, tmp_path):
+        """``save(X)`` used to rewrite the state of whatever store ``X``
+        held and keep its log, so restoring ``X`` replayed that session's
+        events onto this one's state.  A store whose log holds events is
+        refused, unwritten; a store-only copy is still overwritten."""
+        dataset = make_dataset()
+        logged = stream(
+            StreamingResolver(config=make_config(checkpoint_dir=str(tmp_path / "logged"))),
+            dataset,
+        )
+        logged.durability.close()
+        other = StreamingResolver(config=make_config())
+        other.add_batch(list(dataset.store)[:20])
+        with pytest.raises(PersistenceError, match="already holds a session"):
+            other.save(tmp_path / "logged")
+        restored = StreamingResolver.restore(tmp_path / "logged")
+        assert_sessions_identical(logged, restored)
+        restored.durability.close()
+        logged.save(tmp_path / "copy")
+        other.save(tmp_path / "copy")
+        copied = StreamingResolver.restore(tmp_path / "copy")
+        assert_sessions_identical(other, copied)
+        copied.durability.close()
+
     @pytest.mark.parametrize("backend", ("memory", "sqlite"))
     def test_save_to_a_foreign_directory_materialises_there(self, tmp_path, backend):
         """``save(X)`` writes ``X/store.sqlite`` for either backend (a
@@ -544,7 +568,10 @@ class TestSaveRestore:
             assert store.get_meta("version") == 99
             store.close()
         monkeypatch.setattr(persistence, "_page_in", lambda *_: pytest.fail("paged in"))
-        with pytest.raises(PersistenceError, match="store format 99; this release reads format 1"):
+        with pytest.raises(
+            PersistenceError,
+            match=f"store format 99; this release reads format {persistence.FORMAT_VERSION} ",
+        ):
             StreamingResolver.restore(tmp_path)
 
     @pytest.mark.parametrize("durability", ("snapshot", "journal"))

@@ -14,6 +14,7 @@ import json
 import os
 import shutil
 import sqlite3
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,7 +34,12 @@ from repro.records.record import Record, RecordStore
 from repro.simjoin.columnar import argsort_descending
 from repro.storage import SqliteStore, StorageError
 from repro.storage.sqlite import STORE_FILENAME
-from repro.streaming import PersistenceError, StreamingResolver, persistence
+from repro.streaming import (
+    JournalCorruptionError,
+    PersistenceError,
+    StreamingResolver,
+    persistence,
+)
 
 
 def make_dataset(record_count=45, duplicate_pairs=8, seed=31):
@@ -148,29 +154,30 @@ def assert_ledger_indexes_the_candidates(session, record_ids):
 
 
 def assert_tables_are_the_ledger(session):
-    """The four pair tables of the session's store hold exactly its ledger:
-    ``pairs`` in the ledger's order, and no row of a dropped key."""
+    """The ``ledger`` table of the session's store holds exactly its ledger:
+    one row per candidate pair, and no row of a dropped key."""
     ledger = session.storage.ledger
-
-    def rows(sql):
-        return session.durability.store.query(sql).fetchall()
-
-    stored_pairs = rows("SELECT id_a, id_b, likelihood FROM pairs ORDER BY ord")
-    assert [((a, b), likelihood) for a, b, likelihood in stored_pairs] == list(
-        ledger.pairs.items()
-    )
+    rows = session.durability.store.query(
+        "SELECT id_a, id_b, likelihood, votes, pending, posterior, covered FROM ledger"
+    ).fetchall()
+    assert len(rows) == len(ledger.pairs)
     assert {
-        (a, b): (json.loads(votes), pending)
-        for a, b, votes, pending in rows("SELECT id_a, id_b, votes, pending FROM pair_votes")
+        (a, b): (likelihood, None if votes is None else json.loads(votes), pending, posterior,
+                 covered)
+        for a, b, likelihood, votes, pending, posterior, covered in rows
     } == {
-        key: ([[worker, answer] for worker, _, answer in votes], ledger.pending_votes.get(key, 0))
-        for key, votes in ledger.votes.items()
+        key: (
+            likelihood,
+            [[worker, answer] for worker, _, answer in ledger.votes[key]]
+            if key in ledger.votes else None,
+            ledger.pending_votes.get(key, 0),
+            ledger.posteriors.get(key),
+            int(key in ledger.covered),
+        )
+        for key, likelihood in ledger.pairs.items()
     }
-    assert {
-        (a, b): posterior
-        for a, b, posterior in rows("SELECT id_a, id_b, posterior FROM posteriors")
-    } == ledger.posteriors
-    assert set(rows("SELECT id_a, id_b FROM covered")) == ledger.covered
+    # Only candidates carry votes, a posterior or coverage: a row holds them all.
+    assert ledger.votes.keys() | ledger.posteriors.keys() | ledger.covered <= ledger.pairs.keys()
 
 
 def session_fingerprint(session):
@@ -258,30 +265,36 @@ class TestSqliteRoundTrips:
         reopened.close()
 
     def test_ledger_mutations_survive_reopen(self, tmp_path):
-        """A stored ledger's mutations reach the pair tables when the store
-        commits: nothing is written before, every changed key once then."""
+        """A stored ledger's mutations reach the ``ledger`` table when the
+        store commits: nothing is written before, every changed key's row
+        once then, and a dropped key's row not at all."""
         path = tmp_path / STORE_FILENAME
         store = SqliteStore(path)
-        key, other = ("r1", "r2"), ("r3", "r4")
-        store.ledger.add_pair(key, 0.75)
+        key, other, third = ("r1", "r2"), ("r3", "r4"), ("r5", "r6")
+        store.ledger.add_pair(key, 0.5)
         store.ledger.add_pair(other, None)
+        store.ledger.add_pair(third, 0.25)
+        store.ledger.add_pair(key, 0.75)  # keeps the higher likelihood, and its place
+        store.ledger.add_pair(third, 0.125)  # a lower one changes nothing
+        assert list(store.ledger.pairs.items()) == [(key, 0.75), (other, None), (third, 0.25)]
         store.ledger.record_fresh_votes(key, [("w1", key, True), ("w2", key, False)])
         store.ledger.mark_covered([key])
         store.ledger.set_posterior(key, 2.0 / 3.0)
         store.ledger.clear_pending([key])
         store.ledger.drop_pair(other)
-        assert list(store.ledger.unsaved) == [key, other]
-        for table in ("pairs", "pair_votes", "posteriors", "covered"):
-            assert store.query(f"SELECT COUNT(*) FROM {table}").fetchone() == (0,)
+        assert store.ledger.unsaved == {key, other, third}
+        assert store.query("SELECT COUNT(*) FROM ledger").fetchone() == (0,)
         store.commit()
-        assert store.ledger.unsaved == {}
-        # The retired vote-round column holds 1, the value every voted pair has.
-        assert store.query("SELECT rounds FROM pair_votes").fetchall() == [(1,)]
+        assert store.ledger.unsaved == set()
+        assert store.query("SELECT * FROM ledger").fetchall() == [
+            ("r1", "r2", 0.75, '[["w1", true], ["w2", false]]', 0, 2.0 / 3.0, 1),
+            ("r5", "r6", 0.25, None, 0, None, 0),
+        ]
         store.close()
         reopened = SqliteStore(path)
         reopened.load_ledger()  # opening reads no table; page-in asks for it
         ledger = reopened.ledger
-        assert ledger.pairs == {key: 0.75}
+        assert ledger.pairs == {key: 0.75, third: 0.25}
         assert ledger.votes == {key: [("w1", key, True), ("w2", key, False)]}
         assert ledger.pending_votes == {}  # cleared counters stay popped
         assert ledger.posteriors == {key: 2.0 / 3.0}  # bit-exact REAL round trip
@@ -685,10 +698,10 @@ class TestLedgerRecordIndex:
             assert_tables_are_the_ledger(session)
         session.durability.close()
 
-    def test_a_pair_rediscovered_by_an_update_moves_to_the_end_of_both(self, tmp_path):
+    def test_an_update_leaves_one_row_per_pair(self, tmp_path):
         """An update that re-joins a record unchanged drops its pairs and
-        finds them again in one event: in the ledger and in the ``pairs``
-        table alike they leave their place and go to the end."""
+        finds them again in one event: the ledger holds the same pairs, and
+        the ``ledger`` table one row for each."""
         dataset = make_dataset()
         session = StreamingResolver(config=make_config(
             storage_backend="sqlite", checkpoint_dir=str(tmp_path)
@@ -698,17 +711,12 @@ class TestLedgerRecordIndex:
         session.add_batch(records[:30])
         session.add_batch(records[30:])
         ledger = session.storage.ledger
-        before = list(ledger.pairs)
-        victim = next(
-            record for record in records
-            if ledger.pairs_of(record.record_id)
-            and before[-1] not in ledger.pairs_of(record.record_id)
-        )  # its pairs do not already end the table
-        moved = set(ledger.pairs_of(victim.record_id))
+        before = dict(ledger.pairs)
+        victim = next(record for record in records if ledger.pairs_of(record.record_id))
+        rediscovered = set(ledger.pairs_of(victim.record_id))
         session.update(victim)
-        after = list(ledger.pairs)
-        assert set(after) == set(before)
-        assert set(after[-len(moved):]) == moved != set(before[-len(moved):])
+        assert ledger.pairs == before
+        assert ledger.pairs_of(victim.record_id) == rediscovered
         assert_tables_are_the_ledger(session)
         session.durability.close()
 
@@ -717,8 +725,9 @@ class TestLedgerRecordIndex:
         """Restaurant(2000, 250, seed 7) at 0.35 in batches of 250 plus a
         flush: every statement a sqlite session issues, the log's included,
         is counted — the one place the count is pinned.  2,000 are the
-        per-record inserts; the pair ledger writes one statement per table
-        per event.  None names the per-pair history an earlier release
+        per-record inserts; the pair ledger writes one ``ledger`` statement
+        per event that changed it (four, one per pair table, before the
+        pairs shared one row: 2,121 statements then).  None names the per-pair history an earlier release
         wrote three times per pair (6,059 statements then), and no ledger
         mutation is a statement of its own (4,082 then)."""
         dataset = RestaurantGenerator(2000, 250, seed=7).generate()
@@ -744,10 +753,9 @@ class TestLedgerRecordIndex:
             return session
 
         durable = run(storage_backend="sqlite", checkpoint_dir=str(tmp_path))
-        assert len(statements) == 2121
+        assert len(statements) == 2097
         assert sum(sql.startswith("INSERT INTO records") for sql in statements) == 2000
-        for table in ("pairs", "pair_votes", "posteriors", "covered"):
-            assert sum(f" {table} " in sql for sql in statements) == 8  # one per batch
+        assert sum(" ledger " in sql for sql in statements) == 8  # one per batch
         assert not [sql for sql in statements if "provenance" in sql]
         assert schema_objects(durable.durability.store, "provenance") == []
         assert durable.state_digest() == run().state_digest()
@@ -859,6 +867,217 @@ class TestOneRestore:
                 persistence.restore(StreamingResolver, tmp_path, **retired)
         restored = StreamingResolver.restore(str(tmp_path))
         assert session_fingerprint(restored) == expected
+        restored.durability.close()
+
+
+# ------------------------------------------------------- format-1 stores
+FIXTURES = Path(__file__).parent / "fixtures"
+
+#: Format 1 kept a pair in four tables keyed by ``(id_a, id_b)``.
+FORMAT_1_TABLES = ("pairs", "pair_votes", "posteriors", "covered")
+
+
+@dataclasses.dataclass(frozen=True)
+class Format1Store:
+    """A store the last format-1 release wrote, committed as a text SQL dump.
+
+    Both ran Restaurant(45, 8, seed 31) at 0.15 on an asynchronous crowd
+    whose deliveries are delayed (:meth:`config`), through
+    :meth:`events`; ``applied`` of them are in the state tables and
+    ``logged`` in the log.  ``stats`` is what ``repro stats`` reported on
+    it under that release.
+    """
+
+    dump: str
+    backend: str
+    aggregation: str
+    applied: int
+    logged: int
+    stats: tuple
+
+    def config(self, directory=None):
+        return make_config(
+            likelihood_threshold=0.15,
+            aggregation=self.aggregation,
+            crowd_mode="async",
+            fault_plan={"seed": 3, "delay_ticks_min": 1, "delay_ticks_max": 3},
+            storage_backend=self.backend if directory else "memory",
+            checkpoint_dir=str(directory) if directory else None,
+            checkpoint_every_batches=0,
+        )
+
+    @staticmethod
+    def events(records):
+        revised = records[5].with_attributes(name="revised beyond recognition")
+        return [
+            ("add_batch", records[:15]),
+            ("add_batch", records[15:30]),
+            ("retract", records[3].record_id),
+            ("update", revised),
+            ("add_batch", records[30:40]),
+            ("flush",),
+        ]
+
+    def load(self, directory):
+        """Write the dump into ``directory``'s store file."""
+        directory.mkdir(parents=True)
+        connection = sqlite3.connect(str(directory / STORE_FILENAME))
+        connection.executescript((FIXTURES / self.dump).read_text())
+        connection.close()
+        return directory
+
+    def twin(self, dataset, events):
+        """A session that ran the first ``events`` without stopping."""
+        session = StreamingResolver(config=self.config())
+        session.add_truth(dataset.ground_truth)
+        for name, *arguments in self.events(list(dataset.store))[:events]:
+            getattr(session, name)(*arguments)
+        return session
+
+
+#: ``stats``: hits, assignments, votes, cost, crowd seconds.
+FORMAT_1_STORES = (
+    # Memory-backed: its state saved after the retraction; the update, the
+    # batch of records 30-40 and the flush logged after it.
+    Format1Store("v1_memory_store.sql", "memory", "dawid-skene", 3, 6,
+                 (3, 8, 27, 0.22500000000000003, 640.0)),
+    # Sqlite-backed, as a crash left it: the batch of records 30-40 logged
+    # and not applied.
+    Format1Store("v1_sqlite_crash_store.sql", "sqlite", "majority", 4, 5,
+                 (3, 9, 33, 0.22500000000000003, 709.8)),
+)
+
+
+def store_contents(path):
+    """Every table of the file at ``path`` and its rows."""
+    connection = sqlite3.connect(str(path))
+    try:
+        return {
+            name: sorted(connection.execute(f'SELECT * FROM "{name}"').fetchall())
+            for name, in connection.execute("SELECT name FROM sqlite_master WHERE type = 'table'")
+        }
+    finally:
+        connection.close()
+
+
+def delete_events(directory, where=""):
+    """Delete logged events of the store in ``directory`` (all without ``where``)."""
+    connection = sqlite3.connect(str(directory / STORE_FILENAME))
+    with connection:
+        connection.execute("DELETE FROM events " + where)
+    connection.close()
+
+
+def format_1_tables(store):
+    """The format-1 pair tables ``store`` still has."""
+    return [table for table in FORMAT_1_TABLES if schema_objects(store, table)]
+
+
+def forge_outcome(directory):
+    """Append a ``commit`` row with a valid checksum and a wrong digest."""
+    connection = sqlite3.connect(str(directory / STORE_FILENAME))
+    with connection:
+        seq = connection.execute("SELECT MAX(seq) FROM events").fetchone()[0] + 1
+        text = json.dumps({"delta": {}, "digest": "0" * 64, "votes": []})
+        connection.execute(
+            "INSERT INTO events VALUES (?, 'commit', ?, ?)",
+            (seq, text, persistence._entry_crc(seq, "commit", text)),
+        )
+    connection.close()
+
+
+class TestFormat1Stores:
+    """A store the last format-1 release wrote restores, continues and
+    restores again bit-identically; its four pair tables move into
+    ``ledger`` only when a restore takes it over."""
+
+    @pytest.mark.parametrize("written", FORMAT_1_STORES, ids=lambda store: store.backend)
+    @pytest.mark.parametrize("tail", ("logged", "cut", "store-only"))
+    def test_a_format_1_store_restores_and_continues_bit_identically(
+        self, tmp_path, written, tail
+    ):
+        """With its logged tail, with the log cut at its state, and as a
+        ``save(X)`` copy (state, no events)."""
+        dataset = make_dataset()
+        records = list(dataset.store)
+        directory = written.load(tmp_path / "store")
+        if tail == "cut":
+            delete_events(
+                directory, "WHERE seq > (SELECT value FROM meta WHERE key = 'events_applied')"
+            )
+        elif tail == "store-only":
+            delete_events(directory)
+        twin = written.twin(dataset, written.logged if tail == "logged" else written.applied)
+        restored = StreamingResolver.restore(directory)
+        assert restored.config == written.config(directory)
+        assert_sessions_identical(twin, restored)
+        assert restored.storage.ledger.votes == twin.storage.ledger.votes
+        store = restored.durability.store
+        assert store.get_meta("version") == persistence.FORMAT_VERSION
+        assert format_1_tables(store) == []
+        for session in (twin, restored):
+            session.add_batch(records[40:])
+            session.retract(records[10].record_id)
+            session.flush()
+        assert_sessions_identical(twin, restored)
+        restored.durability.close()
+        again = StreamingResolver.restore(directory)
+        assert_sessions_identical(twin, again)
+        again.durability.close()
+
+    @pytest.mark.parametrize("written", FORMAT_1_STORES, ids=lambda store: store.backend)
+    def test_repro_stats_reports_a_format_1_store_as_its_release_did(
+        self, tmp_path, capsys, written
+    ):
+        """``repro stats`` reads the four tables through one ``SELECT`` and
+        writes nothing: the file keeps every table and row (opening it adds
+        the empty ``ledger`` table, as it adds any missing one)."""
+        from repro.cli import main
+
+        directory = written.load(tmp_path / "store")
+        before = store_contents(directory / STORE_FILENAME)
+        capsys.readouterr()
+        assert main(["stats", "--checkpoint-dir", str(directory), "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        names = ("hits_issued", "assignments", "votes", "crowd_cost_dollars", "crowd_work_seconds")
+        assert tuple(report[name] for name in names) == written.stats
+        assert store_contents(directory / STORE_FILENAME) == {**before, "ledger": []}
+
+    @pytest.mark.parametrize("written", FORMAT_1_STORES, ids=lambda store: store.backend)
+    def test_a_refused_restore_leaves_a_format_1_store_as_it_was(self, tmp_path, written):
+        """A forged outcome fails verification after page-in and replay:
+        the restore's one transaction rolls back, and the store keeps its
+        four pair tables, their rows and ``version`` 1."""
+        directory = written.load(tmp_path / "store")
+        forge_outcome(directory)
+        before = store_contents(directory / STORE_FILENAME)
+        assert all(before[table] for table in FORMAT_1_TABLES)
+        with pytest.raises(JournalCorruptionError, match="digest|votes"):
+            StreamingResolver.restore(directory)
+        assert store_contents(directory / STORE_FILENAME) == {**before, "ledger": []}
+
+    def test_save_over_a_format_1_copy_restores_the_saving_session(self, tmp_path):
+        """``save(X)`` rewrites ``X``'s state tables and leaves a format-1
+        copy's four pair tables behind, stale: ``meta.version`` — not which
+        tables exist — says where the ledger is, and the restore that takes
+        the copy over drops them."""
+        written = FORMAT_1_STORES[0]
+        directory = written.load(tmp_path / "store")
+        delete_events(directory)  # a store-only copy
+        dataset = make_dataset(record_count=60, duplicate_pairs=10, seed=13)
+        records = list(dataset.store)
+        session = StreamingResolver(config=make_config())
+        session.add_truth(dataset.ground_truth)
+        for start in range(0, len(records), 20):
+            session.add_batch(records[start : start + 20])
+        session.save(directory)
+        stale = store_contents(directory / STORE_FILENAME)
+        assert all(stale[table] for table in FORMAT_1_TABLES)
+        report = CostReport.from_store(str(directory / STORE_FILENAME))
+        assert report.votes == sum(map(len, session.storage.ledger.votes.values()))
+        restored = StreamingResolver.restore(directory)
+        assert_sessions_identical(session, restored)
+        assert format_1_tables(restored.durability.store) == []
         restored.durability.close()
 
 
