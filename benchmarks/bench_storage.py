@@ -1,25 +1,21 @@
-"""The session store: save + restore cost per backend, and peak RSS.
+"""The session store: save + restore cost, and peak RSS.
 
-A session is one file — ``store.sqlite``: its state tables and its event
-log — and one restore algorithm (page the state in, replay the logged
-tail); the storage backend only decides *when* the state tables are
-written (:mod:`repro.streaming.persistence`).  This script prices both
-choices:
+A durable session is one file — ``store.sqlite``: its state tables and its
+event log.  The session keeps its state in RAM and writes each event's
+changed rows into the file at the event's commit; restoring pages the
+state in and replays the logged tail (:mod:`repro.streaming.persistence`).
+This script prices that design:
 
-1. **Save and restore, per backend.**  For each size it streams the same
-   store through a durable memory-backed and a durable sqlite-backed
-   session (that build *is* the cold-resolve cost a crash would force
-   without the store), calls ``save()`` — a whole-state rewrite for the
-   memory backend, a commit for sqlite — closes and drops the session,
-   restores it, asserts the restored session is **bit-identical**, and
-   reports ``save_s``, ``restore_s`` and the restore-over-cold speedup,
-   one row per backend.  The memory rows are the one durability path no
-   harness workload covers.
+1. **Save and restore.**  For each size it streams the store through a
+   durable session (that build *is* the cold-resolve cost a crash would
+   force without the store), calls ``save()`` — a commit, the store is
+   current after every event — closes and drops the session, restores it,
+   asserts the restored session is **bit-identical**, and reports
+   ``save_s``, ``restore_s`` and the restore-over-cold speedup.
 
-2. **Peak RSS.**  The same stream through both backends in *separate
-   subprocesses* (``ru_maxrss`` is a per-process high-water mark).  The
-   sqlite backend keeps record bodies on disk; the two peaks are recorded
-   side by side, not gated.
+2. **Peak RSS.**  The same stream through a durable session in a
+   *separate subprocess* (``ru_maxrss`` is a per-process high-water mark),
+   recorded, not gated.
 
 Standalone script (not a pytest-benchmark module) so CI can gate on it::
 
@@ -27,9 +23,8 @@ Standalone script (not a pytest-benchmark module) so CI can gate on it::
     PYTHONPATH=src python benchmarks/bench_storage.py --smoke    # <30 s CI run
 
 The full run gates one thing: restoring must beat the cold re-resolve by at
-least ``--min-speedup`` (default 3x) at the largest size, for both
-backends — a floor against restore degenerating into a re-resolve, not a
-performance claim (the cold resolve itself got ~4x faster since the gate
+least ``--min-speedup`` (default 3x) at the largest size — a floor against
+restore degenerating into a re-resolve, not a performance claim (the cold resolve itself got ~4x faster since the gate
 was set at 5x; absolute seconds are what the rows record).  ``--json`` writes the measured rows, which CI commits as
 ``BENCH_storage.json`` so the perf trajectory is visible in-repo.
 """
@@ -59,8 +54,7 @@ def build_session(
     threshold: float,
     seed: int,
     batch_size: int,
-    backend: str,
-    directory: Optional[Path],
+    directory: Path,
 ) -> StreamingResolver:
     dataset = RestaurantGenerator(
         record_count=record_count,
@@ -72,9 +66,7 @@ def build_session(
         vote_mode="per-pair",
         aggregation="majority",
         seed=seed,
-        storage_backend=backend,
-        checkpoint_dir=str(directory) if directory is not None else None,
-        checkpoint_every_batches=0,
+        checkpoint_dir=str(directory),
     )
     records = list(dataset.store)
     resolver = StreamingResolver(config=config, cross_sources=dataset.cross_sources)
@@ -85,15 +77,13 @@ def build_session(
 
 
 def run_restore_scenario(
-    record_count: int, threshold: float, seed: int, batch_size: int, backend: str
+    record_count: int, threshold: float, seed: int, batch_size: int
 ) -> dict:
-    """Time one cold-resolve, save, drop, restore scenario for one backend."""
+    """Time one cold-resolve, save, drop, restore scenario."""
     directory = Path(tempfile.mkdtemp(prefix="bench-storage-"))
     try:
         start_time = time.perf_counter()
-        resolver = build_session(
-            record_count, threshold, seed, batch_size, backend, directory
-        )
+        resolver = build_session(record_count, threshold, seed, batch_size, directory)
         cold_seconds = time.perf_counter() - start_time
         digest = resolver.state_digest()
         matches = set(resolver.snapshot().matches)
@@ -119,7 +109,6 @@ def run_restore_scenario(
         shutil.rmtree(directory, ignore_errors=True)
 
     return {
-        "backend": backend,
         "records": record_count,
         "pairs": restored.candidate_count,
         "cold_resolve_s": round(cold_seconds, 3),
@@ -132,23 +121,17 @@ def run_restore_scenario(
 
 
 def run_rss_child(
-    backend: str, record_count: int, threshold: float, seed: int, batch_size: int
+    record_count: int, threshold: float, seed: int, batch_size: int
 ) -> int:
     """Child-process entry point: stream the store, print peak RSS as JSON."""
-    directory = (
-        Path(tempfile.mkdtemp(prefix="bench-storage-rss-"))
-        if backend == "sqlite"
-        else None
-    )
+    directory = Path(tempfile.mkdtemp(prefix="bench-storage-rss-"))
     try:
-        resolver = build_session(
-            record_count, threshold, seed, batch_size, backend, directory
-        )
+        resolver = build_session(record_count, threshold, seed, batch_size, directory)
         peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        resolver.durability.close()
         print(
             json.dumps(
                 {
-                    "backend": backend,
                     "records": len(resolver.store),
                     "pairs": resolver.candidate_count,
                     "matches": len(resolver.snapshot().matches),
@@ -157,50 +140,40 @@ def run_rss_child(
             )
         )
     finally:
-        if directory is not None:
-            shutil.rmtree(directory, ignore_errors=True)
+        shutil.rmtree(directory, ignore_errors=True)
     return 0
 
 
-def run_rss_scenarios(
+def run_rss_scenario(
     record_count: int, threshold: float, seed: int, batch_size: int
-) -> List[dict]:
-    """Measure peak RSS of both backends, one subprocess per scenario."""
-    rows = []
-    for backend in ("memory", "sqlite"):
-        result = subprocess.run(
-            [
-                sys.executable,
-                __file__,
-                "--_rss-child",
-                backend,
-                "--rss-size",
-                str(record_count),
-                "--threshold",
-                str(threshold),
-                "--seed",
-                str(seed),
-                "--batch-size",
-                str(batch_size),
-            ],
-            capture_output=True,
-            text=True,
-        )
-        if result.returncode != 0:
-            raise RuntimeError(
-                f"RSS child for backend {backend!r} failed:\n{result.stderr}"
-            )
-        payload = json.loads(result.stdout.strip().splitlines()[-1])
-        rows.append(
-            {
-                "backend": backend,
-                "records": payload["records"],
-                "pairs": payload["pairs"],
-                "matches": payload["matches"],
-                "peak_rss_mb": round(payload["peak_rss_kb"] / 1024, 1),
-            }
-        )
-    return rows
+) -> dict:
+    """Measure the peak RSS of a durable session's stream in a subprocess."""
+    result = subprocess.run(
+        [
+            sys.executable,
+            __file__,
+            "--_rss-child",
+            "--rss-size",
+            str(record_count),
+            "--threshold",
+            str(threshold),
+            "--seed",
+            str(seed),
+            "--batch-size",
+            str(batch_size),
+        ],
+        capture_output=True,
+        text=True,
+    )
+    if result.returncode != 0:
+        raise RuntimeError(f"RSS child failed:\n{result.stderr}")
+    payload = json.loads(result.stdout.strip().splitlines()[-1])
+    return {
+        "records": payload["records"],
+        "pairs": payload["pairs"],
+        "matches": payload["matches"],
+        "peak_rss_mb": round(payload["peak_rss_kb"] / 1024, 1),
+    }
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -230,42 +203,35 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument("--json", type=str, default=None,
                         help="write measured rows to this JSON file")
-    parser.add_argument(
-        "--_rss-child", type=str, default=None, choices=("memory", "sqlite"),
-        help=argparse.SUPPRESS,
-    )
+    parser.add_argument("--_rss-child", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
 
     rss_size = args.rss_size if args.rss_size is not None else (
         2000 if args.smoke else 50_000
     )
     if getattr(args, "_rss_child"):
-        return run_rss_child(
-            getattr(args, "_rss_child"), rss_size, args.threshold, args.seed,
-            args.batch_size,
-        )
+        return run_rss_child(rss_size, args.threshold, args.seed, args.batch_size)
 
     sizes = args.sizes or ([400] if args.smoke else [2000, 10000])
     restore_rows = [
-        run_restore_scenario(size, args.threshold, args.seed, args.batch_size, backend)
+        run_restore_scenario(size, args.threshold, args.seed, args.batch_size)
         for size in sizes
-        for backend in ("memory", "sqlite")
     ]
     print(format_table(
         restore_rows,
         columns=[
-            "backend", "records", "pairs", "cold_resolve_s", "save_s", "restore_s",
+            "records", "pairs", "cold_resolve_s", "save_s", "restore_s",
             "store_mb", "speedup", "bit_identical",
         ],
-        title=f"Save + restore vs cold re-resolve, per backend — "
+        title=f"Save + restore vs cold re-resolve — "
               f"threshold {args.threshold}, batches of {args.batch_size}",
     ))
 
-    rss_rows = run_rss_scenarios(rss_size, args.threshold, args.seed, args.batch_size)
+    rss_rows = [run_rss_scenario(rss_size, args.threshold, args.seed, args.batch_size)]
     print(format_table(
         rss_rows,
-        columns=["backend", "records", "pairs", "matches", "peak_rss_mb"],
-        title=f"Peak RSS streaming {rss_size} records — memory vs sqlite backend",
+        columns=["records", "pairs", "matches", "peak_rss_mb"],
+        title=f"Peak RSS streaming {rss_size} records through a durable session",
     ))
 
     if args.json:
@@ -285,29 +251,20 @@ def main(argv: Optional[List[str]] = None) -> int:
     for row in restore_rows:
         if not row["bit_identical"]:
             print(
-                f"MISMATCH: restored {row['backend']} session differs from the "
-                f"original at {row['records']} records",
+                f"MISMATCH: restored session differs from the original at "
+                f"{row['records']} records",
                 file=sys.stderr,
             )
             failures += 1
-    memory_row, sqlite_row = rss_rows
-    if sqlite_row["matches"] != memory_row["matches"]:
+    largest = restore_rows[-1]
+    if not args.smoke and largest["speedup"] < args.min_speedup:
         print(
-            "MISMATCH: sqlite-backed stream resolved a different match count "
-            f"({sqlite_row['matches']} vs {memory_row['matches']})",
+            f"FAIL: restore speedup {largest['speedup']:.1f}x at "
+            f"{largest['records']} records is below the required "
+            f"{args.min_speedup:.1f}x",
             file=sys.stderr,
         )
         failures += 1
-    if not args.smoke:
-        for largest in restore_rows[-2:]:  # both backends at the largest size
-            if largest["speedup"] < args.min_speedup:
-                print(
-                    f"FAIL: {largest['backend']} restore speedup "
-                    f"{largest['speedup']:.1f}x at {largest['records']} records "
-                    f"is below the required {args.min_speedup:.1f}x",
-                    file=sys.stderr,
-                )
-                failures += 1
     if failures:
         return 1
     print("restored sessions were bit-identical; gates passed")

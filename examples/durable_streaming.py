@@ -3,7 +3,7 @@
 This example streams the paper's nine-product table into a durable
 :class:`repro.streaming.StreamingResolver` (one ``store.sqlite`` in a
 temporary checkpoint directory: its write-ahead event log plus its state,
-rewritten every two events), abandons the resolver object as a
+each event's changed rows written when it commits), abandons the resolver object as a
 stand-in for a process crash, restores the session from disk, verifies the
 restored state is bit-identical, finishes the stream, and finally retracts
 a record to show provenance-scoped invalidation.
@@ -29,7 +29,6 @@ def main() -> None:
         vote_mode="per-pair",
         aggregation="majority",
         checkpoint_dir=checkpoint_dir,
-        checkpoint_every_batches=2,
         seed=1,
     )
     session = StreamingResolver(config)

@@ -15,10 +15,9 @@ Three subcommands expose the most common workflows without writing Python:
   write-ahead event log); ``--resume`` restores it — page the state in,
   replay the logged tail — and continues with the records it has not seen
   yet, and ``--max-batches`` stops early (so a later ``--resume`` picks up
-  the rest — the round trip the persistence tests exercise).
-  ``--storage-backend`` decides when the state is written: ``memory``
-  (default) writes it whole every ``--checkpoint-every`` events,
-  ``sqlite`` mirrors every event into it.  After the replay,
+  the rest — the round trip the persistence tests exercise).  A durable
+  session writes each event's changed rows into its store when the event
+  commits.  After the replay,
   ``--retract ID`` withdraws records (repeatable) and ``--update-file``
   applies revised records from a JSON file, printing the provenance-bounded
   blast radius of each.
@@ -51,11 +50,9 @@ Examples::
     python -m repro.cli resolve-stream --dataset paper-example --batch-size 3 \
         --checkpoint-dir /tmp/er-session --resume
     python -m repro.cli resolve-stream --dataset paper-example --batch-size 3 \
-        --storage-backend sqlite --checkpoint-dir /tmp/er-session
-    python -m repro.cli resolve-stream --dataset paper-example --batch-size 3 \
         --retract r3 --update-file revised.json
     python -m repro.cli resolve-stream --dataset restaurant --batch-size 64 \
-        --storage-backend sqlite --checkpoint-dir /tmp/er-session \
+        --checkpoint-dir /tmp/er-session \
         --metrics --trace /tmp/er-session/trace.jsonl \
         --metrics-out /tmp/er-session/metrics.prom
     python -m repro.cli resolve-stream --dataset restaurant --batch-size 64 \
@@ -340,9 +337,6 @@ def _cmd_resolve_stream(args: argparse.Namespace) -> int:
     if args.resume and not args.checkpoint_dir:
         _LOG.error("error: --resume requires --checkpoint-dir")
         return 2
-    if args.storage_backend == "sqlite" and not args.checkpoint_dir:
-        _LOG.error("error: --storage-backend sqlite requires --checkpoint-dir")
-        return 2
     # The configuration the flags describe: a fresh session runs under it,
     # a resumed one is held against it.
     config = WorkflowConfig(
@@ -361,12 +355,6 @@ def _cmd_resolve_stream(args: argparse.Namespace) -> int:
         backpressure_policy=args.backpressure_policy,
         fault_plan=fault_plan,
         checkpoint_dir=args.checkpoint_dir,
-        storage_backend=args.storage_backend,
-        **(
-            {"checkpoint_every_batches": args.checkpoint_every}
-            if args.checkpoint_every is not None
-            else {}
-        ),
         seed=args.seed,
     )
     if args.resume:
@@ -616,13 +604,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="make the session durable: its state and its "
                              "write-ahead event log live in store.sqlite in "
                              "this directory")
-    stream.add_argument("--storage-backend", choices=("memory", "sqlite"),
-                        default="memory",
-                        help="when the store's state tables are written: "
-                             "whole at the checkpoint cadence (memory) or "
-                             "mirrored per event (sqlite, needs "
-                             "--checkpoint-dir); same file, same restore, "
-                             "bit-identical results")
     stream.add_argument("--retract", action="append", metavar="ID", default=None,
                         help="after the replay, withdraw this record id and "
                              "re-resolve only its blast radius (repeatable)")
@@ -630,10 +611,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="after the replay, apply revised records from "
                              "this JSON file (array or one object per line, "
                              "each with a record_id)")
-    stream.add_argument("--checkpoint-every", type=int, default=None,
-                        help="memory backend: rewrite the store's state every "
-                             "this many applied events (0 = log only; "
-                             "default: the config default of 16)")
     stream.add_argument("--resume", action="store_true",
                         help="restore the session from --checkpoint-dir and "
                              "continue with the records it has not seen yet")

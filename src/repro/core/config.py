@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from collections import abc
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from typing import Optional, Sequence
 
 from repro.simjoin.likelihood import JOIN_BACKENDS
@@ -58,24 +58,10 @@ class WorkflowConfig:
       the log (fsynced) before it is applied, so
       :meth:`repro.streaming.StreamingResolver.restore` — page in the
       state, replay the logged events it has not seen — resumes the
-      session bit-identically after a crash or restart.  ``None``
-      (default) keeps the session in memory only.
-    * ``checkpoint_every_batches`` — checkpoint cadence of a durable
-      *memory-backed* session: every this-many applied events (batches,
-      retractions, updates, flushes) the store's state tables are
-      rewritten from the live state, bounding how many logged events a
-      restore replays.  0 disables the cadence (log-only durability;
-      explicit ``save()`` still works).  A sqlite-backed session's state
-      is current after every event, so the cadence does nothing for it.
-    * ``storage_backend`` — *when* the store's state tables are written:
-      ``"memory"`` (default) keeps the state in process structures and
-      writes it whole at the checkpoint cadence and on ``save()``;
-      ``"sqlite"`` mirrors every mutation into the store, one transaction
-      per event, and keeps record bodies out of process memory (requires
-      ``checkpoint_dir``: the store lives at ``checkpoint_dir/store.sqlite``).
-      Same file and restore algorithm either way, and results are
-      bit-identical; a restored session keeps the backend it was written
-      with.
+      session bit-identically after a crash or restart.  A durable
+      session keeps its state in process memory like any other and writes
+      each event's changed rows into the store when the event commits.
+      ``None`` (default) keeps the session in memory only.
     * ``crowd_mode`` — how streaming sessions talk to the crowd:
       ``"sync"`` (default; ``publish()`` returns every vote in-process) or
       ``"async"`` (HITs are enqueued on a virtual clock and votes arrive
@@ -98,6 +84,11 @@ class WorkflowConfig:
       seeded delivery faults — delays, drops, duplicates, reorder, worker
       churn, burst backlogs.  ``None`` (default) delivers fault-free.
     * ``seed`` — seed for the crowd simulation.
+
+    ``storage_backend`` is a retired keyword, not a field: it is accepted
+    (``"memory"`` or ``"sqlite"``, the latter only with ``checkpoint_dir``)
+    and changes nothing, because every session keeps its state in memory
+    and a durable one writes each event's rows at commit.
     """
 
     likelihood_threshold: float = 0.2
@@ -115,8 +106,7 @@ class WorkflowConfig:
     stream_batch_size: int = 256
     streaming_aggregation_scope: str = "component"
     checkpoint_dir: Optional[str] = None
-    checkpoint_every_batches: int = 16
-    storage_backend: str = "memory"
+    storage_backend: InitVar[Optional[str]] = None
     crowd_mode: str = "sync"
     vote_timeout: int = 8
     max_inflight_hits: int = 64
@@ -125,7 +115,7 @@ class WorkflowConfig:
     fault_plan: Optional[dict] = None
     seed: int = 0
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, storage_backend: Optional[str]) -> None:
         if not 0.0 <= self.likelihood_threshold <= 1.0:
             raise ValueError("likelihood_threshold must be in [0, 1]")
         if self.hit_type not in ("pair", "cluster"):
@@ -160,13 +150,9 @@ class WorkflowConfig:
             raise ValueError(f"join_backend must be one of {JOIN_BACKENDS}")
         if self.join_workers < 0:
             raise ValueError("join_workers must be non-negative (0 = one per core)")
-        if self.checkpoint_every_batches < 0:
-            raise ValueError(
-                "checkpoint_every_batches must be non-negative (0 = only on save())"
-            )
-        if self.storage_backend not in ("memory", "sqlite"):
+        if storage_backend not in (None, "memory", "sqlite"):
             raise ValueError("storage_backend must be 'memory' or 'sqlite'")
-        if self.storage_backend == "sqlite" and not self.checkpoint_dir:
+        if storage_backend == "sqlite" and not self.checkpoint_dir:
             raise ValueError(
                 "storage_backend='sqlite' needs checkpoint_dir: the store "
                 "lives at checkpoint_dir/store.sqlite"

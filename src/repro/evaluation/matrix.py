@@ -32,7 +32,7 @@ from repro.streaming.session import resolve_stream
 #: Execution modes of the matrix.  ``batch`` runs the one-shot
 #: :class:`~repro.core.workflow.HybridWorkflow`; ``stream`` replays the
 #: dataset through the incremental resolver in arrival batches; and
-#: ``stream-sqlite`` does the same on the SQLite-backed session store.
+#: ``stream-sqlite`` does the same on a durable session (its SQLite store).
 #: All three must produce the identical match set.
 MATRIX_MODES = ("batch", "stream", "stream-sqlite")
 
@@ -154,7 +154,6 @@ def run_cell(
 def _run_sqlite_cell(dataset: Dataset, base_config: WorkflowConfig, work_dir: Path):
     config = dataclasses.replace(
         base_config,
-        storage_backend="sqlite",
         checkpoint_dir=str(work_dir / f"{dataset.name}-matrix"),
     )
     return resolve_stream(dataset, config=config, batch_size=_STREAM_BATCH_SIZE)

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from .metrics import MetricsSnapshot
@@ -153,10 +154,15 @@ class CostReport:
         cost), its ``assignment_seconds`` table (assignments, worker
         seconds), its ledger's votes and the async platform's counters.
         Machine and simulator time are the process's numbers, not the
-        session's, so they stay ``None``.
+        session's, so they stay ``None``.  A path that is not an existing
+        file is refused before anything is opened: opening it would leave an
+        empty store there, which a fresh durable session and a restore both
+        refuse.
         """
         from repro.storage.sqlite import SqliteStore
 
+        if not Path(path).is_file():
+            raise ValueError(f"{path} is not a session store file")
         store = SqliteStore(path)
         try:
             if store.get_meta("version") is None:

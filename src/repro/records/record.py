@@ -97,49 +97,6 @@ class Record:
         return payload
 
 
-class _InMemoryRecordTable:
-    """The default record table: an ordered list plus an id index.
-
-    This is the storage every unbacked :class:`RecordStore` uses — the
-    exact structures the store always kept, now behind the same small
-    table interface a :class:`repro.storage.base.Store` implements, so
-    record reads and writes take one code path whether the records live
-    in process memory or in a SQLite file.
-    """
-
-    def __init__(self) -> None:
-        self._records: List[Record] = []
-        self._by_id: Dict[str, Record] = {}
-
-    def add_record(self, record: Record) -> None:
-        self._records.append(record)
-        self._by_id[record.record_id] = record
-
-    def remove_record(self, record_id: str) -> Optional[Record]:
-        record = self._by_id.pop(record_id, None)
-        if record is not None:
-            self._records.remove(record)
-        return record
-
-    def get_record(self, record_id: str) -> Optional[Record]:
-        return self._by_id.get(record_id)
-
-    def has_record(self, record_id: object) -> bool:
-        return record_id in self._by_id
-
-    def record_count(self) -> int:
-        return len(self._records)
-
-    def iter_records(self) -> Iterator[Record]:
-        return iter(self._records)
-
-    def record_ids(self) -> List[str]:
-        return [record.record_id for record in self._records]
-
-    def record_at(self, index: int) -> Record:
-        return self._records[index]
-
-
 class RecordStore:
     """An ordered, id-indexed collection of :class:`Record` objects.
 
@@ -151,17 +108,12 @@ class RecordStore:
     ----------
     name:
         Human-readable table name.
-    backing:
-        Optional storage backend implementing the record-table interface
-        (see :class:`repro.storage.base.Store`).  ``None`` (default) keeps
-        records in process memory; a persistent backing makes every read
-        and write go through its table instead, which is how a
-        SQLite-backed streaming session keeps records out of RAM.
     """
 
-    def __init__(self, name: str = "records", backing=None) -> None:
+    def __init__(self, name: str = "records") -> None:
         self.name = name
-        self._table = backing if backing is not None else _InMemoryRecordTable()
+        self._records: List[Record] = []
+        self._by_id: Dict[str, Record] = {}
 
     @classmethod
     def from_records(cls, records: Iterable[Record], name: str = "records") -> "RecordStore":
@@ -193,9 +145,10 @@ class RecordStore:
 
     def add(self, record: Record) -> None:
         """Add a record; raises :class:`RecordError` on duplicate ids."""
-        if self._table.has_record(record.record_id):
+        if record.record_id in self._by_id:
             raise RecordError(f"duplicate record id: {record.record_id!r}")
-        self._table.add_record(record)
+        self._records.append(record)
+        self._by_id[record.record_id] = record
 
     def remove(self, record_id: str) -> Record:
         """Remove and return the record with the given id.
@@ -204,34 +157,32 @@ class RecordStore:
         size (the insertion-order list is rebuilt without the record); used
         by streaming retraction, where removals are rare relative to scans.
         """
-        record = self._table.remove_record(record_id)
+        record = self._by_id.pop(record_id, None)
         if record is None:
             raise RecordError(f"unknown record id: {record_id!r}")
+        self._records.remove(record)
         return record
 
     def get(self, record_id: str) -> Record:
         """Return the record with the given id, raising ``KeyError`` if absent."""
-        record = self._table.get_record(record_id)
-        if record is None:
-            raise KeyError(record_id)
-        return record
+        return self._by_id[record_id]
 
     def __contains__(self, record_id: object) -> bool:
-        return self._table.has_record(record_id)
+        return record_id in self._by_id
 
     def __len__(self) -> int:
-        return self._table.record_count()
+        return len(self._records)
 
     def __iter__(self) -> Iterator[Record]:
-        return self._table.iter_records()
+        return iter(self._records)
 
     def __getitem__(self, index: int) -> Record:
-        return self._table.record_at(index)
+        return self._records[index]
 
     @property
     def record_ids(self) -> List[str]:
         """Record ids in insertion order."""
-        return self._table.record_ids()
+        return [record.record_id for record in self._records]
 
     def records_from_source(self, source: str) -> List[Record]:
         """Return all records tagged with the given source."""

@@ -1,37 +1,29 @@
-"""Pluggable session storage (the ``repro.storage`` subsystem).
+"""Session storage (the ``repro.storage`` subsystem).
 
 A streaming entity-resolution session accumulates a lot of state —
 records, the token vocabulary and CSR index of the machine pass, candidate
-pairs, the vote ledger and posteriors.  This package puts all
-of it behind one :class:`~repro.storage.base.Store` interface with two
-backends:
+pairs, the vote ledger and posteriors.  All of it lives in process memory
+and the session reads nothing else; a :class:`~repro.storage.base.Store`
+holds the :class:`PairLedger` and receives the session's writes:
 
-* :class:`MemoryStore` — the default; the live in-process structures.
-  A durable session writes them into its :class:`SqliteStore` file whole,
-  at its checkpoint cadence.
-* :class:`SqliteStore` — a single WAL-mode SQLite file holding the whole
-  session, written once per applied event (the pair ledger's changed rows
-  when the event commits); record bodies stay out of process memory while
-  the session runs.
+* :class:`Store` — the in-memory session's: every write is a no-op.
+* :class:`SqliteStore` — a durable session's: a single WAL-mode SQLite
+  file, written once per applied event (the pair ledger's changed rows
+  when the event commits).
 
-The SQLite file is the one on-disk form of a session either way —
+The SQLite file is the one on-disk form of a session —
 ``checkpoint_dir/store.sqlite``, holding both the state tables and the
 ``events`` table that is the session's write-ahead log: restoring is a
 page-in of the state plus a replay of the events newer than
 ``meta.events_applied`` (:mod:`repro.streaming.persistence`).
-
-Select a backend with ``WorkflowConfig.storage_backend`` (CLI:
-``--storage-backend``).
 """
 
 from __future__ import annotations
 
 from repro.storage.base import PairLedger, StorageError, Store
-from repro.storage.memory import MemoryStore
 from repro.storage.sqlite import STORE_FILENAME, SqliteStore
 
 __all__ = [
-    "MemoryStore",
     "PairLedger",
     "STORE_FILENAME",
     "SqliteStore",

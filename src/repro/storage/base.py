@@ -1,46 +1,38 @@
-"""The pluggable storage layer: one interface, memory and SQLite backends.
+"""The storage layer: the session's pair ledger and its write hooks.
 
 Everything a streaming session accumulates — resident records, the token
 vocabulary and CSR chunks of the incremental join, the candidate pairs,
 the per-pair vote ledger and posterior cache, and the crowd-workload
-counters — lives behind a :class:`Store`.  Two backends
-implement it:
+counters — lives in process memory, and every session reads only that.
+A :class:`Store` is where those structures' *writes* go:
 
-* :class:`~repro.storage.memory.MemoryStore` (default) — the live
-  in-process structures and nothing else.  A durable memory-backed session
-  is written into a :class:`~repro.storage.sqlite.SqliteStore` file in
-  bulk, at its checkpoint cadence
-  (:func:`repro.streaming.persistence.write_snapshot`).
-* :class:`~repro.storage.sqlite.SqliteStore` — a single WAL-mode SQLite
-  file.  Every applied event's changes are written into its tables in one
-  transaction: records and join rows as they change, the pair ledger's
-  changed rows when the event commits.
+* :class:`Store` itself — the in-memory session's store: it holds the
+  :class:`PairLedger` and every write hook is a no-op.
+* :class:`~repro.storage.sqlite.SqliteStore` — the one WAL-mode SQLite file
+  of a durable session.  Every applied event's changes are written into
+  its tables in one transaction: records and join rows as they change, the
+  pair ledger's changed rows when the event commits.
 
-Either way the SQLite file is the one materialised form of a session — it
-also holds the session's event log — and
+The SQLite file also holds the session's event log, and
 :meth:`repro.streaming.StreamingResolver.restore` is a *page-in* of its
-state plus a replay of the logged events it has not seen; the backend only
-decides *when* the state is written.
+state plus a replay of the logged events it has not seen.
 
-The hot path stays dict-speed for both backends: the session reads the
-:class:`PairLedger` mappings directly and every *mutation* goes through a
-ledger method.  A ledger a :class:`~repro.storage.sqlite.SqliteStore`
-holds also notes which keys changed, and the store writes only those keys'
-rows, once per event, when it commits.
-Outputs are bit-identical across backends — the property tests in
-``tests/test_storage.py`` assert it for random batch/retract/update/crash
-schedules.
+The hot path is dict-speed: the session reads the :class:`PairLedger`
+mappings directly and every *mutation* goes through a ledger method.  A
+ledger a :class:`~repro.storage.sqlite.SqliteStore` holds also notes which
+keys changed, and the store writes only those keys' rows, once per event,
+when it commits.  A durable session is bit-identical to an in-memory one —
+the property tests in ``tests/test_storage.py`` assert it for random
+batch/retract/update/crash schedules.
 """
 
 from __future__ import annotations
 
-import abc
 from typing import (
     TYPE_CHECKING,
     AbstractSet,
     Dict,
     Iterable,
-    Iterator,
     List,
     Optional,
     Sequence,
@@ -201,75 +193,45 @@ class PairLedger:
         self.pending_votes.clear()
 
 
-class Store(abc.ABC):
-    """Backend interface of the storage layer.
+class Store:
+    """Where one streaming session's writes go; the in-memory session's store.
 
-    One :class:`Store` instance backs one streaming session.  It provides:
+    One :class:`Store` instance backs one streaming session.  It holds the
+    :class:`PairLedger` (``self.ledger``) and offers write hooks for the
+    record table, the join substrate (vocabulary, CSR chunks, row
+    bookkeeping of the incremental join), session metadata (config, truth,
+    counters) and the accumulated crowd-assignment durations.  Here every
+    hook is a no-op; :class:`~repro.storage.sqlite.SqliteStore` writes them.
+    Nothing reads a record back through a store while the session runs:
+    the session's own structures are the state.
 
-    * the **record table** (what :class:`~repro.records.record.RecordStore`
-      delegates to when constructed with ``backing=``),
-    * the :class:`PairLedger` (``self.ledger``),
-    * the **join substrate** mirror (vocabulary, CSR chunks, row
-      bookkeeping of the incremental join),
-    * session **metadata** (config, truth, counters) and the accumulated
-      crowd-assignment durations.
-
-    ``persistent`` tells callers whether the write hooks do anything; the
-    in-memory backend keeps them as no-ops so the default path pays zero
-    overhead.  Reading a session back (``load_*``) is the persistent
-    backend's business alone — see :class:`~repro.storage.sqlite.SqliteStore`.
+    ``persistent`` tells callers whether the write hooks do anything, so
+    the in-memory session skips building the rows it would hand them.
     """
 
-    #: Human-readable backend name (``"memory"`` / ``"sqlite"``).
-    backend_name: str = "abstract"
     #: True when its writes survive the process (page-in restore works).
     persistent: bool = False
 
-    ledger: PairLedger
+    def __init__(self) -> None:
+        self.ledger = PairLedger()
 
     # ------------------------------------------------------------ lifecycle
     def close(self) -> None:
         """Release any underlying resources (no-op by default)."""
 
     def commit(self) -> None:
-        """Durably commit the event's writes (no-op for memory)."""
+        """Durably commit the event's writes (no-op by default)."""
 
     # --------------------------------------------------------- record table
-    @abc.abstractmethod
     def add_record(self, record: "Record") -> None:
-        """Insert one record (caller guarantees the id is fresh)."""
+        """Write one arriving record (the caller guarantees the id is fresh)."""
 
-    @abc.abstractmethod
-    def remove_record(self, record_id: str) -> Optional["Record"]:
-        """Remove and return one record; ``None`` when the id is unknown."""
-
-    @abc.abstractmethod
-    def get_record(self, record_id: str) -> Optional["Record"]:
-        """Fetch one record; ``None`` when the id is unknown."""
-
-    @abc.abstractmethod
-    def has_record(self, record_id: object) -> bool:
-        ...
-
-    @abc.abstractmethod
-    def record_count(self) -> int:
-        ...
-
-    @abc.abstractmethod
-    def iter_records(self) -> Iterator["Record"]:
-        """All resident records in arrival order."""
-
-    @abc.abstractmethod
-    def record_ids(self) -> List[str]:
-        """Resident record ids in arrival order."""
-
-    @abc.abstractmethod
-    def record_at(self, index: int) -> "Record":
-        """The ``index``-th resident record in arrival order."""
+    def remove_record(self, record_id: str) -> None:
+        """Write one record's removal."""
 
     # -------------------------------------------------------------- metadata
     def set_meta(self, key: str, value: object) -> None:
-        """Mirror one JSON-serializable metadata value (config, counters)."""
+        """Write one JSON-serializable metadata value (config, counters)."""
 
     # --------------------------------------------------------- join mirror
     def join_append_rows(self, rows: Sequence[JoinRow]) -> None:

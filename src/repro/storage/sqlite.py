@@ -1,4 +1,4 @@
-"""The SQLite storage backend: one WAL-mode file per streaming session.
+"""The SQLite store: one WAL-mode file per durable streaming session.
 
 :class:`SqliteStore` is the one file of a durable session.  Its state
 tables — records, token vocabulary, CSR chunks, the pair ledger (one
@@ -9,14 +9,15 @@ hold "the state as of ``meta.events_applied``"; its ``events`` table
 :class:`repro.streaming.persistence.SessionJournal` owns its rows, this
 module only declares it.
 
-A sqlite-backed session writes each event's changes into the state tables
+A durable session writes each event's changes into the state tables
 inside that event's transaction: records, join rows and meta as they
 change, and the pair ledger's changed keys — which a ledger this store holds
 notes — once, when :meth:`SqliteStore.commit` closes the event
-(:meth:`SqliteStore.write_ledger`).  A memory-backed session writes the
-tables whole at its checkpoint cadence (:meth:`SqliteStore.clear` and the
-same :meth:`SqliteStore.write_ledger` with every key, one transaction;
-``events`` is not in ``_TABLES``, so a rewrite never touches the log).
+(:meth:`SqliteStore.write_ledger`).  Nothing is read back while the session
+runs: its state is in process memory.  ``save(X)`` writes the tables whole
+into another file (:meth:`SqliteStore.clear` and the same
+:meth:`SqliteStore.write_ledger` with every key, one transaction;
+``events`` is not in ``_TABLES``, so a rewrite never touches a log).
 :meth:`repro.streaming.StreamingResolver.restore` *pages in* the state
 and replays ``events WHERE seq > meta.events_applied``.
 
@@ -48,7 +49,7 @@ import json
 import os
 import sqlite3
 from pathlib import Path
-from typing import AbstractSet, Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import AbstractSet, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -159,7 +160,6 @@ def _unblob(blob: bytes) -> np.ndarray:
 class SqliteStore(Store):
     """Disk-backed session store over one WAL-mode SQLite file."""
 
-    backend_name = "sqlite"
     persistent = True
 
     def __init__(self, path: os.PathLike) -> None:
@@ -178,11 +178,6 @@ class SqliteStore(Store):
             self._conn.close()
             raise StorageError(f"{self.path} is not a session store: {error}")
         self._in_txn = False
-        # Resident id set: makes ``in store`` / ``len(store)`` O(1) without
-        # holding any record content in memory.
-        self._ids: Set[str] = {
-            row[0] for row in self._conn.execute("SELECT record_id FROM records")
-        }
         row = self._conn.execute("SELECT MAX(arrival) FROM records").fetchone()
         self._next_arrival = (row[0] + 1) if row and row[0] is not None else 0
         # Empty until :meth:`load_ledger`: opening a store to read its meta
@@ -238,7 +233,6 @@ class SqliteStore(Store):
         """
         for table in _TABLES:
             self.execute(f"DELETE FROM {table}")
-        self._ids = set()
         self._next_arrival = 0
 
     def drop_retired(self, version: int) -> None:
@@ -274,36 +268,12 @@ class SqliteStore(Store):
             ),
         )
         self._next_arrival += 1
-        self._ids.add(record.record_id)
 
-    def remove_record(self, record_id: str) -> Optional[Record]:
-        record = self.get_record(record_id)
-        if record is None:
-            return None
+    def remove_record(self, record_id: str) -> None:
         self.execute("DELETE FROM records WHERE record_id = ?", (record_id,))
-        self._ids.discard(record_id)
-        return record
-
-    def get_record(self, record_id: str) -> Optional[Record]:
-        if record_id not in self._ids:
-            return None
-        row = self.execute(
-            "SELECT attributes, source FROM records WHERE record_id = ?",
-            (record_id,),
-        ).fetchone()
-        if row is None:  # pragma: no cover - id set and table disagree
-            return None
-        return Record(
-            record_id=record_id, attributes=json.loads(row[0]), source=row[1]
-        )
-
-    def has_record(self, record_id: object) -> bool:
-        return record_id in self._ids
-
-    def record_count(self) -> int:
-        return len(self._ids)
 
     def iter_records(self) -> Iterator[Record]:
+        """The stored records in arrival order (page-in)."""
         cursor = self._conn.execute(
             "SELECT record_id, attributes, source FROM records ORDER BY arrival"
         )
@@ -311,24 +281,6 @@ class SqliteStore(Store):
             yield Record(
                 record_id=record_id, attributes=json.loads(attributes), source=source
             )
-
-    def record_ids(self) -> List[str]:
-        return [
-            row[0]
-            for row in self._conn.execute(
-                "SELECT record_id FROM records ORDER BY arrival"
-            )
-        ]
-
-    def record_at(self, index: int) -> Record:
-        row = self._conn.execute(
-            "SELECT record_id, attributes, source FROM records "
-            "ORDER BY arrival LIMIT 1 OFFSET ?",
-            (index,),
-        ).fetchone()
-        if row is None:
-            raise IndexError(index)
-        return Record(record_id=row[0], attributes=json.loads(row[1]), source=row[2])
 
     # -------------------------------------------------------------- metadata
     def set_meta(self, key: str, value: object) -> None:

@@ -425,14 +425,12 @@ class IncrementalSimJoin:
         cross_sources: Optional[Tuple[str, str]] = None,
         block_size: int = DEFAULT_BLOCK_ROWS,
         workers: Optional[int] = None,
-        storage: Optional["Store"] = None,
     ) -> "IncrementalSimJoin":
         """Page the join substrate back in from a persistent store.
 
         Construction parameters are not stored with the substrate (they
         belong to the workflow config), so the caller passes them again;
-        ``storage`` is the store the rebuilt index mirrors into from then
-        on (the same file for a sqlite-backed session).  The CSR arrays,
+        the rebuilt index mirrors into ``source`` from then on.  The CSR arrays,
         vocabulary and row bookkeeping come back exactly as written (a
         ``join_maintain_inverted`` meta entry left by an older writer is
         not read).  Returns an empty index when the store has no substrate
@@ -444,7 +442,7 @@ class IncrementalSimJoin:
             cross_sources=cross_sources,
             block_size=block_size,
             workers=workers,
-            storage=storage,
+            storage=source,
         )
         state = source.load_join_state()
         if state is None:

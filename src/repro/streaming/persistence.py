@@ -15,16 +15,15 @@ Directory layout::
 **The model.**  ``store.sqlite`` (:class:`repro.storage.sqlite.SqliteStore`)
 is the only file of a session.  Its ``events`` table is the write-ahead
 log; its state tables are *the state as of ``meta.events_applied``; the
-log holds the rest*.  ``WorkflowConfig.storage_backend`` decides only
-**when** the state tables are written: ``"sqlite"`` writes each event's
-changed rows into them in the event's one transaction (the pair ledger's
-when the event commits); ``"memory"`` keeps the state in process
-structures and :func:`write_snapshot` bulk-writes it — inside one
-transaction, so a failure half-way leaves the previous contents — every
-``checkpoint_every_batches`` events and on ``save()``.  Because the file is
-the same either way, :func:`restore` is one algorithm — open the file,
-page the state in, replay ``events WHERE seq > meta.events_applied`` under
-the stored configuration, and keep logging to the same file.
+log holds the rest*.  The session keeps its state in process memory and
+reads nothing back; each event's changed rows are written into the state
+tables in the event's one transaction (the pair ledger's when the event
+commits), so the tables trail the log by at most the one event a crash
+interrupted.  :func:`write_snapshot` writes the state whole — inside one
+transaction, so a failure half-way leaves the previous contents — into
+another directory's file on ``save(X)``.  :func:`restore` opens the file,
+pages the state in, replays ``events WHERE seq > meta.events_applied``
+under the stored configuration, and keeps logging to the same file.
 
 **The log.**  Each ``events`` row carries a gapless ``seq``, an event
 ``type``, a JSON ``payload`` and a CRC over all three
@@ -53,8 +52,8 @@ after *any* prefix of events loses nothing: ``restore`` rebuilds exactly
 the state of a session that processed that prefix, and replaying the
 remaining events yields results bit-identical to a session that never
 stopped.  ``tests/test_persistence.py`` and ``tests/test_storage.py``
-property-test this for random event schedules, crash points (logical, torn
-WAL, ``SIGKILL``) and backends.
+property-test this for random event schedules and crash points (logical,
+torn WAL, ``SIGKILL``).
 """
 
 from __future__ import annotations
@@ -73,7 +72,7 @@ from repro import obs
 from repro.core.config import WorkflowConfig
 from repro.core.results import StreamingDelta
 from repro.records.record import Record
-from repro.storage import STORE_FILENAME, MemoryStore, SqliteStore, Store
+from repro.storage import STORE_FILENAME, SqliteStore, Store
 from repro.streaming.incremental_join import IncrementalSimJoin
 
 logger = logging.getLogger(__name__)
@@ -85,19 +84,23 @@ FORMAT_VERSION = 2
 #: one stored value that still replays (``None``: any value).  The knobs
 #: are gone — one selected a fork-per-batch join pool, one moved the store
 #: out of its directory, one rotated a JSONL journal that no longer exists,
-#: two switched the process's observability on from a session, and five
-#: were result-bearing knobs only ever used at one value (bounded-staleness
-#: aggregation, re-crowding voted pairs, the two-tiered generator's packing
-#: solver, the match threshold, the async retry backoff) — so restore
-#: drops them instead of failing on an unknown field.  A
-#: result-bearing one stored at any other value than its old default
-#: cannot replay bit-identically, and restore refuses it.
+#: two switched the process's observability on from a session, two chose
+#: when a durable session's state was written (a per-event mirror or a
+#: whole rewrite every few events; the results were bit-identical), and
+#: five were result-bearing knobs only ever used at one value
+#: (bounded-staleness aggregation, re-crowding voted pairs, the two-tiered
+#: generator's packing solver, the match threshold, the async retry
+#: backoff) — so restore drops them instead of failing on an unknown
+#: field.  A result-bearing one stored at any other value than its old
+#: default cannot replay bit-identically, and restore refuses it.
 RETIRED_CONFIG_FIELDS = {
     "join_pool": None,
     "storage_path": None,
     "journal_segment_events": None,
     "metrics_enabled": None,
     "trace_path": None,
+    "storage_backend": None,
+    "checkpoint_every_batches": None,
     "staleness_epsilon": 0,
     "recrowd_policy": "never",
     "packing_method": "column-generation",
@@ -254,7 +257,7 @@ class EventSpec:
     ``encode`` turns the arguments the session's applier takes into the
     intent payload, ``decode`` is its inverse; ``outcome`` says whether the
     applied event is followed by a ``commit`` record (fresh votes, delta,
-    digest) and counts toward the checkpoint cadence.
+    digest).
     """
 
     encode: Callable[..., Dict[str, object]]
@@ -353,12 +356,10 @@ def write_snapshot(target: SqliteStore, session) -> None:
 
     Everything but the ``events`` table — records, join substrate, pair
     ledger, crowd workload, meta — is rewritten inside
-    ``target``'s **open transaction**; the caller commits (a cadence point
-    does, together with the event's outcome row).  An exception in here
-    rolls the transaction back, so the file keeps its previous contents,
-    which together with the log still restore exactly.  This is how a
-    memory-backed session's state reaches disk, and how ``save(X)`` copies
-    a session of either backend into a foreign directory.
+    ``target``'s **open transaction**; the caller commits.  An exception in
+    here rolls the transaction back, so the file keeps its previous
+    contents.  This is how ``save(X)`` copies a session into a foreign
+    directory.
     """
     try:
         target.clear()
@@ -402,15 +403,15 @@ def _refuse_legacy_journal(directory: Path) -> None:
 
 
 class Durability:
-    """The durable side of one session: its store, its log, its cadence.
+    """The durable side of one session: its store and its log.
 
     A session owns exactly one of these and calls :meth:`run` for every
     event and :meth:`save` on demand; it never sees a file.  ``journal`` is
-    ``None`` for a session without a checkpoint directory, and a
-    non-persistent ``storage`` makes its writes no-ops, so the default
-    in-memory session pays two attribute checks per event.  A durable
-    session holds one SQLite connection — ``journal.store``, which for the
-    sqlite backend is also ``storage`` — until :meth:`close`.
+    ``None`` for a session without a checkpoint directory, whose
+    ``storage`` is the no-op :class:`~repro.storage.base.Store`, so the
+    default in-memory session pays one attribute check per event.  A
+    durable session holds one SQLite connection — ``storage``, which is
+    also ``journal.store`` — until :meth:`close`.
     """
 
     def __init__(self, storage: Store) -> None:
@@ -418,7 +419,6 @@ class Durability:
         self.journal: Optional[SessionJournal] = None
         #: Logged events reflected in the session's current state.
         self.events_applied = 0
-        self._unsaved_events = 0
         self._truth_written = 0
 
     @classmethod
@@ -431,14 +431,14 @@ class Durability:
         the store file exists, nothing is read.
         """
         if not config.checkpoint_dir:
-            return cls(MemoryStore())
+            return cls(Store())
         directory = Path(config.checkpoint_dir)
         _refuse_legacy_journal(directory)
         path = directory / STORE_FILENAME
         if path.exists():
             raise _occupied(path)
         store = SqliteStore(path)
-        durability = cls(store if config.storage_backend == "sqlite" else MemoryStore())
+        durability = cls(store)
         durability.journal = SessionJournal(store)
         durability.events_applied = durability.journal.append(
             "session", _header(config, cross_sources)
@@ -446,27 +446,24 @@ class Durability:
         return durability
 
     def attach(self, session) -> None:
-        """Stamp the session's identity into a persistent store and commit:
+        """Stamp a durable session's identity into its store and commit:
         the last step of constructing a session and of restoring one (whose
         directory may have moved since its header was written)."""
-        if self.storage.persistent:
+        if self.journal is not None:
             _write_header(self.storage, session)
             self.boundary(session)
 
     @property
     def store(self) -> Optional[SqliteStore]:
-        """The session's one file — where its log, else its mirror, lives."""
-        if self.journal is not None:
-            return self.journal.store
-        return self.storage if self.storage.persistent else None
+        """The session's one file, or ``None`` for an in-memory session."""
+        return None if self.journal is None else self.journal.store
 
     def close(self) -> None:
         """Close the session's SQLite connection, if it holds one (idempotent).
 
         The last connection to close folds SQLite's WAL into the store file.
         """
-        if self.store is not None:
-            self.store.close()
+        self.storage.close()
 
     # ------------------------------------------------------------- one event
     def intent(self, kind: str, *arguments) -> None:
@@ -480,8 +477,8 @@ class Durability:
         """Execute one validated event: the only path an event takes.
 
         *intent → apply → boundary.*  A crash before the boundary's commit
-        rolls a persistent store back to the previous event and the logged
-        intent replays the interrupted one.
+        rolls the store back to the previous event and the logged intent
+        replays the interrupted one.
         """
         self.intent(kind, *arguments)
         result = session.apply(kind, *arguments)
@@ -491,29 +488,22 @@ class Durability:
     def boundary(self, session, outcome: bool = False) -> None:
         """Close an event: state rows, counters and outcome in one commit.
 
-        Everything a persistent store wrote since the last boundary, the
-        pair ledger's unsaved rows (written by the commit itself),
-        ``meta.events_applied`` and — for a logged event with an
-        ``outcome`` — its ``commit`` row (fresh votes, delta, digest) form
-        one transaction, so the store is never ahead of its log nor behind
-        an outcome it holds.  A memory-backed session writes nothing per
-        event; at its checkpoint cadence the whole-state rewrite rides along
-        instead.
+        Everything the store wrote since the last boundary, the pair
+        ledger's unsaved rows (written by the commit itself),
+        ``meta.events_applied`` and — for an event with an ``outcome`` —
+        its ``commit`` row (fresh votes, delta, digest) form one
+        transaction, so the store is never ahead of its log nor behind an
+        outcome it holds.  An in-memory session has nothing to close.
         """
         journal, storage = self.journal, self.storage
-        outcome = outcome and journal is not None
-        every = session.config.checkpoint_every_batches
+        if journal is None:
+            return
         if outcome:
             self.events_applied = journal.next_seq  # the row this commit carries
-            self._unsaved_events += 1
-        if storage.persistent:
-            if len(session._truth) != self._truth_written:  # truth only grows
-                _write_truth(storage, session)
-                self._truth_written = len(session._truth)
-            _write_counters(storage, session)
-        elif outcome and 0 < every <= self._unsaved_events:
-            write_snapshot(journal.store, session)
-            self._unsaved_events = 0
+        if len(session._truth) != self._truth_written:  # truth only grows
+            _write_truth(storage, session)
+            self._truth_written = len(session._truth)
+        _write_counters(storage, session)
         if outcome:
             journal.append(
                 "commit",
@@ -534,12 +524,11 @@ class Durability:
         """Bring ``path``'s store up to the session's state.
 
         ``path`` defaults to the checkpoint directory.  Asked for its own
-        location, a sqlite-backed session only closes a boundary (the
-        store is current) and a memory-backed one rewrites the state
-        tables on the log's connection; either backend saving elsewhere
-        writes a store-only copy (state, no events) — over an earlier
-        store-only copy, never over a store whose log holds events (another
-        session's).  Returns the file.
+        location, a durable session only closes a boundary (its store is
+        current after every event); saving elsewhere writes a store-only
+        copy (state, no events) — over an earlier store-only copy, never
+        over a store whose log holds events (another session's).  Returns
+        the file.
         """
         own = self.store
         if path is not None:
@@ -559,12 +548,8 @@ class Durability:
                 copy.commit()
             finally:
                 copy.close()
-        elif self.storage.persistent:
-            self.boundary(session)
         else:
-            write_snapshot(own, session)
-            own.commit()
-            self._unsaved_events = 0
+            self.boundary(session)
         return target
 
 
@@ -573,23 +558,22 @@ _DELTA_FIELDS = frozenset(spec.name for spec in fields(StreamingDelta))
 
 
 def _page_in(session, source: SqliteStore) -> None:
-    """Rebuild the session's live structures from a store's contents.
+    """Rebuild the session's live structures from its store's contents.
 
-    ``source`` is the session's own store (sqlite backend: records and the
-    ledger stay where they are) or the directory's store being copied into
-    a memory-backed session.  The join substrate comes back from its stored
-    rows/vocabulary/CSR chunks, the candidate pairs (and the ledger's record
-    → pairs index) from the ledger's rows, and the union-find forest — filled in place, the fresh
-    session's aggregation schedule shares it — from record arrival order
-    plus the pair edges (roots only serve as grouping keys, so the rebuilt
-    forest is behaviorally equivalent to the original).
+    The records come back in arrival order, the join substrate from its
+    stored rows/vocabulary/CSR chunks, the candidate pairs (and the
+    ledger's record → pairs index) from the ledger's rows, and the
+    union-find forest — filled in place, the fresh session's aggregation
+    schedule shares it — from record arrival order plus the pair edges
+    (roots only serve as grouping keys, so the rebuilt forest is
+    behaviorally equivalent to the original).
     """
-    storage, config = session.storage, session.config
+    config = session.config
     with obs.span("storage.page_in"):
-        if storage is not source:
-            for record in source.iter_records():
-                storage.add_record(record)
-        source.load_ledger(into=storage.ledger)
+        for record in source.iter_records():
+            session.store.add(record)
+            session.components.add(record.record_id)
+        source.load_ledger()
         session._apply_truth(source.get_meta("truth") or [])
         session.join = IncrementalSimJoin.from_store(
             source,
@@ -597,11 +581,8 @@ def _page_in(session, source: SqliteStore) -> None:
             attributes=config.similarity_attributes,
             cross_sources=session.cross_sources,
             workers=config.join_workers or None,
-            storage=storage,
         )
-        for record_id in storage.record_ids():
-            session.components.add(record_id)
-        for key in sorted(storage.ledger.pairs):
+        for key in sorted(source.ledger.pairs):
             session.components.union(key[0], key[1])
         session.components.clear_dirty()
     counters = source.get_meta("session") or {}
@@ -675,12 +656,14 @@ def _verify_outcome(session, event: JournalEvent) -> None:
 def restore(cls, path: os.PathLike, **crowd):
     """Resume the durable session (an instance of ``cls``) in its directory.
 
-    One algorithm for every backend: open the directory's one file, read
-    the header from its meta (a session that never wrote its state tables
-    has it in event 1), run under the stored configuration — its
-    ``checkpoint_dir`` is wherever the directory is now — page the state
-    in, and :func:`replay` the events newer than ``meta.events_applied``,
-    each checked against its logged outcome.  The restored session is
+    Open the directory's one file, read the header from its meta (a store
+    whose state tables were never written has it in event 1), run under
+    the stored configuration — its ``checkpoint_dir`` is wherever the
+    directory is now — page the state in, and :func:`replay` the events
+    newer than ``meta.events_applied``, each checked against its logged
+    outcome.  A store an earlier release rewrote only every few events
+    replays several; one this release wrote, at most the event a crash
+    interrupted.  The restored session is
     bit-identical to one that processed the same events without stopping,
     and takes the directory over: it keeps logging to the same file.
     ``crowd`` (``platform``, ``worker_pool``, ``pricing``, ``latency``) is
@@ -721,8 +704,7 @@ def restore(cls, path: os.PathLike, **crowd):
         if stored.get("join_backend") in RETIRED_JOIN_BACKENDS:
             stored["join_backend"] = "auto"
         config = WorkflowConfig(**{**stored, "checkpoint_dir": str(directory)})
-        mirrored = config.storage_backend == "sqlite"
-        durability = Durability(source if mirrored else MemoryStore())
+        durability = Durability(source)
         durability.journal = journal
         cross_sources = header["cross_sources"]
         session = cls(

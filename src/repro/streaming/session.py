@@ -42,7 +42,7 @@ I/O of its own.  Every public event method validates its arguments and
 hands the event to the session's
 :class:`~repro.streaming.persistence.Durability`, which logs the intent,
 calls back into :meth:`StreamingResolver.apply` and closes the event's
-boundary (state rows, outcome and checkpoint cadence in one commit);
+boundary (state rows and outcome in one commit);
 :meth:`StreamingResolver.save` and :meth:`StreamingResolver.restore` are
 one-line delegations.  A restored session is **bit-identical** to one that
 never stopped (see :mod:`repro.streaming.persistence`).
@@ -120,9 +120,9 @@ class StreamingResolver:
         ``join_workers`` counts the threads the incremental machine pass
         scores an append's row blocks on (``join_backend`` only applies to
         the batch join — a session always joins through the kernel);
-        ``checkpoint_dir`` / ``checkpoint_every_batches`` /
-        ``storage_backend`` make the session durable (one SQLite file: its
-        state and its write-ahead log — :mod:`repro.streaming.persistence`);
+        ``checkpoint_dir`` makes the session durable (one SQLite file: its
+        state and its write-ahead log, each event's changed rows written
+        when it commits — :mod:`repro.streaming.persistence`);
         ``vote_mode`` is forced to ``"per-pair"``
         (the sequential mode cannot preserve votes across batches).
         Observability is not configured here: the process switches it on
@@ -157,9 +157,9 @@ class StreamingResolver:
         self.driver = CrowdDriver(
             self.config, platform, worker_pool=worker_pool, pricing=pricing, latency=latency
         )
-        # Durability (the store, its event log, the checkpoint cadence) is an
-        # adaptor handed in by restore() or opened here for a fresh session;
-        # all accumulated state lives behind its storage backend.
+        # Durability (the store and its event log) is an adaptor handed in
+        # by restore() or opened here for a fresh session.  The state lives
+        # in this process; the store receives its writes.
         fresh = _durability is None
         self.durability = _durability or persistence.Durability.create(
             self.config, cross_sources
@@ -172,7 +172,7 @@ class StreamingResolver:
             workers=self.config.join_workers or None,
             storage=self.storage,
         )
-        self.store = RecordStore(name="stream", backing=self.storage)
+        self.store = RecordStore(name="stream")
         self.components = IncrementalUnionFind()
         # The ranked candidates, re-placed per touched pair by snapshot().
         self._ranking = RankedIndex()
@@ -192,7 +192,7 @@ class StreamingResolver:
 
     # ----------------------------------------------------------- hot ledger
     # The candidate pairs and their vote/posterior/coverage state live in
-    # the storage backend's PairLedger.  Reads are plain dict access; every
+    # the store's PairLedger.  Reads are plain dict access; every
     # mutation goes through a ledger *method*, so a SQLite store knows which
     # keys' rows to write when the event commits.
     @property
@@ -425,6 +425,7 @@ class StreamingResolver:
                 new_pairs = self.join.add_batch(batch)
                 for record in batch:
                     self.store.add(record)
+                    self.storage.add_record(record)
                     self._arrived_truth += self._resident_truth_partners(record.record_id)
                     self.components.add(record.record_id)
             delta.new_candidate_pairs = len(new_pairs)
@@ -476,6 +477,7 @@ class StreamingResolver:
             dropped = sorted(self._ledger.pairs_of(record_id))
             self.join.retract(record_id)
             self.store.remove(record_id)
+            self.storage.remove_record(record_id)
             self._arrived_truth -= self._resident_truth_partners(record_id)
             for key in dropped:
                 self._ledger.drop_pair(key)

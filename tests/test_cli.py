@@ -124,13 +124,15 @@ class TestCommands:
 
     def test_parses_checkpoint_options(self):
         args = build_parser().parse_args(
-            ["resolve-stream", "--checkpoint-dir", "/tmp/x", "--checkpoint-every",
-             "3", "--max-batches", "2", "--resume"]
+            ["resolve-stream", "--checkpoint-dir", "/tmp/x", "--max-batches", "2", "--resume"]
         )
         assert args.checkpoint_dir == "/tmp/x"
-        assert args.checkpoint_every == 3
         assert args.max_batches == 2
         assert args.resume is True
+        # A durable session has one write schedule: nothing to choose.
+        for retired in (["--storage-backend", "sqlite"], ["--checkpoint-every", "3"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["resolve-stream", *retired])
 
 
 class TestCheckpointResume:
@@ -143,17 +145,13 @@ class TestCheckpointResume:
     def _final_matches(output):
         return int(re.search(r"matches found\s*:\s*(\d+)", output).group(1))
 
-    @pytest.mark.parametrize("backend", ("memory", "sqlite"))
-    def test_checkpoint_then_resume_matches_uninterrupted_run(
-        self, tmp_path, capsys, backend
-    ):
+    def test_checkpoint_then_resume_matches_uninterrupted_run(self, tmp_path, capsys):
         checkpoint = str(tmp_path / "session")
         # Uninterrupted reference run.
         assert main(self.STREAM_ARGS) == 0
         reference = capsys.readouterr().out
         # Interrupted run: two batches, checkpoint, then resume the rest.
         assert main(self.STREAM_ARGS + ["--checkpoint-dir", checkpoint,
-                                        "--storage-backend", backend,
                                         "--max-batches", "2"]) == 0
         first_half = capsys.readouterr().out
         assert "resume" in first_half
@@ -167,10 +165,6 @@ class TestCheckpointResume:
         # Identical final match set (and full tail summary).
         assert self._final_matches(second_half) == self._final_matches(reference)
         assert reference.splitlines()[-6:] == second_half.splitlines()[-6:]
-
-    def test_sqlite_backend_requires_checkpoint_dir(self, capsys):
-        assert main(self.STREAM_ARGS + ["--storage-backend", "sqlite"]) == 2
-        assert "requires --checkpoint-dir" in capsys.readouterr().err
 
     def test_the_store_location_flag_is_gone(self, capsys):
         with pytest.raises(SystemExit):
@@ -199,14 +193,12 @@ class TestCheckpointResume:
         capsys.readouterr()
         assert main(self.STREAM_ARGS + ["--checkpoint-dir", checkpoint, "--resume",
                                         "--hit-type", "pair", "--cluster-size", "4",
-                                        "--storage-backend", "sqlite",
-                                        "--checkpoint-every", "3"]) == 0
+                                        "--crowd-mode", "async"]) == 0
         note = capsys.readouterr().err
         assert "keeps the session's stored configuration" in note
         for named in ("hit_type='pair' (session: 'cluster')",
                       "cluster_size=4 (session: 10)",
-                      "storage_backend='sqlite' (session: 'memory')",
-                      "checkpoint_every_batches=3 (session: 16)"):
+                      "crowd_mode='async' (session: 'sync')"):
             assert named in note
         assert "checkpoint_dir" not in note and "threshold" not in note
         # Flags that agree with the stored session draw no note.

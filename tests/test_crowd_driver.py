@@ -46,13 +46,13 @@ MODES = {
 }
 
 
-def run_prefix(mode, backend, directory):
+def run_prefix(mode, directory):
     """The fixture's schedule up to its stop; returns (session, records left)."""
     dataset = RestaurantGenerator(record_count=60, duplicate_pairs=15, seed=29).generate()
     records = list(dataset.store)
     resolver = StreamingResolver(config=WorkflowConfig(
         likelihood_threshold=0.2, hit_type="pair", pairs_per_hit=2, vote_mode="per-pair",
-        aggregation="majority", storage_backend=backend, checkpoint_dir=str(directory),
+        aggregation="majority", checkpoint_dir=str(directory),
         **MODES[mode],
     ))
     resolver.add_truth(dataset.ground_truth)
@@ -76,11 +76,10 @@ def stored_meta(directory):
         connection.close()
 
 
-@pytest.mark.parametrize("backend", ("memory", "sqlite"))
 @pytest.mark.parametrize("mode", sorted(MODES))
-def test_stored_crowd_state_is_the_parent_commits(tmp_path, mode, backend):
+def test_stored_crowd_state_is_the_parent_commits(tmp_path, mode):
     expected = FIXTURE[mode]
-    resolver, rest = run_prefix(mode, backend, tmp_path)
+    resolver, rest = run_prefix(mode, tmp_path)
     if mode == "async":  # stopped mid-flight, or the fixture pins nothing
         assert resolver.driver.inflight and resolver.driver.starved
     assert resolver.state_digest() == expected["stopped_digest"]
@@ -103,13 +102,12 @@ def restores_and_finishes(directory, rest, expected):
     restored.durability.close()
 
 
-@pytest.mark.parametrize("backend", ("memory", "sqlite"))
 @pytest.mark.parametrize("mode", sorted(MODES))
-def test_stored_crowd_state_with_the_parent_commits_delta_key_restores(tmp_path, mode, backend):
+def test_stored_crowd_state_with_the_parent_commits_delta_key_restores(tmp_path, mode):
     """A store written before bounded staleness was retired holds its counter
     in ``last_delta``; restore drops it and lands on the same digests."""
     expected = FIXTURE[mode]
-    resolver, rest = run_prefix(mode, backend, tmp_path)
+    resolver, rest = run_prefix(mode, tmp_path)
     resolver.durability.close()
     parent_text = expected["session"].replace(
         '"retracted_records"', '"stale_skipped_components": 0, "retracted_records"'
@@ -140,16 +138,13 @@ def with_vote_rounds(async_text):
     return json.dumps(dict(entries))
 
 
-@pytest.mark.parametrize("backend", ("memory", "sqlite"))
 @pytest.mark.parametrize("mode", sorted(MODES))
-def test_stored_crowd_state_with_the_parent_commits_vote_rounds_restores(
-    tmp_path, mode, backend
-):
+def test_stored_crowd_state_with_the_parent_commits_vote_rounds_restores(tmp_path, mode):
     """A store written before the vote-round plumbing was deleted holds a
     round per open HIT pair and per in-flight pair (all 0); restore ignores
     them and lands on the same digests."""
     expected = FIXTURE[mode]
-    resolver, rest = run_prefix(mode, backend, tmp_path)
+    resolver, rest = run_prefix(mode, tmp_path)
     resolver.durability.close()
     if mode == "async":
         parent_text = with_vote_rounds(expected["async"])

@@ -246,10 +246,8 @@ def _run_stream(dataset, tmp_path, backend, instrumented, tag):
         stream_batch_size=20,
         seed=7,
     )
-    if backend == "sqlite":
-        config_kwargs.update(
-            storage_backend="sqlite", checkpoint_dir=str(tmp_path / tag)
-        )
+    if backend == "sqlite":  # durable: its one store
+        config_kwargs.update(checkpoint_dir=str(tmp_path / tag))
     if instrumented:
         obs.activate(trace_path=str(tmp_path / f"{tag}.jsonl"))
     config = WorkflowConfig(**config_kwargs)
@@ -354,7 +352,6 @@ def test_stats_hit_count_matches_session_exactly(tmp_path):
         likelihood_threshold=0.35,
         vote_mode="per-pair",
         stream_batch_size=20,
-        storage_backend="sqlite",
         checkpoint_dir=str(tmp_path),
         seed=7,
     )
@@ -385,11 +382,11 @@ def test_stats_hit_count_matches_session_exactly(tmp_path):
 
 def _sqlite_session(directory, seed):
     """Restaurant(400, 50, seed) at 0.35, majority, in 100-record batches,
-    written to a sqlite store; left open."""
+    durable in ``directory``; left open."""
     dataset = make_dataset(400, 50, seed=seed)
     resolver = StreamingResolver(config=WorkflowConfig(
         likelihood_threshold=0.35, aggregation="majority", vote_mode="per-pair",
-        storage_backend="sqlite", checkpoint_dir=str(directory),
+        checkpoint_dir=str(directory),
     ), cross_sources=dataset.cross_sources)
     resolver.add_truth(dataset.ground_truth)
     records = list(dataset.store)
@@ -517,7 +514,7 @@ def test_cli_stream_metrics_export_and_stats(tmp_path, capsys):
     trace = tmp_path / "trace.jsonl"
     exit_code = cli_main([
         "resolve-stream", "--dataset", "paper-example", "--batch-size", "3",
-        "--storage-backend", "sqlite", "--checkpoint-dir", str(checkpoint),
+        "--checkpoint-dir", str(checkpoint),
         "--metrics", "--trace", str(trace), "--metrics-out", str(prom),
     ])
     out = capsys.readouterr().out
@@ -576,6 +573,21 @@ def test_cli_stats_errors(tmp_path, capsys):
     assert "needs --store" in capsys.readouterr().err
     assert cli_main(["stats", "--store", str(tmp_path / "missing.sqlite")]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_cli_stats_leaves_a_mistyped_directory_unwritten(tmp_path, capsys):
+    """``stats`` on a path that holds no store file refuses it before
+    opening anything.  Opening creates a store: the mistyped directory
+    would then hold an empty one, refusing a fresh durable session
+    ("already holds a session") and a restore ("holds no session") alike."""
+    typo = tmp_path / "x" / "typo"
+    assert cli_main(["stats", "--checkpoint-dir", str(typo)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert cli_main(["stats", "--store", str(tmp_path / "missing.sqlite")]) == 2
+    assert sorted(item.name for item in tmp_path.iterdir()) == []
+    session = StreamingResolver(config=WorkflowConfig(checkpoint_dir=str(typo)))
+    session.durability.close()
+    StreamingResolver.restore(str(typo)).durability.close()
 
 
 def test_cli_quiet_suppresses_info(capsys):

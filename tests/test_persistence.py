@@ -7,13 +7,11 @@ posteriors (to the last float bit), same ranked pairs, same crowd cost.
 On top of that, the event log (a table of the session's one SQLite file)
 must detect tampering loudly (CRC, sequence gaps, diverging outcomes) and
 survive what a crash really leaves behind (a torn SQLite WAL, a
-``SIGKILL``), the store's state must be rewritten atomically, the store
-must never be ahead of its log, and both storage backends must leave — and
-restore from — the same file.
+``SIGKILL``), a ``save(X)`` copy must be rewritten atomically, and the
+store must never be ahead of its log.
 """
 
 import ast
-import dataclasses
 import json
 import os
 import shutil
@@ -142,11 +140,8 @@ class TestSessionJournal:
         assert plain.query("PRAGMA synchronous").fetchone()[0] == 1
         plain.close()
 
-    @pytest.mark.parametrize("backend", ("memory", "sqlite"))
-    def test_a_logged_session_commits_with_synchronous_full(self, tmp_path, backend):
-        resolver = StreamingResolver(
-            config=make_config(storage_backend=backend, checkpoint_dir=str(tmp_path))
-        )
+    def test_a_logged_session_commits_with_synchronous_full(self, tmp_path):
+        resolver = StreamingResolver(config=make_config(checkpoint_dir=str(tmp_path)))
         store = resolver.durability.journal.store
         assert store.query("PRAGMA synchronous").fetchone()[0] == 2
         resolver.durability.close()
@@ -206,17 +201,16 @@ class TestMaterialisation:
     def test_failed_materialisation_keeps_the_previous_store(
         self, tmp_path, monkeypatch
     ):
-        """An exception in the middle of a materialisation rolls the one
-        transaction back: the previous store contents plus the journal
-        still restore bit-identically."""
+        """An exception in the middle of a ``save(X)`` rewrite rolls its one
+        transaction back: ``X`` keeps its previous contents, which still
+        restore bit-identically to the state they were saved from."""
         dataset = make_dataset()
         records = list(dataset.store)
-        config = make_config(checkpoint_dir=str(tmp_path), checkpoint_every_batches=0)
-        resolver = StreamingResolver(config=config)
-        resolver.add_truth(dataset.ground_truth)
-        resolver.add_batch(records[:20])
-        resolver.save()
-        covered = stored_events_applied(tmp_path)
+        resolver, earlier = (StreamingResolver(config=make_config()) for _ in range(2))
+        for session in (resolver, earlier):
+            session.add_truth(dataset.ground_truth)
+            session.add_batch(records[:20])
+        resolver.save(tmp_path / "copy")
         resolver.add_batch(records[20:40])
         resolver.update(records[5].with_attributes(name="revised"))
 
@@ -228,17 +222,15 @@ class TestMaterialisation:
             # ledger write fails.
             failing.setattr(SqliteStore, "write_ledger", torn)
             with pytest.raises(OSError):
-                resolver.save()
-        assert stored_events_applied(tmp_path) == covered
-        # The session still holds its directory: restore a copy of it.
-        copy = crash_copy(tmp_path, tmp_path / "copy", after=resolver.events_applied)
-        restored = StreamingResolver.restore(copy)
-        assert restored.durability.store.get_meta("events_applied") == covered
-        assert_sessions_identical(resolver, restored)
+                resolver.save(tmp_path / "copy")
+        restored = StreamingResolver.restore(tmp_path / "copy")
+        assert_sessions_identical(earlier, restored)
         restored.durability.close()
         # ... and the session itself carries on: the next save succeeds.
-        resolver.save()
-        assert stored_events_applied(tmp_path) == resolver.events_applied
+        resolver.save(tmp_path / "copy")
+        restored = StreamingResolver.restore(tmp_path / "copy")
+        assert_sessions_identical(resolver, restored)
+        restored.durability.close()
 
     def test_save_refuses_another_sessions_store(self, tmp_path):
         """``save(X)`` used to rewrite the state of whatever store ``X``
@@ -264,17 +256,13 @@ class TestMaterialisation:
         assert_sessions_identical(other, copied)
         copied.durability.close()
 
-    @pytest.mark.parametrize("backend", ("memory", "sqlite"))
-    def test_save_to_a_foreign_directory_materialises_there(self, tmp_path, backend):
-        """``save(X)`` writes ``X/store.sqlite`` for either backend (a
-        sqlite-backed session used to ignore ``X``)."""
+    def test_save_to_a_foreign_directory_materialises_there(self, tmp_path):
+        """``save(X)`` of a durable session writes ``X/store.sqlite`` (a
+        per-event writer used to ignore ``X``)."""
         home, foreign = tmp_path / "home", tmp_path / "foreign"
         dataset = make_dataset()
         resolver = stream(
-            StreamingResolver(
-                config=make_config(storage_backend=backend, checkpoint_dir=str(home))
-            ),
-            dataset,
+            StreamingResolver(config=make_config(checkpoint_dir=str(home))), dataset
         )
         assert resolver.save(foreign) == foreign / STORE_FILENAME
         assert sorted(item.name for item in foreign.iterdir()) == [STORE_FILENAME]
@@ -283,31 +271,6 @@ class TestMaterialisation:
         assert resolver.save() == home / STORE_FILENAME  # its own place, as ever
         restored.durability.close()
         resolver.durability.close()
-
-    def test_backends_leave_stores_that_page_in_identically(self, tmp_path):
-        """The same schedule through a memory- and a sqlite-backed session
-        leaves two stores that each page in to the same session, under the
-        backend that wrote it."""
-        dataset = make_dataset()
-        records = list(dataset.store)
-        sessions = {}
-        for backend in ("memory", "sqlite"):
-            config = make_config(
-                storage_backend=backend, checkpoint_dir=str(tmp_path / backend)
-            )
-            session = stream(StreamingResolver(config=config), dataset)
-            session.retract(records[2].record_id)
-            session.update(records[4].with_attributes(name="rewritten"))
-            session.flush()
-            session.save()
-            sessions[backend] = session
-        assert_sessions_identical(sessions["memory"], sessions["sqlite"])
-        for written, session in sessions.items():
-            session.durability.close()
-            restored = StreamingResolver.restore(tmp_path / written)
-            assert restored.storage.backend_name == written
-            assert_sessions_identical(sessions["memory"], restored)
-            restored.durability.close()
 
     def test_legacy_snapshot_only_directory_is_refused_unread(self, tmp_path):
         """A directory holding only ``snapshot-*.pkl`` raises naming the
@@ -434,7 +397,7 @@ class TestSaveRestore:
 
     def test_durable_session_restores_bit_identically(self, tmp_path):
         dataset = make_dataset()
-        config = make_config(checkpoint_dir=str(tmp_path), checkpoint_every_batches=2)
+        config = make_config(checkpoint_dir=str(tmp_path))
         resolver = StreamingResolver(config=config)
         resolver.add_truth(dataset.ground_truth)
         records = list(dataset.store)
@@ -448,7 +411,7 @@ class TestSaveRestore:
     def test_restored_session_continues_identically(self, tmp_path):
         dataset = make_dataset(record_count=80, duplicate_pairs=12)
         records = list(dataset.store)
-        config = make_config(checkpoint_dir=str(tmp_path), checkpoint_every_batches=3)
+        config = make_config(checkpoint_dir=str(tmp_path))
         resolver = StreamingResolver(config=config)
         resolver.add_truth(dataset.ground_truth)
         for start in range(0, 40, 13):
@@ -484,10 +447,7 @@ class TestSaveRestore:
                 persistence, "config_payload",
                 lambda config: {**config_payload(config), **legacy},
             )
-            config = (
-                make_config(checkpoint_dir=str(tmp_path), checkpoint_every_batches=0)
-                if journaled else make_config()
-            )
+            config = make_config(checkpoint_dir=str(tmp_path)) if journaled else make_config()
             resolver = StreamingResolver(config=config)
             resolver.add_truth(dataset.ground_truth)
             for start in range(0, len(records), 17):
@@ -508,14 +468,16 @@ class TestSaveRestore:
         """A checkpoint of an earlier release still carries retired knobs in
         its stored config (store ``config`` meta / the log's ``session``
         event); restore drops them — the result-bearing ones at their old
-        defaults, and the observability pair at any value, without switching
-        observability on."""
+        defaults, the write-schedule pair and the observability pair at any
+        value, without switching observability on."""
         legacy = {
             "join_pool": "fork",
             "storage_path": str(tmp_path / "elsewhere.sqlite"),
             "journal_segment_events": 512,
             "metrics_enabled": True,
             "trace_path": str(tmp_path / "trace.jsonl"),
+            "storage_backend": "memory",
+            "checkpoint_every_batches": 3,
             "staleness_epsilon": 0,
             "recrowd_policy": "never",
             "packing_method": "column-generation",
@@ -621,19 +583,23 @@ class TestSaveRestore:
             make_config(storage_backend="sqlite")
 
     def test_replay_verification_catches_tampering(self, tmp_path):
-        config = make_config(checkpoint_dir=str(tmp_path), checkpoint_every_batches=0)
+        config = make_config(checkpoint_dir=str(tmp_path))
         resolver = StreamingResolver(config=config)
         resolver.add_truth([("r1", "r2")])
         resolver.add_batch(
             [Record("r1", {"t": "alpha beta"}), Record("r2", {"t": "alpha beta"})]
         )
+        resolver.flush()
         resolver.durability.close()
         truth, commit = (
             next(event.seq for event in logged_events(tmp_path) if event.type == kind)
             for kind in ("truth", "commit")
         )
-        # An outcome whose digest was tampered with passes its (recomputed)
-        # CRC and still fails verification ...
+        # A crash right after the batch's outcome, as the flush's commit
+        # left the store: its state tables are ahead of that log, so they
+        # are lost and the whole log replays.  An outcome whose digest was
+        # tampered with passes its (recomputed) CRC and still fails
+        # verification ...
         crashed = crash_copy(tmp_path, tmp_path / "digest", after=commit)
         rewrite_event(
             crashed, commit, lambda payload: payload.update(digest="0" * 64), fix_crc=True
@@ -642,14 +608,15 @@ class TestSaveRestore:
             StreamingResolver.restore(crashed)
         # ... and so does a rewritten intent: the replay diverges from the
         # votes and digest its outcome recorded.
-        rewrite_event(tmp_path, truth, lambda payload: payload.update(pairs=[]), fix_crc=True)
+        crashed = crash_copy(tmp_path, tmp_path / "intent", after=commit)
+        rewrite_event(crashed, truth, lambda payload: payload.update(pairs=[]), fix_crc=True)
         with pytest.raises(JournalCorruptionError):
-            StreamingResolver.restore(tmp_path)
+            StreamingResolver.restore(crashed)
 
     def test_snapshot_restore_skips_replayed_prefix(self, tmp_path):
         dataset = make_dataset()
         records = list(dataset.store)
-        config = make_config(checkpoint_dir=str(tmp_path), checkpoint_every_batches=1)
+        config = make_config(checkpoint_dir=str(tmp_path))
         resolver = StreamingResolver(config=config)
         resolver.add_truth(dataset.ground_truth)
         for start in range(0, len(records), 20):
@@ -720,12 +687,7 @@ def test_property_crash_at_any_point_recovers_bit_identically(
     """
     directory = tmp_path_factory.mktemp("crash")
     dataset = make_dataset(record_count=50, duplicate_pairs=8, seed=29)
-    config = make_config(
-        checkpoint_dir=str(directory), checkpoint_every_batches=data.draw(
-            st.sampled_from([0, 1, 3]), label="checkpoint_every"
-        )
-    )
-    resolver = StreamingResolver(config=config)
+    resolver = StreamingResolver(config=make_config(checkpoint_dir=str(directory)))
     resolver.add_truth(dataset.ground_truth)
     run_schedule(resolver, dataset, schedule)
 
@@ -750,16 +712,13 @@ def test_property_crash_at_any_point_recovers_bit_identically(
 
 
 # ------------------------------------------ what a crash really leaves behind
-@pytest.mark.parametrize("backend", ("memory", "sqlite"))
 @settings(
     max_examples=6,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
 )
 @given(data=st.data(), schedule=event_schedules(min_size=2, max_size=5))
-def test_property_torn_wal_restores_a_prefix_and_converges(
-    tmp_path_factory, backend, data, schedule
-):
+def test_property_torn_wal_restores_a_prefix_and_converges(tmp_path_factory, data, schedule):
     """Crash safety rests on SQLite's WAL, so tear it.
 
     The store and its ``-wal`` are copied while the session is open and the
@@ -770,12 +729,7 @@ def test_property_torn_wal_restores_a_prefix_and_converges(
     """
     directory = tmp_path_factory.mktemp("live")
     dataset = make_dataset(record_count=40, duplicate_pairs=8, seed=47)
-    config = make_config(
-        storage_backend=backend,
-        checkpoint_dir=str(directory),
-        checkpoint_every_batches=data.draw(st.sampled_from([0, 2]), label="cadence"),
-    )
-    resolver = StreamingResolver(config=config)
+    resolver = StreamingResolver(config=make_config(checkpoint_dir=str(directory)))
     resolver.add_truth(dataset.ground_truth)
     drive(resolver, list(dataset.store), schedule)
     full_log = logged_events(directory)
@@ -806,12 +760,12 @@ _KILLED_CHILD = """
     from repro.datasets.restaurant import RestaurantGenerator
     from repro.streaming import StreamingResolver
 
-    backend, directory = sys.argv[1:]
+    directory, = sys.argv[1:]
     dataset = RestaurantGenerator(record_count=120, duplicate_pairs=20, seed=13).generate()
     records = list(dataset.store)
     resolver = StreamingResolver(config=WorkflowConfig(
         likelihood_threshold=0.35, vote_mode="per-pair", aggregation="majority",
-        storage_backend=backend, checkpoint_dir=directory, checkpoint_every_batches=3,
+        checkpoint_dir=directory,
     ))
     resolver.add_truth(dataset.ground_truth)
     for start in range(0, len(records), 4):
@@ -822,14 +776,13 @@ _KILLED_CHILD = """
 """
 
 
-@pytest.mark.parametrize("backend", ("memory", "sqlite"))
-def test_sigkill_mid_stream_restores_and_finishes_identically(tmp_path, backend):
+def test_sigkill_mid_stream_restores_and_finishes_identically(tmp_path):
     """A real process, really killed: whatever ``SIGKILL`` left in the
     directory restores, and the rest of the schedule ends where an
     uninterrupted run does."""
     source_root = str(Path(next(iter(repro.__path__))).parent)
     child = subprocess.Popen(
-        [sys.executable, "-c", textwrap.dedent(_KILLED_CHILD), backend, str(tmp_path)],
+        [sys.executable, "-c", textwrap.dedent(_KILLED_CHILD), str(tmp_path)],
         stdout=subprocess.PIPE,
         env={**os.environ, "PYTHONPATH": source_root},
     )
@@ -848,7 +801,6 @@ def test_sigkill_mid_stream_restores_and_finishes_identically(tmp_path, backend)
         uninterrupted.add_batch(records[start : start + 4])
 
     restored = StreamingResolver.restore(tmp_path)
-    assert restored.storage.backend_name == backend
     done = restored.record_count
     assert 12 <= done <= len(records) and done % 4 == 0
     for start in range(done, len(records), 4):
@@ -859,8 +811,7 @@ def test_sigkill_mid_stream_restores_and_finishes_identically(tmp_path, backend)
 
 
 @pytest.mark.parametrize("crowd_mode", ("sync", "async"))
-@pytest.mark.parametrize("backend", ("memory", "sqlite"))
-def test_a_durable_session_is_one_file(tmp_path, backend, crowd_mode):
+def test_a_durable_session_is_one_file(tmp_path, crowd_mode):
     """Running, saving and restoring (a restored session too) never leave
     anything in the directory but ``store.sqlite`` (and, while a connection
     is open, SQLite's own ``-wal``/``-shm``)."""
@@ -872,12 +823,7 @@ def test_a_durable_session_is_one_file(tmp_path, backend, crowd_mode):
 
     dataset = make_dataset()
     records = list(dataset.store)
-    config = make_config(
-        storage_backend=backend,
-        checkpoint_dir=str(tmp_path),
-        checkpoint_every_batches=2,
-        crowd_mode=crowd_mode,
-    )
+    config = make_config(checkpoint_dir=str(tmp_path), crowd_mode=crowd_mode)
     resolver = StreamingResolver(config=config)
     resolver.add_truth(dataset.ground_truth)
     for start in range(0, 40, 10):
@@ -915,29 +861,21 @@ def log_and_state_positions(directory):
 
 @pytest.mark.parametrize("start", ("fresh", "restored"))
 @pytest.mark.parametrize("crowd_mode", ("sync", "async"))
-@pytest.mark.parametrize("backend", ("memory", "sqlite"))
-def test_the_state_and_the_log_advance_in_one_commit(tmp_path, backend, crowd_mode, start):
+def test_the_state_and_the_log_advance_in_one_commit(tmp_path, crowd_mode, start):
     """After every event ``meta.events_applied == MAX(events.seq)``: the
-    state rows (mirrored, or rewritten at a cadence of 1), the counters and
-    the outcome row are one transaction, so no reader — and no crash — ever
+    event's state rows, the counters and the outcome row are one transaction, so no reader — and no crash — ever
     sees the store ahead of the log or an outcome without its state.  A
     restored session keeps them in step too: it takes the log over, so
     every event it applies after the restore — and the votes it buys for
     it — are logged."""
     dataset = make_dataset()
     records = list(dataset.store)
-    config = make_config(
-        storage_backend=backend,
-        checkpoint_dir=str(tmp_path),
-        checkpoint_every_batches=1,
-        crowd_mode=crowd_mode,
-    )
+    config = make_config(checkpoint_dir=str(tmp_path), crowd_mode=crowd_mode)
     resolver = StreamingResolver(config=config)
-    # An event without an outcome never triggers the cadence: the
-    # memory-backed store has no state yet, the mirrored one is current.
+    # An event without an outcome is written at its commit all the same.
     resolver.add_truth(dataset.ground_truth)
     logged, applied = log_and_state_positions(tmp_path)
-    assert applied == (logged if backend == "sqlite" else None)
+    assert applied == logged
     events = [
         lambda: resolver.add_batch(records[:15]),
         lambda: resolver.add_batch(records[15:30]),
@@ -959,20 +897,3 @@ def test_the_state_and_the_log_advance_in_one_commit(tmp_path, backend, crowd_mo
     resolver.durability.close()
     logged, applied = log_and_state_positions(tmp_path)
     assert logged == applied
-
-    # Between cadence points a memory-backed store trails its log; it never leads.
-    lagging = tmp_path / "lagging"
-    resolver = StreamingResolver(
-        config=dataclasses.replace(
-            config,
-            storage_backend="memory",
-            checkpoint_dir=str(lagging),
-            checkpoint_every_batches=2,
-        )
-    )
-    resolver.add_truth(dataset.ground_truth)
-    for start in range(0, 45, 9):
-        resolver.add_batch(records[start : start + 9])
-        logged, applied = log_and_state_positions(lagging)
-        assert (applied or 0) <= logged == resolver.events_applied
-    resolver.durability.close()

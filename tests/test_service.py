@@ -961,8 +961,7 @@ class TestDurability:
         restored = StreamingResolver.restore(str(checkpoint))
         assert encode_result(restored.snapshot()) == served
 
-    @pytest.mark.parametrize("backend", ("memory", "sqlite"))
-    def test_close_releases_the_store_and_restore_continues(self, tmp_path, backend):
+    def test_close_releases_the_store_and_restore_continues(self, tmp_path):
         """``DELETE /sessions/{id}`` saves *and closes* the session's SQLite
         connection (on its shard thread): no WAL is left behind, and the
         same process can restore the session and carry on bit-identically."""
@@ -974,9 +973,7 @@ class TestDurability:
             truth = [list(pair) for pair in dataset.ground_truth]
             schedule = [("batch", 15), ("retract", 2), ("batch", 10)]
             tail = [("update", 4), ("batch", 15), ("flush", 0)]
-            config = dict(
-                SERVICE_CONFIG, storage_backend=backend, checkpoint_dir=str(tmp_path)
-            )
+            config = dict(SERVICE_CONFIG, checkpoint_dir=str(tmp_path))
             client.create_session("closing", config=config, truth=truth)
             mirror = {}
             cursor = drive_over_http(client, "closing", records, schedule, mirror)

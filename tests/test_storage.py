@@ -1,11 +1,11 @@
-"""Tests for the pluggable storage layer (repro.storage).
+"""Tests for the storage layer (repro.storage).
 
-The central contract: a streaming session backed by the SQLite store is
-**bit-identical** to one backed by process memory — same matches, same
-posteriors to the last float bit, same digests — for any schedule of
-batches, retractions, updates, flushes and crashes, and restoring a
-SQLite-backed session is a *page-in* of committed state (plus a short
-replay of the logged tail) rather than a replay of the whole log.
+The central contract: a durable streaming session, which writes each
+event's changed rows into its SQLite store at commit, is **bit-identical**
+to an in-memory one — same matches, same posteriors to the last float bit,
+same digests — for any schedule of batches, retractions, updates, flushes
+and crashes, and restoring it is a *page-in* of committed state (plus a
+short replay of the logged tail) rather than a replay of the whole log.
 """
 
 import dataclasses
@@ -30,7 +30,7 @@ from repro.hit.pair_generation import PairHITGenerator
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.report import CostReport
 from repro.records.pairs import PairSet, RecordPair
-from repro.records.record import Record, RecordStore
+from repro.records.record import Record
 from repro.simjoin.columnar import argsort_descending
 from repro.storage import SqliteStore, StorageError
 from repro.storage.sqlite import STORE_FILENAME
@@ -215,24 +215,17 @@ class TestSqliteRoundTrips:
         store.remove_record("zzz")  # unknown ids are a no-op
         store.commit()
         store.close()
-        reopened = SqliteStore(path)
-        assert reopened.record_ids() == ["b", "a"]
-        assert reopened.get_record("b").source == "s1"
-        assert reopened.get_record("a").attributes == {"name": "alpha"}
-        assert reopened.record_at(1).record_id == "a"
-        assert reopened.record_count() == 2
-        assert reopened.has_record("b") and not reopened.has_record("zzz")
-        reopened.close()
-
-    def test_record_store_delegates_to_backing(self, tmp_path):
-        store = SqliteStore(tmp_path / STORE_FILENAME)
-        records = RecordStore(name="stream", backing=store)
-        records.add(Record("r1", {"name": "x"}))
-        assert "r1" in records and len(records) == 1
-        assert [record.record_id for record in records] == ["r1"]
-        records.remove("r1")
-        assert len(records) == 0
+        store = SqliteStore(path)  # arrival order goes on after a reopen
+        store.add_record(Record("c", {"name": "gamma"}))
+        store.remove_record("a")
+        store.commit()
         store.close()
+        reopened = SqliteStore(path)
+        assert [
+            (record.record_id, dict(record.attributes), record.source)
+            for record in reopened.iter_records()
+        ] == [("b", {"name": "beta"}, "s1"), ("c", {"name": "gamma"}, None)]
+        reopened.close()
 
     def test_meta_round_trips_json_values(self, tmp_path):
         path = tmp_path / STORE_FILENAME
@@ -333,19 +326,17 @@ class TestSqliteRoundTrips:
         store.rollback()  # crash mid-event: back to the last event boundary
         store.close()
         reopened = SqliteStore(path)
-        assert reopened.record_ids() == ["r1"]
+        assert [record.record_id for record in reopened.iter_records()] == ["r1"]
         reopened.close()
 
 
-# --------------------------------------------------- backend bit-identity
+# ------------------------------------------- durable == in-memory, bit for bit
 class TestBackendBitIdentity:
     def test_simple_run_matches_memory_backend(self, tmp_path):
         dataset = make_dataset()
         records = list(dataset.store)
         mem = StreamingResolver(config=make_config())
-        sql = StreamingResolver(
-            config=make_config(storage_backend="sqlite", checkpoint_dir=str(tmp_path))
-        )
+        sql = StreamingResolver(config=make_config(checkpoint_dir=str(tmp_path)))
         for session in (mem, sql):
             session.add_truth(dataset.ground_truth)
             for start in range(0, len(records), 15):
@@ -373,8 +364,8 @@ class TestBackendBitIdentity:
     ):
         """Random schedules with a crash+restore at a random point.
 
-        The memory-backed session runs the schedule uninterrupted; the
-        SQLite-backed durable session runs a prefix, crashes (its open
+        The in-memory session runs the schedule uninterrupted; the
+        durable session runs a prefix, crashes (its open
         transaction rolls back, the process state is dropped), restores by
         paging the store back in, and runs the rest — the final states
         must be bit-identical.
@@ -386,12 +377,7 @@ class TestBackendBitIdentity:
         drive(mem, records, schedule)
 
         directory = tmp_path_factory.mktemp("sqlsession")
-        config = make_config(
-            storage_backend="sqlite",
-            checkpoint_dir=str(directory),
-            checkpoint_every_batches=0,
-        )
-        sql = StreamingResolver(config=config)
+        sql = StreamingResolver(config=make_config(checkpoint_dir=str(directory)))
         sql.add_truth(dataset.ground_truth)
         crash_at = data.draw(
             st.integers(min_value=0, max_value=len(schedule)), label="crash_at"
@@ -409,10 +395,7 @@ class TestBackendBitIdentity:
         intent replays the interrupted event on restore."""
         dataset = make_dataset()
         records = list(dataset.store)
-        config = make_config(
-            storage_backend="sqlite", checkpoint_dir=str(tmp_path)
-        )
-        resolver = StreamingResolver(config=config)
+        resolver = StreamingResolver(config=make_config(checkpoint_dir=str(tmp_path)))
         resolver.add_truth(dataset.ground_truth)
         for start in range(0, 30, 10):
             resolver.add_batch(records[start : start + 10])
@@ -438,12 +421,7 @@ class TestPageInRestore:
     def test_restore_pages_in_without_snapshot_or_replay(self, tmp_path):
         dataset = make_dataset()
         records = list(dataset.store)
-        config = make_config(
-            storage_backend="sqlite",
-            checkpoint_dir=str(tmp_path),
-            checkpoint_every_batches=0,  # no cadence: the mirrored store is the state
-        )
-        resolver = StreamingResolver(config=config)
+        resolver = StreamingResolver(config=make_config(checkpoint_dir=str(tmp_path)))
         resolver.add_truth(dataset.ground_truth)
         for start in range(0, len(records), 12):
             resolver.add_batch(records[start : start + 12])
@@ -456,18 +434,13 @@ class TestPageInRestore:
     def test_restored_session_continues_in_lockstep(self, tmp_path):
         dataset = make_dataset(record_count=60, duplicate_pairs=10)
         records = list(dataset.store)
-        config = make_config(
-            storage_backend="sqlite", checkpoint_dir=str(tmp_path)
-        )
-        resolver = StreamingResolver(config=config)
+        resolver = StreamingResolver(config=make_config(checkpoint_dir=str(tmp_path)))
         resolver.add_truth(dataset.ground_truth)
         for start in range(0, 40, 13):
             resolver.add_batch(records[start:][: min(13, 40 - start)])
         resolver.storage.close()
         twin_dir = tmp_path.parent / (tmp_path.name + "-twin")
-        twin = StreamingResolver(
-            config=make_config(storage_backend="sqlite", checkpoint_dir=str(twin_dir))
-        )
+        twin = StreamingResolver(config=make_config(checkpoint_dir=str(twin_dir)))
         twin.add_truth(dataset.ground_truth)
         for start in range(0, 40, 13):
             twin.add_batch(records[start:][: min(13, 40 - start)])
@@ -493,9 +466,7 @@ class TestPageInRestore:
         dataset = make_dataset()
         records = list(dataset.store)
         home, copy = tmp_path / "home", tmp_path / "copy"
-        resolver = StreamingResolver(
-            config=make_config(storage_backend="sqlite", checkpoint_dir=str(home))
-        )
+        resolver = StreamingResolver(config=make_config(checkpoint_dir=str(home)))
         resolver.add_truth(dataset.ground_truth)
         for start in range(0, len(records), 15):
             resolver.add_batch(records[start : start + 15])
@@ -532,9 +503,7 @@ class TestPageInRestore:
         page-in publishes nothing — retracts exactly, and loses both."""
         dataset = make_dataset()
         records = list(dataset.store)
-        resolver = StreamingResolver(
-            config=make_config(storage_backend="sqlite", checkpoint_dir=str(tmp_path))
-        )
+        resolver = StreamingResolver(config=make_config(checkpoint_dir=str(tmp_path)))
         twin = StreamingResolver(config=make_config())
         for session in (resolver, twin):
             session.add_truth(dataset.ground_truth)
@@ -568,9 +537,9 @@ class TestPageInRestore:
     ):
         """Reading a store (``repro stats``) or refusing to restore it leaves
         the earlier release's table and rows and its ``metrics`` meta row in
-        place, so that release can still resume it; a memory-backed resume
-        that keeps the log drops them.  The report ignores the copied
-        registry: it is the session's own cost."""
+        place, so that release can still resume it; a resume that keeps the
+        log drops them.  The report ignores the copied registry: it is the
+        session's own cost."""
         dataset = make_dataset()
         records = list(dataset.store)
         resolver = StreamingResolver(config=make_config(checkpoint_dir=str(tmp_path)))
@@ -606,14 +575,13 @@ class TestPageInRestore:
 
         store_threshold(0.5)  # the value that replays
         restored = StreamingResolver.restore(str(tmp_path))
-        assert restored.storage.backend_name == "memory"
         assert session_fingerprint(restored) == expected
         assert parent_provenance_rows(path) is None
         assert not parent_metrics_row(path)
         restored.durability.close()
 
     def test_fresh_session_refuses_an_occupied_store(self, tmp_path):
-        config = make_config(storage_backend="sqlite", checkpoint_dir=str(tmp_path))
+        config = make_config(checkpoint_dir=str(tmp_path))
         first = StreamingResolver(config=config)
         first.add_batch([Record("r1", {"t": "alpha"}), Record("r2", {"t": "alpha"})])
         first.storage.close()
@@ -634,10 +602,9 @@ class TestLedgerRecordIndex:
     @given(
         data=st.data(),
         schedule=event_schedules(min_size=2, max_size=7),
-        backend=st.sampled_from(("memory", "sqlite")),
     )
     def test_property_pairs_of_is_the_candidates_of_each_record(
-        self, tmp_path_factory, data, schedule, backend
+        self, tmp_path_factory, data, schedule
     ):
         """After every event of a random batch/retract/update schedule —
         and after paging the session in at a random point — the ledger's
@@ -647,9 +614,7 @@ class TestLedgerRecordIndex:
         records = list(dataset.store)
         arrived = [record.record_id for record in records]
         directory = tmp_path_factory.mktemp("index")
-        session = StreamingResolver(
-            config=make_config(storage_backend=backend, checkpoint_dir=str(directory))
-        )
+        session = StreamingResolver(config=make_config(checkpoint_dir=str(directory)))
         session.add_truth(dataset.ground_truth)
         page_in_at = data.draw(
             st.integers(min_value=0, max_value=len(schedule)), label="page_in_at"
@@ -676,20 +641,17 @@ class TestLedgerRecordIndex:
     )
     @given(
         schedule=event_schedules(min_size=2, max_size=7),
-        backend=st.sampled_from(("memory", "sqlite")),
         crowd_mode=st.sampled_from(("sync", "async")),
     )
     def test_property_the_pair_tables_are_the_ledger_at_every_boundary(
-        self, tmp_path_factory, schedule, backend, crowd_mode
+        self, tmp_path_factory, schedule, crowd_mode
     ):
         """Batches, retractions, updates and flushes, on a synchronous or an
-        asynchronous crowd: after every event the store's pair tables equal
-        the ledger — written per changed key at commit (sqlite) or whole at
-        the cadence (memory, every event here)."""
+        asynchronous crowd: after every event the store's ``ledger`` table
+        equals the ledger, written per changed key at commit."""
         dataset = make_dataset(record_count=40, duplicate_pairs=8, seed=47)
         session = StreamingResolver(config=make_config(
-            storage_backend=backend, checkpoint_every_batches=1, crowd_mode=crowd_mode,
-            checkpoint_dir=str(tmp_path_factory.mktemp("tables")),
+            crowd_mode=crowd_mode, checkpoint_dir=str(tmp_path_factory.mktemp("tables")),
         ))
         session.add_truth(dataset.ground_truth)
         records, cursor = list(dataset.store), 0
@@ -703,9 +665,7 @@ class TestLedgerRecordIndex:
         finds them again in one event: the ledger holds the same pairs, and
         the ``ledger`` table one row for each."""
         dataset = make_dataset()
-        session = StreamingResolver(config=make_config(
-            storage_backend="sqlite", checkpoint_dir=str(tmp_path)
-        ))
+        session = StreamingResolver(config=make_config(checkpoint_dir=str(tmp_path)))
         session.add_truth(dataset.ground_truth)
         records = list(dataset.store)
         session.add_batch(records[:30])
@@ -723,7 +683,7 @@ class TestLedgerRecordIndex:
     @pytest.mark.gate
     def test_a_durable_session_statement_count(self, tmp_path, monkeypatch):
         """Restaurant(2000, 250, seed 7) at 0.35 in batches of 250 plus a
-        flush: every statement a sqlite session issues, the log's included,
+        flush: every statement a durable session issues, the log's included,
         is counted — the one place the count is pinned.  2,000 are the
         per-record inserts; the pair ledger writes one ``ledger`` statement
         per event that changed it (four, one per pair table, before the
@@ -752,7 +712,7 @@ class TestLedgerRecordIndex:
             session.flush()
             return session
 
-        durable = run(storage_backend="sqlite", checkpoint_dir=str(tmp_path))
+        durable = run(checkpoint_dir=str(tmp_path))
         assert len(statements) == 2097
         assert sum(sql.startswith("INSERT INTO records") for sql in statements) == 2000
         assert sum(" ledger " in sql for sql in statements) == 8  # one per batch
@@ -774,16 +734,13 @@ class TestOneRestore:
             resolver.add_batch(records[start : start + size])
         return resolver
 
-    @pytest.mark.parametrize("backend", ("memory", "sqlite"))
-    def test_a_restore_runs_under_the_stored_config(self, tmp_path, backend):
+    def test_a_restore_runs_under_the_stored_config(self, tmp_path):
         """A non-default config comes back field for field, and the session
         equals a fresh run under it that never stopped."""
         dataset = make_dataset()
         records = list(dataset.store)
         written = make_config(
-            storage_backend=backend,
             checkpoint_dir=str(tmp_path),
-            checkpoint_every_batches=2,
             likelihood_threshold=0.2,
             stream_batch_size=12,
             hit_type="pair",
@@ -793,34 +750,22 @@ class TestOneRestore:
         resolver.durability.close()
         restored = StreamingResolver.restore(str(tmp_path))
         assert restored.config == written
-        assert restored.storage.backend_name == backend
         fresh = self.feed(
-            StreamingResolver(
-                config=dataclasses.replace(
-                    written, checkpoint_dir=None, storage_backend="memory"
-                )
-            ),
+            StreamingResolver(config=dataclasses.replace(written, checkpoint_dir=None)),
             records,
             dataset.ground_truth,
         )
         assert_sessions_identical(fresh, restored)
         restored.durability.close()
 
-    @pytest.mark.parametrize("backend", ("memory", "sqlite"))
-    def test_a_moved_session_is_taken_over_where_it_lies(self, tmp_path, backend):
+    def test_a_moved_session_is_taken_over_where_it_lies(self, tmp_path):
         """A directory moved between runs resumes from its new place, goes on
         logging to its one file there and leaves nothing else behind."""
         dataset = make_dataset()
         records = list(dataset.store)
         home, moved = tmp_path / "home", tmp_path / "moved"
         resolver = self.feed(
-            StreamingResolver(
-                config=make_config(
-                    storage_backend=backend,
-                    checkpoint_dir=str(home),
-                    checkpoint_every_batches=2,
-                )
-            ),
+            StreamingResolver(config=make_config(checkpoint_dir=str(home))),
             records[:24],
             dataset.ground_truth,
         )
@@ -848,9 +793,7 @@ class TestOneRestore:
         ]
         dataset = make_dataset()
         resolver = self.feed(
-            StreamingResolver(
-                config=make_config(storage_backend="sqlite", checkpoint_dir=str(tmp_path))
-            ),
+            StreamingResolver(config=make_config(checkpoint_dir=str(tmp_path))),
             list(dataset.store),
             dataset.ground_truth,
         )
@@ -870,7 +813,7 @@ class TestOneRestore:
         restored.durability.close()
 
 
-# ------------------------------------------------------- format-1 stores
+# ------------------------------------------- stores earlier releases wrote
 FIXTURES = Path(__file__).parent / "fixtures"
 
 #: Format 1 kept a pair in four tables keyed by ``(id_a, id_b)``.
@@ -878,18 +821,18 @@ FORMAT_1_TABLES = ("pairs", "pair_votes", "posteriors", "covered")
 
 
 @dataclasses.dataclass(frozen=True)
-class Format1Store:
-    """A store the last format-1 release wrote, committed as a text SQL dump.
+class WrittenStore:
+    """A store an earlier release wrote, committed as a text SQL dump.
 
-    Both ran Restaurant(45, 8, seed 31) at 0.15 on an asynchronous crowd
+    Each ran Restaurant(45, 8, seed 31) at 0.15 on an asynchronous crowd
     whose deliveries are delayed (:meth:`config`), through
     :meth:`events`; ``applied`` of them are in the state tables and
     ``logged`` in the log.  ``stats`` is what ``repro stats`` reported on
-    it under that release.
+    it under that release.  ``label`` names how that release wrote it.
     """
 
     dump: str
-    backend: str
+    label: str
     aggregation: str
     applied: int
     logged: int
@@ -901,9 +844,7 @@ class Format1Store:
             aggregation=self.aggregation,
             crowd_mode="async",
             fault_plan={"seed": 3, "delay_ticks_min": 1, "delay_ticks_max": 3},
-            storage_backend=self.backend if directory else "memory",
             checkpoint_dir=str(directory) if directory else None,
-            checkpoint_every_batches=0,
         )
 
     @staticmethod
@@ -939,12 +880,21 @@ class Format1Store:
 FORMAT_1_STORES = (
     # Memory-backed: its state saved after the retraction; the update, the
     # batch of records 30-40 and the flush logged after it.
-    Format1Store("v1_memory_store.sql", "memory", "dawid-skene", 3, 6,
+    WrittenStore("v1_memory_store.sql", "memory", "dawid-skene", 3, 6,
                  (3, 8, 27, 0.22500000000000003, 640.0)),
     # Sqlite-backed, as a crash left it: the batch of records 30-40 logged
     # and not applied.
-    Format1Store("v1_sqlite_crash_store.sql", "sqlite", "majority", 4, 5,
+    WrittenStore("v1_sqlite_crash_store.sql", "sqlite", "majority", 4, 5,
                  (3, 9, 33, 0.22500000000000003, 709.8)),
+)
+
+#: Format 2, written by the last release with two write schedules: a
+#: memory-backed session at ``checkpoint_every_batches=3`` rewrote its state
+#: tables after the retraction (its third event with an outcome), and its
+#: log holds the update and the batch of records 30-40 past them.
+CADENCE_STORE = WrittenStore(
+    "v2_memory_cadence_store.sql", "cadence", "dawid-skene", 3, 5,
+    (3, 8, 27, 0.22500000000000003, 640.0),
 )
 
 
@@ -986,64 +936,76 @@ def forge_outcome(directory):
     connection.close()
 
 
+def assert_restores_and_continues(tmp_path, written, tail):
+    """``written`` restores bit-identically to a session that ran the events
+    its store holds — with its logged tail, with the log cut at its state,
+    and as a ``save(X)`` copy (state, no events) — in store format 2, then
+    continues and restores again bit-identically."""
+    dataset = make_dataset()
+    records = list(dataset.store)
+    directory = written.load(tmp_path / "store")
+    if tail == "cut":
+        delete_events(
+            directory, "WHERE seq > (SELECT value FROM meta WHERE key = 'events_applied')"
+        )
+    elif tail == "store-only":
+        delete_events(directory)
+    twin = written.twin(dataset, written.logged if tail == "logged" else written.applied)
+    restored = StreamingResolver.restore(directory)
+    assert restored.config == written.config(directory)
+    assert_sessions_identical(twin, restored)
+    assert restored.storage.ledger.votes == twin.storage.ledger.votes
+    store = restored.durability.store
+    assert store.get_meta("version") == persistence.FORMAT_VERSION
+    assert format_1_tables(store) == []
+    for session in (twin, restored):
+        session.add_batch(records[40:])
+        session.retract(records[10].record_id)
+        session.flush()
+    assert_sessions_identical(twin, restored)
+    restored.durability.close()
+    again = StreamingResolver.restore(directory)
+    assert_sessions_identical(twin, again)
+    again.durability.close()
+
+
+def assert_stats_as_written(tmp_path, capsys, written):
+    """``repro stats`` on ``written`` reports what its release did and leaves
+    the file as it was, but for a ``ledger`` table opening it adds."""
+    from repro.cli import main
+
+    directory = written.load(tmp_path / "store")
+    before = store_contents(directory / STORE_FILENAME)
+    capsys.readouterr()
+    assert main(["stats", "--checkpoint-dir", str(directory), "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    names = ("hits_issued", "assignments", "votes", "crowd_cost_dollars", "crowd_work_seconds")
+    assert tuple(report[name] for name in names) == written.stats
+    assert store_contents(directory / STORE_FILENAME) == {"ledger": [], **before}
+
+
 class TestFormat1Stores:
     """A store the last format-1 release wrote restores, continues and
     restores again bit-identically; its four pair tables move into
     ``ledger`` only when a restore takes it over."""
 
-    @pytest.mark.parametrize("written", FORMAT_1_STORES, ids=lambda store: store.backend)
+    @pytest.mark.parametrize("written", FORMAT_1_STORES, ids=lambda store: store.label)
     @pytest.mark.parametrize("tail", ("logged", "cut", "store-only"))
     def test_a_format_1_store_restores_and_continues_bit_identically(
         self, tmp_path, written, tail
     ):
-        """With its logged tail, with the log cut at its state, and as a
-        ``save(X)`` copy (state, no events)."""
-        dataset = make_dataset()
-        records = list(dataset.store)
-        directory = written.load(tmp_path / "store")
-        if tail == "cut":
-            delete_events(
-                directory, "WHERE seq > (SELECT value FROM meta WHERE key = 'events_applied')"
-            )
-        elif tail == "store-only":
-            delete_events(directory)
-        twin = written.twin(dataset, written.logged if tail == "logged" else written.applied)
-        restored = StreamingResolver.restore(directory)
-        assert restored.config == written.config(directory)
-        assert_sessions_identical(twin, restored)
-        assert restored.storage.ledger.votes == twin.storage.ledger.votes
-        store = restored.durability.store
-        assert store.get_meta("version") == persistence.FORMAT_VERSION
-        assert format_1_tables(store) == []
-        for session in (twin, restored):
-            session.add_batch(records[40:])
-            session.retract(records[10].record_id)
-            session.flush()
-        assert_sessions_identical(twin, restored)
-        restored.durability.close()
-        again = StreamingResolver.restore(directory)
-        assert_sessions_identical(twin, again)
-        again.durability.close()
+        assert_restores_and_continues(tmp_path, written, tail)
 
-    @pytest.mark.parametrize("written", FORMAT_1_STORES, ids=lambda store: store.backend)
+    @pytest.mark.parametrize("written", FORMAT_1_STORES, ids=lambda store: store.label)
     def test_repro_stats_reports_a_format_1_store_as_its_release_did(
         self, tmp_path, capsys, written
     ):
         """``repro stats`` reads the four tables through one ``SELECT`` and
         writes nothing: the file keeps every table and row (opening it adds
         the empty ``ledger`` table, as it adds any missing one)."""
-        from repro.cli import main
+        assert_stats_as_written(tmp_path, capsys, written)
 
-        directory = written.load(tmp_path / "store")
-        before = store_contents(directory / STORE_FILENAME)
-        capsys.readouterr()
-        assert main(["stats", "--checkpoint-dir", str(directory), "--json"]) == 0
-        report = json.loads(capsys.readouterr().out)
-        names = ("hits_issued", "assignments", "votes", "crowd_cost_dollars", "crowd_work_seconds")
-        assert tuple(report[name] for name in names) == written.stats
-        assert store_contents(directory / STORE_FILENAME) == {**before, "ledger": []}
-
-    @pytest.mark.parametrize("written", FORMAT_1_STORES, ids=lambda store: store.backend)
+    @pytest.mark.parametrize("written", FORMAT_1_STORES, ids=lambda store: store.label)
     def test_a_refused_restore_leaves_a_format_1_store_as_it_was(self, tmp_path, written):
         """A forged outcome fails verification after page-in and replay:
         the restore's one transaction rolls back, and the store keeps its
@@ -1081,6 +1043,41 @@ class TestFormat1Stores:
         restored.durability.close()
 
 
+class TestACadenceStore:
+    """The last release with two write schedules let a memory-backed session
+    rewrite its state tables every ``checkpoint_every_batches`` events, so
+    its store can trail its log by several.  Such a store restores,
+    replaying that tail, continues and restores again bit-identically; its
+    two retired knobs are dropped, never named."""
+
+    @pytest.mark.parametrize("tail", ("logged", "cut", "store-only"))
+    def test_restores_and_continues_bit_identically(self, tmp_path, tail):
+        assert_restores_and_continues(tmp_path, CADENCE_STORE, tail)
+
+    def test_repro_stats_reports_it_as_its_release_did(self, tmp_path, capsys):
+        assert_stats_as_written(tmp_path, capsys, CADENCE_STORE)
+
+    def test_resume_names_neither_retired_knob(self, tmp_path, capsys):
+        """Its stored config holds ``storage_backend="memory"`` and
+        ``checkpoint_every_batches=3``; ``resolve-stream --resume`` names the
+        fields its flags set differently, and these two are not fields."""
+        from repro.cli import main
+
+        directory = CADENCE_STORE.load(tmp_path / "store")
+        stored = SqliteStore(directory / STORE_FILENAME)
+        assert {
+            name: stored.get_meta("config")[name]
+            for name in ("storage_backend", "checkpoint_every_batches")
+        } == {"storage_backend": "memory", "checkpoint_every_batches": 3}
+        stored.close()
+        capsys.readouterr()
+        assert main(["resolve-stream", "--dataset", "paper-example", "--threshold", "0.15",
+                     "--checkpoint-dir", str(directory), "--resume"]) == 0
+        note = capsys.readouterr().err
+        assert "crowd_mode='sync' (session: 'async')" in note
+        assert "storage_backend" not in note and "checkpoint_every" not in note
+
+
 # --------------------------------------------- async crowd crash recovery
 class TestAsyncCrashRecovery:
     """Crash recovery under partial votes.
@@ -1113,24 +1110,20 @@ class TestAsyncCrashRecovery:
         resolver.flush()
         return resolver
 
-    @pytest.mark.parametrize("backend", ("memory", "sqlite"))
-    def test_crash_mid_delivery_restores_identically(self, tmp_path, backend):
+    def test_crash_mid_delivery_restores_identically(self, tmp_path):
         dataset = make_dataset()
         records = list(dataset.store)
         twin = self.run_uninterrupted(records, dataset.ground_truth)
 
-        config = make_config(
-            storage_backend=backend, checkpoint_dir=str(tmp_path), **self.ASYNC
-        )
+        config = make_config(checkpoint_dir=str(tmp_path), **self.ASYNC)
         resolver = StreamingResolver(config=config)
         resolver.add_truth(dataset.ground_truth)
         for start in range(0, 30, 10):
             resolver.add_batch(records[start : start + 10])
         # The crash is only interesting if votes really are in flight.
         assert resolver.driver.inflight
-        if backend == "sqlite":
-            # Losing the open store transaction is part of the crash.
-            resolver.storage.rollback()
+        # Losing the open store transaction is part of the crash.
+        resolver.storage.rollback()
         resolver.storage.close()
 
         restored = StreamingResolver.restore(str(tmp_path))
@@ -1150,9 +1143,7 @@ class TestAsyncCrashRecovery:
         records = list(dataset.store)
         twin = self.run_uninterrupted(records[:40], dataset.ground_truth)
 
-        config = make_config(
-            storage_backend="sqlite", checkpoint_dir=str(tmp_path), **self.ASYNC
-        )
+        config = make_config(checkpoint_dir=str(tmp_path), **self.ASYNC)
         resolver = StreamingResolver(config=config)
         resolver.add_truth(dataset.ground_truth)
         for start in range(0, 30, 10):
@@ -1179,9 +1170,7 @@ class TestAsyncCrashRecovery:
             sync.add_batch(records[start : start + 10])
         sync.flush()
 
-        config = make_config(
-            storage_backend="sqlite", checkpoint_dir=str(tmp_path), **self.ASYNC
-        )
+        config = make_config(checkpoint_dir=str(tmp_path), **self.ASYNC)
         resolver = StreamingResolver(config=config)
         resolver.add_truth(dataset.ground_truth)
         for start in range(0, 20, 10):
@@ -1224,12 +1213,7 @@ class TestAsyncCrashRecovery:
         mem.flush()
 
         directory = tmp_path_factory.mktemp("asyncsession")
-        config = make_config(
-            storage_backend="sqlite",
-            checkpoint_dir=str(directory),
-            checkpoint_every_batches=0,
-            **self.ASYNC,
-        )
+        config = make_config(checkpoint_dir=str(directory), **self.ASYNC)
         sql = StreamingResolver(config=config)
         sql.add_truth(dataset.ground_truth)
         crash_at = data.draw(

@@ -447,7 +447,6 @@ def checked_after_every_event(resolver):
     return resolver
 
 
-@pytest.mark.parametrize("backend", ("memory", "sqlite"))
 @pytest.mark.parametrize("mode", sorted(RANKED_MODES))
 @settings(
     max_examples=6,
@@ -456,7 +455,7 @@ def checked_after_every_event(resolver):
 )
 @given(data=st.data(), schedule=event_schedules(min_size=2, max_size=7))
 def test_property_snapshot_equals_the_ledger_ranked_afresh(
-    tmp_path_factory, mode, backend, data, schedule
+    tmp_path_factory, mode, data, schedule
 ):
     """After every event — and across a save/restore in mid-schedule — the
     incrementally kept order is exactly ``rank_candidates`` over the ledger."""
@@ -465,7 +464,7 @@ def test_property_snapshot_equals_the_ledger_ranked_afresh(
     directory = tmp_path_factory.mktemp("ranked")
     config = WorkflowConfig(
         likelihood_threshold=0.3, vote_mode="per-pair", cluster_size=4, seed=5,
-        storage_backend=backend, checkpoint_dir=str(directory), **RANKED_MODES[mode],
+        checkpoint_dir=str(directory), **RANKED_MODES[mode],
     )
     resolver = checked_after_every_event(StreamingResolver(config=config))
     resolver.add_truth(dataset.ground_truth)

@@ -1,5 +1,7 @@
 """Integration tests: the hybrid workflow, machine-only baselines, CrowdSQL."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.baselines import SimJoinRanker, SVMRanker, human_only_hit_count
@@ -55,6 +57,22 @@ class TestWorkflowConfig:
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(ValueError):
             WorkflowConfig(**kwargs)
+
+    def test_storage_backend_is_a_retired_keyword_not_a_field(self):
+        """Every durable session writes each event's rows at its commit, so
+        neither the write schedule nor its cadence is a knob.  The old
+        keyword is still accepted and checked, and changes nothing."""
+        names = {spec.name for spec in dataclasses.fields(WorkflowConfig)}
+        assert len(names) == 22
+        assert not {"storage_backend", "checkpoint_every_batches"} & names
+        for backend in ("memory", "sqlite"):
+            assert WorkflowConfig(storage_backend=backend, checkpoint_dir="d") == WorkflowConfig(
+                checkpoint_dir="d"
+            )
+        with pytest.raises(ValueError, match="needs checkpoint_dir"):
+            WorkflowConfig(storage_backend="sqlite")
+        with pytest.raises(TypeError):
+            WorkflowConfig(checkpoint_every_batches=3)
 
     def test_unknown_cluster_generator_rejected_at_construction(self):
         """Not at the first HIT generation, after a batch was ingested."""
