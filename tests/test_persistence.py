@@ -897,3 +897,115 @@ def test_the_state_and_the_log_advance_in_one_commit(tmp_path, crowd_mode, start
     resolver.durability.close()
     logged, applied = log_and_state_positions(tmp_path)
     assert logged == applied
+
+
+# ------------------------------------- one write schedule: every event commits its rows
+def half_truth(dataset, which):
+    truth = sorted(dataset.ground_truth)
+    return truth[: len(truth) // 2] if which == 0 else truth[len(truth) // 2 :]
+
+
+#: The event under test, applied after :func:`written_prefix`.
+EVENTS_UNDER_TEST = {
+    "truth": lambda session, dataset, records: session.add_truth(half_truth(dataset, 1)),
+    "batch": lambda session, dataset, records: session.add_batch(records[35:50]),
+    "retract": lambda session, dataset, records: session.retract(records[3].record_id),
+    "update": lambda session, dataset, records: session.update(
+        records[5].with_attributes(name="rewritten")
+    ),
+    "flush": lambda session, dataset, records: session.flush(),
+}
+
+
+def written_prefix(dataset, crowd_mode, directory=None):
+    """A session (durable when ``directory`` is given) after half the truth
+    and two arrival batches."""
+    records = list(dataset.store)
+    durable = {} if directory is None else {"checkpoint_dir": str(directory)}
+    resolver = StreamingResolver(config=make_config(crowd_mode=crowd_mode, **durable))
+    resolver.add_truth(half_truth(dataset, 0))
+    resolver.add_batch(records[:20])
+    resolver.add_batch(records[20:35])
+    return resolver
+
+
+def finish_alike(*sessions, records):
+    """Run the same tail on every session: what a restore left must carry on."""
+    for session in sessions:
+        session.add_batch(records[50:])
+        session.flush()
+
+
+class _Crash(Exception):
+    """Stands for the process dying inside an event."""
+
+
+@pytest.mark.parametrize("kind", sorted(EVENTS_UNDER_TEST) + ["save"])
+@pytest.mark.parametrize("crowd_mode", ("sync", "async"))
+def test_the_state_tables_alone_hold_every_committed_event(tmp_path, crowd_mode, kind):
+    """An event writes the rows it changed when it commits, so right after
+    any event the store's state tables — read with the whole log deleted —
+    restore to the live session, which a restored session then follows
+    event for event: nothing is left for a replay to redo."""
+    dataset = make_dataset()
+    records = list(dataset.store)
+    resolver = written_prefix(dataset, crowd_mode, tmp_path / "live")
+    if kind == "save":
+        resolver.save()
+    else:
+        EVENTS_UNDER_TEST[kind](resolver, dataset, records)
+    copy = crash_copy(tmp_path / "live", tmp_path / "copy", after=resolver.events_applied)
+    assert stored_events_applied(copy) == resolver.events_applied
+    connection = sqlite3.connect(str(copy / STORE_FILENAME))
+    with connection:
+        connection.execute("DELETE FROM events")
+    connection.close()
+    restored = StreamingResolver.restore(copy)
+    assert restored.events_applied == resolver.events_applied
+    assert_sessions_identical(resolver, restored)
+    finish_alike(resolver, restored, records=records)
+    assert_sessions_identical(resolver, restored)
+    restored.durability.close()
+    resolver.durability.close()
+
+
+@pytest.mark.parametrize("kind", sorted(EVENTS_UNDER_TEST))
+@pytest.mark.parametrize("crowd_mode", ("sync", "async"))
+def test_a_crash_inside_an_event_replays_that_event_alone(
+    tmp_path, monkeypatch, crowd_mode, kind
+):
+    """A crash after an event's intent is logged and before its commit
+    leaves the store at the previous event with that intent as the log's
+    only tail: restore replays the one event and lands where a session
+    that never stopped does."""
+    dataset = make_dataset()
+    records = list(dataset.store)
+    resolver = written_prefix(dataset, crowd_mode, tmp_path / "live")
+    before = resolver.events_applied
+
+    def crash(self, session, outcome=False):
+        raise _Crash
+
+    with monkeypatch.context() as crashing:
+        crashing.setattr(persistence.Durability, "boundary", crash)
+        with pytest.raises(_Crash):
+            EVENTS_UNDER_TEST[kind](resolver, dataset, records)
+    # Copied while the interrupted transaction is still open: only what
+    # committed reaches the copy.
+    copy = crash_copy(tmp_path / "live", tmp_path / "copy", after=before + 1)
+    resolver.durability.close()
+    assert stored_events_applied(copy) == before
+    assert [(event.seq, event.type) for event in logged_events(copy, after=before)] == [
+        (before + 1, kind)
+    ]
+
+    uninterrupted = written_prefix(dataset, crowd_mode)
+    EVENTS_UNDER_TEST[kind](uninterrupted, dataset, records)
+    restored = StreamingResolver.restore(copy)
+    assert restored.events_applied == before + 1
+    assert_sessions_identical(uninterrupted, restored)
+    finish_alike(uninterrupted, restored, records=records)
+    assert_sessions_identical(uninterrupted, restored)
+    restored.durability.close()
+    logged, applied = log_and_state_positions(copy)
+    assert logged == applied == restored.events_applied
