@@ -24,7 +24,7 @@ on the token sets themselves).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -70,26 +70,20 @@ def columnar_csr_arrays(token_sets: Sequence[Iterable[str]]) -> CsrArrays:
 def extend_vocabulary_csr_arrays(
     token_sets: Sequence[Iterable[str]],
     vocabulary: Dict[str, int],
-    novel_out: Optional[List[str]] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Columnar CSR build against a *persistent* vocabulary dict.
+    """Columnar CSR build against a growing vocabulary dict.
 
     Unknown tokens are appended to ``vocabulary`` (mutated in place) in
     sorted order of the batch's novel tokens.  Only one dict insertion per
     *distinct* novel batch token is paid — the per-occurrence work is a
     C-level set difference plus the ``map``/``fromiter`` fill.
-    Returns ``(indices, indptr)`` for the batch rows.  When ``novel_out``
-    is given, the batch's novel tokens are appended to it in column order,
-    so a persistent store can mirror exactly the new vocabulary entries
-    without rescanning the whole dict.
+    Returns ``(indices, indptr)`` for the batch rows.
     """
     flat, indptr = _flatten(token_sets)
     if not flat:
         return np.empty(0, dtype=np.int64), indptr
     for token in sorted(set(flat).difference(vocabulary)):
         vocabulary[token] = len(vocabulary)
-        if novel_out is not None:
-            novel_out.append(token)
     return _fill_indices(flat, vocabulary), indptr
 
 

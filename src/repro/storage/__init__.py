@@ -4,7 +4,9 @@ A streaming entity-resolution session accumulates a lot of state —
 records, the token vocabulary and CSR index of the machine pass, candidate
 pairs, the vote ledger and posteriors.  All of it lives in process memory
 and the session reads nothing else; a :class:`~repro.storage.base.Store`
-holds the :class:`PairLedger` and receives the session's writes:
+holds the :class:`PairLedger` and receives the session's writes — of
+everything but the machine pass's index, which is derived from the
+records:
 
 * :class:`Store` — the in-memory session's: every write is a no-op.
 * :class:`SqliteStore` — a durable session's: a single WAL-mode SQLite
@@ -14,8 +16,9 @@ holds the :class:`PairLedger` and receives the session's writes:
 The SQLite file is the one on-disk form of a session —
 ``checkpoint_dir/store.sqlite``, holding both the state tables and the
 ``events`` table that is the session's write-ahead log: restoring is a
-page-in of the state plus a replay of the events newer than
-``meta.events_applied`` (:mod:`repro.streaming.persistence`).
+page-in of the state (the join re-indexes the records) plus a replay of
+the events newer than ``meta.events_applied``
+(:mod:`repro.streaming.persistence`).
 """
 
 from __future__ import annotations

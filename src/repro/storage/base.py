@@ -1,21 +1,23 @@
 """The storage layer: the session's pair ledger and its write hooks.
 
-Everything a streaming session accumulates — resident records, the token
-vocabulary and CSR chunks of the incremental join, the candidate pairs,
-the per-pair vote ledger and posterior cache, and the crowd-workload
-counters — lives in process memory, and every session reads only that.
-A :class:`Store` is where those structures' *writes* go:
+Everything a streaming session accumulates — resident records, the
+incremental join's index over them, the candidate pairs, the per-pair vote
+ledger and posterior cache, and the crowd-workload counters — lives in
+process memory, and every session reads only that.  A :class:`Store` is
+where the *writes* of what cannot be recomputed go; the join index is
+derived from the records, so no store holds it:
 
 * :class:`Store` itself — the in-memory session's store: it holds the
   :class:`PairLedger` and every write hook is a no-op.
 * :class:`~repro.storage.sqlite.SqliteStore` — the one WAL-mode SQLite file
   of a durable session.  Every applied event's changes are written into
-  its tables in one transaction: records and join rows as they change, the
-  pair ledger's changed rows when the event commits.
+  its tables in one transaction: records as they change, the pair
+  ledger's changed rows when the event commits.
 
 The SQLite file also holds the session's event log, and
 :meth:`repro.streaming.StreamingResolver.restore` is a *page-in* of its
-state plus a replay of the logged events it has not seen.
+state (the join re-indexes the paged-in records) plus a replay of the
+logged events it has not seen.
 
 The hot path is dict-speed: the session reads the :class:`PairLedger`
 mappings directly and every *mutation* goes through a ledger method.  A
@@ -41,16 +43,11 @@ from typing import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    import numpy as np
-
     from repro.records.record import Record
 
 PairKey = Tuple[str, str]
 #: ``(worker_id, pair_key, answer)`` — the vote tuple of the crowd platform.
 Vote = Tuple[str, PairKey, bool]
-
-#: Row of the join substrate: ``(row_no, record_id, source, empty, dead)``.
-JoinRow = Tuple[int, str, Optional[str], bool, bool]
 
 
 class StorageError(RuntimeError):
@@ -198,19 +195,12 @@ class Store:
 
     One :class:`Store` instance backs one streaming session.  It holds the
     :class:`PairLedger` (``self.ledger``) and offers write hooks for the
-    record table, the join substrate (vocabulary, CSR chunks, row
-    bookkeeping of the incremental join), session metadata (config, truth,
-    counters) and the accumulated crowd-assignment durations.  Here every
-    hook is a no-op; :class:`~repro.storage.sqlite.SqliteStore` writes them.
-    Nothing reads a record back through a store while the session runs:
-    the session's own structures are the state.
-
-    ``persistent`` tells callers whether the write hooks do anything, so
-    the in-memory session skips building the rows it would hand them.
+    record table, session metadata (config, truth, counters) and the
+    accumulated crowd-assignment durations.  Here every hook is a no-op;
+    :class:`~repro.storage.sqlite.SqliteStore` writes them.  Nothing reads
+    a record back through a store while the session runs: the session's
+    own structures are the state.
     """
-
-    #: True when its writes survive the process (page-in restore works).
-    persistent: bool = False
 
     def __init__(self) -> None:
         self.ledger = PairLedger()
@@ -233,29 +223,6 @@ class Store:
     def set_meta(self, key: str, value: object) -> None:
         """Write one JSON-serializable metadata value (config, counters)."""
 
-    # --------------------------------------------------------- join mirror
-    def join_append_rows(self, rows: Sequence[JoinRow]) -> None:
-        """Mirror newly indexed join rows (arrival order)."""
-
-    def join_mark_dead(self, row_no: int) -> None:
-        """Mirror a retraction tombstone."""
-
-    def join_replace(
-        self,
-        rows: Sequence[JoinRow],
-        indices: "np.ndarray",
-        row_lengths: "np.ndarray",
-    ) -> None:
-        """Mirror a physical compaction: the whole substrate is rewritten."""
-
-    def extend_vocabulary(self, items: Sequence[Tuple[str, int]]) -> None:
-        """Mirror newly assigned vocabulary columns."""
-
-    def append_csr_chunk(
-        self, indices: "np.ndarray", row_lengths: "np.ndarray"
-    ) -> None:
-        """Mirror one batch's CSR rows."""
-
     # ----------------------------------------------------- crowd workload
     def append_assignment_seconds(self, values: Sequence[float]) -> None:
-        """Mirror crowd-assignment durations (append-only)."""
+        """Write crowd-assignment durations (append-only)."""

@@ -1,18 +1,19 @@
 """The SQLite store: one WAL-mode file per durable streaming session.
 
 :class:`SqliteStore` is the one file of a durable session.  Its state
-tables — records, token vocabulary, CSR chunks, the pair ledger (one
-``ledger`` row per candidate pair: likelihood, votes, posterior, HIT
-coverage) and the workload counters —
+tables — records, the pair ledger (one ``ledger`` row per candidate pair:
+likelihood, votes, posterior, HIT coverage) and the workload counters —
 hold "the state as of ``meta.events_applied``"; its ``events`` table
 (``seq``, ``type``, ``payload``, ``crc``) is the session's write-ahead log —
 :class:`repro.streaming.persistence.SessionJournal` owns its rows, this
-module only declares it.
+module only declares it.  The incremental join's index is not stored: it
+is derived from the records, and a restore re-indexes them (store format
+3; format 2 kept it in three more tables, which a takeover drops).
 
 A durable session writes each event's changes into the state tables
-inside that event's transaction: records, join rows and meta as they
-change, and the pair ledger's changed keys — which a ledger this store holds
-notes — once, when :meth:`SqliteStore.commit` closes the event
+inside that event's transaction: records and meta as they change, and
+the pair ledger's changed keys — which a ledger this store holds notes —
+once, when :meth:`SqliteStore.commit` closes the event
 (:meth:`SqliteStore.write_ledger`).  Nothing is read back while the session
 runs: its state is in process memory.  ``save(X)`` writes the tables whole
 into another file (:meth:`SqliteStore.clear` and the same
@@ -49,13 +50,11 @@ import json
 import os
 import sqlite3
 from pathlib import Path
-from typing import AbstractSet, Dict, Iterator, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import AbstractSet, Iterator, List, Optional, Sequence
 
 from repro import obs
 from repro.records.record import Record
-from repro.storage.base import JoinRow, PairKey, PairLedger, Store, StorageError
+from repro.storage.base import PairKey, PairLedger, Store, StorageError
 
 #: Default store filename inside a checkpoint directory.
 STORE_FILENAME = "store.sqlite"
@@ -72,22 +71,6 @@ CREATE TABLE IF NOT EXISTS records (
     arrival    INTEGER NOT NULL
 );
 CREATE INDEX IF NOT EXISTS records_arrival ON records(arrival);
-CREATE TABLE IF NOT EXISTS tokens (
-    token TEXT PRIMARY KEY,
-    col   INTEGER NOT NULL UNIQUE
-);
-CREATE TABLE IF NOT EXISTS join_rows (
-    row_no    INTEGER PRIMARY KEY,
-    record_id TEXT NOT NULL,
-    source    TEXT,
-    empty     INTEGER NOT NULL DEFAULT 0,
-    dead      INTEGER NOT NULL DEFAULT 0
-);
-CREATE TABLE IF NOT EXISTS csr_chunks (
-    chunk_no    INTEGER PRIMARY KEY AUTOINCREMENT,
-    indices     BLOB NOT NULL,
-    row_lengths BLOB NOT NULL
-);
 CREATE TABLE IF NOT EXISTS ledger (
     id_a       TEXT NOT NULL,
     id_b       TEXT NOT NULL,
@@ -115,9 +98,6 @@ CREATE TABLE IF NOT EXISTS events (
 _TABLES = (
     "meta",
     "records",
-    "tokens",
-    "join_rows",
-    "csr_chunks",
     "ledger",
     "assignment_seconds",
 )
@@ -127,11 +107,16 @@ _TABLES = (
 #: a copy of the writing process's metrics registry, other sessions'
 #: counts included; ``pairs``, ``pair_votes``, ``posteriors`` and
 #: ``covered``: a format-1 store's ledger, read through
-#: :data:`_FORMAT_1_LEDGER`).  Opening a store leaves them alone — reading one
-#: (``repro stats``) or refusing to resume it must not cost its writer
-#: anything; a session of this release that takes the store over drops
-#: them (:meth:`SqliteStore.drop_retired`).
-_RETIRED_TABLES = ("provenance", "pairs", "pair_votes", "posteriors", "covered")
+#: :data:`_FORMAT_1_LEDGER`; the last three: the join index — vocabulary,
+#: row bookkeeping, CSR chunks — a format-1 or format-2 store kept, which a
+#: restore rebuilds from the records).  Opening a store leaves them alone —
+#: reading one (``repro stats``) or refusing to resume it must not cost its
+#: writer anything; a session of this release that takes the store over
+#: drops them (:meth:`SqliteStore.drop_retired`).
+_RETIRED_TABLES = (
+    "provenance", "pairs", "pair_votes", "posteriors", "covered",
+    "tokens", "join_rows", "csr_chunks",
+)
 _RETIRED_META = ("metrics",)
 
 #: ``ledger``'s rows, and a format-1 store's in the same shape: that format
@@ -149,18 +134,8 @@ LEFT JOIN covered AS c ON c.id_a = p.id_a AND c.id_b = p.id_b
 """
 
 
-def _blob(array: np.ndarray) -> bytes:
-    return np.ascontiguousarray(array, dtype="<i8").tobytes()
-
-
-def _unblob(blob: bytes) -> np.ndarray:
-    return np.frombuffer(blob, dtype="<i8").astype(np.int64)
-
-
 class SqliteStore(Store):
     """Disk-backed session store over one WAL-mode SQLite file."""
-
-    persistent = True
 
     def __init__(self, path: os.PathLike) -> None:
         self.path = Path(path)
@@ -294,84 +269,6 @@ class SqliteStore(Store):
             "SELECT value FROM meta WHERE key = ?", (key,)
         ).fetchone()
         return default if row is None else json.loads(row[0])
-
-    # ----------------------------------------------------------- join mirror
-    def join_append_rows(self, rows: Sequence[JoinRow]) -> None:
-        self.executemany(
-            "INSERT INTO join_rows (row_no, record_id, source, empty, dead) "
-            "VALUES (?, ?, ?, ?, ?)",
-            [
-                (row_no, record_id, source, int(empty), int(dead))
-                for row_no, record_id, source, empty, dead in rows
-            ],
-        )
-
-    def join_mark_dead(self, row_no: int) -> None:
-        self.execute("UPDATE join_rows SET dead = 1 WHERE row_no = ?", (row_no,))
-
-    def join_replace(
-        self,
-        rows: Sequence[JoinRow],
-        indices: np.ndarray,
-        row_lengths: np.ndarray,
-    ) -> None:
-        self.execute("DELETE FROM join_rows")
-        self.execute("DELETE FROM csr_chunks")
-        self.join_append_rows(rows)
-        if len(row_lengths):
-            self.append_csr_chunk(indices, row_lengths)
-
-    def extend_vocabulary(self, items: Sequence[Tuple[str, int]]) -> None:
-        self.executemany("INSERT INTO tokens (token, col) VALUES (?, ?)", items)
-
-    def append_csr_chunk(self, indices: np.ndarray, row_lengths: np.ndarray) -> None:
-        self.execute(
-            "INSERT INTO csr_chunks (indices, row_lengths) VALUES (?, ?)",
-            (_blob(np.asarray(indices)), _blob(np.asarray(row_lengths))),
-        )
-
-    def load_join_state(self) -> Optional[Dict[str, object]]:
-        rows = [
-            (row_no, record_id, source, bool(empty), bool(dead))
-            for row_no, record_id, source, empty, dead in self._conn.execute(
-                "SELECT row_no, record_id, source, empty, dead "
-                "FROM join_rows ORDER BY row_no"
-            )
-        ]
-        vocabulary = {
-            token: col
-            for token, col in self._conn.execute(
-                "SELECT token, col FROM tokens ORDER BY col"
-            )
-        }
-        chunks: List[np.ndarray] = []
-        lengths: List[np.ndarray] = []
-        for indices_blob, lengths_blob in self._conn.execute(
-            "SELECT indices, row_lengths FROM csr_chunks ORDER BY chunk_no"
-        ):
-            chunks.append(_unblob(indices_blob))
-            lengths.append(_unblob(lengths_blob))
-        if not rows and not vocabulary and not chunks:
-            return None
-        indices = (
-            np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
-        )
-        row_lengths = (
-            np.concatenate(lengths) if lengths else np.empty(0, dtype=np.int64)
-        )
-        indptr = np.zeros(len(row_lengths) + 1, dtype=np.int64)
-        np.cumsum(row_lengths, out=indptr[1:])
-        if len(rows) != len(row_lengths):
-            raise StorageError(
-                f"join substrate of {self.path} is inconsistent: "
-                f"{len(rows)} rows vs {len(row_lengths)} CSR row lengths"
-            )
-        return {
-            "rows": rows,
-            "vocabulary": vocabulary,
-            "indices": indices,
-            "indptr": indptr.tolist(),
-        }
 
     # ------------------------------------------------------- crowd workload
     def append_assignment_seconds(self, values: Sequence[float]) -> None:

@@ -4,7 +4,7 @@ CrowdER resolves a table in one batch pass; this package keeps a resolution
 session open while records keep arriving — and makes that session durable
 and revisable:
 
-* :class:`IncrementalSimJoin` — the machine pass against a persistent
+* :class:`IncrementalSimJoin` — the machine pass against a resident
   token/CSR index; each batch joins new-vs-old plus new-vs-new only, and
   the union of deltas is exactly the full-store join.  Retracted records
   become tombstoned rows, physically dropped by periodic compaction.

@@ -35,7 +35,7 @@ class AggregationSchedule:
         with no pending votes already holds the posterior a re-run would
         give it, so only the dirty pairs that gained votes are re-run — and
         only they reach ``set_posterior``, the ranked index and a
-        persistent store's writes.
+        durable store's writes.
         """
         ledger = self.ledger
         aggregator = build_aggregator(self.config)

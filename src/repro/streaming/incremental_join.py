@@ -1,4 +1,4 @@
-"""Incremental set-similarity join over a persistent token/CSR index.
+"""Incremental set-similarity join over a resident token/CSR index.
 
 The batch-mode engines in :mod:`repro.simjoin` recompute the whole join on
 every call.  :class:`IncrementalSimJoin` instead keeps the token-incidence
@@ -22,19 +22,20 @@ deltas is **exactly** the full-store join at the same threshold — the
 equivalence the streaming property tests assert.  Likelihood values come
 out of the same kernel as the batch engines', so they are bit-identical,
 not merely close.
+
+The index is in-memory state derived from the records alone: no store
+holds it.  A restored session re-indexes the records it pages in
+(:meth:`IncrementalSimJoin.index`); row and column numbers may differ from
+the original process's, but similarities depend only on the token sets and
+deltas are ordered by record id, so every later delta is the same.
 """
 
 from __future__ import annotations
 
 from itertools import chain
-from typing import (
-    TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple,
-)
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.storage.base import Store
 
 from repro import obs
 from repro.records.pairs import PairSet
@@ -74,12 +75,6 @@ class IncrementalSimJoin:
         one per CPU core; a batch of a single row block is scored inline,
         so small appends start no thread.  Any value yields bit-identical
         deltas.
-    storage:
-        Optional :class:`repro.storage.base.Store`.  With a *persistent*
-        store every index mutation — appended CSR chunks, new vocabulary
-        columns, tombstones, compactions — is mirrored into it, so a later
-        process can page the substrate back in with :meth:`from_store`.  A
-        non-persistent (or absent) store changes nothing.
 
     Records are appended in batches and can be *retracted* individually
     (:meth:`retract`): retracting must not pay an O(nnz) rebuild of the
@@ -104,7 +99,6 @@ class IncrementalSimJoin:
         cross_sources: Optional[Tuple[str, str]] = None,
         block_size: int = DEFAULT_BLOCK_ROWS,
         workers: Optional[int] = None,
-        storage: Optional["Store"] = None,
     ) -> None:
         require_scipy()
         if not 0.0 <= threshold <= 1.0:
@@ -119,9 +113,7 @@ class IncrementalSimJoin:
         self.block_size = block_size
         self.workers = workers
         self._tokenizer = WhitespaceTokenizer()
-        #: The store every index mutation is mirrored into (persistent only).
-        self._mirror = storage if storage is not None and storage.persistent else None
-        # Persistent index over all resident records.  ``_record_ids`` is
+        # Index over all resident records.  ``_record_ids`` is
         # row-aligned with the CSR arrays and may contain tombstoned rows
         # (``_dead_rows``); ``_row_of`` maps each *alive* id to its row, so
         # its keys are the resident id set.  Token sets are not kept: the
@@ -180,33 +172,47 @@ class IncrementalSimJoin:
         the union of all deltas equals the full-store join.
         """
         batch = list(records)
-        seen_batch: Set[str] = set()
-        for record in batch:
-            if record.record_id in self or record.record_id in seen_batch:
-                raise RecordError(f"duplicate record id: {record.record_id!r}")
-            seen_batch.add(record.record_id)
-
-        new_tokens = [
-            record_token_set(record, self.attributes, self._tokenizer)
-            for record in batch
-        ]
-        # One columnar pass builds the batch's CSR rows and extends the
-        # persistent vocabulary.  With a mirror the batch's novel tokens
-        # are collected so exactly those columns can be written to it.
-        novel: Optional[List[str]] = [] if self._mirror is not None else None
-        batch_indices, batch_indptr = extend_vocabulary_csr_arrays(
-            new_tokens, self._vocab, novel_out=novel
-        )
         first_new = len(self._record_ids)
-        with obs.span("streaming.join.index", batch=len(batch)):
-            self._index_batch(batch, new_tokens, batch_indices, batch_indptr, novel)
-
+        self.index(batch)
         if not batch or len(self._record_ids) < 2:
             return PairSet()
         with obs.span("streaming.join.score", batch=len(batch), resident=first_new):
             # Canonical order (the batch join's), so downstream tie-breaking
             # is independent of discovery order.
             return ranked_pair_set(self._record_ids, self._delta_blocks(first_new))
+
+    def index(self, records: Sequence[Record]) -> None:
+        """Append new records to the index without scoring them.
+
+        Checks that every id is fresh, then one columnar pass builds the
+        records' CSR rows and extends the vocabulary; the rows are appended
+        wholesale, and only the bookkeeping that is inherently per record
+        (sources, empty ids) loops in Python.  :meth:`add_batch` scores the
+        rows next; a restored session indexes the records it pages in.
+        """
+        seen_batch: Set[str] = set()
+        for record in records:
+            if record.record_id in self or record.record_id in seen_batch:
+                raise RecordError(f"duplicate record id: {record.record_id!r}")
+            seen_batch.add(record.record_id)
+
+        new_tokens = [
+            record_token_set(record, self.attributes, self._tokenizer)
+            for record in records
+        ]
+        batch_indices, batch_indptr = extend_vocabulary_csr_arrays(new_tokens, self._vocab)
+        with obs.span("streaming.join.index", batch=len(records)):
+            offset = self._indptr[-1]
+            if len(batch_indices):
+                self._index_chunks.append(batch_indices)
+            self._indptr.extend((batch_indptr[1:] + offset).tolist())
+            for record, tokens in zip(records, new_tokens):
+                record_id = record.record_id
+                self._row_of[record_id] = len(self._record_ids)
+                self._record_ids.append(record_id)
+                self._sources[record_id] = record.source
+                if not tokens:
+                    self._empty_ids.append(record_id)
 
     def retract(self, record_id: str) -> None:
         """Remove one resident record from the index.
@@ -227,8 +233,6 @@ class IncrementalSimJoin:
         del self._sources[record_id]
         if self._indptr[row] == self._indptr[row + 1]:
             self._empty_ids.remove(record_id)
-        if self._mirror is not None:
-            self._mirror.join_mark_dead(row)
         if (
             len(self._dead_rows) >= self.COMPACT_MIN_TOMBSTONES
             and len(self._dead_rows)
@@ -261,37 +265,12 @@ class IncrementalSimJoin:
         ]
         self._row_of = {record_id: row for row, record_id in enumerate(self._record_ids)}
         self._dead_rows = set()
-        if self._mirror is not None:
-            self._write_substrate(self._mirror)
         if obs.enabled():
             obs.inc("streaming_join_compactions_total", 1,
                     help="CSR compaction passes over the incremental join index.")
             obs.inc("streaming_join_rows_compacted_total", dropped,
                     help="Tombstoned rows physically dropped by compaction.")
         return dropped
-
-    def write_to(self, store: "Store") -> None:
-        """Write the whole index into an (emptied) store: rows, CSR, vocabulary."""
-        self._write_substrate(store)
-        store.extend_vocabulary(sorted(self._vocab.items(), key=lambda item: item[1]))
-
-    def _write_substrate(self, store: "Store") -> None:
-        """Rewrite a store's join rows and CSR chunks to match the live arrays."""
-        empty_set = set(self._empty_ids)
-        store.join_replace(
-            [
-                (
-                    row,
-                    record_id,
-                    self._sources.get(record_id),
-                    record_id in empty_set,
-                    row in self._dead_rows,
-                )
-                for row, record_id in enumerate(self._record_ids)
-            ],
-            self._flat_indices(),
-            np.diff(np.asarray(self._indptr, dtype=np.int64)),
-        )
 
     # ------------------------------------------------------------ internals
     def _delta_blocks(self, first_new: int) -> Iterable[_BlockPairs]:
@@ -364,103 +343,3 @@ class IncrementalSimJoin:
             count=rows.size,
         )
         return rows[keep], cols[keep], values[keep]
-
-    def _index_batch(
-        self,
-        batch: Sequence[Record],
-        new_tokens: Sequence[FrozenSet[str]],
-        batch_indices: np.ndarray,
-        batch_indptr: np.ndarray,
-        novel: Optional[List[str]] = None,
-    ) -> None:
-        """Fold the batch into the persistent token/CSR index.
-
-        The CSR rows were already built columnarly in :meth:`add_batch`;
-        here they are appended wholesale, and only the bookkeeping that is
-        inherently per record (sources, empty ids) loops in Python.  The
-        same arrays are mirrored into a persistent store: the new rows, the
-        batch's CSR chunk, and exactly the novel vocabulary columns.
-        """
-        if self._mirror is not None and batch:
-            first_row = len(self._record_ids)
-            self._mirror.join_append_rows(
-                [
-                    (
-                        first_row + position,
-                        record.record_id,
-                        record.source,
-                        not new_tokens[position],
-                        False,
-                    )
-                    for position, record in enumerate(batch)
-                ]
-            )
-            self._mirror.append_csr_chunk(
-                batch_indices, np.diff(np.asarray(batch_indptr, dtype=np.int64))
-            )
-            if novel:
-                self._mirror.extend_vocabulary(
-                    [(token, self._vocab[token]) for token in novel]
-                )
-        offset = self._indptr[-1]
-        if len(batch_indices):
-            self._index_chunks.append(batch_indices)
-        self._indptr.extend((batch_indptr[1:] + offset).tolist())
-        for record, tokens in zip(batch, new_tokens):
-            record_id = record.record_id
-            self._row_of[record_id] = len(self._record_ids)
-            self._record_ids.append(record_id)
-            self._sources[record_id] = record.source
-            if not tokens:
-                self._empty_ids.append(record_id)
-
-    # -------------------------------------------------------------- page-in
-    @classmethod
-    def from_store(
-        cls,
-        source: "Store",
-        *,
-        threshold: float,
-        attributes: Optional[Sequence[str]] = None,
-        cross_sources: Optional[Tuple[str, str]] = None,
-        block_size: int = DEFAULT_BLOCK_ROWS,
-        workers: Optional[int] = None,
-    ) -> "IncrementalSimJoin":
-        """Page the join substrate back in from a persistent store.
-
-        Construction parameters are not stored with the substrate (they
-        belong to the workflow config), so the caller passes them again;
-        the rebuilt index mirrors into ``source`` from then on.  The CSR arrays,
-        vocabulary and row bookkeeping come back exactly as written (a
-        ``join_maintain_inverted`` meta entry left by an older writer is
-        not read).  Returns an empty index when the store has no substrate
-        yet.
-        """
-        instance = cls(
-            threshold=threshold,
-            attributes=attributes,
-            cross_sources=cross_sources,
-            block_size=block_size,
-            workers=workers,
-            storage=source,
-        )
-        state = source.load_join_state()
-        if state is None:
-            return instance
-        rows: List[Tuple[int, str, Optional[str], bool, bool]] = state["rows"]  # type: ignore[assignment]
-        instance._record_ids = [record_id for _, record_id, _, _, _ in rows]
-        instance._dead_rows = {row_no for row_no, _, _, _, dead in rows if dead}
-        instance._row_of = {
-            record_id: row_no for row_no, record_id, _, _, dead in rows if not dead
-        }
-        instance._sources = {
-            record_id: source for _, record_id, source, _, dead in rows if not dead
-        }
-        instance._empty_ids = [
-            record_id for _, record_id, _, empty, dead in rows if empty and not dead
-        ]
-        instance._vocab = dict(state["vocabulary"])  # type: ignore[arg-type]
-        indices = np.asarray(state["indices"], dtype=np.int64)
-        instance._index_chunks = [indices] if len(indices) else []
-        instance._indptr = list(state["indptr"])  # type: ignore[arg-type]
-        return instance

@@ -73,11 +73,14 @@ from repro.core.config import WorkflowConfig
 from repro.core.results import StreamingDelta
 from repro.records.record import Record
 from repro.storage import STORE_FILENAME, SqliteStore, Store
-from repro.streaming.incremental_join import IncrementalSimJoin
 
 logger = logging.getLogger(__name__)
 
-FORMAT_VERSION = 2
+#: The store format this release writes.  Format 3 keeps no join index
+#: (format 2 kept it in three tables; a format-2 reader would take a
+#: format-3 store for one with an empty index, so the "newer format"
+#: refusal is what keeps it from restoring one).
+FORMAT_VERSION = 3
 
 #: Fields a stored configuration (the log's ``session`` event or store
 #: meta) written by an earlier release may still carry, each mapped to the
@@ -354,18 +357,18 @@ def _write_counters(store: Store, session) -> None:
 def write_snapshot(target: SqliteStore, session) -> None:
     """Rewrite ``target``'s state tables from a live session, whole.
 
-    Everything but the ``events`` table — records, join substrate, pair
-    ledger, crowd workload, meta — is rewritten inside
+    Everything but the ``events`` table — records, pair ledger, crowd
+    workload, meta — is rewritten inside
     ``target``'s **open transaction**; the caller commits.  An exception in
     here rolls the transaction back, so the file keeps its previous
     contents.  This is how ``save(X)`` copies a session into a foreign
-    directory.
+    directory.  The join index is not written: a restore re-indexes the
+    records.
     """
     try:
         target.clear()
         for record in session.store:
             target.add_record(record)
-        session.join.write_to(target)
         target.write_ledger(session.storage.ledger)
         target.append_assignment_seconds(session.driver.state_dict()["assignment_seconds"])
         _write_header(target, session)
@@ -560,28 +563,24 @@ _DELTA_FIELDS = frozenset(spec.name for spec in fields(StreamingDelta))
 def _page_in(session, source: SqliteStore) -> None:
     """Rebuild the session's live structures from its store's contents.
 
-    The records come back in arrival order, the join substrate from its
-    stored rows/vocabulary/CSR chunks, the candidate pairs (and the
-    ledger's record → pairs index) from the ledger's rows, and the
-    union-find forest — filled in place, the fresh session's aggregation
-    schedule shares it — from record arrival order plus the pair edges
-    (roots only serve as grouping keys, so the rebuilt forest is
-    behaviorally equivalent to the original).
+    The records come back in arrival order and the session's own join
+    indexes them — the index is a function of the records alone, and its
+    deltas are ordered by record id, so a row numbering without the
+    original's tombstones changes no later result.  The candidate pairs
+    (and the ledger's record → pairs index) come from the ledger's rows,
+    and the union-find forest — filled in place, the fresh session's
+    aggregation schedule shares it — from record arrival order plus the
+    pair edges (roots only serve as grouping keys, so the rebuilt forest
+    is behaviorally equivalent to the original).
     """
-    config = session.config
     with obs.span("storage.page_in"):
-        for record in source.iter_records():
+        records = list(source.iter_records())
+        for record in records:
             session.store.add(record)
             session.components.add(record.record_id)
+        session.join.index(records)
         source.load_ledger()
         session._apply_truth(source.get_meta("truth") or [])
-        session.join = IncrementalSimJoin.from_store(
-            source,
-            threshold=config.likelihood_threshold,
-            attributes=config.similarity_attributes,
-            cross_sources=session.cross_sources,
-            workers=config.join_workers or None,
-        )
         for key in sorted(source.ledger.pairs):
             session.components.union(key[0], key[1])
         session.components.clear_dirty()
@@ -659,7 +658,8 @@ def restore(cls, path: os.PathLike, **crowd):
     Open the directory's one file, read the header from its meta (a store
     whose state tables were never written has it in event 1), run under
     the stored configuration — its ``checkpoint_dir`` is wherever the
-    directory is now — page the state in, and :func:`replay` the events
+    directory is now — page the state in (the join re-indexes the
+    records; no store holds its index), and :func:`replay` the events
     newer than ``meta.events_applied``, each checked against its logged
     outcome.  A store an earlier release rewrote only every few events
     replays several; one this release wrote, at most the event a crash
@@ -721,7 +721,8 @@ def restore(cls, path: os.PathLike, **crowd):
         raise
     logger.info("restored session from %s at event %d", directory, session.events_applied)
     # Accepted, and the session goes on writing this file: shed what an
-    # earlier release kept, a format-1 ledger moving into ``ledger`` first.
+    # earlier release kept (a format-2 store's join index among it), a
+    # format-1 ledger moving into ``ledger`` first.
     # It commits with the attach boundary, whose ledger write lands the
     # replayed events' rows over the moved ones (never ahead of the state).
     source.drop_retired(FORMAT_VERSION)

@@ -5,7 +5,7 @@ batches arrive, maintaining every stage of the CrowdER pipeline
 incrementally instead of recomputing it from scratch:
 
 1. **Machine pass** — an :class:`~repro.streaming.incremental_join.IncrementalSimJoin`
-   joins each batch against the persistent token/CSR index (new-vs-old plus
+   joins each batch against the resident token/CSR index (new-vs-old plus
    new-vs-new only); resident pairs are never re-scored.
 2. **Component maintenance** — every new candidate pair is a union in an
    :class:`~repro.graph.union_find.IncrementalUnionFind`; components touched
@@ -170,7 +170,6 @@ class StreamingResolver:
             attributes=self.config.similarity_attributes,
             cross_sources=cross_sources,
             workers=self.config.join_workers or None,
-            storage=self.storage,
         )
         self.store = RecordStore(name="stream")
         self.components = IncrementalUnionFind()

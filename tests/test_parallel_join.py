@@ -422,7 +422,7 @@ class TestNoSecondRuntime:
         )
         assert len(re.findall(r"^DEFAULT_BLOCK_ROWS = \d+$", source, re.MULTILINE)) == 1
         defaults = re.findall(r"block_size: int = (\w+)", source)
-        assert len(defaults) == 4 and set(defaults) == {"DEFAULT_BLOCK_ROWS"}
+        assert len(defaults) == 3 and set(defaults) == {"DEFAULT_BLOCK_ROWS"}
 
 
 # ---------------------------------------------------------- columnar build

@@ -40,6 +40,7 @@ from repro.streaming import (
     StreamingResolver,
     persistence,
 )
+from repro.streaming.incremental_join import IncrementalSimJoin
 
 
 def make_dataset(record_count=45, duplicate_pairs=8, seed=31):
@@ -240,23 +241,6 @@ class TestSqliteRoundTrips:
         assert reopened.get_meta("missing", "fallback") == "fallback"
         reopened.close()
 
-    def test_join_substrate_round_trips(self, tmp_path):
-        path = tmp_path / STORE_FILENAME
-        store = SqliteStore(path)
-        store.extend_vocabulary([("alpha", 0), ("beta", 1)])
-        store.join_append_rows([(0, "r1", None, False, False), (1, "r2", "s", True, False)])
-        store.append_csr_chunk(np.array([0, 1], dtype=np.int64), np.array([2, 0], dtype=np.int64))
-        store.join_mark_dead(1)
-        store.commit()
-        store.close()
-        reopened = SqliteStore(path)
-        state = reopened.load_join_state()
-        assert state["rows"] == [(0, "r1", None, False, False), (1, "r2", "s", True, True)]
-        assert state["vocabulary"] == {"alpha": 0, "beta": 1}
-        assert state["indices"].tolist() == [0, 1]
-        assert state["indptr"] == [0, 2, 2]
-        reopened.close()
-
     def test_ledger_mutations_survive_reopen(self, tmp_path):
         """A stored ledger's mutations reach the ``ledger`` table when the
         store commits: nothing is written before, every changed key's row
@@ -390,15 +374,33 @@ class TestBackendBitIdentity:
         assert_sessions_identical(mem, sql)
         sql.storage.close()
 
-    def test_crash_mid_event_replays_from_the_journal_intent(self, tmp_path):
+    @pytest.mark.parametrize("compact_below", (None, 2), ids=("appended", "compacted"))
+    def test_crash_mid_event_replays_from_the_journal_intent(
+        self, tmp_path, monkeypatch, compact_below
+    ):
         """The store rolls back to the last event boundary; the journaled
-        intent replays the interrupted event on restore."""
+        intent replays the interrupted event on restore.  ``compacted``:
+        with ``COMPACT_MIN_TOMBSTONES`` patched low, retractions compact the
+        live session's join index before the crash.  The restored session
+        equals an uninterrupted in-memory one, before and after a common
+        tail."""
+        if compact_below is not None:
+            monkeypatch.setattr(IncrementalSimJoin, "COMPACT_MIN_TOMBSTONES", compact_below)
         dataset = make_dataset()
         records = list(dataset.store)
+        retracted = [record.record_id for record in records[:24:3]] if compact_below else []
+
+        def run_prefix(session):
+            session.add_truth(dataset.ground_truth)
+            for start in range(0, 30, 10):
+                session.add_batch(records[start : start + 10])
+            for record_id in retracted:
+                session.retract(record_id)
+
         resolver = StreamingResolver(config=make_config(checkpoint_dir=str(tmp_path)))
-        resolver.add_truth(dataset.ground_truth)
-        for start in range(0, 30, 10):
-            resolver.add_batch(records[start : start + 10])
+        run_prefix(resolver)
+        if retracted:
+            assert resolver.join.tombstone_count < len(retracted)  # it compacted
         # Crash mid-event: the intent hits the journal, the store
         # transaction is rolled back before the event-boundary commit.
         batch = records[30:40]
@@ -409,9 +411,14 @@ class TestBackendBitIdentity:
 
         restored = StreamingResolver.restore(str(tmp_path))
         uninterrupted = StreamingResolver(config=make_config())
-        uninterrupted.add_truth(dataset.ground_truth)
-        for start in range(0, 40, 10):
-            uninterrupted.add_batch(records[start : start + 10])
+        run_prefix(uninterrupted)
+        uninterrupted.add_batch(batch)
+        assert_sessions_identical(uninterrupted, restored)
+        for session in (uninterrupted, restored):
+            session.retract(records[31].record_id)
+            session.update(records[1].with_attributes(name="rewritten"))
+            session.add_batch(records[40:])
+            session.flush()
         assert_sessions_identical(uninterrupted, restored)
         restored.storage.close()
 
@@ -687,9 +694,11 @@ class TestLedgerRecordIndex:
         is counted — the one place the count is pinned.  2,000 are the
         per-record inserts; the pair ledger writes one ``ledger`` statement
         per event that changed it (four, one per pair table, before the
-        pairs shared one row: 2,121 statements then).  None names the per-pair history an earlier release
-        wrote three times per pair (6,059 statements then), and no ledger
-        mutation is a statement of its own (4,082 then)."""
+        pairs shared one row: 2,121 statements then).  None writes the join
+        index, which a restore rebuilds from the records (three per batch
+        before: 2,097 statements then).  None names the per-pair history an
+        earlier release wrote three times per pair (6,059 statements then),
+        and no ledger mutation is a statement of its own (4,082 then)."""
         dataset = RestaurantGenerator(2000, 250, seed=7).generate()
         records = list(dataset.store)
         statements = []
@@ -713,7 +722,7 @@ class TestLedgerRecordIndex:
             return session
 
         durable = run(checkpoint_dir=str(tmp_path))
-        assert len(statements) == 2097
+        assert len(statements) == 2073
         assert sum(sql.startswith("INSERT INTO records") for sql in statements) == 2000
         assert sum(" ledger " in sql for sql in statements) == 8  # one per batch
         assert not [sql for sql in statements if "provenance" in sql]
@@ -818,6 +827,9 @@ FIXTURES = Path(__file__).parent / "fixtures"
 
 #: Format 1 kept a pair in four tables keyed by ``(id_a, id_b)``.
 FORMAT_1_TABLES = ("pairs", "pair_votes", "posteriors", "covered")
+#: Formats 1 and 2 kept the join's index, which format 3 rebuilds from the
+#: records at restore.
+JOIN_INDEX_TABLES = ("tokens", "join_rows", "csr_chunks")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -923,6 +935,11 @@ def format_1_tables(store):
     return [table for table in FORMAT_1_TABLES if schema_objects(store, table)]
 
 
+def join_index_tables(store):
+    """The join index tables (formats 1 and 2) ``store`` still has."""
+    return [table for table in JOIN_INDEX_TABLES if schema_objects(store, table)]
+
+
 def forge_outcome(directory):
     """Append a ``commit`` row with a valid checksum and a wrong digest."""
     connection = sqlite3.connect(str(directory / STORE_FILENAME))
@@ -939,8 +956,9 @@ def forge_outcome(directory):
 def assert_restores_and_continues(tmp_path, written, tail):
     """``written`` restores bit-identically to a session that ran the events
     its store holds — with its logged tail, with the log cut at its state,
-    and as a ``save(X)`` copy (state, no events) — in store format 2, then
-    continues and restores again bit-identically."""
+    and as a ``save(X)`` copy (state, no events) — in store format 3,
+    without the join index tables, then continues and restores again
+    bit-identically."""
     dataset = make_dataset()
     records = list(dataset.store)
     directory = written.load(tmp_path / "store")
@@ -956,8 +974,9 @@ def assert_restores_and_continues(tmp_path, written, tail):
     assert_sessions_identical(twin, restored)
     assert restored.storage.ledger.votes == twin.storage.ledger.votes
     store = restored.durability.store
-    assert store.get_meta("version") == persistence.FORMAT_VERSION
+    assert store.get_meta("version") == persistence.FORMAT_VERSION == 3
     assert format_1_tables(store) == []
+    assert join_index_tables(store) == []
     for session in (twin, restored):
         session.add_batch(records[40:])
         session.retract(records[10].record_id)
@@ -984,6 +1003,21 @@ def assert_stats_as_written(tmp_path, capsys, written):
     assert store_contents(directory / STORE_FILENAME) == {"ledger": [], **before}
 
 
+def assert_a_refused_restore_leaves_it(tmp_path, written):
+    """A forged outcome fails verification after page-in and replay: the
+    restore's one transaction rolls back, and the file keeps every table
+    and row — its join index included — but for a ``ledger`` table opening
+    it adds.  Returns the file's contents."""
+    directory = written.load(tmp_path / "store")
+    forge_outcome(directory)
+    before = store_contents(directory / STORE_FILENAME)
+    assert all(before[table] for table in JOIN_INDEX_TABLES)
+    with pytest.raises(JournalCorruptionError, match="digest|votes"):
+        StreamingResolver.restore(directory)
+    assert store_contents(directory / STORE_FILENAME) == {"ledger": [], **before}
+    return before
+
+
 class TestFormat1Stores:
     """A store the last format-1 release wrote restores, continues and
     restores again bit-identically; its four pair tables move into
@@ -1007,16 +1041,9 @@ class TestFormat1Stores:
 
     @pytest.mark.parametrize("written", FORMAT_1_STORES, ids=lambda store: store.label)
     def test_a_refused_restore_leaves_a_format_1_store_as_it_was(self, tmp_path, written):
-        """A forged outcome fails verification after page-in and replay:
-        the restore's one transaction rolls back, and the store keeps its
-        four pair tables, their rows and ``version`` 1."""
-        directory = written.load(tmp_path / "store")
-        forge_outcome(directory)
-        before = store_contents(directory / STORE_FILENAME)
+        """The store keeps its four pair tables, their rows and ``version`` 1."""
+        before = assert_a_refused_restore_leaves_it(tmp_path, written)
         assert all(before[table] for table in FORMAT_1_TABLES)
-        with pytest.raises(JournalCorruptionError, match="digest|votes"):
-            StreamingResolver.restore(directory)
-        assert store_contents(directory / STORE_FILENAME) == {**before, "ledger": []}
 
     def test_save_over_a_format_1_copy_restores_the_saving_session(self, tmp_path):
         """``save(X)`` rewrites ``X``'s state tables and leaves a format-1
@@ -1056,6 +1083,9 @@ class TestACadenceStore:
 
     def test_repro_stats_reports_it_as_its_release_did(self, tmp_path, capsys):
         assert_stats_as_written(tmp_path, capsys, CADENCE_STORE)
+
+    def test_a_refused_restore_leaves_it_as_it_was(self, tmp_path):
+        assert_a_refused_restore_leaves_it(tmp_path, CADENCE_STORE)
 
     def test_resume_names_neither_retired_knob(self, tmp_path, capsys):
         """Its stored config holds ``storage_backend="memory"`` and
