@@ -1,8 +1,10 @@
 """Sharded join (``workers=N``) vs the one-worker join, with a built-in correctness assertion.
 
-:class:`repro.simjoin.parallel.VectorizedSimJoin` with ``workers=N`` (the
-kernel's row blocks scored on N threads) against ``workers=1`` on the same
-store, asserting the pair sets and likelihoods are *bit-identical*.  The
+The batch join — one append of the whole store to an empty
+:class:`repro.streaming.incremental_join.IncrementalSimJoin` — with
+``workers=N`` (the kernel's row blocks scored on N threads) against
+``workers=1`` on the same store, asserting the pair sets and likelihoods
+are *bit-identical*.  The
 full run gates >= ``--min-speedup`` (default 2x) with ``--workers``
 (default 4) at the largest size — a multi-core gate: on a single-core host
 a second thread cannot win.  A full run measures the library's default row
@@ -30,8 +32,8 @@ from typing import List, Optional
 
 from repro.datasets.restaurant import RestaurantGenerator
 from repro.evaluation.reporting import format_table
-from repro.simjoin.parallel import VectorizedSimJoin
 from repro.simjoin.vectorized import DEFAULT_BLOCK_ROWS
+from repro.streaming.incremental_join import IncrementalSimJoin
 
 
 def run_join_scenario(
@@ -43,17 +45,18 @@ def run_join_scenario(
         duplicate_pairs=max(1, record_count // 8),
         seed=seed,
     ).generate()
+    records = list(dataset.store)
 
     start = time.perf_counter()
-    serial = VectorizedSimJoin(threshold, block_size=block_size, workers=1).join(
-        dataset.store
+    serial = IncrementalSimJoin(threshold, block_size=block_size, workers=1).add_batch(
+        records
     )
     serial_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
-    parallel = VectorizedSimJoin(
+    parallel = IncrementalSimJoin(
         threshold, block_size=block_size, workers=workers
-    ).join(dataset.store)
+    ).add_batch(records)
     parallel_seconds = time.perf_counter() - start
 
     identical = sorted((p.key, p.likelihood) for p in serial) == sorted(

@@ -82,7 +82,9 @@ class WorkflowConfig:
     * ``fault_plan`` — async mode: optional JSON-friendly dict (the
       :meth:`repro.crowd.FaultPlan.to_dict` shape) injecting deterministic
       seeded delivery faults — delays, drops, duplicates, reorder, worker
-      churn, burst backlogs.  ``None`` (default) delivers fault-free.
+      churn, burst backlogs.  ``None`` (default) delivers fault-free.  The
+      plan is checked by :meth:`repro.crowd.FaultPlan.from_dict` when the
+      config is built, in either mode.
     * ``seed`` — seed for the crowd simulation.
 
     ``storage_backend`` is a retired keyword, not a field: it is accepted
@@ -175,8 +177,15 @@ class WorkflowConfig:
             raise ValueError("backpressure_policy must be 'block' or 'shed'")
         if self.crowd_max_retries < 0:
             raise ValueError("crowd_max_retries must be non-negative")
-        if self.fault_plan is not None and not isinstance(self.fault_plan, dict):
-            raise ValueError(
-                "fault_plan must be a JSON-friendly dict (FaultPlan.to_dict()) or None"
-            )
+        if self.fault_plan is not None:
+            if not isinstance(self.fault_plan, dict):
+                raise ValueError(
+                    "fault_plan must be a JSON-friendly dict (FaultPlan.to_dict()) or None"
+                )
+            # Parsed here, in either crowd mode, so that a bad plan fails the
+            # config and not the first async session built from it.
+            # Imported here: importing repro.crowd imports repro.core.
+            from repro.crowd.faults import FaultPlan
+
+            FaultPlan.from_dict(self.fault_plan)
 

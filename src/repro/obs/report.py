@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .metrics import MetricsSnapshot
 
@@ -45,6 +45,20 @@ MACHINE_ROOT_SPANS = (
 #: deployment would spend that time waiting on people, not computing, so it
 #: is reported on its own and taken out of the machine figure.
 SIMULATOR_SPANS = ("crowd.publish",)
+
+#: ``(field, counter, type)``: the report field each process counter totals into.
+COUNTER_FIELDS = (
+    ("hits_issued", "hits_issued_total", int),
+    ("assignments", "crowd_assignments_total", int),
+    ("votes", "crowd_votes_total", int),
+    ("crowd_cost_dollars", "crowd_cost_dollars_total", float),
+    ("crowd_work_seconds", "crowd_work_seconds_total", float),
+    ("crowd_elapsed_minutes", "crowd_elapsed_minutes_total", float),
+    ("crowd_retries", "crowd_retries_total", int),
+    ("crowd_timeouts", "crowd_timeouts_total", int),
+    ("crowd_reissued", "crowd_reissued_total", int),
+    ("crowd_duplicates_dropped", "crowd_duplicates_dropped_total", int),
+)
 
 
 @dataclass
@@ -103,18 +117,7 @@ class CostReport:
     @classmethod
     def from_snapshot(cls, snapshot: MetricsSnapshot, source: str = "snapshot") -> "CostReport":
         report = cls(source=source)
-        report.hits_issued = int(snapshot.counter_total("hits_issued_total"))
-        report.assignments = int(snapshot.counter_total("crowd_assignments_total"))
-        report.votes = int(snapshot.counter_total("crowd_votes_total"))
-        report.crowd_cost_dollars = snapshot.counter_total("crowd_cost_dollars_total")
-        report.crowd_work_seconds = snapshot.counter_total("crowd_work_seconds_total")
-        report.crowd_elapsed_minutes = snapshot.counter_total("crowd_elapsed_minutes_total")
-        report.crowd_retries = int(snapshot.counter_total("crowd_retries_total"))
-        report.crowd_timeouts = int(snapshot.counter_total("crowd_timeouts_total"))
-        report.crowd_reissued = int(snapshot.counter_total("crowd_reissued_total"))
-        report.crowd_duplicates_dropped = int(
-            snapshot.counter_total("crowd_duplicates_dropped_total")
-        )
+        report._read_counters(snapshot.counter_total)
         spans = snapshot.get("span_seconds")
         if spans is not None:
             for sample in spans["samples"]:
@@ -130,6 +133,11 @@ class CostReport:
                     sample["value"] for sample in metric["samples"]
                 )
         return report
+
+    def _read_counters(self, total: Callable[[str], float]) -> None:
+        """Set every :data:`COUNTER_FIELDS` field from ``total(counter)``."""
+        for name, counter, kind in COUNTER_FIELDS:
+            setattr(self, name, kind(total(counter)))
 
     def _split_wall_clock(self) -> None:
         """Derive machine and simulator seconds from ``phase_seconds``."""
@@ -223,16 +231,7 @@ class CostReport:
         def total(name: str) -> float:
             return sum(value for (key, _), value in counters.items() if key == name)
 
-        report.hits_issued = int(total("hits_issued_total"))
-        report.assignments = int(total("crowd_assignments_total"))
-        report.votes = int(total("crowd_votes_total"))
-        report.crowd_cost_dollars = total("crowd_cost_dollars_total")
-        report.crowd_work_seconds = total("crowd_work_seconds_total")
-        report.crowd_elapsed_minutes = total("crowd_elapsed_minutes_total")
-        report.crowd_retries = int(total("crowd_retries_total"))
-        report.crowd_timeouts = int(total("crowd_timeouts_total"))
-        report.crowd_reissued = int(total("crowd_reissued_total"))
-        report.crowd_duplicates_dropped = int(total("crowd_duplicates_dropped_total"))
+        report._read_counters(total)
         report.phase_seconds = spans
         report._split_wall_clock()
         report.counters = {

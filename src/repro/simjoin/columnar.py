@@ -1,13 +1,14 @@
 """Columnar CSR index construction from flat token arrays.
 
-The vectorized and incremental joins both need a binary records-x-vocabulary
-CSR matrix.  A per-record build — a dict ``setdefault`` and a list
+The join (:class:`repro.streaming.incremental_join.IncrementalSimJoin`)
+keeps a binary records-x-vocabulary CSR matrix and appends each batch's
+rows to it.  A per-record build — a dict ``setdefault`` and a list
 ``append`` per token *occurrence*, then converting the whole accumulated
-index list back to numpy — is fine for a one-shot batch join, but it
-dominates small-batch streaming appends, where the matmul itself is tiny
-and the reconversion cost grows with the resident store.
+index list back to numpy — would dominate small-batch streaming appends,
+where the matmul itself is tiny and the reconversion cost grows with the
+resident store.
 
-The builders here are *columnar* instead: all token occurrences are
+The builder here is *columnar* instead: all token occurrences are
 flattened into one array, the vocabulary is discovered in a single pass
 over the batch's **distinct** tokens (a C-level set difference), and the
 CSR ``indices`` array is filled by ``np.fromiter`` over a C-level
@@ -28,44 +29,6 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
-#: (CSR indices, CSR indptr, vocabulary size) of a token-incidence matrix.
-CsrArrays = Tuple[np.ndarray, np.ndarray, int]
-
-
-def _flatten(token_sets: Sequence[Iterable[str]]) -> Tuple[List[str], np.ndarray]:
-    """Flatten per-record token sets into one list plus the CSR indptr."""
-    indptr = np.zeros(len(token_sets) + 1, dtype=np.int64)
-    flat: List[str] = []
-    for row, tokens in enumerate(token_sets):
-        flat.extend(tokens)
-        indptr[row + 1] = len(flat)
-    return flat, indptr
-
-
-def _fill_indices(flat: List[str], vocabulary: Dict[str, int]) -> np.ndarray:
-    """Map every token occurrence to its column id without Python bytecode.
-
-    ``map`` with a bound method and ``np.fromiter`` both run their loops in
-    C; only the vocabulary *misses* (handled by the callers, one per
-    distinct new token) pay interpreter cost.
-    """
-    return np.fromiter(
-        map(vocabulary.__getitem__, flat), dtype=np.int64, count=len(flat)
-    )
-
-
-def columnar_csr_arrays(token_sets: Sequence[Iterable[str]]) -> CsrArrays:
-    """Build CSR ``(indices, indptr, width)`` in one columnar pass.
-
-    The vocabulary is implicit: column ``j`` is the ``j``-th distinct token
-    in sorted order.  Rows are the given token sets, in order.
-    """
-    flat, indptr = _flatten(token_sets)
-    if not flat:
-        return np.empty(0, dtype=np.int64), indptr, 0
-    vocabulary = {token: index for index, token in enumerate(sorted(set(flat)))}
-    return _fill_indices(flat, vocabulary), indptr, len(vocabulary)
-
 
 def extend_vocabulary_csr_arrays(
     token_sets: Sequence[Iterable[str]],
@@ -76,32 +39,33 @@ def extend_vocabulary_csr_arrays(
     Unknown tokens are appended to ``vocabulary`` (mutated in place) in
     sorted order of the batch's novel tokens.  Only one dict insertion per
     *distinct* novel batch token is paid — the per-occurrence work is a
-    C-level set difference plus the ``map``/``fromiter`` fill.
-    Returns ``(indices, indptr)`` for the batch rows.
+    C-level set difference plus a ``map`` with a bound method drained by
+    ``np.fromiter``, both loops in C.  Returns ``(indices, indptr)`` for
+    the batch rows.
     """
-    flat, indptr = _flatten(token_sets)
-    if not flat:
-        return np.empty(0, dtype=np.int64), indptr
+    indptr = np.zeros(len(token_sets) + 1, dtype=np.int64)
+    flat: List[str] = []
+    for row, tokens in enumerate(token_sets):
+        flat.extend(tokens)
+        indptr[row + 1] = len(flat)
     for token in sorted(set(flat).difference(vocabulary)):
         vocabulary[token] = len(vocabulary)
-    return _fill_indices(flat, vocabulary), indptr
+    indices = np.fromiter(
+        map(vocabulary.__getitem__, flat), dtype=np.int64, count=len(flat)
+    )
+    return indices, indptr
 
 
 def compact_csr_arrays(
-    indices: np.ndarray, indptr: Sequence[int], dead_rows: Iterable[int]
+    indices: np.ndarray, indptr: Sequence[int], alive: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Physically drop tombstoned rows from flat CSR arrays.
+    """Physically drop the rows ``alive`` marks ``False`` from flat CSR arrays.
 
     Returns new ``(indices, indptr)`` containing only the surviving rows, in
     their original order.  One vectorized boolean-mask pass over the
     occurrence array — no per-row Python loop.
     """
-    indptr_array = np.asarray(indptr, dtype=np.int64)
-    row_count = len(indptr_array) - 1
-    alive = np.ones(row_count, dtype=bool)
-    for row in dead_rows:
-        alive[row] = False
-    lengths = np.diff(indptr_array)
+    lengths = np.diff(np.asarray(indptr, dtype=np.int64))
     keep_occurrences = np.repeat(alive, lengths)
     new_indptr = np.zeros(int(alive.sum()) + 1, dtype=np.int64)
     np.cumsum(lengths[alive], out=new_indptr[1:])

@@ -3,11 +3,11 @@
 A :class:`LikelihoodEstimator` turns a record store into a scored
 :class:`~repro.records.pairs.PairSet`.  :class:`SimJoinLikelihood` is the
 estimator the paper evaluates ("simjoin"): Jaccard similarity over pooled
-token sets.  ``"auto"`` computes it with the join kernel
-(:class:`repro.simjoin.parallel.VectorizedSimJoin`); ``"naive"`` is the
-all-pairs scan kept as the oracle the kernel is tested against.  Both
-return the identical pair set in the identical order: most likely first,
-ties by key.
+token sets.  ``"auto"`` is one append of the whole store to an empty
+:class:`repro.streaming.incremental_join.IncrementalSimJoin` — a batch run
+is the first increment of the streaming join; ``"naive"`` is the all-pairs
+scan kept as the oracle the join is tested against.  Both return the
+identical pair set in the identical order: most likely first, ties by key.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from repro.records.pairs import PairSet
 from repro.records.record import RecordStore
 from repro.similarity.record_similarity import JaccardRecordSimilarity, RecordSimilarity
 from repro.simjoin.allpairs import all_pairs_similarity
-from repro.simjoin.parallel import VectorizedSimJoin
 
 #: The accepted ``join_backend`` values: the kernel and the test oracle.
 JOIN_BACKENDS = ("auto", "naive")
@@ -50,10 +49,10 @@ class SimJoinLikelihood(LikelihoodEstimator):
     attributes:
         Attributes pooled into the token set (``None`` = all attributes).
     backend:
-        ``"auto"`` (the kernel) or ``"naive"`` (the all-pairs oracle).  Both
+        ``"auto"`` (the join) or ``"naive"`` (the all-pairs oracle).  Both
         produce exactly the same pair set; the choice only affects speed.
     workers:
-        Threads the kernel's row blocks are scored on (a store of a single
+        Threads the join's row blocks are scored on (a store of a single
         block is scored inline).  ``None`` = one per CPU core; any value
         returns bit-identical pairs.
     """
@@ -91,11 +90,16 @@ class SimJoinLikelihood(LikelihoodEstimator):
                     key=lambda pair: (-(pair.likelihood or 0.0), pair.key),
                 ))
             else:
-                pairs = VectorizedSimJoin(
+                # Imported here: repro.streaming imports repro.core, whose
+                # config imports this module.
+                from repro.streaming.incremental_join import IncrementalSimJoin
+
+                pairs = IncrementalSimJoin(
                     threshold=min_likelihood,
                     attributes=self.attributes,
+                    cross_sources=cross_sources,
                     workers=self.workers,
-                ).join(store, cross_sources=cross_sources)
+                ).add_batch(list(store))
         if obs.enabled():
             obs.inc("simjoin_candidates_total", len(pairs), backend=engine,
                     help="Candidate pairs at or above the likelihood threshold.")

@@ -1,9 +1,11 @@
-"""The store-level join, and worker threads over its row blocks.
+"""Worker threads over the join's row blocks, and the canonical pair order.
 
 :mod:`repro.simjoin.vectorized` holds the kernel — one blocked sparse
 product, exact.  :func:`join_blocks` runs that kernel over a row range and
-:class:`VectorizedSimJoin` is the batch join of a whole record store on top
-of it (streaming appends call :func:`join_blocks` directly).
+:func:`ranked_pair_set` turns its blocks into a ranked pair set; the one
+join, :class:`repro.streaming.incremental_join.IncrementalSimJoin`, calls
+both for every append, the batch machine pass being one append of the
+whole store.
 
 There is one scorer and one sequence of row blocks per call.  With one
 worker, or a single block, the blocks are scored inline; otherwise the
@@ -27,31 +29,13 @@ from __future__ import annotations
 import contextvars
 import os
 from concurrent.futures import ThreadPoolExecutor
-from typing import Iterable, Iterator, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from repro import obs
 from repro.records.pairs import PairSet, RecordPair
-from repro.records.record import Record, RecordStore
-from repro.records.tokenize import WhitespaceTokenizer, record_token_set
-from repro.simjoin.columnar import columnar_csr_arrays
-from repro.simjoin.vectorized import (
-    DEFAULT_BLOCK_ROWS,
-    HAVE_SCIPY,
-    BlockScorer,
-    _BlockPairs,
-    require_scipy,
-)
-
-if HAVE_SCIPY:
-    from scipy import sparse
-else:  # pragma: no cover - scipy is part of the image
-    sparse = None
-
-# A join plan: ("self", keep, None) or ("bipartite", left, right), where the
-# arrays hold global row indices into the incidence matrix.
-JoinPlan = Tuple[str, np.ndarray, Optional[np.ndarray]]
+from repro.simjoin.vectorized import BlockScorer, _BlockPairs
 
 
 def default_worker_count() -> int:
@@ -145,158 +129,3 @@ def ranked_pair_set(ids: Sequence[str], blocks: Iterable[_BlockPairs]) -> PairSe
     ):
         pairs.add(RecordPair(ranked[a], ranked[b], likelihood=value))
     return pairs
-
-
-class VectorizedSimJoin:
-    """Exact Jaccard self/cross join of a record store via the kernel.
-
-    Parameters
-    ----------
-    threshold:
-        Minimum similarity; pairs strictly below it are not materialised.
-        ``0.0`` is allowed (every pair is scored, matching the naive
-        all-pairs scan).
-    attributes:
-        Attributes pooled into each record's token set (``None`` = all).
-    block_size:
-        Number of matrix rows multiplied per block; bounds peak memory at
-        roughly ``block_size * n`` floats for zero-threshold joins.
-    workers:
-        Threads the row blocks are scored on.  ``1`` (the default) scores
-        inline; ``None`` or ``0`` means one per available CPU core.  Any
-        value is legal — no more threads are started than there are blocks
-        — and any value returns bit-identical pairs.
-    """
-
-    def __init__(
-        self,
-        threshold: float = 0.0,
-        attributes: Optional[Sequence[str]] = None,
-        block_size: int = DEFAULT_BLOCK_ROWS,
-        workers: Optional[int] = 1,
-    ) -> None:
-        if not 0.0 <= threshold <= 1.0:
-            raise ValueError("threshold must be in [0, 1]")
-        if block_size < 1:
-            raise ValueError("block_size must be at least 1")
-        if workers is not None and workers < 0:
-            raise ValueError("workers must be non-negative (0/None = one per core)")
-        self.threshold = threshold
-        self.attributes = list(attributes) if attributes is not None else None
-        self.block_size = block_size
-        self.workers = workers
-        self._tokenizer = WhitespaceTokenizer()
-
-    # ------------------------------------------------------------------ api
-    def join(
-        self,
-        store: RecordStore,
-        cross_sources: Optional[Tuple[str, str]] = None,
-    ) -> PairSet:
-        """Return all pairs with similarity >= threshold, in canonical order.
-
-        With ``cross_sources`` only pairs with one record from each source
-        are produced (record linkage); otherwise the whole store is
-        self-joined (deduplication).  The pairs come most likely first, ties
-        by key (:func:`ranked_pair_set`), whatever order the blocks found
-        them in.
-        """
-        require_scipy()
-        records = list(store)
-        if len(records) < 2:
-            return PairSet()
-        plan = self._plan(records, cross_sources)
-        return ranked_pair_set(
-            [record.record_id for record in records],
-            self._pair_blocks(self._incidence_matrix(store), plan),
-        )
-
-    # ------------------------------------------------------------- internals
-    def _plan(
-        self, records: Sequence[Record], cross_sources: Optional[Tuple[str, str]]
-    ) -> JoinPlan:
-        """Decide self-join vs bipartite join and which rows participate."""
-        if cross_sources is not None and cross_sources[0] != cross_sources[1]:
-            left = np.array(
-                [i for i, r in enumerate(records) if r.source == cross_sources[0]],
-                dtype=np.int64,
-            )
-            right = np.array(
-                [i for i, r in enumerate(records) if r.source == cross_sources[1]],
-                dtype=np.int64,
-            )
-            return ("bipartite", left, right)
-        if cross_sources is None:
-            keep = np.arange(len(records), dtype=np.int64)
-        else:
-            # Degenerate (a, a) cross join: both records from that source.
-            keep = np.array(
-                [i for i, r in enumerate(records) if r.source == cross_sources[0]],
-                dtype=np.int64,
-            )
-        return ("self", keep, None)
-
-    def _pair_blocks(
-        self, matrix: "sparse.csr_matrix", plan: JoinPlan
-    ) -> Iterator[_BlockPairs]:
-        """All pair blocks of the plan, in global row indices: the blocked
-        products plus, for positive thresholds, the empty-token pairs the
-        sparse product cannot see.
-        """
-        kind, left, right = plan
-        self_join = right is None
-        if self_join:
-            right = left
-        if min(left.size, right.size) >= (2 if self_join else 1):
-            blocks = join_blocks(
-                matrix[left],
-                None if self_join else matrix[right],
-                workers=resolve_worker_count(self.workers),
-                threshold=self.threshold,
-                block_size=self.block_size,
-                triangle=1 if self_join else 0,
-                kind=kind,
-            )
-            for rows, cols, values in blocks:
-                yield left[rows], right[cols], values
-        if self.threshold > 0.0:
-            yield from self._empty_pair_blocks(np.diff(matrix.indptr), plan)
-
-    def _incidence_matrix(self, store: RecordStore) -> "sparse.csr_matrix":
-        """Binary records-x-vocabulary CSR matrix of token memberships."""
-        with obs.span("simjoin.vectorized.index_build", records=len(store)):
-            token_sets = [
-                record_token_set(record, self.attributes, self._tokenizer)
-                for record in store
-            ]
-            indices, indptr, width = columnar_csr_arrays(token_sets)
-            matrix = sparse.csr_matrix(
-                (np.ones(len(indices), dtype=np.int32), indices, indptr),
-                shape=(len(token_sets), max(1, width)),
-            )
-            matrix.sort_indices()
-        return matrix
-
-    def _empty_pair_blocks(
-        self, sizes: np.ndarray, plan: JoinPlan
-    ) -> Iterator[_BlockPairs]:
-        """Pairs of empty-token records (similarity defined as 1.0).
-
-        Empty rows never appear in a sparse product, so positive-threshold
-        joins must emit them separately; the zero-threshold dense path
-        already scores every pair and needs no patching.
-        """
-        kind, first, second = plan
-        if kind == "bipartite":
-            empty_left = first[sizes[first] == 0]
-            empty_right = second[sizes[second] == 0]
-            if empty_left.size and empty_right.size:
-                rows = np.repeat(empty_left, empty_right.size)
-                cols = np.tile(empty_right, empty_left.size)
-                yield rows, cols, np.ones(rows.size, dtype=np.float64)
-            return
-        empty = first[sizes[first] == 0]
-        if empty.size < 2:
-            return
-        rows, cols = np.triu_indices(empty.size, k=1)
-        yield empty[rows], empty[cols], np.ones(rows.size, dtype=np.float64)

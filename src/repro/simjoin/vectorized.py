@@ -9,19 +9,17 @@ intersection counts through blocked sparse products ``X[block] @ X.T``.
 Set sizes come from the CSR row pointers, so the Jaccard similarities
 are derived entirely in numpy with no per-pair Python loop.
 
-**One kernel, three callers.**  :func:`score_product` is the only code
-that turns a sparse product block into thresholded similarities, and
-:meth:`BlockScorer.score` is the product and that in one call.  The batch
-self-join multiplies each block of ``left`` by its band — the rows of
-``left`` from the block's first row on — under the upper-triangle mask,
-record linkage is ``left x right``, and the streaming engine
-(:class:`repro.streaming.incremental_join.IncrementalSimJoin`) scores its
-freshly appended rows against the band of every earlier row of the
-resident matrix.  :class:`BlockScorer` holds one join's operands and
-scores one row block at a time; :func:`repro.simjoin.parallel.join_blocks`
-walks its blocks inline or hands the same blocks to worker threads, and
-:class:`repro.simjoin.parallel.VectorizedSimJoin` is the store-level join
-built on that.
+**One kernel, one caller.**  :func:`score_product` is the only code that
+turns a sparse product block into thresholded similarities, and
+:meth:`BlockScorer.score` is the product and that in one call.  The one
+join (:class:`repro.streaming.incremental_join.IncrementalSimJoin`) scores
+its freshly appended rows against the band of every earlier row of the
+resident matrix under the lower-triangle mask; the batch machine pass is
+the append of the whole store to an empty join, and record linkage is the
+same self-product with the pairs of one source masked out afterwards.
+:class:`BlockScorer` holds one join's operands and scores one row block at
+a time; :func:`repro.simjoin.parallel.join_blocks` walks its blocks inline
+or hands the same blocks to worker threads.
 
 The result is exact: intersection and union counts are small integers, the
 final float64 division is bit-identical to the pure-Python ``len(a & b) /
@@ -117,20 +115,17 @@ def score_product(
     right_sizes: np.ndarray,
     start: int,
     threshold: float,
-    triangle: int = 0,
+    triangle: bool = False,
     alive: Optional[np.ndarray] = None,
-    col_offset: int = 0,
 ) -> _BlockPairs:
     """The pairs of one sparse product block at or above ``threshold``.
 
     ``block`` holds the intersection counts of left rows ``[start, start +
-    block.shape[0])`` against right rows ``[col_offset, col_offset +
-    block.shape[1])``.  Returns ``(rows, cols, values)`` — row positions in
-    the left matrix, column positions in the whole right matrix and their
+    block.shape[0])`` against right rows ``[0, block.shape[1])``.  Returns
+    ``(rows, cols, values)`` — row and column positions and their
     similarity.  ``triangle`` restricts a product of a matrix with itself
-    to one side of the diagonal: ``+1`` keeps ``col > row`` (each unordered
-    pair of a self-join once), ``-1`` keeps ``col < row`` (appended rows
-    against everything before them), ``0`` keeps all.  ``alive`` is a
+    to the pairs below the diagonal, ``col < row``: appended rows against
+    everything before them, so each unordered pair once.  ``alive`` is a
     boolean mask over the right rows; pairs against a dead column are
     dropped whatever they score (at threshold zero a dead row would
     otherwise pass with similarity 0.0).
@@ -160,10 +155,7 @@ def score_product(
         inter = np.asarray(block.todense()).ravel()
         rows, cols = np.divmod(np.arange(inter.size), block.shape[1])
     rows += start
-    cols += col_offset
-    keep = None
-    if triangle:
-        keep = cols > rows if triangle > 0 else cols < rows
+    keep = cols < rows if triangle else None
     if alive is not None:
         keep = alive[cols] if keep is None else keep & alive[cols]
     if keep is not None:
@@ -183,17 +175,15 @@ class BlockScorer:
     on one scorer at once.  ``kind`` labels the per-block trace spans and
     the ``simjoin_product_entries_total`` counter.
 
-    A product of ``left`` with itself under a triangle mask is *banded*:
-    block ``[s, e)`` is multiplied only by the rows on its side of the
-    diagonal — ``left[s:]`` for ``triangle=+1`` (the batch self-join),
-    ``left[:e]`` for ``-1`` (streaming appends) — transposed for that block
-    alone.  The entries of the other side are the ones the mask would drop
-    whatever they score, so the band changes the cost and not one pair:
-    rows, cols and values come out as the whole product's, in its order
-    (the sparse product lists a row's columns in an order the band's
-    missing columns cannot change).  A band that is the whole matrix — the
-    first self-join block, the last block of an append, so every
-    single-block append — multiplies by the matrix itself, uncopied.
+    A product of ``left`` with itself under the triangle mask is *banded*:
+    block ``[s, e)`` is multiplied only by the rows ``left[:e]`` — the ones
+    on its side of the diagonal — transposed for that block alone.  The
+    entries beyond them are the ones the mask would drop whatever they
+    score, so the band changes the cost and not one pair: rows, cols and
+    values come out as the whole product's, in its order (the sparse
+    product lists a row's columns in an order the band's missing columns
+    cannot change).  The band of the last block is the whole matrix, so
+    every single-block append multiplies by the matrix itself, uncopied.
     """
 
     def __init__(
@@ -203,7 +193,7 @@ class BlockScorer:
         *,
         threshold: float,
         block_size: int = DEFAULT_BLOCK_ROWS,
-        triangle: int = 0,
+        triangle: bool = False,
         alive: Optional[np.ndarray] = None,
         kind: str = "",
     ) -> None:
@@ -230,15 +220,13 @@ class BlockScorer:
         """First row of every block covering left rows ``[start, n)``."""
         return range(start, self.left.shape[0], self.block_size)
 
-    def _band(self, block_start: int, block_end: int) -> Tuple[int, "sparse.csr_matrix"]:
-        """``(first, right_t)``: the transposed right rows that left rows
-        ``[block_start, block_end)`` are multiplied by, and the first of them."""
+    def _band(self, block_end: int) -> "sparse.csr_matrix":
+        """The transposed right rows that left rows ending at ``block_end``
+        are multiplied by."""
         if self.right_t is not None:
-            return 0, self.right_t
-        count = self.left.shape[0]
-        first, stop = (block_start, count) if self.triangle > 0 else (0, block_end)
-        rows = self.left if (first, stop) == (0, count) else self.left[first:stop]
-        return first, rows.T.tocsr()
+            return self.right_t
+        rows = self.left if block_end == self.left.shape[0] else self.left[:block_end]
+        return rows.T.tocsr()
 
     def score(self, block_start: int) -> _BlockPairs:
         """The pair block of left rows ``[block_start, block_start + block_size)``."""
@@ -247,13 +235,12 @@ class BlockScorer:
             "simjoin.vectorized.block",
             kind=self.kind, rows=block_end - block_start,
         ):
-            col_offset, right_t = self._band(block_start, block_end)
-            product = self.left[block_start:block_end] @ right_t
+            product = self.left[block_start:block_end] @ self._band(block_end)
             if obs.enabled():
                 obs.inc("simjoin_product_entries_total", product.nnz, kind=self.kind,
                         help="Entries of the join's sparse products: pairs "
                         "sharing a token, before the overlap bound.")
             return score_product(
                 product, self.left_sizes, self.right_sizes, block_start,
-                self.threshold, self.triangle, self.alive, col_offset,
+                self.threshold, self.triangle, self.alive,
             )

@@ -1,14 +1,14 @@
-"""Incremental set-similarity join over a resident token/CSR index.
+"""The similarity join: an incremental one over a resident token/CSR index.
 
-The batch-mode engines in :mod:`repro.simjoin` recompute the whole join on
-every call.  :class:`IncrementalSimJoin` instead keeps the token-incidence
-CSR arrays of every record seen so far and, when a batch of new records
-arrives, appends the batch's rows and scores **only those rows** against
-every earlier row of the resident matrix — old records and the batch's own
-earlier records alike — in one call of the shared join kernel
-(:class:`repro.simjoin.vectorized.BlockScorer`, the code the batch engines
-run), on worker threads when the batch spans more than one row block and
-``workers`` allows.
+:class:`IncrementalSimJoin` keeps the token-incidence CSR arrays of every
+record seen so far and, when a batch of new records arrives, appends the
+batch's rows and scores **only those rows** against every earlier row of
+the resident matrix — old records and the batch's own earlier records
+alike — in one call of the join kernel
+(:class:`repro.simjoin.vectorized.BlockScorer`), on worker threads when the
+batch spans more than one row block and ``workers`` allows.  It is the only
+join: the batch machine pass (``SimJoinLikelihood(backend="auto")``) is one
+append of the whole store to an empty one.
 
 Index construction is *columnar* (:mod:`repro.simjoin.columnar`): each
 batch's CSR rows are built in one pass over the flattened token arrays,
@@ -18,10 +18,13 @@ loop.
 
 Because set similarity is a function of the two records alone, pairs among
 *old* records are untouched by new arrivals, and the union of the per-batch
-deltas is **exactly** the full-store join at the same threshold — the
-equivalence the streaming property tests assert.  Likelihood values come
-out of the same kernel as the batch engines', so they are bit-identical,
-not merely close.
+deltas is **exactly** the one-append join of the whole store at the same
+threshold — the equivalence the streaming property tests assert, bit for
+bit, since every likelihood comes out of the same kernel.
+
+Record linkage (``cross_sources``) scores the same self-product and then
+keeps the pairs with one record from each source: a row-aligned array of
+source sides turns that into one numpy mask per row block.
 
 The index is in-memory state derived from the records alone: no store
 holds it.  A restored session re-indexes the records it pages in
@@ -32,7 +35,7 @@ deltas are ordered by record id, so every later delta is the same.
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import chain, compress
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -67,7 +70,8 @@ class IncrementalSimJoin:
         Attributes pooled into each record's token set (``None`` = all).
     cross_sources:
         When set, only pairs with one record from each source are produced
-        (record linkage), mirroring the batch engines.
+        (record linkage); a degenerate ``(a, a)`` keeps the pairs of two
+        ``a`` records.  A record of neither source pairs with nothing.
     block_size:
         Row-block size of the sparse product over the appended rows.
     workers:
@@ -113,19 +117,24 @@ class IncrementalSimJoin:
         self.block_size = block_size
         self.workers = workers
         self._tokenizer = WhitespaceTokenizer()
-        # Index over all resident records.  ``_record_ids`` is
-        # row-aligned with the CSR arrays and may contain tombstoned rows
-        # (``_dead_rows``); ``_row_of`` maps each *alive* id to its row, so
-        # its keys are the resident id set.  Token sets are not kept: the
-        # CSR rows are the index, and nothing reads a set after its batch.
+        # Index over all resident records.  ``_record_ids`` and ``_sides``
+        # are row-aligned with the CSR arrays and may contain tombstoned
+        # rows (``_dead_rows``); ``_row_of`` maps each *alive* id to its row,
+        # so its keys are the resident id set.  ``_sides`` holds a row's
+        # position in ``cross_sources`` (0 or 1; -1 = neither, and every
+        # row without ``cross_sources``).  Token sets are not kept: the CSR
+        # rows are the index, and nothing reads a set after its batch.
         self._record_ids: List[str] = []
         self._row_of: Dict[str, int] = {}
         self._dead_rows: Set[int] = set()
-        self._sources: Dict[str, Optional[str]] = {}
+        self._side_of: Dict[Optional[str], int] = (
+            {} if cross_sources is None
+            else {cross_sources[1]: 1, cross_sources[0]: 0}
+        )
+        self._sides = np.empty(0, dtype=np.int8)
         self._empty_ids: List[str] = []
         # Flat CSR arrays (rows = records in arrival order), one chunk per
-        # batch; rebuilding a scipy matrix from them is an O(nnz)
-        # concatenation, the matmul dominates.
+        # batch (:meth:`_matrix`).
         self._vocab: Dict[str, int] = {}
         self._index_chunks: List[np.ndarray] = []
         self._indptr: List[int] = [0]
@@ -158,10 +167,6 @@ class IncrementalSimJoin:
             return np.concatenate(self._index_chunks)
         return np.empty(0, dtype=np.int64)
 
-    def effective_workers(self) -> int:
-        """The concrete worker count (resolving the ``None``/``0`` default)."""
-        return resolve_worker_count(self.workers)
-
     # ------------------------------------------------------------------ api
     def add_batch(self, records: Sequence[Record]) -> PairSet:
         """Index a batch of new records and return the *delta* pair set.
@@ -169,7 +174,8 @@ class IncrementalSimJoin:
         The delta contains every pair at or above the threshold with at
         least one record from the batch (new-vs-old and new-vs-new); pairs
         among previously resident records are unaffected by arrivals, so
-        the union of all deltas equals the full-store join.
+        the union of all deltas equals the full-store join — which is how
+        the batch machine pass computes it, as one batch into an empty join.
         """
         batch = list(records)
         first_new = len(self._record_ids)
@@ -177,8 +183,8 @@ class IncrementalSimJoin:
         if not batch or len(self._record_ids) < 2:
             return PairSet()
         with obs.span("streaming.join.score", batch=len(batch), resident=first_new):
-            # Canonical order (the batch join's), so downstream tie-breaking
-            # is independent of discovery order.
+            # Canonical order, so downstream tie-breaking is independent
+            # of discovery order.
             return ranked_pair_set(self._record_ids, self._delta_blocks(first_new))
 
     def index(self, records: Sequence[Record]) -> None:
@@ -187,8 +193,8 @@ class IncrementalSimJoin:
         Checks that every id is fresh, then one columnar pass builds the
         records' CSR rows and extends the vocabulary; the rows are appended
         wholesale, and only the bookkeeping that is inherently per record
-        (sources, empty ids) loops in Python.  :meth:`add_batch` scores the
-        rows next; a restored session indexes the records it pages in.
+        (source sides, empty ids) loops in Python.  :meth:`add_batch` scores
+        the rows next; a restored session indexes the records it pages in.
         """
         seen_batch: Set[str] = set()
         for record in records:
@@ -206,11 +212,14 @@ class IncrementalSimJoin:
             if len(batch_indices):
                 self._index_chunks.append(batch_indices)
             self._indptr.extend((batch_indptr[1:] + offset).tolist())
+            self._sides = np.concatenate((self._sides, np.fromiter(
+                (self._side_of.get(record.source, -1) for record in records),
+                dtype=np.int8, count=len(records),
+            )))
             for record, tokens in zip(records, new_tokens):
                 record_id = record.record_id
                 self._row_of[record_id] = len(self._record_ids)
                 self._record_ids.append(record_id)
-                self._sources[record_id] = record.source
                 if not tokens:
                     self._empty_ids.append(record_id)
 
@@ -230,7 +239,6 @@ class IncrementalSimJoin:
         if row is None:
             raise RecordError(f"unknown record id: {record_id!r}")
         self._dead_rows.add(row)
-        del self._sources[record_id]
         if self._indptr[row] == self._indptr[row + 1]:
             self._empty_ids.remove(record_id)
         if (
@@ -253,16 +261,14 @@ class IncrementalSimJoin:
         if not self._dead_rows:
             return 0
         dropped = len(self._dead_rows)
+        alive = self._alive_rows()
         new_indices, new_indptr = compact_csr_arrays(
-            self._flat_indices(), self._indptr, self._dead_rows
+            self._flat_indices(), self._indptr, alive
         )
         self._index_chunks = [new_indices] if len(new_indices) else []
         self._indptr = new_indptr.tolist()
-        self._record_ids = [
-            record_id
-            for row, record_id in enumerate(self._record_ids)
-            if row not in self._dead_rows
-        ]
+        self._sides = self._sides[alive]
+        self._record_ids = list(compress(self._record_ids, alive.tolist()))
         self._row_of = {record_id: row for row, record_id in enumerate(self._record_ids)}
         self._dead_rows = set()
         if obs.enabled():
@@ -273,6 +279,26 @@ class IncrementalSimJoin:
         return dropped
 
     # ------------------------------------------------------------ internals
+    def _alive_rows(self) -> np.ndarray:
+        """Boolean mask over the resident rows: ``False`` for tombstones."""
+        alive = np.ones(len(self._record_ids), dtype=bool)
+        alive[list(self._dead_rows)] = False
+        return alive
+
+    def _matrix(self) -> "sparse.csr_matrix":
+        """The binary records-x-vocabulary matrix of every resident row,
+        tombstones included; rebuilding it from the flat arrays is an O(nnz)
+        concatenation, the product dominates."""
+        indices = self._flat_indices()
+        return sparse.csr_matrix(
+            (
+                np.ones(len(indices), dtype=np.int32),
+                indices,
+                np.asarray(self._indptr, dtype=np.int64),
+            ),
+            shape=(len(self._record_ids), max(1, len(self._vocab))),
+        )
+
     def _delta_blocks(self, first_new: int) -> Iterable[_BlockPairs]:
         """The delta's pair blocks: resident rows ``[first_new, n)`` against
         every earlier row, empty-token pairs included, cross-source pairs
@@ -287,28 +313,15 @@ class IncrementalSimJoin:
         the same blocks of the same scorer, so the delta is bit-identical
         either way.
         """
-        count = len(self._record_ids)
-        indices = self._flat_indices()
-        matrix = sparse.csr_matrix(
-            (
-                np.ones(len(indices), dtype=np.int32),
-                indices,
-                np.asarray(self._indptr, dtype=np.int64),
-            ),
-            shape=(count, max(1, len(self._vocab))),
-        )
-        alive = None
-        if self._dead_rows:
-            alive = np.ones(count, dtype=bool)
-            alive[list(self._dead_rows)] = False
+        matrix = self._matrix()
         blocks = join_blocks(
             matrix,
             start=first_new,
-            workers=self.effective_workers(),
-            alive=alive,
+            workers=resolve_worker_count(self.workers),
+            alive=self._alive_rows() if self._dead_rows else None,
             threshold=self.threshold,
             block_size=self.block_size,
-            triangle=-1,
+            triangle=True,
             kind="new_vs_old",
         )
         # Empty token sets are invisible to the sparse product, but two
@@ -333,13 +346,8 @@ class IncrementalSimJoin:
     def _cross_source_pairs(self, block: _BlockPairs) -> _BlockPairs:
         """The pairs of ``block`` with one record from each cross source."""
         rows, cols, values = block
-        ids, sources, wanted = self._record_ids, self._sources, set(self.cross_sources)
-        keep = np.fromiter(
-            (
-                {sources[ids[row]], sources[ids[col]]} == wanted
-                for row, col in zip(rows.tolist(), cols.tolist())
-            ),
-            dtype=bool,
-            count=rows.size,
-        )
+        first, second = self._sides[rows], self._sides[cols]
+        keep = (first >= 0) & (second >= 0)
+        if self.cross_sources[0] != self.cross_sources[1]:
+            keep &= first != second
         return rows[keep], cols[keep], values[keep]

@@ -52,7 +52,8 @@ def random_stores(draw, with_sources=False):
     Some records are exact duplicates of earlier ones (same text, distinct
     id) and some have no tokens at all — the edge cases the kernel and the
     oracle must agree on.  With ``with_sources`` each record is tagged
-    "abt" or "buy" for cross-source linkage joins.
+    "abt", "buy", a third source or no source at all: a linkage join of
+    ``("abt", "buy")`` must pair the records of the last two with nothing.
     """
     texts = draw(st.lists(record_texts, min_size=2, max_size=14))
     duplicate_of = draw(
@@ -61,7 +62,7 @@ def random_stores(draw, with_sources=False):
     texts.extend(texts[i] for i in duplicate_of)
     store = RecordStore()
     for i, text in enumerate(texts):
-        source = ("abt", "buy")[draw(st.integers(0, 1))] if with_sources else None
+        source = draw(st.sampled_from(("abt", "buy", "pos", None))) if with_sources else None
         store.add(Record(f"r{i:03d}", {"name": text}, source=source))
     return store
 

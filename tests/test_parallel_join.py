@@ -2,12 +2,13 @@
 
 The central contract of :mod:`repro.simjoin.parallel`: for *any* worker
 count (including more workers than shards), any threshold and any store,
-:class:`VectorizedSimJoin` with ``workers=N`` returns
-**bit-identical** pair sets and likelihoods to ``workers=1`` — asserted
-with exact ``==`` on the floats, not a tolerance.  The columnar index builders must
-produce matrices whose intersection counts (``X @ X.T``) equal ``len(a & b)``
-on the token sets themselves, which is the invariant every similarity value
-rests on.
+the one join — :class:`IncrementalSimJoin`, whose single append of a whole
+store is the batch machine pass — with ``workers=N`` returns
+**bit-identical** pair sets and likelihoods to ``workers=1``, self-joins
+and record linkage alike — asserted with exact ``==`` on the floats, not a
+tolerance.  The columnar index builder must produce matrices whose
+intersection counts (``X @ X.T``) equal ``len(a & b)`` on the token sets
+themselves, which is the invariant every similarity value rests on.
 """
 
 import json
@@ -36,16 +37,9 @@ from repro.records.pairs import PairSet, RecordPair
 from repro.records.record import Record, RecordStore
 from repro.simjoin import parallel as parallel_module
 from repro.simjoin import vectorized
-from repro.simjoin.columnar import (
-    columnar_csr_arrays,
-    extend_vocabulary_csr_arrays,
-)
-from repro.simjoin.parallel import (
-    VectorizedSimJoin,
-    join_blocks,
-    ranked_pair_set,
-    resolve_worker_count,
-)
+from repro.simjoin.columnar import extend_vocabulary_csr_arrays
+from repro.simjoin.likelihood import SimJoinLikelihood
+from repro.simjoin.parallel import join_blocks, ranked_pair_set, resolve_worker_count
 from repro.simjoin.vectorized import HAVE_SCIPY, BlockScorer
 from repro.streaming.incremental_join import IncrementalSimJoin
 from repro.streaming.session import resolve_stream
@@ -61,13 +55,23 @@ def pair_items(pairs):
     return sorted((pair.key, pair.likelihood) for pair in pairs)
 
 
-def block_sequence(join, store, cross_sources=None):
-    """Every pair block the join yields for the store, in the order yielded."""
-    return list(
-        join._pair_blocks(
-            join._incidence_matrix(store), join._plan(list(store), cross_sources)
-        )
-    )
+def one_append(store, threshold, **params):
+    """The batch join of ``store``: one append to an empty join."""
+    return IncrementalSimJoin(threshold, **params).add_batch(list(store))
+
+
+def block_sequence(store, threshold, **params):
+    """Every pair block one append of the store yields, in the order yielded."""
+    join = IncrementalSimJoin(threshold, **params)
+    join.index(list(store))
+    return list(join._delta_blocks(0))
+
+
+def incidence_matrix(store):
+    """The join's token-incidence matrix of ``store``."""
+    join = IncrementalSimJoin(0.0)
+    join.index(list(store))
+    return join._matrix()
 
 
 def same_block_sequence(actual, expected):
@@ -106,17 +110,12 @@ class TestParallelEqualsVectorized:
     def test_property_bit_identical_self_join(self, store, threshold, workers):
         # block_size=2 forces many shards even on tiny stores, so the pool
         # path (not just the workers<=1 degenerate case) is exercised.
-        serial = VectorizedSimJoin(threshold, block_size=2).join(store)
-        parallel = VectorizedSimJoin(
-            threshold, block_size=2, workers=workers
-        ).join(store)
+        serial = one_append(store, threshold, block_size=2, workers=1)
+        parallel = one_append(store, threshold, block_size=2, workers=workers)
         assert pair_items(parallel) == pair_items(serial)
         assert same_block_sequence(
-            block_sequence(
-                VectorizedSimJoin(threshold, block_size=2, workers=workers),
-                store,
-            ),
-            block_sequence(VectorizedSimJoin(threshold, block_size=2), store),
+            block_sequence(store, threshold, block_size=2, workers=workers),
+            block_sequence(store, threshold, block_size=2, workers=1),
         )
 
     @settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -124,39 +123,38 @@ class TestParallelEqualsVectorized:
         store=random_stores(with_sources=True),
         threshold=st.sampled_from((0.0, 0.5)),
         workers=st.sampled_from((1, 2, 6)),
+        cross_sources=st.sampled_from((("abt", "buy"), ("abt", "abt"))),
     )
-    def test_property_bit_identical_cross_source(self, store, threshold, workers):
-        serial = VectorizedSimJoin(threshold, block_size=2).join(
-            store, cross_sources=("abt", "buy")
-        )
-        parallel = VectorizedSimJoin(threshold, block_size=2, workers=workers).join(
-            store, cross_sources=("abt", "buy")
-        )
+    def test_property_bit_identical_cross_source(
+        self, store, threshold, workers, cross_sources
+    ):
+        params = dict(block_size=2, cross_sources=cross_sources)
+        serial = one_append(store, threshold, workers=1, **params)
+        parallel = one_append(store, threshold, workers=workers, **params)
         assert pair_items(parallel) == pair_items(serial)
         assert same_block_sequence(
-            block_sequence(
-                VectorizedSimJoin(threshold, block_size=2, workers=workers),
-                store, ("abt", "buy"),
-            ),
-            block_sequence(VectorizedSimJoin(threshold, block_size=2), store, ("abt", "buy")),
+            block_sequence(store, threshold, workers=workers, **params),
+            block_sequence(store, threshold, workers=1, **params),
         )
+        # Records of neither source (a third source, or none) pair with nothing.
+        sources = {record.record_id: record.source for record in store}
+        for pair in serial:
+            assert {sources[pair.id_a], sources[pair.id_b]} == set(cross_sources)
 
     @pytest.mark.parametrize("workers", (1, 2, 5, 64))
     def test_restaurant_dataset_bit_identical(self, workers):
         dataset = RestaurantGenerator(
             record_count=300, duplicate_pairs=40, seed=3
         ).generate()
-        serial = VectorizedSimJoin(0.3, block_size=64).join(dataset.store)
-        parallel = VectorizedSimJoin(0.3, block_size=64, workers=workers).join(
-            dataset.store
-        )
+        serial = one_append(dataset.store, 0.3, block_size=64, workers=1)
+        parallel = one_append(dataset.store, 0.3, block_size=64, workers=workers)
         # workers=64 is far more workers than the ~5 row blocks: the extra
         # workers idle, the result must not change.
         assert pair_items(parallel) == pair_items(serial)
 
     def test_workers_validation(self):
         with pytest.raises(ValueError):
-            VectorizedSimJoin(workers=-1)
+            IncrementalSimJoin(0.0, workers=-1)
         assert resolve_worker_count(0) >= 1
         assert resolve_worker_count(None) >= 1
         assert resolve_worker_count(7) == 7
@@ -166,26 +164,25 @@ class TestParallelEqualsVectorized:
         store = RecordStore()
         store.add(Record("a", {"name": "apple ipad"}))
         store.add(Record("b", {"name": "apple ipad"}))
-        pairs = VectorizedSimJoin(0.5, workers=8).join(store)
+        pairs = SimJoinLikelihood(workers=8).estimate(store, 0.5)
         assert pair_items(pairs) == [(("a", "b"), 1.0)]
 
 
 class TestBandedProduct:
     """A triangle-masked self-product multiplies each block only by the rows
-    on its side of the diagonal; nothing it returns may change."""
+    before the block's end; nothing it returns may change."""
 
     @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(
         store=random_stores(),
         threshold=st.sampled_from((0.0, 0.3, 0.7)),
-        triangle=st.sampled_from((1, -1)),
         workers=st.sampled_from((1, 2)),
         data=st.data(),
     )
     def test_property_banded_blocks_equal_the_full_product(
-        self, store, threshold, triangle, workers, data
+        self, store, threshold, workers, data
     ):
-        matrix = VectorizedSimJoin()._incidence_matrix(store)
+        matrix = incidence_matrix(store)
         count = matrix.shape[0]
         start = data.draw(st.integers(min_value=0, max_value=count - 1))
         block_size = data.draw(st.integers(min_value=1, max_value=count))
@@ -195,13 +192,13 @@ class TestBandedProduct:
         alive = None if alive is None else np.array(alive, dtype=bool)
         banded = list(join_blocks(
             matrix, start=start, workers=workers, threshold=threshold,
-            block_size=block_size, triangle=triangle, alive=alive,
+            block_size=block_size, triangle=True, alive=alive,
         ))
         # The reference: every block against the whole matrix (passed as
         # the right operand, so it is not banded), under the same mask.
         whole = BlockScorer(
             matrix, matrix, threshold=threshold, block_size=block_size,
-            triangle=triangle, alive=alive,
+            triangle=True, alive=alive,
         )
         expected = [whole.score(block_start) for block_start in whole.block_starts(start)]
         assert same_block_sequence(banded, expected)
@@ -211,13 +208,13 @@ class TestBandedProduct:
         store = restaurant_store(2000, seed=7)  # Restaurant(2000, 250, seed 7)
         obs.activate()
         try:
-            pairs = VectorizedSimJoin(threshold=0.35).join(store)
+            pairs = SimJoinLikelihood(workers=1).estimate(store, 0.35)
             entries = obs.snapshot().counter_total(
-                "simjoin_product_entries_total", kind="self"
+                "simjoin_product_entries_total", kind="new_vs_old"
             )
         finally:
             obs.deactivate()
-        matrix = VectorizedSimJoin()._incidence_matrix(store)
+        matrix = incidence_matrix(store)
         whole = (matrix @ matrix.T).nnz
         assert whole == 2_046_222
         assert entries == 1_151_738 <= 0.57 * whole
@@ -235,10 +232,7 @@ class TestBandedProduct:
             )
         finally:
             obs.deactivate()
-        store = RecordStore()
-        for record in records:
-            store.add(record)
-        matrix = VectorizedSimJoin()._incidence_matrix(store)
+        matrix = incidence_matrix(records)
         assert entries == (matrix[200:] @ matrix.T).nnz > 0
 
 
@@ -304,8 +298,8 @@ class TestCanonicalOrder:
         for record in records:
             renamed.add(record)
         for cross_sources in (None, ("abt", "buy")):
-            joined = VectorizedSimJoin(threshold, block_size=2).join(
-                renamed, cross_sources=cross_sources
+            joined = one_append(
+                renamed, threshold, cross_sources=cross_sources, block_size=2
             )
             assert items_in_order(joined) == items_in_order(canonical_sort(joined))
             join = IncrementalSimJoin(
@@ -334,14 +328,14 @@ class TestWorkerThreads:
         on its own store at the same moment."""
         stores = [restaurant_store(120, seed) for seed in range(4)]
         expected = [
-            pair_items(VectorizedSimJoin(0.3, block_size=8).join(store))
+            pair_items(one_append(store, 0.3, block_size=8, workers=1))
             for store in stores
         ]
         ready = threading.Barrier(len(stores))
 
         def sharded(store):
             ready.wait(timeout=30)
-            return pair_items(VectorizedSimJoin(0.3, block_size=8, workers=2).join(store))
+            return pair_items(one_append(store, 0.3, block_size=8, workers=2))
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)  # 8 join threads on 2 cores, switching hard
@@ -366,7 +360,7 @@ class TestWorkerThreads:
         monkeypatch.setattr(vectorized, "score_product", failing_score_product)
         threads_before = threading.active_count()
         with pytest.raises(MemoryError, match="block 0"):
-            VectorizedSimJoin(0.3, block_size=2, workers=2).join(store)
+            one_append(store, 0.3, block_size=2, workers=2)
         assert threading.active_count() == threads_before
         assert len(scored) < len(store) // 2 // 2  # of 100 blocks, most never ran
 
@@ -376,7 +370,7 @@ class TestWorkerThreads:
         trace = tmp_path / "trace.jsonl"
         obs.activate(trace_path=str(trace))
         try:
-            VectorizedSimJoin(0.3, block_size=64, workers=workers).join(store)
+            one_append(store, 0.3, block_size=64, workers=workers)
             snapshot = obs.snapshot()
         finally:
             obs.deactivate()
@@ -393,7 +387,9 @@ class TestWorkerThreads:
             return
         assert len(maps) == 1
         assert {span["parent_id"] for span in blocks} == {maps[0]["span_id"]}
-        assert snapshot.counter_total("simjoin_parallel_shards_total", kind="self") == 5
+        assert snapshot.counter_total(
+            "simjoin_parallel_shards_total", kind="new_vs_old"
+        ) == 5
 
 
 class TestNoSecondRuntime:
@@ -422,7 +418,7 @@ class TestNoSecondRuntime:
         )
         assert len(re.findall(r"^DEFAULT_BLOCK_ROWS = \d+$", source, re.MULTILINE)) == 1
         defaults = re.findall(r"block_size: int = (\w+)", source)
-        assert len(defaults) == 3 and set(defaults) == {"DEFAULT_BLOCK_ROWS"}
+        assert len(defaults) == 2 and set(defaults) == {"DEFAULT_BLOCK_ROWS"}
 
 
 # ---------------------------------------------------------- columnar build
@@ -434,11 +430,18 @@ def _gram(indices, indptr, width):
     return (matrix @ matrix.T).toarray()
 
 
+def one_shot_csr_arrays(token_sets):
+    """``(indices, indptr, width)`` of one build into an empty vocabulary."""
+    vocabulary = {}
+    indices, indptr = extend_vocabulary_csr_arrays(token_sets, vocabulary)
+    return indices, indptr, len(vocabulary)
+
+
 class TestColumnarBuild:
     @given(token_sets=st.lists(st.lists(st.sampled_from(_WORDS), max_size=6).map(set), max_size=12))
     @settings(max_examples=50, deadline=None)
     def test_intersection_counts_match_per_record_loop(self, token_sets):
-        indices, indptr, width = columnar_csr_arrays(
+        indices, indptr, width = one_shot_csr_arrays(
             [sorted(tokens) for tokens in token_sets]
         )
         assert np.diff(indptr).tolist() == [len(tokens) for tokens in token_sets]
@@ -463,7 +466,7 @@ class TestColumnarBuild:
         second_idx, second_ptr = extend_vocabulary_csr_arrays(token_sets[split:], vocab)
         merged_idx = np.concatenate([first_idx, second_idx])
         merged_ptr = np.concatenate([first_ptr, second_ptr[1:] + first_ptr[-1]])
-        one_shot = columnar_csr_arrays(token_sets)
+        one_shot = one_shot_csr_arrays(token_sets)
         assert len(vocab) == one_shot[2]
         assert merged_ptr.tolist() == one_shot[1].tolist()
         assert np.array_equal(
@@ -471,9 +474,9 @@ class TestColumnarBuild:
         )
 
     def test_empty_inputs(self):
-        indices, indptr, width = columnar_csr_arrays([])
+        indices, indptr, width = one_shot_csr_arrays([])
         assert len(indices) == 0 and indptr.tolist() == [0] and width == 0
-        indices, indptr, width = columnar_csr_arrays([set(), set()])
+        indices, indptr, width = one_shot_csr_arrays([set(), set()])
         assert len(indices) == 0 and indptr.tolist() == [0, 0, 0] and width == 0
 
 

@@ -110,6 +110,30 @@ class TestIncrementalJoinRetraction:
         want = {pair.key: pair.likelihood for pair in fresh.add_batch(probe)}
         assert got == want
 
+    def test_compaction_keeps_each_rows_source(self):
+        """A linkage join's source sides are compacted with their rows: the
+        compacted index joins a probe like one that never saw the retracted
+        records, records of neither source included."""
+        records = [
+            Record(f"r{i}", {"t": "alpha beta gamma"}, source=("abt", "buy", None)[i % 3])
+            for i in range(12)
+        ]
+        retracted = {"r0", "r1", "r3"}
+        join = IncrementalSimJoin(threshold=0.3, cross_sources=("abt", "buy"))
+        join.add_batch(records)
+        for record_id in sorted(retracted):
+            join.retract(record_id)
+        assert join.compact() == 3
+        fresh = IncrementalSimJoin(threshold=0.3, cross_sources=("abt", "buy"))
+        fresh.add_batch([record for record in records if record.record_id not in retracted])
+        probes = [
+            Record("p1", {"t": "alpha beta gamma"}, source="abt"),
+            Record("p2", {"t": "alpha beta gamma"}, source="buy"),
+        ]
+        got = [(pair.key, pair.likelihood) for pair in join.add_batch(probes)]
+        assert got == [(pair.key, pair.likelihood) for pair in fresh.add_batch(probes)]
+        assert len(got) == 1 + 3 + 2  # p1-p2, p1 with r4/r7/r10, p2 with r6/r9
+
     def test_explicit_compact_drops_tombstones(self):
         join = IncrementalSimJoin(threshold=0.3)
         join.add_batch([Record(f"r{i}", {"t": "alpha beta"}) for i in range(6)])

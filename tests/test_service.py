@@ -331,6 +331,9 @@ class TestHttpSurface:
             {"decision_threshold": 0.5},
             {"crowd_backoff_ticks": 2},
             {"storage_backend": "sqlite"},  # lives in checkpoint_dir: needs one
+            # A fault plan is parsed with the config, not by the first event.
+            {"crowd_mode": "async", "fault_plan": {"bogus": 1}},
+            {"crowd_mode": "async", "fault_plan": {"drop_probability": 5}},
         ):
             with pytest.raises(ServiceClientError) as caught:
                 client.create_session(fresh_id("bad"), config=config)

@@ -1,10 +1,12 @@
 """Tests for the batch similarity join: the kernel against its oracle.
 
-The core contract: ``auto`` (the sparse-product kernel) returns the *same*
+The core contract: ``auto`` (one append of the store to an empty
+:class:`IncrementalSimJoin`, the sparse-product kernel) returns the *same*
 pair set as ``naive`` (the all-pairs scan) — identical ids, likelihoods and
 order — for any store, threshold and source restriction.  The property
 tests below drive randomized stores (including empty-token records,
-duplicate records and two-source linkage joins) through both.
+duplicate records, two-source linkage joins and records of neither source)
+through both.
 """
 
 import math
@@ -21,10 +23,10 @@ from repro.datasets.product import ProductGenerator
 from repro.datasets.restaurant import RestaurantGenerator
 from repro.records.record import Record, RecordStore
 from repro.simjoin.likelihood import SimJoinLikelihood
-from repro.simjoin.parallel import VectorizedSimJoin
 from repro.simjoin.vectorized import HAVE_SCIPY, BlockScorer, min_overlap, similarity
 from repro.similarity import record_similarity
 from repro.similarity.set_similarity import jaccard_similarity
+from repro.streaming.incremental_join import IncrementalSimJoin
 
 THRESHOLDS = (0.1, 0.5, 0.9)
 BACKENDS = ("naive", "auto")
@@ -80,11 +82,12 @@ class TestBackendEquivalence:
 @st.composite
 def _stores_up_to_40(draw):
     """0-40 records over the shared vocabulary, empty-token records included,
-    each tagged with a source so the same store serves linkage joins."""
+    each tagged with a source (or none) so the same store serves linkage
+    joins, records that belong to neither joined source included."""
     texts = draw(st.lists(st.one_of(st.just(""), record_texts), max_size=40))
     store = RecordStore()
     for i, text in enumerate(texts):
-        source = ("abt", "buy")[draw(st.integers(0, 1))]
+        source = draw(st.sampled_from(("abt", "buy", "pos", None)))
         store.add(Record(f"r{i:03d}", {"name": text}, source=source))
     return store
 
@@ -174,25 +177,26 @@ class TestSimJoinLikelihoodBackendSelection:
 class TestVectorizedJoin:
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
-            VectorizedSimJoin(threshold=1.5)
+            IncrementalSimJoin(threshold=1.5)
         with pytest.raises(ValueError):
-            VectorizedSimJoin(block_size=0)
+            IncrementalSimJoin(threshold=0.0, block_size=0)
 
     def test_tiny_stores(self):
         store = RecordStore()
-        assert len(VectorizedSimJoin(0.5).join(store)) == 0
+        assert len(_join("auto", store, 0.5)) == 0
         store.add(Record("a", {"name": "solo"}))
-        assert len(VectorizedSimJoin(0.5).join(store)) == 0
+        assert len(_join("auto", store, 0.5)) == 0
 
     def test_blocking_is_transparent(self, example_store):
-        whole = VectorizedSimJoin(0.2, block_size=1024).join(example_store)
-        blocked = VectorizedSimJoin(0.2, block_size=2).join(example_store)
-        assert whole.to_key_set() == blocked.to_key_set()
+        records = list(example_store)
+        whole = IncrementalSimJoin(0.2, block_size=1024).add_batch(records)
+        blocked = IncrementalSimJoin(0.2, block_size=2).add_batch(records)
+        assert _items(whole) == _items(blocked)
 
     def test_jaccard_matches_python_reference(self, example_store):
         from repro.records.tokenize import record_token_set
 
-        pairs = VectorizedSimJoin(0.0).join(example_store)
+        pairs = _join("auto", example_store, 0.0)
         records = {record.record_id: record for record in example_store}
         for pair in pairs:
             tokens_a = record_token_set(records[pair.id_a])
@@ -218,7 +222,7 @@ def _dense_oracle(threshold, left, right, start, end, triangle, alive):
     expected = []
     for row in range(start, end):
         for col, other in enumerate(right):
-            if triangle > 0 and not col > row or triangle < 0 and not col < row:
+            if triangle and not col < row:
                 continue
             if alive is not None and not alive[col]:
                 continue
@@ -243,9 +247,9 @@ def _incidence(token_sets, width):
     )
 
 
-def _score(threshold, left, right=None, start=0, end=None, triangle=0, alive=None):
+def _score(threshold, left, right=None, start=0, end=None, triangle=False, alive=None):
     """Left rows ``[start, end)`` through ``BlockScorer.score``, as one block
-    (a self-product under a triangle is banded, as the engines run it)."""
+    (a self-product under the triangle is banded, as the join runs it)."""
     end = len(left) if end is None else end
     if end == start:
         return []
@@ -281,14 +285,14 @@ class TestKernelOverlapBound:
         left=_kernel_token_sets,
         right=st.none() | _kernel_token_sets,
         threshold=_kernel_thresholds,
-        triangle=st.sampled_from((-1, 0, 1)),
+        triangle=st.booleans(),
         data=st.data(),
     )
     def test_scored_block_equals_dense_oracle(
         self, left, right, threshold, triangle, data
     ):
         if right is not None:
-            triangle = 0            # the diagonal only means something in a self-product
+            triangle = False        # the diagonal only means something in a self-product
         columns = left if right is None else right
         start = data.draw(st.integers(min_value=0, max_value=len(left) - 1))
         end = data.draw(st.integers(min_value=start, max_value=len(left)))
@@ -305,7 +309,8 @@ class TestKernelOverlapBound:
         assert min_overlap(0.28, np.array([25]))[0] == 7
         big, small = frozenset(range(25)), frozenset(range(7))
         assert len(big & small) / len(big | small) >= 0.28
-        assert _score(0.28, [big, small], triangle=1) == [(0, 1, 0.28)]
+        # The bound is the left row's: the big set's row, below the diagonal.
+        assert _score(0.28, [small, big], triangle=True) == [(1, 0, 0.28)]
 
     @pytest.mark.parametrize("threshold,size_a,size_b", [
         # B is a subset of A, sized so that the similarity equals the
@@ -333,7 +338,7 @@ class TestKernelOverlapBound:
         assert _score(threshold, [a, b]) == [
             (0, 0, 1.0), (0, 1, value), (1, 0, value), (1, 1, 1.0)
         ]
-        assert _score(threshold, [a, b], triangle=1) == [(0, 1, value)]
+        assert _score(threshold, [b, a], triangle=True) == [(1, 0, value)]
 
     def test_bound_is_necessary_for_every_small_size(self):
         """Every (|A|, |B|, overlap) up to 40 tokens, 128 thresholds: a pair
