@@ -36,6 +36,7 @@ from typing import List, Optional
 
 from repro import obs
 from repro.core.config import WorkflowConfig
+from repro.crowd import AsyncCrowd, FaultPlan
 from repro.etl.registry import load_corpus
 from repro.evaluation.metrics import f1_score
 from repro.evaluation.reporting import format_table
@@ -59,20 +60,14 @@ HOSTILE_PLAN = dict(
 )
 
 
-def run_session(dataset, records, threshold, seed, batch_size, crowd_mode,
-                fault_plan=None):
+def run_session(dataset, records, threshold, seed, batch_size, crowd=None):
     """Stream the records through one session; return (snapshot, seconds)."""
     config = WorkflowConfig(
         likelihood_threshold=threshold,
         vote_mode="per-pair",
         aggregation="majority",
         stream_batch_size=batch_size,
-        crowd_mode=crowd_mode,
-        **(
-            dict(vote_timeout=3, crowd_max_retries=2, fault_plan=fault_plan)
-            if crowd_mode == "async"
-            else {}
-        ),
+        crowd=crowd,
         seed=seed,
     )
     start_time = time.perf_counter()
@@ -111,15 +106,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     records = list(dataset.store)
 
     sync_snap, sync_seconds = run_session(
-        dataset, records, threshold, args.seed, args.batch_size, "sync"
+        dataset, records, threshold, args.seed, args.batch_size
     )
 
     # Metrics cover only the async run, so the counters the gate asserts on
     # are unambiguously the fault machinery's.
     obs.activate()
     async_snap, async_seconds = run_session(
-        dataset, records, threshold, args.seed, args.batch_size, "async",
-        fault_plan=HOSTILE_PLAN,
+        dataset, records, threshold, args.seed, args.batch_size,
+        AsyncCrowd(vote_timeout=3, max_retries=2, fault_plan=FaultPlan(**HOSTILE_PLAN)),
     )
     metrics = obs.snapshot()
     obs.deactivate()

@@ -25,8 +25,7 @@ def main() -> None:
     config = WorkflowConfig(
         likelihood_threshold=0.3,          # the threshold used in Example 1
         hit_type="cluster",
-        cluster_size=4,                    # k = 4 as in Section 3.2
-        cluster_generator="two-tiered",
+        cluster_size=4,                    # k = 4 as in Section 3.2 (two-tiered HITs)
         similarity_attributes=["product_name"],
         assignments_per_hit=3,
         seed=1,

@@ -76,6 +76,7 @@ from typing import List, Optional
 from repro import obs
 from repro.core.config import WorkflowConfig
 from repro.core.workflow import HybridWorkflow
+from repro.crowd.async_platform import AsyncCrowd
 from repro.crowd.faults import FaultPlan
 from repro.datasets.base import Dataset
 from repro.records.record import Record, RecordError
@@ -322,15 +323,37 @@ def _load_update_records(path: str) -> List[Record]:
     return records
 
 
+def _async_crowd(args: argparse.Namespace) -> Optional[AsyncCrowd]:
+    """The crowd the flags describe: ``None`` (sync) or an :class:`AsyncCrowd`.
+
+    Raises ``ValueError`` for an async flag without ``--crowd-mode async``
+    (it would configure nothing), a bad value or an unreadable plan.
+    """
+    given = {
+        name: getattr(args, name)
+        for name in ("vote_timeout", "max_inflight_hits", "backpressure_policy", "fault_plan")
+        if getattr(args, name) is not None
+    }
+    if args.crowd_mode != "async":
+        if given:
+            flag = "--" + next(iter(given)).replace("_", "-")
+            raise ValueError(f"{flag} needs --crowd-mode async")
+        return None
+    if "fault_plan" in given:
+        try:
+            given["fault_plan"] = FaultPlan.from_file(given["fault_plan"])
+        except (OSError, ValueError) as error:
+            raise ValueError(f"cannot read --fault-plan: {error}") from None
+    return AsyncCrowd(**given)
+
+
 def _cmd_resolve_stream(args: argparse.Namespace) -> int:
     dataset = load_dataset(args.dataset, args.scale, args.seed)
-    fault_plan = None
-    if args.fault_plan:
-        try:
-            fault_plan = FaultPlan.from_file(args.fault_plan).to_dict()
-        except (OSError, ValueError) as error:
-            _LOG.error(f"error: cannot read --fault-plan: {error}")
-            return 2
+    try:
+        crowd = _async_crowd(args)
+    except ValueError as error:
+        _LOG.error(f"error: {error}")
+        return 2
     # Observability is per process, not per stored session: enable it
     # before restore so the page-in and any replayed events are counted.
     _activate_obs(args)
@@ -349,11 +372,7 @@ def _cmd_resolve_stream(args: argparse.Namespace) -> int:
         vote_mode="per-pair",
         stream_batch_size=args.batch_size,
         streaming_aggregation_scope=args.aggregation_scope,
-        crowd_mode=args.crowd_mode,
-        vote_timeout=args.vote_timeout,
-        max_inflight_hits=args.max_inflight_hits,
-        backpressure_policy=args.backpressure_policy,
-        fault_plan=fault_plan,
+        crowd=crowd,
         checkpoint_dir=args.checkpoint_dir,
         seed=args.seed,
     )
@@ -585,17 +604,18 @@ def build_parser() -> argparse.ArgumentParser:
                         help="sync: votes return with the publish call; async: "
                              "HITs are published and votes arrive later "
                              "(out of order, with retries and timeouts)")
-    stream.add_argument("--vote-timeout", type=int, default=8,
+    stream.add_argument("--vote-timeout", type=int, default=None,
                         help="async mode: ticks before an outstanding "
-                             "assignment times out and is retried")
-    stream.add_argument("--max-inflight-hits", type=int, default=64,
+                             "assignment times out and is retried (default 8)")
+    stream.add_argument("--max-inflight-hits", type=int, default=None,
                         help="async mode: backpressure window — HITs with "
-                             "undelivered votes allowed at once (0 = unbounded)")
+                             "undelivered votes allowed at once (0 = unbounded; "
+                             "default 64)")
     stream.add_argument("--backpressure-policy", choices=("block", "shed"),
-                        default="block",
+                        default=None,
                         help="async mode: when the in-flight window is full, "
-                             "block (advance the clock until it drains) or "
-                             "shed (defer publishing to the next batch)")
+                             "block (advance the clock until it drains; the "
+                             "default) or shed (defer publishing to the next batch)")
     stream.add_argument("--fault-plan", type=str, default=None, metavar="FILE",
                         help="async mode: JSON fault-injection plan (seeded "
                              "delays, drops, duplicates, reordering, worker "

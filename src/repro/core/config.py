@@ -4,9 +4,12 @@ from __future__ import annotations
 
 from collections import abc
 from dataclasses import InitVar, dataclass
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.simjoin.likelihood import JOIN_BACKENDS
+
+if TYPE_CHECKING:
+    from repro.crowd.async_platform import AsyncCrowd
 
 
 @dataclass
@@ -22,10 +25,8 @@ class WorkflowConfig:
       Restaurant, 0.2 for Product in the paper).
     * ``hit_type`` — ``"cluster"`` (the paper's default) or ``"pair"``.
     * ``cluster_size`` — the cluster-size threshold ``k`` (10 in the paper).
-    * ``pairs_per_hit`` — pair-based batching size (only for pair HITs).
-    * ``cluster_generator`` — ``"two-tiered"``, ``"bfs"``, ``"dfs"``,
-      ``"random"`` or ``"approximation"`` (the two-tiered generator packs
-      with column generation).
+    * ``pairs_per_hit`` — pair-based batching size (only for pair HITs;
+      cluster HITs are always two-tiered).
     * ``assignments_per_hit`` — replication factor (3 in the paper).
     * ``use_qualification_test`` — whether workers must pass the test.
     * ``aggregation`` — ``"dawid-skene"`` (the paper) or ``"majority"``.
@@ -62,29 +63,11 @@ class WorkflowConfig:
       session keeps its state in process memory like any other and writes
       each event's changed rows into the store when the event commits.
       ``None`` (default) keeps the session in memory only.
-    * ``crowd_mode`` — how streaming sessions talk to the crowd:
-      ``"sync"`` (default; ``publish()`` returns every vote in-process) or
-      ``"async"`` (HITs are enqueued on a virtual clock and votes arrive
-      later through :meth:`repro.crowd.AsyncCrowdPlatform.poll`, with
-      timeouts, retries, reissues and deduplication; requires
-      ``vote_mode="per-pair"``).  Final results are bit-identical across
-      modes for any fault schedule with eventual delivery.
-    * ``vote_timeout`` — async mode: virtual-clock ticks before an
-      unanswered HIT assignment times out and is retried.
-    * ``max_inflight_hits`` — async mode backpressure window: the maximum
-      number of HITs with undelivered assignments; 0 = unbounded.
-    * ``backpressure_policy`` — what an async publish does when the
-      in-flight window is full: ``"block"`` advances the virtual clock
-      until votes drain, ``"shed"`` defers the publish (the session
-      retries the shed pairs on the next event and at flush).
-    * ``crowd_max_retries`` — async mode: free retry attempts per HIT
-      assignment before further attempts become paid reissues.
-    * ``fault_plan`` — async mode: optional JSON-friendly dict (the
-      :meth:`repro.crowd.FaultPlan.to_dict` shape) injecting deterministic
-      seeded delivery faults — delays, drops, duplicates, reorder, worker
-      churn, burst backlogs.  ``None`` (default) delivers fault-free.  The
-      plan is checked by :meth:`repro.crowd.FaultPlan.from_dict` when the
-      config is built, in either mode.
+    * ``crowd`` — ``None`` (default): a streaming session's crowd answers
+      every publish in-process; an :class:`repro.crowd.AsyncCrowd` (or its
+      dict form): votes arrive later, with timeouts, retries, backpressure
+      and seeded faults (requires ``vote_mode="per-pair"``).  Final results
+      are identical for any fault schedule with eventual delivery.
     * ``seed`` — seed for the crowd simulation.
 
     ``storage_backend`` is a retired keyword, not a field: it is accepted
@@ -97,7 +80,6 @@ class WorkflowConfig:
     hit_type: str = "cluster"
     cluster_size: int = 10
     pairs_per_hit: int = 16
-    cluster_generator: str = "two-tiered"
     assignments_per_hit: int = 3
     use_qualification_test: bool = False
     aggregation: str = "dawid-skene"
@@ -109,12 +91,7 @@ class WorkflowConfig:
     streaming_aggregation_scope: str = "component"
     checkpoint_dir: Optional[str] = None
     storage_backend: InitVar[Optional[str]] = None
-    crowd_mode: str = "sync"
-    vote_timeout: int = 8
-    max_inflight_hits: int = 64
-    backpressure_policy: str = "block"
-    crowd_max_retries: int = 3
-    fault_plan: Optional[dict] = None
+    crowd: Optional["AsyncCrowd"] = None
     seed: int = 0
 
     def __post_init__(self, storage_backend: Optional[str]) -> None:
@@ -130,14 +107,6 @@ class WorkflowConfig:
             raise ValueError("assignments_per_hit must be at least 1")
         if self.aggregation not in ("dawid-skene", "majority"):
             raise ValueError("aggregation must be 'dawid-skene' or 'majority'")
-        # Imported here: importing repro.hit imports repro.core.
-        from repro.hit.generator import available_generators
-
-        if self.cluster_generator not in available_generators():
-            raise ValueError(
-                f"cluster_generator must be one of {available_generators()}, "
-                f"got {self.cluster_generator!r}"
-            )
         attributes = self.similarity_attributes
         if attributes is not None and (
             isinstance(attributes, str)
@@ -165,27 +134,11 @@ class WorkflowConfig:
             raise ValueError("stream_batch_size must be at least 1")
         if self.streaming_aggregation_scope not in ("component", "global"):
             raise ValueError("streaming_aggregation_scope must be 'component' or 'global'")
-        if self.crowd_mode not in ("sync", "async"):
-            raise ValueError("crowd_mode must be 'sync' or 'async'")
-        if self.crowd_mode == "async" and self.vote_mode != "per-pair":
-            raise ValueError("crowd_mode='async' requires vote_mode='per-pair'")
-        if self.vote_timeout < 1:
-            raise ValueError("vote_timeout must be at least 1 tick")
-        if self.max_inflight_hits < 0:
-            raise ValueError("max_inflight_hits must be non-negative (0 = unbounded)")
-        if self.backpressure_policy not in ("block", "shed"):
-            raise ValueError("backpressure_policy must be 'block' or 'shed'")
-        if self.crowd_max_retries < 0:
-            raise ValueError("crowd_max_retries must be non-negative")
-        if self.fault_plan is not None:
-            if not isinstance(self.fault_plan, dict):
-                raise ValueError(
-                    "fault_plan must be a JSON-friendly dict (FaultPlan.to_dict()) or None"
-                )
-            # Parsed here, in either crowd mode, so that a bad plan fails the
-            # config and not the first async session built from it.
+        if self.crowd is not None:
             # Imported here: importing repro.crowd imports repro.core.
-            from repro.crowd.faults import FaultPlan
+            from repro.crowd.async_platform import AsyncCrowd
 
-            FaultPlan.from_dict(self.fault_plan)
-
+            if not isinstance(self.crowd, AsyncCrowd):
+                self.crowd = AsyncCrowd.from_dict(self.crowd)
+            if self.vote_mode != "per-pair":
+                raise ValueError("an async crowd requires vote_mode='per-pair'")

@@ -24,14 +24,12 @@ from repro.aggregation.majority import MajorityAggregator
 from repro.core.config import WorkflowConfig
 from repro.core.ranking import rank_candidates
 from repro.core.results import ResolutionResult
-from repro.crowd.latency import LatencyModel
 from repro.crowd.platform import SimulatedCrowdPlatform
-from repro.crowd.pricing import PricingModel
 from repro.crowd.qualification import QualificationTest
 from repro.crowd.worker import WorkerPool
 from repro.datasets.base import Dataset
-from repro.hit.generator import get_cluster_generator
 from repro.hit.pair_generation import PairHITGenerator
+from repro.hit.two_tiered import TwoTieredClusterGenerator
 from repro.records.pairs import PairSet, canonical_pair
 from repro.records.record import RecordStore
 from repro.simjoin.likelihood import LikelihoodEstimator, SimJoinLikelihood
@@ -49,7 +47,7 @@ def build_hit_generator(config: WorkflowConfig):
     """
     if config.hit_type == "pair":
         return PairHITGenerator(pairs_per_hit=config.pairs_per_hit)
-    return get_cluster_generator(config.cluster_generator, cluster_size=config.cluster_size)
+    return TwoTieredClusterGenerator(cluster_size=config.cluster_size)
 
 
 def build_aggregator(config: WorkflowConfig):
@@ -60,28 +58,15 @@ def build_aggregator(config: WorkflowConfig):
 
 
 def build_platform(
-    config: WorkflowConfig,
-    platform: Optional[SimulatedCrowdPlatform] = None,
-    worker_pool: Optional[WorkerPool] = None,
-    pricing: Optional[PricingModel] = None,
-    latency: Optional[LatencyModel] = None,
-    vote_mode: Optional[str] = None,
+    config: WorkflowConfig, worker_pool: Optional[WorkerPool] = None
 ) -> SimulatedCrowdPlatform:
-    """The crowd platform the config asks for — or ``platform``, if one is handed in.
-
-    ``vote_mode`` overrides ``config.vote_mode`` (a streaming session always
-    builds a per-pair platform).
-    """
-    if platform is not None:
-        return platform
+    """The crowd platform the config asks for."""
     return SimulatedCrowdPlatform(
         pool=worker_pool or WorkerPool.build(seed=config.seed),
         assignments_per_hit=config.assignments_per_hit,
         qualification=QualificationTest() if config.use_qualification_test else None,
-        pricing=pricing,
-        latency=latency,
         seed=config.seed,
-        vote_mode=vote_mode or config.vote_mode,
+        vote_mode=config.vote_mode,
     )
 
 
@@ -96,7 +81,7 @@ class HybridWorkflow:
         Machine likelihood estimator; defaults to the paper's simjoin.
     platform:
         Crowd platform; defaults to a simulated platform built from the
-        config (worker pool, qualification test, pricing, latency model).
+        config (on ``worker_pool``, if one is given).
     """
 
     def __init__(
@@ -105,8 +90,6 @@ class HybridWorkflow:
         estimator: Optional[LikelihoodEstimator] = None,
         platform: Optional[SimulatedCrowdPlatform] = None,
         worker_pool: Optional[WorkerPool] = None,
-        pricing: Optional[PricingModel] = None,
-        latency: Optional[LatencyModel] = None,
     ) -> None:
         self.config = config or WorkflowConfig()
         self.estimator = estimator or SimJoinLikelihood(
@@ -114,7 +97,7 @@ class HybridWorkflow:
             backend=self.config.join_backend,
             workers=self.config.join_workers or None,
         )
-        self.platform = build_platform(self.config, platform, worker_pool, pricing, latency)
+        self.platform = platform or build_platform(self.config, worker_pool)
 
     # -------------------------------------------------------------- stages
     def machine_candidates(self, dataset: Dataset) -> PairSet:

@@ -23,6 +23,7 @@ from repro.crowd.latency import LatencyModel, LatencyEstimate
 from repro.crowd.platform import SimulatedCrowdPlatform, CrowdRunResult
 from repro.crowd.faults import AssignmentFate, FaultPlan
 from repro.crowd.async_platform import (
+    AsyncCrowd,
     AsyncCrowdPlatform,
     BackpressureError,
     VoteDelivery,
@@ -40,6 +41,7 @@ __all__ = [
     "CrowdRunResult",
     "AssignmentFate",
     "FaultPlan",
+    "AsyncCrowd",
     "AsyncCrowdPlatform",
     "BackpressureError",
     "VoteDelivery",

@@ -105,14 +105,12 @@ class VoteDelivery:
         )
 
 
-class AsyncCrowdPlatform:
-    """Asynchronous HIT lifecycle over a deterministic vote oracle.
+@dataclass(frozen=True)
+class AsyncCrowd:
+    """``WorkflowConfig.crowd``: what an :class:`AsyncCrowdPlatform` reads.
 
     Parameters
     ----------
-    platform:
-        The wrapped :class:`SimulatedCrowdPlatform`; must be in
-        ``"per-pair"`` vote mode (the oracle the slot deliveries index).
     vote_timeout:
         Ticks before an unanswered assignment times out and is retried.
     max_inflight_hits:
@@ -129,34 +127,77 @@ class AsyncCrowdPlatform:
         every assignment on the next tick, fault-free.
     """
 
-    def __init__(
-        self,
-        platform: SimulatedCrowdPlatform,
-        vote_timeout: int = 8,
-        max_inflight_hits: int = 64,
-        backpressure_policy: str = "block",
-        max_retries: int = 3,
-        fault_plan: Optional[FaultPlan] = None,
-    ) -> None:
+    vote_timeout: int = 8
+    max_inflight_hits: int = 64
+    backpressure_policy: str = "block"
+    max_retries: int = 3
+    fault_plan: Optional[FaultPlan] = None
+
+    def __post_init__(self) -> None:
+        if self.vote_timeout < 1:
+            raise ValueError("vote_timeout must be at least 1 tick")
+        if self.max_inflight_hits < 0:
+            raise ValueError("max_inflight_hits must be non-negative (0 = unbounded)")
+        if self.backpressure_policy not in ("block", "shed"):
+            raise ValueError("backpressure_policy must be 'block' or 'shed'")
+        if self.max_retries < 0:
+            raise ValueError("max_retries must be non-negative")
+
+    @classmethod
+    def from_dict(cls, payload: Mapping[str, object]) -> "AsyncCrowd":
+        """Inverse of ``dataclasses.asdict`` (the stored and HTTP shape)."""
+        if not isinstance(payload, Mapping):
+            raise ValueError(f"crowd must be an object of AsyncCrowd fields, got {payload!r}")
+        fields = dict(payload)
+        if fields.get("fault_plan") is not None:
+            fields["fault_plan"] = FaultPlan.from_dict(fields["fault_plan"])
+        return cls(**fields)
+
+
+#: The flat configuration fields an earlier release stored for the async
+#: crowd, each with the :class:`AsyncCrowd` field it became.
+FLAT_CROWD_FIELDS = {
+    "vote_timeout": "vote_timeout",
+    "max_inflight_hits": "max_inflight_hits",
+    "backpressure_policy": "backpressure_policy",
+    "crowd_max_retries": "max_retries",
+    "fault_plan": "fault_plan",
+}
+
+
+def nest_flat_crowd(stored: Mapping[str, object]) -> Dict[str, object]:
+    """A stored configuration with an earlier release's flat crowd fields nested.
+
+    ``crowd_mode="async"`` becomes ``crowd``, holding the five values the
+    session ran with; ``"sync"`` drops the five, which it never read.
+    """
+    config = dict(stored)
+    flat = {new: config.pop(old) for old, new in FLAT_CROWD_FIELDS.items() if old in config}
+    if config.pop("crowd_mode", "sync") == "async":
+        config["crowd"] = AsyncCrowd.from_dict(flat)
+    return config
+
+
+class AsyncCrowdPlatform:
+    """Asynchronous HIT lifecycle over a deterministic vote oracle.
+
+    Parameters
+    ----------
+    platform:
+        The wrapped :class:`SimulatedCrowdPlatform`; must be in
+        ``"per-pair"`` vote mode (the oracle the slot deliveries index).
+    crowd:
+        Its timeout, window, policy, retry budget and fault plan.
+    """
+
+    def __init__(self, platform: SimulatedCrowdPlatform, crowd: AsyncCrowd = AsyncCrowd()) -> None:
         if platform.vote_mode != "per-pair":
             raise ValueError(
                 "AsyncCrowdPlatform needs a platform in 'per-pair' vote mode; "
                 "sequential votes cannot be reassembled from async deliveries"
             )
-        if vote_timeout < 1:
-            raise ValueError("vote_timeout must be at least 1 tick")
-        if max_inflight_hits < 0:
-            raise ValueError("max_inflight_hits must be non-negative (0 = unbounded)")
-        if backpressure_policy not in ("block", "shed"):
-            raise ValueError("backpressure_policy must be 'block' or 'shed'")
-        if max_retries < 0:
-            raise ValueError("max_retries must be non-negative")
+        self.settings = crowd
         self.inner = platform
-        self.vote_timeout = vote_timeout
-        self.max_inflight_hits = max_inflight_hits
-        self.backpressure_policy = backpressure_policy
-        self.max_retries = max_retries
-        self.fault_plan = fault_plan
         self.clock = 0
         self.publish_count = 0
         #: hit_uid -> open-HIT record (pairs, truth-at-publish, ...).
@@ -178,11 +219,6 @@ class AsyncCrowdPlatform:
         """HITs with at least one undelivered slot (the in-flight window)."""
         k = self.inner.assignments_per_hit
         return sum(1 for hit in self._hits.values() if len(hit["delivered"]) < k)
-
-    @property
-    def pending_count(self) -> int:
-        """Outstanding assignment attempts (including doomed duplicates)."""
-        return len(self._pending)
 
     @property
     def ready_count(self) -> int:
@@ -209,9 +245,9 @@ class AsyncCrowdPlatform:
         ``force`` bypasses the backpressure window (used to settle shed
         backlogs at flush time).
         """
-        window = self.max_inflight_hits
+        window = self.settings.max_inflight_hits
         if window and not force:
-            if self.backpressure_policy == "shed":
+            if self.settings.backpressure_policy == "shed":
                 if self.open_hit_count + batch.hit_count > window:
                     raise BackpressureError(
                         f"in-flight window full ({self.open_hit_count} open + "
@@ -269,10 +305,10 @@ class AsyncCrowdPlatform:
         """Queue one assignment attempt, with its fate drawn from the plan."""
         assignment_id = f"{hit_uid}/s{slot}/a{attempt}"
         hit = self._hits[hit_uid]
+        plan = self.settings.fault_plan
         fate = (
-            self.fault_plan.fate(hit_uid, assignment_id, attempt,
-                                 hit["publish_index"])
-            if self.fault_plan is not None
+            plan.fate(hit_uid, assignment_id, attempt, hit["publish_index"])
+            if plan is not None
             else AssignmentFate()
         )
         start = self.clock + not_before
@@ -283,7 +319,7 @@ class AsyncCrowdPlatform:
             "assignment_id": assignment_id,
             "issued_tick": self.clock,
             "due_tick": None if fate.abandoned else start + fate.delay_ticks,
-            "deadline_tick": start + self.vote_timeout,
+            "deadline_tick": start + self.settings.vote_timeout,
             "duplicate_of": None,
         }
         self._pending.append(entry)
@@ -388,7 +424,7 @@ class AsyncCrowdPlatform:
             attempt = entry["attempt"] + 1
             self.timeouts += 1
             self.retries += 1
-            if attempt > self.max_retries:
+            if attempt > self.settings.max_retries:
                 # Retry budget exhausted: the HIT slot is reissued as a new
                 # paid assignment (fresh id; the worker pool is asked again).
                 self.reissued += 1

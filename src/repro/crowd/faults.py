@@ -147,7 +147,7 @@ class FaultPlan:
 
     # -------------------------------------------------------- serialization
     def to_dict(self) -> dict:
-        """Plain JSON-friendly dict (the ``WorkflowConfig.fault_plan`` shape)."""
+        """Plain JSON-friendly dict (the stored ``crowd.fault_plan`` shape)."""
         return asdict(self)
 
     @classmethod

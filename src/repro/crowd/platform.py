@@ -84,8 +84,6 @@ class SimulatedCrowdPlatform:
     qualification:
         Optional qualification test; when given, only workers that pass it
         are allowed to do assignments.
-    pricing / latency:
-        Cost and latency models.
     seed:
         Seed of the worker-selection RNG.
     vote_mode:
@@ -114,8 +112,6 @@ class SimulatedCrowdPlatform:
         pool: Optional[WorkerPool] = None,
         assignments_per_hit: int = 3,
         qualification: Optional[QualificationTest] = None,
-        pricing: Optional[PricingModel] = None,
-        latency: Optional[LatencyModel] = None,
         seed: int = 0,
         vote_mode: str = "sequential",
     ) -> None:
@@ -126,8 +122,8 @@ class SimulatedCrowdPlatform:
         self.pool = pool or WorkerPool.build(seed=seed)
         self.assignments_per_hit = assignments_per_hit
         self.qualification = qualification
-        self.pricing = pricing or PricingModel()
-        self.latency = latency or LatencyModel()
+        self.pricing = PricingModel()
+        self.latency = LatencyModel()
         self.seed = seed
         self.vote_mode = vote_mode
         self._rejected_count = 0

@@ -8,7 +8,7 @@ votes*.  It writes no session state: it reports what it did as a
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
 from repro import obs
@@ -16,7 +16,6 @@ from repro.aggregation.majority import Vote
 from repro.core.config import WorkflowConfig
 from repro.core.workflow import build_hit_generator, build_platform
 from repro.crowd.async_platform import AsyncCrowdPlatform, BackpressureError, VoteDelivery
-from repro.crowd.faults import FaultPlan
 from repro.records.pairs import PairSet, RecordPair
 
 logger = logging.getLogger(__name__)
@@ -44,7 +43,7 @@ class CrowdDriver:
 
     Owns the platform (always in deterministic per-pair vote mode), the
     accumulated workload counters and everything in flight, and their
-    stored form (:meth:`state_dict`).  With ``crowd_mode="async"`` the
+    stored form (:meth:`state_dict`).  With an async ``config.crowd`` the
     platform is wrapped in an :class:`~repro.crowd.async_platform.AsyncCrowdPlatform`:
     publishes enqueue HITs on a virtual clock and votes arrive later (with
     timeouts, retries, reissues, backpressure).  Both modes are one
@@ -56,25 +55,13 @@ class CrowdDriver:
     find nothing to do).
     """
 
-    def __init__(self, config: WorkflowConfig, platform=None, **platform_parts) -> None:
+    def __init__(self, config: WorkflowConfig) -> None:
         self.config = config
-        self.platform = build_platform(config, platform, vote_mode="per-pair", **platform_parts)
-        if self.platform.vote_mode != "per-pair":
-            raise ValueError(
-                "StreamingResolver requires a platform in 'per-pair' vote "
-                "mode; sequential votes cannot be preserved across batches"
-            )
-        self.crowd: Optional[AsyncCrowdPlatform] = None
-        if config.crowd_mode == "async":
-            plan = config.fault_plan
-            self.crowd = AsyncCrowdPlatform(
-                self.platform,
-                vote_timeout=config.vote_timeout,
-                max_inflight_hits=config.max_inflight_hits,
-                backpressure_policy=config.backpressure_policy,
-                max_retries=config.crowd_max_retries,
-                fault_plan=FaultPlan.from_dict(plan) if plan is not None else None,
-            )
+        # Always per-pair: sequential votes cannot be kept across batches.
+        self.platform = build_platform(replace(config, vote_mode="per-pair"))
+        self.crowd: Optional[AsyncCrowdPlatform] = (
+            None if config.crowd is None else AsyncCrowdPlatform(self.platform, config.crowd)
+        )
         # Accumulated crowd workload across all events.
         self.hit_count = 0
         self.cost = 0.0

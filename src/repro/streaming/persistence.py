@@ -71,6 +71,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro import obs
 from repro.core.config import WorkflowConfig
 from repro.core.results import StreamingDelta
+from repro.crowd.async_platform import nest_flat_crowd
 from repro.records.record import Record
 from repro.storage import STORE_FILENAME, SqliteStore, Store
 
@@ -90,12 +91,13 @@ FORMAT_VERSION = 3
 #: two switched the process's observability on from a session, two chose
 #: when a durable session's state was written (a per-event mirror or a
 #: whole rewrite every few events; the results were bit-identical), and
-#: five were result-bearing knobs only ever used at one value
+#: six were result-bearing knobs only ever used at one value in a session
 #: (bounded-staleness aggregation, re-crowding voted pairs, the two-tiered
 #: generator's packing solver, the match threshold, the async retry
-#: backoff) — so restore drops them instead of failing on an unknown
-#: field.  A result-bearing one stored at any other value than its old
-#: default cannot replay bit-identically, and restore refuses it.
+#: backoff, the cluster-HIT generator) — so restore drops them instead of
+#: failing on an unknown field.  A result-bearing one stored at any other
+#: value than its old default cannot replay bit-identically, and restore
+#: refuses it.  The async crowd's six flat fields are nested (``crowd``).
 RETIRED_CONFIG_FIELDS = {
     "join_pool": None,
     "storage_path": None,
@@ -109,6 +111,7 @@ RETIRED_CONFIG_FIELDS = {
     "packing_method": "column-generation",
     "decision_threshold": 0.5,
     "crowd_backoff_ticks": 2,
+    "cluster_generator": "two-tiered",
 }
 
 #: ``join_backend`` values an earlier release accepted for batch engines
@@ -652,7 +655,7 @@ def _verify_outcome(session, event: JournalEvent) -> None:
         )
 
 
-def restore(cls, path: os.PathLike, **crowd):
+def restore(cls, path: os.PathLike):
     """Resume the durable session (an instance of ``cls``) in its directory.
 
     Open the directory's one file, read the header from its meta (a store
@@ -666,8 +669,6 @@ def restore(cls, path: os.PathLike, **crowd):
     interrupted.  The restored session is
     bit-identical to one that processed the same events without stopping,
     and takes the directory over: it keeps logging to the same file.
-    ``crowd`` (``platform``, ``worker_pool``, ``pricing``, ``latency``) is
-    passed to the session.
     """
     directory = Path(path)
     _refuse_legacy_journal(directory)
@@ -698,7 +699,7 @@ def restore(cls, path: os.PathLike, **crowd):
         _refuse_retired_result_knobs(header["config"], store_path)
         stored = {
             name: value
-            for name, value in header["config"].items()
+            for name, value in nest_flat_crowd(header["config"]).items()
             if name not in RETIRED_CONFIG_FIELDS
         }
         if stored.get("join_backend") in RETIRED_JOIN_BACKENDS:
@@ -711,7 +712,6 @@ def restore(cls, path: os.PathLike, **crowd):
             config=config,
             cross_sources=tuple(cross_sources) if cross_sources else None,
             _durability=durability,
-            **crowd,
         )
         if materialised:
             _page_in(session, source)

@@ -70,10 +70,6 @@ from repro.aggregation.majority import Vote
 from repro.core.config import WorkflowConfig
 from repro.core.ranking import RankedIndex, rank_candidates
 from repro.core.results import ResolutionResult, StreamingDelta
-from repro.crowd.latency import LatencyModel
-from repro.crowd.platform import SimulatedCrowdPlatform
-from repro.crowd.pricing import PricingModel
-from repro.crowd.worker import WorkerPool
 from repro.datasets.base import Dataset
 from repro.graph.union_find import IncrementalUnionFind
 from repro.records.pairs import canonical_pair
@@ -123,14 +119,13 @@ class StreamingResolver:
         ``checkpoint_dir`` makes the session durable (one SQLite file: its
         state and its write-ahead log, each event's changed rows written
         when it commits — :mod:`repro.streaming.persistence`);
-        ``vote_mode`` is forced to ``"per-pair"``
-        (the sequential mode cannot preserve votes across batches).
+        ``crowd`` makes the crowd asynchronous; ``vote_mode`` is forced to
+        ``"per-pair"`` (the sequential mode cannot preserve votes across
+        batches).
         Observability is not configured here: the process switches it on
         (:func:`repro.obs.activate`).
     cross_sources:
         Restrict candidates to cross-source pairs (record linkage).
-    platform:
-        Optional pre-built crowd platform; must be in per-pair vote mode.
 
     Lifecycle: call :meth:`add_batch` for every arrival (it returns a
     delta-aware :class:`~repro.core.results.ResolutionResult` snapshot),
@@ -144,19 +139,13 @@ class StreamingResolver:
         self,
         config: Optional[WorkflowConfig] = None,
         cross_sources: Optional[Tuple[str, str]] = None,
-        platform: Optional[SimulatedCrowdPlatform] = None,
-        worker_pool: Optional[WorkerPool] = None,
-        pricing: Optional[PricingModel] = None,
-        latency: Optional[LatencyModel] = None,
         _durability: Optional[persistence.Durability] = None,
     ) -> None:
         self.config = config or WorkflowConfig()
         self.cross_sources = cross_sources
         # The crowd side: platform(s), HIT generation and publish, whatever
         # is in flight, and the accumulated workload counters.
-        self.driver = CrowdDriver(
-            self.config, platform, worker_pool=worker_pool, pricing=pricing, latency=latency
-        )
+        self.driver = CrowdDriver(self.config)
         # Durability (the store and its event log) is an adaptor handed in
         # by restore() or opened here for a fresh session.  The state lives
         # in this process; the store receives its writes.
@@ -325,14 +314,7 @@ class StreamingResolver:
         return self.durability.save(self, path)
 
     @classmethod
-    def restore(
-        cls,
-        path: str,
-        platform: Optional[SimulatedCrowdPlatform] = None,
-        worker_pool: Optional[WorkerPool] = None,
-        pricing: Optional[PricingModel] = None,
-        latency: Optional[LatencyModel] = None,
-    ) -> "StreamingResolver":
+    def restore(cls, path: str) -> "StreamingResolver":
         """Resume the durable session in its checkpoint directory.
 
         Runs under the stored configuration, pages in the directory's store,
@@ -340,14 +322,7 @@ class StreamingResolver:
         logging to the same file — see
         :func:`repro.streaming.persistence.restore`.
         """
-        return persistence.restore(
-            cls,
-            path,
-            platform=platform,
-            worker_pool=worker_pool,
-            pricing=pricing,
-            latency=latency,
-        )
+        return persistence.restore(cls, path)
 
     # ------------------------------------------------------- event appliers
     def apply(self, kind: str, *arguments):
@@ -657,7 +632,6 @@ def resolve_stream(
     config: Optional[WorkflowConfig] = None,
     batch_size: Optional[int] = None,
     arrival_order: Optional[Sequence[str]] = None,
-    **resolver_kwargs,
 ) -> ResolutionResult:
     """Replay a dataset through a streaming session batch by batch.
 
@@ -670,9 +644,7 @@ def resolve_stream(
     """
     config = config or WorkflowConfig()
     size = batch_size or config.stream_batch_size
-    resolver = StreamingResolver(
-        config=config, cross_sources=dataset.cross_sources, **resolver_kwargs
-    )
+    resolver = StreamingResolver(config=config, cross_sources=dataset.cross_sources)
     resolver.add_truth(dataset.ground_truth)
     if arrival_order is None:
         records = list(dataset.store)

@@ -29,6 +29,7 @@ from strategies import fault_plans
 
 from repro.core.config import WorkflowConfig
 from repro.crowd import (
+    AsyncCrowd,
     AsyncCrowdPlatform,
     BackpressureError,
     FaultPlan,
@@ -187,7 +188,7 @@ class TestAsyncPlatform:
     ])
     def test_parameter_validation(self, bad):
         with pytest.raises(ValueError):
-            AsyncCrowdPlatform(make_platform(), **bad)
+            AsyncCrowd(**bad)
 
     def test_publish_returns_a_receipt_not_votes(self):
         crowd = AsyncCrowdPlatform(make_platform())
@@ -215,10 +216,9 @@ class TestAsyncPlatform:
         pairs = grid_pairs(16)
         truth = set(pairs[::3])
         sync = make_platform().publish(pair_batch(pairs), true_matches=truth)
-        crowd = AsyncCrowdPlatform(
-            make_platform(), vote_timeout=3, max_retries=2,
-            fault_plan=FaultPlan(**HOSTILE_PLAN),
-        )
+        crowd = AsyncCrowdPlatform(make_platform(), AsyncCrowd(
+            vote_timeout=3, max_retries=2, fault_plan=FaultPlan(**HOSTILE_PLAN),
+        ))
         crowd.publish(pair_batch(pairs), true_matches=truth)
         async_votes = [
             vote for delivery in crowd.settle() for vote in delivery.votes
@@ -229,7 +229,7 @@ class TestAsyncPlatform:
     def test_duplicates_are_dropped_exactly_once(self):
         plan = FaultPlan(seed=6, duplicate_probability=1.0,
                          delay_ticks_min=0, delay_ticks_max=0)
-        crowd = AsyncCrowdPlatform(make_platform(), fault_plan=plan)
+        crowd = AsyncCrowdPlatform(make_platform(), AsyncCrowd(fault_plan=plan))
         crowd.publish(pair_batch(grid_pairs(8)), true_matches=set())
         deliveries = crowd.settle()
         assert crowd.duplicates_dropped > 0
@@ -241,7 +241,7 @@ class TestAsyncPlatform:
         monkeypatch.setattr(async_platform, "BACKOFF_TICKS", 0)
         plan = FaultPlan(seed=7, drop_probability=0.9, max_faulty_attempts=6)
         crowd = AsyncCrowdPlatform(
-            make_platform(), vote_timeout=1, max_retries=1, fault_plan=plan,
+            make_platform(), AsyncCrowd(vote_timeout=1, max_retries=1, fault_plan=plan),
         )
         crowd.publish(pair_batch(grid_pairs(12)), true_matches=set())
         crowd.settle()
@@ -254,7 +254,7 @@ class TestAsyncPlatform:
 
     def test_shed_policy_raises_when_window_full(self):
         crowd = AsyncCrowdPlatform(
-            make_platform(), max_inflight_hits=2, backpressure_policy="shed"
+            make_platform(), AsyncCrowd(max_inflight_hits=2, backpressure_policy="shed")
         )
         crowd.publish(pair_batch(grid_pairs(8)), true_matches=set())
         with pytest.raises(BackpressureError):
@@ -264,7 +264,7 @@ class TestAsyncPlatform:
 
     def test_block_policy_drains_the_window(self):
         crowd = AsyncCrowdPlatform(
-            make_platform(), max_inflight_hits=2, backpressure_policy="block"
+            make_platform(), AsyncCrowd(max_inflight_hits=2, backpressure_policy="block")
         )
         crowd.publish(pair_batch(grid_pairs(8)), true_matches=set())
         crowd.publish(pair_batch(grid_pairs(8)), true_matches=set())
@@ -273,12 +273,10 @@ class TestAsyncPlatform:
 
     def test_state_round_trips_mid_flight(self):
         plan = FaultPlan(**HOSTILE_PLAN)
-        crowd = AsyncCrowdPlatform(make_platform(), vote_timeout=3,
-                                   fault_plan=plan)
+        crowd = AsyncCrowdPlatform(make_platform(), AsyncCrowd(vote_timeout=3, fault_plan=plan))
         crowd.publish(pair_batch(grid_pairs(12)), true_matches=set())
         crowd.poll(2)  # some delivered, some pending, some retried
-        twin = AsyncCrowdPlatform(make_platform(), vote_timeout=3,
-                                  fault_plan=plan)
+        twin = AsyncCrowdPlatform(make_platform(), AsyncCrowd(vote_timeout=3, fault_plan=plan))
         twin.load_state_dict(crowd.state_dict())
         left = [v for d in crowd.settle() for v in d.votes]
         right = [v for d in twin.settle() for v in d.votes]
@@ -290,7 +288,7 @@ class TestAsyncPlatform:
         """An earlier release stored a vote round (always 0) per open-HIT
         pair and per buffered delivery; loading ignores them."""
         plan = FaultPlan(**HOSTILE_PLAN)
-        crowd = AsyncCrowdPlatform(make_platform(), vote_timeout=3, fault_plan=plan)
+        crowd = AsyncCrowdPlatform(make_platform(), AsyncCrowd(vote_timeout=3, fault_plan=plan))
         crowd.publish(pair_batch(grid_pairs(12)), true_matches=set())
         crowd.advance(2)  # deliveries buffered in the ready queue, HITs open
         state = json.loads(json.dumps(crowd.state_dict()))
@@ -299,7 +297,7 @@ class TestAsyncPlatform:
             hit["rounds"] = [[a, b, 0] for a, b in hit["pairs"]]
         for delivery in state["ready"]:
             delivery["pair_rounds"] = [[a, b, 0] for _, (a, b), _ in delivery["votes"]]
-        twin = AsyncCrowdPlatform(make_platform(), vote_timeout=3, fault_plan=plan)
+        twin = AsyncCrowdPlatform(make_platform(), AsyncCrowd(vote_timeout=3, fault_plan=plan))
         twin.load_state_dict(state)
         assert json.loads(json.dumps(twin.state_dict())) == json.loads(
             json.dumps(crowd.state_dict()))
@@ -363,7 +361,7 @@ class TestSessionEquivalence:
         kwargs = dict(aggregation=aggregation, streaming_aggregation_scope=scope)
         for batch_size in (7, 20, 45):
             sync = StreamingResolver(config=make_config(**kwargs))
-            async_session = StreamingResolver(config=make_config(crowd_mode="async", **kwargs))
+            async_session = StreamingResolver(config=make_config(crowd=AsyncCrowd(), **kwargs))
             events = [("add_truth", dataset.ground_truth)]
             events += [("add_batch", records[start : start + batch_size])
                        for start in range(0, len(records), batch_size)]
@@ -377,7 +375,8 @@ class TestSessionEquivalence:
             assert async_session.snapshot().cost == sync.snapshot().cost
 
     @pytest.mark.parametrize("faults", (
-        {}, dict(vote_timeout=3, crowd_max_retries=2, fault_plan=HOSTILE_PLAN),
+        AsyncCrowd(),
+        AsyncCrowd(vote_timeout=3, max_retries=2, fault_plan=FaultPlan(**HOSTILE_PLAN)),
     ))
     def test_async_asks_the_oracle_once_per_pair(self, monkeypatch, faults):
         """Fails at the parent commit, which asked once per delivered *slot*
@@ -393,7 +392,7 @@ class TestSessionEquivalence:
         dataset = make_dataset()
         sync = run_session(make_config(), dataset)
         monkeypatch.setattr(SimulatedCrowdPlatform, "pair_votes", counted)
-        async_session = run_session(make_config(crowd_mode="async", **faults), dataset)
+        async_session = run_session(make_config(crowd=faults), dataset)
         voted = async_session.storage.ledger.votes
         assert len(asked) == len(set(asked)) == len(voted) > 0
         assert_same_final_state(sync, async_session)
@@ -408,8 +407,8 @@ class TestSessionEquivalence:
         kwargs = dict(aggregation=aggregation, streaming_aggregation_scope=scope)
         sync = run_session(make_config(**kwargs), dataset)
         async_session = run_session(
-            make_config(crowd_mode="async", vote_timeout=3, crowd_max_retries=2,
-                        fault_plan=HOSTILE_PLAN, **kwargs),
+            make_config(crowd=AsyncCrowd(vote_timeout=3, max_retries=2,
+                                         fault_plan=FaultPlan(**HOSTILE_PLAN)), **kwargs),
             dataset,
         )
         assert_same_final_state(sync, async_session)
@@ -423,9 +422,8 @@ class TestSessionEquivalence:
         dataset = make_dataset()
         sync = run_session(make_config(), dataset)
         shed = run_session(
-            make_config(crowd_mode="async", max_inflight_hits=2,
-                        backpressure_policy="shed", fault_plan=HOSTILE_PLAN,
-                        vote_timeout=3),
+            make_config(crowd=AsyncCrowd(max_inflight_hits=2, backpressure_policy="shed",
+                                         fault_plan=FaultPlan(**HOSTILE_PLAN), vote_timeout=3)),
             dataset,
         )
         snap_sync, snap_shed = sync.snapshot(), shed.snapshot()
@@ -437,16 +435,15 @@ class TestSessionEquivalence:
         dataset = make_dataset()
         sync = run_session(make_config(), dataset)
         block = run_session(
-            make_config(crowd_mode="async", max_inflight_hits=2,
-                        backpressure_policy="block", fault_plan=HOSTILE_PLAN,
-                        vote_timeout=3),
+            make_config(crowd=AsyncCrowd(max_inflight_hits=2, backpressure_policy="block",
+                                         fault_plan=FaultPlan(**HOSTILE_PLAN), vote_timeout=3)),
             dataset,
         )
         assert_same_final_state(sync, block)
 
     def test_async_config_requires_per_pair_votes(self):
         with pytest.raises(ValueError):
-            WorkflowConfig(crowd_mode="async", vote_mode="sequential")
+            WorkflowConfig(crowd=AsyncCrowd(), vote_mode="sequential")
 
     @settings(
         max_examples=6,
@@ -462,8 +459,7 @@ class TestSessionEquivalence:
         dataset = make_dataset(record_count=40, duplicate_pairs=8, seed=29)
         sync = run_session(make_config(), dataset, batch_size=batch_size)
         async_session = run_session(
-            make_config(crowd_mode="async", vote_timeout=3, crowd_max_retries=2,
-                        fault_plan=plan.to_dict()),
+            make_config(crowd=AsyncCrowd(vote_timeout=3, max_retries=2, fault_plan=plan)),
             dataset,
             batch_size=batch_size,
         )

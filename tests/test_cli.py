@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import json
 import os
 import re
 
@@ -146,25 +147,52 @@ class TestCheckpointResume:
         return int(re.search(r"matches found\s*:\s*(\d+)", output).group(1))
 
     def test_checkpoint_then_resume_matches_uninterrupted_run(self, tmp_path, capsys):
-        checkpoint = str(tmp_path / "session")
-        # Uninterrupted reference run.
-        assert main(self.STREAM_ARGS) == 0
-        reference = capsys.readouterr().out
-        # Interrupted run: two batches, checkpoint, then resume the rest.
-        assert main(self.STREAM_ARGS + ["--checkpoint-dir", checkpoint,
-                                        "--max-batches", "2"]) == 0
-        first_half = capsys.readouterr().out
-        assert "resume" in first_half
-        # The command closed its session: one file, no WAL left behind.
-        assert os.listdir(checkpoint) == ["store.sqlite"]
-        assert main(self.STREAM_ARGS + ["--checkpoint-dir", checkpoint,
-                                        "--resume"]) == 0
-        assert os.listdir(checkpoint) == ["store.sqlite"]
-        second_half = capsys.readouterr().out
-        assert "resumed session" in second_half
-        # Identical final match set (and full tail summary).
-        assert self._final_matches(second_half) == self._final_matches(reference)
-        assert reference.splitlines()[-6:] == second_half.splitlines()[-6:]
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps({"seed": 3, "delay_ticks_min": 1, "delay_ticks_max": 3,
+                                    "drop_probability": 0.2}))
+        crowds = {
+            "sync": [],
+            "async": ["--crowd-mode", "async", "--vote-timeout", "3",
+                      "--fault-plan", str(plan)],
+        }
+        for name, crowd in crowds.items():
+            args = self.STREAM_ARGS + crowd
+            checkpoint = str(tmp_path / name)
+            # Uninterrupted reference run.
+            assert main(args) == 0
+            reference = capsys.readouterr().out
+            # Interrupted run: two batches, checkpoint, then resume the rest.
+            assert main(args + ["--checkpoint-dir", checkpoint, "--max-batches", "2"]) == 0
+            first_half = capsys.readouterr().out
+            assert "resume" in first_half
+            # The command closed its session: one file, no WAL left behind.
+            assert os.listdir(checkpoint) == ["store.sqlite"]
+            assert main(args + ["--checkpoint-dir", checkpoint, "--resume"]) == 0
+            assert os.listdir(checkpoint) == ["store.sqlite"]
+            captured = capsys.readouterr()
+            second_half = captured.out
+            assert "resumed session" in second_half
+            assert "stored configuration" not in captured.err
+            # Identical final match set (and full tail summary).
+            assert self._final_matches(second_half) == self._final_matches(reference)
+            assert reference.splitlines()[-6:] == second_half.splitlines()[-6:]
+
+    @pytest.mark.parametrize("flag, value", (
+        ("--vote-timeout", "3"),
+        ("--max-inflight-hits", "5"),
+        ("--backpressure-policy", "shed"),
+        ("--fault-plan", "plan.json"),
+    ))
+    def test_an_async_flag_without_async_mode_exits_2(
+        self, tmp_path, monkeypatch, capsys, flag, value
+    ):
+        """An async-crowd flag would configure nothing in a sync session: the
+        command names it and stops instead of running without it."""
+        (tmp_path / "plan.json").write_text("{}")
+        monkeypatch.chdir(tmp_path)
+        assert main(self.STREAM_ARGS + [flag, value]) == 2
+        assert f"{flag} needs --crowd-mode async" in capsys.readouterr().err
+        assert main(self.STREAM_ARGS + [flag, value, "--crowd-mode", "async"]) == 0
 
     def test_the_store_location_flag_is_gone(self, capsys):
         with pytest.raises(SystemExit):
@@ -198,7 +226,9 @@ class TestCheckpointResume:
         assert "keeps the session's stored configuration" in note
         for named in ("hit_type='pair' (session: 'cluster')",
                       "cluster_size=4 (session: 10)",
-                      "crowd_mode='async' (session: 'sync')"):
+                      "crowd=AsyncCrowd(vote_timeout=8, max_inflight_hits=64, "
+                      "backpressure_policy='block', max_retries=3, fault_plan=None) "
+                      "(session: None)"):
             assert named in note
         assert "checkpoint_dir" not in note and "threshold" not in note
         # Flags that agree with the stored session draw no note.

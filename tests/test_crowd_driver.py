@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 from strategies import fault_plans
 
 from repro.core.config import WorkflowConfig
+from repro.crowd import AsyncCrowd, FaultPlan
 from repro.datasets.restaurant import RestaurantGenerator
 from repro.storage import STORE_FILENAME
 from repro.streaming import StreamingResolver
@@ -41,8 +42,9 @@ MODES = {
     "sync": {},
     # A window of 5 HITs under "shed" leaves the stop with pairs in flight,
     # one partially delivered, and a starved backlog.
-    "async": dict(crowd_mode="async", vote_timeout=3, crowd_max_retries=2, max_inflight_hits=5,
-                  backpressure_policy="shed", fault_plan=HOSTILE_PLAN),
+    "async": dict(crowd=AsyncCrowd(vote_timeout=3, max_retries=2, max_inflight_hits=5,
+                                   backpressure_policy="shed",
+                                   fault_plan=FaultPlan(**HOSTILE_PLAN))),
 }
 
 
@@ -178,8 +180,8 @@ def test_a_driver_stopped_mid_flight_round_trips_and_settles(
     batches = [records[start:start + batch_size] for start in range(0, len(records), batch_size)]
     config = WorkflowConfig(
         likelihood_threshold=0.35, vote_mode="per-pair", aggregation="majority",
-        crowd_mode="async", vote_timeout=3, crowd_max_retries=2, max_inflight_hits=window,
-        backpressure_policy=policy, fault_plan=plan.to_dict(),
+        crowd=AsyncCrowd(vote_timeout=3, max_retries=2, max_inflight_hits=window,
+                         backpressure_policy=policy, fault_plan=plan),
     )
 
     def session(swap_after=None):

@@ -29,6 +29,7 @@ from hypothesis import strategies as st
 import repro
 from repro import obs
 from repro.core.config import WorkflowConfig
+from repro.crowd import AsyncCrowd, FaultPlan
 from repro.datasets.restaurant import RestaurantGenerator
 from repro.records.record import Record
 from repro.storage import STORE_FILENAME, SqliteStore
@@ -47,6 +48,10 @@ def make_dataset(record_count=60, duplicate_pairs=10, seed=13):
     return RestaurantGenerator(
         record_count=record_count, duplicate_pairs=duplicate_pairs, seed=seed
     ).generate()
+
+
+#: The crowd of each ``crowd_mode`` test parameter.
+CROWDS = {"sync": None, "async": AsyncCrowd()}
 
 
 def make_config(**overrides):
@@ -435,19 +440,28 @@ class TestSaveRestore:
         resolver.durability.close()
         restored.durability.close()
 
-    def _written_by_an_earlier_release(self, tmp_path, monkeypatch, durability, legacy):
-        """Run a session whose stored config carries the ``legacy`` entries;
-        returns it with the config its store meta / journal header holds."""
+    def _written_by_an_earlier_release(
+        self, tmp_path, monkeypatch, durability, legacy, crowd=None
+    ):
+        """Run a session whose stored config carries the ``legacy`` entries
+        (and no ``crowd`` if they name ``crowd_mode``, as an earlier release
+        wrote it); returns it with the config its store meta / journal
+        header holds."""
         config_payload = persistence.config_payload
         dataset = make_dataset()
         records = list(dataset.store)
         journaled = durability == "journal"
+
+        def earlier_payload(config):
+            payload = {**config_payload(config), **legacy}
+            if "crowd_mode" in legacy:
+                del payload["crowd"]
+            return payload
+
         with monkeypatch.context() as patched:
-            patched.setattr(
-                persistence, "config_payload",
-                lambda config: {**config_payload(config), **legacy},
-            )
-            config = make_config(checkpoint_dir=str(tmp_path)) if journaled else make_config()
+            patched.setattr(persistence, "config_payload", earlier_payload)
+            durable = {"checkpoint_dir": str(tmp_path)} if journaled else {}
+            config = make_config(crowd=crowd, **durable)
             resolver = StreamingResolver(config=config)
             resolver.add_truth(dataset.ground_truth)
             for start in range(0, len(records), 17):
@@ -483,6 +497,7 @@ class TestSaveRestore:
             "packing_method": "column-generation",
             "decision_threshold": 0.5,
             "crowd_backoff_ticks": 2,
+            "cluster_generator": "two-tiered",
         }
         assert set(legacy) == set(persistence.RETIRED_CONFIG_FIELDS)
         obs.deactivate()
@@ -498,12 +513,42 @@ class TestSaveRestore:
         assert not (tmp_path / "trace.jsonl").exists()
 
     @pytest.mark.parametrize("durability", ("snapshot", "journal"))
+    @pytest.mark.parametrize("crowd_mode", ("sync", "async"))
+    def test_flat_crowd_fields_restore_as_one_crowd(
+        self, tmp_path, monkeypatch, durability, crowd_mode
+    ):
+        """An earlier release stored the async crowd as six flat fields:
+        ``crowd_mode="async"`` restores as the ``crowd`` they describe, and
+        ``"sync"`` as no crowd, its five unread values dropped."""
+        crowd = AsyncCrowd(vote_timeout=3, max_inflight_hits=5, backpressure_policy="shed",
+                           max_retries=2, fault_plan=FaultPlan(seed=4, drop_probability=0.2))
+        legacy = {
+            "crowd_mode": crowd_mode,
+            "vote_timeout": 3,
+            "max_inflight_hits": 5,
+            "backpressure_policy": "shed",
+            "crowd_max_retries": 2,
+            "fault_plan": crowd.fault_plan.to_dict(),
+        }
+        expected = crowd if crowd_mode == "async" else None
+        resolver, stored = self._written_by_an_earlier_release(
+            tmp_path, monkeypatch, durability, legacy, crowd=expected
+        )
+        assert "crowd" not in stored and stored["crowd_mode"] == crowd_mode
+        resolver.durability.close()
+        restored = StreamingResolver.restore(tmp_path)
+        assert restored.config.crowd == expected
+        assert_sessions_identical(resolver, restored)
+        restored.durability.close()
+
+    @pytest.mark.parametrize("durability", ("snapshot", "journal"))
     @pytest.mark.parametrize("name, value", (
         ("staleness_epsilon", 8),
         ("recrowd_policy", "dirty"),
         ("packing_method", "ffd"),
         ("decision_threshold", 0.7),
         ("crowd_backoff_ticks", 3),
+        ("cluster_generator", "bfs"),
     ))
     def test_a_retired_result_knob_in_use_refuses_to_restore(
         self, tmp_path, monkeypatch, durability, name, value
@@ -823,7 +868,7 @@ def test_a_durable_session_is_one_file(tmp_path, crowd_mode):
 
     dataset = make_dataset()
     records = list(dataset.store)
-    config = make_config(checkpoint_dir=str(tmp_path), crowd_mode=crowd_mode)
+    config = make_config(checkpoint_dir=str(tmp_path), crowd=CROWDS[crowd_mode])
     resolver = StreamingResolver(config=config)
     resolver.add_truth(dataset.ground_truth)
     for start in range(0, 40, 10):
@@ -870,7 +915,7 @@ def test_the_state_and_the_log_advance_in_one_commit(tmp_path, crowd_mode, start
     it — are logged."""
     dataset = make_dataset()
     records = list(dataset.store)
-    config = make_config(checkpoint_dir=str(tmp_path), crowd_mode=crowd_mode)
+    config = make_config(checkpoint_dir=str(tmp_path), crowd=CROWDS[crowd_mode])
     resolver = StreamingResolver(config=config)
     # An event without an outcome is written at its commit all the same.
     resolver.add_truth(dataset.ground_truth)
@@ -922,7 +967,7 @@ def written_prefix(dataset, crowd_mode, directory=None):
     and two arrival batches."""
     records = list(dataset.store)
     durable = {} if directory is None else {"checkpoint_dir": str(directory)}
-    resolver = StreamingResolver(config=make_config(crowd_mode=crowd_mode, **durable))
+    resolver = StreamingResolver(config=make_config(crowd=CROWDS[crowd_mode], **durable))
     resolver.add_truth(half_truth(dataset, 0))
     resolver.add_batch(records[:20])
     resolver.add_batch(records[20:35])

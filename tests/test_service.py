@@ -32,6 +32,7 @@ from strategies import drive, event_schedules
 from repro import obs
 from repro.core.config import WorkflowConfig
 from repro.core.ranking import DECISION_THRESHOLD
+from repro.crowd import AsyncCrowd, FaultPlan
 from repro.datasets.restaurant import RestaurantGenerator
 from repro.service import ResolutionService, ServiceClient, ServiceClientError
 from repro.service.sessions import encode_event, encode_result
@@ -332,8 +333,8 @@ class TestHttpSurface:
             {"crowd_backoff_ticks": 2},
             {"storage_backend": "sqlite"},  # lives in checkpoint_dir: needs one
             # A fault plan is parsed with the config, not by the first event.
-            {"crowd_mode": "async", "fault_plan": {"bogus": 1}},
-            {"crowd_mode": "async", "fault_plan": {"drop_probability": 5}},
+            {"crowd": {"fault_plan": {"bogus": 1}}},
+            {"crowd": {"fault_plan": {"drop_probability": 5}}},
         ):
             with pytest.raises(ServiceClientError) as caught:
                 client.create_session(fresh_id("bad"), config=config)
@@ -377,18 +378,38 @@ class TestHttpSurface:
         assert status == 503
         assert body["error"]["code"] == "metrics_disabled"
 
-    def test_an_unknown_cluster_generator_is_400_at_create(self, service):
-        """Not a 201 whose first append fails after ingesting its records."""
-        _runner, client = service
+    @pytest.mark.parametrize("config, named", (
+        ({"cluster_generator": "two-tiered"}, "cluster_generator"),
+        ({"crowd_mode": "async"}, "crowd_mode"),
+        ({"crowd": {"vote_timeout": 0}}, "vote_timeout"),
+        ({"crowd": {"max_retries": -1}}, "max_retries"),
+    ))
+    def test_a_field_a_session_has_no_more_or_a_bad_crowd_is_400_at_create(
+        self, service, config, named
+    ):
+        """``cluster_generator`` and the flat async fields are unknown like any
+        other field, and a bad ``crowd`` is refused before a session exists:
+        not a 201 whose first append fails after ingesting its records."""
+        runner, client = service
         session_id = fresh_id("gen")
         with pytest.raises(ServiceClientError) as caught:
-            client.create_session(
-                session_id, config={**SERVICE_CONFIG, "cluster_generator": "nope"}
-            )
+            client.create_session(session_id, config={**SERVICE_CONFIG, **config})
         assert caught.value.status == 400
         assert caught.value.code == "bad_request"
-        assert "two-tiered" in caught.value.body["error"]["message"]
+        assert named in caught.value.body["error"]["message"]
         assert client.request("GET", f"/sessions/{session_id}")[0] == 404
+        assert session_id not in runner.service.manager.sessions
+        assert session_id not in runner.service.shards._placement
+
+    def test_an_async_crowd_is_created_from_its_json_form(self, service):
+        runner, client = service
+        session_id = fresh_id("async")
+        crowd = {"vote_timeout": 3, "fault_plan": {"seed": 2, "delay_ticks_min": 1}}
+        client.create_session(session_id, config={**SERVICE_CONFIG, "crowd": crowd})
+        config = runner.service.manager.sessions[session_id].resolver.config
+        assert config.crowd == AsyncCrowd(vote_timeout=3,
+                                          fault_plan=FaultPlan(seed=2, delay_ticks_min=1))
+        client.close(session_id)
 
     def test_a_string_similarity_attributes_is_400_at_create(self, service):
         """JSON ``"name"`` is not ``["name"]``: read per character it would

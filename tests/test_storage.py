@@ -25,6 +25,7 @@ from strategies import drive, event_schedules
 
 from repro import obs
 from repro.core.config import WorkflowConfig
+from repro.crowd import AsyncCrowd, FaultPlan, SimulatedCrowdPlatform, WorkerPool
 from repro.datasets.restaurant import RestaurantGenerator
 from repro.hit.pair_generation import PairHITGenerator
 from repro.obs.metrics import MetricsRegistry
@@ -648,17 +649,17 @@ class TestLedgerRecordIndex:
     )
     @given(
         schedule=event_schedules(min_size=2, max_size=7),
-        crowd_mode=st.sampled_from(("sync", "async")),
+        crowd=st.sampled_from((None, AsyncCrowd())),
     )
     def test_property_the_pair_tables_are_the_ledger_at_every_boundary(
-        self, tmp_path_factory, schedule, crowd_mode
+        self, tmp_path_factory, schedule, crowd
     ):
         """Batches, retractions, updates and flushes, on a synchronous or an
         asynchronous crowd: after every event the store's ``ledger`` table
         equals the ledger, written per changed key at commit."""
         dataset = make_dataset(record_count=40, duplicate_pairs=8, seed=47)
         session = StreamingResolver(config=make_config(
-            crowd_mode=crowd_mode, checkpoint_dir=str(tmp_path_factory.mktemp("tables")),
+            crowd=crowd, checkpoint_dir=str(tmp_path_factory.mktemp("tables")),
         ))
         session.add_truth(dataset.ground_truth)
         records, cursor = list(dataset.store), 0
@@ -794,12 +795,19 @@ class TestOneRestore:
         assert_sessions_identical(never_stopped, again)
         again.durability.close()
 
-    def test_restore_takes_only_the_path_and_the_crowd_parts(self, tmp_path):
-        """No config override, no journal switch, no verification switch:
-        each is refused, and the refusal leaves the store restorable."""
-        assert list(inspect.signature(StreamingResolver.restore).parameters) == [
-            "path", "platform", "worker_pool", "pricing", "latency"
+    def test_restore_takes_only_the_path(self, tmp_path):
+        """No config override, no journal switch, no verification switch and
+        no crowd the stored config does not describe: each is refused, and
+        the refusal leaves the store restorable."""
+        assert list(inspect.signature(StreamingResolver.restore).parameters) == ["path"]
+        assert list(inspect.signature(StreamingResolver).parameters) == [
+            "config", "cross_sources", "_durability"
         ]
+        other_crowd = SimulatedCrowdPlatform(
+            assignments_per_hit=5, pool=WorkerPool.build(seed=99), vote_mode="per-pair"
+        )
+        with pytest.raises(TypeError):
+            StreamingResolver(make_config(), platform=other_crowd)
         dataset = make_dataset()
         resolver = self.feed(
             StreamingResolver(config=make_config(checkpoint_dir=str(tmp_path))),
@@ -812,6 +820,8 @@ class TestOneRestore:
             {"config": make_config(checkpoint_dir=str(tmp_path))},
             {"resume_journal": False},
             {"verify": False},
+            {"platform": other_crowd},
+            {"worker_pool": WorkerPool.build(seed=99)},
         ):
             with pytest.raises(TypeError):
                 StreamingResolver.restore(str(tmp_path), **retired)
@@ -830,6 +840,11 @@ FORMAT_1_TABLES = ("pairs", "pair_votes", "posteriors", "covered")
 #: Formats 1 and 2 kept the join's index, which format 3 rebuilds from the
 #: records at restore.
 JOIN_INDEX_TABLES = ("tokens", "join_rows", "csr_chunks")
+
+
+#: The crowd every committed store was written on, stored as an earlier
+#: release's six flat fields (``crowd_mode="async"``, ``fault_plan``, ...).
+WRITTEN_CROWD = AsyncCrowd(fault_plan=FaultPlan(seed=3, delay_ticks_min=1, delay_ticks_max=3))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -854,8 +869,7 @@ class WrittenStore:
         return make_config(
             likelihood_threshold=0.15,
             aggregation=self.aggregation,
-            crowd_mode="async",
-            fault_plan={"seed": 3, "delay_ticks_min": 1, "delay_ticks_max": 3},
+            crowd=WRITTEN_CROWD,
             checkpoint_dir=str(directory) if directory else None,
         )
 
@@ -970,6 +984,7 @@ def assert_restores_and_continues(tmp_path, written, tail):
         delete_events(directory)
     twin = written.twin(dataset, written.logged if tail == "logged" else written.applied)
     restored = StreamingResolver.restore(directory)
+    assert restored.config.crowd == WRITTEN_CROWD
     assert restored.config == written.config(directory)
     assert_sessions_identical(twin, restored)
     assert restored.storage.ledger.votes == twin.storage.ledger.votes
@@ -1104,7 +1119,7 @@ class TestACadenceStore:
         assert main(["resolve-stream", "--dataset", "paper-example", "--threshold", "0.15",
                      "--checkpoint-dir", str(directory), "--resume"]) == 0
         note = capsys.readouterr().err
-        assert "crowd_mode='sync' (session: 'async')" in note
+        assert "crowd=None (session: AsyncCrowd(" in note
         assert "storage_backend" not in note and "checkpoint_every" not in note
 
 
@@ -1121,16 +1136,15 @@ class TestAsyncCrashRecovery:
     journal tail re-derives the exact delivery schedule.
     """
 
-    ASYNC = dict(
-        crowd_mode="async",
+    ASYNC = dict(crowd=AsyncCrowd(
         vote_timeout=3,
-        crowd_max_retries=2,
-        fault_plan=dict(
+        max_retries=2,
+        fault_plan=FaultPlan(
             seed=17, delay_ticks_max=5, drop_probability=0.3,
             duplicate_probability=0.2, reorder_probability=0.4,
             reorder_window_ticks=3, churn_probability=0.1,
         ),
-    )
+    ))
 
     def run_uninterrupted(self, records, truth, **overrides):
         resolver = StreamingResolver(config=make_config(**self.ASYNC, **overrides))

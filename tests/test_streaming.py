@@ -21,6 +21,7 @@ from repro.aggregation.majority import MajorityAggregator
 from repro.core.config import WorkflowConfig
 from repro.core.ranking import RankedIndex, rank_candidates
 from repro.core.workflow import HybridWorkflow
+from repro.crowd import AsyncCrowd, FaultPlan
 from repro.crowd.platform import SimulatedCrowdPlatform
 from repro.datasets.restaurant import RestaurantGenerator
 from repro.hit.base import HITBatch, PairBasedHIT
@@ -260,11 +261,6 @@ class TestIncrementalBehaviour:
         assert resolver.votes_for("r1", "r2") == votes_before
         assert snap.delta.reused_vote_pairs >= 1
         assert snap.delta.regenerated_hits >= 1
-
-    def test_sequential_platform_rejected(self):
-        platform = SimulatedCrowdPlatform(vote_mode="sequential")
-        with pytest.raises(ValueError):
-            StreamingResolver(platform=platform)
 
     def test_snapshot_before_any_batch_is_empty(self):
         resolver = StreamingResolver()
@@ -514,10 +510,8 @@ class TestPairIndependentSkip:
         """Async crowd: r3's pairs are still in flight when its component is
         dirty, so the component's only voted pair has nothing pending — it
         keeps its posterior, and flush settles the rest."""
-        plan = {"seed": 1, "delay_ticks_min": 2, "delay_ticks_max": 2}
-        resolver = StreamingResolver(
-            config=self._config(crowd_mode="async", fault_plan=plan)
-        )
+        plan = FaultPlan(seed=1, delay_ticks_min=2, delay_ticks_max=2)
+        resolver = StreamingResolver(config=self._config(crowd=AsyncCrowd(fault_plan=plan)))
         resolver.add_truth([("r1", "r2"), ("r1", "r3")])
         resolver.add_batch(self.GROWING[0])
         for filler in ("unrelated words here", "other things entirely"):

@@ -7,13 +7,14 @@ import pytest
 from repro.core.baselines import SimJoinRanker, SVMRanker, human_only_hit_count
 from repro.core.config import WorkflowConfig
 from repro.core.crowdsql import crowd_equijoin
-from repro.core.workflow import HybridWorkflow
+from repro.core.workflow import HybridWorkflow, build_hit_generator
+from repro.crowd import AsyncCrowd, FaultPlan
 from repro.crowd.platform import CrowdRunResult
 from repro.crowd.worker import WorkerPool, Worker, WorkerProfile
 from repro.datasets.base import Dataset
 from repro.datasets.paper_example import paper_example_matches, paper_example_store
 from repro.evaluation.metrics import precision_recall
-from repro.hit.generator import available_generators
+from repro.hit.two_tiered import TwoTieredClusterGenerator
 from repro.records.pairs import PairSet, RecordPair
 from repro.records.record import Record, RecordStore
 
@@ -37,7 +38,7 @@ class TestWorkflowConfig:
     def test_defaults_valid(self):
         config = WorkflowConfig()
         assert config.hit_type == "cluster"
-        assert config.cluster_generator == "two-tiered"
+        assert config.crowd is None
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -48,7 +49,7 @@ class TestWorkflowConfig:
             {"pairs_per_hit": 0},
             {"assignments_per_hit": 0},
             {"aggregation": "magic"},
-            {"vote_timeout": 0},
+            {"vote_mode": "per-pair", "crowd": {"vote_timeout": 0}},
             {"join_backend": "quantum"},
             {"join_workers": -2},
             {"storage_backend": "postgres"},
@@ -63,7 +64,7 @@ class TestWorkflowConfig:
         neither the write schedule nor its cadence is a knob.  The old
         keyword is still accepted and checked, and changes nothing."""
         names = {spec.name for spec in dataclasses.fields(WorkflowConfig)}
-        assert len(names) == 22
+        assert len(names) == 16
         assert not {"storage_backend", "checkpoint_every_batches"} & names
         for backend in ("memory", "sqlite"):
             assert WorkflowConfig(storage_backend=backend, checkpoint_dir="d") == WorkflowConfig(
@@ -74,12 +75,34 @@ class TestWorkflowConfig:
         with pytest.raises(TypeError):
             WorkflowConfig(checkpoint_every_batches=3)
 
-    def test_unknown_cluster_generator_rejected_at_construction(self):
-        """Not at the first HIT generation, after a batch was ingested."""
-        with pytest.raises(ValueError, match="approximation.*two-tiered.*'nope'"):
-            WorkflowConfig(cluster_generator="nope")
-        for name in available_generators():
-            assert WorkflowConfig(cluster_generator=name).cluster_generator == name
+    def test_cluster_hits_are_two_tiered(self):
+        """The other generators are the figures' comparison lines, built by
+        name (``get_cluster_generator``), not a knob of a run."""
+        with pytest.raises(TypeError):
+            WorkflowConfig(cluster_generator="bfs")
+        generator = build_hit_generator(WorkflowConfig(cluster_size=4))
+        assert isinstance(generator, TwoTieredClusterGenerator)
+        assert generator.cluster_size == 4
+
+    def test_a_crowd_dict_becomes_one_validated_async_crowd(self):
+        """The stored and HTTP shape is ``dataclasses.asdict``'s, and its
+        values are checked by ``AsyncCrowd`` itself."""
+        crowd = AsyncCrowd(vote_timeout=3, fault_plan=FaultPlan(seed=2, drop_probability=0.1))
+        config = WorkflowConfig(vote_mode="per-pair", crowd=dataclasses.asdict(crowd))
+        assert config.crowd == crowd
+        assert config == WorkflowConfig(vote_mode="per-pair", crowd=crowd)
+        for bad, message in (
+            ({"vote_timeout": 0}, "vote_timeout must be"),
+            ({"fault_plan": {"drop_probability": 5}}, "drop_probability"),
+            ({"fault_plan": {"bogus": 1}}, "unknown FaultPlan fields"),
+            ("async", "object of AsyncCrowd fields"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                WorkflowConfig(vote_mode="per-pair", crowd=bad)
+        with pytest.raises(TypeError, match="retries"):
+            WorkflowConfig(vote_mode="per-pair", crowd={"retries": 2})
+        with pytest.raises(ValueError, match="per-pair"):
+            WorkflowConfig(crowd=crowd)
 
     @pytest.mark.parametrize("attributes", ("name", ["name", 3], 7, {"name": 1}))
     def test_similarity_attributes_must_be_a_list_of_names(self, attributes):
