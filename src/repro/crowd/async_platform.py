@@ -154,30 +154,6 @@ class AsyncCrowd:
         return cls(**fields)
 
 
-#: The flat configuration fields an earlier release stored for the async
-#: crowd, each with the :class:`AsyncCrowd` field it became.
-FLAT_CROWD_FIELDS = {
-    "vote_timeout": "vote_timeout",
-    "max_inflight_hits": "max_inflight_hits",
-    "backpressure_policy": "backpressure_policy",
-    "crowd_max_retries": "max_retries",
-    "fault_plan": "fault_plan",
-}
-
-
-def nest_flat_crowd(stored: Mapping[str, object]) -> Dict[str, object]:
-    """A stored configuration with an earlier release's flat crowd fields nested.
-
-    ``crowd_mode="async"`` becomes ``crowd``, holding the five values the
-    session ran with; ``"sync"`` drops the five, which it never read.
-    """
-    config = dict(stored)
-    flat = {new: config.pop(old) for old, new in FLAT_CROWD_FIELDS.items() if old in config}
-    if config.pop("crowd_mode", "sync") == "async":
-        config["crowd"] = AsyncCrowd.from_dict(flat)
-    return config
-
-
 class AsyncCrowdPlatform:
     """Asynchronous HIT lifecycle over a deterministic vote oracle.
 

@@ -165,9 +165,10 @@ class CostReport:
         session's, so they stay ``None``.  A path that is not an existing
         file is refused before anything is opened: opening it would leave an
         empty store there, which a fresh durable session and a restore both
-        refuse.
+        refuse.  It is read upgraded as a restore upgrades it; closing rolls back.
         """
         from repro.storage.sqlite import SqliteStore
+        from repro.storage.upgrade import upgrade
 
         if not Path(path).is_file():
             raise ValueError(f"{path} is not a session store file")
@@ -175,6 +176,7 @@ class CostReport:
         try:
             if store.get_meta("version") is None:
                 raise ValueError(f"{path} does not hold a resolution session")
+            upgrade(store, store.get_meta("version"))
             session = store.get_meta("session") or {}
             platform = (store.get_meta("async") or {}).get("platform") or {}
             assignment_seconds = store.load_assignment_seconds()

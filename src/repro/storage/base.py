@@ -50,8 +50,12 @@ PairKey = Tuple[str, str]
 Vote = Tuple[str, PairKey, bool]
 
 
-class StorageError(RuntimeError):
-    """Raised for invalid storage configurations or corrupt store files."""
+class PersistenceError(RuntimeError):
+    """Raised for invalid checkpoint directories or replay failures."""
+
+
+class StorageError(PersistenceError):
+    """Raised for a store this release cannot read (no database, a newer format)."""
 
 
 class PairLedger:

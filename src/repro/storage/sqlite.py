@@ -7,8 +7,8 @@ hold "the state as of ``meta.events_applied``"; its ``events`` table
 (``seq``, ``type``, ``payload``, ``crc``) is the session's write-ahead log —
 :class:`repro.streaming.persistence.SessionJournal` owns its rows, this
 module only declares it.  The incremental join's index is not stored: it
-is derived from the records, and a restore re-indexes them (store format
-3; format 2 kept it in three more tables, which a takeover drops).
+is derived from the records, and a restore re-indexes them.  The schema
+is format 3 alone: :mod:`repro.storage.upgrade` brings an earlier store to it.
 
 A durable session writes each event's changes into the state tables
 inside that event's transaction: records and meta as they change, and
@@ -102,36 +102,9 @@ _TABLES = (
     "assignment_seconds",
 )
 
-#: Tables and meta keys an earlier release kept that this one neither reads
-#: nor writes (``provenance``: a write-only per-pair history; ``metrics``:
-#: a copy of the writing process's metrics registry, other sessions'
-#: counts included; ``pairs``, ``pair_votes``, ``posteriors`` and
-#: ``covered``: a format-1 store's ledger, read through
-#: :data:`_FORMAT_1_LEDGER`; the last three: the join index — vocabulary,
-#: row bookkeeping, CSR chunks — a format-1 or format-2 store kept, which a
-#: restore rebuilds from the records).  Opening a store leaves them alone —
-#: reading one (``repro stats``) or refusing to resume it must not cost its
-#: writer anything; a session of this release that takes the store over
-#: drops them (:meth:`SqliteStore.drop_retired`).
-_RETIRED_TABLES = (
-    "provenance", "pairs", "pair_votes", "posteriors", "covered",
-    "tokens", "join_rows", "csr_chunks",
-)
-_RETIRED_META = ("metrics",)
-
-#: ``ledger``'s rows, and a format-1 store's in the same shape: that format
-#: kept a pair in four tables keyed by ``(id_a, id_b)`` — ``pairs`` (every
-#: candidate), ``pair_votes`` (a voted pair's votes and pending count),
-#: ``posteriors`` and ``covered`` — so one ``LEFT JOIN`` makes its rows.
-_LEDGER = "SELECT id_a, id_b, likelihood, votes, pending, posterior, covered FROM ledger"
-_FORMAT_1_LEDGER = """
-SELECT p.id_a, p.id_b, p.likelihood, v.votes, COALESCE(v.pending, 0), s.posterior,
-       c.id_a IS NOT NULL
-FROM pairs AS p
-LEFT JOIN pair_votes AS v ON v.id_a = p.id_a AND v.id_b = p.id_b
-LEFT JOIN posteriors AS s ON s.id_a = p.id_a AND s.id_b = p.id_b
-LEFT JOIN covered AS c ON c.id_a = p.id_a AND c.id_b = p.id_b
-"""
+#: Every table the schema declares (an earlier release's others are
+#: dropped by :func:`repro.storage.upgrade.upgrade`).
+SCHEMA_TABLES = _TABLES + ("events",)
 
 
 class SqliteStore(Store):
@@ -209,26 +182,6 @@ class SqliteStore(Store):
         for table in _TABLES:
             self.execute(f"DELETE FROM {table}")
         self._next_arrival = 0
-
-    def drop_retired(self, version: int) -> None:
-        """Take an earlier release's store over inside the open transaction.
-
-        A format-1 store's pair rows move into ``ledger`` and its
-        ``meta.version`` becomes ``version``; then the earlier release's
-        tables and meta rows are dropped.
-        """
-        if self._format_1():
-            self.execute("INSERT INTO ledger " + _FORMAT_1_LEDGER)
-            self.set_meta("version", version)
-        for table in _RETIRED_TABLES:
-            self.execute(f"DROP TABLE IF EXISTS {table}")
-        self.executemany("DELETE FROM meta WHERE key = ?", [(key,) for key in _RETIRED_META])
-
-    def _format_1(self) -> bool:
-        """Whether the ledger is in format 1's four tables.  ``meta.version``
-        decides, not which tables exist: ``save(X)`` over a format-1 copy
-        leaves those tables behind."""
-        return self.get_meta("version") == 1
 
     # --------------------------------------------------------- record table
     def add_record(self, record: Record) -> None:
@@ -330,16 +283,15 @@ class SqliteStore(Store):
     def load_ledger(self, into: Optional[PairLedger] = None) -> None:
         """Page the ledger's rows into ``into`` (default: this store's ledger).
 
-        One ``SELECT``, of ``ledger`` or a format-1 store's four tables.
-        The dicts are assigned directly, so nothing read is unsaved; the
-        record → pairs index is rebuilt from the keys.
+        One ``SELECT``.  The dicts are assigned directly, so nothing read is
+        unsaved; the record → pairs index is rebuilt from the keys.
         """
         ledger = self.ledger if into is None else into
         ledger.touched = None
         ledger.pairs, ledger.votes, ledger.pending_votes = {}, {}, {}
         ledger.posteriors, ledger.covered = {}, set()
         for id_a, id_b, likelihood, votes, pending, posterior, covered in self._conn.execute(
-            _FORMAT_1_LEDGER if self._format_1() else _LEDGER
+            "SELECT id_a, id_b, likelihood, votes, pending, posterior, covered FROM ledger"
         ):
             key = (id_a, id_b)
             ledger.pairs[key] = likelihood

@@ -242,11 +242,7 @@ class CrowdDriver:
         }
 
     def load_state_dict(self, state: Mapping[str, object]) -> None:
-        """Inverse of :meth:`state_dict`; parts a store lacks stay fresh.
-
-        What an earlier release stored beside ``slot_votes`` — every
-        in-flight pair's vote round, always 0 — is not read.
-        """
+        """Inverse of :meth:`state_dict`; parts a store lacks stay fresh."""
         counters = state.get("session") or {}
         self.hit_count = int(counters.get("hit_count", 0))
         self.cost = counters.get("cost", 0.0)

@@ -63,7 +63,7 @@ import logging
 import os
 import time
 import zlib
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from hashlib import sha256
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -71,57 +71,12 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro import obs
 from repro.core.config import WorkflowConfig
 from repro.core.results import StreamingDelta
-from repro.crowd.async_platform import nest_flat_crowd
 from repro.records.record import Record
 from repro.storage import STORE_FILENAME, SqliteStore, Store
+from repro.storage.base import PersistenceError
+from repro.storage.upgrade import FORMAT_VERSION, refuse_earlier_files, upgrade, upgrade_header
 
 logger = logging.getLogger(__name__)
-
-#: The store format this release writes.  Format 3 keeps no join index
-#: (format 2 kept it in three tables; a format-2 reader would take a
-#: format-3 store for one with an empty index, so the "newer format"
-#: refusal is what keeps it from restoring one).
-FORMAT_VERSION = 3
-
-#: Fields a stored configuration (the log's ``session`` event or store
-#: meta) written by an earlier release may still carry, each mapped to the
-#: one stored value that still replays (``None``: any value).  The knobs
-#: are gone — one selected a fork-per-batch join pool, one moved the store
-#: out of its directory, one rotated a JSONL journal that no longer exists,
-#: two switched the process's observability on from a session, two chose
-#: when a durable session's state was written (a per-event mirror or a
-#: whole rewrite every few events; the results were bit-identical), and
-#: six were result-bearing knobs only ever used at one value in a session
-#: (bounded-staleness aggregation, re-crowding voted pairs, the two-tiered
-#: generator's packing solver, the match threshold, the async retry
-#: backoff, the cluster-HIT generator) — so restore drops them instead of
-#: failing on an unknown field.  A result-bearing one stored at any other
-#: value than its old default cannot replay bit-identically, and restore
-#: refuses it.  The async crowd's six flat fields are nested (``crowd``).
-RETIRED_CONFIG_FIELDS = {
-    "join_pool": None,
-    "storage_path": None,
-    "journal_segment_events": None,
-    "metrics_enabled": None,
-    "trace_path": None,
-    "storage_backend": None,
-    "checkpoint_every_batches": None,
-    "staleness_epsilon": 0,
-    "recrowd_policy": "never",
-    "packing_method": "column-generation",
-    "decision_threshold": 0.5,
-    "crowd_backoff_ticks": 2,
-    "cluster_generator": "two-tiered",
-}
-
-#: ``join_backend`` values an earlier release accepted for batch engines
-#: that are now all the one kernel.  The field is operational and a session
-#: never consulted it, so restore reads them as ``"auto"``.
-RETIRED_JOIN_BACKENDS = ("prefix", "vectorized", "parallel")
-
-
-class PersistenceError(RuntimeError):
-    """Raised for invalid checkpoint directories or replay failures."""
 
 
 class JournalCorruptionError(PersistenceError):
@@ -396,18 +351,6 @@ def _occupied(path: Path) -> PersistenceError:
     )
 
 
-def _refuse_legacy_journal(directory: Path) -> None:
-    """Name an earlier release's JSONL journal (existence check, never opened)."""
-    legacy = sorted(directory.glob("journal*.jsonl"))
-    if legacy:
-        raise PersistenceError(
-            f"{directory} holds {legacy[0].name}, written by an earlier release "
-            "whose JSONL journal is no longer read; restore the session with the "
-            "release that wrote it and save(X) it — a store-only copy this "
-            "release reads"
-        )
-
-
 class Durability:
     """The durable side of one session: its store and its log.
 
@@ -439,7 +382,7 @@ class Durability:
         if not config.checkpoint_dir:
             return cls(Store())
         directory = Path(config.checkpoint_dir)
-        _refuse_legacy_journal(directory)
+        refuse_earlier_files(directory)
         path = directory / STORE_FILENAME
         if path.exists():
             raise _occupied(path)
@@ -560,9 +503,6 @@ class Durability:
 
 
 # ----------------------------------------------------------------- restore
-_DELTA_FIELDS = frozenset(spec.name for spec in fields(StreamingDelta))
-
-
 def _page_in(session, source: SqliteStore) -> None:
     """Rebuild the session's live structures from its store's contents.
 
@@ -594,13 +534,7 @@ def _page_in(session, source: SqliteStore) -> None:
         "assignment_seconds": source.load_assignment_seconds(),
     })
     session._batch_index = int(counters.get("batch_index", 0))
-    # A counter an earlier release stored (bounded staleness's, always 0
-    # at its default) is dropped; commit rows' deltas are never read back.
-    session._last_delta = StreamingDelta(**{
-        name: value
-        for name, value in counters.get("last_delta", {}).items()
-        if name in _DELTA_FIELDS
-    })
+    session._last_delta = StreamingDelta(**counters.get("last_delta", {}))
     session._last_fresh_votes = {}
     session.durability.events_applied = int(source.get_meta("events_applied", 0))
 
@@ -659,27 +593,20 @@ def restore(cls, path: os.PathLike):
     """Resume the durable session (an instance of ``cls``) in its directory.
 
     Open the directory's one file, read the header from its meta (a store
-    whose state tables were never written has it in event 1), run under
-    the stored configuration — its ``checkpoint_dir`` is wherever the
-    directory is now — page the state in (the join re-indexes the
-    records; no store holds its index), and :func:`replay` the events
-    newer than ``meta.events_applied``, each checked against its logged
-    outcome.  A store an earlier release rewrote only every few events
-    replays several; one this release wrote, at most the event a crash
-    interrupted.  The restored session is
-    bit-identical to one that processed the same events without stopping,
-    and takes the directory over: it keeps logging to the same file.
+    whose state tables were never written has it in event 1), bring store
+    and header to this release's format (:mod:`repro.storage.upgrade`),
+    run under the stored configuration — its ``checkpoint_dir`` is wherever
+    the directory is now — page the state in (the join re-indexes the
+    records), and :func:`replay` the events newer than
+    ``meta.events_applied``, each checked against its logged outcome.  The
+    restored session is bit-identical to one that processed the same
+    events without stopping, and takes the directory over: it keeps
+    logging to the same file.  All of it up to the first boundary is one
+    transaction, so a refused restore leaves the file as it was.
     """
     directory = Path(path)
-    _refuse_legacy_journal(directory)
+    refuse_earlier_files(directory, restoring=True)
     store_path = directory / STORE_FILENAME
-    if not store_path.exists():
-        legacy = sorted(item.name for item in directory.glob("snapshot-*.pkl"))
-        raise PersistenceError(
-            f"{directory} holds no session store"
-            + (f"; {legacy[-1]} was written by an earlier release, whose "
-               "snapshot files are no longer read" if legacy else "")
-        )
     source = SqliteStore(store_path)
     try:
         journal = SessionJournal(source)
@@ -691,20 +618,15 @@ def restore(cls, path: os.PathLike):
             header = events[0].payload
         else:
             raise PersistenceError(f"{store_path} holds no session")
-        if header["version"] > FORMAT_VERSION:
+        upgrade(source, header["version"])
+        try:
+            config = WorkflowConfig(**{
+                **upgrade_header(header["config"]), "checkpoint_dir": str(directory)
+            })
+        except (TypeError, ValueError) as error:
             raise PersistenceError(
-                f"{store_path} was written in store format {header['version']}; "
-                f"this release reads format {FORMAT_VERSION} and older"
-            )
-        _refuse_retired_result_knobs(header["config"], store_path)
-        stored = {
-            name: value
-            for name, value in nest_flat_crowd(header["config"]).items()
-            if name not in RETIRED_CONFIG_FIELDS
-        }
-        if stored.get("join_backend") in RETIRED_JOIN_BACKENDS:
-            stored["join_backend"] = "auto"
-        config = WorkflowConfig(**{**stored, "checkpoint_dir": str(directory)})
+                f"{store_path} holds a configuration this release cannot run: {error}"
+            ) from None
         durability = Durability(source)
         durability.journal = journal
         cross_sources = header["cross_sources"]
@@ -720,24 +642,5 @@ def restore(cls, path: os.PathLike):
         source.close()
         raise
     logger.info("restored session from %s at event %d", directory, session.events_applied)
-    # Accepted, and the session goes on writing this file: shed what an
-    # earlier release kept (a format-2 store's join index among it), a
-    # format-1 ledger moving into ``ledger`` first.
-    # It commits with the attach boundary, whose ledger write lands the
-    # replayed events' rows over the moved ones (never ahead of the state).
-    source.drop_retired(FORMAT_VERSION)
     durability.attach(session)
-    source.commit()
     return session
-
-
-def _refuse_retired_result_knobs(stored: Dict[str, object], store_path: Path) -> None:
-    """Refuse a stored header whose retired result-bearing knob was in use."""
-    for name, replays in RETIRED_CONFIG_FIELDS.items():
-        if replays is not None and stored.get(name, replays) != replays:
-            raise PersistenceError(
-                f"{store_path} was written with {name}={stored[name]!r}, a knob "
-                f"this release no longer has (only {replays!r} replays); the "
-                "session cannot resume bit-identically"
-            )
-

@@ -13,6 +13,8 @@ files through its rootdir-relative import of the ``tests`` directory.
 
 from __future__ import annotations
 
+import json
+import random
 import sqlite3
 import string
 
@@ -181,3 +183,32 @@ def crash_copy(directory, target, after):
                 copy.execute(f"DELETE FROM {table}")
     copy.close()
     return target
+
+
+# ------------------------------------------------------- unreadable stores
+#: Ways a session store can be one this release cannot restore, each with
+#: the cause its refusal names.
+UNREADABLE_STORES = {
+    "not-a-database": "is not a session store",
+    "unknown-config-key": "'bogus'",
+    "invalid-config-value": "cluster_size must be at least 2",
+}
+
+
+def make_unreadable(directory, kind):
+    """Turn the closed session store in ``directory`` into the
+    :data:`UNREADABLE_STORES` ``kind``: bytes that are no database, or a
+    stored config with a key no release had or a value it rejects."""
+    path = directory / STORE_FILENAME
+    if kind == "not-a-database":
+        path.write_bytes(random.Random(7).randbytes(4096))
+        return
+    change = {"unknown-config-key": {"bogus": 1}, "invalid-config-value": {"cluster_size": 1}}
+    connection = sqlite3.connect(str(path))
+    with connection:
+        (text,) = connection.execute("SELECT value FROM meta WHERE key = 'config'").fetchone()
+        connection.execute(
+            "UPDATE meta SET value = ? WHERE key = 'config'",
+            (json.dumps({**json.loads(text), **change[kind]}),),
+        )
+    connection.close()

@@ -5,6 +5,7 @@ import os
 import re
 
 import pytest
+from strategies import UNREADABLE_STORES, make_unreadable
 
 from repro.cli import build_parser, load_dataset, main
 
@@ -210,6 +211,17 @@ class TestCheckpointResume:
         capsys.readouterr()
         assert main(self.STREAM_ARGS + ["--checkpoint-dir", checkpoint, "--resume"]) == 2
         assert "store format 99" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", sorted(UNREADABLE_STORES))
+    def test_resume_of_an_unreadable_store_exits_2(self, tmp_path, capsys, kind):
+        checkpoint = tmp_path / "session"
+        assert main(self.STREAM_ARGS + ["--checkpoint-dir", str(checkpoint),
+                                        "--max-batches", "2"]) == 0
+        make_unreadable(checkpoint, kind)
+        capsys.readouterr()
+        assert main(self.STREAM_ARGS + ["--checkpoint-dir", str(checkpoint), "--resume"]) == 2
+        error = capsys.readouterr().err
+        assert "cannot resume" in error and UNREADABLE_STORES[kind] in error
 
     def test_resume_names_every_flag_the_stored_config_overrides(self, tmp_path, capsys):
         """A resumed session runs under its stored configuration; every field

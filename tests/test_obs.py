@@ -20,6 +20,7 @@ import sqlite3
 import threading
 
 import pytest
+from strategies import make_unreadable
 
 from repro import obs
 from repro.cli import main as cli_main
@@ -29,6 +30,7 @@ from repro.datasets.restaurant import RestaurantGenerator
 from repro.obs.export import to_prometheus, validate_prometheus_text
 from repro.obs.metrics import DEFAULT_BUCKETS, MetricsRegistry, MetricsSnapshot
 from repro.obs.report import CostReport
+from repro.streaming import PersistenceError, persistence
 from repro.streaming.session import StreamingResolver
 
 
@@ -573,6 +575,26 @@ def test_cli_stats_errors(tmp_path, capsys):
     assert "needs --store" in capsys.readouterr().err
     assert cli_main(["stats", "--store", str(tmp_path / "missing.sqlite")]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("kind", ("newer-format", "not-a-database"))
+def test_cli_stats_refuses_what_restore_refuses_with_its_message(
+    tmp_path, capsys, monkeypatch, kind
+):
+    """A store in a newer format is not reported as if it were current, and
+    a file that is no database is no traceback: ``stats`` exits 2 with the
+    message a restore of it gives."""
+    with monkeypatch.context() as patched:
+        if kind == "newer-format":
+            patched.setattr(persistence, "FORMAT_VERSION", 99)
+        StreamingResolver(config=WorkflowConfig(checkpoint_dir=str(tmp_path))).durability.close()
+    if kind == "not-a-database":
+        make_unreadable(tmp_path, kind)
+    with pytest.raises(PersistenceError) as refused:
+        StreamingResolver.restore(str(tmp_path))
+    capsys.readouterr()
+    assert cli_main(["stats", "--checkpoint-dir", str(tmp_path)]) == 2
+    assert f"error: {refused.value}" in capsys.readouterr().err
 
 
 def test_cli_stats_leaves_a_mistyped_directory_unwritten(tmp_path, capsys):

@@ -14,6 +14,7 @@ store must never be ahead of its log.
 import ast
 import json
 import os
+import re
 import shutil
 import signal
 import sqlite3
@@ -32,7 +33,7 @@ from repro.core.config import WorkflowConfig
 from repro.crowd import AsyncCrowd, FaultPlan
 from repro.datasets.restaurant import RestaurantGenerator
 from repro.records.record import Record
-from repro.storage import STORE_FILENAME, SqliteStore
+from repro.storage import STORE_FILENAME, SqliteStore, upgrade
 from repro.streaming import (
     JournalCorruptionError,
     PersistenceError,
@@ -41,7 +42,7 @@ from repro.streaming import (
     persistence,
 )
 
-from strategies import crash_copy, drive, event_schedules
+from strategies import UNREADABLE_STORES, crash_copy, drive, event_schedules, make_unreadable
 
 
 def make_dataset(record_count=60, duplicate_pairs=10, seed=13):
@@ -311,6 +312,26 @@ class TestMaterialisation:
             assert "save(X)" in str(refused.value)
         assert legacy.read_bytes() == b"\x00 not json, not a journal \x00"
 
+    @pytest.mark.parametrize("kind", sorted(UNREADABLE_STORES))
+    def test_an_unreadable_store_is_refused_naming_the_file_and_the_cause(
+        self, tmp_path, kind
+    ):
+        """Bytes that are no database, a stored config key no release had and
+        a stored value the config rejects are each refused with a
+        ``PersistenceError`` naming the file and the cause, and the file is
+        left as it was."""
+        session = StreamingResolver(config=make_config(checkpoint_dir=str(tmp_path)))
+        session.add_batch(list(make_dataset().store)[:20])
+        session.durability.close()
+        make_unreadable(tmp_path, kind)
+        path = tmp_path / STORE_FILENAME
+        before = path.read_bytes()
+        with pytest.raises(PersistenceError) as refused:
+            StreamingResolver.restore(tmp_path)
+        assert str(path) in str(refused.value)
+        assert UNREADABLE_STORES[kind] in str(refused.value)
+        assert path.read_bytes() == before
+
 
 class TestStructure:
     @staticmethod
@@ -327,6 +348,20 @@ class TestStructure:
     def test_no_module_imports_or_mentions_pickle(self):
         for path in sorted(Path(next(iter(repro.__path__))).rglob("*.py")):
             assert "pickle" not in path.read_text(), path
+
+    def test_only_the_upgrade_module_knows_an_earlier_format(self):
+        """Retired names and format branches live in ``storage/upgrade.py``
+        alone: every other module reads the current store format only."""
+        earlier = re.compile(
+            r"format.1|_format_1|RETIRED|nest_flat_crowd|FLAT_CROWD|drop_retired|stale_skipped"
+        )
+        root = Path(next(iter(repro.__path__)))
+        knowing = [
+            str(path.relative_to(root))
+            for path in sorted(root.rglob("*.py"))
+            if earlier.search(path.read_text())
+        ]
+        assert knowing == ["storage/upgrade.py"]
 
     def test_the_session_module_does_no_io_imports(self):
         from repro.streaming import session
@@ -499,7 +534,7 @@ class TestSaveRestore:
             "crowd_backoff_ticks": 2,
             "cluster_generator": "two-tiered",
         }
-        assert set(legacy) == set(persistence.RETIRED_CONFIG_FIELDS)
+        assert set(legacy) == set(upgrade.RETIRED_CONFIG_FIELDS)
         obs.deactivate()
         resolver, stored = self._written_by_an_earlier_release(
             tmp_path, monkeypatch, durability, legacy
@@ -582,7 +617,7 @@ class TestSaveRestore:
             StreamingResolver.restore(tmp_path)
 
     @pytest.mark.parametrize("durability", ("snapshot", "journal"))
-    @pytest.mark.parametrize("retired", persistence.RETIRED_JOIN_BACKENDS)
+    @pytest.mark.parametrize("retired", upgrade.RETIRED_JOIN_BACKENDS)
     def test_session_written_with_a_retired_join_backend_restores(
         self, tmp_path, monkeypatch, retired, durability
     ):

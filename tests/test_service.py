@@ -27,7 +27,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from strategies import drive, event_schedules
+from strategies import UNREADABLE_STORES, drive, event_schedules, make_unreadable
 
 from repro import obs
 from repro.core.config import WorkflowConfig
@@ -461,6 +461,19 @@ class TestHttpSurface:
         assert caught.value.status == 409
         assert caught.value.code == "resume_conflict"
         assert "store format 99" in caught.value.body["error"]["message"]
+
+    @pytest.mark.parametrize("kind", sorted(UNREADABLE_STORES))
+    def test_restoring_an_unreadable_store_is_409(self, service, tmp_path, kind):
+        _runner, client = service
+        resolver = StreamingResolver(config=make_config(checkpoint_dir=str(tmp_path)))
+        resolver.add_batch(list(make_dataset(seed=3).store)[:10])
+        resolver.durability.close()
+        make_unreadable(tmp_path, kind)
+        with pytest.raises(ServiceClientError) as caught:
+            client.restore(fresh_id("unreadable"), str(tmp_path))
+        assert caught.value.status == 409
+        assert caught.value.code == "resume_conflict"
+        assert UNREADABLE_STORES[kind] in caught.value.body["error"]["message"]
 
     def test_restoring_a_session_stored_with_metrics_enabled_leaves_metrics_off(
         self, service, tmp_path, monkeypatch

@@ -33,7 +33,7 @@ from repro.obs.report import CostReport
 from repro.records.pairs import PairSet, RecordPair
 from repro.records.record import Record
 from repro.simjoin.columnar import argsort_descending
-from repro.storage import SqliteStore, StorageError
+from repro.storage import SqliteStore, StorageError, upgrade
 from repro.storage.sqlite import STORE_FILENAME
 from repro.streaming import (
     JournalCorruptionError,
@@ -1049,9 +1049,9 @@ class TestFormat1Stores:
     def test_repro_stats_reports_a_format_1_store_as_its_release_did(
         self, tmp_path, capsys, written
     ):
-        """``repro stats`` reads the four tables through one ``SELECT`` and
-        writes nothing: the file keeps every table and row (opening it adds
-        the empty ``ledger`` table, as it adds any missing one)."""
+        """``repro stats`` reads the store upgraded in a transaction it rolls
+        back: the file keeps every table and row (opening it adds the empty
+        ``ledger`` table, as it adds any missing one)."""
         assert_stats_as_written(tmp_path, capsys, written)
 
     @pytest.mark.parametrize("written", FORMAT_1_STORES, ids=lambda store: store.label)
@@ -1121,6 +1121,36 @@ class TestACadenceStore:
         note = capsys.readouterr().err
         assert "crowd=None (session: AsyncCrowd(" in note
         assert "storage_backend" not in note and "checkpoint_every" not in note
+
+
+class TestUpgrade:
+    """``storage/upgrade.py`` is the one path from an earlier format."""
+
+    def test_there_is_a_step_from_every_earlier_format(self):
+        assert sorted(upgrade.STEPS) == list(range(1, upgrade.FORMAT_VERSION))
+
+    def test_a_current_store_is_upgraded_without_a_write(self, tmp_path):
+        """Upgrading a format-3 store issues no write, so ``repro stats``
+        reads a live session's store while the session holds an open write
+        transaction on it."""
+        dataset = make_dataset()
+        session = StreamingResolver(config=make_config(checkpoint_dir=str(tmp_path)))
+        session.add_truth(dataset.ground_truth)
+        session.add_batch(list(dataset.store)[:30])
+        session.durability.store.set_meta("probe", 1)  # opens its write transaction
+        path = tmp_path / STORE_FILENAME
+        store = SqliteStore(path)
+        store.query("PRAGMA busy_timeout=0")  # a write fails at once, never waits
+        changes = store.query("SELECT total_changes()").fetchone()
+        upgrade.upgrade(store, upgrade.FORMAT_VERSION)
+        assert store.query("SELECT total_changes()").fetchone() == changes
+        store.close()
+        report = CostReport.from_store(str(path))
+        assert (report.hits_issued, report.crowd_cost_dollars) == (
+            session.driver.hit_count, session.driver.cost,
+        )
+        session.durability.store.rollback()
+        session.durability.close()
 
 
 # --------------------------------------------- async crowd crash recovery
