@@ -79,7 +79,7 @@ from repro.core.workflow import HybridWorkflow
 from repro.crowd.async_platform import AsyncCrowd
 from repro.crowd.faults import FaultPlan
 from repro.datasets.base import Dataset
-from repro.records.record import Record, RecordError
+from repro.records.record import Record, RecordError, check_attribute_values
 from repro.datasets.paper_example import paper_example_matches, paper_example_store
 from repro.datasets.product import load_product
 from repro.datasets.product_dup import load_product_dup
@@ -291,7 +291,10 @@ def _load_update_records(path: str) -> List[Record]:
     Each object needs a ``record_id``; attributes come from an
     ``attributes`` mapping when present, otherwise from the remaining
     top-level keys (the :meth:`repro.records.record.Record.as_dict` shape).
-    ``source`` is optional in both forms.
+    ``source`` is optional in both forms.  An entry that is not an object,
+    or an attribute value that is neither a string nor ``null``, is a
+    :class:`~repro.records.record.RecordError`, so a bad file revises no
+    record.
     """
     import json
 
@@ -304,22 +307,24 @@ def _load_update_records(path: str) -> List[Record]:
         payloads = [json.loads(line) for line in text.splitlines() if line.strip()]
     records = []
     for payload in payloads:
+        if not isinstance(payload, dict):
+            raise RecordError(f"update entry is not a JSON object: {payload!r}")
         record_id = payload.get("record_id")
         if not record_id:
             raise RecordError(f"update entry without a record_id: {payload!r}")
         if "attributes" in payload:
             attributes = payload["attributes"]
-            source = payload.get("source")
         else:
             attributes = {
                 key: value
                 for key, value in payload.items()
                 if key not in ("record_id", "source")
             }
-            source = payload.get("source")
-        records.append(
-            Record(record_id=record_id, attributes=attributes, source=source)
+        record = Record(
+            record_id=record_id, attributes=attributes, source=payload.get("source")
         )
+        check_attribute_values(record)
+        records.append(record)
     return records
 
 

@@ -31,8 +31,10 @@ class Record:
         (e.g. ``"r1"``).
     attributes:
         Mapping from attribute name to attribute value.  Values are stored
-        as strings; numeric attributes (e.g. price) should be formatted by
-        the caller.
+        as strings (``None`` for no value); numeric attributes (e.g. price)
+        should be formatted by the caller.  A session refuses a record
+        holding anything else (:func:`check_attribute_values`), but a
+        record is built from whatever a store holds.
     source:
         Optional provenance tag.  Two-source datasets set this to the name
         of the originating website so that cross-source matching can be
@@ -95,6 +97,24 @@ class Record:
         if self.source is not None:
             payload["source"] = self.source
         return payload
+
+
+def check_attribute_values(record: Record) -> None:
+    """Refuse ``record`` unless each attribute value is a string or ``None``.
+
+    Raises :class:`RecordError` naming the first attribute that is not.
+    A session's ``add_batch`` and ``update`` call this before the event
+    is logged: a value :meth:`Record.text` cannot join would otherwise
+    fail inside the event, after an update had already retracted the old
+    version.  The constructor does not, so a store an earlier release
+    wrote with such a value still restores.
+    """
+    for name, value in record.attributes.items():
+        if value is not None and not isinstance(value, str):
+            raise RecordError(
+                f"attribute {name!r} of record {record.record_id!r} must be "
+                f"a string, not {type(value).__name__}"
+            )
 
 
 class RecordStore:

@@ -1,20 +1,21 @@
 """Worker threads over the join's row blocks, and the canonical pair order.
 
-:mod:`repro.simjoin.vectorized` holds the kernel — one blocked sparse
-product, exact.  :func:`join_blocks` runs that kernel over a row range and
-:func:`ranked_pair_set` turns its blocks into a ranked pair set; the one
-join, :class:`repro.streaming.incremental_join.IncrementalSimJoin`, calls
-both for every append, the batch machine pass being one append of the
-whole store.
+:mod:`repro.simjoin.vectorized` holds the kernel — one blocked
+dense-output product, exact.  :func:`join_blocks` runs that kernel over
+a row range and :func:`ranked_pair_set` turns its blocks into a ranked
+pair set; the one join,
+:class:`repro.streaming.incremental_join.IncrementalSimJoin`, calls both
+for every append, the batch machine pass being one append of the whole
+store.
 
 There is one scorer and one sequence of row blocks per call.  With one
 worker, or a single block, the blocks are scored inline; otherwise the
-*same* blocks go through ``ThreadPoolExecutor.map`` — scipy's sparse
-product and numpy's filters release the GIL, so threads scale like
-processes did (``docs/benchmarks.md``, "Threads, not processes") while
-sharing the operands by reference: nothing is copied, published or
-serialised, and the executor lives for the one call, so there is nothing
-to reuse, register or shut down.
+*same* blocks go through ``ThreadPoolExecutor.map`` — scipy's product
+and numpy's filters release the GIL, so threads scale like processes
+did (``docs/benchmarks.md``, "Threads, not processes") while sharing
+the operands by reference: nothing is copied, published or serialised,
+and the executor lives for the one call, so there is nothing to reuse,
+register or shut down.
 
 **Equivalence guarantee.**  The sharded join yields exactly the inline
 join's blocks in the inline join's order, because it is the same loop with

@@ -1,16 +1,29 @@
-"""The join kernel: blocked sparse products over a token-incidence matrix.
+"""The join kernel: blocked dense-output products over a token-incidence matrix.
 
 The machine pass is the workload the hybrid trade-off hangs on (Table 2,
 Figure 10), and the all-pairs scan in :mod:`repro.simjoin.allpairs` pays a
 Python-interpreter price per pair.  The kernel instead takes a scipy CSR
 token-incidence matrix ``X`` (records x vocabulary, binary, constructed
 columnarly — see :mod:`repro.simjoin.columnar`) and computes pairwise
-intersection counts through blocked sparse products ``X[block] @ X.T``.
-Set sizes come from the CSR row pointers, so the Jaccard similarities
-are derived entirely in numpy with no per-pair Python loop.
+intersection counts block by block.  Set sizes come from the CSR row
+pointers, so the Jaccard similarities are derived entirely in numpy with
+no per-pair Python loop.
+
+**A dense block.**  On the data the join runs on, half or more of the
+cells of a block share a token, so the block's intersection counts are
+kept densely.  Row block ``[s, e)`` of ``X`` becomes a dense incidence
+matrix over the block's own tokens only (:func:`block_incidence`), in the
+smallest unsigned integer type that holds the block's largest row size —
+no intersection count can exceed it.  The *band* of right rows the block
+is scored against — rows ``[0, e)`` under the triangle mask, every right
+row otherwise — is a prefix of the right CSR arrays; its column ids are
+remapped onto the block's tokens with one lookup array, and one
+CSR-times-dense product (scipy's single-pass ``csr_matvecs``) yields the
+``(band rows x block rows)`` counts.  Nothing is transposed, and no sparse
+product is sized, built and expanded.
 
 **One kernel, one caller.**  :func:`score_product` is the only code that
-turns a sparse product block into thresholded similarities, and
+turns a block of intersection counts into thresholded similarities, and
 :meth:`BlockScorer.score` is the product and that in one call.  The one
 join (:class:`repro.streaming.incremental_join.IncrementalSimJoin`) scores
 its freshly appended rows against the band of every earlier row of the
@@ -27,10 +40,10 @@ len(a | b)``, so the kernel returns byte-identical pair sets to the naive
 scan at any threshold (the property tests assert this).  Every similarity
 value is an elementwise float64 expression of one pair's intersection count
 and set sizes, so block boundaries cannot change it.  A band only leaves
-out the entries the triangle mask drops, and the integer overlap bound the
-kernel applies to the raw product (:func:`min_overlap`) only discards
-pairs that the exact test would discard anyway: both change the cost and
-not the result.
+out the rows the triangle mask drops, and the integer overlap bound the
+kernel applies to the counts (:func:`min_overlap`) only discards pairs
+that the exact test would discard anyway: both change the cost and not
+the result.
 """
 
 from __future__ import annotations
@@ -48,15 +61,16 @@ from repro import obs
 
 HAVE_SCIPY = sparse is not None
 
-#: Left rows multiplied per block, wherever a caller does not force another
-#: count.  A block's product must stay small enough that the allocator
-#: recycles its buffers instead of mapping and unmapping them: glibc serves
-#: nothing above 32 MB from a heap it keeps, and at 50k rows the product
-#: arrays of a 1,024-row block are ~100 MB each (of a 256-row block, 25 MB).
-#: That ``mmap``/``munmap``/page-fault traffic cost the serial join ~25%
-#: there and put worker threads, which share one address space, behind the
-#: process pool they replaced (``docs/benchmarks.md``, "Threads, not
-#: processes").
+#: Left rows scored per block, wherever a caller does not force another
+#: count.  A block's counts are dense, band rows x block rows, at one byte
+#: a cell while no row of the block holds 256 tokens: ~8 MB for a 256-row
+#: block at 32k resident rows, and under glibc's 32 MB ``mmap`` ceiling up
+#: to ~131k.  Below that ceiling the allocator recycles a block's buffers
+#: from a heap it keeps instead of mapping and unmapping them, and that
+#: ``mmap``/``munmap``/page-fault traffic is what cost the serial join
+#: ~25% at 1,024-row blocks and put worker threads, which share one
+#: address space, behind the process pool they replaced
+#: (``docs/benchmarks.md``, "Threads, not processes").
 DEFAULT_BLOCK_ROWS = 256
 
 # (row indices, col indices, similarity values) for one block.
@@ -109,8 +123,32 @@ def min_overlap(threshold: float, sizes: np.ndarray) -> np.ndarray:
     return np.ceil(threshold * sizes * (1.0 - _BOUND_SLACK))
 
 
+def block_incidence(
+    matrix: "sparse.csr_matrix", sizes: np.ndarray, start: int, end: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Rows ``[start, end)`` of ``matrix`` as a dense ``(tokens + 1) x rows``
+    incidence matrix over the tokens those rows hold.
+
+    Returns ``(tokens, dense)``: the block's distinct token ids, ascending,
+    and ``dense[k, r] == 1`` where row ``start + r`` holds ``tokens[k]``.
+    The last row of ``dense`` is all zeros, the target of every token
+    outside the block.  The dtype is the smallest unsigned integer type
+    that holds the largest row size of the block, the most any
+    intersection count with one of its rows can reach.
+    """
+    lo, hi = matrix.indptr[start], matrix.indptr[end]
+    tokens, token_rows = np.unique(matrix.indices[lo:hi], return_inverse=True)
+    block_sizes = sizes[start:end]
+    dense = np.zeros(
+        (len(tokens) + 1, end - start),
+        dtype=np.min_scalar_type(block_sizes.max(initial=0)),
+    )
+    dense[token_rows, np.repeat(np.arange(end - start), block_sizes)] = 1
+    return tokens, dense
+
+
 def score_product(
-    block: "sparse.csr_matrix",
+    block: np.ndarray,
     left_sizes: np.ndarray,
     right_sizes: np.ndarray,
     start: int,
@@ -118,48 +156,44 @@ def score_product(
     triangle: bool = False,
     alive: Optional[np.ndarray] = None,
 ) -> _BlockPairs:
-    """The pairs of one sparse product block at or above ``threshold``.
+    """The pairs of one dense block of intersection counts at or above ``threshold``.
 
-    ``block`` holds the intersection counts of left rows ``[start, start +
-    block.shape[0])`` against right rows ``[0, block.shape[1])``.  Returns
-    ``(rows, cols, values)`` — row and column positions and their
-    similarity.  ``triangle`` restricts a product of a matrix with itself
-    to the pairs below the diagonal, ``col < row``: appended rows against
-    everything before them, so each unordered pair once.  ``alive`` is a
-    boolean mask over the right rows; pairs against a dead column are
-    dropped whatever they score (at threshold zero a dead row would
-    otherwise pass with similarity 0.0).
+    ``block[j, i]`` is the intersection count of right row ``j`` (of the
+    ``block.shape[0]`` first) with left row ``start + i`` (of the
+    ``block.shape[1]`` from ``start``).  Returns ``(rows, cols, values)`` —
+    left and right row positions and their similarity.  ``triangle``
+    restricts a product of a matrix with itself to the pairs below the
+    diagonal, ``col < row``: appended rows against everything before them,
+    so each unordered pair once.  ``alive`` is a boolean mask over the
+    right rows; pairs against a dead row are dropped whatever they score
+    (at threshold zero a dead row would otherwise pass with similarity
+    0.0).
 
-    A positive threshold reads the pairs off the sparse product, which only
-    holds pairs sharing a token.  Nearly all of those share too few: the
-    product's integer counts are first compared, in place, with the left
-    row's :func:`min_overlap`, and only the survivors are expanded to
-    coordinates, masked and put through the exact :func:`similarity` test —
-    the cost follows the pairs kept, not the pairs sharing a token.  At
-    threshold zero every pair must be materialised, so the block is
-    densified.
+    Nearly all cells share too few tokens to reach a positive threshold:
+    each count is first compared with its left row's :func:`min_overlap`
+    — at least 1, so pairs sharing no token are never reported (the join
+    pairs up empty records itself) — and only the survivors are expanded
+    to coordinates and put through the exact :func:`similarity` test, so
+    the cost after the comparison follows the pairs kept.  At threshold
+    zero the bound is zero and every cell survives.
     """
+    band_rows, block_rows = block.shape
+    needed = min_overlap(threshold, left_sizes[start : start + block_rows])
     if threshold > 0.0:
-        end = start + block.shape[0]
-        needed = min_overlap(threshold, left_sizes[start:end])
-        survivors = np.flatnonzero(
-            block.data
-            >= np.repeat(needed.astype(block.data.dtype), np.diff(block.indptr))
+        np.maximum(needed, 1, out=needed)
+    keep = block >= needed.astype(block.dtype)
+    if triangle:
+        # Only band rows from ``start`` on reach the block's own rows.
+        keep[start:] &= (
+            np.arange(start, band_rows)[:, None]
+            < np.arange(start, start + block_rows)[None, :]
         )
-        # Entry p of the CSR arrays belongs to the row r with
-        # indptr[r] <= p < indptr[r + 1].
-        rows = np.searchsorted(block.indptr, survivors, side="right") - 1
-        cols = block.indices[survivors].astype(np.int64)
-        inter = block.data[survivors]
-    else:
-        inter = np.asarray(block.todense()).ravel()
-        rows, cols = np.divmod(np.arange(inter.size), block.shape[1])
-    rows += start
-    keep = cols < rows if triangle else None
     if alive is not None:
-        keep = alive[cols] if keep is None else keep & alive[cols]
-    if keep is not None:
-        rows, cols, inter = rows[keep], cols[keep], inter[keep]
+        keep &= alive[:band_rows, None]
+    cells = np.flatnonzero(keep)
+    cols, rows = np.divmod(cells, block_rows)
+    rows += start
+    inter = block.ravel()[cells]
     values = similarity(inter, left_sizes[rows], right_sizes[cols])
     passing = values >= threshold
     return rows[passing], cols[passing], values[passing]
@@ -169,21 +203,17 @@ class BlockScorer:
     """One join's operands, scored block by block through :func:`score_product`.
 
     ``left`` rows are scored against ``right`` rows (``None`` = against
-    ``left`` itself).  Building the scorer derives the set sizes, and the
-    transposed right matrix of a product without a triangle, once; after
-    that it is only read, so any number of threads may call :meth:`score`
-    on one scorer at once.  ``kind`` labels the per-block trace spans and
-    the ``simjoin_product_entries_total`` counter.
+    ``left`` itself).  Building the scorer derives the set sizes once;
+    after that it is only read, so any number of threads may call
+    :meth:`score` on one scorer at once.  ``kind`` labels the per-block
+    trace spans and the ``simjoin_block_cells_total`` counter.
 
-    A product of ``left`` with itself under the triangle mask is *banded*:
-    block ``[s, e)`` is multiplied only by the rows ``left[:e]`` — the ones
-    on its side of the diagonal — transposed for that block alone.  The
-    entries beyond them are the ones the mask would drop whatever they
-    score, so the band changes the cost and not one pair: rows, cols and
-    values come out as the whole product's, in its order (the sparse
-    product lists a row's columns in an order the band's missing columns
-    cannot change).  The band of the last block is the whole matrix, so
-    every single-block append multiplies by the matrix itself, uncopied.
+    Left block ``[s, e)`` is scored against a *band* of right rows: under
+    the triangle mask the rows ``right[:e]`` — the ones on its side of the
+    diagonal; the rows after them are the ones the mask would drop
+    whatever they score, so the band changes the cost and not one pair —
+    and without it every right row.  A band is a prefix of the right CSR
+    arrays, used in place.
     """
 
     def __init__(
@@ -198,18 +228,15 @@ class BlockScorer:
         kind: str = "",
     ) -> None:
         self.left = left
-        # None: banded, transposed block by block in _band().
-        self.right_t = (
-            None
-            if right is None and triangle
-            else (left if right is None else right).T.tocsr()
-        )
+        self.right = left if right is None else right
         self.left_sizes = np.diff(left.indptr).astype(np.int64)
         self.right_sizes = (
             self.left_sizes
             if right is None
             else np.diff(right.indptr).astype(np.int64)
         )
+        # Every token id either side can hold.
+        self.width = max(left.shape[1], self.right.shape[1])
         self.threshold = threshold
         self.block_size = block_size
         self.triangle = triangle
@@ -220,26 +247,37 @@ class BlockScorer:
         """First row of every block covering left rows ``[start, n)``."""
         return range(start, self.left.shape[0], self.block_size)
 
-    def _band(self, block_end: int) -> "sparse.csr_matrix":
-        """The transposed right rows that left rows ending at ``block_end``
-        are multiplied by."""
-        if self.right_t is not None:
-            return self.right_t
-        rows = self.left if block_end == self.left.shape[0] else self.left[:block_end]
-        return rows.T.tocsr()
-
     def score(self, block_start: int) -> _BlockPairs:
         """The pair block of left rows ``[block_start, block_start + block_size)``."""
         block_end = min(block_start + self.block_size, self.left.shape[0])
+        band_rows = self.right.shape[0]
+        if self.triangle:
+            band_rows = min(block_end, band_rows)
         with obs.span(
             "simjoin.vectorized.block",
             kind=self.kind, rows=block_end - block_start,
         ):
-            product = self.left[block_start:block_end] @ self._band(block_end)
+            tokens, dense = block_incidence(
+                self.left, self.left_sizes, block_start, block_end
+            )
+            # The band's token ids onto the rows of ``dense``: a token the
+            # block does not hold lands on its last row, all zeros.
+            position = np.full(self.width, len(tokens), dtype=self.right.indices.dtype)
+            position[tokens] = np.arange(len(tokens))
+            entries = self.right.indptr[band_rows]
+            band = sparse.csr_matrix(
+                (
+                    np.ones(entries, dtype=dense.dtype),
+                    position[self.right.indices[:entries]],
+                    self.right.indptr[: band_rows + 1],
+                ),
+                shape=(band_rows, dense.shape[0]),
+            )
+            product = band @ dense
             if obs.enabled():
-                obs.inc("simjoin_product_entries_total", product.nnz, kind=self.kind,
-                        help="Entries of the join's sparse products: pairs "
-                        "sharing a token, before the overlap bound.")
+                obs.inc("simjoin_block_cells_total", product.size, kind=self.kind,
+                        help="Cells of the join's dense blocks: band rows x "
+                        "block rows, before the overlap bound.")
             return score_product(
                 product, self.left_sizes, self.right_sizes, block_start,
                 self.threshold, self.triangle, self.alive,

@@ -73,7 +73,7 @@ class IncrementalSimJoin:
         (record linkage); a degenerate ``(a, a)`` keeps the pairs of two
         ``a`` records.  A record of neither source pairs with nothing.
     block_size:
-        Row-block size of the sparse product over the appended rows.
+        Rows per block of the kernel's product over the appended rows.
     workers:
         Threads the product's row blocks are scored on.  ``None``/``0`` =
         one per CPU core; a batch of a single row block is scored inline,
@@ -324,8 +324,9 @@ class IncrementalSimJoin:
             triangle=True,
             kind="new_vs_old",
         )
-        # Empty token sets are invisible to the sparse product, but two
-        # empty records are textually identical.  ``_empty_ids`` is in
+        # Empty token sets share no token, so the kernel never reports
+        # them at a positive threshold, but two empty records are
+        # textually identical.  ``_empty_ids`` is in
         # arrival order, so the batch's own empties are its tail, and the
         # empty at position p pairs with the p empties before it.
         if self.threshold > 0.0:

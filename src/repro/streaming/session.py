@@ -73,7 +73,7 @@ from repro.core.results import ResolutionResult, StreamingDelta
 from repro.datasets.base import Dataset
 from repro.graph.union_find import IncrementalUnionFind
 from repro.records.pairs import canonical_pair
-from repro.records.record import Record, RecordError, RecordStore
+from repro.records.record import Record, RecordError, RecordStore, check_attribute_values
 from repro.streaming import persistence
 from repro.streaming.aggregation_schedule import AggregationSchedule
 from repro.streaming.crowd_driver import CrowdDriver, CrowdStep
@@ -249,6 +249,7 @@ class StreamingResolver:
         for record in batch:
             if record.record_id in self.join or record.record_id in seen_batch:
                 raise RecordError(f"duplicate record id: {record.record_id!r}")
+            check_attribute_values(record)
             seen_batch.add(record.record_id)
         truth_pairs = (
             sorted({canonical_pair(a, b) for a, b in true_matches})
@@ -292,6 +293,7 @@ class StreamingResolver:
         """
         if record.record_id not in self.store:
             raise RecordError(f"unknown record id: {record.record_id!r}")
+        check_attribute_values(record)
         return self.durability.run(self, "update", record)
 
     def flush(self) -> ResolutionResult:

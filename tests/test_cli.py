@@ -195,6 +195,51 @@ class TestCheckpointResume:
         assert f"{flag} needs --crowd-mode async" in capsys.readouterr().err
         assert main(self.STREAM_ARGS + [flag, value, "--crowd-mode", "async"]) == 0
 
+    #: Two revisions of the paper example: r8 leaves every pair it was in,
+    #: r7 takes r1's text and stays in the iPad cluster.
+    UPDATES = (
+        {"record_id": "r8", "product_name": "Samsung Galaxy Tab 10 inch", "price": "$299"},
+        {"record_id": "r7", "product_name": "iPad Two 16GB WiFi White", "price": "$490"},
+    )
+
+    @pytest.mark.parametrize("layout", ("array", "lines"))
+    @pytest.mark.parametrize("form", ("attributes", "flat"))
+    def test_an_update_file_revises_records_in_every_form(
+        self, tmp_path, capsys, layout, form
+    ):
+        entries = [
+            {"record_id": entry["record_id"], "attributes": {
+                key: value for key, value in entry.items() if key != "record_id"
+            }} if form == "attributes" else entry
+            for entry in self.UPDATES
+        ]
+        path = tmp_path / "updates.json"
+        path.write_text(
+            json.dumps(entries) if layout == "array"
+            else "\n".join(map(json.dumps, entries)) + "\n"
+        )
+        assert main(self.STREAM_ARGS + ["--update-file", str(path)]) == 0
+        output = capsys.readouterr().out
+        assert re.findall(r"  update (r\d): -(\d+) pairs invalidated, \+(\d+) rejoined", output) == [
+            ("r8", "1", "0"), ("r7", "3", "2"),
+        ]
+        assert "delta totals       : 4 pairs invalidated, 2 records retracted" in output
+        assert self._final_matches(output) == 4
+
+    @pytest.mark.parametrize("content, message", (
+        ('{"record_id": "r1", "name": 5}', "attribute 'name' of record 'r1' must be a string"),
+        ('[{"record_id": "r1", "attributes": {"name": ["x"]}}]', "attribute 'name'"),
+        ("[1, 2]", "update entry is not a JSON object: 1"),
+        ('"r1"', "update entry is not a JSON object: 'r1'"),
+    ))
+    def test_a_malformed_update_file_exits_2(self, tmp_path, capsys, content, message):
+        path = tmp_path / "updates.json"
+        path.write_text(content)
+        assert main(self.STREAM_ARGS + ["--update-file", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert f"cannot read --update-file: {message}" in captured.err
+        assert "Traceback" not in captured.err + captured.out
+
     def test_the_store_location_flag_is_gone(self, capsys):
         with pytest.raises(SystemExit):
             main(self.STREAM_ARGS + ["--storage-path", "/tmp/elsewhere.sqlite"])

@@ -209,31 +209,32 @@ class TestBandedProduct:
         obs.activate()
         try:
             pairs = SimJoinLikelihood(workers=1).estimate(store, 0.35)
-            entries = obs.snapshot().counter_total(
-                "simjoin_product_entries_total", kind="new_vs_old"
+            cells = obs.snapshot().counter_total(
+                "simjoin_block_cells_total", kind="new_vs_old"
             )
         finally:
             obs.deactivate()
-        matrix = incidence_matrix(store)
-        whole = (matrix @ matrix.T).nnz
-        assert whole == 2_046_222
-        assert entries == 1_151_738 <= 0.57 * whole
+        # Block [s, e) is scored against the e rows before its end only.
+        bands = sum(
+            min(start + 256, 2000) * (min(start + 256, 2000) - start)
+            for start in range(0, 2000, 256)
+        )
+        assert cells == bands == 2_251_008 <= 0.57 * 2000 ** 2
         assert len(pairs) == 659
 
-    def test_a_single_block_append_multiplies_the_whole_matrix_as_before(self):
+    def test_a_single_block_append_scores_every_resident_row(self):
         records = list(restaurant_store(300, seed=5))
         join = IncrementalSimJoin(threshold=0.3)
         join.add_batch(records[:200])
         obs.activate()
         try:
             join.add_batch(records[200:])
-            entries = obs.snapshot().counter_total(
-                "simjoin_product_entries_total", kind="new_vs_old"
+            cells = obs.snapshot().counter_total(
+                "simjoin_block_cells_total", kind="new_vs_old"
             )
         finally:
             obs.deactivate()
-        matrix = incidence_matrix(records)
-        assert entries == (matrix[200:] @ matrix.T).nnz > 0
+        assert cells == 300 * 100 == 30_000
 
 
 #: Ids whose ``str`` order is not their arrival order (``"r10" < "r9"``),

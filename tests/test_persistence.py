@@ -475,6 +475,52 @@ class TestSaveRestore:
         resolver.durability.close()
         restored.durability.close()
 
+    def test_values_an_earlier_release_stored_restore_and_continue(
+        self, tmp_path, monkeypatch
+    ):
+        """A session refuses an attribute value that is neither a string nor
+        ``None``, but an earlier release stored one wherever the join did
+        not read it.  Such a store restores, from its records table and by
+        replaying its log, and goes on as the session that wrote it."""
+        dataset = make_dataset(record_count=80, duplicate_pairs=12)
+        records = list(dataset.store)
+        live = tmp_path / "live"
+        config = make_config(
+            checkpoint_dir=str(live), similarity_attributes=["name", "address"]
+        )
+        odd = [
+            Record("odd-null", {"name": None, "address": records[0].get("address")}),
+            Record("odd-number", {"name": records[1].get("name"), "price": 5}),
+        ]
+        resolver = StreamingResolver(config=config)
+        resolver.add_truth(dataset.ground_truth)
+        resolver.add_batch(records[:30])
+        with monkeypatch.context() as patched:
+            patched.setattr(
+                "repro.streaming.session.check_attribute_values", lambda record: None
+            )
+            resolver.add_batch(odd + records[30:40])
+        written = resolver.events_applied
+        paged = crash_copy(live, tmp_path / "paged", after=written)
+        resolver.add_batch(records[40:50])
+        # The state tables are ahead of this copy's log, so it replays all.
+        replayed = crash_copy(live, tmp_path / "replayed", after=written)
+        sessions = [resolver]
+        for directory in (paged, replayed):
+            restored = StreamingResolver.restore(directory)
+            assert restored.store.get("odd-null").attributes["name"] is None
+            assert restored.store.get("odd-number").attributes["price"] == 5
+            restored.add_batch(records[40:50])
+            sessions.append(restored)
+        for session in sessions:
+            session.update(Record("odd-number", {"name": "odd", "price": "5"}))
+            session.add_batch(records[50:])
+            session.flush()
+        assert_sessions_identical(sessions[0], sessions[1])
+        assert_sessions_identical(sessions[0], sessions[2])
+        for session in sessions:
+            session.durability.close()
+
     def _written_by_an_earlier_release(
         self, tmp_path, monkeypatch, durability, legacy, crowd=None
     ):

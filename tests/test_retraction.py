@@ -286,6 +286,18 @@ class TestSessionUpdate:
         with pytest.raises(RecordError):
             resolver.update(Record("ghost", {"t": "boo"}))
 
+    def test_a_non_string_attribute_is_refused_and_the_session_is_unchanged(self):
+        dataset = RestaurantGenerator(record_count=60, duplicate_pairs=8, seed=23).generate()
+        resolver = StreamingResolver(config=make_config())
+        resolver.add_truth(dataset.ground_truth)
+        before = resolver.add_batch(list(dataset.store))
+        with pytest.raises(RecordError, match="'name'"):
+            resolver.update(Record("r1", {"name": 5}))
+        assert len(resolver.store) == 60 and "r1" in resolver.store
+        after = resolver.snapshot()
+        assert after.likelihoods == before.likelihoods
+        assert set(after.matches) == set(before.matches)
+
     def test_update_without_text_change_preserves_matches(self):
         island_a, _ = two_islands()
         resolver = StreamingResolver(config=make_config(likelihood_threshold=0.5))

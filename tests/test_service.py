@@ -511,6 +511,24 @@ class TestHttpSurface:
         assert caught.value.code == "bad_request"
         client.close(session_id)
 
+    def test_a_non_string_attribute_is_400_and_changes_nothing(self, service):
+        _runner, client = service
+        session_id = fresh_id("badattr")
+        client.create_session(session_id, config=SERVICE_CONFIG)
+        # ``null`` is no value, as before; a number is refused.
+        client.append(session_id, [
+            {"record_id": "r1", "attributes": {"name": "x"}},
+            {"record_id": "r3", "attributes": {"name": "x", "city": None}},
+        ])
+        before = client.result(session_id)
+        with pytest.raises(ServiceClientError) as caught:
+            client.append(session_id, [{"record_id": "r2", "attributes": {"name": 5}}])
+        assert caught.value.status == 400
+        assert caught.value.code == "bad_request"
+        assert "'name'" in caught.value.body["error"]["message"]
+        assert client.result(session_id) == before
+        client.close(session_id)
+
     def test_unknown_session_is_404(self, service):
         _runner, client = service
         for method, path, payload in (

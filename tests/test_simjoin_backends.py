@@ -23,7 +23,13 @@ from repro.datasets.product import ProductGenerator
 from repro.datasets.restaurant import RestaurantGenerator
 from repro.records.record import Record, RecordStore
 from repro.simjoin.likelihood import SimJoinLikelihood
-from repro.simjoin.vectorized import HAVE_SCIPY, BlockScorer, min_overlap, similarity
+from repro.simjoin.vectorized import (
+    HAVE_SCIPY,
+    BlockScorer,
+    block_incidence,
+    min_overlap,
+    similarity,
+)
 from repro.similarity import record_similarity
 from repro.similarity.set_similarity import jaccard_similarity
 from repro.streaming.incremental_join import IncrementalSimJoin
@@ -215,9 +221,10 @@ def _python_similarity(a, b):
 def _dense_oracle(threshold, left, right, start, end, triangle, alive):
     """All-pairs reference for the kernel: no product, no prefilter.
 
-    A positive threshold reads a *sparse* product, so pairs sharing no token
-    are not the kernel's to report (the engines add empty-vs-empty pairs
-    themselves); at threshold zero the kernel scores every pair.
+    At a positive threshold the kernel's overlap bound is at least 1, so
+    pairs sharing no token are not the kernel's to report (the engines add
+    empty-vs-empty pairs themselves); at threshold zero the kernel scores
+    every pair.
     """
     expected = []
     for row in range(start, end):
@@ -303,6 +310,14 @@ class TestKernelOverlapBound:
             _dense_oracle(threshold, left, columns, start, end, triangle, alive)
         )
 
+    @pytest.mark.parametrize("threshold", (0.0, 0.3, 1.0))
+    def test_a_triangle_against_fewer_right_rows_equals_the_oracle(self, threshold):
+        left = [frozenset({1, 2}), frozenset({2, 3}), frozenset({1, 2, 3}), frozenset({3})]
+        right = [frozenset({1, 2}), frozenset({2, 3, 4})]
+        assert _score(threshold, left, right, triangle=True) == _dense_oracle(
+            threshold, left, right, 0, len(left), True, None
+        )
+
     def test_naive_ceiling_would_drop_a_true_pair(self):
         """``0.28 * 25 == 7.000000000000001``: its ceiling is 8, the pair has 7."""
         assert math.ceil(0.28 * 25) == 8
@@ -356,3 +371,31 @@ class TestKernelOverlapBound:
             assert (inter[passing] >= min_overlap(threshold, size_a[passing])).all(), (
                 threshold
             )
+
+
+@pytest.mark.skipif(not HAVE_SCIPY, reason="scipy unavailable")
+class TestDenseBlockDtype:
+    """A block's counts are held in the smallest unsigned type that fits its
+    largest row; a count equal to that row's size must not wrap."""
+
+    @pytest.mark.parametrize("largest, dtype", (
+        (255, np.uint8), (256, np.uint16), (65_536, np.uint32),
+    ))
+    @pytest.mark.parametrize("threshold", (0.0, 0.3, 1.0))
+    @pytest.mark.parametrize("triangle", (False, True))
+    def test_counts_up_to_the_largest_row_size_equal_the_oracle(
+        self, largest, dtype, threshold, triangle
+    ):
+        big = frozenset(range(largest))
+        # Two copies of the largest row share all of its tokens (and the
+        # diagonal, without the triangle, pairs it with itself).
+        left = [
+            big, frozenset(range(largest // 3)), big,
+            frozenset(range(largest - 1, largest + 2)), frozenset(),
+        ]
+        assert _score(threshold, left, triangle=triangle) == _dense_oracle(
+            threshold, left, left, 0, len(left), triangle, None
+        )
+        matrix = _incidence(left, largest + 2)
+        _tokens, dense = block_incidence(matrix, np.diff(matrix.indptr), 0, len(left))
+        assert dense.dtype == dtype
