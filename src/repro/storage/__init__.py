@@ -15,15 +15,18 @@ records:
 
 The SQLite file is the one on-disk form of a session —
 ``checkpoint_dir/store.sqlite``, holding both the state tables and the
-``events`` table that is the session's write-ahead log: restoring is a
-page-in of the state (the join re-indexes the records) plus a replay of
-the events newer than ``meta.events_applied``
-(:mod:`repro.streaming.persistence`).
+``events`` table that is the session's write-ahead log, which holds no
+more than the one intent a crash interrupted: each event deletes its
+intent in the commit that applies it.  Restoring is a page-in of the state
+(the join re-indexes the records) plus a replay of that tail
+(:mod:`repro.streaming.persistence`).  A store has one writer at a time:
+the session or ``save`` that opened it holds an exclusive lock on its
+directory, and a second opener gets :class:`StoreInUse`.
 """
 
 from __future__ import annotations
 
-from repro.storage.base import PairLedger, StorageError, Store
+from repro.storage.base import PairLedger, StorageError, Store, StoreInUse
 from repro.storage.sqlite import STORE_FILENAME, SqliteStore
 
 __all__ = [
@@ -32,4 +35,5 @@ __all__ = [
     "SqliteStore",
     "StorageError",
     "Store",
+    "StoreInUse",
 ]

@@ -58,6 +58,10 @@ class StorageError(PersistenceError):
     """Raised for a store this release cannot read (no database, a newer format)."""
 
 
+class StoreInUse(PersistenceError):
+    """Raised for a store another writer (a live session, a ``save``) holds."""
+
+
 class PairLedger:
     """The hot pair/vote/posterior ledger of one streaming session.
 

@@ -6,9 +6,11 @@ likelihood, votes, posterior, HIT coverage) and the workload counters —
 hold "the state as of ``meta.events_applied``"; its ``events`` table
 (``seq``, ``type``, ``payload``, ``crc``) is the session's write-ahead log —
 :class:`repro.streaming.persistence.SessionJournal` owns its rows, this
-module only declares it.  The incremental join's index is not stored: it
-is derived from the records, and a restore re-indexes them.  The schema
-is format 3 alone: :mod:`repro.storage.upgrade` brings an earlier store to it.
+module only declares it.  The log holds at most the one intent a crash
+interrupted: an event deletes its intent in the commit that applies it.
+The incremental join's index is not stored: it is derived from the
+records, and a restore re-indexes them.  The schema is format 4 alone:
+:mod:`repro.storage.upgrade` brings an earlier store to it.
 
 A durable session writes each event's changes into the state tables
 inside that event's transaction: records and meta as they change, and
@@ -22,6 +24,15 @@ into another file (:meth:`SqliteStore.clear` and the same
 :meth:`repro.streaming.StreamingResolver.restore` *pages in* the state
 and replays ``events WHERE seq > meta.events_applied``.
 
+**One writer.**  A store opened with ``lock=True`` — by a durable session
+and by ``save(X)`` — holds an exclusive ``flock`` on an ``O_RDONLY``
+descriptor of its directory until :meth:`SqliteStore.close`; a second such
+opener gets :class:`~repro.storage.base.StoreInUse` before anything is
+read or written.  Locking the directory leaves no lock file behind, and
+closing that descriptor cannot drop SQLite's own POSIX locks on the store
+file, which closing a second descriptor of the file would.  Readers
+(``repro stats``, a copy) open the store without the lock.
+
 Pragmas::
 
     journal_mode = WAL        -- crash-safe, readers never block the writer
@@ -34,27 +45,29 @@ Pragmas::
 All writes between two :meth:`commit` calls form one transaction: the
 session opens a transaction implicitly at the first write of an event and
 commits after the event is fully applied — state rows, counters and the
-event's outcome row together — so a crash mid-event rolls back to the
-previous event boundary and the logged intent replays the interrupted
-event.
+deletion of the event's intent together — so a crash mid-event rolls back
+to the previous event boundary and the logged intent replays the
+interrupted event.
 
 Float fidelity: SQLite ``REAL`` is an IEEE-754 double, and JSON numbers
 round-trip exactly through Python's ``repr``-based encoder, so posteriors,
 likelihoods and costs come back bit-identical — the restored session's
-:func:`repro.streaming.persistence.state_digest` matches the logged one.
+:func:`repro.streaming.persistence.state_digest` equals the live one's.
 """
 
 from __future__ import annotations
 
+import fcntl
 import json
 import os
 import sqlite3
+import weakref
 from pathlib import Path
 from typing import AbstractSet, Iterator, List, Optional, Sequence
 
 from repro import obs
 from repro.records.record import Record
-from repro.storage.base import PairKey, PairLedger, Store, StorageError
+from repro.storage.base import PairKey, PairLedger, Store, StorageError, StoreInUse
 
 #: Default store filename inside a checkpoint directory.
 STORE_FILENAME = "store.sqlite"
@@ -102,20 +115,49 @@ _TABLES = (
     "assignment_seconds",
 )
 
+#: The ``meta`` key of a store a session has logged to.  The log is empty
+#: between events, so it no longer tells a session's store from a
+#: ``save(X)`` copy, whose rewritten meta never holds the key.
+LOGGED = "logged"
+
 #: Every table the schema declares (an earlier release's others are
 #: dropped by :func:`repro.storage.upgrade.upgrade`).
 SCHEMA_TABLES = _TABLES + ("events",)
 
 
-class SqliteStore(Store):
-    """Disk-backed session store over one WAL-mode SQLite file."""
+def _lock_directory(directory: Path) -> int:
+    """Take the one-writer lock of ``directory``: returns the descriptor
+    that holds it, whose closing releases it."""
+    descriptor = os.open(directory, os.O_RDONLY)
+    try:
+        fcntl.flock(descriptor, fcntl.LOCK_EX | fcntl.LOCK_NB)
+    except BlockingIOError:
+        os.close(descriptor)
+        raise StoreInUse(
+            f"{directory} is in use by another writer (a live session, or a save "
+            "into it); close that session, or restore a copy of its store"
+        ) from None
+    return descriptor
 
-    def __init__(self, path: os.PathLike) -> None:
+
+class SqliteStore(Store):
+    """Disk-backed session store over one WAL-mode SQLite file.
+
+    ``lock=True`` makes this store its directory's one writer until
+    :meth:`close` (:class:`~repro.storage.base.StoreInUse` if another holds it).
+    """
+
+    def __init__(self, path: os.PathLike, lock: bool = False) -> None:
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
+        # Released by close(), or when an unclosed store is collected.
+        self._unlock = (
+            weakref.finalize(self, os.close, _lock_directory(self.path.parent)) if lock else None
+        )
         try:
             self._conn = sqlite3.connect(str(self.path), isolation_level=None)
         except sqlite3.Error as error:  # pragma: no cover - bad path
+            self._release()
             raise StorageError(f"cannot open sqlite store {self.path}: {error}")
         try:
             self._conn.execute("PRAGMA journal_mode=WAL")
@@ -124,6 +166,7 @@ class SqliteStore(Store):
             self._conn.executescript(_SCHEMA)
         except sqlite3.DatabaseError as error:
             self._conn.close()
+            self._release()
             raise StorageError(f"{self.path} is not a session store: {error}")
         self._in_txn = False
         row = self._conn.execute("SELECT MAX(arrival) FROM records").fetchone()
@@ -170,8 +213,15 @@ class SqliteStore(Store):
             self._in_txn = False
 
     def close(self) -> None:
+        """Roll back an open transaction, close the connection and release
+        the one-writer lock, if this store holds it (idempotent)."""
         self.rollback()
         self._conn.close()
+        self._release()
+
+    def _release(self) -> None:
+        if self._unlock is not None:
+            self._unlock()
 
     def clear(self) -> None:
         """Empty every table inside the open transaction.

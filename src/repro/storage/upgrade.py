@@ -2,7 +2,7 @@
 or a retired configuration name (``docs/storage.md`` tabulates the formats).
 
 A reader — a restore, ``repro stats`` — runs :func:`upgrade` on the store
-and :func:`upgrade_header` on its stored configuration, then reads format 3
+and :func:`upgrade_header` on its stored configuration, then reads format 4
 only.  :func:`upgrade` writes in the store's open transaction: a restore
 that takes the store over commits it, a refusal or a read rolls it back.
 """
@@ -13,11 +13,13 @@ from pathlib import Path
 from typing import Dict, Mapping
 
 from repro.storage.base import StorageError
-from repro.storage.sqlite import SCHEMA_TABLES, STORE_FILENAME, SqliteStore
+from repro.storage.sqlite import LOGGED, SCHEMA_TABLES, STORE_FILENAME, SqliteStore
 
 #: The store format this release writes.  A release refuses a newer one: a
-#: format-2 reader would take format 3 for a store with an empty join index.
-FORMAT_VERSION = 3
+#: format-2 reader would take format 3 for a store with an empty join index,
+#: and a format-3 reader a format-4 session, whose log is empty between
+#: events, for a ``save(X)`` copy it may overwrite.
+FORMAT_VERSION = 4
 
 #: Fields a stored configuration (the log's ``session`` event or store
 #: meta) written by an earlier release may still carry, each mapped to the
@@ -107,8 +109,21 @@ def to_3(store: SqliteStore) -> None:
     and :func:`upgrade` drops format 2's three undeclared index tables."""
 
 
+def to_4(store: SqliteStore) -> None:
+    """Format 4 deletes an event's intent in the commit that applies it and
+    logs no ``commit`` outcome: delete the rows the state already covers
+    (``seq <= meta.events_applied``), keeping only the unapplied tail.  A
+    log that held rows was a session's (an earlier format never deleted
+    one), which format 4 marks in meta."""
+    if store.query("SELECT 1 FROM events LIMIT 1").fetchone():
+        store.execute(
+            "DELETE FROM events WHERE seq <= ?", (int(store.get_meta("events_applied", 0)),)
+        )
+        store.set_meta(LOGGED, True)
+
+
 #: ``STEPS[n]`` brings a store from format ``n`` to format ``n + 1``.
-STEPS = {1: to_2, 2: to_3}
+STEPS = {1: to_2, 2: to_3, 3: to_4}
 
 
 def upgrade(store: SqliteStore, version: int) -> None:

@@ -48,6 +48,7 @@ with component-scoped aggregation every clean component's
 posteriors are preserved bit-for-bit across the batch.
 """
 
+from repro.storage.base import StoreInUse
 from repro.streaming.incremental_join import IncrementalSimJoin
 from repro.streaming.persistence import (
     JournalCorruptionError,
@@ -61,6 +62,7 @@ __all__ = [
     "JournalCorruptionError",
     "PersistenceError",
     "SessionJournal",
+    "StoreInUse",
     "StreamingResolver",
     "resolve_stream",
 ]

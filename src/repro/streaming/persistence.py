@@ -13,34 +13,38 @@ Directory layout::
         store.sqlite-wal/-shm    SQLite's own write-ahead log while a connection is open
 
 **The model.**  ``store.sqlite`` (:class:`repro.storage.sqlite.SqliteStore`)
-is the only file of a session.  Its ``events`` table is the write-ahead
-log; its state tables are *the state as of ``meta.events_applied``; the
-log holds the rest*.  The session keeps its state in process memory and
-reads nothing back; each event's changed rows are written into the state
-tables in the event's one transaction (the pair ledger's when the event
-commits), so the tables trail the log by at most the one event a crash
-interrupted.  :func:`write_snapshot` writes the state whole — inside one
-transaction, so a failure half-way leaves the previous contents — into
-another directory's file on ``save(X)``.  :func:`restore` opens the file,
-pages the state in, replays ``events WHERE seq > meta.events_applied``
-under the stored configuration, and keeps logging to the same file.
+is the only file of a session.  Its state tables are *the state as of
+``meta.events_applied``*; its ``events`` table, the write-ahead log, holds
+only what they do not cover yet.  The session keeps its state in process
+memory and reads nothing back; each event's changed rows are written into
+the state tables in the event's one transaction (the pair ledger's when
+the event commits), and that transaction deletes the event's intent, so
+the log holds at most the one intent a crash interrupted.
+:func:`write_snapshot` writes the state whole — inside one transaction,
+so a failure half-way leaves the previous contents — into another
+directory's file on ``save(X)``.  :func:`restore` opens the file, pages
+the state in, replays ``events WHERE seq > meta.events_applied`` under
+the stored configuration, and keeps logging to the same file.  A store
+has one writer: the session holds its directory's lock
+(:class:`~repro.storage.base.StoreInUse` for a second opener) until it
+closes.
 
 **The log.**  Each ``events`` row carries a gapless ``seq``, an event
 ``type``, a JSON ``payload`` and a CRC over all three
-(:class:`SessionJournal`).  *Intent* events (``session``, ``truth``,
+(:class:`SessionJournal`).  An *intent* (``session``, ``truth``,
 ``batch``, ``retract``, ``update``, ``flush`` — the :data:`EVENTS` table
-maps each to its payload codec) are committed — fsynced: a logged
-connection runs ``synchronous=FULL`` — **before** the state change they
-describe is applied (the write-ahead rule); *outcome* events (``commit``)
-record the fresh crowd votes, the delta and a digest of the aggregated
-state, in the **same transaction** as the event's state rows and
-``meta.events_applied`` — so "the store says event N is applied" and "the
-log holds outcome N" are one atomic fact, and the log is both redo log and
-audit trail of every vote the session paid for.  Events are never deleted;
-reading the tail is a primary-key range scan.  A write torn by a crash is
-SQLite's to discard (WAL frame checksums); a CRC mismatch, a sequence gap
-or a replay that diverges from its outcome raises
-:class:`JournalCorruptionError`.
+maps each to its payload codec) is committed — fsynced: a logged
+connection runs ``synchronous=FULL`` — **before** the state change it
+describes is applied (the write-ahead rule), and deleted in the **same
+transaction** as the event's state rows and ``meta.events_applied`` — the
+checkpoint rule of ARIES, with every event its own checkpoint.  So the
+log never grows with the session, and no event does work in proportion
+to it.  An earlier format also logged an *outcome* (``commit``: the fresh
+crowd votes and a digest of the aggregated state) with each event and
+deleted nothing; a restore still checks such a store's tail against its
+outcomes.  A write torn by a crash is SQLite's to discard (WAL frame
+checksums); a CRC mismatch, a sequence gap or a replay that diverges
+from a logged outcome raises :class:`JournalCorruptionError`.
 
 **One event, one path.**  :meth:`Durability.run` is the only place an event
 is executed — *intent → apply → boundary* — for the session's five public
@@ -74,6 +78,7 @@ from repro.core.results import StreamingDelta
 from repro.records.record import Record
 from repro.storage import STORE_FILENAME, SqliteStore, Store
 from repro.storage.base import PersistenceError
+from repro.storage.sqlite import LOGGED
 from repro.storage.upgrade import FORMAT_VERSION, refuse_earlier_files, upgrade, upgrade_header
 
 logger = logging.getLogger(__name__)
@@ -102,13 +107,9 @@ def decode_record(payload: Dict[str, object]) -> Record:
     )
 
 
-def encode_votes(votes: Sequence[Tuple[str, Tuple[str, str], bool]]) -> List[list]:
-    """JSON-safe encoding of ``(worker_id, pair_key, answer)`` votes."""
-    return [[worker, [key[0], key[1]], bool(answer)] for worker, key, answer in votes]
-
-
 def decode_votes(payload: Sequence[list]) -> List[Tuple[str, Tuple[str, str], bool]]:
-    """Inverse of :func:`encode_votes`."""
+    """The ``(worker_id, pair_key, answer)`` votes of an earlier format's
+    ``commit`` row, each stored as ``[worker, [id_a, id_b], answer]``."""
     return [(worker, (key[0], key[1]), bool(answer)) for worker, key, answer in payload]
 
 
@@ -145,36 +146,40 @@ class SessionJournal:
     Attaching a log switches the store's connection to
     ``synchronous=FULL`` — here, not through a config field — so every
     commit, an :meth:`append` in particular, is on stable storage when it
-    returns.  The log is single-writer and append-only; rows are never
-    updated or deleted.
+    returns.  The log is single-writer; a row is never updated, and
+    :meth:`truncate` deletes it in the commit that applies its event, so
+    the log is only its tail.  Its first append marks the store
+    (``meta.logged``) as a session's, which ``save(X)`` never overwrites.
     """
 
     def __init__(self, store: SqliteStore) -> None:
         self.store = store
         store.query("PRAGMA synchronous=FULL")
         last = store.query("SELECT MAX(seq) FROM events").fetchone()[0] or 0
-        # A store-only copy (``save(X)``) holds state but no events: its
-        # log starts right after what the state covers.
+        # Between events the log is empty (and a ``save(X)`` copy never
+        # had one): it goes on right after what the state covers.
         self.next_seq = max(last, int(store.get_meta("events_applied", 0))) + 1
+        self._marked = bool(store.get_meta(LOGGED))
 
     def append(self, event_type: str, payload: Dict[str, object]) -> int:
         """Append one event and commit; returns its sequence number.
 
         The commit is fsynced (``synchronous=FULL``) before the call
         returns — the write-ahead rule: an intent that was appended is on
-        stable storage before the event is applied.  Whatever the store's
-        open transaction holds (an event's state rows — the pair ledger's
-        written by that commit — and counters) commits atomically with the
-        row.
+        stable storage before the event is applied.  The store's open
+        transaction, if any, commits with the row.
         """
         seq = self.next_seq
         text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         started = time.perf_counter()
+        if not self._marked:
+            self.store.set_meta(LOGGED, True)
         self.store.execute(
             "INSERT INTO events (seq, type, payload, crc) VALUES (?, ?, ?, ?)",
             (seq, event_type, text, _entry_crc(seq, event_type, text)),
         )
         self.store.commit()
+        self._marked = True
         self.next_seq = seq + 1
         if obs.enabled():
             obs.inc("journal_appends_total", 1, type=event_type,
@@ -186,6 +191,11 @@ class SessionJournal:
             obs.observe("journal_append_seconds", time.perf_counter() - started,
                         help="Wall time of one log append (insert + commit).")
         return seq
+
+    def truncate(self, through: int) -> None:
+        """Delete the rows up to ``through`` in the store's open transaction:
+        the commit that applies event ``through`` makes them redundant."""
+        self.store.execute("DELETE FROM events WHERE seq <= ?", (through,))
 
     def events(self, after: int = 0) -> List[JournalEvent]:
         """The events with ``seq > after``, in order, each one verified.
@@ -216,14 +226,11 @@ class EventSpec:
     """How one kind of session event crosses the log.
 
     ``encode`` turns the arguments the session's applier takes into the
-    intent payload, ``decode`` is its inverse; ``outcome`` says whether the
-    applied event is followed by a ``commit`` record (fresh votes, delta,
-    digest).
+    intent payload, ``decode`` is its inverse.
     """
 
     encode: Callable[..., Dict[str, object]]
     decode: Callable[[Dict[str, object]], tuple]
-    outcome: bool = True
 
 
 def _encode_batch(records, truth) -> Dict[str, object]:
@@ -248,7 +255,6 @@ EVENTS: Dict[str, EventSpec] = {
     "truth": EventSpec(
         lambda pairs: {"pairs": [list(pair) for pair in pairs]},
         lambda payload: ([tuple(pair) for pair in payload["pairs"]],),
-        outcome=False,
     ),
     "batch": EventSpec(_encode_batch, _decode_batch),
     "retract": EventSpec(
@@ -374,7 +380,7 @@ class Durability:
     def create(
         cls, config: WorkflowConfig, cross_sources: Optional[Sequence[str]]
     ) -> "Durability":
-        """Open the store and log of a *fresh* session.
+        """Open the store and log of a *fresh* session, as its one writer.
 
         Refuses a directory that already holds one: the check is whether
         the store file exists, nothing is read.
@@ -386,7 +392,7 @@ class Durability:
         path = directory / STORE_FILENAME
         if path.exists():
             raise _occupied(path)
-        store = SqliteStore(path)
+        store = SqliteStore(path, lock=True)
         durability = cls(store)
         durability.journal = SessionJournal(store)
         durability.events_applied = durability.journal.append(
@@ -408,7 +414,8 @@ class Durability:
         return None if self.journal is None else self.journal.store
 
     def close(self) -> None:
-        """Close the session's SQLite connection, if it holds one (idempotent).
+        """Close the session's SQLite connection, if it holds one, and
+        release its directory's lock (idempotent).
 
         The last connection to close folds SQLite's WAL into the store file.
         """
@@ -431,42 +438,30 @@ class Durability:
         """
         self.intent(kind, *arguments)
         result = session.apply(kind, *arguments)
-        self.boundary(session, outcome=EVENTS[kind].outcome)
+        self.boundary(session)
         return result
 
-    def boundary(self, session, outcome: bool = False) -> None:
-        """Close an event: state rows, counters and outcome in one commit.
+    def boundary(self, session) -> None:
+        """Close an event: its state rows, the counters and the deletion of
+        its intent in one commit.
 
         Everything the store wrote since the last boundary, the pair
         ledger's unsaved rows (written by the commit itself),
-        ``meta.events_applied`` and — for an event with an ``outcome`` —
-        its ``commit`` row (fresh votes, delta, digest) form one
-        transaction, so the store is never ahead of its log nor behind an
-        outcome it holds.  An in-memory session has nothing to close.
+        ``meta.events_applied`` and the deletion of every logged row up to
+        it form one transaction: the state covers exactly the events the
+        log no longer holds, and a crash leaves at most the one intent
+        whose commit it interrupted.  An in-memory session has nothing to
+        close.
         """
         journal, storage = self.journal, self.storage
         if journal is None:
             return
-        if outcome:
-            self.events_applied = journal.next_seq  # the row this commit carries
         if len(session._truth) != self._truth_written:  # truth only grows
             _write_truth(storage, session)
             self._truth_written = len(session._truth)
         _write_counters(storage, session)
-        if outcome:
-            journal.append(
-                "commit",
-                {
-                    "delta": session._last_delta.as_dict(),
-                    "votes": [
-                        [key[0], key[1], encode_votes(votes)]
-                        for key, votes in sorted(session._last_fresh_votes.items())
-                    ],
-                    "digest": session.state_digest(),
-                },
-            )
-        else:
-            storage.commit()
+        journal.truncate(self.events_applied)
+        storage.commit()
 
     # ------------------------------------------------------------------ save
     def save(self, session, path: Optional[os.PathLike] = None) -> Path:
@@ -475,9 +470,10 @@ class Durability:
         ``path`` defaults to the checkpoint directory.  Asked for its own
         location, a durable session only closes a boundary (its store is
         current after every event); saving elsewhere writes a store-only
-        copy (state, no events) — over an earlier store-only copy, never
-        over a store whose log holds events (another session's).  Returns
-        the file.
+        copy (state, no events), holding the directory's one-writer lock
+        while it writes — over an earlier store-only copy, never over a
+        store a session has logged to (another session's).  Returns the
+        file.
         """
         own = self.store
         if path is not None:
@@ -489,9 +485,11 @@ class Durability:
                 "save() needs a path (or config.checkpoint_dir to be set)"
             )
         if own is None or target.resolve() != own.path.resolve():
-            copy = SqliteStore(target)
+            copy = SqliteStore(target, lock=True)
             try:
-                if copy.query("SELECT 1 FROM events LIMIT 1").fetchone():
+                # An earlier format's session store is not marked, but its
+                # log is never empty.
+                if copy.get_meta(LOGGED) or copy.query("SELECT 1 FROM events LIMIT 1").fetchone():
                     raise _occupied(target)
                 write_snapshot(copy, session)
                 copy.commit()
@@ -542,12 +540,13 @@ def _page_in(session, source: SqliteStore) -> None:
 def replay(session, events: Sequence[JournalEvent]) -> None:
     """Apply the logged events the session has not seen yet, in order.
 
-    Crowd votes are re-derived through the deterministic per-pair oracle,
-    and every replayed event is checked against its logged ``commit``
-    record — vote-for-vote and digest-for-digest — so silent divergence
-    raises :class:`JournalCorruptionError` instead of propagating.  The
-    events must continue exactly where the session's state ends; a gap
-    raises :class:`PersistenceError`.
+    Crowd votes are re-derived through the deterministic per-pair oracle.
+    This format's tail is at most one intent; an earlier format's tail also
+    holds a ``commit`` outcome after each replayed event, which is checked
+    vote-for-vote and digest-for-digest, so silent divergence raises
+    :class:`JournalCorruptionError` instead of propagating.  The events
+    must continue exactly where the session's state ends; a gap raises
+    :class:`PersistenceError`.
     """
     durability = session.durability
     pending = [event for event in events if event.seq > durability.events_applied]
@@ -573,8 +572,9 @@ def replay(session, events: Sequence[JournalEvent]) -> None:
 
 
 def _verify_outcome(session, event: JournalEvent) -> None:
-    # A stored state always ends on an event boundary (its outcome commits
-    # with it), so the outcome being verified is of an event replayed here.
+    # Only an earlier format's tail holds outcomes.  Its stored state always
+    # ends on an event boundary (an outcome committed with its event's
+    # state), so the outcome being verified is of an event replayed here.
     recorded = {
         (entry[0], entry[1]): decode_votes(entry[2])
         for entry in event.payload["votes"]
@@ -598,16 +598,17 @@ def restore(cls, path: os.PathLike):
     run under the stored configuration — its ``checkpoint_dir`` is wherever
     the directory is now — page the state in (the join re-indexes the
     records), and :func:`replay` the events newer than
-    ``meta.events_applied``, each checked against its logged outcome.  The
-    restored session is bit-identical to one that processed the same
-    events without stopping, and takes the directory over: it keeps
-    logging to the same file.  All of it up to the first boundary is one
+    ``meta.events_applied``.  The restored session is bit-identical to one
+    that processed the same events without stopping, and takes the
+    directory over as its one writer (:class:`~repro.storage.base.StoreInUse`
+    while another holds it): it keeps logging to the same file.  All of it
+    up to the first boundary — which deletes the replayed tail — is one
     transaction, so a refused restore leaves the file as it was.
     """
     directory = Path(path)
     refuse_earlier_files(directory, restoring=True)
     store_path = directory / STORE_FILENAME
-    source = SqliteStore(store_path)
+    source = SqliteStore(store_path, lock=True)
     try:
         journal = SessionJournal(source)
         materialised = source.get_meta("version") is not None

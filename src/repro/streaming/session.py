@@ -42,7 +42,7 @@ I/O of its own.  Every public event method validates its arguments and
 hands the event to the session's
 :class:`~repro.streaming.persistence.Durability`, which logs the intent,
 calls back into :meth:`StreamingResolver.apply` and closes the event's
-boundary (state rows and outcome in one commit);
+boundary (its state rows and the deletion of its intent in one commit);
 :meth:`StreamingResolver.save` and :meth:`StreamingResolver.restore` are
 one-line delegations.  A restored session is **bit-identical** to one that
 never stopped (see :mod:`repro.streaming.persistence`).
@@ -173,7 +173,8 @@ class StreamingResolver:
         self._batch_index = 0
         self._last_delta = StreamingDelta()
         # Fresh votes folded in by the most recent applied event (what an
-        # outcome record carries and a replay verifies).
+        # earlier store format's outcome record carries, which a replay
+        # verifies).
         self._last_fresh_votes: Dict[PairKey, List[Vote]] = {}
         if fresh:
             self.durability.attach(self)
@@ -214,9 +215,10 @@ class StreamingResolver:
     def state_digest(self) -> str:
         """Exact digest of the aggregated state (posteriors, cost, HITs).
 
-        Recorded with every event's outcome and re-checked during replay,
-        so a restore that diverged from the original session by even one
-        float bit is detected instead of silently trusted.
+        An earlier store format recorded it with every event's outcome, and
+        a replay of such a store's tail re-checks it, so a restore that
+        diverged from the original session by even one float bit is
+        detected instead of silently trusted.
         """
         return persistence.state_digest(
             self._ledger.posteriors, self.driver.cost, self.driver.hit_count

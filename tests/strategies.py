@@ -13,17 +13,19 @@ files through its rootdir-relative import of the ``tests`` directory.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import random
 import sqlite3
 import string
+from pathlib import Path
 
 from hypothesis import strategies as st
 
 from repro.crowd.faults import FaultPlan
 from repro.records.pairs import PairSet, RecordPair
 from repro.records.record import Record, RecordStore
-from repro.storage.sqlite import _TABLES, STORE_FILENAME
+from repro.storage.sqlite import STORE_FILENAME, SqliteStore
 
 # ------------------------------------------------------- text/token shapes
 #: Small token vocabulary: guarantees overlapping token sets (and therefore
@@ -160,29 +162,67 @@ def drive(resolver, records, schedule, cursor=0):
     return cursor
 
 
-# ---------------------------------------------------------- crash simulation
-def crash_copy(directory, target, after):
-    """Copy a session's store as a crash right after log entry ``after`` left it.
+def drive_logged(resolver, records, schedule):
+    """:func:`drive` a schedule step by step, noting where each step left
+    the session: returns ``(events_applied, cursor)`` before the first step
+    and after each one, for :func:`resume`."""
+    cursor = 0
+    marks = [(resolver.events_applied, cursor)]
+    for step in schedule:
+        cursor = drive(resolver, records, [step], cursor)
+        marks.append((resolver.events_applied, cursor))
+    return marks
 
-    The copy (SQLite's backup API, so a live session's WAL is included)
-    loses every event newer than ``after``; state tables written later
-    than that — ``meta.events_applied > after`` — are emptied, because a
-    store cannot be ahead of its log.  Returns ``target``.
+
+def resume(restored, records, schedule, marks):
+    """Re-drive, on a session restored from a crash, the steps of a
+    :func:`drive_logged` schedule that its state does not cover yet.
+
+    Every step is at most one event, and a restore lands on an event
+    boundary, so the restored ``events_applied`` is where one step left
+    the uninterrupted run.
     """
+    step = next(
+        index for index, (applied, _) in enumerate(marks) if applied == restored.events_applied
+    )
+    drive(restored, records, schedule[step:], cursor=marks[step][1])
+
+
+# ---------------------------------------------------------- crash simulation
+def store_copy(directory, target):
+    """Copy the store in ``directory`` as its last commit left it (SQLite's
+    backup API, so a live session's WAL is included and its open
+    transaction is not) into ``target``, which is returned."""
     target.mkdir(parents=True, exist_ok=True)
     source = sqlite3.connect(str(directory / STORE_FILENAME))
     copy = sqlite3.connect(str(target / STORE_FILENAME))
     with copy:
         source.backup(copy)
     source.close()
-    with copy:
-        copy.execute("DELETE FROM events WHERE seq > ?", (after,))
-        row = copy.execute("SELECT value FROM meta WHERE key = 'events_applied'").fetchone()
-        if row is not None and int(row[0]) > after:
-            for table in _TABLES:
-                copy.execute(f"DELETE FROM {table}")
     copy.close()
     return target
+
+
+@contextlib.contextmanager
+def crash_points(directory, root):
+    """Copy the store in ``directory`` after each of its commits while the
+    block runs: every commit is one point a crash can leave the store at.
+    Yields the list of copies (directories under ``root``), in commit order,
+    which fills as the session runs."""
+    path = (Path(directory) / STORE_FILENAME).resolve()
+    copies = []
+    commit = SqliteStore.commit
+
+    def copying(store):
+        commit(store)
+        if store.path.resolve() == path:
+            copies.append(store_copy(path.parent, Path(root) / f"commit-{len(copies) + 1}"))
+
+    SqliteStore.commit = copying
+    try:
+        yield copies
+    finally:
+        SqliteStore.commit = commit
 
 
 # ------------------------------------------------------- unreadable stores

@@ -280,8 +280,7 @@ def _comparable_config(payload):
 
 def _dump_sqlite(path):
     """Every row of every table — the event log included — minus the config
-    fields allowed to differ (stored in the ``config`` meta and in the log's
-    ``session`` header)."""
+    fields allowed to differ (stored in the ``config`` meta)."""
     connection = sqlite3.connect(path)
     try:
         tables = [
@@ -300,13 +299,6 @@ def _dump_sqlite(path):
                         value = _comparable_config(json.loads(value))
                     normalized.append((key, value))
                 rows = normalized
-            elif table == "events":
-                rows = [
-                    (seq, kind, _comparable_config(json.loads(payload)["config"]))
-                    if kind == "session"
-                    else (seq, kind, payload, crc)
-                    for seq, kind, payload, crc in rows
-                ]
             dump[table] = sorted(map(repr, rows))
         return dump
     finally:
@@ -328,7 +320,11 @@ def test_instrumentation_leaves_resolution_bit_identical(tmp_path, backend):
     if backend == "sqlite":
         live = _dump_sqlite(tmp_path / "inst" / "store.sqlite")
         assert live == _dump_sqlite(tmp_path / "plain" / "store.sqlite")
-        assert len(live["events"]) == 2 + 2 * len(range(0, len(dataset.store), 20))
+        # Each event deleted its intent as it committed: the session's
+        # header, its truth and its batches are all in the state tables.
+        assert live["events"] == []
+        events = 2 + len(range(0, len(dataset.store), 20))
+        assert repr(("events_applied", json.dumps(events))) in live["meta"]
 
 
 def test_batch_resolve_is_bit_identical_and_never_activates(tmp_path):

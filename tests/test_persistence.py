@@ -7,8 +7,9 @@ posteriors (to the last float bit), same ranked pairs, same crowd cost.
 On top of that, the event log (a table of the session's one SQLite file)
 must detect tampering loudly (CRC, sequence gaps, diverging outcomes) and
 survive what a crash really leaves behind (a torn SQLite WAL, a
-``SIGKILL``), a ``save(X)`` copy must be rewritten atomically, and the
-store must never be ahead of its log.
+``SIGKILL``), a ``save(X)`` copy must be rewritten atomically, the log
+must hold nothing the state tables cover, and a store must have one
+writer at a time.
 """
 
 import ast
@@ -38,11 +39,21 @@ from repro.streaming import (
     JournalCorruptionError,
     PersistenceError,
     SessionJournal,
+    StoreInUse,
     StreamingResolver,
     persistence,
 )
 
-from strategies import UNREADABLE_STORES, crash_copy, drive, event_schedules, make_unreadable
+from strategies import (
+    UNREADABLE_STORES,
+    crash_points,
+    drive,
+    drive_logged,
+    event_schedules,
+    make_unreadable,
+    resume,
+    store_copy,
+)
 
 
 def make_dataset(record_count=60, duplicate_pairs=10, seed=13):
@@ -112,6 +123,16 @@ def rewrite_event(directory, seq, edit, fix_crc):
                 (persistence._entry_crc(seq, event_type, text), seq),
             )
     connection.close()
+
+
+def load_fixture(name, directory):
+    """Write the committed store dump ``tests/fixtures/<name>`` into
+    ``directory``'s store file; returns ``directory``."""
+    directory.mkdir(parents=True)
+    connection = sqlite3.connect(str(directory / STORE_FILENAME))
+    connection.executescript((Path(__file__).parent / "fixtures" / name).read_text())
+    connection.close()
+    return directory
 
 
 def stream(resolver, dataset, size=17):
@@ -457,9 +478,7 @@ class TestSaveRestore:
         for start in range(0, 40, 13):
             resolver.add_batch(records[start:][: min(13, 40 - start)])
         # Both go on writing, so the restored twin resumes a copy.
-        restored = StreamingResolver.restore(
-            crash_copy(tmp_path, tmp_path / "twin", after=resolver.events_applied)
-        )
+        restored = StreamingResolver.restore(store_copy(tmp_path, tmp_path / "twin"))
         # Both sessions now see the same future: arrivals, a retraction, an
         # update and a flush; they must stay in lockstep bit-for-bit.
         tail = records[40:]
@@ -495,16 +514,16 @@ class TestSaveRestore:
         resolver = StreamingResolver(config=config)
         resolver.add_truth(dataset.ground_truth)
         resolver.add_batch(records[:30])
-        with monkeypatch.context() as patched:
+        with monkeypatch.context() as patched, crash_points(live, tmp_path) as copies:
             patched.setattr(
                 "repro.streaming.session.check_attribute_values", lambda record: None
             )
             resolver.add_batch(odd + records[30:40])
-        written = resolver.events_applied
-        paged = crash_copy(live, tmp_path / "paged", after=written)
+        # After the batch's commit its records are in the records table; a
+        # crash after its intent's commit leaves them only in the log, so
+        # that copy replays the batch.
+        replayed, paged = copies
         resolver.add_batch(records[40:50])
-        # The state tables are ahead of this copy's log, so it replays all.
-        replayed = crash_copy(live, tmp_path / "replayed", after=written)
         sessions = [resolver]
         for directory in (paged, replayed):
             restored = StreamingResolver.restore(directory)
@@ -526,8 +545,8 @@ class TestSaveRestore:
     ):
         """Run a session whose stored config carries the ``legacy`` entries
         (and no ``crowd`` if they name ``crowd_mode``, as an earlier release
-        wrote it); returns it with the config its store meta / journal
-        header holds."""
+        wrote it) and close it, or save it when it is not durable; returns it
+        with the config its store meta holds."""
         config_payload = persistence.config_payload
         dataset = make_dataset()
         records = list(dataset.store)
@@ -548,12 +567,12 @@ class TestSaveRestore:
             for start in range(0, len(records), 17):
                 resolver.add_batch(records[start : start + 17])
             if journaled:
-                stored = logged_events(tmp_path)[0].payload["config"]
+                resolver.durability.close()
             else:
                 resolver.save(tmp_path)
-                store = SqliteStore(tmp_path / STORE_FILENAME)
-                stored = store.get_meta("config")
-                store.close()
+            store = SqliteStore(tmp_path / STORE_FILENAME)
+            stored = store.get_meta("config")
+            store.close()
         return resolver, stored
 
     @pytest.mark.parametrize("durability", ("snapshot", "journal"))
@@ -561,10 +580,10 @@ class TestSaveRestore:
         self, tmp_path, monkeypatch, durability
     ):
         """A checkpoint of an earlier release still carries retired knobs in
-        its stored config (store ``config`` meta / the log's ``session``
-        event); restore drops them — the result-bearing ones at their old
-        defaults, the write-schedule pair and the observability pair at any
-        value, without switching observability on."""
+        its stored config (store ``config`` meta); restore drops them — the
+        result-bearing ones at their old defaults, the write-schedule pair
+        and the observability pair at any value, without switching
+        observability on."""
         legacy = {
             "join_pool": "fork",
             "storage_path": str(tmp_path / "elsewhere.sqlite"),
@@ -643,18 +662,15 @@ class TestSaveRestore:
 
     @pytest.mark.parametrize("durability", ("snapshot", "journal"))
     def test_a_newer_store_format_refuses_to_restore(self, tmp_path, monkeypatch, durability):
-        """A header (store meta / the log's ``session`` event) whose
-        ``version`` is newer than this release's format is refused before
-        page-in, naming both numbers — not silently read as this format."""
+        """A header (store meta) whose ``version`` is newer than this
+        release's format is refused before page-in, naming both numbers —
+        not silently read as this format."""
         with monkeypatch.context() as patched:
             patched.setattr(persistence, "FORMAT_VERSION", 99)
             self._written_by_an_earlier_release(tmp_path, monkeypatch, durability, {})
-        if durability == "journal":
-            assert logged_events(tmp_path)[0].payload["version"] == 99
-        else:
-            store = SqliteStore(tmp_path / STORE_FILENAME)
-            assert store.get_meta("version") == 99
-            store.close()
+        store = SqliteStore(tmp_path / STORE_FILENAME)
+        assert store.get_meta("version") == 99
+        store.close()
         monkeypatch.setattr(persistence, "_page_in", lambda *_: pytest.fail("paged in"))
         with pytest.raises(
             PersistenceError,
@@ -709,34 +725,29 @@ class TestSaveRestore:
             make_config(storage_backend="sqlite")
 
     def test_replay_verification_catches_tampering(self, tmp_path):
-        config = make_config(checkpoint_dir=str(tmp_path))
-        resolver = StreamingResolver(config=config)
-        resolver.add_truth([("r1", "r2")])
-        resolver.add_batch(
-            [Record("r1", {"t": "alpha beta"}), Record("r2", {"t": "alpha beta"})]
-        )
-        resolver.flush()
-        resolver.durability.close()
-        truth, commit = (
-            next(event.seq for event in logged_events(tmp_path) if event.type == kind)
-            for kind in ("truth", "commit")
-        )
-        # A crash right after the batch's outcome, as the flush's commit
-        # left the store: its state tables are ahead of that log, so they
-        # are lost and the whole log replays.  An outcome whose digest was
-        # tampered with passes its (recomputed) CRC and still fails
-        # verification ...
-        crashed = crash_copy(tmp_path, tmp_path / "digest", after=commit)
+        """An earlier format logged an outcome after each event: the
+        committed format-1 store ``v1_memory_store`` has its state at event
+        8 and a tail of intents 9, 11 and 13, each with its outcome.  An
+        outcome whose digest was tampered with passes its (recomputed) CRC
+        and still fails verification ..."""
+        crashed = load_fixture("v1_memory_store.sql", tmp_path / "digest")
+        assert [(event.seq, event.type) for event in logged_events(crashed, after=8)] == [
+            (9, "update"), (10, "commit"), (11, "batch"), (12, "commit"),
+            (13, "flush"), (14, "commit"),
+        ]
         rewrite_event(
-            crashed, commit, lambda payload: payload.update(digest="0" * 64), fix_crc=True
+            crashed, 10, lambda payload: payload.update(digest="0" * 64), fix_crc=True
         )
-        with pytest.raises(JournalCorruptionError, match="digest"):
+        with pytest.raises(JournalCorruptionError, match="digest after event 10"):
             StreamingResolver.restore(crashed)
         # ... and so does a rewritten intent: the replay diverges from the
         # votes and digest its outcome recorded.
-        crashed = crash_copy(tmp_path, tmp_path / "intent", after=commit)
-        rewrite_event(crashed, truth, lambda payload: payload.update(pairs=[]), fix_crc=True)
-        with pytest.raises(JournalCorruptionError):
+        crashed = load_fixture("v1_memory_store.sql", tmp_path / "intent")
+        rewrite_event(
+            crashed, 11, lambda payload: payload.update(records=payload["records"][:-1]),
+            fix_crc=True,
+        )
+        with pytest.raises(JournalCorruptionError, match="digest after event 12"):
             StreamingResolver.restore(crashed)
 
     def test_snapshot_restore_skips_replayed_prefix(self, tmp_path):
@@ -756,31 +767,6 @@ class TestSaveRestore:
 
 
 # ----------------------------------------------- crash-recovery (property)
-def run_schedule(resolver, dataset, schedule):
-    """Apply a deterministic event schedule to a session."""
-    records = list(dataset.store)
-    cursor = 0
-    for action, argument in schedule:
-        if action == "batch":
-            batch = records[cursor : cursor + argument]
-            cursor += argument
-            if batch:
-                resolver.add_batch(batch)
-        elif action == "retract":
-            resident = sorted(resolver.store.record_ids)
-            if resident:
-                resolver.retract(resident[argument % len(resident)])
-        elif action == "update":
-            resident = sorted(resolver.store.record_ids)
-            if resident:
-                record = resolver.store.get(resident[argument % len(resident)])
-                resolver.update(
-                    record.with_attributes(name=f"revision {argument}")
-                )
-        elif action == "flush":
-            resolver.flush()
-
-
 @settings(
     max_examples=6,
     deadline=None,
@@ -802,36 +788,33 @@ def run_schedule(resolver, dataset, schedule):
 def test_property_crash_at_any_point_recovers_bit_identically(
     tmp_path_factory, data, schedule
 ):
-    """Crash after any log prefix -> restore -> replay tail == no crash.
+    """Crash after any commit -> restore -> the rest of the schedule == no crash.
 
     One uninterrupted durable session runs a random schedule of batches,
-    retractions, updates and flushes.  Its store is then copied as a crash
-    after a random log entry would have left it, the session is restored
-    from the surviving prefix, and the same schedule is re-driven from
-    where the log left off by replaying the *full* log against the restored
-    state — the result must equal the uninterrupted session bit-for-bit.
+    retractions, updates and flushes, and its store is copied after every
+    commit — each copy is what a crash right then leaves.  The session is
+    restored from a random copy, and the schedule is re-driven from where
+    the restored state ends — the result must equal the uninterrupted
+    session bit-for-bit.
     """
     directory = tmp_path_factory.mktemp("crash")
     dataset = make_dataset(record_count=50, duplicate_pairs=8, seed=29)
-    resolver = StreamingResolver(config=make_config(checkpoint_dir=str(directory)))
-    resolver.add_truth(dataset.ground_truth)
-    run_schedule(resolver, dataset, schedule)
+    records = list(dataset.store)
+    with crash_points(directory, tmp_path_factory.mktemp("recover")) as copies:
+        resolver = StreamingResolver(config=make_config(checkpoint_dir=str(directory)))
+        resolver.add_truth(dataset.ground_truth)
+        marks = drive_logged(resolver, records, schedule)
 
-    full_log = logged_events(directory)
-    crash_after = data.draw(
-        st.integers(min_value=1, max_value=len(full_log)), label="crash_after"
-    )
+    crashed = copies[data.draw(st.integers(min_value=0, max_value=len(copies) - 1), label="crash")]
+    restored = StreamingResolver.restore(crashed)
+    assert restored.events_applied <= resolver.events_applied
+    assert logged_events(crashed) == []  # the restore's commit applied the tail
 
-    # Simulate the crash: only the first `crash_after` log entries (and
-    # state tables written at or before that point) survive.
-    crash_dir = crash_copy(directory, tmp_path_factory.mktemp("recover"), crash_after)
-    restored = StreamingResolver.restore(crash_dir)
-    assert restored.events_applied <= crash_after
-
-    # Re-drive the lost tail: replay the full log's remaining events
-    # through the public replay entry point (exactly what a re-submitted
-    # workload would do), then compare against the uninterrupted session.
-    persistence.replay(restored, full_log)
+    # Re-drive the lost events (exactly what a re-submitted workload would
+    # do), then compare against the uninterrupted session.
+    if restored.events_applied < marks[0][0]:
+        restored.add_truth(dataset.ground_truth)
+    resume(restored, records, schedule, marks)
     assert_sessions_identical(resolver, restored)
     restored.durability.close()
     resolver.durability.close()
@@ -851,14 +834,14 @@ def test_property_torn_wal_restores_a_prefix_and_converges(tmp_path_factory, dat
     WAL copy is truncated at an arbitrary byte: SQLite recovers the longest
     checksummed prefix of committed transactions, so restore (verifying)
     lands on *some* event at or before the live one — never on a half
-    event — and replaying the rest of the log converges bit-identically.
+    event — and re-driving the rest of the schedule converges bit-identically.
     """
     directory = tmp_path_factory.mktemp("live")
     dataset = make_dataset(record_count=40, duplicate_pairs=8, seed=47)
+    records = list(dataset.store)
     resolver = StreamingResolver(config=make_config(checkpoint_dir=str(directory)))
     resolver.add_truth(dataset.ground_truth)
-    drive(resolver, list(dataset.store), schedule)
-    full_log = logged_events(directory)
+    marks = drive_logged(resolver, records, schedule)
 
     torn = tmp_path_factory.mktemp("torn")
     shutil.copy(directory / STORE_FILENAME, torn / STORE_FILENAME)
@@ -874,7 +857,9 @@ def test_property_torn_wal_restores_a_prefix_and_converges(tmp_path_factory, dat
         assert logged_events(torn) == []
     else:
         assert restored.events_applied <= resolver.events_applied
-        persistence.replay(restored, full_log)
+        if restored.events_applied < marks[0][0]:
+            restored.add_truth(dataset.ground_truth)
+        resume(restored, records, schedule, marks)
         assert_sessions_identical(resolver, restored)
         restored.durability.close()
     resolver.durability.close()
@@ -970,13 +955,106 @@ def test_a_durable_session_is_one_file(tmp_path, crowd_mode):
         assert listing() == one_file
 
 
-# --------------------------------------------- the store is never ahead of its log
+# --------------------------------------------------- one writer per store
+def test_a_live_sessions_store_has_one_writer(tmp_path):
+    """Restoring a directory whose session is still open used to take it
+    over beside the live writer (which then failed on its next log append,
+    or — once applied rows are deleted — would write over it silently).
+    Restoring it, saving into it and a fresh session on it are refused
+    before anything is read or written, and the live session goes on
+    bit-identically to one nobody disturbed; closed, it restores."""
+    dataset = make_dataset()
+    records = list(dataset.store)
+    live = StreamingResolver(config=make_config(checkpoint_dir=str(tmp_path)))
+    undisturbed = StreamingResolver(config=make_config())
+    for session in (live, undisturbed):
+        session.add_truth(dataset.ground_truth)
+        session.add_batch(records[:20])
+    path = tmp_path / STORE_FILENAME
+    intruder = stream(StreamingResolver(config=make_config()), make_dataset(seed=5))
+
+    def contents():
+        return {item.name: item.read_bytes() for item in sorted(tmp_path.iterdir())}
+
+    before = contents()
+    for attempt in (
+        lambda: StreamingResolver.restore(tmp_path),
+        lambda: intruder.save(tmp_path),
+    ):
+        with pytest.raises(StoreInUse, match="in use by another writer"):
+            attempt()
+    with pytest.raises(PersistenceError, match="already holds a session"):
+        StreamingResolver(config=make_config(checkpoint_dir=str(tmp_path)))
+    assert contents() == before
+    for session in (live, undisturbed):
+        session.add_batch(records[20:40])
+        session.retract(records[3].record_id)
+        session.flush()
+    assert_sessions_identical(undisturbed, live)
+    live.durability.close()
+    restored = StreamingResolver.restore(tmp_path)
+    assert_sessions_identical(undisturbed, restored)
+    restored.durability.close()
+    assert sorted(item.name for item in tmp_path.iterdir()) == [path.name]
+
+
+def test_a_save_holds_its_directory_while_it_writes(tmp_path, monkeypatch):
+    """``save(X)`` is ``X``'s one writer while it rewrites the store: a
+    restore of ``X`` in the middle of it is refused."""
+    dataset = make_dataset()
+    session = stream(StreamingResolver(config=make_config()), dataset)
+    write_ledger, refused = SqliteStore.write_ledger, []
+
+    def restore_midway(store, ledger, *arguments):
+        with pytest.raises(StoreInUse):
+            StreamingResolver.restore(tmp_path)
+        refused.append(store.path)
+        return write_ledger(store, ledger, *arguments)
+
+    session.save(tmp_path)  # a store-only copy to restore mid-save
+    monkeypatch.setattr(SqliteStore, "write_ledger", restore_midway)
+    session.save(tmp_path)
+    assert refused == [tmp_path / STORE_FILENAME]
+    monkeypatch.undo()
+    restored = StreamingResolver.restore(tmp_path)
+    assert_sessions_identical(session, restored)
+    restored.durability.close()
+
+
+def test_a_second_process_cannot_restore_a_live_directory(tmp_path):
+    """The lock is the kernel's, so it holds across processes:
+    ``resolve-stream --resume`` on the directory of a session this process
+    has open exits 2, names the conflict and leaves the store alone."""
+    live = stream(
+        StreamingResolver(config=make_config(checkpoint_dir=str(tmp_path))), make_dataset()
+    )
+    path = tmp_path / STORE_FILENAME
+    before = logged_events(tmp_path), stored_events_applied(tmp_path)
+    source_root = str(Path(next(iter(repro.__path__))).parent)
+    second = subprocess.run(
+        [sys.executable, "-m", "repro.cli", "resolve-stream", "--dataset", "paper-example",
+         "--checkpoint-dir", str(tmp_path), "--resume"],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": source_root},
+    )
+    assert second.returncode == 2, second.stderr
+    assert "in use by another writer" in second.stderr
+    assert (logged_events(tmp_path), stored_events_applied(tmp_path)) == before
+    live.flush()
+    live.durability.close()
+    restored = StreamingResolver.restore(tmp_path)
+    assert_sessions_identical(live, restored)
+    restored.durability.close()
+    assert path.exists()
+
+
+# ------------------------------------------- the log is only its tail
 def log_and_state_positions(directory):
-    """``(MAX(events.seq), meta.events_applied)`` inside one read transaction."""
+    """``(logged seqs, meta.events_applied)`` inside one read transaction."""
     connection = sqlite3.connect(str(directory / STORE_FILENAME), isolation_level=None)
     try:
         connection.execute("BEGIN")
-        logged = connection.execute("SELECT MAX(seq) FROM events").fetchone()[0]
+        logged = [seq for seq, in connection.execute("SELECT seq FROM events ORDER BY seq")]
         row = connection.execute(
             "SELECT value FROM meta WHERE key = 'events_applied'"
         ).fetchone()
@@ -987,42 +1065,50 @@ def log_and_state_positions(directory):
 
 @pytest.mark.parametrize("start", ("fresh", "restored"))
 @pytest.mark.parametrize("crowd_mode", ("sync", "async"))
-def test_the_state_and_the_log_advance_in_one_commit(tmp_path, crowd_mode, start):
-    """After every event ``meta.events_applied == MAX(events.seq)``: the
-    event's state rows, the counters and the outcome row are one transaction, so no reader — and no crash — ever
-    sees the store ahead of the log or an outcome without its state.  A
-    restored session keeps them in step too: it takes the log over, so
-    every event it applies after the restore — and the votes it buys for
-    it — are logged."""
+def test_the_state_and_the_log_advance_in_one_commit(tmp_path, monkeypatch, crowd_mode, start):
+    """Inside an event the log holds exactly its intent, ``events_applied +
+    1``, durable before the state changes; after the event it is empty:
+    the commit that writes the event's state rows and counters deletes the
+    intent, so no reader — and no crash — ever sees the state and the log
+    cover the same event, or the log grow with the session.  A restored
+    session keeps to it too: it takes the log over, so every event it
+    applies after the restore is logged before it is applied."""
     dataset = make_dataset()
     records = list(dataset.store)
+    inside = []
+    apply = StreamingResolver.apply
+
+    def observed(session, kind, *arguments):
+        inside.append(log_and_state_positions(tmp_path))
+        return apply(session, kind, *arguments)
+
+    monkeypatch.setattr(StreamingResolver, "apply", observed)
     config = make_config(checkpoint_dir=str(tmp_path), crowd=CROWDS[crowd_mode])
     resolver = StreamingResolver(config=config)
-    # An event without an outcome is written at its commit all the same.
-    resolver.add_truth(dataset.ground_truth)
-    logged, applied = log_and_state_positions(tmp_path)
-    assert applied == logged
+    assert log_and_state_positions(tmp_path) == ([], resolver.events_applied)
     events = [
+        lambda: resolver.add_truth(dataset.ground_truth),
         lambda: resolver.add_batch(records[:15]),
         lambda: resolver.add_batch(records[15:30]),
         lambda: resolver.retract(records[2].record_id),
         lambda: resolver.update(records[4].with_attributes(name="rewritten")),
         lambda: resolver.add_batch(records[30:45]),
         lambda: resolver.flush(),
-        lambda: resolver.save(),
     ]
     for index, event in enumerate(events):
-        if start == "restored" and index == 2:
+        if start == "restored" and index == 3:
             resolver.durability.close()
             resolver = StreamingResolver.restore(tmp_path)
-            logged, applied = log_and_state_positions(tmp_path)
-            assert logged == applied == resolver.events_applied
+            assert log_and_state_positions(tmp_path) == ([], resolver.events_applied)
         event()
-        logged, applied = log_and_state_positions(tmp_path)
-        assert logged == applied == resolver.events_applied
+        applied = resolver.events_applied
+        assert inside.pop() == ([applied], applied - 1)
+        assert log_and_state_positions(tmp_path) == ([], applied)
+    resolver.save()  # its own place: a boundary, no event
+    assert log_and_state_positions(tmp_path) == ([], resolver.events_applied)
+    assert not inside
     resolver.durability.close()
-    logged, applied = log_and_state_positions(tmp_path)
-    assert logged == applied
+    assert log_and_state_positions(tmp_path) == ([], resolver.events_applied)
 
 
 # ------------------------------------- one write schedule: every event commits its rows
@@ -1070,8 +1156,8 @@ class _Crash(Exception):
 @pytest.mark.parametrize("crowd_mode", ("sync", "async"))
 def test_the_state_tables_alone_hold_every_committed_event(tmp_path, crowd_mode, kind):
     """An event writes the rows it changed when it commits, so right after
-    any event the store's state tables — read with the whole log deleted —
-    restore to the live session, which a restored session then follows
+    any event the store's state tables — its log is empty then — restore
+    to the live session, which a restored session then follows
     event for event: nothing is left for a replay to redo."""
     dataset = make_dataset()
     records = list(dataset.store)
@@ -1080,12 +1166,9 @@ def test_the_state_tables_alone_hold_every_committed_event(tmp_path, crowd_mode,
         resolver.save()
     else:
         EVENTS_UNDER_TEST[kind](resolver, dataset, records)
-    copy = crash_copy(tmp_path / "live", tmp_path / "copy", after=resolver.events_applied)
+    copy = store_copy(tmp_path / "live", tmp_path / "copy")
     assert stored_events_applied(copy) == resolver.events_applied
-    connection = sqlite3.connect(str(copy / STORE_FILENAME))
-    with connection:
-        connection.execute("DELETE FROM events")
-    connection.close()
+    assert logged_events(copy) == []
     restored = StreamingResolver.restore(copy)
     assert restored.events_applied == resolver.events_applied
     assert_sessions_identical(resolver, restored)
@@ -1109,7 +1192,7 @@ def test_a_crash_inside_an_event_replays_that_event_alone(
     resolver = written_prefix(dataset, crowd_mode, tmp_path / "live")
     before = resolver.events_applied
 
-    def crash(self, session, outcome=False):
+    def crash(self, session):
         raise _Crash
 
     with monkeypatch.context() as crashing:
@@ -1118,7 +1201,7 @@ def test_a_crash_inside_an_event_replays_that_event_alone(
             EVENTS_UNDER_TEST[kind](resolver, dataset, records)
     # Copied while the interrupted transaction is still open: only what
     # committed reaches the copy.
-    copy = crash_copy(tmp_path / "live", tmp_path / "copy", after=before + 1)
+    copy = store_copy(tmp_path / "live", tmp_path / "copy")
     resolver.durability.close()
     assert stored_events_applied(copy) == before
     assert [(event.seq, event.type) for event in logged_events(copy, after=before)] == [
@@ -1133,5 +1216,4 @@ def test_a_crash_inside_an_event_replays_that_event_alone(
     finish_alike(uninterrupted, restored, records=records)
     assert_sessions_identical(uninterrupted, restored)
     restored.durability.close()
-    logged, applied = log_and_state_positions(copy)
-    assert logged == applied == restored.events_applied
+    assert log_and_state_positions(copy) == ([], restored.events_applied)

@@ -580,6 +580,29 @@ class TestHttpSurface:
         assert caught.value.code == "resume_conflict"
         client.close(session_id)
 
+    def test_restoring_a_live_sessions_directory_is_409(self, service, tmp_path):
+        """Another session id restoring the directory a live session writes
+        is refused before it reads the store: a store has one writer.  The
+        live session goes on as if nothing happened, and its directory
+        restores once it is closed."""
+        _runner, client = service
+        records = [encode_record(record) for record in make_dataset(seed=3).store]
+        live = fresh_id("writer")
+        client.create_session(live, config=dict(SERVICE_CONFIG, checkpoint_dir=str(tmp_path)))
+        client.append(live, records[:10])
+        with pytest.raises(ServiceClientError) as caught:
+            client.restore(fresh_id("second"), str(tmp_path))
+        assert caught.value.status == 409
+        assert caught.value.code == "resume_conflict"
+        assert "in use by another writer" in caught.value.body["error"]["message"]
+        client.append(live, records[10:20])
+        expected = client.result(live)
+        client.close(live)
+        later = fresh_id("later")
+        assert client.restore(later, str(tmp_path))["records"] == 20
+        assert client.result(later) == expected
+        client.close(later)
+
     def test_restore_without_checkpoint_dir_is_400(self, service):
         _runner, client = service
         status, _headers, body = client.request(

@@ -12,6 +12,7 @@ import dataclasses
 import inspect
 import json
 import os
+import re
 import shutil
 import sqlite3
 from pathlib import Path
@@ -38,6 +39,7 @@ from repro.storage.sqlite import STORE_FILENAME
 from repro.streaming import (
     JournalCorruptionError,
     PersistenceError,
+    SessionJournal,
     StreamingResolver,
     persistence,
 )
@@ -496,12 +498,17 @@ class TestPageInRestore:
         assert session_fingerprint(restored) == expected
         assert restored.config.checkpoint_dir == str(copy)
         # ... and it is a live durable session again: its log starts right
-        # after the state it was copied with.
+        # after the state it was copied with, and logging to it makes it a
+        # session's store, which no save(X) overwrites.
         tail = [Record("late", dict(records[0].attributes))]
         restored.add_batch(tail)
-        assert restored.events_applied == resolver.events_applied + 2
-        assert restored.durability.journal.events(after=resolver.events_applied)
+        assert restored.events_applied == resolver.events_applied + 1
+        store = restored.durability.store
+        assert store.get_meta("events_applied") == restored.events_applied
+        assert store.get_meta("logged") is True
         restored.durability.close()
+        with pytest.raises(PersistenceError, match="already holds a session"):
+            resolver.save(copy)
 
     def test_store_carrying_the_provenance_table_restores_and_sheds_it(self, tmp_path):
         """An earlier release kept a per-pair history table (``provenance``,
@@ -688,6 +695,19 @@ class TestLedgerRecordIndex:
         assert_tables_are_the_ledger(session)
         session.durability.close()
 
+    @staticmethod
+    def durable_run(tmp_path, **durable):
+        """Restaurant(2000, 250, seed 7) at 0.35 in batches of 250 plus a
+        flush; durable when given a ``checkpoint_dir``."""
+        dataset = RestaurantGenerator(2000, 250, seed=7).generate()
+        records = list(dataset.store)
+        session = StreamingResolver(config=make_config(join_workers=1, seed=7, **durable))
+        session.add_truth(dataset.ground_truth)
+        for start in range(0, len(records), 250):
+            session.add_batch(records[start : start + 250])
+        session.flush()
+        return session
+
     @pytest.mark.gate
     def test_a_durable_session_statement_count(self, tmp_path, monkeypatch):
         """Restaurant(2000, 250, seed 7) at 0.35 in batches of 250 plus a
@@ -695,13 +715,16 @@ class TestLedgerRecordIndex:
         is counted — the one place the count is pinned.  2,000 are the
         per-record inserts; the pair ledger writes one ``ledger`` statement
         per event that changed it (four, one per pair table, before the
-        pairs shared one row: 2,121 statements then).  None writes the join
-        index, which a restore rebuilds from the records (three per batch
-        before: 2,097 statements then).  None names the per-pair history an
-        earlier release wrote three times per pair (6,059 statements then),
-        and no ledger mutation is a statement of its own (4,082 then)."""
-        dataset = RestaurantGenerator(2000, 250, seed=7).generate()
-        records = list(dataset.store)
+        pairs shared one row: 2,121 statements then).  Each of the 11
+        intents (header, truth, eight batches, flush) is one insert and each
+        of the 11 commits that apply them (the constructor's and the ten
+        events') one delete of it; the store is marked a session's once
+        (the nine ``commit`` outcome rows of store format 3 and no delete
+        or mark: 2,073 statements then).  None writes the join index, which
+        a restore rebuilds from the records (three per batch before: 2,097
+        statements then).  None names the per-pair history an earlier
+        release wrote three times per pair (6,059 statements then), and no
+        ledger mutation is a statement of its own (4,082 then)."""
         statements = []
         for name in ("execute", "executemany"):
             original = getattr(SqliteStore, name)
@@ -712,23 +735,39 @@ class TestLedgerRecordIndex:
 
             monkeypatch.setattr(SqliteStore, name, counted)
 
-        def run(**durable):
-            session = StreamingResolver(config=make_config(
-                join_workers=1, seed=7, **durable
-            ))
-            session.add_truth(dataset.ground_truth)
-            for start in range(0, len(records), 250):
-                session.add_batch(records[start : start + 250])
-            session.flush()
-            return session
-
-        durable = run(checkpoint_dir=str(tmp_path))
-        assert len(statements) == 2073
+        durable = self.durable_run(tmp_path, checkpoint_dir=str(tmp_path))
+        assert len(statements) == 2076
         assert sum(sql.startswith("INSERT INTO records") for sql in statements) == 2000
         assert sum(" ledger " in sql for sql in statements) == 8  # one per batch
+        assert sum(sql.startswith("INSERT INTO events") for sql in statements) == 11
+        assert sum(sql.startswith("DELETE FROM events") for sql in statements) == 11
         assert not [sql for sql in statements if "provenance" in sql]
         assert schema_objects(durable.durability.store, "provenance") == []
-        assert durable.state_digest() == run().state_digest()
+        assert durable.state_digest() == self.durable_run(tmp_path).state_digest()
+        durable.durability.close()
+
+    @pytest.mark.gate
+    def test_a_durable_event_digests_nothing_and_logs_no_outcome(self, tmp_path, monkeypatch):
+        """The same session: no event computes a ``state_digest`` (a walk of
+        every posterior) and none logs a ``commit`` outcome — each appends
+        its intent alone, and the log is empty when the session ends."""
+        digests, appended = [], []
+        digest, append = persistence.state_digest, SessionJournal.append
+
+        def counted_digest(*arguments):
+            digests.append(arguments)
+            return digest(*arguments)
+
+        def counted_append(journal, event_type, payload):
+            appended.append(event_type)
+            return append(journal, event_type, payload)
+
+        monkeypatch.setattr(persistence, "state_digest", counted_digest)
+        monkeypatch.setattr(SessionJournal, "append", counted_append)
+        durable = self.durable_run(tmp_path, checkpoint_dir=str(tmp_path))
+        assert digests == []
+        assert appended == ["session", "truth"] + ["batch"] * 8 + ["flush"]
+        assert durable.durability.journal.events() == []
         durable.durability.close()
 
 
@@ -886,10 +925,12 @@ class WrittenStore:
         ]
 
     def load(self, directory):
-        """Write the dump into ``directory``'s store file."""
+        """Write the dump into ``directory``'s store file, in WAL mode as its
+        release left it."""
         directory.mkdir(parents=True)
         connection = sqlite3.connect(str(directory / STORE_FILENAME))
         connection.executescript((FIXTURES / self.dump).read_text())
+        connection.execute("PRAGMA journal_mode=WAL")
         connection.close()
         return directory
 
@@ -921,6 +962,15 @@ FORMAT_1_STORES = (
 CADENCE_STORE = WrittenStore(
     "v2_memory_cadence_store.sql", "cadence", "dawid-skene", 3, 5,
     (3, 8, 27, 0.22500000000000003, 640.0),
+)
+
+#: Format 3, written by the last release whose log kept every event and its
+#: ``commit`` outcome, as a crash inside the batch of records 30-40 left it:
+#: the state at the update, the log from the ``session`` header on, that
+#: batch's intent its unapplied tail.
+FORMAT_3_STORE = WrittenStore(
+    "v3_sqlite_store.sql", "format-3", "majority", 4, 5,
+    (3, 9, 33, 0.22500000000000003, 709.8),
 )
 
 
@@ -970,9 +1020,9 @@ def forge_outcome(directory):
 def assert_restores_and_continues(tmp_path, written, tail):
     """``written`` restores bit-identically to a session that ran the events
     its store holds — with its logged tail, with the log cut at its state,
-    and as a ``save(X)`` copy (state, no events) — in store format 3,
-    without the join index tables, then continues and restores again
-    bit-identically."""
+    and as a ``save(X)`` copy (state, no events) — in store format 4,
+    without the join index tables and with an empty log, then continues
+    and restores again bit-identically."""
     dataset = make_dataset()
     records = list(dataset.store)
     directory = written.load(tmp_path / "store")
@@ -989,9 +1039,10 @@ def assert_restores_and_continues(tmp_path, written, tail):
     assert_sessions_identical(twin, restored)
     assert restored.storage.ledger.votes == twin.storage.ledger.votes
     store = restored.durability.store
-    assert store.get_meta("version") == persistence.FORMAT_VERSION == 3
+    assert store.get_meta("version") == persistence.FORMAT_VERSION == 4
     assert format_1_tables(store) == []
     assert join_index_tables(store) == []
+    assert restored.durability.journal.events() == []
     for session in (twin, restored):
         session.add_batch(records[40:])
         session.retract(records[10].record_id)
@@ -1123,11 +1174,59 @@ class TestACadenceStore:
         assert "storage_backend" not in note and "checkpoint_every" not in note
 
 
+class TestAFormat3Store:
+    """The last format whose log kept every event and its outcome.  The
+    restore that takes such a store over deletes the events its state
+    covers, and replays — verifying against its outcomes — the rest."""
+
+    @pytest.mark.parametrize("tail", ("logged", "cut", "store-only"))
+    def test_restores_and_continues_bit_identically(self, tmp_path, tail):
+        assert_restores_and_continues(tmp_path, FORMAT_3_STORE, tail)
+
+    def test_repro_stats_reports_it_as_its_release_did(self, tmp_path, capsys):
+        assert_stats_as_written(tmp_path, capsys, FORMAT_3_STORE)
+
+    def test_a_refused_restore_leaves_it_byte_identical(self, tmp_path):
+        """Its schema is complete, so not even a table is added: the deletion
+        of its applied rows is rolled back with the rest of the restore."""
+        directory = FORMAT_3_STORE.load(tmp_path / "store")
+        forge_outcome(directory)
+        path = directory / STORE_FILENAME
+        before = path.read_bytes()
+        with pytest.raises(JournalCorruptionError, match="digest|votes"):
+            StreamingResolver.restore(directory)
+        assert path.read_bytes() == before
+
+    def test_the_takeover_deletes_the_rows_its_state_covers(self, tmp_path):
+        """Events 1-10 are applied and go with the restore's first commit;
+        the tail intent 11 is replayed and goes with it too.  The store is
+        marked a session's, so a ``save(X)`` into it is refused."""
+        directory = FORMAT_3_STORE.load(tmp_path / "store")
+        store = SqliteStore(directory / STORE_FILENAME)
+        assert [event.seq for event in SessionJournal(store).events()] == list(range(1, 12))
+        assert store.get_meta("events_applied") == 10
+        store.close()
+        restored = StreamingResolver.restore(directory)
+        assert restored.events_applied == 11
+        assert restored.durability.journal.events() == []
+        assert restored.durability.store.get_meta("logged") is True
+        restored.durability.close()
+        session = StreamingResolver(config=make_config())
+        with pytest.raises(PersistenceError, match="already holds a session"):
+            session.save(directory)
+
+
 class TestUpgrade:
     """``storage/upgrade.py`` is the one path from an earlier format."""
 
     def test_there_is_a_step_from_every_earlier_format(self):
+        """... and a committed store written in each earlier format."""
         assert sorted(upgrade.STEPS) == list(range(1, upgrade.FORMAT_VERSION))
+        written = {
+            int(re.search(r"VALUES\('version','(\d+)'\)", path.read_text()).group(1))
+            for path in FIXTURES.glob("v*_*store.sql")
+        }
+        assert written == set(upgrade.STEPS)
 
     def test_a_current_store_is_upgraded_without_a_write(self, tmp_path):
         """Upgrading a format-3 store issues no write, so ``repro stats``
