@@ -35,8 +35,9 @@ def main() -> None:
     session.add_truth(paper_example_matches())
 
     print(f"durable session in {checkpoint_dir}")
-    snap = session.add_batch(records[:3])
-    snap = session.add_batch(records[3:6])
+    session.add_batch(records[:3])
+    session.add_batch(records[3:6])
+    snap = session.snapshot()
     print(f"after 2 batches: {snap.candidate_count} candidate pairs, "
           f"{len(snap.matches)} matches, {session.events_applied} logged events")
     digest_before = session.state_digest()
@@ -48,16 +49,15 @@ def main() -> None:
     print(f"restored: {restored.record_count} records, "
           f"digest matches: {restored.state_digest() == digest_before}")
 
-    snap = restored.add_batch(records[6:])
-    print(f"stream complete: matches = {sorted(snap.matches)}")
+    restored.add_batch(records[6:])
+    print(f"stream complete: matches = {sorted(restored.snapshot().matches)}")
 
     # --- a correction arrives: r2 was withdrawn by its source -------------
-    snap = restored.retract("r2")
-    delta = snap.delta
+    delta = restored.retract("r2")
     print(f"retracted r2: {delta.invalidated_pairs} pairs invalidated, "
           f"{delta.dirty_components} component(s) re-resolved, "
           f"{delta.clean_components} untouched")
-    print(f"matches now: {sorted(snap.matches)}")
+    print(f"matches now: {sorted(restored.snapshot().matches)}")
 
     restored.durability.close()  # releases store.sqlite (folds its WAL back)
     shutil.rmtree(checkpoint_dir, ignore_errors=True)

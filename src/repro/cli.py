@@ -423,7 +423,6 @@ def _replay_stream(args: argparse.Namespace, dataset, resolver: StreamingResolve
     # A resumed session already holds a prefix of the dataset; only the
     # records it has not seen yet arrive now.
     records = [record for record in dataset.store if record.record_id not in resolver.store]
-    result = resolver.snapshot()
     _LOG.info(f"streaming {dataset.name}: {len(records)} records in batches of "
               f"{config.stream_batch_size}")
     # Per-invocation delta totals for the summary line (tracked CLI-side so
@@ -433,16 +432,15 @@ def _replay_stream(args: argparse.Namespace, dataset, resolver: StreamingResolve
     for start in range(0, len(records), config.stream_batch_size):
         if args.max_batches and batches_done >= args.max_batches:
             break
-        result = resolver.add_batch(records[start : start + config.stream_batch_size])
+        delta = resolver.add_batch(records[start : start + config.stream_batch_size])
         batches_done += 1
-        delta = result.delta
         _LOG.info(f"  batch {delta.batch_index:>3}: +{delta.new_records} records, "
                   f"+{delta.new_candidate_pairs} pairs | "
                   f"{delta.dirty_components} dirty / {delta.clean_components} clean components | "
                   f"{delta.regenerated_hits} HITs regenerated, "
                   f"{delta.crowdsourced_pairs} pairs crowdsourced, "
                   f"{delta.reused_vote_pairs} vote sets reused | "
-                  f"matches so far: {len(result.matches)}")
+                  f"matches so far: {resolver.match_count}")
     if args.max_batches and len(records) > batches_done * config.stream_batch_size:
         remaining = len(records) - batches_done * config.stream_batch_size
         if config.checkpoint_dir:
@@ -459,16 +457,15 @@ def _replay_stream(args: argparse.Namespace, dataset, resolver: StreamingResolve
     # re-resolving only its provenance-bounded blast radius.
     for record_id in args.retract or []:
         try:
-            result = resolver.retract(record_id)
+            delta = resolver.retract(record_id)
         except RecordError as error:
             _LOG.error(f"error: {error}")
             return 2
-        delta = result.delta
         invalidated_total += delta.invalidated_pairs
         retracted_total += delta.retracted_records
         _LOG.info(f"  retract {record_id}: -{delta.invalidated_pairs} pairs invalidated | "
                   f"{delta.dirty_components} dirty / {delta.clean_components} clean components | "
-                  f"matches now: {len(result.matches)}")
+                  f"matches now: {resolver.match_count}")
     if args.update_file:
         try:
             revised = _load_update_records(args.update_file)
@@ -477,18 +474,17 @@ def _replay_stream(args: argparse.Namespace, dataset, resolver: StreamingResolve
             return 2
         for record in revised:
             try:
-                result = resolver.update(record)
+                delta = resolver.update(record)
             except RecordError as error:
                 _LOG.error(f"error: {error}")
                 return 2
-            delta = result.delta
             invalidated_total += delta.invalidated_pairs
             retracted_total += delta.retracted_records
             _LOG.info(f"  update {record.record_id}: -{delta.invalidated_pairs} pairs invalidated, "
                       f"+{delta.new_candidate_pairs} rejoined | "
                       f"{delta.regenerated_hits} HITs regenerated, "
                       f"{delta.crowdsourced_pairs} pairs crowdsourced | "
-                      f"matches now: {len(result.matches)}")
+                      f"matches now: {resolver.match_count}")
     # Settle the session: an async crowd's votes in flight land and are
     # aggregated (a no-op for a synchronous crowd).
     result = resolver.flush()

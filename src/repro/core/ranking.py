@@ -111,6 +111,10 @@ class RankedIndex:
         """Ranks ``after`` to ``after + limit`` of :meth:`ranked`: one list slice."""
         return [entry[3] for entry in self._entries[after : after + limit]]
 
+    def match_count(self) -> int:
+        """How many crowd-confirmed pairs there are: the tier-2 prefix's length."""
+        return bisect_left(self._entries, (-1,))
+
     def matches(self) -> List[PairKey]:
         """The crowd-confirmed pairs, in ranked order: the tier-2 prefix."""
-        return [entry[3] for entry in self._entries[: bisect_left(self._entries, (-1,))]]
+        return [entry[3] for entry in self._entries[: self.match_count()]]

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.crowd.latency import LatencyEstimate
@@ -12,16 +12,13 @@ PairKey = Tuple[str, str]
 
 @dataclass
 class StreamingDelta:
-    """What one streaming batch changed relative to the previous snapshot.
-
-    Attached to the :class:`ResolutionResult` snapshots produced by
-    :class:`repro.streaming.StreamingResolver`; ``None`` on batch-mode
-    results.  All counts describe the most recent ``add_batch`` call.
+    """What one streaming event changed: what ``add_batch``, ``retract`` and
+    ``update`` of :class:`repro.streaming.StreamingResolver` return.
 
     Attributes
     ----------
     batch_index:
-        1-based index of the arrival batch that produced this snapshot.
+        1-based index of the event (arrivals, retractions and updates).
     new_records / new_candidate_pairs:
         Records added by the batch and candidate pairs the incremental join
         discovered for them (new-vs-old plus new-vs-new).
@@ -48,6 +45,12 @@ class StreamingDelta:
         Candidate pairs dropped because one of their records was retracted
         — the provenance-reachable region whose votes, posteriors and
         coverage were discarded.
+    changed:
+        The pairs whose likelihood or posterior the event added, changed or
+        dropped — what the session's ranking re-placed for it.  ``None``
+        when that is not known (the first event after a restore, or a
+        global-scope re-aggregation, where it may be any pair).  Not part
+        of :meth:`as_dict` or of equality.
     """
 
     batch_index: int = 0
@@ -62,28 +65,18 @@ class StreamingDelta:
     preserved_posterior_pairs: int = 0
     retracted_records: int = 0
     invalidated_pairs: int = 0
+    changed: Optional[Set[PairKey]] = field(default=None, compare=False)
 
     def as_dict(self) -> Dict[str, int]:
-        """Plain-dict view used by the CLI and benchmark reports."""
-        return {
-            "batch_index": self.batch_index,
-            "new_records": self.new_records,
-            "new_candidate_pairs": self.new_candidate_pairs,
-            "dirty_components": self.dirty_components,
-            "clean_components": self.clean_components,
-            "dirty_pairs": self.dirty_pairs,
-            "regenerated_hits": self.regenerated_hits,
-            "crowdsourced_pairs": self.crowdsourced_pairs,
-            "reused_vote_pairs": self.reused_vote_pairs,
-            "preserved_posterior_pairs": self.preserved_posterior_pairs,
-            "retracted_records": self.retracted_records,
-            "invalidated_pairs": self.invalidated_pairs,
-        }
+        """The counters as a plain dict, in field order (the wire's ``delta``)."""
+        return {item.name: getattr(self, item.name) for item in fields(self)
+                if item.name != "changed"}
 
 
 @dataclass
 class ResolutionResult:
-    """Everything a hybrid-workflow run produced.
+    """A whole resolution: a batch run's, or a streaming session's from its
+    ``snapshot()`` or ``flush()`` (its events answer with a :class:`StreamingDelta`).
 
     Attributes
     ----------
@@ -110,15 +103,6 @@ class ResolutionResult:
         Fraction of ground-truth matches that survived pruning — the best
         recall the crowd phase can possibly achieve (needs ground truth;
         None if unknown).
-    delta:
-        For streaming snapshots, what the latest batch changed
-        (:class:`StreamingDelta`); ``None`` for batch-mode runs.
-    changed:
-        For streaming snapshots, the pairs whose likelihood or posterior was
-        added, changed or dropped since the previous snapshot — after an
-        event, what the event touched.  ``None`` when that is not known
-        (batch-mode runs; a session right after a restore or a global-scope
-        re-aggregation, where it may be any of them).  Not part of equality.
     """
 
     ranked_pairs: List[PairKey] = field(default_factory=list)
@@ -132,8 +116,6 @@ class ResolutionResult:
     latency: Optional[LatencyEstimate] = None
     recall_ceiling: Optional[float] = None
     generator_name: str = ""
-    delta: Optional[StreamingDelta] = None
-    changed: Optional[Set[PairKey]] = field(default=None, compare=False)
 
     def summary(self) -> Dict[str, object]:
         """Compact dictionary summary used by reports and examples."""

@@ -14,7 +14,7 @@ clock:
 * :meth:`poll` / :meth:`drain_ready` / :meth:`settle` hand the buffered
   deliveries to the caller (pull-style ingestion);
 * duplicate and late-after-reissue deliveries are dropped idempotently,
-  keyed by ``(hit_id, assignment_id)`` and by the HIT slot already served;
+  keyed by the HIT slot already served;
 * a bounded in-flight HIT window applies backpressure: ``"block"``
   advances the clock until the window drains, ``"shed"`` raises
   :class:`BackpressureError` so the caller can defer the publish.
@@ -182,7 +182,6 @@ class AsyncCrowdPlatform:
         self._pending: List[dict] = []
         #: deliveries buffered by internal advances, FIFO.
         self._ready: List[VoteDelivery] = []
-        self._seen_assignments: Set[str] = set()
         self.retries = 0
         self.timeouts = 0
         self.duplicates_dropped = 0
@@ -330,20 +329,17 @@ class AsyncCrowdPlatform:
     def _accept_or_drop(self, entry: dict) -> None:
         hit = self._hits[entry["hit"]]
         assignment_id = entry["assignment_id"]
-        if (
-            entry["duplicate_of"] is not None
-            or assignment_id in self._seen_assignments
-            or entry["slot"] in hit["delivered"]
-        ):
-            # Idempotent dedup: platform duplicates, replayed assignment
-            # ids, and late originals overtaken by a retry/reissue.
+        if entry["duplicate_of"] is not None or entry["slot"] in hit["delivered"]:
+            # Idempotent dedup: platform duplicates, and late originals
+            # overtaken by a retry/reissue.  An assignment id is enqueued
+            # once, and its HIT outlives every pending entry naming it, so
+            # an accepted slot in ``delivered`` is all the memory needed.
             self.duplicates_dropped += 1
             if obs.enabled():
                 obs.inc("crowd_duplicates_dropped_total", 1,
                         help="Duplicate or late-after-reissue crowd "
                              "deliveries dropped by idempotent dedup.")
             return
-        self._seen_assignments.add(assignment_id)
         hit["delivered"].add(entry["slot"])
         delivery = VoteDelivery(
             hit_id=entry["hit"],
@@ -473,7 +469,6 @@ class AsyncCrowdPlatform:
             "duplicates_dropped": self.duplicates_dropped,
             "reissued": self.reissued,
             "extra_cost": self._extra_cost,
-            "seen": sorted(self._seen_assignments),
             "hits": [
                 [uid, {
                     "pairs": [[a, b] for a, b in hit["pairs"]],
@@ -497,7 +492,6 @@ class AsyncCrowdPlatform:
         self.duplicates_dropped = int(state["duplicates_dropped"])  # type: ignore[arg-type]
         self.reissued = int(state["reissued"])  # type: ignore[arg-type]
         self._extra_cost = float(state["extra_cost"])  # type: ignore[arg-type]
-        self._seen_assignments = set(state["seen"])  # type: ignore[arg-type]
         self._hits = {
             uid: {
                 "pairs": [(a, b) for a, b in payload["pairs"]],

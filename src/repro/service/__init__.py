@@ -19,10 +19,11 @@ Architecture — see ``docs/service.md`` for the full picture:
   bound.
 * :class:`~repro.service.sessions.SessionManager` maps the HTTP lifecycle
   (create / append / retract / update / flush / status / save / restore /
-  close) onto resolver calls and JSON payloads.  A mutation answers with
-  what its event changed (delta, counters, changed pairs); the resolution
-  is read with ``GET result``, whole or a ranked page at a time.  Every
-  answer is encoded on the shard thread that ran the call.
+  close) onto resolver calls and JSON payloads.  A record mutation answers
+  with what its event changed (delta, counters, changed pairs); the
+  resolution is read with ``GET result``, whole or a ranked page at a time,
+  and ``flush`` answers with the settled one.  Every answer is encoded on
+  the shard thread that ran the call.
 * :class:`~repro.service.client.ServiceClient` is the matching blocking
   client (stdlib ``http.client``, one keep-alive connection per calling
   thread) used by the tests, the benchmark and CI.

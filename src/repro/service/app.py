@@ -16,13 +16,14 @@ GET      ``/sessions/{id}/result``       full snapshot (matches + posteriors), o
 POST     ``/sessions/{id}/batch``        append a record batch
 POST     ``/sessions/{id}/retract``      retract one record
 POST     ``/sessions/{id}/update``       revise one record
-POST     ``/sessions/{id}/flush``        settle the session (votes in flight)
+POST     ``/sessions/{id}/flush``        settle the session; answers ``result``
 POST     ``/sessions/{id}/save``         checkpoint now
 POST     ``/sessions/{id}/restore``      re-open a durable session
 =======  ==============================  =======================================
 
-The four mutations answer with their event's delta, counters and changed
-pairs (:func:`repro.service.sessions.encode_event`), not with the result.
+The three record mutations answer with their event's delta, counters and
+changed pairs (:func:`repro.service.sessions.encode_event`), not with the
+result; ``flush`` answers with the settled result, as ``GET result`` would.
 
 Every request runs under a ``service.request`` span and feeds
 ``service_requests_total{route,method,status}`` /

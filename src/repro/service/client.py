@@ -4,11 +4,12 @@ Used by the tests, the benchmark and the CI smoke job; applications can use
 any HTTP client — the API is plain JSON over HTTP/1.1.  A client keeps one
 keep-alive connection per calling thread, so it may be shared across threads.
 
-The mutation methods (``append`` / ``retract`` / ``update`` / ``flush``)
-return what the event changed — ``delta``, the counters and ``changed``, the
-touched pairs as ``[id_a, id_b, posterior|None]`` — not the resolution; read
-that with :meth:`ServiceClient.result`, whole or a ranked page at a time, or
-keep it by folding every ``changed`` list into a dict.
+The record mutations (``append`` / ``retract`` / ``update``) return what
+the event changed — ``delta``, the counters and ``changed``, the touched
+pairs as ``[id_a, id_b, posterior|None]`` — not the resolution; read that
+with :meth:`ServiceClient.result`, whole or a ranked page at a time, or
+keep it by folding every ``changed`` list into a dict.  ``flush`` returns
+the settled resolution, the payload of a whole ``result``.
 
 :meth:`ServiceClient.request` returns the raw ``(status, headers, body)``
 triple without raising, which is what the error-path regression tests

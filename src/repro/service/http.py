@@ -72,7 +72,7 @@ class HttpResponse:
         if self.text is not None:
             body = self.text.encode("utf-8")
         else:
-            body = json.dumps(self.payload, sort_keys=True).encode("utf-8")
+            body = json.dumps(self.payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
         reason = _REASONS.get(self.status, "Unknown")
         lines = [
             f"HTTP/1.1 {self.status} {reason}",

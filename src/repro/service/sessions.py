@@ -10,10 +10,11 @@ thread through the executor.
 Wire format: records travel as the event log's JSON encoding
 (``{"record_id", "attributes", "source"}``), pair keys as two-element
 arrays, posteriors as sorted ``[id_a, id_b, posterior]`` triples.  A
-mutation answers with what its event changed (:func:`encode_event`: the
-delta, the counters, the touched pairs), never with the whole resolution;
-``GET result`` serves that, in full (:func:`encode_result`) or as a page of
-the ranked list (:func:`encode_page`).  All three are built on the session's
+record mutation answers with what its event changed (:func:`encode_event`:
+the delta, the counters, the touched pairs), never with the whole
+resolution; ``GET result`` serves that, in full (:func:`encode_result`) or
+as a page of the ranked list (:func:`encode_page`), and ``flush`` answers
+with the settled one in full.  All three are built on the session's
 shard thread, inside the call that ran the resolver.  Floats round-trip
 through JSON exactly (shortest-repr float64), so a client can assert
 **bit-identity** between a served session and a standalone resolver
@@ -26,7 +27,7 @@ import uuid
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.config import WorkflowConfig
-from repro.core.results import ResolutionResult
+from repro.core.results import ResolutionResult, StreamingDelta
 from repro.records.record import Record, RecordError
 from repro.service.errors import (
     bad_request,
@@ -62,20 +63,23 @@ def encode_result(result: ResolutionResult) -> Dict[str, object]:
     }
 
 
-def encode_event(result: ResolutionResult) -> Dict[str, object]:
+def encode_event(delta: StreamingDelta, resolver: StreamingResolver) -> Dict[str, object]:
     """JSON payload of one applied event: as large as what the event touched.
 
-    ``changed`` lists the touched pairs as sorted ``[id_a, id_b, posterior]``
-    triples, ``null`` for a pair that has no posterior now (dropped, or not
-    voted yet); folding every answer's list into a dict keeps exactly
+    ``delta`` is what the event returned, read right after it.  ``changed``
+    lists the touched pairs as sorted ``[id_a, id_b, posterior]`` triples,
+    ``null`` for a pair that has no posterior now (dropped, or not voted
+    yet); folding every answer's list into a dict keeps exactly
     ``GET result``'s ``posteriors``.  ``changed`` itself is ``null`` when the
     session cannot say what moved — the client re-reads the result.
     """
     changed = None
-    if result.changed is not None:
-        posteriors = result.posteriors
-        changed = sorted([key[0], key[1], posteriors.get(key)] for key in result.changed)
-    return {"delta": result.delta.as_dict(), "changed": changed, **_counters(result)}
+    if delta.changed is not None:
+        posteriors = resolver.storage.ledger.posteriors
+        changed = sorted([key[0], key[1], posteriors.get(key)] for key in delta.changed)
+    # An empty page carries the session's counters and nothing session-sized.
+    counters = _counters(resolver.ranked_page(0, 0))
+    return {"delta": delta.as_dict(), "changed": changed, **counters}
 
 
 def encode_page(result: ResolutionResult, after: int, limit: int) -> Dict[str, object]:
@@ -283,7 +287,8 @@ class SessionManager:
         truth = _parse_truth(payload["truth"]) if "truth" in payload else None
         resolver = self._handle(session_id).resolver
         return await self._submit_event(
-            session_id, lambda: resolver.add_batch(records, true_matches=truth)
+            session_id,
+            lambda: encode_event(resolver.add_batch(records, true_matches=truth), resolver),
         )
 
     async def retract(self, session_id: str, payload: dict) -> Dict[str, object]:
@@ -291,18 +296,23 @@ class SessionManager:
             raise bad_request("request body must be {'record_id': ...}")
         record_id = payload["record_id"]
         resolver = self._handle(session_id).resolver
-        return await self._submit_event(session_id, lambda: resolver.retract(record_id))
+        return await self._submit_event(
+            session_id, lambda: encode_event(resolver.retract(record_id), resolver)
+        )
 
     async def update(self, session_id: str, payload: dict) -> Dict[str, object]:
         if not isinstance(payload, dict) or "record" not in payload:
             raise bad_request("request body must be {'record': {...}}")
         (record,) = _parse_records([payload["record"]])
         resolver = self._handle(session_id).resolver
-        return await self._submit_event(session_id, lambda: resolver.update(record))
+        return await self._submit_event(
+            session_id, lambda: encode_event(resolver.update(record), resolver)
+        )
 
     async def flush(self, session_id: str) -> Dict[str, object]:
+        """Settle the session; answers ``GET result``'s payload."""
         resolver = self._handle(session_id).resolver
-        return await self._submit_event(session_id, resolver.flush)
+        return await self._submit_event(session_id, lambda: encode_result(resolver.flush()))
 
     async def save(self, session_id: str) -> Dict[str, object]:
         handle = self._handle(session_id)
@@ -314,10 +324,10 @@ class SessionManager:
 
         return await self.shards.submit(session_id, run)
 
-    async def _submit_event(self, session_id: str, event) -> Dict[str, object]:
-        """Run one resolver event on its shard and encode the answer there."""
+    async def _submit_event(self, session_id: str, answer) -> Dict[str, object]:
+        """Run one resolver event and encode its answer on the session's shard."""
         try:
-            return await self.shards.submit(session_id, lambda: encode_event(event()))
+            return await self.shards.submit(session_id, answer)
         except RecordError as error:
             raise bad_request(str(error)) from None
         except PersistenceError as error:

@@ -131,9 +131,10 @@ def upgrade(store: SqliteStore, version: int) -> None:
 
     Refuses a newer format and runs the steps from ``version`` on.  Then it
     sheds, whatever the version (an earlier ``save(X)`` can stamp a newer
-    one over a copy), every undeclared table, the ``metrics`` meta row and
-    ``last_delta.stale_skipped_components``.  A store with nothing to shed
-    is written nothing, so reading a live session's store takes no write lock.
+    one over a copy), every undeclared table, the ``metrics`` meta row, the
+    ``session`` value's ``last_delta`` and the ``async`` platform's ``seen``
+    ids.  A store with nothing to shed is written nothing, so reading a live
+    session's store takes no write lock.
     """
     if version > FORMAT_VERSION:
         raise StorageError(
@@ -150,9 +151,11 @@ def upgrade(store: SqliteStore, version: int) -> None:
     if store.query("SELECT 1 FROM meta WHERE key = 'metrics'").fetchone():
         store.execute("DELETE FROM meta WHERE key = 'metrics'")
     counters = store.get_meta("session")
-    if counters and "stale_skipped_components" in counters.get("last_delta", {}):
-        del counters["last_delta"]["stale_skipped_components"]
+    if counters and counters.pop("last_delta", None) is not None:
         store.set_meta("session", counters)
+    flight = store.get_meta("async")
+    if flight and flight["platform"].pop("seen", None) is not None:
+        store.set_meta("async", flight)
     if version != FORMAT_VERSION:
         store.set_meta("version", FORMAT_VERSION)
 

@@ -34,12 +34,13 @@ Session lifecycle::
                             checkpoint_dir="/var/lib/er-session")
     session = StreamingResolver(config)
     session.add_truth(known_matches)          # feeds the simulated crowd
-    snap = session.add_batch(first_records)   # join + crowd + aggregate
-    snap = session.add_batch(more_records)    # only dirty components redo work
-    snap = session.retract("r42")             # invalidate r42's pairs only
+    delta = session.add_batch(first_records)  # join + crowd + aggregate
+    delta = session.add_batch(more_records)   # only dirty components redo work
+    delta = session.retract("r42")            # invalidate r42's pairs only
     # ... process dies; later, in a fresh process:
     session = StreamingResolver.restore("/var/lib/er-session")
-    snap = session.add_batch(next_records)    # continues bit-identically
+    session.add_batch(next_records)           # continues bit-identically
+    result = session.flush()                  # the settled resolution
 
 Dirty-component semantics: a component is dirty for a batch if it gained a
 record or a candidate pair (including via merges); only dirty components

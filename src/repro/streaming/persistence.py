@@ -74,7 +74,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.core.config import WorkflowConfig
-from repro.core.results import StreamingDelta
 from repro.records.record import Record
 from repro.storage import STORE_FILENAME, SqliteStore, Store
 from repro.storage.base import PersistenceError
@@ -301,18 +300,14 @@ def _write_truth(store: Store, session) -> None:
 
 #: The stored key order of the ``session`` meta value.
 _SESSION_META_KEYS = (
-    "hit_count", "cost", "batch_index", "pairs_per_hit_seen", "generator_name", "last_delta",
+    "hit_count", "cost", "batch_index", "pairs_per_hit_seen", "generator_name",
 )
 
 
 def _write_counters(store: Store, session) -> None:
     """The crowd driver's state, the session's event counters, the log position."""
     crowd = session.driver.state_dict()
-    counters = {
-        **crowd["session"],
-        "batch_index": session._batch_index,
-        "last_delta": session._last_delta.as_dict(),
-    }
+    counters = {**crowd["session"], "batch_index": session._batch_index}
     store.set_meta("session", {key: counters[key] for key in _SESSION_META_KEYS})
     store.set_meta("async", crowd["async"])
     store.set_meta("events_applied", session.durability.events_applied)
@@ -532,7 +527,6 @@ def _page_in(session, source: SqliteStore) -> None:
         "assignment_seconds": source.load_assignment_seconds(),
     })
     session._batch_index = int(counters.get("batch_index", 0))
-    session._last_delta = StreamingDelta(**counters.get("last_delta", {}))
     session._last_fresh_votes = {}
     session.durability.events_applied = int(source.get_meta("events_applied", 0))
 

@@ -22,9 +22,10 @@ incrementally instead of recomputing it from scratch:
    re-aggregates what changed under ``streaming_aggregation_scope``: only
    dirty components, clean ones keeping their cached posteriors
    bit-for-bit, or (``"global"``) all accumulated votes.
-5. **Snapshot** — the candidates are kept in rank order
+5. **Ranking** — the candidates are kept in rank order
    (:class:`~repro.core.ranking.RankedIndex`) and re-placed only for the
-   pairs whose likelihood or posterior the event changed.
+   pairs whose likelihood or posterior the event changed; the event answers
+   with its :class:`~repro.core.results.StreamingDelta`.
 
 On top of arrivals the session supports **retraction and update**
 (:meth:`StreamingResolver.retract` / :meth:`StreamingResolver.update`):
@@ -99,7 +100,7 @@ DELTA_COUNTER_FIELDS = (
     "retracted_records",
 )
 
-#: ``snapshot()`` re-ranks from scratch once an event touched more than one
+#: An event re-ranks from scratch once it touched more than one
 #: candidate in this many: past half, one sort is cheaper than the bisects
 #: (Dawid-Skene over one giant dirty component moves every posterior).
 RERANK_SHARE = 2
@@ -127,12 +128,12 @@ class StreamingResolver:
     cross_sources:
         Restrict candidates to cross-source pairs (record linkage).
 
-    Lifecycle: call :meth:`add_batch` for every arrival (it returns a
-    delta-aware :class:`~repro.core.results.ResolutionResult` snapshot),
-    :meth:`retract` / :meth:`update` when a record is withdrawn or revised,
-    :meth:`snapshot` at any point for the current state without new data,
-    :meth:`save` to checkpoint and :meth:`restore` to resume a durable
-    session after a crash or restart.
+    Lifecycle: :meth:`add_batch` for every arrival, :meth:`retract` /
+    :meth:`update` when a record is withdrawn or revised (each returns its
+    :class:`~repro.core.results.StreamingDelta`), :meth:`snapshot` or
+    :meth:`ranked_page` for the resolution, :meth:`flush` to settle the
+    crowd (returns the settled resolution), :meth:`save` to checkpoint and
+    :meth:`restore` to resume a durable session after a crash or restart.
     """
 
     def __init__(
@@ -162,7 +163,7 @@ class StreamingResolver:
         )
         self.store = RecordStore(name="stream")
         self.components = IncrementalUnionFind()
-        # The ranked candidates, re-placed per touched pair by snapshot().
+        # The ranked candidates, re-placed per touched pair by every event.
         self._ranking = RankedIndex()
         # Ground truth, its per-record index, and how many of its pairs have
         # both records resident (the recall ceiling's denominator).
@@ -171,7 +172,6 @@ class StreamingResolver:
         self._arrived_truth = 0
         self._aggregation = AggregationSchedule(self.config, self.storage.ledger)
         self._batch_index = 0
-        self._last_delta = StreamingDelta()
         # Fresh votes folded in by the most recent applied event (what an
         # earlier store format's outcome record carries, which a replay
         # verifies).
@@ -198,6 +198,12 @@ class StreamingResolver:
     def candidate_count(self) -> int:
         """Number of candidate pairs discovered so far."""
         return len(self._ledger.pairs)
+
+    @property
+    def match_count(self) -> int:
+        """Number of pairs the current resolution matches, without building it."""
+        self._sync_ranking()
+        return self._ranking.match_count()
 
     @property
     def events_applied(self) -> int:
@@ -238,13 +244,14 @@ class StreamingResolver:
         self,
         records: Sequence[Record],
         true_matches: Optional[Iterable[PairKey]] = None,
-    ) -> ResolutionResult:
-        """Ingest a batch of new records and return the updated snapshot.
+    ) -> StreamingDelta:
+        """Ingest a batch of new records and return what the batch changed.
 
         Runs the incremental machine pass, dirties the touched components,
         regenerates and publishes HITs for them, folds fresh votes into the
-        ledger, re-aggregates what changed and snapshots the session.  For
-        durable sessions the batch is made durable before any state changes.
+        ledger, re-aggregates what changed and re-ranks the touched pairs.
+        For durable sessions the batch is made durable before any state
+        changes.
         """
         batch = list(records)
         seen_batch: Set[str] = set()
@@ -260,7 +267,7 @@ class StreamingResolver:
         )
         return self.durability.run(self, "batch", batch, truth_pairs)
 
-    def retract(self, record_id: str) -> ResolutionResult:
+    def retract(self, record_id: str) -> StreamingDelta:
         """Withdraw a resident record and re-resolve only what it touched.
 
         Provenance makes the blast radius exact: the record's pairs (and
@@ -281,7 +288,7 @@ class StreamingResolver:
             raise RecordError(f"unknown record id: {record_id!r}")
         return self.durability.run(self, "retract", record_id)
 
-    def update(self, record: Record) -> ResolutionResult:
+    def update(self, record: Record) -> StreamingDelta:
         """Replace a resident record with a revised version.
 
         Equivalent to :meth:`retract` followed by ingesting the new version
@@ -304,7 +311,7 @@ class StreamingResolver:
         An asynchronous crowd is waited out (shed publishes included), and
         every pair whose late votes its posterior has not seen is
         re-aggregated.  A no-op when nothing is outstanding — e.g. a
-        synchronous crowd.  Returns the settled snapshot.
+        synchronous crowd.  Returns the settled resolution (:meth:`snapshot`).
         """
         return self.durability.run(self, "flush")
 
@@ -329,14 +336,23 @@ class StreamingResolver:
         return persistence.restore(cls, path)
 
     # ------------------------------------------------------- event appliers
+    #: The applier of each event of :data:`repro.streaming.persistence.EVENTS`.
+    _APPLIERS = dict(truth="_apply_truth", batch="_ingest", retract="_withdraw",
+                     update="_revise", flush="_settle")
+
     def apply(self, kind: str, *arguments):
         """Apply one event to the state machine: no log, no boundary.
 
         ``kind`` is an event name of :data:`repro.streaming.persistence.EVENTS`
         and ``arguments`` what the public method of that name validated — the
-        one entry point a live event and a replayed one share.
+        one entry point a live event and a replayed one share.  Returns what
+        the public method returns: a record event's delta carries the pairs
+        the ranked index re-placed for it.
         """
-        return getattr(self, f"_apply_{kind}")(*arguments)
+        answer = getattr(self, self._APPLIERS[kind])(*arguments)
+        if isinstance(answer, StreamingDelta):
+            answer.changed = self._sync_ranking()
+        return answer
 
     def _apply_truth(self, pairs: Iterable[Sequence[str]]) -> None:
         for pair in pairs:
@@ -357,39 +373,12 @@ class StreamingResolver:
             if partner in self.store
         )
 
-    def _apply_batch(
-        self,
-        batch: List[Record],
-        truth_pairs: Optional[Iterable[Sequence[str]]],
-    ) -> ResolutionResult:
-        self._ingest(batch, truth_pairs)
-        return self.snapshot()
-
-    def _apply_retract(self, record_id: str) -> ResolutionResult:
-        self._withdraw(record_id)
-        return self.snapshot()
-
-    def _apply_update(self, record: Record) -> ResolutionResult:
-        # Both halves emit their own spans and delta counters (so an update
-        # accounts as one retraction plus one arrival); only the event count
-        # is recorded here.
-        if obs.enabled():
-            obs.inc("streaming_updates_total", 1,
-                    help="Record update events (retract + re-ingest).")
-        invalidated = self._withdraw(record.record_id).invalidated_pairs
-        # The event's delta: the ingest counters plus the retraction's
-        # invalidation stats.
-        delta = self._ingest([record], None)
-        delta.retracted_records = 1
-        delta.invalidated_pairs = invalidated
-        return self.snapshot()
-
     def _ingest(
         self,
         batch: List[Record],
         truth_pairs: Optional[Iterable[Sequence[str]]],
     ) -> StreamingDelta:
-        """The arrival half of an event: everything but the snapshot."""
+        """Apply an arrival (a ``batch`` event, or an update's second half)."""
         if truth_pairs is not None:
             self._apply_truth(truth_pairs)
         self._batch_index += 1
@@ -438,12 +427,11 @@ class StreamingResolver:
                 self._aggregation.aggregate(aggregate_pairs, delta)
 
             self.components.clear_dirty()
-        self._last_delta = delta
         self._emit_delta_metrics(delta)
         return delta
 
     def _withdraw(self, record_id: str) -> StreamingDelta:
-        """The retraction half of an event: everything but the snapshot."""
+        """Apply a retraction (a ``retract`` event, or an update's first half)."""
         self._batch_index += 1
         delta = StreamingDelta(batch_index=self._batch_index, retracted_records=1)
         self._last_fresh_votes = {}
@@ -476,11 +464,27 @@ class StreamingResolver:
             self._aggregation.aggregate(dirty_pairs, delta)
 
             self.components.clear_dirty()
-        self._last_delta = delta
         self._emit_delta_metrics(delta)
         return delta
 
-    def _apply_flush(self) -> ResolutionResult:
+    def _revise(self, record: Record) -> StreamingDelta:
+        """Apply an update: a retraction and a one-record arrival."""
+        # Both halves emit their own spans and delta counters (so an update
+        # accounts as one retraction plus one arrival); only the event count
+        # is recorded here.
+        if obs.enabled():
+            obs.inc("streaming_updates_total", 1,
+                    help="Record update events (retract + re-ingest).")
+        withdrawn = self._withdraw(record.record_id)
+        # The event's delta: the ingest counters plus the retraction's
+        # invalidation stats.
+        delta = self._ingest([record], None)
+        delta.retracted_records = 1
+        delta.invalidated_pairs = withdrawn.invalidated_pairs
+        return delta
+
+    def _settle(self) -> ResolutionResult:
+        """Apply a flush; answers with the settled resolution."""
         self._last_fresh_votes = {}
         with obs.span("streaming.flush"):
             # Settle the crowd first — nothing in flight afterwards.  The
@@ -589,13 +593,13 @@ class StreamingResolver:
         return len(self._truth & self._ledger.pairs.keys()) / self._arrived_truth
 
     def snapshot(self) -> ResolutionResult:
-        """The current resolution state as a delta-aware result object.
+        """The current resolution, whole.
 
-        Costs what changed since the previous snapshot: the ranked index is
-        updated for the pairs the ledger reports touched (the result's
-        ``changed``) and everything else is a copy.
+        Every event re-places its pairs in the ranked index, so this is a
+        copy of the index and the ledger (a restored session ranks its
+        candidates once, here or at its first event).
         """
-        changed = self._sync_ranking()
+        self._sync_ranking()
         return ResolutionResult(
             ranked_pairs=self._ranking.ranked(),
             matches=self._ranking.matches(),
@@ -603,8 +607,6 @@ class StreamingResolver:
             likelihoods=dict(self._ledger.pairs),
             candidate_count=len(self._ledger.pairs),
             recall_ceiling=self._recall_ceiling(),
-            delta=self._last_delta,
-            changed=changed,
             **self.driver.workload(),
         )
 
@@ -657,9 +659,8 @@ def resolve_stream(
         if len(records) != len(dataset.store):
             raise ValueError("arrival_order must cover every record exactly once")
     try:
-        result = resolver.snapshot()
         for start in range(0, len(records), size):
-            result = resolver.add_batch(records[start : start + size])
-        return result
+            resolver.add_batch(records[start : start + size])
+        return resolver.snapshot()
     finally:
         resolver.durability.close()

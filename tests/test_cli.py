@@ -325,11 +325,13 @@ class TestCheckpointResume:
         )
         resolver = StreamingResolver(config=config)
         resolver.add_truth(dataset.ground_truth)
-        before = resolver.add_batch(list(dataset.store))
+        resolver.add_batch(list(dataset.store))
+        before = resolver.snapshot()
         assert ("r1", "r2") in before.matches
-        after = resolver.retract("r1")
+        delta = resolver.retract("r1")
+        after = resolver.snapshot()
         assert all("r1" not in key for key in after.matches)
-        assert after.delta.retracted_records == 1
-        assert after.delta.invalidated_pairs > 0
+        assert delta.retracted_records == 1
+        assert delta.invalidated_pairs > 0
         # Matches not involving r1 survive untouched.
         assert ("r3", "r4") in after.matches

@@ -7,13 +7,16 @@ state digests at the stop and at the end of the schedule.  The driver must
 write those bytes, and a store holding them must restore and finish on the
 uninterrupted digest.  Nothing here may regenerate the fixture from the code
 under test: a new value means the stored format moved.  The format moved
-twice, each time by hand-editing the fixture and keeping a test that the
-earlier bytes still restore: ``last_delta`` lost its bounded-staleness
-counter, and the ``async`` value lost its vote rounds (``rounds`` per open
-HIT, ``inflight_rounds``).
+three times, each time by hand-editing the fixture and keeping a test that
+the earlier bytes still restore: ``last_delta`` lost its bounded-staleness
+counter, the ``async`` value lost its vote rounds (``rounds`` per open HIT,
+``inflight_rounds``), and then the ``session`` value lost ``last_delta``
+itself (an event answers with its delta) and the ``async`` platform its
+``seen`` assignment ids.
 """
 
 import json
+import re
 import sqlite3
 from pathlib import Path
 
@@ -48,8 +51,14 @@ MODES = {
 }
 
 
+#: The accepted assignment ids the parent of the ``seen`` removal stored at
+#: :func:`run_prefix`'s stop.
+PARENT_SEEN = {"sync": None, "async": ["p0:pair-hit-1/s2/a0"]}
+
+
 def run_prefix(mode, directory):
-    """The fixture's schedule up to its stop; returns (session, records left)."""
+    """The fixture's schedule up to its stop; returns (session, records left,
+    the delta its last event answered)."""
     dataset = RestaurantGenerator(record_count=60, duplicate_pairs=15, seed=29).generate()
     records = list(dataset.store)
     resolver = StreamingResolver(config=WorkflowConfig(
@@ -61,9 +70,9 @@ def run_prefix(mode, directory):
     resolver.add_batch(records[:15])
     resolver.add_batch(records[15:30])
     resolver.retract(records[3].record_id)
-    resolver.add_batch(records[30:45])
+    last = resolver.add_batch(records[30:45])
     resolver.save()
-    return resolver, records[45:]
+    return resolver, records[45:], last
 
 
 def stored_meta(directory):
@@ -81,7 +90,7 @@ def stored_meta(directory):
 @pytest.mark.parametrize("mode", sorted(MODES))
 def test_stored_crowd_state_is_the_parent_commits(tmp_path, mode):
     expected = FIXTURE[mode]
-    resolver, rest = run_prefix(mode, tmp_path)
+    resolver, rest, _ = run_prefix(mode, tmp_path)
     if mode == "async":  # stopped mid-flight, or the fixture pins nothing
         assert resolver.driver.inflight and resolver.driver.starved
     assert resolver.state_digest() == expected["stopped_digest"]
@@ -104,23 +113,60 @@ def restores_and_finishes(directory, rest, expected):
     restored.durability.close()
 
 
+def with_delta_and_seen(written, last_delta, seen):
+    """The ``session`` and ``async`` meta texts the parent of the
+    ``last_delta``/``seen`` removal wrote for the same state: the last
+    event's delta as ``last_delta`` after ``generator_name`` — here with the
+    bounded-staleness counter a release before it kept there — and the
+    accepted assignment ids as ``seen`` after ``extra_cost``."""
+    delta = list(last_delta.items())
+    delta.insert([name for name, _ in delta].index("retracted_records"),
+                 ("stale_skipped_components", 0))
+    session = json.dumps({**json.loads(written["session"]), "last_delta": dict(delta)})
+    flight = json.loads(written["async"])
+    if flight is not None:
+        platform = list(flight["platform"].items())
+        platform.insert([name for name, _ in platform].index("hits"), ("seen", seen))
+        flight["platform"] = dict(platform)
+    return {"session": session, "async": json.dumps(flight)}
+
+
 @pytest.mark.parametrize("mode", sorted(MODES))
 def test_stored_crowd_state_with_the_parent_commits_delta_key_restores(tmp_path, mode):
-    """A store written before bounded staleness was retired holds its counter
-    in ``last_delta``; restore drops it and lands on the same digests."""
+    """A store written before events answered with their delta holds the last
+    one in ``last_delta`` (before bounded staleness was retired, with its
+    counter), and one written before the ``seen`` list went holds the
+    accepted assignment ids; restore drops both and lands on the same
+    digests."""
     expected = FIXTURE[mode]
-    resolver, rest = run_prefix(mode, tmp_path)
+    resolver, rest, last = run_prefix(mode, tmp_path)
     resolver.durability.close()
-    parent_text = expected["session"].replace(
-        '"retracted_records"', '"stale_skipped_components": 0, "retracted_records"'
-    )
-    assert parent_text != expected["session"]
+    parent = with_delta_and_seen(expected, last.as_dict(), PARENT_SEEN[mode])
+    assert parent["session"] != expected["session"]
+    assert (parent["async"] != expected["async"]) == (mode == "async")
     connection = sqlite3.connect(str(Path(tmp_path) / STORE_FILENAME))
     with connection:
-        connection.execute("UPDATE meta SET value = ? WHERE key = 'session'", (parent_text,))
+        for key, text in parent.items():
+            connection.execute("UPDATE meta SET value = ? WHERE key = ?", (text, key))
     connection.close()
-    assert stored_meta(tmp_path)["session"] == parent_text
+    assert stored_meta(tmp_path) == parent
     restores_and_finishes(tmp_path, rest, expected)
+
+
+def test_a_settled_async_store_lists_no_assignment_id(tmp_path):
+    """Once ``flush()`` has settled an async session, nothing is in flight,
+    so its stored crowd state names no assignment (an accepted one's slot is
+    in its HIT's ``delivered`` while the HIT is open, and a HIT is pruned
+    only when nothing refers to it).  Fails at the parent of the ``seen``
+    removal, whose list kept every accepted id for the session's life."""
+    resolver, rest, _ = run_prefix("async", tmp_path)
+    resolver.add_batch(rest)
+    resolver.flush()
+    assert not resolver.driver.inflight and not resolver.driver.starved
+    resolver.durability.close()
+    stored = stored_meta(tmp_path)["async"]
+    assert json.loads(stored)["platform"]["pending"] == []
+    assert re.findall(r"/s\d+/a\d+", stored) == []
 
 
 def with_vote_rounds(async_text):
@@ -146,7 +192,7 @@ def test_stored_crowd_state_with_the_parent_commits_vote_rounds_restores(tmp_pat
     round per open HIT pair and per in-flight pair (all 0); restore ignores
     them and lands on the same digests."""
     expected = FIXTURE[mode]
-    resolver, rest = run_prefix(mode, tmp_path)
+    resolver, rest, _ = run_prefix(mode, tmp_path)
     resolver.durability.close()
     if mode == "async":
         parent_text = with_vote_rounds(expected["async"])

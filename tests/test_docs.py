@@ -162,6 +162,29 @@ class TestKnobCoverage:
         assert not missing, f"docs never mention CLI commands: {missing}"
 
 
+class TestTutorial:
+    def test_python_blocks_run_in_order(self, tmp_path):
+        """``docs/tutorial.md``'s Python blocks, run in order in one
+        interpreter with the durable session in a fresh directory, end on a
+        restored session that resolved the paper's four pairs."""
+        from repro import paper_example_matches
+
+        text = (DOCS_DIR / "tutorial.md").read_text(encoding="utf-8")
+        blocks = re.findall(r"```python\n(.*?)```", text, re.S)
+        assert len(blocks) == 5
+        directory = str(tmp_path / "er-session")
+        namespace = {}
+        try:
+            for block in blocks:
+                code = block.replace("/tmp/er-session", directory)
+                exec(compile(code, "docs/tutorial.md", "exec"), namespace)
+            final = namespace["session"].snapshot()
+        finally:
+            if "session" in namespace:
+                namespace["session"].durability.close()
+        assert set(final.matches) == set(paper_example_matches())
+
+
 class TestStoreSchema:
     def test_storage_page_lists_every_table_and_column_of_a_fresh_store(self, tmp_path):
         """``docs/storage.md``'s "Tables" section names every table of a new

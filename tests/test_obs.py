@@ -256,9 +256,9 @@ def _run_stream(dataset, tmp_path, backend, instrumented, tag):
     resolver = StreamingResolver(config=config, cross_sources=dataset.cross_sources)
     resolver.add_truth(dataset.ground_truth)
     records = list(dataset.store)
-    result = None
     for start in range(0, len(records), 20):
-        result = resolver.add_batch(records[start : start + 20])
+        resolver.add_batch(records[start : start + 20])
+    result = resolver.snapshot()
     # The whole session state, as materialised by save(): every table of the
     # store (the config necessarily differs in the session's directory).
     state = _dump_sqlite(resolver.save(tmp_path / f"{tag}-saved"))
@@ -357,9 +357,9 @@ def test_stats_hit_count_matches_session_exactly(tmp_path):
     resolver = StreamingResolver(config=config, cross_sources=dataset.cross_sources)
     resolver.add_truth(dataset.ground_truth)
     records = list(dataset.store)
-    result = None
     for start in range(0, len(records), 20):
-        result = resolver.add_batch(records[start : start + 20])
+        resolver.add_batch(records[start : start + 20])
+    result = resolver.snapshot()
     snapshot = obs.snapshot()
     resolver.storage.close()
     obs.deactivate()
@@ -452,7 +452,8 @@ def test_packing_counters_are_exact_for_a_seeded_session(monkeypatch):
     resolver.add_truth(dataset.ground_truth)
     records = list(dataset.store)
     for start in range(0, len(records), 50):
-        result = resolver.add_batch(records[start : start + 50])
+        resolver.add_batch(records[start : start + 50])
+    result = resolver.snapshot()
     snapshot = obs.snapshot()
 
     outcomes = {

@@ -178,8 +178,8 @@ class TestSessionRetraction:
         before = resolver.snapshot()
         posterior_b = before.posteriors[("b1", "b2")]
 
-        result = resolver.retract("a3")
-        delta = result.delta
+        delta = resolver.retract("a3")
+        result = resolver.snapshot()
         assert delta.retracted_records == 1
         assert delta.invalidated_pairs == 2  # (a1,a3) and (a2,a3)
         assert delta.dirty_components == 1  # only island A was re-formed
@@ -207,14 +207,15 @@ class TestSessionRetraction:
         with_retraction.add_truth(dataset.ground_truth)
         for start in range(0, len(records), 17):
             with_retraction.add_batch(records[start : start + 17])
-        after = with_retraction.retract(victim)
+        with_retraction.retract(victim)
+        after = with_retraction.snapshot()
 
         survivors = [record for record in records if record.record_id != victim]
         never_saw = StreamingResolver(config=make_config())
         never_saw.add_truth(dataset.ground_truth)
-        reference = never_saw.snapshot()
         for start in range(0, len(survivors), 17):
-            reference = never_saw.add_batch(survivors[start : start + 17])
+            never_saw.add_batch(survivors[start : start + 17])
+        reference = never_saw.snapshot()
 
         # Same surviving candidates with bit-identical likelihoods, same
         # match set (votes are a pure function of the pair key, so the
@@ -231,9 +232,9 @@ class TestSessionRetraction:
         resolver.add_truth([])
         resolver.add_batch([left, bridge, right])
         assert resolver.components.connected("l1", "r1")  # bridged via m1
-        result = resolver.retract("m1")
+        delta = resolver.retract("m1")
         assert not resolver.components.connected("l1", "r1")
-        assert result.delta.invalidated_pairs == 2
+        assert delta.invalidated_pairs == 2
         assert resolver.candidate_count == 0
 
     def test_retract_unknown_record_raises(self):
@@ -268,15 +269,16 @@ class TestSessionUpdate:
         updating.add_truth(dataset.ground_truth)
         for start in range(0, len(records), 13):
             updating.add_batch(records[start : start + 13])
-        updated = updating.update(revised)
-        assert updated.delta.retracted_records == 1
+        delta = updating.update(revised)
+        updated = updating.snapshot()
+        assert delta.retracted_records == 1
 
         replaced = [revised if r.record_id == revised.record_id else r for r in records]
         rebuilt = StreamingResolver(config=make_config())
         rebuilt.add_truth(dataset.ground_truth)
-        reference = rebuilt.snapshot()
         for start in range(0, len(replaced), 13):
-            reference = rebuilt.add_batch(replaced[start : start + 13])
+            rebuilt.add_batch(replaced[start : start + 13])
+        reference = rebuilt.snapshot()
 
         assert updated.likelihoods == reference.likelihoods
         assert set(updated.matches) == set(reference.matches)
@@ -290,7 +292,8 @@ class TestSessionUpdate:
         dataset = RestaurantGenerator(record_count=60, duplicate_pairs=8, seed=23).generate()
         resolver = StreamingResolver(config=make_config())
         resolver.add_truth(dataset.ground_truth)
-        before = resolver.add_batch(list(dataset.store))
+        resolver.add_batch(list(dataset.store))
+        before = resolver.snapshot()
         with pytest.raises(RecordError, match="'name'"):
             resolver.update(Record("r1", {"name": 5}))
         assert len(resolver.store) == 60 and "r1" in resolver.store
@@ -302,7 +305,9 @@ class TestSessionUpdate:
         island_a, _ = two_islands()
         resolver = StreamingResolver(config=make_config(likelihood_threshold=0.5))
         resolver.add_truth([("a1", "a2"), ("a1", "a3"), ("a2", "a3")])
-        before = resolver.add_batch(island_a)
-        after = resolver.update(island_a[0])  # identical content
+        resolver.add_batch(island_a)
+        before = resolver.snapshot()
+        resolver.update(island_a[0])  # identical content
+        after = resolver.snapshot()
         assert set(after.matches) == set(before.matches)
         assert after.posteriors == before.posteriors

@@ -218,7 +218,7 @@ class TestAppendCostFollowsTheFreshVotes:
         appends = []
         for record in self._chain(length):
             del written[:]
-            delta = resolver.add_batch([record]).delta
+            delta = resolver.add_batch([record])
             appends.append((len(written), delta.crowdsourced_pairs, delta.dirty_pairs))
         return appends
 
@@ -249,8 +249,8 @@ class TestAppendCostFollowsTheFreshVotes:
 
         monkeypatch.setattr(session_module, "rank_candidates", counted)
         for record in chain[10:]:
-            result = resolver.add_batch([record])
-            assert result.delta.new_candidate_pairs == 1
+            assert resolver.add_batch([record]).new_candidate_pairs == 1
+            result = resolver.snapshot()
             assert (result.ranked_pairs, result.matches) == rank_candidates(
                 result.likelihoods, result.posteriors
             )
@@ -258,9 +258,9 @@ class TestAppendCostFollowsTheFreshVotes:
         resolver.snapshot()
         assert ranked == []
 
-    def test_an_update_materialises_one_result(self, monkeypatch):
-        """Both halves of an update produce deltas; the result is built once,
-        carrying the merged delta."""
+    def test_an_update_materialises_no_result(self, monkeypatch):
+        """Both halves of an update produce deltas; the event answers with
+        the merged one and builds no result."""
         resolver = StreamingResolver(config=WorkflowConfig(
             likelihood_threshold=0.3, vote_mode="per-pair", aggregation="majority", seed=3,
         ))
@@ -269,11 +269,11 @@ class TestAppendCostFollowsTheFreshVotes:
         snapshot = StreamingResolver.snapshot
 
         def counted(session):
-            snapshots.append(session._last_delta.as_dict())
+            snapshots.append(session)
             return snapshot(session)
 
         monkeypatch.setattr(StreamingResolver, "snapshot", counted)
-        result = resolver.update(Record("r03", {"t": "w3 w4 w5 w6"}))
-        assert snapshots == [result.delta.as_dict()]
-        assert (result.delta.retracted_records, result.delta.invalidated_pairs) == (1, 2)
-        assert (result.delta.new_records, result.delta.new_candidate_pairs) == (1, 3)
+        delta = resolver.update(Record("r03", {"t": "w3 w4 w5 w6"}))
+        assert snapshots == []
+        assert (delta.retracted_records, delta.invalidated_pairs) == (1, 2)
+        assert (delta.new_records, delta.new_candidate_pairs) == (1, 3)

@@ -148,12 +148,13 @@ def drive_over_http(client, session_id, records, schedule, mirror, cursor=0, ans
 
 class RecordedEvents:
     """A resolver stand-in for :func:`strategies.drive` that keeps what each
-    event method returned (``results``), so a served answer can be compared
-    with the standalone result of the same event."""
+    event method returned, encoded as the service answers it right after the
+    event (``answers``), so a served answer can be compared with the
+    standalone answer of the same event."""
 
     def __init__(self, resolver):
         self.resolver = resolver
-        self.results = []
+        self.answers = []
 
     def __getattr__(self, name):
         attribute = getattr(self.resolver, name)
@@ -161,8 +162,12 @@ class RecordedEvents:
             return attribute
 
         def event(*args, **kwargs):
-            self.results.append(attribute(*args, **kwargs))
-            return self.results[-1]
+            returned = attribute(*args, **kwargs)
+            self.answers.append(
+                encode_result(returned) if name == "flush"
+                else encode_event(returned, self.resolver)
+            )
+            return returned
 
         return event
 
@@ -221,7 +226,7 @@ class TestHttpSurface:
         resolver.add_truth(dataset.ground_truth)
         resolver.add_batch(records)
         expected = resolver.flush()
-        assert flushed == encode_event(expected)
+        assert flushed == encode_result(expected)
         # bit-identical floats over the wire
         assert client.result(session_id) == encode_result(expected)
         status = client.status(session_id)
@@ -247,7 +252,8 @@ class TestHttpSurface:
         client.append(session_id, [encode_record(r) for r in records])
         resolver = StreamingResolver(config=make_config(join_workers=1))
         resolver.add_truth(dataset.ground_truth)
-        assert client.result(session_id) == encode_result(resolver.add_batch(records))
+        resolver.add_batch(records)
+        assert client.result(session_id) == encode_result(resolver.snapshot())
         client.close(session_id)
 
     def test_unknown_route_is_404(self, service):
@@ -880,10 +886,11 @@ class TestDeltasOnTheWire:
         self, service, tmp_path_factory, schedule, restore_at
     ):
         """Event for event: the answer is ``encode_event`` of the standalone
-        resolver's result for that event, and a client folding the ``changed``
-        lists holds exactly ``GET result``'s posteriors (and, above the
-        decision threshold, its matches) — also across a save/close/restore,
-        after which the first answer may say ``changed: null`` (re-read)."""
+        resolver's delta for that event (a flush's: ``encode_result`` of its
+        result), and a client folding the ``changed`` lists holds exactly
+        ``GET result``'s posteriors (and, above the decision threshold, its
+        matches) — also across a save/close/restore, after which the first
+        answer may say ``changed: null`` (re-read)."""
         _runner, client = service
         dataset = make_dataset(seed=23)
         records = list(dataset.store)
@@ -909,13 +916,15 @@ class TestDeltasOnTheWire:
             served_cursor = drive_over_http(
                 client, session_id, records, [event], mirror, served_cursor, answers
             )
-            standalone.results.clear()
+            standalone.answers.clear()
             standalone_cursor = drive(standalone, records, [event], standalone_cursor)
-            assert len(answers) == len(standalone.results)
+            assert len(answers) == len(standalone.answers)
             served = client.result(session_id)
-            for answer, result in zip(answers, standalone.results):
-                expected = encode_event(result)
-                if answer["changed"] is None:
+            for answer, expected in zip(answers, standalone.answers):
+                if "changed" not in answer:  # a flush answers the whole result
+                    assert answer == expected
+                    folded = {(a, b): p for a, b, p in answer["posteriors"]}
+                elif answer["changed"] is None:
                     assert just_restored  # the only time this session cannot say
                     assert {**answer, "changed": expected["changed"]} == expected
                     folded = {(a, b): p for a, b, p in served["posteriors"]}
@@ -929,6 +938,41 @@ class TestDeltasOnTheWire:
             )
             assert served == encode_result(resolver.snapshot())
         client.close(session_id)
+
+    def test_event_deltas_add_up_in_process_and_over_http(self, service):
+        """Three batches, a retraction, an update and a flush: the deltas the
+        events answer sum to what happened — every appended record and the
+        update's new version arrived once, the retracted record and the
+        update's old version left once — in process and over HTTP alike.  A
+        flush answers with the settled result, not with another delta."""
+        dataset = make_dataset(seed=43)
+        records = list(dataset.store)[:36]
+        truth = [list(pair) for pair in dataset.ground_truth]
+        revised = records[7].with_attributes(name="revised bistro")
+        resolver = StreamingResolver(config=make_config())
+        resolver.add_truth(dataset.ground_truth)
+        local = [resolver.add_batch(records[start : start + 12]) for start in (0, 12, 24)]
+        local += [resolver.retract(records[5].record_id), resolver.update(revised)]
+        settled = resolver.flush()
+        _runner, client = service
+        session_id = fresh_id("sums")
+        client.create_session(session_id, config=SERVICE_CONFIG, truth=truth)
+        served = [
+            client.append(session_id, [encode_record(r) for r in records[start : start + 12]])
+            for start in (0, 12, 24)
+        ]
+        served += [
+            client.retract(session_id, records[5].record_id),
+            client.update(session_id, encode_record(revised)),
+            client.flush(session_id),
+        ]
+        client.close(session_id)
+        assert served[-1] == encode_result(settled)
+        for deltas in ([delta.as_dict() for delta in local],
+                       [answer["delta"] for answer in served if "delta" in answer]):
+            assert sum(delta["new_records"] for delta in deltas) == 36 + 1
+            assert sum(delta["retracted_records"] for delta in deltas) == 1 + 1
+        assert [answer["delta"] for answer in served[:-1]] == [delta.as_dict() for delta in local]
 
     def test_an_answer_is_as_large_as_its_event_not_as_the_session(self, service):
         """40 appends of 25 records: the last answers within the byte budget

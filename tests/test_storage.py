@@ -542,7 +542,7 @@ class TestPageInRestore:
         victim = records[2].record_id
         victim_pairs = [key for key in pairs if victim in key]
         assert victim_pairs  # the retraction has something to invalidate
-        assert restored.retract(victim).delta.invalidated_pairs == len(victim_pairs)
+        assert restored.retract(victim).invalidated_pairs == len(victim_pairs)
         twin.retract(victim)
         assert_sessions_identical(twin, restored)
         restored.durability.close()

@@ -232,18 +232,19 @@ class TestIncrementalBehaviour:
         config = WorkflowConfig(likelihood_threshold=0.5, vote_mode="per-pair")
         resolver = StreamingResolver(config=config)
         resolver.add_truth([("a1", "a2"), ("b1", "b2")])
-        first = resolver.add_batch(island_a)
+        resolver.add_batch(island_a)
         votes_before = resolver.votes_for("a1", "a2")
-        posterior_before = first.posteriors[("a1", "a2")]
+        posterior_before = resolver.snapshot().posteriors[("a1", "a2")]
         assert votes_before
 
-        second = resolver.add_batch(island_b)
+        delta = resolver.add_batch(island_b)
+        second = resolver.snapshot()
         # Island A was untouched by the batch: votes and posterior carried
         # over bit-for-bit, and the delta reports the preservation.
         assert resolver.votes_for("a1", "a2") == votes_before
         assert second.posteriors[("a1", "a2")] == posterior_before
-        assert second.delta.preserved_posterior_pairs == 1
-        assert second.delta.reused_vote_pairs == 0
+        assert delta.preserved_posterior_pairs == 1
+        assert delta.reused_vote_pairs == 0
         assert ("b1", "b2") in second.posteriors
 
     def test_voted_pairs_of_a_dirty_component_keep_their_votes(self):
@@ -257,10 +258,10 @@ class TestIncrementalBehaviour:
         votes_before = resolver.votes_for("r1", "r2")
         # A new record joins the same component: the component is dirty and
         # its HITs are regenerated, but the r1-r2 votes are reused.
-        snap = resolver.add_batch([Record("r3", {"t": "alpha beta gamma epsilon"})])
+        delta = resolver.add_batch([Record("r3", {"t": "alpha beta gamma epsilon"})])
         assert resolver.votes_for("r1", "r2") == votes_before
-        assert snap.delta.reused_vote_pairs >= 1
-        assert snap.delta.regenerated_hits >= 1
+        assert delta.reused_vote_pairs >= 1
+        assert delta.regenerated_hits >= 1
 
     def test_snapshot_before_any_batch_is_empty(self):
         resolver = StreamingResolver()
@@ -433,12 +434,12 @@ def assert_snapshot_is_the_ledger_ranked_afresh(result, resolver):
 
 
 def checked_after_every_event(resolver):
-    """Wrap the event methods so each result is compared with the oracle."""
+    """Wrap the event methods so the result after each is compared with the oracle."""
     for name in ("add_batch", "retract", "update", "flush"):
         def checked(*arguments, _event=getattr(resolver, name)):
-            result = _event(*arguments)
-            assert_snapshot_is_the_ledger_ranked_afresh(result, resolver)
-            return result
+            answer = _event(*arguments)
+            assert_snapshot_is_the_ledger_ranked_afresh(resolver.snapshot(), resolver)
+            return answer
         setattr(resolver, name, checked)
     return resolver
 
@@ -486,8 +487,7 @@ class WholeComponentMajority(MajorityAggregator):
     pair_independent = False
 
 
-def reuse_counters(result):
-    delta = result.delta
+def reuse_counters(delta):
     return (delta.preserved_posterior_pairs, delta.reused_vote_pairs)
 
 
@@ -515,11 +515,11 @@ class TestPairIndependentSkip:
         resolver.add_truth([("r1", "r2"), ("r1", "r3")])
         resolver.add_batch(self.GROWING[0])
         for filler in ("unrelated words here", "other things entirely"):
-            settled = resolver.add_batch([Record(filler[:5], {"t": filler})])
-        assert settled.posteriors == {("r1", "r2"): 1.0}
+            resolver.add_batch([Record(filler[:5], {"t": filler})])
+        assert resolver.snapshot().posteriors == {("r1", "r2"): 1.0}
         assert not resolver.storage.ledger.pending_votes
         growth = resolver.add_batch(self.GROWING[1])
-        assert growth.posteriors == {("r1", "r2"): 1.0}
+        assert resolver.snapshot().posteriors == {("r1", "r2"): 1.0}
         assert reuse_counters(growth) == (0, 1)
         assert resolver.flush().posteriors == {
             ("r1", "r2"): 1.0, ("r1", "r3"): 2 / 3, ("r2", "r3"): 0.0,
@@ -546,10 +546,11 @@ class TestPairIndependentSkip:
             resolver.add_truth(dataset.ground_truth)
             trail = []
             for start in range(0, len(records), batch_size):
-                result = resolver.add_batch(records[start : start + batch_size])
-                trail.append((result.delta.as_dict(), result.posteriors, resolver.state_digest()))
-            result = resolver.retract(records[3].record_id)
-            trail.append((result.delta.as_dict(), result.posteriors, resolver.state_digest()))
+                delta = resolver.add_batch(records[start : start + batch_size])
+                trail.append((delta.as_dict(), resolver.snapshot().posteriors,
+                              resolver.state_digest()))
+            delta = resolver.retract(records[3].record_id)
+            trail.append((delta.as_dict(), resolver.snapshot().posteriors, resolver.state_digest()))
             return trail, sum(fed)
 
         skipping, skipping_votes = run(MajorityAggregator)
