@@ -2,8 +2,9 @@
 
 A from-scratch Python implementation of *CrowdER: Crowdsourcing Entity
 Resolution* (Wang, Kraska, Franklin, Feng — PVLDB 5(11), 2012), including
-the machine-based similarity substrate (one sparse-product join kernel,
-its row blocks scored on worker threads), pair-based and cluster-based HIT
+the machine-based similarity substrate (one join kernel, each row block
+scored as a band CSR times the block's dense token incidence, on worker
+threads), pair-based and cluster-based HIT
 generation (with the paper's two-tiered heuristic and all evaluated
 baselines), a simulated crowdsourcing platform, answer aggregation, a
 streaming incremental resolution engine with durable checkpoint/restore

@@ -91,7 +91,7 @@ from repro.evaluation.threshold_table import threshold_table
 from repro.hit.generator import available_generators, get_cluster_generator
 from repro.obs.report import CostReport
 from repro.simjoin.likelihood import JOIN_BACKENDS, SimJoinLikelihood
-from repro.storage import STORE_FILENAME, StorageError
+from repro.storage import STORE_FILENAME
 from repro.streaming import PersistenceError, StreamingResolver
 
 #: Synthetic generators plus every corpus registered with the ETL layer
@@ -521,7 +521,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         else:
             _LOG.error("error: stats needs --store, --checkpoint-dir or --trace")
             return 2
-    except (OSError, ValueError, StorageError) as error:
+    except (OSError, ValueError, PersistenceError) as error:
         _LOG.error(f"error: {error}")
         return 2
     if args.json:

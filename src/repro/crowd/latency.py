@@ -23,9 +23,11 @@ Two quantities are modelled:
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from fractions import Fraction
 from statistics import median
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 
 @dataclass
@@ -149,25 +151,36 @@ class LatencyModel:
     # --------------------------------------------------------------- totals
     def estimate(
         self,
-        assignment_seconds: Sequence[float],
+        assignment_seconds: Mapping[float, int],
         hit_type: str,
         pairs_per_hit: Optional[int] = None,
         qualification: bool = False,
     ) -> LatencyEstimate:
-        """Aggregate per-assignment times into batch-level latency figures."""
-        times: List[float] = list(assignment_seconds)
-        if not times:
+        """Aggregate per-assignment times into batch-level latency figures.
+
+        ``assignment_seconds`` counts the assignments of each duration
+        (``{seconds: count}``); the figures depend only on that multiset.
+        The median is exact and the sum correctly rounded, so neither
+        depends on the order the assignments came in.
+        """
+        count = sum(assignment_seconds.values())
+        if not count:
             return LatencyEstimate(0.0, 0.0, 0.0, 0.0, 0)
         workers = self.effective_workers(hit_type, pairs_per_hit, qualification)
-        total_work_seconds = sum(times)
+        total_work_seconds = total_seconds(assignment_seconds)
         total_minutes = self.recruitment_minutes + (total_work_seconds / workers) / 60.0
         if qualification:
             # Qualified crowds take longer to assemble.
             total_minutes += self.recruitment_minutes
         return LatencyEstimate(
-            median_assignment_seconds=float(median(times)),
-            mean_assignment_seconds=float(sum(times) / len(times)),
+            median_assignment_seconds=float(median(Counter(assignment_seconds).elements())),
+            mean_assignment_seconds=total_work_seconds / count,
             total_minutes=total_minutes,
             effective_workers=workers,
-            assignment_count=len(times),
+            assignment_count=count,
         )
+
+
+def total_seconds(assignment_seconds: Mapping[float, int]) -> float:
+    """The sum of ``{seconds: count}`` durations, correctly rounded."""
+    return float(sum(Fraction(seconds) * count for seconds, count in assignment_seconds.items()))

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -194,7 +195,7 @@ class SimulatedCrowdPlatform:
 
         result.cost = self.pricing.total_cost(batch.hit_count, self.assignments_per_hit)
         result.latency = self.latency.estimate(
-            result.assignment_seconds,
+            Counter(result.assignment_seconds),
             hit_type=batch.hit_type,
             pairs_per_hit=pairs_per_hit,
             qualification=self.qualification is not None,

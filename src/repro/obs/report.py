@@ -159,27 +159,31 @@ class CostReport:
         """Build from a SQLite session store file (``store.sqlite``).
 
         Reads only the session's own state: its ``session`` meta (HITs,
-        cost), its ``assignment_seconds`` table (assignments, worker
-        seconds), its ledger's votes and the async platform's counters.
+        cost, assignment duration counts), its ledger's votes and the async
+        platform's counters; a session whose first boundary never committed
+        has none yet, and its format is in its logged header.
         Machine and simulator time are the process's numbers, not the
         session's, so they stay ``None``.  A path that is not an existing
         file is refused before anything is opened: opening it would leave an
         empty store there, which a fresh durable session and a restore both
         refuse.  It is read upgraded as a restore upgrades it; closing rolls back.
         """
+        from repro.crowd.latency import total_seconds
         from repro.storage.sqlite import SqliteStore
         from repro.storage.upgrade import upgrade
+        from repro.streaming.persistence import stored_header
 
         if not Path(path).is_file():
             raise ValueError(f"{path} is not a session store file")
         store = SqliteStore(path)
         try:
-            if store.get_meta("version") is None:
+            header = stored_header(store)
+            if header is None:
                 raise ValueError(f"{path} does not hold a resolution session")
-            upgrade(store, store.get_meta("version"))
+            upgrade(store, header["version"])
             session = store.get_meta("session") or {}
             platform = (store.get_meta("async") or {}).get("platform") or {}
-            assignment_seconds = store.load_assignment_seconds()
+            durations = {seconds: count for seconds, count in session.get("assignment_seconds", ())}
             store.load_ledger()
             votes = sum(len(pair_votes) for pair_votes in store.ledger.votes.values())
         finally:
@@ -187,10 +191,10 @@ class CostReport:
         return cls(
             source=f"store {path}",
             hits_issued=int(session.get("hit_count", 0)),
-            assignments=len(assignment_seconds),
+            assignments=sum(durations.values()),
             votes=votes,
             crowd_cost_dollars=float(session.get("cost", 0.0)),
-            crowd_work_seconds=float(sum(assignment_seconds)),
+            crowd_work_seconds=total_seconds(durations),
             crowd_retries=int(platform.get("retries", 0)),
             crowd_timeouts=int(platform.get("timeouts", 0)),
             crowd_reissued=int(platform.get("reissued", 0)),

@@ -4,7 +4,8 @@ This package implements the machine pass of CrowdER's hybrid workflow:
 computing, for every candidate pair, the likelihood that the two records
 refer to the same entity (Section 2.2) without the all-pairs comparison the
 paper's footnote 1 says an index should avoid.  There is one join: the
-blocked sparse-product kernel of :mod:`repro.simjoin.vectorized`, run over
+blocked dense-output kernel of :mod:`repro.simjoin.vectorized` (a block
+scored as ``band CSR @ dense(block tokens)``), run over
 row blocks (inline or on worker threads, :mod:`repro.simjoin.parallel`) by
 :class:`repro.streaming.incremental_join.IncrementalSimJoin` — a batch run
 is one append of the whole store to an empty join.  The all-pairs scan

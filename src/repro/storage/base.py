@@ -30,17 +30,7 @@ batch/retract/update/crash schedules.
 
 from __future__ import annotations
 
-from typing import (
-    TYPE_CHECKING,
-    AbstractSet,
-    Dict,
-    Iterable,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
+from typing import TYPE_CHECKING, AbstractSet, Dict, Iterable, List, Optional, Set, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.records.record import Record
@@ -76,9 +66,8 @@ class PairLedger:
         candidate table.  :meth:`pairs_of` indexes its keys
         by record: the skip index that bounds a retraction to exactly the
         record's pairs.
-    votes / pending_votes:
-        Per-pair vote ledger: a voted pair's votes in oracle order, and the
-        votes it gained since it was last aggregated.
+    votes:
+        Per-pair vote ledger: a voted pair's votes in oracle order.
     posteriors:
         The aggregated posterior cache.
     covered:
@@ -99,7 +88,6 @@ class PairLedger:
     def __init__(self, stored: bool = False) -> None:
         self.pairs: Dict[PairKey, Optional[float]] = {}
         self.votes: Dict[PairKey, List[Vote]] = {}
-        self.pending_votes: Dict[PairKey, int] = {}
         self.posteriors: Dict[PairKey, float] = {}
         self.covered: Set[PairKey] = set()
         self.touched: Optional[Set[PairKey]] = set()
@@ -160,14 +148,12 @@ class PairLedger:
                     del self._pairs_of_record[record_id]
         self.pairs.pop(key, None)
         self.votes.pop(key, None)
-        self.pending_votes.pop(key, None)
         self.posteriors.pop(key, None)
         self.covered.discard(key)
 
     def record_fresh_votes(self, key: PairKey, votes: List[Vote]) -> None:
         """Take a pair's crowd votes, in oracle order."""
         self.votes[key] = votes
-        self.pending_votes[key] = self.pending_votes.get(key, 0) + len(votes)
         self._note((key,))
 
     def mark_covered(self, keys: Iterable[PairKey]) -> None:
@@ -188,23 +174,14 @@ class PairLedger:
         self._note(self.posteriors)
         self.touched = None
 
-    def clear_pending(self, keys: Iterable[PairKey]) -> None:
-        for key in keys:
-            if self.pending_votes.pop(key, None) is not None:
-                self._note((key,))
-
-    def clear_all_pending(self) -> None:
-        self._note(self.pending_votes)
-        self.pending_votes.clear()
-
 
 class Store:
     """Where one streaming session's writes go; the in-memory session's store.
 
     One :class:`Store` instance backs one streaming session.  It holds the
     :class:`PairLedger` (``self.ledger``) and offers write hooks for the
-    record table, session metadata (config, truth, counters) and the
-    accumulated crowd-assignment durations.  Here every hook is a no-op;
+    record table and session metadata (config, truth, counters — the crowd
+    assignments' duration counts among them).  Here every hook is a no-op;
     :class:`~repro.storage.sqlite.SqliteStore` writes them.  Nothing reads
     a record back through a store while the session runs: the session's
     own structures are the state.
@@ -230,7 +207,3 @@ class Store:
     # -------------------------------------------------------------- metadata
     def set_meta(self, key: str, value: object) -> None:
         """Write one JSON-serializable metadata value (config, counters)."""
-
-    # ----------------------------------------------------- crowd workload
-    def append_assignment_seconds(self, values: Sequence[float]) -> None:
-        """Write crowd-assignment durations (append-only)."""

@@ -2,14 +2,15 @@
 
 :class:`SqliteStore` is the one file of a durable session.  Its state
 tables — records, the pair ledger (one ``ledger`` row per candidate pair:
-likelihood, votes, posterior, HIT coverage) and the workload counters —
-hold "the state as of ``meta.events_applied``"; its ``events`` table
+likelihood, votes, posterior, HIT coverage) and the workload counters in
+``meta`` (assignment durations as counts, not one row each) — hold "the
+state as of ``meta.events_applied``"; its ``events`` table
 (``seq``, ``type``, ``payload``, ``crc``) is the session's write-ahead log —
 :class:`repro.streaming.persistence.SessionJournal` owns its rows, this
 module only declares it.  The log holds at most the one intent a crash
 interrupted: an event deletes its intent in the commit that applies it.
 The incremental join's index is not stored: it is derived from the
-records, and a restore re-indexes them.  The schema is format 4 alone:
+records, and a restore re-indexes them.  The schema is format 5 alone:
 :mod:`repro.storage.upgrade` brings an earlier store to it.
 
 A durable session writes each event's changes into the state tables
@@ -72,6 +73,18 @@ from repro.storage.base import PairKey, PairLedger, Store, StorageError, StoreIn
 #: Default store filename inside a checkpoint directory.
 STORE_FILENAME = "store.sqlite"
 
+#: The ledger's declaration (:func:`repro.storage.upgrade.to_5` rebuilds one from it).
+LEDGER_TABLE = """
+CREATE TABLE IF NOT EXISTS ledger (
+    id_a       TEXT NOT NULL,
+    id_b       TEXT NOT NULL,
+    likelihood REAL,
+    votes      TEXT,
+    posterior  REAL,
+    covered    INTEGER NOT NULL,
+    PRIMARY KEY (id_a, id_b)
+) WITHOUT ROWID"""
+
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS meta (
     key   TEXT PRIMARY KEY,
@@ -83,21 +96,7 @@ CREATE TABLE IF NOT EXISTS records (
     source     TEXT,
     arrival    INTEGER NOT NULL
 );
-CREATE INDEX IF NOT EXISTS records_arrival ON records(arrival);
-CREATE TABLE IF NOT EXISTS ledger (
-    id_a       TEXT NOT NULL,
-    id_b       TEXT NOT NULL,
-    likelihood REAL,
-    votes      TEXT,
-    pending    INTEGER NOT NULL,
-    posterior  REAL,
-    covered    INTEGER NOT NULL,
-    PRIMARY KEY (id_a, id_b)
-) WITHOUT ROWID;
-CREATE TABLE IF NOT EXISTS assignment_seconds (
-    ord     INTEGER PRIMARY KEY AUTOINCREMENT,
-    seconds REAL NOT NULL
-);
+CREATE INDEX IF NOT EXISTS records_arrival ON records(arrival);""" + LEDGER_TABLE + """;
 CREATE TABLE IF NOT EXISTS events (
     seq     INTEGER PRIMARY KEY,
     type    TEXT NOT NULL,
@@ -108,12 +107,7 @@ CREATE TABLE IF NOT EXISTS events (
 
 #: The *state* tables: what ``clear()`` empties and a snapshot rewrites.
 #: ``events`` (the log) is deliberately absent.
-_TABLES = (
-    "meta",
-    "records",
-    "ledger",
-    "assignment_seconds",
-)
+_TABLES = ("meta", "records", "ledger")
 
 #: The ``meta`` key of a store a session has logged to.  The log is empty
 #: between events, so it no longer tells a session's store from a
@@ -273,21 +267,6 @@ class SqliteStore(Store):
         ).fetchone()
         return default if row is None else json.loads(row[0])
 
-    # ------------------------------------------------------- crowd workload
-    def append_assignment_seconds(self, values: Sequence[float]) -> None:
-        self.executemany(
-            "INSERT INTO assignment_seconds (seconds) VALUES (?)",
-            [(float(value),) for value in values],
-        )
-
-    def load_assignment_seconds(self) -> List[float]:
-        return [
-            row[0]
-            for row in self._conn.execute(
-                "SELECT seconds FROM assignment_seconds ORDER BY ord"
-            )
-        ]
-
     # ------------------------------------------------------ the pair ledger
     def write_ledger(
         self, ledger: PairLedger, unsaved: Optional[AbstractSet[PairKey]] = None
@@ -307,8 +286,8 @@ class SqliteStore(Store):
         )
         self._write_rows(
             "INSERT OR REPLACE INTO ledger "
-            "(id_a, id_b, likelihood, votes, pending, posterior, covered) "
-            "VALUES (?, ?, ?, ?, ?, ?, ?)",
+            "(id_a, id_b, likelihood, votes, posterior, covered) "
+            "VALUES (?, ?, ?, ?, ?, ?)",
             [
                 (
                     key[0],
@@ -316,7 +295,6 @@ class SqliteStore(Store):
                     pairs[key],
                     json.dumps([[worker, bool(answer)] for worker, _, answer in votes[key]])
                     if key in votes else None,
-                    ledger.pending_votes.get(key, 0),
                     float(posteriors[key]) if key in posteriors else None,
                     int(key in ledger.covered),
                 )
@@ -338,10 +316,9 @@ class SqliteStore(Store):
         """
         ledger = self.ledger if into is None else into
         ledger.touched = None
-        ledger.pairs, ledger.votes, ledger.pending_votes = {}, {}, {}
-        ledger.posteriors, ledger.covered = {}, set()
-        for id_a, id_b, likelihood, votes, pending, posterior, covered in self._conn.execute(
-            "SELECT id_a, id_b, likelihood, votes, pending, posterior, covered FROM ledger"
+        ledger.pairs, ledger.votes, ledger.posteriors, ledger.covered = {}, {}, {}, set()
+        for id_a, id_b, likelihood, votes, posterior, covered in self._conn.execute(
+            "SELECT id_a, id_b, likelihood, votes, posterior, covered FROM ledger"
         ):
             key = (id_a, id_b)
             ledger.pairs[key] = likelihood
@@ -349,11 +326,6 @@ class SqliteStore(Store):
                 ledger.votes[key] = [
                     (worker, key, bool(answer)) for worker, answer in json.loads(votes)
                 ]
-            # A live session pops a pair's pending counter when it is
-            # aggregated (its row stores 0), so only positive counters
-            # come back as dict entries.
-            if pending:
-                ledger.pending_votes[key] = pending
             if posterior is not None:
                 ledger.posteriors[key] = posterior
             if covered:

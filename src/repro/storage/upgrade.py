@@ -2,7 +2,7 @@
 or a retired configuration name (``docs/storage.md`` tabulates the formats).
 
 A reader — a restore, ``repro stats`` — runs :func:`upgrade` on the store
-and :func:`upgrade_header` on its stored configuration, then reads format 4
+and :func:`upgrade_header` on its stored configuration, then reads format 5
 only.  :func:`upgrade` writes in the store's open transaction: a restore
 that takes the store over commits it, a refusal or a read rolls it back.
 """
@@ -13,13 +13,14 @@ from pathlib import Path
 from typing import Dict, Mapping
 
 from repro.storage.base import StorageError
-from repro.storage.sqlite import LOGGED, SCHEMA_TABLES, STORE_FILENAME, SqliteStore
+from repro.storage.sqlite import LEDGER_TABLE, LOGGED, SCHEMA_TABLES, STORE_FILENAME, SqliteStore
 
 #: The store format this release writes.  A release refuses a newer one: a
 #: format-2 reader would take format 3 for a store with an empty join index,
-#: and a format-3 reader a format-4 session, whose log is empty between
-#: events, for a ``save(X)`` copy it may overwrite.
-FORMAT_VERSION = 4
+#: a format-3 reader a format-4 session, whose log is empty between events,
+#: for a ``save(X)`` copy it may overwrite, and a format-4 reader would find
+#: no ``ledger.pending`` column in format 5.
+FORMAT_VERSION = 5
 
 #: Fields a stored configuration (the log's ``session`` event or store
 #: meta) written by an earlier release may still carry, each mapped to the
@@ -89,14 +90,21 @@ def upgrade_header(stored: Mapping[str, object]) -> Dict[str, object]:
     return config
 
 
+def _refuse_pending(store: SqliteStore, table: str) -> None:
+    """Refuse a count of votes no posterior has seen: no session leaves one
+    at an event boundary, and dropping it would skip a re-aggregation."""
+    if store.query(f"SELECT 1 FROM {table} WHERE pending != 0 LIMIT 1").fetchone():
+        raise StorageError(f"{store.path} holds votes no posterior has seen ({table}.pending)")
+
+
 def to_2(store: SqliteStore) -> None:
     """Move format 1's pair tables into ``ledger``, one row per pair: ``pairs``
-    (every candidate), ``pair_votes`` (a voted pair's votes and pending
-    count), ``posteriors`` and ``covered``, joined on ``(id_a, id_b)``."""
+    (every candidate), ``pair_votes`` (a voted pair's votes), ``posteriors``
+    and ``covered``, joined on ``(id_a, id_b)``."""
+    _refuse_pending(store, "pair_votes")
     store.execute("""
         INSERT INTO ledger
-        SELECT p.id_a, p.id_b, p.likelihood, v.votes, COALESCE(v.pending, 0), s.posterior,
-               c.id_a IS NOT NULL
+        SELECT p.id_a, p.id_b, p.likelihood, v.votes, s.posterior, c.id_a IS NOT NULL
         FROM pairs AS p
         LEFT JOIN pair_votes AS v ON v.id_a = p.id_a AND v.id_b = p.id_b
         LEFT JOIN posteriors AS s ON s.id_a = p.id_a AND s.id_b = p.id_b
@@ -122,8 +130,31 @@ def to_4(store: SqliteStore) -> None:
         store.set_meta(LOGGED, True)
 
 
+def to_5(store: SqliteStore) -> None:
+    """Format 5 keeps state, not history: count the ``assignment_seconds``
+    rows, one per crowd assignment (every earlier schema declared the
+    table), into the ``session`` value, and rebuild ``ledger`` without its
+    ``pending`` column (format 1 has none); :func:`upgrade` then drops the
+    old table and ``assignment_seconds``."""
+    if any(column == "pending" for _, column, *_ in store.query("PRAGMA table_info(ledger)")):
+        _refuse_pending(store, "ledger")
+        # Rebuilt, not ``DROP COLUMN``, which SQLite only has from 3.35.
+        store.execute("ALTER TABLE ledger RENAME TO ledger_4")
+        store.execute(LEDGER_TABLE)
+        store.execute(
+            "INSERT INTO ledger "
+            "SELECT id_a, id_b, likelihood, votes, posterior, covered FROM ledger_4"
+        )
+    counts = store.query(
+        "SELECT seconds, COUNT(*) FROM assignment_seconds GROUP BY seconds ORDER BY seconds"
+    ).fetchall()
+    if counts:
+        counters = store.get_meta("session") or {}
+        store.set_meta("session", {**counters, "assignment_seconds": [list(row) for row in counts]})
+
+
 #: ``STEPS[n]`` brings a store from format ``n`` to format ``n + 1``.
-STEPS = {1: to_2, 2: to_3, 3: to_4}
+STEPS = {1: to_2, 2: to_3, 3: to_4, 4: to_5}
 
 
 def upgrade(store: SqliteStore, version: int) -> None:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Set, Tuple
+from typing import AbstractSet, Callable, Iterable, List, Set, Tuple
 
 from repro.aggregation.majority import Vote
 from repro.core.config import WorkflowConfig
@@ -19,6 +19,9 @@ class AggregationSchedule:
     """Which ledger votes are re-aggregated when: votes → posterior cache.
 
     The scope is the ``WorkflowConfig`` field ``streaming_aggregation_scope``.
+    Each call names the pairs ``fresh`` whose votes the current event folded
+    in; every such pair is re-aggregated within that event, so a voted pair
+    no event is folding votes for holds the posterior of its votes.
     Votes always reach the aggregator sorted by pair key with per-pair
     oracle order inside — the exact sequence a one-shot per-pair publish
     emits, which keeps Dawid-Skene EM bit-identical between streaming and
@@ -28,21 +31,22 @@ class AggregationSchedule:
     config: WorkflowConfig
     ledger: PairLedger
 
-    def aggregate(self, dirty_pairs: Set[PairKey], delta: StreamingDelta) -> None:
+    def aggregate(
+        self, dirty_pairs: Set[PairKey], fresh: AbstractSet[PairKey], delta: StreamingDelta
+    ) -> None:
         """Fold fresh votes into the posterior cache.
 
         Under a ``pair_independent`` aggregator (majority) a voted pair
-        with no pending votes already holds the posterior a re-run would
-        give it, so only the dirty pairs that gained votes are re-run — and
-        only they reach ``set_posterior``, the ranked index and a
-        durable store's writes.
+        with a posterior and no fresh votes already holds the posterior a
+        re-run would give it, so only the dirty pairs that gained votes are
+        re-run — and only they reach ``set_posterior``, the ranked index
+        and a durable store's writes.
         """
         ledger = self.ledger
         aggregator = build_aggregator(self.config)
         if self.config.streaming_aggregation_scope == "global":
             votes = self._votes_of(sorted(ledger.votes))
             ledger.replace_posteriors(dict(aggregator.aggregate(votes)) if votes else {})
-            ledger.clear_all_pending()
             return
         # Component scope: only the dirty region is re-aggregated; posteriors
         # of clean components are carried over untouched.
@@ -50,34 +54,30 @@ class AggregationSchedule:
         delta.preserved_posterior_pairs = len(ledger.posteriors) - len(settled)
         voted_dirty = ledger.votes.keys() & dirty_pairs
         if aggregator.pair_independent:
-            voted_dirty = (voted_dirty & ledger.pending_votes.keys()) | (voted_dirty - settled)
+            voted_dirty = (voted_dirty & fresh) | (voted_dirty - settled)
         if voted_dirty:
             self._reaggregate(aggregator, voted_dirty)
 
-    def flush(self, expand: Callable[[Iterable[PairKey]], Set[PairKey]]) -> None:
-        """Re-aggregate every pair that holds votes its posterior has not seen.
+    def flush(
+        self, fresh: AbstractSet[PairKey], expand: Callable[[Iterable[PairKey]], Set[PairKey]]
+    ) -> None:
+        """Re-aggregate the pairs the settled crowd completed (``fresh``).
 
         An aggregator that is not pair-independent re-runs those pairs'
         whole components (``expand`` names their pairs), the unit
         :meth:`aggregate` uses.
         """
-        ledger = self.ledger
-        pending = [
-            key for key, gained in ledger.pending_votes.items()
-            if gained > 0 and key in ledger.votes
-        ]
-        if pending:
+        if fresh:
             aggregator = build_aggregator(self.config)
             if not aggregator.pair_independent:
-                pending = ledger.votes.keys() & expand(pending)
-            self._reaggregate(aggregator, pending)
+                fresh = self.ledger.votes.keys() & expand(fresh)
+            self._reaggregate(aggregator, fresh)
 
     def _reaggregate(self, aggregator, keys: Iterable[PairKey]) -> None:
         """Run ``aggregator`` over the ledger votes of ``keys``; cache the posteriors."""
         keys = sorted(keys)
         for key, posterior in aggregator.aggregate(self._votes_of(keys)).items():
             self.ledger.set_posterior(key, posterior)
-        self.ledger.clear_pending(keys)
 
     def _votes_of(self, keys: List[PairKey]) -> List[Vote]:
         votes = self.ledger.votes

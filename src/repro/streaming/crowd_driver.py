@@ -8,6 +8,7 @@ votes*.  It writes no session state: it reports what it did as a
 from __future__ import annotations
 
 import logging
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
@@ -30,12 +31,10 @@ class CrowdStep:
     ``coverage``: every HIT published, in order, with the requested pairs it
     can check.  ``completed``: every pair whose last vote arrived — ``(pair,
     its votes in per-pair oracle order)``.
-    ``seconds``: the durations of the assignments that came in.
     """
 
     coverage: List[Tuple[str, List[PairKey]]] = field(default_factory=list)
     completed: List[Tuple[PairKey, List[Vote]]] = field(default_factory=list)
-    seconds: List[float] = field(default_factory=list)
 
 
 class CrowdDriver:
@@ -62,10 +61,11 @@ class CrowdDriver:
         self.crowd: Optional[AsyncCrowdPlatform] = (
             None if config.crowd is None else AsyncCrowdPlatform(self.platform, config.crowd)
         )
-        # Accumulated crowd workload across all events.
+        # Accumulated crowd workload across all events; the assignments as
+        # {seconds: count}, all the latency figures read of them.
         self.hit_count = 0
         self.cost = 0.0
-        self.assignment_seconds: List[float] = []
+        self.assignment_seconds: Counter = Counter()
         self.pairs_per_hit_seen: Optional[int] = None
         self.generator_name = ""
         # Always empty in sync mode.  In flight: per published pair, the vote
@@ -123,7 +123,7 @@ class CrowdDriver:
         step.completed = list(fresh.items())
         for key in set().union(*carried) - fresh.keys():
             self.inflight[key] = {}
-        self._timed(run.assignment_seconds, step)
+        self.assignment_seconds.update(run.assignment_seconds)
         self.generator_name = batch.generator_name
         self.hit_count += run.hit_count
         self.cost += run.cost
@@ -187,13 +187,9 @@ class CrowdDriver:
                     votes = [slots[slot] for slot in range(replication)]
                     step.completed.append((key, votes))
                     del self.inflight[key]
-        self._timed([delivery.seconds for delivery in deliveries], step)
+        self.assignment_seconds.update(delivery.seconds for delivery in deliveries)
         self.cost += self.crowd.take_extra_cost()
         return step
-
-    def _timed(self, seconds: List[float], step: CrowdStep) -> None:
-        self.assignment_seconds.extend(seconds)
-        step.seconds.extend(seconds)
 
     def workload(self) -> Dict[str, object]:
         """The accumulated crowd workload, as ``ResolutionResult`` fields."""
@@ -204,7 +200,7 @@ class CrowdDriver:
             qualification=self.platform.qualification is not None,
         )
         return dict(
-            hit_count=self.hit_count, assignment_count=len(self.assignment_seconds),
+            hit_count=self.hit_count, assignment_count=latency.assignment_count,
             cost=self.cost, latency=latency, generator_name=self.generator_name,
         )
 
@@ -212,13 +208,13 @@ class CrowdDriver:
     def state_dict(self) -> Dict[str, object]:
         """The driver's state in its stored, JSON-safe form.
 
-        ``session`` (the workload counters) and ``async`` (the platform's
-        queue and the in-flight bookkeeping; ``None`` in sync mode) are what
-        a store keeps under the meta keys of those names;
-        ``assignment_seconds`` is the live list (a store has a table for
-        it).  Every in-flight pair has a ``slot_votes`` entry, its key not
-        repeated inside each slot vote: ``[id_a, id_b, [[slot, worker,
-        answer], ...]]``.
+        ``session`` (the workload counters, the assignment durations as
+        ``[seconds, count]`` pairs by ascending seconds among them) and
+        ``async`` (the platform's queue and the in-flight bookkeeping;
+        ``None`` in sync mode) are what a store keeps under the meta keys
+        of those names.  Every in-flight pair has a ``slot_votes`` entry,
+        its key not repeated inside each slot vote: ``[id_a, id_b, [[slot,
+        worker, answer], ...]]``.
         """
         flight = None
         if self.crowd is not None:
@@ -236,9 +232,9 @@ class CrowdDriver:
                 "cost": self.cost,
                 "pairs_per_hit_seen": self.pairs_per_hit_seen,
                 "generator_name": self.generator_name,
+                "assignment_seconds": sorted(map(list, self.assignment_seconds.items())),
             },
             "async": flight,
-            "assignment_seconds": self.assignment_seconds,
         }
 
     def load_state_dict(self, state: Mapping[str, object]) -> None:
@@ -248,7 +244,8 @@ class CrowdDriver:
         self.cost = counters.get("cost", 0.0)
         self.pairs_per_hit_seen = counters.get("pairs_per_hit_seen")
         self.generator_name = counters.get("generator_name", "")
-        self.assignment_seconds = list(state.get("assignment_seconds", ()))
+        stored = counters.get("assignment_seconds", ())
+        self.assignment_seconds = Counter({float(seconds): count for seconds, count in stored})
         flight = state.get("async")
         if self.crowd is not None and flight:
             self.crowd.load_state_dict(flight["platform"])

@@ -289,6 +289,15 @@ def _header(config: WorkflowConfig, cross_sources) -> Dict[str, object]:
     }
 
 
+def stored_header(store: SqliteStore) -> Optional[Dict[str, object]]:
+    """The header of ``store``'s session: its meta once a boundary committed,
+    else the log's first event (``None``: neither is there)."""
+    if store.get_meta("version") is not None:
+        return {key: store.get_meta(key) for key in _header(WorkflowConfig(), None)}
+    events = SessionJournal(store).events()
+    return events[0].payload if events and events[0].type == "session" else None
+
+
 def _write_header(store: Store, session) -> None:
     for key, value in _header(session.config, session.cross_sources).items():
         store.set_meta(key, value)
@@ -301,11 +310,13 @@ def _write_truth(store: Store, session) -> None:
 #: The stored key order of the ``session`` meta value.
 _SESSION_META_KEYS = (
     "hit_count", "cost", "batch_index", "pairs_per_hit_seen", "generator_name",
+    "assignment_seconds",
 )
 
 
 def _write_counters(store: Store, session) -> None:
-    """The crowd driver's state, the session's event counters, the log position."""
+    """The crowd driver's state (its workload counters and assignment
+    duration counts), the session's event counters, the log position."""
     crowd = session.driver.state_dict()
     counters = {**crowd["session"], "batch_index": session._batch_index}
     store.set_meta("session", {key: counters[key] for key in _SESSION_META_KEYS})
@@ -316,8 +327,8 @@ def _write_counters(store: Store, session) -> None:
 def write_snapshot(target: SqliteStore, session) -> None:
     """Rewrite ``target``'s state tables from a live session, whole.
 
-    Everything but the ``events`` table — records, pair ledger, crowd
-    workload, meta — is rewritten inside
+    Everything but the ``events`` table — records, pair ledger, meta (the
+    crowd workload among it) — is rewritten inside
     ``target``'s **open transaction**; the caller commits.  An exception in
     here rolls the transaction back, so the file keeps its previous
     contents.  This is how ``save(X)`` copies a session into a foreign
@@ -329,7 +340,6 @@ def write_snapshot(target: SqliteStore, session) -> None:
         for record in session.store:
             target.add_record(record)
         target.write_ledger(session.storage.ledger)
-        target.append_assignment_seconds(session.driver.state_dict()["assignment_seconds"])
         _write_header(target, session)
         _write_truth(target, session)
         _write_counters(target, session)
@@ -486,6 +496,9 @@ class Durability:
                 # log is never empty.
                 if copy.get_meta(LOGGED) or copy.query("SELECT 1 FROM events LIMIT 1").fetchone():
                     raise _occupied(target)
+                # An earlier format's tables take no format-5 rows.
+                if copy.get_meta("version") is not None:
+                    upgrade(copy, copy.get_meta("version"))
                 write_snapshot(copy, session)
                 copy.commit()
             finally:
@@ -521,11 +534,7 @@ def _page_in(session, source: SqliteStore) -> None:
             session.components.union(key[0], key[1])
         session.components.clear_dirty()
     counters = source.get_meta("session") or {}
-    session.driver.load_state_dict({
-        "session": counters,
-        "async": source.get_meta("async"),
-        "assignment_seconds": source.load_assignment_seconds(),
-    })
+    session.driver.load_state_dict({"session": counters, "async": source.get_meta("async")})
     session._batch_index = int(counters.get("batch_index", 0))
     session._last_fresh_votes = {}
     session.durability.events_applied = int(source.get_meta("events_applied", 0))
@@ -604,15 +613,12 @@ def restore(cls, path: os.PathLike):
     store_path = directory / STORE_FILENAME
     source = SqliteStore(store_path, lock=True)
     try:
-        journal = SessionJournal(source)
-        materialised = source.get_meta("version") is not None
-        events = journal.events(after=int(source.get_meta("events_applied", 0)))
-        if materialised:
-            header = {key: source.get_meta(key) for key in _header(WorkflowConfig(), None)}
-        elif events and events[0].type == "session":
-            header = events[0].payload
-        else:
+        header = stored_header(source)
+        if header is None:
             raise PersistenceError(f"{store_path} holds no session")
+        materialised = source.get_meta("version") is not None
+        journal = SessionJournal(source)
+        events = journal.events(after=int(source.get_meta("events_applied", 0)))
         upgrade(source, header["version"])
         try:
             config = WorkflowConfig(**{

@@ -172,9 +172,10 @@ class StreamingResolver:
         self._arrived_truth = 0
         self._aggregation = AggregationSchedule(self.config, self.storage.ledger)
         self._batch_index = 0
-        # Fresh votes folded in by the most recent applied event (what an
+        # Fresh votes folded in by the event being applied, or the last one:
+        # the pairs whose posteriors the event must re-run, and what an
         # earlier store format's outcome record carries, which a replay
-        # verifies).
+        # verifies.
         self._last_fresh_votes: Dict[PairKey, List[Vote]] = {}
         if fresh:
             self.durability.attach(self)
@@ -424,7 +425,7 @@ class StreamingResolver:
             # Stage 4: re-aggregate what changed.
             aggregate_pairs = dirty_pairs | self._expand_components(late)
             with obs.span("streaming.batch.aggregate", pairs=len(aggregate_pairs)):
-                self._aggregation.aggregate(aggregate_pairs, delta)
+                self._aggregation.aggregate(aggregate_pairs, self._last_fresh_votes.keys(), delta)
 
             self.components.clear_dirty()
         self._emit_delta_metrics(delta)
@@ -461,7 +462,7 @@ class StreamingResolver:
 
             # No crowdsourcing: retraction only removes evidence.  Re-aggregate
             # the dirty region — its cached posteriors are invalid.
-            self._aggregation.aggregate(dirty_pairs, delta)
+            self._aggregation.aggregate(dirty_pairs, self._last_fresh_votes.keys(), delta)
 
             self.components.clear_dirty()
         self._emit_delta_metrics(delta)
@@ -487,12 +488,12 @@ class StreamingResolver:
         """Apply a flush; answers with the settled resolution."""
         self._last_fresh_votes = {}
         with obs.span("streaming.flush"):
-            # Settle the crowd first — nothing in flight afterwards.  The
-            # completed pairs gain pending votes, so the pending pass below
-            # re-aggregates them (a flush reports no delta of its own).
+            # Settle the crowd first — nothing in flight afterwards — then
+            # re-aggregate the pairs it completed (a flush reports no delta
+            # of its own).
             settled = self.driver.settle(self._ledger.pairs, self._truth)
             self._fold(settled, StreamingDelta())
-            self._aggregation.flush(self._expand_components)
+            self._aggregation.flush(self._last_fresh_votes.keys(), self._expand_components)
         return self.snapshot()
 
     def _emit_delta_metrics(self, delta: StreamingDelta) -> None:
@@ -520,8 +521,6 @@ class StreamingResolver:
         """
         if step.coverage:
             self._ledger.mark_covered(set().union(*(keys for _, keys in step.coverage)))
-        if step.seconds:
-            self.storage.append_assignment_seconds(step.seconds)
         for key, votes in step.completed:
             self._ledger.record_fresh_votes(key, votes)
             self._last_fresh_votes[key] = votes
@@ -627,7 +626,7 @@ class StreamingResolver:
             likelihoods={key: ledger.pairs[key] for key in page},
             candidate_count=len(ledger.pairs),
             hit_count=driver.hit_count,
-            assignment_count=len(driver.assignment_seconds),
+            assignment_count=sum(driver.assignment_seconds.values()),
             cost=driver.cost,
             recall_ceiling=self._recall_ceiling(),
         )

@@ -1,6 +1,8 @@
 """Tests for the simulated crowd: workers, qualification, pricing, latency, platform."""
 
+import math
 import random
+import statistics
 from collections import Counter
 
 import numpy as np
@@ -173,14 +175,44 @@ class TestLatencyModel:
 
     def test_estimate_aggregates(self):
         model = LatencyModel()
-        estimate = model.estimate([60.0, 80.0, 100.0], hit_type="pair", pairs_per_hit=16)
+        estimate = model.estimate(
+            {60.0: 1, 80.0: 1, 100.0: 1}, hit_type="pair", pairs_per_hit=16
+        )
         assert estimate.median_assignment_seconds == 80.0
         assert estimate.assignment_count == 3
         assert estimate.total_minutes > 0
 
     def test_empty_estimate(self):
-        estimate = LatencyModel().estimate([], hit_type="cluster")
+        estimate = LatencyModel().estimate({}, hit_type="cluster")
         assert estimate.total_minutes == 0.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(
+        st.sampled_from([18.0, 26.6, 69.80000000000001, 97.0, 0.1, 0.2, 1e-17, 123.456]),
+        min_size=1, max_size=40,
+    ))
+    def test_an_estimate_from_counts_is_the_median_and_exact_sum_of_the_list(self, durations):
+        """The counts a session keeps give ``statistics.median`` of the
+        durations they expand to, bit for bit, and their correctly rounded
+        sum (``math.fsum``) — whatever order the assignments came in."""
+        model = LatencyModel()
+        estimate = model.estimate(Counter(durations), hit_type="pair", pairs_per_hit=16)
+        total = math.fsum(durations)
+        assert estimate.median_assignment_seconds == statistics.median(durations)
+        assert estimate.mean_assignment_seconds == total / len(durations)
+        assert estimate.assignment_count == len(durations)
+        workers = model.effective_workers("pair", 16)
+        assert estimate.total_minutes == model.recruitment_minutes + total / workers / 60.0
+
+    def test_the_sum_no_longer_depends_on_the_order(self):
+        """Summed left to right, nine durations of a committed store read
+        709.8 in their stored order; the exact sum rounds to
+        709.8000000000001, which is what the counts give."""
+        durations = [69.80000000000001] * 3 + [97.0] * 3 + [69.80000000000001] * 3
+        assert sum(durations) == 709.8
+        estimate = LatencyModel().estimate(Counter(durations), hit_type="cluster")
+        assert math.fsum(durations) == 709.8000000000001
+        assert estimate.mean_assignment_seconds == 709.8000000000001 / 9
 
     def test_negative_inputs_rejected(self):
         with pytest.raises(ValueError):

@@ -8,6 +8,7 @@ and crashes, and restoring it is a *page-in* of committed state (plus a
 short replay of the logged tail) rather than a replay of the whole log.
 """
 
+import collections
 import dataclasses
 import inspect
 import json
@@ -162,19 +163,17 @@ def assert_tables_are_the_ledger(session):
     one row per candidate pair, and no row of a dropped key."""
     ledger = session.storage.ledger
     rows = session.durability.store.query(
-        "SELECT id_a, id_b, likelihood, votes, pending, posterior, covered FROM ledger"
+        "SELECT id_a, id_b, likelihood, votes, posterior, covered FROM ledger"
     ).fetchall()
     assert len(rows) == len(ledger.pairs)
     assert {
-        (a, b): (likelihood, None if votes is None else json.loads(votes), pending, posterior,
-                 covered)
-        for a, b, likelihood, votes, pending, posterior, covered in rows
+        (a, b): (likelihood, None if votes is None else json.loads(votes), posterior, covered)
+        for a, b, likelihood, votes, posterior, covered in rows
     } == {
         key: (
             likelihood,
             [[worker, answer] for worker, _, answer in ledger.votes[key]]
             if key in ledger.votes else None,
-            ledger.pending_votes.get(key, 0),
             ledger.posteriors.get(key),
             int(key in ledger.covered),
         )
@@ -260,15 +259,14 @@ class TestSqliteRoundTrips:
         store.ledger.record_fresh_votes(key, [("w1", key, True), ("w2", key, False)])
         store.ledger.mark_covered([key])
         store.ledger.set_posterior(key, 2.0 / 3.0)
-        store.ledger.clear_pending([key])
         store.ledger.drop_pair(other)
         assert store.ledger.unsaved == {key, other, third}
         assert store.query("SELECT COUNT(*) FROM ledger").fetchone() == (0,)
         store.commit()
         assert store.ledger.unsaved == set()
         assert store.query("SELECT * FROM ledger").fetchall() == [
-            ("r1", "r2", 0.75, '[["w1", true], ["w2", false]]', 0, 2.0 / 3.0, 1),
-            ("r5", "r6", 0.25, None, 0, None, 0),
+            ("r1", "r2", 0.75, '[["w1", true], ["w2", false]]', 2.0 / 3.0, 1),
+            ("r5", "r6", 0.25, None, None, 0),
         ]
         store.close()
         reopened = SqliteStore(path)
@@ -276,12 +274,11 @@ class TestSqliteRoundTrips:
         ledger = reopened.ledger
         assert ledger.pairs == {key: 0.75, third: 0.25}
         assert ledger.votes == {key: [("w1", key, True), ("w2", key, False)]}
-        assert ledger.pending_votes == {}  # cleared counters stay popped
         assert ledger.posteriors == {key: 2.0 / 3.0}  # bit-exact REAL round trip
         assert ledger.covered == {key}
         reopened.close()
 
-    def test_provenance_and_workload_round_trip(self, tmp_path):
+    def test_provenance_round_trips(self, tmp_path):
         """The record → pairs index (retraction's provenance) is rebuilt
         from the ``pairs`` table at page-in; nothing else stores it."""
         path = tmp_path / STORE_FILENAME
@@ -290,7 +287,6 @@ class TestSqliteRoundTrips:
             store.ledger.add_pair(key, 0.5)
         store.commit()
         store.ledger.drop_pair(("r1", "r3"))
-        store.append_assignment_seconds([1.5, 2.25])
         store.commit()
         store.close()
         reopened = SqliteStore(path)
@@ -301,7 +297,6 @@ class TestSqliteRoundTrips:
         assert reopened.ledger.pairs_of("r2") == {("r1", "r2"), ("r2", "r3")}
         assert reopened.ledger.pairs_of("r3") == {("r2", "r3")}
         assert reopened.ledger.pairs_of("ghost") == set()
-        assert reopened.load_assignment_seconds() == [1.5, 2.25]
         reopened.close()
 
     def test_rollback_discards_the_open_event(self, tmp_path):
@@ -724,7 +719,11 @@ class TestLedgerRecordIndex:
         a restore rebuilds from the records (three per batch before: 2,097
         statements then).  None names the per-pair history an earlier
         release wrote three times per pair (6,059 statements then), and no
-        ledger mutation is a statement of its own (4,082 then)."""
+        ledger mutation is a statement of its own (4,082 then).  The
+        assignment durations are counts inside the ``session`` meta value
+        every commit already rewrites: no statement of their own (one
+        ``assignment_seconds`` insert per batch before, 2,068 + 8 = 2,076
+        statements then)."""
         statements = []
         for name in ("execute", "executemany"):
             original = getattr(SqliteStore, name)
@@ -736,7 +735,8 @@ class TestLedgerRecordIndex:
             monkeypatch.setattr(SqliteStore, name, counted)
 
         durable = self.durable_run(tmp_path, checkpoint_dir=str(tmp_path))
-        assert len(statements) == 2076
+        assert len(statements) == 2068
+        assert not [sql for sql in statements if "assignment_seconds" in sql]
         assert sum(sql.startswith("INSERT INTO records") for sql in statements) == 2000
         assert sum(" ledger " in sql for sql in statements) == 8  # one per batch
         assert sum(sql.startswith("INSERT INTO events") for sql in statements) == 11
@@ -894,7 +894,10 @@ class WrittenStore:
     whose deliveries are delayed (:meth:`config`), through
     :meth:`events`; ``applied`` of them are in the state tables and
     ``logged`` in the log.  ``stats`` is what ``repro stats`` reported on
-    it under that release.  ``label`` names how that release wrote it.
+    it under that release, but for the worker-seconds: since store format
+    5 they are the correctly rounded sum of the durations, where a release
+    before summed them left to right.  ``label`` names how that release
+    wrote it.
     """
 
     dump: str
@@ -950,9 +953,10 @@ FORMAT_1_STORES = (
     WrittenStore("v1_memory_store.sql", "memory", "dawid-skene", 3, 6,
                  (3, 8, 27, 0.22500000000000003, 640.0)),
     # Sqlite-backed, as a crash left it: the batch of records 30-40 logged
-    # and not applied.
+    # and not applied.  Its nine durations (69.80000000000001 six times,
+    # 97.0 three times) summed left to right read 709.8.
     WrittenStore("v1_sqlite_crash_store.sql", "sqlite", "majority", 4, 5,
-                 (3, 9, 33, 0.22500000000000003, 709.8)),
+                 (3, 9, 33, 0.22500000000000003, 709.8000000000001)),
 )
 
 #: Format 2, written by the last release with two write schedules: a
@@ -970,7 +974,17 @@ CADENCE_STORE = WrittenStore(
 #: batch's intent its unapplied tail.
 FORMAT_3_STORE = WrittenStore(
     "v3_sqlite_store.sql", "format-3", "majority", 4, 5,
-    (3, 9, 33, 0.22500000000000003, 709.8),
+    (3, 9, 33, 0.22500000000000003, 709.8000000000001),
+)
+
+#: Format 4, written by the last release that kept one ``assignment_seconds``
+#: row per crowd assignment and a ``ledger.pending`` column, as a crash
+#: inside the flush left it: the state at the batch of records 30-40, with
+#: 17 pairs' votes in flight, and the flush's intent its unapplied tail.
+#: Its 13 durations summed left to right read 1027.3999999999999.
+FORMAT_4_STORE = WrittenStore(
+    "v4_sqlite_store.sql", "format-4", "majority", 5, 6,
+    (6, 13, 33, 0.45000000000000007, 1027.4),
 )
 
 
@@ -1004,6 +1018,16 @@ def join_index_tables(store):
     return [table for table in JOIN_INDEX_TABLES if schema_objects(store, table)]
 
 
+def history(store):
+    """The history formats 1-4 kept that ``store`` still has: the
+    ``assignment_seconds`` table, one row per crowd assignment, and the
+    ``ledger.pending`` column."""
+    columns = [column for _, column, *_ in store.query("PRAGMA table_info(ledger)")]
+    return schema_objects(store, "assignment_seconds") + [
+        f"ledger.{column}" for column in columns if column == "pending"
+    ]
+
+
 def forge_outcome(directory):
     """Append a ``commit`` row with a valid checksum and a wrong digest."""
     connection = sqlite3.connect(str(directory / STORE_FILENAME))
@@ -1020,9 +1044,9 @@ def forge_outcome(directory):
 def assert_restores_and_continues(tmp_path, written, tail):
     """``written`` restores bit-identically to a session that ran the events
     its store holds — with its logged tail, with the log cut at its state,
-    and as a ``save(X)`` copy (state, no events) — in store format 4,
-    without the join index tables and with an empty log, then continues
-    and restores again bit-identically."""
+    and as a ``save(X)`` copy (state, no events) — in store format 5,
+    without the join index tables, without its history and with an empty
+    log, then continues and restores again bit-identically."""
     dataset = make_dataset()
     records = list(dataset.store)
     directory = written.load(tmp_path / "store")
@@ -1039,9 +1063,11 @@ def assert_restores_and_continues(tmp_path, written, tail):
     assert_sessions_identical(twin, restored)
     assert restored.storage.ledger.votes == twin.storage.ledger.votes
     store = restored.durability.store
-    assert store.get_meta("version") == persistence.FORMAT_VERSION == 4
+    assert store.get_meta("version") == persistence.FORMAT_VERSION == 5
     assert format_1_tables(store) == []
     assert join_index_tables(store) == []
+    assert history(store) == []
+    assert restored.driver.assignment_seconds == twin.driver.assignment_seconds
     assert restored.durability.journal.events() == []
     for session in (twin, restored):
         session.add_batch(records[40:])
@@ -1084,6 +1110,38 @@ def assert_a_refused_restore_leaves_it(tmp_path, written):
     return before
 
 
+def assert_save_over_a_copy_restores_the_saving_session(tmp_path, written):
+    """``save(X)`` over a store-only copy ``written``'s release left brings
+    the copy to format 5 before it rewrites the state tables — an earlier
+    format's tables take no format-5 rows — so ``repro stats`` and a
+    restore read the saving session from it."""
+    directory = written.load(tmp_path / "store")
+    # A store-only copy: no events, and no mark of a session (format 4 on).
+    connection = sqlite3.connect(str(directory / STORE_FILENAME))
+    with connection:
+        connection.execute("DELETE FROM events")
+        connection.execute("DELETE FROM meta WHERE key = 'logged'")
+    connection.close()
+    dataset = make_dataset(record_count=60, duplicate_pairs=10, seed=13)
+    records = list(dataset.store)
+    session = StreamingResolver(config=make_config())
+    session.add_truth(dataset.ground_truth)
+    for start in range(0, len(records), 20):
+        session.add_batch(records[start : start + 20])
+    assert session.storage.ledger.votes
+    session.save(directory)
+    copy = SqliteStore(directory / STORE_FILENAME)
+    assert copy.get_meta("version") == 5
+    assert format_1_tables(copy) == join_index_tables(copy) == history(copy) == []
+    copy.close()
+    report = CostReport.from_store(str(directory / STORE_FILENAME))
+    assert report.votes == sum(map(len, session.storage.ledger.votes.values()))
+    assert report.assignments == sum(session.driver.assignment_seconds.values())
+    restored = StreamingResolver.restore(directory)
+    assert_sessions_identical(session, restored)
+    restored.durability.close()
+
+
 class TestFormat1Stores:
     """A store the last format-1 release wrote restores, continues and
     restores again bit-identically; its four pair tables move into
@@ -1111,29 +1169,26 @@ class TestFormat1Stores:
         before = assert_a_refused_restore_leaves_it(tmp_path, written)
         assert all(before[table] for table in FORMAT_1_TABLES)
 
+    def test_a_planted_pending_count_is_refused(self, tmp_path):
+        """As format 4's ``ledger.pending`` (:class:`TestAFormat4Store`), a
+        non-zero ``pair_votes.pending`` would be dropped by the move into
+        ``ledger``: the restore refuses it and keeps the store as it was."""
+        directory = FORMAT_1_STORES[0].load(tmp_path / "store")
+        path = directory / STORE_FILENAME
+        connection = sqlite3.connect(str(path))
+        with connection:
+            connection.execute(
+                "UPDATE pair_votes SET pending = 2 WHERE (id_a, id_b) = "
+                "(SELECT id_a, id_b FROM pair_votes LIMIT 1)"
+            )
+        connection.close()
+        before = store_contents(path)
+        with pytest.raises(StorageError, match="pair_votes.pending"):
+            StreamingResolver.restore(directory)
+        assert store_contents(path) == {"ledger": [], **before}
+
     def test_save_over_a_format_1_copy_restores_the_saving_session(self, tmp_path):
-        """``save(X)`` rewrites ``X``'s state tables and leaves a format-1
-        copy's four pair tables behind, stale: ``meta.version`` — not which
-        tables exist — says where the ledger is, and the restore that takes
-        the copy over drops them."""
-        written = FORMAT_1_STORES[0]
-        directory = written.load(tmp_path / "store")
-        delete_events(directory)  # a store-only copy
-        dataset = make_dataset(record_count=60, duplicate_pairs=10, seed=13)
-        records = list(dataset.store)
-        session = StreamingResolver(config=make_config())
-        session.add_truth(dataset.ground_truth)
-        for start in range(0, len(records), 20):
-            session.add_batch(records[start : start + 20])
-        session.save(directory)
-        stale = store_contents(directory / STORE_FILENAME)
-        assert all(stale[table] for table in FORMAT_1_TABLES)
-        report = CostReport.from_store(str(directory / STORE_FILENAME))
-        assert report.votes == sum(map(len, session.storage.ledger.votes.values()))
-        restored = StreamingResolver.restore(directory)
-        assert_sessions_identical(session, restored)
-        assert format_1_tables(restored.durability.store) == []
-        restored.durability.close()
+        assert_save_over_a_copy_restores_the_saving_session(tmp_path, FORMAT_1_STORES[0])
 
 
 class TestACadenceStore:
@@ -1214,6 +1269,155 @@ class TestAFormat3Store:
         session = StreamingResolver(config=make_config())
         with pytest.raises(PersistenceError, match="already holds a session"):
             session.save(directory)
+
+
+class TestAFormat4Store:
+    """The last format that kept history: a row per crowd assignment and a
+    ``ledger.pending`` count, zero at every event boundary.  The restore that
+    takes such a store over folds the rows into duration counts and drops
+    the table and the column."""
+
+    @pytest.mark.parametrize("tail", ("logged", "cut", "store-only"))
+    def test_restores_and_continues_bit_identically(self, tmp_path, tail):
+        assert_restores_and_continues(tmp_path, FORMAT_4_STORE, tail)
+
+    def test_repro_stats_reports_the_tables_assignments_and_exact_seconds(
+        self, tmp_path, capsys
+    ):
+        assert_stats_as_written(tmp_path, capsys, FORMAT_4_STORE)
+
+    def test_a_planted_pending_count_is_refused_and_leaves_it_byte_identical(
+        self, tmp_path, capsys
+    ):
+        """Dropping a non-zero count would skip the re-aggregation it asks
+        for: a restore and ``repro stats`` both refuse it, naming the column,
+        and roll their upgrade back."""
+        from repro.cli import main
+
+        directory = FORMAT_4_STORE.load(tmp_path / "store")
+        path = directory / STORE_FILENAME
+        connection = sqlite3.connect(str(path))
+        with connection:
+            connection.execute(
+                "UPDATE ledger SET pending = 3 WHERE (id_a, id_b) = "
+                "(SELECT id_a, id_b FROM ledger WHERE votes IS NOT NULL LIMIT 1)"
+            )
+        connection.close()
+        before = path.read_bytes()
+        with pytest.raises(StorageError, match="ledger.pending"):
+            StreamingResolver.restore(directory)
+        assert path.read_bytes() == before
+        assert main(["stats", "--checkpoint-dir", str(directory)]) == 2
+        assert "ledger.pending" in capsys.readouterr().err
+        assert path.read_bytes() == before
+
+    @pytest.mark.parametrize(
+        "written", (CADENCE_STORE, FORMAT_3_STORE, FORMAT_4_STORE), ids=lambda store: store.label
+    )
+    def test_save_over_a_copy_with_a_pending_column_restores_the_saving_session(
+        self, tmp_path, written
+    ):
+        """Formats 2-4 declare ``ledger.pending NOT NULL`` with no default,
+        which format 5's ledger rows leave out."""
+        assert_save_over_a_copy_restores_the_saving_session(tmp_path, written)
+
+    def test_the_takeover_folds_the_table_into_counts_and_drops_the_column(self, tmp_path):
+        """With the log cut at its state, the restored session's duration
+        counts are the table's rows, counted; the restore's first commit
+        stores them in the ``session`` value and drops the table and the
+        column."""
+        directory = FORMAT_4_STORE.load(tmp_path / "store")
+        delete_events(
+            directory, "WHERE seq > (SELECT value FROM meta WHERE key = 'events_applied')"
+        )
+        store = SqliteStore(directory / STORE_FILENAME)
+        rows = [seconds for seconds, in store.query("SELECT seconds FROM assignment_seconds")]
+        assert history(store) == ["assignment_seconds", "ledger.pending"]
+        store.close()
+        restored = StreamingResolver.restore(directory)
+        restored.durability.close()
+        assert restored.driver.assignment_seconds == collections.Counter(rows)
+        store = SqliteStore(directory / STORE_FILENAME)
+        assert history(store) == []
+        assert store.get_meta("session")["assignment_seconds"] == [
+            [seconds, rows.count(seconds)] for seconds in sorted(set(rows))
+        ]
+        store.close()
+
+
+class TestAStoreWithoutHistory:
+    """Store format 5 keeps the crowd's assignment durations as counts in
+    the ``session`` value and no count of unaggregated votes."""
+
+    @pytest.mark.parametrize("crowd_mode", ("sync", "async"))
+    def test_a_settled_durable_sessions_store_has_no_history(self, tmp_path, crowd_mode):
+        dataset = make_dataset()
+        records = list(dataset.store)
+        crowd = AsyncCrowd(fault_plan=FaultPlan(seed=3, delay_ticks_min=1, delay_ticks_max=3))
+        session = StreamingResolver(config=make_config(
+            checkpoint_dir=str(tmp_path), crowd=crowd if crowd_mode == "async" else None
+        ))
+        session.add_truth(dataset.ground_truth)
+        for start in range(0, len(records), 17):
+            session.add_batch(records[start : start + 17])
+        session.retract(records[4].record_id)
+        count = session.flush().assignment_count
+        session.durability.close()
+        store = SqliteStore(tmp_path / STORE_FILENAME)
+        assert history(store) == []
+        assert [
+            column for _, column, *_ in store.query("PRAGMA table_info(ledger)")
+        ] == ["id_a", "id_b", "likelihood", "votes", "posterior", "covered"]
+        counts = store.get_meta("session")["assignment_seconds"]
+        assert count > 0 and sum(times for _, times in counts) == count
+        assert [seconds for seconds, _ in counts] == sorted({seconds for seconds, _ in counts})
+        store.close()
+
+    def test_repro_stats_reads_a_store_holding_only_its_header_event(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """A session whose first boundary never committed (the process died
+        between logging its header and stamping it into meta) has no
+        ``meta.version``: ``repro stats`` reads the format from the logged
+        header and reports the empty session, as restore resumes it at
+        event 1.  A store with neither is no session, and a torn header is
+        the same checksum error to both."""
+        from repro.cli import main
+
+        def crash(durability, session):
+            durability.close()
+            raise RuntimeError("died before the first boundary")
+
+        directory, neither, torn = (tmp_path / name for name in ("header", "neither", "torn"))
+        with monkeypatch.context() as crashing:
+            crashing.setattr(persistence.Durability, "attach", crash)
+            with pytest.raises(RuntimeError):
+                StreamingResolver(config=make_config(checkpoint_dir=str(directory)))
+        store = SqliteStore(directory / STORE_FILENAME)
+        assert store.get_meta("version") is None
+        assert [event.type for event in SessionJournal(store).events()] == ["session"]
+        store.close()
+        shutil.copytree(directory, neither)
+        delete_events(neither)
+        shutil.copytree(directory, torn)
+        connection = sqlite3.connect(str(torn / STORE_FILENAME))
+        with connection:
+            connection.execute("UPDATE events SET crc = crc + 1")
+        connection.close()
+        capsys.readouterr()
+        assert main(["stats", "--checkpoint-dir", str(directory), "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        names = ("hits_issued", "assignments", "votes", "crowd_cost_dollars", "crowd_work_seconds")
+        assert [report[name] for name in names] == [0, 0, 0, 0.0, 0.0]
+        restored = StreamingResolver.restore(directory)
+        assert restored.events_applied == 1
+        restored.durability.close()
+        assert main(["stats", "--checkpoint-dir", str(neither)]) == 2
+        assert "does not hold a resolution session" in capsys.readouterr().err
+        assert main(["stats", "--checkpoint-dir", str(torn)]) == 2
+        assert "event 1 fails its checksum" in capsys.readouterr().err
+        with pytest.raises(JournalCorruptionError, match="event 1 fails its checksum"):
+            StreamingResolver.restore(torn)
 
 
 class TestUpgrade:

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from strategies import arrival_batch_sizes, drive, event_schedules, order_seeds
+from strategies import arrival_batch_sizes, drive, event_schedules, fault_plans, order_seeds
 
 from repro.aggregation.majority import MajorityAggregator
 from repro.core.config import WorkflowConfig
@@ -480,6 +480,40 @@ def test_property_snapshot_equals_the_ledger_ranked_afresh(
     restored.durability.close()
 
 
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    schedule=event_schedules(min_size=2, max_size=7),
+    plan=fault_plans(),
+    crowd=st.sampled_from(("sync", "block", "shed")),
+    aggregation=st.sampled_from(("majority", "dawid-skene")),
+    scope=st.sampled_from(("component", "global")),
+)
+def test_property_every_voted_pair_has_a_posterior_after_every_event(
+    schedule, plan, crowd, aggregation, scope
+):
+    """Every event re-aggregates the pairs it folds votes for, so between
+    events no vote waits for its posterior — the invariant that lets a
+    session keep no count of unaggregated votes, whatever the crowd does
+    (a synchronous one, or an asynchronous one that blocks or sheds past a
+    small window under a fault plan), the aggregator and the scope."""
+    dataset = make_dataset(record_count=50, duplicate_pairs=10, seed=29)
+    records = list(dataset.store)
+    resolver = StreamingResolver(config=WorkflowConfig(
+        likelihood_threshold=0.3, vote_mode="per-pair", cluster_size=4, seed=5,
+        aggregation=aggregation, streaming_aggregation_scope=scope,
+        crowd=None if crowd == "sync" else AsyncCrowd(
+            vote_timeout=3, max_retries=2, max_inflight_hits=2,
+            backpressure_policy=crowd, fault_plan=plan,
+        ),
+    ))
+    resolver.add_truth(dataset.ground_truth)
+    ledger = resolver.storage.ledger
+    cursor = 0
+    for step in schedule:
+        cursor = drive(resolver, records, [step], cursor)
+        assert ledger.votes.keys() <= ledger.posteriors.keys(), step
+
+
 # ------------------------------------------- the pair-independent skip
 class WholeComponentMajority(MajorityAggregator):
     """Majority votes, re-run the way a pair-dependent aggregator is."""
@@ -508,8 +542,8 @@ class TestPairIndependentSkip:
 
     def test_dirty_component_with_voted_pairs_and_no_pending_votes(self):
         """Async crowd: r3's pairs are still in flight when its component is
-        dirty, so the component's only voted pair has nothing pending — it
-        keeps its posterior, and flush settles the rest."""
+        dirty, so the component's only voted pair gains no votes in that
+        event — it keeps its posterior, and flush settles the rest."""
         plan = FaultPlan(seed=1, delay_ticks_min=2, delay_ticks_max=2)
         resolver = StreamingResolver(config=self._config(crowd=AsyncCrowd(fault_plan=plan)))
         resolver.add_truth([("r1", "r2"), ("r1", "r3")])
@@ -517,8 +551,8 @@ class TestPairIndependentSkip:
         for filler in ("unrelated words here", "other things entirely"):
             resolver.add_batch([Record(filler[:5], {"t": filler})])
         assert resolver.snapshot().posteriors == {("r1", "r2"): 1.0}
-        assert not resolver.storage.ledger.pending_votes
         growth = resolver.add_batch(self.GROWING[1])
+        assert not resolver._last_fresh_votes
         assert resolver.snapshot().posteriors == {("r1", "r2"): 1.0}
         assert reuse_counters(growth) == (0, 1)
         assert resolver.flush().posteriors == {
