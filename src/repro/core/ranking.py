@@ -16,12 +16,20 @@ streaming snapshot does not re-sort what an event left alone.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 PairKey = Tuple[str, str]
 
 #: Posterior above which a voted pair counts as a match.
 DECISION_THRESHOLD = 0.5
+
+#: From this many entries to drop and insert on, :meth:`RankedIndex.update`
+#: rebuilds the list once instead of shifting its tail once per entry.  A
+#: shift moves pointers; the rebuild copies them and counts references,
+#: about 70 times the cost an entry (CPython 3.11 on a 2-vCPU Xeon), so the
+#: rebuild wins past about 80 moves whatever the list's length.  Below a
+#: few thousand entries the bisects dominate and neither wins by much.
+SPLICE_MIN = 96
 
 
 def rank_candidates(
@@ -61,9 +69,9 @@ class RankedIndex:
     ascending order on that tuple *is* the ranked order — descending tier,
     score and likelihood, ties on ascending pair key (``-0.0 == 0.0``, so a
     signed zero ties like :func:`rank_candidates`' stable sort does) — and
-    the tier-2 prefix is the match list.  :meth:`put` and :meth:`discard`
-    cost one bisect each, so a streaming snapshot pays for the pairs an
-    event touched instead of re-sorting the session.  :func:`rank_candidates`
+    the tier-2 prefix is the match list.  :meth:`update` re-places an
+    event's pairs as one batch, so a streaming snapshot pays for the pairs
+    an event touched instead of re-sorting the session.  :func:`rank_candidates`
     stays the definition of the order: :meth:`load` takes its output, and
     the property tests hold the two equal after every event.
     """
@@ -91,17 +99,57 @@ class RankedIndex:
         ]
         self._entry_of = {entry[3]: entry for entry in self._entries}
 
-    def put(self, key: PairKey, likelihood: float, posterior: Optional[float]) -> None:
-        """Insert ``key``, or move it to where its new scores rank it."""
-        self.discard(key)
-        entry = self._entry_of[key] = self._entry(key, likelihood, posterior)
-        insort(self._entries, entry)
+    def update(
+        self,
+        keys: Iterable[PairKey],
+        likelihoods: Dict[PairKey, float],
+        posteriors: Dict[PairKey, float],
+    ) -> None:
+        """Re-place ``keys``: each where its scores now rank it, or nowhere
+        once it is no longer a candidate (not in ``likelihoods``).
 
-    def discard(self, key: PairKey) -> None:
-        """Remove ``key`` if present."""
-        entry = self._entry_of.pop(key, None)
-        if entry is not None:
-            del self._entries[bisect_left(self._entries, entry)]
+        An entry that did not move costs nothing.  A few moves are made one
+        bisect-and-shift each; past :data:`SPLICE_MIN` of them the list is
+        rebuilt once, around cut points found by bisect — each shift moves
+        the list's tail, the rebuild copies the list once.
+        """
+        entry_of = self._entry_of
+        dropped: List[tuple] = []
+        added: List[tuple] = []
+        for key in keys:
+            old = entry_of.pop(key, None)
+            new = None
+            if key in likelihoods:
+                new = entry_of[key] = self._entry(key, likelihoods[key], posteriors.get(key))
+            if old != new:
+                if old is not None:
+                    dropped.append(old)
+                if new is not None:
+                    added.append(new)
+        entries = self._entries
+        if len(dropped) + len(added) < SPLICE_MIN:
+            for entry in dropped:
+                del entries[bisect_left(entries, entry)]
+            for entry in added:
+                insort(entries, entry)
+            return
+        # Each cut is (position in the old list, 1 to drop the entry there
+        # or 0 to put ``entry`` before it, entry); positions ascend.
+        cuts = sorted(
+            [(bisect_left(entries, entry), 1, entry) for entry in dropped]
+            + [(bisect_left(entries, entry), 0, entry) for entry in added]
+        )
+        spliced: List[tuple] = []
+        start = 0
+        for at, drop, entry in cuts:
+            spliced += entries[start:at]
+            if drop:
+                start = at + 1
+            else:
+                start = at
+                spliced.append(entry)
+        spliced += entries[start:]
+        self._entries = spliced
 
     def ranked(self) -> List[PairKey]:
         """Every candidate, most to least likely match."""

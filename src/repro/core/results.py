@@ -23,20 +23,22 @@ class StreamingDelta:
         Records added by the batch and candidate pairs the incremental join
         discovered for them (new-vs-old plus new-vs-new).
     dirty_components / clean_components:
-        Components whose membership or edges changed this batch (their HITs
-        were regenerated) vs components left untouched (their votes and
-        posteriors were carried over).
+        Components whose membership or edges changed this event vs
+        components left untouched (their votes and posteriors were carried
+        over).
     dirty_pairs:
         Candidate pairs living in dirty components.
     regenerated_hits:
-        HITs generated for the dirty components this batch.
+        HITs published this event.
     crowdsourced_pairs:
-        Pairs for which fresh votes were collected this batch (only
+        Pairs for which fresh votes were collected this event (only
         never-voted pairs: a pair is crowdsourced once).
     reused_vote_pairs:
-        Previously voted pairs whose existing votes were kept.
+        Pairs of the dirty components that already had votes, which they
+        kept.
     preserved_posterior_pairs:
-        Pairs in clean components whose cached posterior was reused without
+        Posteriors outside the event's region — the dirty components and
+        those late votes completed a pair in — carried over without
         re-running the aggregator (component aggregation scope only).
     retracted_records:
         Records removed from the session by ``retract``/``update`` this
@@ -51,6 +53,14 @@ class StreamingDelta:
         when that is not known (the first event after a restore, or a
         global-scope re-aggregation, where it may be any pair).  Not part
         of :meth:`as_dict` or of equality.
+
+    The five region counters (``dirty_components``, ``clean_components``,
+    ``dirty_pairs``, ``reused_vote_pairs``, ``preserved_posterior_pairs``)
+    describe the components an event touched; they are read from
+    per-component tallies, not by walking those components.  They are not
+    the event's work: an event asks the crowd about, and under majority
+    re-aggregates, only its new and still-unvoted pairs (its shed backlog
+    and late completions included) — see :mod:`repro.streaming.session`.
     """
 
     batch_index: int = 0

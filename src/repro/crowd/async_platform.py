@@ -39,7 +39,7 @@ from repro import obs
 from repro.crowd.faults import AssignmentFate, FaultPlan
 from repro.crowd.platform import CrowdRunResult, SimulatedCrowdPlatform, Vote
 from repro.hit.base import HITBatch
-from repro.records.pairs import canonical_pair
+from repro.records.pairs import canonical_pairs
 
 PairKey = Tuple[str, str]
 
@@ -238,9 +238,9 @@ class AsyncCrowdPlatform:
                     if guard > 1_000_000:  # pragma: no cover - defensive
                         raise RuntimeError("backpressure block failed to drain")
 
-        truth: Set[PairKey] = {canonical_pair(a, b) for a, b in true_matches}
+        truth = canonical_pairs(true_matches)
         candidates = (
-            {canonical_pair(a, b) for a, b in candidate_pairs}
+            canonical_pairs(candidate_pairs)
             if candidate_pairs is not None
             else set(batch.candidate_pairs)
         )

@@ -26,7 +26,7 @@ from repro.crowd.pricing import PricingModel
 from repro.crowd.qualification import QualificationTest
 from repro.crowd.worker import Worker, WorkerPool
 from repro.hit.base import ClusterBasedHIT, HITBatch, PairBasedHIT
-from repro.records.pairs import canonical_pair
+from repro.records.pairs import canonical_pairs
 
 Vote = Tuple[str, Tuple[str, str], bool]
 
@@ -169,9 +169,9 @@ class SimulatedCrowdPlatform:
         machine-suggested pairs are recorded — exactly the pairs the
         workflow needs verified).
         """
-        truth: Set[Tuple[str, str]] = {canonical_pair(a, b) for a, b in true_matches}
+        truth = canonical_pairs(true_matches)
         candidates = (
-            {canonical_pair(a, b) for a, b in candidate_pairs}
+            canonical_pairs(candidate_pairs)
             if candidate_pairs is not None
             else set(batch.candidate_pairs)
         )

@@ -1,11 +1,13 @@
-"""Incremental union-find with dirty-component tracking.
+"""Incremental union-find with dirty-component tracking and per-component tallies.
 
 The streaming resolver (:mod:`repro.streaming`) maintains the pair graph's
 connected components *incrementally*: every arriving candidate pair is a
 ``union`` of its two records, and any component touched by a new record or
 new pair since the last :meth:`IncrementalUnionFind.clear_dirty` is marked
-**dirty**.  Only dirty components need their HITs regenerated and their
-votes re-aggregated; clean components keep their cached posteriors.
+**dirty**.  Each component also carries a few integer *tallies* (the
+session counts its pairs, voted pairs and posteriors), summed when two
+components merge, so what a set of dirty components holds is read in
+O(components) instead of by walking their members.
 
 Union by size with path halving gives effectively O(alpha(n)) amortised
 operations, so maintaining components across thousands of record batches
@@ -24,13 +26,18 @@ class IncrementalUnionFind:
 
     A component is *dirty* when, since the last :meth:`clear_dirty`, it
     gained a vertex, gained an edge (even an internal one between already
-    connected vertices — re-verification may be wanted), was merged with
-    another component, or was explicitly marked via :meth:`mark_dirty`.
-    Dirtiness is tracked per current *root*, and survives merges: a clean
-    component absorbed by a dirty one (or vice versa) becomes dirty.
+    connected vertices — re-verification may be wanted) or was merged with
+    another component.  Dirtiness is tracked per current *root*, and
+    survives merges: a clean component absorbed by a dirty one (or vice
+    versa) becomes dirty.
+
+    ``width`` is the number of tallies each component carries, all zero
+    for a new vertex: :meth:`tally` adds to one of a component's,
+    :meth:`union` sums the two components', and :meth:`totals` sums them
+    over a set of roots.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, width: int = 0) -> None:
         self._parent: Dict[str, str] = {}
         self._size: Dict[str, int] = {}
         # root -> member list, merged smaller-into-larger on union so total
@@ -38,6 +45,9 @@ class IncrementalUnionFind:
         # component without scanning the whole store.
         self._members: Dict[str, List[str]] = {}
         self._dirty: Set[str] = set()
+        self._width = width
+        # root -> its tallies; a root without an entry tallies zeros.
+        self._tallies: Dict[str, List[int]] = {}
 
     # ------------------------------------------------------------ mutation
     def add(self, item: str) -> bool:
@@ -72,15 +82,24 @@ class IncrementalUnionFind:
         self._size[root_a] += self._size[root_b]
         del self._size[root_b]
         self._members[root_a].extend(self._members.pop(root_b))
+        absorbed = self._tallies.pop(root_b, None)
+        if absorbed is not None:
+            kept = self._tallies.setdefault(root_a, [0] * self._width)
+            for column, amount in enumerate(absorbed):
+                kept[column] += amount
         # The merged component is dirty (it gained an edge), and root_b no
         # longer names a component.
         self._dirty.discard(root_b)
         self._dirty.add(root_a)
         return root_a
 
-    def mark_dirty(self, item: str) -> None:
-        """Mark the component containing ``item`` dirty (item must exist)."""
-        self._dirty.add(self.find(item))
+    def tally(self, item: str, column: int, amount: int = 1) -> None:
+        """Add ``amount`` to tally ``column`` of ``item``'s component (item must exist)."""
+        root = self.find(item)
+        counts = self._tallies.get(root)
+        if counts is None:
+            counts = self._tallies[root] = [0] * self._width
+        counts[column] += amount
 
     def detach(self, items: Iterable[str]) -> List[str]:
         """Remove ``items`` from the structure entirely.
@@ -88,9 +107,10 @@ class IncrementalUnionFind:
         Union-find cannot delete a vertex in place, so every component that
         contains a detached item is dissolved: the detached items vanish and
         the *surviving* members of those components are re-added as dirty
-        singletons.  The caller is responsible for re-unioning the surviving
-        edges (the streaming resolver replays each survivor's candidate
-        pairs), after which the touched components are exactly the connected
+        singletons with zero tallies.  The caller is responsible for
+        re-unioning the surviving edges and re-tallying what they carry
+        (the streaming resolver replays each survivor's candidate pairs),
+        after which the touched components are exactly the connected
         components of the surviving edge set.
 
         Returns the surviving members, in their original membership order,
@@ -105,6 +125,7 @@ class IncrementalUnionFind:
         for root in roots:
             members = self._members.pop(root)
             del self._size[root]
+            self._tallies.pop(root, None)
             self._dirty.discard(root)
             for member in members:
                 del self._parent[member]
@@ -127,12 +148,6 @@ class IncrementalUnionFind:
             item = parent[item]
         return item
 
-    def connected(self, a: str, b: str) -> bool:
-        """True if both items exist and share a component."""
-        if a not in self._parent or b not in self._parent:
-            return False
-        return self.find(a) == self.find(b)
-
     def __contains__(self, item: object) -> bool:
         return item in self._parent
 
@@ -144,41 +159,23 @@ class IncrementalUnionFind:
         """Number of disjoint components."""
         return len(self._size)
 
-    def component_size(self, item: str) -> int:
-        """Size of the component containing ``item``."""
-        return self._size[self.find(item)]
-
     def dirty_roots(self) -> Set[str]:
         """Roots of all currently dirty components."""
         return set(self._dirty)
 
-    def is_dirty(self, item: str) -> bool:
-        """True if ``item``'s component is dirty."""
-        return self.find(item) in self._dirty
-
-    def roots(self) -> List[str]:
-        """All component roots, in no particular order."""
-        return list(self._size)
+    def totals(self, roots: Iterable[str]) -> List[int]:
+        """Each tally summed over the components with the given roots: O(roots)."""
+        sums = [0] * self._width
+        for root in roots:
+            for column, amount in enumerate(self._tallies.get(root, ())):
+                sums[column] += amount
+        return sums
 
     def members(self, root: str) -> List[str]:
         """The members of the component whose root is ``root``.
 
         O(component size): read off the maintained member list, no scan of
         the other components.  ``root`` must be a current root (as returned
-        by :meth:`find`, :meth:`dirty_roots` or :meth:`roots`).
+        by :meth:`find` or :meth:`dirty_roots`).
         """
         return list(self._members[root])
-
-    def components(self, items: Iterable[str] = ()) -> Dict[str, List[str]]:
-        """Group items by component root.
-
-        With no argument, every component's maintained member list is
-        returned; with ``items``, only those items are grouped.  Output is
-        deterministic for a deterministic operation sequence.
-        """
-        if not items:
-            return {root: list(members) for root, members in self._members.items()}
-        grouped: Dict[str, List[str]] = {}
-        for item in items:
-            grouped.setdefault(self.find(item), []).append(item)
-        return grouped

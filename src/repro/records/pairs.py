@@ -25,6 +25,23 @@ def canonical_pair(id_a: str, id_b: str) -> Tuple[str, str]:
     return (id_a, id_b) if id_a < id_b else (id_b, id_a)
 
 
+class CanonicalPairs(set):
+    """A set of pair keys that are already in :func:`canonical_pair` form.
+
+    What takes an iterable of pairs canonicalises it through
+    :func:`canonical_pairs`, which passes one of these through as is — so a
+    caller that keeps its pairs canonical (a streaming session's truth)
+    pays nothing per pair for it.
+    """
+
+
+def canonical_pairs(pairs: Iterable[Tuple[str, str]]) -> Set[Tuple[str, str]]:
+    """``pairs`` as a set of canonical keys (a :class:`CanonicalPairs` as is)."""
+    if isinstance(pairs, CanonicalPairs):
+        return pairs
+    return {canonical_pair(a, b) for a, b in pairs}
+
+
 @dataclass(frozen=True)
 class RecordPair:
     """An unordered candidate pair with an optional likelihood score."""

@@ -30,7 +30,9 @@ batch/retract/update/crash schedules.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, AbstractSet, Dict, Iterable, List, Optional, Set, Tuple
+from typing import (
+    TYPE_CHECKING, AbstractSet, Callable, Dict, Iterable, List, Optional, Set, Tuple,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.records.record import Record
@@ -38,6 +40,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 PairKey = Tuple[str, str]
 #: ``(worker_id, pair_key, answer)`` — the vote tuple of the crowd platform.
 Vote = Tuple[str, PairKey, bool]
+
+#: The columns of :attr:`PairLedger.tally`: a key entered or left
+#: ``pairs``, ``votes`` or ``posteriors``.
+PAIRS, VOTED, POSTERIORS = TALLY_COLUMNS = range(3)
 
 
 class PersistenceError(RuntimeError):
@@ -83,6 +89,14 @@ class PairLedger:
         ``None`` unless the ledger is stored (``PairLedger(stored=True)``).
         Then: every key a mutation changed since :meth:`take_unsaved` last
         ran — the keys whose store rows are stale.
+    tally:
+        ``None``, or a callable told ``(key[0], column, +1 or -1)`` — the
+        pair's first record — whenever a mutation adds ``key`` to, or
+        removes it from, :attr:`pairs` (column :data:`PAIRS`),
+        :attr:`votes` (:data:`VOTED`) or :attr:`posteriors`
+        (:data:`POSTERIORS`): what lets a session count them per component
+        (``IncrementalUnionFind.tally``).  A page-in assigns the dicts and
+        tells it nothing.
     """
 
     def __init__(self, stored: bool = False) -> None:
@@ -92,6 +106,7 @@ class PairLedger:
         self.covered: Set[PairKey] = set()
         self.touched: Optional[Set[PairKey]] = set()
         self.unsaved: Optional[Set[PairKey]] = set() if stored else None
+        self.tally: Optional[Callable[[str, int, int], None]] = None
         self._pairs_of_record: Dict[str, Set[PairKey]] = {}
 
     def pairs_of(self, record_id: str) -> AbstractSet[PairKey]:
@@ -129,8 +144,11 @@ class PairLedger:
     # ------------------------------------------------------------ mutations
     def add_pair(self, key: PairKey, likelihood: Optional[float]) -> None:
         """Register a discovered candidate pair (keeps the higher likelihood)."""
-        if key in self.pairs and (likelihood or 0.0) <= (self.pairs[key] or 0.0):
-            return
+        if key in self.pairs:
+            if (likelihood or 0.0) <= (self.pairs[key] or 0.0):
+                return
+        elif self.tally is not None:
+            self.tally(key[0], PAIRS, 1)
         self.pairs[key] = likelihood
         self._index(key)
         self._touch(key)
@@ -138,6 +156,11 @@ class PairLedger:
 
     def drop_pair(self, key: PairKey) -> None:
         """Invalidate one pair entirely (retraction blast radius)."""
+        if self.tally is not None:
+            for column, held in ((PAIRS, self.pairs), (VOTED, self.votes),
+                                 (POSTERIORS, self.posteriors)):
+                if key in held:
+                    self.tally(key[0], column, -1)
         self._touch(key)
         self._note((key,))
         for record_id in key:
@@ -153,6 +176,8 @@ class PairLedger:
 
     def record_fresh_votes(self, key: PairKey, votes: List[Vote]) -> None:
         """Take a pair's crowd votes, in oracle order."""
+        if self.tally is not None and key not in self.votes:
+            self.tally(key[0], VOTED, 1)
         self.votes[key] = votes
         self._note((key,))
 
@@ -163,12 +188,19 @@ class PairLedger:
         self._note(fresh)
 
     def set_posterior(self, key: PairKey, posterior: float) -> None:
+        if self.tally is not None and key not in self.posteriors:
+            self.tally(key[0], POSTERIORS, 1)
         self.posteriors[key] = posterior
         self._touch(key)
         self._note((key,))
 
     def replace_posteriors(self, posteriors: Dict[PairKey, float]) -> None:
         """Global-scope aggregation: the whole cache is rebuilt at once."""
+        if self.tally is not None:
+            for key in self.posteriors.keys() - posteriors.keys():
+                self.tally(key[0], POSTERIORS, -1)
+            for key in posteriors.keys() - self.posteriors.keys():
+                self.tally(key[0], POSTERIORS, 1)
         self._note(self.posteriors)
         self.posteriors = dict(posteriors)
         self._note(self.posteriors)

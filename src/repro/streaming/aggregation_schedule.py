@@ -7,7 +7,6 @@ from typing import AbstractSet, Callable, Iterable, List, Set, Tuple
 
 from repro.aggregation.majority import Vote
 from repro.core.config import WorkflowConfig
-from repro.core.results import StreamingDelta
 from repro.core.workflow import build_aggregator
 from repro.storage.base import PairLedger
 
@@ -32,15 +31,19 @@ class AggregationSchedule:
     ledger: PairLedger
 
     def aggregate(
-        self, dirty_pairs: Set[PairKey], fresh: AbstractSet[PairKey], delta: StreamingDelta
+        self, fresh: AbstractSet[PairKey], region: Callable[[], Set[PairKey]]
     ) -> None:
-        """Fold fresh votes into the posterior cache.
+        """Fold an event's fresh votes into the posterior cache.
 
-        Under a ``pair_independent`` aggregator (majority) a voted pair
-        with a posterior and no fresh votes already holds the posterior a
-        re-run would give it, so only the dirty pairs that gained votes are
-        re-run — and only they reach ``set_posterior``, the ranked index
-        and a durable store's writes.
+        ``"global"`` scope re-runs every vote.  Component scope re-runs the
+        voted pairs of the event's region — ``region()`` names its pairs:
+        every pair of the components the event dirtied or completed a pair
+        in — and carries every other posterior over untouched.  Under a
+        ``pair_independent`` aggregator (majority) a voted pair with no
+        fresh votes already holds the posterior a re-run would give it, so
+        only the ``fresh`` pairs are re-run — and only they reach
+        ``set_posterior``, the ranked index and a durable store's writes —
+        and the region is never enumerated.
         """
         ledger = self.ledger
         aggregator = build_aggregator(self.config)
@@ -48,15 +51,9 @@ class AggregationSchedule:
             votes = self._votes_of(sorted(ledger.votes))
             ledger.replace_posteriors(dict(aggregator.aggregate(votes)) if votes else {})
             return
-        # Component scope: only the dirty region is re-aggregated; posteriors
-        # of clean components are carried over untouched.
-        settled = ledger.posteriors.keys() & dirty_pairs
-        delta.preserved_posterior_pairs = len(ledger.posteriors) - len(settled)
-        voted_dirty = ledger.votes.keys() & dirty_pairs
-        if aggregator.pair_independent:
-            voted_dirty = (voted_dirty & fresh) | (voted_dirty - settled)
-        if voted_dirty:
-            self._reaggregate(aggregator, voted_dirty)
+        keys = fresh if aggregator.pair_independent else ledger.votes.keys() & region()
+        if keys:
+            self._reaggregate(aggregator, keys)
 
     def flush(
         self, fresh: AbstractSet[PairKey], expand: Callable[[Iterable[PairKey]], Set[PairKey]]

@@ -516,11 +516,13 @@ def _page_in(session, source: SqliteStore) -> None:
     indexes them — the index is a function of the records alone, and its
     deltas are ordered by record id, so a row numbering without the
     original's tombstones changes no later result.  The candidate pairs
-    (and the ledger's record → pairs index) come from the ledger's rows,
-    and the union-find forest — filled in place, the fresh session's
-    aggregation schedule shares it — from record arrival order plus the
+    (and the ledger's record → pairs index) come from the ledger's rows —
+    filled in place, the fresh session's aggregation schedule shares the
+    ledger — and the union-find forest from record arrival order plus the
     pair edges (roots only serve as grouping keys, so the rebuilt forest
-    is behaviorally equivalent to the original).
+    is behaviorally equivalent to the original).  What is derived from
+    those rows is rebuilt with them: each component's tallies, and, once
+    the driver knows what is in flight, the session's unvoted pairs.
     """
     with obs.span("storage.page_in"):
         records = list(source.iter_records())
@@ -532,9 +534,11 @@ def _page_in(session, source: SqliteStore) -> None:
         session._apply_truth(source.get_meta("truth") or [])
         for key in sorted(source.ledger.pairs):
             session.components.union(key[0], key[1])
+            session._tally_pair(key)
         session.components.clear_dirty()
     counters = source.get_meta("session") or {}
     session.driver.load_state_dict({"session": counters, "async": source.get_meta("async")})
+    session._reclassify(source.ledger.pairs)
     session._batch_index = int(counters.get("batch_index", 0))
     session._last_fresh_votes = {}
     session.durability.events_applied = int(source.get_meta("events_applied", 0))

@@ -9,23 +9,35 @@ incrementally instead of recomputing it from scratch:
    new-vs-new only); resident pairs are never re-scored.
 2. **Component maintenance** — every new candidate pair is a union in an
    :class:`~repro.graph.union_find.IncrementalUnionFind`; components touched
-   by a new record or pair become *dirty*, all others stay *clean*.
-3. **HIT regeneration and crowdsourcing** — only dirty components get new
-   HITs, over exactly the pairs that have never been voted on; clean
-   components and already-voted dirty pairs keep the HITs and votes they
-   already paid for.  The session hands those pairs to its
-   :class:`~repro.streaming.crowd_driver.CrowdDriver` (HIT generation,
-   publish and — in async crowd mode — everything in flight) and folds the
-   pairs the driver reports completed into the vote ledger.
+   by a new record or pair become *dirty*, all others stay *clean*.  Each
+   component tallies its pairs, voted pairs and posteriors (the ledger
+   reports every change), so the event's *region counters* — the
+   ``StreamingDelta`` fields about its dirty components — cost one lookup
+   per dirty component, however many pairs those hold.
+3. **HIT regeneration and crowdsourcing** — an event's *work set* is not
+   its dirty region but the pairs it created or still owes: the session
+   keeps the candidates that have no votes and are neither in flight nor
+   shed (its *unvoted* set, which every new pair joins), and asks the crowd
+   about those in dirty components, plus the driver's shed backlog.  Voted
+   pairs keep the HITs and votes they already paid for.  The session hands
+   the pairs to its :class:`~repro.streaming.crowd_driver.CrowdDriver`
+   (HIT generation, publish and — in async crowd mode — everything in
+   flight) and folds the pairs the driver reports completed into the vote
+   ledger.
 4. **Aggregation** — an
    :class:`~repro.streaming.aggregation_schedule.AggregationSchedule`
-   re-aggregates what changed under ``streaming_aggregation_scope``: only
-   dirty components, clean ones keeping their cached posteriors
-   bit-for-bit, or (``"global"``) all accumulated votes.
+   re-aggregates what changed under ``streaming_aggregation_scope``.  In
+   component scope a pair-independent aggregator (majority) re-runs exactly
+   the pairs that got fresh votes — new pairs, and late completions each on
+   its own — and every other posterior is kept bit-for-bit; Dawid-Skene,
+   whose EM unit is the component, re-runs the voted pairs of the dirty
+   components and of those late votes completed a pair in: the only
+   aggregation that enumerates components.  ``"global"`` scope re-runs all
+   votes.
 5. **Ranking** — the candidates are kept in rank order
-   (:class:`~repro.core.ranking.RankedIndex`) and re-placed only for the
-   pairs whose likelihood or posterior the event changed; the event answers
-   with its :class:`~repro.core.results.StreamingDelta`.
+   (:class:`~repro.core.ranking.RankedIndex`) and re-placed, as one batch,
+   only for the pairs whose likelihood or posterior the event changed; the
+   event answers with its :class:`~repro.core.results.StreamingDelta`.
 
 On top of arrivals the session supports **retraction and update**
 (:meth:`StreamingResolver.retract` / :meth:`StreamingResolver.update`):
@@ -33,8 +45,9 @@ the pair ledger indexes every candidate pair by its two records
 (:meth:`~repro.storage.base.PairLedger.pairs_of`), so removing a record
 invalidates exactly the provenance-reachable pairs and components — their
 votes, posteriors and HIT coverage are discarded, the surviving members are
-re-connected from their surviving edges, and only that dirty region is
-re-aggregated; every clean component is untouched.
+re-connected (and re-tallied) from their surviving edges, and only an
+aggregator that is not pair-independent re-runs that dirty region; every
+clean component is untouched.
 
 Sessions can also be made **durable** (``WorkflowConfig.checkpoint_dir``),
 but not by this module: the class below is the event → delta state machine
@@ -73,8 +86,9 @@ from repro.core.ranking import RankedIndex, rank_candidates
 from repro.core.results import ResolutionResult, StreamingDelta
 from repro.datasets.base import Dataset
 from repro.graph.union_find import IncrementalUnionFind
-from repro.records.pairs import canonical_pair
+from repro.records.pairs import CanonicalPairs, canonical_pair
 from repro.records.record import Record, RecordError, RecordStore, check_attribute_values
+from repro.storage.base import PAIRS, POSTERIORS, TALLY_COLUMNS, VOTED
 from repro.streaming import persistence
 from repro.streaming.aggregation_schedule import AggregationSchedule
 from repro.streaming.crowd_driver import CrowdDriver, CrowdStep
@@ -101,8 +115,8 @@ DELTA_COUNTER_FIELDS = (
 )
 
 #: An event re-ranks from scratch once it touched more than one
-#: candidate in this many: past half, one sort is cheaper than the bisects
-#: (Dawid-Skene over one giant dirty component moves every posterior).
+#: candidate in this many: past half, one sort is cheaper than re-placing
+#: them (Dawid-Skene over one giant dirty component moves every posterior).
 RERANK_SHARE = 2
 
 
@@ -162,12 +176,19 @@ class StreamingResolver:
             workers=self.config.join_workers or None,
         )
         self.store = RecordStore(name="stream")
-        self.components = IncrementalUnionFind()
+        # Components, each tallying its pairs, voted pairs and posteriors
+        # (the ledger reports every change), so an event's region counters
+        # cost its dirty components, not their pairs.
+        self.components = IncrementalUnionFind(width=len(TALLY_COLUMNS))
+        self._ledger.tally = self.components.tally
+        # Candidates with no votes that the driver has neither in flight nor
+        # shed: with the new pairs, what an event may have to ask about.
+        self._unvoted: Set[PairKey] = set()
         # The ranked candidates, re-placed per touched pair by every event.
         self._ranking = RankedIndex()
         # Ground truth, its per-record index, and how many of its pairs have
         # both records resident (the recall ceiling's denominator).
-        self._truth: Set[PairKey] = set()
+        self._truth: Set[PairKey] = CanonicalPairs()
         self._truth_partners: Dict[str, List[str]] = {}
         self._arrived_truth = 0
         self._aggregation = AggregationSchedule(self.config, self.storage.ledger)
@@ -398,34 +419,38 @@ class StreamingResolver:
                     self.components.add(record.record_id)
             delta.new_candidate_pairs = len(new_pairs)
 
-            # Stage 2: component maintenance.
+            # Stage 2: component maintenance.  A new pair is unvoted until the
+            # crowd takes it.
             with obs.span("streaming.batch.components", pairs=len(new_pairs)):
                 for pair in new_pairs:
                     self._ledger.add_pair(pair.key, pair.likelihood)
                     self.components.union(pair.id_a, pair.id_b)
+                    self._unvoted.add(pair.key)
+                dirty_roots = self.components.dirty_roots()
+                delta.reused_vote_pairs = self._count_region(dirty_roots, delta)[VOTED]
 
-                dirty_pairs = self._dirty_region(delta)
-
-            # Stage 3: ask the crowd about the dirty pairs that need votes:
-            # those without any (voted pairs keep their ledger entry and cost
-            # nothing more).
-            if dirty_pairs or self.driver.starved:
-                with obs.span("streaming.batch.crowd", pairs=len(dirty_pairs)):
-                    to_vote = dirty_pairs - self._ledger.votes.keys()
-                    delta.reused_vote_pairs = len(dirty_pairs) - len(to_vote)
-                    asked = self.driver.request(to_vote, self._ledger.pairs, self._truth)
-                    self._fold(asked, delta)
+            # Stage 3: ask the crowd about the dirty components' unvoted
+            # pairs.  Voted pairs keep their votes and cost nothing more;
+            # pairs in flight or shed are the driver's, which re-publishes
+            # the shed backlog itself.
+            find = self.components.find
+            to_vote = {key for key in self._unvoted if find(key[0]) in dirty_roots}
+            if to_vote or self.driver.starved:
+                with obs.span("streaming.batch.crowd", pairs=len(to_vote)):
+                    asked_about = to_vote | self.driver.starved
+                    self._fold(self.driver.request(to_vote, self._ledger.pairs, self._truth),
+                               delta)
+                    self._reclassify(asked_about)
             # One event is one tick of the crowd's clock.  Votes that were
-            # waited for may complete pairs outside the dirty region; their
-            # whole components re-aggregate alongside it.
+            # waited for may complete pairs outside the dirty components;
+            # theirs join the event's region.
             arrived = self.driver.tick()
             self._fold(arrived, delta)
-            late = {key for key, _ in arrived.completed} - dirty_pairs
+            late_roots = {find(key[0]) for key, _ in arrived.completed} - dirty_roots
 
             # Stage 4: re-aggregate what changed.
-            aggregate_pairs = dirty_pairs | self._expand_components(late)
-            with obs.span("streaming.batch.aggregate", pairs=len(aggregate_pairs)):
-                self._aggregation.aggregate(aggregate_pairs, self._last_fresh_votes.keys(), delta)
+            with obs.span("streaming.batch.aggregate", pairs=len(self._last_fresh_votes)):
+                self._aggregate(dirty_roots | late_roots, delta)
 
             self.components.clear_dirty()
         self._emit_delta_metrics(delta)
@@ -448,21 +473,27 @@ class StreamingResolver:
             self._arrived_truth -= self._resident_truth_partners(record_id)
             for key in dropped:
                 self._ledger.drop_pair(key)
+            self._unvoted.difference_update(dropped)
             self.driver.forget(dropped)
             delta.invalidated_pairs = len(dropped)
 
-            # Re-form the dissolved component from the surviving edges; the
+            # Re-form the dissolved component from the surviving edges (each
+            # is seen from both of its records, and tallied once); the
             # survivors come back dirty, everything else stays clean.
             survivors = self.components.detach([record_id])
             for survivor in survivors:
                 for key in self._ledger.pairs_of(survivor):
                     self.components.union(key[0], key[1])
+                    if key[0] == survivor:
+                        self._tally_pair(key)
 
-            dirty_pairs = self._dirty_region(delta)
+            dirty_roots = self.components.dirty_roots()
+            self._count_region(dirty_roots, delta)
 
-            # No crowdsourcing: retraction only removes evidence.  Re-aggregate
-            # the dirty region — its cached posteriors are invalid.
-            self._aggregation.aggregate(dirty_pairs, self._last_fresh_votes.keys(), delta)
+            # No crowdsourcing: retraction only removes evidence, and no vote
+            # is fresh.  Only an aggregator whose posteriors depend on the
+            # rest of their component re-runs the dirty region.
+            self._aggregate(dirty_roots, delta)
 
             self.components.clear_dirty()
         self._emit_delta_metrics(delta)
@@ -491,8 +522,9 @@ class StreamingResolver:
             # Settle the crowd first — nothing in flight afterwards — then
             # re-aggregate the pairs it completed (a flush reports no delta
             # of its own).
-            settled = self.driver.settle(self._ledger.pairs, self._truth)
-            self._fold(settled, StreamingDelta())
+            shed = set(self.driver.starved)
+            self._fold(self.driver.settle(self._ledger.pairs, self._truth), StreamingDelta())
+            self._reclassify(shed)
             self._aggregation.flush(self._last_fresh_votes.keys(), self._expand_components)
         return self.snapshot()
 
@@ -530,9 +562,9 @@ class StreamingResolver:
     def _expand_components(self, completed: Iterable[PairKey]) -> Set[PairKey]:
         """All candidate pairs of the components the given pairs touch.
 
-        Late votes re-aggregate only the affected components: each
-        completion dirties exactly its component, mirroring how a batch
-        arrival dirties the components it touches.
+        What a flush re-runs for an aggregator that is not
+        pair-independent: each completion dirties exactly its component,
+        mirroring how a batch arrival dirties the components it touches.
         """
         return self._pairs_of_components(
             {self.components.find(key[0]) for key in completed}
@@ -551,14 +583,57 @@ class StreamingResolver:
                 pairs.update(pairs_of(member))
         return pairs
 
-    def _dirty_region(self, delta: StreamingDelta) -> Set[PairKey]:
-        """The pairs of every dirty component, counted into ``delta``."""
-        dirty_roots = self.components.dirty_roots()
-        dirty_pairs = self._pairs_of_components(dirty_roots)
-        delta.dirty_components = len(dirty_roots)
-        delta.clean_components = self.components.component_count - len(dirty_roots)
-        delta.dirty_pairs = len(dirty_pairs)
-        return dirty_pairs
+    def _tally_pair(self, key: PairKey) -> None:
+        """Count one ledger pair, and its votes and posterior, into its component."""
+        ledger, tally = self._ledger, self.components.tally
+        tally(key[0], PAIRS)
+        if key in ledger.votes:
+            tally(key[0], VOTED)
+        if key in ledger.posteriors:
+            tally(key[0], POSTERIORS)
+
+    def _count_region(self, roots: Set[str], delta: StreamingDelta) -> List[int]:
+        """Count the dirty components ``roots`` into ``delta``; returns their tallies.
+
+        O(roots): the union-find sums its per-component tallies, so no
+        component is walked.
+        """
+        totals = self.components.totals(roots)
+        delta.dirty_components = len(roots)
+        delta.clean_components = self.components.component_count - len(roots)
+        delta.dirty_pairs = totals[PAIRS]
+        return totals
+
+    def _aggregate(self, roots: Set[str], delta: StreamingDelta) -> None:
+        """Fold the event's fresh votes into the posterior cache.
+
+        ``roots`` are the components the event dirtied or completed a pair
+        in: its region.  In component scope the posteriors outside it are
+        kept (``preserved_posterior_pairs``, counted from the tallies before
+        anything is re-run), and the region's pairs are enumerated only if
+        the schedule asks — for an aggregator that is not pair-independent.
+        """
+        if self.config.streaming_aggregation_scope == "component":
+            delta.preserved_posterior_pairs = (
+                len(self._ledger.posteriors) - self.components.totals(roots)[POSTERIORS]
+            )
+        self._aggregation.aggregate(
+            self._last_fresh_votes.keys(), lambda: self._pairs_of_components(roots)
+        )
+
+    def _reclassify(self, keys: Iterable[PairKey]) -> None:
+        """Bring :attr:`_unvoted` up to date for ``keys``.
+
+        A candidate is unvoted when it has no votes and the driver has it
+        neither in flight nor shed — e.g. one no published HIT covered.
+        """
+        ledger, driver = self._ledger, self.driver
+        for key in keys:
+            if (key in ledger.pairs and key not in ledger.votes
+                    and key not in driver.inflight and key not in driver.starved):
+                self._unvoted.add(key)
+            else:
+                self._unvoted.discard(key)
 
     def _sync_ranking(self) -> Optional[Set[PairKey]]:
         """Bring the ranked index up to the ledger; returns what it re-placed.
@@ -577,11 +652,7 @@ class StreamingResolver:
             ranked, _ = rank_candidates(likelihoods, posteriors)
             self._ranking.load(ranked, likelihoods, posteriors)
         else:
-            for key in touched:
-                if key in likelihoods:
-                    self._ranking.put(key, likelihoods[key], posteriors.get(key))
-                else:
-                    self._ranking.discard(key)
+            self._ranking.update(touched, likelihoods, posteriors)
         return touched
 
     def _recall_ceiling(self) -> Optional[float]:

@@ -157,14 +157,14 @@ class TestUnionFindDetach:
         assert "b" not in uf
         # Survivors come back as dirty singletons; untouched components stay clean.
         assert uf.component_count == 3
-        assert uf.is_dirty("a") and uf.is_dirty("c")
-        assert not uf.is_dirty("x")
+        assert uf.dirty_roots() == {uf.find("a"), uf.find("c")}
+        assert uf.find("x") not in uf.dirty_roots()
 
     def test_detach_unknown_items_is_a_noop(self):
         uf = IncrementalUnionFind()
         uf.union("a", "b")
         assert uf.detach(["ghost"]) == []
-        assert uf.connected("a", "b")
+        assert uf.find("a") == uf.find("b")
 
 
 # ---------------------------------------------------------------- session
@@ -231,9 +231,10 @@ class TestSessionRetraction:
         right = Record("r1", {"t": "epsilon zeta eta theta"})
         resolver.add_truth([])
         resolver.add_batch([left, bridge, right])
-        assert resolver.components.connected("l1", "r1")  # bridged via m1
+        find = resolver.components.find
+        assert find("l1") == find("r1")  # bridged via m1
         delta = resolver.retract("m1")
-        assert not resolver.components.connected("l1", "r1")
+        assert find("l1") != find("r1")
         assert delta.invalidated_pairs == 2
         assert resolver.candidate_count == 0
 

@@ -5,8 +5,9 @@ Count-based, not time-based: HIT coverage is computed from a HIT's own
 Algorithm 2 seeds each SCC from a heap instead of rescanning every vertex —
 with the scanning implementation (``Graph.max_degree_vertex``) kept as the
 oracle the heap must agree with.  A streaming append re-aggregates the pairs
-that got fresh votes, not the component they sit in, and its snapshot
-re-places the pairs that changed instead of re-ranking the session.
+that got fresh votes, not the component they sit in, reads that component's
+counters from its tallies instead of walking it, and its snapshot re-places
+the pairs that changed instead of re-ranking the session.
 """
 
 import random
@@ -21,6 +22,7 @@ from repro.core.config import WorkflowConfig
 from repro.crowd.platform import CrowdRunResult, SimulatedCrowdPlatform
 from repro.graph.components import connected_components
 from repro.graph.graph import Graph
+from repro.graph.union_find import IncrementalUnionFind
 from repro.hit.base import ClusterBasedHIT, HITBatch, PairBasedHIT
 from repro.hit.partitioning import (
     _TIE_BREAK_RULES,
@@ -233,6 +235,34 @@ class TestAppendCostFollowsTheFreshVotes:
         """EM shares worker estimates across pairs: the skip must not apply."""
         appends = self._appends(monkeypatch, "dawid-skene")
         assert [written for written, _, _ in appends] == list(range(12))
+
+    @pytest.mark.gate
+    def test_a_one_pair_append_walks_no_component(self, monkeypatch):
+        """Majority: appending one pair to a 200-pair component enumerates
+        none of it — the work set is the new pair, and the region counters
+        come from the component's tallies.  Fails at the parent commit,
+        which walked the component's 201 members for their pairs."""
+        calls = {"members": 0, "pairs_of": 0}
+        members, pairs_of = IncrementalUnionFind.members, PairLedger.pairs_of
+
+        def counted(name, method):
+            def wrapper(*arguments):
+                calls[name] += 1
+                return method(*arguments)
+            return wrapper
+
+        chain = self._chain(202)
+        resolver = StreamingResolver(config=WorkflowConfig(
+            likelihood_threshold=0.3, vote_mode="per-pair", aggregation="majority", seed=3,
+        ))
+        resolver.add_batch(chain[:201])
+        monkeypatch.setattr(IncrementalUnionFind, "members", counted("members", members))
+        monkeypatch.setattr(PairLedger, "pairs_of", counted("pairs_of", pairs_of))
+        delta = resolver.add_batch(chain[201:])
+        assert (delta.new_candidate_pairs, delta.crowdsourced_pairs) == (1, 1)
+        assert (delta.dirty_components, delta.dirty_pairs, delta.reused_vote_pairs) == (1, 201, 200)
+        assert delta.preserved_posterior_pairs == 0
+        assert calls == {"members": 0, "pairs_of": 0}
 
     def test_snapshot_after_a_one_pair_event_never_reranks(self, monkeypatch):
         chain = self._chain(14)

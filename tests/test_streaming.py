@@ -19,6 +19,7 @@ from strategies import arrival_batch_sizes, drive, event_schedules, fault_plans,
 
 from repro.aggregation.majority import MajorityAggregator
 from repro.core.config import WorkflowConfig
+from repro.core import ranking as ranking_module
 from repro.core.ranking import RankedIndex, rank_candidates
 from repro.core.workflow import HybridWorkflow
 from repro.crowd import AsyncCrowd, FaultPlan
@@ -310,8 +311,8 @@ def test_property_streaming_equals_batch(order_seed, batch_size):
 # ------------------------------------------------------- the ranked index
 def index_of(likelihoods, posteriors):
     index = RankedIndex()
-    for key, likelihood in likelihoods.items():
-        index.put(key, likelihood, posteriors.get(key))
+    for key in likelihoods:
+        index.update([key], likelihoods, posteriors)
     return index
 
 
@@ -347,18 +348,19 @@ class TestRankedIndex:
                 posteriors.pop(("c", "d"))
             else:
                 posteriors[("c", "d")] = posterior
-            index.put(("c", "d"), 0.6, posterior)
+            index.update([("c", "d")], likelihoods, posteriors)
             assert index.ranked()[position] == ("c", "d")
             assert_index_ranks_like_the_oracle(index, likelihoods, posteriors)
         assert index.matches() == [("c", "d")]  # 0.5 is not above the threshold, 2/3 is
 
-    def test_discard_of_an_absent_key_is_a_no_op(self):
+    def test_dropping_an_absent_key_is_a_no_op(self):
         likelihoods = {("a", "b"): 0.9, ("c", "d"): 0.6}
         index = index_of(likelihoods, {})
-        index.discard(("x", "y"))
+        index.update([("x", "y")], likelihoods, {})
         assert index.ranked() == [("a", "b"), ("c", "d")]
-        index.discard(("a", "b"))
-        index.discard(("a", "b"))
+        del likelihoods[("a", "b")]
+        index.update([("a", "b")], likelihoods, {})
+        index.update([("a", "b")], likelihoods, {})
         assert index.ranked() == [("c", "d")]
 
     def test_load_takes_the_oracle_order_and_keeps_updating(self):
@@ -368,40 +370,50 @@ class TestRankedIndex:
         index.load(rank_candidates(likelihoods, posteriors)[0], likelihoods, posteriors)
         assert_index_ranks_like_the_oracle(index, likelihoods, posteriors)
         likelihoods[("g", "h")] = 0.6
-        index.put(("g", "h"), 0.6, None)
         del likelihoods[("c", "d")]
-        index.discard(("c", "d"))
+        index.update([("g", "h"), ("c", "d")], likelihoods, posteriors)
         assert_index_ranks_like_the_oracle(index, likelihoods, posteriors)
 
-    @settings(max_examples=200, deadline=None)
+    @pytest.mark.parametrize("splice_min", (0, 10**9), ids=("splice", "shift"))
+    @settings(max_examples=150, deadline=None)
     @given(
-        operations=st.lists(
-            st.tuples(
-                st.integers(min_value=0, max_value=11),
-                st.sampled_from((0.0, -0.0, 0.25, 0.5, 1.0)),
-                st.sampled_from((None, 0.0, -0.0, 1 / 3, 0.5, 2 / 3, 1.0, "drop")),
+        batches=st.lists(
+            st.lists(
+                st.tuples(
+                    st.integers(min_value=0, max_value=23),
+                    st.sampled_from((0.0, -0.0, 0.25, 0.5, 1.0)),
+                    st.sampled_from((None, 0.0, -0.0, 1 / 3, 0.5, 2 / 3, 1.0, "drop")),
+                ),
+                max_size=12,
             ),
-            max_size=40,
+            max_size=8,
         ),
     )
-    def test_property_any_update_sequence_ranks_like_the_oracle(self, operations):
+    def test_property_any_update_sequence_ranks_like_the_oracle(self, splice_min, batches):
+        """``update`` re-places a batch of keys — some moved, some dropped,
+        some new, some unchanged — either one by one or by one splice."""
         likelihoods, posteriors = {}, {}
         index = RankedIndex()
-        for number, likelihood, posterior in operations:
-            key = (f"r{number // 4}", f"s{number % 4}")
-            if posterior == "drop":
-                likelihoods.pop(key, None)
-                posteriors.pop(key, None)
-                index.discard(key)
-                continue
-            likelihoods[key] = likelihood
-            if posterior is None:
-                posteriors.pop(key, None)
-            else:
-                posteriors[key] = posterior
-            index.put(key, likelihood, posterior)
-            assert_index_ranks_like_the_oracle(index, likelihoods, posteriors)
-        assert_index_ranks_like_the_oracle(index, likelihoods, posteriors)
+        kept, ranking_module.SPLICE_MIN = ranking_module.SPLICE_MIN, splice_min
+        try:
+            for batch in batches:
+                touched = set()
+                for number, likelihood, posterior in batch:
+                    key = (f"r{number // 4}", f"s{number % 4}")
+                    touched.add(key)
+                    if posterior == "drop":
+                        likelihoods.pop(key, None)
+                        posteriors.pop(key, None)
+                        continue
+                    likelihoods[key] = likelihood
+                    if posterior is None:
+                        posteriors.pop(key, None)
+                    else:
+                        posteriors[key] = posterior
+                index.update(touched, likelihoods, posteriors)
+                assert_index_ranks_like_the_oracle(index, likelihoods, posteriors)
+        finally:
+            ranking_module.SPLICE_MIN = kept
 
 
 # ------------------------------------- snapshot == the ledger ranked afresh
@@ -512,6 +524,129 @@ def test_property_every_voted_pair_has_a_posterior_after_every_event(
     for step in schedule:
         cursor = drive(resolver, records, [step], cursor)
         assert ledger.votes.keys() <= ledger.posteriors.keys(), step
+
+
+# ------------------------------------------- the candidate-pair partition
+def walk_region(resolver, roots):
+    """Every candidate pair of the components with the given roots, found by
+    walking their members — how an event once found its region, kept as the
+    oracle of the region counters the session now reads from tallies."""
+    pairs = set()
+    for root in roots:
+        for member in resolver.components.members(root):
+            pairs.update(resolver.storage.ledger.pairs_of(member))
+    return pairs
+
+
+def check_region_counters(resolver):
+    """Compare every event half's region counters with a walk of its region.
+
+    At the end of each half (its ``clear_dirty``) the walk is taken over the
+    dirty components and the components of pairs the half's votes
+    completed, and the half's delta must carry its counts: the pairs voted
+    before the half's fresh votes (a retraction asks no crowd, so it
+    reuses none) and, in component scope, the posteriors outside the
+    region (those of the fresh pairs came after the count).
+    """
+    components, ledger = resolver.components, resolver.storage.ledger
+    walked = []
+    clear_dirty, emit = components.clear_dirty, resolver._emit_delta_metrics
+
+    def walking():
+        roots = components.dirty_roots()
+        region = walk_region(resolver, roots)
+        fresh = resolver._last_fresh_votes.keys()
+        late = {components.find(key[0]) for key in fresh} - roots
+        aggregated = region | walk_region(resolver, late)
+        component_scope = resolver.config.streaming_aggregation_scope == "component"
+        walked.append(dict(
+            dirty_components=len(roots),
+            clean_components=components.component_count - len(roots),
+            dirty_pairs=len(region),
+            reused_vote_pairs=len((ledger.votes.keys() - fresh) & region),
+            preserved_posterior_pairs=(
+                len(ledger.posteriors.keys() - fresh - aggregated) if component_scope else 0
+            ),
+        ))
+        clear_dirty()
+
+    def checked(delta):
+        expected = walked.pop()
+        if delta.retracted_records:
+            expected["reused_vote_pairs"] = 0
+        assert {name: getattr(delta, name) for name in expected} == expected
+        emit(delta)
+
+    components.clear_dirty = walking
+    resolver._emit_delta_metrics = checked
+    return resolver
+
+
+def assert_candidates_partitioned(resolver):
+    """Each candidate pair is exactly one of: voted (with a posterior), in
+    flight, shed, or unvoted — and the session's unvoted set is the last."""
+    ledger, driver = resolver.storage.ledger, resolver.driver
+    candidates = ledger.pairs.keys()
+    assert ledger.posteriors.keys() == ledger.votes.keys()
+    assert driver.inflight.keys() <= candidates and driver.starved <= candidates
+    unvoted = set()
+    for key in candidates:
+        states = (key in ledger.votes) + (key in driver.inflight) + (key in driver.starved)
+        assert states <= 1, key
+        if not states:
+            unvoted.add(key)
+    assert resolver._unvoted == unvoted
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
+)
+@given(
+    data=st.data(),
+    schedule=event_schedules(min_size=2, max_size=7),
+    plan=fault_plans(),
+    crowd=st.sampled_from(("sync", "block", "shed")),
+    aggregation=st.sampled_from(("majority", "dawid-skene")),
+    scope=st.sampled_from(("component", "global")),
+)
+def test_property_every_candidate_is_voted_in_flight_shed_or_unvoted(
+    tmp_path_factory, data, schedule, plan, crowd, aggregation, scope
+):
+    """After every event of a random schedule — restores between events
+    included — the candidates split into voted, in flight, shed and
+    unvoted, and each event's region counters equal a walk of its region,
+    whatever the crowd (a synchronous one, or an asynchronous one that
+    blocks or sheds under a fault plan), the aggregator and the scope."""
+    # At 0.15 the 50 records form components of up to nine, so retractions
+    # split components that keep pairs.
+    dataset = make_dataset(record_count=50, duplicate_pairs=10, seed=29)
+    records = list(dataset.store)
+    directory = tmp_path_factory.mktemp("partition")
+    restores = data.draw(
+        st.sets(st.integers(min_value=1, max_value=len(schedule) - 1), max_size=2),
+        label="restores",
+    )
+    resolver = check_region_counters(StreamingResolver(config=WorkflowConfig(
+        likelihood_threshold=0.15, vote_mode="per-pair", cluster_size=4, seed=5,
+        aggregation=aggregation, streaming_aggregation_scope=scope,
+        checkpoint_dir=str(directory),
+        crowd=None if crowd == "sync" else AsyncCrowd(
+            vote_timeout=3, max_retries=2, max_inflight_hits=2,
+            backpressure_policy=crowd, fault_plan=plan,
+        ),
+    )))
+    resolver.add_truth(dataset.ground_truth)
+    cursor = 0
+    for index, step in enumerate(schedule):
+        if index in restores:
+            resolver.durability.close()
+            resolver = check_region_counters(StreamingResolver.restore(str(directory)))
+            assert_candidates_partitioned(resolver)
+        cursor = drive(resolver, records, [step], cursor)
+        assert_candidates_partitioned(resolver)
+    resolver.durability.close()
 
 
 # ------------------------------------------- the pair-independent skip

@@ -20,14 +20,14 @@ class TestIncrementalUnionFind:
         uf.union("a", "b")
         uf.union("c", "d")
         assert uf.component_count == 2
-        assert uf.connected("a", "b")
-        assert not uf.connected("a", "c")
+        assert uf.find("a") == uf.find("b")
+        assert uf.find("a") != uf.find("c")
         uf.clear_dirty()
         assert uf.dirty_roots() == set()
         root = uf.union("b", "c")
-        assert uf.connected("a", "d")
+        assert uf.find("a") == uf.find("d") == root
         assert uf.dirty_roots() == {root}
-        assert uf.component_size("a") == 4
+        assert sorted(uf.members(root)) == ["a", "b", "c", "d"]
 
     def test_internal_edge_dirties_component(self):
         uf = IncrementalUnionFind()
@@ -35,38 +35,36 @@ class TestIncrementalUnionFind:
         uf.union("b", "c")
         uf.clear_dirty()
         uf.union("a", "c")  # already connected, but a new edge arrived
-        assert uf.is_dirty("b")
+        assert uf.dirty_roots() == {uf.find("b")}
 
     def test_dirtiness_survives_merges(self):
         uf = IncrementalUnionFind()
         uf.union("a", "b")
-        uf.clear_dirty()
-        uf.mark_dirty("a")
-        # Merge the dirty component into a larger clean one: still dirty.
         uf.union("c", "d")
         uf.union("c", "e")
         uf.clear_dirty()
-        uf.mark_dirty("a")
+        uf.union("a", "b")  # dirty the small component only
+        # Merge the dirty component into a larger clean one: still dirty.
         root = uf.union("e", "a")
-        assert root in uf.dirty_roots()
-        assert uf.is_dirty("d")
+        assert uf.dirty_roots() == {root} == {uf.find("d")}
 
-    def test_components_grouping(self):
-        uf = IncrementalUnionFind()
+    def test_tallies_sum_on_union_and_vanish_on_detach(self):
+        uf = IncrementalUnionFind(width=2)
         uf.union("a", "b")
+        uf.union("c", "d")
+        uf.tally("a", 0, 2)
+        uf.tally("b", 1)
+        uf.tally("d", 0, 5)
+        assert uf.totals([uf.find("a")]) == [2, 1]
+        root = uf.union("b", "c")
+        assert uf.totals([root]) == [7, 1]
         uf.add("z")
-        grouped = uf.components()
-        assert sorted(sorted(members) for members in grouped.values()) == [
-            ["a", "b"],
-            ["z"],
-        ]
-        subset = uf.components(["a", "z"])
-        assert sorted(len(v) for v in subset.values()) == [1, 1]
-
-    def test_mark_dirty_unknown_raises(self):
-        uf = IncrementalUnionFind()
-        with pytest.raises(KeyError):
-            uf.mark_dirty("ghost")
+        assert uf.totals([root, uf.find("z")]) == [7, 1]
+        assert uf.totals([]) == [0, 0]
+        # A dissolved component's tallies go with it: survivors start at zero.
+        survivors = uf.detach(["a"])
+        assert sorted(survivors) == ["b", "c", "d"]
+        assert uf.totals({uf.find(member) for member in survivors}) == [0, 0]
 
     def test_matches_batch_connected_components(self):
         """Incremental unions agree with the batch BFS on the same edges."""
@@ -83,7 +81,7 @@ class TestIncrementalUnionFind:
         # The label map groups vertices exactly like the union-find roots.
         for u in graph.vertices():
             for v in graph.vertices():
-                assert (labels[u] == labels[v]) == uf.connected(u, v)
+                assert (labels[u] == labels[v]) == (uf.find(u) == uf.find(v))
 
 
 class TestLabeledComponents:
