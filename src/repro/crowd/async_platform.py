@@ -215,8 +215,9 @@ class AsyncCrowdPlatform:
         """Enqueue every HIT of the batch; votes arrive via later polls.
 
         Returns a receipt-shaped :class:`CrowdRunResult` — HIT count,
-        replication factor and base cost — with no votes and no assignment
-        timings (those flow through :class:`VoteDelivery` objects).
+        replication factor, base cost and each HIT's carried pairs — with no
+        votes and no assignment timings (those flow through
+        :class:`VoteDelivery` objects).
         ``force`` bypasses the backpressure window (used to settle shed
         backlogs at flush time).
         """
@@ -246,7 +247,8 @@ class AsyncCrowdPlatform:
         )
         k = self.inner.assignments_per_hit
         claimed: Set[PairKey] = set()
-        for hit, carried in zip(batch.hits, batch.carried_pairs(candidates)):
+        carried_by_hit = batch.carried_pairs(candidates)
+        for hit, carried in zip(batch.hits, carried_by_hit):
             seconds = self.inner.hit_assignment_seconds(hit)
             # Exclusive carrier assignment: overlapping HITs never deliver
             # the same pair twice, so slot reassembly is collision-free.
@@ -273,7 +275,9 @@ class AsyncCrowdPlatform:
                     help="Simulated crowd cost in dollars.")
             obs.set_gauge("crowd_hits_inflight", self.open_hit_count,
                           help="HITs published but not yet fully answered.")
-        return CrowdRunResult(hit_count=batch.hit_count, assignments_per_hit=k, cost=cost)
+        return CrowdRunResult(
+            hit_count=batch.hit_count, assignments_per_hit=k, cost=cost, carried=carried_by_hit
+        )
 
     def _enqueue_attempt(self, hit_uid: str, slot: int, attempt: int,
                          not_before: int = 0) -> None:

@@ -53,6 +53,10 @@ class CrowdRunResult:
     assignments_per_hit: int = 3
     qualified_worker_count: int = 0
     rejected_worker_count: int = 0
+    #: Per HIT, in batch order, the candidate pairs it carries — what a
+    #: per-pair or asynchronous publish computes to ask the crowd (a
+    #: sequential one leaves it empty).
+    carried: List[Set[Tuple[str, str]]] = field(default_factory=list)
 
     @property
     def assignment_count(self) -> int:
@@ -276,7 +280,8 @@ class SimulatedCrowdPlatform:
             for worker in self._pick_workers(rng):
                 worker.completed_assignments += 1
                 result.assignment_seconds.append(seconds)
-        keys = sorted(set().union(*batch.carried_pairs(candidates)))
+        result.carried = batch.carried_pairs(candidates)
+        keys = sorted(set().union(*result.carried))
         is_match = [key in truth for key in keys]
         if len(keys) >= mt19937.BULK_MIN_SEEDS:
             result.votes.extend(self.votes_for(keys, is_match))

@@ -51,7 +51,7 @@ class PersistenceError(RuntimeError):
 
 
 class StorageError(PersistenceError):
-    """Raised for a store this release cannot read (no database, a newer format)."""
+    """Raised for a store this release cannot read (no database, a format outside its window)."""
 
 
 class StoreInUse(PersistenceError):

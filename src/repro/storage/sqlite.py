@@ -73,7 +73,7 @@ from repro.storage.base import PairKey, PairLedger, Store, StorageError, StoreIn
 #: Default store filename inside a checkpoint directory.
 STORE_FILENAME = "store.sqlite"
 
-#: The ledger's declaration (:func:`repro.storage.upgrade.to_5` rebuilds one from it).
+#: The ledger's declaration (:mod:`repro.storage.upgrade` rebuilds an earlier one from it).
 LEDGER_TABLE = """
 CREATE TABLE IF NOT EXISTS ledger (
     id_a       TEXT NOT NULL,

@@ -113,7 +113,7 @@ class CrowdDriver:
             logger.debug("backpressure shed %d pairs (%d HITs)", len(to_vote), batch.hit_count)
             return step
         self.starved -= to_vote
-        carried = batch.carried_pairs(to_vote)
+        carried = run.carried
         step.coverage = [(hit.hit_id, sorted(pairs)) for hit, pairs in zip(batch.hits, carried)]
         # A sync publish returns every covered pair's votes; whatever it did
         # not return (async: everything) is in flight and arrives later.

@@ -39,12 +39,9 @@ describes is applied (the write-ahead rule), and deleted in the **same
 transaction** as the event's state rows and ``meta.events_applied`` — the
 checkpoint rule of ARIES, with every event its own checkpoint.  So the
 log never grows with the session, and no event does work in proportion
-to it.  An earlier format also logged an *outcome* (``commit``: the fresh
-crowd votes and a digest of the aggregated state) with each event and
-deleted nothing; a restore still checks such a store's tail against its
-outcomes.  A write torn by a crash is SQLite's to discard (WAL frame
-checksums); a CRC mismatch, a sequence gap or a replay that diverges
-from a logged outcome raises :class:`JournalCorruptionError`.
+to it.  A write torn by a crash is SQLite's to discard (WAL frame
+checksums); a CRC mismatch or a sequence gap raises
+:class:`JournalCorruptionError`.
 
 **One event, one path.**  :meth:`Durability.run` is the only place an event
 is executed — *intent → apply → boundary* — for the session's five public
@@ -78,7 +75,7 @@ from repro.records.record import Record
 from repro.storage import STORE_FILENAME, SqliteStore, Store
 from repro.storage.base import PersistenceError
 from repro.storage.sqlite import LOGGED
-from repro.storage.upgrade import FORMAT_VERSION, refuse_earlier_files, upgrade, upgrade_header
+from repro.storage.upgrade import FORMAT_VERSION, refuse_earlier_files, upgrade
 
 logger = logging.getLogger(__name__)
 
@@ -104,12 +101,6 @@ def decode_record(payload: Dict[str, object]) -> Record:
         attributes=payload["attributes"],  # type: ignore[arg-type]
         source=payload["source"],  # type: ignore[arg-type]
     )
-
-
-def decode_votes(payload: Sequence[list]) -> List[Tuple[str, Tuple[str, str], bool]]:
-    """The ``(worker_id, pair_key, answer)`` votes of an earlier format's
-    ``commit`` row, each stored as ``[worker, [id_a, id_b], answer]``."""
-    return [(worker, (key[0], key[1]), bool(answer)) for worker, key, answer in payload]
 
 
 def _entry_crc(seq: int, event_type: str, payload_text: str) -> int:
@@ -492,11 +483,9 @@ class Durability:
         if own is None or target.resolve() != own.path.resolve():
             copy = SqliteStore(target, lock=True)
             try:
-                # An earlier format's session store is not marked, but its
-                # log is never empty.
-                if copy.get_meta(LOGGED) or copy.query("SELECT 1 FROM events LIMIT 1").fetchone():
+                if copy.get_meta(LOGGED):
                     raise _occupied(target)
-                # An earlier format's tables take no format-5 rows.
+                # An earlier format's ledger takes no current rows.
                 if copy.get_meta("version") is not None:
                     upgrade(copy, copy.get_meta("version"))
                 write_snapshot(copy, session)
@@ -540,7 +529,6 @@ def _page_in(session, source: SqliteStore) -> None:
     session.driver.load_state_dict({"session": counters, "async": source.get_meta("async")})
     session._reclassify(source.ledger.pairs)
     session._batch_index = int(counters.get("batch_index", 0))
-    session._last_fresh_votes = {}
     session.durability.events_applied = int(source.get_meta("events_applied", 0))
 
 
@@ -548,12 +536,11 @@ def replay(session, events: Sequence[JournalEvent]) -> None:
     """Apply the logged events the session has not seen yet, in order.
 
     Crowd votes are re-derived through the deterministic per-pair oracle.
-    This format's tail is at most one intent; an earlier format's tail also
-    holds a ``commit`` outcome after each replayed event, which is checked
-    vote-for-vote and digest-for-digest, so silent divergence raises
-    :class:`JournalCorruptionError` instead of propagating.  The events
-    must continue exactly where the session's state ends; a gap raises
-    :class:`PersistenceError`.
+    The tail is at most one intent (and the ``session`` header of a store
+    whose first boundary never committed).  The events must continue
+    exactly where the session's state ends; a gap raises
+    :class:`PersistenceError`, and an unknown type
+    :class:`JournalCorruptionError`.
     """
     durability = session.durability
     pending = [event for event in events if event.seq > durability.events_applied]
@@ -566,10 +553,7 @@ def replay(session, events: Sequence[JournalEvent]) -> None:
         "streaming.restore", events=len(events), applied=durability.events_applied
     ):
         for event in pending:
-            if event.type == "commit":
-                _verify_outcome(session, event)
-                session._last_fresh_votes = {}
-            elif event.type in EVENTS:
+            if event.type in EVENTS:
                 session.apply(event.type, *EVENTS[event.type].decode(event.payload))
             elif event.type != "session":
                 raise JournalCorruptionError(
@@ -578,31 +562,13 @@ def replay(session, events: Sequence[JournalEvent]) -> None:
             durability.events_applied = event.seq
 
 
-def _verify_outcome(session, event: JournalEvent) -> None:
-    # Only an earlier format's tail holds outcomes.  Its stored state always
-    # ends on an event boundary (an outcome committed with its event's
-    # state), so the outcome being verified is of an event replayed here.
-    recorded = {
-        (entry[0], entry[1]): decode_votes(entry[2])
-        for entry in event.payload["votes"]
-    }
-    if recorded != session._last_fresh_votes:
-        raise JournalCorruptionError(
-            f"votes replayed for event {event.seq} differ from the logged ones"
-        )
-    if event.payload["digest"] != session.state_digest():
-        raise JournalCorruptionError(
-            f"state digest after event {event.seq} differs from the logged one"
-        )
-
-
 def restore(cls, path: os.PathLike):
     """Resume the durable session (an instance of ``cls``) in its directory.
 
     Open the directory's one file, read the header from its meta (a store
-    whose state tables were never written has it in event 1), bring store
-    and header to this release's format (:mod:`repro.storage.upgrade`),
-    run under the stored configuration — its ``checkpoint_dir`` is wherever
+    whose state tables were never written has it in event 1), bring the
+    store to this release's format (:mod:`repro.storage.upgrade`), run
+    under the stored configuration — its ``checkpoint_dir`` is wherever
     the directory is now — page the state in (the join re-indexes the
     records), and :func:`replay` the events newer than
     ``meta.events_applied``.  The restored session is bit-identical to one
@@ -625,9 +591,7 @@ def restore(cls, path: os.PathLike):
         events = journal.events(after=int(source.get_meta("events_applied", 0)))
         upgrade(source, header["version"])
         try:
-            config = WorkflowConfig(**{
-                **upgrade_header(header["config"]), "checkpoint_dir": str(directory)
-            })
+            config = WorkflowConfig(**{**header["config"], "checkpoint_dir": str(directory)})
         except (TypeError, ValueError) as error:
             raise PersistenceError(
                 f"{store_path} holds a configuration this release cannot run: {error}"

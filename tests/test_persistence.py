@@ -5,7 +5,7 @@ events and is restored produces — after replaying the remaining events —
 results bit-identical to a session that never stopped: same matches, same
 posteriors (to the last float bit), same ranked pairs, same crowd cost.
 On top of that, the event log (a table of the session's one SQLite file)
-must detect tampering loudly (CRC, sequence gaps, diverging outcomes) and
+must detect tampering loudly (CRC, sequence gaps, unknown event types) and
 survive what a crash really leaves behind (a torn SQLite WAL, a
 ``SIGKILL``), a ``save(X)`` copy must be rewritten atomically, the log
 must hold nothing the state tables cover, and a store must have one
@@ -31,10 +31,10 @@ from hypothesis import strategies as st
 import repro
 from repro import obs
 from repro.core.config import WorkflowConfig
-from repro.crowd import AsyncCrowd, FaultPlan
+from repro.crowd import AsyncCrowd
 from repro.datasets.restaurant import RestaurantGenerator
 from repro.records.record import Record
-from repro.storage import STORE_FILENAME, SqliteStore, upgrade
+from repro.storage import STORE_FILENAME, SqliteStore
 from repro.streaming import (
     JournalCorruptionError,
     PersistenceError,
@@ -123,16 +123,6 @@ def rewrite_event(directory, seq, edit, fix_crc):
                 (persistence._entry_crc(seq, event_type, text), seq),
             )
     connection.close()
-
-
-def load_fixture(name, directory):
-    """Write the committed store dump ``tests/fixtures/<name>`` into
-    ``directory``'s store file; returns ``directory``."""
-    directory.mkdir(parents=True)
-    connection = sqlite3.connect(str(directory / STORE_FILENAME))
-    connection.executescript((Path(__file__).parent / "fixtures" / name).read_text())
-    connection.close()
-    return directory
 
 
 def stream(resolver, dataset, size=17):
@@ -371,10 +361,11 @@ class TestStructure:
             assert "pickle" not in path.read_text(), path
 
     def test_only_the_upgrade_module_knows_an_earlier_format(self):
-        """Retired names and format branches live in ``storage/upgrade.py``
-        alone: every other module reads the current store format only."""
+        """Format steps and branches live in ``storage/upgrade.py`` alone:
+        every other module reads the current store format only."""
         earlier = re.compile(
-            r"format.1|_format_1|RETIRED|nest_flat_crowd|FLAT_CROWD|drop_retired|stale_skipped"
+            r"\bto_\d\b|\bSTEPS\b|format[ -][1-4]\b|RETIRED|FLAT_CROWD|upgrade_header"
+            r"|decode_votes|\"commit\""
         )
         root = Path(next(iter(repro.__path__)))
         knowing = [
@@ -540,29 +531,22 @@ class TestSaveRestore:
         for session in sessions:
             session.durability.close()
 
-    def _written_by_an_earlier_release(
-        self, tmp_path, monkeypatch, durability, legacy, crowd=None
-    ):
-        """Run a session whose stored config carries the ``legacy`` entries
-        (and no ``crowd`` if they name ``crowd_mode``, as an earlier release
-        wrote it) and close it, or save it when it is not durable; returns it
-        with the config its store meta holds."""
+    def _written_by_an_earlier_release(self, tmp_path, monkeypatch, durability, legacy):
+        """Run a session whose stored config carries the ``legacy`` entries and
+        close it, or save it when it is not durable; returns it with the
+        config its store meta holds."""
         config_payload = persistence.config_payload
         dataset = make_dataset()
         records = list(dataset.store)
         journaled = durability == "journal"
 
-        def earlier_payload(config):
-            payload = {**config_payload(config), **legacy}
-            if "crowd_mode" in legacy:
-                del payload["crowd"]
-            return payload
-
         with monkeypatch.context() as patched:
-            patched.setattr(persistence, "config_payload", earlier_payload)
+            patched.setattr(
+                persistence, "config_payload",
+                lambda config: {**config_payload(config), **legacy},
+            )
             durable = {"checkpoint_dir": str(tmp_path)} if journaled else {}
-            config = make_config(crowd=crowd, **durable)
-            resolver = StreamingResolver(config=config)
+            resolver = StreamingResolver(config=make_config(**durable))
             resolver.add_truth(dataset.ground_truth)
             for start in range(0, len(records), 17):
                 resolver.add_batch(records[start : start + 17])
@@ -575,71 +559,22 @@ class TestSaveRestore:
             store.close()
         return resolver, stored
 
-    @pytest.mark.parametrize("durability", ("snapshot", "journal"))
-    def test_session_written_with_retired_knobs_restores(
-        self, tmp_path, monkeypatch, durability
-    ):
-        """A checkpoint of an earlier release still carries retired knobs in
-        its stored config (store ``config`` meta); restore drops them — the
-        result-bearing ones at their old defaults, the write-schedule pair
-        and the observability pair at any value, without switching
-        observability on."""
-        legacy = {
-            "join_pool": "fork",
-            "storage_path": str(tmp_path / "elsewhere.sqlite"),
-            "journal_segment_events": 512,
-            "metrics_enabled": True,
-            "trace_path": str(tmp_path / "trace.jsonl"),
-            "storage_backend": "memory",
-            "checkpoint_every_batches": 3,
-            "staleness_epsilon": 0,
-            "recrowd_policy": "never",
-            "packing_method": "column-generation",
-            "decision_threshold": 0.5,
-            "crowd_backoff_ticks": 2,
-            "cluster_generator": "two-tiered",
-        }
-        assert set(legacy) == set(upgrade.RETIRED_CONFIG_FIELDS)
-        obs.deactivate()
-        resolver, stored = self._written_by_an_earlier_release(
-            tmp_path, monkeypatch, durability, legacy
-        )
-        assert {name: stored[name] for name in legacy} == legacy
-        resolver.durability.close()
-        restored = StreamingResolver.restore(tmp_path)
-        assert_sessions_identical(resolver, restored)
-        restored.durability.close()
-        assert not obs.enabled()
-        assert not (tmp_path / "trace.jsonl").exists()
+    def _refused_before_page_in(self, tmp_path, monkeypatch, match):
+        """Restore ``tmp_path`` expecting a :class:`PersistenceError` that
+        matches ``match`` before anything is paged in, and check the store
+        holds what it held before."""
+        def contents():
+            connection = sqlite3.connect(str(tmp_path / STORE_FILENAME))
+            try:
+                return list(connection.iterdump())
+            finally:
+                connection.close()
 
-    @pytest.mark.parametrize("durability", ("snapshot", "journal"))
-    @pytest.mark.parametrize("crowd_mode", ("sync", "async"))
-    def test_flat_crowd_fields_restore_as_one_crowd(
-        self, tmp_path, monkeypatch, durability, crowd_mode
-    ):
-        """An earlier release stored the async crowd as six flat fields:
-        ``crowd_mode="async"`` restores as the ``crowd`` they describe, and
-        ``"sync"`` as no crowd, its five unread values dropped."""
-        crowd = AsyncCrowd(vote_timeout=3, max_inflight_hits=5, backpressure_policy="shed",
-                           max_retries=2, fault_plan=FaultPlan(seed=4, drop_probability=0.2))
-        legacy = {
-            "crowd_mode": crowd_mode,
-            "vote_timeout": 3,
-            "max_inflight_hits": 5,
-            "backpressure_policy": "shed",
-            "crowd_max_retries": 2,
-            "fault_plan": crowd.fault_plan.to_dict(),
-        }
-        expected = crowd if crowd_mode == "async" else None
-        resolver, stored = self._written_by_an_earlier_release(
-            tmp_path, monkeypatch, durability, legacy, crowd=expected
-        )
-        assert "crowd" not in stored and stored["crowd_mode"] == crowd_mode
-        resolver.durability.close()
-        restored = StreamingResolver.restore(tmp_path)
-        assert restored.config.crowd == expected
-        assert_sessions_identical(resolver, restored)
-        restored.durability.close()
+        before = contents()
+        monkeypatch.setattr(persistence, "_page_in", lambda *_: pytest.fail("paged in"))
+        with pytest.raises(PersistenceError, match=match):
+            StreamingResolver.restore(tmp_path)
+        assert contents() == before
 
     @pytest.mark.parametrize("durability", ("snapshot", "journal"))
     @pytest.mark.parametrize("name, value", (
@@ -654,11 +589,100 @@ class TestSaveRestore:
         self, tmp_path, monkeypatch, durability, name, value
     ):
         """Such a session cannot replay bit-identically: restore names the
-        knob and its value before paging anything in."""
+        knob before paging anything in."""
         self._written_by_an_earlier_release(tmp_path, monkeypatch, durability, {name: value})
-        monkeypatch.setattr(persistence, "_page_in", lambda *_: pytest.fail("paged in"))
-        with pytest.raises(PersistenceError, match=f"{name}={value!r}"):
+        self._refused_before_page_in(tmp_path, monkeypatch, f"cannot run: .*'{name}'")
+
+    @pytest.mark.parametrize("durability", ("snapshot", "journal"))
+    @pytest.mark.parametrize("name, value", (
+        ("join_pool", "fork"),
+        ("storage_path", "elsewhere.sqlite"),
+        ("journal_segment_events", 512),
+        ("metrics_enabled", True),
+        ("trace_path", "trace.jsonl"),
+        ("checkpoint_every_batches", 3),
+        ("staleness_epsilon", 0),
+        ("recrowd_policy", "never"),
+        ("packing_method", "column-generation"),
+        ("decision_threshold", 0.5),
+        ("crowd_backoff_ticks", 2),
+        ("cluster_generator", "two-tiered"),
+    ))
+    def test_a_retired_knob_refuses_to_restore_at_any_value(
+        self, tmp_path, monkeypatch, durability, name, value
+    ):
+        """Only store formats 1-3 were written with a knob that is gone, and
+        those are refused; a current store that names one is refused too,
+        naming it, even at the value that used to replay — not run with the
+        knob dropped.  Observability stays off and no file is made."""
+        if name.endswith("_path"):
+            value = str(tmp_path / value)
+        obs.deactivate()
+        self._written_by_an_earlier_release(tmp_path, monkeypatch, durability, {name: value})
+        self._refused_before_page_in(tmp_path, monkeypatch, f"cannot run: .*'{name}'")
+        assert not obs.enabled()
+        assert not (tmp_path / "trace.jsonl").exists()
+        assert not (tmp_path / "elsewhere.sqlite").exists()
+
+    @pytest.mark.parametrize("durability", ("snapshot", "journal"))
+    @pytest.mark.parametrize("crowd_mode", ("sync", "async"))
+    def test_flat_crowd_fields_refuse_to_restore(
+        self, tmp_path, monkeypatch, durability, crowd_mode
+    ):
+        """The six flat fields an earlier release stored for the async crowd
+        are not read as a ``crowd``: the store is refused, naming the first."""
+        legacy = {
+            "crowd_mode": crowd_mode,
+            "vote_timeout": 3,
+            "max_inflight_hits": 5,
+            "backpressure_policy": "shed",
+            "crowd_max_retries": 2,
+            "fault_plan": {"seed": 4, "drop_probability": 0.2},
+        }
+        _resolver, stored = self._written_by_an_earlier_release(
+            tmp_path, monkeypatch, durability, legacy
+        )
+        assert stored["crowd"] is None
+        self._refused_before_page_in(tmp_path, monkeypatch, "cannot run: .*'crowd_mode'")
+
+    @pytest.mark.parametrize("durability", ("snapshot", "journal"))
+    @pytest.mark.parametrize("retired", ("prefix", "vectorized", "parallel"))
+    def test_a_retired_join_backend_refuses_to_restore(
+        self, tmp_path, monkeypatch, retired, durability
+    ):
+        """``join_backend`` used to name batch engines that are now all the
+        one kernel; a stored header naming one is no longer read as
+        ``"auto"`` but refused."""
+        _resolver, stored = self._written_by_an_earlier_release(
+            tmp_path, monkeypatch, durability, {"join_backend": retired}
+        )
+        assert stored["join_backend"] == retired
+        self._refused_before_page_in(tmp_path, monkeypatch, "cannot run: join_backend must be")
+
+    def test_an_outcome_row_in_the_log_is_refused(self, tmp_path):
+        """Store formats 1-3 logged a ``commit`` outcome after each event.  A
+        current store's log holds intents only, so a ``commit`` row past its
+        state — even one whose checksum holds — is an unknown event type, and
+        the refused restore leaves the file as it was."""
+        dataset = make_dataset()
+        resolver = StreamingResolver(config=make_config(checkpoint_dir=str(tmp_path)))
+        stream(resolver, dataset)
+        resolver.durability.close()
+        path = tmp_path / STORE_FILENAME
+        seq = stored_events_applied(tmp_path) + 1
+        connection = sqlite3.connect(str(path))
+        with connection:
+            text = json.dumps({"delta": {}, "digest": "0" * 64, "votes": []})
+            connection.execute(
+                "INSERT INTO events VALUES (?, 'commit', ?, ?)",
+                (seq, text, persistence._entry_crc(seq, "commit", text)),
+            )
+        connection.close()
+        assert [event.type for event in logged_events(tmp_path, after=seq - 1)] == ["commit"]
+        before = path.read_bytes()
+        with pytest.raises(JournalCorruptionError, match="commit"):
             StreamingResolver.restore(tmp_path)
+        assert path.read_bytes() == before
 
     @pytest.mark.parametrize("durability", ("snapshot", "journal"))
     def test_a_newer_store_format_refuses_to_restore(self, tmp_path, monkeypatch, durability):
@@ -677,23 +701,6 @@ class TestSaveRestore:
             match=f"store format 99; this release reads format {persistence.FORMAT_VERSION} ",
         ):
             StreamingResolver.restore(tmp_path)
-
-    @pytest.mark.parametrize("durability", ("snapshot", "journal"))
-    @pytest.mark.parametrize("retired", upgrade.RETIRED_JOIN_BACKENDS)
-    def test_session_written_with_a_retired_join_backend_restores(
-        self, tmp_path, monkeypatch, retired, durability
-    ):
-        """``join_backend`` used to name batch engines that are now all the
-        one kernel; a stored header carrying one restores as ``"auto"``."""
-        resolver, stored = self._written_by_an_earlier_release(
-            tmp_path, monkeypatch, durability, {"join_backend": retired}
-        )
-        assert stored["join_backend"] == retired
-        resolver.durability.close()
-        restored = StreamingResolver.restore(tmp_path)
-        assert restored.config.join_backend == "auto"
-        assert_sessions_identical(resolver, restored)
-        restored.durability.close()
 
     def test_save_requires_a_path_or_checkpoint_dir(self):
         resolver = StreamingResolver(config=make_config())
@@ -723,32 +730,6 @@ class TestSaveRestore:
     def test_sqlite_backend_without_a_checkpoint_dir_fails_at_construction(self):
         with pytest.raises(ValueError, match="checkpoint_dir"):
             make_config(storage_backend="sqlite")
-
-    def test_replay_verification_catches_tampering(self, tmp_path):
-        """An earlier format logged an outcome after each event: the
-        committed format-1 store ``v1_memory_store`` has its state at event
-        8 and a tail of intents 9, 11 and 13, each with its outcome.  An
-        outcome whose digest was tampered with passes its (recomputed) CRC
-        and still fails verification ..."""
-        crashed = load_fixture("v1_memory_store.sql", tmp_path / "digest")
-        assert [(event.seq, event.type) for event in logged_events(crashed, after=8)] == [
-            (9, "update"), (10, "commit"), (11, "batch"), (12, "commit"),
-            (13, "flush"), (14, "commit"),
-        ]
-        rewrite_event(
-            crashed, 10, lambda payload: payload.update(digest="0" * 64), fix_crc=True
-        )
-        with pytest.raises(JournalCorruptionError, match="digest after event 10"):
-            StreamingResolver.restore(crashed)
-        # ... and so does a rewritten intent: the replay diverges from the
-        # votes and digest its outcome recorded.
-        crashed = load_fixture("v1_memory_store.sql", tmp_path / "intent")
-        rewrite_event(
-            crashed, 11, lambda payload: payload.update(records=payload["records"][:-1]),
-            fix_crc=True,
-        )
-        with pytest.raises(JournalCorruptionError, match="digest after event 12"):
-            StreamingResolver.restore(crashed)
 
     def test_snapshot_restore_skips_replayed_prefix(self, tmp_path):
         dataset = make_dataset()

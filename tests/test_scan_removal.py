@@ -19,7 +19,9 @@ from hypothesis import strategies as st
 from strategies import pair_sets
 
 from repro.core.config import WorkflowConfig
+from repro.crowd import AsyncCrowd
 from repro.crowd.platform import CrowdRunResult, SimulatedCrowdPlatform
+from repro.datasets.restaurant import RestaurantGenerator
 from repro.graph.components import connected_components
 from repro.graph.graph import Graph
 from repro.graph.union_find import IncrementalUnionFind
@@ -263,6 +265,28 @@ class TestAppendCostFollowsTheFreshVotes:
         assert (delta.dirty_components, delta.dirty_pairs, delta.reused_vote_pairs) == (1, 201, 200)
         assert delta.preserved_posterior_pairs == 0
         assert calls == {"members": 0, "pairs_of": 0}
+
+    @pytest.mark.gate
+    @pytest.mark.parametrize("crowd", (None, AsyncCrowd()), ids=("sync", "async"))
+    def test_a_publish_asks_each_hit_for_its_pairs_once(self, monkeypatch, crowd):
+        """The crowd driver reads the per-HIT carried pairs its publish
+        computed.  Fails at the parent commit, which computed them again:
+        two ``checkable_pairs`` calls per HIT."""
+        calls = []
+        checkable_pairs = ClusterBasedHIT.checkable_pairs
+        dataset = RestaurantGenerator(400, 50, seed=7).generate()
+        resolver = StreamingResolver(config=WorkflowConfig(
+            likelihood_threshold=0.35, vote_mode="per-pair", crowd=crowd,
+        ))
+        resolver.add_truth(dataset.ground_truth)
+
+        def counted(hit, *arguments):
+            calls.append(hit.hit_id)
+            return checkable_pairs(hit, *arguments)
+
+        monkeypatch.setattr(ClusterBasedHIT, "checkable_pairs", counted)
+        resolver.add_batch(list(dataset.store))
+        assert (resolver.driver.hit_count, len(calls)) == (12, 12)
 
     def test_snapshot_after_a_one_pair_event_never_reranks(self, monkeypatch):
         chain = self._chain(14)

@@ -451,14 +451,16 @@ class TestHttpSurface:
             client.restore(fresh_id("retired"), str(tmp_path))
         assert caught.value.status == 409
         assert caught.value.code == "resume_conflict"
-        assert "recrowd_policy='dirty'" in caught.value.body["error"]["message"]
+        assert "'recrowd_policy'" in caught.value.body["error"]["message"]
 
+    @pytest.mark.parametrize("version", (99, 3, 2, 1))
     def test_restoring_a_session_of_a_newer_store_format_is_409(
-        self, service, tmp_path, monkeypatch
+        self, service, tmp_path, monkeypatch, version
     ):
+        """... and of an earlier one than this release reads."""
         _runner, client = service
         with monkeypatch.context() as patched:
-            patched.setattr(persistence, "FORMAT_VERSION", 99)
+            patched.setattr(persistence, "FORMAT_VERSION", version)
             resolver = StreamingResolver(config=make_config(checkpoint_dir=str(tmp_path)))
             resolver.add_batch(list(make_dataset(seed=3).store)[:10])
             resolver.durability.close()
@@ -466,26 +468,14 @@ class TestHttpSurface:
             client.restore(fresh_id("newer"), str(tmp_path))
         assert caught.value.status == 409
         assert caught.value.code == "resume_conflict"
-        assert "store format 99" in caught.value.body["error"]["message"]
+        assert f"store format {version}" in caught.value.body["error"]["message"]
 
-    @pytest.mark.parametrize("kind", sorted(UNREADABLE_STORES))
-    def test_restoring_an_unreadable_store_is_409(self, service, tmp_path, kind):
-        _runner, client = service
-        resolver = StreamingResolver(config=make_config(checkpoint_dir=str(tmp_path)))
-        resolver.add_batch(list(make_dataset(seed=3).store)[:10])
-        resolver.durability.close()
-        make_unreadable(tmp_path, kind)
-        with pytest.raises(ServiceClientError) as caught:
-            client.restore(fresh_id("unreadable"), str(tmp_path))
-        assert caught.value.status == 409
-        assert caught.value.code == "resume_conflict"
-        assert UNREADABLE_STORES[kind] in caught.value.body["error"]["message"]
-
-    def test_restoring_a_session_stored_with_metrics_enabled_leaves_metrics_off(
+    def test_restoring_a_session_stored_with_metrics_enabled_is_409_and_leaves_metrics_off(
         self, service, tmp_path, monkeypatch
     ):
-        """The stored observability pair is dropped: the server process, not
-        the session, decides whether metrics and a trace file exist."""
+        """The observability pair is no field of a session: a store that
+        names it is refused, and the server process's metrics and trace
+        file stay as they were."""
         _runner, client = service
         trace = tmp_path / "trace.jsonl"
         checkpoint = tmp_path / "session"
@@ -499,13 +489,28 @@ class TestHttpSurface:
             resolver = StreamingResolver(config=make_config(checkpoint_dir=str(checkpoint)))
             resolver.add_batch(list(make_dataset(seed=3).store)[:10])
             resolver.durability.close()
-        session_id = fresh_id("obs")
-        assert client.restore(session_id, str(checkpoint))["records"] == 10
+        with pytest.raises(ServiceClientError) as caught:
+            client.restore(fresh_id("obs"), str(checkpoint))
+        assert caught.value.status == 409
+        assert caught.value.code == "resume_conflict"
+        assert "'metrics_enabled'" in caught.value.body["error"]["message"]
         status, _headers, body = client.request("GET", "/metrics")
         assert status == 503
         assert body["error"]["code"] == "metrics_disabled"
         assert not trace.exists()
-        client.close(session_id)
+
+    @pytest.mark.parametrize("kind", sorted(UNREADABLE_STORES))
+    def test_restoring_an_unreadable_store_is_409(self, service, tmp_path, kind):
+        _runner, client = service
+        resolver = StreamingResolver(config=make_config(checkpoint_dir=str(tmp_path)))
+        resolver.add_batch(list(make_dataset(seed=3).store)[:10])
+        resolver.durability.close()
+        make_unreadable(tmp_path, kind)
+        with pytest.raises(ServiceClientError) as caught:
+            client.restore(fresh_id("unreadable"), str(tmp_path))
+        assert caught.value.status == 409
+        assert caught.value.code == "resume_conflict"
+        assert UNREADABLE_STORES[kind] in caught.value.body["error"]["message"]
 
     def test_record_without_id_is_400(self, service):
         _runner, client = service

@@ -463,11 +463,10 @@ class TestPageInRestore:
         twin.storage.close()
         restored.storage.close()
 
-    def test_store_written_with_retired_knobs_pages_in(self, tmp_path):
-        """A store-only directory of an earlier release carries ``join_pool``,
-        ``storage_path`` and ``journal_segment_events`` in its config meta
-        (and no ``checkpoint_dir``), plus a ``join_maintain_inverted`` entry;
-        page-in ignores all of them."""
+    def test_a_store_only_copy_without_a_checkpoint_dir_pages_in(self, tmp_path):
+        """A store-only directory whose config meta names no ``checkpoint_dir``
+        and whose meta holds an entry nothing reads (``join_maintain_inverted``)
+        restores into that directory and ignores the entry."""
         dataset = make_dataset()
         records = list(dataset.store)
         home, copy = tmp_path / "home", tmp_path / "copy"
@@ -479,13 +478,7 @@ class TestPageInRestore:
         resolver.save(copy)  # state, no events: what "store only" means now
         resolver.durability.close()
         store = SqliteStore(copy / STORE_FILENAME)
-        legacy = {
-            "join_pool": "fork",
-            "storage_path": str(copy / STORE_FILENAME),
-            "journal_segment_events": 512,
-            "checkpoint_dir": None,
-        }
-        store.set_meta("config", {**store.get_meta("config"), **legacy})
+        store.set_meta("config", {**store.get_meta("config"), "checkpoint_dir": None})
         store.set_meta("join_maintain_inverted", False)
         store.commit()
         store.close()
@@ -571,19 +564,20 @@ class TestPageInRestore:
         assert parent_provenance_rows(path) == len(pairs)
         assert parent_metrics_row(path)
 
-        def store_threshold(value):
+        def store_config(config):
             store = SqliteStore(path)
-            store.set_meta("config", {**store.get_meta("config"), "decision_threshold": value})
+            store.set_meta("config", config)
             store.commit()
             store.close()
 
-        store_threshold(0.7)
-        with pytest.raises(PersistenceError, match="decision_threshold=0.7"):
+        config = persistence.config_payload(resolver.config)
+        store_config({**config, "decision_threshold": 0.7})  # no field of this release
+        with pytest.raises(PersistenceError, match="decision_threshold"):
             StreamingResolver.restore(str(tmp_path))
         assert parent_provenance_rows(path) == len(pairs)
         assert parent_metrics_row(path)
 
-        store_threshold(0.5)  # the value that replays
+        store_config(config)
         restored = StreamingResolver.restore(str(tmp_path))
         assert session_fingerprint(restored) == expected
         assert parent_provenance_rows(path) is None
@@ -874,34 +868,26 @@ class TestOneRestore:
 # ------------------------------------------- stores earlier releases wrote
 FIXTURES = Path(__file__).parent / "fixtures"
 
-#: Format 1 kept a pair in four tables keyed by ``(id_a, id_b)``.
-FORMAT_1_TABLES = ("pairs", "pair_votes", "posteriors", "covered")
-#: Formats 1 and 2 kept the join's index, which format 3 rebuilds from the
-#: records at restore.
-JOIN_INDEX_TABLES = ("tokens", "join_rows", "csr_chunks")
 
-
-#: The crowd every committed store was written on, stored as an earlier
-#: release's six flat fields (``crowd_mode="async"``, ``fault_plan``, ...).
+#: The crowd the committed store was written on.
 WRITTEN_CROWD = AsyncCrowd(fault_plan=FaultPlan(seed=3, delay_ticks_min=1, delay_ticks_max=3))
 
 
 @dataclasses.dataclass(frozen=True)
 class WrittenStore:
-    """A store an earlier release wrote, committed as a text SQL dump.
+    """A store an earlier release wrote, committed as a text SQL dump: the
+    one fixture of the format before the current one.
 
-    Each ran Restaurant(45, 8, seed 31) at 0.15 on an asynchronous crowd
+    It ran Restaurant(45, 8, seed 31) at 0.15 on an asynchronous crowd
     whose deliveries are delayed (:meth:`config`), through
     :meth:`events`; ``applied`` of them are in the state tables and
     ``logged`` in the log.  ``stats`` is what ``repro stats`` reported on
     it under that release, but for the worker-seconds: since store format
     5 they are the correctly rounded sum of the durations, where a release
-    before summed them left to right.  ``label`` names how that release
-    wrote it.
+    before summed them left to right.
     """
 
     dump: str
-    label: str
     aggregation: str
     applied: int
     logged: int
@@ -946,44 +932,13 @@ class WrittenStore:
         return session
 
 
-#: ``stats``: hits, assignments, votes, cost, crowd seconds.
-FORMAT_1_STORES = (
-    # Memory-backed: its state saved after the retraction; the update, the
-    # batch of records 30-40 and the flush logged after it.
-    WrittenStore("v1_memory_store.sql", "memory", "dawid-skene", 3, 6,
-                 (3, 8, 27, 0.22500000000000003, 640.0)),
-    # Sqlite-backed, as a crash left it: the batch of records 30-40 logged
-    # and not applied.  Its nine durations (69.80000000000001 six times,
-    # 97.0 three times) summed left to right read 709.8.
-    WrittenStore("v1_sqlite_crash_store.sql", "sqlite", "majority", 4, 5,
-                 (3, 9, 33, 0.22500000000000003, 709.8000000000001)),
-)
-
-#: Format 2, written by the last release with two write schedules: a
-#: memory-backed session at ``checkpoint_every_batches=3`` rewrote its state
-#: tables after the retraction (its third event with an outcome), and its
-#: log holds the update and the batch of records 30-40 past them.
-CADENCE_STORE = WrittenStore(
-    "v2_memory_cadence_store.sql", "cadence", "dawid-skene", 3, 5,
-    (3, 8, 27, 0.22500000000000003, 640.0),
-)
-
-#: Format 3, written by the last release whose log kept every event and its
-#: ``commit`` outcome, as a crash inside the batch of records 30-40 left it:
-#: the state at the update, the log from the ``session`` header on, that
-#: batch's intent its unapplied tail.
-FORMAT_3_STORE = WrittenStore(
-    "v3_sqlite_store.sql", "format-3", "majority", 4, 5,
-    (3, 9, 33, 0.22500000000000003, 709.8000000000001),
-)
-
 #: Format 4, written by the last release that kept one ``assignment_seconds``
 #: row per crowd assignment and a ``ledger.pending`` column, as a crash
 #: inside the flush left it: the state at the batch of records 30-40, with
 #: 17 pairs' votes in flight, and the flush's intent its unapplied tail.
 #: Its 13 durations summed left to right read 1027.3999999999999.
 FORMAT_4_STORE = WrittenStore(
-    "v4_sqlite_store.sql", "format-4", "majority", 5, 6,
+    "v4_sqlite_store.sql", "majority", 5, 6,
     (6, 13, 33, 0.45000000000000007, 1027.4),
 )
 
@@ -1008,16 +963,6 @@ def delete_events(directory, where=""):
     connection.close()
 
 
-def format_1_tables(store):
-    """The format-1 pair tables ``store`` still has."""
-    return [table for table in FORMAT_1_TABLES if schema_objects(store, table)]
-
-
-def join_index_tables(store):
-    """The join index tables (formats 1 and 2) ``store`` still has."""
-    return [table for table in JOIN_INDEX_TABLES if schema_objects(store, table)]
-
-
 def history(store):
     """The history formats 1-4 kept that ``store`` still has: the
     ``assignment_seconds`` table, one row per crowd assignment, and the
@@ -1028,25 +973,12 @@ def history(store):
     ]
 
 
-def forge_outcome(directory):
-    """Append a ``commit`` row with a valid checksum and a wrong digest."""
-    connection = sqlite3.connect(str(directory / STORE_FILENAME))
-    with connection:
-        seq = connection.execute("SELECT MAX(seq) FROM events").fetchone()[0] + 1
-        text = json.dumps({"delta": {}, "digest": "0" * 64, "votes": []})
-        connection.execute(
-            "INSERT INTO events VALUES (?, 'commit', ?, ?)",
-            (seq, text, persistence._entry_crc(seq, "commit", text)),
-        )
-    connection.close()
-
-
 def assert_restores_and_continues(tmp_path, written, tail):
     """``written`` restores bit-identically to a session that ran the events
     its store holds — with its logged tail, with the log cut at its state,
     and as a ``save(X)`` copy (state, no events) — in store format 5,
-    without the join index tables, without its history and with an empty
-    log, then continues and restores again bit-identically."""
+    without its history and with an empty log, then continues and restores
+    again bit-identically."""
     dataset = make_dataset()
     records = list(dataset.store)
     directory = written.load(tmp_path / "store")
@@ -1064,8 +996,6 @@ def assert_restores_and_continues(tmp_path, written, tail):
     assert restored.storage.ledger.votes == twin.storage.ledger.votes
     store = restored.durability.store
     assert store.get_meta("version") == persistence.FORMAT_VERSION == 5
-    assert format_1_tables(store) == []
-    assert join_index_tables(store) == []
     assert history(store) == []
     assert restored.driver.assignment_seconds == twin.driver.assignment_seconds
     assert restored.durability.journal.events() == []
@@ -1095,21 +1025,6 @@ def assert_stats_as_written(tmp_path, capsys, written):
     assert store_contents(directory / STORE_FILENAME) == {"ledger": [], **before}
 
 
-def assert_a_refused_restore_leaves_it(tmp_path, written):
-    """A forged outcome fails verification after page-in and replay: the
-    restore's one transaction rolls back, and the file keeps every table
-    and row — its join index included — but for a ``ledger`` table opening
-    it adds.  Returns the file's contents."""
-    directory = written.load(tmp_path / "store")
-    forge_outcome(directory)
-    before = store_contents(directory / STORE_FILENAME)
-    assert all(before[table] for table in JOIN_INDEX_TABLES)
-    with pytest.raises(JournalCorruptionError, match="digest|votes"):
-        StreamingResolver.restore(directory)
-    assert store_contents(directory / STORE_FILENAME) == {"ledger": [], **before}
-    return before
-
-
 def assert_save_over_a_copy_restores_the_saving_session(tmp_path, written):
     """``save(X)`` over a store-only copy ``written``'s release left brings
     the copy to format 5 before it rewrites the state tables — an earlier
@@ -1132,7 +1047,7 @@ def assert_save_over_a_copy_restores_the_saving_session(tmp_path, written):
     session.save(directory)
     copy = SqliteStore(directory / STORE_FILENAME)
     assert copy.get_meta("version") == 5
-    assert format_1_tables(copy) == join_index_tables(copy) == history(copy) == []
+    assert history(copy) == []
     copy.close()
     report = CostReport.from_store(str(directory / STORE_FILENAME))
     assert report.votes == sum(map(len, session.storage.ledger.votes.values()))
@@ -1140,135 +1055,6 @@ def assert_save_over_a_copy_restores_the_saving_session(tmp_path, written):
     restored = StreamingResolver.restore(directory)
     assert_sessions_identical(session, restored)
     restored.durability.close()
-
-
-class TestFormat1Stores:
-    """A store the last format-1 release wrote restores, continues and
-    restores again bit-identically; its four pair tables move into
-    ``ledger`` only when a restore takes it over."""
-
-    @pytest.mark.parametrize("written", FORMAT_1_STORES, ids=lambda store: store.label)
-    @pytest.mark.parametrize("tail", ("logged", "cut", "store-only"))
-    def test_a_format_1_store_restores_and_continues_bit_identically(
-        self, tmp_path, written, tail
-    ):
-        assert_restores_and_continues(tmp_path, written, tail)
-
-    @pytest.mark.parametrize("written", FORMAT_1_STORES, ids=lambda store: store.label)
-    def test_repro_stats_reports_a_format_1_store_as_its_release_did(
-        self, tmp_path, capsys, written
-    ):
-        """``repro stats`` reads the store upgraded in a transaction it rolls
-        back: the file keeps every table and row (opening it adds the empty
-        ``ledger`` table, as it adds any missing one)."""
-        assert_stats_as_written(tmp_path, capsys, written)
-
-    @pytest.mark.parametrize("written", FORMAT_1_STORES, ids=lambda store: store.label)
-    def test_a_refused_restore_leaves_a_format_1_store_as_it_was(self, tmp_path, written):
-        """The store keeps its four pair tables, their rows and ``version`` 1."""
-        before = assert_a_refused_restore_leaves_it(tmp_path, written)
-        assert all(before[table] for table in FORMAT_1_TABLES)
-
-    def test_a_planted_pending_count_is_refused(self, tmp_path):
-        """As format 4's ``ledger.pending`` (:class:`TestAFormat4Store`), a
-        non-zero ``pair_votes.pending`` would be dropped by the move into
-        ``ledger``: the restore refuses it and keeps the store as it was."""
-        directory = FORMAT_1_STORES[0].load(tmp_path / "store")
-        path = directory / STORE_FILENAME
-        connection = sqlite3.connect(str(path))
-        with connection:
-            connection.execute(
-                "UPDATE pair_votes SET pending = 2 WHERE (id_a, id_b) = "
-                "(SELECT id_a, id_b FROM pair_votes LIMIT 1)"
-            )
-        connection.close()
-        before = store_contents(path)
-        with pytest.raises(StorageError, match="pair_votes.pending"):
-            StreamingResolver.restore(directory)
-        assert store_contents(path) == {"ledger": [], **before}
-
-    def test_save_over_a_format_1_copy_restores_the_saving_session(self, tmp_path):
-        assert_save_over_a_copy_restores_the_saving_session(tmp_path, FORMAT_1_STORES[0])
-
-
-class TestACadenceStore:
-    """The last release with two write schedules let a memory-backed session
-    rewrite its state tables every ``checkpoint_every_batches`` events, so
-    its store can trail its log by several.  Such a store restores,
-    replaying that tail, continues and restores again bit-identically; its
-    two retired knobs are dropped, never named."""
-
-    @pytest.mark.parametrize("tail", ("logged", "cut", "store-only"))
-    def test_restores_and_continues_bit_identically(self, tmp_path, tail):
-        assert_restores_and_continues(tmp_path, CADENCE_STORE, tail)
-
-    def test_repro_stats_reports_it_as_its_release_did(self, tmp_path, capsys):
-        assert_stats_as_written(tmp_path, capsys, CADENCE_STORE)
-
-    def test_a_refused_restore_leaves_it_as_it_was(self, tmp_path):
-        assert_a_refused_restore_leaves_it(tmp_path, CADENCE_STORE)
-
-    def test_resume_names_neither_retired_knob(self, tmp_path, capsys):
-        """Its stored config holds ``storage_backend="memory"`` and
-        ``checkpoint_every_batches=3``; ``resolve-stream --resume`` names the
-        fields its flags set differently, and these two are not fields."""
-        from repro.cli import main
-
-        directory = CADENCE_STORE.load(tmp_path / "store")
-        stored = SqliteStore(directory / STORE_FILENAME)
-        assert {
-            name: stored.get_meta("config")[name]
-            for name in ("storage_backend", "checkpoint_every_batches")
-        } == {"storage_backend": "memory", "checkpoint_every_batches": 3}
-        stored.close()
-        capsys.readouterr()
-        assert main(["resolve-stream", "--dataset", "paper-example", "--threshold", "0.15",
-                     "--checkpoint-dir", str(directory), "--resume"]) == 0
-        note = capsys.readouterr().err
-        assert "crowd=None (session: AsyncCrowd(" in note
-        assert "storage_backend" not in note and "checkpoint_every" not in note
-
-
-class TestAFormat3Store:
-    """The last format whose log kept every event and its outcome.  The
-    restore that takes such a store over deletes the events its state
-    covers, and replays — verifying against its outcomes — the rest."""
-
-    @pytest.mark.parametrize("tail", ("logged", "cut", "store-only"))
-    def test_restores_and_continues_bit_identically(self, tmp_path, tail):
-        assert_restores_and_continues(tmp_path, FORMAT_3_STORE, tail)
-
-    def test_repro_stats_reports_it_as_its_release_did(self, tmp_path, capsys):
-        assert_stats_as_written(tmp_path, capsys, FORMAT_3_STORE)
-
-    def test_a_refused_restore_leaves_it_byte_identical(self, tmp_path):
-        """Its schema is complete, so not even a table is added: the deletion
-        of its applied rows is rolled back with the rest of the restore."""
-        directory = FORMAT_3_STORE.load(tmp_path / "store")
-        forge_outcome(directory)
-        path = directory / STORE_FILENAME
-        before = path.read_bytes()
-        with pytest.raises(JournalCorruptionError, match="digest|votes"):
-            StreamingResolver.restore(directory)
-        assert path.read_bytes() == before
-
-    def test_the_takeover_deletes_the_rows_its_state_covers(self, tmp_path):
-        """Events 1-10 are applied and go with the restore's first commit;
-        the tail intent 11 is replayed and goes with it too.  The store is
-        marked a session's, so a ``save(X)`` into it is refused."""
-        directory = FORMAT_3_STORE.load(tmp_path / "store")
-        store = SqliteStore(directory / STORE_FILENAME)
-        assert [event.seq for event in SessionJournal(store).events()] == list(range(1, 12))
-        assert store.get_meta("events_applied") == 10
-        store.close()
-        restored = StreamingResolver.restore(directory)
-        assert restored.events_applied == 11
-        assert restored.durability.journal.events() == []
-        assert restored.durability.store.get_meta("logged") is True
-        restored.durability.close()
-        session = StreamingResolver(config=make_config())
-        with pytest.raises(PersistenceError, match="already holds a session"):
-            session.save(directory)
 
 
 class TestAFormat4Store:
@@ -1311,15 +1097,10 @@ class TestAFormat4Store:
         assert "ledger.pending" in capsys.readouterr().err
         assert path.read_bytes() == before
 
-    @pytest.mark.parametrize(
-        "written", (CADENCE_STORE, FORMAT_3_STORE, FORMAT_4_STORE), ids=lambda store: store.label
-    )
-    def test_save_over_a_copy_with_a_pending_column_restores_the_saving_session(
-        self, tmp_path, written
-    ):
-        """Formats 2-4 declare ``ledger.pending NOT NULL`` with no default,
+    def test_save_over_a_copy_with_a_pending_column_restores_the_saving_session(self, tmp_path):
+        """Format 4 declares ``ledger.pending NOT NULL`` with no default,
         which format 5's ledger rows leave out."""
-        assert_save_over_a_copy_restores_the_saving_session(tmp_path, written)
+        assert_save_over_a_copy_restores_the_saving_session(tmp_path, FORMAT_4_STORE)
 
     def test_the_takeover_folds_the_table_into_counts_and_drops_the_column(self, tmp_path):
         """With the log cut at its state, the restored session's duration
@@ -1420,20 +1201,71 @@ class TestAStoreWithoutHistory:
             StreamingResolver.restore(torn)
 
 
+def store_of_format(directory, version):
+    """A store whose only row is ``meta.version``: the whole schema, no
+    session.  Returns its file."""
+    store = SqliteStore(directory / STORE_FILENAME)
+    store.set_meta("version", version)
+    store.commit()
+    store.close()
+    return directory / STORE_FILENAME
+
+
 class TestUpgrade:
     """``storage/upgrade.py`` is the one path from an earlier format."""
 
-    def test_there_is_a_step_from_every_earlier_format(self):
-        """... and a committed store written in each earlier format."""
-        assert sorted(upgrade.STEPS) == list(range(1, upgrade.FORMAT_VERSION))
+    def test_each_format_in_the_window_has_a_step_or_is_current_and_a_fixture(self):
+        """The window is the current format and the one before it; each
+        earlier format in it has a step and a committed store written in it."""
+        window = range(min(upgrade.STEPS), upgrade.FORMAT_VERSION + 1)
+        assert list(window) == [4, 5]
         written = {
             int(re.search(r"VALUES\('version','(\d+)'\)", path.read_text()).group(1))
             for path in FIXTURES.glob("v*_*store.sql")
         }
-        assert written == set(upgrade.STEPS)
+        assert set(upgrade.STEPS) == set(window) - {upgrade.FORMAT_VERSION} == written
+
+    @pytest.mark.parametrize("version", (1, 2, 3))
+    def test_a_restore_refuses_an_earlier_format_and_leaves_it_byte_identical(
+        self, tmp_path, version
+    ):
+        path = store_of_format(tmp_path, version)
+        before = path.read_bytes()
+        with pytest.raises(
+            StorageError, match=f"store format {version}; this release reads formats 4 to 5 "
+        ):
+            StreamingResolver.restore(tmp_path)
+        assert path.read_bytes() == before
+
+    @pytest.mark.parametrize("version", (1, 2, 3))
+    def test_repro_stats_refuses_an_earlier_format_with_exit_2(self, tmp_path, capsys, version):
+        from repro.cli import main
+
+        path = store_of_format(tmp_path, version)
+        before = path.read_bytes()
+        capsys.readouterr()
+        assert main(["stats", "--checkpoint-dir", str(tmp_path)]) == 2
+        assert f"store format {version}; this release reads formats 4 to 5 " in (
+            capsys.readouterr().err
+        )
+        assert path.read_bytes() == before
+
+    @pytest.mark.parametrize("version", (1, 2, 3))
+    def test_save_over_a_copy_of_an_earlier_format_is_refused_and_changes_nothing(
+        self, tmp_path, version
+    ):
+        path = store_of_format(tmp_path / "copy", version)
+        before = path.read_bytes()
+        dataset = make_dataset()
+        session = StreamingResolver(config=make_config())
+        session.add_truth(dataset.ground_truth)
+        session.add_batch(list(dataset.store)[:20])
+        with pytest.raises(StorageError, match=f"store format {version}; "):
+            session.save(tmp_path / "copy")
+        assert path.read_bytes() == before
 
     def test_a_current_store_is_upgraded_without_a_write(self, tmp_path):
-        """Upgrading a format-3 store issues no write, so ``repro stats``
+        """Upgrading a current store issues no write, so ``repro stats``
         reads a live session's store while the session holds an open write
         transaction on it."""
         dataset = make_dataset()

@@ -1,7 +1,6 @@
 """The size ledger: how large the tree and its surface are, as ``SIZE.json``.
 
-    python tools/size_report.py            # rewrite SIZE.json, print what changed
-    python tools/size_report.py --check    # print what changed, exit 1 if anything did
+    python tools/size_report.py    # rewrite SIZE.json, print what changed
 
 It records:
 
@@ -171,20 +170,13 @@ def dump(value: object, depth: int = 0) -> str:
     return "{\n" + ",\n".join(entries) + "\n" + " " * depth + "}"
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
-    parser.add_argument("--check", action="store_true",
-                        help="only compare the tree with SIZE.json; exit 1 if they differ")
-    args = parser.parse_args(argv)
+def main() -> None:
     current = measure()
     committed = json.loads(LEDGER.read_text()) if LEDGER.exists() else {}
     changes = diff(committed, current)
     print("\n".join(changes) if changes else "SIZE.json matches the tree")
-    if args.check:
-        return 1 if changes else 0
     LEDGER.write_text(dump(current) + "\n")
-    return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    main()
