@@ -13,15 +13,23 @@ Three solvers are provided and cross-validated in the test suite:
 * :func:`branch_and_bound_packing` — exact bin packing by depth-first search
   with lower-bound pruning (falls back to FFD when the node budget is hit).
 * :func:`column_generation_packing` — the paper's cutting-stock approach:
-  LP relaxation solved by column generation (scipy ``linprog`` restricted
-  master + dynamic-programming knapsack pricing), then an integer solution
-  obtained by rounding down and repairing the residual demand with FFD.
+  LP relaxation solved by column generation (restricted master LP +
+  dynamic-programming knapsack pricing), then an integer solution obtained
+  by rounding down and repairing the residual demand with FFD.
 
 The order inside :func:`column_generation_packing` is bound → FFD → LP: no
 packing uses fewer than ``ceil(sum(sizes) / capacity)`` bins, so an FFD
 packing with exactly that many is optimal and is returned without solving
 anything; the LP runs only for the instances where FFD is above the bound,
 which is the only place it can lower the number of HITs.
+
+Each master LP is solved first by :func:`_basis_solve`, a small dense primal
+simplex started from the Gilmore–Gomory diagonal basis, and handed to
+scipy's ``linprog`` (HiGHS) only when that solve does not prove its optimum
+unique.  An optimal basis whose basic values and non-basic reduced costs are
+all strictly positive is primal and dual non-degenerate, so the optimal
+``x`` and duals are unique and every correct solver returns them: which
+route solved a master cannot change a packing.
 """
 
 from __future__ import annotations
@@ -255,12 +263,91 @@ def _knapsack_pricing(duals: Dict[int, float], capacity: int) -> Tuple[List[int]
     return pattern, best_value[capacity]
 
 
-def _count_packing(outcome: str, lp_solves: int) -> None:
+#: The margin a basis solve's optimum must clear to be kept: every basic
+#: value and every non-basic reduced cost (surplus columns included) above
+#: it.  It is also the entering and pivot threshold of the simplex.
+_UNIQUE_MARGIN = 1e-9
+
+#: Pivots after which a basis solve gives up (Bland's rule cannot cycle, so
+#: this only bounds floating-point trouble); its master goes to HiGHS.
+_MAX_PIVOTS = 100
+
+#: One master LP's optimum: pattern usage ``x``, the covering rows' dual
+#: values and the objective ``sum(x)``.
+MasterSolution = Tuple[np.ndarray, np.ndarray, float]
+
+
+def _basis_solve(matrix: np.ndarray, demand: np.ndarray) -> Optional[MasterSolution]:
+    """Solve ``min sum(x)  s.t.  matrix @ x >= demand, x >= 0`` by a dense
+    primal simplex, or return ``None`` when its optimum is not unique.
+
+    ``matrix`` has one row per distinct size and one column per pattern, its
+    first ``rows`` columns the diagonal Gilmore–Gomory patterns: that basis
+    is the start, feasible with ``x = demand / diagonal``.  A surplus column
+    ``-e_i`` (cost 0) per row completes the standard form.  Pivots follow
+    Bland's rule (lowest-index entering column with a negative reduced cost,
+    lowest-index leaving variable among the ratio-test ties), each basis
+    solved afresh with ``np.linalg.solve``.
+    """
+    rows, patterns = matrix.shape
+    columns = np.hstack([matrix, -np.eye(rows)])
+    cost = np.concatenate([np.ones(patterns), np.zeros(rows)])
+    basis = list(range(rows))
+    for _ in range(_MAX_PIVOTS):
+        square = columns[:, basis]
+        values = np.linalg.solve(square, demand)
+        duals = np.linalg.solve(square.T, cost[basis])
+        reduced = cost - duals @ columns
+        reduced[basis] = np.inf
+        entering = np.flatnonzero(reduced < -_UNIQUE_MARGIN)
+        if not len(entering):
+            break
+        direction = np.linalg.solve(square, columns[:, entering[0]])
+        rising = direction > _UNIQUE_MARGIN
+        if not rising.any():  # pragma: no cover - sum(x) >= 0 is bounded
+            return None
+        ratios = np.where(rising, values / np.where(rising, direction, 1.0), np.inf)
+        ties = np.flatnonzero(ratios <= ratios.min() + _UNIQUE_MARGIN)
+        leaving = min(ties, key=lambda row: basis[row])
+        basis[leaving] = int(entering[0])
+    else:
+        return None
+    if values.min() <= _UNIQUE_MARGIN or reduced.min() <= _UNIQUE_MARGIN:
+        return None
+    x = np.zeros(patterns)
+    for row, column in enumerate(basis):
+        if column < patterns:
+            x[column] = values[row]
+    return x, duals, float(x.sum())
+
+
+def _highs_solve(matrix: np.ndarray, demand: np.ndarray) -> Optional[MasterSolution]:
+    """The same master LP through ``scipy.optimize.linprog(method="highs")``;
+    ``None`` if HiGHS reports no optimum."""
+    # One (0, None) pair bounds every variable (a list of n pairs is the same
+    # model, validated pair by pair in Python).
+    result = linprog(
+        c=np.ones(matrix.shape[1]),
+        A_ub=-matrix,
+        b_ub=-demand,
+        bounds=(0, None),
+        method="highs",
+    )
+    if not result.success:  # pragma: no cover - defensive
+        return None
+    # linprog's inequality marginals are <= 0 for A_ub x <= b_ub; the dual
+    # value of the covering constraint is their negation.
+    return result.x, -result.ineqlin.marginals, float(result.fun)
+
+
+def _count_packing(outcome: str, lp_solves: Counter) -> None:
     if obs.enabled():
         obs.inc("hit_packings_total", outcome=outcome,
                 help="Column-generation packings by how their HIT count was settled.")
-        obs.inc("hit_packing_lp_solves_total", lp_solves,
-                help="Restricted master LPs solved by column-generation packing.")
+        for solver, count in sorted(lp_solves.items()):
+            obs.inc("hit_packing_lp_solves_total", count, solver=solver,
+                    help="Restricted master LPs solved by column-generation packing, "
+                         "by solver (basis or highs).")
 
 
 def column_generation_packing(
@@ -286,11 +373,17 @@ def column_generation_packing(
     returned as ``method="column-generation(ffd-at-bound)"``.  Otherwise
     column generation runs and the same FFD packing is what its rounded
     result is checked against.
+
+    Each master LP goes to :func:`_basis_solve` first and to HiGHS only when
+    that declines.  It keeps an optimum only when every basic value and every
+    non-basic reduced cost clears ``_UNIQUE_MARGIN``, which makes the optimal
+    ``x`` and duals unique, so both routes give the same pricing, rounding
+    and bins.
     """
     ffd = first_fit_decreasing(sizes, capacity)
     if ffd.bin_count == size_lower_bound(sizes, capacity):
         ffd.method = "column-generation(ffd-at-bound)"
-        _count_packing("ffd-at-bound", 0)
+        _count_packing("ffd-at-bound", Counter())
         return ffd
     if linprog is None:  # pragma: no cover
         return ffd
@@ -309,34 +402,24 @@ def column_generation_packing(
     lp_objective = float("inf")
     solution_x: Optional[np.ndarray] = None
     size_columns = [size - 1 for size in distinct_sizes]
-    negated_demand = -np.array([demand[size] for size in distinct_sizes], dtype=float)
-    lp_solves = 0
+    demand_vector = np.array([demand[size] for size in distinct_sizes], dtype=float)
+    lp_solves: Counter = Counter()
     for _ in range(max_iterations):
         # Restricted master LP: min sum x_i  s.t.  sum a_ij x_i >= c_j, x >= 0.
-        # One row per distinct size, one column per pattern; one (0, None)
-        # pair bounds every variable (a list of n pairs is the same model,
-        # validated pair by pair in Python).
+        # One row per distinct size, one column per pattern.
         constraint_matrix = np.array(patterns, dtype=float)[:, size_columns].T
-        result = linprog(
-            c=np.ones(len(patterns)),
-            A_ub=-constraint_matrix,
-            b_ub=negated_demand,
-            bounds=(0, None),
-            method="highs",
-        )
-        lp_solves += 1
-        if not result.success:  # pragma: no cover - defensive
+        solved = _basis_solve(constraint_matrix, demand_vector)
+        solver = "basis"
+        if solved is None:
+            solved = _highs_solve(constraint_matrix, demand_vector)
+            solver = "highs"
+        lp_solves[solver] += 1
+        if solved is None:  # pragma: no cover - defensive
             _count_packing("ffd-fallback", lp_solves)
             return ffd
-        lp_objective = float(result.fun)
-        solution_x = result.x
-        duals_array = result.ineqlin.marginals if hasattr(result, "ineqlin") else None
-        if duals_array is None:  # pragma: no cover - older scipy
-            break
-        # linprog's inequality marginals are <= 0 for A_ub x <= b_ub; the dual
-        # value of the covering constraint is their negation.
+        solution_x, duals_vector, lp_objective = solved
         duals = {
-            size: max(0.0, -float(duals_array[row]))
+            size: max(0.0, float(duals_vector[row]))
             for row, size in enumerate(distinct_sizes)
         }
         pattern, value = _knapsack_pricing(duals, capacity)

@@ -157,14 +157,19 @@ class SqliteStore(Store):
             self._conn.execute("PRAGMA journal_mode=WAL")
             self._conn.execute("PRAGMA synchronous=NORMAL")
             self._conn.execute("PRAGMA busy_timeout=30000")
-            self._conn.executescript(_SCHEMA)
+            # Only a store being created gets the schema, in one transaction:
+            # opening one to read it (a restore, ``repro stats``) adds no
+            # table an earlier format lacks, so a refused store is left as it
+            # was, and a torn creation leaves every table or none.
+            if self._conn.execute("SELECT 1 FROM sqlite_master LIMIT 1").fetchone() is None:
+                self._conn.executescript("BEGIN;" + _SCHEMA + "COMMIT;")
+            row = self._conn.execute("SELECT MAX(arrival) FROM records").fetchone()
         except sqlite3.DatabaseError as error:
             self._conn.close()
             self._release()
             raise StorageError(f"{self.path} is not a session store: {error}")
         self._in_txn = False
-        row = self._conn.execute("SELECT MAX(arrival) FROM records").fetchone()
-        self._next_arrival = (row[0] + 1) if row and row[0] is not None else 0
+        self._next_arrival = (row[0] + 1) if row[0] is not None else 0
         # Empty until :meth:`load_ledger`: opening a store to read its meta
         # (restore, ``repro stats``) must not page the ledger in.
         self.ledger = PairLedger(stored=True)

@@ -67,17 +67,15 @@ def upgrade(store: SqliteStore, version: int) -> None:
     ``async`` platform's ``seen`` ids.  A store with nothing to shed is
     written nothing, so reading a live session's store takes no write lock.
     """
-    if version > FORMAT_VERSION:
-        raise StorageError(
-            f"{store.path} was written in store format {version}; "
-            f"this release reads format {FORMAT_VERSION} and older"
-        )
-    if version < min(STEPS):
-        raise StorageError(
+    if not min(STEPS) <= version <= FORMAT_VERSION:
+        refusal = (
             f"{store.path} was written in store format {version}; this release reads "
-            f"formats {min(STEPS)} to {FORMAT_VERSION} only — restore it once under a "
-            "release that still upgrades it (docs/storage.md names the last one)"
+            f"formats {min(STEPS)} to {FORMAT_VERSION} only"
         )
+        if version < min(STEPS):
+            refusal += (" — restore it once under a release that still upgrades it "
+                        "(docs/storage.md names the last one)")
+        raise StorageError(refusal)
     for step in range(version, FORMAT_VERSION):
         STEPS[step](store)
     for table, in store.query(

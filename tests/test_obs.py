@@ -422,25 +422,33 @@ def test_each_store_reports_its_own_session_and_restores_publish_nothing(tmp_pat
     assert obs.snapshot().counter_total("hits_issued_total") == 0
 
 
+@pytest.mark.gate
 def test_packing_counters_are_exact_for_a_seeded_session(monkeypatch):
     """500 records appended 50 at a time, tracing on: how each packing's HIT
-    count was settled and how many LPs that took repeat for a seed, and
-    agree with counts taken from outside the packing module.  (k=5: at the
-    default k=10 a session this small never needs an LP.)"""
+    count was settled and how many master LPs each solver took repeat for a
+    seed, and agree with counts taken from outside the packing module.
+    (k=5: at the default k=10 a session this small never needs an LP.)"""
     from repro.hit import packing, two_tiered
 
-    lp_solves, packings = [], []
-    solve, pack = packing.linprog, two_tiered.pack_components
+    masters, highs, packings = [], [], []
+    basis_solve, highs_solve, pack = (
+        packing._basis_solve, packing._highs_solve, two_tiered.pack_components,
+    )
 
-    def counted_solve(*args, **kwargs):
-        lp_solves.append(1)
-        return solve(*args, **kwargs)
+    def counted_basis(matrix, demand):
+        masters.append(1)
+        return basis_solve(matrix, demand)
+
+    def counted_highs(matrix, demand):
+        highs.append(1)
+        return highs_solve(matrix, demand)
 
     def counted_pack(components, cluster_size, method):
         packings.append(method)
         return pack(components, cluster_size, method=method)
 
-    monkeypatch.setattr(packing, "linprog", counted_solve)
+    monkeypatch.setattr(packing, "_basis_solve", counted_basis)
+    monkeypatch.setattr(packing, "_highs_solve", counted_highs)
     monkeypatch.setattr(two_tiered, "pack_components", counted_pack)
 
     dataset = make_dataset(500, 62, seed=7)
@@ -462,7 +470,15 @@ def test_packing_counters_are_exact_for_a_seeded_session(monkeypatch):
     }
     assert outcomes == {"ffd-at-bound": 6, "column-generation": 4, "ffd-fallback": 0}
     assert packings == ["column-generation"] * 10
-    assert snapshot.counter_total("hit_packing_lp_solves_total") == len(lp_solves) == 5
+    solvers = {
+        solver: snapshot.counter_total("hit_packing_lp_solves_total", solver=solver)
+        for solver in ("basis", "highs")
+    }
+    # Every master goes to the basis solve first; HiGHS gets the ones it declines.
+    assert solvers == {"basis": len(masters) - len(highs), "highs": len(highs)} == {
+        "basis": 5, "highs": 0,
+    }
+    assert snapshot.counter_total("hit_packing_lp_solves_total") == len(masters) == 5
     assert snapshot.counter_total("hits_generated_total") == result.hit_count
 
 

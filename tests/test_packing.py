@@ -3,7 +3,10 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.hit import packing
 from repro.hit.packing import (
@@ -120,8 +123,9 @@ class TestPackFirst:
 
     def test_ffd_at_the_bound_solves_no_lp(self, monkeypatch):
         def no_lp(*args, **kwargs):
-            raise AssertionError("linprog called although FFD met the bound")
+            raise AssertionError("an LP was solved although FFD met the bound")
 
+        monkeypatch.setattr(packing, "_basis_solve", no_lp)
         monkeypatch.setattr(packing, "linprog", no_lp)
         sizes = [4, 4, 2, 2, 3, 3, 2]
         assert first_fit_decreasing(sizes, 10).bin_count == size_lower_bound(sizes, 10) == 2
@@ -132,20 +136,23 @@ class TestPackFirst:
         assert branch_and_bound_packing(sizes, 10).bin_count == 2
 
     def test_ffd_above_the_bound_still_goes_through_the_lp(self, monkeypatch):
+        """Three master LPs, each with a unique optimum: the basis solve
+        settles all three and HiGHS is never asked."""
         sizes = self.FFD_ABOVE_BOUND
         assert first_fit_decreasing(sizes, 10).bin_count == 5
         assert size_lower_bound(sizes, 10) == 4
-        calls = []
-        solve = packing.linprog
+        masters, highs = [], []
+        solve = packing._basis_solve
 
-        def counted(*args, **kwargs):
-            calls.append(kwargs)
-            return solve(*args, **kwargs)
+        def counted(matrix, demand):
+            masters.append(matrix.shape)
+            return solve(matrix, demand)
 
-        monkeypatch.setattr(packing, "linprog", counted)
+        monkeypatch.setattr(packing, "_basis_solve", counted)
+        monkeypatch.setattr(packing, "linprog", lambda *args, **kwargs: highs.append(kwargs))
         solution = column_generation_packing(sizes, 10)
-        assert calls, "the LP was skipped although FFD is above the bound"
-        assert all(call["method"] == "highs" and call["bounds"] == (0, None) for call in calls)
+        assert masters == [(3, 3), (3, 4), (3, 5)], "the LP was skipped above the bound"
+        assert highs == []
         assert solution.is_feasible()
         assert solution.bin_count == solution.lower_bound == 4
         assert solution.method == "column-generation"
@@ -166,6 +173,80 @@ class TestPackFirst:
         # Once for the whole instance; any later call repairs a residual.
         assert calls.count(self.FFD_ABOVE_BOUND) == 1
         assert all(len(sizes) < len(self.FFD_ABOVE_BOUND) for sizes in calls[1:])
+
+
+def _both_routes(sizes, capacity):
+    """The packing with the basis solve, and with it declining every master
+    (each then goes to HiGHS, as every master did before the basis solve)."""
+    with_basis = column_generation_packing(sizes, capacity)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(packing, "_basis_solve", lambda matrix, demand: None)
+        with_highs = column_generation_packing(sizes, capacity)
+    return with_basis, with_highs
+
+
+def _same(one, other):
+    return (one.bins, one.lower_bound, one.method) == (other.bins, other.lower_bound, other.method)
+
+
+class TestBasisSolve:
+    """A master LP whose optimum is unique has one answer, whichever solver
+    finds it: the basis solve changes no bin, bound or method."""
+
+    def test_every_recorded_instance_packs_as_through_highs(self):
+        fixture = Path(__file__).parent / "fixtures" / "packing_counts.json"
+        for row in json.loads(fixture.read_text())["rows"]:
+            with_basis, with_highs = _both_routes(row["sizes"], row["capacity"])
+            assert _same(with_basis, with_highs), row
+
+    @given(
+        st.integers(min_value=3, max_value=14).flatmap(
+            lambda capacity: st.tuples(
+                st.lists(st.integers(min_value=1, max_value=capacity), max_size=40),
+                st.just(capacity),
+            )
+        )
+    )
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_random_instances_pack_as_through_highs(self, instance):
+        sizes, capacity = instance
+        with_basis, with_highs = _both_routes(sizes, capacity)
+        assert _same(with_basis, with_highs)
+
+    def test_the_diagonal_start_is_kept_when_it_is_the_unique_optimum(self):
+        x, duals, objective = packing._basis_solve(np.array([[2.0, 0.0], [0.0, 3.0]]),
+                                                   np.array([3.0, 6.0]))
+        assert x.tolist() == [1.5, 2.0]
+        assert duals.tolist() == pytest.approx([0.5, 1 / 3])
+        assert objective == 3.5
+
+    def test_a_tied_master_is_declined(self):
+        """min x1 + x2 + x3  s.t.  2 x1 + x3 >= 2,  2 x2 + x3 >= 2: the
+        diagonal basis (1, 1, 0) and (0, 0, 2) both cost 2, so the third
+        column's reduced cost is 0 and the optimum is not unique."""
+        matrix = np.array([[2.0, 0.0, 1.0], [0.0, 2.0, 1.0]])
+        assert packing._basis_solve(matrix, np.array([2.0, 2.0])) is None
+
+    def test_a_tied_master_reaches_linprog(self, monkeypatch):
+        """Sizes 1, 3, 3, 3 at capacity 5: the first master (the diagonal
+        patterns) has a unique optimum; pricing adds the pattern {3, 1, 1},
+        after which covering the three 3s by {3} or by {3, 1, 1} ties at 3,
+        and that master goes to HiGHS."""
+        sizes = [1, 3, 3, 3]
+        assert first_fit_decreasing(sizes, 5).bin_count == 3 > size_lower_bound(sizes, 5) == 2
+        calls = []
+        solve = packing.linprog
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs["A_ub"].shape)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(packing, "linprog", counted)
+        with_basis, with_highs = _both_routes(sizes, 5)
+        # The tied second master; then both masters of the HiGHS-only run.
+        assert calls == [(2, 3), (2, 2), (2, 3)]
+        assert _same(with_basis, with_highs)
+        assert with_basis.bin_count == with_basis.lower_bound == 3
 
 
 class TestPackComponents:

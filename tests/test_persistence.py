@@ -698,7 +698,10 @@ class TestSaveRestore:
         monkeypatch.setattr(persistence, "_page_in", lambda *_: pytest.fail("paged in"))
         with pytest.raises(
             PersistenceError,
-            match=f"store format 99; this release reads format {persistence.FORMAT_VERSION} ",
+            match=(
+                "store format 99; this release reads formats 4 to "
+                f"{persistence.FORMAT_VERSION} only$"
+            ),
         ):
             StreamingResolver.restore(tmp_path)
 

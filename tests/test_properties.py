@@ -113,15 +113,16 @@ class TestPackingProperties:
     @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
     def test_ffd_at_the_bound_solves_no_lp(self, sizes, capacity):
         """When FFD meets ceil(total/capacity) the count is proven: column
-        generation returns it without one ``linprog`` call, and the exact
+        generation returns it without solving one master LP, and the exact
         solver agrees."""
         bound = size_lower_bound(sizes, capacity)
         assume(first_fit_decreasing(sizes, capacity).bin_count == bound)
 
         def no_lp(*args, **kwargs):
-            raise AssertionError("linprog called although FFD met the bound")
+            raise AssertionError("an LP was solved although FFD met the bound")
 
         with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(packing, "_basis_solve", no_lp)
             patch.setattr(packing, "linprog", no_lp)
             solution = column_generation_packing(sizes, capacity)
         assert solution.is_feasible()

@@ -468,7 +468,9 @@ class TestHttpSurface:
             client.restore(fresh_id("newer"), str(tmp_path))
         assert caught.value.status == 409
         assert caught.value.code == "resume_conflict"
-        assert f"store format {version}" in caught.value.body["error"]["message"]
+        assert f"store format {version}; this release reads formats 4 to 5 only" in (
+            caught.value.body["error"]["message"]
+        )
 
     def test_restoring_a_session_stored_with_metrics_enabled_is_409_and_leaves_metrics_off(
         self, service, tmp_path, monkeypatch

@@ -1012,7 +1012,7 @@ def assert_restores_and_continues(tmp_path, written, tail):
 
 def assert_stats_as_written(tmp_path, capsys, written):
     """``repro stats`` on ``written`` reports what its release did and leaves
-    the file as it was, but for a ``ledger`` table opening it adds."""
+    the file as it was."""
     from repro.cli import main
 
     directory = written.load(tmp_path / "store")
@@ -1022,7 +1022,7 @@ def assert_stats_as_written(tmp_path, capsys, written):
     report = json.loads(capsys.readouterr().out)
     names = ("hits_issued", "assignments", "votes", "crowd_cost_dollars", "crowd_work_seconds")
     assert tuple(report[name] for name in names) == written.stats
-    assert store_contents(directory / STORE_FILENAME) == {"ledger": [], **before}
+    assert store_contents(directory / STORE_FILENAME) == before
 
 
 def assert_save_over_a_copy_restores_the_saving_session(tmp_path, written):
@@ -1249,6 +1249,28 @@ class TestUpgrade:
             capsys.readouterr().err
         )
         assert path.read_bytes() == before
+
+    @pytest.mark.parametrize("reader", ("restore", "stats"))
+    def test_a_refused_store_missing_a_table_is_not_given_it(self, tmp_path, capsys, reader):
+        """Format 3 with no ``ledger`` table: a restore, and ``repro stats``
+        with exit 2, refuse it without creating the table or changing a byte."""
+        from repro.cli import main
+
+        path = store_of_format(tmp_path, 3)
+        connection = sqlite3.connect(str(path))
+        with connection:
+            connection.execute("DROP TABLE ledger")
+        connection.close()
+        before = path.read_bytes()
+        capsys.readouterr()
+        if reader == "restore":
+            with pytest.raises(StorageError, match="store format 3; "):
+                StreamingResolver.restore(tmp_path)
+        else:
+            assert main(["stats", "--checkpoint-dir", str(tmp_path)]) == 2
+            assert "store format 3; " in capsys.readouterr().err
+        assert path.read_bytes() == before
+        assert "ledger" not in store_contents(path)
 
     @pytest.mark.parametrize("version", (1, 2, 3))
     def test_save_over_a_copy_of_an_earlier_format_is_refused_and_changes_nothing(
