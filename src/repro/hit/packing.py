@@ -30,6 +30,14 @@ unique.  An optimal basis whose basic values and non-basic reduced costs are
 all strictly positive is primal and dual non-degenerate, so the optimal
 ``x`` and duals are unique and every correct solver returns them: which
 route solved a master cannot change a packing.
+
+``scipy.optimize`` is imported by the first master LP of a process, tied
+or not, not when this module loads: a process that packs no component
+set above the FFD bound (start-up, ``--help``, small sessions) never pays
+its ~0.4 s import or its ~26 MB, and every process that does column
+generation pays both once, whether or not one of its masters ties, so its
+footprint does not hinge on LP degeneracy.  Until then the module's
+``linprog`` is ``None``.
 """
 
 from __future__ import annotations
@@ -44,10 +52,15 @@ import numpy as np
 
 from repro import obs
 
-try:  # scipy is a hard dependency of the package, but keep the import local.
-    from scipy.optimize import linprog
-except ImportError:  # pragma: no cover - exercised only in broken environments
-    linprog = None
+#: ``scipy.optimize.linprog``, imported by :func:`_import_highs`.
+linprog = None
+
+
+def _import_highs() -> None:
+    """Bind :data:`linprog` to ``scipy.optimize.linprog`` unless it is bound."""
+    global linprog
+    if linprog is None:
+        from scipy.optimize import linprog
 
 
 @dataclass
@@ -385,9 +398,8 @@ def column_generation_packing(
         ffd.method = "column-generation(ffd-at-bound)"
         _count_packing("ffd-at-bound", Counter())
         return ffd
-    if linprog is None:  # pragma: no cover
-        return ffd
 
+    _import_highs()
     demand = Counter(sizes)
     distinct_sizes = sorted(demand)
 

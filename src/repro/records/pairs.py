@@ -57,6 +57,15 @@ class RecordPair:
         if self.likelihood is not None and not (0.0 <= self.likelihood <= 1.0):
             raise ValueError(f"likelihood must be in [0, 1], got {self.likelihood}")
 
+    @classmethod
+    def canonical(cls, key: Tuple[str, str], likelihood: Optional[float]) -> "RecordPair":
+        """The pair of a key already in :func:`canonical_pair` form, with a
+        likelihood in [0, 1] or ``None``: a pair that was checked once
+        (a ledger entry) is rebuilt without checking it again."""
+        pair = object.__new__(cls)
+        pair.__dict__.update(id_a=key[0], id_b=key[1], likelihood=likelihood)
+        return pair
+
     @property
     def key(self) -> Tuple[str, str]:
         """The canonical (sorted) id tuple identifying this pair."""

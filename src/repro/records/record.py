@@ -132,7 +132,7 @@ class RecordStore:
 
     def __init__(self, name: str = "records") -> None:
         self.name = name
-        self._records: List[Record] = []
+        # Insertion-ordered: the one container, so removal is O(1).
         self._by_id: Dict[str, Record] = {}
 
     @classmethod
@@ -167,20 +167,15 @@ class RecordStore:
         """Add a record; raises :class:`RecordError` on duplicate ids."""
         if record.record_id in self._by_id:
             raise RecordError(f"duplicate record id: {record.record_id!r}")
-        self._records.append(record)
         self._by_id[record.record_id] = record
 
     def remove(self, record_id: str) -> Record:
-        """Remove and return the record with the given id.
-
-        Raises :class:`RecordError` if the id is unknown.  O(n) in the store
-        size (the insertion-order list is rebuilt without the record); used
-        by streaming retraction, where removals are rare relative to scans.
+        """Remove and return the record with the given id (O(1); the others
+        keep their order).  Raises :class:`RecordError` if the id is unknown.
         """
         record = self._by_id.pop(record_id, None)
         if record is None:
             raise RecordError(f"unknown record id: {record_id!r}")
-        self._records.remove(record)
         return record
 
     def get(self, record_id: str) -> Record:
@@ -191,18 +186,15 @@ class RecordStore:
         return record_id in self._by_id
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._by_id)
 
     def __iter__(self) -> Iterator[Record]:
-        return iter(self._records)
-
-    def __getitem__(self, index: int) -> Record:
-        return self._records[index]
+        return iter(self._by_id.values())
 
     @property
     def record_ids(self) -> List[str]:
         """Record ids in insertion order."""
-        return [record.record_id for record in self._records]
+        return list(self._by_id)
 
     def records_from_source(self, source: str) -> List[Record]:
         """Return all records tagged with the given source."""

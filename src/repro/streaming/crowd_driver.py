@@ -98,9 +98,10 @@ class CrowdDriver:
         if not to_vote:
             return step
         # Sorted-key order makes HIT grouping independent of arrival order.
+        # The ledger's keys are canonical and its likelihoods were checked
+        # when the join built the pair.
         batch = build_hit_generator(self.config).generate(PairSet(
-            RecordPair(id_a, id_b, likelihood=likelihoods[id_a, id_b])
-            for id_a, id_b in sorted(to_vote)
+            RecordPair.canonical(key, likelihoods[key]) for key in sorted(to_vote)
         ))
         asked = dict(true_matches=truth, candidate_pairs=to_vote)
         try:

@@ -30,6 +30,7 @@ from repro.datasets.restaurant import RestaurantGenerator
 from repro.obs.export import to_prometheus, validate_prometheus_text
 from repro.obs.metrics import DEFAULT_BUCKETS, MetricsRegistry, MetricsSnapshot
 from repro.obs.report import CostReport
+from repro.storage import STORE_FILENAME
 from repro.streaming import PersistenceError, persistence
 from repro.streaming.session import StreamingResolver
 
@@ -623,6 +624,22 @@ def test_cli_stats_leaves_a_mistyped_directory_unwritten(tmp_path, capsys):
     session = StreamingResolver(config=WorkflowConfig(checkpoint_dir=str(typo)))
     session.durability.close()
     StreamingResolver.restore(str(typo)).durability.close()
+
+
+def test_an_empty_store_file_is_refused_unopened(tmp_path, capsys):
+    """A zero-byte ``store.sqlite`` holds no session.  A restore and
+    ``stats`` refuse it with their usual messages before SQLite opens it,
+    which would give it the schema (32 KiB) and a WAL beside it."""
+    store = tmp_path / STORE_FILENAME
+    store.touch()
+    with pytest.raises(PersistenceError, match="holds no session"):
+        StreamingResolver.restore(str(tmp_path))
+    assert cli_main(["stats", "--checkpoint-dir", str(tmp_path)]) == 2
+    assert "does not hold a resolution session" in capsys.readouterr().err
+    assert cli_main(["stats", "--store", str(store)]) == 2
+    assert [(item.name, item.stat().st_size) for item in tmp_path.iterdir()] == [
+        (STORE_FILENAME, 0)
+    ]
 
 
 def test_cli_quiet_suppresses_info(capsys):

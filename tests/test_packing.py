@@ -1,6 +1,10 @@
 """Tests for the bottom-tier packing solvers."""
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -175,6 +179,82 @@ class TestPackFirst:
         assert all(len(sizes) < len(self.FFD_ABOVE_BOUND) for sizes in calls[1:])
 
 
+@pytest.fixture
+def highs_loaded():
+    """``packing.linprog`` as after a process's first master LP: the real
+    solver, whichever tests ran before (it is ``None`` until then)."""
+    packing._import_highs()
+
+
+def _run_fresh(script):
+    """Run ``script`` in a new interpreter, where no other test's imports
+    can have loaded ``scipy.optimize``, and return what it prints."""
+    source = str(Path(__file__).parent.parent / "src")
+    path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(script)],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, check=True, timeout=120,
+    ).stdout.split()
+
+
+class TestHighsOnDemand:
+    """HiGHS (``scipy.optimize``) is imported by the first master LP of a
+    process, tied or not, not by ``import repro``."""
+
+    SESSION = """
+        import sys
+        import repro, repro.cli
+        print("scipy.optimize" in sys.modules)
+        from repro.hit import packing
+        masters = []
+        solve = packing._basis_solve
+        packing._basis_solve = lambda *master: masters.append(1) or solve(*master)
+        dataset = repro.load_restaurant(seed=7, record_count=500, duplicate_pairs=62)
+        resolver = repro.StreamingResolver(config=repro.WorkflowConfig(
+            likelihood_threshold=0.35, cluster_size={k}, aggregation="majority",
+            vote_mode="per-pair", seed=7,
+        ))
+        records = list(dataset.store)
+        for start in range(0, len(records), {batch}):
+            resolver.add_batch(records[start : start + {batch}])
+        resolver.snapshot()
+        print(len(masters), "scipy.optimize" in sys.modules, packing.linprog)
+    """
+
+    def test_importing_and_a_session_without_a_master_load_no_highs(self):
+        """Restaurant(500, 62, seed 7) @0.35, k=10, 125-record appends packs
+        every component set at the FFD bound.  Fails at the parent commit,
+        whose packing module imported ``scipy.optimize`` when it loaded."""
+        printed = _run_fresh(self.SESSION.format(k=10, batch=125))
+        assert printed == ["False", "0", "False", "None"]
+
+    def test_an_untied_master_loads_it(self):
+        """k=5, 50-record appends: 5 master LPs, none tied, and HiGHS is
+        loaded all the same, so a process's footprint does not depend on
+        whether one of its masters ties."""
+        printed = _run_fresh(self.SESSION.format(k=5, batch=50))
+        assert printed[:3] == ["False", "5", "True"]
+
+    def test_a_tied_master_packs_as_before(self):
+        """Sizes 1, 3, 3, 3 at k=5: the second master ties and goes to
+        HiGHS, which packs as it does in a process that loaded it earlier."""
+        printed = _run_fresh("""
+            import sys
+            from repro.hit import packing
+            print("scipy.optimize" in sys.modules)
+            solution = packing.column_generation_packing([1, 3, 3, 3], 5)
+            print("scipy.optimize" in sys.modules, packing.linprog.__module__)
+            print(solution.method, solution.bin_count, solution.lower_bound,
+                  repr(solution.bins).replace(" ", ""))
+        """)
+        in_process = column_generation_packing([1, 3, 3, 3], 5)
+        assert printed == [
+            "False", "True", "scipy.optimize._linprog",
+            in_process.method, "3", "3", repr(in_process.bins).replace(" ", ""),
+        ]
+
+
 def _both_routes(sizes, capacity):
     """The packing with the basis solve, and with it declining every master
     (each then goes to HiGHS, as every master did before the basis solve)."""
@@ -227,6 +307,7 @@ class TestBasisSolve:
         matrix = np.array([[2.0, 0.0, 1.0], [0.0, 2.0, 1.0]])
         assert packing._basis_solve(matrix, np.array([2.0, 2.0])) is None
 
+    @pytest.mark.usefixtures("highs_loaded")
     def test_a_tied_master_reaches_linprog(self, monkeypatch):
         """Sizes 1, 3, 3, 3 at capacity 5: the first master (the diagonal
         patterns) has a unique optimum; pricing adds the pattern {3, 1, 1},

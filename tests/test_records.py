@@ -116,6 +116,25 @@ class TestRecordStore:
         store = RecordStore.from_records([Record(f"r{i}", {"v": str(i)}) for i in range(5)])
         assert [record.record_id for record in store] == [f"r{i}" for i in range(5)]
 
+    def test_remove_compares_no_records_and_keeps_the_order(self, monkeypatch):
+        """A withdrawal is one dict pop.  Fails at the parent commit, whose
+        ``list.remove`` compared the record with every one added before it."""
+        store = RecordStore.from_records([Record(f"r{i}", {"v": str(i)}) for i in range(6)])
+
+        def no_compare(record, other):
+            raise AssertionError("remove compared records")
+
+        monkeypatch.setattr(Record, "__eq__", no_compare)
+        assert store.remove("r4").record_id == "r4"
+        store.add(Record("r4", {"v": "revised"}))
+        assert store.remove("r0").record_id == "r0"
+        assert store.record_ids == [record.record_id for record in store] == [
+            "r1", "r2", "r3", "r5", "r4",
+        ]
+        assert len(store) == 5
+        with pytest.raises(RecordError):
+            store.remove("r0")
+
 
 # --------------------------------------------------------- preprocessing
 class TestPreprocessing:

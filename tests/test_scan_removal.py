@@ -31,6 +31,7 @@ from repro.hit.partitioning import (
     _select_candidate,
     partition_large_component,
 )
+from repro.records.pairs import RecordPair
 from repro.records.record import Record
 from repro.storage.base import PairLedger
 from repro.streaming import session as session_module
@@ -287,6 +288,34 @@ class TestAppendCostFollowsTheFreshVotes:
         monkeypatch.setattr(ClusterBasedHIT, "checkable_pairs", counted)
         resolver.add_batch(list(dataset.store))
         assert (resolver.driver.hit_count, len(calls)) == (12, 12)
+
+    @pytest.mark.gate
+    def test_each_new_pair_is_checked_once(self, monkeypatch):
+        """Restaurant(500, 62, seed 7) @0.35, k=5, 50-record appends: 77 new
+        pairs, 77 ``RecordPair.__post_init__`` calls, all by the join.  Fails
+        at the parent commit, whose crowd driver rebuilt every pair it asked
+        about from its ledger key: 154 calls."""
+        checked = []
+        post_init = RecordPair.__post_init__
+
+        def counted(pair):
+            checked.append(pair.key)
+            post_init(pair)
+
+        dataset = RestaurantGenerator(500, 62, seed=7).generate()
+        resolver = StreamingResolver(config=WorkflowConfig(
+            likelihood_threshold=0.35, cluster_size=5, aggregation="majority",
+            vote_mode="per-pair", seed=7,
+        ))
+        resolver.add_truth(dataset.ground_truth)
+        monkeypatch.setattr(RecordPair, "__post_init__", counted)
+        records = list(dataset.store)
+        new_pairs = sum(
+            resolver.add_batch(records[start : start + 50]).new_candidate_pairs
+            for start in range(0, len(records), 50)
+        )
+        assert (new_pairs, len(checked), len(set(checked))) == (77, 77, 77)
+        assert resolver.driver.hit_count == 38
 
     def test_snapshot_after_a_one_pair_event_never_reranks(self, monkeypatch):
         chain = self._chain(14)
