@@ -1,7 +1,7 @@
 """Ablation: bottom-tier packing solver (FFD vs branch-and-bound vs column generation).
 
-DESIGN.md calls out the packing solver as a design choice worth ablating:
-the paper uses column generation + branch-and-bound; this benchmark checks
+The packing solver is a design choice worth ablating: the paper uses
+column generation + branch-and-bound; this benchmark checks
 how much the cheaper first-fit-decreasing heuristic gives up in HIT count
 (usually nothing on real pair graphs, where most packed components are
 two-record SCCs).

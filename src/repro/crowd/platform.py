@@ -5,8 +5,9 @@ takes a :class:`~repro.hit.base.HITBatch`, replicates every HIT into a
 number of assignments (three in the paper), assigns each to a distinct
 simulated worker, collects the per-pair votes and reports cost and latency.
 Because workers are simulated, the platform needs the ground-truth matches
-to generate (noisy) answers — this is the "simulate the crowd from the
-labels" substitution documented in DESIGN.md.
+to generate (noisy) answers — an offline reproduction cannot pay AMT
+workers, so it simulates the crowd from the labels (``docs/crowd.md``, "The
+vote oracle", gives the seeding contract every vote follows).
 """
 
 from __future__ import annotations
@@ -425,6 +426,7 @@ class SimulatedCrowdPlatform:
         if len(self._eligible) >= self.assignments_per_hit:
             return rng.sample(self._eligible, self.assignments_per_hit)
         # Fewer eligible workers than assignments: reuse workers (AMT would
-        # simply leave assignments unfilled; reusing keeps the simulation
-        # simple and is noted in DESIGN.md).
+        # simply leave assignments unfilled; reusing keeps every pair at
+        # ``assignments_per_hit`` votes, so a small pool prices like a
+        # large one).
         return [rng.choice(self._eligible) for _ in range(self.assignments_per_hit)]

@@ -2,8 +2,8 @@
 
 The paper evaluates on two real datasets that are not redistributable
 offline, so this package generates synthetic equivalents calibrated to have
-the same structure and a similar likelihood/recall profile (see DESIGN.md
-for the substitution rationale):
+the same structure and a similar likelihood/recall profile
+(``docs/datasets.md`` lists them beside the bundled real-style corpora):
 
 * :func:`load_restaurant` — 858 restaurant records with 4 attributes and
   106 duplicate pairs (the Fodors/Zagat "Restaurant" dataset).

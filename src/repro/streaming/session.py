@@ -193,11 +193,9 @@ class StreamingResolver:
         self._arrived_truth = 0
         self._aggregation = AggregationSchedule(self.config, self.storage.ledger)
         self._batch_index = 0
-        # Fresh votes folded in by the event being applied, or the last one:
-        # the pairs whose posteriors the event must re-run, and what an
-        # earlier store format's outcome record carries, which a replay
-        # verifies.
-        self._last_fresh_votes: Dict[PairKey, List[Vote]] = {}
+        # The pairs that gained votes in the event being applied, or the
+        # last one: those whose posteriors the event must re-run.
+        self._fresh_pairs: Set[PairKey] = set()
         if fresh:
             self.durability.attach(self)
 
@@ -243,10 +241,9 @@ class StreamingResolver:
     def state_digest(self) -> str:
         """Exact digest of the aggregated state (posteriors, cost, HITs).
 
-        An earlier store format recorded it with every event's outcome, and
-        a replay of such a store's tail re-checks it, so a restore that
-        diverged from the original session by even one float bit is
-        detected instead of silently trusted.
+        Nothing in a session reads it: it is what tests, the benchmark
+        harness and ``examples/durable_streaming.py`` compare, so a restore
+        that diverged from the original session by even one float bit shows.
         """
         return persistence.state_digest(
             self._ledger.posteriors, self.driver.cost, self.driver.hit_count
@@ -405,7 +402,7 @@ class StreamingResolver:
             self._apply_truth(truth_pairs)
         self._batch_index += 1
         delta = StreamingDelta(batch_index=self._batch_index, new_records=len(batch))
-        self._last_fresh_votes = {}
+        self._fresh_pairs = set()
         logger.debug("batch %d: %d records arriving", self._batch_index, len(batch))
 
         with obs.span("streaming.batch", batch=len(batch), index=self._batch_index):
@@ -449,7 +446,7 @@ class StreamingResolver:
             late_roots = {find(key[0]) for key, _ in arrived.completed} - dirty_roots
 
             # Stage 4: re-aggregate what changed.
-            with obs.span("streaming.batch.aggregate", pairs=len(self._last_fresh_votes)):
+            with obs.span("streaming.batch.aggregate", pairs=len(self._fresh_pairs)):
                 self._aggregate(dirty_roots | late_roots, delta)
 
             self.components.clear_dirty()
@@ -460,7 +457,7 @@ class StreamingResolver:
         """Apply a retraction (a ``retract`` event, or an update's first half)."""
         self._batch_index += 1
         delta = StreamingDelta(batch_index=self._batch_index, retracted_records=1)
-        self._last_fresh_votes = {}
+        self._fresh_pairs = set()
         logger.debug("event %d: retracting record %s", self._batch_index, record_id)
 
         with obs.span("streaming.retract", index=self._batch_index):
@@ -517,7 +514,7 @@ class StreamingResolver:
 
     def _settle(self) -> ResolutionResult:
         """Apply a flush; answers with the settled resolution."""
-        self._last_fresh_votes = {}
+        self._fresh_pairs = set()
         with obs.span("streaming.flush"):
             # Settle the crowd first — nothing in flight afterwards — then
             # re-aggregate the pairs it completed (a flush reports no delta
@@ -525,7 +522,7 @@ class StreamingResolver:
             shed = set(self.driver.starved)
             self._fold(self.driver.settle(self._ledger.pairs, self._truth), StreamingDelta())
             self._reclassify(shed)
-            self._aggregation.flush(self._last_fresh_votes.keys(), self._expand_components)
+            self._aggregation.flush(self._fresh_pairs, self._expand_components)
         return self.snapshot()
 
     def _emit_delta_metrics(self, delta: StreamingDelta) -> None:
@@ -555,7 +552,7 @@ class StreamingResolver:
             self._ledger.mark_covered(set().union(*(keys for _, keys in step.coverage)))
         for key, votes in step.completed:
             self._ledger.record_fresh_votes(key, votes)
-            self._last_fresh_votes[key] = votes
+            self._fresh_pairs.add(key)
         delta.regenerated_hits += len(step.coverage)
         delta.crowdsourced_pairs += len(step.completed)
 
@@ -618,7 +615,7 @@ class StreamingResolver:
                 len(self._ledger.posteriors) - self.components.totals(roots)[POSTERIORS]
             )
         self._aggregation.aggregate(
-            self._last_fresh_votes.keys(), lambda: self._pairs_of_components(roots)
+            self._fresh_pairs, lambda: self._pairs_of_components(roots)
         )
 
     def _reclassify(self, keys: Iterable[PairKey]) -> None:
@@ -720,14 +717,16 @@ def resolve_stream(
     """
     config = config or WorkflowConfig()
     size = batch_size or config.stream_batch_size
-    resolver = StreamingResolver(config=config, cross_sources=dataset.cross_sources)
-    resolver.add_truth(dataset.ground_truth)
     if arrival_order is None:
         records = list(dataset.store)
     else:
-        records = [dataset.store.get(record_id) for record_id in arrival_order]
-        if len(records) != len(dataset.store):
+        # Checked before the session exists, so a bad order leaves no store.
+        order = list(arrival_order)
+        if len(order) != len(dataset.store) or set(order) != set(dataset.store.record_ids):
             raise ValueError("arrival_order must cover every record exactly once")
+        records = [dataset.store.get(record_id) for record_id in order]
+    resolver = StreamingResolver(config=config, cross_sources=dataset.cross_sources)
+    resolver.add_truth(dataset.ground_truth)
     try:
         for start in range(0, len(records), size):
             resolver.add_batch(records[start : start + size])

@@ -215,3 +215,44 @@ class TestStoreSchema:
         finally:
             store.close()
         assert documented == actual
+
+
+class TestNamedFilesExist:
+    """Every repo file the repo names exists: a file that is deleted or
+    renamed fails here until every page, script and workflow that names it
+    is mended.  The harness (``benchmarks/harness/``) is not scanned; what
+    it names is checked wherever the rest of the repo names it."""
+
+    #: A repo path (``benchmarks/…``, ``tools/…``, ``examples/…``,
+    #: ``tests/…``, ``docs/…``), a committed ``BENCH_*.json`` or a root
+    #: ``*.md``, each standing on its own (not inside a longer path).
+    PATH = re.compile(
+        r"(?<![\w/.-])(?:(?:benchmarks|tools|examples|tests|docs)/[\w/.*-]*\w"
+        r"|BENCH_\w+\.json|[A-Z][A-Z_]*\.md)(?![\w*])"
+    )
+
+    @staticmethod
+    def scanned():
+        python = [
+            path
+            for top in ("src", "tools", "examples", "benchmarks")
+            for path in sorted((REPO_ROOT / top).rglob("*.py"))
+            if not path.is_relative_to(REPO_ROOT / "benchmarks" / "harness")
+        ]
+        return [
+            *doc_pages(),
+            REPO_ROOT / "README.md",
+            REPO_ROOT / ".github" / "workflows" / "ci.yml",
+            REPO_ROOT / ".claude" / "skills" / "verify" / "SKILL.md",
+            *python,
+        ]
+
+    def test_every_named_repo_file_exists(self):
+        missing = []
+        for source in self.scanned():
+            text = source.read_text(encoding="utf-8")
+            for number, line in enumerate(text.splitlines(), 1):
+                for name in self.PATH.findall(line):
+                    if not any(REPO_ROOT.glob(name)):
+                        missing.append(f"{source.relative_to(REPO_ROOT)}:{number}: {name}")
+        assert not missing, "named but not in the repo:\n" + "\n".join(missing)

@@ -277,10 +277,25 @@ class TestIncrementalBehaviour:
         with pytest.raises(ValueError):
             WorkflowConfig(stream_batch_size=0)
 
-    def test_resolve_stream_rejects_partial_order(self):
+    @pytest.mark.parametrize("durable", (False, True))
+    @pytest.mark.parametrize("flaw", ("short", "unknown id", "repeated id"))
+    def test_resolve_stream_rejects_partial_order(self, tmp_path, flaw, durable):
+        """An order that is not a permutation of the store's ids is refused
+        before the session exists: a durable one writes no file and holds
+        no lock, so the same directory then takes a correct order."""
         dataset = make_dataset(record_count=20, duplicate_pairs=3)
+        ids = dataset.store.record_ids
+        order = {
+            "short": ids[:-1],
+            "unknown id": ids[:-1] + ["no-such-record"],
+            "repeated id": ids[:-1] + ids[:1],
+        }[flaw]
+        directory = tmp_path / "session"
+        config = WorkflowConfig(checkpoint_dir=str(directory) if durable else None)
         with pytest.raises(ValueError):
-            resolve_stream(dataset, arrival_order=dataset.store.record_ids[:-1])
+            resolve_stream(dataset, config=config, arrival_order=order)
+        assert not directory.exists()
+        assert resolve_stream(dataset, config=config, arrival_order=ids).candidate_count
 
 
 # -------------------------------------------------------- property (random)
@@ -555,7 +570,7 @@ def check_region_counters(resolver):
     def walking():
         roots = components.dirty_roots()
         region = walk_region(resolver, roots)
-        fresh = resolver._last_fresh_votes.keys()
+        fresh = resolver._fresh_pairs
         late = {components.find(key[0]) for key in fresh} - roots
         aggregated = region | walk_region(resolver, late)
         component_scope = resolver.config.streaming_aggregation_scope == "component"
@@ -687,7 +702,7 @@ class TestPairIndependentSkip:
             resolver.add_batch([Record(filler[:5], {"t": filler})])
         assert resolver.snapshot().posteriors == {("r1", "r2"): 1.0}
         growth = resolver.add_batch(self.GROWING[1])
-        assert not resolver._last_fresh_votes
+        assert not resolver._fresh_pairs
         assert resolver.snapshot().posteriors == {("r1", "r2"): 1.0}
         assert reuse_counters(growth) == (0, 1)
         assert resolver.flush().posteriors == {
