@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, Iterable, List, Mapping, Tuple
+from typing import Dict, Iterable, Tuple
 
 from repro.records.pairs import canonical_pair
 
@@ -56,11 +56,3 @@ class MajorityAggregator:
         """
         probabilities = self.aggregate(votes)
         return {key: probability > threshold for key, probability in probabilities.items()}
-
-
-def vote_matrix(votes: Iterable[Vote]) -> Mapping[Tuple[str, str], List[Tuple[str, bool]]]:
-    """Group votes by pair: pair key -> list of (worker, answer)."""
-    grouped: Dict[Tuple[str, str], List[Tuple[str, bool]]] = defaultdict(list)
-    for worker_id, pair_key, answer in votes:
-        grouped[canonical_pair(*pair_key)].append((worker_id, answer))
-    return grouped

@@ -508,18 +508,16 @@ def _replay_stream(args: argparse.Namespace, dataset, resolver: StreamingResolve
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    """Render a per-session cost report from a store or a trace file."""
+    """Render a per-session cost report from a session's store or a trace file."""
     try:
         if args.trace:
             report = CostReport.from_trace(args.trace)
-        elif args.store:
-            report = CostReport.from_store(args.store)
         elif args.checkpoint_dir:
             report = CostReport.from_store(
                 str(Path(args.checkpoint_dir) / STORE_FILENAME)
             )
         else:
-            _LOG.error("error: stats needs --store, --checkpoint-dir or --trace")
+            _LOG.error("error: stats needs --checkpoint-dir or --trace")
             return 2
     except (OSError, ValueError, PersistenceError) as error:
         _LOG.error(f"error: {error}")
@@ -646,13 +644,11 @@ def build_parser() -> argparse.ArgumentParser:
     stats = subparsers.add_parser(
         "stats",
         help="render a per-session cost report (HITs, votes, machine vs. "
-             "crowd time split) from a store or trace file",
+             "crowd time split) from a session's store or a trace file",
     )
-    stats.add_argument("--store", type=str, default=None, metavar="PATH",
-                       help="SQLite session store file to report on")
     stats.add_argument("--checkpoint-dir", type=str, default=None,
-                       help="checkpoint directory holding a SQLite store "
-                            f"({STORE_FILENAME})")
+                       help="session directory whose store "
+                            f"({STORE_FILENAME}) to report on")
     stats.add_argument("--trace", type=str, default=None, metavar="PATH",
                        help="JSONL trace file to report on instead of a store")
     stats.add_argument("--json", action="store_true",

@@ -16,7 +16,7 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -68,13 +68,6 @@ class CrowdRunResult:
         whenever a platform leaves assignments unfilled.
         """
         return len(self.assignment_seconds)
-
-    def votes_by_pair(self) -> Dict[Tuple[str, str], List[bool]]:
-        """Group the raw answers by pair key."""
-        grouped: Dict[Tuple[str, str], List[bool]] = {}
-        for _worker, pair_key, answer in self.votes:
-            grouped.setdefault(pair_key, []).append(answer)
-        return grouped
 
 
 class SimulatedCrowdPlatform:
@@ -132,32 +125,15 @@ class SimulatedCrowdPlatform:
         self.latency = LatencyModel()
         self.seed = seed
         self.vote_mode = vote_mode
-        self._rejected_count = 0
-        # Eligibility cache keyed on the pool's membership version: churn
-        # (add/remove worker) invalidates it, everything else — including
-        # every publish — reuses the filtered list instead of re-running
-        # the qualification test per call.
-        self._eligible_version: Optional[int] = None
-        self._eligible_workers: List[Worker] = []
-        _ = self._eligible  # warm the cache so _rejected_count is set
-
-    @property
-    def _eligible(self) -> List[Worker]:
-        if self._eligible_version != self.pool.version:
-            self._eligible_workers = self._determine_eligible_workers()
-            self._eligible_version = self.pool.version
-        return self._eligible_workers
-
-    def _determine_eligible_workers(self) -> List[Worker]:
-        if self.qualification is None:
-            return self.pool.workers
-        qualified, rejected = self.qualification.filter_pool(self.pool)
+        # The pool is fixed for the platform's life, so the qualification
+        # test is given once, here, and every publish reads this list.
+        qualified, rejected = (
+            qualification.filter_pool(self.pool) if qualification else ([], [])
+        )
         self._rejected_count = len(rejected)
-        if not qualified:
-            # Degenerate configuration (everyone failed); fall back to the
-            # full pool so the simulation can still proceed.
-            return self.pool.workers
-        return qualified
+        # Everyone failing is a degenerate configuration: fall back to the
+        # full pool so the simulation can still proceed.
+        self._eligible: List[Worker] = qualified or self.pool.workers
 
     # ----------------------------------------------------------------- run
     def publish(

@@ -36,13 +36,3 @@ class PricingModel:
     def total_cost(self, hit_count: int, assignments_per_hit: int = 3) -> float:
         """Total dollar cost of publishing and paying for a batch."""
         return self.assignment_count(hit_count, assignments_per_hit) * self.cost_per_assignment
-
-    def naive_pair_cost(self, record_count: int, pairs_per_hit: int, assignments_per_hit: int = 1) -> float:
-        """Cost of the naive human-only approach over all n*(n-1)/2 pairs.
-
-        This is the back-of-envelope number the introduction uses to argue
-        that batching alone does not make crowdsourced ER affordable.
-        """
-        total_pairs = record_count * (record_count - 1) // 2
-        hit_count = -(-total_pairs // pairs_per_hit)  # ceiling division
-        return self.total_cost(hit_count, assignments_per_hit)

@@ -145,6 +145,24 @@ class Worker:
         return answers
 
 
+def _mix(
+    size: int, reliable_fraction: float, noisy_fraction: float, spammer_fraction: float
+) -> Tuple[int, int, int]:
+    """Reliable, noisy and spammer counts of a ``size``-worker pool.
+
+    The reliable and noisy counts are rounded and spammers are the rest.
+    Rounding half to even can make the two rounded counts overshoot
+    ``size``, or leave a remainder when there should be no spammer, so the
+    noisy count absorbs the difference then: the counts sum to ``size`` and
+    a zero fraction gets no worker.
+    """
+    reliable = round(size * reliable_fraction)
+    noisy = round(size * noisy_fraction)
+    if not spammer_fraction or reliable + noisy > size:
+        noisy = size - reliable
+    return reliable, noisy, size - reliable - noisy
+
+
 class WorkerPool:
     """A pool of simulated workers with a configurable reliability mix."""
 
@@ -152,10 +170,6 @@ class WorkerPool:
         if not workers:
             raise ValueError("a worker pool needs at least one worker")
         self._workers = list(workers)
-        #: Bumped on every membership change so platform-side eligibility
-        #: caches can key on ``(pool identity, version)`` and invalidate
-        #: exactly when churn happens instead of re-deriving per publish.
-        self.version = 0
 
     @classmethod
     def build(
@@ -166,43 +180,21 @@ class WorkerPool:
         spammer_fraction: float = 0.10,
         seed: int = 0,
     ) -> "WorkerPool":
-        """Build a pool with the given mix of profiles (fractions sum to 1)."""
+        """Build a pool of exactly ``size`` workers with the given mix of
+        profiles (fractions sum to 1; see :func:`_mix`)."""
         if size < 1:
             raise ValueError("size must be at least 1")
         total = reliable_fraction + noisy_fraction + spammer_fraction
         if abs(total - 1.0) > 1e-6:
             raise ValueError("profile fractions must sum to 1")
-        counts = {
-            "reliable": int(round(size * reliable_fraction)),
-            "noisy": int(round(size * noisy_fraction)),
-        }
-        counts["spammer"] = size - counts["reliable"] - counts["noisy"]
+        counts = _mix(size, reliable_fraction, noisy_fraction, spammer_fraction)
         workers: List[Worker] = []
         index = 0
-        for profile, count in (
-            (RELIABLE, counts["reliable"]),
-            (NOISY, counts["noisy"]),
-            (SPAMMER, max(0, counts["spammer"])),
-        ):
+        for profile, count in zip((RELIABLE, NOISY, SPAMMER), counts):
             for _ in range(count):
                 workers.append(Worker(f"worker-{index + 1}", profile, seed=seed + index))
                 index += 1
         return cls(workers)
-
-    def add_worker(self, worker: Worker) -> None:
-        """Add a worker to the pool (churn: someone comes online)."""
-        self._workers.append(worker)
-        self.version += 1
-
-    def remove_worker(self, worker_id: str) -> Worker:
-        """Remove a worker by id (churn: someone goes offline)."""
-        for index, worker in enumerate(self._workers):
-            if worker.worker_id == worker_id:
-                if len(self._workers) == 1:
-                    raise ValueError("cannot remove the last worker of a pool")
-                self.version += 1
-                return self._workers.pop(index)
-        raise KeyError(f"no worker {worker_id!r} in the pool")
 
     def __len__(self) -> int:
         return len(self._workers)
@@ -214,7 +206,3 @@ class WorkerPool:
     def workers(self) -> List[Worker]:
         """All workers in the pool."""
         return list(self._workers)
-
-    def spammer_count(self) -> int:
-        """Number of spammer workers in the pool."""
-        return sum(1 for worker in self._workers if worker.profile.spammer_mode is not None)

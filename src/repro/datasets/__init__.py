@@ -19,8 +19,7 @@ seed.
 
 Real-style benchmark corpora (Abt-Buy / Amazon-Google shape) load through
 the ETL layer (:mod:`repro.etl`), re-exported here as :func:`load_corpus` /
-:func:`available_corpora`; :func:`corrupt_dataset` produces id-stable
-corrupted variants of any dataset (gold pairs stay valid).
+:func:`available_corpora`.
 """
 
 from repro.datasets.base import Dataset
@@ -28,8 +27,6 @@ from repro.datasets.restaurant import RestaurantGenerator, load_restaurant
 from repro.datasets.product import ProductGenerator, load_product
 from repro.datasets.product_dup import ProductDupGenerator, load_product_dup
 from repro.datasets.corruption import (
-    corrupt_dataset,
-    corrupt_record,
     swap_random_tokens,
     drop_random_token,
     introduce_typo,
@@ -63,8 +60,6 @@ __all__ = [
     "load_product",
     "ProductDupGenerator",
     "load_product_dup",
-    "corrupt_dataset",
-    "corrupt_record",
     "swap_random_tokens",
     "drop_random_token",
     "introduce_typo",

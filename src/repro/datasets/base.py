@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, Optional, Tuple
 
 from repro.records.pairs import canonical_pair
 from repro.records.record import RecordStore
@@ -61,22 +61,3 @@ class Dataset:
     def is_match(self, id_a: str, id_b: str) -> bool:
         """True if the two records are a ground-truth match."""
         return canonical_pair(id_a, id_b) in self.ground_truth
-
-    def entity_groups(self) -> List[List[str]]:
-        """Group record ids into entities via the ground-truth matches."""
-        parent: Dict[str, str] = {record.record_id: record.record_id for record in self.store}
-
-        def find(record_id: str) -> str:
-            while parent[record_id] != record_id:
-                parent[record_id] = parent[parent[record_id]]
-                record_id = parent[record_id]
-            return record_id
-
-        for id_a, id_b in self.ground_truth:
-            root_a, root_b = find(id_a), find(id_b)
-            if root_a != root_b:
-                parent[root_b] = root_a
-        groups: Dict[str, List[str]] = {}
-        for record in self.store:
-            groups.setdefault(find(record.record_id), []).append(record.record_id)
-        return list(groups.values())

@@ -10,9 +10,7 @@ what shapes the Table-2 likelihood/recall profile.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Sequence
-
-from repro.records.record import Record, RecordStore
+from typing import Dict, List
 
 
 def swap_random_tokens(text: str, rng: random.Random) -> str:
@@ -79,101 +77,3 @@ def abbreviate_tokens(text: str, abbreviations: Dict[str, str], rng: random.Rand
         else:
             result.append(token)
     return " ".join(result)
-
-
-def shuffle_tokens(text: str, rng: random.Random) -> str:
-    """Return the text with its tokens in random order."""
-    tokens = text.split()
-    rng.shuffle(tokens)
-    return " ".join(tokens)
-
-
-#: Named corruption operators usable by :func:`corrupt_dataset`.
-CORRUPTIONS = {
-    "swap": swap_random_tokens,
-    "drop": drop_random_token,
-    "typo": introduce_typo,
-}
-
-
-def corrupt_record(record: "Record", seed: int, corruptions: Sequence[str]) -> "Record":
-    """Return an **id-stable** corrupted copy of one record.
-
-    The perturbation is a pure function of ``(seed, record_id)`` — the RNG
-    is derived from both, never from iteration order or store membership —
-    so corrupting a corpus record-by-record, in any order, over any subset,
-    always produces the same corrupted text for the same record.  The
-    record id and source tag are preserved untouched.
-    """
-    rng = random.Random(f"{seed}|{record.record_id}")
-    updates = {}
-    for attribute, value in record.attributes.items():
-        if not value or not value.strip():
-            continue
-        operator = CORRUPTIONS[rng.choice(list(corruptions))]
-        updates[attribute] = operator(value, rng)
-    return record.with_attributes(**updates) if updates else record
-
-
-def corrupt_dataset(
-    dataset,
-    seed: int = 0,
-    fraction: float = 0.3,
-    corruptions: Sequence[str] = ("swap", "drop", "typo"),
-):
-    """Return a corrupted variant of a dataset with **identical ids and gold pairs**.
-
-    A deterministic per-record coin (keyed on ``(seed, record_id)``, like
-    the perturbation itself) selects ``fraction`` of the records for
-    corruption; each selected record's text attributes are perturbed by one
-    of the named ``corruptions`` (see :data:`CORRUPTIONS`).  Record ids,
-    source tags, insertion order and the ``ground_truth`` pair set are
-    carried over unchanged — so gold-pair ids in the corrupted variant
-    always resolve, and metrics on the corrupted corpus are directly
-    comparable to the clean one.
-
-    Earlier corruption helpers operated on bare text and left id handling
-    to each caller, which made it easy to produce variants whose gold pairs
-    referenced regenerated ids; this entry point owns that invariant
-    (``tests/test_datasets.py`` pins it).
-    """
-    from repro.datasets.base import Dataset
-
-    if not 0.0 <= fraction <= 1.0:
-        raise ValueError("fraction must be in [0, 1]")
-    unknown = [name for name in corruptions if name not in CORRUPTIONS]
-    if unknown:
-        raise ValueError(f"unknown corruption(s) {unknown}; choose from {sorted(CORRUPTIONS)}")
-    store = RecordStore(name=f"{dataset.store.name}-corrupted")
-    corrupted_count = 0
-    for record in dataset.store:
-        coin = random.Random(f"{seed}|select|{record.record_id}").random()
-        if coin < fraction:
-            store.add(corrupt_record(record, seed, corruptions))
-            corrupted_count += 1
-        else:
-            store.add(record)
-    metadata = dict(dataset.metadata)
-    metadata["corruption"] = {
-        "seed": seed,
-        "fraction": fraction,
-        "corruptions": list(corruptions),
-        "corrupted_records": corrupted_count,
-        "base_dataset": dataset.name,
-    }
-    return Dataset(
-        name=f"{dataset.name}-corrupted",
-        store=store,
-        ground_truth=dataset.ground_truth,
-        cross_sources=dataset.cross_sources,
-        metadata=metadata,
-    )
-
-
-def pick_subset(tokens: Sequence[str], keep_fraction: float, rng: random.Random) -> List[str]:
-    """Keep a random subset of the tokens (at least one), preserving order."""
-    if not tokens:
-        return []
-    keep_count = max(1, int(round(len(tokens) * keep_fraction)))
-    indices = sorted(rng.sample(range(len(tokens)), min(keep_count, len(tokens))))
-    return [tokens[index] for index in indices]

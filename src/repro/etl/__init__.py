@@ -27,20 +27,18 @@ the unglamorous work real data needs:
   metric is attributable to the exact corpus bytes that produced it;
 * **checksum manifests** — each corpus directory ships a ``manifest.json``
   whose per-file SHA-256 digests are verified on load
-  (:mod:`repro.etl.manifest`); the optional download path caches fetched
-  files and verifies them against the same manifest.
+  (:mod:`repro.etl.manifest`).
 
 Bundled, offline-friendly mini-corpora (~500 records each, committed under
 ``repro/etl/data/``) back the default registry entries, so
-``load_corpus("abt-buy")`` works with no network; pass ``data_dir`` to load
-the full corpora from disk, or ``download=True`` to fetch + cache them.
+``load_corpus("abt-buy")`` works with no network; the full corpora load
+through ``data_dir`` once their files are in the repository.
 """
 
 from repro.etl.loader import CorpusSpec, EtlError, SourceSpec, load_corpus_from_dir
 from repro.etl.manifest import (
     Manifest,
     ManifestError,
-    fetch_corpus,
     load_manifest,
     sha256_file,
     verify_manifest,
@@ -61,7 +59,6 @@ __all__ = [
     "load_corpus_from_dir",
     "Manifest",
     "ManifestError",
-    "fetch_corpus",
     "load_manifest",
     "sha256_file",
     "verify_manifest",

@@ -9,8 +9,7 @@ bytes the loader is allowed to consume::
       "license": "CC-BY 4.0",
       "variant": "bundled-mini",
       "files": {
-        "Abt.csv":  {"sha256": "...", "bytes": 32768,
-                      "url": "https://.../Abt.csv"},
+        "Abt.csv":  {"sha256": "...", "bytes": 32768},
         "Buy.csv":  {"sha256": "...", "bytes": 31744}
       },
       "normalization": ["strip_accents", "normalize_text", "parse_price_currency"]
@@ -19,10 +18,8 @@ bytes the loader is allowed to consume::
 :func:`verify_manifest` recomputes every digest and raises
 :class:`ManifestError` with a per-file message on any mismatch — a corpus
 whose bytes drifted produces an *attributable* error instead of a silently
-different benchmark baseline.  :func:`fetch_corpus` is the optional
-download+cache path: files are fetched into a cache directory once and
-verified against the same digests, so online and offline loads are
-guaranteed byte-identical.
+different benchmark baseline.  ``source_url`` is provenance only: nothing
+is fetched, a corpus loads from files on disk.
 """
 
 from __future__ import annotations
@@ -46,7 +43,6 @@ class FileStamp:
 
     sha256: str
     bytes: int
-    url: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -59,32 +55,6 @@ class Manifest:
     license: Optional[str] = None
     variant: Optional[str] = None
     normalization: List[str] = field(default_factory=list)
-
-    def to_dict(self) -> Dict[str, object]:
-        payload: Dict[str, object] = {
-            "corpus": self.corpus,
-            "files": {
-                name: {
-                    key: value
-                    for key, value in (
-                        ("sha256", stamp.sha256),
-                        ("bytes", stamp.bytes),
-                        ("url", stamp.url),
-                    )
-                    if value is not None
-                }
-                for name, stamp in self.files.items()
-            },
-        }
-        if self.source_url:
-            payload["source_url"] = self.source_url
-        if self.license:
-            payload["license"] = self.license
-        if self.variant:
-            payload["variant"] = self.variant
-        if self.normalization:
-            payload["normalization"] = list(self.normalization)
-        return payload
 
 
 def sha256_file(path: Path) -> str:
@@ -111,11 +81,7 @@ def load_manifest(directory: Path) -> Manifest:
     for name, stamp in payload["files"].items():
         if "sha256" not in stamp or "bytes" not in stamp:
             raise ManifestError(f"{path}: file entry {name!r} needs 'sha256' and 'bytes'")
-        files[name] = FileStamp(
-            sha256=str(stamp["sha256"]),
-            bytes=int(stamp["bytes"]),
-            url=stamp.get("url"),
-        )
+        files[name] = FileStamp(sha256=str(stamp["sha256"]), bytes=int(stamp["bytes"]))
     return Manifest(
         corpus=str(payload["corpus"]),
         files=files,
@@ -159,53 +125,3 @@ def verify_manifest(directory: Path, manifest: Optional[Manifest] = None) -> Man
             + "\n  ".join(problems)
         )
     return manifest
-
-
-def fetch_corpus(
-    manifest: Manifest,
-    cache_dir: Path,
-    timeout: float = 30.0,
-) -> Path:
-    """Download the manifest's files into ``cache_dir`` and verify them.
-
-    Files already present with the right digest are not re-fetched, so the
-    cache directory is populated exactly once per corpus version.  Every
-    file entry needs a ``url`` (or the manifest a ``source_url`` base);
-    a missing URL or a network failure raises :class:`ManifestError` with
-    a pointer at the bundled offline corpora — the download path is an
-    *optional* convenience, never a requirement.
-    """
-    import urllib.error
-    import urllib.request
-
-    cache_dir = Path(cache_dir)
-    cache_dir.mkdir(parents=True, exist_ok=True)
-    for name, stamp in manifest.files.items():
-        target = cache_dir / name
-        if target.is_file() and sha256_file(target) == stamp.sha256:
-            continue
-        url = stamp.url or (
-            manifest.source_url.rstrip("/") + "/" + name if manifest.source_url else None
-        )
-        if url is None:
-            raise ManifestError(
-                f"corpus {manifest.corpus!r}: no download URL for {name}; "
-                f"use the bundled mini corpus or pass data_dir="
-            )
-        try:
-            with urllib.request.urlopen(url, timeout=timeout) as response:
-                payload = response.read()
-        except (urllib.error.URLError, OSError) as error:
-            raise ManifestError(
-                f"corpus {manifest.corpus!r}: download of {name} from {url} failed "
-                f"({error}); use the bundled mini corpus or pass data_dir="
-            ) from error
-        target.write_bytes(payload)
-    # A serialized manifest makes the cache directory a self-contained,
-    # verifiable corpus directory.
-    manifest_path = cache_dir / MANIFEST_FILENAME
-    manifest_path.write_text(
-        json.dumps(manifest.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    verify_manifest(cache_dir, manifest)
-    return cache_dir

@@ -1,9 +1,9 @@
 """Corpus registry: name → loader, resolved by the CLI and the matrix.
 
 ``load_corpus("abt-buy")`` loads the bundled offline mini corpus;
-``load_corpus("abt-buy", data_dir=...)`` loads a full corpus download from
-disk (same schema, same manifest verification); ``download=True`` fetches
-and caches the files named by a directory's manifest.  New corpora in the
+``load_corpus("abt-buy", data_dir=...)`` loads the full corpus once its
+files and ``manifest.json`` are in that directory (same schema, same
+manifest verification).  New corpora in the
 two-CSVs-plus-gold-mapping shape register with
 :func:`register_corpus` — see ``docs/datasets.md`` for a walkthrough.
 """
@@ -15,7 +15,6 @@ from typing import Dict, Optional, Tuple
 
 from repro.datasets.base import Dataset
 from repro.etl.loader import CorpusSpec, EtlError, SourceSpec, load_corpus_from_dir
-from repro.etl.manifest import fetch_corpus, load_manifest
 
 #: Bundled mini-corpus data directories, committed with the package.
 _DATA_ROOT = Path(__file__).resolve().parent / "data"
@@ -55,8 +54,6 @@ def bundled_corpus_dir(name: str) -> Path:
 def load_corpus(
     name: str,
     data_dir: Optional[str] = None,
-    download: bool = False,
-    cache_dir: Optional[str] = None,
     verify_checksums: bool = True,
 ) -> Dataset:
     """Load a registered corpus as a :class:`~repro.datasets.base.Dataset`.
@@ -68,28 +65,12 @@ def load_corpus(
     data_dir:
         Directory holding the corpus CSVs + ``manifest.json``; ``None``
         uses the bundled offline mini corpus.
-    download:
-        Fetch the files named by the manifest's URLs into ``cache_dir``
-        (default ``~/.cache/repro/etl/<name>``) and load from there.
-        Verified against the same checksums, so online and offline loads
-        are byte-identical — and a clear :class:`ManifestError` (not a
-        hang or a stack trace) reports offline environments.
     verify_checksums:
         Verify the manifest digests before reading (default).  Only
         disable for ad-hoc directories without a manifest.
     """
     spec = corpus_spec(name)
-    if download:
-        directory = Path(data_dir) if data_dir else bundled_corpus_dir(name)
-        manifest = load_manifest(directory)
-        cache = Path(cache_dir) if cache_dir else (
-            Path.home() / ".cache" / "repro" / "etl" / spec.name
-        )
-        directory = fetch_corpus(manifest, cache)
-    elif data_dir is not None:
-        directory = Path(data_dir)
-    else:
-        directory = bundled_corpus_dir(name)
+    directory = Path(data_dir) if data_dir is not None else bundled_corpus_dir(name)
     return load_corpus_from_dir(spec, directory, verify_checksums=verify_checksums)
 
 

@@ -11,19 +11,16 @@ from repro.evaluation.metrics import (
     f1_score,
     precision_recall_curve,
     average_precision,
-    recall_at_threshold,
 )
 from repro.evaluation.threshold_table import threshold_table, ThresholdRow
-from repro.evaluation.reporting import format_table, format_pr_curve
+from repro.evaluation.reporting import format_table
 
 __all__ = [
     "precision_recall",
     "f1_score",
     "precision_recall_curve",
     "average_precision",
-    "recall_at_threshold",
     "threshold_table",
     "ThresholdRow",
     "format_table",
-    "format_pr_curve",
 ]

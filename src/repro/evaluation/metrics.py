@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
+from typing import Iterable, List, Sequence, Set, Tuple
 
 from repro.records.pairs import canonical_pair
 
@@ -96,22 +96,3 @@ def average_precision(
     if true_positives == 0:
         return 0.0
     return precision_sum / len(truth_set)
-
-
-def precision_at_recall(
-    curve: Sequence[Tuple[float, float]], recall_level: float
-) -> float:
-    """Best precision achieved at or beyond a given recall level."""
-    eligible = [precision for recall, precision in curve if recall >= recall_level]
-    return max(eligible) if eligible else 0.0
-
-
-def recall_at_threshold(
-    scored_pairs: Dict[PairKey, float],
-    ground_truth: Iterable[PairKey],
-    threshold: float,
-) -> float:
-    """Recall of the pairs whose score is at or above a threshold."""
-    predicted = [key for key, score in scored_pairs.items() if score >= threshold]
-    _, recall = precision_recall(predicted, ground_truth)
-    return recall

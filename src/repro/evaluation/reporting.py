@@ -7,7 +7,7 @@ output of ``pytest benchmarks/`` is directly comparable with the paper.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Mapping, Sequence, Tuple
+from typing import List, Mapping, Sequence
 
 
 def format_table(
@@ -39,21 +39,4 @@ def format_table(
     lines.append("  ".join("-" * width for width in widths))
     for row in rendered_rows:
         lines.append("  ".join(cell.ljust(widths[index]) for index, cell in enumerate(row)))
-    return "\n".join(lines)
-
-
-def format_pr_curve(
-    curve: Iterable[Tuple[float, float]],
-    label: str,
-    recall_levels: Sequence[float] = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0),
-) -> str:
-    """Summarise a PR curve at fixed recall levels (one line per level)."""
-    curve = list(curve)
-    lines = [f"precision-recall curve: {label}"]
-    for level in recall_levels:
-        eligible = [precision for recall, precision in curve if recall >= level - 1e-9]
-        if eligible:
-            lines.append(f"  recall>={level:.1f}: precision {max(eligible) * 100:6.1f}%")
-        else:
-            lines.append(f"  recall>={level:.1f}: unreachable")
     return "\n".join(lines)

@@ -80,11 +80,6 @@ class ClusterBasedHIT:
         """The records of the HIT as a set."""
         return set(self.records)
 
-    def contains_pair(self, id_a: str, id_b: str) -> bool:
-        """True if both records are in the HIT (so the pair can be checked)."""
-        members = self.record_ids
-        return id_a in members and id_b in members
-
     def checkable_pairs(self, candidate_pairs: Optional[Iterable[Tuple[str, str]]] = None) -> Set[Tuple[str, str]]:
         """Pairs this HIT can check.
 
@@ -180,14 +175,6 @@ class HITBatch:
         """The largest HIT size in the batch."""
         sizes = [hit.size for hit in self.hits]  # type: ignore[attr-defined]
         return max(sizes) if sizes else 0
-
-    def pair_to_hits(self) -> Dict[Tuple[str, str], List[str]]:
-        """Map every candidate pair to the ids of the HITs that can check it."""
-        mapping: Dict[Tuple[str, str], List[str]] = {key: [] for key in self.candidate_pairs}
-        for hit, carried in zip(self.hits, self.carried_pairs()):
-            for key in carried:
-                mapping[key].append(hit.hit_id)  # type: ignore[attr-defined]
-        return mapping
 
 
 def validate_cluster_cover(

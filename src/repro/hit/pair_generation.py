@@ -16,7 +16,6 @@ large dirty region is re-batched in one streaming event.
 
 from __future__ import annotations
 
-import math
 from typing import List
 
 from repro import obs
@@ -35,12 +34,6 @@ class PairHITGenerator:
             raise ValueError("pairs_per_hit must be at least 1")
         self.pairs_per_hit = pairs_per_hit
         self.order_by_likelihood = order_by_likelihood
-
-    def expected_hit_count(self, pair_count: int) -> int:
-        """ceil(|P| / k): the number of HITs the generator will produce."""
-        if pair_count <= 0:
-            return 0
-        return math.ceil(pair_count / self.pairs_per_hit)
 
     def generate(self, pairs: PairSet) -> HITBatch:
         """Generate the pair-based HIT batch for the given candidate pairs."""

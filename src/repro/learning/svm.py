@@ -102,15 +102,3 @@ class LinearSVM:
         if features.ndim == 1:
             features = features.reshape(1, -1)
         return features @ self.weights + self.bias
-
-    def predict(self, features: np.ndarray) -> np.ndarray:
-        """Binary 0/1 predictions."""
-        return (self.decision_function(features) > 0).astype(int)
-
-    def score_probability(self, features: np.ndarray) -> np.ndarray:
-        """Squash decision values into (0, 1) with a logistic link.
-
-        These are *not* calibrated probabilities; they are only used to rank
-        pairs, which is all the precision-recall evaluation needs.
-        """
-        return 1.0 / (1.0 + np.exp(-self.decision_function(features)))

@@ -70,14 +70,16 @@ _runtime: Optional[ObsRuntime] = None
 def activate(trace_path: Optional[str] = None) -> ObsRuntime:
     """Turn observability on for this process (idempotent).
 
-    Creates the global runtime if absent; if one is already active, a
-    ``trace_path`` attaches a sink only when none is attached yet.
+    Creates the global runtime if absent and returns the active one
+    otherwise.  A runtime's trace sink is fixed when it is created, so
+    asking an active runtime without one for a trace is an error rather
+    than a trace that is never written.
     """
     global _runtime
     if _runtime is None:
         _runtime = ObsRuntime(trace_path)
-    elif trace_path is not None:
-        _runtime.attach_sink(trace_path)
+    elif trace_path is not None and _runtime.sink is None:
+        raise RuntimeError("observability is already active without a trace; deactivate() it first")
     return _runtime
 
 

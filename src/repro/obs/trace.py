@@ -132,10 +132,6 @@ class ObsRuntime:
         self.sink: Optional[TraceSink] = TraceSink(trace_path) if trace_path else None
         self._span_ids = itertools.count(1)
 
-    def attach_sink(self, trace_path: str) -> None:
-        if self.sink is None:
-            self.sink = TraceSink(trace_path)
-
     @staticmethod
     def current_span() -> Optional[Span]:
         """The innermost span open in the calling thread or asyncio task."""

@@ -8,7 +8,7 @@ layer builds on.
 
 from repro.records.record import Record, RecordStore
 from repro.records.pairs import RecordPair, PairSet
-from repro.records.preprocessing import normalize_text, normalize_record
+from repro.records.preprocessing import normalize_text
 from repro.records.tokenize import (
     WhitespaceTokenizer,
     record_token_set,
@@ -20,7 +20,6 @@ __all__ = [
     "RecordPair",
     "PairSet",
     "normalize_text",
-    "normalize_record",
     "WhitespaceTokenizer",
     "record_token_set",
 ]

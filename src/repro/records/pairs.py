@@ -79,10 +79,6 @@ class RecordPair:
             return NotImplemented
         return self.key == other.key
 
-    def contains(self, record_id: str) -> bool:
-        """True if ``record_id`` is one of the two records of the pair."""
-        return record_id == self.id_a or record_id == self.id_b
-
     def other(self, record_id: str) -> str:
         """Given one record id of the pair, return the other one."""
         if record_id == self.id_a:
@@ -199,8 +195,3 @@ class PairSet:
     def to_key_set(self) -> FrozenSet[Tuple[str, str]]:
         """Frozen set of canonical keys (useful as ground truth)."""
         return frozenset(self._pairs.keys())
-
-    @classmethod
-    def from_keys(cls, keys: Iterable[Tuple[str, str]]) -> "PairSet":
-        """Build a pair set (without likelihoods) from id tuples."""
-        return cls(RecordPair(a, b) for a, b in keys)

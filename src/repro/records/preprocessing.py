@@ -2,16 +2,12 @@
 
 The paper pre-processes both datasets by replacing non-alphanumeric
 characters with whitespace and lower-casing all letters (Section 7.1).
-This module implements exactly that, plus a couple of convenience helpers
-used by the dataset generators.
+This module implements exactly that.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Mapping
-
-from repro.records.record import Record
 
 _NON_ALNUM = re.compile(r"[^0-9a-zA-Z]+")
 _WHITESPACE = re.compile(r"\s+")
@@ -31,20 +27,3 @@ def normalize_text(text: str) -> str:
     cleaned = _NON_ALNUM.sub(" ", text)
     cleaned = _WHITESPACE.sub(" ", cleaned)
     return cleaned.strip().lower()
-
-
-def normalize_record(record: Record) -> Record:
-    """Return a copy of ``record`` with every attribute value normalised."""
-    normalized: Mapping[str, str] = {
-        name: normalize_text(value) for name, value in record.attributes.items()
-    }
-    return Record(record_id=record.record_id, attributes=normalized, source=record.source)
-
-
-def strip_price_symbols(value: str) -> str:
-    """Remove currency symbols and thousands separators from a price string.
-
-    >>> strip_price_symbols("$1,299.00")
-    '1299.00'
-    """
-    return value.replace("$", "").replace(",", "").strip()

@@ -143,26 +143,6 @@ class RecordStore:
             store.add(record)
         return store
 
-    @classmethod
-    def from_rows(
-        cls,
-        rows: Iterable[Mapping[str, str]],
-        id_attribute: str = "record_id",
-        name: str = "records",
-        source: Optional[str] = None,
-    ) -> "RecordStore":
-        """Build a store from plain dict rows.
-
-        The ``id_attribute`` column is used as the record id and removed
-        from the attribute mapping.
-        """
-        store = cls(name=name)
-        for index, row in enumerate(rows):
-            row = dict(row)
-            record_id = str(row.pop(id_attribute, f"r{index + 1}"))
-            store.add(Record(record_id=record_id, attributes=row, source=source))
-        return store
-
     def add(self, record: Record) -> None:
         """Add a record; raises :class:`RecordError` on duplicate ids."""
         if record.record_id in self._by_id:
@@ -200,14 +180,6 @@ class RecordStore:
         """Return all records tagged with the given source."""
         return [record for record in self if record.source == source]
 
-    def sources(self) -> List[str]:
-        """Return distinct source tags in first-seen order."""
-        seen: List[str] = []
-        for record in self:
-            if record.source is not None and record.source not in seen:
-                seen.append(record.source)
-        return seen
-
     def attribute_names(self) -> List[str]:
         """Union of attribute names across all records, in first-seen order."""
         names: List[str] = []
@@ -216,30 +188,6 @@ class RecordStore:
                 if name not in names:
                     names.append(name)
         return names
-
-    def all_pairs(self) -> Iterator[Tuple[Record, Record]]:
-        """Yield every unordered pair of distinct records.
-
-        This is the O(n^2) enumeration the paper's "naive" crowdsourcing
-        approach would have to verify; the hybrid workflow exists precisely
-        to avoid sending all of these to the crowd.
-        """
-        return self._record_pairs(None)
-
-    def cross_source_pairs(self, source_a: str, source_b: str) -> Iterator[Tuple[Record, Record]]:
-        """Yield pairs with one record from each of the two given sources.
-
-        With ``source_a == source_b`` that is every unordered pair of
-        distinct records of that source, each once.
-        """
-        return self._record_pairs((source_a, source_b))
-
-    def _record_pairs(
-        self, cross_sources: Optional[Tuple[str, str]]
-    ) -> Iterator[Tuple[Record, Record]]:
-        records = list(self)
-        for i, j in pair_indices(records, cross_sources):
-            yield records[i], records[j]
 
     def total_pair_count(self) -> int:
         """Number of unordered pairs n*(n-1)/2."""

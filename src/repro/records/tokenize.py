@@ -40,13 +40,3 @@ def record_token_set(
     """
     tokenizer = tokenizer or WhitespaceTokenizer()
     return tokenizer.token_set(record.text(attributes))
-
-
-def record_token_list(
-    record: Record,
-    attributes: Optional[Sequence[str]] = None,
-    tokenizer: Optional[WhitespaceTokenizer] = None,
-) -> List[str]:
-    """Return the token multiset (list) of a record over the chosen attributes."""
-    tokenizer = tokenizer or WhitespaceTokenizer()
-    return tokenizer.tokenize(record.text(attributes))

@@ -16,8 +16,6 @@ from repro.similarity.set_similarity import (
 from repro.similarity.edit_distance import (
     levenshtein_distance,
     levenshtein_similarity,
-    jaro_similarity,
-    jaro_winkler_similarity,
 )
 from repro.similarity.record_similarity import (
     RecordSimilarity,
@@ -33,8 +31,6 @@ __all__ = [
     "cosine_token_similarity",
     "levenshtein_distance",
     "levenshtein_similarity",
-    "jaro_similarity",
-    "jaro_winkler_similarity",
     "RecordSimilarity",
     "JaccardRecordSimilarity",
     "AttributeSimilarity",

@@ -1,4 +1,4 @@
-"""Character-level string similarities: Levenshtein, Jaro and Jaro-Winkler.
+"""Character-level string similarity: Levenshtein.
 
 Edit distance is one of the two similarity functions the paper's SVM
 baseline computes per attribute (following Koepcke et al. [18]).  The
@@ -49,58 +49,3 @@ def levenshtein_similarity(text_a: str, text_b: str) -> float:
         return 1.0
     longest = max(len(text_a), len(text_b))
     return 1.0 - levenshtein_distance(text_a, text_b) / longest
-
-
-def jaro_similarity(text_a: str, text_b: str) -> float:
-    """Jaro similarity between two strings (in [0, 1])."""
-    if text_a == text_b:
-        return 1.0
-    len_a, len_b = len(text_a), len(text_b)
-    if len_a == 0 or len_b == 0:
-        return 0.0
-    match_window = max(len_a, len_b) // 2 - 1
-    match_window = max(match_window, 0)
-
-    matched_a = [False] * len_a
-    matched_b = [False] * len_b
-    matches = 0
-    for i, char_a in enumerate(text_a):
-        start = max(0, i - match_window)
-        end = min(i + match_window + 1, len_b)
-        for j in range(start, end):
-            if matched_b[j] or text_b[j] != char_a:
-                continue
-            matched_a[i] = True
-            matched_b[j] = True
-            matches += 1
-            break
-    if matches == 0:
-        return 0.0
-
-    transpositions = 0
-    j = 0
-    for i in range(len_a):
-        if not matched_a[i]:
-            continue
-        while not matched_b[j]:
-            j += 1
-        if text_a[i] != text_b[j]:
-            transpositions += 1
-        j += 1
-    transpositions //= 2
-    return (
-        matches / len_a + matches / len_b + (matches - transpositions) / matches
-    ) / 3.0
-
-
-def jaro_winkler_similarity(text_a: str, text_b: str, prefix_weight: float = 0.1) -> float:
-    """Jaro-Winkler similarity with the standard common-prefix boost."""
-    if not 0.0 <= prefix_weight <= 0.25:
-        raise ValueError("prefix_weight must be in [0, 0.25]")
-    jaro = jaro_similarity(text_a, text_b)
-    prefix_length = 0
-    for char_a, char_b in zip(text_a[:4], text_b[:4]):
-        if char_a != char_b:
-            break
-        prefix_length += 1
-    return jaro + prefix_length * prefix_weight * (1.0 - jaro)

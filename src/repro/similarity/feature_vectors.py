@@ -10,7 +10,7 @@ distance and cosine similarity on the four Restaurant attributes (an
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -68,11 +68,6 @@ class FeatureExtractor:
     def dimension(self) -> int:
         """Number of feature dimensions."""
         return len(self.specs)
-
-    @property
-    def feature_names(self) -> List[str]:
-        """Names of the feature dimensions in order."""
-        return [spec.name for spec in self.specs]
 
     def extract(self, record_a: Record, record_b: Record) -> np.ndarray:
         """Return the feature vector of one record pair."""

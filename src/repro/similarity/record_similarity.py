@@ -10,7 +10,7 @@ feature vectors are built.
 
 from __future__ import annotations
 
-from typing import Any, Callable, FrozenSet, Iterable, Optional, Sequence
+from typing import Any, FrozenSet, Optional, Sequence
 
 from repro.records.record import Record
 from repro.records.tokenize import WhitespaceTokenizer, record_token_set
@@ -128,32 +128,3 @@ class AttributeSimilarity(RecordSimilarity):
         return set_function(
             self._tokenizer.token_set(value_a), self._tokenizer.token_set(value_b)
         )
-
-
-class CallableRecordSimilarity(RecordSimilarity):
-    """Adapter wrapping an arbitrary ``(Record, Record) -> float`` callable."""
-
-    def __init__(self, function: Callable[[Record, Record], float], name: str = "custom") -> None:
-        self._function = function
-        self.name = name
-
-    def similarity(self, record_a: Record, record_b: Record) -> float:
-        value = self._function(record_a, record_b)
-        if not 0.0 <= value <= 1.0:
-            raise ValueError(f"similarity callable returned {value}, expected a value in [0, 1]")
-        return value
-
-
-def average_similarity(
-    similarities: Iterable[RecordSimilarity],
-) -> CallableRecordSimilarity:
-    """Combine several record similarities by unweighted averaging."""
-    functions = list(similarities)
-    if not functions:
-        raise ValueError("at least one similarity is required")
-
-    def combined(record_a: Record, record_b: Record) -> float:
-        return sum(f.similarity(record_a, record_b) for f in functions) / len(functions)
-
-    name = "avg(" + ",".join(f.name for f in functions) + ")"
-    return CallableRecordSimilarity(combined, name=name)

@@ -80,17 +80,3 @@ def cosine_token_similarity(tokens_a: Sequence[str], tokens_b: Sequence[str]) ->
     if norm_a == 0.0 or norm_b == 0.0:
         return 0.0
     return dot / (norm_a * norm_b)
-
-
-def jaccard_bag_similarity(tokens_a: Sequence[str], tokens_b: Sequence[str]) -> float:
-    """Multiset (bag) Jaccard similarity using minimum / maximum counts."""
-    counts_a = Counter(tokens_a)
-    counts_b = Counter(tokens_b)
-    if not counts_a and not counts_b:
-        return 1.0
-    all_tokens = set(counts_a) | set(counts_b)
-    intersection = sum(min(counts_a.get(t, 0), counts_b.get(t, 0)) for t in all_tokens)
-    union = sum(max(counts_a.get(t, 0), counts_b.get(t, 0)) for t in all_tokens)
-    if union == 0:
-        return 1.0
-    return intersection / union

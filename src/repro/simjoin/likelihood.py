@@ -18,7 +18,7 @@ from typing import Optional, Sequence, Tuple
 from repro import obs
 from repro.records.pairs import PairSet
 from repro.records.record import RecordStore
-from repro.similarity.record_similarity import JaccardRecordSimilarity, RecordSimilarity
+from repro.similarity.record_similarity import JaccardRecordSimilarity
 from repro.simjoin.allpairs import all_pairs_similarity
 
 #: The accepted ``join_backend`` values: the kernel and the test oracle.
@@ -104,28 +104,3 @@ class SimJoinLikelihood(LikelihoodEstimator):
             obs.inc("simjoin_candidates_total", len(pairs), backend=engine,
                     help="Candidate pairs at or above the likelihood threshold.")
         return pairs
-
-
-@dataclass
-class CustomLikelihood(LikelihoodEstimator):
-    """Adapter running any :class:`RecordSimilarity` as a likelihood estimator."""
-
-    similarity: RecordSimilarity = None  # type: ignore[assignment]
-    name: str = "custom"
-
-    def __post_init__(self) -> None:
-        if self.similarity is None:
-            raise ValueError("a RecordSimilarity instance is required")
-
-    def estimate(
-        self,
-        store: RecordStore,
-        min_likelihood: float = 0.0,
-        cross_sources: Optional[Tuple[str, str]] = None,
-    ) -> PairSet:
-        return all_pairs_similarity(
-            store,
-            similarity=self.similarity,
-            min_likelihood=min_likelihood,
-            cross_sources=cross_sources,
-        )

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from repro.aggregation.dawid_skene import DawidSkeneAggregator
-from repro.aggregation.majority import MajorityAggregator, majority_vote, vote_matrix
+from repro.aggregation.majority import MajorityAggregator, majority_vote
 from repro.records.pairs import canonical_pair
 
 
@@ -42,11 +42,6 @@ class TestMajority:
         votes = [("w1", ("b", "a"), True), ("w2", ("a", "b"), True)]
         fractions = majority_vote(votes)
         assert fractions == {("a", "b"): 1.0}
-
-    def test_vote_matrix_groups_by_pair(self):
-        votes = [("w1", ("a", "b"), True), ("w2", ("a", "b"), False)]
-        matrix = vote_matrix(votes)
-        assert len(matrix[("a", "b")]) == 2
 
 
 class TestDawidSkene:

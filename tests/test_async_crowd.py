@@ -33,13 +33,11 @@ from repro.crowd import (
     AsyncCrowdPlatform,
     BackpressureError,
     FaultPlan,
+    QualificationTest,
     SimulatedCrowdPlatform,
-    Worker,
-    WorkerPool,
 )
 from repro.crowd import async_platform
 from repro.crowd.latency import LatencyModel
-from repro.crowd.worker import RELIABLE
 from repro.datasets.restaurant import RestaurantGenerator
 from repro.hit.base import HITBatch, PairBasedHIT
 from repro.records.pairs import canonical_pair
@@ -306,34 +304,50 @@ class TestAsyncPlatform:
         assert left == right
 
 
-# ------------------------------------------------- eligibility cache (bugfix)
-class TestWorkerEligibilityCache:
-    def test_eligible_list_is_cached_between_publishes(self):
-        platform = make_platform()
-        assert platform._eligible is platform._eligible  # same object, no rescan
+# ---------------------------------------------------------- worker eligibility
+@pytest.fixture
+def taken(monkeypatch):
+    """The ids of the workers that take a qualification test, in order."""
+    taken = []
+    administer = QualificationTest.administer
 
-    def test_pool_churn_invalidates_the_cache(self):
-        """Regression: eligibility was recomputed per publish; now it is
-        cached per (pool version) and must refresh when the pool churns."""
-        platform = make_platform()
-        before = platform._eligible
-        platform.pool.add_worker(Worker("late-joiner", RELIABLE, seed=99))
-        after = platform._eligible
-        assert after is not before
-        assert len(after) == len(before) + 1
-        removed = platform.pool.remove_worker("late-joiner")
-        assert removed.worker_id == "late-joiner"
-        assert len(platform._eligible) == len(before)
+    def counting(self, worker):
+        taken.append(worker.worker_id)
+        return administer(self, worker)
 
-    def test_remove_refuses_the_last_worker(self):
-        pool = WorkerPool([Worker("only", RELIABLE, seed=1)])
-        with pytest.raises(ValueError):
-            pool.remove_worker("only")
+    monkeypatch.setattr(QualificationTest, "administer", counting)
+    return taken
 
-    def test_remove_unknown_worker_raises(self):
-        pool = WorkerPool.build(size=4, seed=2)
-        with pytest.raises(KeyError):
-            pool.remove_worker("nobody")
+
+class TestWorkerEligibility:
+    @pytest.mark.parametrize("vote_mode", SimulatedCrowdPlatform.VOTE_MODES)
+    def test_the_qualification_test_is_given_once(self, taken, vote_mode):
+        """The pool is fixed for a platform's life, so each worker takes the
+        qualification test once, at construction, and no publish gives it
+        again (a retake would also advance the worker's answer stream)."""
+        platform = make_platform(qualification=QualificationTest(), vote_mode=vote_mode)
+        workers = sorted(worker.worker_id for worker in platform.pool)
+        assert sorted(taken) == workers
+        eligible = list(platform._eligible)
+        assert 0 < len(eligible) < len(workers)
+
+        pairs = grid_pairs(12)
+        results = [platform.publish(pair_batch(pairs), pairs[::3]) for _ in range(3)]
+        assert sorted(taken) == workers
+        assert platform._eligible == eligible
+        assert {result.rejected_worker_count for result in results} == {len(workers) - len(eligible)}
+        assert {result.qualified_worker_count for result in results} == {len(eligible)}
+
+    def test_an_async_crowd_gives_the_qualification_test_once(self, taken):
+        crowd = AsyncCrowdPlatform(
+            make_platform(qualification=QualificationTest()),
+            AsyncCrowd(vote_timeout=3, fault_plan=FaultPlan(**HOSTILE_PLAN)),
+        )
+        pool_size = len(crowd.inner.pool)
+        for count in (8, 12, 16):
+            crowd.publish(pair_batch(grid_pairs(count)), true_matches=set())
+        assert [vote for delivery in crowd.settle() for vote in delivery.votes]
+        assert len(taken) == pool_size
 
     def test_effective_workers_is_memoized(self):
         model = LatencyModel()

@@ -18,6 +18,7 @@ from repro.crowd.latency import LatencyModel
 from repro.crowd.platform import CrowdRunResult, SimulatedCrowdPlatform
 from repro.crowd.pricing import PricingModel
 from repro.crowd.qualification import QualificationTest
+from repro.crowd import worker as worker_module
 from repro.crowd.worker import NOISY, RELIABLE, SPAMMER, Worker, WorkerPool, WorkerProfile
 from repro.datasets.restaurant import RestaurantGenerator
 from repro.hit.base import ClusterBasedHIT, HITBatch, PairBasedHIT
@@ -87,11 +88,53 @@ class TestWorkerHITExecution:
         assert answers[("b", "c")] is False
 
 
+def make_up(pool):
+    counts = Counter(worker.profile.name for worker in pool)
+    return counts["reliable"], counts["noisy"], counts["spammer"]
+
+
 class TestWorkerPool:
-    def test_build_respects_size_and_mix(self):
-        pool = WorkerPool.build(size=20, seed=1)
-        assert len(pool) == 20
-        assert 0 < pool.spammer_count() < 20
+    @pytest.mark.parametrize("size, fractions, expected", [
+        # The default mix and bench_ablation_aggregation's three pools keep
+        # their make-up, so no vote moves.
+        (60, (0.75, 0.15, 0.10), (45, 9, 6)),
+        (20, (0.75, 0.15, 0.10), (15, 3, 2)),
+        (30, (0.75, 0.15, 0.10), (22, 4, 4)),
+        (4, (0.75, 0.15, 0.10), (3, 1, 0)),
+        (60, (0.9 - 0.1, 0.1, 0.1), (48, 6, 6)),
+        (60, (0.9 - 0.25, 0.1, 0.25), (39, 6, 15)),
+        (60, (0.9 - 0.4, 0.1, 0.4), (30, 6, 24)),
+        # Regression: rounding half to even gave (0.5, 0.5, 0) 4 workers at
+        # size 3 and a spammer at sizes 1 and 5.
+        (1, (0.5, 0.5, 0.0), (0, 1, 0)),
+        (3, (0.5, 0.5, 0.0), (2, 1, 0)),
+        (5, (0.5, 0.5, 0.0), (2, 3, 0)),
+    ])
+    def test_make_up(self, size, fractions, expected):
+        assert make_up(WorkerPool.build(size, *fractions, seed=17)) == expected
+
+    def test_every_mix_has_size_workers_and_none_for_a_zero_fraction(self):
+        tenths = [(r / 10, n / 10, (10 - r - n) / 10) for r in range(11) for n in range(11 - r)]
+        for size in range(1, 101):
+            for fractions in tenths:
+                counts = worker_module._mix(size, *fractions)
+                assert sum(counts) == size and min(counts) >= 0, (size, fractions, counts)
+                assert all(count == 0 for count, fraction in zip(counts, fractions)
+                           if fraction == 0), (size, fractions, counts)
+
+    def test_a_pool_needs_a_worker(self):
+        with pytest.raises(ValueError, match="at least 1"):
+            WorkerPool.build(size=0)
+
+    def test_workers_are_numbered_and_seeded_in_profile_order(self):
+        """Ids and seeds follow the make-up (reliable, noisy, spammer), so a
+        pool whose make-up is unchanged gives every worker the same id,
+        profile and answer stream, and no vote moves."""
+        pool = WorkerPool.build(size=20, seed=5)
+        assert [worker.worker_id for worker in pool] == [f"worker-{i}" for i in range(1, 21)]
+        assert [worker.profile for worker in pool] == [RELIABLE] * 15 + [NOISY] * 3 + [SPAMMER] * 2
+        twin = WorkerPool.build(size=20, seed=5)
+        assert [w.answer_comparison(True) for w in pool] == [w.answer_comparison(True) for w in twin]
 
     def test_fraction_validation(self):
         with pytest.raises(ValueError):
@@ -129,15 +172,6 @@ class TestPricing:
         assert pricing.total_cost(112, 3) == pytest.approx(8.4)
         # Product: 508 HITs * 3 assignments * $0.025 = $38.10
         assert pricing.total_cost(508, 3) == pytest.approx(38.1)
-
-    def test_naive_pair_cost_from_introduction(self):
-        pricing = PricingModel(reward_per_assignment=0.01, platform_fee_per_assignment=0.0)
-        # 10,000 records, k=20 pairs per HIT -> ~2.5M pairs / 20 = 2.5M HITs? No:
-        # n*(n-1)/2 ~ 50M pairs / 20 = 2.5M HITs at $0.01 -> $25k.  The paper's
-        # figure of 5M HITs corresponds to pair-based batching of 10 pairs; we
-        # simply check the formula is consistent.
-        cost = pricing.naive_pair_cost(10_000, pairs_per_hit=10, assignments_per_hit=1)
-        assert cost == pytest.approx(49_995_000 / 10 * 0.01)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -263,6 +297,22 @@ class TestPlatform:
         platform = SimulatedCrowdPlatform(pool=pool, qualification=QualificationTest(), seed=4)
         assert platform._eligible  # some workers qualified
         assert len(platform._eligible) < len(pool)
+
+    def test_without_qualification_every_worker_is_eligible(self):
+        pool = WorkerPool.build(size=12, seed=4)
+        platform = SimulatedCrowdPlatform(pool=pool, seed=4)
+        assert platform._eligible == pool.workers
+        result = platform.publish(self._cluster_batch(), {("a", "b")})
+        assert (result.qualified_worker_count, result.rejected_worker_count) == (0, 0)
+
+    def test_a_qualification_nobody_passes_falls_back_to_the_whole_pool(self):
+        pool = WorkerPool([Worker(f"s{i}", WorkerProfile("never", accuracy=0.0), seed=i)
+                           for i in range(5)])
+        platform = SimulatedCrowdPlatform(pool=pool, qualification=QualificationTest(), seed=4)
+        assert platform._eligible == pool.workers
+        result = platform.publish(self._cluster_batch(), {("a", "b")})
+        assert result.rejected_worker_count == 5
+        assert {vote[0] for vote in result.votes} <= {worker.worker_id for worker in pool}
 
     def test_reproducible_with_seed(self):
         result_a = SimulatedCrowdPlatform(seed=7).publish(self._cluster_batch(), {("a", "b")})

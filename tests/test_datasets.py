@@ -7,15 +7,10 @@ import pytest
 from repro.datasets.base import Dataset
 from repro.datasets.corruption import (
     abbreviate_tokens,
-    corrupt_dataset,
-    corrupt_record,
     drop_random_token,
     introduce_typo,
-    pick_subset,
-    shuffle_tokens,
     swap_random_tokens,
 )
-from repro.etl.registry import load_corpus
 from repro.datasets.paper_example import paper_example_matches, paper_example_store
 from repro.datasets.product import ProductGenerator
 from repro.datasets.product_dup import ProductDupGenerator
@@ -55,72 +50,6 @@ class TestCorruption:
         abbreviated = abbreviate_tokens(text, {"street": "st", "east": "e"}, self.rng, probability=1.0)
         assert abbreviated == "55 e st"
 
-    def test_shuffle_and_subset(self):
-        tokens = ["a", "b", "c", "d"]
-        subset = pick_subset(tokens, 0.5, self.rng)
-        assert 1 <= len(subset) <= 4
-        assert set(subset) <= set(tokens)
-        shuffled = shuffle_tokens("a b c d", self.rng)
-        assert sorted(shuffled.split()) == tokens
-
-
-class TestCorruptDataset:
-    """Id-stable corruption of whole datasets (ETL corpora included).
-
-    Regression: earlier corruption helpers operated on bare text and left
-    id handling to each caller, which could produce corrupted variants
-    whose gold pairs referenced regenerated ids.  ``corrupt_dataset`` owns
-    the invariant now — these tests pin it.
-    """
-
-    def test_gold_pairs_stay_valid_on_etl_corpus(self):
-        dataset = load_corpus("abt-buy")
-        corrupted = corrupt_dataset(dataset, seed=3, fraction=0.5)
-        assert corrupted.ground_truth == dataset.ground_truth
-        resident = set(corrupted.store.record_ids)
-        for id_a, id_b in corrupted.ground_truth:
-            assert id_a in resident and id_b in resident
-        assert sorted(corrupted.store.record_ids) == sorted(dataset.store.record_ids)
-
-    def test_corruption_is_a_function_of_seed_and_id(self):
-        """Same (seed, record) → same perturbation, regardless of order/subset."""
-        dataset = load_corpus("abt-buy")
-        records = list(dataset.store)
-        forward = {r.record_id: corrupt_record(r, 11, ("swap", "typo")) for r in records}
-        backward = {
-            r.record_id: corrupt_record(r, 11, ("swap", "typo"))
-            for r in reversed(records)
-        }
-        for record_id, record in forward.items():
-            assert record.attributes == backward[record_id].attributes
-
-    def test_whole_dataset_corruption_deterministic(self):
-        dataset = load_corpus("amazon-google")
-        a = corrupt_dataset(dataset, seed=5, fraction=0.3)
-        b = corrupt_dataset(dataset, seed=5, fraction=0.3)
-        assert [r.attributes for r in a.store] == [r.attributes for r in b.store]
-        changed = sum(
-            1
-            for original, variant in zip(dataset.store, a.store)
-            if original.attributes != variant.attributes
-        )
-        assert 0 < changed < dataset.record_count
-        assert a.metadata["corruption"]["corrupted_records"] >= changed
-
-    def test_corrupted_records_keep_id_and_source(self):
-        dataset = load_corpus("abt-buy")
-        corrupted = corrupt_dataset(dataset, seed=1, fraction=1.0)
-        for original, variant in zip(dataset.store, corrupted.store):
-            assert variant.record_id == original.record_id
-            assert variant.source == original.source
-
-    def test_invalid_arguments_rejected(self):
-        dataset = load_corpus("abt-buy")
-        with pytest.raises(ValueError):
-            corrupt_dataset(dataset, fraction=1.5)
-        with pytest.raises(ValueError):
-            corrupt_dataset(dataset, corruptions=("swap", "shred"))
-
 
 class TestDatasetContainer:
     def test_ground_truth_must_reference_known_records(self):
@@ -134,14 +63,6 @@ class TestDatasetContainer:
         assert dataset.is_match("r1", "r2")
         assert dataset.match_count == 1
         assert dataset.total_pair_count() == 1
-
-    def test_entity_groups_transitive(self):
-        store = RecordStore.from_records([Record(f"r{i}", {"n": str(i)}) for i in range(4)])
-        dataset = Dataset(
-            name="tiny", store=store, ground_truth=frozenset({("r0", "r1"), ("r1", "r2")})
-        )
-        sizes = sorted(len(group) for group in dataset.entity_groups())
-        assert sizes == [1, 3]
 
 
 class TestPaperExample:

@@ -31,7 +31,7 @@ from repro.etl import (
     strip_accents,
     verify_manifest,
 )
-from repro.etl.manifest import MANIFEST_FILENAME, FileStamp, Manifest, fetch_corpus
+from repro.etl.manifest import MANIFEST_FILENAME
 
 
 # ----------------------------------------------------------------- parsing
@@ -203,6 +203,24 @@ class TestManifest:
             verify_manifest(toy_dir)
         assert manifest.corpus == "abt-buy"
 
+    def test_urls_are_provenance_and_nothing_is_fetched(self, toy_dir):
+        """A manifest may name where its files came from; the load reads the
+        files on disk and carries ``source_url`` into the lineage."""
+        document = {
+            "corpus": "toy",
+            "source_url": "https://example.org/toy.zip",
+            "files": {
+                name: {"sha256": sha256_file(toy_dir / name),
+                       "bytes": (toy_dir / name).stat().st_size,
+                       "url": f"https://example.org/{name}"}
+                for name in ("left.csv", "right.csv", "gold.csv")
+            },
+        }
+        (toy_dir / MANIFEST_FILENAME).write_text(json.dumps(document))
+        dataset = load_corpus_from_dir(SPEC, toy_dir)
+        assert dataset.record_count == 4
+        assert dataset.metadata["lineage"]["source_url"] == "https://example.org/toy.zip"
+
     def test_missing_manifest_raises(self, tmp_path):
         with pytest.raises(ManifestError, match="no manifest"):
             load_manifest(tmp_path)
@@ -215,51 +233,6 @@ class TestManifest:
         (toy_dir / MANIFEST_FILENAME).write_text(json.dumps(document))
         with pytest.raises(ManifestError, match=r"ghost\.csv.*missing"):
             verify_manifest(toy_dir)
-
-    def test_fetch_without_urls_reports_offline_guidance(self, tmp_path):
-        manifest = Manifest(
-            corpus="toy",
-            files={"left.csv": FileStamp(sha256="0" * 64, bytes=1)},
-        )
-        with pytest.raises(ManifestError, match="no download URL.*bundled mini corpus"):
-            fetch_corpus(manifest, tmp_path / "cache")
-
-    def test_fetch_failure_reports_offline_guidance(self, tmp_path):
-        # file:// URL to a nonexistent path: a deterministic "download"
-        # failure without touching the network.
-        missing = tmp_path / "nowhere" / "left.csv"
-        manifest = Manifest(
-            corpus="toy",
-            files={
-                "left.csv": FileStamp(
-                    sha256="0" * 64, bytes=1, url=missing.as_uri()
-                )
-            },
-        )
-        with pytest.raises(ManifestError, match="failed.*bundled mini corpus"):
-            fetch_corpus(manifest, tmp_path / "cache")
-
-    def test_fetch_caches_and_verifies_via_file_urls(self, toy_dir, tmp_path):
-        manifest = Manifest(
-            corpus="toy",
-            files={
-                name: FileStamp(
-                    sha256=sha256_file(toy_dir / name),
-                    bytes=(toy_dir / name).stat().st_size,
-                    url=(toy_dir / name).as_uri(),
-                )
-                for name in ("left.csv", "right.csv", "gold.csv")
-            },
-        )
-        cache = fetch_corpus(manifest, tmp_path / "cache")
-        assert (cache / MANIFEST_FILENAME).is_file()
-        dataset = load_corpus_from_dir(SPEC, cache)
-        assert dataset.record_count == 4
-        # Second fetch into a warm cache re-verifies without re-downloading
-        # (the files keep their digests even if the source disappears).
-        for name in ("left.csv", "right.csv", "gold.csv"):
-            (toy_dir / name).unlink()
-        assert fetch_corpus(manifest, cache) == cache
 
 
 # ---------------------------------------------------------------- registry

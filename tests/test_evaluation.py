@@ -5,12 +5,10 @@ import pytest
 from repro.evaluation.metrics import (
     average_precision,
     f1_score,
-    precision_at_recall,
     precision_recall,
     precision_recall_curve,
-    recall_at_threshold,
 )
-from repro.evaluation.reporting import format_pr_curve, format_table
+from repro.evaluation.reporting import format_table
 from repro.evaluation.threshold_table import threshold_table
 
 
@@ -61,17 +59,6 @@ class TestCurves:
         assert len(curve) <= 12
         assert curve[-1][0] == pytest.approx(1.0)
 
-    def test_precision_at_recall(self):
-        curve = [(0.2, 1.0), (0.5, 0.9), (0.9, 0.6)]
-        assert precision_at_recall(curve, 0.4) == 0.9
-        assert precision_at_recall(curve, 0.95) == 0.0
-
-    def test_recall_at_threshold(self):
-        scored = {("a", "b"): 0.9, ("c", "d"): 0.4, ("e", "f"): 0.2}
-        truth = [("a", "b"), ("c", "d")]
-        assert recall_at_threshold(scored, truth, 0.5) == pytest.approx(0.5)
-        assert recall_at_threshold(scored, truth, 0.1) == 1.0
-
 
 class TestThresholdTable:
     def test_rows_are_monotone(self, small_restaurant):
@@ -110,10 +97,3 @@ class TestReporting:
     def test_format_table_missing_column(self):
         text = format_table([{"a": 1}], ["a", "b"])
         assert "a" in text and "b" in text
-
-    def test_format_pr_curve(self):
-        curve = [(0.5, 1.0), (1.0, 0.8)]
-        text = format_pr_curve(curve, "hybrid", recall_levels=(0.5, 1.0))
-        assert "hybrid" in text
-        assert "100.0%" in text
-        assert "80.0%" in text

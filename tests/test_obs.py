@@ -240,6 +240,24 @@ class TestNoopDefault:
         obs.inc("c_total", 2)
         assert obs.snapshot().counter_total("c_total") == 2
 
+    def test_a_runtime_without_a_trace_refuses_one(self, tmp_path):
+        """A trace asked of an active runtime that has none would never be
+        written; the call says so, and writes no file."""
+        first = obs.activate()
+        trace = tmp_path / "trace.jsonl"
+        with pytest.raises(RuntimeError, match="deactivate"):
+            obs.activate(trace_path=str(trace))
+        assert obs.runtime() is first and first.sink is None
+        assert not trace.exists()
+        obs.deactivate()
+        assert obs.activate(trace_path=str(trace)).sink is not None
+
+    def test_a_traced_runtime_keeps_its_trace(self, tmp_path):
+        first = obs.activate(trace_path=str(tmp_path / "first.jsonl"))
+        sink = first.sink
+        assert obs.activate(trace_path=str(tmp_path / "second.jsonl")) is first
+        assert obs.activate() is first and first.sink is sink
+
 
 # ------------------------------------------------- bit-identity property
 def _run_stream(dataset, tmp_path, backend, instrumented, tag):
@@ -584,10 +602,18 @@ def test_cli_resolve_output_does_not_depend_on_metrics(capsys):
     assert "matches found" in outputs[0]
 
 
+def test_cli_stats_names_a_store_by_its_session_directory_only(tmp_path, capsys):
+    """The store is always ``DIR/store.sqlite``: there is no ``--store``."""
+    with pytest.raises(SystemExit) as refused:
+        cli_main(["stats", "--store", str(tmp_path / STORE_FILENAME)])
+    assert refused.value.code == 2
+    assert "unrecognized arguments: --store" in capsys.readouterr().err
+
+
 def test_cli_stats_errors(tmp_path, capsys):
     assert cli_main(["stats"]) == 2
-    assert "needs --store" in capsys.readouterr().err
-    assert cli_main(["stats", "--store", str(tmp_path / "missing.sqlite")]) == 2
+    assert "needs --checkpoint-dir or --trace" in capsys.readouterr().err
+    assert cli_main(["stats", "--checkpoint-dir", str(tmp_path / "missing")]) == 2
     assert capsys.readouterr().err.startswith("error:")
 
 
@@ -619,7 +645,7 @@ def test_cli_stats_leaves_a_mistyped_directory_unwritten(tmp_path, capsys):
     typo = tmp_path / "x" / "typo"
     assert cli_main(["stats", "--checkpoint-dir", str(typo)]) == 2
     assert capsys.readouterr().err.startswith("error:")
-    assert cli_main(["stats", "--store", str(tmp_path / "missing.sqlite")]) == 2
+    assert cli_main(["stats", "--checkpoint-dir", str(tmp_path)]) == 2
     assert sorted(item.name for item in tmp_path.iterdir()) == []
     session = StreamingResolver(config=WorkflowConfig(checkpoint_dir=str(typo)))
     session.durability.close()
@@ -636,7 +662,6 @@ def test_an_empty_store_file_is_refused_unopened(tmp_path, capsys):
         StreamingResolver.restore(str(tmp_path))
     assert cli_main(["stats", "--checkpoint-dir", str(tmp_path)]) == 2
     assert "does not hold a resolution session" in capsys.readouterr().err
-    assert cli_main(["stats", "--store", str(store)]) == 2
     assert [(item.name, item.stat().st_size) for item in tmp_path.iterdir()] == [
         (STORE_FILENAME, 0)
     ]

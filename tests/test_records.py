@@ -3,9 +3,9 @@
 import pytest
 
 from repro.records.pairs import PairSet, RecordPair, canonical_pair
-from repro.records.preprocessing import normalize_record, normalize_text, strip_price_symbols
-from repro.records.record import Record, RecordError, RecordStore
-from repro.records.tokenize import WhitespaceTokenizer, record_token_list, record_token_set
+from repro.records.preprocessing import normalize_text
+from repro.records.record import Record, RecordError, RecordStore, pair_indices
+from repro.records.tokenize import WhitespaceTokenizer, record_token_set
 
 
 # ---------------------------------------------------------------- Record
@@ -70,41 +70,37 @@ class TestRecordStore:
         with pytest.raises(RecordError):
             store.add(Record("r1", {"name": "b"}))
 
-    def test_from_rows_uses_id_attribute(self):
-        store = RecordStore.from_rows(
-            [{"record_id": "x", "name": "a"}, {"record_id": "y", "name": "b"}]
-        )
-        assert store.record_ids == ["x", "y"]
-        assert "record_id" not in store.get("x").attributes
-
-    def test_from_rows_generates_ids_when_missing(self):
-        store = RecordStore.from_rows([{"name": "a"}, {"name": "b"}])
-        assert store.record_ids == ["r1", "r2"]
-
     def test_all_pairs_count(self):
-        store = RecordStore.from_rows([{"name": str(i)} for i in range(6)])
-        assert len(list(store.all_pairs())) == 15
-        assert store.total_pair_count() == 15
+        records = [Record(f"r{i}", {"name": str(i)}) for i in range(6)]
+        assert len(list(pair_indices(records))) == 15
+        assert RecordStore.from_records(records).total_pair_count() == 15
 
-    def test_sources_and_cross_source_pairs(self):
-        store = RecordStore()
-        store.add(Record("a1", {"name": "x"}, source="abt"))
-        store.add(Record("a2", {"name": "y"}, source="abt"))
-        store.add(Record("b1", {"name": "z"}, source="buy"))
-        assert store.sources() == ["abt", "buy"]
-        cross = list(store.cross_source_pairs("abt", "buy"))
-        assert len(cross) == 2
-        assert all(pair[0].source == "abt" and pair[1].source == "buy" for pair in cross)
+    def test_cross_source_pairs(self):
+        records = [
+            Record("a1", {"name": "x"}, source="abt"),
+            Record("a2", {"name": "y"}, source="abt"),
+            Record("b1", {"name": "z"}, source="buy"),
+        ]
+        assert list(pair_indices(records, ("abt", "buy"))) == [(0, 2), (1, 2)]
+
+    def test_cross_source_pairs_put_the_first_source_first(self):
+        records = [
+            Record("b0", {"name": "x"}, source="buy"),
+            Record("a0", {"name": "y"}, source="abt"),
+            Record("b1", {"name": "z"}, source="buy"),
+        ]
+        assert list(pair_indices(records, ("abt", "buy"))) == [(1, 0), (1, 2)]
+        assert list(pair_indices(records, ("buy", "abt"))) == [(0, 1), (2, 1)]
 
     def test_same_source_cross_pairs_are_that_sources_self_join(self):
-        store = RecordStore()
-        store.add(Record("r0", {"name": "x"}, source="a"))
-        store.add(Record("r1", {"name": "y"}, source="a"))
-        store.add(Record("r2", {"name": "z"}, source="b"))
-        store.add(Record("r3", {"name": "w"}, source="a"))
-        ids = [(a.record_id, b.record_id) for a, b in store.cross_source_pairs("a", "a")]
-        assert ids == [("r0", "r1"), ("r0", "r3"), ("r1", "r3")]
-        assert list(store.cross_source_pairs("b", "b")) == []
+        records = [
+            Record("r0", {"name": "x"}, source="a"),
+            Record("r1", {"name": "y"}, source="a"),
+            Record("r2", {"name": "z"}, source="b"),
+            Record("r3", {"name": "w"}, source="a"),
+        ]
+        assert list(pair_indices(records, ("a", "a"))) == [(0, 1), (0, 3), (1, 3)]
+        assert list(pair_indices(records, ("b", "b"))) == []
 
     def test_attribute_names_union_in_order(self):
         store = RecordStore()
@@ -148,16 +144,6 @@ class TestPreprocessing:
         assert normalize_text("") == ""
         assert normalize_text("!!!") == ""
 
-    def test_normalize_record(self):
-        record = Record("r1", {"name": "Oceana!", "city": "New York"})
-        normalized = normalize_record(record)
-        assert normalized.get("name") == "oceana"
-        assert normalized.get("city") == "new york"
-        assert normalized.record_id == "r1"
-
-    def test_strip_price_symbols(self):
-        assert strip_price_symbols("$1,299.00") == "1299.00"
-
 
 # ------------------------------------------------------------ tokenisers
 class TestTokenizers:
@@ -180,10 +166,6 @@ class TestTokenizers:
         assert record_token_set(record, ["name"]) == frozenset({"ipad", "two"})
         assert record_token_set(record, ("price", "name")) == frozenset({"ipad", "two", "490"})
         assert record_token_set(record, []) == frozenset()
-
-    def test_record_token_list_keeps_duplicates(self):
-        record = Record("r1", {"name": "a a b"})
-        assert record_token_list(record) == ["a", "a", "b"]
 
 
 # ------------------------------------------------------------------ pairs
@@ -238,7 +220,3 @@ class TestPairs:
         assert simple_pairs.record_ids() == {"a", "b", "c", "d", "e"}
         overlap = simple_pairs.intersection_keys([("b", "a"), ("x", "y")])
         assert overlap == {("a", "b")}
-
-    def test_from_keys_roundtrip(self):
-        keys = [("a", "b"), ("c", "d")]
-        assert PairSet.from_keys(keys).to_key_set() == frozenset(keys)

@@ -99,7 +99,7 @@ class TestCoverageNeverWalksTheCandidates:
         assert guarded == votes(set(CANDIDATES))
         assert {vote[1] for vote in guarded} == {("a", "b"), ("b", "c"), ("c", "d")}
 
-    def test_batch_bookkeeping_walks_once_not_once_per_hit(self):
+    def test_covered_pairs_walks_no_candidate_set(self):
         batch = HITBatch(
             hit_type="cluster",
             hits=[ClusterBasedHIT(f"h{i}", ("a", "b", "c")) for i in range(20)],
@@ -108,9 +108,6 @@ class TestCoverageNeverWalksTheCandidates:
         batch.candidate_pairs = CountingSet(batch.candidate_pairs)
         assert batch.covered_pairs() == {("a", "b"), ("b", "c")}
         assert batch.candidate_pairs.walks == 0
-        mapping = batch.pair_to_hits()
-        assert batch.candidate_pairs.walks == 1     # the dict of empty lists
-        assert len(mapping[("a", "b")]) == 20 and mapping[("x", "y")] == []
 
     def test_streaming_publish_walks_do_not_grow_with_the_hits(self, small_restaurant):
         """``CrowdDriver.request`` walks ``to_vote`` a fixed number of times

@@ -1,10 +1,9 @@
 """Unit tests for the machine pass: joins and likelihood estimation."""
 
-import pytest
 
 from repro.similarity.record_similarity import JaccardRecordSimilarity
 from repro.simjoin.allpairs import all_pairs_similarity
-from repro.simjoin.likelihood import CustomLikelihood, SimJoinLikelihood
+from repro.simjoin.likelihood import SimJoinLikelihood
 
 
 class TestAllPairs:
@@ -49,12 +48,3 @@ class TestLikelihoodEstimators:
     def test_simjoin_zero_threshold_returns_all_pairs(self, example_store):
         pairs = SimJoinLikelihood().estimate(example_store, min_likelihood=0.0)
         assert len(pairs) == 36
-
-    def test_custom_likelihood_requires_similarity(self):
-        with pytest.raises(ValueError):
-            CustomLikelihood()
-
-    def test_custom_likelihood_runs(self, example_store):
-        estimator = CustomLikelihood(similarity=JaccardRecordSimilarity(["product_name"]))
-        pairs = estimator.estimate(example_store, min_likelihood=0.3)
-        assert len(pairs) == 10
