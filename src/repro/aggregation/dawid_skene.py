@@ -39,57 +39,35 @@ class DawidSkeneResult:
     iterations: int = 0
     converged: bool = False
 
-    def decisions(self, threshold: float = 0.5) -> Dict[Tuple[str, str], bool]:
-        """Binary decisions from the match posteriors."""
-        return {key: posterior > threshold for key, posterior in self.posteriors.items()}
+    def decisions(self) -> Dict[Tuple[str, str], bool]:
+        """Binary decisions: a match posterior strictly above 0.5."""
+        return {key: posterior > 0.5 for key, posterior in self.posteriors.items()}
 
 
 class DawidSkeneAggregator:
     """Binary Dawid-Skene EM with majority-vote initialisation.
 
-    Parameters
-    ----------
-    max_iterations:
-        Maximum number of EM iterations.
-    tolerance:
-        Convergence threshold on the maximum absolute change of any pair
-        posterior between iterations.
-    smoothing:
-        Strength (pseudo-count) of the worker prior added to the
-        confusion-matrix counts.  Besides avoiding degenerate 0/1
-        probabilities it anchors the model against the label-switching
-        symmetry of the two-coin Dawid-Skene model, which matters when each
-        worker only has a handful of votes (e.g. a single three-assignment
-        HIT batch on a small dataset).
-    anchor_accuracy:
-        Prior belief about worker accuracy used for the anchoring
-        pseudo-counts; must be above 0.5 so that "workers are better than
-        chance" breaks the symmetry.  Real vote counts override the prior as
-        soon as a worker has more than a few votes.
+    EM runs at most ``MAX_ITERATIONS`` iterations and stops once no pair
+    posterior moves by ``TOLERANCE`` or more.  ``SMOOTHING`` is the strength
+    (pseudo-count) of the worker prior added to the confusion-matrix counts.
+    Besides avoiding degenerate 0/1 probabilities it anchors the model
+    against the label-switching symmetry of the two-coin Dawid-Skene model,
+    which matters when each worker only has a handful of votes (e.g. a
+    single three-assignment HIT batch on a small dataset).
+    ``ANCHOR_ACCURACY`` is the prior belief about worker accuracy behind
+    those pseudo-counts; it is above 0.5 so that "workers are better than
+    chance" breaks the symmetry.  Real vote counts override the prior as
+    soon as a worker has more than a few votes.
     """
 
     name = "dawid-skene"
     #: EM shares the worker confusion matrices and the class prior across
     #: pairs, so one pair's votes move every posterior aggregated with it.
     pair_independent = False
-
-    def __init__(
-        self,
-        max_iterations: int = 100,
-        tolerance: float = 1e-6,
-        smoothing: float = 4.0,
-        anchor_accuracy: float = 0.75,
-    ) -> None:
-        if max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
-        if smoothing <= 0:
-            raise ValueError("smoothing must be positive")
-        if not 0.5 < anchor_accuracy <= 1.0:
-            raise ValueError("anchor_accuracy must be in (0.5, 1]")
-        self.max_iterations = max_iterations
-        self.tolerance = tolerance
-        self.smoothing = smoothing
-        self.anchor_accuracy = anchor_accuracy
+    MAX_ITERATIONS = 100
+    TOLERANCE = 1e-6
+    SMOOTHING = 4.0
+    ANCHOR_ACCURACY = 0.75
 
     def aggregate(self, votes: Iterable[Vote]) -> Dict[Tuple[str, str], float]:
         """Return the per-pair match posterior (interface shared with majority)."""
@@ -145,15 +123,15 @@ class DawidSkeneAggregator:
 
         iterations = 0
         converged = False
-        for iterations in range(1, self.max_iterations + 1):
+        for iterations in range(1, self.MAX_ITERATIONS + 1):
             # M-step: re-estimate worker parameters and the class prior.
             # Pseudo-counts encode the "better than chance" worker prior.
             p_match = posterior[pair_positions]
-            anchor = self.anchor_accuracy * self.smoothing
-            total_match = self.smoothing + np.bincount(
+            anchor = self.ANCHOR_ACCURACY * self.SMOOTHING
+            total_match = self.SMOOTHING + np.bincount(
                 worker_positions, weights=p_match, minlength=n_workers
             )
-            total_nonmatch = self.smoothing + np.bincount(
+            total_nonmatch = self.SMOOTHING + np.bincount(
                 worker_positions, weights=1.0 - p_match, minlength=n_workers
             )
             yes_match = anchor + np.bincount(
@@ -189,7 +167,7 @@ class DawidSkeneAggregator:
 
             change = float(np.max(np.abs(new_posterior - posterior)))
             posterior = new_posterior
-            if change < self.tolerance:
+            if change < self.TOLERANCE:
                 converged = True
                 break
 

@@ -46,13 +46,8 @@ class MajorityAggregator:
         """Return the per-pair match probability under majority voting."""
         return majority_vote(votes)
 
-    def decisions(
-        self, votes: Iterable[Vote], threshold: float = 0.5
-    ) -> Dict[Tuple[str, str], bool]:
-        """Binary match decisions: yes-fraction strictly above the threshold.
-
-        The default threshold of 0.5 means a strict majority is required,
-        with ties resolved as "non-match" (the conservative choice).
-        """
+    def decisions(self, votes: Iterable[Vote]) -> Dict[Tuple[str, str], bool]:
+        """Binary match decisions: a strict majority of yes votes, with ties
+        resolved as "non-match" (the conservative choice)."""
         probabilities = self.aggregate(votes)
-        return {key: probability > threshold for key, probability in probabilities.items()}
+        return {key: probability > 0.5 for key, probability in probabilities.items()}

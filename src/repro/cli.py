@@ -512,13 +512,10 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     try:
         if args.trace:
             report = CostReport.from_trace(args.trace)
-        elif args.checkpoint_dir:
+        else:
             report = CostReport.from_store(
                 str(Path(args.checkpoint_dir) / STORE_FILENAME)
             )
-        else:
-            _LOG.error("error: stats needs --checkpoint-dir or --trace")
-            return 2
     except (OSError, ValueError, PersistenceError) as error:
         _LOG.error(f"error: {error}")
         return 2
@@ -646,11 +643,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="render a per-session cost report (HITs, votes, machine vs. "
              "crowd time split) from a session's store or a trace file",
     )
-    stats.add_argument("--checkpoint-dir", type=str, default=None,
-                       help="session directory whose store "
-                            f"({STORE_FILENAME}) to report on")
-    stats.add_argument("--trace", type=str, default=None, metavar="PATH",
-                       help="JSONL trace file to report on instead of a store")
+    source = stats.add_mutually_exclusive_group(required=True)
+    source.add_argument("--checkpoint-dir", type=str, default=None,
+                        help="session directory whose store "
+                             f"({STORE_FILENAME}) to report on")
+    source.add_argument("--trace", type=str, default=None, metavar="PATH",
+                        help="JSONL trace file to report on instead of a store")
     stats.add_argument("--json", action="store_true",
                        help="emit the report as JSON instead of text")
     stats.set_defaults(handler=_cmd_stats)

@@ -80,17 +80,13 @@ class SVMRanker:
         return [key for key, _score in ranked]
 
 
-def human_only_hit_count(record_count: int, hit_size: int, cluster_based: bool = False) -> int:
-    """HIT counts of the naive human-only approaches (Section 1).
+def human_only_hit_count(record_count: int, hit_size: int) -> int:
+    """HIT count of the naive human-only approach (Section 1).
 
-    Pair-based batching needs ``O(n^2 / k)`` HITs; the cluster-based batching
-    of Marcus et al. needs ``O(n^2 / k^2)`` HITs.  These are the numbers the
+    Pair-based batching needs ``O(n^2 / k)`` HITs: the number the
     introduction uses to argue that a machine pruning pass is indispensable
-    (10,000 records at k=20 already require 250,000-5,000,000 HITs).
+    (10,000 records at k=20 already require 2,500,000 HITs).
     """
     if record_count < 2 or hit_size < 1:
         raise ValueError("record_count must be >= 2 and hit_size >= 1")
-    total_pairs = record_count * (record_count - 1) / 2
-    if cluster_based:
-        return math.ceil(total_pairs / (hit_size * hit_size))
-    return math.ceil(total_pairs / hit_size)
+    return math.ceil(record_count * (record_count - 1) / 2 / hit_size)

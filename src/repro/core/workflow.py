@@ -32,7 +32,7 @@ from repro.hit.pair_generation import PairHITGenerator
 from repro.hit.two_tiered import TwoTieredClusterGenerator
 from repro.records.pairs import PairSet, canonical_pair
 from repro.records.record import RecordStore
-from repro.simjoin.likelihood import LikelihoodEstimator, SimJoinLikelihood
+from repro.simjoin.likelihood import SimJoinLikelihood
 
 PairKey = Tuple[str, str]
 
@@ -77,27 +77,26 @@ class HybridWorkflow:
     ----------
     config:
         The workflow configuration (thresholds, HIT type, aggregation, ...).
-    estimator:
-        Machine likelihood estimator; defaults to the paper's simjoin.
-    platform:
-        Crowd platform; defaults to a simulated platform built from the
-        config (on ``worker_pool``, if one is given).
+    worker_pool:
+        The simulated crowd's workers; defaults to the pool the config's
+        seed builds.
+
+    The machine likelihood estimator is the paper's simjoin, and the crowd
+    a simulated platform built from the config.
     """
 
     def __init__(
         self,
         config: Optional[WorkflowConfig] = None,
-        estimator: Optional[LikelihoodEstimator] = None,
-        platform: Optional[SimulatedCrowdPlatform] = None,
         worker_pool: Optional[WorkerPool] = None,
     ) -> None:
         self.config = config or WorkflowConfig()
-        self.estimator = estimator or SimJoinLikelihood(
+        self.estimator = SimJoinLikelihood(
             attributes=self.config.similarity_attributes,
             backend=self.config.join_backend,
             workers=self.config.join_workers or None,
         )
-        self.platform = platform or build_platform(self.config, worker_pool)
+        self.platform = build_platform(self.config, worker_pool)
 
     # -------------------------------------------------------------- stages
     def machine_candidates(self, dataset: Dataset) -> PairSet:

@@ -15,27 +15,20 @@ from repro.crowd.worker import Worker, WorkerPool
 
 
 class QualificationTest:
-    """A pass/fail test of ``question_count`` pairwise questions."""
+    """A pass/fail test of ``QUESTION_COUNT`` pairwise questions."""
 
-    def __init__(self, question_count: int = 3, require_all_correct: bool = True) -> None:
-        if question_count < 1:
-            raise ValueError("question_count must be at least 1")
-        self.question_count = question_count
-        self.require_all_correct = require_all_correct
+    QUESTION_COUNT = 3
 
     def administer(self, worker: Worker) -> bool:
         """Run the test for one worker; marks and returns qualification."""
         # Alternate true answers so "always-yes"/"always-no" spammers cannot
         # pass by constant answering.
         correct = 0
-        for question_index in range(self.question_count):
+        for question_index in range(self.QUESTION_COUNT):
             truth = question_index % 2 == 0
             if worker.answer_comparison(truth) == truth:
                 correct += 1
-        if self.require_all_correct:
-            passed = correct == self.question_count
-        else:
-            passed = correct > self.question_count / 2
+        passed = correct == self.QUESTION_COUNT
         worker.qualified = passed
         return passed
 

@@ -29,7 +29,6 @@ class ProductDupGenerator:
         base_records: int = 100,
         max_duplicates: int = 9,
         seed: int = 11,
-        product_seed: int = 7,
         product_scale: float = 1.0,
     ) -> None:
         if base_records < 1:
@@ -39,12 +38,11 @@ class ProductDupGenerator:
         self.base_records = base_records
         self.max_duplicates = max_duplicates
         self.seed = seed
-        self.product_seed = product_seed
         self.product_scale = product_scale
 
     def generate(self) -> Dataset:
         """Generate the dataset."""
-        product = load_product(seed=self.product_seed, scale=self.product_scale)
+        product = load_product(seed=7, scale=self.product_scale)
         rng = random.Random(self.seed)
         base_pool = list(product.store)
         if self.base_records > len(base_pool):
@@ -85,10 +83,6 @@ class ProductDupGenerator:
         )
 
 
-def load_product_dup(
-    seed: int = 11, base_records: int = 100, product_scale: float = 1.0
-) -> Dataset:
+def load_product_dup(seed: int = 11, product_scale: float = 1.0) -> Dataset:
     """Generate Product+Dup with the paper's default construction."""
-    return ProductDupGenerator(
-        base_records=base_records, seed=seed, product_scale=product_scale
-    ).generate()
+    return ProductDupGenerator(seed=seed, product_scale=product_scale).generate()

@@ -174,8 +174,6 @@ class RestaurantGenerator:
         )
 
 
-def load_restaurant(seed: int = 42, record_count: int = 858, duplicate_pairs: int = 106) -> Dataset:
+def load_restaurant(seed: int = 42) -> Dataset:
     """Generate the Restaurant dataset with the paper's default sizes."""
-    return RestaurantGenerator(
-        record_count=record_count, duplicate_pairs=duplicate_pairs, seed=seed
-    ).generate()
+    return RestaurantGenerator(seed=seed).generate()

@@ -30,7 +30,7 @@ from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.datasets.base import Dataset
-from repro.etl.manifest import Manifest, load_manifest, verify_manifest
+from repro.etl.manifest import verify_manifest
 from repro.etl.parsing import etl_normalize, md5_id, parse_price_currency
 from repro.records.pairs import canonical_pair
 from repro.records.record import Record, RecordStore
@@ -187,22 +187,15 @@ def _load_gold_pairs(
     return frozenset(pairs)
 
 
-def load_corpus_from_dir(
-    spec: CorpusSpec,
-    directory: Path,
-    verify_checksums: bool = True,
-) -> Dataset:
+def load_corpus_from_dir(spec: CorpusSpec, directory: Path) -> Dataset:
     """Load a two-source corpus directory into a :class:`Dataset`.
 
-    With ``verify_checksums`` (the default) the directory's
-    ``manifest.json`` digests are verified first and the manifest's source
-    URL / normalization steps are carried into the lineage; pass ``False``
-    only for ad-hoc directories that have no manifest yet.
+    The directory's ``manifest.json`` digests are verified first, and the
+    manifest's source URL / normalization steps are carried into the
+    lineage.
     """
     directory = Path(directory)
-    manifest: Optional[Manifest] = None
-    if verify_checksums:
-        manifest = verify_manifest(directory)
+    manifest = verify_manifest(directory)
     store = RecordStore(name=spec.name)
     lineage_counts: Dict[str, int] = {
         "malformed_prices": 0,
@@ -223,18 +216,13 @@ def load_corpus_from_dir(
         },
         "normalization": (
             list(manifest.normalization)
-            if manifest is not None and manifest.normalization
-            else ["strip_accents", "normalize_text", "parse_price_currency"]
+            or ["strip_accents", "normalize_text", "parse_price_currency"]
         ),
         "counts": dict(lineage_counts),
-        "checksums_verified": manifest is not None,
+        "source_url": manifest.source_url,
+        "variant": manifest.variant,
+        "files": {name: stamp.sha256 for name, stamp in manifest.files.items()},
     }
-    if manifest is not None:
-        lineage["source_url"] = manifest.source_url
-        lineage["variant"] = manifest.variant
-        lineage["files"] = {
-            name: stamp.sha256 for name, stamp in manifest.files.items()
-        }
     return Dataset(
         name=spec.name,
         store=store,

@@ -92,15 +92,15 @@ def load_manifest(directory: Path) -> Manifest:
     )
 
 
-def verify_manifest(directory: Path, manifest: Optional[Manifest] = None) -> Manifest:
+def verify_manifest(directory: Path) -> Manifest:
     """Verify every manifest file's size and SHA-256 digest.
 
-    Returns the (possibly freshly loaded) manifest on success; raises
+    Returns the directory's manifest on success; raises
     :class:`ManifestError` naming every failing file, its expected and
     actual digest, so the error pinpoints *which* corpus bytes drifted.
     """
     directory = Path(directory)
-    manifest = manifest or load_manifest(directory)
+    manifest = load_manifest(directory)
     problems: List[str] = []
     for name, stamp in manifest.files.items():
         path = directory / name

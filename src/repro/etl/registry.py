@@ -51,11 +51,7 @@ def bundled_corpus_dir(name: str) -> Path:
     return directory
 
 
-def load_corpus(
-    name: str,
-    data_dir: Optional[str] = None,
-    verify_checksums: bool = True,
-) -> Dataset:
+def load_corpus(name: str, data_dir: Optional[str] = None) -> Dataset:
     """Load a registered corpus as a :class:`~repro.datasets.base.Dataset`.
 
     Parameters
@@ -64,14 +60,12 @@ def load_corpus(
         Registered corpus name (see :func:`available_corpora`).
     data_dir:
         Directory holding the corpus CSVs + ``manifest.json``; ``None``
-        uses the bundled offline mini corpus.
-    verify_checksums:
-        Verify the manifest digests before reading (default).  Only
-        disable for ad-hoc directories without a manifest.
+        uses the bundled offline mini corpus.  The manifest digests are
+        verified before anything is read.
     """
     spec = corpus_spec(name)
     directory = Path(data_dir) if data_dir is not None else bundled_corpus_dir(name)
-    return load_corpus_from_dir(spec, directory, verify_checksums=verify_checksums)
+    return load_corpus_from_dir(spec, directory)
 
 
 # --------------------------------------------------------------- built-ins

@@ -112,25 +112,21 @@ def iter_cells(
             yield dataset, mode
 
 
-def run_cell(
-    dataset_name: str,
-    mode: str,
-    work_dir: Optional[Path] = None,
-) -> Dict[str, object]:
+def run_cell(dataset_name: str, mode: str) -> Dict[str, object]:
     """Resolve one cell and return its measured row.
 
-    ``work_dir`` holds the SQLite store for ``stream-sqlite`` cells (a
-    throwaway temporary directory when not given).
+    A ``stream-sqlite`` cell keeps its SQLite store in a throwaway
+    temporary directory.
     """
     dataset, config = load_matrix_dataset(dataset_name)
     if mode == "stream":
         result = resolve_stream(dataset, config=config, batch_size=_STREAM_BATCH_SIZE)
     elif mode == "stream-sqlite":
-        if work_dir is not None:
-            result = _run_sqlite_cell(dataset, config, Path(work_dir))
-        else:
-            with tempfile.TemporaryDirectory(prefix="repro-matrix-") as tmp:
-                result = _run_sqlite_cell(dataset, config, Path(tmp))
+        with tempfile.TemporaryDirectory(prefix="repro-matrix-") as tmp:
+            config = dataclasses.replace(
+                config, checkpoint_dir=str(Path(tmp) / f"{dataset.name}-matrix")
+            )
+            result = resolve_stream(dataset, config=config, batch_size=_STREAM_BATCH_SIZE)
     elif mode == "batch":
         result = HybridWorkflow(config).resolve(dataset)
     else:
@@ -151,24 +147,12 @@ def run_cell(
     }
 
 
-def _run_sqlite_cell(dataset: Dataset, base_config: WorkflowConfig, work_dir: Path):
-    config = dataclasses.replace(
-        base_config,
-        checkpoint_dir=str(work_dir / f"{dataset.name}-matrix"),
-    )
-    return resolve_stream(dataset, config=config, batch_size=_STREAM_BATCH_SIZE)
-
-
 def run_matrix(
     datasets: Optional[Sequence[str]] = None,
     modes: Optional[Sequence[str]] = None,
-    work_dir: Optional[Path] = None,
 ) -> List[Dict[str, object]]:
     """Run every selected cell and return the measured rows."""
-    return [
-        run_cell(dataset, mode, work_dir=work_dir)
-        for dataset, mode in iter_cells(datasets, modes)
-    ]
+    return [run_cell(dataset, mode) for dataset, mode in iter_cells(datasets, modes)]
 
 
 def baseline_path() -> Path:

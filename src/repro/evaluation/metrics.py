@@ -41,7 +41,6 @@ def f1_score(predicted: Iterable[PairKey], ground_truth: Iterable[PairKey]) -> f
 def precision_recall_curve(
     ranked_pairs: Sequence[PairKey],
     ground_truth: Iterable[PairKey],
-    points: int = 0,
 ) -> List[Tuple[float, float]]:
     """Precision-recall curve obtained by cutting a ranked list at each prefix.
 
@@ -52,9 +51,6 @@ def precision_recall_curve(
         ER technique in Section 7.3).
     ground_truth:
         The true matching pairs.
-    points:
-        If positive, the curve is downsampled to roughly this many points
-        (keeping the first and last); 0 keeps one point per prefix.
 
     Returns
     -------
@@ -71,12 +67,6 @@ def precision_recall_curve(
         precision = true_positives / rank
         recall = true_positives / len(truth_set)
         curve.append((recall, precision))
-    if points and len(curve) > points:
-        step = max(1, len(curve) // points)
-        sampled = curve[::step]
-        if curve[-1] not in sampled:
-            sampled.append(curve[-1])
-        curve = sampled
     return curve
 
 

@@ -8,11 +8,11 @@ resulting recall ceiling of the hybrid workflow.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.datasets.base import Dataset
 from repro.records.pairs import PairSet
-from repro.simjoin.likelihood import LikelihoodEstimator, SimJoinLikelihood
+from repro.simjoin.likelihood import SimJoinLikelihood
 
 
 @dataclass(frozen=True)
@@ -37,7 +37,6 @@ class ThresholdRow:
 def threshold_table(
     dataset: Dataset,
     thresholds: Sequence[float] = (0.5, 0.4, 0.3, 0.2, 0.1, 0.0),
-    estimator: Optional[LikelihoodEstimator] = None,
 ) -> List[ThresholdRow]:
     """Compute the Table-2 rows for a dataset.
 
@@ -45,10 +44,9 @@ def threshold_table(
     rows for larger thresholds are derived by filtering, which keeps the
     computation to a single similarity-join pass.
     """
-    estimator = estimator or SimJoinLikelihood()
     ordered = sorted(thresholds, reverse=True)
     minimum = min(ordered)
-    scored: PairSet = estimator.estimate(
+    scored: PairSet = SimJoinLikelihood().estimate(
         dataset.store, min_likelihood=minimum, cross_sources=dataset.cross_sources
     )
     truth = dataset.ground_truth

@@ -134,18 +134,11 @@ class Graph:
             raise KeyError(f"unknown vertex {vertex!r}")
         return len(self._adjacency[vertex])
 
-    def max_degree_vertex(self, candidates: Optional[Iterable[str]] = None) -> Optional[str]:
-        """Return the vertex with the maximum degree (ties broken by id).
-
-        Restricting to ``candidates`` lets Algorithm 2 pick the max-degree
-        vertex of one connected component only.
-        """
-        pool = list(candidates) if candidates is not None else self.vertices()
+    def max_degree_vertex(self) -> Optional[str]:
+        """Return the vertex with the maximum degree (ties broken by id)."""
         best: Optional[str] = None
         best_degree = -1
-        for vertex in pool:
-            if vertex not in self._adjacency:
-                continue
+        for vertex in self.vertices():
             degree = len(self._adjacency[vertex])
             if degree > best_degree or (degree == best_degree and best is not None and vertex < best):
                 best = vertex

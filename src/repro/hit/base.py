@@ -12,10 +12,9 @@ pricing and the crowd simulator.
 
 from __future__ import annotations
 
-from collections.abc import Set as AbstractSet
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.records.pairs import PairSet, canonical_pair
 
@@ -37,15 +36,6 @@ class PairBasedHIT:
     def size(self) -> int:
         """Number of pairs in the HIT."""
         return len(self.pairs)
-
-    @property
-    def record_ids(self) -> Set[str]:
-        """All records mentioned by the HIT."""
-        ids: Set[str] = set()
-        for id_a, id_b in self.pairs:
-            ids.add(id_a)
-            ids.add(id_b)
-        return ids
 
     def checkable_pairs(self) -> Set[Tuple[str, str]]:
         """The pairs a worker can decide in this HIT (exactly its pair list)."""
@@ -75,32 +65,16 @@ class ClusterBasedHIT:
         """Number of records in the HIT."""
         return len(self.records)
 
-    @property
-    def record_ids(self) -> Set[str]:
-        """The records of the HIT as a set."""
-        return set(self.records)
+    def checkable_pairs(self) -> Set[Tuple[str, str]]:
+        """All ``size*(size-1)/2`` canonical pairs this HIT can check.
 
-    def checkable_pairs(self, candidate_pairs: Optional[Iterable[Tuple[str, str]]] = None) -> Set[Tuple[str, str]]:
-        """Pairs this HIT can check.
-
-        With ``candidate_pairs`` given, only candidate pairs fully contained
-        in the HIT are returned; otherwise all ``size*(size-1)/2`` internal
-        pairs are returned.  A set (or dict-keys view) of candidates is
-        probed with the HIT's own pairs and never walked, so the cost is
-        bounded by the HIT, not by the candidate set; callers holding
-        canonical keys write ``hit.checkable_pairs() & candidates``.
+        Callers holding a set of canonical candidate keys write
+        ``hit.checkable_pairs() & candidates``: the candidates are probed
+        with the HIT's own pairs and never walked, so the cost is bounded by
+        the HIT, not by the candidate set.
         """
         # Sorted distinct ids, so every combination is already canonical.
-        internal = set(combinations(sorted(self.records), 2))
-        if candidate_pairs is None:
-            return internal
-        if not isinstance(candidate_pairs, AbstractSet):
-            candidate_pairs = set(candidate_pairs)
-        # Candidates may arrive in either orientation; the result is canonical.
-        return {
-            key for key in internal
-            if key in candidate_pairs or key[::-1] in candidate_pairs
-        }
+        return set(combinations(sorted(self.records), 2))
 
 
 @dataclass

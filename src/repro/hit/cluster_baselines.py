@@ -32,12 +32,8 @@ class RandomClusterGenerator(ClusterHITGenerator):
 
     name = "random"
 
-    def __init__(self, cluster_size: int, seed: int = 0) -> None:
-        super().__init__(cluster_size)
-        self.seed = seed
-
     def _clusters(self, pairs: PairSet) -> List[Sequence[str]]:
-        rng = random.Random(self.seed)
+        rng = random.Random(0)
         order = list(pairs.keys())
         rng.shuffle(order)
         remaining: Set[Tuple[str, str]] = set(order)

@@ -66,7 +66,7 @@ def register_generator(name: str) -> Callable[[type], type]:
     return decorator
 
 
-def get_cluster_generator(name: str, cluster_size: int, **kwargs) -> ClusterHITGenerator:
+def get_cluster_generator(name: str, cluster_size: int) -> ClusterHITGenerator:
     """Instantiate a registered generator by name.
 
     Known names: ``random``, ``bfs``, ``dfs``, ``approximation``,
@@ -78,7 +78,7 @@ def get_cluster_generator(name: str, cluster_size: int, **kwargs) -> ClusterHITG
 
     if name not in _REGISTRY:
         raise KeyError(f"unknown cluster generator {name!r}; known: {sorted(_REGISTRY)}")
-    return _REGISTRY[name](cluster_size=cluster_size, **kwargs)
+    return _REGISTRY[name](cluster_size=cluster_size)
 
 
 def available_generators() -> List[str]:

@@ -363,11 +363,7 @@ def _count_packing(outcome: str, lp_solves: Counter) -> None:
                          "by solver (basis or highs).")
 
 
-def column_generation_packing(
-    sizes: Sequence[int],
-    capacity: int,
-    max_iterations: int = 200,
-) -> PackingSolution:
+def column_generation_packing(sizes: Sequence[int], capacity: int) -> PackingSolution:
     """Cutting-stock packing via column generation (the paper's formulation).
 
     The restricted master problem minimises the number of used patterns
@@ -377,7 +373,7 @@ def column_generation_packing(
     into an integer packing by rounding down the pattern usage and repairing
     the residual demand with FFD.  The returned ``lower_bound`` is the
     ceiling of the LP optimum, a valid lower bound on the optimal number of
-    HITs.
+    HITs.  Pricing stops after 200 rounds even if a column would still pay.
 
     FFD is packed first.  When it uses exactly :func:`size_lower_bound` bins
     the count is optimal by that bound — no pattern set can cover the total
@@ -416,7 +412,7 @@ def column_generation_packing(
     size_columns = [size - 1 for size in distinct_sizes]
     demand_vector = np.array([demand[size] for size in distinct_sizes], dtype=float)
     lp_solves: Counter = Counter()
-    for _ in range(max_iterations):
+    for _ in range(200):
         # Restricted master LP: min sum x_i  s.t.  sum a_ij x_i >= c_j, x >= 0.
         # One row per distinct size, one column per pattern.
         constraint_matrix = np.array(patterns, dtype=float)[:, size_columns].T

@@ -29,22 +29,19 @@ class PairHITGenerator:
 
     name = "pair-based"
 
-    def __init__(self, pairs_per_hit: int, order_by_likelihood: bool = True) -> None:
+    def __init__(self, pairs_per_hit: int) -> None:
         if pairs_per_hit < 1:
             raise ValueError("pairs_per_hit must be at least 1")
         self.pairs_per_hit = pairs_per_hit
-        self.order_by_likelihood = order_by_likelihood
 
     def generate(self, pairs: PairSet) -> HITBatch:
-        """Generate the pair-based HIT batch for the given candidate pairs."""
+        """Generate the pair-based HIT batch for the given candidate pairs,
+        most likely pairs first."""
         keys, likelihoods = pairs.to_arrays()
-        if self.order_by_likelihood:
-            # Stable descending argsort == the old per-object sort: missing
-            # likelihoods were already densified to -1.0, and ties keep
-            # insertion order either way.
-            ordered = [keys[index] for index in argsort_descending(likelihoods)]
-        else:
-            ordered = keys
+        # Stable descending argsort == the old per-object sort: missing
+        # likelihoods were already densified to -1.0, and ties keep
+        # insertion order either way.
+        ordered = [keys[index] for index in argsort_descending(likelihoods)]
         hits: List[PairBasedHIT] = []
         for start in range(0, len(ordered), self.pairs_per_hit):
             chunk = ordered[start : start + self.pairs_per_hit]

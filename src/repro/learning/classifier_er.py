@@ -61,13 +61,12 @@ class LearningBasedER:
         store: RecordStore,
         candidates: PairSet,
         ground_truth: FrozenSet[Tuple[str, str]],
-        exclude_training: bool = False,
     ) -> List[Tuple[Tuple[str, str], float]]:
         """Return candidate pairs ranked by averaged classifier score.
 
-        ``exclude_training`` removes the pairs used for training from the
-        ranked output (the paper ranks "the remaining pairs"); keeping them
-        simplifies recall accounting and changes results only marginally.
+        The pairs used for training stay in the ranked output (the paper
+        ranks "the remaining pairs"): keeping them simplifies recall
+        accounting and changes results only marginally.
         """
         keys = list(candidates.keys())
         if not keys:
@@ -75,7 +74,6 @@ class LearningBasedER:
         features = self.extractor.extract_pairs(store, keys)
         total_scores = np.zeros(len(keys))
         successful_runs = 0
-        excluded: set = set()
         self.last_training_sizes = []
 
         for repetition in range(self.repetitions):
@@ -94,22 +92,17 @@ class LearningBasedER:
             classifier.fit(training.features, training.labels)
             total_scores += classifier.decision_function(features)
             successful_runs += 1
-            if exclude_training:
-                excluded.update(training.pair_keys)
 
         if successful_runs == 0:
             # Fall back to ranking by the machine likelihood if training was
             # impossible (e.g. no positive pairs among the candidates).
-            scored = [
+            return [
                 (pair.key, pair.likelihood or 0.0)
                 for pair in candidates.sorted_by_likelihood()
             ]
-            return [(key, score) for key, score in scored if key not in excluded]
 
         scores = total_scores / successful_runs
         ranked = sorted(zip(keys, scores), key=lambda item: item[1], reverse=True)
-        if exclude_training:
-            ranked = [(key, score) for key, score in ranked if key not in excluded]
         return [(key, float(score)) for key, score in ranked]
 
     def _new_classifier(self, repetition: int):

@@ -15,36 +15,20 @@ import numpy as np
 
 
 class LinearSVM:
-    """Binary linear SVM with hinge loss and L2 regularisation.
+    """Binary linear SVM with hinge loss, L2 regularisation and an
+    (unregularised) bias term.
 
-    Parameters
-    ----------
-    regularization:
-        The lambda of the Pegasos objective; larger values mean a wider
-        margin / stronger regularisation.
-    iterations:
-        Number of stochastic sub-gradient steps.
-    seed:
-        Seed of the sampling RNG, for reproducible training.
-    fit_intercept:
-        Whether to learn an (unregularised) bias term.
+    ``REGULARIZATION`` is the lambda of the Pegasos objective (larger
+    values mean a wider margin / stronger regularisation) and
+    ``ITERATIONS`` the number of stochastic sub-gradient steps; ``seed``
+    seeds the sampling RNG, for reproducible training.
     """
 
-    def __init__(
-        self,
-        regularization: float = 1e-3,
-        iterations: int = 20_000,
-        seed: int = 0,
-        fit_intercept: bool = True,
-    ) -> None:
-        if regularization <= 0:
-            raise ValueError("regularization must be positive")
-        if iterations < 1:
-            raise ValueError("iterations must be at least 1")
-        self.regularization = regularization
-        self.iterations = iterations
+    REGULARIZATION = 1e-3
+    ITERATIONS = 20_000
+
+    def __init__(self, seed: int = 0) -> None:
         self.seed = seed
-        self.fit_intercept = fit_intercept
         self.weights: Optional[np.ndarray] = None
         self.bias: float = 0.0
 
@@ -74,24 +58,23 @@ class LinearSVM:
         rng = np.random.default_rng(self.seed)
         weights = np.zeros(n_features)
         bias = 0.0
-        for step in range(1, self.iterations + 1):
+        for step in range(1, self.ITERATIONS + 1):
             index = int(rng.integers(0, n_samples))
             x = features[index]
             y = signed[index]
-            learning_rate = 1.0 / (self.regularization * step)
+            learning_rate = 1.0 / (self.REGULARIZATION * step)
             margin = y * (float(np.dot(weights, x)) + bias)
-            weights *= 1.0 - learning_rate * self.regularization
+            weights *= 1.0 - learning_rate * self.REGULARIZATION
             if margin < 1.0:
                 weights += learning_rate * y * x
-                if self.fit_intercept:
-                    bias += learning_rate * y
+                bias += learning_rate * y
             # Optional projection step of Pegasos keeps ||w|| bounded.
             norm = float(np.linalg.norm(weights))
-            limit = 1.0 / np.sqrt(self.regularization)
+            limit = 1.0 / np.sqrt(self.REGULARIZATION)
             if norm > limit:
                 weights *= limit / norm
         self.weights = weights
-        self.bias = bias if self.fit_intercept else 0.0
+        self.bias = bias
         return self
 
     def decision_function(self, features: np.ndarray) -> np.ndarray:

@@ -51,13 +51,12 @@ def sample_training_pairs(
     ground_truth: FrozenSet[Tuple[str, str]],
     sample_size: int,
     seed: int = 0,
-    ensure_both_classes: bool = True,
 ) -> List[Tuple[Tuple[str, str], bool]]:
     """Randomly sample candidate pairs and label them with the ground truth.
 
-    With ``ensure_both_classes`` the sample is rejected and re-drawn (with a
-    shifted seed) until it contains at least one positive and one negative
-    pair, mirroring the fact that an SVM cannot be trained on a single class.
+    A sample is rejected and re-drawn (with a shifted seed) until it
+    contains at least one positive and one negative pair, mirroring the
+    fact that an SVM cannot be trained on a single class.
     """
     keys = list(candidates.keys())
     if not keys:
@@ -69,7 +68,7 @@ def sample_training_pairs(
         sampled = rng.sample(keys, sample_size)
         labelled = [(key, key in truth) for key in sampled]
         positives = sum(1 for _, label in labelled if label)
-        if not ensure_both_classes or 0 < positives < len(labelled):
+        if 0 < positives < len(labelled):
             return labelled
     # Could not find both classes by sampling (e.g. no positives exist among
     # the candidates); return the last sample rather than looping forever.
@@ -83,13 +82,11 @@ def build_training_set(
     extractor: FeatureExtractor,
     sample_size: int = 500,
     seed: int = 0,
-    balance: bool = True,
-    minority_fraction: float = 0.25,
 ) -> TrainingSet:
     """Sample, label and featurise a training set in one step.
 
-    ``balance`` oversamples the minority class (by repeating rows) up to
-    ``minority_fraction`` of the training set.  Candidate sets for entity
+    The minority class is oversampled (by repeating rows) up to a quarter
+    of the training set.  Candidate sets for entity
     resolution are extremely imbalanced (a 500-pair random sample typically
     contains only a handful of true matches), and a stochastic-gradient SVM
     trained on the raw sample would all but ignore the positive class; the
@@ -97,7 +94,8 @@ def build_training_set(
     classifier trainable.
     """
     labelled = sample_training_pairs(candidates, ground_truth, sample_size, seed=seed)
-    if balance and labelled:
+    minority_fraction = 0.25
+    if labelled:
         positives = [item for item in labelled if item[1]]
         negatives = [item for item in labelled if not item[1]]
         minority, majority = (

@@ -17,7 +17,7 @@ from __future__ import annotations
 import re
 import threading
 from bisect import bisect_left
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 LabelKey = Tuple[Tuple[str, str], ...]
 
@@ -101,22 +101,14 @@ class Gauge(_Metric):
 
 
 class Histogram(_Metric):
-    """Distribution over fixed bucket boundaries (cumulative at export)."""
+    """Distribution over the :data:`DEFAULT_BUCKETS` boundaries (cumulative
+    at export)."""
 
     kind = "histogram"
+    buckets = DEFAULT_BUCKETS
 
-    def __init__(
-        self,
-        name: str,
-        help: str,
-        lock: threading.Lock,
-        buckets: Sequence[float] = DEFAULT_BUCKETS,
-    ) -> None:
+    def __init__(self, name: str, help: str, lock: threading.Lock) -> None:
         super().__init__(name, help, lock)
-        bounds = tuple(float(b) for b in buckets)
-        if not bounds or list(bounds) != sorted(set(bounds)):
-            raise ValueError("histogram buckets must be sorted and unique")
-        self.buckets = bounds
         # per label set: [per-bucket counts incl. +Inf overflow, sum, count]
         self._series: Dict[LabelKey, List] = {}
 
@@ -178,13 +170,8 @@ class MetricsRegistry:
             raise ValueError(f"{name} already registered as {metric.kind}")
         return metric
 
-    def histogram(
-        self,
-        name: str,
-        help: str = "",
-        buckets: Sequence[float] = DEFAULT_BUCKETS,
-    ) -> Histogram:
-        metric = self._get(name, lambda: Histogram(name, help, self._lock, buckets))
+    def histogram(self, name: str, help: str = "") -> Histogram:
+        metric = self._get(name, lambda: Histogram(name, help, self._lock))
         if not isinstance(metric, Histogram):
             raise ValueError(f"{name} already registered as {metric.kind}")
         return metric

@@ -140,14 +140,6 @@ class PairSet:
         """Canonical id tuples of all pairs, in insertion order."""
         return list(self._pairs.keys())
 
-    def record_ids(self) -> Set[str]:
-        """The set of record ids touched by at least one pair."""
-        ids: Set[str] = set()
-        for pair in self._pairs.values():
-            ids.add(pair.id_a)
-            ids.add(pair.id_b)
-        return ids
-
     def filter_by_likelihood(self, threshold: float) -> "PairSet":
         """Return the subset of pairs with likelihood >= threshold.
 
@@ -179,12 +171,13 @@ class PairSet:
         )
         return keys, values
 
-    def sorted_by_likelihood(self, descending: bool = True) -> List[RecordPair]:
-        """Pairs sorted by likelihood (missing likelihood sorts last)."""
+    def sorted_by_likelihood(self) -> List[RecordPair]:
+        """Pairs sorted by likelihood, most likely first (missing likelihood
+        sorts last)."""
         return sorted(
             self._pairs.values(),
             key=lambda pair: (pair.likelihood if pair.likelihood is not None else -1.0),
-            reverse=descending,
+            reverse=True,
         )
 
     def intersection_keys(self, other: Iterable[Tuple[str, str]]) -> Set[Tuple[str, str]]:

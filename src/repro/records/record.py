@@ -136,9 +136,9 @@ class RecordStore:
         self._by_id: Dict[str, Record] = {}
 
     @classmethod
-    def from_records(cls, records: Iterable[Record], name: str = "records") -> "RecordStore":
+    def from_records(cls, records: Iterable[Record]) -> "RecordStore":
         """Build a store from an iterable of records."""
-        store = cls(name=name)
+        store = cls()
         for record in records:
             store.add(record)
         return store

@@ -151,16 +151,10 @@ class ServiceClient:
             payload["cross_sources"] = list(cross_sources)
         return self._call("POST", "/sessions", payload)
 
-    def append(
-        self,
-        session_id: str,
-        records: Sequence[dict],
-        truth: Optional[Sequence[Sequence[str]]] = None,
-    ) -> dict:
-        payload: dict = {"records": list(records)}
-        if truth is not None:
-            payload["truth"] = [list(pair) for pair in truth]
-        return self._call("POST", f"/sessions/{session_id}/batch", payload)
+    def append(self, session_id: str, records: Sequence[dict]) -> dict:
+        return self._call(
+            "POST", f"/sessions/{session_id}/batch", {"records": list(records)}
+        )
 
     def retract(self, session_id: str, record_id: str) -> dict:
         return self._call(

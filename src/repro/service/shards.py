@@ -30,8 +30,8 @@ from repro.service.errors import backpressure
 #: Sentinel telling a shard's pump loop to exit.
 _SHUTDOWN = object()
 
-#: Default seconds clients are told to wait after a 429.
-DEFAULT_RETRY_AFTER = 1
+#: Seconds clients are told to wait after a 429.
+RETRY_AFTER = 1
 
 
 class _Shard:
@@ -92,7 +92,6 @@ class ShardExecutor:
         self,
         shard_count: int = 4,
         queue_depth: int = 64,
-        retry_after: int = DEFAULT_RETRY_AFTER,
     ) -> None:
         if shard_count < 1:
             raise ValueError("shard_count must be positive")
@@ -100,7 +99,6 @@ class ShardExecutor:
             raise ValueError("queue_depth must be positive")
         self.shard_count = shard_count
         self.queue_depth = queue_depth
-        self.retry_after = retry_after
         self._shards: List[_Shard] = []
         self._started = False
         self._placement: Dict[str, int] = {}
@@ -147,7 +145,7 @@ class ShardExecutor:
         try:
             shard.queue.put_nowait((contextvars.copy_context(), fn, args, future))
         except asyncio.QueueFull:
-            raise backpressure(shard.index, self.retry_after) from None
+            raise backpressure(shard.index, RETRY_AFTER) from None
         if obs.enabled():
             obs.set_gauge(
                 "service_queue_depth", shard.queue.qsize(), shard=shard.index,

@@ -51,16 +51,12 @@ class FeatureExtractor:
         ]
 
     @classmethod
-    def for_attributes(
-        cls,
-        attributes: Sequence[str],
-        functions: Sequence[str] = ("edit", "cosine"),
-    ) -> "FeatureExtractor":
-        """Build the |attributes| x |functions| feature space of the paper."""
+    def for_attributes(cls, attributes: Sequence[str]) -> "FeatureExtractor":
+        """Build the |attributes| x {edit, cosine} feature space of the paper."""
         specs = [
             FeatureSpec(attribute=attribute, function=function)
             for attribute in attributes
-            for function in functions
+            for function in ("edit", "cosine")
         ]
         return cls(specs)
 

@@ -60,14 +60,13 @@ def resolve_worker_count(workers: Optional[int]) -> int:
 
 
 def join_blocks(
-    left: "sparse.csr_matrix",
-    right: Optional["sparse.csr_matrix"] = None,
+    matrix: "sparse.csr_matrix",
     *,
     workers: int = 1,
     start: int = 0,
     **params,
 ) -> Iterator[_BlockPairs]:
-    """Score ``left`` rows ``[start, n)`` against ``right`` (``None`` = itself).
+    """Score ``matrix`` rows ``[start, n)`` against the rows before them.
 
     ``params`` are the :class:`~repro.simjoin.vectorized.BlockScorer`
     keywords.  One scorer, one sequence of row blocks: a single worker or a
@@ -77,7 +76,7 @@ def join_blocks(
     cancels the blocks not yet started and its exception propagates; the
     threads are joined before this returns either way.
     """
-    scorer = BlockScorer(left, right, **params)
+    scorer = BlockScorer(matrix, **params)
     starts = scorer.block_starts(start)
     threads = min(workers, len(starts))
     if threads <= 1:

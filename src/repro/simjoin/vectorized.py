@@ -14,12 +14,12 @@ cells of a block share a token, so the block's intersection counts are
 kept densely.  Row block ``[s, e)`` of ``X`` becomes a dense incidence
 matrix over the block's own tokens only (:func:`block_incidence`), in the
 smallest unsigned integer type that holds the block's largest row size —
-no intersection count can exceed it.  The *band* of right rows the block
-is scored against — rows ``[0, e)`` under the triangle mask, every right
-row otherwise — is a prefix of the right CSR arrays; its column ids are
-remapped onto the block's tokens with one lookup array, and one
-CSR-times-dense product (scipy's single-pass ``csr_matvecs``) yields the
-``(band rows x block rows)`` counts.  Nothing is transposed, and no sparse
+no intersection count can exceed it.  The *band* the block is scored
+against — rows ``[0, e)``, the ones on its side of the diagonal — is a
+prefix of the CSR arrays; its column ids are remapped onto the block's
+tokens with one lookup array, and one CSR-times-dense product (scipy's
+single-pass ``csr_matvecs``) yields the ``(band rows x block rows)``
+counts.  Nothing is transposed, and no sparse
 product is sized, built and expanded.
 
 **One kernel, one caller.**  :func:`score_product` is the only code that
@@ -32,7 +32,8 @@ the append of the whole store to an empty join, and record linkage is the
 same self-product with the pairs of one source masked out afterwards.
 :class:`BlockScorer` holds one join's operands and scores one row block at
 a time; :func:`repro.simjoin.parallel.join_blocks` walks its blocks inline
-or hands the same blocks to worker threads.
+or hands the same blocks to worker threads.  Every product is of one
+matrix with itself under the lower-triangle mask ``col < row``.
 
 The result is exact: intersection and union counts are small integers, the
 final float64 division is bit-identical to the pure-Python ``len(a & b) /
@@ -51,17 +52,11 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 import numpy as np
-
-try:  # scipy ships with the toolchain, but keep the import gated so the
-    from scipy import sparse  # naive oracle works without it.
-except ImportError:  # pragma: no cover - scipy is part of the image
-    sparse = None
+from scipy import sparse
 
 from repro import obs
 
-HAVE_SCIPY = sparse is not None
-
-#: Left rows scored per block, wherever a caller does not force another
+#: Rows scored per block, wherever a caller does not force another
 #: count.  A block's counts are dense, band rows x block rows, at one byte
 #: a cell while no row of the block holds 256 tokens: ~8 MB for a 256-row
 #: block at 32k resident rows, and under glibc's 32 MB ``mmap`` ceiling up
@@ -75,15 +70,6 @@ DEFAULT_BLOCK_ROWS = 256
 
 # (row indices, col indices, similarity values) for one block.
 _BlockPairs = Tuple[np.ndarray, np.ndarray, np.ndarray]
-
-
-def require_scipy() -> None:
-    """Raise the one error every CSR engine (batch or streaming) shares."""
-    if sparse is None:  # pragma: no cover - scipy is part of the image
-        raise RuntimeError(
-            "the join kernel requires scipy (only join_backend='naive', "
-            "the all-pairs oracle, runs without it)"
-        )
 
 
 def similarity(inter: np.ndarray, sizes_a: np.ndarray, sizes_b: np.ndarray) -> np.ndarray:
@@ -149,28 +135,25 @@ def block_incidence(
 
 def score_product(
     block: np.ndarray,
-    left_sizes: np.ndarray,
-    right_sizes: np.ndarray,
+    sizes: np.ndarray,
     start: int,
     threshold: float,
-    triangle: bool = False,
     alive: Optional[np.ndarray] = None,
 ) -> _BlockPairs:
     """The pairs of one dense block of intersection counts at or above ``threshold``.
 
-    ``block[j, i]`` is the intersection count of right row ``j`` (of the
-    ``block.shape[0]`` first) with left row ``start + i`` (of the
-    ``block.shape[1]`` from ``start``).  Returns ``(rows, cols, values)`` —
-    left and right row positions and their similarity.  ``triangle``
-    restricts a product of a matrix with itself to the pairs below the
-    diagonal, ``col < row``: appended rows against everything before them,
+    ``block[j, i]`` is the intersection count of row ``j`` (of the
+    ``block.shape[0]`` first) with row ``start + i`` (of the
+    ``block.shape[1]`` from ``start``) of one matrix whose rows hold
+    ``sizes`` tokens.  Returns ``(rows, cols, values)`` — the row, the
+    column below it and their similarity.  Only pairs below the diagonal,
+    ``col < row``, are kept: appended rows against everything before them,
     so each unordered pair once.  ``alive`` is a boolean mask over the
-    right rows; pairs against a dead row are dropped whatever they score
-    (at threshold zero a dead row would otherwise pass with similarity
-    0.0).
+    rows; pairs against a dead row are dropped whatever they score (at
+    threshold zero a dead row would otherwise pass with similarity 0.0).
 
     Nearly all cells share too few tokens to reach a positive threshold:
-    each count is first compared with its left row's :func:`min_overlap`
+    each count is first compared with its row's :func:`min_overlap`
     — at least 1, so pairs sharing no token are never reported (the join
     pairs up empty records itself) — and only the survivors are expanded
     to coordinates and put through the exact :func:`similarity` test, so
@@ -178,100 +161,83 @@ def score_product(
     zero the bound is zero and every cell survives.
     """
     band_rows, block_rows = block.shape
-    needed = min_overlap(threshold, left_sizes[start : start + block_rows])
+    needed = min_overlap(threshold, sizes[start : start + block_rows])
     if threshold > 0.0:
         np.maximum(needed, 1, out=needed)
     keep = block >= needed.astype(block.dtype)
-    if triangle:
-        # Only band rows from ``start`` on reach the block's own rows.
-        keep[start:] &= (
-            np.arange(start, band_rows)[:, None]
-            < np.arange(start, start + block_rows)[None, :]
-        )
+    # Only band rows from ``start`` on reach the block's own rows.
+    keep[start:] &= (
+        np.arange(start, band_rows)[:, None]
+        < np.arange(start, start + block_rows)[None, :]
+    )
     if alive is not None:
         keep &= alive[:band_rows, None]
     cells = np.flatnonzero(keep)
     cols, rows = np.divmod(cells, block_rows)
     rows += start
     inter = block.ravel()[cells]
-    values = similarity(inter, left_sizes[rows], right_sizes[cols])
+    values = similarity(inter, sizes[rows], sizes[cols])
     passing = values >= threshold
     return rows[passing], cols[passing], values[passing]
 
 
 class BlockScorer:
-    """One join's operands, scored block by block through :func:`score_product`.
+    """One join's matrix, scored block by block through :func:`score_product`.
 
-    ``left`` rows are scored against ``right`` rows (``None`` = against
-    ``left`` itself).  Building the scorer derives the set sizes once;
-    after that it is only read, so any number of threads may call
-    :meth:`score` on one scorer at once.  ``kind`` labels the per-block
-    trace spans and the ``simjoin_block_cells_total`` counter.
+    The rows of ``matrix`` are scored against the rows before them.
+    Building the scorer derives the set sizes once; after that it is only
+    read, so any number of threads may call :meth:`score` on one scorer at
+    once.  ``kind`` labels the per-block trace spans and the
+    ``simjoin_block_cells_total`` counter.
 
-    Left block ``[s, e)`` is scored against a *band* of right rows: under
-    the triangle mask the rows ``right[:e]`` — the ones on its side of the
-    diagonal; the rows after them are the ones the mask would drop
-    whatever they score, so the band changes the cost and not one pair —
-    and without it every right row.  A band is a prefix of the right CSR
-    arrays, used in place.
+    Block ``[s, e)`` is scored against a *band*: the rows ``matrix[:e]``,
+    the ones on its side of the diagonal.  The rows after them are the ones
+    the triangle mask would drop whatever they score, so the band changes
+    the cost and not one pair.  A band is a prefix of the CSR arrays, used
+    in place.
     """
 
     def __init__(
         self,
-        left: "sparse.csr_matrix",
-        right: Optional["sparse.csr_matrix"] = None,
+        matrix: "sparse.csr_matrix",
         *,
         threshold: float,
         block_size: int = DEFAULT_BLOCK_ROWS,
-        triangle: bool = False,
         alive: Optional[np.ndarray] = None,
         kind: str = "",
     ) -> None:
-        self.left = left
-        self.right = left if right is None else right
-        self.left_sizes = np.diff(left.indptr).astype(np.int64)
-        self.right_sizes = (
-            self.left_sizes
-            if right is None
-            else np.diff(right.indptr).astype(np.int64)
-        )
-        # Every token id either side can hold.
-        self.width = max(left.shape[1], self.right.shape[1])
+        self.matrix = matrix
+        self.sizes = np.diff(matrix.indptr).astype(np.int64)
         self.threshold = threshold
         self.block_size = block_size
-        self.triangle = triangle
         self.alive = alive
         self.kind = kind
 
     def block_starts(self, start: int) -> range:
-        """First row of every block covering left rows ``[start, n)``."""
-        return range(start, self.left.shape[0], self.block_size)
+        """First row of every block covering rows ``[start, n)``."""
+        return range(start, self.matrix.shape[0], self.block_size)
 
     def score(self, block_start: int) -> _BlockPairs:
-        """The pair block of left rows ``[block_start, block_start + block_size)``."""
-        block_end = min(block_start + self.block_size, self.left.shape[0])
-        band_rows = self.right.shape[0]
-        if self.triangle:
-            band_rows = min(block_end, band_rows)
+        """The pair block of rows ``[block_start, block_start + block_size)``."""
+        matrix = self.matrix
+        block_end = min(block_start + self.block_size, matrix.shape[0])
         with obs.span(
             "simjoin.vectorized.block",
             kind=self.kind, rows=block_end - block_start,
         ):
-            tokens, dense = block_incidence(
-                self.left, self.left_sizes, block_start, block_end
-            )
+            tokens, dense = block_incidence(matrix, self.sizes, block_start, block_end)
             # The band's token ids onto the rows of ``dense``: a token the
             # block does not hold lands on its last row, all zeros.
-            position = np.full(self.width, len(tokens), dtype=self.right.indices.dtype)
+            position = np.full(matrix.shape[1], len(tokens), dtype=matrix.indices.dtype)
             position[tokens] = np.arange(len(tokens))
-            entries = self.right.indptr[band_rows]
+            entries = matrix.indptr[block_end]
             band = sparse.csr_matrix(
                 (
                     np.ones(entries, dtype=dense.dtype),
-                    position[self.right.indices[:entries]],
-                    self.right.indptr[: band_rows + 1],
+                    position[matrix.indices[:entries]],
+                    matrix.indptr[: block_end + 1],
                 ),
-                shape=(band_rows, dense.shape[0]),
+                shape=(block_end, dense.shape[0]),
             )
             product = band @ dense
             if obs.enabled():
@@ -279,6 +245,5 @@ class BlockScorer:
                         help="Cells of the join's dense blocks: band rows x "
                         "block rows, before the overlap bound.")
             return score_product(
-                product, self.left_sizes, self.right_sizes, block_start,
-                self.threshold, self.triangle, self.alive,
+                product, self.sizes, block_start, self.threshold, self.alive
             )

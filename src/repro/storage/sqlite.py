@@ -313,13 +313,13 @@ class SqliteStore(Store):
         if rows:
             self.executemany(sql, rows)
 
-    def load_ledger(self, into: Optional[PairLedger] = None) -> None:
-        """Page the ledger's rows into ``into`` (default: this store's ledger).
+    def load_ledger(self) -> None:
+        """Page the ledger's rows into this store's ledger.
 
         One ``SELECT``.  The dicts are assigned directly, so nothing read is
         unsaved; the record → pairs index is rebuilt from the keys.
         """
-        ledger = self.ledger if into is None else into
+        ledger = self.ledger
         ledger.touched = None
         ledger.pairs, ledger.votes, ledger.posteriors, ledger.covered = {}, {}, {}, set()
         for id_a, id_b, likelihood, votes, posterior, covered in self._conn.execute(

@@ -39,6 +39,7 @@ from itertools import chain, compress
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
+from scipy import sparse
 
 from repro import obs
 from repro.records.pairs import PairSet
@@ -46,17 +47,7 @@ from repro.records.record import Record, RecordError
 from repro.records.tokenize import WhitespaceTokenizer, record_token_set
 from repro.simjoin.columnar import compact_csr_arrays, extend_vocabulary_csr_arrays
 from repro.simjoin.parallel import join_blocks, ranked_pair_set, resolve_worker_count
-from repro.simjoin.vectorized import (
-    DEFAULT_BLOCK_ROWS,
-    HAVE_SCIPY,
-    _BlockPairs,
-    require_scipy,
-)
-
-if HAVE_SCIPY:
-    from scipy import sparse
-else:  # pragma: no cover - scipy is part of the image
-    sparse = None
+from repro.simjoin.vectorized import DEFAULT_BLOCK_ROWS, _BlockPairs
 
 
 class IncrementalSimJoin:
@@ -104,7 +95,6 @@ class IncrementalSimJoin:
         block_size: int = DEFAULT_BLOCK_ROWS,
         workers: Optional[int] = None,
     ) -> None:
-        require_scipy()
         if not 0.0 <= threshold <= 1.0:
             raise ValueError("threshold must be in [0, 1]")
         if block_size < 1:
@@ -321,7 +311,6 @@ class IncrementalSimJoin:
             alive=self._alive_rows() if self._dead_rows else None,
             threshold=self.threshold,
             block_size=self.block_size,
-            triangle=True,
             kind="new_vs_old",
         )
         # Empty token sets share no token, so the kernel never reports

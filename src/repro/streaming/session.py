@@ -704,12 +704,10 @@ def resolve_stream(
     dataset: Dataset,
     config: Optional[WorkflowConfig] = None,
     batch_size: Optional[int] = None,
-    arrival_order: Optional[Sequence[str]] = None,
 ) -> ResolutionResult:
     """Replay a dataset through a streaming session batch by batch.
 
-    Records arrive in store order (or ``arrival_order``, a permutation of
-    record ids) in chunks of ``batch_size`` (default:
+    Records arrive in store order in chunks of ``batch_size`` (default:
     ``config.stream_batch_size``); the full ground truth is registered up
     front so the simulated crowd can answer.  Returns the final snapshot —
     its match set equals a one-shot ``HybridWorkflow(config).resolve(dataset)``
@@ -717,14 +715,7 @@ def resolve_stream(
     """
     config = config or WorkflowConfig()
     size = batch_size or config.stream_batch_size
-    if arrival_order is None:
-        records = list(dataset.store)
-    else:
-        # Checked before the session exists, so a bad order leaves no store.
-        order = list(arrival_order)
-        if len(order) != len(dataset.store) or set(order) != set(dataset.store.record_ids):
-            raise ValueError("arrival_order must cover every record exactly once")
-        records = [dataset.store.get(record_id) for record_id in order]
+    records = list(dataset.store)
     resolver = StreamingResolver(config=config, cross_sources=dataset.cross_sources)
     resolver.add_truth(dataset.ground_truth)
     try:

@@ -136,6 +136,24 @@ order_seeds = st.integers(min_value=0, max_value=10_000)
 arrival_batch_sizes = st.integers(min_value=3, max_value=40)
 
 
+def stream_shuffled(dataset, config, batch_size, order_seed):
+    """``resolve_stream``'s replay with the records in a seeded random order:
+    the truth up front, ``add_batch`` per ``batch_size`` records, and the
+    final snapshot."""
+    from repro.streaming.session import StreamingResolver
+
+    records = list(dataset.store)
+    random.Random(order_seed).shuffle(records)
+    resolver = StreamingResolver(config=config, cross_sources=dataset.cross_sources)
+    resolver.add_truth(dataset.ground_truth)
+    try:
+        for start in range(0, len(records), batch_size):
+            resolver.add_batch(records[start : start + batch_size])
+        return resolver.snapshot()
+    finally:
+        resolver.durability.close()
+
+
 def drive(resolver, records, schedule, cursor=0):
     """Apply a :data:`event_schedules` schedule deterministically.
 

@@ -1,4 +1,4 @@
-"""Every function, class and method under ``src/repro`` has a caller.
+"""Every function, class, method and parameter under ``src/repro`` has a caller.
 
 A name earns its place when something other than its tests uses it: code
 under ``src/repro``, ``benchmarks/``, ``tools/`` or ``examples/``.  The
@@ -9,15 +9,32 @@ Imports and ``__all__`` lists are not uses, so an ``__init__.py``
 re-export does not keep a name alive, and neither does a call a function
 makes to itself.  Test modules are not searched.
 
-``ALLOWED`` holds the few names kept without such a caller, each with its
-reason: helpers and oracles the tests use while checking something else,
-generators reached by name through a registry, and the modules whose fate
-ROADMAP items 8 and 9 decide.  A stale entry fails too.
+Identifiers are counted, not bindings, so a definition whose name any
+other code uses is hidden from the census: a test-only method ``m`` passes
+as long as some other ``m`` is called or read anywhere.  Such methods are
+checked by hand.
+
+A parameter with a default earns its place when some call in the same
+files passes it: by keyword, or by position at or past its index.  Calls
+are matched by the callee's name (a class name reaches its ``__init__``),
+so the same caveat holds.  A call with ``*``/``**`` arguments or through
+``super().__init__(...)`` may pass anything, so it counts as passing every
+parameter of its callee; ``cls(...)`` does too inside a class body, and
+outside one (a function handed the class) its keywords count for every
+constructor.  Dataclass fields are not parameters here.
+
+``ALLOWED`` holds the few names and parameters (``name(parameter=)``)
+kept without such a caller, each with its reason: helpers and oracles the
+tests use while checking something else, generators reached by name
+through a registry, knobs that let a test reach a path the product runs,
+deployment settings, and the modules whose fate ROADMAP items 8 and 9
+decide.  A stale entry fails too.
 """
 
 import ast
 import re
-from collections import Counter
+from collections import Counter, defaultdict
+from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
@@ -30,6 +47,9 @@ _HELPER = "tests use it as a helper or an oracle while checking something else"
 _REGISTERED = "a registered cluster generator: reached by name (`repro generate-hits --algorithm`)"
 _ITEM_8 = "core.crowdsql: ROADMAP item 8 decides whether it gets a caller or goes"
 _ITEM_9 = "hit.comparisons: ROADMAP item 9 (ii) bills per-pair latency with it"
+_SMALL_BLOCKS = "tests put block boundaries inside small stores: the blocked path the product runs"
+_BUDGET = "tests exhaust the node budget to reach the FFD fallback the product can take"
+_DEPLOYMENT = "a deployment setting: where the full corpora live"
 
 ALLOWED = {
     "DawidSkeneResult.decisions": _HELPER,
@@ -49,6 +69,8 @@ ALLOWED = {
     "PairSet.to_key_set": _HELPER,
     "RecordStore.from_records": _HELPER,
     "Record.with_attributes": _HELPER,
+    "RecordStore.record_ids": _HELPER,
+    "IncrementalSimJoin.record_ids": _HELPER,
     "IncrementalSimJoin.tombstone_count": _HELPER,
     "RandomClusterGenerator": _REGISTERED,
     "BFSClusterGenerator": _REGISTERED,
@@ -59,6 +81,13 @@ ALLOWED = {
     "cluster_hit_comparisons_bounds": _ITEM_9,
     "no_duplicate_comparisons": _ITEM_9,
     "all_duplicate_comparisons": _ITEM_9,
+    "IncrementalSimJoin(block_size=)": _SMALL_BLOCKS,
+    "branch_and_bound_packing(max_nodes=)": _BUDGET,
+    "load_corpus(data_dir=)": _DEPLOYMENT,
+    "crowd_equijoin(likelihood_threshold=)": _ITEM_8,
+    "crowd_equijoin(cluster_size=)": _ITEM_8,
+    "crowd_equijoin(config=)": _ITEM_8,
+    "crowd_equijoin(seed=)": _ITEM_8,
 }
 
 _DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
@@ -71,6 +100,10 @@ def _searched_files():
                 yield path
 
 
+def _is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
 def _definitions(tree, module):
     """``(qualified name, name, where)`` of every module- and class-level
     function, class and method of a module, dunders excluded."""
@@ -79,10 +112,103 @@ def _definitions(tree, module):
         node, prefix = pending.pop()
         if not isinstance(node, _DEFINITIONS):
             continue
-        if not (node.name.startswith("__") and node.name.endswith("__")):
+        if not _is_dunder(node.name):
             yield prefix + node.name, node.name, f"{module}:{node.lineno}"
         if isinstance(node, ast.ClassDef):
             pending.extend((child, f"{prefix}{node.name}.") for child in node.body)
+
+
+def _parameters(tree, module):
+    """``(entry, callees, parameter, index, where)`` of every defaulted
+    parameter of a module- or class-level function, method or
+    ``__init__``.  ``callees`` are the names a call uses (the class name
+    and :data:`_ANY_CLASS` for ``__init__``); ``index`` is the position
+    past ``self``/``cls``, or ``None`` for a keyword-only parameter."""
+    pending = [(node, None, "") for node in tree.body]
+    while pending:
+        node, owner, prefix = pending.pop()
+        if isinstance(node, ast.ClassDef):
+            pending.extend((child, node.name, f"{prefix}{node.name}.") for child in node.body)
+            continue
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if _is_dunder(node.name) and node.name != "__init__":
+            continue
+        arguments = node.args
+        positional = arguments.posonlyargs + arguments.args
+        static = any(
+            isinstance(decorator, ast.Name) and decorator.id == "staticmethod"
+            for decorator in node.decorator_list
+        )
+        if owner is not None and not static:
+            positional = positional[1:]
+        if node.name == "__init__":
+            callees, label = (owner, _ANY_CLASS), prefix[:-1]
+        else:
+            callees, label = (node.name,), prefix + node.name
+        first_default = len(positional) - len(arguments.defaults)
+        defaulted = [(argument, index) for index, argument in enumerate(positional)
+                     if index >= first_default]
+        defaulted += [(argument, None) for argument, default
+                      in zip(arguments.kwonlyargs, arguments.kw_defaults) if default is not None]
+        for argument, index in defaulted:
+            yield (f"{label}({argument.arg}=)", callees, argument.arg, index,
+                   f"{module}:{node.lineno}")
+
+
+#: The callee of ``cls(...)`` outside a class body: every constructor.
+_ANY_CLASS = None
+#: The keyword that stands for "every parameter".
+_EVERYTHING = "*"
+
+
+def _record_calls(node, owner, calls):
+    """Add what every call under ``node`` passes to ``calls``: callee name →
+    ``[most positional arguments, keyword names]``, where the keyword
+    :data:`_EVERYTHING` marks a call that may pass anything.  ``owner`` is
+    the innermost enclosing class."""
+    if isinstance(node, ast.ClassDef):
+        owner = node
+    if isinstance(node, ast.Call):
+        function = node.func
+        everything = any(isinstance(argument, ast.Starred) for argument in node.args) or any(
+            keyword.arg is None for keyword in node.keywords
+        )
+        callees = []
+        if isinstance(function, ast.Name) and function.id == "cls":
+            callees = [_ANY_CLASS if owner is None else owner.name]
+            everything |= owner is not None
+        elif isinstance(function, ast.Name):
+            callees = [function.id]
+        elif (
+            isinstance(function, ast.Attribute)
+            and function.attr == "__init__"
+            and isinstance(function.value, ast.Call)
+            and getattr(function.value.func, "id", None) == "super"
+        ):
+            callees = [base.id if isinstance(base, ast.Name) else base.attr
+                       for base in owner.bases]
+            everything = True
+        elif isinstance(function, ast.Attribute):
+            callees = [function.attr]
+        for callee in callees:
+            passed = calls[callee]
+            if callee is not _ANY_CLASS:
+                passed[0] = max(passed[0], len(node.args))
+            passed[1].update(keyword.arg for keyword in node.keywords if keyword.arg)
+            if everything:
+                passed[1].add(_EVERYTHING)
+    for child in ast.iter_child_nodes(node):
+        _record_calls(child, owner, calls)
+
+
+def _passed(calls, callee, parameter, index):
+    positional, keywords = calls.get(callee, (0, ()))
+    return (
+        _EVERYTHING in keywords
+        or parameter in keywords
+        or (index is not None and index < positional)
+    )
 
 
 def _count_uses(node, enclosing, uses):
@@ -113,17 +239,36 @@ def _count_uses(node, enclosing, uses):
         _count_uses(child, enclosing, uses)
 
 
+@dataclass
+class Census:
+    definitions: list  # (qualified name, name, where)
+    uses: Counter  # identifier -> count
+    parameters: list  # (entry, callees, parameter, index, where)
+    calls: dict  # callee -> [most positional arguments, keyword names]
+
+    def unused_parameters(self):
+        """``(entry, where)`` of every defaulted parameter no call passes."""
+        return [
+            (entry, where)
+            for entry, callees, parameter, index, where in self.parameters
+            if not any(_passed(self.calls, callee, parameter, index) for callee in callees)
+        ]
+
+
 def census():
-    """The definitions under ``src/repro`` and one identifier count over
-    every searched file."""
-    definitions, uses = [], Counter()
+    """One parse of every searched file: the definitions and defaulted
+    parameters under ``src/repro``, every identifier used and what every
+    call passes."""
+    result = Census([], Counter(), [], defaultdict(lambda: [0, set()]))
     for path in _searched_files():
         tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
         module = path.relative_to(ROOT).as_posix()
         if module.startswith("src/repro/"):
-            definitions.extend(_definitions(tree, module))
-        _count_uses(tree, frozenset(), uses)
-    return definitions, uses
+            result.definitions.extend(_definitions(tree, module))
+            result.parameters.extend(_parameters(tree, module))
+        _count_uses(tree, frozenset(), result.uses)
+        _record_calls(tree, None, result.calls)
+    return result
 
 
 @pytest.fixture(scope="module")
@@ -133,7 +278,7 @@ def counted():
 
 @pytest.mark.gate
 def test_every_name_in_src_has_a_caller(counted):
-    definitions, uses = counted
+    definitions, uses = counted.definitions, counted.uses
     uncalled = sorted(
         f"{where} {qualified}"
         for qualified, name, where in definitions
@@ -146,11 +291,28 @@ def test_every_name_in_src_has_a_caller(counted):
 
 
 @pytest.mark.gate
+def test_every_parameter_in_src_has_a_caller(counted):
+    unpassed = sorted(
+        f"{where} {entry}" for entry, where in counted.unused_parameters()
+        if entry not in ALLOWED
+    )
+    assert unpassed == [], (
+        "only tests pass these; make each default a constant in the body "
+        "(or give it a caller):\n  " + "\n  ".join(unpassed)
+    )
+
+
+@pytest.mark.gate
 def test_no_allowed_entry_is_stale(counted):
-    definitions, uses = counted
-    names = {qualified: name for qualified, name, _ in definitions}
-    missing = sorted(entry for entry in ALLOWED if entry not in names)
-    called = sorted(entry for entry in ALLOWED if entry in names and uses[names[entry]])
+    names = {qualified: name for qualified, name, _ in counted.definitions}
+    parameters = {entry for entry, *_ in counted.parameters}
+    unused = {entry for entry, _ in counted.unused_parameters()}
+    missing = sorted(entry for entry in ALLOWED if entry not in {*names, *parameters})
+    called = sorted(
+        entry for entry in ALLOWED
+        if (entry in names and counted.uses[names[entry]])
+        or (entry in parameters and entry not in unused)
+    )
     assert missing == [], f"ALLOWED names what no longer exists: {missing}"
     assert called == [], f"ALLOWED names what now has a caller: {called}"
 
@@ -185,3 +347,41 @@ def test_census_rules(source, used):
     uses = Counter()
     _count_uses(ast.parse(source), frozenset(), uses)
     assert (uses["f"] > 0) is used
+
+
+PARAMETER_RULES = {
+    "a keyword is a use": ("def f(x=1):\n    pass\n\nf(x=2)\n", True),
+    "a position at the index is a use": ("def f(a, x=1):\n    pass\n\nf(1, 2)\n", True),
+    "a position before the index is not a use": ("def f(a, x=1):\n    pass\n\nf(1)\n", False),
+    "no call is not a use": ("def f(x=1):\n    pass\n", False),
+    "a method's position counts past self":
+        ("class C:\n    def f(self, x=1):\n        pass\n\nC().f(2)\n", True),
+    "a class call reaches __init__": ("class f:\n    def __init__(self, x=1):\n"
+                                      "        pass\n\nf(2)\n", True),
+    "a keyword-only parameter is not passed by position":
+        ("def f(a=0, *, x=1):\n    pass\n\nf(1, 2)\n", False),
+    "** forwarding passes everything": ("def f(x=1):\n    pass\n\nf(**options)\n", True),
+    "* forwarding passes everything": ("def f(x=1):\n    pass\n\nf(*options)\n", True),
+    "cls(...) in a class body passes everything":
+        ("class f:\n    def __init__(self, x=1):\n        pass\n\n"
+         "    @classmethod\n    def make(cls):\n        return cls()\n", True),
+    "cls(...) outside a class passes its keywords to every class":
+        ("class f:\n    def __init__(self, x=1):\n        pass\n\n"
+         "def make(cls):\n    return cls(x=2)\n", True),
+    "super().__init__(...) passes everything to the bases":
+        ("class f:\n    def __init__(self, x=1):\n        pass\n\n"
+         "class g(f):\n    def __init__(self):\n        super().__init__()\n", True),
+    "a call to another name is not a use": ("def f(x=1):\n    pass\n\ng(x=2)\n", False),
+}
+
+
+@pytest.mark.parametrize(
+    "source, used", list(PARAMETER_RULES.values()), ids=list(PARAMETER_RULES)
+)
+def test_parameter_census_rules(source, used):
+    tree = ast.parse(source)
+    calls = defaultdict(lambda: [0, set()])
+    _record_calls(tree, None, calls)
+    result = Census([], Counter(), list(_parameters(tree, "m")), calls)
+    [entry] = [entry for entry, _, parameter, *_ in result.parameters if parameter == "x"]
+    assert (entry not in {unused for unused, _ in result.unused_parameters()}) is used

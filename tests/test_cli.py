@@ -47,6 +47,17 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["resolve", "--join-backend", "quantum"])
 
+    @pytest.mark.parametrize("sources, message", (
+        ([], "one of the arguments --checkpoint-dir --trace is required"),
+        (["--checkpoint-dir", "no-such-dir", "--trace", "trace.jsonl"],
+         "argument --trace: not allowed with argument --checkpoint-dir"),
+    ), ids=("neither", "both"))
+    def test_stats_takes_exactly_one_source(self, sources, message, capsys):
+        with pytest.raises(SystemExit) as refused:
+            main(["stats", *sources])
+        assert refused.value.code == 2
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("retired", ("prefix", "vectorized", "parallel"))
     def test_retired_join_backends_are_rejected_naming_the_two(self, retired, capsys):
         with pytest.raises(SystemExit):

@@ -220,8 +220,8 @@ class TestApproximation:
 
 class TestBaselineBehaviour:
     def test_random_is_seeded(self, example_pairs):
-        a = get_cluster_generator("random", cluster_size=4, seed=3).generate(example_pairs)
-        b = get_cluster_generator("random", cluster_size=4, seed=3).generate(example_pairs)
+        a = get_cluster_generator("random", cluster_size=4).generate(example_pairs)
+        b = get_cluster_generator("random", cluster_size=4).generate(example_pairs)
         assert [hit.records for hit in a.hits] == [hit.records for hit in b.hits]
 
     def test_bfs_groups_connected_records(self):

@@ -160,10 +160,6 @@ class TestQualification:
         worker = Worker("yes", WorkerProfile(name="yes", spammer_mode="always-yes"), seed=0)
         assert not QualificationTest().administer(worker)
 
-    def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            QualificationTest(question_count=0)
-
 
 class TestPricing:
     def test_paper_cost_examples(self):

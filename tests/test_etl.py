@@ -84,6 +84,19 @@ SPEC = CorpusSpec(
 )
 
 
+def stamp(directory):
+    """Write a ``manifest.json`` naming every CSV file in ``directory``."""
+    document = {
+        "corpus": "toy",
+        "files": {
+            path.name: {"sha256": sha256_file(path), "bytes": path.stat().st_size}
+            for path in sorted(directory.glob("*.csv"))
+        },
+    }
+    (directory / MANIFEST_FILENAME).write_text(json.dumps(document))
+    return directory
+
+
 def write_corpus(directory, left_rows, right_rows, gold_rows,
                  left_header="id,name,price", right_header="id,title",
                  gold_header="idLeft,idRight"):
@@ -96,7 +109,7 @@ def write_corpus(directory, left_rows, right_rows, gold_rows,
     (directory / "gold.csv").write_text(
         "\n".join([gold_header] + gold_rows) + "\n", encoding="utf-8"
     )
-    return directory
+    return stamp(directory)
 
 
 @pytest.fixture
@@ -112,7 +125,7 @@ def toy_dir(tmp_path):
 # ------------------------------------------------------------------ loader
 class TestLoader:
     def test_loads_records_gold_pairs_and_lineage(self, toy_dir):
-        dataset = load_corpus_from_dir(SPEC, toy_dir, verify_checksums=False)
+        dataset = load_corpus_from_dir(SPEC, toy_dir)
         assert dataset.record_count == 4
         assert dataset.cross_sources == ("left", "right")
         left_id = md5_id("toy", "left", "1")
@@ -137,7 +150,7 @@ class TestLoader:
             gold_rows=["1,a"],
         )
         with pytest.raises(EtlError, match=r"left\.csv line 3: duplicate source id '1'"):
-            load_corpus_from_dir(SPEC, tmp_path, verify_checksums=False)
+            load_corpus_from_dir(SPEC, tmp_path)
 
     def test_empty_source_id_raises(self, tmp_path):
         write_corpus(
@@ -147,15 +160,16 @@ class TestLoader:
             gold_rows=["1,a"],
         )
         with pytest.raises(EtlError, match=r"left\.csv line 2: empty or missing 'id'"):
-            load_corpus_from_dir(SPEC, tmp_path, verify_checksums=False)
+            load_corpus_from_dir(SPEC, tmp_path)
 
     def test_missing_file_and_missing_header(self, tmp_path):
         with pytest.raises(EtlError, match="corpus file missing"):
-            load_corpus_from_dir(SPEC, tmp_path, verify_checksums=False)
+            load_corpus_from_dir(SPEC, stamp(tmp_path))
         write_corpus(tmp_path, ["1,tv,$5"], ["a,x"], ["1,a"])
         (tmp_path / "left.csv").write_text("", encoding="utf-8")
+        stamp(tmp_path)
         with pytest.raises(EtlError, match="no header row"):
-            load_corpus_from_dir(SPEC, tmp_path, verify_checksums=False)
+            load_corpus_from_dir(SPEC, tmp_path)
 
     def test_missing_mapping_columns_raise(self, tmp_path):
         write_corpus(
@@ -166,7 +180,7 @@ class TestLoader:
             gold_header="wrong,columns",
         )
         with pytest.raises(EtlError, match=r"gold\.csv line 2: expected columns"):
-            load_corpus_from_dir(SPEC, tmp_path, verify_checksums=False)
+            load_corpus_from_dir(SPEC, tmp_path)
 
     def test_gold_rows_referencing_absent_records_are_counted(self, tmp_path):
         write_corpus(
@@ -175,7 +189,7 @@ class TestLoader:
             right_rows=["a,tv"],
             gold_rows=["1,a", "99,a", "1,zz"],
         )
-        dataset = load_corpus_from_dir(SPEC, tmp_path, verify_checksums=False)
+        dataset = load_corpus_from_dir(SPEC, tmp_path)
         counts = dataset.metadata["lineage"]["counts"]
         assert counts["gold_pairs"] == 1
         assert counts["gold_pairs_skipped"] == 2
@@ -185,16 +199,6 @@ class TestLoader:
 class TestManifest:
     def test_checksum_mismatch_names_the_file(self, toy_dir):
         manifest = load_manifest(bundled_corpus_dir("abt-buy"))
-        # Build a real manifest for the toy corpus, then corrupt one file.
-        document = {
-            "corpus": "toy",
-            "files": {
-                name: {"sha256": sha256_file(toy_dir / name),
-                       "bytes": (toy_dir / name).stat().st_size}
-                for name in ("left.csv", "right.csv", "gold.csv")
-            },
-        }
-        (toy_dir / MANIFEST_FILENAME).write_text(json.dumps(document))
         verify_manifest(toy_dir)  # clean pass
         original = (toy_dir / "left.csv").read_text(encoding="utf-8")
         # Same byte length, different content — only the digest catches it.
@@ -244,7 +248,10 @@ class TestRegistry:
             assert dataset.record_count > 400
             assert len(dataset.ground_truth) > 150
             lineage = dataset.metadata["lineage"]
-            assert lineage["checksums_verified"]
+            assert lineage["files"] == {
+                name: stamp.sha256
+                for name, stamp in load_manifest(bundled_corpus_dir(name)).files.items()
+            }
             assert dataset.metadata["default_threshold"] == corpus_spec(name).default_threshold
 
     def test_unknown_corpus_lists_registered_names(self):
@@ -263,9 +270,13 @@ class TestRegistry:
         with pytest.raises(ManifestError, match=r"Abt\.csv: checksum mismatch"):
             load_corpus("abt-buy", data_dir=str(copy))
 
-    def test_verification_can_be_disabled_for_adhoc_dirs(self, toy_dir):
-        dataset = load_corpus_from_dir(SPEC, toy_dir, verify_checksums=False)
-        assert not dataset.metadata["lineage"]["checksums_verified"]
+    def test_adhoc_dirs_are_always_verified(self, toy_dir):
+        (toy_dir / "gold.csv").write_text("idLeft,idRight\n1,a\n2,b\n", encoding="utf-8")
+        with pytest.raises(ManifestError, match=r"gold\.csv: size mismatch"):
+            load_corpus_from_dir(SPEC, toy_dir)
+        (toy_dir / MANIFEST_FILENAME).unlink()
+        with pytest.raises(ManifestError, match="no manifest"):
+            load_corpus_from_dir(SPEC, toy_dir)
 
     def test_loads_are_deterministic(self):
         a = load_corpus("abt-buy")

@@ -52,12 +52,12 @@ class TestCurves:
     def test_average_precision_no_truth(self):
         assert average_precision([("a", "b")], []) == 0.0
 
-    def test_downsampling_keeps_endpoints(self):
+    def test_one_point_per_rank_ending_at_the_full_list(self):
         truth = [(f"a{i}", f"b{i}") for i in range(50)]
         ranked = truth + [("x", "y")]
-        curve = precision_recall_curve(ranked, truth, points=10)
-        assert len(curve) <= 12
-        assert curve[-1][0] == pytest.approx(1.0)
+        curve = precision_recall_curve(ranked, truth)
+        assert len(curve) == len(ranked)
+        assert curve[-1] == (1.0, 50 / 51)
 
 
 class TestThresholdTable:

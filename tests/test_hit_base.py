@@ -14,7 +14,6 @@ class TestPairBasedHIT:
         hit = PairBasedHIT("h1", (("r2", "r1"), ("r3", "r4")))
         assert hit.pairs == (("r1", "r2"), ("r3", "r4"))
         assert hit.size == 2
-        assert hit.record_ids == {"r1", "r2", "r3", "r4"}
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -37,10 +36,6 @@ class TestClusterBasedHIT:
     def test_checkable_pairs_all_internal(self):
         hit = ClusterBasedHIT("h1", ("a", "b", "c"))
         assert hit.checkable_pairs() == {("a", "b"), ("a", "c"), ("b", "c")}
-
-    def test_checkable_pairs_restricted_to_candidates(self):
-        hit = ClusterBasedHIT("h1", ("a", "b", "c"))
-        assert hit.checkable_pairs([("a", "b"), ("c", "d")]) == {("a", "b")}
 
 
 class TestHITBatch:
@@ -95,13 +90,9 @@ class TestPairHITGeneration:
         assert sorted(seen) == sorted(example_pairs.keys())
 
     def test_likelihood_ordering(self, simple_pairs):
-        batch = PairHITGenerator(pairs_per_hit=2, order_by_likelihood=True).generate(simple_pairs)
+        batch = PairHITGenerator(pairs_per_hit=2).generate(simple_pairs)
         first_hit = batch.hits[0]
         assert ("a", "b") in first_hit.pairs  # highest likelihood first
-
-    def test_insertion_ordering(self, simple_pairs):
-        batch = PairHITGenerator(pairs_per_hit=10, order_by_likelihood=False).generate(simple_pairs)
-        assert list(batch.hits[0].pairs) == list(simple_pairs.keys())
 
     def test_empty_pair_set(self):
         batch = PairHITGenerator(pairs_per_hit=4).generate(PairSet())

@@ -20,13 +20,13 @@ def linearly_separable(n=200, seed=0):
 class TestLinearSVM:
     def test_fits_linearly_separable_data(self):
         features, labels = linearly_separable()
-        model = LinearSVM(iterations=5000, seed=1).fit(features, labels)
+        model = LinearSVM(seed=1).fit(features, labels)
         accuracy = float(np.mean((model.decision_function(features) > 0) == labels))
         assert accuracy > 0.95
 
     def test_decision_function_ranks_by_margin(self):
         features, labels = linearly_separable()
-        model = LinearSVM(iterations=5000, seed=1).fit(features, labels)
+        model = LinearSVM(seed=1).fit(features, labels)
         scores = model.decision_function(np.array([[3.0, 3.0], [-3.0, -3.0]]))
         assert scores[0] > scores[1]
 
@@ -43,12 +43,6 @@ class TestLinearSVM:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             LinearSVM().fit(np.zeros((3, 2)), np.zeros(4))
-
-    def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            LinearSVM(regularization=0)
-        with pytest.raises(ValueError):
-            LinearSVM(iterations=0)
 
 
 class TestTrainingSet:
@@ -80,15 +74,14 @@ class TestTrainingSet:
     def test_balancing_increases_minority_share(self, small_restaurant):
         candidates = SimJoinLikelihood().estimate(small_restaurant.store, min_likelihood=0.1)
         extractor = FeatureExtractor.for_attributes(["name"])
-        unbalanced = build_training_set(
-            small_restaurant.store, candidates, small_restaurant.ground_truth,
-            extractor, sample_size=80, seed=3, balance=False,
-        )
+        sample = sample_training_pairs(candidates, small_restaurant.ground_truth, 80, seed=3)
         balanced = build_training_set(
             small_restaurant.store, candidates, small_restaurant.ground_truth,
-            extractor, sample_size=80, seed=3, balance=True,
+            extractor, sample_size=80, seed=3,
         )
-        assert balanced.positive_count >= unbalanced.positive_count
+        positives = sum(label for _key, label in sample)
+        assert positives < 0.25 * len(sample)
+        assert balanced.positive_count / balanced.size > positives / len(sample)
 
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(ValueError):

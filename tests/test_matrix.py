@@ -13,11 +13,10 @@ Tier-1 (every push, bundled mini corpora, seconds not minutes):
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from strategies import arrival_batch_sizes, order_seeds
+from strategies import arrival_batch_sizes, order_seeds, stream_shuffled
 
 from repro.evaluation import matrix as mx
 from repro.simjoin.likelihood import SimJoinLikelihood
-from repro.streaming.session import resolve_stream
 
 pytestmark = pytest.mark.matrix
 
@@ -68,14 +67,8 @@ def test_streaming_modes_equal_batch(dataset_name, rows):
 @given(order_seed=order_seeds, batch_size=arrival_batch_sizes)
 def test_property_streaming_order_invariant_on_etl_corpus(rows, order_seed, batch_size):
     """Arrival order / batch size never change an ETL corpus resolution."""
-    import random
-
     dataset, config = mx.load_matrix_dataset("abt-buy")
-    order = dataset.store.record_ids
-    random.Random(order_seed).shuffle(order)
-    result = resolve_stream(
-        dataset, config=config, batch_size=batch_size, arrival_order=order
-    )
+    result = stream_shuffled(dataset, config, batch_size, order_seed)
     assert frozenset(result.matches) == rows[("abt-buy", "batch")]["_matches"]
 
 

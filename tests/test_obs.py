@@ -53,21 +53,26 @@ def make_dataset(record_count=60, duplicate_pairs=10, seed=11):
 class TestHistogram:
     def test_bucketing_lands_each_value_in_its_bucket(self):
         registry = MetricsRegistry()
-        histogram = registry.histogram("h", buckets=(0.1, 1.0, 10.0))
-        for value in (0.05, 0.5, 0.5, 5.0, 50.0):
+        histogram = registry.histogram("h")
+        for value in (0.0003, 0.07, 0.07, 20.0, 50.0):
             histogram.observe(value)
         snapshot = registry.snapshot()
         sample = snapshot.get("h")["samples"][0]
-        # counts are per-bucket (not cumulative): (<=0.1, <=1, <=10, +Inf)
-        assert sample["counts"] == [1, 2, 1, 1]
+        # counts are per-bucket (not cumulative), the last one +Inf
+        expected = [0] * (len(DEFAULT_BUCKETS) + 1)
+        expected[0] = 1  # <= 0.0005
+        expected[DEFAULT_BUCKETS.index(0.1)] = 2
+        expected[DEFAULT_BUCKETS.index(30.0)] = 1
+        expected[-1] = 1
+        assert sample["counts"] == expected
         assert sample["count"] == 5
-        assert sample["sum"] == pytest.approx(56.05)
+        assert sample["sum"] == pytest.approx(70.1403)
 
     def test_boundary_value_goes_to_lower_bucket(self):
         registry = MetricsRegistry()
-        registry.histogram("h", buckets=(1.0, 2.0)).observe(1.0)
-        sample = registry.snapshot().get("h")["samples"][0]
-        assert sample["counts"] == [1, 0, 0]  # le="1.0" is inclusive
+        registry.histogram("h").observe(1.0)
+        counts = registry.snapshot().get("h")["samples"][0]["counts"]
+        assert counts.index(1) == DEFAULT_BUCKETS.index(1.0)  # le="1.0" is inclusive
 
     def test_default_buckets_are_sorted_and_positive(self):
         assert list(DEFAULT_BUCKETS) == sorted(DEFAULT_BUCKETS)
@@ -75,7 +80,7 @@ class TestHistogram:
 
     def test_labelled_series_are_independent(self):
         registry = MetricsRegistry()
-        histogram = registry.histogram("h", buckets=(1.0,))
+        histogram = registry.histogram("h")
         histogram.observe(0.5, kind="a")
         histogram.observe(2.0, kind="b")
         snapshot = registry.snapshot()
@@ -104,12 +109,13 @@ class TestPrometheusExport:
 
     def test_histogram_buckets_are_cumulative(self):
         registry = MetricsRegistry()
-        histogram = registry.histogram("h", buckets=(1.0, 2.0))
-        histogram.observe(0.5)
+        histogram = registry.histogram("h")
+        histogram.observe(0.7)
         histogram.observe(1.5)
         text = to_prometheus(registry.snapshot())
+        assert 'h_bucket{le="0.5"} 0' in text
         assert 'h_bucket{le="1"} 1' in text
-        assert 'h_bucket{le="2"} 2' in text
+        assert 'h_bucket{le="2.5"} 2' in text
         assert 'h_bucket{le="+Inf"} 2' in text
         assert "h_count 2" in text
 
@@ -605,14 +611,13 @@ def test_cli_resolve_output_does_not_depend_on_metrics(capsys):
 def test_cli_stats_names_a_store_by_its_session_directory_only(tmp_path, capsys):
     """The store is always ``DIR/store.sqlite``: there is no ``--store``."""
     with pytest.raises(SystemExit) as refused:
-        cli_main(["stats", "--store", str(tmp_path / STORE_FILENAME)])
+        cli_main(["stats", "--checkpoint-dir", str(tmp_path),
+                  "--store", str(tmp_path / STORE_FILENAME)])
     assert refused.value.code == 2
     assert "unrecognized arguments: --store" in capsys.readouterr().err
 
 
 def test_cli_stats_errors(tmp_path, capsys):
-    assert cli_main(["stats"]) == 2
-    assert "needs --checkpoint-dir or --trace" in capsys.readouterr().err
     assert cli_main(["stats", "--checkpoint-dir", str(tmp_path / "missing")]) == 2
     assert capsys.readouterr().err.startswith("error:")
 

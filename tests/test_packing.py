@@ -205,12 +205,13 @@ class TestHighsOnDemand:
     SESSION = """
         import sys
         import repro, repro.cli
+        from repro.datasets.restaurant import RestaurantGenerator
         print("scipy.optimize" in sys.modules)
         from repro.hit import packing
         masters = []
         solve = packing._basis_solve
         packing._basis_solve = lambda *master: masters.append(1) or solve(*master)
-        dataset = repro.load_restaurant(seed=7, record_count=500, duplicate_pairs=62)
+        dataset = RestaurantGenerator(500, 62, seed=7).generate()
         resolver = repro.StreamingResolver(config=repro.WorkflowConfig(
             likelihood_threshold=0.35, cluster_size={k}, aggregation="majority",
             vote_mode="per-pair", seed=7,

@@ -23,6 +23,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from strategies import WORDS as _WORDS
 from strategies import random_stores
@@ -40,14 +41,9 @@ from repro.simjoin import vectorized
 from repro.simjoin.columnar import extend_vocabulary_csr_arrays
 from repro.simjoin.likelihood import SimJoinLikelihood
 from repro.simjoin.parallel import join_blocks, ranked_pair_set, resolve_worker_count
-from repro.simjoin.vectorized import HAVE_SCIPY, BlockScorer
+from repro.simjoin.vectorized import similarity
 from repro.streaming.incremental_join import IncrementalSimJoin
 from repro.streaming.session import resolve_stream
-
-pytestmark = pytest.mark.skipif(not HAVE_SCIPY, reason="scipy unavailable")
-
-if HAVE_SCIPY:
-    from scipy import sparse
 
 
 def pair_items(pairs):
@@ -168,9 +164,33 @@ class TestParallelEqualsVectorized:
         assert pair_items(pairs) == [(("a", "b"), 1.0)]
 
 
+def full_product_blocks(matrix, start, block_size, threshold, alive):
+    """The kernel's blocks computed from the whole ``matrix @ matrix.T``:
+    every cell below the diagonal scored, no band and no overlap bound, in
+    the kernel's order (by column, then by row)."""
+    counts = (matrix @ matrix.T).toarray()
+    sizes = np.diff(matrix.indptr)
+    blocks = []
+    for block_start in range(start, matrix.shape[0], block_size):
+        block_end = min(block_start + block_size, matrix.shape[0])
+        cols, rows = np.nonzero(
+            np.arange(len(counts))[:, None] < np.arange(block_start, block_end)[None, :]
+        )
+        rows += block_start
+        inter = counts[rows, cols]
+        keep = similarity(inter, sizes[rows], sizes[cols]) >= threshold
+        if threshold > 0.0:
+            keep &= inter > 0
+        if alive is not None:
+            keep &= alive[cols]
+        rows, cols = rows[keep], cols[keep]
+        blocks.append((rows, cols, similarity(counts[rows, cols], sizes[rows], sizes[cols])))
+    return blocks
+
+
 class TestBandedProduct:
-    """A triangle-masked self-product multiplies each block only by the rows
-    before the block's end; nothing it returns may change."""
+    """The join multiplies each block only by the rows before the block's
+    end; nothing it returns may change."""
 
     @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(
@@ -192,15 +212,9 @@ class TestBandedProduct:
         alive = None if alive is None else np.array(alive, dtype=bool)
         banded = list(join_blocks(
             matrix, start=start, workers=workers, threshold=threshold,
-            block_size=block_size, triangle=True, alive=alive,
+            block_size=block_size, alive=alive,
         ))
-        # The reference: every block against the whole matrix (passed as
-        # the right operand, so it is not banded), under the same mask.
-        whole = BlockScorer(
-            matrix, matrix, threshold=threshold, block_size=block_size,
-            triangle=True, alive=alive,
-        )
-        expected = [whole.score(block_start) for block_start in whole.block_starts(start)]
+        expected = full_product_blocks(matrix, start, block_size, threshold, alive)
         assert same_block_sequence(banded, expected)
 
     @pytest.mark.gate
@@ -351,12 +365,12 @@ class TestWorkerThreads:
         real_score_product = vectorized.score_product
         scored = []
 
-        def failing_score_product(product, left_sizes, right_sizes, start, *rest):
+        def failing_score_product(product, sizes, start, *rest):
             if start == 0:
                 raise MemoryError("block 0")
             time.sleep(0.02)  # the failure is seen while most blocks still wait
             scored.append(start)
-            return real_score_product(product, left_sizes, right_sizes, start, *rest)
+            return real_score_product(product, sizes, start, *rest)
 
         monkeypatch.setattr(vectorized, "score_product", failing_score_product)
         threads_before = threading.active_count()

@@ -189,6 +189,6 @@ class TestAggregationProperties:
     def test_posteriors_and_fractions_bounded(self, votes):
         fractions = majority_vote(votes)
         assert all(0.0 <= value <= 1.0 for value in fractions.values())
-        posteriors = DawidSkeneAggregator(max_iterations=20).aggregate(votes)
+        posteriors = DawidSkeneAggregator().aggregate(votes)
         assert set(posteriors) == set(fractions)
         assert all(0.0 <= value <= 1.0 for value in posteriors.values())

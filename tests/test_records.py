@@ -216,7 +216,6 @@ class TestPairs:
         likelihoods = [pair.likelihood for pair in ordered]
         assert likelihoods == sorted(likelihoods, reverse=True)
 
-    def test_record_ids_and_intersection(self, simple_pairs):
-        assert simple_pairs.record_ids() == {"a", "b", "c", "d", "e"}
+    def test_intersection(self, simple_pairs):
         overlap = simple_pairs.intersection_keys([("b", "a"), ("x", "y")])
         assert overlap == {("a", "b")}

@@ -91,12 +91,12 @@ class TestRecordSimilarity:
 
 class TestFeatureExtractor:
     def test_for_attributes_builds_cross_product(self):
-        extractor = FeatureExtractor.for_attributes(["name", "city"], functions=("edit", "cosine"))
+        extractor = FeatureExtractor.for_attributes(["name", "city"])
         assert extractor.dimension == 4
         assert "edit(name)" in [spec.name for spec in extractor.specs]
 
     def test_extract_shape_and_range(self, example_store):
-        extractor = FeatureExtractor.for_attributes(["product_name"], functions=("edit", "cosine"))
+        extractor = FeatureExtractor.for_attributes(["product_name"])
         vector = extractor.extract(example_store.get("r1"), example_store.get("r2"))
         assert vector.shape == (2,)
         assert np.all((vector >= 0.0) & (vector <= 1.0))

@@ -24,7 +24,6 @@ from repro.datasets.restaurant import RestaurantGenerator
 from repro.records.record import Record, RecordStore
 from repro.simjoin.likelihood import SimJoinLikelihood
 from repro.simjoin.vectorized import (
-    HAVE_SCIPY,
     BlockScorer,
     block_incidence,
     min_overlap,
@@ -179,7 +178,6 @@ class TestSimJoinLikelihoodBackendSelection:
                 build()
 
 
-@pytest.mark.skipif(not HAVE_SCIPY, reason="scipy unavailable")
 class TestVectorizedJoin:
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
@@ -218,24 +216,22 @@ def _python_similarity(a, b):
     return len(a & b) / len(a | b)
 
 
-def _dense_oracle(threshold, left, right, start, end, triangle, alive):
-    """All-pairs reference for the kernel: no product, no prefilter.
+def _dense_oracle(threshold, token_sets, start, end, alive):
+    """All-pairs reference for the kernel: no product, no prefilter, no band.
 
     At a positive threshold the kernel's overlap bound is at least 1, so
     pairs sharing no token are not the kernel's to report (the engines add
     empty-vs-empty pairs themselves); at threshold zero the kernel scores
-    every pair.
+    every pair below the diagonal.
     """
     expected = []
     for row in range(start, end):
-        for col, other in enumerate(right):
-            if triangle and not col < row:
-                continue
+        for col, other in enumerate(token_sets[:row]):
             if alive is not None and not alive[col]:
                 continue
-            if threshold > 0.0 and not left[row] & other:
+            if threshold > 0.0 and not token_sets[row] & other:
                 continue
-            value = _python_similarity(left[row], other)
+            value = _python_similarity(token_sets[row], other)
             if value >= threshold:
                 expected.append((row, col, value))
     return sorted(expected)
@@ -254,19 +250,17 @@ def _incidence(token_sets, width):
     )
 
 
-def _score(threshold, left, right=None, start=0, end=None, triangle=False, alive=None):
-    """Left rows ``[start, end)`` through ``BlockScorer.score``, as one block
-    (a self-product under the triangle is banded, as the join runs it)."""
-    end = len(left) if end is None else end
+def _score(threshold, token_sets, start=0, end=None, alive=None):
+    """Rows ``[start, end)`` through ``BlockScorer.score``, as one block
+    (banded, as the join runs it)."""
+    end = len(token_sets) if end is None else end
     if end == start:
         return []
-    width = 1 + max((token for tokens in left + (right or []) for token in tokens), default=0)
+    width = 1 + max((token for tokens in token_sets for token in tokens), default=0)
     scorer = BlockScorer(
-        _incidence(left, width),
-        None if right is None else _incidence(right, width),
+        _incidence(token_sets, width),
         threshold=threshold,
         block_size=end - start,
-        triangle=triangle,
         alive=None if alive is None else np.array(alive, dtype=bool),
     )
     rows, cols, values = scorer.score(start)
@@ -283,40 +277,37 @@ _kernel_thresholds = st.one_of(
 )
 
 
-@pytest.mark.skipif(not HAVE_SCIPY, reason="scipy unavailable")
 class TestKernelOverlapBound:
     """The integer prefilter on the raw product never changes the kernel's output."""
 
     @settings(max_examples=300, deadline=None)
     @given(
-        left=_kernel_token_sets,
-        right=st.none() | _kernel_token_sets,
+        token_sets=_kernel_token_sets,
         threshold=_kernel_thresholds,
-        triangle=st.booleans(),
         data=st.data(),
     )
-    def test_scored_block_equals_dense_oracle(
-        self, left, right, threshold, triangle, data
-    ):
-        if right is not None:
-            triangle = False        # the diagonal only means something in a self-product
-        columns = left if right is None else right
-        start = data.draw(st.integers(min_value=0, max_value=len(left) - 1))
-        end = data.draw(st.integers(min_value=start, max_value=len(left)))
+    def test_scored_block_equals_dense_oracle(self, token_sets, threshold, data):
+        start = data.draw(st.integers(min_value=0, max_value=len(token_sets) - 1))
+        end = data.draw(st.integers(min_value=start, max_value=len(token_sets)))
         alive = data.draw(
-            st.none() | st.lists(st.booleans(), min_size=len(columns), max_size=len(columns))
+            st.none()
+            | st.lists(st.booleans(), min_size=len(token_sets), max_size=len(token_sets))
         )
-        assert _score(threshold, left, right, start, end, triangle, alive) == (
-            _dense_oracle(threshold, left, columns, start, end, triangle, alive)
+        assert _score(threshold, token_sets, start, end, alive) == (
+            _dense_oracle(threshold, token_sets, start, end, alive)
         )
 
     @pytest.mark.parametrize("threshold", (0.0, 0.3, 1.0))
-    def test_a_triangle_against_fewer_right_rows_equals_the_oracle(self, threshold):
-        left = [frozenset({1, 2}), frozenset({2, 3}), frozenset({1, 2, 3}), frozenset({3})]
-        right = [frozenset({1, 2}), frozenset({2, 3, 4})]
-        assert _score(threshold, left, right, triangle=True) == _dense_oracle(
-            threshold, left, right, 0, len(left), True, None
-        )
+    def test_only_pairs_below_the_diagonal_are_scored(self, threshold):
+        """Identical rows score 1.0 with one another, yet no row is paired
+        with itself or a later row, in a band from the first row or not."""
+        token_sets = [frozenset({1, 2, 3})] * 4
+        assert _score(threshold, token_sets) == [
+            (row, col, 1.0) for row in range(4) for col in range(row)
+        ]
+        assert _score(threshold, token_sets, start=2) == [
+            (row, col, 1.0) for row in (2, 3) for col in range(row)
+        ]
 
     def test_naive_ceiling_would_drop_a_true_pair(self):
         """``0.28 * 25 == 7.000000000000001``: its ceiling is 8, the pair has 7."""
@@ -324,8 +315,8 @@ class TestKernelOverlapBound:
         assert min_overlap(0.28, np.array([25]))[0] == 7
         big, small = frozenset(range(25)), frozenset(range(7))
         assert len(big & small) / len(big | small) >= 0.28
-        # The bound is the left row's: the big set's row, below the diagonal.
-        assert _score(0.28, [small, big], triangle=True) == [(1, 0, 0.28)]
+        # The bound is the row's: the big set's row, below the diagonal.
+        assert _score(0.28, [small, big]) == [(1, 0, 0.28)]
 
     @pytest.mark.parametrize("threshold,size_a,size_b", [
         # B is a subset of A, sized so that the similarity equals the
@@ -349,11 +340,9 @@ class TestKernelOverlapBound:
         a, b = frozenset(range(size_a)), frozenset(range(size_b))
         value = _python_similarity(a, b)
         assert value >= threshold
-        # Both orientations: the bound comes from the left row's size.
-        assert _score(threshold, [a, b]) == [
-            (0, 0, 1.0), (0, 1, value), (1, 0, value), (1, 1, 1.0)
-        ]
-        assert _score(threshold, [b, a], triangle=True) == [(1, 0, value)]
+        # Both orientations: the bound comes from the row's size.
+        assert _score(threshold, [a, b]) == [(1, 0, value)]
+        assert _score(threshold, [b, a]) == [(1, 0, value)]
 
     def test_bound_is_necessary_for_every_small_size(self):
         """Every (|A|, |B|, overlap) up to 40 tokens, 128 thresholds: a pair
@@ -373,7 +362,6 @@ class TestKernelOverlapBound:
             )
 
 
-@pytest.mark.skipif(not HAVE_SCIPY, reason="scipy unavailable")
 class TestDenseBlockDtype:
     """A block's counts are held in the smallest unsigned type that fits its
     largest row; a count equal to that row's size must not wrap."""
@@ -382,20 +370,18 @@ class TestDenseBlockDtype:
         (255, np.uint8), (256, np.uint16), (65_536, np.uint32),
     ))
     @pytest.mark.parametrize("threshold", (0.0, 0.3, 1.0))
-    @pytest.mark.parametrize("triangle", (False, True))
     def test_counts_up_to_the_largest_row_size_equal_the_oracle(
-        self, largest, dtype, threshold, triangle
+        self, largest, dtype, threshold
     ):
         big = frozenset(range(largest))
-        # Two copies of the largest row share all of its tokens (and the
-        # diagonal, without the triangle, pairs it with itself).
-        left = [
+        # Two copies of the largest row share all of its tokens.
+        token_sets = [
             big, frozenset(range(largest // 3)), big,
             frozenset(range(largest - 1, largest + 2)), frozenset(),
         ]
-        assert _score(threshold, left, triangle=triangle) == _dense_oracle(
-            threshold, left, left, 0, len(left), triangle, None
+        assert _score(threshold, token_sets) == _dense_oracle(
+            threshold, token_sets, 0, len(token_sets), None
         )
-        matrix = _incidence(left, largest + 2)
-        _tokens, dense = block_incidence(matrix, np.diff(matrix.indptr), 0, len(left))
+        matrix = _incidence(token_sets, largest + 2)
+        _tokens, dense = block_incidence(matrix, np.diff(matrix.indptr), 0, len(token_sets))
         assert dense.dtype == dtype

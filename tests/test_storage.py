@@ -1509,13 +1509,3 @@ class TestColumnarPairGeneration:
         ]
         assert all(len(hit.pairs) <= pairs_per_hit for hit in batch.hits)
         assert batch.candidate_pairs == set(pairs.keys())
-
-    def test_insertion_order_mode_is_untouched(self):
-        pairs = PairSet(
-            [
-                RecordPair("r1", "r2", likelihood=0.1),
-                RecordPair("r3", "r4", likelihood=0.9),
-            ]
-        )
-        batch = PairHITGenerator(pairs_per_hit=10, order_by_likelihood=False).generate(pairs)
-        assert batch.hits[0].pairs == (("r1", "r2"), ("r3", "r4"))

@@ -15,7 +15,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from strategies import arrival_batch_sizes, drive, event_schedules, fault_plans, order_seeds
+from strategies import (
+    arrival_batch_sizes, drive, event_schedules, fault_plans, order_seeds, stream_shuffled,
+)
 
 from repro.aggregation.majority import MajorityAggregator
 from repro.core.config import WorkflowConfig
@@ -37,12 +39,6 @@ def make_dataset(record_count=90, duplicate_pairs=15, seed=11):
     return RestaurantGenerator(
         record_count=record_count, duplicate_pairs=duplicate_pairs, seed=seed
     ).generate()
-
-
-def shuffled_ids(dataset, seed):
-    ids = dataset.store.record_ids
-    random.Random(seed).shuffle(ids)
-    return ids
 
 
 # --------------------------------------------------------------- join layer
@@ -159,12 +155,7 @@ class TestStreamingEquivalence:
         workflow = HybridWorkflow(config)
         one_shot = workflow.resolve(dataset)
         batch_size = random.Random(order_seed).choice([7, 16, 33])
-        stream = resolve_stream(
-            dataset,
-            config=config,
-            batch_size=batch_size,
-            arrival_order=shuffled_ids(dataset, order_seed),
-        )
+        stream = stream_shuffled(dataset, config, batch_size, order_seed)
         assert set(stream.matches) == set(one_shot.matches)
         assert stream.matches == one_shot.matches  # identical ranking of matches
         assert stream.posteriors == one_shot.posteriors
@@ -278,24 +269,46 @@ class TestIncrementalBehaviour:
             WorkflowConfig(stream_batch_size=0)
 
     @pytest.mark.parametrize("durable", (False, True))
-    @pytest.mark.parametrize("flaw", ("short", "unknown id", "repeated id"))
-    def test_resolve_stream_rejects_partial_order(self, tmp_path, flaw, durable):
-        """An order that is not a permutation of the store's ids is refused
-        before the session exists: a durable one writes no file and holds
-        no lock, so the same directory then takes a correct order."""
+    @pytest.mark.parametrize("flaw", ("resident id", "repeated id", "non-string value"))
+    def test_add_batch_refuses_a_bad_batch_before_logging_it(self, tmp_path, flaw, durable):
+        """A batch naming a resident id, naming an id twice or holding a
+        value that is not a string is refused before any state changes: a
+        durable session logs nothing for it, and the session then takes the
+        corrected batch and ends where a session that never saw it ends."""
         dataset = make_dataset(record_count=20, duplicate_pairs=3)
-        ids = dataset.store.record_ids
-        order = {
-            "short": ids[:-1],
-            "unknown id": ids[:-1] + ["no-such-record"],
-            "repeated id": ids[:-1] + ids[:1],
+        records = list(dataset.store)
+        first, rest = records[:10], records[10:]
+        bad = {
+            "resident id": rest[:-1] + first[:1],
+            "repeated id": rest + rest[:1],
+            "non-string value": rest[:-1] + [Record(rest[-1].record_id, {"name": 5})],
         }[flaw]
+
+        def session(checkpoint_dir=None):
+            resolver = StreamingResolver(config=WorkflowConfig(checkpoint_dir=checkpoint_dir))
+            resolver.add_truth(dataset.ground_truth)
+            resolver.add_batch(first)
+            return resolver
+
         directory = tmp_path / "session"
-        config = WorkflowConfig(checkpoint_dir=str(directory) if durable else None)
-        with pytest.raises(ValueError):
-            resolve_stream(dataset, config=config, arrival_order=order)
-        assert not directory.exists()
-        assert resolve_stream(dataset, config=config, arrival_order=ids).candidate_count
+        resolver = session(str(directory) if durable else None)
+        digest = resolver.state_digest()
+        with pytest.raises(RecordError):
+            resolver.add_batch(bad)
+        assert resolver.state_digest() == digest
+        assert len(resolver.store) == len(first)
+        if durable:
+            resolver.durability.close()
+            resolver = StreamingResolver.restore(directory)
+            assert resolver.state_digest() == digest
+        resolver.add_batch(rest)
+        reference = session()
+        reference.add_batch(rest)
+        assert resolver.state_digest() == reference.state_digest()
+        assert resolver.snapshot().matches == reference.snapshot().matches
+        resolver.durability.close()
+        reference.durability.close()
+
 
 
 # -------------------------------------------------------- property (random)
@@ -312,12 +325,7 @@ def test_property_streaming_equals_batch(order_seed, batch_size):
         likelihood_threshold=0.35, vote_mode="per-pair", aggregation="majority"
     )
     one_shot = HybridWorkflow(config).resolve(dataset)
-    stream = resolve_stream(
-        dataset,
-        config=config,
-        batch_size=batch_size,
-        arrival_order=shuffled_ids(dataset, order_seed),
-    )
+    stream = stream_shuffled(dataset, config, batch_size, order_seed)
     assert set(stream.matches) == set(one_shot.matches)
     assert stream.posteriors == one_shot.posteriors
     assert stream.likelihoods == one_shot.likelihoods
