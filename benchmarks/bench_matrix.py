@@ -7,7 +7,9 @@ tolerance fails the run with a per-cell diff message naming the metric, the
 observed and baseline values and the tolerance — so a quality regression
 points at the exact dataset/mode combination that moved.
 
-Standalone script (not a pytest-benchmark module) so CI can gate on it::
+Standalone script (not a pytest-benchmark module); the tier-1 test
+``tests/test_matrix.py`` checks the same cells against the same file on
+every push::
 
     PYTHONPATH=src python benchmarks/bench_matrix.py             # all 9 cells
     PYTHONPATH=src python benchmarks/bench_matrix.py --refresh   # rewrite baseline

@@ -19,7 +19,7 @@ from repro.datasets.base import Dataset
 from repro.learning.classifier_er import LearningBasedER
 from repro.records.pairs import PairSet
 from repro.similarity.feature_vectors import FeatureExtractor
-from repro.simjoin.likelihood import LikelihoodEstimator, SimJoinLikelihood
+from repro.simjoin.likelihood import SimJoinLikelihood
 
 PairKey = Tuple[str, str]
 
@@ -29,13 +29,11 @@ class SimJoinRanker:
     """Rank candidate pairs by machine likelihood only."""
 
     min_likelihood: float = 0.1
-    estimator: Optional[LikelihoodEstimator] = None
     name: str = "simjoin"
 
     def rank(self, dataset: Dataset) -> List[PairKey]:
         """Return candidate pairs in decreasing likelihood order."""
-        estimator = self.estimator or SimJoinLikelihood()
-        candidates = estimator.estimate(
+        candidates = SimJoinLikelihood().estimate(
             dataset.store,
             min_likelihood=self.min_likelihood,
             cross_sources=dataset.cross_sources,

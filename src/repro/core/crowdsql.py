@@ -13,7 +13,7 @@ workflow.
 
 from __future__ import annotations
 
-from typing import FrozenSet, List, Optional, Sequence, Tuple
+from typing import FrozenSet, List, Optional, Tuple
 
 from repro.core.config import WorkflowConfig
 from repro.core.workflow import HybridWorkflow

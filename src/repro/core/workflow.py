@@ -16,7 +16,7 @@
 from __future__ import annotations
 
 import logging
-from typing import Dict, FrozenSet, Iterable, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro import obs
 from repro.aggregation.dawid_skene import DawidSkeneAggregator
@@ -30,8 +30,7 @@ from repro.crowd.worker import WorkerPool
 from repro.datasets.base import Dataset
 from repro.hit.pair_generation import PairHITGenerator
 from repro.hit.two_tiered import TwoTieredClusterGenerator
-from repro.records.pairs import PairSet, canonical_pair
-from repro.records.record import RecordStore
+from repro.records.pairs import PairSet
 from repro.simjoin.likelihood import SimJoinLikelihood
 
 PairKey = Tuple[str, str]

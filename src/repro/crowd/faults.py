@@ -27,7 +27,6 @@ import json
 import random
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Optional
 
 
 @dataclass(frozen=True)

@@ -51,41 +51,36 @@ class LatencyEstimate:
         }
 
 
+#: Seconds to open a pair-based HIT, read the instructions and submit.
+PAIR_OVERHEAD = 18.0
+#: The same for a cluster-based HIT.
+CLUSTER_OVERHEAD = 25.0
+#: Seconds of one careful side-by-side comparison of a batched pair.
+PAIR_SECONDS_PER_COMPARISON = 5.5
+#: Seconds of one scan-comparison in the cluster interface.
+CLUSTER_SECONDS_PER_COMPARISON = 1.6
+#: Workers that could work on a batch.
+POOL_SIZE = 24
+#: Fraction of the pool willing to try the unfamiliar cluster interface.
+CLUSTER_APPEAL = 0.45
+#: Pairs per HIT beyond which pair HITs start losing appeal (the P16 vs
+#: P28 effect).
+PAIR_REFERENCE_BATCH = 16
+#: Fraction of otherwise-willing workers that bother taking the
+#: qualification test.
+QUALIFICATION_PARTICIPATION = 0.40
+#: Extra seconds per assignment when workers passed a qualification test.
+QUALIFICATION_EXTRA_SECONDS = 6.0
+#: Minutes before the first workers arrive.
+RECRUITMENT_MINUTES = 12.0
+
+
 @dataclass
 class LatencyModel:
-    """Parameterised latency model for pair-based and cluster-based HITs.
+    """The latency model of pair-based and cluster-based HITs, calibrated
+    by the constants above (seconds unless noted)."""
 
-    Parameters (all in seconds unless noted):
-
-    * ``pair_overhead`` / ``cluster_overhead`` — fixed time to open a HIT,
-      read instructions and submit.
-    * ``pair_seconds_per_comparison`` — careful side-by-side comparison of
-      one batched pair.
-    * ``cluster_seconds_per_comparison`` — one scan-comparison in the
-      cluster interface.
-    * ``pool_size`` — number of workers that could work on the batch.
-    * ``cluster_appeal`` — fraction of the pool willing to try the
-      unfamiliar cluster interface.
-    * ``pair_reference_batch`` — pair count per HIT beyond which pair HITs
-      start losing appeal (the P16 vs P28 effect).
-    * ``qualification_participation`` — fraction of otherwise-willing
-      workers that bother taking the qualification test.
-    * ``recruitment_minutes`` — fixed time before the first workers arrive.
-    """
-
-    pair_overhead: float = 18.0
-    cluster_overhead: float = 25.0
-    pair_seconds_per_comparison: float = 5.5
-    cluster_seconds_per_comparison: float = 1.6
-    pool_size: int = 24
-    cluster_appeal: float = 0.45
-    pair_reference_batch: int = 16
-    qualification_participation: float = 0.40
-    qualification_extra_seconds: float = 6.0
-    recruitment_minutes: float = 12.0
-    #: Memo for :meth:`effective_workers`, keyed on every input the result
-    #: depends on (so mutating a model parameter naturally misses the cache
-    #: instead of serving a stale figure).
+    #: Memo for :meth:`effective_workers`, keyed on its arguments.
     _effective_workers_cache: Dict[Tuple, float] = field(
         default_factory=dict, repr=False, compare=False
     )
@@ -95,29 +90,29 @@ class LatencyModel:
         """Completion time of one pair-based assignment with ``pair_count`` pairs."""
         if pair_count < 0:
             raise ValueError("pair_count must be non-negative")
-        seconds = self.pair_overhead + self.pair_seconds_per_comparison * pair_count
+        seconds = PAIR_OVERHEAD + PAIR_SECONDS_PER_COMPARISON * pair_count
         if qualified:
-            seconds += self.qualification_extra_seconds
+            seconds += QUALIFICATION_EXTRA_SECONDS
         return seconds
 
     def cluster_assignment_seconds(self, comparisons: int, qualified: bool = False) -> float:
         """Completion time of one cluster-based assignment with the given comparisons."""
         if comparisons < 0:
             raise ValueError("comparisons must be non-negative")
-        seconds = self.cluster_overhead + self.cluster_seconds_per_comparison * comparisons
+        seconds = CLUSTER_OVERHEAD + CLUSTER_SECONDS_PER_COMPARISON * comparisons
         if qualified:
-            seconds += self.qualification_extra_seconds
+            seconds += QUALIFICATION_EXTRA_SECONDS
         return seconds
 
     # ------------------------------------------------------------- appeal
     def batch_appeal(self, hit_type: str, pairs_per_hit: Optional[int] = None) -> float:
         """Fraction of the pool attracted by a batch of the given HIT type."""
         if hit_type == "cluster":
-            return self.cluster_appeal
+            return CLUSTER_APPEAL
         if hit_type == "pair":
             if pairs_per_hit is None or pairs_per_hit <= 0:
                 return 1.0
-            return min(1.0, self.pair_reference_batch / pairs_per_hit)
+            return min(1.0, PAIR_REFERENCE_BATCH / pairs_per_hit)
         raise ValueError("hit_type must be 'pair' or 'cluster'")
 
     def effective_workers(
@@ -125,25 +120,17 @@ class LatencyModel:
     ) -> float:
         """Number of workers effectively working on the batch in parallel.
 
-        Memoized per distinct input (and per model parameterisation): the
-        streaming resolver calls this on every publish with an unchanged
-        configuration, so the appeal arithmetic runs once, not per batch.
+        Memoized per distinct input: the streaming resolver calls this on
+        every publish with an unchanged configuration, so the appeal
+        arithmetic runs once, not per batch.
         """
-        key = (
-            hit_type,
-            pairs_per_hit,
-            qualification,
-            self.pool_size,
-            self.cluster_appeal,
-            self.pair_reference_batch,
-            self.qualification_participation,
-        )
+        key = (hit_type, pairs_per_hit, qualification)
         cached = self._effective_workers_cache.get(key)
         if cached is not None:
             return cached
-        workers = self.pool_size * self.batch_appeal(hit_type, pairs_per_hit)
+        workers = POOL_SIZE * self.batch_appeal(hit_type, pairs_per_hit)
         if qualification:
-            workers *= self.qualification_participation
+            workers *= QUALIFICATION_PARTICIPATION
         workers = max(1.0, workers)
         self._effective_workers_cache[key] = workers
         return workers
@@ -168,10 +155,10 @@ class LatencyModel:
             return LatencyEstimate(0.0, 0.0, 0.0, 0.0, 0)
         workers = self.effective_workers(hit_type, pairs_per_hit, qualification)
         total_work_seconds = total_seconds(assignment_seconds)
-        total_minutes = self.recruitment_minutes + (total_work_seconds / workers) / 60.0
+        total_minutes = RECRUITMENT_MINUTES + (total_work_seconds / workers) / 60.0
         if qualification:
             # Qualified crowds take longer to assemble.
-            total_minutes += self.recruitment_minutes
+            total_minutes += RECRUITMENT_MINUTES
         return LatencyEstimate(
             median_assignment_seconds=float(median(Counter(assignment_seconds).elements())),
             mean_assignment_seconds=total_work_seconds / count,

@@ -52,8 +52,6 @@ class CrowdRunResult:
     latency: Optional[LatencyEstimate] = None
     hit_count: int = 0
     assignments_per_hit: int = 3
-    qualified_worker_count: int = 0
-    rejected_worker_count: int = 0
     #: Per HIT, in batch order, the candidate pairs it carries — what a
     #: per-pair or asynchronous publish computes to ask the crowd (a
     #: sequential one leaves it empty).
@@ -127,10 +125,7 @@ class SimulatedCrowdPlatform:
         self.vote_mode = vote_mode
         # The pool is fixed for the platform's life, so the qualification
         # test is given once, here, and every publish reads this list.
-        qualified, rejected = (
-            qualification.filter_pool(self.pool) if qualification else ([], [])
-        )
-        self._rejected_count = len(rejected)
+        qualified = qualification.filter_pool(self.pool)[0] if qualification else []
         # Everyone failing is a degenerate configuration: fall back to the
         # full pool so the simulation can still proceed.
         self._eligible: List[Worker] = qualified or self.pool.workers
@@ -156,12 +151,9 @@ class SimulatedCrowdPlatform:
             if candidate_pairs is not None
             else set(batch.candidate_pairs)
         )
-        rng = random.Random(self.seed)
         result = CrowdRunResult(
             hit_count=batch.hit_count,
             assignments_per_hit=self.assignments_per_hit,
-            qualified_worker_count=len(self._eligible) if self.qualification else 0,
-            rejected_worker_count=self._rejected_count,
         )
 
         pairs_per_hit = None
@@ -170,9 +162,9 @@ class SimulatedCrowdPlatform:
 
         with obs.span("crowd.publish", hits=batch.hit_count, mode=self.vote_mode):
             if self.vote_mode == "per-pair":
-                self._publish_per_pair(batch, truth, candidates, rng, result)
+                self._publish_per_pair(batch, truth, candidates, result)
             else:
-                self._publish_sequential(batch, truth, candidates, rng, result)
+                self._publish_sequential(batch, truth, candidates, result)
 
         result.cost = self.pricing.total_cost(batch.hit_count, self.assignments_per_hit)
         result.latency = self.latency.estimate(
@@ -205,10 +197,10 @@ class SimulatedCrowdPlatform:
         batch: HITBatch,
         truth: Set[Tuple[str, str]],
         candidates: Set[Tuple[str, str]],
-        rng: random.Random,
         result: CrowdRunResult,
     ) -> None:
         """Legacy simulation: one RNG advanced HIT by HIT in publish order."""
+        rng = random.Random(self.seed)
         for hit in batch.hits:
             workers = self._pick_workers(rng)
             for worker in workers:
@@ -227,7 +219,6 @@ class SimulatedCrowdPlatform:
                     answers = {key: value for key, value in answers.items() if key in candidates}
                 else:  # pragma: no cover - defensive
                     raise TypeError(f"unsupported HIT type: {type(hit)!r}")
-                worker.completed_assignments += 1
                 result.assignment_seconds.append(seconds)
                 for pair_key, answer in answers.items():
                     result.votes.append((worker.worker_id, pair_key, answer))
@@ -237,7 +228,6 @@ class SimulatedCrowdPlatform:
         batch: HITBatch,
         truth: Set[Tuple[str, str]],
         candidates: Set[Tuple[str, str]],
-        rng: random.Random,
         result: CrowdRunResult,
     ) -> None:
         """Deterministic simulation: votes are a function of the pair key.
@@ -251,12 +241,12 @@ class SimulatedCrowdPlatform:
         once for all of them (:meth:`votes_for`); a smaller one asks
         :meth:`pair_votes` pair by pair.  The votes are the same either way.
         """
-        # Per-HIT assignment bookkeeping mirrors the sequential mode.
+        # Every HIT is done by ``assignments_per_hit`` workers, as in the
+        # sequential mode (which reuses workers when fewer are eligible).
         for hit in batch.hits:
-            seconds = self.hit_assignment_seconds(hit)
-            for worker in self._pick_workers(rng):
-                worker.completed_assignments += 1
-                result.assignment_seconds.append(seconds)
+            result.assignment_seconds.extend(
+                [self.hit_assignment_seconds(hit)] * self.assignments_per_hit
+            )
         result.carried = batch.carried_pairs(candidates)
         keys = sorted(set().union(*result.carried))
         is_match = [key in truth for key in keys]

@@ -11,21 +11,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
+#: Dollars paid to the worker of one completed assignment.
+REWARD_PER_ASSIGNMENT = 0.02
+#: Dollars the platform charges per assignment.
+PLATFORM_FEE_PER_ASSIGNMENT = 0.005
+
+
 @dataclass(frozen=True)
 class PricingModel:
     """Per-assignment pricing: worker reward plus platform fee."""
 
-    reward_per_assignment: float = 0.02
-    platform_fee_per_assignment: float = 0.005
-
-    def __post_init__(self) -> None:
-        if self.reward_per_assignment < 0 or self.platform_fee_per_assignment < 0:
-            raise ValueError("prices must be non-negative")
-
     @property
     def cost_per_assignment(self) -> float:
         """Total cost of one assignment (reward + fee)."""
-        return self.reward_per_assignment + self.platform_fee_per_assignment
+        return REWARD_PER_ASSIGNMENT + PLATFORM_FEE_PER_ASSIGNMENT
 
     def assignment_count(self, hit_count: int, assignments_per_hit: int) -> int:
         """Total number of assignments for a batch."""

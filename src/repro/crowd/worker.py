@@ -66,7 +66,6 @@ class Worker:
         self.profile = profile
         self._rng = random.Random(seed)
         self.qualified = False
-        self.completed_assignments = 0
 
     # ------------------------------------------------------------- answers
     @property

@@ -5,7 +5,8 @@ DBLP-ACM, ...) all share one shape: two CSV files of records, one CSV of
 gold matching id pairs.  :func:`load_corpus_from_dir` turns that shape into
 a :class:`repro.datasets.base.Dataset` ready for the hybrid workflow:
 
-1. verify the directory's checksum manifest (:mod:`repro.etl.manifest`);
+1. verify the directory's checksum manifest (:mod:`repro.etl.manifest`),
+   which must list every file the corpus reads;
 2. read each source CSV through its :class:`SourceSpec` column map;
 3. normalise text attributes (:func:`repro.etl.parsing.etl_normalize`) and
    parse price fields into canonical decimal + currency attributes;
@@ -18,8 +19,9 @@ a :class:`repro.datasets.base.Dataset` ready for the hybrid workflow:
 
 Malformed *values* (unparseable prices, records whose text normalises to
 nothing) are tolerated and counted; malformed *structure* (duplicate source
-ids, missing columns, missing files) raises :class:`EtlError` — a corpus
-that is structurally broken should never silently produce a dataset.
+ids, missing columns) raises :class:`EtlError`, and a missing or unlisted
+file :class:`~repro.etl.manifest.ManifestError` — a corpus that is
+structurally broken should never silently produce a dataset.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.datasets.base import Dataset
-from repro.etl.manifest import verify_manifest
+from repro.etl.manifest import MANIFEST_FILENAME, ManifestError, verify_manifest
 from repro.etl.parsing import etl_normalize, md5_id, parse_price_currency
 from repro.records.pairs import canonical_pair
 from repro.records.record import Record, RecordStore
@@ -88,8 +90,6 @@ class CorpusSpec:
 
 def _read_csv_rows(path: Path) -> List[Dict[str, str]]:
     """Read a CSV into dict rows with lower-cased, stripped headers."""
-    if not path.is_file():
-        raise EtlError(f"corpus file missing: {path}")
     with open(path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.DictReader(handle)
         if reader.fieldnames is None:
@@ -192,10 +192,18 @@ def load_corpus_from_dir(spec: CorpusSpec, directory: Path) -> Dataset:
 
     The directory's ``manifest.json`` digests are verified first, and the
     manifest's source URL / normalization steps are carried into the
-    lineage.
+    lineage.  A manifest that does not list every source file and the
+    mapping file is refused: a file it leaves out would load unchecked.
     """
     directory = Path(directory)
     manifest = verify_manifest(directory)
+    read = [source.filename for source in spec.sources] + [spec.mapping_filename]
+    unlisted = [name for name in read if name not in manifest.files]
+    if unlisted:
+        raise ManifestError(
+            f"{directory / MANIFEST_FILENAME} does not list {', '.join(unlisted)}: "
+            "every file a corpus reads must be verified"
+        )
     store = RecordStore(name=spec.name)
     lineage_counts: Dict[str, int] = {
         "malformed_prices": 0,

@@ -19,7 +19,8 @@ bytes the loader is allowed to consume::
 :class:`ManifestError` with a per-file message on any mismatch — a corpus
 whose bytes drifted produces an *attributable* error instead of a silently
 different benchmark baseline.  ``source_url`` is provenance only: nothing
-is fetched, a corpus loads from files on disk.
+is fetched, a corpus loads from files on disk.  ``license`` is for the
+file's readers; the loader does not parse it.
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ class Manifest:
     corpus: str
     files: Dict[str, FileStamp]
     source_url: Optional[str] = None
-    license: Optional[str] = None
     variant: Optional[str] = None
     normalization: List[str] = field(default_factory=list)
 
@@ -86,7 +86,6 @@ def load_manifest(directory: Path) -> Manifest:
         corpus=str(payload["corpus"]),
         files=files,
         source_url=payload.get("source_url"),
-        license=payload.get("license"),
         variant=payload.get("variant"),
         normalization=list(payload.get("normalization", [])),
     )

@@ -11,19 +11,12 @@ line against the pseudo-code in the paper.
 """
 
 from repro.graph.graph import Graph
-from repro.graph.components import (
-    connected_components,
-    labeled_components,
-    split_components_by_size,
-    split_components_with_labels,
-)
+from repro.graph.components import labeled_components, split_components_with_labels
 from repro.graph.union_find import IncrementalUnionFind
 
 __all__ = [
     "Graph",
-    "connected_components",
     "labeled_components",
-    "split_components_by_size",
     "split_components_with_labels",
     "IncrementalUnionFind",
 ]

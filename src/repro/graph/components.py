@@ -8,8 +8,8 @@ be partitioned by the top tier).
 
 :func:`labeled_components` is the single-traversal primitive: it returns
 both the component lists and a vertex→component-id map, so callers that
-need to group per-vertex data by component (the streaming resolver, the
-two-tiered generator's diagnostics) don't re-traverse the graph.
+need to group per-vertex data by component (the streaming resolver)
+don't re-traverse the graph.
 """
 
 from __future__ import annotations
@@ -49,33 +49,13 @@ def labeled_components(graph: Graph) -> Tuple[List[List[str]], Dict[str, int]]:
     return components, labels
 
 
-def connected_components(graph: Graph) -> List[List[str]]:
-    """Return the connected components as lists of vertex ids.
-
-    Thin wrapper over :func:`labeled_components` for callers that don't
-    need the vertex→component-id map.
-    """
-    components, _labels = labeled_components(graph)
-    return components
-
-
-def split_components_by_size(
-    graph: Graph, cluster_size: int
-) -> Tuple[List[List[str]], List[List[str]]]:
-    """Split connected components into (small, large) by the cluster size.
-
-    Small components have at most ``cluster_size`` vertices; large ones have
-    more.  This mirrors lines 2-4 of Algorithm 1 (Two-Tiered) in the paper.
-    """
-    small, large, _labels = split_components_with_labels(graph, cluster_size)
-    return small, large
-
-
 def split_components_with_labels(
     graph: Graph, cluster_size: int
 ) -> Tuple[List[List[str]], List[List[str]], Dict[str, int]]:
-    """Size-split the components and expose the vertex→component-id map.
+    """Split the components into (small, large, labels) by the cluster size.
 
+    Small components have at most ``cluster_size`` vertices; large ones have
+    more.  This mirrors lines 2-4 of Algorithm 1 (Two-Tiered) in the paper.
     The labels refer to the discovery order of :func:`labeled_components`
     (they are *not* reindexed after the small/large split), so two vertices
     share a component if and only if their labels are equal.  Everything is

@@ -13,8 +13,7 @@ fewest HITs of all evaluated approaches.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.graph.components import split_components_with_labels
 from repro.graph.graph import Graph
@@ -22,21 +21,6 @@ from repro.hit.generator import ClusterHITGenerator, register_generator
 from repro.hit.packing import pack_components
 from repro.hit.partitioning import partition_all
 from repro.records.pairs import PairSet
-
-
-@dataclass
-class TwoTieredStats:
-    """Diagnostics of one two-tiered run (used by tests and ablations)."""
-
-    small_components: int = 0
-    large_components: int = 0
-    partitioned_sccs: int = 0
-    packed_hits: int = 0
-    component_sizes: List[int] = field(default_factory=list)
-    #: vertex -> component id from the single component traversal; lets
-    #: callers (ablations, the streaming resolver) group per-record data by
-    #: component without re-running a BFS over the pair graph.
-    vertex_component: Dict[str, int] = field(default_factory=dict)
 
 
 @register_generator("two-tiered")
@@ -66,26 +50,14 @@ class TwoTieredClusterGenerator(ClusterHITGenerator):
         super().__init__(cluster_size)
         self.packing_method = packing_method
         self.tie_break = tie_break
-        self.last_stats: Optional[TwoTieredStats] = None
 
     def _clusters(self, pairs: PairSet) -> List[Sequence[str]]:
         graph = Graph.from_pair_set(pairs)
-        small, large, labels = split_components_with_labels(graph, self.cluster_size)
-
-        stats = TwoTieredStats(
-            small_components=len(small),
-            large_components=len(large),
-            component_sizes=[len(component) for component in small + large],
-            vertex_component=labels,
-        )
+        small, large, _labels = split_components_with_labels(graph, self.cluster_size)
 
         # Top tier: partition every large connected component.
         partitioned = partition_all(graph, large, self.cluster_size, tie_break=self.tie_break)
-        stats.partitioned_sccs = len(partitioned)
 
         # Bottom tier: pack all small components (original + partitioned).
         all_small = [list(component) for component in small] + partitioned
-        hit_groups = pack_components(all_small, self.cluster_size, method=self.packing_method)
-        stats.packed_hits = len(hit_groups)
-        self.last_stats = stats
-        return hit_groups
+        return pack_components(all_small, self.cluster_size, method=self.packing_method)

@@ -16,8 +16,8 @@ were sampled 10 times, and we report the average performance here".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import FrozenSet, List, Tuple
 
 import numpy as np
 
@@ -42,19 +42,15 @@ class LearningBasedER:
         Number of independent training repetitions to average (10 in the
         paper; smaller values keep the benchmarks fast).
     seed:
-        Base random seed.
-    classifier_factory:
-        Callable returning a fresh classifier exposing ``fit`` and
-        ``decision_function``; defaults to :class:`LinearSVM`.
+        Base random seed; repetition ``r`` trains a :class:`LinearSVM`
+        seeded ``seed + r``.
     """
 
     extractor: FeatureExtractor
     training_size: int = 500
     repetitions: int = 3
     seed: int = 0
-    classifier_factory: Optional[object] = None
     name: str = "svm"
-    last_training_sizes: List[int] = field(default_factory=list)
 
     def rank_pairs(
         self,
@@ -74,7 +70,6 @@ class LearningBasedER:
         features = self.extractor.extract_pairs(store, keys)
         total_scores = np.zeros(len(keys))
         successful_runs = 0
-        self.last_training_sizes = []
 
         for repetition in range(self.repetitions):
             training = build_training_set(
@@ -85,10 +80,9 @@ class LearningBasedER:
                 sample_size=self.training_size,
                 seed=self.seed + repetition,
             )
-            self.last_training_sizes.append(training.size)
             if not training.has_both_classes():
                 continue
-            classifier = self._new_classifier(repetition)
+            classifier = LinearSVM(seed=self.seed + repetition)
             classifier.fit(training.features, training.labels)
             total_scores += classifier.decision_function(features)
             successful_runs += 1
@@ -104,8 +98,3 @@ class LearningBasedER:
         scores = total_scores / successful_runs
         ranked = sorted(zip(keys, scores), key=lambda item: item[1], reverse=True)
         return [(key, float(score)) for key, score in ranked]
-
-    def _new_classifier(self, repetition: int):
-        if self.classifier_factory is not None:
-            return self.classifier_factory()  # type: ignore[operator]
-        return LinearSVM(seed=self.seed + repetition)

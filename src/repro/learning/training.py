@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import FrozenSet, List, Sequence, Tuple
+from typing import FrozenSet, List, Tuple
 
 import numpy as np
 

@@ -7,7 +7,7 @@ a ``+Inf`` bound plus ``_sum`` / ``_count`` series.
 
 :func:`validate_prometheus_text` is a dependency-free lint of that format —
 CI pipes every exported file through it (``python -m repro.obs.export
---check FILE``) so a malformed escape or an out-of-order ``# TYPE`` fails
+FILE``) so a malformed escape or an out-of-order ``# TYPE`` fails
 the build rather than a scrape.
 """
 
@@ -186,10 +186,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         description="Validate a Prometheus text-format metrics file."
     )
     parser.add_argument("path", help="metrics file to check ('-' for stdin)")
-    parser.add_argument(
-        "--check", action="store_true",
-        help="accepted for readability in CI scripts; validation always runs",
-    )
     args = parser.parse_args(argv)
     if args.path == "-":
         text = sys.stdin.read()

@@ -322,7 +322,7 @@ class SessionManager:
             path = resolver.save()
             return {"session_id": session_id, "saved_to": str(path)}
 
-        return await self.shards.submit(session_id, run)
+        return await self._submit_event(session_id, run)
 
     async def _submit_event(self, session_id: str, answer) -> Dict[str, object]:
         """Run one resolver event and encode its answer on the session's shard."""

@@ -15,10 +15,9 @@ selects between them with ``backend="auto"`` / ``"naive"``.
 """
 
 from repro.simjoin.allpairs import all_pairs_similarity
-from repro.simjoin.likelihood import LikelihoodEstimator, SimJoinLikelihood
+from repro.simjoin.likelihood import SimJoinLikelihood
 
 __all__ = [
     "all_pairs_similarity",
-    "LikelihoodEstimator",
     "SimJoinLikelihood",
 ]

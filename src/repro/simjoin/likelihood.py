@@ -1,9 +1,8 @@
 """Likelihood estimation: the machine pass of the hybrid workflow.
 
-A :class:`LikelihoodEstimator` turns a record store into a scored
-:class:`~repro.records.pairs.PairSet`.  :class:`SimJoinLikelihood` is the
-estimator the paper evaluates ("simjoin"): Jaccard similarity over pooled
-token sets.  ``"auto"`` is one append of the whole store to an empty
+:class:`SimJoinLikelihood` turns a record store into a scored
+:class:`~repro.records.pairs.PairSet`: the estimator the paper evaluates
+("simjoin"), Jaccard similarity over pooled token sets.  ``"auto"`` is one append of the whole store to an empty
 :class:`repro.streaming.incremental_join.IncrementalSimJoin` — a batch run
 is the first increment of the streaming join; ``"naive"`` is the all-pairs
 scan kept as the oracle the join is tested against.  Both return the
@@ -25,23 +24,8 @@ from repro.simjoin.allpairs import all_pairs_similarity
 JOIN_BACKENDS = ("auto", "naive")
 
 
-class LikelihoodEstimator:
-    """Interface: estimate match likelihoods for candidate pairs."""
-
-    name = "likelihood"
-
-    def estimate(
-        self,
-        store: RecordStore,
-        min_likelihood: float = 0.0,
-        cross_sources: Optional[Tuple[str, str]] = None,
-    ) -> PairSet:
-        """Return scored pairs with likelihood >= ``min_likelihood``."""
-        raise NotImplementedError
-
-
 @dataclass
-class SimJoinLikelihood(LikelihoodEstimator):
+class SimJoinLikelihood:
     """The paper's simjoin likelihood: Jaccard over pooled record tokens.
 
     Parameters
@@ -72,6 +56,7 @@ class SimJoinLikelihood(LikelihoodEstimator):
         min_likelihood: float = 0.0,
         cross_sources: Optional[Tuple[str, str]] = None,
     ) -> PairSet:
+        """Return scored pairs with likelihood >= ``min_likelihood``."""
         naive = self.backend == "naive"
         engine = "naive" if naive else "vectorized"
         with obs.span("simjoin.estimate", backend=engine, records=len(store)):

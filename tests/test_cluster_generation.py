@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.graph.components import split_components_with_labels
 from repro.graph.graph import Graph
 from repro.hit.approximation import build_goldschmidt_sequence, cliques_from_sequence
 from repro.hit.base import validate_cluster_cover
@@ -91,14 +92,12 @@ class TestTwoTiered:
             counts[name] = batch.hit_count
         assert counts["two-tiered"] == min(counts.values())
 
-    def test_stats_populated(self, example_pairs):
-        generator = TwoTieredClusterGenerator(cluster_size=4)
-        generator.generate(example_pairs)
-        stats = generator.last_stats
-        assert stats is not None
-        assert stats.small_components == 1
-        assert stats.large_components == 1
-        assert stats.packed_hits == 3
+    def test_example_splits_and_packs_into_three_hits(self, example_pairs):
+        small, large, _labels = split_components_with_labels(
+            Graph.from_pair_set(example_pairs), 4
+        )
+        assert (len(small), len(large)) == (1, 1)
+        assert TwoTieredClusterGenerator(cluster_size=4).generate(example_pairs).hit_count == 3
 
     @pytest.mark.parametrize("packing_method", ["ffd", "branch-and-bound", "column-generation"])
     def test_all_packing_methods_valid(self, packing_method, example_pairs):
@@ -145,9 +144,7 @@ class TestPartitioning:
     def test_partition_covers_all_edges(self, small_restaurant):
         pairs = SimJoinLikelihood().estimate(small_restaurant.store, min_likelihood=0.2)
         graph = Graph.from_pair_set(pairs)
-        from repro.graph.components import split_components_by_size
-
-        small, large = split_components_by_size(graph, 5)
+        small, large, _labels = split_components_with_labels(graph, 5)
         sccs = partition_all(graph, large, 5)
         for component in large:
             local = [scc for scc in sccs if set(scc) <= set(component)]
@@ -157,9 +154,7 @@ class TestPartitioning:
     def test_scc_sizes_bounded(self, small_restaurant):
         pairs = SimJoinLikelihood().estimate(small_restaurant.store, min_likelihood=0.2)
         graph = Graph.from_pair_set(pairs)
-        from repro.graph.components import split_components_by_size
-
-        _small, large = split_components_by_size(graph, 4)
+        _small, large, _labels = split_components_with_labels(graph, 4)
         for component in large:
             for scc in partition_large_component(graph, component, 4):
                 assert 2 <= len(scc) <= 4

@@ -14,7 +14,7 @@ from repro import obs
 from repro.core.config import WorkflowConfig
 from repro.core.workflow import HybridWorkflow
 from repro.crowd import mt19937
-from repro.crowd.latency import LatencyModel
+from repro.crowd.latency import RECRUITMENT_MINUTES, LatencyModel
 from repro.crowd.platform import CrowdRunResult, SimulatedCrowdPlatform
 from repro.crowd.pricing import PricingModel
 from repro.crowd.qualification import QualificationTest
@@ -171,8 +171,6 @@ class TestPricing:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            PricingModel(reward_per_assignment=-1)
-        with pytest.raises(ValueError):
             PricingModel().total_cost(-1, 3)
 
 
@@ -232,7 +230,7 @@ class TestLatencyModel:
         assert estimate.mean_assignment_seconds == total / len(durations)
         assert estimate.assignment_count == len(durations)
         workers = model.effective_workers("pair", 16)
-        assert estimate.total_minutes == model.recruitment_minutes + total / workers / 60.0
+        assert estimate.total_minutes == RECRUITMENT_MINUTES + total / workers / 60.0
 
     def test_the_sum_no_longer_depends_on_the_order(self):
         """Summed left to right, nine durations of a committed store read
@@ -298,8 +296,6 @@ class TestPlatform:
         pool = WorkerPool.build(size=12, seed=4)
         platform = SimulatedCrowdPlatform(pool=pool, seed=4)
         assert platform._eligible == pool.workers
-        result = platform.publish(self._cluster_batch(), {("a", "b")})
-        assert (result.qualified_worker_count, result.rejected_worker_count) == (0, 0)
 
     def test_a_qualification_nobody_passes_falls_back_to_the_whole_pool(self):
         pool = WorkerPool([Worker(f"s{i}", WorkerProfile("never", accuracy=0.0), seed=i)
@@ -307,7 +303,6 @@ class TestPlatform:
         platform = SimulatedCrowdPlatform(pool=pool, qualification=QualificationTest(), seed=4)
         assert platform._eligible == pool.workers
         result = platform.publish(self._cluster_batch(), {("a", "b")})
-        assert result.rejected_worker_count == 5
         assert {vote[0] for vote in result.votes} <= {worker.worker_id for worker in pool}
 
     def test_reproducible_with_seed(self):
@@ -318,6 +313,53 @@ class TestPlatform:
     def test_invalid_assignments(self):
         with pytest.raises(ValueError):
             SimulatedCrowdPlatform(assignments_per_hit=0)
+
+
+class TestPerPairBookkeeping:
+    """Per-pair mode bills every HIT ``assignments_per_hit`` assignments of
+    :meth:`~SimulatedCrowdPlatform.hit_assignment_seconds`, from a full pool
+    and from one with fewer eligible workers than assignments; the count,
+    cost and latency are the ones those durations give."""
+
+    BATCHES = {
+        "pair": HITBatch(
+            hit_type="pair",
+            hits=[PairBasedHIT("p1", (("a", "b"), ("c", "d"))), PairBasedHIT("p2", (("e", "f"),))],
+            candidate_pairs={("a", "b"), ("c", "d"), ("e", "f")},
+            cluster_size=2,
+        ),
+        "cluster": HITBatch(
+            hit_type="cluster",
+            hits=[ClusterBasedHIT("c1", ("a", "b", "c")), ClusterBasedHIT("c2", ("d", "e"))],
+            candidate_pairs={("a", "b"), ("b", "c"), ("d", "e")},
+            cluster_size=3,
+        ),
+    }
+    #: Per HIT: 18 s + 5.5 s per pair, or 25 s + 1.6 s per comparison.
+    SECONDS = {"pair": [29.0, 23.5], "cluster": [29.8, 26.6]}
+    #: 12 recruitment minutes + work seconds / effective workers (24, or
+    #: 24 x 0.45 for the cluster interface) / 60.
+    TOTAL_MINUTES = {"pair": 12.0 + 157.5 / 24 / 60, "cluster": 12.0 + 169.2 / 10.8 / 60}
+
+    @pytest.mark.parametrize("pool_size", [60, 2])
+    @pytest.mark.parametrize("hit_type", ["pair", "cluster"])
+    def test_every_hit_is_billed_assignments_per_hit_times(self, hit_type, pool_size):
+        batch = self.BATCHES[hit_type]
+        platform = SimulatedCrowdPlatform(
+            pool=_mixed_pool(pool_size), assignments_per_hit=3, seed=5, vote_mode="per-pair"
+        )
+        assert (len(platform._eligible) < 3) is (pool_size == 2)
+        result = platform.publish(batch, true_matches={("a", "b")})
+        assert result.assignment_seconds == [
+            platform.hit_assignment_seconds(hit) for hit in batch.hits for _ in range(3)
+        ]
+        assert result.assignment_seconds == [
+            seconds for seconds in self.SECONDS[hit_type] for _ in range(3)
+        ]
+        assert result.assignment_count == 6
+        assert result.cost == pytest.approx(6 * 0.025)
+        assert result.latency.total_minutes == pytest.approx(self.TOTAL_MINUTES[hit_type])
+        assert len(result.votes) == 3 * len(batch.candidate_pairs)
 
 
 class TestCrowdRunResultAssignmentCount:

@@ -163,7 +163,8 @@ class TestLoader:
             load_corpus_from_dir(SPEC, tmp_path)
 
     def test_missing_file_and_missing_header(self, tmp_path):
-        with pytest.raises(EtlError, match="corpus file missing"):
+        with pytest.raises(ManifestError,
+                           match=r"does not list left\.csv, right\.csv, gold\.csv"):
             load_corpus_from_dir(SPEC, stamp(tmp_path))
         write_corpus(tmp_path, ["1,tv,$5"], ["a,x"], ["1,a"])
         (tmp_path / "left.csv").write_text("", encoding="utf-8")
@@ -228,6 +229,17 @@ class TestManifest:
     def test_missing_manifest_raises(self, tmp_path):
         with pytest.raises(ManifestError, match="no manifest"):
             load_manifest(tmp_path)
+
+    def test_a_file_the_manifest_leaves_out_is_refused(self, toy_dir):
+        """A manifest that omits the gold file would let a rewritten gold
+        file load unchecked."""
+        document = json.loads((toy_dir / MANIFEST_FILENAME).read_text())
+        del document["files"]["gold.csv"]
+        (toy_dir / MANIFEST_FILENAME).write_text(json.dumps(document))
+        (toy_dir / "gold.csv").write_text("idLeft,idRight\n2,b\n", encoding="utf-8")
+        verify_manifest(toy_dir)  # every file it lists is intact
+        with pytest.raises(ManifestError, match=r"does not list gold\.csv"):
+            load_corpus_from_dir(SPEC, toy_dir)
 
     def test_missing_file_named_in_manifest(self, toy_dir):
         document = {

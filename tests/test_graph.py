@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.graph.components import connected_components, split_components_by_size
+from repro.graph.components import labeled_components, split_components_with_labels
 from repro.graph.graph import Graph
 from repro.records.pairs import PairSet, RecordPair
 
@@ -86,7 +86,9 @@ class TestGraph:
 class TestComponents:
     def test_connected_components(self):
         graph = build_example_graph()
-        components = connected_components(graph)
+        components, labels = labeled_components(graph)
+        assert all(labels[vertex] == index
+                   for index, component in enumerate(components) for vertex in component)
         sizes = sorted(len(component) for component in components)
         assert sizes == [2, 7]
 
@@ -94,15 +96,16 @@ class TestComponents:
         graph = Graph()
         graph.add_vertex("lonely")
         graph.add_edge("a", "b")
-        assert sorted(len(c) for c in connected_components(graph)) == [1, 2]
+        components, _labels = labeled_components(graph)
+        assert sorted(len(c) for c in components) == [1, 2]
 
     def test_split_components_by_size(self):
         graph = build_example_graph()
-        small, large = split_components_by_size(graph, cluster_size=4)
+        small, large, _labels = split_components_with_labels(graph, cluster_size=4)
         assert [sorted(c) for c in small] == [["r8", "r9"]]
         assert len(large) == 1 and len(large[0]) == 7
 
     def test_split_rejects_tiny_cluster_size(self):
         with pytest.raises(ValueError):
-            split_components_by_size(Graph(), cluster_size=1)
+            split_components_with_labels(Graph(), cluster_size=1)
 

@@ -10,7 +10,7 @@ Figure 9 (three comparisons for the HIT {r1, r2, r3, r7}).
 import pytest
 
 from repro.datasets.paper_example import paper_example_matches, paper_example_store
-from repro.graph.components import split_components_by_size
+from repro.graph.components import split_components_with_labels
 from repro.graph.graph import Graph
 from repro.hit.approximation import ApproximationClusterGenerator
 from repro.hit.base import ClusterBasedHIT
@@ -81,14 +81,14 @@ class TestSection4:
 class TestSection5:
     def test_figure_5_components(self, figure2_pairs):
         graph = Graph.from_pair_set(figure2_pairs)
-        small, large = split_components_by_size(graph, cluster_size=4)
+        small, large, _labels = split_components_with_labels(graph, cluster_size=4)
         assert [sorted(component) for component in small] == [["r8", "r9"]]
         assert sorted(large[0]) == ["r1", "r2", "r3", "r4", "r5", "r6", "r7"]
 
     def test_example_3_partition(self, figure2_pairs):
         """The LCC partitions into {r3,r4,r5,r6}, {r1,r2,r3,r7} and {r4,r7}."""
         graph = Graph.from_pair_set(figure2_pairs)
-        _small, large = split_components_by_size(graph, cluster_size=4)
+        _small, large, _labels = split_components_with_labels(graph, cluster_size=4)
         sccs = partition_large_component(graph, large[0], cluster_size=4)
         as_sets = {frozenset(scc) for scc in sccs}
         assert as_sets == {

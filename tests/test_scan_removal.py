@@ -10,8 +10,6 @@ counters from its tallies instead of walking it, and its snapshot re-places
 the pairs that changed instead of re-ranking the session.
 """
 
-import random
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,7 +20,7 @@ from repro.core.config import WorkflowConfig
 from repro.crowd import AsyncCrowd
 from repro.crowd.platform import CrowdRunResult, SimulatedCrowdPlatform
 from repro.datasets.restaurant import RestaurantGenerator
-from repro.graph.components import connected_components
+from repro.graph.components import labeled_components
 from repro.graph.graph import Graph
 from repro.graph.union_find import IncrementalUnionFind
 from repro.hit.base import ClusterBasedHIT, HITBatch, PairBasedHIT
@@ -101,9 +99,7 @@ class TestCoverageNeverWalksTheCandidates:
         def votes(candidates):
             platform = SimulatedCrowdPlatform(seed=5, vote_mode="per-pair")
             result = CrowdRunResult(hit_count=2, assignments_per_hit=3)
-            platform._publish_per_pair(
-                batch, {("a", "b")}, candidates, random.Random(5), result
-            )
+            platform._publish_per_pair(batch, {("a", "b")}, candidates, result)
             return result.votes
 
         guarded = votes(UnwalkableSet(CANDIDATES))
@@ -182,7 +178,7 @@ class TestSeedHeapMatchesTheScan:
     def test_same_sccs_for_every_tie_break(self, pairs, cluster_size):
         """26 vertices and up to 60 edges: degree ties at nearly every seed."""
         graph = Graph.from_pair_set(pairs)
-        for component in connected_components(graph):
+        for component in labeled_components(graph)[0]:
             if len(component) <= cluster_size:
                 continue
             for tie_break in _TIE_BREAK_RULES:

@@ -12,6 +12,7 @@ queue answers 429 with a Retry-After instead of buffering without bound.
 
 import asyncio
 import json
+import logging
 import os
 import socket
 import subprocess
@@ -615,6 +616,21 @@ class TestHttpSurface:
         assert client.restore(later, str(tmp_path))["records"] == 20
         assert client.result(later) == expected
         client.close(later)
+
+    def test_saving_an_in_memory_session_is_409_resume_conflict(self, service, caplog):
+        """An in-memory session has nowhere to save to: the save is refused
+        like any other persistence conflict, not answered with a 500."""
+        _runner, client = service
+        session_id = fresh_id("memory")
+        client.create_session(session_id, config=SERVICE_CONFIG)
+        with caplog.at_level(logging.ERROR):
+            with pytest.raises(ServiceClientError) as caught:
+                client.save(session_id)
+        assert caught.value.status == 409
+        assert caught.value.code == "resume_conflict"
+        assert "needs a path" in caught.value.body["error"]["message"]
+        assert "unhandled" not in caplog.text
+        client.close(session_id)
 
     def test_restore_without_checkpoint_dir_is_400(self, service):
         _runner, client = service
