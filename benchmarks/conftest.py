@@ -1,12 +1,15 @@
-"""Shared fixtures and helpers for the benchmark harness.
+"""Shared fixtures and helpers for the figure scripts.
 
-Every benchmark regenerates one table or figure of the paper and prints the
-corresponding rows/series (bypassing pytest's output capture so the report
-is visible in a plain ``pytest benchmarks/ --benchmark-only`` run).
+Every ``bench_fig*.py`` / ``bench_table2_*.py`` module regenerates one table
+or figure of the paper, and ``bench_ablation_aggregation.py`` one ablation;
+each prints the corresponding rows/series (bypassing pytest's output capture
+so the report is visible in a plain ``pytest benchmarks/ --benchmark-only``
+run).  The end-to-end harness under ``benchmarks/harness/`` does not use
+these fixtures.
 
-The Product-derived workloads are scaled down by default so the whole
-harness finishes in a few minutes on a laptop; set ``REPRO_BENCH_SCALE=1.0``
-to run them at the paper's full size.
+The Product-derived workloads are scaled down by default so the whole set
+finishes in a few minutes on a laptop; set ``REPRO_BENCH_SCALE=1.0`` to run
+them at the paper's full size.
 """
 
 from __future__ import annotations

@@ -29,7 +29,6 @@ class SimJoinRanker:
     """Rank candidate pairs by machine likelihood only."""
 
     min_likelihood: float = 0.1
-    name: str = "simjoin"
 
     def rank(self, dataset: Dataset) -> List[PairKey]:
         """Return candidate pairs in decreasing likelihood order."""
@@ -56,7 +55,6 @@ class SVMRanker:
     repetitions: int = 3
     attributes: Optional[Sequence[str]] = None
     seed: int = 0
-    name: str = "svm"
 
     def rank(self, dataset: Dataset) -> List[PairKey]:
         """Return candidate pairs ranked by averaged SVM score."""

@@ -125,7 +125,7 @@ class SimulatedCrowdPlatform:
         self.vote_mode = vote_mode
         # The pool is fixed for the platform's life, so the qualification
         # test is given once, here, and every publish reads this list.
-        qualified = qualification.filter_pool(self.pool)[0] if qualification else []
+        qualified = qualification.filter_pool(self.pool) if qualification else []
         # Everyone failing is a degenerate configuration: fall back to the
         # full pool so the simulation can still proceed.
         self._eligible: List[Worker] = qualified or self.pool.workers

@@ -9,7 +9,7 @@ carefully, which the worker model captures with a carefulness boost.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List
 
 from repro.crowd.worker import Worker, WorkerPool
 
@@ -32,13 +32,6 @@ class QualificationTest:
         worker.qualified = passed
         return passed
 
-    def filter_pool(self, pool: WorkerPool) -> Tuple[List[Worker], List[Worker]]:
-        """Administer the test to a pool; return (qualified, rejected)."""
-        qualified: List[Worker] = []
-        rejected: List[Worker] = []
-        for worker in pool:
-            if self.administer(worker):
-                qualified.append(worker)
-            else:
-                rejected.append(worker)
-        return qualified, rejected
+    def filter_pool(self, pool: WorkerPool) -> List[Worker]:
+        """Administer the test to every worker of a pool; return those who pass."""
+        return [worker for worker in pool if self.administer(worker)]

@@ -26,7 +26,6 @@ from repro.hit.partitioning import partition_large_component, partition_all
 from repro.hit.packing import (
     PackingSolution,
     first_fit_decreasing,
-    branch_and_bound_packing,
     column_generation_packing,
     pack_components,
 )
@@ -55,7 +54,6 @@ __all__ = [
     "partition_all",
     "PackingSolution",
     "first_fit_decreasing",
-    "branch_and_bound_packing",
     "column_generation_packing",
     "pack_components",
     "pair_hit_comparisons",

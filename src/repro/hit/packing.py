@@ -6,16 +6,13 @@ problem.  The paper formulates it as an integer linear program over feasible
 *patterns* ``p = [a_1, ..., a_k]`` (``a_j`` = number of packed components of
 size ``j``) and solves it with column generation and branch-and-bound.
 
-Three solvers are provided and cross-validated in the test suite:
-
-* :func:`first_fit_decreasing` — the classic FFD heuristic (fast, at most
-  ``11/9 OPT + 1`` bins).
-* :func:`branch_and_bound_packing` — exact bin packing by depth-first search
-  with lower-bound pruning (falls back to FFD when the node budget is hit).
-* :func:`column_generation_packing` — the paper's cutting-stock approach:
-  LP relaxation solved by column generation (restricted master LP +
-  dynamic-programming knapsack pricing), then an integer solution obtained
-  by rounding down and repairing the residual demand with FFD.
+:func:`pack_components` packs with :func:`column_generation_packing`, the
+paper's cutting-stock approach: LP relaxation solved by column generation
+(restricted master LP + dynamic-programming knapsack pricing), then an
+integer solution obtained by rounding down and repairing the residual
+demand with :func:`first_fit_decreasing`, the classic FFD heuristic (at
+most ``11/9 OPT + 1`` bins).  The test suite checks both against an exact
+branch-and-bound oracle.
 
 The order inside :func:`column_generation_packing` is bound → FFD → LP: no
 packing uses fewer than ``ceil(sum(sizes) / capacity)`` bins, so an FFD
@@ -165,85 +162,6 @@ def first_fit_decreasing(sizes: Sequence[int], capacity: int) -> PackingSolution
         sizes=list(sizes),
         method="ffd",
         lower_bound=size_lower_bound(sizes, capacity),
-    )
-
-
-# ---------------------------------------------------------- branch & bound
-def branch_and_bound_packing(
-    sizes: Sequence[int],
-    capacity: int,
-    max_nodes: int = 200_000,
-) -> PackingSolution:
-    """Exact bin packing by depth-first branch-and-bound.
-
-    Items are placed in decreasing size order; at each step the current item
-    is tried in every open bin with room (skipping bins with identical
-    residual capacity) and in one new bin.  The search prunes on the L1
-    lower bound of the unplaced items.  If the node budget ``max_nodes`` is
-    exhausted the best solution found so far (at worst the FFD solution) is
-    returned, so the function always terminates quickly.
-    """
-    _validate(sizes, capacity)
-    if not sizes:
-        return PackingSolution([], capacity, [], method="branch-and-bound", lower_bound=0)
-
-    order = sorted(range(len(sizes)), key=lambda index: (-sizes[index], index))
-    ordered_sizes = [sizes[index] for index in order]
-    ffd = first_fit_decreasing(sizes, capacity)
-    best_bins: List[List[int]] = [list(bin_items) for bin_items in ffd.bins]
-    best_count = ffd.bin_count
-    lower_bound = size_lower_bound(sizes, capacity)
-    nodes_visited = 0
-
-    current_bins: List[List[int]] = []
-    current_loads: List[int] = []
-
-    def remaining_lower_bound(position: int) -> int:
-        remaining = sum(ordered_sizes[position:])
-        free = sum(capacity - load for load in current_loads)
-        extra = max(0, remaining - free)
-        return len(current_bins) + math.ceil(extra / capacity) if extra > 0 else len(current_bins)
-
-    def search(position: int) -> None:
-        nonlocal best_bins, best_count, nodes_visited
-        if best_count == lower_bound:
-            return
-        nodes_visited += 1
-        if nodes_visited > max_nodes:
-            return
-        if position == len(ordered_sizes):
-            if len(current_bins) < best_count:
-                best_count = len(current_bins)
-                best_bins = [list(bin_items) for bin_items in current_bins]
-            return
-        if remaining_lower_bound(position) >= best_count:
-            return
-        item_index = order[position]
-        size = ordered_sizes[position]
-        tried_residuals = set()
-        for bin_index in range(len(current_bins)):
-            residual = capacity - current_loads[bin_index]
-            if size <= residual and residual not in tried_residuals:
-                tried_residuals.add(residual)
-                current_bins[bin_index].append(item_index)
-                current_loads[bin_index] += size
-                search(position + 1)
-                current_loads[bin_index] -= size
-                current_bins[bin_index].pop()
-        if len(current_bins) + 1 < best_count:
-            current_bins.append([item_index])
-            current_loads.append(size)
-            search(position + 1)
-            current_bins.pop()
-            current_loads.pop()
-
-    search(0)
-    return PackingSolution(
-        bins=best_bins,
-        capacity=capacity,
-        sizes=list(sizes),
-        method="branch-and-bound",
-        lower_bound=lower_bound,
     )
 
 
@@ -499,36 +417,24 @@ def column_generation_packing(sizes: Sequence[int], capacity: int) -> PackingSol
     return solution
 
 
-_PACKING_METHODS = {
-    "ffd": first_fit_decreasing,
-    "branch-and-bound": branch_and_bound_packing,
-    "column-generation": column_generation_packing,
-}
-
-
 def pack_components(
-    components: Sequence[Sequence[str]],
-    cluster_size: int,
-    method: str = "column-generation",
+    components: Sequence[Sequence[str]], cluster_size: int
 ) -> List[List[str]]:
     """Pack small connected components into cluster-based HIT record groups.
 
     Components of exactly ``cluster_size`` records become their own HIT;
-    smaller components are packed together using the chosen solver.  When
-    two packed components share a record (possible because LCC partitioning
-    may duplicate cut vertices), the union is used, which can only shrink
-    the HIT.
+    smaller components are packed together by
+    :func:`column_generation_packing`.  When two packed components share a
+    record (possible because LCC partitioning may duplicate cut vertices),
+    the union is used, which can only shrink the HIT.
     """
-    if method not in _PACKING_METHODS:
-        raise ValueError(f"unknown packing method {method!r}; known: {sorted(_PACKING_METHODS)}")
     sizes = [len(component) for component in components]
     for size in sizes:
         if size > cluster_size:
             raise ValueError(
                 f"component of size {size} exceeds the cluster-size threshold {cluster_size}"
             )
-    solver = _PACKING_METHODS[method]
-    solution = solver(sizes, cluster_size)
+    solution = column_generation_packing(sizes, cluster_size)
     hit_groups: List[List[str]] = []
     for bin_items in solution.bins:
         group: List[str] = []

@@ -8,7 +8,7 @@ cover all of its edges.  The greedy procedure grows one SCC at a time:
 2. Repeatedly add the candidate vertex with the maximum *indegree* w.r.t.
    the SCC (number of edges into the SCC); ties are broken by minimum
    *outdegree* (number of edges to vertices outside the SCC), then by
-   vertex id for determinism.
+   vertex id for determinism.  This is the only selection rule.
 3. Stop when the SCC has ``k`` vertices or no candidate remains; output the
    SCC, remove the edges it covers, and repeat while the LCC still has edges.
 
@@ -25,27 +25,18 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.graph.graph import Graph
 
-_TIE_BREAK_RULES = ("min-outdegree", "max-outdegree", "lexical")
 
-
-def _select_candidate(
-    conn: Dict[str, List[int]], tie_break: str
-) -> str:
+def _select_candidate(conn: Dict[str, List[int]]) -> str:
     """Pick the next vertex to add to the SCC from the frontier map.
 
     ``conn`` maps each frontier vertex to ``[indegree, outdegree]`` w.r.t.
-    the current SCC.  The paper's rule is maximum indegree, ties broken by
-    minimum outdegree; alternative rules exist for the ablation study.
+    the current SCC.  The paper's rule: maximum indegree, ties broken by
+    minimum outdegree, then by vertex id.
     """
     best_vertex = None
     best_key: Tuple[int, int, str] = (0, 0, "")
     for vertex, (indegree, outdegree) in conn.items():
-        if tie_break == "min-outdegree":
-            key = (-indegree, outdegree, vertex)
-        elif tie_break == "max-outdegree":
-            key = (-indegree, -outdegree, vertex)
-        else:  # "lexical": ignore outdegree entirely
-            key = (-indegree, 0, vertex)
+        key = (-indegree, outdegree, vertex)
         if best_vertex is None or key < best_key:
             best_vertex = vertex
             best_key = key
@@ -80,7 +71,6 @@ def partition_large_component(
     graph: Graph,
     component: Sequence[str],
     cluster_size: int,
-    tie_break: str = "min-outdegree",
 ) -> List[List[str]]:
     """Partition one large connected component into edge-covering SCCs.
 
@@ -93,10 +83,6 @@ def partition_large_component(
         Vertex ids of the large connected component.
     cluster_size:
         The cluster-size threshold ``k``.
-    tie_break:
-        Tie-breaking rule when several candidates share the maximum
-        indegree: ``"min-outdegree"`` is the paper's rule; ``"max-outdegree"``
-        and ``"lexical"`` exist for the ablation benchmark.
 
     Returns
     -------
@@ -106,8 +92,6 @@ def partition_large_component(
     """
     if cluster_size < 2:
         raise ValueError("cluster_size must be at least 2")
-    if tie_break not in _TIE_BREAK_RULES:
-        raise ValueError(f"unknown tie_break rule {tie_break!r}; known: {_TIE_BREAK_RULES}")
 
     lcc = graph.subgraph(component)
     sccs: List[List[str]] = []
@@ -127,7 +111,7 @@ def partition_large_component(
         }
 
         while len(scc) < cluster_size and conn:
-            chosen = _select_candidate(conn, tie_break)
+            chosen = _select_candidate(conn)
             del conn[chosen]
             scc.append(chosen)
             scc_set.add(chosen)
@@ -150,14 +134,11 @@ def partition_all(
     graph: Graph,
     large_components: Iterable[Sequence[str]],
     cluster_size: int,
-    tie_break: str = "min-outdegree",
 ) -> List[List[str]]:
     """Partition every large connected component (Algorithm 2 over the LCC set)."""
     sccs: List[List[str]] = []
     for component in large_components:
-        sccs.extend(
-            partition_large_component(graph, component, cluster_size, tie_break=tie_break)
-        )
+        sccs.extend(partition_large_component(graph, component, cluster_size))
     return sccs
 
 
@@ -167,8 +148,7 @@ def coverage_report(
     """Summarise how well a partition covers a component's edges.
 
     Returns a dict with ``edges`` (total edges of the component), ``covered``
-    (edges inside at least one SCC) and ``uncovered``.  Used by tests and by
-    the ablation benchmark.
+    (edges inside at least one SCC) and ``uncovered``.  Used by tests.
     """
     component_edges = set(graph.edges_within(component))
     covered = set()

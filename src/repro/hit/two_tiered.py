@@ -2,10 +2,14 @@
 
 1. Build the pair graph and split its connected components into small (SCC,
    at most ``k`` vertices) and large (LCC, more than ``k`` vertices).
-2. **Top tier**: partition every LCC into highly-connected SCCs
+2. **Top tier**: partition every LCC into highly-connected SCCs, growing
+   each by maximum indegree, ties to minimum outdegree
    (:mod:`repro.hit.partitioning`).
 3. **Bottom tier**: pack all SCCs into cluster-based HITs of capacity ``k``
+   by column generation over Gilmore–Gomory patterns
    (:mod:`repro.hit.packing`).
+
+The generator has one setting, ``k``: both tiers run the paper's rule.
 
 This is the paper's main algorithm; Figures 10 and 11 show it generating the
 fewest HITs of all evaluated approaches.
@@ -31,33 +35,17 @@ class TwoTieredClusterGenerator(ClusterHITGenerator):
     ----------
     cluster_size:
         The cluster-size threshold ``k``.
-    packing_method:
-        Bottom-tier solver: ``"column-generation"`` (the paper's choice),
-        ``"branch-and-bound"`` or ``"ffd"``.
-    tie_break:
-        Top-tier tie-breaking rule (see
-        :func:`repro.hit.partitioning.partition_large_component`).
     """
 
     name = "two-tiered"
-
-    def __init__(
-        self,
-        cluster_size: int,
-        packing_method: str = "column-generation",
-        tie_break: str = "min-outdegree",
-    ) -> None:
-        super().__init__(cluster_size)
-        self.packing_method = packing_method
-        self.tie_break = tie_break
 
     def _clusters(self, pairs: PairSet) -> List[Sequence[str]]:
         graph = Graph.from_pair_set(pairs)
         small, large, _labels = split_components_with_labels(graph, self.cluster_size)
 
         # Top tier: partition every large connected component.
-        partitioned = partition_all(graph, large, self.cluster_size, tie_break=self.tie_break)
+        partitioned = partition_all(graph, large, self.cluster_size)
 
         # Bottom tier: pack all small components (original + partitioned).
         all_small = [list(component) for component in small] + partitioned
-        return pack_components(all_small, self.cluster_size, method=self.packing_method)
+        return pack_components(all_small, self.cluster_size)

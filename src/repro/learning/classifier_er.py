@@ -50,7 +50,6 @@ class LearningBasedER:
     training_size: int = 500
     repetitions: int = 3
     seed: int = 0
-    name: str = "svm"
 
     def rank_pairs(
         self,

@@ -164,10 +164,12 @@ class CostReport:
         has none yet, and its format is in its logged header.
         Machine and simulator time are the process's numbers, not the
         session's, so they stay ``None``.  A path that is not an existing
-        file, or an empty one, is refused before anything is opened: opening
-        it would give it the schema, which a fresh durable session and a
-        restore both refuse.  It is read upgraded as a restore upgrades it;
-        closing rolls back.
+        file is refused before anything is opened: opening it would create
+        a store, which a fresh durable session and a restore both refuse;
+        an existing file that holds no table is refused by
+        :class:`~repro.storage.sqlite.SqliteStore` before anything is
+        written.  It is read upgraded as a restore upgrades it; closing
+        rolls back.
         """
         from repro.crowd.latency import total_seconds
         from repro.storage.sqlite import SqliteStore
@@ -176,8 +178,6 @@ class CostReport:
 
         if not Path(path).is_file():
             raise ValueError(f"{path} is not a session store file")
-        if Path(path).stat().st_size == 0:
-            raise ValueError(f"{path} does not hold a resolution session")
         store = SqliteStore(path)
         try:
             header = stored_header(store)

@@ -144,6 +144,7 @@ class SqliteStore(Store):
     def __init__(self, path: os.PathLike, lock: bool = False) -> None:
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
+        existed = self.path.exists()
         # Released by close(), or when an unclosed store is collected.
         self._unlock = (
             weakref.finalize(self, os.close, _lock_directory(self.path.parent)) if lock else None
@@ -153,21 +154,31 @@ class SqliteStore(Store):
         except sqlite3.Error as error:  # pragma: no cover - bad path
             self._release()
             raise StorageError(f"cannot open sqlite store {self.path}: {error}")
+        problem = None
         try:
-            self._conn.execute("PRAGMA journal_mode=WAL")
-            self._conn.execute("PRAGMA synchronous=NORMAL")
-            self._conn.execute("PRAGMA busy_timeout=30000")
-            # Only a store being created gets the schema, in one transaction:
-            # opening one to read it (a restore, ``repro stats``) adds no
-            # table an earlier format lacks, so a refused store is left as it
-            # was, and a torn creation leaves every table or none.
-            if self._conn.execute("SELECT 1 FROM sqlite_master LIMIT 1").fetchone() is None:
-                self._conn.executescript("BEGIN;" + _SCHEMA + "COMMIT;")
-            row = self._conn.execute("SELECT MAX(arrival) FROM records").fetchone()
+            # Only a file this open creates gets the schema, in one
+            # transaction, so a torn creation leaves every table or none.
+            # An existing file holding none (zero bytes, or a WAL torn before
+            # its creator's first commit) is refused by this read, before a
+            # pragma writes to it; and opening a store to read it (a
+            # restore, ``repro stats``) adds no table an earlier format
+            # lacks.  Either way a refused file keeps its bytes.
+            empty = self._conn.execute("SELECT 1 FROM sqlite_master LIMIT 1").fetchone() is None
+            if empty and existed:
+                problem = "holds no session"
+            else:
+                self._conn.execute("PRAGMA journal_mode=WAL")
+                self._conn.execute("PRAGMA synchronous=NORMAL")
+                self._conn.execute("PRAGMA busy_timeout=30000")
+                if empty:
+                    self._conn.executescript("BEGIN;" + _SCHEMA + "COMMIT;")
+                row = self._conn.execute("SELECT MAX(arrival) FROM records").fetchone()
         except sqlite3.DatabaseError as error:
+            problem = f"is not a session store: {error}"
+        if problem is not None:
             self._conn.close()
             self._release()
-            raise StorageError(f"{self.path} is not a session store: {error}")
+            raise StorageError(f"{self.path} {problem}")
         self._in_txn = False
         self._next_arrival = (row[0] + 1) if row[0] is not None else 0
         # Empty until :meth:`load_ledger`: opening a store to read its meta

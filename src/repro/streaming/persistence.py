@@ -581,9 +581,6 @@ def restore(cls, path: os.PathLike):
     directory = Path(path)
     refuse_earlier_files(directory, restoring=True)
     store_path = directory / STORE_FILENAME
-    if store_path.stat().st_size == 0:
-        # Refused unopened: SQLite would give an empty file the schema.
-        raise PersistenceError(f"{store_path} holds no session")
     source = SqliteStore(store_path, lock=True)
     try:
         header = stored_header(source)

@@ -97,12 +97,7 @@ class TestTwoTiered:
             Graph.from_pair_set(example_pairs), 4
         )
         assert (len(small), len(large)) == (1, 1)
-        assert TwoTieredClusterGenerator(cluster_size=4).generate(example_pairs).hit_count == 3
-
-    @pytest.mark.parametrize("packing_method", ["ffd", "branch-and-bound", "column-generation"])
-    def test_all_packing_methods_valid(self, packing_method, example_pairs):
-        generator = TwoTieredClusterGenerator(cluster_size=4, packing_method=packing_method)
-        batch = generator.generate(example_pairs)
+        batch = TwoTieredClusterGenerator(cluster_size=4).generate(example_pairs)
         assert batch.is_valid_cover()
         assert batch.hit_count == 3
 
@@ -158,17 +153,6 @@ class TestPartitioning:
         for component in large:
             for scc in partition_large_component(graph, component, 4):
                 assert 2 <= len(scc) <= 4
-
-    def test_tie_break_rules(self):
-        graph = Graph.from_edges([("a", "b"), ("a", "c"), ("b", "c"), ("c", "d"), ("d", "e")])
-        for rule in ("min-outdegree", "max-outdegree", "lexical"):
-            sccs = partition_large_component(graph, graph.vertices(), 3, tie_break=rule)
-            covered = set()
-            for scc in sccs:
-                covered.update(graph.edges_within(scc))
-            assert covered == graph.edge_keys()
-        with pytest.raises(ValueError):
-            partition_large_component(graph, graph.vertices(), 3, tie_break="nope")
 
     def test_invalid_cluster_size(self):
         graph = Graph.from_edges([("a", "b")])

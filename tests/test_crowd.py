@@ -148,13 +148,11 @@ class TestWorkerPool:
 class TestQualification:
     def test_spammers_usually_fail(self):
         pool = WorkerPool([Worker(f"s{i}", SPAMMER, seed=i) for i in range(40)])
-        qualified, rejected = QualificationTest().filter_pool(pool)
-        assert len(rejected) > len(qualified)
+        assert len(QualificationTest().filter_pool(pool)) < 20
 
     def test_reliable_workers_usually_pass(self):
         pool = WorkerPool([Worker(f"r{i}", RELIABLE, seed=i) for i in range(40)])
-        qualified, rejected = QualificationTest().filter_pool(pool)
-        assert len(qualified) > len(rejected)
+        assert len(QualificationTest().filter_pool(pool)) > 20
 
     def test_constant_answerers_cannot_pass(self):
         worker = Worker("yes", WorkerProfile(name="yes", spammer_mode="always-yes"), seed=0)

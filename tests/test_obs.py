@@ -18,6 +18,7 @@ import json
 import logging
 import sqlite3
 import threading
+from pathlib import Path
 
 import pytest
 from strategies import make_unreadable
@@ -468,9 +469,9 @@ def test_packing_counters_are_exact_for_a_seeded_session(monkeypatch):
         highs.append(1)
         return highs_solve(matrix, demand)
 
-    def counted_pack(components, cluster_size, method):
-        packings.append(method)
-        return pack(components, cluster_size, method=method)
+    def counted_pack(components, cluster_size):
+        packings.append(cluster_size)
+        return pack(components, cluster_size)
 
     monkeypatch.setattr(packing, "_basis_solve", counted_basis)
     monkeypatch.setattr(packing, "_highs_solve", counted_highs)
@@ -494,7 +495,7 @@ def test_packing_counters_are_exact_for_a_seeded_session(monkeypatch):
         for outcome in ("ffd-at-bound", "column-generation", "ffd-fallback")
     }
     assert outcomes == {"ffd-at-bound": 6, "column-generation": 4, "ffd-fallback": 0}
-    assert packings == ["column-generation"] * 10
+    assert packings == [5] * 10
     solvers = {
         solver: snapshot.counter_total("hit_packing_lp_solves_total", solver=solver)
         for solver in ("basis", "highs")
@@ -657,19 +658,31 @@ def test_cli_stats_leaves_a_mistyped_directory_unwritten(tmp_path, capsys):
     StreamingResolver.restore(str(typo)).durability.close()
 
 
-def test_an_empty_store_file_is_refused_unopened(tmp_path, capsys):
-    """A zero-byte ``store.sqlite`` holds no session.  A restore and
-    ``stats`` refuse it with their usual messages before SQLite opens it,
-    which would give it the schema (32 KiB) and a WAL beside it."""
+def _wal_torn_before_its_first_commit(store):
+    """The 4 KiB a creator leaves when it dies between switching the file
+    to WAL and committing the schema."""
+    connection = sqlite3.connect(str(store))
+    connection.execute("PRAGMA journal_mode=WAL")
+    connection.close()
+
+
+@pytest.mark.parametrize("make", [Path.touch, _wal_torn_before_its_first_commit],
+                         ids=["zero-bytes", "torn-wal"])
+def test_a_store_file_holding_no_table_is_left_as_it_was(tmp_path, capsys, make):
+    """A ``store.sqlite`` holding no table holds no session.  A restore and
+    ``stats`` refuse it before anything is written to it; giving it the
+    schema (32 KiB) is left to the creators, a fresh durable session and
+    ``save(X)``, which only ever create a new file."""
     store = tmp_path / STORE_FILENAME
-    store.touch()
+    make(store)
+    before = store.read_bytes()
     with pytest.raises(PersistenceError, match="holds no session"):
         StreamingResolver.restore(str(tmp_path))
+    assert store.read_bytes() == before
     assert cli_main(["stats", "--checkpoint-dir", str(tmp_path)]) == 2
-    assert "does not hold a resolution session" in capsys.readouterr().err
-    assert [(item.name, item.stat().st_size) for item in tmp_path.iterdir()] == [
-        (STORE_FILENAME, 0)
-    ]
+    assert "holds no session" in capsys.readouterr().err
+    assert [item.name for item in tmp_path.iterdir()] == [STORE_FILENAME]
+    assert store.read_bytes() == before
 
 
 def test_cli_quiet_suppresses_info(capsys):

@@ -12,10 +12,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from packing_oracle import branch_and_bound_packing
+
 from repro.hit import packing
 from repro.hit.packing import (
     PackingSolution,
-    branch_and_bound_packing,
     column_generation_packing,
     first_fit_decreasing,
     pack_components,
@@ -340,22 +341,18 @@ class TestPackComponents:
 
     def test_every_component_kept_together(self):
         components = [["a", "b", "c"], ["d", "e"], ["f"]]
-        groups = pack_components(components, cluster_size=6, method="ffd")
+        groups = pack_components(components, cluster_size=6)
         for component in components:
             assert any(set(component) <= set(group) for group in groups)
 
     def test_overlapping_components_deduplicated(self):
-        groups = pack_components([["a", "b"], ["b", "c"]], cluster_size=4, method="ffd")
+        groups = pack_components([["a", "b"], ["b", "c"]], cluster_size=4)
         assert len(groups) == 1
         assert sorted(groups[0]) == ["a", "b", "c"]
 
     def test_oversized_component_rejected(self):
         with pytest.raises(ValueError):
             pack_components([["a", "b", "c"]], cluster_size=2)
-
-    def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError):
-            pack_components([["a", "b"]], cluster_size=4, method="nope")
 
 
 class TestPackingSolution:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from packing_oracle import branch_and_bound_packing
 from strategies import pair_sets, short_text, token_sets, vertex_ids
 
 from repro.aggregation.dawid_skene import DawidSkeneAggregator
@@ -12,7 +13,6 @@ from repro.hit import packing
 from repro.hit.comparisons import comparisons_for_entity_sizes
 from repro.hit.generator import get_cluster_generator
 from repro.hit.packing import (
-    branch_and_bound_packing,
     column_generation_packing,
     first_fit_decreasing,
     size_lower_bound,

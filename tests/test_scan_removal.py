@@ -24,11 +24,7 @@ from repro.graph.components import labeled_components
 from repro.graph.graph import Graph
 from repro.graph.union_find import IncrementalUnionFind
 from repro.hit.base import ClusterBasedHIT, HITBatch, PairBasedHIT
-from repro.hit.partitioning import (
-    _TIE_BREAK_RULES,
-    _select_candidate,
-    partition_large_component,
-)
+from repro.hit.partitioning import _select_candidate, partition_large_component
 from repro.records.pairs import RecordPair
 from repro.records.record import Record
 from repro.storage.base import PairLedger
@@ -143,7 +139,7 @@ class TestCoverageNeverWalksTheCandidates:
         assert len({walks for _, walks in seen}) == 1
 
 
-def _reference_partition(graph, component, cluster_size, tie_break):
+def _reference_partition(graph, component, cluster_size):
     """Algorithm 2 with the seed found by scanning: the oracle."""
     lcc = graph.subgraph(component)
     sccs = []
@@ -154,7 +150,7 @@ def _reference_partition(graph, component, cluster_size, tie_break):
             neighbour: [1, lcc.degree(neighbour) - 1] for neighbour in lcc.neighbors(seed)
         }
         while len(scc) < cluster_size and conn:
-            chosen = _select_candidate(conn, tie_break)
+            chosen = _select_candidate(conn)
             del conn[chosen]
             scc.append(chosen)
             scc_set.add(chosen)
@@ -175,16 +171,15 @@ def _reference_partition(graph, component, cluster_size, tie_break):
 class TestSeedHeapMatchesTheScan:
     @settings(max_examples=150, deadline=None)
     @given(pairs=pair_sets(), cluster_size=st.integers(min_value=2, max_value=6))
-    def test_same_sccs_for_every_tie_break(self, pairs, cluster_size):
+    def test_same_sccs_as_the_scan(self, pairs, cluster_size):
         """26 vertices and up to 60 edges: degree ties at nearly every seed."""
         graph = Graph.from_pair_set(pairs)
         for component in labeled_components(graph)[0]:
             if len(component) <= cluster_size:
                 continue
-            for tie_break in _TIE_BREAK_RULES:
-                assert partition_large_component(
-                    graph, component, cluster_size, tie_break=tie_break
-                ) == _reference_partition(graph, component, cluster_size, tie_break)
+            assert partition_large_component(
+                graph, component, cluster_size
+            ) == _reference_partition(graph, component, cluster_size)
 
     def test_subgraph_keeps_vertex_and_neighbour_order(self):
         """The induced subgraph lists vertices and neighbours as a full edge
