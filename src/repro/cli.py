@@ -290,7 +290,7 @@ def _load_update_records(path: str) -> List[Record]:
 
     Each object needs a ``record_id``; attributes come from an
     ``attributes`` mapping when present, otherwise from the remaining
-    top-level keys (the :meth:`repro.records.record.Record.as_dict` shape).
+    top-level keys (``{"record_id": ..., "name": ..., "source": ...}``).
     ``source`` is optional in both forms.  An entry that is not an object,
     or an attribute value that is neither a string nor ``null``, is a
     :class:`~repro.records.record.RecordError`, so a bad file revises no

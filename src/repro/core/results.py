@@ -45,8 +45,8 @@ class StreamingDelta:
         event (0 for plain arrivals).
     invalidated_pairs:
         Candidate pairs dropped because one of their records was retracted
-        — the provenance-reachable region whose votes, posteriors and
-        coverage were discarded.
+        — the provenance-reachable region whose votes and posteriors were
+        discarded.
     changed:
         The pairs whose likelihood or posterior the event added, changed or
         dropped — what the session's ranking re-placed for it.  ``None``

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 
@@ -145,13 +145,10 @@ class FaultPlan:
         )
 
     # -------------------------------------------------------- serialization
-    def to_dict(self) -> dict:
-        """Plain JSON-friendly dict (the stored ``crowd.fault_plan`` shape)."""
-        return asdict(self)
-
     @classmethod
     def from_dict(cls, payload: dict) -> "FaultPlan":
-        """Inverse of :meth:`to_dict`; unknown keys are rejected loudly."""
+        """Inverse of ``dataclasses.asdict`` (the stored ``crowd.fault_plan``
+        shape); unknown keys are rejected loudly."""
         known = {field for field in cls.__dataclass_fields__}  # type: ignore[attr-defined]
         unknown = set(payload) - known
         if unknown:

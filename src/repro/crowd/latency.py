@@ -35,20 +35,8 @@ class LatencyEstimate:
     """Latency figures of one simulated crowd run."""
 
     median_assignment_seconds: float
-    mean_assignment_seconds: float
     total_minutes: float
-    effective_workers: float
     assignment_count: int
-
-    def as_dict(self) -> dict:
-        """Plain-dict view used by the benchmark reports."""
-        return {
-            "median_assignment_seconds": self.median_assignment_seconds,
-            "mean_assignment_seconds": self.mean_assignment_seconds,
-            "total_minutes": self.total_minutes,
-            "effective_workers": self.effective_workers,
-            "assignment_count": self.assignment_count,
-        }
 
 
 #: Seconds to open a pair-based HIT, read the instructions and submit.
@@ -152,7 +140,7 @@ class LatencyModel:
         """
         count = sum(assignment_seconds.values())
         if not count:
-            return LatencyEstimate(0.0, 0.0, 0.0, 0.0, 0)
+            return LatencyEstimate(0.0, 0.0, 0)
         workers = self.effective_workers(hit_type, pairs_per_hit, qualification)
         total_work_seconds = total_seconds(assignment_seconds)
         total_minutes = RECRUITMENT_MINUTES + (total_work_seconds / workers) / 60.0
@@ -161,9 +149,7 @@ class LatencyModel:
             total_minutes += RECRUITMENT_MINUTES
         return LatencyEstimate(
             median_assignment_seconds=float(median(Counter(assignment_seconds).elements())),
-            mean_assignment_seconds=total_work_seconds / count,
             total_minutes=total_minutes,
-            effective_workers=workers,
             assignment_count=count,
         )
 

@@ -90,14 +90,6 @@ class Record:
         merged.update(updates)
         return Record(record_id=self.record_id, attributes=merged, source=self.source)
 
-    def as_dict(self) -> Dict[str, str]:
-        """Return a plain-dict view including the id and source."""
-        payload = {"record_id": self.record_id}
-        payload.update(self.attributes)
-        if self.source is not None:
-            payload["source"] = self.source
-        return payload
-
 
 def check_attribute_values(record: Record) -> None:
     """Refuse ``record`` unless each attribute value is a string or ``None``.

@@ -76,8 +76,6 @@ class PairLedger:
         Per-pair vote ledger: a voted pair's votes in oracle order.
     posteriors:
         The aggregated posterior cache.
-    covered:
-        Pairs covered by at least one published HIT.
     touched:
         Keys whose likelihood or posterior was added, changed or dropped
         since :meth:`take_touched` last ran — what a ranked view of the
@@ -103,7 +101,6 @@ class PairLedger:
         self.pairs: Dict[PairKey, Optional[float]] = {}
         self.votes: Dict[PairKey, List[Vote]] = {}
         self.posteriors: Dict[PairKey, float] = {}
-        self.covered: Set[PairKey] = set()
         self.touched: Optional[Set[PairKey]] = set()
         self.unsaved: Optional[Set[PairKey]] = set() if stored else None
         self.tally: Optional[Callable[[str, int, int], None]] = None
@@ -172,7 +169,6 @@ class PairLedger:
         self.pairs.pop(key, None)
         self.votes.pop(key, None)
         self.posteriors.pop(key, None)
-        self.covered.discard(key)
 
     def record_fresh_votes(self, key: PairKey, votes: List[Vote]) -> None:
         """Take a pair's crowd votes, in oracle order."""
@@ -180,12 +176,6 @@ class PairLedger:
             self.tally(key[0], VOTED, 1)
         self.votes[key] = votes
         self._note((key,))
-
-    def mark_covered(self, keys: Iterable[PairKey]) -> None:
-        """Note that published HITs covered the given pairs."""
-        fresh = set(keys) - self.covered
-        self.covered |= fresh
-        self._note(fresh)
 
     def set_posterior(self, key: PairKey, posterior: float) -> None:
         if self.tally is not None and key not in self.posteriors:

@@ -2,7 +2,7 @@
 
 :class:`SqliteStore` is the one file of a durable session.  Its state
 tables — records, the pair ledger (one ``ledger`` row per candidate pair:
-likelihood, votes, posterior, HIT coverage) and the workload counters in
+likelihood, votes, posterior) and the workload counters in
 ``meta`` (assignment durations as counts, not one row each) — hold "the
 state as of ``meta.events_applied``"; its ``events`` table
 (``seq``, ``type``, ``payload``, ``crc``) is the session's write-ahead log —
@@ -10,7 +10,7 @@ state as of ``meta.events_applied``"; its ``events`` table
 module only declares it.  The log holds at most the one intent a crash
 interrupted: an event deletes its intent in the commit that applies it.
 The incremental join's index is not stored: it is derived from the
-records, and a restore re-indexes them.  The schema is format 5 alone:
+records, and a restore re-indexes them.  The schema is format 6 alone:
 :mod:`repro.storage.upgrade` brings an earlier store to it.
 
 A durable session writes each event's changes into the state tables
@@ -81,7 +81,6 @@ CREATE TABLE IF NOT EXISTS ledger (
     likelihood REAL,
     votes      TEXT,
     posterior  REAL,
-    covered    INTEGER NOT NULL,
     PRIMARY KEY (id_a, id_b)
 ) WITHOUT ROWID"""
 
@@ -302,8 +301,8 @@ class SqliteStore(Store):
         )
         self._write_rows(
             "INSERT OR REPLACE INTO ledger "
-            "(id_a, id_b, likelihood, votes, posterior, covered) "
-            "VALUES (?, ?, ?, ?, ?, ?)",
+            "(id_a, id_b, likelihood, votes, posterior) "
+            "VALUES (?, ?, ?, ?, ?)",
             [
                 (
                     key[0],
@@ -312,7 +311,6 @@ class SqliteStore(Store):
                     json.dumps([[worker, bool(answer)] for worker, _, answer in votes[key]])
                     if key in votes else None,
                     float(posteriors[key]) if key in posteriors else None,
-                    int(key in ledger.covered),
                 )
                 for key in keys
                 if key in pairs
@@ -332,9 +330,9 @@ class SqliteStore(Store):
         """
         ledger = self.ledger
         ledger.touched = None
-        ledger.pairs, ledger.votes, ledger.posteriors, ledger.covered = {}, {}, {}, set()
-        for id_a, id_b, likelihood, votes, posterior, covered in self._conn.execute(
-            "SELECT id_a, id_b, likelihood, votes, posterior, covered FROM ledger"
+        ledger.pairs, ledger.votes, ledger.posteriors = {}, {}, {}
+        for id_a, id_b, likelihood, votes, posterior in self._conn.execute(
+            "SELECT id_a, id_b, likelihood, votes, posterior FROM ledger"
         ):
             key = (id_a, id_b)
             ledger.pairs[key] = likelihood
@@ -344,6 +342,4 @@ class SqliteStore(Store):
                 ]
             if posterior is not None:
                 ledger.posteriors[key] = posterior
-            if covered:
-                ledger.covered.add(key)
         ledger.reindex()

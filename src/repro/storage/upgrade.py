@@ -1,9 +1,9 @@
 """The one upgrade path: the only module that knows an earlier store format
 (``docs/storage.md`` tabulates the formats).
 
-This release reads store formats 4 and 5 and refuses anything older.  A
+This release reads store formats 5 and 6 and refuses anything older.  A
 reader — a restore, ``repro stats``, a ``save(X)`` over an earlier copy —
-runs :func:`upgrade` on the store, then reads format 5 only.
+runs :func:`upgrade` on the store, then reads format 6 only.
 :func:`upgrade` writes in the store's open transaction: a restore that
 takes the store over commits it, a refusal or a read rolls it back.
 """
@@ -16,44 +16,25 @@ from repro.storage.base import StorageError
 from repro.storage.sqlite import LEDGER_TABLE, SCHEMA_TABLES, STORE_FILENAME, SqliteStore
 
 #: The store format this release writes.  A release refuses a newer one: a
-#: format-4 reader, for one, would find no ``ledger.pending`` column in
-#: format 5.
-FORMAT_VERSION = 5
+#: format-5 reader, for one, would find no ``ledger.covered`` column in
+#: format 6.
+FORMAT_VERSION = 6
 
 
-def _refuse_pending(store: SqliteStore) -> None:
-    """Refuse a count of votes no posterior has seen: no session leaves one
-    at an event boundary, and dropping it would skip a re-aggregation."""
-    if store.query("SELECT 1 FROM ledger WHERE pending != 0 LIMIT 1").fetchone():
-        raise StorageError(f"{store.path} holds votes no posterior has seen (ledger.pending)")
-
-
-def to_5(store: SqliteStore) -> None:
-    """Format 5 keeps state, not history: count the ``assignment_seconds``
-    rows, one per crowd assignment, into the ``session`` value, and rebuild
-    ``ledger`` without its ``pending`` column; :func:`upgrade` then drops
-    the old table and ``assignment_seconds``."""
-    if any(column == "pending" for _, column, *_ in store.query("PRAGMA table_info(ledger)")):
-        _refuse_pending(store)
-        # Rebuilt, not ``DROP COLUMN``, which SQLite only has from 3.35.
-        store.execute("ALTER TABLE ledger RENAME TO ledger_4")
-        store.execute(LEDGER_TABLE)
-        store.execute(
-            "INSERT INTO ledger "
-            "SELECT id_a, id_b, likelihood, votes, posterior, covered FROM ledger_4"
-        )
-    counts = store.query(
-        "SELECT seconds, COUNT(*) FROM assignment_seconds GROUP BY seconds ORDER BY seconds"
-    ).fetchall()
-    if counts:
-        counters = store.get_meta("session") or {}
-        store.set_meta("session", {**counters, "assignment_seconds": [list(row) for row in counts]})
+def to_6(store: SqliteStore) -> None:
+    """Format 6 stores no HIT coverage, which every HIT batch derives:
+    rebuild ``ledger`` without its ``covered`` column; :func:`upgrade` then
+    drops the old table."""
+    # Rebuilt, not ``DROP COLUMN``, which SQLite only has from 3.35.
+    store.execute("ALTER TABLE ledger RENAME TO ledger_5")
+    store.execute(LEDGER_TABLE)
+    store.execute("INSERT INTO ledger SELECT id_a, id_b, likelihood, votes, posterior FROM ledger_5")
 
 
 #: ``STEPS[n]`` brings a store from format ``n`` to format ``n + 1``.  The
 #: window is the current format and the one before it: a format bump adds a
 #: step and deletes the oldest, with its fixture.
-STEPS = {4: to_5}
+STEPS = {5: to_6}
 
 
 def upgrade(store: SqliteStore, version: int) -> None:

@@ -28,12 +28,11 @@ PairKey = Tuple[str, str]
 class CrowdStep:
     """What one driver call did.
 
-    ``coverage``: every HIT published, in order, with the requested pairs it
-    can check.  ``completed``: every pair whose last vote arrived — ``(pair,
-    its votes in per-pair oracle order)``.
+    ``hits``: how many HITs it published.  ``completed``: every pair whose
+    last vote arrived — ``(pair, its votes in per-pair oracle order)``.
     """
 
-    coverage: List[Tuple[str, List[PairKey]]] = field(default_factory=list)
+    hits: int = 0
     completed: List[Tuple[PairKey, List[Vote]]] = field(default_factory=list)
 
 
@@ -114,15 +113,14 @@ class CrowdDriver:
             logger.debug("backpressure shed %d pairs (%d HITs)", len(to_vote), batch.hit_count)
             return step
         self.starved -= to_vote
-        carried = run.carried
-        step.coverage = [(hit.hit_id, sorted(pairs)) for hit, pairs in zip(batch.hits, carried)]
+        step.hits = run.hit_count
         # A sync publish returns every covered pair's votes; whatever it did
         # not return (async: everything) is in flight and arrives later.
         fresh: Dict[PairKey, List[Vote]] = {}
         for vote in run.votes:
             fresh.setdefault(vote[1], []).append(vote)
         step.completed = list(fresh.items())
-        for key in set().union(*carried) - fresh.keys():
+        for key in set().union(*run.carried) - fresh.keys():
             self.inflight[key] = {}
         self.assignment_seconds.update(run.assignment_seconds)
         self.generator_name = batch.generator_name

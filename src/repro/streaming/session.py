@@ -44,7 +44,7 @@ On top of arrivals the session supports **retraction and update**
 the pair ledger indexes every candidate pair by its two records
 (:meth:`~repro.storage.base.PairLedger.pairs_of`), so removing a record
 invalidates exactly the provenance-reachable pairs and components — their
-votes, posteriors and HIT coverage are discarded, the surviving members are
+votes and posteriors are discarded, the surviving members are
 re-connected (and re-tallied) from their surviving edges, and only an
 aggregator that is not pair-independent re-runs that dirty region; every
 clean component is untouched.
@@ -77,10 +77,9 @@ points.
 from __future__ import annotations
 
 import logging
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro import obs
-from repro.aggregation.majority import Vote
 from repro.core.config import WorkflowConfig
 from repro.core.ranking import RankedIndex, rank_candidates
 from repro.core.results import ResolutionResult, StreamingDelta
@@ -200,7 +199,7 @@ class StreamingResolver:
             self.durability.attach(self)
 
     # ----------------------------------------------------------- hot ledger
-    # The candidate pairs and their vote/posterior/coverage state live in
+    # The candidate pairs and their vote/posterior state live in
     # the store's PairLedger.  Reads are plain dict access; every
     # mutation goes through a ledger *method*, so a SQLite store knows which
     # keys' rows to write when the event commits.
@@ -229,14 +228,6 @@ class StreamingResolver:
     def events_applied(self) -> int:
         """Logged events reflected in the current state (0 if not durable)."""
         return self.durability.events_applied
-
-    def votes_for(self, id_a: str, id_b: str) -> List[Vote]:
-        """The current vote ledger entry of one pair (empty if never asked)."""
-        return list(self._ledger.votes.get(canonical_pair(id_a, id_b), ()))
-
-    def covered_pairs(self) -> FrozenSet[PairKey]:
-        """Candidate pairs covered by at least one published HIT so far."""
-        return frozenset(self._ledger.covered)
 
     def state_digest(self) -> str:
         """Exact digest of the aggregated state (posteriors, cost, HITs).
@@ -291,7 +282,7 @@ class StreamingResolver:
 
         Provenance makes the blast radius exact: the record's pairs (and
         nothing else) are invalidated — dropped from the candidate set, the
-        vote ledger, the posterior cache and the HIT coverage — its rows
+        vote ledger and the posterior cache — its rows
         are tombstoned out of the columnar index, and the component it
         lived in is re-formed from the surviving edges.  Only the resulting
         dirty components are re-aggregated; every clean component is
@@ -545,15 +536,12 @@ class StreamingResolver:
     def _fold(self, step: CrowdStep, delta: StreamingDelta) -> None:
         """Fold one crowd step into the session: the only place votes land.
 
-        The ledger marks the pairs the step's HITs covered and takes a
-        completed pair's votes whole, in oracle order.
+        The ledger takes a completed pair's votes whole, in oracle order.
         """
-        if step.coverage:
-            self._ledger.mark_covered(set().union(*(keys for _, keys in step.coverage)))
         for key, votes in step.completed:
             self._ledger.record_fresh_votes(key, votes)
             self._fresh_pairs.add(key)
-        delta.regenerated_hits += len(step.coverage)
+        delta.regenerated_hits += step.hits
         delta.crowdsourced_pairs += len(step.completed)
 
     def _expand_components(self, completed: Iterable[PairKey]) -> Set[PairKey]:

@@ -19,6 +19,7 @@ properties run under majority aggregation (any scope) and Dawid-Skene
 with *global* scope — the same classes for which streaming == batch holds.
 """
 
+import dataclasses
 import json
 
 import pytest
@@ -145,14 +146,14 @@ class TestFaultPlan:
 
     def test_json_round_trip(self):
         plan = FaultPlan(**HOSTILE_PLAN)
-        assert FaultPlan.from_dict(plan.to_dict()) == plan
+        assert FaultPlan.from_dict(dataclasses.asdict(plan)) == plan
 
     def test_file_round_trip(self, tmp_path):
         import json
 
         plan = FaultPlan(seed=9, drop_probability=0.25)
         path = tmp_path / "plan.json"
-        path.write_text(json.dumps(plan.to_dict()))
+        path.write_text(json.dumps(dataclasses.asdict(plan)))
         assert FaultPlan.from_file(str(path)) == plan
 
     def test_unknown_keys_rejected(self):

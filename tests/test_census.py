@@ -12,7 +12,11 @@ makes to itself.  Test modules are not searched.
 Identifiers are counted, not bindings, so a definition whose name any
 other code uses is hidden from the census: a test-only method ``m`` passes
 as long as some other ``m`` is called or read anywhere.  Such methods are
-checked by hand.
+checked by hand.  Five did pass that way until they were deleted:
+``StreamingResolver.votes_for`` (``SimulatedCrowdPlatform.votes_for`` is
+called), ``StreamingResolver.covered_pairs`` (``HITBatch.covered_pairs``),
+``FaultPlan.to_dict`` (``VoteDelivery.to_dict``), and ``Record.as_dict``
+and ``LatencyEstimate.as_dict`` (``StreamingDelta.as_dict``).
 
 A parameter with a default earns its place when some call in the same
 files passes it: by keyword, or by position at or past its index.  Calls
@@ -36,7 +40,8 @@ tuple or list of names spells it, or its class is serialised whole
 (``asdict``, ``astuple`` or ``fields`` of ``self``, of the class, or of a
 parameter annotated with it).  Reads are counted by attribute name, so a
 shared name hides an attribute nothing reads, as a shared name hides a
-definition.
+definition: ``LatencyEstimate.effective_workers`` passed because
+``LatencyModel.effective_workers`` is called.
 
 Two blind spots follow, and what falls into them is checked by hand.  A
 script under ``benchmarks/`` counts as a caller although tier-1 never runs

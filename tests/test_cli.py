@@ -266,7 +266,7 @@ class TestCheckpointResume:
                                             "--max-batches", "2"]) == 0
         capsys.readouterr()
         assert main(self.STREAM_ARGS + ["--checkpoint-dir", checkpoint, "--resume"]) == 2
-        assert "store format 99; this release reads formats 4 to 5 only" in capsys.readouterr().err
+        assert "store format 99; this release reads formats 5 to 6 only" in capsys.readouterr().err
 
     @pytest.mark.parametrize("kind", sorted(UNREADABLE_STORES))
     def test_resume_of_an_unreadable_store_exits_2(self, tmp_path, capsys, kind):

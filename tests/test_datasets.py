@@ -88,13 +88,13 @@ class TestRestaurantGenerator:
     def test_deterministic_for_seed(self):
         a = RestaurantGenerator(record_count=100, duplicate_pairs=10, seed=5).generate()
         b = RestaurantGenerator(record_count=100, duplicate_pairs=10, seed=5).generate()
-        assert [r.as_dict() for r in a.store] == [r.as_dict() for r in b.store]
+        assert [vars(r) for r in a.store] == [vars(r) for r in b.store]
         assert a.ground_truth == b.ground_truth
 
     def test_different_seeds_differ(self):
         a = RestaurantGenerator(record_count=100, duplicate_pairs=10, seed=1).generate()
         b = RestaurantGenerator(record_count=100, duplicate_pairs=10, seed=2).generate()
-        assert [r.as_dict() for r in a.store] != [r.as_dict() for r in b.store]
+        assert [vars(r) for r in a.store] != [vars(r) for r in b.store]
 
     def test_duplicates_are_textually_similar(self, small_restaurant):
         from repro.similarity.record_similarity import JaccardRecordSimilarity

@@ -48,12 +48,6 @@ class TestRecord:
         assert updated.source == "abt"
         assert record.get("name") == "a"
 
-    def test_as_dict_includes_id_and_source(self):
-        record = Record("r1", {"name": "a"}, source="buy")
-        payload = record.as_dict()
-        assert payload["record_id"] == "r1"
-        assert payload["source"] == "buy"
-
 
 # ------------------------------------------------------------ RecordStore
 class TestRecordStore:

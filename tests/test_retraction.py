@@ -174,7 +174,7 @@ class TestSessionRetraction:
         resolver = StreamingResolver(config=make_config(likelihood_threshold=0.5))
         resolver.add_truth([("a1", "a2"), ("a1", "a3"), ("a2", "a3"), ("b1", "b2")])
         resolver.add_batch(island_a + island_b)
-        votes_b = resolver.votes_for("b1", "b2")
+        votes_b = list(resolver.storage.ledger.votes[("b1", "b2")])
         before = resolver.snapshot()
         posterior_b = before.posteriors[("b1", "b2")]
 
@@ -187,13 +187,13 @@ class TestSessionRetraction:
         assert delta.regenerated_hits == 0  # retraction never publishes HITs
         assert delta.crowdsourced_pairs == 0
         # Island B kept its votes and posterior bit-for-bit.
-        assert resolver.votes_for("b1", "b2") == votes_b
+        assert resolver.storage.ledger.votes[("b1", "b2")] == votes_b
         assert result.posteriors[("b1", "b2")] == posterior_b
         # The invalidated pairs are gone everywhere.
         for key in [("a1", "a3"), ("a2", "a3")]:
             assert key not in result.posteriors
             assert key not in result.likelihoods
-            assert resolver.votes_for(*key) == []
+            assert key not in resolver.storage.ledger.votes
         assert ("a1", "a2") in result.posteriors  # the surviving pair remains
 
     def test_retraction_matches_a_session_that_never_saw_the_record(self):
@@ -243,14 +243,14 @@ class TestSessionRetraction:
         with pytest.raises(RecordError):
             resolver.retract("ghost")
 
-    def test_provenance_tracks_discovery_coverage_and_votes(self):
+    def test_provenance_tracks_discovery_and_votes(self):
         island_a, _ = two_islands()
         resolver = StreamingResolver(config=make_config(likelihood_threshold=0.5))
         resolver.add_truth([("a1", "a2")])
         resolver.add_batch(island_a)
         ledger = resolver.storage.ledger
-        assert ("a1", "a2") in ledger.pairs and ("a1", "a2") in ledger.covered
-        assert len(resolver.votes_for("a1", "a2")) == resolver.config.assignments_per_hit
+        assert ("a1", "a2") in ledger.pairs
+        assert len(ledger.votes[("a1", "a2")]) == resolver.config.assignments_per_hit
         assert ledger.pairs_of("a3") == {("a1", "a3"), ("a2", "a3")}
         assert ledger.pairs_of("b1") == set()
         resolver.retract("a3")

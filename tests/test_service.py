@@ -454,7 +454,7 @@ class TestHttpSurface:
         assert caught.value.code == "resume_conflict"
         assert "'recrowd_policy'" in caught.value.body["error"]["message"]
 
-    @pytest.mark.parametrize("version", (99, 3, 2, 1))
+    @pytest.mark.parametrize("version", (99, 4, 3, 2, 1))
     def test_restoring_a_session_of_a_newer_store_format_is_409(
         self, service, tmp_path, monkeypatch, version
     ):
@@ -469,7 +469,7 @@ class TestHttpSurface:
             client.restore(fresh_id("newer"), str(tmp_path))
         assert caught.value.status == 409
         assert caught.value.code == "resume_conflict"
-        assert f"store format {version}; this release reads formats 4 to 5 only" in (
+        assert f"store format {version}; this release reads formats 5 to 6 only" in (
             caught.value.body["error"]["message"]
         )
 

@@ -71,7 +71,8 @@ def assert_sessions_identical(left, right):
     assert snap_left.hit_count == snap_right.hit_count
     assert snap_left.assignment_count == snap_right.assignment_count
     assert left.state_digest() == right.state_digest()
-    assert left.covered_pairs() == right.covered_pairs()
+    assert (set(left.storage.ledger.votes) | set(left.driver.inflight)
+            == set(right.storage.ledger.votes) | set(right.driver.inflight))
     assert sorted(left.store.record_ids) == sorted(right.store.record_ids)
 
 
@@ -163,24 +164,23 @@ def assert_tables_are_the_ledger(session):
     one row per candidate pair, and no row of a dropped key."""
     ledger = session.storage.ledger
     rows = session.durability.store.query(
-        "SELECT id_a, id_b, likelihood, votes, posterior, covered FROM ledger"
+        "SELECT id_a, id_b, likelihood, votes, posterior FROM ledger"
     ).fetchall()
     assert len(rows) == len(ledger.pairs)
     assert {
-        (a, b): (likelihood, None if votes is None else json.loads(votes), posterior, covered)
-        for a, b, likelihood, votes, posterior, covered in rows
+        (a, b): (likelihood, None if votes is None else json.loads(votes), posterior)
+        for a, b, likelihood, votes, posterior in rows
     } == {
         key: (
             likelihood,
             [[worker, answer] for worker, _, answer in ledger.votes[key]]
             if key in ledger.votes else None,
             ledger.posteriors.get(key),
-            int(key in ledger.covered),
         )
         for key, likelihood in ledger.pairs.items()
     }
-    # Only candidates carry votes, a posterior or coverage: a row holds them all.
-    assert ledger.votes.keys() | ledger.posteriors.keys() | ledger.covered <= ledger.pairs.keys()
+    # Only candidates carry votes or a posterior: a row holds them all.
+    assert ledger.votes.keys() | ledger.posteriors.keys() <= ledger.pairs.keys()
 
 
 def session_fingerprint(session):
@@ -195,7 +195,7 @@ def session_fingerprint(session):
         "hit_count": snap.hit_count,
         "assignment_count": snap.assignment_count,
         "digest": session.state_digest(),
-        "covered": session.covered_pairs(),
+        "covered": set(session.storage.ledger.votes) | set(session.driver.inflight),
         "record_ids": sorted(session.store.record_ids),
     }
 
@@ -257,7 +257,6 @@ class TestSqliteRoundTrips:
         store.ledger.add_pair(third, 0.125)  # a lower one changes nothing
         assert list(store.ledger.pairs.items()) == [(key, 0.75), (other, None), (third, 0.25)]
         store.ledger.record_fresh_votes(key, [("w1", key, True), ("w2", key, False)])
-        store.ledger.mark_covered([key])
         store.ledger.set_posterior(key, 2.0 / 3.0)
         store.ledger.drop_pair(other)
         assert store.ledger.unsaved == {key, other, third}
@@ -265,8 +264,8 @@ class TestSqliteRoundTrips:
         store.commit()
         assert store.ledger.unsaved == set()
         assert store.query("SELECT * FROM ledger").fetchall() == [
-            ("r1", "r2", 0.75, '[["w1", true], ["w2", false]]', 2.0 / 3.0, 1),
-            ("r5", "r6", 0.25, None, None, 0),
+            ("r1", "r2", 0.75, '[["w1", true], ["w2", false]]', 2.0 / 3.0),
+            ("r5", "r6", 0.25, None, None),
         ]
         store.close()
         reopened = SqliteStore(path)
@@ -275,7 +274,6 @@ class TestSqliteRoundTrips:
         assert ledger.pairs == {key: 0.75, third: 0.25}
         assert ledger.votes == {key: [("w1", key, True), ("w2", key, False)]}
         assert ledger.posteriors == {key: 2.0 / 3.0}  # bit-exact REAL round trip
-        assert ledger.covered == {key}
         reopened.close()
 
     def test_provenance_round_trips(self, tmp_path):
@@ -882,9 +880,7 @@ class WrittenStore:
     whose deliveries are delayed (:meth:`config`), through
     :meth:`events`; ``applied`` of them are in the state tables and
     ``logged`` in the log.  ``stats`` is what ``repro stats`` reported on
-    it under that release, but for the worker-seconds: since store format
-    5 they are the correctly rounded sum of the durations, where a release
-    before summed them left to right.
+    it under that release.
     """
 
     dump: str
@@ -932,13 +928,12 @@ class WrittenStore:
         return session
 
 
-#: Format 4, written by the last release that kept one ``assignment_seconds``
-#: row per crowd assignment and a ``ledger.pending`` column, as a crash
-#: inside the flush left it: the state at the batch of records 30-40, with
-#: 17 pairs' votes in flight, and the flush's intent its unapplied tail.
-#: Its 13 durations summed left to right read 1027.3999999999999.
-FORMAT_4_STORE = WrittenStore(
-    "v4_sqlite_store.sql", "majority", 5, 6,
+#: Format 5, written by the last release that stored HIT coverage (a
+#: ``ledger.covered`` column), as a crash inside the flush left it: the
+#: state at the batch of records 30-40, with 17 pairs' votes in flight, and
+#: the flush's intent its unapplied tail.
+FORMAT_5_STORE = WrittenStore(
+    "v5_sqlite_store.sql", "majority", 5, 6,
     (6, 13, 33, 0.45000000000000007, 1027.4),
 )
 
@@ -964,19 +959,20 @@ def delete_events(directory, where=""):
 
 
 def history(store):
-    """The history formats 1-4 kept that ``store`` still has: the
-    ``assignment_seconds`` table, one row per crowd assignment, and the
-    ``ledger.pending`` column."""
+    """What earlier formats stored and ``store`` still has: the
+    ``assignment_seconds`` table (one row per crowd assignment) and the
+    ``ledger.pending`` column of formats 1-4, and the ``ledger.covered``
+    column of formats 2-5."""
     columns = [column for _, column, *_ in store.query("PRAGMA table_info(ledger)")]
     return schema_objects(store, "assignment_seconds") + [
-        f"ledger.{column}" for column in columns if column == "pending"
+        f"ledger.{column}" for column in columns if column in ("pending", "covered")
     ]
 
 
 def assert_restores_and_continues(tmp_path, written, tail):
     """``written`` restores bit-identically to a session that ran the events
     its store holds — with its logged tail, with the log cut at its state,
-    and as a ``save(X)`` copy (state, no events) — in store format 5,
+    and as a ``save(X)`` copy (state, no events) — in store format 6,
     without its history and with an empty log, then continues and restores
     again bit-identically."""
     dataset = make_dataset()
@@ -995,7 +991,7 @@ def assert_restores_and_continues(tmp_path, written, tail):
     assert_sessions_identical(twin, restored)
     assert restored.storage.ledger.votes == twin.storage.ledger.votes
     store = restored.durability.store
-    assert store.get_meta("version") == persistence.FORMAT_VERSION == 5
+    assert store.get_meta("version") == persistence.FORMAT_VERSION == 6
     assert history(store) == []
     assert restored.driver.assignment_seconds == twin.driver.assignment_seconds
     assert restored.durability.journal.events() == []
@@ -1027,8 +1023,8 @@ def assert_stats_as_written(tmp_path, capsys, written):
 
 def assert_save_over_a_copy_restores_the_saving_session(tmp_path, written):
     """``save(X)`` over a store-only copy ``written``'s release left brings
-    the copy to format 5 before it rewrites the state tables — an earlier
-    format's tables take no format-5 rows — so ``repro stats`` and a
+    the copy to format 6 before it rewrites the state tables — an earlier
+    format's tables take no format-6 rows — so ``repro stats`` and a
     restore read the saving session from it."""
     directory = written.load(tmp_path / "store")
     # A store-only copy: no events, and no mark of a session (format 4 on).
@@ -1046,7 +1042,7 @@ def assert_save_over_a_copy_restores_the_saving_session(tmp_path, written):
     assert session.storage.ledger.votes
     session.save(directory)
     copy = SqliteStore(directory / STORE_FILENAME)
-    assert copy.get_meta("version") == 5
+    assert copy.get_meta("version") == 6
     assert history(copy) == []
     copy.close()
     report = CostReport.from_store(str(directory / STORE_FILENAME))
@@ -1057,78 +1053,49 @@ def assert_save_over_a_copy_restores_the_saving_session(tmp_path, written):
     restored.durability.close()
 
 
-class TestAFormat4Store:
-    """The last format that kept history: a row per crowd assignment and a
-    ``ledger.pending`` count, zero at every event boundary.  The restore that
-    takes such a store over folds the rows into duration counts and drops
-    the table and the column."""
+class TestAFormat5Store:
+    """The last format that stored HIT coverage: a ``ledger.covered`` flag,
+    set for every voted pair and every pair in flight.  The restore that
+    takes such a store over drops the column."""
 
     @pytest.mark.parametrize("tail", ("logged", "cut", "store-only"))
     def test_restores_and_continues_bit_identically(self, tmp_path, tail):
-        assert_restores_and_continues(tmp_path, FORMAT_4_STORE, tail)
+        assert_restores_and_continues(tmp_path, FORMAT_5_STORE, tail)
 
     def test_repro_stats_reports_the_tables_assignments_and_exact_seconds(
         self, tmp_path, capsys
     ):
-        assert_stats_as_written(tmp_path, capsys, FORMAT_4_STORE)
+        assert_stats_as_written(tmp_path, capsys, FORMAT_5_STORE)
 
-    def test_a_planted_pending_count_is_refused_and_leaves_it_byte_identical(
-        self, tmp_path, capsys
-    ):
-        """Dropping a non-zero count would skip the re-aggregation it asks
-        for: a restore and ``repro stats`` both refuse it, naming the column,
-        and roll their upgrade back."""
-        from repro.cli import main
+    def test_save_over_a_copy_with_a_covered_column_restores_the_saving_session(self, tmp_path):
+        """Format 5 declares ``ledger.covered NOT NULL`` with no default,
+        which format 6's ledger rows leave out."""
+        assert_save_over_a_copy_restores_the_saving_session(tmp_path, FORMAT_5_STORE)
 
-        directory = FORMAT_4_STORE.load(tmp_path / "store")
-        path = directory / STORE_FILENAME
-        connection = sqlite3.connect(str(path))
-        with connection:
-            connection.execute(
-                "UPDATE ledger SET pending = 3 WHERE (id_a, id_b) = "
-                "(SELECT id_a, id_b FROM ledger WHERE votes IS NOT NULL LIMIT 1)"
-            )
-        connection.close()
-        before = path.read_bytes()
-        with pytest.raises(StorageError, match="ledger.pending"):
-            StreamingResolver.restore(directory)
-        assert path.read_bytes() == before
-        assert main(["stats", "--checkpoint-dir", str(directory)]) == 2
-        assert "ledger.pending" in capsys.readouterr().err
-        assert path.read_bytes() == before
-
-    def test_save_over_a_copy_with_a_pending_column_restores_the_saving_session(self, tmp_path):
-        """Format 4 declares ``ledger.pending NOT NULL`` with no default,
-        which format 5's ledger rows leave out."""
-        assert_save_over_a_copy_restores_the_saving_session(tmp_path, FORMAT_4_STORE)
-
-    def test_the_takeover_folds_the_table_into_counts_and_drops_the_column(self, tmp_path):
-        """With the log cut at its state, the restored session's duration
-        counts are the table's rows, counted; the restore's first commit
-        stores them in the ``session`` value and drops the table and the
-        column."""
-        directory = FORMAT_4_STORE.load(tmp_path / "store")
+    def test_the_takeover_drops_the_column_and_keeps_every_row(self, tmp_path):
+        """With the log cut at its state, the restore's first commit drops
+        ``ledger.covered`` and keeps the other five columns of every row."""
+        directory = FORMAT_5_STORE.load(tmp_path / "store")
         delete_events(
             directory, "WHERE seq > (SELECT value FROM meta WHERE key = 'events_applied')"
         )
+        columns = "id_a, id_b, likelihood, votes, posterior"
         store = SqliteStore(directory / STORE_FILENAME)
-        rows = [seconds for seconds, in store.query("SELECT seconds FROM assignment_seconds")]
-        assert history(store) == ["assignment_seconds", "ledger.pending"]
+        rows = store.query(f"SELECT {columns} FROM ledger ORDER BY id_a, id_b").fetchall()
+        assert history(store) == ["ledger.covered"]
         store.close()
         restored = StreamingResolver.restore(directory)
         restored.durability.close()
-        assert restored.driver.assignment_seconds == collections.Counter(rows)
         store = SqliteStore(directory / STORE_FILENAME)
         assert history(store) == []
-        assert store.get_meta("session")["assignment_seconds"] == [
-            [seconds, rows.count(seconds)] for seconds in sorted(set(rows))
-        ]
+        assert store.query(f"SELECT {columns} FROM ledger ORDER BY id_a, id_b").fetchall() == rows
         store.close()
 
 
 class TestAStoreWithoutHistory:
-    """Store format 5 keeps the crowd's assignment durations as counts in
-    the ``session`` value and no count of unaggregated votes."""
+    """Store format 6 keeps the crowd's assignment durations as counts in
+    the ``session`` value, no count of unaggregated votes and no HIT
+    coverage."""
 
     @pytest.mark.parametrize("crowd_mode", ("sync", "async"))
     def test_a_settled_durable_sessions_store_has_no_history(self, tmp_path, crowd_mode):
@@ -1148,7 +1115,7 @@ class TestAStoreWithoutHistory:
         assert history(store) == []
         assert [
             column for _, column, *_ in store.query("PRAGMA table_info(ledger)")
-        ] == ["id_a", "id_b", "likelihood", "votes", "posterior", "covered"]
+        ] == ["id_a", "id_b", "likelihood", "votes", "posterior"]
         counts = store.get_meta("session")["assignment_seconds"]
         assert count > 0 and sum(times for _, times in counts) == count
         assert [seconds for seconds, _ in counts] == sorted({seconds for seconds, _ in counts})
@@ -1218,26 +1185,26 @@ class TestUpgrade:
         """The window is the current format and the one before it; each
         earlier format in it has a step and a committed store written in it."""
         window = range(min(upgrade.STEPS), upgrade.FORMAT_VERSION + 1)
-        assert list(window) == [4, 5]
+        assert list(window) == [5, 6]
         written = {
             int(re.search(r"VALUES\('version','(\d+)'\)", path.read_text()).group(1))
             for path in FIXTURES.glob("v*_*store.sql")
         }
         assert set(upgrade.STEPS) == set(window) - {upgrade.FORMAT_VERSION} == written
 
-    @pytest.mark.parametrize("version", (1, 2, 3))
+    @pytest.mark.parametrize("version", (1, 2, 3, 4))
     def test_a_restore_refuses_an_earlier_format_and_leaves_it_byte_identical(
         self, tmp_path, version
     ):
         path = store_of_format(tmp_path, version)
         before = path.read_bytes()
         with pytest.raises(
-            StorageError, match=f"store format {version}; this release reads formats 4 to 5 "
+            StorageError, match=f"store format {version}; this release reads formats 5 to 6 "
         ):
             StreamingResolver.restore(tmp_path)
         assert path.read_bytes() == before
 
-    @pytest.mark.parametrize("version", (1, 2, 3))
+    @pytest.mark.parametrize("version", (1, 2, 3, 4))
     def test_repro_stats_refuses_an_earlier_format_with_exit_2(self, tmp_path, capsys, version):
         from repro.cli import main
 
@@ -1245,7 +1212,7 @@ class TestUpgrade:
         before = path.read_bytes()
         capsys.readouterr()
         assert main(["stats", "--checkpoint-dir", str(tmp_path)]) == 2
-        assert f"store format {version}; this release reads formats 4 to 5 " in (
+        assert f"store format {version}; this release reads formats 5 to 6 " in (
             capsys.readouterr().err
         )
         assert path.read_bytes() == before
@@ -1272,7 +1239,7 @@ class TestUpgrade:
         assert path.read_bytes() == before
         assert "ledger" not in store_contents(path)
 
-    @pytest.mark.parametrize("version", (1, 2, 3))
+    @pytest.mark.parametrize("version", (1, 2, 3, 4))
     def test_save_over_a_copy_of_an_earlier_format_is_refused_and_changes_nothing(
         self, tmp_path, version
     ):

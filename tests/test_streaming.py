@@ -175,7 +175,8 @@ class TestStreamingEquivalence:
         records = list(dataset.store)
         for start in range(0, len(records), 11):
             resolver.add_batch(records[start : start + 11])
-        assert resolver.covered_pairs() == one_shot_covered == set(candidates.keys())
+        # A sync crowd votes on every pair a HIT covers.
+        assert set(resolver.storage.ledger.votes) == one_shot_covered == set(candidates.keys())
 
     def test_similarity_attributes_restrict_the_streamed_join(self):
         """A session scores pairs over the named attributes only, exactly as
@@ -225,7 +226,7 @@ class TestIncrementalBehaviour:
         resolver = StreamingResolver(config=config)
         resolver.add_truth([("a1", "a2"), ("b1", "b2")])
         resolver.add_batch(island_a)
-        votes_before = resolver.votes_for("a1", "a2")
+        votes_before = list(resolver.storage.ledger.votes[("a1", "a2")])
         posterior_before = resolver.snapshot().posteriors[("a1", "a2")]
         assert votes_before
 
@@ -233,7 +234,7 @@ class TestIncrementalBehaviour:
         second = resolver.snapshot()
         # Island A was untouched by the batch: votes and posterior carried
         # over bit-for-bit, and the delta reports the preservation.
-        assert resolver.votes_for("a1", "a2") == votes_before
+        assert resolver.storage.ledger.votes[("a1", "a2")] == votes_before
         assert second.posteriors[("a1", "a2")] == posterior_before
         assert delta.preserved_posterior_pairs == 1
         assert delta.reused_vote_pairs == 0
@@ -247,11 +248,11 @@ class TestIncrementalBehaviour:
             Record("r2", {"t": "alpha beta gamma delta"}),
         ]
         resolver.add_batch(base)
-        votes_before = resolver.votes_for("r1", "r2")
+        votes_before = list(resolver.storage.ledger.votes[("r1", "r2")])
         # A new record joins the same component: the component is dirty and
         # its HITs are regenerated, but the r1-r2 votes are reused.
         delta = resolver.add_batch([Record("r3", {"t": "alpha beta gamma epsilon"})])
-        assert resolver.votes_for("r1", "r2") == votes_before
+        assert resolver.storage.ledger.votes[("r1", "r2")] == votes_before
         assert delta.reused_vote_pairs >= 1
         assert delta.regenerated_hits >= 1
 
